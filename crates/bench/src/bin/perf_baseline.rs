@@ -389,9 +389,12 @@ fn run_all(quick: bool) -> Baseline {
     // LZ round-trip over 256 run-heavy blocks (1 MiB), against a memcpy
     // of the same bytes as the budget unit.
     let compressible = compressible_payload(256 * 4096, 19);
+    let mut scratch = lz::Scratch::default();
+    let mut frame = Vec::new();
     let lz = measure("codec_lz_roundtrip", 3, scale(300), || {
         for block in compressible.chunks_exact(4096) {
-            let frame = lz::compress_block(block);
+            frame.clear();
+            lz::compress_block_into(block, &mut frame, &mut scratch);
             let out = lz::decompress_block(&frame, 4096).expect("own frame round-trips");
             black_box(out.0.len());
         }
@@ -402,10 +405,7 @@ fn run_all(quick: bool) -> Baseline {
         black_box(copy_dst[copy_dst.len() - 1]);
     });
     let lz_ratio = lz.p50_ns as f64 / memcpy.p50_ns.max(1) as f64;
-    let compressed: usize = compressible
-        .chunks_exact(4096)
-        .map(|b| lz::compress_block(b).len())
-        .sum();
+    let compressed = codec::compress_blocks(&compressible, 4096).len();
     let lz_compression = compressible.len() as f64 / compressed.max(1) as f64;
     eprintln!(
         "LZ round-trip: {lz_compression:.2}x compression, \

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use simnet::fault::{faulty_named_pair, FaultPlan, FaultyTransport};
 use simnet::tcp::TcpTransport;
-use simnet::transport::{duplex, Endpoint, Transport};
+use simnet::transport::{duplex_windowed, Endpoint, Transport};
 
 use crate::config::RetryPolicy;
 use crate::live::error::MigrationError;
@@ -65,6 +65,14 @@ impl<T: Transport + 'static> Connector for OnceConnector<T> {
         })
     }
 }
+
+/// Wire bytes the source may have queued toward the destination before
+/// its sends block. A default batch of the largest blocks in use
+/// (256 × 4 KiB plus framing) fits once: with one batch queued, one
+/// being applied and one being prepared neither side waits on an empty
+/// pipe, and neither side's speed turns into queue memory. Unlike a
+/// socket, an in-process channel has no buffer limit of its own.
+const SEND_WINDOW: u64 = 2 * 1024 * 1024;
 
 /// Which half of a [`DuplexConnector`] pair this is. The fault plan is
 /// evaluated on source sends.
@@ -137,8 +145,10 @@ impl Connector for DuplexConnector {
         }
         // First arriver for this attempt: mint the pair. Channels are
         // connected from birth, so we can start sending immediately; the
-        // peer picks its half up whenever it gets here.
-        let (mut src_ep, dst_ep) = duplex();
+        // peer picks its half up whenever it gets here. Only the bulk
+        // direction is windowed: the destination's bounces and pull
+        // requests must never wait on the source.
+        let (mut src_ep, dst_ep) = duplex_windowed(SEND_WINDOW);
         if let Some(limit) = self.rate_limit {
             src_ep.set_rate_limit(limit);
         }
@@ -284,6 +294,7 @@ impl Connector for TcpDestConnector {
 mod tests {
     use super::*;
     use simnet::proto::MigMessage;
+    use simnet::transport::duplex;
 
     #[test]
     fn once_connector_yields_exactly_once() {

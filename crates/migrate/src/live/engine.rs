@@ -434,6 +434,14 @@ where
     }
     let dst_ram = Arc::new(LiveRam::new(cfg.mem_page_size, cfg.mem_pages));
 
+    // "Signal blkback to start monitoring write accesses" — before the
+    // guest runs. An incremental migration ships only the inherited
+    // bitmap's blocks in its first pass, so a write that slipped in
+    // untracked would never cross.
+    let mut src_state = SourceState::new(cfg, initial_bitmap.as_ref());
+    src_state.tracker = Some(src.attach_tracker(Arc::clone(&src_state.iter_bm), Some(GUEST)));
+    src.enable_tracking();
+
     // Guest starts on the source path.
     let workload = LiveWorkload::from_kind(cfg.workload, cfg.num_blocks as u64, cfg.dt_per_tick);
     let driver = DriverHandle::start(
@@ -453,9 +461,7 @@ where
         let src = Arc::clone(&src);
         let ram = Arc::clone(&src_ram);
         let ctl = driver.ctl();
-        std::thread::spawn(move || {
-            source_protocol(&cfg, &src, &ram, src_conn, &ctl, initial_bitmap)
-        })
+        std::thread::spawn(move || source_protocol(&cfg, &src, &ram, src_conn, &ctl, src_state))
     };
     let dst_thread = {
         let cfg = cfg.clone();
@@ -487,6 +493,9 @@ where
         read_violations,
         ..
     } = driver.finish()?;
+    // Only now has the guest stopped writing: the new-write bitmap read
+    // any earlier would miss the destination writes that followed.
+    dst.disable_tracking();
     let (src_res, dst_res) = match (src_res, dst_res) {
         (Ok(s), Ok(d)) => (s, d),
         // The source died for good but the destination completed the
@@ -518,7 +527,7 @@ where
         src_disk: src,
         dst_ram,
         mem_model,
-        new_bitmap: dst_res.new_bitmap,
+        new_bitmap: dst_res.new_bm.snapshot(),
         model,
         read_violations,
     };
@@ -627,12 +636,14 @@ fn owed_indices(shipped: &FlatBitmap, got: &FlatBitmap) -> Vec<usize> {
     shipped.iter_set().filter(|&b| !got.get(b)).collect()
 }
 
-fn read_batch(disk: &TrackedDisk, blocks: &[usize], block_size: usize) -> Bytes {
-    let mut payload = Vec::with_capacity(blocks.len() * block_size);
-    for &b in blocks {
-        payload.extend_from_slice(&disk.disk().read_block(b));
+/// The current content of `blocks`, concatenated in order, read once
+/// into one buffer.
+fn read_batch(disk: &TrackedDisk, blocks: &[usize], block_size: usize) -> Vec<u8> {
+    let mut payload = vec![0u8; blocks.len() * block_size];
+    for (slot, &b) in payload.chunks_exact_mut(block_size).zip(blocks) {
+        disk.disk().read_block_into(b, slot);
     }
-    Bytes::from(payload)
+    payload
 }
 
 /// Reorder a disk worklist for K parallel logical streams: the block
@@ -719,8 +730,8 @@ impl DedupCtx {
 }
 
 /// Pull every queued [`MigMessage::BlockRefMiss`] off the transport.
-/// During pre-copy and freeze the destination sends nothing else, so
-/// any other message is a protocol violation.
+/// During pre-copy and freeze the destination sends nothing else
+/// unprompted, so any other message is a protocol violation.
 fn drain_ref_misses<T: Transport>(
     ep: &T,
     misses: &mut Vec<usize>,
@@ -741,19 +752,45 @@ fn drain_ref_misses<T: Transport>(
     }
 }
 
+/// Send a [`MigMessage::Barrier`] and wait for its echo: on return the
+/// destination has applied everything sent before the barrier, and every
+/// [`MigMessage::BlockRefMiss`] that traffic provoked is in `misses`
+/// (the link is ordered, so bounces precede the ack). The wait is how a
+/// source that outruns its destination is held to the destination's
+/// pace at iteration boundaries; a connection that dies meanwhile takes
+/// the ordinary reconnect path.
+fn sync_barrier<T: Transport>(
+    ep: &T,
+    misses: &mut Vec<usize>,
+    phase: &'static str,
+    timeout: Duration,
+) -> Result<(), SessionError> {
+    send_or(ep, phase, MigMessage::Barrier)?;
+    loop {
+        match recv_or(ep, phase, timeout)? {
+            MigMessage::BarrierAck => return Ok(()),
+            MigMessage::BlockRefMiss { block } => misses.push(block as usize),
+            other => {
+                return Err(protocol_err(
+                    phase,
+                    format!("unexpected message at source: {other:?}"),
+                ))
+            }
+        }
+    }
+}
+
 /// Ship a batch of full blocks, compressed when the session negotiated
 /// it and the codec actually wins; returns the payload bytes that
 /// crossed the wire and whether the compressed form was used.
 fn send_full_batch<T: Transport>(
     ep: &T,
-    disk: &TrackedDisk,
-    chunk: &[usize],
+    blocks: Vec<u64>,
+    payload: Vec<u8>,
     compress: bool,
     block_size: usize,
     phase: &'static str,
 ) -> Result<(u64, bool), SessionError> {
-    let payload = read_batch(disk, chunk, block_size);
-    let blocks: Vec<u64> = chunk.iter().map(|&b| b as u64).collect();
     if compress {
         let frames = compress_blocks(&payload, block_size);
         if frames.len() < payload.len() {
@@ -776,8 +813,8 @@ fn send_full_batch<T: Transport>(
         phase,
         MigMessage::DiskBlocks {
             blocks,
-            payload_len: payload.len() as u64,
-            payload: Some(payload),
+            payload_len: sent,
+            payload: Some(Bytes::from(payload)),
         },
     )?;
     Ok((sent, false))
@@ -794,13 +831,22 @@ fn send_full_batch<T: Transport>(
 /// accounting is per-block and global, ordering never affects
 /// correctness or resume.
 ///
-/// On a dedup session each block is fingerprinted first: content the
-/// destination provably holds goes as a 16-byte [`MigMessage::BlockRef`]
-/// instead of `block_size` bytes, the full batch for everything else is
-/// flushed *before* the chunk's references so a reference can reach
-/// content shipped in its own chunk. `BlockRefMiss` bounces are drained
-/// between batches and re-queued as forced-full sends; a bounce still in
-/// flight when this returns is answered from post-copy instead.
+/// Each chunk is read from the disk exactly once, into the buffer that
+/// goes on the wire. On a dedup session the blocks are fingerprinted in
+/// that buffer: content the destination provably holds goes as a 16-byte
+/// [`MigMessage::BlockRef`] instead of `block_size` bytes, the rest is
+/// compacted to the front of the buffer and flushed *before* the chunk's
+/// references so a reference can reach content shipped in its own chunk.
+/// `BlockRefMiss` bounces are drained between batches and re-queued as
+/// forced-full sends.
+///
+/// With `barrier` (the pre-copy phases) every pass ends in a
+/// [`sync_barrier`]: when this returns the destination has applied the
+/// whole worklist and no bounce is in flight. The freeze-phase resend
+/// after a reconnect passes `false` — the guest is down, a round trip is
+/// downtime — and a bounce still in flight then is answered from
+/// post-copy instead.
+#[allow(clippy::too_many_arguments)]
 fn send_disk_worklist<T: Transport>(
     ep: &T,
     disk: &TrackedDisk,
@@ -809,6 +855,7 @@ fn send_disk_worklist<T: Transport>(
     ctx: &mut DedupCtx,
     cfg: &LiveConfig,
     phase: &'static str,
+    barrier: bool,
 ) -> Result<(), SessionError> {
     let block_size = cfg.block_size;
     let batch = cfg.batch.max(1);
@@ -829,66 +876,69 @@ fn send_disk_worklist<T: Transport>(
                 shipped.set(b);
             }
             ctx.wire.bytes_raw += (chunk.len() * block_size) as u64;
+            let mut payload = read_batch(disk, chunk, block_size);
+            let mut fulls: Vec<u64> = Vec::with_capacity(chunk.len());
+            let mut refs: Vec<(u64, u64)> = Vec::new();
             if ctx.dedup {
                 // Partition the chunk: blocks whose fingerprint the
                 // destination can already resolve become references;
                 // intra-chunk duplicates count too, because the full
-                // batch is flushed first.
-                let mut fulls: Vec<usize> = Vec::new();
-                let mut refs: Vec<(u64, u64)> = Vec::new();
-                for &b in chunk {
-                    let fp = hash_block(&disk.disk().read_block(b));
+                // batch is flushed first. Full blocks slide down over
+                // the slots references vacate.
+                for (i, &b) in chunk.iter().enumerate() {
+                    let at = i * block_size;
+                    let fp = hash_block(&payload[at..at + block_size]);
                     if !ctx.force_full.contains(&b) && ctx.known_remote.contains(&fp) {
                         refs.push((b as u64, fp));
                     } else {
                         ctx.known_remote.insert(fp);
-                        fulls.push(b);
-                    }
-                }
-                if !fulls.is_empty() {
-                    match send_full_batch(ep, disk, &fulls, ctx.compress, block_size, phase) {
-                        Ok((sent, compressed)) => {
-                            ctx.wire.bytes_sent += sent;
-                            if compressed {
-                                ctx.wire.blocks_compressed += fulls.len() as u64;
-                            }
+                        let to = fulls.len() * block_size;
+                        if to != at {
+                            payload.copy_within(at..at + block_size, to);
                         }
-                        Err(e) => break Err(e),
+                        fulls.push(b as u64);
                     }
                 }
-                let mut failed = None;
-                for &(block, fingerprint) in &refs {
-                    ctx.wire.bytes_sent += BLOCK_REF_WIRE;
-                    ctx.wire.blocks_deduped += 1;
-                    if let Err(e) = send_or(ep, phase, MigMessage::BlockRef { block, fingerprint })
-                    {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                if let Some(e) = failed {
-                    break Err(e);
-                }
-                done = end;
-                if let Err(e) = drain_ref_misses(ep, &mut misses, phase) {
-                    break Err(e);
-                }
+                payload.truncate(fulls.len() * block_size);
             } else {
-                match send_full_batch(ep, disk, chunk, ctx.compress, block_size, phase) {
+                fulls.extend(chunk.iter().map(|&b| b as u64));
+            }
+            if !fulls.is_empty() {
+                let count = fulls.len() as u64;
+                match send_full_batch(ep, fulls, payload, ctx.compress, block_size, phase) {
                     Ok((sent, compressed)) => {
                         ctx.wire.bytes_sent += sent;
                         if compressed {
-                            ctx.wire.blocks_compressed += chunk.len() as u64;
+                            ctx.wire.blocks_compressed += count;
                         }
-                        done = end;
                     }
                     Err(e) => break Err(e),
+                }
+            }
+            let mut failed = None;
+            for &(block, fingerprint) in &refs {
+                ctx.wire.bytes_sent += BLOCK_REF_WIRE;
+                ctx.wire.blocks_deduped += 1;
+                if let Err(e) = send_or(ep, phase, MigMessage::BlockRef { block, fingerprint }) {
+                    failed = Some(e);
+                    break;
+                }
+            }
+            if let Some(e) = failed {
+                break Err(e);
+            }
+            done = end;
+            if ctx.dedup {
+                if let Err(e) = drain_ref_misses(ep, &mut misses, phase) {
+                    break Err(e);
                 }
             }
         };
         worklist.drain(..done);
         res?;
-        if ctx.dedup {
+        if barrier {
+            sync_barrier(ep, &mut misses, phase, cfg.retry.phase_timeout)?;
+        } else if ctx.dedup {
             drain_ref_misses(ep, &mut misses, phase)?;
         }
         if misses.is_empty() {
@@ -1043,18 +1093,13 @@ fn source_protocol<C: Connector>(
     ram: &Arc<LiveRam>,
     mut connector: C,
     ctl: &DriverCtl,
-    initial_bitmap: Option<FlatBitmap>,
+    mut st: SourceState,
 ) -> Result<SourceResult, (MigrationError, Option<Box<SourceResult>>)> {
-    let mut st = SourceState::new(cfg, initial_bitmap.as_ref());
     let rec = Arc::clone(&cfg.telemetry);
     rec.record(|| Event::PhaseStart {
         side: Side::Source,
         phase: Phase::DiskPrecopy,
     });
-    // "Signal blkback to start monitoring write accesses."
-    st.tracker = Some(disk.attach_tracker(Arc::clone(&st.iter_bm), Some(GUEST)));
-    disk.enable_tracking();
-
     let mut attempt: u32 = 0;
     let mut last_failure = String::new();
     let mut outage_start: Option<Instant> = None;
@@ -1343,6 +1388,7 @@ fn source_disk_precopy<T: Transport>(
             &mut st.ctx,
             cfg,
             "disk pre-copy",
+            true,
         )?;
         st.iterations.push(count);
         let snap = st.iter_bm.snapshot_and_clear();
@@ -1396,6 +1442,7 @@ fn source_mem_precopy<T: Transport>(
         &mut st.ctx,
         cfg,
         "memory pre-copy",
+        true,
     )?;
     if !st.mem_started {
         ram.enable_tracking();
@@ -1416,6 +1463,19 @@ fn source_mem_precopy<T: Transport>(
             cfg.mem_batch,
             "memory pre-copy",
         )?;
+        // The iteration ends when the destination has applied it: what
+        // the guest dirties meanwhile rides the next iteration, and the
+        // guest is never suspended into a backlog of pre-copy frames.
+        let mut misses = Vec::new();
+        sync_barrier(ep, &mut misses, "memory pre-copy", cfg.retry.phase_timeout)?;
+        if let Some(b) = misses.first() {
+            // Every reference of this session was settled by the disk
+            // passes' own barriers.
+            return Err(protocol_err(
+                "memory pre-copy",
+                format!("reference bounce for block {b} with no reference outstanding"),
+            ));
+        }
         st.mem_iterations.push(count);
         let dirty = ram.drain_dirty();
         let remaining = dirty.count_ones();
@@ -1498,6 +1558,7 @@ fn source_freeze<T: Transport>(
         &mut st.ctx,
         cfg,
         "freeze",
+        false,
     )?;
     if !st.dest_suspended {
         send_or(ep, "freeze", MigMessage::Suspended)?;
@@ -1576,7 +1637,7 @@ fn source_post_copy<T: Transport>(
     // Push continuously, answer pulls preferentially.
     let answer_pull = |st: &mut SourceState, block: u64| -> Result<(), SessionError> {
         let b = block as usize;
-        let payload = read_batch(disk, &[b], cfg.block_size);
+        let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
         st.src_bm.clear(b);
         send_or(
             ep,
@@ -1625,7 +1686,7 @@ fn source_post_copy<T: Transport>(
             Some(b) => {
                 st.src_bm.clear(b);
                 st.cursor = b + 1;
-                let payload = read_batch(disk, &[b], cfg.block_size);
+                let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
                 send_or(
                     ep,
                     "post-copy",
@@ -1687,7 +1748,8 @@ struct DestResult {
     dropped: u64,
     stalled_reads: u64,
     resumed_at: Instant,
-    new_bitmap: FlatBitmap,
+    /// Still recording: the guest runs on until the driver is stopped.
+    new_bm: Arc<AtomicBitmap>,
     ledger: TransferLedger,
     failovers: u32,
     failover_peers: Vec<PeerBytes>,
@@ -1964,7 +2026,6 @@ fn dest_protocol<C: Connector>(
     connector.abort();
     match result {
         Ok(()) => {
-            disk.disable_tracking();
             rec.record(|| Event::PhaseEnd {
                 side: Side::Destination,
                 phase: Phase::PostCopy,
@@ -1980,7 +2041,7 @@ fn dest_protocol<C: Connector>(
                         dropped: st.dropped,
                         stalled_reads,
                         resumed_at,
-                        new_bitmap: new_bm.snapshot(),
+                        new_bm: Arc::clone(new_bm),
                         ledger: std::mem::take(&mut st.ledger),
                         failovers: st.failovers,
                         failover_peers: std::mem::take(&mut st.failover_peers),
@@ -2255,6 +2316,9 @@ fn dest_precopy<T: Transport>(
                     st.session_got_pages.set(p);
                 }
             }
+            // Everything before the barrier is applied by now, and any
+            // bounce it provoked is already queued ahead of this echo.
+            MigMessage::Barrier => send_or(ep, "pre-copy", MigMessage::BarrierAck)?,
             MigMessage::Suspended => {
                 st.phase = ResumePhase::Frozen;
                 return Ok(());

@@ -73,6 +73,8 @@ const T_BLOCK_REQUEST: u8 = 20;
 const T_BLOCK_DATA: u8 = 21;
 const T_BLOCK_MISS: u8 = 22;
 const T_BLOCK_MANIFEST: u8 = 23;
+const T_BARRIER: u8 = 24;
+const T_BARRIER_ACK: u8 = 25;
 
 /// Words converted per batch in the bulk [`Writer::u64s`] path: large
 /// enough for the inner loop to vectorize, small enough to live on the
@@ -120,12 +122,6 @@ impl Writer {
             }
             None => self.u8(0),
         }
-    }
-    /// Append one raw block as a self-describing compressed frame
-    /// (smallest of raw/RLE/LZ — see [`lz::compress_block`]).
-    fn compressed_block(&mut self, raw: &[u8]) {
-        let frame = lz::compress_block(raw);
-        self.buf.extend_from_slice(&frame);
     }
 }
 
@@ -199,16 +195,6 @@ impl<'a> Reader<'a> {
             other => Err(CodecError::Malformed(format!("option tag {other}"))),
         }
     }
-    /// Decode one self-describing compressed block frame in place.
-    /// `max_out` bounds the decompressed size (the negotiated block
-    /// size); a corrupt frame is a typed [`CodecError::Malformed`].
-    fn compressed_block(&mut self, max_out: usize) -> Result<Vec<u8>, CodecError> {
-        let rest = self.buf.get(self.pos..).unwrap_or(&[]);
-        let (out, used) = lz::decompress_block(rest, max_out)
-            .map_err(|e| CodecError::Malformed(e.to_string()))?;
-        self.pos += used;
-        Ok(out)
-    }
     fn finish(self) -> Result<(), CodecError> {
         if self.pos != self.buf.len() {
             return Err(CodecError::Malformed(format!(
@@ -227,13 +213,14 @@ pub fn compress_blocks(raw: &[u8], block_size: usize) -> Vec<u8> {
     if block_size == 0 {
         return Vec::new();
     }
-    let mut w = Writer {
-        buf: Vec::with_capacity(raw.len() / 2 + lz::HEADER),
-    };
-    for b in raw.chunks(block_size) {
-        w.compressed_block(b);
+    // Sized for the worst case (every block stored raw) so the frames of
+    // an incompressible batch are never moved by a regrow.
+    let mut out = Vec::with_capacity(raw.len() + raw.len().div_ceil(block_size) * lz::HEADER);
+    let mut scratch = lz::Scratch::default();
+    for block in raw.chunks(block_size) {
+        lz::compress_block_into(block, &mut out, &mut scratch);
     }
-    w.buf
+    out
 }
 
 /// Decode a [`MigMessage::CompressedBlocks`] payload of `count` frames
@@ -244,15 +231,29 @@ pub fn decompress_blocks(
     count: usize,
     block_size: usize,
 ) -> Result<Vec<u8>, CodecError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let mut out = Vec::with_capacity(count * block_size);
-    for _ in 0..count {
-        out.extend_from_slice(&r.compressed_block(block_size)?);
+    // Every frame carries a header, so a count the payload cannot hold is
+    // refused before anything is reserved for it.
+    if count > payload.len() / lz::HEADER {
+        return Err(CodecError::Malformed(format!(
+            "{count} compressed frames in {} bytes",
+            payload.len()
+        )));
     }
-    r.finish()?;
+    // Reserve what an honest batch decodes to, but never more than a
+    // frame could carry raw; past that the buffer grows as blocks decode.
+    let mut out = Vec::with_capacity(count.saturating_mul(block_size).min(MAX_FRAME as usize));
+    let mut pos = 0usize;
+    for _ in 0..count {
+        let rest = payload.get(pos..).unwrap_or(&[]);
+        pos += lz::decompress_block_into(rest, block_size, &mut out)
+            .map_err(|e| CodecError::Malformed(e.to_string()))?;
+    }
+    if pos != payload.len() {
+        return Err(CodecError::Malformed(format!(
+            "{} trailing bytes",
+            payload.len() - pos
+        )));
+    }
     Ok(out)
 }
 
@@ -319,6 +320,8 @@ fn body_size_hint(msg: &MigMessage) -> usize {
         | MigMessage::PushComplete
         | MigMessage::MigrationComplete
         | MigMessage::CompleteAck
+        | MigMessage::Barrier
+        | MigMessage::BarrierAck
         | MigMessage::SessionHello { .. }
         | MigMessage::BlockRef { .. }
         | MigMessage::BlockRefMiss { .. }
@@ -392,6 +395,8 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
         MigMessage::PushComplete => w.u8(T_PUSH_COMPLETE),
         MigMessage::MigrationComplete => w.u8(T_COMPLETE),
         MigMessage::CompleteAck => w.u8(T_COMPLETE_ACK),
+        MigMessage::Barrier => w.u8(T_BARRIER),
+        MigMessage::BarrierAck => w.u8(T_BARRIER_ACK),
         MigMessage::SessionHello {
             session_id,
             attempt,
@@ -522,6 +527,8 @@ pub fn decode(buf: &[u8]) -> Result<MigMessage, CodecError> {
         T_PUSH_COMPLETE => MigMessage::PushComplete,
         T_COMPLETE => MigMessage::MigrationComplete,
         T_COMPLETE_ACK => MigMessage::CompleteAck,
+        T_BARRIER => MigMessage::Barrier,
+        T_BARRIER_ACK => MigMessage::BarrierAck,
         T_HELLO => MigMessage::SessionHello {
             session_id: r.u64()?,
             attempt: r.u32()?,
@@ -679,6 +686,8 @@ mod tests {
             MigMessage::PushComplete,
             MigMessage::MigrationComplete,
             MigMessage::CompleteAck,
+            MigMessage::Barrier,
+            MigMessage::BarrierAck,
             MigMessage::SessionHello {
                 session_id: 0xDEAD_BEEF_CAFE,
                 attempt: 3,

@@ -167,6 +167,16 @@ pub enum MigMessage {
     /// destination may drop the link. Without this ack a lost completion
     /// message would strand the source in post-copy with no peer.
     CompleteAck,
+    /// Source → destination after the last batch of a pre-copy
+    /// iteration: "echo this once everything before it is applied". The
+    /// link delivers in order, so the [`MigMessage::BarrierAck`] proves
+    /// the destination holds the whole iteration and that every
+    /// [`MigMessage::BlockRefMiss`] it provoked is already on its way
+    /// back — the source ends the iteration on the destination's clock,
+    /// not its own, and never suspends the guest into a backlog.
+    Barrier,
+    /// Destination's echo of a [`MigMessage::Barrier`].
+    BarrierAck,
     /// First message on every (re)connection: identifies the migration
     /// session and the connection attempt, so a destination can tell a
     /// resumed source from a stranger.
@@ -317,7 +327,7 @@ impl MigMessage {
                     fingerprints,
                 } => 8 * (blocks.len() + fingerprints.len()) as u64,
                 Self::PostCopyBlock { payload_len, .. } => 8 + 1 + payload_len,
-                Self::CompleteAck => 0,
+                Self::CompleteAck | Self::Barrier | Self::BarrierAck => 0,
                 Self::SessionHello { .. } => 14,
                 Self::ResumeFrom {
                     disk_bitmap,
@@ -337,6 +347,8 @@ impl MigMessage {
             | Self::PushComplete
             | Self::MigrationComplete
             | Self::CompleteAck
+            | Self::Barrier
+            | Self::BarrierAck
             | Self::SessionHello { .. } => Category::Control,
             // A miss is a control NAK; the resend it provokes carries
             // the data bytes. The summary is handshake traffic.

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
@@ -150,27 +150,102 @@ pub trait Transport: Send {
     fn set_telemetry(&self, _recorder: &Arc<Recorder>, _side: Side) {}
 }
 
+/// Byte budget for one direction of a link: the wire bytes sent but not
+/// yet taken off the queue by the receiver. Shared by the sending and
+/// the receiving [`Endpoint`] of that direction.
+#[derive(Debug)]
+struct SendWindow {
+    limit: u64,
+    state: Mutex<WindowState>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct WindowState {
+    in_flight: u64,
+    /// One end is gone: nothing will ever drain (or fill) the queue.
+    closed: bool,
+}
+
+impl SendWindow {
+    /// Block until `bytes` fit under the limit. A message larger than the
+    /// whole window passes once nothing else is in flight, so no message
+    /// can wedge the link.
+    fn acquire(&self, bytes: u64) -> Result<(), TransportError> {
+        let mut st = self.state.lock();
+        while !st.closed && st.in_flight > 0 && st.in_flight + bytes > self.limit {
+            self.changed.wait(&mut st);
+        }
+        if st.closed {
+            return Err(TransportError::Disconnected);
+        }
+        st.in_flight += bytes;
+        Ok(())
+    }
+
+    fn release(&self, bytes: u64) {
+        let mut st = self.state.lock();
+        st.in_flight = st.in_flight.saturating_sub(bytes);
+        self.changed.notify_all();
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.changed.notify_all();
+    }
+}
+
 /// One side of a duplex migration link.
 pub struct Endpoint {
     tx: Sender<MigMessage>,
     rx: Receiver<MigMessage>,
     sent: Arc<Mutex<TransferLedger>>,
     limiter: Option<Mutex<WallLimiter>>,
+    /// Budget this side's sends wait on.
+    send_window: Option<Arc<SendWindow>>,
+    /// The peer's budget, released as this side receives.
+    recv_window: Option<Arc<SendWindow>>,
     telemetry: Mutex<Option<SendStats>>,
 }
 
-/// Create a connected pair of endpoints.
-pub fn duplex() -> (Endpoint, Endpoint) {
+/// A connected pair; `window`, when set, budgets the first → second
+/// direction.
+fn pair(window: Option<Arc<SendWindow>>) -> (Endpoint, Endpoint) {
     let (a_tx, b_rx) = unbounded();
     let (b_tx, a_rx) = unbounded();
-    let mk = |tx, rx| Endpoint {
+    let mk = |tx, rx, send_window, recv_window| Endpoint {
         tx,
         rx,
         sent: Arc::new(Mutex::new(TransferLedger::new())),
         limiter: None,
+        send_window,
+        recv_window,
         telemetry: Mutex::new(None),
     };
-    (mk(a_tx, a_rx), mk(b_tx, b_rx))
+    (
+        mk(a_tx, a_rx, window.clone(), None),
+        mk(b_tx, b_rx, None, window),
+    )
+}
+
+/// Create a connected pair of endpoints. Both directions queue without
+/// bound: a send never waits for the peer.
+pub fn duplex() -> (Endpoint, Endpoint) {
+    pair(None)
+}
+
+/// Create a connected pair whose first → second direction is flow
+/// controlled: a send from the first endpoint blocks while more than
+/// `window_bytes` of [`MigMessage::wire_size`] sit unreceived at the
+/// second, and fails with [`TransportError::Disconnected`] once either
+/// end is dropped. The opposite direction stays unbounded, so the second
+/// endpoint's replies can never deadlock against the window.
+pub fn duplex_windowed(window_bytes: u64) -> (Endpoint, Endpoint) {
+    pair(Some(Arc::new(SendWindow {
+        limit: window_bytes,
+        state: Mutex::new(WindowState::default()),
+        changed: Condvar::new(),
+    })))
 }
 
 impl Endpoint {
@@ -196,28 +271,44 @@ impl Endpoint {
             stats.bytes.add(msg.wire_size());
             stats.msgs.inc();
         }
+        if let Some(w) = &self.send_window {
+            w.acquire(msg.wire_size())?;
+        }
         self.tx.send(msg).map_err(|_| TransportError::Disconnected)
+    }
+
+    /// A message left the queue: hand its bytes back to the sender.
+    fn received(&self, msg: MigMessage) -> MigMessage {
+        if let Some(w) = &self.recv_window {
+            w.release(msg.wire_size());
+        }
+        msg
     }
 
     /// Blocking receive.
     pub fn recv(&self) -> Result<MigMessage, TransportError> {
-        self.rx.recv().map_err(|_| TransportError::Disconnected)
+        match self.rx.recv() {
+            Ok(msg) => Ok(self.received(msg)),
+            Err(_) => Err(TransportError::Disconnected),
+        }
     }
 
     /// Receive with a wall-clock timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<MigMessage, TransportError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
-        })
+        match self.rx.recv_timeout(timeout) {
+            Ok(msg) => Ok(self.received(msg)),
+            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
+        }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<MigMessage, TransportError> {
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => TransportError::Empty,
-            TryRecvError::Disconnected => TransportError::Disconnected,
-        })
+        match self.rx.try_recv() {
+            Ok(msg) => Ok(self.received(msg)),
+            Err(TryRecvError::Empty) => Err(TransportError::Empty),
+            Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
+        }
     }
 
     /// Snapshot of bytes sent from this endpoint, by category.
@@ -245,6 +336,16 @@ impl Transport for Endpoint {
 
     fn set_telemetry(&self, recorder: &Arc<Recorder>, side: Side) {
         *self.telemetry.lock() = SendStats::register(recorder, side);
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        // Whichever end goes first, a sender parked on the window must
+        // not wait for a receive that will never come.
+        for w in [&self.send_window, &self.recv_window].into_iter().flatten() {
+            w.close();
+        }
     }
 }
 
@@ -312,6 +413,83 @@ mod tests {
             a.recv_timeout(Duration::from_millis(10)),
             Err(TransportError::Timeout)
         );
+    }
+
+    fn block_msg(block: u64) -> MigMessage {
+        MigMessage::DiskBlocks {
+            blocks: vec![block],
+            payload_len: 1000,
+            payload: None,
+        }
+    }
+
+    #[test]
+    fn windowed_sender_blocks_at_the_window_and_resumes_on_recv() {
+        let size = block_msg(0).wire_size();
+        let (a, b) = duplex_windowed(2 * size);
+        let (progress_tx, progress) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            for i in 0..3 {
+                a.send(block_msg(i)).unwrap();
+                progress_tx.send(i).unwrap();
+            }
+            a
+        });
+        // Two messages fill the window; the third send must park.
+        assert_eq!(progress.recv().unwrap(), 0);
+        assert_eq!(progress.recv().unwrap(), 1);
+        assert!(
+            progress.recv_timeout(Duration::from_millis(50)).is_err(),
+            "third send went through a full window"
+        );
+        // Taking one message off the queue frees its bytes.
+        assert_eq!(b.recv().unwrap(), block_msg(0));
+        assert_eq!(progress.recv().unwrap(), 2);
+        let _a = sender.join().unwrap();
+        assert_eq!(b.try_recv().unwrap(), block_msg(1));
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(50)).unwrap(),
+            block_msg(2)
+        );
+    }
+
+    #[test]
+    fn message_larger_than_the_window_passes_an_empty_link() {
+        let (a, b) = duplex_windowed(16);
+        a.send(block_msg(1)).unwrap();
+        assert_eq!(b.recv().unwrap(), block_msg(1));
+        a.send(block_msg(2)).unwrap();
+        assert_eq!(b.recv().unwrap(), block_msg(2));
+    }
+
+    #[test]
+    fn dropping_the_receiver_wakes_a_blocked_sender() {
+        let (a, b) = duplex_windowed(block_msg(0).wire_size());
+        a.send(block_msg(0)).unwrap();
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            parked_tx.send(()).unwrap();
+            a.send(block_msg(1))
+        });
+        parked.recv().unwrap();
+        // Whether the sender is already parked or still on its way to the
+        // window, the drop must turn its send into `Disconnected`.
+        drop(b);
+        assert_eq!(sender.join().unwrap(), Err(TransportError::Disconnected));
+    }
+
+    #[test]
+    fn opposite_direction_is_never_windowed() {
+        let (a, b) = duplex_windowed(block_msg(0).wire_size());
+        // Fill the windowed direction, then push far more than a window
+        // the other way with nobody reading: none of it may block.
+        a.send(block_msg(0)).unwrap();
+        for i in 0..100 {
+            b.send(block_msg(i)).unwrap();
+        }
+        for i in 0..100 {
+            assert_eq!(a.recv().unwrap(), block_msg(i));
+        }
     }
 
     #[test]

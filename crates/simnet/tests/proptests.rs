@@ -8,7 +8,7 @@ use bytes::Bytes;
 use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use simnet::capacity::{max_min_share, seek_aware_share};
-use simnet::codec::{decode, encode, read_frame, write_frame};
+use simnet::codec::{decode, decompress_blocks, encode, lz, read_frame, write_frame};
 use simnet::fault::{faulty_pair, FaultPlan};
 use simnet::proto::MigMessage;
 use simnet::transport::{duplex, Transport, TransportError};
@@ -65,7 +65,103 @@ fn arb_message() -> impl Strategy<Value = MigMessage> {
         ),
         Just(MigMessage::PushComplete),
         Just(MigMessage::MigrationComplete),
+        Just(MigMessage::Barrier),
+        Just(MigMessage::BarrierAck),
     ]
+}
+
+/// One block per compression scheme the encoder can pick: a run (RLE),
+/// a repeated motif (LZ) and noise (stored raw).
+fn arb_block() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (any::<u8>(), 8usize..600).prop_map(|(byte, len)| vec![byte; len]),
+        (prop::collection::vec(any::<u8>(), 3..24), 8usize..600).prop_map(|(motif, len)| motif
+            .iter()
+            .copied()
+            .cycle()
+            .take(len)
+            .collect()),
+        prop::collection::vec(any::<u8>(), 0..600),
+    ]
+}
+
+fn arb_max_out() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), Just(512usize), Just(4096usize)]
+}
+
+/// A valid frame with `flips` (bit index, wrapped to the frame) toggled.
+fn flipped(block: &[u8], flips: &[usize]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    lz::compress_block_into(block, &mut frame, &mut lz::Scratch::default());
+    for &bit in flips {
+        let bit = bit % (frame.len() * 8);
+        frame[bit / 8] ^= 1 << (bit % 8);
+    }
+    frame
+}
+
+/// The decoder's contract on bytes nobody vouches for: a typed error or
+/// at most `max_out` bytes, from a buffer that never grew past twice
+/// that (the `Vec` growth policy's slack) — never a panic, and never an
+/// allocation sized by what the frame merely claims.
+fn check_block_decode(frame: &[u8], max_out: usize) -> Result<(), TestCaseError> {
+    if let Ok((out, used)) = lz::decompress_block(frame, max_out) {
+        prop_assert!(out.len() <= max_out);
+        prop_assert!(out.capacity() <= 2 * max_out + 8);
+        prop_assert!(used <= frame.len());
+    }
+    Ok(())
+}
+
+proptest! {
+    // Totality is a claim about rare inputs; give it more than the
+    // default 64 draws.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `lz::decompress_block` is total on arbitrary bytes.
+    #[test]
+    fn lz_decoder_total_on_arbitrary_bytes(
+        frame in prop::collection::vec(any::<u8>(), 0..700),
+        scheme in 0u8..4,
+        max_out in arb_max_out(),
+    ) {
+        check_block_decode(&frame, max_out)?;
+        // The same bytes behind a well-formed header reach the payload
+        // decoders instead of dying on the length check.
+        let mut framed = vec![scheme];
+        framed.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&frame);
+        check_block_decode(&framed, max_out)?;
+    }
+
+    /// ...and on valid frames of every scheme with bits flipped.
+    #[test]
+    fn lz_decoder_total_on_bit_flipped_frames(
+        block in arb_block(),
+        flips in prop::collection::vec(any::<usize>(), 1..4),
+        max_out in arb_max_out(),
+    ) {
+        check_block_decode(&flipped(&block, &flips), max_out)?;
+    }
+
+    /// `decompress_blocks` is total too: arbitrary payloads, any frame
+    /// count, and batches of valid frames with bits flipped.
+    #[test]
+    fn lz_batch_decoder_total(
+        junk in prop::collection::vec(any::<u8>(), 0..700),
+        blocks in prop::collection::vec(arb_block(), 1..4),
+        flips in prop::collection::vec(any::<usize>(), 1..4),
+        count in 0usize..1_000_000,
+        max_out in arb_max_out(),
+    ) {
+        let batch: Vec<u8> = blocks.iter().flat_map(|b| flipped(b, &flips)).collect();
+        for (payload, count) in [(&junk, count), (&batch, blocks.len()), (&batch, count)] {
+            if let Ok(out) = decompress_blocks(payload, count, max_out) {
+                prop_assert!(out.len() <= count * max_out);
+                prop_assert!(count <= payload.len() / lz::HEADER);
+            }
+        }
+    }
 }
 
 proptest! {

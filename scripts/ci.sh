@@ -39,6 +39,22 @@ for scn in partition wan maintenance; do
   done
 done
 
+echo "== benchmark package: build, own tests, five-workload smoke =="
+# benchmark/ is its own cargo package (BENCHMARK.json's command builds it
+# from this checkout), so the workspace steps above never compile it.
+# Each workload runs once, traced, under a deadline: a transport change
+# that hangs a layer kernel (simnet.pace_error_pct sends into a duplex
+# pair nobody reads) or breaks image verification fails here, not in the
+# driver. The binary exits non-zero on any failed or wrong migration.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+for workload in bulk_unique template_clone_paced web_tcp incremental_return virtual_time; do
+  echo "-- $workload"
+  timeout 120 cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --quick --trace 1 >/dev/null
+done
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
 

@@ -8,7 +8,7 @@ use block_bitmap_migration::migrate::live::{
 };
 use block_bitmap_migration::migrate::RetryPolicy;
 use block_bitmap_migration::simnet::fault::FaultPlan;
-use block_bitmap_migration::simnet::proto::Category;
+use block_bitmap_migration::simnet::proto::{Category, FRAME_OVERHEAD};
 use block_bitmap_migration::telemetry::{Event, FaultLabel, Recorder, Side};
 use std::time::Duration;
 
@@ -79,6 +79,30 @@ fn resets_during_precopy_and_postcopy_recover() {
         precopy < full_pass_bytes * 3 / 2,
         "pre-copy shipped {precopy} bytes — a full pass is ~{full_pass_bytes}; \
          resume must not re-ship the whole disk"
+    );
+}
+
+#[test]
+fn barrier_frames_are_control_traffic() {
+    // Every pre-copy pass — each disk iteration, the (normally empty)
+    // resend pass that opens memory pre-copy, each memory iteration —
+    // closes with a Barrier the destination echoes. Both frames are
+    // control traffic, so the disk and memory categories the resume
+    // arithmetic above is built on carry payload only. Without dedup the
+    // destination's control ledger is exactly its fixed frames plus the
+    // echoes.
+    let cfg = LiveConfig {
+        dedup: false,
+        ..fault_cfg()
+    };
+    let out = run_live_migration_faulty(&cfg, FaultPlan::none()).expect("clean run completes");
+    assert_consistent(&out);
+    let barriers = (out.iterations.len() + 1 + out.mem_iterations.len()) as u64;
+    // PrepareAck, Resumed and MigrationComplete are the other three.
+    assert_eq!(
+        out.dst_ledger.get(Category::Control),
+        (3 + barriers) * FRAME_OVERHEAD,
+        "one BarrierAck per pre-copy pass ({barriers} passes)"
     );
 }
 
