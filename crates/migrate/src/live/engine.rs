@@ -34,7 +34,8 @@ use blockstore::{fetch_blocks, serve_blocks, BlockSource, BlockWant};
 
 use crate::report::PeerBytes;
 use vdisk::{
-    hash_block, stamp_bytes, ContentIndex, DomainId, TrackedDisk, TrackerHandle, VirtualDisk,
+    hash_block, stamp_bytes, ContentIndex, DomainId, FingerprintSet, TrackedDisk, TrackerHandle,
+    VirtualDisk,
 };
 use vmstate::LiveRam;
 use workloads::WorkloadKind;
@@ -160,8 +161,8 @@ pub struct LiveConfig {
 }
 
 impl LiveConfig {
-    /// A fast default suitable for tests: 16 Mi disk of 4 Ki × 4 KiB-..
-    /// actually 4096 blocks × 512 B = 2 MiB, web workload.
+    /// A fast default suitable for tests: 65 536 blocks × 512 B = 32 MiB,
+    /// web workload.
     pub fn test_default() -> Self {
         Self {
             block_size: 512,
@@ -637,12 +638,10 @@ fn owed_indices(shipped: &FlatBitmap, got: &FlatBitmap) -> Vec<usize> {
 }
 
 /// The current content of `blocks`, concatenated in order, read once
-/// into one buffer.
+/// into one buffer under one acquisition of the disk lock.
 fn read_batch(disk: &TrackedDisk, blocks: &[usize], block_size: usize) -> Vec<u8> {
     let mut payload = vec![0u8; blocks.len() * block_size];
-    for (slot, &b) in payload.chunks_exact_mut(block_size).zip(blocks) {
-        disk.disk().read_block_into(b, slot);
-    }
+    disk.disk().read_blocks_into(blocks, &mut payload);
     payload
 }
 
@@ -700,7 +699,7 @@ fn interleave_streams(
 struct DedupCtx {
     dedup: bool,
     compress: bool,
-    known_remote: HashSet<u64>,
+    known_remote: FingerprintSet,
     force_full: HashSet<usize>,
     wire: WireStats,
 }
@@ -710,7 +709,7 @@ impl DedupCtx {
         Self {
             dedup: false,
             compress: false,
-            known_remote: HashSet::new(),
+            known_remote: FingerprintSet::default(),
             force_full: HashSet::new(),
             wire: WireStats::default(),
         }
@@ -724,7 +723,7 @@ impl DedupCtx {
     fn reset(&mut self, dedup: bool, compress: bool) {
         self.dedup = dedup;
         self.compress = compress;
-        self.known_remote.clear();
+        self.known_remote = FingerprintSet::default();
         self.force_full.clear();
     }
 }
@@ -888,7 +887,7 @@ fn send_disk_worklist<T: Transport>(
                 for (i, &b) in chunk.iter().enumerate() {
                     let at = i * block_size;
                     let fp = hash_block(&payload[at..at + block_size]);
-                    if !ctx.force_full.contains(&b) && ctx.known_remote.contains(&fp) {
+                    if !ctx.force_full.contains(&b) && ctx.known_remote.contains(fp) {
                         refs.push((b as u64, fp));
                     } else {
                         ctx.known_remote.insert(fp);
@@ -1247,7 +1246,11 @@ fn run_source_session<T: Transport>(
                 format!("expected ContentSummary, got {summary:?}"),
             ));
         };
-        st.ctx.known_remote = fingerprints.into_iter().collect();
+        // Sized for the summary plus what this session will ship in
+        // full, so the first pass does not rehash its way up.
+        st.ctx.known_remote =
+            FingerprintSet::with_capacity(fingerprints.len() + st.disk_worklist.len());
+        st.ctx.known_remote.extend(fingerprints);
     }
     reconcile_source(cfg, st, attempt, dest_phase, &disk_bitmap, &mem_bitmap)?;
 
@@ -1755,13 +1758,33 @@ struct DestResult {
     failover_peers: Vec<PeerBytes>,
 }
 
+/// A block index off the wire, checked against the disk: the storage
+/// layer asserts its ranges, and a peer's frame must never reach an
+/// assert.
+fn checked_block(disk: &TrackedDisk, block: u64) -> Result<usize, SessionError> {
+    usize::try_from(block)
+        .ok()
+        .filter(|&b| b < disk.disk().num_blocks())
+        .ok_or_else(|| {
+            protocol_err(
+                "apply",
+                format!(
+                    "block {block} on a disk of {} blocks",
+                    disk.disk().num_blocks()
+                ),
+            )
+        })
+}
+
+/// Write one message's blocks under one acquisition of the disk lock,
+/// after validating the whole frame.
 fn apply_blocks(
     disk: &TrackedDisk,
     blocks: &[u64],
-    payload: &Bytes,
+    payload: &[u8],
     block_size: usize,
 ) -> Result<(), SessionError> {
-    if payload.len() != blocks.len() * block_size {
+    if blocks.len().checked_mul(block_size) != Some(payload.len()) {
         return Err(protocol_err(
             "apply",
             format!(
@@ -1771,10 +1794,10 @@ fn apply_blocks(
             ),
         ));
     }
-    for (i, &b) in blocks.iter().enumerate() {
-        disk.disk()
-            .write_block(b as usize, &payload[i * block_size..(i + 1) * block_size]);
+    for &b in blocks {
+        checked_block(disk, b)?;
     }
+    disk.disk().write_blocks(blocks, payload);
     Ok(())
 }
 
@@ -1863,7 +1886,6 @@ impl DestState {
 /// predecessors missed.
 fn dest_failover(
     cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
     st: &mut DestState,
     dead: MigrationError,
 ) -> Result<(), MigrationError> {
@@ -1871,10 +1893,12 @@ fn dest_failover(
         && !cfg.peers.is_empty()
         && st.phase == ResumePhase::PostCopy
         && st.resumed_at.is_some();
-    let Some(transferred) = st.transferred.as_ref().filter(|_| eligible) else {
+    let (Some(transferred), Some(dest_io)) = (
+        st.transferred.clone().filter(|_| eligible),
+        st.dest_io.clone(),
+    ) else {
         return Err(dead);
     };
-    let transferred = Arc::clone(transferred);
     let owed = transferred.snapshot();
     cfg.telemetry.record(|| Event::SourceFailover {
         side: Side::Destination,
@@ -1895,7 +1919,6 @@ fn dest_failover(
             })
         })
         .collect();
-    let dest_io = st.dest_io.clone();
     let mut dropped = 0u64;
     for peer in &cfg.peers {
         if wants.is_empty() {
@@ -1909,20 +1932,12 @@ fn dest_failover(
         });
         let mut applied = 0u64;
         let outcome = fetch_blocks(&mine, &wants, cfg.num_blocks, &mut |b, payload| {
-            let b = b as usize;
+            // Verified content: applied (waking any guest read parked on
+            // the block) if the block is still owed; if a local write
+            // superseded it while the fetch was in flight, dropped like a
+            // late source push.
             match payload {
-                // Verified content for a block still owed: apply it and
-                // wake any guest read parked on it.
-                Some(data) if transferred.get(b) => {
-                    disk.disk().write_block(b, data);
-                    transferred.clear(b);
-                    applied += 1;
-                    if let Some(io) = &dest_io {
-                        io.notify_block();
-                    }
-                }
-                // Superseded by a local write while the fetch was in
-                // flight: drop, like a late source push.
+                Some(data) if dest_io.apply_arrival(b as usize, data) => applied += 1,
                 Some(_) => dropped += 1,
                 None => {}
             }
@@ -1985,7 +2000,7 @@ fn dest_protocol<C: Connector>(
             };
             // The source is dead for good. If the guest already runs
             // here, the still-owed blocks may survive on peer holders.
-            break dest_failover(cfg, disk, &mut st, exhausted);
+            break dest_failover(cfg, &mut st, exhausted);
         }
         if attempt > 0 {
             std::thread::sleep(cfg.retry.backoff);
@@ -2002,7 +2017,7 @@ fn dest_protocol<C: Connector>(
             Err(_) if st.complete_sent => break Ok(()),
             // It may have aborted before our own budget ran out (its
             // budget exhausted first): same situation, same failover.
-            Err(e) => break dest_failover(cfg, disk, &mut st, e),
+            Err(e) => break dest_failover(cfg, &mut st, e),
         };
         ep.set_telemetry(&rec, Side::Destination);
         let session = run_dest_session(cfg, disk, ram, &ep, ctl, &mut st);
@@ -2141,11 +2156,7 @@ fn run_dest_session<T: Transport>(
         // content: the index is rebuilt from the disk as it stands, so
         // a resumed source re-validates every assumption instead of
         // trusting the previous session's view.
-        let mut fps = Vec::with_capacity(cfg.num_blocks);
-        for b in 0..cfg.num_blocks {
-            fps.push(hash_block(&disk.disk().read_block(b)));
-        }
-        let index = ContentIndex::from_fps(fps);
+        let index = ContentIndex::from_fps(disk.disk().hash_all());
         send_or(
             ep,
             "handshake",
@@ -2199,7 +2210,7 @@ fn dest_apply_full(
     st: &mut DestState,
     disk: &TrackedDisk,
     blocks: &[u64],
-    payload: &Bytes,
+    payload: &[u8],
     block_size: usize,
 ) -> Result<(), SessionError> {
     apply_blocks(disk, blocks, payload, block_size)?;
@@ -2229,7 +2240,7 @@ fn dest_apply_ref<T: Transport>(
     fingerprint: u64,
     phase: &'static str,
 ) -> Result<(), SessionError> {
-    let b = block as usize;
+    let b = checked_block(disk, block)?;
     let data = st
         .index
         .as_ref()
@@ -2440,7 +2451,8 @@ fn dest_post_copy<T: Transport>(
     // First entry: resume the guest on the destination path. Reconnects
     // find it already running.
     if st.resumed_at.is_none() {
-        let resumed_at = ctl.resume_on(io as Arc<dyn crate::live::GuestIo>, Arc::clone(ram));
+        let guest_io = Arc::clone(&io) as Arc<dyn crate::live::GuestIo>;
+        let resumed_at = ctl.resume_on(guest_io, Arc::clone(ram));
         st.resumed_at = Some(resumed_at);
         // Stamped at the resume instant: with the source's suspend stamp
         // this bounds the freeze span to exactly the reported downtime.
@@ -2495,19 +2507,16 @@ fn dest_post_copy<T: Transport>(
                 ..
             }) => {
                 last_progress = Instant::now();
-                let b = block as usize;
-                if transferred.get(b) {
-                    let Some(payload) = payload else {
-                        return Err(protocol_err(
-                            "post-copy",
-                            "live mode ships real bytes".to_string(),
-                        ));
-                    };
-                    apply_blocks(disk, &[block], &payload, cfg.block_size)?;
-                    transferred.clear(b);
-                    if let Some(io) = &st.dest_io {
-                        io.notify_block();
-                    }
+                let b = checked_block(disk, block)?;
+                let Some(payload) = payload.filter(|p| p.len() == cfg.block_size) else {
+                    return Err(protocol_err(
+                        "post-copy",
+                        format!("block {block} arrived without one block of bytes"),
+                    ));
+                };
+                // Applied only while the block is still owed, atomically
+                // with respect to the guest's own writes.
+                if io.apply_arrival(b, &payload) {
                     if was_pulled {
                         st.pulled += 1;
                         cfg.telemetry.record(|| Event::BlockPulled { block });
@@ -2713,6 +2722,63 @@ mod tests {
             .diff_blocks(out.dst_disk.disk())
             .into_iter()
             .all(|b| out.new_bitmap.get(b)));
+    }
+
+    #[test]
+    fn blank_destination_still_dedups_the_sources_zero_blocks() {
+        // The destination's summary of a never-written disk comes from
+        // its allocation map, not from reading it; it must still carry
+        // the zero fingerprint, so every zero block of the source —
+        // including the first — crosses as a 16-byte reference.
+        let cfg = LiveConfig {
+            num_blocks: 1_024,
+            workload: WorkloadKind::Idle,
+            mem_writes_per_tick: 0,
+            ..LiveConfig::test_default()
+        };
+        let src = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
+            cfg.block_size,
+            cfg.num_blocks,
+        ))));
+        let zeroes = (0..cfg.num_blocks).filter(|b| b % 4 != 0).count() as u64;
+        for b in (0..cfg.num_blocks).step_by(4) {
+            src.disk()
+                .write_block(b, &stamp_bytes(b, 1, cfg.block_size));
+        }
+        let dst = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
+            cfg.block_size,
+            cfg.num_blocks,
+        ))));
+        let out = run_live_migration_with(&cfg, Arc::clone(&src), Arc::clone(&dst), None)
+            .expect("clean migration completes");
+        assert!(src.disk().content_equals(dst.disk()));
+        assert_eq!(out.iterations, vec![cfg.num_blocks as u64]);
+        assert_eq!(out.wire.blocks_deduped, zeroes);
+    }
+
+    #[test]
+    fn malformed_block_frames_are_typed_errors_not_storage_panics() {
+        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(512, 8)));
+        let fatal = |r: Result<(), SessionError>| match r {
+            Err(SessionError::Fatal(MigrationError::Protocol { detail, .. })) => detail,
+            Err(_) => panic!("expected a protocol error, got another error"),
+            Ok(()) => panic!("expected a protocol error, got Ok"),
+        };
+        // An index past the disk, alone or after valid ones: nothing is
+        // written, not even the valid prefix.
+        let data = stamp_bytes(3, 1, 512);
+        let two = [data.clone(), data.clone()].concat();
+        assert!(fatal(apply_blocks(&disk, &[8], &data, 512)).contains("block 8"));
+        assert!(fatal(apply_blocks(&disk, &[3, u64::MAX], &two, 512)).contains("block"));
+        assert_eq!(disk.disk().read_block(3), vec![0u8; 512]);
+        // Payload length that does not match the block list.
+        assert!(fatal(apply_blocks(&disk, &[3], &two, 512)).contains("payload"));
+        assert!(fatal(apply_blocks(&disk, &[3, 4], &data, 512)).contains("payload"));
+        assert!(fatal(apply_blocks(&disk, &[3], &data, usize::MAX)).contains("payload"));
+        // The well-formed frame lands, repeats included (last piece wins).
+        let newer = stamp_bytes(3, 2, 512);
+        assert!(apply_blocks(&disk, &[3, 3], &[data, newer.clone()].concat(), 512).is_ok());
+        assert_eq!(disk.disk().read_block(3), newer);
     }
 
     #[test]

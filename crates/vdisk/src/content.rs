@@ -14,7 +14,9 @@
 //!   tail handling and endianness can never drift.
 //! * [`ContentIndex`] — fingerprint → resident block(s) for one disk,
 //!   maintained as blocks are overwritten, so the destination can
-//!   answer "already have it" and resolve a reference to a local copy.
+//!   answer "already have it" and resolve a reference to a local copy;
+//!   and [`FingerprintSet`], the source's "the destination has this"
+//!   set, on the same flat table.
 //!
 //! A fingerprint match is always treated as a *hint*: the destination
 //! re-hashes the resident block before reusing it and falls back to a
@@ -23,8 +25,6 @@
 //!
 //! This file is in the lintkit `no-panic-transport` zone: it runs
 //! inline on receive paths and must never panic.
-
-use std::collections::{BTreeMap, BTreeSet};
 
 // xxh64 prime constants — the multipliers are odd and high-entropy,
 // which is all the mixing below needs.
@@ -162,14 +162,182 @@ pub fn hash_block_scalar(data: &[u8]) -> u64 {
     avalanche(h)
 }
 
-/// Which resident blocks currently hold a fingerprint. The common case
-/// is exactly one holder, kept inline with no allocation; duplicate
-/// content (zero blocks, clones) spills into an ordered set so removal
-/// stays `O(log n)` and `resolve` stays deterministic.
+/// "No id": an empty table slot, the end of a holder chain.
+const NIL: u32 = u32::MAX;
+
+/// Fingerprints are already avalanched, but callers (and tests) may hand
+/// in small integers: one more odd multiply spreads those too, and the
+/// table takes the product's high bits.
+const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Open-addressing table of `u32` ids keyed by fingerprint, where the
+/// keys live in a slice the owner passes to every call: id `i`'s key is
+/// `keys[i]`. Slots hold only the id, so the table is 4 bytes per slot
+/// and the owner's array — which it needs anyway — is the key store.
+///
+/// Linear probing over a power-of-two capacity, deletion by backward
+/// shift (no tombstones, so probe runs never degrade). Hand-rolled over
+/// a `Vec` because this directory is in lintkit's `deterministic` zone
+/// (no `HashMap`: no random state) and this file in the no-panic zone;
+/// every probe loop is bounded by the capacity.
 #[derive(Debug, Clone)]
-enum Holders {
-    One(usize),
-    Many(BTreeSet<usize>),
+struct IdTable {
+    /// The id in each slot; [`NIL`] marks it empty.
+    slots: Vec<u32>,
+    /// `64 - log2(capacity)`: a key's home slot is its spread hash's top
+    /// bits.
+    shift: u32,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl IdTable {
+    /// A table that holds `entries` ids at no more than half load.
+    fn with_room_for(entries: usize) -> Self {
+        let capacity = entries.saturating_mul(2).max(2).next_power_of_two();
+        Self {
+            slots: vec![NIL; capacity],
+            shift: 64 - capacity.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn home(&self, fp: u64) -> usize {
+        (fp.wrapping_mul(SPREAD) >> self.shift) as usize
+    }
+
+    /// The slot whose id has key `fp` (`Ok`), or the empty slot where
+    /// such an id would go (`Err`). A table with no empty slot — owners
+    /// keep the load under one — reports `Err(capacity)`, which `put`
+    /// ignores.
+    fn find(&self, keys: &[u64], fp: u64) -> Result<usize, usize> {
+        let mask = self.mask();
+        let mut at = self.home(fp);
+        for _ in 0..self.slots.len() {
+            match self.slots.get(at) {
+                Some(&NIL) | None => return Err(at),
+                Some(&id) if keys.get(id as usize) == Some(&fp) => return Ok(at),
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+        Err(self.slots.len())
+    }
+
+    /// The id with key `fp`, if any.
+    fn get(&self, keys: &[u64], fp: u64) -> Option<u32> {
+        let at = self.find(keys, fp).ok()?;
+        self.slots.get(at).copied()
+    }
+
+    /// Store `id` in slot `at` (one [`IdTable::find`] returned): an empty
+    /// slot becomes occupied, an occupied one changes its id.
+    fn put(&mut self, at: usize, id: u32) {
+        if let Some(slot) = self.slots.get_mut(at) {
+            if *slot == NIL {
+                self.len += 1;
+            }
+            *slot = id;
+        }
+    }
+
+    /// Empty the occupied slot `at`, closing the gap so later ids of its
+    /// probe run stay reachable: each following id moves back into the
+    /// hole unless its home slot lies cyclically after the hole.
+    fn remove(&mut self, keys: &[u64], at: usize) {
+        let mask = self.mask();
+        let mut hole = at;
+        let mut j = at;
+        for _ in 0..self.slots.len() {
+            j = (j + 1) & mask;
+            let Some(&id) = self.slots.get(j).filter(|&&id| id != NIL) else {
+                break;
+            };
+            let Some(&key) = keys.get(id as usize) else {
+                break;
+            };
+            if (j.wrapping_sub(self.home(key)) & mask) >= (j.wrapping_sub(hole) & mask) {
+                if let Some(h) = self.slots.get_mut(hole) {
+                    *h = id;
+                }
+                hole = j;
+            }
+        }
+        if let Some(h) = self.slots.get_mut(hole) {
+            *h = NIL;
+        }
+        self.len -= 1;
+    }
+}
+
+/// A set of fingerprints — the source's view of what the destination can
+/// resolve. An [`IdTable`] over the list of members, doubling when three
+/// quarters full.
+#[derive(Debug, Clone)]
+pub struct FingerprintSet {
+    members: Vec<u64>,
+    table: IdTable,
+}
+
+impl FingerprintSet {
+    /// An empty set with room for `entries` fingerprints before it first
+    /// grows.
+    pub fn with_capacity(entries: usize) -> Self {
+        Self {
+            members: Vec::with_capacity(entries),
+            table: IdTable::with_room_for(entries),
+        }
+    }
+
+    /// Is `fp` in the set?
+    pub fn contains(&self, fp: u64) -> bool {
+        self.table.find(&self.members, fp).is_ok()
+    }
+
+    /// Add `fp`; adding it twice is a no-op. (So is adding the 2³²-th
+    /// distinct fingerprint: ids are `u32`, and a set that under-reports
+    /// only costs its user a dedup hit.)
+    pub fn insert(&mut self, fp: u64) {
+        let Err(mut at) = self.table.find(&self.members, fp) else {
+            return;
+        };
+        let Some(id) = u32::try_from(self.members.len())
+            .ok()
+            .filter(|&id| id != NIL)
+        else {
+            return;
+        };
+        if (self.table.len + 1) * 4 > self.table.slots.len() * 3 {
+            self.table = IdTable::with_room_for(self.table.slots.len());
+            for (i, &m) in self.members.iter().enumerate() {
+                if let Err(free) = self.table.find(&self.members, m) {
+                    self.table.put(free, i as u32);
+                }
+            }
+            match self.table.find(&self.members, fp) {
+                Ok(free) | Err(free) => at = free,
+            }
+        }
+        self.members.push(fp);
+        self.table.put(at, id);
+    }
+}
+
+impl Default for FingerprintSet {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl Extend<u64> for FingerprintSet {
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, fps: I) {
+        for fp in fps {
+            self.insert(fp);
+        }
+    }
 }
 
 /// Destination-side content index: fingerprint → resident block(s).
@@ -177,22 +345,49 @@ enum Holders {
 /// Built once over the resident image when a dedup-negotiated session
 /// opens, then maintained on every block the migration applies, so a
 /// `BlockRef` can always be resolved against *current* content.
-#[derive(Debug, Clone, Default)]
+///
+/// Layout: an [`IdTable`] over `fp_of` holds, for each resident
+/// fingerprint, the *head* of its holder chain; the chain itself is
+/// intrusive — two `u32` links per block — so duplicate content (zero
+/// blocks, clones) costs no allocation and [`ContentIndex::record`] is
+/// `O(1)` whether the old content had one holder or every block of the
+/// disk. At most `num_blocks` fingerprints are resident at once and the
+/// table is sized for twice that, so it never grows.
+#[derive(Debug, Clone)]
 pub struct ContentIndex {
-    by_fp: BTreeMap<u64, Holders>,
     /// Current fingerprint of each resident block.
     fp_of: Vec<u64>,
+    /// Chain heads: one block per distinct fingerprint in `fp_of`.
+    heads: IdTable,
+    /// Holder-chain links, [`NIL`]-terminated at both ends.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Default for ContentIndex {
+    fn default() -> Self {
+        Self::from_fps(Vec::new())
+    }
 }
 
 impl ContentIndex {
     /// Index a disk from its per-block fingerprints (index order =
-    /// block order).
-    pub fn from_fps(fps: Vec<u64>) -> Self {
-        let mut by_fp: BTreeMap<u64, Holders> = BTreeMap::new();
-        for (block, &fp) in fps.iter().enumerate() {
-            Self::insert(&mut by_fp, fp, block);
+    /// block order). Chain links are `u32`: blocks past `u32::MAX - 1`
+    /// are left out of the index (never resolved to, never summarised),
+    /// which costs dedup hits on such a disk, not correctness.
+    pub fn from_fps(mut fps: Vec<u64>) -> Self {
+        fps.truncate(NIL as usize);
+        let n = fps.len();
+        let mut index = Self {
+            fp_of: fps,
+            heads: IdTable::with_room_for(n),
+            next: vec![NIL; n],
+            prev: vec![NIL; n],
+        };
+        for block in 0..n {
+            index.link(block);
         }
-        Self { by_fp, fp_of: fps }
+        index
     }
 
     /// Number of resident blocks covered.
@@ -202,84 +397,95 @@ impl ContentIndex {
 
     /// Number of distinct fingerprints resident.
     pub fn distinct(&self) -> usize {
-        self.by_fp.len()
+        self.heads.len
     }
 
     /// Does any resident block hold this content?
     pub fn contains(&self, fp: u64) -> bool {
-        self.by_fp.contains_key(&fp)
+        self.heads.find(&self.fp_of, fp).is_ok()
     }
 
-    /// A resident block holding this content, if any (the lowest such
-    /// block, so resolution is deterministic).
+    /// *A* resident block holding this content, if any. Which holder
+    /// comes back is fixed by the sequence of operations that built the
+    /// index (so replays agree) but is otherwise unspecified — in
+    /// particular it need not be the lowest block. Callers re-hash the
+    /// candidate before using it, so the choice cannot affect an image.
     pub fn resolve(&self, fp: u64) -> Option<usize> {
-        match self.by_fp.get(&fp)? {
-            Holders::One(b) => Some(*b),
-            Holders::Many(set) => set.iter().next().copied(),
-        }
+        self.heads.get(&self.fp_of, fp).map(|head| head as usize)
     }
 
     /// The distinct fingerprints resident, in ascending order (this is
-    /// the `ContentSummary` the destination acknowledges at handshake;
-    /// BTreeMap keys iterate sorted — no explicit sort needed).
+    /// the `ContentSummary` the destination acknowledges at handshake).
     pub fn fingerprints(&self) -> Vec<u64> {
-        self.by_fp.keys().copied().collect()
+        let mut out: Vec<u64> = self
+            .heads
+            .slots
+            .iter()
+            .filter_map(|&head| self.fp_of.get(head as usize).copied())
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Block `block`'s content changed to `fp`: keep the index exact.
     /// Out-of-range blocks are ignored (the caller validated the
     /// protocol frame; a stale index entry is worse than a dropped one).
     pub fn record(&mut self, block: usize, fp: u64) {
-        let Some(slot) = self.fp_of.get_mut(block) else {
-            return;
-        };
-        let old = *slot;
-        if old == fp {
-            return;
+        match self.fp_of.get(block) {
+            Some(&old) if old != fp => {}
+            _ => return,
         }
-        *slot = fp;
-        Self::remove(&mut self.by_fp, old, block);
-        Self::insert(&mut self.by_fp, fp, block);
+        // Order matters: the table finds a block through `fp_of`, so the
+        // old fingerprint must still be in place while it is unlinked.
+        self.unlink(block);
+        if let Some(slot) = self.fp_of.get_mut(block) {
+            *slot = fp;
+        }
+        self.link(block);
     }
 
-    fn insert(by_fp: &mut BTreeMap<u64, Holders>, fp: u64, block: usize) {
-        match by_fp.entry(fp) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Holders::One(block));
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Holders::One(b) => {
-                    let prev = *b;
-                    if prev != block {
-                        let mut set = BTreeSet::new();
-                        set.insert(prev);
-                        set.insert(block);
-                        *e.get_mut() = Holders::Many(set);
-                    }
-                }
-                Holders::Many(set) => {
-                    set.insert(block);
-                }
-            },
+    /// Push `block` (in no chain) onto the front of the holder chain of
+    /// `fp_of[block]`.
+    fn link(&mut self, block: usize) {
+        let Some(&fp) = self.fp_of.get(block) else {
+            return;
+        };
+        let me = block as u32;
+        let (at, head) = match self.heads.find(&self.fp_of, fp) {
+            Ok(at) => (at, self.heads.slots.get(at).copied().unwrap_or(NIL)),
+            Err(at) => (at, NIL),
+        };
+        self.heads.put(at, me);
+        if let Some(p) = self.prev.get_mut(head as usize) {
+            *p = me;
+        }
+        if let (Some(n), Some(p)) = (self.next.get_mut(block), self.prev.get_mut(block)) {
+            *n = head;
+            *p = NIL;
         }
     }
 
-    fn remove(by_fp: &mut BTreeMap<u64, Holders>, fp: u64, block: usize) {
-        let std::collections::btree_map::Entry::Occupied(mut e) = by_fp.entry(fp) else {
+    /// Take `block` off the holder chain of `fp_of[block]`; the
+    /// fingerprint leaves the table with its last holder.
+    fn unlink(&mut self, block: usize) {
+        let (Some(&fp), Some(&next), Some(&prev)) = (
+            self.fp_of.get(block),
+            self.next.get(block),
+            self.prev.get(block),
+        ) else {
             return;
         };
-        match e.get_mut() {
-            Holders::One(b) => {
-                if *b == block {
-                    e.remove();
-                }
-            }
-            Holders::Many(set) => {
-                set.remove(&block);
-                let mut it = set.iter();
-                if let (Some(&only), None) = (it.next(), it.next()) {
-                    *e.get_mut() = Holders::One(only);
-                }
+        if let Some(p) = self.prev.get_mut(next as usize) {
+            *p = prev;
+        }
+        if let Some(n) = self.next.get_mut(prev as usize) {
+            // Mid-chain: the table never pointed here.
+            *n = next;
+        } else if let Ok(at) = self.heads.find(&self.fp_of, fp) {
+            if next == NIL {
+                self.heads.remove(&self.fp_of, at);
+            } else {
+                self.heads.put(at, next);
             }
         }
     }
@@ -349,7 +555,9 @@ mod tests {
         assert_eq!(idx.num_blocks(), 4);
         assert_eq!(idx.distinct(), 3);
         assert!(idx.contains(10));
-        assert_eq!(idx.resolve(10), Some(0));
+        // Either holder may come back: the contract is "a current
+        // holder", not "the lowest".
+        assert!(matches!(idx.resolve(10), Some(0 | 2)));
         // Overwrite block 0: fp 10 still resolvable via block 2.
         idx.record(0, 40);
         assert_eq!(idx.resolve(10), Some(2));
@@ -357,13 +565,58 @@ mod tests {
         // Overwrite block 2: fp 10 gone.
         idx.record(2, 40);
         assert!(!idx.contains(10));
-        assert_eq!(idx.resolve(40), Some(0));
+        assert_eq!(idx.resolve(10), None);
+        assert!(matches!(idx.resolve(40), Some(0 | 2)));
+        assert_eq!(idx.distinct(), 3);
         // Same-fp rewrite is a no-op.
         idx.record(3, 30);
         assert_eq!(idx.resolve(30), Some(3));
         // Out-of-range writes are ignored.
         idx.record(99, 1);
         assert!(!idx.contains(1));
+        assert_eq!(idx.fingerprints(), vec![20, 30, 40]);
+    }
+
+    #[test]
+    fn removal_keeps_colliding_keys_reachable() {
+        // Eight blocks -> 16 slots; keys built to share one home slot
+        // exercise the backward shift, including a run that wraps past
+        // the end of the table.
+        let probe = IdTable::with_room_for(8);
+        for target in [0usize, probe.mask()] {
+            let same_home: Vec<u64> = (1u64..)
+                .filter(|&k| probe.home(k) == target)
+                .take(6)
+                .collect();
+            let mut idx = ContentIndex::from_fps(same_home.clone());
+            // Drop keys from the middle, front and back of the run; the
+            // survivors must stay findable after every removal.
+            const ORDER: [usize; 4] = [2, 0, 5, 3];
+            for (gone, &block) in ORDER.iter().enumerate() {
+                idx.record(block, 1_000_000 + block as u64);
+                for (b, &k) in same_home.iter().enumerate() {
+                    let removed = ORDER[..=gone].contains(&b);
+                    assert_eq!(idx.contains(k), !removed, "key {k} home {target}");
+                    if !removed {
+                        assert_eq!(idx.resolve(k), Some(b));
+                    }
+                }
+            }
+            assert_eq!(idx.distinct(), 6);
+        }
+    }
+
+    #[test]
+    fn fingerprint_set_grows_and_keeps_every_member() {
+        let mut set = FingerprintSet::default();
+        assert!(!set.contains(0));
+        // Small integers, as a caller outside the hash family might use.
+        set.extend((0u64..5_000).map(|i| i * 10));
+        set.insert(40); // again: no-op
+        for i in 0u64..5_000 {
+            assert!(set.contains(i * 10));
+            assert!(!set.contains(i * 10 + 1));
+        }
     }
 
     #[test]

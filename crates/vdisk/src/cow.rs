@@ -95,6 +95,13 @@ impl Storage for CowStorage {
         self.overlay.insert(idx, data.into());
     }
 
+    fn resident_block(&self, idx: usize) -> Option<&[u8]> {
+        match self.overlay.get(&idx) {
+            Some(b) => Some(b),
+            None => self.base.resident_block(idx),
+        }
+    }
+
     fn resident_bytes(&self) -> usize {
         self.overlay.len() * self.block_size() + std::mem::size_of::<Self>()
     }

@@ -3,7 +3,7 @@
 use block_bitmap::BlockMapper;
 use parking_lot::RwLock;
 
-use crate::{fingerprint_block, Storage};
+use crate::{fingerprint_block, hash_block, Storage};
 
 /// A virtual block device: geometry plus a locked backing store.
 ///
@@ -67,6 +67,32 @@ impl VirtualDisk {
     /// Overwrite block `idx`.
     pub fn write_block(&self, idx: usize, data: &[u8]) {
         self.storage.write().write_block(idx, data);
+    }
+
+    /// Read the blocks `idxs`, in order, into `out` back to back, under
+    /// one acquisition of the lock.
+    pub fn read_blocks_into(&self, idxs: &[usize], out: &mut [u8]) {
+        self.storage.read().read_blocks(idxs, out);
+    }
+
+    /// Overwrite the blocks `idxs` with consecutive pieces of `data`,
+    /// under one acquisition of the lock: a concurrent writer waits for
+    /// one batch's copy, so callers keep batches short.
+    pub fn write_blocks(&self, idxs: &[u64], data: &[u8]) {
+        self.storage.write().write_blocks(idxs, data);
+    }
+
+    /// [`hash_block`] content fingerprint of every block, in block order
+    /// — what a dedup handshake summarises. Blocks are hashed in place
+    /// under one read lock, and a never-written block is answered with
+    /// the zero block's fingerprint straight from the store's allocation
+    /// map, so a blank disk costs no memory traffic at all.
+    pub fn hash_all(&self) -> Vec<u64> {
+        let zero = hash_block(&vec![0u8; self.block_size()]);
+        let guard = self.storage.read();
+        (0..self.num_blocks())
+            .map(|b| guard.resident_block(b).map_or(zero, hash_block))
+            .collect()
     }
 
     /// FNV-1a fingerprint of one block's contents.

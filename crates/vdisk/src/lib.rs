@@ -43,7 +43,7 @@ mod request;
 mod storage;
 mod tracked;
 
-pub use content::{hash_block, hash_u64, ContentIndex};
+pub use content::{hash_block, hash_u64, ContentIndex, FingerprintSet};
 pub use cow::{BaseImage, CowStorage};
 pub use disk::VirtualDisk;
 pub use meta::MetaDisk;

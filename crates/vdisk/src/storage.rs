@@ -2,6 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use block_bitmap::{DirtyMap, FlatBitmap};
+
 /// A block-addressed backing store.
 ///
 /// Implementations are single-threaded; thread safety is added by
@@ -25,6 +27,47 @@ pub trait Storage: Send + Sync {
     /// Panics when `idx` is out of range or `data.len() != block_size()`.
     fn write_block(&mut self, idx: usize, data: &[u8]);
 
+    /// Block `idx`'s bytes, lent in place, or `None` for a block that was
+    /// never written (it reads as zeroes). A block written with zeroes
+    /// may answer either way: callers may rely on `None` meaning zero,
+    /// never on zero meaning `None`.
+    ///
+    /// # Panics
+    /// Panics when `idx` is out of range.
+    fn resident_block(&self, idx: usize) -> Option<&[u8]>;
+
+    /// Copy the blocks `idxs`, in order, into `out` back to back: one
+    /// dynamic call per batch instead of one per block (the per-block
+    /// calls inside are static — a default method is compiled once per
+    /// store — which is why no store overrides this).
+    ///
+    /// # Panics
+    /// Panics when an index is out of range or
+    /// `out.len() != idxs.len() * block_size()`.
+    fn read_blocks(&self, idxs: &[usize], out: &mut [u8]) {
+        let bs = self.block_size();
+        assert_eq!(out.len(), idxs.len() * bs, "buffer/batch size mismatch");
+        for (slot, &idx) in out.chunks_exact_mut(bs).zip(idxs) {
+            self.read_block(idx, slot);
+        }
+    }
+
+    /// Overwrite the blocks `idxs`, in order, with consecutive
+    /// `block_size()` pieces of `data` (a repeated index keeps its last
+    /// piece). Indices are `u64` as they arrive off the wire.
+    ///
+    /// # Panics
+    /// Panics when an index is out of range or
+    /// `data.len() != idxs.len() * block_size()`.
+    fn write_blocks(&mut self, idxs: &[u64], data: &[u8]) {
+        let bs = self.block_size();
+        assert_eq!(data.len(), idxs.len() * bs, "buffer/batch size mismatch");
+        for (piece, &idx) in data.chunks_exact(bs).zip(idxs) {
+            let idx = usize::try_from(idx).unwrap_or(usize::MAX);
+            self.write_block(idx, piece);
+        }
+    }
+
     /// Bytes of memory the store currently occupies (approximate).
     fn resident_bytes(&self) -> usize;
 }
@@ -33,6 +76,11 @@ pub trait Storage: Send + Sync {
 pub struct DenseStorage {
     block_size: usize,
     data: Vec<u8>,
+    /// Allocation map — the paper's block-bitmap put to a second use: set
+    /// by every write, never cleared. An unset bit proves the block still
+    /// holds the zeroes it was allocated with, without touching its
+    /// (lazily faulted) pages.
+    written: FlatBitmap,
 }
 
 impl DenseStorage {
@@ -45,10 +93,12 @@ impl DenseStorage {
         Self {
             block_size,
             data: vec![0; block_size * num_blocks],
+            written: FlatBitmap::new(num_blocks),
         }
     }
 
     fn range(&self, idx: usize) -> std::ops::Range<usize> {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
         let start = idx * self.block_size;
         start..start + self.block_size
     }
@@ -60,20 +110,25 @@ impl Storage for DenseStorage {
     }
 
     fn num_blocks(&self) -> usize {
-        self.data.len() / self.block_size
+        self.written.len()
     }
 
     fn read_block(&self, idx: usize, out: &mut [u8]) {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let r = self.range(idx);
         assert_eq!(out.len(), self.block_size, "buffer/block size mismatch");
-        out.copy_from_slice(&self.data[self.range(idx)]);
+        out.copy_from_slice(&self.data[r]);
     }
 
     fn write_block(&mut self, idx: usize, data: &[u8]) {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        assert_eq!(data.len(), self.block_size, "buffer/block size mismatch");
         let r = self.range(idx);
+        assert_eq!(data.len(), self.block_size, "buffer/block size mismatch");
         self.data[r].copy_from_slice(data);
+        self.written.set(idx);
+    }
+
+    fn resident_block(&self, idx: usize) -> Option<&[u8]> {
+        let r = self.range(idx);
+        self.written.get(idx).then(|| &self.data[r])
     }
 
     fn resident_bytes(&self) -> usize {
@@ -125,6 +180,11 @@ impl Storage for SparseStorage {
             Some(b) => out.copy_from_slice(b),
             None => out.fill(0),
         }
+    }
+
+    fn resident_block(&self, idx: usize) -> Option<&[u8]> {
+        assert!(idx < self.num_blocks, "block {idx} out of range");
+        self.blocks.get(&idx).map(|b| &**b)
     }
 
     fn write_block(&mut self, idx: usize, data: &[u8]) {

@@ -14,6 +14,13 @@ cargo build --release --workspace --locked
 echo "== tier-1: workspace tests =="
 cargo test -q --workspace --locked
 
+echo "== race regression in the shipped build: post-copy arrival vs guest write =="
+# The workspace tests above ran it unoptimized; the window between an
+# arrival's check and its write depends on timing, so the optimized
+# build — the one the benchmark and the CLI run — is held to it too.
+cargo test -q --release --locked -p migrate --lib \
+  arrival_never_overwrites_a_newer_guest_write
+
 echo "== tier-1: benches compile =="
 # Bit-rot guard only: compiles every [[bench]] target (and bin deps)
 # without running them. Timing runs live in scripts/bench_baseline.sh.
