@@ -40,9 +40,11 @@ atomic load per call site).
 
 Content-aware transfer is on by default: blocks the destination provably
 already holds cross as 16-byte references (dedup), and residual full
-blocks are compressed on the wire. --no-dedup / --no-compress restore the
-classic data plane exactly (bit-identical reports); --dedup / --compress
-re-enable after a --no-* earlier on the command line.
+blocks are compressed on the wire. live compresses memory pages the same
+way, in pre-copy and in the frozen tail. --no-dedup / --no-compress
+restore the classic data plane exactly (bit-identical reports; live RAM
+goes out as raw page frames again); --dedup / --compress re-enable after
+a --no-* earlier on the command line.
 
 orchestrate --scenario FILE runs a declarative .scn chaos scenario
 instead of the built-in two-wave run: the file declares the fleet
@@ -148,7 +150,8 @@ pub struct LiveArgs {
     pub streams: usize,
     /// Content-addressed dedup (on by default; `--no-dedup` disables).
     pub dedup: bool,
-    /// Wire compression for residual full blocks (`--no-compress` disables).
+    /// Wire compression for residual full blocks and memory pages
+    /// (`--no-compress` disables).
     pub compress: bool,
     /// Multi-source failover (`--no-multisource` disables).
     pub multisource: bool,

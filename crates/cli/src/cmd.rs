@@ -355,6 +355,15 @@ fn run_live(a: LiveArgs) -> Result<(), String> {
             out.wire.blocks_compressed,
         );
     }
+    if out.wire.pages_compressed > 0 {
+        println!(
+            "memory pages: {:.1} MB raw -> {:.1} MB sent ({:.1}% off the wire; {} compressed)",
+            out.wire.page_bytes_raw as f64 / MB,
+            out.wire.page_bytes_sent as f64 / MB,
+            out.wire.page_reduction_pct(),
+            out.wire.pages_compressed,
+        );
+    }
     if let Some(r) = &rec {
         export_telemetry(r, &a.trace_out, &a.metrics_out)?;
     }

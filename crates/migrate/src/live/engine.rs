@@ -122,7 +122,7 @@ pub struct LiveConfig {
     pub mem_dirty_threshold: usize,
     /// Maximum memory pre-copy iterations.
     pub max_mem_iterations: u32,
-    /// Pages per `MemPages` message.
+    /// Pages per `MemPages` / `CompressedPages` message.
     pub mem_batch: usize,
     /// Parallel logical streams for the disk data plane. The block range
     /// is split into this many contiguous word-aligned shards
@@ -142,7 +142,8 @@ pub struct LiveConfig {
     /// runs dedup only when both sides agree (the destination echoes its
     /// acceptance in [`MigMessage::ResumeFrom`]).
     pub dedup: bool,
-    /// Offer per-block compression for residual full-block sends.
+    /// Offer per-unit compression for residual full-block sends and for
+    /// memory pages.
     pub compress: bool,
     /// Multi-source mode: the source ships a freeze-time fingerprint
     /// manifest ([`MigMessage::BlockManifest`]) so the destination can
@@ -228,7 +229,8 @@ pub struct LiveOutcome {
     /// below `num_blocks` is the resume-efficiency win over restarting.
     pub resume_owed: Vec<u64>,
     /// Source-side wire savings from dedup and compression: raw disk
-    /// bytes that would have crossed versus what actually did.
+    /// bytes that would have crossed versus what actually did, and the
+    /// same for memory pages in the `page_*` fields.
     pub wire: WireStats,
     /// Bytes sent by the source, per category.
     pub src_ledger: TransferLedger,
@@ -550,6 +552,12 @@ where
             .add(outcome.wire.blocks_deduped);
         m.counter("wire.blocks_compressed")
             .add(outcome.wire.blocks_compressed);
+        m.counter("wire.page_bytes_raw")
+            .add(outcome.wire.page_bytes_raw);
+        m.counter("wire.page_bytes_sent")
+            .add(outcome.wire.page_bytes_sent);
+        m.counter("wire.pages_compressed")
+            .add(outcome.wire.pages_compressed);
         m.histogram("live.iteration_blocks")
             .observe_all(outcome.iterations.iter().copied());
         if outcome.failovers > 0 {
@@ -779,44 +787,67 @@ fn sync_barrier<T: Transport>(
     }
 }
 
-/// Ship a batch of full blocks, compressed when the session negotiated
-/// it and the codec actually wins; returns the payload bytes that
-/// crossed the wire and whether the compressed form was used.
+/// What a batch carries by value. Blocks and pages are framed alike — an
+/// index list plus equal-sized units, raw or as per-unit LZ frames.
+#[derive(Clone, Copy)]
+enum Unit {
+    Block,
+    Page,
+}
+
+/// Ship a batch of whole units, compressed when the session negotiated
+/// it and the codec actually wins — the one place that is decided, and
+/// booked in the savings ledger, for blocks and pages alike.
 fn send_full_batch<T: Transport>(
     ep: &T,
-    blocks: Vec<u64>,
+    ctx: &mut DedupCtx,
+    unit: Unit,
+    ids: Vec<u64>,
     payload: Vec<u8>,
-    compress: bool,
-    block_size: usize,
+    unit_size: usize,
     phase: &'static str,
-) -> Result<(u64, bool), SessionError> {
-    if compress {
-        let frames = compress_blocks(&payload, block_size);
-        if frames.len() < payload.len() {
-            let sent = frames.len() as u64;
-            send_or(
-                ep,
-                phase,
-                MigMessage::CompressedBlocks {
-                    blocks,
-                    raw_len: payload.len() as u64,
-                    payload: Bytes::from(frames),
-                },
-            )?;
-            return Ok((sent, true));
-        }
-    }
-    let sent = payload.len() as u64;
-    send_or(
-        ep,
-        phase,
-        MigMessage::DiskBlocks {
-            blocks,
-            payload_len: sent,
-            payload: Some(Bytes::from(payload)),
+) -> Result<(), SessionError> {
+    let (count, raw_len) = (ids.len() as u64, payload.len() as u64);
+    let frames = ctx
+        .compress
+        .then(|| compress_blocks(&payload, unit_size))
+        .filter(|frames| frames.len() < payload.len());
+    let compressed = frames.is_some();
+    let body = Bytes::from(frames.unwrap_or(payload));
+    let sent = body.len() as u64;
+    let msg = match (unit, compressed) {
+        (Unit::Block, true) => MigMessage::CompressedBlocks {
+            blocks: ids,
+            raw_len,
+            payload: body,
         },
-    )?;
-    Ok((sent, false))
+        (Unit::Block, false) => MigMessage::DiskBlocks {
+            blocks: ids,
+            payload_len: sent,
+            payload: Some(body),
+        },
+        (Unit::Page, true) => MigMessage::CompressedPages {
+            pages: ids,
+            raw_len,
+            payload: body,
+        },
+        (Unit::Page, false) => MigMessage::MemPages {
+            pages: ids,
+            payload_len: sent,
+            payload: Some(body),
+        },
+    };
+    send_or(ep, phase, msg)?;
+    let wire = &mut ctx.wire;
+    let (bytes_sent, units_compressed) = match unit {
+        Unit::Block => (&mut wire.bytes_sent, &mut wire.blocks_compressed),
+        Unit::Page => (&mut wire.page_bytes_sent, &mut wire.pages_compressed),
+    };
+    *bytes_sent += sent;
+    if compressed {
+        *units_compressed += count;
+    }
+    Ok(())
 }
 
 /// Drain a disk worklist into `DiskBlocks` batches, marking each block
@@ -903,15 +934,9 @@ fn send_disk_worklist<T: Transport>(
                 fulls.extend(chunk.iter().map(|&b| b as u64));
             }
             if !fulls.is_empty() {
-                let count = fulls.len() as u64;
-                match send_full_batch(ep, fulls, payload, ctx.compress, block_size, phase) {
-                    Ok((sent, compressed)) => {
-                        ctx.wire.bytes_sent += sent;
-                        if compressed {
-                            ctx.wire.blocks_compressed += count;
-                        }
-                    }
-                    Err(e) => break Err(e),
+                let sent = send_full_batch(ep, ctx, Unit::Block, fulls, payload, block_size, phase);
+                if let Err(e) = sent {
+                    break Err(e);
                 }
             }
             let mut failed = None;
@@ -952,12 +977,15 @@ fn send_disk_worklist<T: Transport>(
     }
 }
 
-/// `MemPages` analogue of [`send_disk_worklist`].
+/// Page analogue of [`send_disk_worklist`] over the same
+/// [`send_full_batch`]. There is no content index over RAM, so no
+/// references, nothing to bounce and no barrier of its own.
 fn send_page_worklist<T: Transport>(
     ep: &T,
     ram: &LiveRam,
     worklist: &mut Vec<usize>,
     shipped: &mut FlatBitmap,
+    ctx: &mut DedupCtx,
     batch: usize,
     phase: &'static str,
 ) -> Result<(), SessionError> {
@@ -971,14 +999,12 @@ fn send_page_worklist<T: Transport>(
         for &p in chunk {
             shipped.set(p);
         }
-        let payload = Bytes::from(ram.read_pages(chunk));
-        match ep.send(MigMessage::MemPages {
-            pages: chunk.iter().map(|&p| p as u64).collect(),
-            payload_len: payload.len() as u64,
-            payload: Some(payload),
-        }) {
+        let payload = ram.read_pages(chunk);
+        ctx.wire.page_bytes_raw += payload.len() as u64;
+        let pages = chunk.iter().map(|&p| p as u64).collect();
+        match send_full_batch(ep, ctx, Unit::Page, pages, payload, ram.page_size(), phase) {
             Ok(()) => done = end,
-            Err(e) => break Err(classify(phase, e)),
+            Err(e) => break Err(e),
         }
     };
     worklist.drain(..done);
@@ -1463,6 +1489,7 @@ fn source_mem_precopy<T: Transport>(
             ram,
             &mut st.mem_worklist,
             &mut st.session_mem_shipped,
+            &mut st.ctx,
             cfg.mem_batch,
             "memory pre-copy",
         )?;
@@ -1574,6 +1601,7 @@ fn source_freeze<T: Transport>(
         ram,
         &mut st.tail_worklist,
         &mut st.session_mem_shipped,
+        &mut st.ctx,
         cfg.mem_batch,
         "freeze",
     )?;
@@ -1758,22 +1786,43 @@ struct DestResult {
     failover_peers: Vec<PeerBytes>,
 }
 
-/// A block index off the wire, checked against the disk: the storage
-/// layer asserts its ranges, and a peer's frame must never reach an
-/// assert.
-fn checked_block(disk: &TrackedDisk, block: u64) -> Result<usize, SessionError> {
-    usize::try_from(block)
+/// A block or page index off the wire, checked against the store it
+/// targets: the storage layers assert their ranges, and a peer's frame
+/// must never reach an assert.
+fn checked_index(what: &'static str, idx: u64, count: usize) -> Result<usize, SessionError> {
+    usize::try_from(idx)
         .ok()
-        .filter(|&b| b < disk.disk().num_blocks())
-        .ok_or_else(|| {
-            protocol_err(
-                "apply",
-                format!(
-                    "block {block} on a disk of {} blocks",
-                    disk.disk().num_blocks()
-                ),
-            )
-        })
+        .filter(|&i| i < count)
+        .ok_or_else(|| protocol_err("apply", format!("{what} {idx} where {count} exist")))
+}
+
+fn checked_block(disk: &TrackedDisk, block: u64) -> Result<usize, SessionError> {
+    checked_index("block", block, disk.disk().num_blocks())
+}
+
+/// Validate a whole batch frame before any of it is applied: payload
+/// length against the index list, every index against the store.
+fn check_batch(
+    what: &'static str,
+    ids: &[u64],
+    payload: &[u8],
+    unit_size: usize,
+    count: usize,
+) -> Result<(), SessionError> {
+    if ids.len().checked_mul(unit_size) != Some(payload.len()) {
+        return Err(protocol_err(
+            "apply",
+            format!(
+                "payload of {} bytes for {} {what}s of {unit_size}",
+                payload.len(),
+                ids.len()
+            ),
+        ));
+    }
+    for &i in ids {
+        checked_index(what, i, count)?;
+    }
+    Ok(())
 }
 
 /// Write one message's blocks under one acquisition of the disk lock,
@@ -1784,19 +1833,8 @@ fn apply_blocks(
     payload: &[u8],
     block_size: usize,
 ) -> Result<(), SessionError> {
-    if blocks.len().checked_mul(block_size) != Some(payload.len()) {
-        return Err(protocol_err(
-            "apply",
-            format!(
-                "payload of {} bytes for {} blocks of {block_size}",
-                payload.len(),
-                blocks.len()
-            ),
-        ));
-    }
-    for &b in blocks {
-        checked_block(disk, b)?;
-    }
+    let num_blocks = disk.disk().num_blocks();
+    check_batch("block", blocks, payload, block_size, num_blocks)?;
     disk.disk().write_blocks(blocks, payload);
     Ok(())
 }
@@ -2264,16 +2302,34 @@ fn dest_apply_ref<T: Transport>(
     Ok(())
 }
 
-/// Decode a compressed batch back to raw block bytes, validating the
-/// advertised raw length.
+/// Apply a batch of memory pages at the destination, validated as a
+/// whole first (a bad index after good ones applies nothing), and mark
+/// the per-session receipt bitmap.
+fn dest_apply_pages(
+    st: &mut DestState,
+    ram: &LiveRam,
+    pages: &[u64],
+    payload: &[u8],
+) -> Result<(), SessionError> {
+    check_batch("page", pages, payload, ram.page_size(), ram.num_pages())?;
+    let idx: Vec<usize> = pages.iter().map(|&p| p as usize).collect();
+    ram.apply_pages(&idx, payload);
+    for &p in &idx {
+        st.session_got_pages.set(p);
+    }
+    Ok(())
+}
+
+/// Decode a compressed batch of `count` units back to raw bytes,
+/// validating the advertised raw length.
 fn decode_compressed(
-    blocks: &[u64],
+    count: usize,
     raw_len: u64,
     payload: &Bytes,
-    block_size: usize,
+    unit_size: usize,
     phase: &'static str,
 ) -> Result<Bytes, SessionError> {
-    let raw = decompress_blocks(payload, blocks.len(), block_size)
+    let raw = decompress_blocks(payload, count, unit_size)
         .map_err(|e| protocol_err(phase, format!("undecodable compressed batch: {e:?}")))?;
     if raw.len() as u64 != raw_len {
         return Err(protocol_err(
@@ -2287,6 +2343,54 @@ fn decode_compressed(
     Ok(Bytes::from(raw))
 }
 
+/// The destination half of the data plane, shared by pre-copy and
+/// freeze: a message carrying blocks or pages — raw, compressed or by
+/// reference — is decoded, validated and applied here; any other is
+/// handed back for the phase's own protocol.
+fn dest_apply_data<T: Transport>(
+    st: &mut DestState,
+    disk: &TrackedDisk,
+    ram: &LiveRam,
+    ep: &T,
+    msg: MigMessage,
+    phase: &'static str,
+) -> Result<Option<MigMessage>, SessionError> {
+    let block_size = disk.disk().block_size();
+    match msg {
+        MigMessage::DiskBlocks {
+            blocks,
+            payload: Some(payload),
+            ..
+        } => dest_apply_full(st, disk, &blocks, &payload, block_size)?,
+        MigMessage::CompressedBlocks {
+            blocks,
+            raw_len,
+            payload,
+        } => {
+            let raw = decode_compressed(blocks.len(), raw_len, &payload, block_size, phase)?;
+            dest_apply_full(st, disk, &blocks, &raw, block_size)?;
+        }
+        MigMessage::BlockRef { block, fingerprint } => {
+            dest_apply_ref(st, disk, ep, block, fingerprint, phase)?;
+        }
+        MigMessage::MemPages {
+            pages,
+            payload: Some(payload),
+            ..
+        } => dest_apply_pages(st, ram, &pages, &payload)?,
+        MigMessage::CompressedPages {
+            pages,
+            raw_len,
+            payload,
+        } => {
+            let raw = decode_compressed(pages.len(), raw_len, &payload, ram.page_size(), phase)?;
+            dest_apply_pages(st, ram, &pages, &raw)?;
+        }
+        other => return Ok(Some(other)),
+    }
+    Ok(None)
+}
+
 fn dest_precopy<T: Transport>(
     cfg: &LiveConfig,
     disk: &Arc<TrackedDisk>,
@@ -2296,45 +2400,17 @@ fn dest_precopy<T: Transport>(
 ) -> Result<(), SessionError> {
     // Apply incoming block and page batches until the source suspends.
     loop {
-        match recv_or(ep, "pre-copy", cfg.retry.phase_timeout)? {
-            MigMessage::DiskBlocks {
-                blocks,
-                payload: Some(payload),
-                ..
-            } => {
-                dest_apply_full(st, disk, &blocks, &payload, cfg.block_size)?;
-            }
-            MigMessage::CompressedBlocks {
-                blocks,
-                raw_len,
-                payload,
-            } => {
-                let raw =
-                    decode_compressed(&blocks, raw_len, &payload, cfg.block_size, "pre-copy")?;
-                dest_apply_full(st, disk, &blocks, &raw, cfg.block_size)?;
-            }
-            MigMessage::BlockRef { block, fingerprint } => {
-                dest_apply_ref(st, disk, ep, block, fingerprint, "pre-copy")?;
-            }
-            MigMessage::MemPages {
-                pages,
-                payload: Some(payload),
-                ..
-            } => {
-                let idx: Vec<usize> = pages.iter().map(|&p| p as usize).collect();
-                ram.apply_pages(&idx, &payload);
-                for &p in &idx {
-                    st.session_got_pages.set(p);
-                }
-            }
+        let msg = recv_or(ep, "pre-copy", cfg.retry.phase_timeout)?;
+        match dest_apply_data(st, disk, ram, ep, msg, "pre-copy")? {
+            None => {}
             // Everything before the barrier is applied by now, and any
             // bounce it provoked is already queued ahead of this echo.
-            MigMessage::Barrier => send_or(ep, "pre-copy", MigMessage::BarrierAck)?,
-            MigMessage::Suspended => {
+            Some(MigMessage::Barrier) => send_or(ep, "pre-copy", MigMessage::BarrierAck)?,
+            Some(MigMessage::Suspended) => {
                 st.phase = ResumePhase::Frozen;
                 return Ok(());
             }
-            other => {
+            Some(other) => {
                 return Err(protocol_err(
                     "pre-copy",
                     format!("unexpected message at destination: {other:?}"),
@@ -2356,46 +2432,18 @@ fn dest_freeze<T: Transport>(
     // `Suspended` marker are accepted too — frozen content is stable, so
     // applying any of it twice is harmless.
     let transferred_flat = loop {
-        match recv_or(ep, "freeze", cfg.retry.phase_timeout)? {
-            MigMessage::MemPages {
-                pages,
-                payload: Some(payload),
-                ..
-            } => {
-                let idx: Vec<usize> = pages.iter().map(|&p| p as usize).collect();
-                ram.apply_pages(&idx, &payload);
-                for &p in &idx {
-                    st.session_got_pages.set(p);
-                }
-            }
-            MigMessage::DiskBlocks {
-                blocks,
-                payload: Some(payload),
-                ..
-            } => {
-                dest_apply_full(st, disk, &blocks, &payload, cfg.block_size)?;
-            }
-            MigMessage::CompressedBlocks {
-                blocks,
-                raw_len,
-                payload,
-            } => {
-                let raw = decode_compressed(&blocks, raw_len, &payload, cfg.block_size, "freeze")?;
-                dest_apply_full(st, disk, &blocks, &raw, cfg.block_size)?;
-            }
-            MigMessage::BlockRef { block, fingerprint } => {
-                dest_apply_ref(st, disk, ep, block, fingerprint, "freeze")?;
-            }
-            MigMessage::CpuState { .. } | MigMessage::Suspended => {}
-            MigMessage::BlockManifest {
+        let msg = recv_or(ep, "freeze", cfg.retry.phase_timeout)?;
+        match dest_apply_data(st, disk, ram, ep, msg, "freeze")? {
+            None | Some(MigMessage::CpuState { .. } | MigMessage::Suspended) => {}
+            Some(MigMessage::BlockManifest {
                 blocks,
                 fingerprints,
-            } => {
+            }) => {
                 for (&b, &fp) in blocks.iter().zip(fingerprints.iter()) {
                     st.manifest.insert(b as usize, fp);
                 }
             }
-            MigMessage::Bitmap { encoded } => {
+            Some(MigMessage::Bitmap { encoded }) => {
                 let mut still_needed = decode_bitmap("freeze", &encoded)?;
                 // References bounced but not yet re-answered join the
                 // still-needed set: their `BlockRefMiss` is answered
@@ -2403,7 +2451,7 @@ fn dest_freeze<T: Transport>(
                 still_needed.union_with(&st.ref_missing);
                 break still_needed;
             }
-            other => {
+            Some(other) => {
                 return Err(protocol_err(
                     "freeze",
                     format!("unexpected freeze message: {other:?}"),
@@ -2779,6 +2827,220 @@ mod tests {
         let newer = stamp_bytes(3, 2, 512);
         assert!(apply_blocks(&disk, &[3, 3], &[data, newer.clone()].concat(), 512).is_ok());
         assert_eq!(disk.disk().read_block(3), newer);
+    }
+
+    fn ok<T>(r: Result<T, SessionError>) -> T {
+        match r {
+            Ok(v) => v,
+            Err(SessionError::Fatal(e)) => panic!("fatal session error: {e}"),
+            Err(SessionError::Reconnect(e)) => panic!("link error: {e}"),
+        }
+    }
+
+    /// One page of each kind a guest's RAM is made of: untouched, filled
+    /// with one byte, text-like (words from a small vocabulary) and
+    /// word-random (nothing for LZ to find).
+    fn mix_page(kind: usize, seed: u64, page_size: usize) -> Vec<u8> {
+        const WORDS: [&str; 8] = [
+            "page ", "frame ", "bitmap ", "dirty ", "guest ", "copy ", "the ", "of ",
+        ];
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        match kind % 4 {
+            0 => vec![0u8; page_size],
+            1 => vec![seed as u8 | 1; page_size],
+            2 => {
+                let mut page = Vec::with_capacity(page_size + 8);
+                while page.len() < page_size {
+                    page.extend_from_slice(WORDS[(next() % 8) as usize].as_bytes());
+                }
+                page.truncate(page_size);
+                page
+            }
+            _ => (0..page_size / 8)
+                .flat_map(|_| next().to_le_bytes())
+                .collect(),
+        }
+    }
+
+    /// Drive `worklist` through the page sender over an in-process link
+    /// and apply everything that arrives through the destination's data
+    /// path; returns the frames as sent.
+    fn ship_pages(
+        src: &LiveRam,
+        dst: &LiveRam,
+        mut worklist: Vec<usize>,
+        compress: bool,
+        batch: usize,
+    ) -> (Vec<MigMessage>, TransferLedger, WireStats) {
+        let cfg = LiveConfig {
+            num_blocks: 8,
+            mem_pages: src.num_pages(),
+            mem_page_size: src.page_size(),
+            ..LiveConfig::test_default()
+        };
+        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(cfg.block_size, cfg.num_blocks)));
+        let (a, b) = duplex();
+        let mut ctx = DedupCtx::new();
+        ctx.reset(false, compress);
+        let mut shipped = FlatBitmap::new(cfg.mem_pages);
+        let sent_pages = worklist.clone();
+        ok(send_page_worklist(
+            &a,
+            src,
+            &mut worklist,
+            &mut shipped,
+            &mut ctx,
+            batch,
+            "test",
+        ));
+        assert!(worklist.is_empty());
+        let mut st = DestState::new(&cfg);
+        let mut frames = Vec::new();
+        while let Ok(msg) = b.try_recv() {
+            frames.push(msg.clone());
+            assert!(ok(dest_apply_data(&mut st, &disk, dst, &b, msg, "test")).is_none());
+        }
+        for p in sent_pages {
+            assert!(shipped.get(p) && st.session_got_pages.get(p), "page {p}");
+        }
+        (frames, a.sent_ledger(), ctx.wire)
+    }
+
+    #[test]
+    fn page_mix_crosses_in_the_smaller_form_and_lands_page_exact() {
+        use simnet::proto::{Category, FRAME_OVERHEAD};
+        const PS: usize = 4096;
+        const N: usize = 64;
+        let src = LiveRam::new(PS, N);
+        for p in 0..N {
+            src.write_page(p, &mix_page(p, p as u64 + 1, PS));
+        }
+        let of_kind = |k: usize| (0..N).filter(|p| p % 4 == k).collect::<Vec<_>>();
+
+        // The whole mix, 16 pages a batch: every batch holds pages that
+        // compress, so every batch crosses compressed; RAM is page-exact
+        // and the Memory ledger is the frames' own sizes, to the byte.
+        let dst = LiveRam::new(PS, N);
+        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), true, 16);
+        assert!(src.content_equals(&dst));
+        assert_eq!(frames.len(), 4);
+        assert!(frames
+            .iter()
+            .all(|m| matches!(m, MigMessage::CompressedPages { .. })));
+        let framed: u64 = frames.iter().map(MigMessage::wire_size).sum();
+        assert_eq!(ledger.get(Category::Memory), framed);
+        assert_eq!(ledger.total(), framed);
+        assert_eq!(wire.page_bytes_raw, (N * PS) as u64);
+        assert_eq!(
+            wire.page_bytes_sent + (8 * N) as u64 + 4 * FRAME_OVERHEAD,
+            framed
+        );
+        assert_eq!(wire.pages_compressed, N as u64);
+        assert!(wire.page_bytes_sent < wire.page_bytes_raw / 2);
+        assert_eq!(
+            (wire.bytes_raw, wire.bytes_sent, wire.blocks_compressed),
+            (0, 0, 0)
+        );
+
+        // Zero pages need no message of their own: 8 B of index and a
+        // 10 B run-length frame each.
+        let dst = LiveRam::new(PS, N);
+        let zeros = of_kind(0);
+        let (_, ledger, _) = ship_pages(&src, &dst, zeros.clone(), true, 16);
+        assert_eq!(
+            ledger.get(Category::Memory),
+            FRAME_OVERHEAD + 18 * zeros.len() as u64
+        );
+
+        // A batch of random pages frames no smaller than raw, so it
+        // travels as plain `MemPages`.
+        let dst = LiveRam::new(PS, N);
+        let noise = of_kind(3);
+        let (frames, ledger, wire) = ship_pages(&src, &dst, noise.clone(), true, 16);
+        assert!(matches!(frames.as_slice(), [MigMessage::MemPages { .. }]));
+        assert_eq!(
+            ledger.get(Category::Memory),
+            FRAME_OVERHEAD + (noise.len() * (8 + PS)) as u64
+        );
+        assert_eq!(wire.pages_compressed, 0);
+        assert!(noise.iter().all(|&p| dst.read_page(p) == src.read_page(p)));
+
+        // A session whose compress agreement came out false (either side
+        // declined) ships the same mix as raw page frames only.
+        let dst = LiveRam::new(PS, N);
+        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), false, 16);
+        assert!(src.content_equals(&dst));
+        assert!(frames
+            .iter()
+            .all(|m| matches!(m, MigMessage::MemPages { .. })));
+        assert_eq!(
+            ledger.get(Category::Memory),
+            4 * FRAME_OVERHEAD + (N * (8 + PS)) as u64
+        );
+        assert_eq!(wire.page_bytes_sent, wire.page_bytes_raw);
+    }
+
+    #[test]
+    fn malformed_page_frames_are_typed_errors_not_ram_panics() {
+        const PS: usize = 512;
+        let cfg = LiveConfig {
+            num_blocks: 8,
+            mem_pages: 8,
+            mem_page_size: PS,
+            ..LiveConfig::test_default()
+        };
+        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(cfg.block_size, cfg.num_blocks)));
+        let ram = LiveRam::new(PS, cfg.mem_pages);
+        let (ep, _peer) = duplex();
+        let mut st = DestState::new(&cfg);
+        let mut apply = |msg: MigMessage| dest_apply_data(&mut st, &disk, &ram, &ep, msg, "test");
+        let fatal = |r: Result<Option<MigMessage>, SessionError>| match r {
+            Err(SessionError::Fatal(MigrationError::Protocol { detail, .. })) => detail,
+            Err(_) => panic!("expected a protocol error, got another error"),
+            Ok(_) => panic!("expected a protocol error, got Ok"),
+        };
+        let raw = |pages: &[u64], payload: &[u8]| MigMessage::MemPages {
+            pages: pages.to_vec(),
+            payload_len: payload.len() as u64,
+            payload: Some(Bytes::copy_from_slice(payload)),
+        };
+        let packed =
+            |pages: &[u64], raw_len: usize, payload: Vec<u8>| MigMessage::CompressedPages {
+                pages: pages.to_vec(),
+                raw_len: raw_len as u64,
+                payload: Bytes::from(payload),
+            };
+        let data = stamp_bytes(3, 1, PS);
+        let two = [data.clone(), data.clone()].concat();
+        // An index past the RAM, alone or after valid ones, raw or
+        // compressed: nothing is applied, not even the valid prefix.
+        assert!(fatal(apply(raw(&[8], &data))).contains("page 8"));
+        assert!(fatal(apply(raw(&[3, u64::MAX], &two))).contains("page"));
+        let frames = compress_blocks(&two, PS);
+        assert!(fatal(apply(packed(&[3, 8], two.len(), frames.clone()))).contains("page 8"));
+        // Payload length that does not match the page list.
+        assert!(fatal(apply(raw(&[3], &two))).contains("payload"));
+        assert!(fatal(apply(raw(&[3, 4], &data))).contains("payload"));
+        // A raw length the frames do not decode to, a frame count the
+        // payload does not hold, and bytes that are no frames at all.
+        assert!(fatal(apply(packed(&[3, 4], PS, frames.clone()))).contains("declared"));
+        assert!(fatal(apply(packed(&[3], PS, frames.clone()))).contains("undecodable"));
+        assert!(fatal(apply(packed(&[3, 4, 5], 3 * PS, frames.clone()))).contains("undecodable"));
+        assert!(fatal(apply(packed(&[3], PS, vec![9u8; 40]))).contains("undecodable"));
+        assert_eq!(ram.read_page(3), vec![0u8; PS]);
+        // The well-formed frames land, repeats included (last piece wins).
+        assert!(ok(apply(packed(&[3, 4], two.len(), frames))).is_none());
+        let newer = stamp_bytes(3, 2, PS);
+        assert!(ok(apply(raw(&[3, 3], &[data.clone(), newer.clone()].concat()))).is_none());
+        assert_eq!(ram.read_page(3), newer);
+        assert_eq!(ram.read_page(4), data);
+        assert_eq!(st.session_got_pages.to_indices(), vec![3, 4]);
     }
 
     #[test]

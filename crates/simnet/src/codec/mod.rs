@@ -75,6 +75,7 @@ const T_BLOCK_MISS: u8 = 22;
 const T_BLOCK_MANIFEST: u8 = 23;
 const T_BARRIER: u8 = 24;
 const T_BARRIER_ACK: u8 = 25;
+const T_COMPRESSED_PAGES: u8 = 26;
 
 /// Words converted per batch in the bulk [`Writer::u64s`] path: large
 /// enough for the inner loop to vectorize, small enough to live on the
@@ -206,8 +207,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Compress a concatenation of equal-sized raw blocks into the payload
-/// of a [`MigMessage::CompressedBlocks`]: one self-describing frame per
+/// Compress a concatenation of equal-sized raw blocks (or memory pages)
+/// into the payload of a [`MigMessage::CompressedBlocks`] /
+/// [`MigMessage::CompressedPages`]: one self-describing frame per
 /// block, never more than `raw.len() + blocks * lz::HEADER` bytes.
 pub fn compress_blocks(raw: &[u8], block_size: usize) -> Vec<u8> {
     if block_size == 0 {
@@ -223,8 +225,9 @@ pub fn compress_blocks(raw: &[u8], block_size: usize) -> Vec<u8> {
     out
 }
 
-/// Decode a [`MigMessage::CompressedBlocks`] payload of `count` frames
-/// back into concatenated raw blocks. Rejects trailing bytes and any
+/// Decode a [`MigMessage::CompressedBlocks`] (or
+/// [`MigMessage::CompressedPages`]) payload of `count` frames back into
+/// concatenated raw blocks. Rejects trailing bytes and any
 /// frame decompressing past `block_size`.
 pub fn decompress_blocks(
     payload: &[u8],
@@ -312,6 +315,7 @@ fn body_size_hint(msg: &MigMessage) -> usize {
         MigMessage::CompressedBlocks {
             blocks, payload, ..
         } => blocks.len() * 8 + payload.len(),
+        MigMessage::CompressedPages { pages, payload, .. } => pages.len() * 8 + payload.len(),
         MigMessage::PrepareVbd { .. }
         | MigMessage::PrepareAck
         | MigMessage::Suspended
@@ -446,6 +450,16 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u64(*raw_len);
             w.bytes(payload);
         }
+        MigMessage::CompressedPages {
+            pages,
+            raw_len,
+            payload,
+        } => {
+            w.u8(T_COMPRESSED_PAGES);
+            w.u64s(pages);
+            w.u64(*raw_len);
+            w.bytes(payload);
+        }
         MigMessage::BlockRequest {
             block,
             fingerprint,
@@ -556,6 +570,11 @@ pub fn decode(buf: &[u8]) -> Result<MigMessage, CodecError> {
         },
         T_COMPRESSED_BLOCKS => MigMessage::CompressedBlocks {
             blocks: r.u64s()?,
+            raw_len: r.u64()?,
+            payload: r.bytes()?,
+        },
+        T_COMPRESSED_PAGES => MigMessage::CompressedPages {
+            pages: r.u64s()?,
             raw_len: r.u64()?,
             payload: r.bytes()?,
         },
@@ -714,6 +733,11 @@ mod tests {
                 raw_len: 3 * 4096,
                 payload: Bytes::from(compress_blocks(&vec![9u8; 3 * 4096], 4096)),
             },
+            MigMessage::CompressedPages {
+                pages: vec![0, 511],
+                raw_len: 2 * 4096,
+                payload: Bytes::from(compress_blocks(&vec![0u8; 2 * 4096], 4096)),
+            },
             MigMessage::BlockRequest {
                 block: 991,
                 fingerprint: 0xFEED_FACE_0123,
@@ -865,6 +889,29 @@ mod tests {
         assert!(decompress_blocks(&bad, 3, bs).is_err());
         // Wrong frame count is a typed error, not a panic.
         assert!(decompress_blocks(&payload, 2, bs).is_err());
+    }
+
+    #[test]
+    fn compressed_pages_tag_and_layout_are_pinned() {
+        // Tag 26, then the index run, the raw length and the frames, all
+        // length-prefixed little-endian: a zero 4 KiB page is one 10-byte
+        // RLE frame (`lz::HEADER` + one `[run: u32][byte]` pair).
+        let msg = MigMessage::CompressedPages {
+            pages: vec![7],
+            raw_len: 4096,
+            payload: Bytes::from(compress_blocks(&[0u8; 4096], 4096)),
+        };
+        let mut expect = vec![26u8];
+        expect.extend_from_slice(&1u64.to_le_bytes());
+        expect.extend_from_slice(&7u64.to_le_bytes());
+        expect.extend_from_slice(&4096u64.to_le_bytes());
+        expect.extend_from_slice(&10u64.to_le_bytes());
+        expect.push(lz::SCHEME_RLE);
+        expect.extend_from_slice(&5u32.to_le_bytes());
+        expect.extend_from_slice(&4096u32.to_le_bytes());
+        expect.push(0);
+        assert_eq!(encode(&msg), expect);
+        assert_eq!(msg.wire_size(), crate::proto::FRAME_OVERHEAD + 8 + 10);
     }
 
     #[test]

@@ -126,6 +126,21 @@ pub enum MigMessage {
         /// Live-mode contents, concatenated in index order.
         payload: Option<Bytes>,
     },
+    /// A batch of memory pages whose payload is per-page compressed
+    /// frames — the same self-describing `simnet::codec::lz` frames a
+    /// [`MigMessage::CompressedBlocks`] carries, one per page. Sent in
+    /// place of [`MigMessage::MemPages`] on a session that negotiated
+    /// compression, when the frames come out smaller. A zero or constant
+    /// page needs no message of its own: its run-length frame is
+    /// `lz::HEADER + 5` bytes.
+    CompressedPages {
+        /// Page indices, ascending.
+        pages: Vec<u64>,
+        /// Uncompressed payload bytes across the batch.
+        raw_len: u64,
+        /// Concatenated self-describing compressed frames, page order.
+        payload: Bytes,
+    },
     /// The CPU context, sent while the VM is suspended.
     CpuState {
         /// Context size in bytes.
@@ -316,6 +331,9 @@ impl MigMessage {
                 Self::MemPages {
                     pages, payload_len, ..
                 } => 8 * pages.len() as u64 + payload_len,
+                Self::CompressedPages { pages, payload, .. } => {
+                    8 * pages.len() as u64 + payload.len() as u64
+                }
                 Self::CpuState { payload_len, .. } => *payload_len,
                 Self::Bitmap { encoded } => encoded.len() as u64,
                 Self::PullRequest { .. } => 8,
@@ -364,7 +382,7 @@ impl MigMessage {
             Self::ResumeFrom { .. } => Category::Bitmap,
             Self::DiskBlocks { .. } => Category::DiskPrecopy,
             Self::BlockRef { .. } | Self::CompressedBlocks { .. } => Category::DiskPrecopy,
-            Self::MemPages { .. } => Category::Memory,
+            Self::MemPages { .. } | Self::CompressedPages { .. } => Category::Memory,
             Self::CpuState { .. } => Category::Cpu,
             Self::Bitmap { .. } => Category::Bitmap,
             Self::PullRequest { .. } => Category::DiskPull,
@@ -383,7 +401,9 @@ impl MigMessage {
 /// plane *would* have sent block-for-block (`bytes_raw`) against what
 /// actually crossed the link (`bytes_sent`), journaled in telemetry as
 /// `wire.bytes_raw` / `wire.bytes_sent` / `wire.blocks_deduped` /
-/// `wire.blocks_compressed`.
+/// `wire.blocks_compressed`. Memory pages are kept in their own
+/// `page_*` fields (`wire.page_*` counters): the block fields feed
+/// ratios over blocks and never see page traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireStats {
     /// Block payload bytes before dedup/compression (full framing).
@@ -394,21 +414,31 @@ pub struct WireStats {
     pub blocks_deduped: u64,
     /// Blocks whose payload went out smaller than raw.
     pub blocks_compressed: u64,
+    /// Page payload bytes before compression, retransmissions included.
+    pub page_bytes_raw: u64,
+    /// Page payload bytes actually sent (raw or compressed frames).
+    pub page_bytes_sent: u64,
+    /// Pages whose batch went out as [`MigMessage::CompressedPages`].
+    pub pages_compressed: u64,
 }
 
 impl WireStats {
-    /// Bytes the content-aware path kept off the wire.
+    /// Block bytes the content-aware path kept off the wire (pages are
+    /// not included; see [`WireStats::page_reduction_pct`]).
     pub fn saved(&self) -> u64 {
         self.bytes_raw.saturating_sub(self.bytes_sent)
     }
 
-    /// Percentage reduction of bytes-on-wire (0 when nothing was sent).
+    /// Percentage reduction of block bytes-on-wire (0 when nothing was
+    /// sent). Blocks only.
     pub fn reduction_pct(&self) -> f64 {
-        if self.bytes_raw == 0 {
-            0.0
-        } else {
-            100.0 * self.saved() as f64 / self.bytes_raw as f64
-        }
+        pct_off(self.bytes_raw, self.bytes_sent)
+    }
+
+    /// Percentage reduction of page bytes-on-wire (0 when nothing was
+    /// sent).
+    pub fn page_reduction_pct(&self) -> f64 {
+        pct_off(self.page_bytes_raw, self.page_bytes_sent)
     }
 
     /// Fold another migration's accounting into this one.
@@ -417,6 +447,17 @@ impl WireStats {
         self.bytes_sent += other.bytes_sent;
         self.blocks_deduped += other.blocks_deduped;
         self.blocks_compressed += other.blocks_compressed;
+        self.page_bytes_raw += other.page_bytes_raw;
+        self.page_bytes_sent += other.page_bytes_sent;
+        self.pages_compressed += other.pages_compressed;
+    }
+}
+
+fn pct_off(raw: u64, sent: u64) -> f64 {
+    if raw == 0 {
+        0.0
+    } else {
+        100.0 * raw.saturating_sub(sent) as f64 / raw as f64
     }
 }
 
@@ -513,6 +554,16 @@ mod tests {
             payload: None,
         };
         assert_eq!(batch.wire_size(), FRAME_OVERHEAD + 80 + 40_960);
+
+        // Compressed page batches are sized by their frames, not by what
+        // they decode to.
+        let pages = MigMessage::CompressedPages {
+            pages: vec![1, 2, 3],
+            raw_len: 3 * 4096,
+            payload: Bytes::from(vec![0u8; 30]),
+        };
+        assert_eq!(pages.wire_size(), FRAME_OVERHEAD + 24 + 30);
+        assert_eq!(pages.category(), Category::Memory);
     }
 
     #[test]

@@ -8,7 +8,9 @@ use bytes::Bytes;
 use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use simnet::capacity::{max_min_share, seek_aware_share};
-use simnet::codec::{decode, decompress_blocks, encode, lz, read_frame, write_frame};
+use simnet::codec::{
+    compress_blocks, decode, decompress_blocks, encode, lz, read_frame, write_frame,
+};
 use simnet::fault::{faulty_pair, FaultPlan};
 use simnet::proto::MigMessage;
 use simnet::transport::{duplex, Transport, TransportError};
@@ -43,6 +45,16 @@ fn arb_message() -> impl Strategy<Value = MigMessage> {
             .prop_map(|(pages, payload_len, payload)| MigMessage::MemPages {
                 pages,
                 payload_len,
+                payload,
+            }),
+        (
+            prop::collection::vec(any::<u64>(), 0..50),
+            any::<u64>(),
+            bytes.clone()
+        )
+            .prop_map(|(pages, raw_len, payload)| MigMessage::CompressedPages {
+                pages,
+                raw_len,
                 payload,
             }),
         (any::<u64>(), opt_bytes.clone()).prop_map(|(payload_len, payload)| {
@@ -194,6 +206,38 @@ proptest! {
             // Either an error, or (never) a different message.
             if let Ok(m) = decode(truncated) {
                 prop_assert_eq!(m, msg); // unreachable in practice
+            }
+        }
+    }
+
+    /// A `CompressedPages` frame with bits flipped anywhere — tag, index
+    /// run, lengths or the page frames themselves — is a typed error or a
+    /// message whose every allocation the frame's own length paid for;
+    /// and whatever page frames survive decode to a typed error or to at
+    /// most `pages × page size` bytes. Never a panic.
+    #[test]
+    fn compressed_pages_reject_bit_flips(
+        pages in prop::collection::vec(arb_block(), 1..4),
+        flips in prop::collection::vec(any::<usize>(), 1..4),
+    ) {
+        const PAGE: usize = 600;
+        let raw: Vec<u8> = pages
+            .iter()
+            .flat_map(|p| p.iter().copied().chain(std::iter::repeat(0)).take(PAGE))
+            .collect();
+        let mut enc = encode(&MigMessage::CompressedPages {
+            pages: (0..pages.len() as u64).collect(),
+            raw_len: raw.len() as u64,
+            payload: Bytes::from(compress_blocks(&raw, PAGE)),
+        });
+        for &bit in &flips {
+            let bit = bit % (enc.len() * 8);
+            enc[bit / 8] ^= 1 << (bit % 8);
+        }
+        if let Ok(MigMessage::CompressedPages { pages, payload, .. }) = decode(&enc) {
+            prop_assert!(pages.len() * 8 + payload.len() <= enc.len());
+            if let Ok(out) = decompress_blocks(&payload, pages.len(), PAGE) {
+                prop_assert!(out.len() <= pages.len() * PAGE);
             }
         }
     }

@@ -39,7 +39,8 @@ impl<T: Transport> SlowRecv<T> {
             got,
             Ok(MigMessage::DiskBlocks { .. }
                 | MigMessage::CompressedBlocks { .. }
-                | MigMessage::MemPages { .. })
+                | MigMessage::MemPages { .. }
+                | MigMessage::CompressedPages { .. })
         ) {
             std::thread::sleep(APPLY_DELAY);
             self.delayed.fetch_add(1, Ordering::Relaxed);
@@ -122,7 +123,8 @@ fn assert_slow_but_live(out: &LiveOutcome, delayed: u64) {
         "image not block-exact"
     );
     assert!(out.inconsistent_pages().is_empty(), "RAM not page-exact");
-    // The first pass alone is 64 block batches and 16 page batches.
+    // The first pass alone is 64 block batches and 16 page batches, in
+    // whichever form (raw or compressed) each batch crossed.
     assert!(delayed >= 80, "only {delayed} bulk frames were delayed");
     assert!(
         out.total >= APPLY_DELAY * delayed as u32,

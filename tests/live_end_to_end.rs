@@ -221,6 +221,56 @@ fn live_memory_migrates_byte_exactly() {
 }
 
 #[test]
+fn ram_follows_the_compress_agreement_and_no_compress_is_raw_page_frames() {
+    use block_bitmap_migration::simnet::proto::{Category, FRAME_OVERHEAD};
+    // An idle guest dirties nothing: RAM crosses exactly once, in
+    // `mem_pages / mem_batch` frames.
+    let cfg = LiveConfig {
+        workload: WorkloadKind::Idle,
+        num_blocks: 4_096,
+        mem_pages: 512,
+        mem_page_size: 4_096,
+        mem_writes_per_tick: 0,
+        ..LiveConfig::test_default()
+    };
+    let raw_ram = (cfg.mem_pages * cfg.mem_page_size) as u64;
+    let frames = (cfg.mem_pages / cfg.mem_batch) as u64;
+
+    // Without compression every frame is a `MemPages` of 8 B per index
+    // plus the pages themselves. A `CompressedPages` frame is only ever
+    // sent when it is smaller, so equality to the byte also says none was.
+    let plain = run_live_migration(&LiveConfig {
+        compress: false,
+        ..cfg.clone()
+    })
+    .expect("migration completes");
+    assert_fully_consistent(&plain);
+    assert!(plain.inconsistent_pages().is_empty());
+    assert_eq!(plain.mem_iterations, vec![cfg.mem_pages as u64]);
+    assert_eq!(
+        plain.src_ledger.get(Category::Memory),
+        frames * FRAME_OVERHEAD + 8 * cfg.mem_pages as u64 + raw_ram
+    );
+    assert_eq!(plain.wire.pages_compressed, 0);
+    assert_eq!(plain.wire.page_bytes_sent, raw_ram);
+
+    // With it the same RAM is a fraction of that, and the saving is
+    // booked as page traffic, not as block traffic.
+    let packed = run_live_migration(&cfg).expect("migration completes");
+    assert_fully_consistent(&packed);
+    assert!(packed.inconsistent_pages().is_empty());
+    assert_eq!(packed.wire.pages_compressed, cfg.mem_pages as u64);
+    assert_eq!(packed.wire.page_bytes_raw, raw_ram);
+    assert_eq!(
+        packed.src_ledger.get(Category::Memory),
+        frames * FRAME_OVERHEAD + 8 * cfg.mem_pages as u64 + packed.wire.page_bytes_sent
+    );
+    assert!(packed.wire.page_bytes_sent * 4 < raw_ram);
+    assert_eq!(packed.wire.bytes_raw, plain.wire.bytes_raw);
+    assert_eq!(packed.wire.blocks_deduped, plain.wire.blocks_deduped);
+}
+
+#[test]
 fn live_memory_over_tcp() {
     use block_bitmap_migration::migrate::live::run_live_migration_tcp;
     let cfg = LiveConfig {

@@ -7,7 +7,7 @@ use block_bitmap_migration::migrate::live::{
     run_live_migration_faulty, run_live_migration_tcp_faulty, LiveConfig, MigrationError,
 };
 use block_bitmap_migration::migrate::RetryPolicy;
-use block_bitmap_migration::simnet::fault::FaultPlan;
+use block_bitmap_migration::simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use block_bitmap_migration::simnet::proto::{Category, FRAME_OVERHEAD};
 use block_bitmap_migration::telemetry::{Event, FaultLabel, Recorder, Side};
 use std::time::Duration;
@@ -200,6 +200,42 @@ fn truncated_frame_mid_precopy_is_retransmitted() {
         out.resume_owed[0] >= cfg.batch as u64,
         "the silently-lost batch must be re-owed ({} owed)",
         out.resume_owed[0]
+    );
+}
+
+#[test]
+fn truncated_compressed_page_frame_is_the_only_one_resent() {
+    // The second memory frame of a compressed session vanishes with the
+    // link. An idle guest dirties no RAM, so every page crosses exactly
+    // once on a clean run, and a lost frame never reaches the ledger:
+    // if the resumed session re-ships the un-got batch and nothing else,
+    // the faulted run's memory bytes equal the clean run's to the byte.
+    let cfg = LiveConfig {
+        workload: block_bitmap_migration::workloads::WorkloadKind::Idle,
+        mem_writes_per_tick: 0,
+        min_guest_ticks: 0,
+        ..fault_cfg()
+    };
+    assert!(cfg.compress, "scenario exercises compressed page frames");
+    let clean = run_live_migration_faulty(&cfg, FaultPlan::none()).expect("clean run completes");
+    assert_consistent(&clean);
+    assert_eq!(clean.wire.pages_compressed, cfg.mem_pages as u64);
+
+    let mut plan = FaultPlan::none();
+    plan.faults.push(Fault {
+        attempt: 0,
+        trigger: FaultTrigger::CategoryMessages(Category::Memory, 2),
+        kind: FaultKind::Truncate,
+    });
+    let out = run_live_migration_faulty(&cfg, plan).expect("truncated migration recovers");
+    assert_consistent(&out);
+    assert_eq!(out.reconnects, 1);
+    // The disk pass was complete and acknowledged by its barrier.
+    assert_eq!(out.resume_owed, vec![0]);
+    assert_eq!(
+        out.src_ledger.get(Category::Memory),
+        clean.src_ledger.get(Category::Memory),
+        "resume must re-ship the lost page batch and only that"
     );
 }
 
