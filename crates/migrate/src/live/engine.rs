@@ -34,8 +34,7 @@ use blockstore::{fetch_blocks, serve_blocks, BlockSource, BlockWant};
 
 use crate::report::PeerBytes;
 use vdisk::{
-    hash_block, stamp_bytes, ContentIndex, DomainId, FingerprintSet, TrackedDisk, TrackerHandle,
-    VirtualDisk,
+    hash_block, stamp_bytes, DomainId, FingerprintSet, TrackedDisk, TrackerHandle, VirtualDisk,
 };
 use vmstate::LiveRam;
 use workloads::WorkloadKind;
@@ -193,6 +192,27 @@ impl LiveConfig {
     }
 }
 
+/// Disk work one side did for a migration, in blocks. Counted per batch,
+/// not timed: what an incremental migration must keep proportional to
+/// the block-bitmap, whatever the disk's size.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SideWork {
+    /// Blocks read from the side's disk (batches to ship, holders a
+    /// reference resolved to, the image a primary handshake fingerprints).
+    pub blocks_read: u64,
+    /// Blocks run through [`hash_block`].
+    pub blocks_hashed: u64,
+}
+
+/// [`SideWork`] of both sides.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkLedger {
+    /// The source's reads and hashes.
+    pub src: SideWork,
+    /// The destination's.
+    pub dst: SideWork,
+}
+
 /// Outcome of a live migration run.
 pub struct LiveOutcome {
     /// Wall-clock downtime (suspend acknowledged → resumed).
@@ -232,6 +252,8 @@ pub struct LiveOutcome {
     /// bytes that would have crossed versus what actually did, and the
     /// same for memory pages in the `page_*` fields.
     pub wire: WireStats,
+    /// Blocks each side read and hashed.
+    pub work: WorkLedger,
     /// Bytes sent by the source, per category.
     pub src_ledger: TransferLedger,
     /// Bytes sent by the destination (pull requests, completion).
@@ -524,6 +546,10 @@ where
         peer_bytes: dst_res.failover_peers,
         resume_owed: src_res.resume_owed,
         wire: src_res.wire,
+        work: WorkLedger {
+            src: src_res.work,
+            dst: dst_res.work,
+        },
         src_ledger: src_res.ledger,
         dst_ledger: dst_res.ledger,
         dst_disk: dst,
@@ -703,13 +729,15 @@ fn interleave_streams(
 /// session ships — in-order transports guarantee the destination
 /// indexed those before any later reference arrives), blocks the
 /// destination bounced with [`MigMessage::BlockRefMiss`] (always re-sent
-/// in full, never re-referenced), and the run-wide savings ledger.
+/// in full, never re-referenced), and the run-wide savings and work
+/// ledgers.
 struct DedupCtx {
     dedup: bool,
     compress: bool,
     known_remote: FingerprintSet,
     force_full: HashSet<usize>,
     wire: WireStats,
+    work: SideWork,
 }
 
 impl DedupCtx {
@@ -720,6 +748,7 @@ impl DedupCtx {
             known_remote: FingerprintSet::default(),
             force_full: HashSet::new(),
             wire: WireStats::default(),
+            work: SideWork::default(),
         }
     }
 
@@ -727,7 +756,7 @@ impl DedupCtx {
     /// session's, and the previous session's view of remote content is
     /// discarded — a resumed session re-validates against a fresh
     /// [`MigMessage::ContentSummary`], it never trusts stale knowledge.
-    /// The savings ledger spans the whole run and survives.
+    /// The savings and work ledgers span the whole run and survive.
     fn reset(&mut self, dedup: bool, compress: bool) {
         self.dedup = dedup;
         self.compress = compress;
@@ -867,6 +896,9 @@ fn send_full_batch<T: Transport>(
 /// [`MigMessage::BlockRef`] instead of `block_size` bytes, the rest is
 /// compacted to the front of the buffer and flushed *before* the chunk's
 /// references so a reference can reach content shipped in its own chunk.
+/// The fingerprints are also left with the disk
+/// ([`TrackedDisk::record_fingerprints`]): when this image is migrated
+/// *to* next, they are its handshake.
 /// `BlockRefMiss` bounces are drained between batches and re-queued as
 /// forced-full sends.
 ///
@@ -894,6 +926,7 @@ fn send_disk_worklist<T: Transport>(
             interleave_streams(worklist, cfg.num_blocks, cfg.streams, batch, &cfg.telemetry);
     }
     let mut misses = Vec::new();
+    let mut fps: Vec<u64> = Vec::new();
     loop {
         let mut done = 0;
         let res = loop {
@@ -906,18 +939,23 @@ fn send_disk_worklist<T: Transport>(
                 shipped.set(b);
             }
             ctx.wire.bytes_raw += (chunk.len() * block_size) as u64;
+            ctx.work.blocks_read += chunk.len() as u64;
+            // Before the read: the guest is free to write meanwhile.
+            let seen = ctx.dedup.then(|| disk.content_index().invalidations());
             let mut payload = read_batch(disk, chunk, block_size);
             let mut fulls: Vec<u64> = Vec::with_capacity(chunk.len());
             let mut refs: Vec<(u64, u64)> = Vec::new();
-            if ctx.dedup {
+            if let Some(seen) = seen {
                 // Partition the chunk: blocks whose fingerprint the
                 // destination can already resolve become references;
                 // intra-chunk duplicates count too, because the full
                 // batch is flushed first. Full blocks slide down over
                 // the slots references vacate.
+                fps.clear();
                 for (i, &b) in chunk.iter().enumerate() {
                     let at = i * block_size;
                     let fp = hash_block(&payload[at..at + block_size]);
+                    fps.push(fp);
                     if !ctx.force_full.contains(&b) && ctx.known_remote.contains(fp) {
                         refs.push((b as u64, fp));
                     } else {
@@ -930,6 +968,8 @@ fn send_disk_worklist<T: Transport>(
                     }
                 }
                 payload.truncate(fulls.len() * block_size);
+                disk.record_fingerprints(chunk, &fps, seen);
+                ctx.work.blocks_hashed += chunk.len() as u64;
             } else {
                 fulls.extend(chunk.iter().map(|&b| b as u64));
             }
@@ -1025,6 +1065,9 @@ enum SrcPhase {
 struct SourceState {
     phase: SrcPhase,
     session_id: u64,
+    /// An inherited block-bitmap opened the run (§V): told to the
+    /// destination in every [`MigMessage::SessionHello`].
+    incremental: bool,
     prepared: bool,
     // Disk pre-copy.
     disk_worklist: Vec<usize>,
@@ -1067,6 +1110,7 @@ impl SourceState {
         Self {
             phase: SrcPhase::DiskPrecopy,
             session_id: cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            incremental: initial_bitmap.is_some(),
             prepared: false,
             disk_worklist,
             disk_resend: Vec::new(),
@@ -1094,6 +1138,22 @@ impl SourceState {
             resume_owed: Vec::new(),
         }
     }
+
+    /// The run's accounting, moved out once the source is done (or dead).
+    fn take_result(&mut self, suspended_at: Instant) -> SourceResult {
+        SourceResult {
+            iterations: std::mem::take(&mut self.iterations),
+            mem_iterations: std::mem::take(&mut self.mem_iterations),
+            frozen_mem_dirty: self.frozen_mem_dirty,
+            frozen_dirty: self.frozen_dirty,
+            suspended_at,
+            wire: self.ctx.wire,
+            work: self.ctx.work,
+            ledger: std::mem::take(&mut self.ledger),
+            reconnects: self.reconnects,
+            resume_owed: std::mem::take(&mut self.resume_owed),
+        }
+    }
 }
 
 struct SourceResult {
@@ -1103,6 +1163,7 @@ struct SourceResult {
     frozen_dirty: u64,
     suspended_at: Instant,
     wire: WireStats,
+    work: SideWork,
     ledger: TransferLedger,
     reconnects: u32,
     resume_owed: Vec<u64>,
@@ -1166,17 +1227,7 @@ fn source_protocol<C: Connector>(
                         detail: "session completed without suspending the guest".into(),
                     });
                 };
-                break Ok(SourceResult {
-                    iterations: std::mem::take(&mut st.iterations),
-                    mem_iterations: std::mem::take(&mut st.mem_iterations),
-                    frozen_mem_dirty: st.frozen_mem_dirty,
-                    frozen_dirty: st.frozen_dirty,
-                    suspended_at,
-                    wire: st.ctx.wire,
-                    ledger: std::mem::take(&mut st.ledger),
-                    reconnects: st.reconnects,
-                    resume_owed: std::mem::take(&mut st.resume_owed),
-                });
+                break Ok(st.take_result(suspended_at));
             }
             Err(SessionError::Fatal(e)) => break Err(e),
             Err(SessionError::Reconnect(te)) => {
@@ -1198,19 +1249,9 @@ fn source_protocol<C: Connector>(
             disk.disable_tracking();
             // A source that died after suspending still hands its phase
             // accounting to a failover outcome.
-            let partial = st.suspended_at.map(|suspended_at| {
-                Box::new(SourceResult {
-                    iterations: std::mem::take(&mut st.iterations),
-                    mem_iterations: std::mem::take(&mut st.mem_iterations),
-                    frozen_mem_dirty: st.frozen_mem_dirty,
-                    frozen_dirty: st.frozen_dirty,
-                    suspended_at,
-                    wire: st.ctx.wire,
-                    ledger: std::mem::take(&mut st.ledger),
-                    reconnects: st.reconnects,
-                    resume_owed: std::mem::take(&mut st.resume_owed),
-                })
-            });
+            let partial = st
+                .suspended_at
+                .map(|suspended_at| Box::new(st.take_result(suspended_at)));
             Err((e, partial))
         }
     }
@@ -1235,6 +1276,7 @@ fn run_source_session<T: Transport>(
             attempt,
             dedup: cfg.dedup,
             compress: cfg.compress,
+            incremental: st.incremental,
         },
     )?;
     let resume = recv_or(ep, "handshake", cfg.retry.phase_timeout)?;
@@ -1618,17 +1660,20 @@ fn source_freeze<T: Transport>(
         // so these fingerprints anchor peer-holder verification for the
         // whole post-copy phase (source-death failover). Re-sent on
         // freeze re-entry like every other freeze payload — idempotent.
-        let blocks: Vec<u64> = st.frozen_bitmap.iter_set().map(|b| b as u64).collect();
-        let fingerprints: Vec<u64> = st
-            .frozen_bitmap
-            .iter_set()
-            .map(|b| hash_block(&disk.disk().read_block(b)))
+        let frozen = st.frozen_bitmap.to_indices();
+        let seen = disk.content_index().invalidations();
+        let fingerprints: Vec<u64> = read_batch(disk, &frozen, cfg.block_size)
+            .chunks_exact(cfg.block_size)
+            .map(hash_block)
             .collect();
+        disk.record_fingerprints(&frozen, &fingerprints, seen);
+        st.ctx.work.blocks_read += frozen.len() as u64;
+        st.ctx.work.blocks_hashed += frozen.len() as u64;
         send_or(
             ep,
             "freeze",
             MigMessage::BlockManifest {
-                blocks,
+                blocks: frozen.iter().map(|&b| b as u64).collect(),
                 fingerprints,
             },
         )?;
@@ -1669,6 +1714,7 @@ fn source_post_copy<T: Transport>(
     let answer_pull = |st: &mut SourceState, block: u64| -> Result<(), SessionError> {
         let b = block as usize;
         let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
+        st.ctx.work.blocks_read += 1;
         st.src_bm.clear(b);
         send_or(
             ep,
@@ -1718,6 +1764,7 @@ fn source_post_copy<T: Transport>(
                 st.src_bm.clear(b);
                 st.cursor = b + 1;
                 let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
+                st.ctx.work.blocks_read += 1;
                 send_or(
                     ep,
                     "post-copy",
@@ -1782,6 +1829,7 @@ struct DestResult {
     /// Still recording: the guest runs on until the driver is stopped.
     new_bm: Arc<AtomicBitmap>,
     ledger: TransferLedger,
+    work: SideWork,
     failovers: u32,
     failover_peers: Vec<PeerBytes>,
 }
@@ -1846,11 +1894,11 @@ struct DestState {
     session_got_blocks: FlatBitmap,
     session_got_pages: FlatBitmap,
     /// This session's negotiated flags (re-derived at every handshake).
+    /// While `dedup` holds, every block applied is fingerprinted into the
+    /// disk's content index ([`TrackedDisk::content_index`]), which stays
+    /// exact across sessions; otherwise what is applied is invalidated.
     dedup: bool,
     compress: bool,
-    /// Fingerprint index over resident content, maintained exactly
-    /// across every applied block while dedup is active.
-    index: Option<ContentIndex>,
     /// Blocks whose *latest* delivery attempt was a reference that could
     /// not be resolved; folded into the still-needed bitmap at freeze so
     /// post-copy recovers them even if the bounce answer raced the
@@ -1877,6 +1925,7 @@ struct DestState {
     complete_sent: bool,
     resumed_at: Option<Instant>,
     ledger: TransferLedger,
+    work: SideWork,
 }
 
 impl DestState {
@@ -1889,7 +1938,6 @@ impl DestState {
             session_got_pages: FlatBitmap::new(cfg.mem_pages),
             dedup: false,
             compress: false,
-            index: None,
             ref_missing: FlatBitmap::new(cfg.num_blocks),
             manifest: BTreeMap::new(),
             failovers: 0,
@@ -1907,6 +1955,7 @@ impl DestState {
             complete_sent: false,
             resumed_at: None,
             ledger: TransferLedger::new(),
+            work: SideWork::default(),
         }
     }
 }
@@ -2096,6 +2145,7 @@ fn dest_protocol<C: Connector>(
                         resumed_at,
                         new_bm: Arc::clone(new_bm),
                         ledger: std::mem::take(&mut st.ledger),
+                        work: st.work,
                         failovers: st.failovers,
                         failover_peers: std::mem::take(&mut st.failover_peers),
                     })
@@ -2130,6 +2180,7 @@ fn run_dest_session<T: Transport>(
         session_id,
         dedup: offer_dedup,
         compress: offer_compress,
+        incremental,
         ..
     } = hello
     else {
@@ -2190,21 +2241,11 @@ fn run_dest_session<T: Transport>(
     st.session_got_blocks.clear_all();
     st.session_got_pages.clear_all();
     if st.dedup {
-        // Open the dedup session with a fresh summary of resident
-        // content: the index is rebuilt from the disk as it stands, so
+        // Open the dedup session with a summary of resident content, so
         // a resumed source re-validates every assumption instead of
         // trusting the previous session's view.
-        let index = ContentIndex::from_fps(disk.disk().hash_all());
-        send_or(
-            ep,
-            "handshake",
-            MigMessage::ContentSummary {
-                fingerprints: index.fingerprints(),
-            },
-        )?;
-        st.index = Some(index);
-    } else {
-        st.index = None;
+        let fingerprints = summarise_resident(disk, incremental, st, &cfg.telemetry);
+        send_or(ep, "handshake", MigMessage::ContentSummary { fingerprints })?;
     }
 
     if st.phase == ResumePhase::AwaitPrepare {
@@ -2241,9 +2282,52 @@ fn run_dest_session<T: Transport>(
     dest_post_copy(cfg, disk, ram, ep, ctl, st)
 }
 
+/// The fingerprints a dedup session opens with, out of the disk's
+/// content index. A primary session's first handshake fills the index by
+/// hashing the resident image — the one place a handshake reads the
+/// disk. An incremental session hashes nothing: its block-bitmap says a
+/// previous hop left this image here, and whatever fingerprints that hop
+/// did not leave are done without (DESIGN.md §15a has the arithmetic).
+/// Nor does a reconnect, which finds the index as exact as the last
+/// session's applies kept it.
+fn summarise_resident(
+    disk: &TrackedDisk,
+    incremental: bool,
+    st: &mut DestState,
+    telemetry: &Recorder,
+) -> Vec<u64> {
+    let mut index = disk.content_index();
+    let known = index.known_blocks();
+    let (hashed, cached) = if !incremental && known < index.num_blocks() {
+        // `hash_all` answers a never-written block with the zero block's
+        // fingerprint without reading it; every other entry was hashed.
+        let zero = hash_block(&vec![0u8; disk.disk().block_size()]);
+        let mut hashed = 0;
+        for (block, fp) in disk.disk().hash_all().into_iter().enumerate() {
+            index.record(block, fp);
+            hashed += u64::from(fp != zero);
+        }
+        (hashed, 0)
+    } else {
+        (0, known as u64)
+    };
+    let fingerprints = index.fingerprints();
+    drop(index);
+    st.work.blocks_read += hashed;
+    st.work.blocks_hashed += hashed;
+    telemetry.record(|| Event::HandshakeSummary {
+        side: Side::Destination,
+        fingerprints: fingerprints.len() as u64,
+        hashed_blocks: hashed,
+        cached_blocks: cached,
+    });
+    fingerprints
+}
+
 /// Apply a batch of full blocks at the destination: write the bytes,
-/// mark the per-session receipt bitmap, and — on a dedup session — keep
-/// the content index exact by recording each block's new fingerprint.
+/// mark the per-session receipt bitmap, and keep the disk's content index
+/// exact — on a dedup session by recording each block's new fingerprint,
+/// otherwise by forgetting the old one.
 fn dest_apply_full(
     st: &mut DestState,
     disk: &TrackedDisk,
@@ -2252,16 +2336,18 @@ fn dest_apply_full(
     block_size: usize,
 ) -> Result<(), SessionError> {
     apply_blocks(disk, blocks, payload, block_size)?;
-    for (i, &b) in blocks.iter().enumerate() {
-        let b = b as usize;
-        st.session_got_blocks.set(b);
-        st.ref_missing.clear(b);
-        if let Some(ix) = st.index.as_mut() {
-            ix.record(
-                b,
-                hash_block(&payload[i * block_size..(i + 1) * block_size]),
-            );
+    for &b in blocks {
+        st.session_got_blocks.set(b as usize);
+        st.ref_missing.clear(b as usize);
+    }
+    if st.dedup {
+        let mut index = disk.content_index();
+        for (&b, data) in blocks.iter().zip(payload.chunks_exact(block_size)) {
+            index.record(b as usize, hash_block(data));
         }
+        st.work.blocks_hashed += blocks.len() as u64;
+    } else {
+        disk.invalidate_fingerprints(blocks.iter().map(|&b| b as usize));
     }
     Ok(())
 }
@@ -2279,20 +2365,28 @@ fn dest_apply_ref<T: Transport>(
     phase: &'static str,
 ) -> Result<(), SessionError> {
     let b = checked_block(disk, block)?;
-    let data = st
-        .index
-        .as_ref()
-        .and_then(|ix| ix.resolve(fingerprint))
-        .map(|holder| disk.disk().read_block(holder))
-        .filter(|data| hash_block(data) == fingerprint);
+    let holder = st
+        .dedup
+        .then(|| disk.content_index().resolve(fingerprint))
+        .flatten();
+    let data = holder.and_then(|holder| {
+        let data = disk.disk().read_block(holder);
+        st.work.blocks_read += 1;
+        st.work.blocks_hashed += 1;
+        let found = hash_block(&data);
+        if found != fingerprint {
+            // The index was wrong about the holder (a write went round
+            // it): now it is right, at the price of this bounce.
+            disk.content_index().record(holder, found);
+        }
+        (found == fingerprint).then_some(data)
+    });
     match data {
         Some(data) => {
             disk.disk().write_block(b, &data);
             st.session_got_blocks.set(b);
             st.ref_missing.clear(b);
-            if let Some(ix) = st.index.as_mut() {
-                ix.record(b, fingerprint);
-            }
+            disk.content_index().record(b, fingerprint);
         }
         None => {
             st.ref_missing.set(b);

@@ -120,6 +120,9 @@ impl DestIo {
             return false;
         }
         self.disk.disk().write_block(block, data);
+        // Nobody hashes an arrival; the disk's content index forgets the
+        // block, as it does for the guest's own writes.
+        self.disk.invalidate_fingerprints([block]);
         self.transferred.clear(block);
         self.arrived.notify_all();
         true
@@ -301,6 +304,32 @@ mod tests {
         // A push that was already in flight is dropped, not applied.
         assert!(!io.apply_arrival(4, &stamp_bytes(4, 1, 512)));
         assert_eq!(io.read(4), stamp_bytes(4, 9, 512));
+    }
+
+    #[test]
+    fn unhashed_writes_drop_the_blocks_fingerprint() {
+        // Neither an arrival nor a guest write is fingerprinted, so the
+        // disk's content index must forget what the block held.
+        let disk = tracked(8);
+        let transferred = Arc::new(AtomicBitmap::new(8));
+        transferred.set(2);
+        let (tx, _rx) = unbounded();
+        let io = DestIo::new(
+            Arc::clone(&disk),
+            DomainId(1),
+            Arc::clone(&transferred),
+            tx,
+            Recorder::off(),
+        );
+        for b in [2, 3, 4] {
+            disk.content_index().record(b, 0xF00D);
+        }
+        assert!(io.apply_arrival(2, &stamp_bytes(2, 1, 512)));
+        io.write(3, &stamp_bytes(3, 1, 512));
+        let index = disk.content_index();
+        assert_eq!(index.fingerprint_of(2), None);
+        assert_eq!(index.fingerprint_of(3), None);
+        assert_eq!(index.fingerprint_of(4), Some(0xF00D));
     }
 
     /// The §IV-A-3 atomicity: an arrival (older content) and a guest

@@ -35,7 +35,7 @@ pub use engine::{
     run_live_migration, run_live_migration_connected, run_live_migration_faulty,
     run_live_migration_over, run_live_migration_replicated, run_live_migration_tcp,
     run_live_migration_tcp_faulty, run_live_migration_with, run_live_migration_with_faults,
-    LiveConfig, LiveOutcome, LivePeer,
+    LiveConfig, LiveOutcome, LivePeer, SideWork, WorkLedger,
 };
 pub use error::MigrationError;
 pub use io::{DestIo, GuestIo, SourceIo};

@@ -406,12 +406,14 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             attempt,
             dedup,
             compress,
+            incremental,
         } => {
             w.u8(T_HELLO);
             w.u64(*session_id);
             w.u32(*attempt);
             w.u8(u8::from(*dedup));
             w.u8(u8::from(*compress));
+            w.u8(u8::from(*incremental));
         }
         MigMessage::ResumeFrom {
             phase,
@@ -548,6 +550,7 @@ pub fn decode(buf: &[u8]) -> Result<MigMessage, CodecError> {
             attempt: r.u32()?,
             dedup: r.flag()?,
             compress: r.flag()?,
+            incremental: r.flag()?,
         },
         T_RESUME_FROM => MigMessage::ResumeFrom {
             phase: {
@@ -712,6 +715,7 @@ mod tests {
                 attempt: 3,
                 dedup: true,
                 compress: false,
+                incremental: true,
             },
             MigMessage::ResumeFrom {
                 phase: crate::proto::ResumePhase::PostCopy,

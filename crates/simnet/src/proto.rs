@@ -204,6 +204,11 @@ pub enum MigMessage {
         dedup: bool,
         /// Source offers compressed residual block sends.
         compress: bool,
+        /// The source ships only the blocks of an inherited block-bitmap
+        /// (§V incremental migration): a previous hop left this image at
+        /// the destination, and whatever fingerprints it left with it are
+        /// all the destination summarises — it hashes nothing to answer.
+        incremental: bool,
     },
     /// Destination → peer holder: ask for one block by content identity
     /// (multi-source fetch). The peer serves the block only when it can
@@ -346,7 +351,7 @@ impl MigMessage {
                 } => 8 * (blocks.len() + fingerprints.len()) as u64,
                 Self::PostCopyBlock { payload_len, .. } => 8 + 1 + payload_len,
                 Self::CompleteAck | Self::Barrier | Self::BarrierAck => 0,
-                Self::SessionHello { .. } => 14,
+                Self::SessionHello { .. } => 15,
                 Self::ResumeFrom {
                     disk_bitmap,
                     mem_bitmap,

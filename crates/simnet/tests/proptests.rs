@@ -9,7 +9,7 @@ use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use simnet::capacity::{max_min_share, seek_aware_share};
 use simnet::codec::{
-    compress_blocks, decode, decompress_blocks, encode, lz, read_frame, write_frame,
+    compress_blocks, decode, decompress_blocks, encode, lz, read_frame, write_frame, CodecError,
 };
 use simnet::fault::{faulty_pair, FaultPlan};
 use simnet::proto::MigMessage;
@@ -79,7 +79,20 @@ fn arb_message() -> impl Strategy<Value = MigMessage> {
         Just(MigMessage::MigrationComplete),
         Just(MigMessage::Barrier),
         Just(MigMessage::BarrierAck),
+        arb_hello(),
     ]
+}
+
+fn arb_hello() -> impl Strategy<Value = MigMessage> {
+    (any::<u64>(), any::<u32>(), 0u8..8).prop_map(|(session_id, attempt, flags)| {
+        MigMessage::SessionHello {
+            session_id,
+            attempt,
+            dedup: flags & 1 != 0,
+            compress: flags & 2 != 0,
+            incremental: flags & 4 != 0,
+        }
+    })
 }
 
 /// One block per compression scheme the encoder can pick: a run (RLE),
@@ -208,6 +221,26 @@ proptest! {
                 prop_assert_eq!(m, msg); // unreachable in practice
             }
         }
+    }
+
+    /// `SessionHello` carries three flags (offer dedup, offer compression,
+    /// incremental) as its last three bytes, one byte each, 0 or 1. Any
+    /// other value in any of them is a typed error: a byte that merely
+    /// "looks true" must not open an incremental session.
+    #[test]
+    fn hello_flag_bytes_other_than_0_and_1_are_typed_errors(
+        hello in arb_hello(),
+        which in 0usize..3,
+        value in 2u8..=255,
+    ) {
+        let mut enc = encode(&hello);
+        prop_assert_eq!(enc.len(), 1 + 8 + 4 + 3);
+        prop_assert_eq!(hello.wire_size(), simnet::proto::FRAME_OVERHEAD + enc.len() as u64 - 1);
+        prop_assert_eq!(&decode(&enc).expect("decode"), &hello);
+        let at = enc.len() - 3 + which;
+        prop_assert!(enc[at] <= 1);
+        enc[at] = value;
+        prop_assert!(matches!(decode(&enc), Err(CodecError::Malformed(_))));
     }
 
     /// A `CompressedPages` frame with bits flipped anywhere — tag, index

@@ -240,6 +240,20 @@ pub enum Event {
         /// Surviving holders the re-plan drew from.
         peers: u64,
     },
+    /// A dedup session opened: the destination answered the handshake
+    /// with a content summary. On an incremental session and on every
+    /// reconnect `hashed_blocks` is 0 — the summary is what the disk's
+    /// fingerprint store already knew.
+    HandshakeSummary {
+        /// Recording side.
+        side: Side,
+        /// Distinct fingerprints in the summary.
+        fingerprints: u64,
+        /// Blocks read and hashed to build it.
+        hashed_blocks: u64,
+        /// Blocks whose fingerprint the store already held.
+        cached_blocks: u64,
+    },
     /// The fleet network split into disconnected islands (scenario
     /// timeline, virtual time). Hosts in different islands cannot
     /// exchange migration traffic until a `PartitionHealed`.

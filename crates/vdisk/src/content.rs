@@ -26,6 +26,8 @@
 //! This file is in the lintkit `no-panic-transport` zone: it runs
 //! inline on receive paths and must never panic.
 
+use block_bitmap::{DirtyMap, FlatBitmap};
+
 // xxh64 prime constants — the multipliers are odd and high-entropy,
 // which is all the mixing below needs.
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -340,11 +342,20 @@ impl Extend<u64> for FingerprintSet {
     }
 }
 
-/// Destination-side content index: fingerprint → resident block(s).
+/// Content index of one disk: fingerprint → resident block(s).
 ///
-/// Built once over the resident image when a dedup-negotiated session
-/// opens, then maintained on every block the migration applies, so a
-/// `BlockRef` can always be resolved against *current* content.
+/// It lives with the disk ([`crate::TrackedDisk::content_index`]), not
+/// with a migration session: every fingerprint a migration computes is
+/// recorded here, every write that is not re-fingerprinted invalidates
+/// its block, and the next session — a reconnect, or the incremental
+/// migration back — answers its dedup handshake from what is known
+/// instead of reading the disk. A `BlockRef` is resolved against it.
+///
+/// The index may be *partial*: a block whose fingerprint is unknown
+/// (never computed, or invalidated since) is in no holder chain, so it is
+/// never resolved to and never summarised. Knowing less only costs dedup
+/// hits; knowing something wrong costs a bounce, because users re-hash
+/// the resolved holder before they trust it.
 ///
 /// Layout: an [`IdTable`] over `fp_of` holds, for each resident
 /// fingerprint, the *head* of its holder chain; the chain itself is
@@ -355,8 +366,12 @@ impl Extend<u64> for FingerprintSet {
 /// table is sized for twice that, so it never grows.
 #[derive(Debug, Clone)]
 pub struct ContentIndex {
-    /// Current fingerprint of each resident block.
+    /// Fingerprint of each block; meaningful only where `known` is set.
     fp_of: Vec<u64>,
+    /// Blocks whose fingerprint is known — exactly the blocks on a chain.
+    known: FlatBitmap,
+    /// Calls to [`ContentIndex::invalidate`] so far.
+    invalidations: u64,
     /// Chain heads: one block per distinct fingerprint in `fp_of`.
     heads: IdTable,
     /// Holder-chain links, [`NIL`]-terminated at both ends.
@@ -378,21 +393,52 @@ impl ContentIndex {
     pub fn from_fps(mut fps: Vec<u64>) -> Self {
         fps.truncate(NIL as usize);
         let n = fps.len();
-        let mut index = Self {
-            fp_of: fps,
-            heads: IdTable::with_room_for(n),
-            next: vec![NIL; n],
-            prev: vec![NIL; n],
-        };
+        let mut index = Self::unknown(n);
+        index.fp_of = fps;
+        index.known = FlatBitmap::all_set(n);
         for block in 0..n {
             index.link(block);
         }
         index
     }
 
+    /// The index of a `num_blocks` disk nothing is known about yet (the
+    /// same `u32` limit as [`ContentIndex::from_fps`] applies).
+    pub fn unknown(num_blocks: usize) -> Self {
+        let n = num_blocks.min(NIL as usize);
+        Self {
+            fp_of: vec![0; n],
+            known: FlatBitmap::new(n),
+            invalidations: 0,
+            heads: IdTable::with_room_for(n),
+            next: vec![NIL; n],
+            prev: vec![NIL; n],
+        }
+    }
+
     /// Number of resident blocks covered.
     pub fn num_blocks(&self) -> usize {
         self.fp_of.len()
+    }
+
+    /// Number of blocks whose fingerprint is known.
+    pub fn known_blocks(&self) -> usize {
+        self.known.count_ones()
+    }
+
+    /// Block `block`'s fingerprint, if known.
+    pub fn fingerprint_of(&self, block: usize) -> Option<u64> {
+        let &fp = self.fp_of.get(block)?;
+        self.known.get(block).then_some(fp)
+    }
+
+    /// How many times [`ContentIndex::invalidate`] has run. Whoever
+    /// fingerprints blocks it read while writers were free to run samples
+    /// this first and records only if it has not moved since: a write
+    /// that slipped in between has invalidated, and what was hashed may
+    /// be the content it replaced.
+    pub fn invalidations(&self) -> u64 {
+        self.invalidations
     }
 
     /// Number of distinct fingerprints resident.
@@ -427,21 +473,37 @@ impl ContentIndex {
         out
     }
 
-    /// Block `block`'s content changed to `fp`: keep the index exact.
+    /// Block `block`'s content is now `fp`: keep the index exact.
     /// Out-of-range blocks are ignored (the caller validated the
     /// protocol frame; a stale index entry is worse than a dropped one).
     pub fn record(&mut self, block: usize, fp: u64) {
-        match self.fp_of.get(block) {
-            Some(&old) if old != fp => {}
-            _ => return,
+        if block >= self.fp_of.len() {
+            return;
         }
-        // Order matters: the table finds a block through `fp_of`, so the
-        // old fingerprint must still be in place while it is unlinked.
-        self.unlink(block);
+        match self.fingerprint_of(block) {
+            Some(old) if old == fp => return,
+            // Order matters: the table finds a block through `fp_of`, so
+            // the old fingerprint must still be in place while it is
+            // unlinked.
+            Some(_) => self.unlink(block),
+            None => {
+                self.known.set(block);
+            }
+        }
         if let Some(slot) = self.fp_of.get_mut(block) {
             *slot = fp;
         }
         self.link(block);
+    }
+
+    /// Block `block` was written and nobody fingerprinted the new
+    /// content: forget what it held.
+    pub fn invalidate(&mut self, block: usize) {
+        self.invalidations += 1;
+        if self.fingerprint_of(block).is_some() {
+            self.unlink(block);
+            self.known.clear(block);
+        }
     }
 
     /// Push `block` (in no chain) onto the front of the holder chain of

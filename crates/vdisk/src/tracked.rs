@@ -14,14 +14,22 @@
 //! trackers; each guest write is recorded in all of them. Tracking can be
 //! switched on and off as a whole — the paper measures the overhead of
 //! exactly this interception in Table III.
+//!
+//! The same write hook owns a second piece of per-block state: the disk's
+//! content fingerprints ([`TrackedDisk::content_index`], DESIGN.md §15a).
+//! A migration records every fingerprint it computes anyway; a write
+//! nobody fingerprinted invalidates its block here, on the path that sets
+//! the bitmap bit. So what the next migration must re-hash is what the
+//! block-bitmap already says changed — and it re-hashes that only as it
+//! ships it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use block_bitmap::AtomicBitmap;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use crate::{DomainId, IoOp, IoRequest, VirtualDisk};
+use crate::{ContentIndex, DomainId, IoOp, IoRequest, VirtualDisk};
 
 /// Handle identifying an attached tracker, for later detachment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +61,9 @@ pub struct TrackedDisk {
     writes: AtomicU64,
     telemetry_on: AtomicBool,
     telemetry: RwLock<Option<DiskStats>>,
+    /// Unset until first asked for, so a disk no migration fingerprints
+    /// pays neither the memory nor a lock per write.
+    index: OnceLock<Mutex<ContentIndex>>,
 }
 
 impl TrackedDisk {
@@ -68,6 +79,54 @@ impl TrackedDisk {
             writes: AtomicU64::new(0),
             telemetry_on: AtomicBool::new(false),
             telemetry: RwLock::new(None),
+            index: OnceLock::new(),
+        }
+    }
+
+    /// The disk's content index, locked: what is known of each block's
+    /// [`crate::hash_block`] fingerprint. It starts out knowing nothing
+    /// and outlives any one migration. Whoever fingerprints a block
+    /// records it here; [`TrackedDisk::submit`] and the extent writes
+    /// invalidate the blocks they touch, and whoever writes through
+    /// [`TrackedDisk::disk`] directly owes a record or a
+    /// [`TrackedDisk::invalidate_fingerprints`] — a write that skips both
+    /// leaves a wrong entry behind, which costs users of the index a
+    /// failed verification, not a wrong block.
+    ///
+    /// The index is created by the first call — before any fingerprint
+    /// exists. A writer that still finds it unset skips its invalidation,
+    /// and may: its write took the disk's lock ahead of every read the
+    /// first recorder has yet to make, so nobody holds a fingerprint of
+    /// the content it replaced.
+    pub fn content_index(&self) -> MutexGuard<'_, ContentIndex> {
+        self.index
+            .get_or_init(|| Mutex::new(ContentIndex::unknown(self.disk.num_blocks())))
+            .lock()
+    }
+
+    /// Record `fps` as the fingerprints of `blocks`, unless a write has
+    /// invalidated anything since `seen` was taken: then which of them
+    /// went stale is unknown and none is recorded. A reader that
+    /// fingerprints blocks while a guest may be writing them takes
+    /// `content_index().invalidations()` *before* it reads and hands it
+    /// over here as `seen`.
+    pub fn record_fingerprints(&self, blocks: &[usize], fps: &[u64], seen: u64) {
+        let mut index = self.content_index();
+        if index.invalidations() == seen {
+            for (&block, &fp) in blocks.iter().zip(fps) {
+                index.record(block, fp);
+            }
+        }
+    }
+
+    /// Forget the fingerprints of `blocks`: they were written with
+    /// content nobody hashed.
+    pub fn invalidate_fingerprints(&self, blocks: impl IntoIterator<Item = usize>) {
+        if let Some(index) = self.index.get() {
+            let mut index = index.lock();
+            for block in blocks {
+                index.invalidate(block);
+            }
         }
     }
 
@@ -188,8 +247,10 @@ impl TrackedDisk {
 
     /// Record a write into the trackers without performing byte I/O — used
     /// by the metadata-only simulation path, where the same interception
-    /// semantics apply but blocks have no materialized contents.
+    /// semantics apply but blocks have no materialized contents. Whether
+    /// or not any tracker listens, the block's fingerprint is forgotten.
     pub fn record_write(&self, block: usize, domain: DomainId) {
+        self.invalidate_fingerprints([block]);
         if !self.tracking_enabled() {
             return;
         }

@@ -1,6 +1,7 @@
 //! Property tests for the block layer: storage equivalence (per-block
 //! and batched), `hash_all` against its per-block definition, the flat
-//! content index against a `BTreeMap` oracle, tracker completeness (the
+//! content index — partial form included — against a `BTreeMap` oracle,
+//! the write hook's invalidation of it, tracker completeness (the
 //! correctness property migration rests on), pending queue conservation,
 //! MetaDisk synchronization, and ReplicaTable agreement with a naive
 //! reference model.
@@ -35,42 +36,63 @@ fn hash_each(disk: &VirtualDisk) -> Vec<u64> {
         .collect()
 }
 
-/// The content index's reference model: fingerprint → holders.
+/// The content index's reference model: what is known of each block,
+/// and fingerprint → holders over the known ones.
 struct IndexOracle {
-    fp_of: Vec<u64>,
+    fp_of: Vec<Option<u64>>,
     holders: BTreeMap<u64, BTreeSet<usize>>,
+    invalidations: u64,
 }
 
 impl IndexOracle {
-    fn new(fps: &[u64]) -> Self {
+    fn new(fps: &[Option<u64>]) -> Self {
         let mut o = Self {
             fp_of: fps.to_vec(),
             holders: BTreeMap::new(),
+            invalidations: 0,
         };
-        for (b, &fp) in fps.iter().enumerate() {
-            o.holders.entry(fp).or_default().insert(b);
+        for (b, fp) in fps.iter().enumerate() {
+            if let Some(fp) = fp {
+                o.holders.entry(*fp).or_default().insert(b);
+            }
         }
         o
     }
 
-    fn record(&mut self, block: usize, fp: u64) {
+    /// `None` is an invalidation.
+    fn record(&mut self, block: usize, fp: Option<u64>) {
+        self.invalidations += u64::from(fp.is_none());
         let Some(old) = self.fp_of.get(block).copied() else {
             return;
         };
-        if let Some(set) = self.holders.get_mut(&old) {
+        if let Some(old) = old {
+            let set = self.holders.entry(old).or_default();
             set.remove(&block);
             if set.is_empty() {
                 self.holders.remove(&old);
             }
         }
         self.fp_of[block] = fp;
-        self.holders.entry(fp).or_default().insert(block);
+        if let Some(fp) = fp {
+            self.holders.entry(fp).or_default().insert(block);
+        }
     }
 
     /// Every observable of `index` agrees with the model, probing the
-    /// fingerprints in `pool` (resident or not).
+    /// fingerprints in `pool` (resident or not). A block of unknown
+    /// fingerprint is in no holder set, so `resolve` landing in the
+    /// model's set is also "never resolved to an unknown block".
     fn check(&self, index: &ContentIndex, pool: &[u64]) -> Result<(), TestCaseError> {
         prop_assert_eq!(index.num_blocks(), self.fp_of.len());
+        prop_assert_eq!(index.invalidations(), self.invalidations);
+        prop_assert_eq!(
+            index.known_blocks(),
+            self.fp_of.iter().filter(|fp| fp.is_some()).count()
+        );
+        for (b, &fp) in self.fp_of.iter().enumerate() {
+            prop_assert_eq!(index.fingerprint_of(b), fp);
+        }
+        prop_assert_eq!(index.fingerprint_of(self.fp_of.len()), None);
         prop_assert_eq!(index.distinct(), self.holders.len());
         let expected: Vec<u64> = self.holders.keys().copied().collect();
         prop_assert_eq!(index.fingerprints(), expected);
@@ -99,28 +121,78 @@ impl IndexOracle {
 
 proptest! {
     /// The flat content index agrees with a `BTreeMap<fp, BTreeSet<block>>`
-    /// oracle after every step of any `record` sequence. Fingerprints
-    /// come from a pool of eight so holder chains form, grow and empty;
-    /// blocks range past the disk so out-of-range records are exercised,
-    /// and same-fingerprint rewrites fall out of the small pool.
+    /// oracle after every step of any `record` / `invalidate` sequence,
+    /// started fully known (`from_fps`) or knowing nothing (`unknown`).
+    /// Fingerprints come from a pool of eight so holder chains form,
+    /// grow and empty; a ninth pick invalidates; blocks range past the
+    /// disk so out-of-range calls are exercised, and same-fingerprint
+    /// rewrites and double invalidations fall out of the small pool.
     #[test]
     fn content_index_matches_oracle(
         initial in prop::collection::vec(0usize..8, 0..24),
-        ops in prop::collection::vec((0usize..28, 0usize..8), 0..200),
+        start_unknown in any::<bool>(),
+        ops in prop::collection::vec((0usize..28, 0usize..9), 0..200),
         salt in any::<u64>(),
     ) {
         // Small multiples and salted values: both clustered and spread keys.
         let pool: Vec<u64> = (0..8u64)
             .map(|i| if i % 2 == 0 { i * 10 } else { (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) })
             .collect();
-        let fps: Vec<u64> = initial.iter().map(|&i| pool[i]).collect();
-        let mut oracle = IndexOracle::new(&fps);
-        let mut index = ContentIndex::from_fps(fps);
+        let (mut oracle, mut index) = if start_unknown {
+            (IndexOracle::new(&vec![None; initial.len()]), ContentIndex::unknown(initial.len()))
+        } else {
+            let fps: Vec<u64> = initial.iter().map(|&i| pool[i]).collect();
+            let known: Vec<Option<u64>> = fps.iter().copied().map(Some).collect();
+            (IndexOracle::new(&known), ContentIndex::from_fps(fps))
+        };
         oracle.check(&index, &pool)?;
         for &(block, i) in &ops {
-            index.record(block, pool[i]);
-            oracle.record(block, pool[i]);
+            match pool.get(i) {
+                Some(&fp) => index.record(block, fp),
+                None => index.invalidate(block),
+            }
+            oracle.record(block, pool.get(i).copied());
             oracle.check(&index, &pool)?;
+        }
+    }
+
+    /// The disk's own index under the write hook: after any mix of
+    /// recorded fingerprints, hooked writes (`submit`, `write_extent`)
+    /// and direct writes declared with `invalidate_fingerprints`, every
+    /// entry the index holds is the block's true fingerprint — so a batch
+    /// whose `seen` count predates a write recorded nothing.
+    #[test]
+    fn write_hook_keeps_the_disk_index_exact(
+        ops in prop::collection::vec((0usize..4, 0usize..BLOCKS, 1u64..50), 0..120),
+    ) {
+        let td = TrackedDisk::new(Arc::new(VirtualDisk::dense(BS, BLOCKS)));
+        for &(kind, b, stamp) in &ops {
+            match kind {
+                0 => {
+                    let seen = td.content_index().invalidations();
+                    let fp = hash_block(&td.disk().read_block(b));
+                    td.record_fingerprints(&[b], &[fp], seen);
+                }
+                1 => {
+                    td.submit(IoRequest::write(b, DomainId(1)), Some(&stamp_bytes(b, stamp, BS)));
+                }
+                2 => td.write_extent((b * BS) as u64 + 7, &[stamp as u8; 40], DomainId(1)),
+                _ => {
+                    // A reader caught mid-batch by a direct write.
+                    let seen = td.content_index().invalidations();
+                    let stale = hash_block(&td.disk().read_block(b));
+                    td.disk().write_block(b, &stamp_bytes(b, stamp, BS));
+                    td.invalidate_fingerprints([b]);
+                    td.record_fingerprints(&[b], &[stale], seen);
+                }
+            }
+            let index = td.content_index();
+            for blk in 0..BLOCKS {
+                if let Some(fp) = index.fingerprint_of(blk) {
+                    prop_assert_eq!(fp, hash_block(&td.disk().read_block(blk)), "block {}", blk);
+                    prop_assert!(index.resolve(fp).is_some());
+                }
+            }
         }
     }
 

@@ -21,6 +21,15 @@ echo "== race regression in the shipped build: post-copy arrival vs guest write 
 cargo test -q --release --locked -p migrate --lib \
   arrival_never_overwrites_a_newer_guest_write
 
+echo "== incremental migration costs what is dirty, in the shipped build =="
+# O(dirty) work counts on two disk sizes, the round trip that keeps
+# resident dedup without hashing the resident image, the poisoned
+# fingerprint store (bounces, never a block) and the web-guest round
+# trip whose source records fingerprints while the guest writes. Counts,
+# not stopwatches, so the optimized build must give the same numbers;
+# the recording race only has its real window there.
+cargo test -q --release --locked --test live_incremental
+
 echo "== tier-1: benches compile =="
 # Bit-rot guard only: compiles every [[bench]] target (and bin deps)
 # without running them. CI's perf signal is the benchmark package's

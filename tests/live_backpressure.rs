@@ -131,11 +131,20 @@ fn assert_slow_but_live(out: &LiveOutcome, delayed: u64) {
         "total {:?} does not account for {delayed} delayed frames",
         out.total
     );
+    // What the barrier guards against is the guest being suspended into
+    // the destination's backlog: then draining it — `APPLY_DELAY` per
+    // delayed frame — is downtime. Downtime under half of that cannot
+    // have absorbed it, however loaded the box running the tests is; a
+    // fixed number of milliseconds would measure the box instead.
+    let backlog = APPLY_DELAY * delayed as u32;
     assert!(
-        out.downtime < Duration::from_millis(50),
-        "downtime {:?} absorbed the destination's backlog (total {:?})",
+        out.downtime < backlog / 2,
+        "downtime {:?} absorbed the destination's backlog ({delayed} delayed frames = {backlog:?}; \
+         total {:?}, reconnects {}, owed {:?})",
         out.downtime,
-        out.total
+        out.total,
+        out.reconnects,
+        out.resume_owed
     );
 }
 
@@ -178,9 +187,25 @@ fn reset_while_waiting_on_a_barrier_resumes_and_completes() {
     };
     let out = run_live_migration_connected(&cfg, src, dst, None, src_conn, slow)
         .expect("migration resumes after losing the link at a barrier");
-    assert_eq!(out.reconnects, 1, "the cut barrier costs one reconnect");
+    assert_eq!(
+        out.reconnects, 1,
+        "the cut barrier costs one reconnect (owed {:?}, total {:?})",
+        out.resume_owed, out.total
+    );
     // Everything sent before the barrier was in flight and still arrived:
-    // the resumed session owes nothing and re-ships no disk pass.
-    assert_eq!(out.resume_owed, vec![0]);
+    // the resumed session owes nothing and re-ships no disk pass. Under a
+    // loaded test run this is the assertion that once failed unrecorded,
+    // so it says everything a diagnosis needs.
+    assert_eq!(
+        out.resume_owed,
+        vec![0],
+        "blocks owed per reconnect; {} reconnects, iterations {:?}, {} bulk frames delayed, \
+         total {:?}, downtime {:?}",
+        out.reconnects,
+        out.iterations,
+        delayed.load(Ordering::Relaxed),
+        out.total,
+        out.downtime
+    );
     assert_slow_but_live(&out, delayed.load(Ordering::Relaxed));
 }

@@ -4,12 +4,15 @@
 //! fault-free run produces.
 
 use block_bitmap_migration::migrate::live::{
-    run_live_migration_faulty, run_live_migration_tcp_faulty, LiveConfig, MigrationError,
+    run_live_migration_faulty, run_live_migration_tcp_faulty, run_live_migration_with_faults,
+    LiveConfig, MigrationError,
 };
 use block_bitmap_migration::migrate::RetryPolicy;
 use block_bitmap_migration::simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use block_bitmap_migration::simnet::proto::{Category, FRAME_OVERHEAD};
 use block_bitmap_migration::telemetry::{Event, FaultLabel, Recorder, Side};
+use block_bitmap_migration::vdisk::{stamp_bytes, TrackedDisk, VirtualDisk};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn fault_cfg() -> LiveConfig {
@@ -134,6 +137,81 @@ fn reset_mid_dedup_stream_converges_with_wire_savings() {
         "content-aware path must save wire bytes across the fault: sent {} raw {}",
         out.wire.bytes_sent,
         out.wire.bytes_raw
+    );
+}
+
+#[test]
+fn reconnect_resummarises_from_the_kept_index_not_from_the_disk() {
+    // A reset in the middle of disk pre-copy towards a pre-seeded
+    // destination: every block resident, a quarter of them stale. The
+    // first handshake fingerprints the resident image; the resumed
+    // session's summary comes out of the content index the destination
+    // kept exact while it applied — the disk is not read a second time.
+    let cfg = LiveConfig {
+        telemetry: Recorder::enabled(),
+        ..fault_cfg()
+    };
+    let n = cfg.num_blocks as u64;
+    let disk = |stale_every: Option<usize>| {
+        let disk = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
+        for b in 0..cfg.num_blocks {
+            let stamp = if stale_every.is_some_and(|k| b % k == 0) {
+                9
+            } else {
+                0
+            };
+            disk.write_block(b, &stamp_bytes(b, stamp, cfg.block_size));
+        }
+        Arc::new(TrackedDisk::new(Arc::new(disk)))
+    };
+    let (src, dst) = (disk(None), disk(Some(4)));
+    // A batch is one frame of 64 full blocks and 192 references: message
+    // 300 falls in the second.
+    let plan = FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 300);
+    let out = run_live_migration_with_faults(&cfg, src, dst, None, plan)
+        .expect("faulted migration recovers");
+    assert_consistent(&out);
+    assert_eq!(out.reconnects, 1);
+
+    // Resume arithmetic as in the headline scenario: the cut batch is
+    // owed, not the disk.
+    assert_eq!(out.resume_owed.len(), 1);
+    let owed = out.resume_owed[0];
+    assert!(owed >= 1, "the failed batch must be owed");
+    assert!(
+        owed < n / 4,
+        "resume degenerated into a resend ({owed} owed)"
+    );
+
+    let handshakes: Vec<(u64, u64)> = cfg
+        .telemetry
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::HandshakeSummary {
+                hashed_blocks,
+                cached_blocks,
+                ..
+            } => Some((hashed_blocks, cached_blocks)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        handshakes,
+        vec![(n, 0), (0, n)],
+        "(hashed, cached) per session: one pass over the disk, then none"
+    );
+    // Over the whole run the destination hashed the resident image once,
+    // and then one block per block the source sent it (a full block to
+    // record it, a reference to verify its holder) — the source hashes
+    // each block it sends, so its count is that number. A second pass
+    // over the disk would add `n`.
+    let sent = out.work.src.blocks_hashed;
+    assert!(sent >= n && sent < n + n / 4, "source sent {sent} blocks");
+    assert!(
+        out.work.dst.blocks_hashed <= n + sent,
+        "destination hashed {} blocks: {n} resident + {sent} sent to it",
+        out.work.dst.blocks_hashed
     );
 }
 
