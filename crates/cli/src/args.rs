@@ -23,7 +23,7 @@ usage:
                        [--no-dedup] [--no-multisource] [--scenario FILE]
                        [--json] [--trace-out FILE] [--metrics-out FILE]
   vmmigrate trace record  --workload KIND --secs N --out FILE
-  vmmigrate trace analyze FILE
+  vmmigrate trace analyze FILE        (an op trace, or a --trace-out journal)
 
 KIND: web | video | diabolical | kernel-build | idle
 
@@ -39,12 +39,15 @@ the recorder; without them telemetry stays disabled (a single relaxed
 atomic load per call site).
 
 Content-aware transfer is on by default: blocks the destination provably
-already holds cross as 16-byte references (dedup), and residual full
-blocks are compressed on the wire. live compresses memory pages the same
-way, in pre-copy and in the frozen tail. --no-dedup / --no-compress
-restore the classic data plane exactly (bit-identical reports; live RAM
-goes out as raw page frames again); --dedup / --compress re-enable after
-a --no-* earlier on the command line.
+already holds cross as 16-byte references (dedup), and the data plane is
+allowed to compress residual full blocks on the wire. simulate always
+does. live is allowed to, for blocks and for memory pages (pre-copy and
+frozen tail), and decides per batch: it compresses only while a byte
+costs more on the link than LZ costs to save it, so a rate-limited link
+compresses and an idle in-process one ships raw. --no-dedup /
+--no-compress restore the classic data plane exactly (bit-identical
+reports; live RAM is raw page frames whatever the link); --dedup /
+--compress re-allow after a --no-* earlier on the command line.
 
 orchestrate --scenario FILE runs a declarative .scn chaos scenario
 instead of the built-in two-wave run: the file declares the fleet
@@ -85,7 +88,8 @@ pub enum Cmd {
         /// Output path.
         out: String,
     },
-    /// Analyze a recorded trace's write locality.
+    /// Analyze a recorded op trace's write locality, or summarize a
+    /// `--trace-out` telemetry journal.
     TraceAnalyze {
         /// Input path.
         path: String,
@@ -103,7 +107,8 @@ pub struct SimArgs {
     pub streams: usize,
     /// Content-addressed dedup (on by default; `--no-dedup` disables).
     pub dedup: bool,
-    /// Wire compression for residual full blocks (`--no-compress` disables).
+    /// Allow wire compression of residual full blocks (`--no-compress`
+    /// forbids it).
     pub compress: bool,
     /// Multi-source block fetch (`--no-multisource` disables).
     pub multisource: bool,
@@ -150,8 +155,9 @@ pub struct LiveArgs {
     pub streams: usize,
     /// Content-addressed dedup (on by default; `--no-dedup` disables).
     pub dedup: bool,
-    /// Wire compression for residual full blocks and memory pages
-    /// (`--no-compress` disables).
+    /// Allow wire compression of residual full blocks and memory pages;
+    /// the engine uses it only while the link pays for it
+    /// (`--no-compress` forbids it).
     pub compress: bool,
     /// Multi-source failover (`--no-multisource` disables).
     pub multisource: bool,

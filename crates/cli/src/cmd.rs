@@ -191,6 +191,15 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
         Cmd::TraceAnalyze { path } => {
             let data =
                 std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+            // A `--trace-out` journal: phases, iterations, and per phase
+            // the share of batches the LZ rule compressed.
+            match telemetry::from_jsonl(&data) {
+                Ok(records) if !records.is_empty() => {
+                    print!("{}", telemetry::phase_summary(&records));
+                    return Ok(());
+                }
+                _ => {}
+            }
             let trace =
                 workloads::OpTrace::from_json(&data).map_err(|e| format!("parsing {path}: {e}"))?;
             let rep = analyze(trace.ops.iter().map(|o| o.kind), 4096);

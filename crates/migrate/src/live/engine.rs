@@ -24,7 +24,7 @@ use block_bitmap::{ser, AtomicBitmap, DirtyMap, FlatBitmap};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use des::SimDuration;
-use simnet::codec::{compress_blocks, decompress_blocks};
+use simnet::codec::decompress_blocks;
 use simnet::fault::FaultPlan;
 use simnet::proto::{MigMessage, ResumePhase, TransferLedger, WireStats, BLOCK_REF_WIRE};
 use simnet::transport::{duplex, Transport, TransportError};
@@ -46,6 +46,7 @@ use crate::live::connect::{
 use crate::live::driver::{DriverCtl, DriverHandle, DriverResult, LiveWorkload};
 use crate::live::error::MigrationError;
 use crate::live::io::{DestIo, SourceIo};
+use crate::live::lz_rule::LzRule;
 
 /// The migrated guest's domain id in live mode.
 const GUEST: DomainId = DomainId(1);
@@ -674,8 +675,8 @@ fn owed_indices(shipped: &FlatBitmap, got: &FlatBitmap) -> Vec<usize> {
 /// The current content of `blocks`, concatenated in order, read once
 /// into one buffer under one acquisition of the disk lock.
 fn read_batch(disk: &TrackedDisk, blocks: &[usize], block_size: usize) -> Vec<u8> {
-    let mut payload = vec![0u8; blocks.len() * block_size];
-    disk.disk().read_blocks_into(blocks, &mut payload);
+    let mut payload = Vec::with_capacity(blocks.len() * block_size);
+    disk.disk().read_blocks_append(blocks, &mut payload);
     payload
 }
 
@@ -729,8 +730,8 @@ fn interleave_streams(
 /// session ships — in-order transports guarantee the destination
 /// indexed those before any later reference arrives), blocks the
 /// destination bounced with [`MigMessage::BlockRefMiss`] (always re-sent
-/// in full, never re-referenced), and the run-wide savings and work
-/// ledgers.
+/// in full, never re-referenced), the run-wide savings and work ledgers,
+/// and the rule that says when the negotiated compression is worth using.
 struct DedupCtx {
     dedup: bool,
     compress: bool,
@@ -738,6 +739,7 @@ struct DedupCtx {
     force_full: HashSet<usize>,
     wire: WireStats,
     work: SideWork,
+    lz: LzRule,
 }
 
 impl DedupCtx {
@@ -749,6 +751,7 @@ impl DedupCtx {
             force_full: HashSet::new(),
             wire: WireStats::default(),
             work: SideWork::default(),
+            lz: LzRule::new(),
         }
     }
 
@@ -756,7 +759,8 @@ impl DedupCtx {
     /// session's, and the previous session's view of remote content is
     /// discarded — a resumed session re-validates against a fresh
     /// [`MigMessage::ContentSummary`], it never trusts stale knowledge.
-    /// The savings and work ledgers span the whole run and survive.
+    /// The savings and work ledgers and what LZ was measured to cost span
+    /// the whole run and survive.
     fn reset(&mut self, dedup: bool, compress: bool) {
         self.dedup = dedup;
         self.compress = compress;
@@ -816,21 +820,15 @@ fn sync_barrier<T: Transport>(
     }
 }
 
-/// What a batch carries by value. Blocks and pages are framed alike — an
-/// index list plus equal-sized units, raw or as per-unit LZ frames.
-#[derive(Clone, Copy)]
-enum Unit {
-    Block,
-    Page,
-}
-
-/// Ship a batch of whole units, compressed when the session negotiated
-/// it and the codec actually wins — the one place that is decided, and
-/// booked in the savings ledger, for blocks and pages alike.
+/// Ship a batch of whole units — blocks and pages are framed alike, an
+/// index list plus equal-sized units, raw or as per-unit LZ frames —
+/// compressed when the session negotiated it, the link pays for it
+/// ([`LzRule`]) and the codec actually wins: the one place that is
+/// decided, and booked in the savings ledger, for blocks and pages alike.
 fn send_full_batch<T: Transport>(
     ep: &T,
     ctx: &mut DedupCtx,
-    unit: Unit,
+    unit: Resource,
     ids: Vec<u64>,
     payload: Vec<u8>,
     unit_size: usize,
@@ -839,28 +837,28 @@ fn send_full_batch<T: Transport>(
     let (count, raw_len) = (ids.len() as u64, payload.len() as u64);
     let frames = ctx
         .compress
-        .then(|| compress_blocks(&payload, unit_size))
-        .filter(|frames| frames.len() < payload.len());
+        .then(|| ctx.lz.encode(ep, unit, &payload, unit_size))
+        .flatten();
     let compressed = frames.is_some();
     let body = Bytes::from(frames.unwrap_or(payload));
     let sent = body.len() as u64;
     let msg = match (unit, compressed) {
-        (Unit::Block, true) => MigMessage::CompressedBlocks {
+        (Resource::Disk, true) => MigMessage::CompressedBlocks {
             blocks: ids,
             raw_len,
             payload: body,
         },
-        (Unit::Block, false) => MigMessage::DiskBlocks {
+        (Resource::Disk, false) => MigMessage::DiskBlocks {
             blocks: ids,
             payload_len: sent,
             payload: Some(body),
         },
-        (Unit::Page, true) => MigMessage::CompressedPages {
+        (Resource::Memory, true) => MigMessage::CompressedPages {
             pages: ids,
             raw_len,
             payload: body,
         },
-        (Unit::Page, false) => MigMessage::MemPages {
+        (Resource::Memory, false) => MigMessage::MemPages {
             pages: ids,
             payload_len: sent,
             payload: Some(body),
@@ -869,8 +867,8 @@ fn send_full_batch<T: Transport>(
     send_or(ep, phase, msg)?;
     let wire = &mut ctx.wire;
     let (bytes_sent, units_compressed) = match unit {
-        Unit::Block => (&mut wire.bytes_sent, &mut wire.blocks_compressed),
-        Unit::Page => (&mut wire.page_bytes_sent, &mut wire.pages_compressed),
+        Resource::Disk => (&mut wire.bytes_sent, &mut wire.blocks_compressed),
+        Resource::Memory => (&mut wire.page_bytes_sent, &mut wire.pages_compressed),
     };
     *bytes_sent += sent;
     if compressed {
@@ -974,7 +972,8 @@ fn send_disk_worklist<T: Transport>(
                 fulls.extend(chunk.iter().map(|&b| b as u64));
             }
             if !fulls.is_empty() {
-                let sent = send_full_batch(ep, ctx, Unit::Block, fulls, payload, block_size, phase);
+                let sent =
+                    send_full_batch(ep, ctx, Resource::Disk, fulls, payload, block_size, phase);
                 if let Err(e) = sent {
                     break Err(e);
                 }
@@ -1006,6 +1005,7 @@ fn send_disk_worklist<T: Transport>(
             drain_ref_misses(ep, &mut misses, phase)?;
         }
         if misses.is_empty() {
+            ctx.lz.journal(&cfg.telemetry, Resource::Disk);
             return Ok(());
         }
         // Bounced references rejoin the worklist as forced-full sends —
@@ -1026,7 +1026,7 @@ fn send_page_worklist<T: Transport>(
     worklist: &mut Vec<usize>,
     shipped: &mut FlatBitmap,
     ctx: &mut DedupCtx,
-    batch: usize,
+    cfg: &LiveConfig,
     phase: &'static str,
 ) -> Result<(), SessionError> {
     let mut done = 0;
@@ -1034,7 +1034,7 @@ fn send_page_worklist<T: Transport>(
         if done >= worklist.len() {
             break Ok(());
         }
-        let end = (done + batch.max(1)).min(worklist.len());
+        let end = (done + cfg.mem_batch.max(1)).min(worklist.len());
         let chunk = &worklist[done..end];
         for &p in chunk {
             shipped.set(p);
@@ -1042,12 +1042,21 @@ fn send_page_worklist<T: Transport>(
         let payload = ram.read_pages(chunk);
         ctx.wire.page_bytes_raw += payload.len() as u64;
         let pages = chunk.iter().map(|&p| p as u64).collect();
-        match send_full_batch(ep, ctx, Unit::Page, pages, payload, ram.page_size(), phase) {
+        match send_full_batch(
+            ep,
+            ctx,
+            Resource::Memory,
+            pages,
+            payload,
+            ram.page_size(),
+            phase,
+        ) {
             Ok(()) => done = end,
             Err(e) => break Err(e),
         }
     };
     worklist.drain(..done);
+    ctx.lz.journal(&cfg.telemetry, Resource::Memory);
     res
 }
 
@@ -1532,7 +1541,7 @@ fn source_mem_precopy<T: Transport>(
             &mut st.mem_worklist,
             &mut st.session_mem_shipped,
             &mut st.ctx,
-            cfg.mem_batch,
+            cfg,
             "memory pre-copy",
         )?;
         // The iteration ends when the destination has applied it: what
@@ -1644,7 +1653,7 @@ fn source_freeze<T: Transport>(
         &mut st.tail_worklist,
         &mut st.session_mem_shipped,
         &mut st.ctx,
-        cfg.mem_batch,
+        cfg,
         "freeze",
     )?;
     send_or(
@@ -2962,24 +2971,34 @@ mod tests {
         }
     }
 
+    /// Slow enough that LZ pays whatever a sample's timing suffers: 477 ns
+    /// a byte against the few LZ takes, so a preemption of milliseconds
+    /// inside one 32 KiB sample cannot flip a batch. The limiter's burst
+    /// (0.1 s of it) covers everything these tests send, so none waits.
+    const PACED: Option<f64> = Some(2.0 * 1024.0 * 1024.0);
+
     /// Drive `worklist` through the page sender over an in-process link
-    /// and apply everything that arrives through the destination's data
-    /// path; returns the frames as sent.
+    /// (`rate`-paced or not) and apply everything that arrives through the
+    /// destination's data path; returns the frames as sent.
     fn ship_pages(
         src: &LiveRam,
         dst: &LiveRam,
         mut worklist: Vec<usize>,
         compress: bool,
-        batch: usize,
+        rate: Option<f64>,
     ) -> (Vec<MigMessage>, TransferLedger, WireStats) {
         let cfg = LiveConfig {
             num_blocks: 8,
             mem_pages: src.num_pages(),
             mem_page_size: src.page_size(),
+            mem_batch: 16,
             ..LiveConfig::test_default()
         };
         let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(cfg.block_size, cfg.num_blocks)));
-        let (a, b) = duplex();
+        let (mut a, b) = duplex();
+        if let Some(rate) = rate {
+            a.set_rate_limit(rate);
+        }
         let mut ctx = DedupCtx::new();
         ctx.reset(false, compress);
         let mut shipped = FlatBitmap::new(cfg.mem_pages);
@@ -2990,7 +3009,7 @@ mod tests {
             &mut worklist,
             &mut shipped,
             &mut ctx,
-            batch,
+            &cfg,
             "test",
         ));
         assert!(worklist.is_empty());
@@ -3017,11 +3036,12 @@ mod tests {
         }
         let of_kind = |k: usize| (0..N).filter(|p| p % 4 == k).collect::<Vec<_>>();
 
-        // The whole mix, 16 pages a batch: every batch holds pages that
-        // compress, so every batch crosses compressed; RAM is page-exact
-        // and the Memory ledger is the frames' own sizes, to the byte.
+        // The whole mix, 16 pages a batch, on a link that pays for LZ:
+        // every batch holds pages that compress, so every batch crosses
+        // compressed; RAM is page-exact and the Memory ledger is the
+        // frames' own sizes, to the byte.
         let dst = LiveRam::new(PS, N);
-        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), true, 16);
+        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), true, PACED);
         assert!(src.content_equals(&dst));
         assert_eq!(frames.len(), 4);
         assert!(frames
@@ -3046,17 +3066,17 @@ mod tests {
         // 10 B run-length frame each.
         let dst = LiveRam::new(PS, N);
         let zeros = of_kind(0);
-        let (_, ledger, _) = ship_pages(&src, &dst, zeros.clone(), true, 16);
+        let (_, ledger, _) = ship_pages(&src, &dst, zeros.clone(), true, PACED);
         assert_eq!(
             ledger.get(Category::Memory),
             FRAME_OVERHEAD + 18 * zeros.len() as u64
         );
 
         // A batch of random pages frames no smaller than raw, so it
-        // travels as plain `MemPages`.
+        // travels as plain `MemPages` however slow the link.
         let dst = LiveRam::new(PS, N);
         let noise = of_kind(3);
-        let (frames, ledger, wire) = ship_pages(&src, &dst, noise.clone(), true, 16);
+        let (frames, ledger, wire) = ship_pages(&src, &dst, noise.clone(), true, PACED);
         assert!(matches!(frames.as_slice(), [MigMessage::MemPages { .. }]));
         assert_eq!(
             ledger.get(Category::Memory),
@@ -3066,9 +3086,10 @@ mod tests {
         assert!(noise.iter().all(|&p| dst.read_page(p) == src.read_page(p)));
 
         // A session whose compress agreement came out false (either side
-        // declined) ships the same mix as raw page frames only.
+        // declined) ships the same mix as raw page frames only, on the
+        // same link.
         let dst = LiveRam::new(PS, N);
-        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), false, 16);
+        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), false, PACED);
         assert!(src.content_equals(&dst));
         assert!(frames
             .iter()
@@ -3116,7 +3137,7 @@ mod tests {
         // compressed: nothing is applied, not even the valid prefix.
         assert!(fatal(apply(raw(&[8], &data))).contains("page 8"));
         assert!(fatal(apply(raw(&[3, u64::MAX], &two))).contains("page"));
-        let frames = compress_blocks(&two, PS);
+        let frames = simnet::codec::compress_blocks(&two, PS);
         assert!(fatal(apply(packed(&[3, 8], two.len(), frames.clone()))).contains("page 8"));
         // Payload length that does not match the page list.
         assert!(fatal(apply(raw(&[3], &two))).contains("payload"));

@@ -1,0 +1,262 @@
+//! When LZ runs: compress a batch only when the link pays for it.
+//!
+//! `compress` in the handshake is a capability; this is the decision. LZ
+//! spends CPU to save link time, so a batch is compressed iff the time
+//! its saved bytes would have kept the link busy exceeds the time LZ
+//! takes to save them — [`lz_pays`], per batch, from three measurements
+//! and no setting (DESIGN.md §15, "When LZ runs"):
+//!
+//! * `saved_share` — from LZ over the first [`SAMPLE_UNITS`] units of
+//!   the batch itself;
+//! * `lz_ns_per_raw_byte` — the *fastest* such sample so far per unit
+//!   kind: preemption and cache misses only ever add to a sample, so the
+//!   minimum is the cost;
+//! * `link_ns_per_byte` — [`Transport::link_ns_per_byte`]. Zero on an
+//!   unpaced in-process link, which therefore never compresses;
+//!   `1 / rate` on a paced one; unbounded on a link that cannot tell (an
+//!   unpaced socket), which therefore compresses whatever compresses, as
+//!   every link did before this rule.
+
+use std::time::Instant;
+
+use simnet::codec::{compress_blocks, compress_blocks_into};
+use simnet::transport::Transport;
+use telemetry::{Event, Recorder, Resource, Side};
+
+/// Units at the head of a batch compressed as the timed sample.
+const SAMPLE_UNITS: usize = 8;
+
+/// Whether LZ pays for itself: `saved_share` of every raw byte stays off
+/// a link that costs `link_ns_per_byte`, for `lz_ns_per_raw_byte` of CPU.
+/// Never on a free link, never when nothing is saved (an unbounded link
+/// cost times a saving of zero is not a number, and not greater).
+pub fn lz_pays(saved_share: f64, link_ns_per_byte: f64, lz_ns_per_raw_byte: f64) -> bool {
+    saved_share * link_ns_per_byte > lz_ns_per_raw_byte
+}
+
+/// One unit kind's cheapest sample, and what its batches did since the
+/// last journal entry.
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    lz_ns_per_raw_byte: f64,
+    batches_compressed: u64,
+    batches_raw: u64,
+    sample_bytes: u64,
+}
+
+impl Tally {
+    fn starting_at(lz_ns_per_raw_byte: f64) -> Self {
+        Self {
+            lz_ns_per_raw_byte,
+            batches_compressed: 0,
+            batches_raw: 0,
+            sample_bytes: 0,
+        }
+    }
+}
+
+/// The source's raw-versus-LZ decision for full batches, blocks and
+/// pages alike. Lives as long as the migration: what LZ costs on this
+/// machine does not change with the connection.
+#[derive(Debug)]
+pub(crate) struct LzRule {
+    blocks: Tally,
+    pages: Tally,
+    /// What the last decision read off the link.
+    link_ns_per_byte: f64,
+}
+
+impl LzRule {
+    pub(crate) fn new() -> Self {
+        Self {
+            blocks: Tally::starting_at(f64::INFINITY),
+            pages: Tally::starting_at(f64::INFINITY),
+            link_ns_per_byte: 0.0,
+        }
+    }
+
+    fn tally(&mut self, kind: Resource) -> &mut Tally {
+        match kind {
+            Resource::Disk => &mut self.blocks,
+            Resource::Memory => &mut self.pages,
+        }
+    }
+
+    /// The batch as per-unit LZ frames when compressing it pays on `ep`
+    /// and the frames come out smaller; `None` to ship `payload` as it is.
+    pub(crate) fn encode<T: Transport>(
+        &mut self,
+        ep: &T,
+        kind: Resource,
+        payload: &[u8],
+        unit_size: usize,
+    ) -> Option<Vec<u8>> {
+        let sample = &payload[..payload.len().min(SAMPLE_UNITS * unit_size)];
+        let started = Instant::now();
+        let mut frames = compress_blocks(sample, unit_size);
+        let sample_ns = started.elapsed().as_nanos() as f64;
+        let saved_share = 1.0 - frames.len() as f64 / sample.len() as f64;
+        // A link that cannot say what a byte costs leaves nothing to weigh
+        // LZ against: whatever it saves is taken.
+        let link_ns_per_byte = ep.link_ns_per_byte().unwrap_or(f64::INFINITY);
+        self.link_ns_per_byte = link_ns_per_byte;
+        let tally = self.tally(kind);
+        tally.sample_bytes += sample.len() as u64;
+        tally.lz_ns_per_raw_byte = tally
+            .lz_ns_per_raw_byte
+            .min(sample_ns / sample.len() as f64);
+        if lz_pays(saved_share, link_ns_per_byte, tally.lz_ns_per_raw_byte) {
+            compress_blocks_into(&payload[sample.len()..], unit_size, &mut frames);
+            if frames.len() < payload.len() {
+                tally.batches_compressed += 1;
+                return Some(frames);
+            }
+        }
+        tally.batches_raw += 1;
+        None
+    }
+
+    /// Journal what the worklist pass just finished decided for `kind` —
+    /// nothing if it decided nothing — and start the next pass's count.
+    pub(crate) fn journal(&mut self, telemetry: &Recorder, kind: Resource) {
+        let link_ps_per_byte = (self.link_ns_per_byte * 1e3) as u64;
+        let tally = self.tally(kind);
+        let pass = std::mem::replace(tally, Tally::starting_at(tally.lz_ns_per_raw_byte));
+        if pass.batches_compressed + pass.batches_raw == 0 {
+            return;
+        }
+        let lz_ps_per_raw_byte = (pass.lz_ns_per_raw_byte * 1e3) as u64;
+        telemetry.record(|| {
+            let m = telemetry.metrics();
+            let name = match kind {
+                Resource::Disk => "block",
+                Resource::Memory => "page",
+            };
+            m.counter(&format!("codec.{name}.batches_compressed"))
+                .add(pass.batches_compressed);
+            m.counter(&format!("codec.{name}.batches_raw"))
+                .add(pass.batches_raw);
+            m.counter(&format!("codec.{name}.sample_bytes"))
+                .add(pass.sample_bytes);
+            m.gauge(&format!("codec.{name}.lz_ps_per_raw_byte"))
+                .set(lz_ps_per_raw_byte);
+            m.gauge("codec.link_ps_per_byte").set(link_ps_per_byte);
+            Event::CodecDecision {
+                side: Side::Source,
+                resource: kind,
+                batches_compressed: pass.batches_compressed,
+                batches_raw: pass.batches_raw,
+                sample_bytes: pass.sample_bytes,
+                link_ps_per_byte,
+                lz_ps_per_raw_byte,
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::transport::duplex;
+
+    /// Text-like units: LZ saves well over half of each.
+    fn text(units: usize, unit_size: usize) -> Vec<u8> {
+        b"the block-bitmap marks what the guest dirtied; "
+            .iter()
+            .copied()
+            .cycle()
+            .take(units * unit_size)
+            .collect()
+    }
+
+    #[test]
+    fn an_idle_link_ships_raw_and_a_paced_one_compresses_from_the_first_byte() {
+        let payload = text(32, 4096);
+        let (idle, _peer) = duplex();
+        let mut rule = LzRule::new();
+        assert!(rule.encode(&idle, Resource::Disk, &payload, 4096).is_none());
+        assert_eq!(
+            (rule.blocks.batches_raw, rule.blocks.sample_bytes),
+            (1, 8 * 4096)
+        );
+
+        // 2 MiB/s is 477 ns a byte against a few ns of LZ. The limiter
+        // still holds its whole burst: what counts is the rate.
+        let (mut paced, _peer) = duplex();
+        paced.set_rate_limit(2.0 * 1024.0 * 1024.0);
+        let frames = rule
+            .encode(&paced, Resource::Disk, &payload, 4096)
+            .expect("the link pays");
+        // Sample and remainder together are the frames one call gives.
+        assert_eq!(frames, compress_blocks(&payload, 4096));
+        assert_eq!(rule.blocks.batches_compressed, 1);
+        assert_eq!(rule.link_ns_per_byte, 1e9 / (2.0 * 1024.0 * 1024.0));
+        // Pages keep their own count and their own cost.
+        assert_eq!(rule.pages.batches_raw + rule.pages.batches_compressed, 0);
+        assert!(rule.pages.lz_ns_per_raw_byte.is_infinite());
+    }
+
+    #[test]
+    fn a_link_that_cannot_tell_gets_whatever_compresses() {
+        let (socket, _peer) = simnet::tcp::loopback_pair().expect("loopback");
+        assert_eq!(socket.link_ns_per_byte(), None);
+        let mut rule = LzRule::new();
+        let frames = rule.encode(&socket, Resource::Memory, &text(16, 512), 512);
+        assert_eq!(frames, Some(compress_blocks(&text(16, 512), 512)));
+        // Noise saves nothing: a header per unit larger than raw.
+        let noise: Vec<u8> = (0..8192u32)
+            .flat_map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes())
+            .collect();
+        assert!(rule
+            .encode(&socket, Resource::Memory, &noise, 512)
+            .is_none());
+        // Journaled as unknown, and the journal survives its own format.
+        let rec = Recorder::enabled();
+        rule.journal(&rec, Resource::Memory);
+        let records = rec.records();
+        assert!(matches!(
+            records[0].event,
+            Event::CodecDecision {
+                batches_compressed: 1,
+                batches_raw: 1,
+                link_ps_per_byte: u64::MAX,
+                ..
+            }
+        ));
+        let back = telemetry::from_jsonl(&telemetry::to_jsonl(&records)).expect("parse");
+        assert_eq!(back, records);
+    }
+
+    #[test]
+    fn a_pass_is_journaled_once_and_only_if_it_decided_something() {
+        let rec = Recorder::enabled();
+        let (idle, _peer) = duplex();
+        let mut rule = LzRule::new();
+        rule.journal(&rec, Resource::Memory);
+        assert!(rec.is_empty());
+        for _ in 0..3 {
+            assert!(rule
+                .encode(&idle, Resource::Memory, &text(4, 512), 512)
+                .is_none());
+        }
+        rule.journal(&rec, Resource::Memory);
+        rule.journal(&rec, Resource::Memory);
+        let records = rec.records();
+        assert_eq!(records.len(), 1);
+        assert!(matches!(
+            records[0].event,
+            Event::CodecDecision {
+                resource: Resource::Memory,
+                batches_compressed: 0,
+                batches_raw: 3,
+                sample_bytes: 6144,
+                link_ps_per_byte: 0,
+                ..
+            }
+        ));
+        assert_eq!(rec.metrics().counter("codec.page.batches_raw").get(), 3);
+        // The cost survives the pass; the counts do not.
+        assert!(rule.pages.lz_ns_per_raw_byte.is_finite());
+        assert_eq!(rule.pages.sample_bytes, 0);
+    }
+}

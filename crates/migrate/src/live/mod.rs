@@ -25,6 +25,7 @@ mod driver;
 mod engine;
 mod error;
 mod io;
+mod lz_rule;
 
 pub use connect::{
     duplex_connector_pair, Connector, DuplexConnector, OnceConnector, TcpDestConnector,
@@ -39,3 +40,4 @@ pub use engine::{
 };
 pub use error::MigrationError;
 pub use io::{DestIo, GuestIo, SourceIo};
+pub use lz_rule::lz_pays;

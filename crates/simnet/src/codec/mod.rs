@@ -212,17 +212,24 @@ impl<'a> Reader<'a> {
 /// [`MigMessage::CompressedPages`]: one self-describing frame per
 /// block, never more than `raw.len() + blocks * lz::HEADER` bytes.
 pub fn compress_blocks(raw: &[u8], block_size: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    compress_blocks_into(raw, block_size, &mut out);
+    out
+}
+
+/// [`compress_blocks`] appending to `out`: a batch may be compressed in
+/// pieces and still come out as the frames one call would give.
+pub fn compress_blocks_into(raw: &[u8], block_size: usize, out: &mut Vec<u8>) {
     if block_size == 0 {
-        return Vec::new();
+        return;
     }
     // Sized for the worst case (every block stored raw) so the frames of
     // an incompressible batch are never moved by a regrow.
-    let mut out = Vec::with_capacity(raw.len() + raw.len().div_ceil(block_size) * lz::HEADER);
+    out.reserve(raw.len() + raw.len().div_ceil(block_size) * lz::HEADER);
     let mut scratch = lz::Scratch::default();
     for block in raw.chunks(block_size) {
-        lz::compress_block_into(block, &mut out, &mut scratch);
+        lz::compress_block_into(block, out, &mut scratch);
     }
-    out
 }
 
 /// Decode a [`MigMessage::CompressedBlocks`] (or

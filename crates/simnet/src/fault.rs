@@ -490,6 +490,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.sent_ledger()
     }
 
+    fn link_ns_per_byte(&self) -> Option<f64> {
+        self.inner.link_ns_per_byte()
+    }
+
     fn shutdown(&self) {
         self.shared.sever("local shutdown".to_string());
         self.inner.shutdown();

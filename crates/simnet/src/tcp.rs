@@ -162,6 +162,17 @@ impl Transport for TcpTransport {
         self.sent.lock().clone()
     }
 
+    /// Paced, `1e9 ÷ rate` like any paced link. Unpaced, a socket cannot
+    /// say: `write` returns when the kernel has the bytes, and what that
+    /// took on loopback (0.5–0.9 ns a byte warm, 6–8 cold) is the peer's
+    /// reader keeping up or not, within noise of what LZ costs — a rule
+    /// fed that number flipped with the box's mood, and every batch it
+    /// shipped raw sat six times larger in the receiver's unbounded queue
+    /// (EXPERIMENTS.md "PR 20", loopback).
+    fn link_ns_per_byte(&self) -> Option<f64> {
+        self.limiter.as_ref().map(|l| l.lock().ns_per_byte())
+    }
+
     fn shutdown(&self) {
         let w = self.writer.lock();
         sever(w.get_ref());
@@ -231,6 +242,7 @@ mod tests {
         a.send(msg.clone()).expect("send");
         assert_eq!(b.recv().expect("recv"), msg);
         assert_eq!(a.sent_ledger().get(Category::DiskPrecopy), msg.wire_size());
+        assert_eq!(a.link_ns_per_byte(), None, "an unpaced socket cannot tell");
     }
 
     #[test]

@@ -105,17 +105,34 @@ impl WallLimiter {
 
     /// Block until `bytes` may pass.
     pub(crate) fn acquire(&mut self, bytes: u64) {
-        let now = Instant::now();
-        self.tokens =
-            (self.tokens + now.duration_since(self.last).as_secs_f64() * self.rate).min(self.burst);
-        self.last = now;
-        self.tokens -= bytes as f64;
-        if self.tokens < 0.0 {
-            let wait = Duration::from_secs_f64(-self.tokens / self.rate);
+        if let Some(wait) = self.debit(bytes, Instant::now()) {
             std::thread::sleep(wait);
-            self.last = Instant::now();
-            self.tokens = 0.0;
+            // A sleep overshoots (tens of microseconds per timer wake-up,
+            // whatever the debt was): the time it ran over is credit.
+            self.refill(Instant::now());
         }
+    }
+
+    /// Credit the time since the last reading, up to a full bucket.
+    fn refill(&mut self, now: Instant) {
+        let earned = now.duration_since(self.last).as_secs_f64() * self.rate;
+        self.tokens = (self.tokens + earned).min(self.burst);
+        self.last = now;
+    }
+
+    /// Take `bytes` out of the bucket as of `now`; a bucket left in debt
+    /// answers with the time that pays the debt back.
+    fn debit(&mut self, bytes: u64, now: Instant) -> Option<Duration> {
+        self.refill(now);
+        self.tokens -= bytes as f64;
+        (self.tokens < 0.0).then(|| Duration::from_secs_f64(-self.tokens / self.rate))
+    }
+
+    /// What the paced link takes per byte, `1 ÷ rate`: computed, not the
+    /// sleeps observed, so the burst the bucket starts with does not read
+    /// as an idle link.
+    pub(crate) fn ns_per_byte(&self) -> f64 {
+        1e9 / self.rate
     }
 }
 
@@ -137,6 +154,17 @@ pub trait Transport: Send {
 
     /// Snapshot of bytes sent from this side, by category.
     fn sent_ledger(&self) -> TransferLedger;
+
+    /// Nanoseconds this side's link is busy per byte sent — what a sender
+    /// weighs compression against. A paced link reports `1e9 ÷ rate`; an
+    /// unpaced in-process link reports zero, because a send moves a
+    /// pointer, and time parked on the receiver's backlog is not link
+    /// time (sending fewer bytes would not shorten it). `None`, the
+    /// default, is a transport that cannot tell: its sender has no
+    /// grounds to withhold a capability both sides agreed on.
+    fn link_ns_per_byte(&self) -> Option<f64> {
+        None
+    }
 
     /// Tear the connection down immediately (both directions). Used by
     /// fault injection to sever a link mid-stream; the default is a no-op
@@ -333,6 +361,13 @@ impl Transport for Endpoint {
     fn sent_ledger(&self) -> TransferLedger {
         Endpoint::sent_ledger(self)
     }
+    fn link_ns_per_byte(&self) -> Option<f64> {
+        Some(
+            self.limiter
+                .as_ref()
+                .map_or(0.0, |l| l.lock().ns_per_byte()),
+        )
+    }
 
     fn set_telemetry(&self, recorder: &Arc<Recorder>, side: Side) {
         *self.telemetry.lock() = SendStats::register(recorder, side);
@@ -490,6 +525,68 @@ mod tests {
         for i in 0..100 {
             assert_eq!(a.recv().unwrap(), block_msg(i));
         }
+    }
+
+    #[test]
+    fn limiter_credits_the_time_a_sleep_overshot() {
+        const RATE: f64 = 10.0 * 1024.0 * 1024.0;
+        let us = Duration::from_micros;
+        let mut l = WallLimiter::new(RATE);
+        let t0 = l.last;
+        l.tokens = 0.0;
+        // A 21-byte send into an empty bucket is a 2 µs debt.
+        let wait = l.debit(21, t0).expect("an empty bucket makes a send wait");
+        assert!(us(1) < wait && wait < us(3), "{wait:?}");
+        // The timer wakes 60 µs later: 58 µs of that is in hand.
+        l.refill(t0 + us(60));
+        let in_hand = RATE * 60e-6 - 21.0;
+        assert!(
+            (l.tokens - in_hand).abs() < 1e-3,
+            "{} vs {in_hand}",
+            l.tokens
+        );
+        assert_eq!(
+            l.debit(500, t0 + us(60)),
+            None,
+            "credit covers the next send"
+        );
+        // Credit stops at a full bucket however long the link sat idle.
+        l.refill(t0 + Duration::from_secs(60));
+        assert_eq!(l.tokens, l.burst);
+    }
+
+    #[test]
+    fn limiter_never_passes_more_than_rate_nor_less_for_oversleeping() {
+        const RATE: f64 = 1_000_000.0;
+        let mut l = WallLimiter::new(RATE);
+        let t0 = l.last;
+        // Sends of mixed sizes, every wait overslept by 55 µs.
+        let (mut now, mut sent) = (t0, 0u64);
+        for i in 0..20_000u64 {
+            let bytes = if i % 4 == 0 { 4_136 } else { 16 };
+            if let Some(wait) = l.debit(bytes, now) {
+                now += wait + Duration::from_micros(55);
+                l.refill(now);
+            }
+            sent += bytes;
+            assert!(l.tokens <= l.burst);
+            // Never ahead of the rate by more than the opening burst.
+            let allowed = l.burst + now.duration_since(t0).as_secs_f64() * RATE;
+            assert!(sent as f64 <= allowed + 1e-6, "{sent} B by {now:?}");
+        }
+        // And the oversleeps cost no throughput: past the burst the link
+        // ran at its rate, not under it.
+        let elapsed = now.duration_since(t0).as_secs_f64();
+        assert!(sent as f64 >= elapsed * RATE, "{sent} B in {elapsed} s");
+    }
+
+    #[test]
+    fn a_byte_costs_nothing_unpaced_and_one_over_rate_paced() {
+        let (mut a, _b) = duplex();
+        assert_eq!(a.link_ns_per_byte(), Some(0.0));
+        a.set_rate_limit(1_000_000.0);
+        // Before the first send, and with the whole burst still in hand.
+        assert_eq!(a.link_ns_per_byte(), Some(1_000.0));
     }
 
     #[test]

@@ -254,6 +254,29 @@ pub enum Event {
         /// Blocks whose fingerprint the store already held.
         cached_blocks: u64,
     },
+    /// One worklist pass of the live source decided, batch by batch,
+    /// whether LZ paid for itself on this link: a batch is compressed iff
+    /// `saved share × link_ps_per_byte > lz_ps_per_raw_byte`.
+    CodecDecision {
+        /// Recording side.
+        side: Side,
+        /// Disk blocks or memory pages.
+        resource: Resource,
+        /// Batches that crossed as LZ frames.
+        batches_compressed: u64,
+        /// Batches that crossed raw (LZ would not have paid, or the
+        /// frames came out no smaller).
+        batches_raw: u64,
+        /// Raw bytes compressed as timed samples to decide.
+        sample_bytes: u64,
+        /// What a byte cost on the link at the last decision, in
+        /// picoseconds of link time (`u64::MAX`: the transport could not
+        /// tell).
+        link_ps_per_byte: u64,
+        /// The cheapest sample so far for this resource, in picoseconds
+        /// of LZ per raw byte.
+        lz_ps_per_raw_byte: u64,
+    },
     /// The fleet network split into disconnected islands (scenario
     /// timeline, virtual time). Hosts in different islands cannot
     /// exchange migration traffic until a `PartitionHealed`.

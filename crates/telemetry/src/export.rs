@@ -176,8 +176,27 @@ pub fn phase_summary(records: &[Record]) -> String {
     let (mut pushed, mut pulled, mut dropped, mut cancelled, mut pull_reqs) = (0u64, 0, 0, 0, 0);
     let (mut src_reconnects, mut dst_reconnects, mut faults) = (0u64, 0u64, 0u64);
     let mut src_bytes = 0u64;
+    // Batches (compressed, raw) the source's LZ rule decided, by the
+    // phase the source was in when it journaled them.
+    let mut lz: Vec<(Phase, u64, u64)> = Vec::new();
+    let mut src_phase = Phase::DiskPrecopy;
     for r in records {
         match &r.event {
+            Event::PhaseStart {
+                side: Side::Source,
+                phase,
+            } => src_phase = *phase,
+            Event::CodecDecision {
+                batches_compressed,
+                batches_raw,
+                ..
+            } => match lz.iter_mut().find(|(p, ..)| *p == src_phase) {
+                Some((_, packed, raw)) => {
+                    *packed += batches_compressed;
+                    *raw += batches_raw;
+                }
+                None => lz.push((src_phase, *batches_compressed, *batches_raw)),
+            },
             Event::Iteration {
                 resource: Resource::Disk,
                 units_sent,
@@ -220,6 +239,15 @@ pub fn phase_summary(records: &[Record]) -> String {
         "transport        {src_reconnects} src + {dst_reconnects} dst reconnects, \
          {faults} faults injected, {src_bytes} bytes from source"
     );
+    for (phase, packed, raw) in lz {
+        let _ = writeln!(
+            out,
+            "lz {:<13} {packed} of {} batches compressed ({:.1}%)",
+            format!("{phase:?}"),
+            packed + raw,
+            100.0 * packed as f64 / (packed + raw).max(1) as f64
+        );
+    }
     let _ = writeln!(out, "journal          {} records", records.len());
     out
 }
@@ -250,6 +278,15 @@ mod tests {
             units_sent: 4096,
             dirty_at_end: 120,
         });
+        rec.record_at_nanos(1_900_000_000, || Event::CodecDecision {
+            side: Side::Source,
+            resource: Resource::Disk,
+            batches_compressed: 3,
+            batches_raw: 13,
+            sample_bytes: 16 * 4096,
+            link_ps_per_byte: 95_367,
+            lz_ps_per_raw_byte: 1_100,
+        });
         rec.record_at_nanos(2_000_000_000, || Event::PhaseEnd {
             side: Side::Source,
             phase: Phase::DiskPrecopy,
@@ -257,6 +294,15 @@ mod tests {
         rec.record_at_nanos(2_000_000_000, || Event::PhaseStart {
             side: Side::Source,
             phase: Phase::Freeze,
+        });
+        rec.record_at_nanos(2_010_000_000, || Event::CodecDecision {
+            side: Side::Source,
+            resource: Resource::Memory,
+            batches_compressed: 0,
+            batches_raw: 2,
+            sample_bytes: 2 * 4096,
+            link_ps_per_byte: 0,
+            lz_ps_per_raw_byte: 900,
         });
         rec.record_at_nanos(2_000_000_000, || Event::Suspended { side: Side::Source });
         rec.record_at_nanos(2_054_000_000, || Event::Resumed {
@@ -308,6 +354,9 @@ mod tests {
         assert!(s.contains("0 src + 0 dst reconnects"), "{s}");
         assert!(s.contains("1 faults injected"), "{s}");
         assert!(s.contains("1 cancelled"), "{s}");
+        assert!(s.contains("3 of 16 batches compressed (18.8%)"), "{s}");
+        assert!(s.contains("lz Freeze"), "{s}");
+        assert!(s.contains("0 of 2 batches compressed (0.0%)"), "{s}");
     }
 
     #[test]

@@ -69,10 +69,10 @@ impl VirtualDisk {
         self.storage.write().write_block(idx, data);
     }
 
-    /// Read the blocks `idxs`, in order, into `out` back to back, under
-    /// one acquisition of the lock.
-    pub fn read_blocks_into(&self, idxs: &[usize], out: &mut [u8]) {
-        self.storage.read().read_blocks(idxs, out);
+    /// Append the blocks `idxs`, in order, to `out`, under one acquisition
+    /// of the lock.
+    pub fn read_blocks_append(&self, idxs: &[usize], out: &mut Vec<u8>) {
+        self.storage.read().read_blocks_append(idxs, out);
     }
 
     /// Overwrite the blocks `idxs` with consecutive pieces of `data`,

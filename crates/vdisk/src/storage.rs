@@ -36,19 +36,22 @@ pub trait Storage: Send + Sync {
     /// Panics when `idx` is out of range.
     fn resident_block(&self, idx: usize) -> Option<&[u8]>;
 
-    /// Copy the blocks `idxs`, in order, into `out` back to back: one
-    /// dynamic call per batch instead of one per block (the per-block
-    /// calls inside are static — a default method is compiled once per
-    /// store — which is why no store overrides this).
+    /// Append the blocks `idxs`, in order, to `out`: one dynamic call per
+    /// batch instead of one per block (the per-block calls inside are
+    /// static — a default method is compiled once per store — which is
+    /// why no store overrides this), and no buffer zeroed first only to
+    /// be overwritten.
     ///
     /// # Panics
-    /// Panics when an index is out of range or
-    /// `out.len() != idxs.len() * block_size()`.
-    fn read_blocks(&self, idxs: &[usize], out: &mut [u8]) {
+    /// Panics when an index is out of range.
+    fn read_blocks_append(&self, idxs: &[usize], out: &mut Vec<u8>) {
         let bs = self.block_size();
-        assert_eq!(out.len(), idxs.len() * bs, "buffer/batch size mismatch");
-        for (slot, &idx) in out.chunks_exact_mut(bs).zip(idxs) {
-            self.read_block(idx, slot);
+        out.reserve(idxs.len() * bs);
+        for &idx in idxs {
+            match self.resident_block(idx) {
+                Some(block) => out.extend_from_slice(block),
+                None => out.resize(out.len() + bs, 0),
+            }
         }
     }
 

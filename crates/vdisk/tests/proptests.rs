@@ -196,7 +196,7 @@ proptest! {
         }
     }
 
-    /// `read_blocks` / `write_blocks` are the per-block calls, for any
+    /// `read_blocks_append` / `write_blocks` are the per-block calls, for any
     /// index list (repeats included: the last piece wins) on dense and
     /// sparse storage alike.
     #[test]
@@ -215,10 +215,12 @@ proptest! {
             for &(b, s) in &writes {
                 single.write_block(b, &block_bytes(b, s));
             }
-            let mut got = vec![0xAAu8; reads.len() * BS];
-            batched.read_blocks(&reads, &mut got);
-            let mut want = vec![0u8; reads.len() * BS];
-            for (slot, &b) in want.chunks_exact_mut(BS).zip(&reads) {
+            // Appended behind what the buffer already holds.
+            let mut got = vec![0xAAu8; 3];
+            batched.read_blocks_append(&reads, &mut got);
+            let mut want = vec![0u8; 3 + reads.len() * BS];
+            want[..3].fill(0xAA);
+            for (slot, &b) in want[3..].chunks_exact_mut(BS).zip(&reads) {
                 single.read_block(b, slot);
             }
             prop_assert_eq!(got, want);
@@ -524,13 +526,7 @@ fn dense_batch_write_out_of_range_panics() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn sparse_batch_read_out_of_range_panics() {
-    SparseStorage::new(BS, 4).read_blocks(&[0, 9], &mut [0u8; 2 * BS]);
-}
-
-#[test]
-#[should_panic(expected = "size mismatch")]
-fn dense_batch_read_length_mismatch_panics() {
-    DenseStorage::new(BS, 4).read_blocks(&[0, 1], &mut [0u8; BS]);
+    SparseStorage::new(BS, 4).read_blocks_append(&[0, 9], &mut Vec::new());
 }
 
 #[test]

@@ -30,6 +30,14 @@ echo "== incremental migration costs what is dirty, in the shipped build =="
 # the recording race only has its real window there.
 cargo test -q --release --locked --test live_incremental
 
+echo "== LZ only when the link pays for it, in the shipped build =="
+# Unpaced duplex never compresses and equals the --no-compress ledger;
+# a paced link compresses every batch from the first (limiter burst
+# included), frozen tail and --streams 4 alike. Counts again, but the
+# rule times an LZ sample against the link: the margins the counts rest
+# on (> 100 x at 2 MiB/s) are the optimized build's.
+cargo test -q --release --locked --test live_adaptive_codec
+
 echo "== tier-1: benches compile =="
 # Bit-rot guard only: compiles every [[bench]] target (and bin deps)
 # without running them. CI's perf signal is the benchmark package's

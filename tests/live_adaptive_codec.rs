@@ -1,0 +1,339 @@
+//! When LZ runs (ROADMAP 1c, DESIGN.md §15 "When LZ runs"), pinned by
+//! counts, not stopwatches.
+//!
+//! `compress` is a capability the two sides negotiate; whether a batch
+//! is compressed is decided per batch from what a byte costs on the link
+//! (`Transport::link_ns_per_byte`) against what LZ costs to save it. The
+//! link kinds below make that decision deterministic:
+//! an unpaced in-process link costs nothing, so nothing is ever
+//! compressed and the run equals a `compress: false` run byte for byte;
+//! a link paced at 2 MiB/s costs 477 ns a byte against the few LZ takes,
+//! so everything that frames smaller is compressed — from the first
+//! batch, which the limiter's opening burst lets through without a wait;
+//! and an unpaced socket cannot say what a byte costs, so it gets what
+//! every link got before the rule.
+
+use std::sync::Arc;
+
+use block_bitmap_migration::migrate::live::{
+    lz_pays, run_live_migration, run_live_migration_tcp, run_live_migration_with, LiveConfig,
+    LiveOutcome,
+};
+use block_bitmap_migration::prelude::*;
+use block_bitmap_migration::simnet::codec::compress_blocks;
+use block_bitmap_migration::simnet::proto::{Category, BLOCK_REF_WIRE, FRAME_OVERHEAD};
+use block_bitmap_migration::telemetry::{Event, Recorder, Resource};
+use block_bitmap_migration::vdisk::stamp_bytes;
+use proptest::prelude::*;
+
+/// A > 100 × margin over LZ in the optimised build, and a 32 KiB sample
+/// (eight 4 KiB units) would have to lose ~12 ms to a preemption before
+/// a batch flipped.
+const PACED: f64 = 2.0 * 1024.0 * 1024.0;
+
+/// 1 MiB of stamp-0 blocks (period-64 patterns: LZ saves most of every
+/// block) and 1 MiB of stamp-0 pages, 4 KiB units, idle guest: every
+/// block and page crosses exactly once, in 64- and 32-unit batches.
+/// Stamp-0 unit 0 is all zeroes: as a block it is what a blank
+/// destination already holds and crosses as the run's one reference.
+fn idle_cfg() -> LiveConfig {
+    LiveConfig {
+        block_size: 4_096,
+        num_blocks: 256,
+        batch: 64,
+        mem_pages: 256,
+        mem_page_size: 4_096,
+        mem_batch: 32,
+        workload: WorkloadKind::Idle,
+        mem_writes_per_tick: 0,
+        ..LiveConfig::test_default()
+    }
+}
+
+fn paced(cfg: &LiveConfig) -> LiveConfig {
+    LiveConfig {
+        rate_limit: Some(PACED),
+        ..cfg.clone()
+    }
+}
+
+fn run(cfg: &LiveConfig) -> LiveOutcome {
+    let out = run_live_migration(cfg).expect("migration completes");
+    assert_eq!(out.read_violations, 0, "guest observed stale data");
+    assert!(
+        out.inconsistent_blocks().is_empty(),
+        "image not block-exact"
+    );
+    assert!(out.inconsistent_pages().is_empty(), "RAM not page-exact");
+    out
+}
+
+/// Bytes of the LZ frames of the stamp-0 `units`, however they are
+/// batched: a unit's frame does not depend on its neighbours.
+fn stamp_frames_len(units: std::ops::Range<usize>, unit_size: usize) -> u64 {
+    units
+        .map(|u| compress_blocks(&stamp_bytes(u, 0, unit_size), unit_size).len() as u64)
+        .sum()
+}
+
+/// Ledger bytes of `units` whole units shipped in `frames` messages with
+/// `payload` bytes of body between them.
+fn framed(frames: u64, units: u64, payload: u64) -> u64 {
+    frames * FRAME_OVERHEAD + 8 * units + payload
+}
+
+/// What the zero block costs the disk ledger.
+const ZERO_BLOCK_REF: u64 = FRAME_OVERHEAD + BLOCK_REF_WIRE;
+
+/// Batches a pass of `units` makes at `batch` a message.
+fn batches(units: u64, batch: usize) -> u64 {
+    units.div_ceil(batch as u64)
+}
+
+#[test]
+fn an_unpaced_link_never_compresses_and_equals_the_no_compress_run() {
+    let cfg = idle_cfg();
+    assert!(
+        cfg.compress && cfg.rate_limit.is_none(),
+        "the default data plane"
+    );
+    let out = run(&cfg);
+    assert_eq!(out.wire.blocks_compressed, 0);
+    assert_eq!(out.wire.pages_compressed, 0);
+    let plain = run(&LiveConfig {
+        compress: false,
+        ..cfg.clone()
+    });
+    assert_eq!(out.src_ledger, plain.src_ledger);
+    assert_eq!(out.dst_ledger, plain.dst_ledger);
+    assert_eq!(out.wire, plain.wire);
+    // Which is raw frames, to the byte.
+    assert_eq!(out.wire.blocks_deduped, 1, "the zero block");
+    assert_eq!(
+        out.src_ledger.get(Category::DiskPrecopy),
+        framed(4, 255, 255 * 4_096) + ZERO_BLOCK_REF
+    );
+    assert_eq!(
+        out.src_ledger.get(Category::Memory),
+        framed(8, 256, 256 * 4_096)
+    );
+}
+
+#[test]
+fn a_paced_link_compresses_every_batch_from_the_first() {
+    let cfg = LiveConfig {
+        telemetry: Recorder::enabled(),
+        ..paced(&idle_cfg())
+    };
+    let out = run(&cfg);
+    // Every batch, the ones inside the limiter's 0.1 s burst (all of
+    // them, here: 205 KiB) included — a rule that waited to see the
+    // sender wait would have shipped those raw.
+    assert_eq!(out.wire.blocks_deduped, 1, "the zero block");
+    assert_eq!(out.wire.blocks_compressed, 255);
+    assert_eq!(out.wire.pages_compressed, 256);
+    // And the ledger is what compressing every batch whole produces.
+    let block_frames = stamp_frames_len(1..256, 4_096);
+    assert_eq!(out.wire.bytes_sent, block_frames + BLOCK_REF_WIRE);
+    assert_eq!(out.wire.page_bytes_sent, stamp_frames_len(0..256, 4_096));
+    assert_eq!(
+        out.src_ledger.get(Category::DiskPrecopy),
+        framed(4, 255, block_frames) + ZERO_BLOCK_REF
+    );
+    assert_eq!(
+        out.src_ledger.get(Category::Memory),
+        framed(8, 256, out.wire.page_bytes_sent)
+    );
+    assert!(out.wire.bytes_sent * 2 < out.wire.bytes_raw);
+
+    // The journal says what was decided and from which two numbers.
+    let decisions: Vec<Event> = cfg
+        .telemetry
+        .records()
+        .into_iter()
+        .map(|r| r.event)
+        .filter(|e| matches!(e, Event::CodecDecision { .. }))
+        .collect();
+    let per_byte_ps = (1e12 / PACED) as u64;
+    for (kind, batches) in [(Resource::Disk, 4), (Resource::Memory, 8)] {
+        let of_kind: Vec<_> = decisions
+            .iter()
+            .filter(|e| matches!(e, Event::CodecDecision { resource, .. } if *resource == kind))
+            .collect();
+        let [Event::CodecDecision {
+            batches_compressed,
+            batches_raw,
+            sample_bytes,
+            link_ps_per_byte,
+            lz_ps_per_raw_byte,
+            ..
+        }] = of_kind.as_slice()
+        else {
+            panic!("one pass of {kind:?}, one decision record: {of_kind:?}");
+        };
+        assert_eq!((*batches_compressed, *batches_raw), (batches, 0));
+        assert_eq!(*sample_bytes, batches * 8 * 4_096);
+        assert_eq!(*link_ps_per_byte, per_byte_ps);
+        assert!(0 < *lz_ps_per_raw_byte && *lz_ps_per_raw_byte < per_byte_ps / 2);
+    }
+}
+
+#[test]
+fn an_unpaced_socket_cannot_tell_and_keeps_compressing() {
+    // `write` returning says the kernel has the bytes, not what the link
+    // took: with nothing to weigh LZ against, the agreed capability is
+    // used wherever the codec wins — the ledger a paced link gives.
+    let out = run_live_migration_tcp(&idle_cfg()).expect("tcp migration completes");
+    assert!(out.inconsistent_blocks().is_empty() && out.inconsistent_pages().is_empty());
+    assert_eq!(out.wire.blocks_compressed, 255);
+    assert_eq!(out.wire.pages_compressed, 256);
+    let slow = run(&paced(&idle_cfg()));
+    assert_eq!(out.wire, slow.wire);
+    assert_eq!(out.src_ledger, slow.src_ledger);
+}
+
+#[test]
+fn the_frozen_tail_follows_the_rule_too() {
+    // Idle disk, a guest writing RAM, one memory pass: whatever it
+    // dirties during the pass and the ticks before the suspend is the
+    // frozen tail, sent while the guest is down.
+    let cfg = LiveConfig {
+        mem_writes_per_tick: 32,
+        max_mem_iterations: 1,
+        min_guest_ticks: 30,
+        ..idle_cfg()
+    };
+    let pages_sent =
+        |out: &LiveOutcome| out.mem_iterations.iter().sum::<u64>() + out.frozen_mem_dirty;
+    let page_frames = |out: &LiveOutcome| {
+        out.mem_iterations
+            .iter()
+            .chain([&out.frozen_mem_dirty])
+            .map(|&pass| batches(pass, cfg.mem_batch))
+            .sum::<u64>()
+    };
+
+    // Unpaced: raw page frames in pre-copy and in the tail, the
+    // `compress: false` arithmetic to the byte.
+    let idle = run(&cfg);
+    assert!(idle.frozen_mem_dirty > 0, "the geometry leaves a tail");
+    assert_eq!(idle.wire.pages_compressed, 0);
+    assert_eq!(
+        idle.src_ledger.get(Category::Memory),
+        framed(
+            page_frames(&idle),
+            pages_sent(&idle),
+            pages_sent(&idle) * 4_096
+        )
+    );
+
+    // Paced: every page batch of both passes crosses compressed (stamp
+    // pages of any generation compress), so downtime is spent on the
+    // compressed tail.
+    let slow = run(&paced(&cfg));
+    assert!(slow.frozen_mem_dirty > 0, "the geometry leaves a tail");
+    assert_eq!(slow.wire.pages_compressed, pages_sent(&slow));
+    assert_eq!(
+        slow.src_ledger.get(Category::Memory),
+        framed(
+            page_frames(&slow),
+            pages_sent(&slow),
+            slow.wire.page_bytes_sent
+        )
+    );
+    assert!(slow.wire.page_bytes_sent * 2 < slow.wire.page_bytes_raw);
+}
+
+#[test]
+fn four_streams_equal_one_under_the_rule() {
+    // Sharding changes which blocks share a batch, so which eight are
+    // the sample; what crosses, and in what form, must not notice.
+    for cfg in [idle_cfg(), paced(&idle_cfg())] {
+        let one = run(&cfg);
+        let four = run(&LiveConfig {
+            streams: 4,
+            ..cfg.clone()
+        });
+        assert_eq!(four.src_ledger, one.src_ledger);
+        assert_eq!(four.dst_ledger, one.dst_ledger);
+        assert_eq!(four.wire, one.wire);
+    }
+}
+
+#[test]
+fn incompressible_blocks_ship_raw_on_a_paced_link_after_the_sample() {
+    let cfg = LiveConfig {
+        telemetry: Recorder::enabled(),
+        ..paced(&idle_cfg())
+    };
+    // Word-random blocks: nothing for LZ to find, frames a header larger
+    // than the blocks.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let src = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
+    for b in 0..cfg.num_blocks {
+        let block: Vec<u8> = (0..cfg.block_size / 8)
+            .flat_map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()
+            })
+            .collect();
+        src.write_block(b, &block);
+    }
+    let src = Arc::new(TrackedDisk::new(Arc::new(src)));
+    let dst = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
+        cfg.block_size,
+        cfg.num_blocks,
+    ))));
+    let out = run_live_migration_with(&cfg, Arc::clone(&src), Arc::clone(&dst), None)
+        .expect("migration completes");
+    assert!(src.disk().content_equals(dst.disk()));
+    assert_eq!(out.wire.blocks_compressed, 0);
+    assert_eq!(out.wire.bytes_sent, out.wire.bytes_raw);
+    assert_eq!(
+        out.src_ledger.get(Category::DiskPrecopy),
+        framed(4, 256, 256 * 4_096)
+    );
+    // The sample is all the LZ those four batches cost; the pages behind
+    // them are stamp pages and compress as ever.
+    let sampled = cfg
+        .telemetry
+        .records()
+        .into_iter()
+        .find_map(|r| match r.event {
+            Event::CodecDecision {
+                resource: Resource::Disk,
+                batches_compressed,
+                batches_raw,
+                sample_bytes,
+                ..
+            } => Some((batches_compressed, batches_raw, sample_bytes)),
+            _ => None,
+        });
+    assert_eq!(sampled, Some((0, 4, 4 * 8 * 4_096)));
+    assert_eq!(out.wire.pages_compressed, 256);
+}
+
+proptest! {
+    /// The decision as a function of its three numbers: never on a free
+    /// link, never when nothing is saved, and once it says yes a costlier
+    /// link or a larger saving cannot make it say no.
+    #[test]
+    fn the_decision_is_monotone_in_link_cost_and_saved_share(
+        saved in -1.0f64..1.0,
+        link in 0.0f64..10_000.0,
+        lz in 0.0f64..1_000.0,
+        more_link in 0.0f64..10_000.0,
+        more_saved in 0.0f64..1.0,
+    ) {
+        prop_assert!(!lz_pays(saved, 0.0, lz));
+        prop_assert!(!lz_pays(saved.min(0.0), link, lz));
+        if lz_pays(saved, link, lz) {
+            prop_assert!(lz_pays(saved, link + more_link, lz));
+            prop_assert!(lz_pays((saved + more_saved).min(1.0), link, lz));
+            // And cheaper LZ never hurts.
+            prop_assert!(lz_pays(saved, link, lz / 2.0));
+        }
+    }
+}

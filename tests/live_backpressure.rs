@@ -65,6 +65,9 @@ impl<T: Transport> Transport for SlowRecv<T> {
     fn sent_ledger(&self) -> TransferLedger {
         self.inner.sent_ledger()
     }
+    fn link_ns_per_byte(&self) -> Option<f64> {
+        self.inner.link_ns_per_byte()
+    }
     fn shutdown(&self) {
         self.inner.shutdown();
     }

@@ -292,6 +292,9 @@ fn truncated_compressed_page_frame_is_the_only_one_resent() {
         workload: block_bitmap_migration::workloads::WorkloadKind::Idle,
         mem_writes_per_tick: 0,
         min_guest_ticks: 0,
+        // Slow enough that LZ pays whatever a sample's timing suffers
+        // (477 ns a byte against the few LZ takes), on every connection.
+        rate_limit: Some(2.0 * 1024.0 * 1024.0),
         ..fault_cfg()
     };
     assert!(cfg.compress, "scenario exercises compressed page frames");
