@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use simnet::fault::{faulty_named_pair, FaultPlan, FaultyTransport};
 use simnet::tcp::TcpTransport;
-use simnet::transport::{duplex_windowed, Endpoint, Transport};
+use simnet::transport::{duplex_windowed, Endpoint, Transport, SEND_WINDOW};
 
 use crate::config::RetryPolicy;
 use crate::live::error::MigrationError;
@@ -65,14 +65,6 @@ impl<T: Transport + 'static> Connector for OnceConnector<T> {
         })
     }
 }
-
-/// Wire bytes the source may have queued toward the destination before
-/// its sends block. A default batch of the largest blocks in use
-/// (256 × 4 KiB plus framing) fits once: with one batch queued, one
-/// being applied and one being prepared neither side waits on an empty
-/// pipe, and neither side's speed turns into queue memory. Unlike a
-/// socket, an in-process channel has no buffer limit of its own.
-const SEND_WINDOW: u64 = 2 * 1024 * 1024;
 
 /// Which half of a [`DuplexConnector`] pair this is. The fault plan is
 /// evaluated on source sends.

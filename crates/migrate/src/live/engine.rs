@@ -610,7 +610,8 @@ enum SessionError {
 }
 
 /// Map a transport failure: dead connections are reconnectable,
-/// anything else (`Empty` misuse) is a protocol-level bug.
+/// anything else (`Empty` misuse, a message too large to frame) would
+/// meet a new connection unchanged and ends the migration.
 fn classify(phase: &'static str, e: TransportError) -> SessionError {
     if e.is_fatal() {
         SessionError::Reconnect(e)
@@ -954,10 +955,13 @@ fn send_disk_worklist<T: Transport>(
                     let at = i * block_size;
                     let fp = hash_block(&payload[at..at + block_size]);
                     fps.push(fp);
-                    if !ctx.force_full.contains(&b) && ctx.known_remote.contains(fp) {
+                    // One probe answers both "can it be referenced" and
+                    // "it is known from here on"; a bounced block is
+                    // known already and goes in full regardless.
+                    let known = !ctx.known_remote.insert(fp);
+                    if known && !ctx.force_full.contains(&b) {
                         refs.push((b as u64, fp));
                     } else {
-                        ctx.known_remote.insert(fp);
                         let to = fulls.len() * block_size;
                         if to != at {
                             payload.copy_within(at..at + block_size, to);
@@ -2905,6 +2909,22 @@ mod tests {
         assert!(src.disk().content_equals(dst.disk()));
         assert_eq!(out.iterations, vec![cfg.num_blocks as u64]);
         assert_eq!(out.wire.blocks_deduped, zeroes);
+    }
+
+    #[test]
+    fn a_message_too_large_to_frame_ends_the_migration_instead_of_reconnecting() {
+        let oversize = TransportError::FrameTooLarge(64 * 1024 * 1024 + 1);
+        match classify("handshake", oversize.clone()) {
+            SessionError::Fatal(MigrationError::Transport { phase, error }) => {
+                assert_eq!((phase, error), ("handshake", oversize));
+            }
+            SessionError::Fatal(other) => panic!("wrong error: {other}"),
+            SessionError::Reconnect(e) => panic!("would resend the same message forever: {e}"),
+        }
+        assert!(matches!(
+            classify("handshake", TransportError::Disconnected),
+            SessionError::Reconnect(_)
+        ));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   minimum is the cost;
 //! * `link_ns_per_byte` — [`Transport::link_ns_per_byte`]. Zero on an
 //!   unpaced in-process link, which therefore never compresses;
-//!   `1 / rate` on a paced one; unbounded on a link that cannot tell (an
-//!   unpaced socket), which therefore compresses whatever compresses, as
-//!   every link did before this rule.
+//!   `1 / rate` on a paced one; zero again on an unpaced socket whose two
+//!   ends are one host; unbounded on a link that cannot tell (an unpaced
+//!   socket between two hosts), which therefore compresses whatever
+//!   compresses, as every link did before this rule.
 
 use std::time::Instant;
 
@@ -157,7 +158,9 @@ impl LzRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::transport::duplex;
+    use simnet::proto::{MigMessage, TransferLedger};
+    use simnet::transport::{duplex, TransportError};
+    use std::time::Duration;
 
     /// Text-like units: LZ saves well over half of each.
     fn text(units: usize, unit_size: usize) -> Vec<u8> {
@@ -196,9 +199,32 @@ mod tests {
         assert!(rule.pages.lz_ns_per_raw_byte.is_infinite());
     }
 
+    /// A socket as one between two hosts presents itself: every method
+    /// the socket's own but the link cost, left at the trait's default.
+    struct BetweenHosts(simnet::tcp::TcpTransport);
+
+    impl Transport for BetweenHosts {
+        fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
+            self.0.send(msg)
+        }
+        fn recv(&self) -> Result<MigMessage, TransportError> {
+            self.0.recv()
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<MigMessage, TransportError> {
+            self.0.recv_timeout(timeout)
+        }
+        fn try_recv(&self) -> Result<MigMessage, TransportError> {
+            self.0.try_recv()
+        }
+        fn sent_ledger(&self) -> TransferLedger {
+            self.0.sent_ledger()
+        }
+    }
+
     #[test]
     fn a_link_that_cannot_tell_gets_whatever_compresses() {
         let (socket, _peer) = simnet::tcp::loopback_pair().expect("loopback");
+        let socket = BetweenHosts(socket);
         assert_eq!(socket.link_ns_per_byte(), None);
         let mut rule = LzRule::new();
         let frames = rule.encode(&socket, Resource::Memory, &text(16, 512), 512);

@@ -4,8 +4,15 @@
 //! socket needs bytes. The encoding is a simple tagged binary format with
 //! length-prefixed framing ([`write_frame`] / [`read_frame`]) — little
 //! endian throughout, payloads inline.
+//!
+//! A message's bulk bytes (block, page or bitmap payload) are always its
+//! last field, so a frame is a small *head* — length prefix, tag, id
+//! list, lengths — followed by the payload exactly as the message holds
+//! it. [`write_frame`] hands the two to the stream in one vectored write
+//! and never copies the payload; [`read_frame_or_eof`] reads a frame into
+//! one allocation and [`decode_owned`] lends the payload out of it.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use bytes::Bytes;
 
@@ -22,6 +29,10 @@ pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 pub enum CodecError {
     /// Frame shorter than its own header, unknown tag, or bad lengths.
     Malformed(String),
+    /// A message whose encoded body is this many bytes, more than
+    /// [`MAX_FRAME`]: refused before any of it is written, so the stream
+    /// stays on a frame boundary.
+    FrameTooLarge(usize),
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// The peer closed the stream on a frame boundary. Surfaced by
@@ -36,6 +47,9 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Malformed(m) => write!(f, "malformed frame: {m}"),
+            Self::FrameTooLarge(n) => {
+                write!(f, "frame body of {n} bytes exceeds {MAX_FRAME}")
+            }
             Self::Io(e) => write!(f, "i/o: {e}"),
             Self::CleanEof => write!(f, "stream closed on a frame boundary"),
         }
@@ -115,13 +129,22 @@ impl Writer {
             self.buf.extend_from_slice(&chunk[..words.len() * 8]);
         }
     }
-    fn opt_bytes(&mut self, b: &Option<Bytes>) {
+    /// A message's last byte run: its length goes in the head, the run
+    /// itself is handed back for the caller to place after the head.
+    fn tail<'a>(&mut self, b: &'a [u8]) -> &'a [u8] {
+        self.u64(b.len() as u64);
+        b
+    }
+    fn opt_tail<'a>(&mut self, b: &'a Option<Bytes>) -> &'a [u8] {
         match b {
             Some(b) => {
                 self.u8(1);
-                self.bytes(b);
+                self.tail(b)
             }
-            None => self.u8(0),
+            None => {
+                self.u8(0);
+                &[]
+            }
         }
     }
 }
@@ -129,11 +152,14 @@ impl Writer {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The buffer `buf` is the whole of, when the caller owns one: byte
+    /// runs are lent out of it instead of copied.
+    frame: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(CodecError::Malformed(format!(
                 "need {n} bytes at offset {}, frame is {}",
                 self.pos,
@@ -164,7 +190,12 @@ impl<'a> Reader<'a> {
         if n > MAX_FRAME as usize {
             return Err(CodecError::Malformed(format!("byte run of {n}")));
         }
-        Ok(Bytes::copy_from_slice(self.take(n)?))
+        let at = self.pos;
+        let run = self.take(n)?;
+        Ok(match self.frame {
+            Some(frame) => frame.slice(at..at + n),
+            None => Bytes::copy_from_slice(run),
+        })
     }
     fn u64s(&mut self) -> Result<Vec<u64>, CodecError> {
         let n = self.u64()? as usize;
@@ -270,60 +301,70 @@ pub fn decompress_blocks(
 /// Encode a message to its wire bytes (without the outer length prefix).
 pub fn encode(msg: &MigMessage) -> Vec<u8> {
     let mut w = Writer {
-        buf: Vec::with_capacity(body_size_hint(msg)),
+        buf: Vec::with_capacity(head_size_hint(msg)),
     };
-    encode_body(&mut w, msg);
+    let tail = encode_head(&mut w, msg);
+    w.buf.extend_from_slice(tail);
     w.buf
 }
 
-/// Encode a message as one contiguous length-prefixed frame: the 4-byte
-/// LE prefix and the body share a single allocation, so the transport
-/// can hand the whole frame to the OS in one write.
+/// Encode a message as one contiguous length-prefixed frame, 4-byte LE
+/// prefix first. For callers that want the frame in memory; a stream is
+/// better served by [`write_frame`], which does not copy the payload.
 ///
 /// # Panics
 /// Panics when the encoded body exceeds [`MAX_FRAME`].
 pub fn encode_framed(msg: &MigMessage) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(4 + body_size_hint(msg)),
-    };
-    w.buf.extend_from_slice(&[0u8; 4]);
-    encode_body(&mut w, msg);
-    let body_len = w.buf.len() - 4;
-    assert!(body_len <= MAX_FRAME as usize, "frame too large");
-    w.buf[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    w.buf
+    let parts = frame_parts(msg);
+    assert!(parts.is_ok(), "frame too large");
+    // `Ok`, by the line above.
+    let (mut frame, tail) = parts.unwrap_or_default();
+    frame.extend_from_slice(tail);
+    frame
 }
 
-/// Close-enough capacity estimate for a message's encoded body, so the
-/// encoder allocates once. Payload bytes dominate real frames; the fixed
-/// slack covers tags and lengths for every variant.
-fn body_size_hint(msg: &MigMessage) -> usize {
+/// A frame as the two runs [`write_frame_parts`] sends: the head —
+/// length prefix included — and the payload that follows it on the wire,
+/// still where the message holds it. The body's length is known here,
+/// before a byte is written anywhere: one over [`MAX_FRAME`] is refused,
+/// `Err` saying how long it would have been.
+pub(crate) fn frame_parts(msg: &MigMessage) -> Result<(Vec<u8>, &[u8]), usize> {
+    let mut w = Writer {
+        buf: Vec::with_capacity(4 + head_size_hint(msg)),
+    };
+    w.buf.extend_from_slice(&[0u8; 4]);
+    let tail = encode_head(&mut w, msg);
+    let body_len = w.buf.len() - 4 + tail.len();
+    let prefix = u32::try_from(body_len)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or(body_len)?;
+    w.buf[..4].copy_from_slice(&prefix.to_le_bytes());
+    Ok((w.buf, tail))
+}
+
+/// Close-enough capacity estimate for a message's encoded head —
+/// everything but its last byte run — so the head is one allocation. The
+/// fixed slack covers tags and lengths for every variant.
+fn head_size_hint(msg: &MigMessage) -> usize {
     let variable = match msg {
-        MigMessage::DiskBlocks {
-            blocks, payload, ..
-        } => blocks.len() * 8 + payload.as_ref().map_or(0, Bytes::len),
-        MigMessage::MemPages { pages, payload, .. } => {
-            pages.len() * 8 + payload.as_ref().map_or(0, Bytes::len)
+        MigMessage::DiskBlocks { blocks, .. } | MigMessage::CompressedBlocks { blocks, .. } => {
+            blocks.len() * 8
         }
-        MigMessage::CpuState { payload, .. } => payload.as_ref().map_or(0, Bytes::len),
-        MigMessage::Bitmap { encoded } => encoded.len(),
-        MigMessage::PostCopyBlock { payload, .. } => payload.as_ref().map_or(0, Bytes::len),
-        MigMessage::BlockData { payload, .. } => payload.as_ref().map_or(0, Bytes::len),
-        MigMessage::ResumeFrom {
-            disk_bitmap,
-            mem_bitmap,
-            ..
-        } => disk_bitmap.len() + mem_bitmap.len(),
+        MigMessage::MemPages { pages, .. } | MigMessage::CompressedPages { pages, .. } => {
+            pages.len() * 8
+        }
+        MigMessage::ResumeFrom { disk_bitmap, .. } => disk_bitmap.len(),
         MigMessage::ContentSummary { fingerprints } => fingerprints.len() * 8,
         MigMessage::BlockManifest {
             blocks,
             fingerprints,
         } => (blocks.len() + fingerprints.len()) * 8,
-        MigMessage::CompressedBlocks {
-            blocks, payload, ..
-        } => blocks.len() * 8 + payload.len(),
-        MigMessage::CompressedPages { pages, payload, .. } => pages.len() * 8 + payload.len(),
-        MigMessage::PrepareVbd { .. }
+        MigMessage::CpuState { .. }
+        | MigMessage::Bitmap { .. }
+        | MigMessage::PostCopyBlock { .. }
+        | MigMessage::BlockData { .. }
+        | MigMessage::PrepareVbd { .. }
         | MigMessage::PrepareAck
         | MigMessage::Suspended
         | MigMessage::Resumed
@@ -342,7 +383,10 @@ fn body_size_hint(msg: &MigMessage) -> usize {
     variable + 64
 }
 
-fn encode_body(w: &mut Writer, msg: &MigMessage) {
+/// Encode everything of `msg` but its last byte run, which comes back
+/// for the caller to place (empty for a message that has none).
+fn encode_head<'a>(w: &mut Writer, msg: &'a MigMessage) -> &'a [u8] {
+    let mut tail: &[u8] = &[];
     match msg {
         MigMessage::PrepareVbd {
             block_size,
@@ -361,7 +405,7 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u8(T_DISK_BLOCKS);
             w.u64s(blocks);
             w.u64(*payload_len);
-            w.opt_bytes(payload);
+            tail = w.opt_tail(payload);
         }
         MigMessage::MemPages {
             pages,
@@ -371,7 +415,7 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u8(T_MEM_PAGES);
             w.u64s(pages);
             w.u64(*payload_len);
-            w.opt_bytes(payload);
+            tail = w.opt_tail(payload);
         }
         MigMessage::CpuState {
             payload_len,
@@ -379,11 +423,11 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
         } => {
             w.u8(T_CPU);
             w.u64(*payload_len);
-            w.opt_bytes(payload);
+            tail = w.opt_tail(payload);
         }
         MigMessage::Bitmap { encoded } => {
             w.u8(T_BITMAP);
-            w.bytes(encoded);
+            tail = w.tail(encoded);
         }
         MigMessage::Suspended => w.u8(T_SUSPENDED),
         MigMessage::Resumed => w.u8(T_RESUMED),
@@ -401,7 +445,7 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u64(*block);
             w.u8(u8::from(*pulled));
             w.u64(*payload_len);
-            w.opt_bytes(payload);
+            tail = w.opt_tail(payload);
         }
         MigMessage::PushComplete => w.u8(T_PUSH_COMPLETE),
         MigMessage::MigrationComplete => w.u8(T_COMPLETE),
@@ -434,7 +478,7 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u8(u8::from(*dedup));
             w.u8(u8::from(*compress));
             w.bytes(disk_bitmap);
-            w.bytes(mem_bitmap);
+            tail = w.tail(mem_bitmap);
         }
         MigMessage::BlockRef { block, fingerprint } => {
             w.u8(T_BLOCK_REF);
@@ -457,7 +501,7 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u8(T_COMPRESSED_BLOCKS);
             w.u64s(blocks);
             w.u64(*raw_len);
-            w.bytes(payload);
+            tail = w.tail(payload);
         }
         MigMessage::CompressedPages {
             pages,
@@ -467,7 +511,7 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u8(T_COMPRESSED_PAGES);
             w.u64s(pages);
             w.u64(*raw_len);
-            w.bytes(payload);
+            tail = w.tail(payload);
         }
         MigMessage::BlockRequest {
             block,
@@ -489,7 +533,7 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u64(*block);
             w.u64(*generation);
             w.u64(*payload_len);
-            w.opt_bytes(payload);
+            tail = w.opt_tail(payload);
         }
         MigMessage::BlockMiss { block } => {
             w.u8(T_BLOCK_MISS);
@@ -504,11 +548,32 @@ fn encode_body(w: &mut Writer, msg: &MigMessage) {
             w.u64s(fingerprints);
         }
     }
+    tail
 }
 
-/// Decode a message from its wire bytes.
+/// Decode a message from its wire bytes, copying its byte runs out of
+/// `buf`.
 pub fn decode(buf: &[u8]) -> Result<MigMessage, CodecError> {
-    let mut r = Reader { buf, pos: 0 };
+    decode_from(Reader {
+        buf,
+        pos: 0,
+        frame: None,
+    })
+}
+
+/// Decode a message from a frame body the caller owns: the message's
+/// byte runs are [`Bytes::slice`]s of `frame`, not copies, so the frame's
+/// allocation lives as long as any payload decoded from it.
+pub fn decode_owned(frame: Vec<u8>) -> Result<MigMessage, CodecError> {
+    let frame = Bytes::from(frame);
+    decode_from(Reader {
+        buf: &frame,
+        pos: 0,
+        frame: Some(&frame),
+    })
+}
+
+fn decode_from(mut r: Reader<'_>) -> Result<MigMessage, CodecError> {
     let msg = match r.u8()? {
         T_PREPARE => MigMessage::PrepareVbd {
             block_size: r.u32()?,
@@ -610,17 +675,37 @@ pub fn decode(buf: &[u8]) -> Result<MigMessage, CodecError> {
     Ok(msg)
 }
 
-/// Write one length-prefixed frame to a stream as a single contiguous
-/// write — prefix and body never split across `write_all` calls, so an
-/// unbuffered TCP stream issues one syscall per frame.
-///
-/// # Panics
-/// Panics when the encoded body exceeds [`MAX_FRAME`].
+/// Write one length-prefixed frame to a stream: head and payload go to
+/// the writer together ([`Write::write_vectored`]), so an unbuffered TCP
+/// stream issues one syscall per frame and the payload is never copied
+/// in user space. A message too large to frame is refused with
+/// [`CodecError::FrameTooLarge`] before anything is written.
 pub fn write_frame(w: &mut impl Write, msg: &MigMessage) -> Result<(), CodecError> {
-    let frame = encode_framed(msg);
-    w.write_all(&frame)?;
-    w.flush()?;
+    let (head, tail) = frame_parts(msg).map_err(CodecError::FrameTooLarge)?;
+    write_frame_parts(w, &head, tail)?;
     Ok(())
+}
+
+/// Write the two runs of [`frame_parts`] in full, as few vectored
+/// writes as the writer needs, then flush.
+pub(crate) fn write_frame_parts(
+    w: &mut impl Write,
+    head: &[u8],
+    tail: &[u8],
+) -> std::io::Result<()> {
+    let mut runs = [IoSlice::new(head), IoSlice::new(tail)];
+    let mut left = &mut runs[..];
+    // Advancing by nothing drops an empty leading run.
+    IoSlice::advance_slices(&mut left, 0);
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
 }
 
 /// Read one length-prefixed frame from a stream. A peer that closes on a
@@ -659,15 +744,30 @@ pub fn read_frame_or_eof(r: &mut impl Read) -> Result<Option<MigMessage>, CodecE
     if len > MAX_FRAME {
         return Err(CodecError::Malformed(format!("frame length {len}")));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CodecError::Malformed(format!("frame truncated short of {len} bytes"))
-        } else {
-            CodecError::Io(e)
-        }
-    })?;
-    decode(&body).map(Some)
+    let mut body = Vec::new();
+    read_body(r, len as usize, &mut body)?;
+    decode_owned(body).map(Some)
+}
+
+/// Most a frame reader reserves ahead of the bytes that have actually
+/// arrived: the length prefix is the peer's word, and 4 bytes of it must
+/// not cost [`MAX_FRAME`] of memory. Every batch the engine sends at its
+/// default sizes fits, so a real frame is still one allocation; a larger
+/// one grows as `read_to_end` grows a `Vec`, by doubling what has come.
+const BODY_RESERVE: usize = 2 * 1024 * 1024;
+
+/// Read a frame body of exactly `len` bytes onto the end of an empty
+/// `body`. Filled through `read_to_end`, which writes into spare
+/// capacity: nothing is zeroed to be overwritten.
+fn read_body(r: &mut impl Read, len: usize, body: &mut Vec<u8>) -> Result<(), CodecError> {
+    body.reserve_exact(len.min(BODY_RESERVE));
+    let got = r.take(len as u64).read_to_end(body)?;
+    if got < len {
+        return Err(CodecError::Malformed(format!(
+            "frame truncated short of {len} bytes"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -923,6 +1023,164 @@ mod tests {
         expect.push(0);
         assert_eq!(encode(&msg), expect);
         assert_eq!(msg.wire_size(), crate::proto::FRAME_OVERHEAD + 8 + 10);
+    }
+
+    #[test]
+    fn an_owned_frame_lends_its_byte_runs_instead_of_copying_them() {
+        for msg in all_messages() {
+            let body = encode(&msg);
+            let frame = body.as_ptr_range();
+            let back = decode_owned(body).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
+            assert_eq!(back, msg);
+            let runs: Vec<&Bytes> = match &back {
+                MigMessage::DiskBlocks { payload, .. }
+                | MigMessage::MemPages { payload, .. }
+                | MigMessage::CpuState { payload, .. }
+                | MigMessage::PostCopyBlock { payload, .. }
+                | MigMessage::BlockData { payload, .. } => payload.iter().collect(),
+                MigMessage::CompressedBlocks { payload, .. }
+                | MigMessage::CompressedPages { payload, .. } => vec![payload],
+                MigMessage::Bitmap { encoded } => vec![encoded],
+                MigMessage::ResumeFrom {
+                    disk_bitmap,
+                    mem_bitmap,
+                    ..
+                } => vec![disk_bitmap, mem_bitmap],
+                _ => vec![],
+            };
+            for run in runs.into_iter().filter(|r| !r.is_empty()) {
+                let at = run.as_ptr_range();
+                assert!(
+                    frame.start <= at.start && at.end <= frame.end,
+                    "{msg:?}: run at {at:?} outside its frame {frame:?}"
+                );
+            }
+        }
+        // From a borrowed buffer there is nothing to lend: a copy.
+        let body = encode(&MigMessage::Bitmap {
+            encoded: Bytes::from(vec![3u8; 64]),
+        });
+        let MigMessage::Bitmap { encoded } = decode(&body).expect("decodes") else {
+            panic!("a bitmap");
+        };
+        assert!(!body.as_ptr_range().contains(&encoded.as_ptr()));
+    }
+
+    /// A writer that takes at most `sip` bytes a call and only from the
+    /// first run offered, as a socket under pressure may.
+    struct Sipping {
+        got: Vec<u8>,
+        sip: usize,
+        calls: usize,
+    }
+
+    impl Write for Sipping {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.sip);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_frame_write_survives_partial_writes_and_is_one_call_when_whole() {
+        for msg in all_messages() {
+            let framed = encode_framed(&msg);
+            // Whole: a `Vec` takes every run of a vectored write at once.
+            let mut whole = Vec::new();
+            write_frame(&mut whole, &msg).expect("write");
+            assert_eq!(whole, framed);
+            // In sips that split the head, the payload and the seam.
+            for sip in [1, 3, 7, 4096] {
+                let mut w = Sipping {
+                    got: Vec::new(),
+                    sip,
+                    calls: 0,
+                };
+                write_frame(&mut w, &msg).expect("write");
+                assert_eq!(w.got, framed, "{msg:?} in sips of {sip}");
+                assert!(w.calls >= framed.len().div_ceil(sip));
+            }
+        }
+        // A writer that takes nothing is an error, not a spin.
+        let mut stuck = Sipping {
+            got: Vec::new(),
+            sip: 0,
+            calls: 0,
+        };
+        assert!(matches!(
+            write_frame(&mut stuck, &MigMessage::Suspended),
+            Err(CodecError::Io(e)) if e.kind() == std::io::ErrorKind::WriteZero
+        ));
+    }
+
+    #[test]
+    fn a_message_too_large_to_frame_is_refused_before_a_byte_is_written() {
+        // One byte over: the head is tag + id run + lengths + option tag.
+        let head = encode(&MigMessage::DiskBlocks {
+            blocks: vec![0],
+            payload_len: 0,
+            payload: Some(Bytes::new()),
+        })
+        .len();
+        let fits = MAX_FRAME as usize - head;
+        let msg = |payload_bytes: usize| MigMessage::DiskBlocks {
+            blocks: vec![0],
+            payload_len: 0,
+            // Zero pages the test never touches.
+            payload: Some(Bytes::from(vec![0u8; payload_bytes])),
+        };
+        let mut wire = Sipping {
+            got: Vec::new(),
+            sip: 0,
+            calls: 0,
+        };
+        assert!(matches!(
+            write_frame(&mut wire, &msg(fits + 1)),
+            Err(CodecError::FrameTooLarge(n)) if n == MAX_FRAME as usize + 1
+        ));
+        assert_eq!(wire.calls, 0, "refused after writing");
+        // Exactly the limit frames, and says so in its prefix.
+        let at_limit = msg(fits);
+        let (head, tail) = frame_parts(&at_limit).expect("at the limit");
+        assert_eq!(head[..4], MAX_FRAME.to_le_bytes());
+        assert_eq!(head.len() - 4 + tail.len(), MAX_FRAME as usize);
+    }
+
+    /// Delivers `have` bytes of a stream, then ends it.
+    fn short_stream(have: usize) -> impl Read {
+        std::io::repeat(0xA5).take(have as u64)
+    }
+
+    #[test]
+    fn a_length_prefix_reserves_no_more_than_a_bound_ahead_of_the_bytes_behind_it() {
+        // 64 MiB promised, 3 bytes delivered: one `BODY_RESERVE`.
+        let mut body = Vec::new();
+        let err = read_body(&mut short_stream(3), MAX_FRAME as usize, &mut body);
+        assert!(matches!(err, Err(CodecError::Malformed(m)) if m.contains("truncated")));
+        assert_eq!(body.len(), 3);
+        assert!(body.capacity() <= BODY_RESERVE, "{} B", body.capacity());
+        // 64 MiB promised, 5 MiB delivered: grown by doubling what came.
+        let have = 5 * 1024 * 1024;
+        let mut body = Vec::new();
+        assert!(read_body(&mut short_stream(have), MAX_FRAME as usize, &mut body).is_err());
+        assert_eq!(body.len(), have);
+        assert!(body.capacity() <= 2 * have, "{} B", body.capacity());
+        // An honest frame is one exact allocation.
+        let mut body = Vec::new();
+        read_body(&mut short_stream(4096), 1000, &mut body).expect("whole");
+        assert_eq!((body.len(), body.capacity()), (1000, 1000));
+        // And the frame reader says the same through its own door.
+        let mut wire = MAX_FRAME.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[1, 2, 3]);
+        assert!(matches!(
+            read_frame_or_eof(&mut std::io::Cursor::new(wire)),
+            Err(CodecError::Malformed(m)) if m.contains("truncated")
+        ));
     }
 
     #[test]

@@ -26,6 +26,13 @@ pub(crate) struct SendStats {
     pub(crate) msgs: telemetry::Counter,
 }
 
+fn metric_prefix(side: Side) -> &'static str {
+    match side {
+        Side::Source => "transport.src",
+        Side::Destination => "transport.dst",
+    }
+}
+
 impl SendStats {
     /// Register (or look up) the side's counters; `None` when telemetry is
     /// disabled, so instrumented transports skip the accounting entirely.
@@ -33,15 +40,23 @@ impl SendStats {
         if !recorder.is_enabled() {
             return None;
         }
-        let prefix = match side {
-            Side::Source => "transport.src",
-            Side::Destination => "transport.dst",
-        };
+        let prefix = metric_prefix(side);
         Some(Self {
             bytes: recorder.metrics().counter(&format!("{prefix}.bytes_sent")),
             msgs: recorder.metrics().counter(&format!("{prefix}.msgs_sent")),
         })
     }
+}
+
+/// The side's `inbox_bytes_peak` gauge — the most wire bytes of bulk
+/// frames its socket reader has held decoded and unreceived — registered
+/// as [`SendStats`] is: `None` when telemetry is disabled.
+pub(crate) fn inbox_peak_gauge(recorder: &Recorder, side: Side) -> Option<telemetry::Gauge> {
+    recorder.is_enabled().then(|| {
+        recorder
+            .metrics()
+            .gauge(&format!("{}.inbox_bytes_peak", metric_prefix(side)))
+    })
 }
 
 /// Errors surfaced by [`Endpoint`] operations.
@@ -58,6 +73,12 @@ pub enum TransportError {
     Timeout,
     /// No message is currently queued (non-blocking receive).
     Empty,
+    /// The message encodes to this many bytes, more than the wire format
+    /// frames ([`crate::codec::MAX_FRAME`]). Nothing was sent and the
+    /// connection is intact — reconnecting would meet the same message,
+    /// so this is not [`fatal`](Self::is_fatal) to the connection and is
+    /// never answered with a retry.
+    FrameTooLarge(usize),
 }
 
 impl TransportError {
@@ -75,6 +96,9 @@ impl std::fmt::Display for TransportError {
             Self::Reset(why) => write!(f, "connection reset mid-stream: {why}"),
             Self::Timeout => write!(f, "receive timed out"),
             Self::Empty => write!(f, "no message queued"),
+            Self::FrameTooLarge(bytes) => {
+                write!(f, "message of {bytes} bytes is too large to frame")
+            }
         }
     }
 }
@@ -178,11 +202,23 @@ pub trait Transport: Send {
     fn set_telemetry(&self, _recorder: &Arc<Recorder>, _side: Side) {}
 }
 
+/// Wire bytes a link lets sit sent but unreceived in user space before
+/// the sender waits: what [`crate::tcp::TcpTransport`]'s reader queues
+/// ahead of its receiver, and the window the live engine gives
+/// [`duplex_windowed`] — one number, because it is one quantity: how far
+/// the source may run ahead of the destination's apply loop. A default
+/// batch of the largest blocks in use (256 × 4 KiB plus framing) fits
+/// once: with one batch queued, one being applied and one being prepared
+/// neither side waits on an empty pipe, and neither side's speed turns
+/// into queue memory.
+pub const SEND_WINDOW: u64 = 2 * 1024 * 1024;
+
 /// Byte budget for one direction of a link: the wire bytes sent but not
 /// yet taken off the queue by the receiver. Shared by the sending and
-/// the receiving [`Endpoint`] of that direction.
+/// the receiving end of that direction — two [`Endpoint`]s, or a socket's
+/// reader thread and its receive calls.
 #[derive(Debug)]
-struct SendWindow {
+pub(crate) struct SendWindow {
     limit: u64,
     state: Mutex<WindowState>,
     changed: Condvar,
@@ -196,10 +232,19 @@ struct WindowState {
 }
 
 impl SendWindow {
-    /// Block until `bytes` fit under the limit. A message larger than the
-    /// whole window passes once nothing else is in flight, so no message
-    /// can wedge the link.
-    fn acquire(&self, bytes: u64) -> Result<(), TransportError> {
+    pub(crate) fn new(limit: u64) -> Self {
+        Self {
+            limit,
+            state: Mutex::new(WindowState::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Block until `bytes` fit under the limit, then answer with the
+    /// bytes in flight, these included. A message larger than the whole
+    /// window passes once nothing else is in flight, so no message can
+    /// wedge the link.
+    pub(crate) fn acquire(&self, bytes: u64) -> Result<u64, TransportError> {
         let mut st = self.state.lock();
         while !st.closed && st.in_flight > 0 && st.in_flight + bytes > self.limit {
             self.changed.wait(&mut st);
@@ -208,16 +253,16 @@ impl SendWindow {
             return Err(TransportError::Disconnected);
         }
         st.in_flight += bytes;
-        Ok(())
+        Ok(st.in_flight)
     }
 
-    fn release(&self, bytes: u64) {
+    pub(crate) fn release(&self, bytes: u64) {
         let mut st = self.state.lock();
         st.in_flight = st.in_flight.saturating_sub(bytes);
         self.changed.notify_all();
     }
 
-    fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.changed.notify_all();
     }
@@ -269,11 +314,7 @@ pub fn duplex() -> (Endpoint, Endpoint) {
 /// end is dropped. The opposite direction stays unbounded, so the second
 /// endpoint's replies can never deadlock against the window.
 pub fn duplex_windowed(window_bytes: u64) -> (Endpoint, Endpoint) {
-    pair(Some(Arc::new(SendWindow {
-        limit: window_bytes,
-        state: Mutex::new(WindowState::default()),
-        changed: Condvar::new(),
-    })))
+    pair(Some(Arc::new(SendWindow::new(window_bytes))))
 }
 
 impl Endpoint {

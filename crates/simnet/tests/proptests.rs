@@ -9,7 +9,8 @@ use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use simnet::capacity::{max_min_share, seek_aware_share};
 use simnet::codec::{
-    compress_blocks, decode, decompress_blocks, encode, lz, read_frame, write_frame, CodecError,
+    compress_blocks, decode, decode_owned, decompress_blocks, encode, lz, read_frame,
+    read_frame_or_eof, write_frame, CodecError,
 };
 use simnet::fault::{faulty_pair, FaultPlan};
 use simnet::proto::MigMessage;
@@ -138,10 +139,80 @@ fn check_block_decode(frame: &[u8], max_out: usize) -> Result<(), TestCaseError>
     Ok(())
 }
 
+/// `body` through every door of the frame codec — the borrowing
+/// decoder, the owning one, and the stream reader: a message or a typed
+/// error, never a panic, and the three agree. What is accepted is
+/// canonical: it re-encodes to the bytes it came from.
+fn check_frame_doors(body: Vec<u8>) -> Result<(), TestCaseError> {
+    let borrowed = decode(&body);
+    if let Ok(msg) = &borrowed {
+        prop_assert_eq!(&encode(msg), &body);
+    }
+    let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&body);
+    let streamed = read_frame_or_eof(&mut std::io::Cursor::new(wire));
+    for other in [
+        decode_owned(body.clone()),
+        streamed.map(|m| m.expect("not at eof")),
+    ] {
+        match (&borrowed, other) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, &b),
+            (Err(CodecError::Malformed(a)), Err(CodecError::Malformed(b))) => {
+                prop_assert_eq!(a, &b)
+            }
+            (a, b) => prop_assert!(false, "decoders disagree: {a:?} vs {b:?}"),
+        }
+    }
+    // The bytes as a stream of their own: their first four are a length
+    // prefix, as a hostile peer's would be.
+    let alone = read_frame_or_eof(&mut std::io::Cursor::new(body));
+    prop_assert!(
+        matches!(alone, Ok(_) | Err(CodecError::Malformed(_))),
+        "not a decode error: {alone:?}"
+    );
+    Ok(())
+}
+
 proptest! {
     // Totality is a claim about rare inputs; give it more than the
     // default 64 draws.
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The frame decoders are total on arbitrary bytes. (`tag` steers
+    /// half the cases past the first-byte lottery into a real variant's
+    /// field parser.)
+    #[test]
+    fn frame_decoders_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..600),
+        tag in 0u8..32,
+    ) {
+        let mut tagged = bytes.clone();
+        if let Some(first) = tagged.first_mut() {
+            *first = tag;
+        }
+        check_frame_doors(bytes)?;
+        check_frame_doors(tagged)?;
+    }
+
+    /// And on valid frames with bytes overwritten and the end cut off or
+    /// padded: deep in a real variant, where lengths and tags are
+    /// plausible and one of them lies.
+    #[test]
+    fn frame_decoders_total_on_damaged_frames(
+        msg in arb_message(),
+        damage in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        keep in any::<usize>(),
+        pad in prop::collection::vec(any::<u8>(), 0..9),
+    ) {
+        let mut body = encode(&msg);
+        for (at, byte) in damage {
+            let n = body.len();
+            body[at % n] = byte;
+        }
+        body.truncate(keep % (body.len() + 1));
+        body.extend_from_slice(&pad);
+        check_frame_doors(body)?;
+    }
 
     /// `lz::decompress_block` is total on arbitrary bytes.
     #[test]

@@ -299,18 +299,20 @@ impl FingerprintSet {
         self.table.find(&self.members, fp).is_ok()
     }
 
-    /// Add `fp`; adding it twice is a no-op. (So is adding the 2³²-th
-    /// distinct fingerprint: ids are `u32`, and a set that under-reports
-    /// only costs its user a dedup hit.)
-    pub fn insert(&mut self, fp: u64) {
+    /// Add `fp` and say whether it was new — one probe where
+    /// [`FingerprintSet::contains`] then `insert` would be two. Adding it
+    /// twice is a no-op. (So is adding the 2³²-th distinct fingerprint:
+    /// ids are `u32`, and a set that under-reports — it answers "new"
+    /// again next time — only costs its user a dedup hit.)
+    pub fn insert(&mut self, fp: u64) -> bool {
         let Err(mut at) = self.table.find(&self.members, fp) else {
-            return;
+            return false;
         };
         let Some(id) = u32::try_from(self.members.len())
             .ok()
             .filter(|&id| id != NIL)
         else {
-            return;
+            return true;
         };
         if (self.table.len + 1) * 4 > self.table.slots.len() * 3 {
             self.table = IdTable::with_room_for(self.table.slots.len());
@@ -325,6 +327,7 @@ impl FingerprintSet {
         }
         self.members.push(fp);
         self.table.put(at, id);
+        true
     }
 }
 
@@ -674,7 +677,9 @@ mod tests {
         assert!(!set.contains(0));
         // Small integers, as a caller outside the hash family might use.
         set.extend((0u64..5_000).map(|i| i * 10));
-        set.insert(40); // again: no-op
+        assert!(!set.insert(40), "again: a no-op that says so");
+        assert!(set.insert(7) && !set.insert(7));
+        assert!(set.contains(7));
         for i in 0u64..5_000 {
             assert!(set.contains(i * 10));
             assert!(!set.contains(i * 10 + 1));

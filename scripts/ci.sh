@@ -38,6 +38,16 @@ echo "== LZ only when the link pays for it, in the shipped build =="
 # on (> 100 x at 2 MiB/s) are the optimized build's.
 cargo test -q --release --locked --test live_adaptive_codec
 
+echo "== the socket's byte budget and vectored writes, in the shipped build =="
+# A sender toward a receiver that stopped receiving blocks after one
+# window plus the kernel's buffers while 200 000 bounces cross the other
+# way; an oversize message is refused with the stream intact; a slow
+# destination over loopback costs total time, not downtime, and never
+# more than a window of inbox. What blocks, and when, is timing: the
+# optimized build is the one whose timing the benchmark and the CLI have.
+cargo test -q --release --locked -p simnet --lib tcp::
+cargo test -q --release --locked --test live_backpressure
+
 echo "== tier-1: benches compile =="
 # Bit-rot guard only: compiles every [[bench]] target (and bin deps)
 # without running them. CI's perf signal is the benchmark package's

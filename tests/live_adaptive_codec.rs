@@ -10,8 +10,13 @@
 //! a link paced at 2 MiB/s costs 477 ns a byte against the few LZ takes,
 //! so everything that frames smaller is compressed — from the first
 //! batch, which the limiter's opening burst lets through without a wait;
-//! and an unpaced socket cannot say what a byte costs, so it gets what
-//! every link got before the rule.
+//! and a socket is whichever of the two its pacing and its addresses say:
+//! unpaced between two ends of one host there is no wire and it ships
+//! raw, paced it compresses as the paced duplex does. (An unpaced socket
+//! between two hosts cannot say what a byte costs and gets what every
+//! link got before the rule; no test here can open one, so that arm is
+//! pinned on the addresses in `simnet::tcp` and on a cannot-tell
+//! transport in `migrate::live::lz_rule`.)
 
 use std::sync::Arc;
 
@@ -178,13 +183,36 @@ fn a_paced_link_compresses_every_batch_from_the_first() {
     }
 }
 
-#[test]
-fn an_unpaced_socket_cannot_tell_and_keeps_compressing() {
-    // `write` returning says the kernel has the bytes, not what the link
-    // took: with nothing to weigh LZ against, the agreed capability is
-    // used wherever the codec wins — the ledger a paced link gives.
-    let out = run_live_migration_tcp(&idle_cfg()).expect("tcp migration completes");
+fn run_tcp(cfg: &LiveConfig) -> LiveOutcome {
+    let out = run_live_migration_tcp(cfg).expect("tcp migration completes");
     assert!(out.inconsistent_blocks().is_empty() && out.inconsistent_pages().is_empty());
+    out
+}
+
+#[test]
+fn a_same_host_socket_never_compresses_and_equals_the_no_compress_tcp_run() {
+    // Both ends on 127.0.0.1: the bytes cross a `memcpy`, not a wire, and
+    // the receiver's inbox is budgeted, so a raw batch costs the source
+    // neither link time nor the destination memory.
+    let out = run_tcp(&idle_cfg());
+    assert_eq!(out.wire.blocks_compressed, 0);
+    assert_eq!(out.wire.pages_compressed, 0);
+    let plain = run_tcp(&LiveConfig {
+        compress: false,
+        ..idle_cfg()
+    });
+    assert_eq!(out.wire, plain.wire);
+    assert_eq!(out.src_ledger, plain.src_ledger);
+    assert_eq!(out.dst_ledger, plain.dst_ledger);
+    // The frames the unpaced duplex ships, to the byte.
+    assert_eq!(out.src_ledger, run(&idle_cfg()).src_ledger);
+}
+
+#[test]
+fn a_paced_socket_compresses_every_batch_as_a_paced_duplex_does() {
+    // `write` returning says the kernel has the bytes, not what the link
+    // took; the pacer in front of it does say, and is believed.
+    let out = run_tcp(&paced(&idle_cfg()));
     assert_eq!(out.wire.blocks_compressed, 255);
     assert_eq!(out.wire.pages_compressed, 256);
     let slow = run(&paced(&idle_cfg()));

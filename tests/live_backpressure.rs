@@ -19,7 +19,8 @@ use block_bitmap_migration::migrate::live::{
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::simnet::fault::{Fault, FaultKind, FaultTrigger};
 use block_bitmap_migration::simnet::proto::{Category, MigMessage, TransferLedger};
-use block_bitmap_migration::simnet::transport::{duplex, Transport, TransportError};
+use block_bitmap_migration::simnet::tcp::loopback_pair;
+use block_bitmap_migration::simnet::transport::{duplex, Transport, TransportError, SEND_WINDOW};
 use block_bitmap_migration::telemetry::Side;
 use block_bitmap_migration::vdisk::stamp_bytes;
 
@@ -165,6 +166,52 @@ fn slow_destination_costs_total_time_not_downtime() {
         .expect("migration completes against a slow destination");
     assert_eq!(out.reconnects, 0);
     assert_slow_but_live(&out, delayed.load(Ordering::Relaxed));
+}
+
+#[test]
+fn slow_destination_over_a_socket_costs_total_time_not_downtime_nor_memory() {
+    // The same shape over loopback TCP. Inside a pass nothing in the
+    // protocol paces the source, and the destination's reader thread
+    // takes frames off the socket however slowly the protocol thread
+    // applies them: what keeps the source from running a whole disk pass
+    // ahead is that reader's byte budget, then the kernel's buffers, then
+    // its own blocked write.
+    let cfg = LiveConfig {
+        telemetry: Recorder::enabled(),
+        ..cfg()
+    };
+    let (src, dst) = disks(&cfg);
+    let delayed = Arc::new(AtomicU64::new(0));
+    let (src_ep, dst_ep) = loopback_pair().expect("loopback");
+    let slow = SlowRecv {
+        inner: dst_ep,
+        delayed: Arc::clone(&delayed),
+    };
+    let out = run_live_migration_over(&cfg, src, dst, None, src_ep, slow)
+        .expect("migration completes against a slow destination");
+    assert_eq!(out.reconnects, 0);
+    assert_slow_but_live(&out, delayed.load(Ordering::Relaxed));
+    // Same-host socket: batches cross raw, 8 MiB of them, 2 ms apart at
+    // the far end. A queue formed (the source outran the destination)
+    // and never held more than its window.
+    assert_eq!(out.wire.blocks_compressed, 0);
+    let held = cfg
+        .telemetry
+        .metrics()
+        .gauge("transport.dst.inbox_bytes_peak")
+        .get();
+    let frame = 256 * (cfg.block_size as u64 + 8) + 16;
+    assert!(
+        frame < held && held <= SEND_WINDOW,
+        "destination inbox peaked at {held} B against a {SEND_WINDOW} B window"
+    );
+    // The source's inbox saw acks and bounces only: never counted.
+    let src_held = cfg
+        .telemetry
+        .metrics()
+        .gauge("transport.src.inbox_bytes_peak")
+        .get();
+    assert_eq!(src_held, 0);
 }
 
 #[test]
