@@ -35,7 +35,6 @@ use orchestrator::{MigrationRequest, Policy, VmId};
 use scenario::{ChaosEvent, HostCaps, Island, LinkSpec, ScenarioSpec, TimedEvent};
 use serde::{Deserialize, Serialize};
 use simnet::codec;
-use simnet::codec::lz;
 use simnet::proto::MigMessage;
 use telemetry::Recorder;
 use vdisk::content::hash_block;
@@ -389,15 +388,10 @@ fn run_all(quick: bool) -> Baseline {
     // LZ round-trip over 256 run-heavy blocks (1 MiB), against a memcpy
     // of the same bytes as the budget unit.
     let compressible = compressible_payload(256 * 4096, 19);
-    let mut scratch = lz::Scratch::default();
-    let mut frame = Vec::new();
     let lz = measure("codec_lz_roundtrip", 3, scale(300), || {
-        for block in compressible.chunks_exact(4096) {
-            frame.clear();
-            lz::compress_block_into(block, &mut frame, &mut scratch);
-            let out = lz::decompress_block(&frame, 4096).expect("own frame round-trips");
-            black_box(out.0.len());
-        }
+        let stream = codec::compress_blocks(&compressible, 4096);
+        let out = codec::decompress_blocks(&stream, 256, 4096).expect("own stream round-trips");
+        black_box(out.len());
     });
     let mut copy_dst = vec![0u8; compressible.len()];
     let memcpy = measure("codec_lz_memcpy_ref", 3, scale(300), || {

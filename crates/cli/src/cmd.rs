@@ -46,6 +46,7 @@ fn export_telemetry(
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("telemetry journal: {} records -> {path}", records.len());
         print!("{}", telemetry::phase_summary(&records));
+        print!("{}", telemetry::codec_summary(rec.metrics()));
         if rec.dropped() > 0 {
             println!("warning: journal full, {} events dropped", rec.dropped());
         }

@@ -142,8 +142,8 @@ pub struct LiveConfig {
     /// runs dedup only when both sides agree (the destination echoes its
     /// acceptance in [`MigMessage::ResumeFrom`]).
     pub dedup: bool,
-    /// Offer per-unit compression for residual full-block sends and for
-    /// memory pages.
+    /// Offer compression (one LZ stream per batch) for residual
+    /// full-block sends and for memory pages.
     pub compress: bool,
     /// Multi-source mode: the source ships a freeze-time fingerprint
     /// manifest ([`MigMessage::BlockManifest`]) so the destination can
@@ -822,7 +822,7 @@ fn sync_barrier<T: Transport>(
 }
 
 /// Ship a batch of whole units — blocks and pages are framed alike, an
-/// index list plus equal-sized units, raw or as per-unit LZ frames —
+/// index list plus equal-sized units, raw or as one LZ stream —
 /// compressed when the session negotiated it, the link pays for it
 /// ([`LzRule`]) and the codec actually wins: the one place that is
 /// decided, and booked in the savings ledger, for blocks and pages alike.
@@ -2427,8 +2427,9 @@ fn dest_apply_pages(
     Ok(())
 }
 
-/// Decode a compressed batch of `count` units back to raw bytes,
-/// validating the advertised raw length.
+/// Decode a compressed batch of `count` units back to raw bytes. The
+/// advertised raw length must be the units' own, and the batch's one LZ
+/// stream must decode to exactly that.
 fn decode_compressed(
     count: usize,
     raw_len: u64,
@@ -2436,18 +2437,17 @@ fn decode_compressed(
     unit_size: usize,
     phase: &'static str,
 ) -> Result<Bytes, SessionError> {
-    let raw = decompress_blocks(payload, count, unit_size)
-        .map_err(|e| protocol_err(phase, format!("undecodable compressed batch: {e:?}")))?;
-    if raw.len() as u64 != raw_len {
+    if raw_len != (count as u64).saturating_mul(unit_size as u64) {
         return Err(protocol_err(
             phase,
             format!(
-                "compressed batch declared {raw_len} raw bytes, decoded {}",
-                raw.len()
+                "compressed batch declared {raw_len} raw bytes for {count} units of {unit_size}"
             ),
         ));
     }
-    Ok(Bytes::from(raw))
+    decompress_blocks(payload, count, unit_size)
+        .map(Bytes::from)
+        .map_err(|e| protocol_err(phase, format!("undecodable compressed batch: {e:?}")))
 }
 
 /// The destination half of the data plane, shared by pre-copy and
@@ -3082,17 +3082,19 @@ mod tests {
             (0, 0, 0)
         );
 
-        // Zero pages need no message of their own: 8 B of index and a
-        // 10 B run-length frame each.
+        // Zero pages need no message of their own: 8 B of index each and
+        // one run between them — a literal, an offset-1 match and a byte
+        // of length chain per 255 bytes of it.
         let dst = LiveRam::new(PS, N);
         let zeros = of_kind(0);
         let (_, ledger, _) = ship_pages(&src, &dst, zeros.clone(), true, PACED);
+        let run = (zeros.len() * PS - 1 - 4 - 15) as u64;
         assert_eq!(
             ledger.get(Category::Memory),
-            FRAME_OVERHEAD + 18 * zeros.len() as u64
+            FRAME_OVERHEAD + 8 * zeros.len() as u64 + 4 + run / 255 + 1
         );
 
-        // A batch of random pages frames no smaller than raw, so it
+        // A batch of random pages streams no smaller than raw, so it
         // travels as plain `MemPages` however slow the link.
         let dst = LiveRam::new(PS, N);
         let noise = of_kind(3);
@@ -3162,8 +3164,8 @@ mod tests {
         // Payload length that does not match the page list.
         assert!(fatal(apply(raw(&[3], &two))).contains("payload"));
         assert!(fatal(apply(raw(&[3, 4], &data))).contains("payload"));
-        // A raw length the frames do not decode to, a frame count the
-        // payload does not hold, and bytes that are no frames at all.
+        // A raw length that is not the page list's, a page count the
+        // stream does not decode to, and bytes that are no stream at all.
         assert!(fatal(apply(packed(&[3, 4], PS, frames.clone()))).contains("declared"));
         assert!(fatal(apply(packed(&[3], PS, frames.clone()))).contains("undecodable"));
         assert!(fatal(apply(packed(&[3, 4, 5], 3 * PS, frames.clone()))).contains("undecodable"));

@@ -6,8 +6,10 @@
 //! takes to save them — [`lz_pays`], per batch, from three measurements
 //! and no setting (DESIGN.md §15, "When LZ runs"):
 //!
-//! * `saved_share` — from LZ over the first [`SAMPLE_UNITS`] units of
-//!   the batch itself;
+//! * `saved_share` — from the head of the batch's own LZ stream, its
+//!   first [`SAMPLE_UNITS`] units: the encoder is paused there, and if LZ
+//!   pays it carries on from where it stands, so nothing is compressed
+//!   twice and the stream is the one an unpaused encoder gives;
 //! * `lz_ns_per_raw_byte` — the *fastest* such sample so far per unit
 //!   kind: preemption and cache misses only ever add to a sample, so the
 //!   minimum is the cost;
@@ -20,7 +22,7 @@
 
 use std::time::Instant;
 
-use simnet::codec::{compress_blocks, compress_blocks_into};
+use simnet::codec::lz::Encoder;
 use simnet::transport::Transport;
 use telemetry::{Event, Recorder, Resource, Side};
 
@@ -43,6 +45,10 @@ struct Tally {
     batches_compressed: u64,
     batches_raw: u64,
     sample_bytes: u64,
+    /// Raw bytes of the batches that crossed compressed, and the stream
+    /// bytes they crossed as.
+    raw_bytes: u64,
+    lz_bytes: u64,
 }
 
 impl Tally {
@@ -52,6 +58,8 @@ impl Tally {
             batches_compressed: 0,
             batches_raw: 0,
             sample_bytes: 0,
+            raw_bytes: 0,
+            lz_bytes: 0,
         }
     }
 }
@@ -83,8 +91,8 @@ impl LzRule {
         }
     }
 
-    /// The batch as per-unit LZ frames when compressing it pays on `ep`
-    /// and the frames come out smaller; `None` to ship `payload` as it is.
+    /// The batch as one LZ stream when compressing it pays on `ep` and the
+    /// stream comes out smaller; `None` to ship `payload` as it is.
     pub(crate) fn encode<T: Transport>(
         &mut self,
         ep: &T,
@@ -92,25 +100,29 @@ impl LzRule {
         payload: &[u8],
         unit_size: usize,
     ) -> Option<Vec<u8>> {
-        let sample = &payload[..payload.len().min(SAMPLE_UNITS * unit_size)];
+        let sample_len = payload.len().min(SAMPLE_UNITS * unit_size);
         let started = Instant::now();
-        let mut frames = compress_blocks(sample, unit_size);
+        let mut encoder = Encoder::new(payload);
+        let mut stream = Vec::new();
+        encoder.advance(sample_len, &mut stream);
         let sample_ns = started.elapsed().as_nanos() as f64;
-        let saved_share = 1.0 - frames.len() as f64 / sample.len() as f64;
+        // A match that runs past the sample's end is booked against the
+        // sample alone: the saving is never overstated.
+        let saved_share = 1.0 - encoder.len_if_ended(&stream) as f64 / sample_len as f64;
         // A link that cannot say what a byte costs leaves nothing to weigh
         // LZ against: whatever it saves is taken.
         let link_ns_per_byte = ep.link_ns_per_byte().unwrap_or(f64::INFINITY);
         self.link_ns_per_byte = link_ns_per_byte;
         let tally = self.tally(kind);
-        tally.sample_bytes += sample.len() as u64;
-        tally.lz_ns_per_raw_byte = tally
-            .lz_ns_per_raw_byte
-            .min(sample_ns / sample.len() as f64);
+        tally.sample_bytes += sample_len as u64;
+        tally.lz_ns_per_raw_byte = tally.lz_ns_per_raw_byte.min(sample_ns / sample_len as f64);
         if lz_pays(saved_share, link_ns_per_byte, tally.lz_ns_per_raw_byte) {
-            compress_blocks_into(&payload[sample.len()..], unit_size, &mut frames);
-            if frames.len() < payload.len() {
+            encoder.finish(&mut stream);
+            if stream.len() < payload.len() {
                 tally.batches_compressed += 1;
-                return Some(frames);
+                tally.raw_bytes += payload.len() as u64;
+                tally.lz_bytes += stream.len() as u64;
+                return Some(stream);
             }
         }
         tally.batches_raw += 1;
@@ -139,6 +151,10 @@ impl LzRule {
                 .add(pass.batches_raw);
             m.counter(&format!("codec.{name}.sample_bytes"))
                 .add(pass.sample_bytes);
+            m.counter(&format!("codec.{name}.raw_bytes"))
+                .add(pass.raw_bytes);
+            m.counter(&format!("codec.{name}.lz_bytes"))
+                .add(pass.lz_bytes);
             m.gauge(&format!("codec.{name}.lz_ps_per_raw_byte"))
                 .set(lz_ps_per_raw_byte);
             m.gauge("codec.link_ps_per_byte").set(link_ps_per_byte);
@@ -158,17 +174,27 @@ impl LzRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::codec::compress_blocks;
     use simnet::proto::{MigMessage, TransferLedger};
     use simnet::transport::{duplex, TransportError};
     use std::time::Duration;
 
-    /// Text-like units: LZ saves well over half of each.
+    /// Text-like units, each opening with its own serial so no match
+    /// runs from one into the next: LZ saves well over half of each.
     fn text(units: usize, unit_size: usize) -> Vec<u8> {
-        b"the block-bitmap marks what the guest dirtied; "
-            .iter()
-            .copied()
-            .cycle()
-            .take(units * unit_size)
+        (0..units)
+            .flat_map(|u| {
+                format!("{u:08x}")
+                    .into_bytes()
+                    .into_iter()
+                    .chain(
+                        b"the block-bitmap marks what the guest dirtied; "
+                            .iter()
+                            .copied()
+                            .cycle(),
+                    )
+                    .take(unit_size)
+            })
             .collect()
     }
 
@@ -187,11 +213,16 @@ mod tests {
         // still holds its whole burst: what counts is the rate.
         let (mut paced, _peer) = duplex();
         paced.set_rate_limit(2.0 * 1024.0 * 1024.0);
-        let frames = rule
+        let stream = rule
             .encode(&paced, Resource::Disk, &payload, 4096)
             .expect("the link pays");
-        // Sample and remainder together are the frames one call gives.
-        assert_eq!(frames, compress_blocks(&payload, 4096));
+        // The encoder paused after the sample and carried on: the stream
+        // is the one an unpaused encoder gives, byte for byte.
+        assert_eq!(stream, compress_blocks(&payload, 4096));
+        assert_eq!(
+            (rule.blocks.raw_bytes, rule.blocks.lz_bytes),
+            (payload.len() as u64, stream.len() as u64)
+        );
         assert_eq!(rule.blocks.batches_compressed, 1);
         assert_eq!(rule.link_ns_per_byte, 1e9 / (2.0 * 1024.0 * 1024.0));
         // Pages keep their own count and their own cost.
@@ -227,9 +258,9 @@ mod tests {
         let socket = BetweenHosts(socket);
         assert_eq!(socket.link_ns_per_byte(), None);
         let mut rule = LzRule::new();
-        let frames = rule.encode(&socket, Resource::Memory, &text(16, 512), 512);
-        assert_eq!(frames, Some(compress_blocks(&text(16, 512), 512)));
-        // Noise saves nothing: a header per unit larger than raw.
+        let stream = rule.encode(&socket, Resource::Memory, &text(16, 512), 512);
+        assert_eq!(stream, Some(compress_blocks(&text(16, 512), 512)));
+        // Noise saves nothing: its own bytes behind a literal count.
         let noise: Vec<u8> = (0..8192u32)
             .flat_map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes())
             .collect();
@@ -281,6 +312,7 @@ mod tests {
             }
         ));
         assert_eq!(rec.metrics().counter("codec.page.batches_raw").get(), 3);
+        assert_eq!(rec.metrics().counter("codec.page.lz_bytes").get(), 0);
         // The cost survives the pass; the counts do not.
         assert!(rule.pages.lz_ns_per_raw_byte.is_finite());
         assert_eq!(rule.pages.sample_bytes, 0);

@@ -1,45 +1,34 @@
-//! Hand-rolled block compression for residual full-block sends:
-//! run-length and LZ77-style back-references, no dependencies.
+//! Hand-rolled batch compression for residual full-unit sends: one
+//! LZ77 stream per batch, no dependencies.
 //!
-//! A compressed block is a self-describing frame (DESIGN.md §15):
+//! The payload of a compressed batch is a single stream of LZ4-like
+//! sequences over the concatenated units (DESIGN.md §15):
 //!
 //! ```text
-//! [scheme: u8][payload_len: u32 LE][payload]
+//! [token: literal-count nibble | match-length nibble]
+//! [literal count, 255-chain]? [literals]
+//! [offset: u16 LE] [match length, 255-chain]?
 //! ```
 //!
-//! The decoder needs nothing but the frame: `RLE` payloads are
-//! `[run: u32 LE][byte]` pairs, `LZ` payloads are LZ4-like sequences
-//! (token of literal/match nibbles with 255-chain extensions, literals,
-//! 2-byte little-endian back-reference offset), `SCHEME_RAW` carries the
-//! block verbatim — which is what bounds every frame at `raw + HEADER`
-//! bytes.
+//! A stream ends after the literals of its last sequence. There is no
+//! header: the receiver knows from the message around it how many bytes
+//! the stream decodes to, and a batch that does not shrink is not sent as
+//! a stream at all. A match may reach back up to 64 KiB into earlier
+//! units of the same batch, never further: what a batch decodes to
+//! depends on that batch alone.
 //!
-//! The encoder ([`compress_block_into`]) is built to cost close to
-//! nothing on data that will not compress, because that is what most of
-//! a unique image is: frames are appended straight into the caller's
-//! batch buffer, the hash table lives in a caller-owned [`Scratch`], the
-//! match search skips ahead faster the longer it goes without a match,
-//! and it stops the moment the frame can no longer come out smaller than
-//! the best alternative in hand. RLE is tried only on a block that opens
-//! with a run (a zeroed block costs about one read pass); when both RLE
-//! and LZ succeed the smaller payload is kept.
+//! The [`Encoder`] is built to cost close to nothing on data that will
+//! not compress, because that is what most of a unique image is: the
+//! match search strides faster the longer it goes without a match, so
+//! noise is sampled, not scanned. It can stop anywhere and be resumed,
+//! so a caller may weigh the head of a stream before paying for the rest.
 //!
 //! This module sits on the transport receive path (lintkit
-//! `no-panic-transport` zone): malformed frames surface as
-//! [`CorruptFrame`], never as a panic, and no decode step allocates
-//! beyond the caller's `max_out`.
+//! `no-panic-transport` zone): malformed streams surface as
+//! [`CorruptFrame`], never as a panic, and decoding allocates exactly
+//! the caller's `raw_len`.
 
 use std::fmt;
-
-/// Bytes of frame header in front of every compressed payload.
-pub const HEADER: usize = 5;
-
-/// Scheme byte: payload is the raw block.
-pub const SCHEME_RAW: u8 = 0;
-/// Scheme byte: payload is `[run: u32 LE][byte]` pairs.
-pub const SCHEME_RLE: u8 = 1;
-/// Scheme byte: payload is LZ77 sequences.
-pub const SCHEME_LZ: u8 = 2;
 
 const MIN_MATCH: usize = 4;
 const HASH_LOG: u32 = 13;
@@ -47,27 +36,17 @@ const HASH_LOG: u32 = 13;
 /// consecutive probes that found nothing (LZ4's "acceleration").
 const SKIP_SHIFT: u32 = 6;
 
-/// A compressed frame failed validation during decode.
+/// A compressed stream failed validation during decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptFrame;
 
 impl fmt::Display for CorruptFrame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "corrupt compressed block frame")
+        write!(f, "corrupt compressed batch stream")
     }
 }
 
 impl std::error::Error for CorruptFrame {}
-
-/// Encoder working memory, reused across the blocks of a batch so a
-/// block costs no allocation. Carries no state from one block to the
-/// next: a block compresses to the same bytes whatever came before it.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    /// Hash of a 4-byte sequence → position + 1 of its last occurrence in
-    /// the current block (0 = none).
-    table: Vec<u32>,
-}
 
 fn read_u32(src: &[u8], at: usize) -> u32 {
     let b = &src[at..at + 4];
@@ -94,127 +73,6 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
         k += 1;
     }
     k
-}
-
-/// Compress one block and append its frame to `out`, choosing among
-/// raw/RLE/LZ. The frame always includes the [`HEADER`] and is never
-/// longer than `raw.len() + HEADER`.
-pub fn compress_block_into(raw: &[u8], out: &mut Vec<u8>, scratch: &mut Scratch) {
-    let frame = out.len();
-    out.extend_from_slice(&[0u8; HEADER]);
-    let body = out.len();
-    let mut scheme = SCHEME_RAW;
-    // A payload is kept only when strictly smaller than the best so far.
-    let mut best = raw.len();
-    if raw.len() >= 8 && raw[..8] == [raw[0]; 8] {
-        if rle_compress(raw, out, best) {
-            scheme = SCHEME_RLE;
-            best = out.len() - body;
-        } else {
-            out.truncate(body);
-        }
-    }
-    let lz = out.len();
-    if lz_compress(raw, out, best, scratch) {
-        scheme = SCHEME_LZ;
-        best = out.len() - lz;
-        out.copy_within(lz.., body);
-    }
-    if scheme == SCHEME_RAW {
-        out.truncate(body);
-        out.extend_from_slice(raw);
-    } else {
-        // The winning payload sits at `body`; drop what lost behind it.
-        out.truncate(body + best);
-    }
-    let payload_len = (out.len() - body) as u32;
-    out[frame] = scheme;
-    out[frame + 1..body].copy_from_slice(&payload_len.to_le_bytes());
-}
-
-/// Decode one frame produced by [`compress_block_into`], appending the
-/// block to `out`. `max_out` bounds the decompressed size (callers pass
-/// the negotiated block size), so a corrupt frame cannot balloon memory.
-/// On error `out` is left as it was.
-///
-/// Returns the total frame length consumed.
-pub fn decompress_block_into(
-    frame: &[u8],
-    max_out: usize,
-    out: &mut Vec<u8>,
-) -> Result<usize, CorruptFrame> {
-    let (&scheme, rest) = frame.split_first().ok_or(CorruptFrame)?;
-    let len_bytes = rest.get(..4).ok_or(CorruptFrame)?;
-    let plen =
-        u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-    let payload = rest
-        .get(4..)
-        .and_then(|p| p.get(..plen))
-        .ok_or(CorruptFrame)?;
-    let base = out.len();
-    let decoded = match scheme {
-        SCHEME_RAW if payload.len() <= max_out => {
-            out.extend_from_slice(payload);
-            Ok(())
-        }
-        SCHEME_RLE => rle_decompress(payload, max_out, out),
-        SCHEME_LZ => lz_decompress(payload, max_out, out),
-        _ => Err(CorruptFrame),
-    };
-    if decoded.is_err() {
-        out.truncate(base);
-    }
-    decoded.map(|()| HEADER + plen)
-}
-
-/// [`decompress_block_into`] a fresh buffer: the decompressed bytes and
-/// the frame length consumed.
-pub fn decompress_block(frame: &[u8], max_out: usize) -> Result<(Vec<u8>, usize), CorruptFrame> {
-    let mut out = Vec::new();
-    let used = decompress_block_into(frame, max_out, &mut out)?;
-    Ok((out, used))
-}
-
-/// Run-length encode `src` onto `out`; `false` (with `out` in an
-/// unspecified longer state) once the payload reaches `limit` bytes.
-fn rle_compress(src: &[u8], out: &mut Vec<u8>, limit: usize) -> bool {
-    let start = out.len();
-    let mut i = 0usize;
-    while i < src.len() {
-        let b = src[i];
-        let pat = [b; 8];
-        let mut j = i + 1;
-        // Word-batched run scan: compare eight bytes per step.
-        while j + 8 <= src.len() && src[j..j + 8] == pat {
-            j += 8;
-        }
-        while j < src.len() && src[j] == b {
-            j += 1;
-        }
-        out.extend_from_slice(&((j - i) as u32).to_le_bytes());
-        out.push(b);
-        if out.len() - start >= limit {
-            return false;
-        }
-        i = j;
-    }
-    true
-}
-
-/// Decode RLE pairs onto `out`, at most `max_out` bytes of them.
-fn rle_decompress(src: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<(), CorruptFrame> {
-    let base = out.len();
-    let mut pos = 0usize;
-    while pos < src.len() {
-        let pair = src.get(pos..pos + 5).ok_or(CorruptFrame)?;
-        let run = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]) as usize;
-        if run == 0 || run > max_out - (out.len() - base) {
-            return Err(CorruptFrame);
-        }
-        out.resize(out.len() + run, pair[4]);
-        pos += 5;
-    }
-    Ok(())
 }
 
 /// 255-chain length extension (LZ4 style).
@@ -255,88 +113,148 @@ fn push_sequence(out: &mut Vec<u8>, lits: &[u8], matched: Option<(u16, usize)>) 
     }
 }
 
-/// Greedy LZ77 with a 4-byte hash table and 16-bit offsets, appended to
-/// `out`; `false` (with `out` in an unspecified longer state) when the
-/// input is tiny or the payload cannot come out under `limit` bytes.
+/// Greedy LZ77 over one batch with a 4-byte hash table and 16-bit
+/// offsets, resumable: [`Encoder::advance`] in any number of steps and
+/// then [`Encoder::finish`] append the bytes one `finish` alone would.
 ///
-/// Two things keep incompressible input cheap. The stride between probes
-/// grows by one for every `1 << SKIP_SHIFT` misses in a row and snaps
-/// back to one on a match, so noise is sampled, not scanned. And the
-/// literals waiting since the last match must be emitted whatever comes
-/// next, so once they alone push the payload to `limit` the search stops.
-fn lz_compress(src: &[u8], out: &mut Vec<u8>, limit: usize, scratch: &mut Scratch) -> bool {
-    if src.len() < MIN_MATCH + 4 {
-        return false;
-    }
-    // Size the table to the input: small disk blocks get a small table
-    // (less zeroing per block), large inputs keep the full hash space.
-    let hash_log = HASH_LOG.min(usize::BITS - src.len().leading_zeros());
-    if scratch.table.len() < 1 << hash_log {
-        scratch.table.resize(1 << hash_log, 0);
-    }
-    let table = &mut scratch.table[..1 << hash_log];
-    table.fill(0);
-    let start = out.len();
-    let last_probe = src.len() - MIN_MATCH;
-    let mut anchor = 0usize;
-    let mut misses = 0usize;
-    let mut i = 0usize;
-    while i <= last_probe {
-        let seq = read_u32(src, i);
-        let h = (seq.wrapping_mul(0x9E37_79B1) >> (32 - hash_log)) as usize;
-        let cand = table[h] as usize;
-        table[h] = (i + 1) as u32;
-        // A candidate is an earlier probe position, so `c < i`.
-        let c = cand.wrapping_sub(1);
-        if cand > 0 && i - c <= usize::from(u16::MAX) && read_u32(src, c) == seq {
-            let mut mext = common_prefix(&src[c + MIN_MATCH..], &src[i + MIN_MATCH..]);
-            // Grow the match backwards over pending literals: a stride
-            // wider than one lands past the true start of a match.
-            let mut c = c;
-            while i > anchor && c > 0 && src[i - 1] == src[c - 1] {
-                i -= 1;
-                c -= 1;
-                mext += 1;
-            }
-            push_sequence(out, &src[anchor..i], Some(((i - c) as u16, mext)));
-            i += MIN_MATCH + mext;
-            anchor = i;
-            misses = 0;
-        } else {
-            i += 1 + (misses >> SKIP_SHIFT);
-            misses += 1;
-        }
-        // Whatever follows, the pending literals and one token are owed.
-        if out.len() - start + (i.min(src.len()) - anchor) >= limit {
-            return false;
-        }
-    }
-    // Final literal-only sequence (possibly empty).
-    push_sequence(out, &src[anchor..], None);
-    out.len() - start < limit
+/// One table serves the whole batch, so a unit's matches reach into the
+/// units before it. The stride between probes grows by one for every
+/// `1 << SKIP_SHIFT` misses in a row and snaps back to one on a match:
+/// an incompressible batch costs a fraction of one pass and comes out as
+/// its own bytes behind a literal count, `len / 255 + 2` bytes longer.
+#[derive(Debug)]
+pub struct Encoder<'a> {
+    src: &'a [u8],
+    /// Hash of a 4-byte sequence → position + 1 of its last probed
+    /// occurrence (0 = none).
+    table: Vec<u32>,
+    hash_log: u32,
+    /// Start of the literals no sequence has carried yet.
+    anchor: usize,
+    /// Where the search probes next.
+    next: usize,
+    /// Probes since the last match.
+    misses: usize,
 }
 
-/// Decode LZ sequences onto `out`, at most `max_out` bytes of them.
-/// Back-references reach only into this block's own output.
-fn lz_decompress(src: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<(), CorruptFrame> {
+impl<'a> Encoder<'a> {
+    /// An encoder at the start of `src`. Positions are kept in 32 bits: a
+    /// batch is far smaller (`MAX_FRAME`), and past 4 GiB the search only
+    /// finds less, every match being verified against `src` itself.
+    pub fn new(src: &'a [u8]) -> Self {
+        // Sized to the input: a lone small unit zeroes a small table.
+        let hash_log = HASH_LOG.min(usize::BITS - src.len().leading_zeros()).max(1);
+        Self {
+            src,
+            table: vec![0; 1 << hash_log],
+            hash_log,
+            anchor: 0,
+            next: 0,
+            misses: 0,
+        }
+    }
+
+    /// Run the match search over positions before `upto`, appending the
+    /// sequences it completes to `out` (the same `out` every call). A
+    /// match found before `upto` is followed as far as it goes.
+    pub fn advance(&mut self, upto: usize, out: &mut Vec<u8>) {
+        let src = self.src;
+        let Some(last_probe) = src.len().checked_sub(MIN_MATCH) else {
+            return;
+        };
+        let stop = upto.min(last_probe + 1);
+        let shift = 32 - self.hash_log;
+        let table = self.table.as_mut_slice();
+        let (mut i, mut anchor, mut misses) = (self.next, self.anchor, self.misses);
+        while i < stop {
+            let seq = read_u32(src, i);
+            let h = (seq.wrapping_mul(0x9E37_79B1) >> shift) as usize;
+            // No entry reads as `usize::MAX`; an entry is an earlier probe.
+            let mut c = (table[h] as usize).wrapping_sub(1);
+            table[h] = (i + 1) as u32;
+            if c < i && i - c <= usize::from(u16::MAX) && read_u32(src, c) == seq {
+                let mut mext = common_prefix(&src[c + MIN_MATCH..], &src[i + MIN_MATCH..]);
+                // Grow the match backwards over pending literals: a stride
+                // wider than one lands past the true start of a match.
+                while i > anchor && c > 0 && src[i - 1] == src[c - 1] {
+                    i -= 1;
+                    c -= 1;
+                    mext += 1;
+                }
+                push_sequence(out, &src[anchor..i], Some(((i - c) as u16, mext)));
+                i += MIN_MATCH + mext;
+                anchor = i;
+                misses = 0;
+            } else {
+                i += 1 + (misses >> SKIP_SHIFT);
+                misses += 1;
+            }
+        }
+        (self.next, self.anchor, self.misses) = (i, anchor, misses);
+    }
+
+    /// What `out` would hold had the stream ended where the search
+    /// stands: the sequences so far plus the literals they leave owed.
+    pub fn len_if_ended(&self, out: &[u8]) -> usize {
+        out.len() + (self.next.min(self.src.len()) - self.anchor)
+    }
+
+    /// Search the rest of the batch and close the stream with the
+    /// literals left over, if any.
+    pub fn finish(mut self, out: &mut Vec<u8>) {
+        self.advance(usize::MAX, out);
+        if self.anchor < self.src.len() {
+            push_sequence(out, &self.src[self.anchor..], None);
+        }
+    }
+}
+
+/// Decode one stream, appending exactly `raw_len` bytes to `out`.
+/// Back-references reach only into this stream's own output, never into
+/// what `out` held before. A stream that decodes to more or fewer bytes
+/// is corrupt; on error `out` is left as it was.
+pub fn decompress_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), CorruptFrame> {
     let base = out.len();
+    // Pre-sized, so a match is one `copy_within` and nothing regrows.
+    out.resize(base + raw_len, 0);
+    let decoded = decode_exact(src, &mut out[base..]);
+    if decoded.is_err() {
+        out.truncate(base);
+    }
+    decoded
+}
+
+/// Bytes the decoder moves at a time where there is room to overshoot:
+/// a copy of constant length is a pair of register moves, not a call.
+const WILD: usize = 16;
+
+/// Decode `src` so that it fills `dst` exactly.
+fn decode_exact(src: &[u8], dst: &mut [u8]) -> Result<(), CorruptFrame> {
     let mut pos = 0usize;
+    let mut at = 0usize;
     while pos < src.len() {
         let &token = src.get(pos).ok_or(CorruptFrame)?;
         pos += 1;
         let mut lits = (token >> 4) as usize;
-        if lits == 15 {
-            lits = lits.saturating_add(read_len(src, &mut pos)?);
+        if lits < 15 && pos + WILD <= src.len() && at + WILD <= dst.len() {
+            // Short literals with room behind them on both sides: what
+            // is copied past `lits` is overwritten by what comes next.
+            dst[at..at + WILD].copy_from_slice(&src[pos..pos + WILD]);
+        } else {
+            if lits == 15 {
+                lits = lits.saturating_add(read_len(src, &mut pos)?);
+            }
+            let lit_bytes = src
+                .get(pos..)
+                .and_then(|s| s.get(..lits))
+                .ok_or(CorruptFrame)?;
+            dst.get_mut(at..)
+                .and_then(|d| d.get_mut(..lits))
+                .ok_or(CorruptFrame)?
+                .copy_from_slice(lit_bytes);
         }
-        let lit_bytes = src
-            .get(pos..)
-            .and_then(|s| s.get(..lits))
-            .ok_or(CorruptFrame)?;
-        if lits > max_out - (out.len() - base) {
-            return Err(CorruptFrame);
-        }
-        out.extend_from_slice(lit_bytes);
         pos += lits;
+        at += lits;
         if pos == src.len() {
             break;
         }
@@ -348,43 +266,64 @@ fn lz_decompress(src: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<(), Co
             mlen = mlen.saturating_add(read_len(src, &mut pos)?);
         }
         mlen = mlen.saturating_add(MIN_MATCH);
-        let produced = out.len() - base;
-        if off == 0 || off > produced || mlen > max_out - produced {
+        if off == 0 || off > at || mlen > dst.len() - at {
             return Err(CorruptFrame);
         }
-        // `off < mlen` repeats the pattern: each pass copies what exists
-        // so far, so the copyable span doubles.
-        let start = out.len() - off;
-        let mut left = mlen;
-        while left > 0 {
-            let n = left.min(out.len() - start);
-            out.extend_from_within(start..start + n);
-            left -= n;
+        let start = at - off;
+        let end = at + mlen;
+        if off >= WILD && end + WILD <= dst.len() {
+            // Source and destination do not overlap within one step.
+            let mut from = start;
+            while at < end {
+                dst.copy_within(from..from + WILD, at);
+                from += WILD;
+                at += WILD;
+            }
+            at = end;
+        } else {
+            // `off < mlen` repeats the pattern: each pass copies what
+            // exists so far, so the copyable span doubles.
+            while at < end {
+                let n = (end - at).min(at - start);
+                dst.copy_within(start..start + n, at);
+                at += n;
+            }
         }
     }
-    Ok(())
+    if at == dst.len() {
+        Ok(())
+    } else {
+        Err(CorruptFrame)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn compress_block(raw: &[u8]) -> Vec<u8> {
+    fn compress(raw: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        compress_block_into(raw, &mut out, &mut Scratch::default());
+        Encoder::new(raw).finish(&mut out);
         out
     }
 
-    fn roundtrip(data: &[u8], bs: usize) {
-        let frame = compress_block(data);
+    fn decompress(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, CorruptFrame> {
+        let mut out = Vec::new();
+        decompress_into(stream, raw_len, &mut out).map(|()| out)
+    }
+
+    /// Round trip, and the bound every stream keeps: the input's own
+    /// bytes plus a literal count.
+    fn roundtrip(data: &[u8]) -> Vec<u8> {
+        let stream = compress(data);
         assert!(
-            frame.len() <= data.len() + HEADER,
-            "bound violated: {}",
-            frame.len()
+            stream.len() <= data.len() + data.len() / 255 + 16,
+            "bound violated: {} bytes for {}",
+            stream.len(),
+            data.len()
         );
-        let (back, used) = decompress_block(&frame, bs).expect("frame decodes");
-        assert_eq!(used, frame.len());
-        assert_eq!(back, data);
+        assert_eq!(decompress(&stream, data.len()).as_deref(), Ok(data));
+        stream
     }
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -402,10 +341,10 @@ mod tests {
         (0..len).map(|_| next() as u8).collect()
     }
 
-    /// One 4 KiB block of text the way `benchmark/src/images.rs` builds
-    /// it: a 16-digit serial, then sentences from a pool drawn from a
+    /// 4 KiB units of text the way `benchmark/src/images.rs` builds
+    /// them: a 16-digit serial, then sentences from a pool drawn from a
     /// small skewed vocabulary.
-    fn text_fixture() -> Vec<u8> {
+    fn text_units(count: usize) -> Vec<Vec<u8>> {
         let mut next = xorshift(0x2545_F491_4F6C_DD1D);
         let vocabulary: Vec<Vec<u8>> = (0..512)
             .map(|_| {
@@ -425,121 +364,179 @@ mod tests {
                 s
             })
             .collect();
-        let mut block = format!("{:016x}", next()).into_bytes();
-        while block.len() < 4096 {
-            block.extend_from_slice(&sentences[(next() % 2048) as usize]);
-        }
-        block.truncate(4096);
-        block
+        (0..count)
+            .map(|_| {
+                let mut unit = format!("{:016x}", next()).into_bytes();
+                while unit.len() < 4096 {
+                    unit.extend_from_slice(&sentences[(next() % 2048) as usize]);
+                }
+                unit.truncate(4096);
+                unit
+            })
+            .collect()
     }
 
     #[test]
-    fn zero_blocks_collapse() {
-        for len in [512usize, 4096] {
-            let data = vec![0u8; len];
-            let frame = compress_block(&data);
-            assert_eq!(frame[0], SCHEME_RLE);
-            assert!(
-                frame.len() <= 16,
-                "{len}-byte zero block frame was {} bytes",
-                frame.len()
-            );
-            roundtrip(&data, len);
-        }
+    fn zero_units_collapse_into_one_run() {
+        // One literal, then an offset-1 match over the rest: a run is
+        // nothing but that, whatever number of units it spans.
+        let one = roundtrip(&[0u8; 4096]);
+        let mut expect = vec![0x1F, 0x00, 0x01, 0x00];
+        expect.extend_from_slice(&[255; 15]);
+        expect.push(251);
+        assert_eq!(one, expect);
+        let batch = roundtrip(&vec![0u8; 128 * 4096]);
+        assert_eq!(batch.len(), 4 + (128 * 4096 - 1 - MIN_MATCH - 15) / 255 + 1);
     }
 
     #[test]
-    fn repetitive_data_uses_lz_or_rle() {
-        let mut data = Vec::new();
-        while data.len() < 4096 {
-            data.extend_from_slice(b"the same sixteen!");
-        }
-        data.truncate(4096);
-        let frame = compress_block(&data);
+    fn repetitive_data_shrinks() {
+        let data: Vec<u8> = b"the same sixteen!"
+            .iter()
+            .copied()
+            .cycle()
+            .take(4096)
+            .collect();
+        let stream = roundtrip(&data);
         assert!(
-            frame.len() < data.len() / 4,
+            stream.len() < data.len() / 4,
             "compressible data stayed {} bytes",
-            frame.len()
+            stream.len()
         );
-        roundtrip(&data, 4096);
     }
 
     #[test]
-    fn incompressible_data_stays_raw_within_bound() {
-        let data = noise(0x243F_6A88_85A3_08D3, 4096);
-        let frame = compress_block(&data);
-        assert_eq!(frame[0], SCHEME_RAW);
-        assert_eq!(frame.len(), data.len() + HEADER);
-        roundtrip(&data, 4096);
+    fn noise_costs_a_fraction_of_a_pass_and_comes_out_no_smaller() {
+        // 64 word-random 4 KiB units. The stride only ever widens, so the
+        // probes are a small share of the positions; what comes out is the
+        // input behind one literal count.
+        let data = noise(0x243F_6A88_85A3_08D3, 64 * 4096);
+        let mut out = Vec::new();
+        let mut enc = Encoder::new(&data);
+        enc.advance(usize::MAX, &mut out);
+        assert!(out.is_empty(), "noise matched itself");
+        assert!(
+            enc.misses * 16 < data.len(),
+            "{} probes over {} bytes",
+            enc.misses,
+            data.len()
+        );
+        enc.finish(&mut out);
+        assert_eq!(out.len(), 1 + (data.len() - 15) / 255 + 1 + data.len());
+        assert_eq!(out, roundtrip(&data));
     }
 
     #[test]
     fn text_compresses_as_well_as_the_unaccelerated_encoder() {
-        // 2814 bytes is what the exhaustive (one byte per miss, no early
-        // exit) encoder this one replaced made of the same fixture.
-        let data = text_fixture();
-        let frame = compress_block(&data);
-        assert_eq!(frame[0], SCHEME_LZ);
+        // 2809 bytes is what the exhaustive (one byte per miss) encoder
+        // the accelerated one replaced made of the same unit.
+        let data = &text_units(1)[0];
+        let stream = roundtrip(data);
         assert!(
-            frame.len() * 100 <= 2814 * 101,
-            "text fixture grew to {} bytes",
-            frame.len()
+            stream.len() * 100 <= 2809 * 101,
+            "text unit grew to {} bytes",
+            stream.len()
         );
-        roundtrip(&data, 4096);
+    }
+
+    #[test]
+    fn a_unit_finds_its_matches_in_the_units_before_it() {
+        // Sentences recur across units far more than within one.
+        let units = text_units(16);
+        let apart: usize = units.iter().map(|u| compress(u).len()).sum();
+        let together = roundtrip(&units.concat()).len();
+        assert!(
+            together * 10 < apart * 7,
+            "{together} bytes as one stream, {apart} unit by unit"
+        );
     }
 
     #[test]
     fn long_match_survives_accelerated_skipping() {
         // 2 KiB of noise, then the same 2 KiB again: by the time the
         // search reaches the copy it strides several bytes per probe, and
-        // must still land on the match that halves the block.
+        // must still land on the match that halves the input.
         for seed in 1..50u64 {
             let mut data = noise(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1, 2048);
             data.extend_from_within(..);
-            let frame = compress_block(&data);
+            let stream = roundtrip(&data);
             assert!(
-                frame.len() < 3072,
-                "seed {seed}: repeated half left a {}-byte frame",
-                frame.len()
+                stream.len() < 3072,
+                "seed {seed}: repeated half left a {}-byte stream",
+                stream.len()
             );
-            roundtrip(&data, 4096);
         }
     }
 
     #[test]
-    fn scratch_reuse_leaks_nothing_between_blocks() {
-        let blocks = [
-            text_fixture(),
+    fn a_mixed_batch_round_trips_within_the_bound_and_text_after_noise_still_shrinks() {
+        let text = text_units(9);
+        let units = [
             vec![0u8; 4096],
             noise(7, 4096),
-            text_fixture(),
-            noise(9, 512),
-            vec![0xAB; 512],
+            text[0].clone(),
+            noise(9, 4096),
+            text[0].clone(),
+            vec![0xAB; 4096],
         ];
-        let mut batched = Vec::new();
-        let mut scratch = Scratch::default();
-        let mut separate = Vec::new();
-        for b in &blocks {
-            compress_block_into(b, &mut batched, &mut scratch);
-            separate.extend_from_slice(&compress_block(b));
-        }
-        assert_eq!(batched, separate);
+        let stream = roundtrip(&units.concat());
+        assert!(stream.len() < 3 * 4096 + 512, "{} bytes", stream.len());
+        // The stride 64 units of noise built up (some 90 bytes a probe)
+        // costs the text behind them its first match late, once: under a
+        // unit's worth of literals, not the text.
+        let mut behind_noise = noise(11, 64 * 4096);
+        let text_at = behind_noise.len();
+        behind_noise.extend_from_slice(&text[1..].concat());
+        let stream = roundtrip(&behind_noise);
+        let text_alone = compress(&behind_noise[text_at..]).len();
+        assert!(
+            stream.len() < text_at + text_at / 255 + 2 + text_alone + 4096,
+            "{} bytes; the text alone is {text_alone}",
+            stream.len()
+        );
     }
 
     #[test]
-    fn tiny_and_empty_blocks() {
-        roundtrip(&[], 4096);
-        roundtrip(&[7], 4096);
-        roundtrip(&[1, 2, 3, 4, 5, 6, 7], 4096);
+    fn an_encoder_paused_anywhere_gives_the_bytes_of_one_call() {
+        let mut data = text_units(3).concat();
+        data.extend_from_slice(&noise(3, 5000));
+        data.extend_from_slice(&[0u8; 9000]);
+        let whole = compress(&data);
+        for stops in [
+            vec![0],
+            vec![1, 2, 3],
+            vec![4096],
+            vec![5000, 5001, 12_288, 20_000],
+            vec![data.len() - 1],
+            vec![data.len(), data.len() + 7],
+        ] {
+            let mut out = Vec::new();
+            let mut enc = Encoder::new(&data);
+            for upto in stops {
+                enc.advance(upto, &mut out);
+                // The estimate is the stream that would end here.
+                assert!(enc.len_if_ended(&out) >= out.len());
+                assert!(enc.len_if_ended(&out) <= out.len() + data.len());
+            }
+            enc.finish(&mut out);
+            assert_eq!(out, whole);
+        }
+    }
+
+    #[test]
+    fn tiny_and_empty_inputs() {
+        assert_eq!(roundtrip(&[]), Vec::<u8>::new());
+        assert_eq!(roundtrip(&[7]), vec![0x10, 7]);
+        roundtrip(&[1, 2, 3, 4, 5, 6, 7]);
+        roundtrip(&[5; 8]);
     }
 
     #[test]
     fn property_roundtrip_arbitrary_bytes_within_bound() {
         // Hand-rolled property test (no proptest dep): 300 xorshift-
-        // driven blocks mixing pure noise (incompressible — must stay
-        // within raw + HEADER), byte runs, and repeated motifs. The
-        // `roundtrip` helper asserts both the size bound and bit-exact
-        // recovery.
+        // driven inputs mixing pure noise, byte runs, and repeated
+        // motifs. The `roundtrip` helper asserts both the size bound and
+        // bit-exact recovery.
         let mut next = xorshift(0x853C_49E6_748F_EA9B);
         for case in 0..300 {
             let len = (next() % 4500) as usize;
@@ -567,41 +564,42 @@ mod tests {
                     }
                 }
             }
-            roundtrip(&data, 4500);
+            roundtrip(&data);
         }
     }
 
     #[test]
-    fn corrupt_frames_are_typed_errors() {
-        assert_eq!(decompress_block(&[], 4096), Err(CorruptFrame));
-        assert_eq!(decompress_block(&[9, 0, 0, 0, 0], 4096), Err(CorruptFrame));
-        // Truncated payload length.
-        assert_eq!(
-            decompress_block(&[SCHEME_LZ, 10, 0, 0, 0, 1], 4096),
-            Err(CorruptFrame)
-        );
-        // RLE run overflowing the block size.
-        let mut f = vec![SCHEME_RLE, 5, 0, 0, 0];
-        f.extend_from_slice(&9000u32.to_le_bytes());
-        f.push(0);
-        assert_eq!(decompress_block(&f, 4096), Err(CorruptFrame));
-        // A frame the compressor produced, bit-flipped scheme.
-        let mut frame = compress_block(&vec![3u8; 4096]);
-        frame[0] = 7;
-        assert_eq!(decompress_block(&frame, 4096), Err(CorruptFrame));
+    fn corrupt_streams_are_typed_errors() {
+        let data = [3u8; 4096];
+        let stream = compress(&data);
+        // Too many or too few bytes for what the stream holds.
+        assert_eq!(decompress(&stream, 4095), Err(CorruptFrame));
+        assert_eq!(decompress(&stream, 4097), Err(CorruptFrame));
+        assert_eq!(decompress(&[], 1), Err(CorruptFrame));
+        assert_eq!(decompress(&[], 0), Ok(Vec::new()));
+        // Cut anywhere, it is short or malformed.
+        for cut in 0..stream.len() {
+            assert_eq!(decompress(&stream[..cut], 4096), Err(CorruptFrame));
+        }
+        // Literals the stream does not carry, an offset of zero, a length
+        // chain that never ends.
+        assert_eq!(decompress(&[0x50, 1, 2], 5), Err(CorruptFrame));
+        assert_eq!(decompress(&[0x10, 9, 0, 0], 5), Err(CorruptFrame));
+        assert_eq!(decompress(&[0xF0, 255, 255], 4096), Err(CorruptFrame));
     }
 
     #[test]
-    fn a_failed_frame_leaves_the_shared_buffer_untouched() {
-        // Literals decode, then the back-reference points before the
-        // block's own start — into the previous block's bytes, which a
-        // frame must never reach.
+    fn a_failed_stream_leaves_the_shared_buffer_untouched() {
+        // Four literals decode, then the back-reference points nine
+        // bytes back — before the stream's own start, into what the
+        // buffer held already, which a stream must never reach.
         let mut out = vec![0xEE; 64];
-        let bad = [SCHEME_LZ, 8, 0, 0, 0, 0x40, 1, 2, 3, 4, 9, 0, 0];
-        assert_eq!(
-            decompress_block_into(&bad, 4096, &mut out),
-            Err(CorruptFrame)
-        );
+        let bad = [0x40, 1, 2, 3, 4, 9, 0];
+        assert_eq!(decompress_into(&bad, 12, &mut out), Err(CorruptFrame));
         assert_eq!(out, vec![0xEE; 64]);
+        // The same reference four bytes back is the stream's own output.
+        let good = [0x40, 1, 2, 3, 4, 4, 0];
+        assert_eq!(decompress_into(&good, 8, &mut out), Ok(()));
+        assert_eq!(out[64..], [1, 2, 3, 4, 1, 2, 3, 4]);
     }
 }

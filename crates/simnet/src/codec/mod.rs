@@ -240,61 +240,48 @@ impl<'a> Reader<'a> {
 
 /// Compress a concatenation of equal-sized raw blocks (or memory pages)
 /// into the payload of a [`MigMessage::CompressedBlocks`] /
-/// [`MigMessage::CompressedPages`]: one self-describing frame per
-/// block, never more than `raw.len() + blocks * lz::HEADER` bytes.
+/// [`MigMessage::CompressedPages`]: one LZ stream over the whole batch
+/// ([`lz`]), so a block's matches reach into the blocks before it. Never
+/// more than `raw.len() + raw.len() / 255 + 2` bytes; a caller that wants
+/// the smaller form sends the batch raw when this is not it.
 pub fn compress_blocks(raw: &[u8], block_size: usize) -> Vec<u8> {
     let mut out = Vec::new();
     compress_blocks_into(raw, block_size, &mut out);
     out
 }
 
-/// [`compress_blocks`] appending to `out`: a batch may be compressed in
-/// pieces and still come out as the frames one call would give.
+/// [`compress_blocks`] appending the batch's stream to `out`.
 pub fn compress_blocks_into(raw: &[u8], block_size: usize, out: &mut Vec<u8>) {
     if block_size == 0 {
         return;
     }
-    // Sized for the worst case (every block stored raw) so the frames of
-    // an incompressible batch are never moved by a regrow.
-    out.reserve(raw.len() + raw.len().div_ceil(block_size) * lz::HEADER);
-    let mut scratch = lz::Scratch::default();
-    for block in raw.chunks(block_size) {
-        lz::compress_block_into(block, out, &mut scratch);
-    }
+    lz::Encoder::new(raw).finish(out);
 }
 
 /// Decode a [`MigMessage::CompressedBlocks`] (or
-/// [`MigMessage::CompressedPages`]) payload of `count` frames back into
-/// concatenated raw blocks. Rejects trailing bytes and any
-/// frame decompressing past `block_size`.
+/// [`MigMessage::CompressedPages`]) payload back into `count`
+/// concatenated raw blocks. The stream must decode to exactly
+/// `count * block_size` bytes, which is all this allocates.
 pub fn decompress_blocks(
     payload: &[u8],
     count: usize,
     block_size: usize,
 ) -> Result<Vec<u8>, CodecError> {
-    // Every frame carries a header, so a count the payload cannot hold is
-    // refused before anything is reserved for it.
-    if count > payload.len() / lz::HEADER {
-        return Err(CodecError::Malformed(format!(
-            "{count} compressed frames in {} bytes",
-            payload.len()
-        )));
-    }
-    // Reserve what an honest batch decodes to, but never more than a
-    // frame could carry raw; past that the buffer grows as blocks decode.
-    let mut out = Vec::with_capacity(count.saturating_mul(block_size).min(MAX_FRAME as usize));
-    let mut pos = 0usize;
-    for _ in 0..count {
-        let rest = payload.get(pos..).unwrap_or(&[]);
-        pos += lz::decompress_block_into(rest, block_size, &mut out)
-            .map_err(|e| CodecError::Malformed(e.to_string()))?;
-    }
-    if pos != payload.len() {
-        return Err(CodecError::Malformed(format!(
-            "{} trailing bytes",
-            payload.len() - pos
-        )));
-    }
+    // A stream byte yields at most 255 bytes (one link of a length chain)
+    // and a frame carries at most `MAX_FRAME` raw: a count the payload
+    // cannot decode to is refused before anything is reserved for it.
+    let raw_len = count
+        .checked_mul(block_size)
+        .filter(|&n| n <= payload.len().saturating_mul(255) && n <= MAX_FRAME as usize)
+        .ok_or_else(|| {
+            CodecError::Malformed(format!(
+                "{count} compressed blocks of {block_size} bytes in {} bytes",
+                payload.len()
+            ))
+        })?;
+    let mut out = Vec::with_capacity(raw_len);
+    lz::decompress_into(payload, raw_len, &mut out)
+        .map_err(|e| CodecError::Malformed(e.to_string()))?;
     Ok(out)
 }
 
@@ -975,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_batch_roundtrips_per_block() {
+    fn compressed_batch_roundtrips_as_one_stream() {
         let bs = 512usize;
         let mut raw = Vec::new();
         raw.extend_from_slice(&vec![0u8; bs]); // pristine block
@@ -990,23 +977,32 @@ mod tests {
         }
         raw.extend_from_slice(&noise); // incompressible block
         let payload = compress_blocks(&raw, bs);
-        assert!(payload.len() <= raw.len() + 3 * lz::HEADER);
-        assert!(payload.len() < raw.len(), "two of three blocks compress");
+        assert!(payload.len() < bs + 64, "two of three blocks are runs");
         let back = decompress_blocks(&payload, 3, bs).expect("payload decodes");
         assert_eq!(back, raw);
         // Corrupting the payload surfaces as a typed error.
         let mut bad = payload.clone();
-        bad[0] = 9;
+        bad[0] = 0x90;
         assert!(decompress_blocks(&bad, 3, bs).is_err());
-        // Wrong frame count is a typed error, not a panic.
+        // So does any count but the one the stream decodes to, and one no
+        // payload of this size could decode to is refused unallocated.
         assert!(decompress_blocks(&payload, 2, bs).is_err());
+        assert!(decompress_blocks(&payload, 4, bs).is_err());
+        assert!(decompress_blocks(&payload, usize::MAX / 2, bs).is_err());
+        assert!(decompress_blocks(&payload, 1 << 20, bs).is_err());
+        // A batch that does not compress still decodes: its own bytes
+        // behind a literal count, which is why nobody sends it.
+        let stored = compress_blocks(&noise, bs);
+        assert_eq!(stored.len(), noise.len() + 3);
+        assert_eq!(decompress_blocks(&stored, 1, bs).expect("decodes"), noise);
     }
 
     #[test]
     fn compressed_pages_tag_and_layout_are_pinned() {
-        // Tag 26, then the index run, the raw length and the frames, all
-        // length-prefixed little-endian: a zero 4 KiB page is one 10-byte
-        // RLE frame (`lz::HEADER` + one `[run: u32][byte]` pair).
+        // Tag 26, then the index run, the raw length and the stream, all
+        // length-prefixed little-endian. A zero 4 KiB page is a 20-byte
+        // stream: one literal, then a match one byte back for the other
+        // 4095 (4 + 15 in the token, 15 x 255 + 251 in the chain).
         let msg = MigMessage::CompressedPages {
             pages: vec![7],
             raw_len: 4096,
@@ -1016,13 +1012,13 @@ mod tests {
         expect.extend_from_slice(&1u64.to_le_bytes());
         expect.extend_from_slice(&7u64.to_le_bytes());
         expect.extend_from_slice(&4096u64.to_le_bytes());
-        expect.extend_from_slice(&10u64.to_le_bytes());
-        expect.push(lz::SCHEME_RLE);
-        expect.extend_from_slice(&5u32.to_le_bytes());
-        expect.extend_from_slice(&4096u32.to_le_bytes());
-        expect.push(0);
+        expect.extend_from_slice(&20u64.to_le_bytes());
+        expect.extend_from_slice(&[0x1F, 0x00]);
+        expect.extend_from_slice(&1u16.to_le_bytes());
+        expect.extend_from_slice(&[255; 15]);
+        expect.push(251);
         assert_eq!(encode(&msg), expect);
-        assert_eq!(msg.wire_size(), crate::proto::FRAME_OVERHEAD + 8 + 10);
+        assert_eq!(msg.wire_size(), crate::proto::FRAME_OVERHEAD + 8 + 20);
     }
 
     #[test]

@@ -105,16 +105,18 @@ pub enum MigMessage {
         /// Distinct resident fingerprints, ascending.
         fingerprints: Vec<u64>,
     },
-    /// A batch of disk blocks whose payload is per-block compressed
-    /// frames (`simnet::codec::lz`), used for residual full-block sends
-    /// on a session that negotiated compression. `raw_len` is the
-    /// uncompressed total, kept for `wire.bytes_raw` accounting.
+    /// A batch of disk blocks whose payload is one LZ stream over the
+    /// blocks in order (`simnet::codec::lz`): a block's matches may reach
+    /// into the blocks before it, never outside the message. Used for
+    /// residual full-block sends on a session that negotiated
+    /// compression. `raw_len` is the uncompressed total,
+    /// `blocks.len() × block size`, kept for `wire.bytes_raw` accounting.
     CompressedBlocks {
         /// Block indices, ascending.
         blocks: Vec<u64>,
         /// Uncompressed payload bytes across the batch.
         raw_len: u64,
-        /// Concatenated self-describing compressed frames, block order.
+        /// The batch's LZ stream.
         payload: Bytes,
     },
     /// A batch of memory pages.
@@ -126,19 +128,19 @@ pub enum MigMessage {
         /// Live-mode contents, concatenated in index order.
         payload: Option<Bytes>,
     },
-    /// A batch of memory pages whose payload is per-page compressed
-    /// frames — the same self-describing `simnet::codec::lz` frames a
-    /// [`MigMessage::CompressedBlocks`] carries, one per page. Sent in
-    /// place of [`MigMessage::MemPages`] on a session that negotiated
-    /// compression, when the frames come out smaller. A zero or constant
-    /// page needs no message of its own: its run-length frame is
-    /// `lz::HEADER + 5` bytes.
+    /// A batch of memory pages whose payload is one LZ stream over the
+    /// pages in order — the `simnet::codec::lz` stream a
+    /// [`MigMessage::CompressedBlocks`] carries. Sent in place of
+    /// [`MigMessage::MemPages`] on a session that negotiated compression,
+    /// when the stream comes out smaller. Zero or constant pages need no
+    /// message of their own: a run is an offset-1 match, one stream byte
+    /// per 255 of it, so 128 zero 4 KiB pages are about 2 KiB.
     CompressedPages {
         /// Page indices, ascending.
         pages: Vec<u64>,
         /// Uncompressed payload bytes across the batch.
         raw_len: u64,
-        /// Concatenated self-describing compressed frames, page order.
+        /// The batch's LZ stream.
         payload: Bytes,
     },
     /// The CPU context, sent while the VM is suspended.

@@ -9,7 +9,7 @@ use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use simnet::capacity::{max_min_share, seek_aware_share};
 use simnet::codec::{
-    compress_blocks, decode, decode_owned, decompress_blocks, encode, lz, read_frame,
+    compress_blocks, decode, decode_owned, decompress_blocks, encode, read_frame,
     read_frame_or_eof, write_frame, CodecError,
 };
 use simnet::fault::{faulty_pair, FaultPlan};
@@ -96,45 +96,61 @@ fn arb_hello() -> impl Strategy<Value = MigMessage> {
     })
 }
 
-/// One block per compression scheme the encoder can pick: a run (RLE),
-/// a repeated motif (LZ) and noise (stored raw).
-fn arb_block() -> impl Strategy<Value = Vec<u8>> {
+/// Unit size of the batches below.
+const UNIT: usize = 600;
+
+/// One unit of each kind a batch mixes: a run, a repeated motif and
+/// noise, padded with zeroes to [`UNIT`] bytes.
+fn arb_unit() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
-        (any::<u8>(), 8usize..600).prop_map(|(byte, len)| vec![byte; len]),
-        (prop::collection::vec(any::<u8>(), 3..24), 8usize..600).prop_map(|(motif, len)| motif
+        (any::<u8>(), 8usize..UNIT).prop_map(|(byte, len)| vec![byte; len]),
+        (prop::collection::vec(any::<u8>(), 3..24), 8usize..UNIT).prop_map(|(motif, len)| motif
             .iter()
             .copied()
             .cycle()
             .take(len)
             .collect()),
-        prop::collection::vec(any::<u8>(), 0..600),
+        prop::collection::vec(any::<u8>(), 0..UNIT),
     ]
+    .prop_map(|mut unit| {
+        unit.resize(UNIT, 0);
+        unit
+    })
 }
 
-fn arb_max_out() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(0usize), Just(512usize), Just(4096usize)]
+/// A batch of one to six units, some of them repeats of an earlier one.
+fn arb_batch() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((arb_unit(), any::<bool>()), 1..7).prop_map(|units| {
+        let mut batch: Vec<u8> = Vec::new();
+        for (unit, repeat_first) in units {
+            if repeat_first && !batch.is_empty() {
+                batch.extend_from_within(..UNIT);
+            } else {
+                batch.extend_from_slice(&unit);
+            }
+        }
+        batch
+    })
 }
 
-/// A valid frame with `flips` (bit index, wrapped to the frame) toggled.
-fn flipped(block: &[u8], flips: &[usize]) -> Vec<u8> {
-    let mut frame = Vec::new();
-    lz::compress_block_into(block, &mut frame, &mut lz::Scratch::default());
+/// `stream` with `flips` (bit index, wrapped to the stream) toggled.
+fn flipped(mut stream: Vec<u8>, flips: &[usize]) -> Vec<u8> {
     for &bit in flips {
-        let bit = bit % (frame.len() * 8);
-        frame[bit / 8] ^= 1 << (bit % 8);
+        let bit = bit % (stream.len() * 8);
+        stream[bit / 8] ^= 1 << (bit % 8);
     }
-    frame
+    stream
 }
 
 /// The decoder's contract on bytes nobody vouches for: a typed error or
-/// at most `max_out` bytes, from a buffer that never grew past twice
-/// that (the `Vec` growth policy's slack) — never a panic, and never an
-/// allocation sized by what the frame merely claims.
-fn check_block_decode(frame: &[u8], max_out: usize) -> Result<(), TestCaseError> {
-    if let Ok((out, used)) = lz::decompress_block(frame, max_out) {
-        prop_assert!(out.len() <= max_out);
-        prop_assert!(out.capacity() <= 2 * max_out + 8);
-        prop_assert!(used <= frame.len());
+/// exactly `count x unit_size` bytes in a buffer of exactly that — never
+/// a panic, never an allocation sized by what the stream merely claims,
+/// and never one a payload this short could not decode to.
+fn check_batch_decode(payload: &[u8], count: usize, unit_size: usize) -> Result<(), TestCaseError> {
+    if let Ok(out) = decompress_blocks(payload, count, unit_size) {
+        prop_assert_eq!(out.len(), count * unit_size);
+        prop_assert_eq!(out.capacity(), out.len());
+        prop_assert!(out.len() <= 255 * payload.len());
     }
     Ok(())
 }
@@ -214,49 +230,48 @@ proptest! {
         check_frame_doors(body)?;
     }
 
-    /// `lz::decompress_block` is total on arbitrary bytes.
+    /// A batch of any mix of units round-trips as one stream, no longer
+    /// than its own bytes behind a literal count.
+    #[test]
+    fn lz_batch_roundtrips(batch in arb_batch()) {
+        let stream = compress_blocks(&batch, UNIT);
+        prop_assert!(stream.len() <= batch.len() + batch.len() / 255 + 16);
+        let back = decompress_blocks(&stream, batch.len() / UNIT, UNIT);
+        prop_assert_eq!(back.ok(), Some(batch));
+    }
+
+    /// `decompress_blocks` is total on arbitrary bytes, whatever count
+    /// and unit size they are claimed to hold.
     #[test]
     fn lz_decoder_total_on_arbitrary_bytes(
-        frame in prop::collection::vec(any::<u8>(), 0..700),
-        scheme in 0u8..4,
-        max_out in arb_max_out(),
-    ) {
-        check_block_decode(&frame, max_out)?;
-        // The same bytes behind a well-formed header reach the payload
-        // decoders instead of dying on the length check.
-        let mut framed = vec![scheme];
-        framed.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&frame);
-        check_block_decode(&framed, max_out)?;
-    }
-
-    /// ...and on valid frames of every scheme with bits flipped.
-    #[test]
-    fn lz_decoder_total_on_bit_flipped_frames(
-        block in arb_block(),
-        flips in prop::collection::vec(any::<usize>(), 1..4),
-        max_out in arb_max_out(),
-    ) {
-        check_block_decode(&flipped(&block, &flips), max_out)?;
-    }
-
-    /// `decompress_blocks` is total too: arbitrary payloads, any frame
-    /// count, and batches of valid frames with bits flipped.
-    #[test]
-    fn lz_batch_decoder_total(
         junk in prop::collection::vec(any::<u8>(), 0..700),
-        blocks in prop::collection::vec(arb_block(), 1..4),
-        flips in prop::collection::vec(any::<usize>(), 1..4),
-        count in 0usize..1_000_000,
-        max_out in arb_max_out(),
+        count in prop_oneof![0usize..8, 0usize..1_000_000, Just(usize::MAX)],
+        unit_size in prop_oneof![Just(0usize), Just(1usize), Just(512usize), Just(4096usize)],
     ) {
-        let batch: Vec<u8> = blocks.iter().flat_map(|b| flipped(b, &flips)).collect();
-        for (payload, count) in [(&junk, count), (&batch, blocks.len()), (&batch, count)] {
-            if let Ok(out) = decompress_blocks(payload, count, max_out) {
-                prop_assert!(out.len() <= count * max_out);
-                prop_assert!(count <= payload.len() / lz::HEADER);
-            }
+        check_batch_decode(&junk, count, unit_size)?;
+    }
+
+    /// ...and on valid streams damaged: cut short, bits flipped, or
+    /// decoded under a unit count that is not theirs, each is a typed
+    /// error unless the bytes happen to be another valid stream of
+    /// exactly the claimed size.
+    #[test]
+    fn lz_decoder_total_on_damaged_streams(
+        batch in arb_batch(),
+        flips in prop::collection::vec(any::<usize>(), 1..4),
+        cut in 1usize..64,
+        count in 0usize..12,
+    ) {
+        let units = batch.len() / UNIT;
+        let stream = compress_blocks(&batch, UNIT);
+        // A stream decodes under its own count only.
+        if count != units {
+            prop_assert!(decompress_blocks(&stream, count, UNIT).is_err());
         }
+        // Every strict prefix is short of the batch.
+        let keep = stream.len().saturating_sub(cut);
+        prop_assert!(decompress_blocks(&stream[..keep], units, UNIT).is_err());
+        check_batch_decode(&flipped(stream, &flips), units, UNIT)?;
     }
 }
 
@@ -315,34 +330,24 @@ proptest! {
     }
 
     /// A `CompressedPages` frame with bits flipped anywhere — tag, index
-    /// run, lengths or the page frames themselves — is a typed error or a
+    /// run, lengths or the page stream itself — is a typed error or a
     /// message whose every allocation the frame's own length paid for;
-    /// and whatever page frames survive decode to a typed error or to at
-    /// most `pages × page size` bytes. Never a panic.
+    /// and whatever stream survives decodes to a typed error or to
+    /// exactly `pages × page size` bytes. Never a panic.
     #[test]
     fn compressed_pages_reject_bit_flips(
-        pages in prop::collection::vec(arb_block(), 1..4),
+        raw in arb_batch(),
         flips in prop::collection::vec(any::<usize>(), 1..4),
     ) {
-        const PAGE: usize = 600;
-        let raw: Vec<u8> = pages
-            .iter()
-            .flat_map(|p| p.iter().copied().chain(std::iter::repeat(0)).take(PAGE))
-            .collect();
-        let mut enc = encode(&MigMessage::CompressedPages {
-            pages: (0..pages.len() as u64).collect(),
+        let enc = encode(&MigMessage::CompressedPages {
+            pages: (0..(raw.len() / UNIT) as u64).collect(),
             raw_len: raw.len() as u64,
-            payload: Bytes::from(compress_blocks(&raw, PAGE)),
+            payload: Bytes::from(compress_blocks(&raw, UNIT)),
         });
-        for &bit in &flips {
-            let bit = bit % (enc.len() * 8);
-            enc[bit / 8] ^= 1 << (bit % 8);
-        }
+        let enc = flipped(enc, &flips);
         if let Ok(MigMessage::CompressedPages { pages, payload, .. }) = decode(&enc) {
             prop_assert!(pages.len() * 8 + payload.len() <= enc.len());
-            if let Ok(out) = decompress_blocks(&payload, pages.len(), PAGE) {
-                prop_assert!(out.len() <= pages.len() * PAGE);
-            }
+            check_batch_decode(&payload, pages.len(), UNIT)?;
         }
     }
 

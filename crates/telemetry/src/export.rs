@@ -252,6 +252,35 @@ pub fn phase_summary(records: &[Record]) -> String {
     out
 }
 
+/// What the batches the LZ rule compressed weighed before and after,
+/// per unit kind, from the `codec.{block,page}.{raw,lz}_bytes` counters:
+/// the achieved ratio the journal's batch counts do not carry. Empty
+/// when nothing crossed compressed.
+pub fn codec_summary(reg: &Registry) -> String {
+    let snapshot = reg.snapshot();
+    let count = |name: String| {
+        snapshot
+            .counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    };
+    let mut out = String::new();
+    for kind in ["block", "page"] {
+        let raw = count(format!("codec.{kind}.raw_bytes"));
+        let lz = count(format!("codec.{kind}.lz_bytes"));
+        if lz > 0 {
+            let _ = writeln!(
+                out,
+                "lz {:<13} {raw} raw -> {lz} bytes ({:.2} x)",
+                format!("{kind} bytes"),
+                raw as f64 / lz as f64
+            );
+        }
+    }
+    out
+}
+
 /// Pretty-printed JSON snapshot of a metrics registry — the shape
 /// `crates/bench` writes under `results/`.
 pub fn metrics_json(reg: &Registry) -> String {
@@ -357,6 +386,20 @@ mod tests {
         assert!(s.contains("3 of 16 batches compressed (18.8%)"), "{s}");
         assert!(s.contains("lz Freeze"), "{s}");
         assert!(s.contains("0 of 2 batches compressed (0.0%)"), "{s}");
+    }
+
+    #[test]
+    fn codec_summary_reads_the_byte_counters_and_registers_nothing() {
+        let reg = Registry::new();
+        assert_eq!(codec_summary(&reg), "");
+        assert!(reg.snapshot().counters.is_empty());
+        reg.counter("codec.block.raw_bytes").add(4_194_304);
+        reg.counter("codec.block.lz_bytes").add(1_619_422);
+        let s = codec_summary(&reg);
+        assert_eq!(
+            s,
+            "lz block bytes   4194304 raw -> 1619422 bytes (2.59 x)\n"
+        );
     }
 
     #[test]

@@ -42,8 +42,9 @@ mod recorder;
 pub use clock::ClockDomain;
 pub use event::{Event, FaultLabel, Phase, Record, Resource, Side};
 pub use export::{
-    from_jsonl, metrics_json, migration_ids, migration_phase_span_nanos, phase_span_nanos,
-    phase_summary, reconstruct_migration_phases, reconstruct_phases, to_jsonl, PhaseDurations,
+    codec_summary, from_jsonl, metrics_json, migration_ids, migration_phase_span_nanos,
+    phase_span_nanos, phase_summary, reconstruct_migration_phases, reconstruct_phases, to_jsonl,
+    PhaseDurations,
 };
 pub use metrics::{
     bucket_index, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket,

@@ -8,8 +8,10 @@
 //! an unpaced in-process link costs nothing, so nothing is ever
 //! compressed and the run equals a `compress: false` run byte for byte;
 //! a link paced at 2 MiB/s costs 477 ns a byte against the few LZ takes,
-//! so everything that frames smaller is compressed — from the first
-//! batch, which the limiter's opening burst lets through without a wait;
+//! so every batch whose LZ stream is smaller is compressed — from the
+//! first batch, which the limiter's opening burst lets through without a
+//! wait. A batch is one stream (units share their history), so the bytes
+//! pinned below are `compress_blocks` over the batches the engine formed;
 //! and a socket is whichever of the two its pacing and its addresses say:
 //! unpaced between two ends of one host there is no wire and it ships
 //! raw, paced it compresses as the paced duplex does. (An unpaced socket
@@ -18,15 +20,20 @@
 //! pinned on the addresses in `simnet::tcp` and on a cannot-tell
 //! transport in `migrate::live::lz_rule`.)
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use block_bitmap_migration::migrate::live::{
-    lz_pays, run_live_migration, run_live_migration_tcp, run_live_migration_with, LiveConfig,
-    LiveOutcome,
+    lz_pays, run_live_migration, run_live_migration_over, run_live_migration_tcp,
+    run_live_migration_with, LiveConfig, LiveOutcome,
 };
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::simnet::codec::compress_blocks;
-use block_bitmap_migration::simnet::proto::{Category, BLOCK_REF_WIRE, FRAME_OVERHEAD};
+use block_bitmap_migration::simnet::proto::{
+    Category, MigMessage, TransferLedger, ALL_CATEGORIES, BLOCK_REF_WIRE, FRAME_OVERHEAD,
+};
+use block_bitmap_migration::simnet::transport::{duplex, Endpoint, Transport, TransportError};
 use block_bitmap_migration::telemetry::{Event, Recorder, Resource};
 use block_bitmap_migration::vdisk::stamp_bytes;
 use proptest::prelude::*;
@@ -73,12 +80,17 @@ fn run(cfg: &LiveConfig) -> LiveOutcome {
     out
 }
 
-/// Bytes of the LZ frames of the stamp-0 `units`, however they are
-/// batched: a unit's frame does not depend on its neighbours.
-fn stamp_frames_len(units: std::ops::Range<usize>, unit_size: usize) -> u64 {
-    units
-        .map(|u| compress_blocks(&stamp_bytes(u, 0, unit_size), unit_size).len() as u64)
-        .sum()
+/// Bytes of the LZ stream of one batch of stamp-0 units.
+fn stamp_stream_len(units: impl Iterator<Item = usize>, unit_size: usize) -> u64 {
+    let raw: Vec<u8> = units.flat_map(|u| stamp_bytes(u, 0, unit_size)).collect();
+    compress_blocks(&raw, unit_size).len() as u64
+}
+
+/// The same over several batches: a unit's bytes depend on the units it
+/// shares a stream with, so the batches are the engine's or the sum is
+/// not the ledger's.
+fn stamp_streams_len(batches: impl Iterator<Item = Range<usize>>, unit_size: usize) -> u64 {
+    batches.map(|b| stamp_stream_len(b, unit_size)).sum()
 }
 
 /// Ledger bytes of `units` whole units shipped in `frames` messages with
@@ -137,10 +149,15 @@ fn a_paced_link_compresses_every_batch_from_the_first() {
     assert_eq!(out.wire.blocks_deduped, 1, "the zero block");
     assert_eq!(out.wire.blocks_compressed, 255);
     assert_eq!(out.wire.pages_compressed, 256);
-    // And the ledger is what compressing every batch whole produces.
-    let block_frames = stamp_frames_len(1..256, 4_096);
+    // And the ledger is what compressing every batch whole produces:
+    // four block batches (the first without the zero block), eight of
+    // pages, one stream each.
+    let block_frames = stamp_streams_len([1..64, 64..128, 128..192, 192..256].into_iter(), 4_096);
     assert_eq!(out.wire.bytes_sent, block_frames + BLOCK_REF_WIRE);
-    assert_eq!(out.wire.page_bytes_sent, stamp_frames_len(0..256, 4_096));
+    assert_eq!(
+        out.wire.page_bytes_sent,
+        stamp_streams_len((0..8).map(|b| 32 * b..32 * (b + 1)), 4_096)
+    );
     assert_eq!(
         out.src_ledger.get(Category::DiskPrecopy),
         framed(4, 255, block_frames) + ZERO_BLOCK_REF
@@ -272,19 +289,159 @@ fn the_frozen_tail_follows_the_rule_too() {
     assert!(slow.wire.page_bytes_sent * 2 < slow.wire.page_bytes_raw);
 }
 
+/// What one compressed batch was: its kind, its unit ids, its stream's
+/// length.
+type SentBatch = (Resource, Vec<u64>, u64);
+
+/// The source's end of a duplex link, keeping a note of every compressed
+/// batch it sends.
+struct Tap {
+    link: Endpoint,
+    batches: Arc<Mutex<Vec<SentBatch>>>,
+}
+
+impl Transport for Tap {
+    fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
+        let note = match &msg {
+            MigMessage::CompressedBlocks {
+                blocks, payload, ..
+            } => Some((Resource::Disk, blocks.clone(), payload.len() as u64)),
+            MigMessage::CompressedPages { pages, payload, .. } => {
+                Some((Resource::Memory, pages.clone(), payload.len() as u64))
+            }
+            _ => None,
+        };
+        self.batches.lock().expect("tap lock").extend(note);
+        self.link.send(msg)
+    }
+    fn recv(&self) -> Result<MigMessage, TransportError> {
+        self.link.recv()
+    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<MigMessage, TransportError> {
+        self.link.recv_timeout(timeout)
+    }
+    fn try_recv(&self) -> Result<MigMessage, TransportError> {
+        self.link.try_recv()
+    }
+    fn sent_ledger(&self) -> TransferLedger {
+        self.link.sent_ledger()
+    }
+    fn link_ns_per_byte(&self) -> Option<f64> {
+        self.link.link_ns_per_byte()
+    }
+}
+
+/// A stamp-0 image to a blank disk over a tapped link: the outcome and
+/// the compressed batches the source formed, in sending order.
+fn run_tapped(cfg: &LiveConfig) -> (LiveOutcome, Vec<SentBatch>) {
+    let src = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
+    for b in 0..cfg.num_blocks {
+        src.write_block(b, &stamp_bytes(b, 0, cfg.block_size));
+    }
+    let src = Arc::new(TrackedDisk::new(Arc::new(src)));
+    let dst = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
+        cfg.block_size,
+        cfg.num_blocks,
+    ))));
+    let (mut link, peer) = duplex();
+    if let Some(rate) = cfg.rate_limit {
+        link.set_rate_limit(rate);
+    }
+    let batches = Arc::new(Mutex::new(Vec::new()));
+    let tap = Tap {
+        link,
+        batches: Arc::clone(&batches),
+    };
+    let out = run_live_migration_over(cfg, Arc::clone(&src), Arc::clone(&dst), None, tap, peer)
+        .expect("migration completes");
+    assert!(
+        src.disk().content_equals(dst.disk()),
+        "image not block-exact"
+    );
+    assert!(out.inconsistent_pages().is_empty(), "RAM not page-exact");
+    let batches = batches.lock().expect("tap lock").clone();
+    (out, batches)
+}
+
 #[test]
 fn four_streams_equal_one_under_the_rule() {
-    // Sharding changes which blocks share a batch, so which eight are
-    // the sample; what crosses, and in what form, must not notice.
-    for cfg in [idle_cfg(), paced(&idle_cfg())] {
-        let one = run(&cfg);
-        let four = run(&LiveConfig {
-            streams: 4,
-            ..cfg.clone()
-        });
-        assert_eq!(four.src_ledger, one.src_ledger);
-        assert_eq!(four.dst_ledger, one.dst_ledger);
-        assert_eq!(four.wire, one.wire);
+    // 48 a batch over four 64-block shards: six batches either way, of
+    // other blocks (each shard's first 48, then the four tails).
+    let regrouped = LiveConfig {
+        batch: 48,
+        ..idle_cfg()
+    };
+    // Unpaced, nothing is compressed: what crosses, in what form and in
+    // how many bytes does not notice the sharding.
+    let one = run(&regrouped);
+    let four = run(&LiveConfig {
+        streams: 4,
+        ..regrouped.clone()
+    });
+    assert_eq!(four.src_ledger, one.src_ledger);
+    assert_eq!(four.dst_ledger, one.dst_ledger);
+    assert_eq!(four.wire, one.wire);
+
+    // Paced, a unit's LZ bytes depend on the units it shares a stream
+    // with. K = 4 == K = 1 is an identity of units and forms — same
+    // images, same units raw, compressed and referenced — and of bytes
+    // wherever LZ does not run; where it does, each run's bytes are the
+    // streams of its own batches.
+    let cfg = paced(&regrouped);
+    let (one, one_batches) = run_tapped(&cfg);
+    let (four, four_batches) = run_tapped(&LiveConfig {
+        streams: 4,
+        ..cfg.clone()
+    });
+    let ids_of = |batches: &[SentBatch], kind: Resource| -> Vec<Vec<u64>> {
+        batches
+            .iter()
+            .filter(|(k, ..)| *k == kind)
+            .map(|(_, ids, _)| ids.clone())
+            .collect()
+    };
+    let (one_disk, four_disk) = (
+        ids_of(&one_batches, Resource::Disk),
+        ids_of(&four_batches, Resource::Disk),
+    );
+    assert_eq!((one_disk.len(), four_disk.len()), (6, 6));
+    assert_ne!(one_disk, four_disk, "the sharding regrouped the blocks");
+    assert_eq!(
+        ids_of(&one_batches, Resource::Memory),
+        ids_of(&four_batches, Resource::Memory),
+        "pages are not sharded"
+    );
+    for (out, batches) in [(&one, &one_batches), (&four, &four_batches)] {
+        let mut sent = [0u64; 2];
+        for (kind, ids, stream_len) in batches {
+            let units = ids.iter().map(|&u| u as usize);
+            assert_eq!(*stream_len, stamp_stream_len(units, 4_096), "{ids:?}");
+            sent[usize::from(*kind == Resource::Memory)] += stream_len;
+        }
+        assert_eq!(out.wire.bytes_sent, sent[0] + BLOCK_REF_WIRE);
+        assert_eq!(out.wire.page_bytes_sent, sent[1]);
+    }
+    assert_eq!(four.wire.bytes_raw, one.wire.bytes_raw);
+    assert_eq!(four.wire.blocks_deduped, one.wire.blocks_deduped);
+    assert_eq!(four.wire.blocks_compressed, one.wire.blocks_compressed);
+    assert_eq!(four.wire.pages_compressed, one.wire.pages_compressed);
+    assert_eq!(four.wire.page_bytes_raw, one.wire.page_bytes_raw);
+    assert_eq!(four.dst_ledger, one.dst_ledger);
+    for category in ALL_CATEGORIES {
+        if category != Category::DiskPrecopy {
+            assert_eq!(
+                four.src_ledger.get(category),
+                one.src_ledger.get(category),
+                "{category:?}"
+            );
+        }
+    }
+    // The disk category is its frames' arithmetic in either run.
+    for out in [&one, &four] {
+        assert_eq!(
+            out.src_ledger.get(Category::DiskPrecopy),
+            framed(6, 255, out.wire.bytes_sent - BLOCK_REF_WIRE) + ZERO_BLOCK_REF
+        );
     }
 }
 
@@ -294,8 +451,8 @@ fn incompressible_blocks_ship_raw_on_a_paced_link_after_the_sample() {
         telemetry: Recorder::enabled(),
         ..paced(&idle_cfg())
     };
-    // Word-random blocks: nothing for LZ to find, frames a header larger
-    // than the blocks.
+    // Word-random blocks: nothing for LZ to find, the head of the stream
+    // longer than the units it covers.
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let src = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
     for b in 0..cfg.num_blocks {
