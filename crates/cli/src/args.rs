@@ -44,10 +44,14 @@ allowed to compress residual full blocks on the wire. simulate always
 does. live is allowed to, for blocks and for memory pages (pre-copy and
 frozen tail), and decides per batch: it compresses only while a byte
 costs more on the link than LZ costs to save it, so a rate-limited link
-compresses and an idle in-process one ships raw. --no-dedup /
---no-compress restore the classic data plane exactly (bit-identical
-reports; live RAM is raw page frames whatever the link); --dedup /
---compress re-allow after a --no-* earlier on the command line.
+compresses and an idle in-process one ships raw. live likewise
+fingerprints blocks only on a link whose bytes cost something: unpaced,
+in-process or --tcp on one host, the link is free and the run is the
+--no-dedup --no-compress run ('content-aware: not used: the link is
+free'). --no-dedup / --no-compress restore the classic data plane exactly
+on any link (bit-identical reports; live RAM is raw page frames whatever
+the link); --dedup / --compress re-allow after a --no-* earlier on the
+command line.
 
 orchestrate --scenario FILE runs a declarative .scn chaos scenario
 instead of the built-in two-wave run: the file declares the fleet

@@ -6,8 +6,8 @@ use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng};
 use migrate::baselines::{run_delta_queue, run_freeze_and_copy, run_on_demand};
 use migrate::live::{
-    run_live_migration_faulty, run_live_migration_replicated, run_live_migration_tcp_faulty,
-    LiveConfig,
+    fingerprinting_pays, run_live_migration_faulty, run_live_migration_replicated,
+    run_live_migration_tcp_faulty, LiveConfig,
 };
 use migrate::sim::{
     dwell, run_im, run_template_clone_fanin, run_template_clone_fanin_traced, run_tpm,
@@ -355,7 +355,12 @@ fn run_live(a: LiveArgs) -> Result<(), String> {
         out.dropped,
         out.src_ledger.total() as f64 / MB
     );
-    if out.wire.blocks_deduped > 0 || out.wire.blocks_compressed > 0 {
+    // Both links this command opens, in-process and loopback socket, cost
+    // what their pacing says; the rule is the engine's.
+    let link_ns_per_byte = cfg.rate_limit.map_or(0.0, |rate| 1e9 / rate);
+    if (cfg.dedup || cfg.compress) && !fingerprinting_pays(Some(link_ns_per_byte)) {
+        println!("content-aware: not used: the link is free");
+    } else if out.wire.blocks_deduped > 0 || out.wire.blocks_compressed > 0 {
         println!(
             "content-aware: {:.1} MB raw -> {:.1} MB sent ({:.1}% off the wire; {} deduped, {} compressed)",
             out.wire.bytes_raw as f64 / MB,

@@ -46,7 +46,7 @@ use crate::live::connect::{
 use crate::live::driver::{DriverCtl, DriverHandle, DriverResult, LiveWorkload};
 use crate::live::error::MigrationError;
 use crate::live::io::{DestIo, SourceIo};
-use crate::live::lz_rule::LzRule;
+use crate::live::lz_rule::{fingerprinting_pays, LzRule};
 
 /// The migrated guest's domain id in live mode.
 const GUEST: DomainId = DomainId(1);
@@ -1281,13 +1281,16 @@ fn run_source_session<T: Transport>(
     st: &mut SourceState,
     attempt: u32,
 ) -> Result<(), SessionError> {
+    // Dedup is a capability; whether this session uses it is the link's
+    // call, made afresh on every connection.
+    let offer_dedup = cfg.dedup && fingerprinting_pays(ep.link_ns_per_byte());
     send_or(
         ep,
         "handshake",
         MigMessage::SessionHello {
             session_id: st.session_id,
             attempt,
-            dedup: cfg.dedup,
+            dedup: offer_dedup,
             compress: cfg.compress,
             incremental: st.incremental,
         },
@@ -1316,7 +1319,14 @@ fn run_source_session<T: Transport>(
     // AND-ing with our own offer guards against a peer accepting a
     // feature that was never offered.
     st.ctx
-        .reset(cfg.dedup && dest_dedup, cfg.compress && dest_compress);
+        .reset(offer_dedup && dest_dedup, cfg.compress && dest_compress);
+    if cfg.telemetry.is_enabled() {
+        let m = cfg.telemetry.metrics();
+        m.counter("dedup.sessions_fingerprinted")
+            .add(u64::from(st.ctx.dedup));
+        m.counter("dedup.sessions_skipped")
+            .add(u64::from(cfg.dedup && !offer_dedup));
+    }
     if st.ctx.dedup {
         // Dedup-negotiated sessions open with the resident-content
         // summary; the previous session's view was discarded above.
@@ -1674,12 +1684,16 @@ fn source_freeze<T: Transport>(
         // whole post-copy phase (source-death failover). Re-sent on
         // freeze re-entry like every other freeze payload — idempotent.
         let frozen = st.frozen_bitmap.to_indices();
-        let seen = disk.content_index().invalidations();
+        // Only a session that fingerprints has an index to leave them in:
+        // asking for it here would build it while the guest is down.
+        let seen = st.ctx.dedup.then(|| disk.content_index().invalidations());
         let fingerprints: Vec<u64> = read_batch(disk, &frozen, cfg.block_size)
             .chunks_exact(cfg.block_size)
             .map(hash_block)
             .collect();
-        disk.record_fingerprints(&frozen, &fingerprints, seen);
+        if let Some(seen) = seen {
+            disk.record_fingerprints(&frozen, &fingerprints, seen);
+        }
         st.ctx.work.blocks_read += frozen.len() as u64;
         st.ctx.work.blocks_hashed += frozen.len() as u64;
         send_or(
@@ -2747,6 +2761,12 @@ fn dest_post_copy<T: Transport>(
 mod tests {
     use super::*;
 
+    /// The paper's Gigabit LAN, bytes/second: a link whose bytes cost
+    /// something, so a session on it fingerprints. The tests of dedup
+    /// behaviour run on it; an unpaced in-process link is free and uses
+    /// neither dedup nor LZ (tests/live_adaptive_codec.rs).
+    const GIGABIT: f64 = 125e6;
+
     #[test]
     fn live_migration_is_consistent_under_concurrent_writes() {
         let cfg = LiveConfig {
@@ -2833,6 +2853,7 @@ mod tests {
     fn live_im_ships_only_dirty_blocks() {
         let cfg = LiveConfig {
             num_blocks: 16_384,
+            rate_limit: Some(GIGABIT),
             ..LiveConfig::test_default()
         };
         let first = run_live_migration(&cfg).expect("clean migration completes");
@@ -2889,6 +2910,7 @@ mod tests {
             num_blocks: 1_024,
             workload: WorkloadKind::Idle,
             mem_writes_per_tick: 0,
+            rate_limit: Some(GIGABIT),
             ..LiveConfig::test_default()
         };
         let src = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(

@@ -1,4 +1,4 @@
-//! When LZ runs: compress a batch only when the link pays for it.
+//! When LZ and fingerprinting run: only when the link pays for them.
 //!
 //! `compress` in the handshake is a capability; this is the decision. LZ
 //! spends CPU to save link time, so a batch is compressed iff the time
@@ -13,12 +13,17 @@
 //! * `lz_ns_per_raw_byte` — the *fastest* such sample so far per unit
 //!   kind: preemption and cache misses only ever add to a sample, so the
 //!   minimum is the cost;
-//! * `link_ns_per_byte` — [`Transport::link_ns_per_byte`]. Zero on an
-//!   unpaced in-process link, which therefore never compresses;
-//!   `1 / rate` on a paced one; zero again on an unpaced socket whose two
-//!   ends are one host; unbounded on a link that cannot tell (an unpaced
-//!   socket between two hosts), which therefore compresses whatever
-//!   compresses, as every link did before this rule.
+//! * `link_ns_per_byte` — [`Transport::link_ns_per_byte`], read first.
+//!   Zero on an unpaced in-process link, which therefore never
+//!   compresses and is not sampled; `1 / rate` on a paced one; zero
+//!   again on an unpaced socket whose two ends are one host; unbounded
+//!   on a link that cannot tell (an unpaced socket between two hosts),
+//!   which therefore compresses whatever compresses, as every link did
+//!   before this rule.
+//!
+//! `dedup` is a capability too, and [`fingerprinting_pays`] its decision:
+//! per session, from the same link cost (DESIGN.md §15, "When
+//! fingerprinting runs").
 
 use std::time::Instant;
 
@@ -35,6 +40,15 @@ const SAMPLE_UNITS: usize = 8;
 /// cost times a saving of zero is not a number, and not greater).
 pub fn lz_pays(saved_share: f64, link_ns_per_byte: f64, lz_ns_per_raw_byte: f64) -> bool {
     saved_share * link_ns_per_byte > lz_ns_per_raw_byte
+}
+
+/// Whether content fingerprints can pay for themselves on a link: a hash
+/// costs CPU on both sides and a hit saves link time, so never on a link
+/// whose bytes are free, whatever the hit share. Any other link — one
+/// that cannot tell what a byte costs included — repays a hash at a hit
+/// share under 1 %, so there is no share to estimate.
+pub fn fingerprinting_pays(link_ns_per_byte: Option<f64>) -> bool {
+    link_ns_per_byte != Some(0.0)
 }
 
 /// One unit kind's cheapest sample, and what its batches did since the
@@ -100,6 +114,15 @@ impl LzRule {
         payload: &[u8],
         unit_size: usize,
     ) -> Option<Vec<u8>> {
+        // A link that cannot say what a byte costs leaves nothing to weigh
+        // LZ against: whatever it saves is taken.
+        let link_ns_per_byte = ep.link_ns_per_byte().unwrap_or(f64::INFINITY);
+        self.link_ns_per_byte = link_ns_per_byte;
+        if link_ns_per_byte == 0.0 {
+            // Free bytes repay no sample either: nothing is compressed.
+            self.tally(kind).batches_raw += 1;
+            return None;
+        }
         let sample_len = payload.len().min(SAMPLE_UNITS * unit_size);
         let started = Instant::now();
         let mut encoder = Encoder::new(payload);
@@ -109,10 +132,6 @@ impl LzRule {
         // A match that runs past the sample's end is booked against the
         // sample alone: the saving is never overstated.
         let saved_share = 1.0 - encoder.len_if_ended(&stream) as f64 / sample_len as f64;
-        // A link that cannot say what a byte costs leaves nothing to weigh
-        // LZ against: whatever it saves is taken.
-        let link_ns_per_byte = ep.link_ns_per_byte().unwrap_or(f64::INFINITY);
-        self.link_ns_per_byte = link_ns_per_byte;
         let tally = self.tally(kind);
         tally.sample_bytes += sample_len as u64;
         tally.lz_ns_per_raw_byte = tally.lz_ns_per_raw_byte.min(sample_ns / sample_len as f64);
@@ -204,10 +223,9 @@ mod tests {
         let (idle, _peer) = duplex();
         let mut rule = LzRule::new();
         assert!(rule.encode(&idle, Resource::Disk, &payload, 4096).is_none());
-        assert_eq!(
-            (rule.blocks.batches_raw, rule.blocks.sample_bytes),
-            (1, 8 * 4096)
-        );
+        // Asked first, the free link is not even sampled.
+        assert_eq!((rule.blocks.batches_raw, rule.blocks.sample_bytes), (1, 0));
+        assert!(rule.blocks.lz_ns_per_raw_byte.is_infinite());
 
         // 2 MiB/s is 477 ns a byte against a few ns of LZ. The limiter
         // still holds its whole burst: what counts is the rate.
@@ -306,14 +324,23 @@ mod tests {
                 resource: Resource::Memory,
                 batches_compressed: 0,
                 batches_raw: 3,
-                sample_bytes: 6144,
+                sample_bytes: 0,
                 link_ps_per_byte: 0,
+                lz_ps_per_raw_byte: u64::MAX,
                 ..
             }
         ));
         assert_eq!(rec.metrics().counter("codec.page.batches_raw").get(), 3);
         assert_eq!(rec.metrics().counter("codec.page.lz_bytes").get(), 0);
-        // The cost survives the pass; the counts do not.
+        // The counts do not survive the pass; what LZ costs does, once a
+        // link that pays has had it measured.
+        assert_eq!(rule.pages.batches_raw, 0);
+        let (mut paced, _peer) = duplex();
+        paced.set_rate_limit(2.0 * 1024.0 * 1024.0);
+        assert!(rule
+            .encode(&paced, Resource::Memory, &text(4, 512), 512)
+            .is_some());
+        rule.journal(&rec, Resource::Memory);
         assert!(rule.pages.lz_ns_per_raw_byte.is_finite());
         assert_eq!(rule.pages.sample_bytes, 0);
     }

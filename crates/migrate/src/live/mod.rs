@@ -40,4 +40,4 @@ pub use engine::{
 };
 pub use error::MigrationError;
 pub use io::{DestIo, GuestIo, SourceIo};
-pub use lz_rule::lz_pays;
+pub use lz_rule::{fingerprinting_pays, lz_pays};

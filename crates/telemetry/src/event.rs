@@ -267,14 +267,15 @@ pub enum Event {
         /// Batches that crossed raw (LZ would not have paid, or the
         /// frames came out no smaller).
         batches_raw: u64,
-        /// Raw bytes compressed as timed samples to decide.
+        /// Raw bytes compressed as timed samples to decide (none on a
+        /// free link: it is asked first and never compresses).
         sample_bytes: u64,
         /// What a byte cost on the link at the last decision, in
         /// picoseconds of link time (`u64::MAX`: the transport could not
         /// tell).
         link_ps_per_byte: u64,
         /// The cheapest sample so far for this resource, in picoseconds
-        /// of LZ per raw byte.
+        /// of LZ per raw byte (`u64::MAX`: none taken yet).
         lz_ps_per_raw_byte: u64,
     },
     /// The fleet network split into disconnected islands (scenario

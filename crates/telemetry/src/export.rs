@@ -254,8 +254,10 @@ pub fn phase_summary(records: &[Record]) -> String {
 
 /// What the batches the LZ rule compressed weighed before and after,
 /// per unit kind, from the `codec.{block,page}.{raw,lz}_bytes` counters:
-/// the achieved ratio the journal's batch counts do not carry. Empty
-/// when nothing crossed compressed.
+/// the achieved ratio the journal's batch counts do not carry. Then how
+/// many sessions fingerprinted and how many were offered dedup but left it
+/// alone on a free link, from `dedup.sessions_{fingerprinted,skipped}`.
+/// Empty when nothing crossed compressed and no session was counted.
 pub fn codec_summary(reg: &Registry) -> String {
     let snapshot = reg.snapshot();
     let count = |name: String| {
@@ -277,6 +279,14 @@ pub fn codec_summary(reg: &Registry) -> String {
                 raw as f64 / lz as f64
             );
         }
+    }
+    let fingerprinted = count("dedup.sessions_fingerprinted".into());
+    let skipped = count("dedup.sessions_skipped".into());
+    if fingerprinted + skipped > 0 {
+        let _ = writeln!(
+            out,
+            "dedup sessions   {fingerprinted} fingerprinted, {skipped} skipped (free link)"
+        );
     }
     out
 }
@@ -400,6 +410,9 @@ mod tests {
             s,
             "lz block bytes   4194304 raw -> 1619422 bytes (2.59 x)\n"
         );
+        reg.counter("dedup.sessions_skipped").add(2);
+        assert!(codec_summary(&reg)
+            .ends_with("dedup sessions   0 fingerprinted, 2 skipped (free link)\n"));
     }
 
     #[test]

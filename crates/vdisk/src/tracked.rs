@@ -104,6 +104,12 @@ impl TrackedDisk {
             .lock()
     }
 
+    /// How many blocks' fingerprints the index holds; `None`, without
+    /// creating it, on a disk nobody has asked for its index.
+    pub fn fingerprints_known(&self) -> Option<usize> {
+        self.index.get().map(|index| index.lock().known_blocks())
+    }
+
     /// Record `fps` as the fingerprints of `blocks`, unless a write has
     /// invalidated anything since `seen` was taken: then which of them
     /// went stale is unknown and none is recorded. A reader that

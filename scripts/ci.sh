@@ -27,11 +27,22 @@ echo "== incremental migration costs what is dirty, in the shipped build =="
 # fingerprint store (bounces, never a block) and the web-guest round
 # trip whose source records fingerprints while the guest writes. Counts,
 # not stopwatches, so the optimized build must give the same numbers;
-# the recording race only has its real window there.
+# the recording race only has its real window there. Every hop crosses a
+# link paced at Gigabit (125e6 B/s): a session fingerprints only where a
+# byte costs something, the unpaced in-process link is free and would run
+# none of this. The limiter's opening burst covers every image, so the
+# pacing adds no wall time, and no count depends on the LZ decision.
 cargo test -q --release --locked --test live_incremental
 
-echo "== LZ only when the link pays for it, in the shipped build =="
-# Unpaced duplex never compresses and equals the --no-compress ledger,
+echo "== LZ and fingerprints only when the link pays for them, in the shipped build =="
+# Each rule on both kinds of link. Free (unpaced duplex, same-host
+# socket): the default session equals the --no-dedup one in ledgers,
+# WireStats and WorkLedger, --streams 4 and a reconnect included, hashes
+# nothing and leaves neither disk a content index, inside the freeze
+# window least of all (multisource hashes its manifest and no more).
+# Paying (2 MiB/s, Gigabit, a transport that cannot tell): fingerprints
+# from the first block. And LZ:
+# unpaced duplex never compresses and equals the --no-compress ledger,
 # --streams 4 included; a paced link compresses every batch from the
 # first (limiter burst included), frozen tail alike, and its ledger is
 # per-batch arithmetic: a batch is one LZ stream, so the bytes are
@@ -71,6 +82,35 @@ for scn in partition wan maintenance; do
       --scenario "scenarios/$scn.scn" --seed "$seed" >/dev/null
   done
 done
+
+echo "== CLI smoke: a free link uses no content-aware path, a paced one does =="
+# Counts of an idle guest's disk, deterministic (the RAM tail in the
+# printed `src sent` total follows the driver's ticks, so the disk's
+# `wire.*` counters are compared instead): by default the unpaced link
+# carries the bytes --no-dedup --no-compress carries and says why;
+# paced at 50 MB/s the zero block crosses as a reference.
+smoke=target/cli-smoke
+mkdir -p "$smoke"
+live="./target/release/vmmigrate live --blocks 16384 --workload idle"
+$live --metrics-out "$smoke/default.json" >"$smoke/default.out"
+$live --no-dedup --no-compress --metrics-out "$smoke/classic.json" >"$smoke/classic.out"
+$live --rate-limit 50 --metrics-out "$smoke/paced.json" >"$smoke/paced.out"
+grep -q '^content-aware: not used: the link is free$' "$smoke/default.out"
+if grep -q '^content-aware' "$smoke/classic.out"; then exit 1; fi
+grep -Eq '^content-aware: .*; [1-9][0-9]* deduped, ' "$smoke/paced.out"
+python3 - "$smoke" <<'PY'
+import json, sys
+def counters(name):
+    snapshot = json.load(open(f"{sys.argv[1]}/{name}.json"))
+    return {c["name"]: c["value"] for c in snapshot["counters"]}
+default, classic, paced = counters("default"), counters("classic"), counters("paced")
+sent = [c["wire.bytes_sent"] for c in (default, classic)]
+print(f"disk bytes sent: default {sent[0]}, --no-dedup --no-compress {sent[1]}")
+assert sent[0] == sent[1] == 16384 * 512, sent
+assert (default["dedup.sessions_fingerprinted"], default["dedup.sessions_skipped"]) == (0, 1)
+assert (classic["dedup.sessions_fingerprinted"], classic["dedup.sessions_skipped"]) == (0, 0)
+assert (paced["dedup.sessions_fingerprinted"], paced["wire.blocks_deduped"]) == (1, 1)
+PY
 
 echo "== benchmark package: build, own tests, five-workload smoke =="
 # benchmark/ is its own cargo package (BENCHMARK.json's command builds it

@@ -1,5 +1,6 @@
-//! When LZ runs (ROADMAP 1c, DESIGN.md §15 "When LZ runs"), pinned by
-//! counts, not stopwatches.
+//! When LZ runs and when fingerprinting runs (ROADMAP 1c, DESIGN.md §15
+//! "When LZ runs" and "When fingerprinting runs"), pinned by counts, not
+//! stopwatches.
 //!
 //! `compress` is a capability the two sides negotiate; whether a batch
 //! is compressed is decided per batch from what a byte costs on the link
@@ -19,17 +20,26 @@
 //! link got before the rule; no test here can open one, so that arm is
 //! pinned on the addresses in `simnet::tcp` and on a cannot-tell
 //! transport in `migrate::live::lz_rule`.)
+//!
+//! `dedup` is a capability as well, decided once per session from the same
+//! link cost: a session on a free link hashes nothing on either side,
+//! sends no content summary, leaves both disks without a content index —
+//! inside the freeze window included — and is the `dedup: false` session
+//! byte for byte; on every other link, one that cannot tell included, it
+//! fingerprints from the first block.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use block_bitmap_migration::migrate::live::{
-    lz_pays, run_live_migration, run_live_migration_over, run_live_migration_tcp,
-    run_live_migration_with, LiveConfig, LiveOutcome,
+    fingerprinting_pays, lz_pays, run_live_migration, run_live_migration_faulty,
+    run_live_migration_over, run_live_migration_tcp, run_live_migration_with, LiveConfig,
+    LiveOutcome, SideWork,
 };
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::simnet::codec::compress_blocks;
+use block_bitmap_migration::simnet::fault::FaultPlan;
 use block_bitmap_migration::simnet::proto::{
     Category, MigMessage, TransferLedger, ALL_CATEGORIES, BLOCK_REF_WIRE, FRAME_OVERHEAD,
 };
@@ -43,11 +53,16 @@ use proptest::prelude::*;
 /// a batch flipped.
 const PACED: f64 = 2.0 * 1024.0 * 1024.0;
 
+/// The paper's Gigabit LAN, bytes/second: 8 ns a byte, so a session on it
+/// fingerprints, and raw megabytes cross it inside the limiter's burst.
+const GIGABIT: f64 = 125e6;
+
 /// 1 MiB of stamp-0 blocks (period-64 patterns: LZ saves most of every
 /// block) and 1 MiB of stamp-0 pages, 4 KiB units, idle guest: every
 /// block and page crosses exactly once, in 64- and 32-unit batches.
 /// Stamp-0 unit 0 is all zeroes: as a block it is what a blank
-/// destination already holds and crosses as the run's one reference.
+/// destination already holds and, on a session that fingerprints, crosses
+/// as the run's one reference.
 fn idle_cfg() -> LiveConfig {
     LiveConfig {
         block_size: 4_096,
@@ -124,11 +139,13 @@ fn an_unpaced_link_never_compresses_and_equals_the_no_compress_run() {
     assert_eq!(out.src_ledger, plain.src_ledger);
     assert_eq!(out.dst_ledger, plain.dst_ledger);
     assert_eq!(out.wire, plain.wire);
-    // Which is raw frames, to the byte.
-    assert_eq!(out.wire.blocks_deduped, 1, "the zero block");
+    // Which is raw frames, to the byte: the link is free, so the zero
+    // block is not fingerprinted either and crosses like the rest (as a
+    // reference on a link that pays: `a_paced_link_fingerprints_...`).
+    assert_eq!(out.wire.blocks_deduped, 0);
     assert_eq!(
         out.src_ledger.get(Category::DiskPrecopy),
-        framed(4, 255, 255 * 4_096) + ZERO_BLOCK_REF
+        framed(4, 256, 256 * 4_096)
     );
     assert_eq!(
         out.src_ledger.get(Category::Memory),
@@ -298,6 +315,9 @@ type SentBatch = (Resource, Vec<u64>, u64);
 struct Tap {
     link: Endpoint,
     batches: Arc<Mutex<Vec<SentBatch>>>,
+    /// Answer `None` for the link's cost, as a socket between two hosts
+    /// does.
+    cannot_tell: bool,
 }
 
 impl Transport for Tap {
@@ -327,13 +347,17 @@ impl Transport for Tap {
         self.link.sent_ledger()
     }
     fn link_ns_per_byte(&self) -> Option<f64> {
-        self.link.link_ns_per_byte()
+        if self.cannot_tell {
+            None
+        } else {
+            self.link.link_ns_per_byte()
+        }
     }
 }
 
 /// A stamp-0 image to a blank disk over a tapped link: the outcome and
 /// the compressed batches the source formed, in sending order.
-fn run_tapped(cfg: &LiveConfig) -> (LiveOutcome, Vec<SentBatch>) {
+fn run_tapped(cfg: &LiveConfig, cannot_tell: bool) -> (LiveOutcome, Vec<SentBatch>) {
     let src = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
     for b in 0..cfg.num_blocks {
         src.write_block(b, &stamp_bytes(b, 0, cfg.block_size));
@@ -351,6 +375,7 @@ fn run_tapped(cfg: &LiveConfig) -> (LiveOutcome, Vec<SentBatch>) {
     let tap = Tap {
         link,
         batches: Arc::clone(&batches),
+        cannot_tell,
     };
     let out = run_live_migration_over(cfg, Arc::clone(&src), Arc::clone(&dst), None, tap, peer)
         .expect("migration completes");
@@ -388,11 +413,14 @@ fn four_streams_equal_one_under_the_rule() {
     // wherever LZ does not run; where it does, each run's bytes are the
     // streams of its own batches.
     let cfg = paced(&regrouped);
-    let (one, one_batches) = run_tapped(&cfg);
-    let (four, four_batches) = run_tapped(&LiveConfig {
-        streams: 4,
-        ..cfg.clone()
-    });
+    let (one, one_batches) = run_tapped(&cfg, false);
+    let (four, four_batches) = run_tapped(
+        &LiveConfig {
+            streams: 4,
+            ..cfg.clone()
+        },
+        false,
+    );
     let ids_of = |batches: &[SentBatch], kind: Resource| -> Vec<Vec<u64>> {
         batches
             .iter()
@@ -500,7 +528,207 @@ fn incompressible_blocks_ship_raw_on_a_paced_link_after_the_sample() {
     assert_eq!(out.wire.pages_compressed, 256);
 }
 
+/// `(fingerprints, hashed_blocks, cached_blocks)` of each dedup handshake
+/// the destination journaled, and the source's two session counters.
+fn dedup_sessions(cfg: &LiveConfig) -> (Vec<(u64, u64, u64)>, u64, u64) {
+    let handshakes = cfg
+        .telemetry
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::HandshakeSummary {
+                fingerprints,
+                hashed_blocks,
+                cached_blocks,
+                ..
+            } => Some((fingerprints, hashed_blocks, cached_blocks)),
+            _ => None,
+        })
+        .collect();
+    let m = cfg.telemetry.metrics();
+    (
+        handshakes,
+        m.counter("dedup.sessions_fingerprinted").get(),
+        m.counter("dedup.sessions_skipped").get(),
+    )
+}
+
+fn traced(cfg: &LiveConfig) -> LiveConfig {
+    LiveConfig {
+        telemetry: Recorder::enabled(),
+        ..cfg.clone()
+    }
+}
+
+/// The default run on a free link is the `dedup: false` run: same
+/// ledgers, same savings and work ledgers, nothing hashed, no summary, no
+/// content index on either disk.
+fn assert_is_the_no_dedup_run(out: &LiveOutcome, cfg: &LiveConfig, plain: &LiveOutcome) {
+    assert_eq!(out.src_ledger, plain.src_ledger);
+    assert_eq!(out.dst_ledger, plain.dst_ledger);
+    assert_eq!(out.wire, plain.wire);
+    assert_eq!(out.work, plain.work);
+    assert_eq!(out.wire.blocks_deduped, 0);
+    assert_eq!(out.work.src.blocks_hashed, 0);
+    assert_eq!(out.work.dst.blocks_hashed, 0);
+    assert_eq!(dedup_sessions(cfg), (vec![], 0, 1));
+    for disk in [&out.src_disk, &out.dst_disk] {
+        assert_eq!(disk.fingerprints_known(), None);
+    }
+}
+
+#[test]
+fn a_free_link_fingerprints_nothing_and_equals_the_no_dedup_run() {
+    for streams in [1, 4] {
+        let base = LiveConfig {
+            batch: 48,
+            streams,
+            ..idle_cfg()
+        };
+        assert!(base.dedup && base.rate_limit.is_none(), "the default plane");
+        let plain = run(&LiveConfig {
+            dedup: false,
+            ..base.clone()
+        });
+        let cfg = traced(&base);
+        assert_is_the_no_dedup_run(&run(&cfg), &cfg, &plain);
+    }
+}
+
+#[test]
+fn a_same_host_socket_fingerprints_nothing_and_equals_the_no_dedup_tcp_run() {
+    let cfg = traced(&idle_cfg());
+    let plain = run_tcp(&LiveConfig {
+        dedup: false,
+        ..idle_cfg()
+    });
+    assert_is_the_no_dedup_run(&run_tcp(&cfg), &cfg, &plain);
+}
+
+#[test]
+fn a_paced_link_fingerprints_from_the_first_block_duplex_and_socket_alike() {
+    // `compress: false`, so the ledger is the zero-block arithmetic alone:
+    // 255 blocks in four raw frames and one 16-byte reference, which the
+    // blank destination's summary (the zero fingerprint, from its
+    // allocation map: nothing read, nothing hashed) made possible. Any
+    // price above zero will do.
+    let cfg = LiveConfig {
+        compress: false,
+        rate_limit: Some(GIGABIT),
+        ..idle_cfg()
+    };
+    let runs: [fn(&LiveConfig) -> LiveOutcome; 2] = [run, run_tcp];
+    for run_on in runs {
+        let cfg = traced(&cfg);
+        let out = run_on(&cfg);
+        assert_eq!(out.wire.blocks_deduped, 1, "the zero block");
+        assert_eq!(
+            out.src_ledger.get(Category::DiskPrecopy),
+            framed(4, 255, 255 * 4_096) + ZERO_BLOCK_REF
+        );
+        // Every block hashed where it left and where it landed (a full
+        // block to record it, the reference to verify its holder).
+        assert_eq!(out.work.src.blocks_hashed, 256);
+        assert_eq!(out.work.dst.blocks_hashed, 256);
+        assert_eq!(dedup_sessions(&cfg), (vec![(1, 0, 0)], 1, 0));
+        assert_eq!(out.src_disk.fingerprints_known(), Some(256));
+        assert_eq!(out.dst_disk.fingerprints_known(), Some(256));
+    }
+}
+
+#[test]
+fn a_link_that_cannot_tell_fingerprints() {
+    // Unpaced underneath, but it does not say so: the session keeps
+    // fingerprinting, as it keeps compressing.
+    let cfg = traced(&idle_cfg());
+    let (out, batches) = run_tapped(&cfg, true);
+    assert_eq!(out.wire.blocks_deduped, 1, "the zero block");
+    assert_eq!(out.work.src.blocks_hashed, 256);
+    assert_eq!(dedup_sessions(&cfg), (vec![(1, 0, 0)], 1, 0));
+    assert_eq!(out.wire.blocks_compressed, 255);
+    assert_eq!(batches.len(), 4 + 8);
+}
+
+#[test]
+fn a_reconnect_decides_again_and_the_same_link_decides_the_same() {
+    // The second disk frame of the first connection is cut.
+    let plan = || FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 2);
+
+    let cfg = traced(&paced(&idle_cfg()));
+    let out = run_live_migration_faulty(&cfg, plan()).expect("recovers");
+    assert!(out.inconsistent_blocks().is_empty());
+    assert_eq!(out.reconnects, 1);
+    let (handshakes, fingerprinted, skipped) = dedup_sessions(&cfg);
+    assert_eq!((fingerprinted, skipped), (2, 0));
+    // The resumed session's summary comes out of the index the first one
+    // was keeping: the destination held on to it because dedup was on.
+    assert_eq!(handshakes.len(), 2);
+    assert_eq!(handshakes[0], (1, 0, 0));
+    assert!(handshakes[1].2 >= 64, "{handshakes:?}");
+    assert!(out.wire.blocks_deduped >= 1);
+
+    let cfg = traced(&idle_cfg());
+    let out = run_live_migration_faulty(&cfg, plan()).expect("recovers");
+    assert!(out.inconsistent_blocks().is_empty());
+    assert_eq!(out.reconnects, 1);
+    assert_eq!(dedup_sessions(&cfg), (vec![], 0, 2));
+    assert_eq!(out.wire.blocks_deduped, 0);
+    assert_eq!(out.work.src.blocks_hashed, 0);
+    assert_eq!(out.work.dst, SideWork::default());
+    assert_eq!(out.dst_disk.fingerprints_known(), None);
+}
+
+#[test]
+fn no_session_builds_a_content_index_inside_the_freeze_window() {
+    // With `multisource` the source hashes the frozen blocks for the
+    // failover manifest after the guest is suspended. That is a check and
+    // stays; asking the disk for its content index there would build it
+    // (four vectors the size of the disk) inside the downtime. On a free
+    // link, offered dedup or not, the manifest is all that is hashed and
+    // neither disk ever gets an index.
+    let idle = LiveConfig {
+        multisource: true,
+        ..idle_cfg()
+    };
+    // A writing guest, held long enough that the manifest is not empty.
+    let web = LiveConfig {
+        multisource: true,
+        num_blocks: 16_384,
+        min_guest_ticks: 25,
+        ..LiveConfig::test_default()
+    };
+    for cfg in [idle, web] {
+        for dedup in [true, false] {
+            let out = run(&LiveConfig {
+                dedup,
+                ..cfg.clone()
+            });
+            if cfg.workload != WorkloadKind::Idle {
+                assert!(out.frozen_dirty > 0, "the geometry leaves a manifest");
+            }
+            assert_eq!(out.work.src.blocks_hashed, out.frozen_dirty);
+            assert_eq!(out.work.dst.blocks_hashed, 0);
+            assert_eq!(out.src_disk.fingerprints_known(), None);
+            assert_eq!(out.dst_disk.fingerprints_known(), None);
+        }
+    }
+}
+
 proptest! {
+    /// Fingerprinting is refused at a cost of exactly zero and nowhere
+    /// else, whatever a transport answers: every bit pattern is some
+    /// `f64` — NaNs, infinities, negatives, subnormals.
+    #[test]
+    fn fingerprinting_pays_everywhere_but_on_a_free_link(bits in any::<u64>()) {
+        let link = f64::from_bits(bits);
+        prop_assert_eq!(fingerprinting_pays(Some(link)), link != 0.0);
+        for odd in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, f64::MIN_POSITIVE] {
+            prop_assert!(fingerprinting_pays(Some(odd)));
+        }
+        prop_assert!(!fingerprinting_pays(Some(0.0)) && !fingerprinting_pays(Some(-0.0)));
+        prop_assert!(fingerprinting_pays(None));
+    }
+
     /// The decision as a function of its three numbers: never on a free
     /// link, never when nothing is saved, and once it says yes a costlier
     /// link or a larger saving cannot make it say no.

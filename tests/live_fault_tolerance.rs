@@ -15,6 +15,11 @@ use block_bitmap_migration::vdisk::{stamp_bytes, TrackedDisk, VirtualDisk};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The paper's Gigabit LAN, bytes/second: the link of the two tests that
+/// assert dedup behaviour. An unpaced in-process link is free, and a
+/// session on it does not fingerprint (DESIGN.md §15).
+const GIGABIT: f64 = 125e6;
+
 fn fault_cfg() -> LiveConfig {
     LiveConfig {
         num_blocks: 16_384,
@@ -119,7 +124,12 @@ fn reset_mid_dedup_stream_converges_with_wire_savings() {
     // the cut then cross as 16-byte references instead of full payloads.
     // The end state must be exactly as consistent as a fault-free run,
     // and the wire accounting must still show content-aware savings.
-    let cfg = fault_cfg();
+    // Paced, because a session fingerprints only on a link whose bytes
+    // cost something; both sessions cross it, so both fingerprint.
+    let cfg = LiveConfig {
+        rate_limit: Some(GIGABIT),
+        ..fault_cfg()
+    };
     assert!(
         cfg.dedup && cfg.compress,
         "scenario exercises the dedup stream"
@@ -148,6 +158,7 @@ fn reconnect_resummarises_from_the_kept_index_not_from_the_disk() {
     // session's summary comes out of the content index the destination
     // kept exact while it applied — the disk is not read a second time.
     let cfg = LiveConfig {
+        rate_limit: Some(GIGABIT),
         telemetry: Recorder::enabled(),
         ..fault_cfg()
     };

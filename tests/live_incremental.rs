@@ -11,6 +11,13 @@
 //! previous hop left fingerprints behind; and a store that is wrong — on
 //! purpose here — costs `BlockRefMiss` bounces, never a block of the
 //! image.
+//!
+//! Every hop here crosses a link paced at [`GIGABIT`]: a session
+//! fingerprints only on a link whose bytes cost something (DESIGN.md §15,
+//! "When fingerprinting runs"), and on the unpaced in-process link none of
+//! this would run. The limiter's opening burst covers every image below,
+//! so the pacing costs the file no wall time, and no count asserted here
+//! depends on whether a batch then also crossed LZ-compressed.
 
 use std::sync::Arc;
 
@@ -25,11 +32,15 @@ const GUEST: DomainId = DomainId(1);
 /// Blocks dirtied between the two hops; one batch of the default 256.
 const DIRTY: usize = 128;
 
+/// The paper's Gigabit LAN, bytes/second.
+const GIGABIT: f64 = 125e6;
+
 fn idle_cfg(num_blocks: usize) -> LiveConfig {
     LiveConfig {
         num_blocks,
         workload: WorkloadKind::Idle,
         mem_writes_per_tick: 0,
+        rate_limit: Some(GIGABIT),
         telemetry: Recorder::enabled(),
         ..LiveConfig::test_default()
     }
@@ -331,6 +342,7 @@ fn web_guest_round_trip_never_leaves_a_stale_fingerprint() {
     let cfg = LiveConfig {
         num_blocks: 16_384,
         min_guest_ticks: 20,
+        rate_limit: Some(GIGABIT),
         telemetry: Recorder::enabled(),
         ..LiveConfig::test_default()
     };
