@@ -3,23 +3,18 @@
 //!
 //! The directory is the journal-consumer side of the replica story.
 //! `vdisk::ReplicaTable` records what a *site* kept behind after a
-//! migration; the directory folds those generation vectors (plus any
-//! live publishes) into one queryable map. Freshness is always judged
-//! against a caller-supplied live [`MetaDisk`]: a holder entry is never
-//! "stale" in the abstract, only relative to the generation the live
-//! image has reached.
+//! migration; the directory holds those generation vectors (plus any
+//! live publishes) as one queryable map, kept current by whoever owns
+//! the table: one [`BlockDirectory::publish`] where a replica is
+//! recorded, one [`BlockDirectory::retire`] where it is consumed.
+//! Freshness is always judged against a caller-supplied live
+//! [`MetaDisk`]: a holder entry is never "stale" in the abstract, only
+//! relative to the generation the live image has reached.
 
 use std::collections::BTreeMap;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use vdisk::{hash_u64, MetaDisk, ReplicaTable};
-
-/// One holder's view of a VM image: the per-block generation vector it
-/// was holding when it last published.
-#[derive(Debug, Clone)]
-struct HolderView {
-    generations: Vec<u32>,
-}
 
 /// A maximal run of blocks over which the fresh-holder set is constant.
 ///
@@ -38,13 +33,13 @@ pub struct CoverageRange {
 }
 
 /// Content-addressed, generation-aware map from `(vm, host)` to the
-/// holder's block generations.
+/// per-block generation vector the holder had when it last published.
 ///
 /// Keyed on `BTreeMap` so every iteration order — holder lists,
 /// coverage runs, plan assignment — is deterministic across runs.
 #[derive(Debug, Clone, Default)]
 pub struct BlockDirectory {
-    holders: BTreeMap<(u64, u64), HolderView>,
+    holders: BTreeMap<(u64, u64), Vec<u32>>,
 }
 
 impl BlockDirectory {
@@ -57,8 +52,7 @@ impl BlockDirectory {
     /// generations recorded in `disk`. Replaces any previous view for
     /// the same `(vm, host)` pair.
     pub fn publish(&mut self, vm: u64, host: u64, disk: &MetaDisk) {
-        let generations = (0..disk.num_blocks()).map(|b| disk.generation(b)).collect();
-        self.holders.insert((vm, host), HolderView { generations });
+        self.holders.insert((vm, host), disk.generations().to_vec());
     }
 
     /// Fold every replica the table knows about for `vm` into the
@@ -92,6 +86,27 @@ impl BlockDirectory {
             .collect()
     }
 
+    /// Every `(host, generation vector)` published for `vm` with
+    /// `live`'s geometry, ascending host id. A mismatched holder can
+    /// never be trusted to serve, so no freshness query sees it.
+    pub fn views<'a>(
+        &'a self,
+        vm: u64,
+        live: &MetaDisk,
+    ) -> impl Iterator<Item = (u64, &'a [u32])> + 'a {
+        let n = live.num_blocks();
+        self.holders
+            .range((vm, 0)..=(vm, u64::MAX))
+            .filter(move |(_, view)| view.len() == n)
+            .map(|(&(_, host), view)| (host, view.as_slice()))
+    }
+
+    /// `host`'s view of `vm`, when it has one of `live`'s geometry.
+    fn view(&self, vm: u64, host: u64, live: &MetaDisk) -> Option<&[u32]> {
+        let view = self.holders.get(&(vm, host))?;
+        (view.len() == live.num_blocks()).then_some(view.as_slice())
+    }
+
     /// Number of `(vm, host)` views in the directory.
     pub fn len(&self) -> usize {
         self.holders.len()
@@ -117,17 +132,20 @@ impl BlockDirectory {
     /// geometry disagrees with `live` (a mismatched holder can never be
     /// trusted to serve, so it contributes no fresh blocks).
     pub fn fresh_bitmap(&self, vm: u64, host: u64, live: &MetaDisk) -> Option<FlatBitmap> {
-        let view = self.holders.get(&(vm, host))?;
-        if view.generations.len() != live.num_blocks() {
-            return None;
-        }
-        let mut fresh = FlatBitmap::new(live.num_blocks());
-        for (block, &gen) in view.generations.iter().enumerate() {
-            if gen == live.generation(block) {
-                fresh.set(block);
-            }
-        }
-        Some(fresh)
+        Some(fresh_words(self.view(vm, host, live)?, live))
+    }
+
+    /// How many blocks of `host`'s view of `vm` are *not* at the live
+    /// generation — the first-pass size of an incremental hop onto that
+    /// host. `None` exactly when [`BlockDirectory::fresh_bitmap`] is.
+    pub fn stale_count(&self, vm: u64, host: u64, live: &MetaDisk) -> Option<usize> {
+        let view = self.view(vm, host, live)?;
+        Some(
+            view.iter()
+                .zip(live.generations())
+                .filter(|(a, b)| a != b)
+                .count(),
+        )
     }
 
     /// Hosts that hold `block` of `vm` at the live generation,
@@ -137,13 +155,9 @@ impl BlockDirectory {
             return Vec::new();
         }
         let want = live.generation(block);
-        self.holders
-            .range((vm, 0)..=(vm, u64::MAX))
-            .filter(|(_, view)| {
-                view.generations.len() == live.num_blocks()
-                    && view.generations.get(block).copied() == Some(want)
-            })
-            .map(|(&(_, host), _)| host)
+        self.views(vm, live)
+            .filter(|(_, view)| view[block] == want)
+            .map(|(host, _)| host)
             .collect()
     }
 
@@ -188,14 +202,114 @@ impl BlockDirectory {
     /// returned ranges is exactly `0..live.num_blocks()`.
     pub fn coverage(&self, vm: u64, live: &MetaDisk) -> Vec<CoverageRange> {
         let n = live.num_blocks();
-        if n == 0 {
-            return Vec::new();
+        let fresh: Vec<(u64, FlatBitmap)> = self
+            .views(vm, live)
+            .map(|(host, view)| (host, fresh_words(view, live)))
+            .collect();
+        // The holder set changes exactly where some holder's fresh bit
+        // differs from the block before: `w ^ (w << 1 | carry)` marks
+        // those blocks a word at a time.
+        let mut edges = FlatBitmap::new(n);
+        for (_, bm) in &fresh {
+            let mut carry = 0u64;
+            let flips = bm
+                .words()
+                .iter()
+                .map(|&w| {
+                    let flips = w ^ (w << 1 | carry);
+                    carry = w >> 63;
+                    flips
+                })
+                .collect();
+            edges.union_with(&FlatBitmap::from_words(n, flips));
         }
+        let mut runs = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let end = edges.next_set_from(start + 1).unwrap_or(n);
+            runs.push(CoverageRange {
+                start,
+                end,
+                holders: fresh
+                    .iter()
+                    .filter(|(_, bm)| bm.get(start))
+                    .map(|&(host, _)| host)
+                    .collect(),
+            });
+            start = end;
+        }
+        runs
+    }
+}
+
+/// Bitmap of the blocks where `view` is at `live`'s generation, built a
+/// word per 64 blocks: the compare loop carries no per-bit bounds check
+/// or read-modify-write of the bitmap.
+fn fresh_words(view: &[u32], live: &MetaDisk) -> FlatBitmap {
+    let words = view
+        .chunks(64)
+        .zip(live.generations().chunks(64))
+        .map(|(held, want)| {
+            held.iter()
+                .zip(want)
+                .enumerate()
+                .fold(0u64, |word, (bit, (a, b))| {
+                    word | (u64::from(a == b) << bit)
+                })
+        })
+        .collect();
+    FlatBitmap::from_words(view.len(), words)
+}
+
+/// A seeded directory for the property tests here and in the planner:
+/// one live image of `1..=200` blocks written in bursts, up to five
+/// holders (hosts `1..=5`) that snapshot it at different ages — so
+/// their fresh sets differ in runs — and now and then a holder of the
+/// wrong geometry. Returns the directory, the live image and the VM id.
+#[cfg(test)]
+pub(crate) fn random_directory(seed: u64) -> (BlockDirectory, MetaDisk, u64) {
+    let mut rng = proptest::TestRng::new(seed);
+    let n = 1 + rng.below(200) as usize;
+    let vm = rng.below(3);
+    let mut live = MetaDisk::new(n);
+    let mut dir = BlockDirectory::new();
+    for host in 1..=rng.below(6) {
+        // A burst of writes: a contiguous stretch plus scattered blocks.
+        let start = rng.below(n as u64) as usize;
+        let len = rng.below(n as u64 / 2 + 1) as usize;
+        for b in start..(start + len).min(n) {
+            live.write(b);
+        }
+        for _ in 0..rng.below(8) {
+            live.write(rng.below(n as u64) as usize);
+        }
+        if rng.below(8) == 0 {
+            dir.publish(vm, host, &MetaDisk::new(n + 1));
+        } else {
+            dir.publish(vm, host, &live);
+        }
+    }
+    for _ in 0..rng.below(n as u64 / 4 + 1) {
+        live.write(rng.below(n as u64) as usize);
+    }
+    // Another VM's holder never shows up in this VM's answers.
+    dir.publish(vm + 1, 1, &live);
+    (dir, live, vm)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// What [`BlockDirectory::coverage`] is defined to equal: the
+    /// per-block holder lists, run-length encoded.
+    fn coverage_per_block(dir: &BlockDirectory, vm: u64, live: &MetaDisk) -> Vec<CoverageRange> {
         let mut runs: Vec<CoverageRange> = Vec::new();
-        for block in 0..n {
-            let holders = self.holders_of_block(vm, block, live);
+        for block in 0..live.num_blocks() {
+            let holders = dir.holders_of_block(vm, block, live);
             match runs.last_mut() {
-                Some(run) if run.holders == holders && run.end == block => run.end = block + 1,
+                Some(run) if run.holders == holders => run.end = block + 1,
                 _ => runs.push(CoverageRange {
                     start: block,
                     end: block + 1,
@@ -205,11 +319,30 @@ impl BlockDirectory {
         }
         runs
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        /// Coverage runs, fresh bitmaps and stale counts all agree with
+        /// the per-block definition, `holders_of_block`.
+        #[test]
+        fn bulk_queries_equal_the_per_block_definition(seed in any::<u64>()) {
+            let (dir, live, vm) = random_directory(seed);
+            prop_assert_eq!(dir.coverage(vm, &live), coverage_per_block(&dir, vm, &live));
+            for host in 0..=6 {
+                let per_block: Vec<usize> = (0..live.num_blocks())
+                    .filter(|&b| dir.holders_of_block(vm, b, &live).contains(&host))
+                    .collect();
+                let fresh = dir.fresh_bitmap(vm, host, &live);
+                prop_assert_eq!(
+                    fresh.as_ref().map(|bm| bm.to_indices()),
+                    dir.views(vm, &live).any(|(h, _)| h == host).then_some(per_block)
+                );
+                prop_assert_eq!(
+                    dir.stale_count(vm, host, &live),
+                    fresh.map(|bm| live.num_blocks() - bm.count_ones())
+                );
+            }
+        }
+    }
 
     fn disk_with_writes(n: usize, writes: &[usize]) -> MetaDisk {
         let mut d = MetaDisk::new(n);

@@ -122,14 +122,117 @@ impl FetchPlanner {
 
         // Max-min shares over the budgeted holders, in ascending host
         // order (BTreeMap iteration) so the allocation is reproducible.
+        let demands: Vec<f64> = peer_budgets.values().copied().collect();
+        let alloc = max_min_share(dest_ingest, &demands);
+        plan.shares = peer_budgets.keys().copied().zip(alloc).collect();
+
+        // The serving-eligible peers, resolved once into a dense list
+        // (still ascending host id): the per-block loop below indexes
+        // it and looks nothing up.
+        let mut peers: Vec<ServingPeer> = plan
+            .shares
+            .iter()
+            .filter(|(_, &share)| share > 0.0)
+            .filter_map(|(&host, &share)| {
+                Some(ServingPeer {
+                    host,
+                    share,
+                    fresh: dir.fresh_bitmap(vm, host, live)?,
+                    assigned: FlatBitmap::new(n),
+                    load: 0,
+                })
+            })
+            .collect();
+
+        for block in owed.iter_set().take_while(|&b| b < n) {
+            if let Some(resident) = dst_resident {
+                let fp = BlockDirectory::fingerprint(live.generation(block));
+                if resident.contains(fp) {
+                    plan.ref_only.set(block);
+                    continue;
+                }
+            }
+
+            // Least load per unit of share, scanning ascending host id;
+            // strict inequality keeps the lowest id on ties. Comparing
+            // cross-products avoids dividing by tiny shares.
+            let mut best: Option<usize> = None;
+            for (i, peer) in peers.iter().enumerate() {
+                if !peer.fresh.get(block) {
+                    continue;
+                }
+                let better = best.is_none_or(|b| {
+                    (peer.load as f64) * peers[b].share < (peers[b].load as f64) * peer.share
+                });
+                if better {
+                    best = Some(i);
+                }
+            }
+            match best {
+                Some(i) => {
+                    plan.any_peer.set(block);
+                    peers[i].assigned.set(block);
+                    peers[i].load += 1;
+                }
+                None => {
+                    plan.source_only.set(block);
+                }
+            }
+        }
+        plan.per_peer = peers
+            .into_iter()
+            .filter(|peer| peer.load > 0)
+            .map(|peer| (peer.host, peer.assigned))
+            .collect();
+        plan
+    }
+}
+
+/// One serving-eligible holder inside [`FetchPlanner::plan`]: a positive
+/// max-min share and a view of the live geometry.
+struct ServingPeer {
+    host: u64,
+    share: f64,
+    /// Blocks the peer holds at the live generation.
+    fresh: FlatBitmap,
+    /// Owed blocks assigned to the peer so far, and how many.
+    assigned: FlatBitmap,
+    load: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::directory::random_directory;
+    use proptest::prelude::*;
+    use vdisk::hash_u64;
+
+    /// The planner as it was before the flat pass: every per-block
+    /// question answered by a `BTreeMap` keyed on host id. Kept as the
+    /// definition [`FetchPlanner::plan`] must reproduce bit for bit.
+    fn plan_reference(
+        dir: &BlockDirectory,
+        vm: u64,
+        live: &MetaDisk,
+        owed: &FlatBitmap,
+        dst_resident: Option<&ContentIndex>,
+        peer_budgets: &BTreeMap<u64, f64>,
+        dest_ingest: f64,
+    ) -> FetchPlan {
+        let n = live.num_blocks();
+        let mut plan = FetchPlan {
+            source_only: FlatBitmap::new(n),
+            any_peer: FlatBitmap::new(n),
+            ref_only: FlatBitmap::new(n),
+            per_peer: BTreeMap::new(),
+            shares: BTreeMap::new(),
+        };
         let hosts: Vec<u64> = peer_budgets.keys().copied().collect();
         let demands: Vec<f64> = peer_budgets.values().copied().collect();
         let alloc = max_min_share(dest_ingest, &demands);
         for (host, share) in hosts.iter().copied().zip(alloc) {
             plan.shares.insert(host, share);
         }
-
-        // Fresh bitmaps per serving-eligible peer, computed once.
         let mut fresh: BTreeMap<u64, FlatBitmap> = BTreeMap::new();
         for (&host, &share) in &plan.shares {
             if share > 0.0 {
@@ -138,7 +241,6 @@ impl FetchPlanner {
                 }
             }
         }
-
         let mut assigned: BTreeMap<u64, usize> = BTreeMap::new();
         for block in owed.iter_set() {
             if block >= n {
@@ -149,10 +251,6 @@ impl FetchPlanner {
                 plan.ref_only.set(block);
                 continue;
             }
-
-            // Least load per unit of share, scanning ascending host id;
-            // strict inequality keeps the lowest id on ties. Comparing
-            // cross-products avoids dividing by tiny shares.
             let mut best: Option<(u64, f64, usize)> = None;
             for (&host, bm) in &fresh {
                 if !bm.get(block) {
@@ -186,12 +284,60 @@ impl FetchPlanner {
         }
         plan
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vdisk::hash_u64;
+    proptest! {
+        /// The flat pass is the `BTreeMap` planner, bit for bit: over
+        /// random holders (stale in runs, wrong geometry, absent),
+        /// budgets (zero, absent hosts, hosts that hold nothing), a zero
+        /// or tight ingest, sparse owed sets of the wrong length, and the
+        /// ref-only class on and off.
+        #[test]
+        fn flat_planner_equals_the_btreemap_reference(seed in any::<u64>()) {
+            let (dir, live, vm) = random_directory(seed);
+            let mut rng = proptest::TestRng::new(!seed);
+            let n = live.num_blocks();
+            // Hosts 1..=5 may hold the image; 6 and 7 never do.
+            let budgets: BTreeMap<u64, f64> = (1..=7u64)
+                .filter_map(|h| {
+                    let budget = [0.0, 1.0, 40.0, 100.0, 250.0][rng.below(5) as usize];
+                    (rng.below(3) > 0).then_some((h, budget))
+                })
+                .collect();
+            let ingest = [0.0, 30.0, 150.0, 1e9][rng.below(4) as usize];
+            let mut owed = FlatBitmap::new(n + [0, 0, 7, 64][rng.below(4) as usize]);
+            let keep = 1 + rng.below(4);
+            for b in 0..owed.len() {
+                if rng.below(4) < keep {
+                    owed.set(b);
+                }
+            }
+            // Content resident at the destination: some of the live
+            // generations, by the sim fingerprint convention.
+            let resident = ContentIndex::from_fps(
+                (0..n)
+                    .filter(|_| rng.below(3) == 0)
+                    .map(|b| BlockDirectory::fingerprint(live.generation(b)))
+                    .collect(),
+            );
+            for dst_resident in [None, Some(&resident)] {
+                let flat =
+                    FetchPlanner::plan(&dir, vm, &live, &owed, dst_resident, &budgets, ingest);
+                let reference =
+                    plan_reference(&dir, vm, &live, &owed, dst_resident, &budgets, ingest);
+                prop_assert_eq!(flat.source_only.words(), reference.source_only.words());
+                prop_assert_eq!(flat.any_peer.words(), reference.any_peer.words());
+                prop_assert_eq!(flat.ref_only.words(), reference.ref_only.words());
+                prop_assert_eq!(
+                    flat.per_peer.iter().map(|(h, bm)| (*h, bm.to_indices())).collect::<Vec<_>>(),
+                    reference.per_peer.iter().map(|(h, bm)| (*h, bm.to_indices())).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    flat.shares.iter().map(|(h, s)| (*h, s.to_bits())).collect::<Vec<_>>(),
+                    reference.shares.iter().map(|(h, s)| (*h, s.to_bits())).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
 
     fn owed_all(n: usize) -> FlatBitmap {
         FlatBitmap::all_set(n)
@@ -353,7 +499,7 @@ mod tests {
             &budgets(&[(10, 0.0), (11, 100.0)]),
             100.0,
         );
-        assert!(plan.per_peer.get(&10).is_none());
+        assert!(!plan.per_peer.contains_key(&10));
         assert_eq!(plan.per_peer.get(&11).map(|b| b.count_ones()), Some(12));
     }
 

@@ -1,6 +1,7 @@
 //! Command execution.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng};
@@ -106,12 +107,24 @@ fn emit(report: &MigrationReport, json: bool) {
     }
 }
 
+/// The summary line of a virtual-time run: how much simulated time the
+/// engine covered per second of host time since `started`.
+fn print_engine_speed(virt_secs: f64, started: Instant) {
+    let wall = started.elapsed().as_secs_f64();
+    println!(
+        "engine: {virt_secs:.1} simulated s in {:.1} ms of host time ({:.0} simulated s per wall s)",
+        wall * 1e3,
+        virt_secs / wall.max(1e-9)
+    );
+}
+
 /// Execute a parsed command.
 pub fn run(cmd: Cmd) -> Result<(), String> {
     match cmd {
         Cmd::Simulate(a) => {
             let rec = recorder_for(&a.trace_out, &a.metrics_out);
             let cfg = config_for(&a);
+            let started = Instant::now();
             let out = if a.sources > 0 {
                 // Template-clone boot storm (E14): peers hold the golden
                 // image, the fetch plan draws still-golden blocks from them.
@@ -133,6 +146,9 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
                 }
             };
             emit(&out.report, a.json);
+            if !a.json {
+                print_engine_speed(out.report.total_time_secs, started);
+            }
             if let Some(r) = &rec {
                 export_telemetry(r, &a.trace_out, &a.metrics_out)?;
             }
@@ -224,6 +240,7 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
 fn run_orchestrate(a: OrchArgs) -> Result<(), String> {
     let rec = recorder_for(&a.trace_out, &a.metrics_out);
     let recorder = rec.clone().unwrap_or_else(Recorder::off);
+    let started = Instant::now();
     let report = if let Some(path) = &a.scenario {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let mut spec = scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -254,6 +271,7 @@ fn run_orchestrate(a: OrchArgs) -> Result<(), String> {
         );
     } else {
         print!("{}", report.render());
+        print_engine_speed(report.makespan_secs(), started);
     }
     if let Some(r) = &rec {
         // The cluster journal holds per-migration spans, not the

@@ -88,9 +88,14 @@ pub struct TpmEngine {
     /// Telemetry sink; disabled by default (a single atomic check per
     /// potential record). Events are stamped with virtual time.
     pub(crate) recorder: Arc<Recorder>,
-    /// Peer holders for multi-source fetching: host id → the image that
-    /// host holds. Empty (the default) means classic single-source.
-    pub(crate) peers: BTreeMap<u64, MetaDisk>,
+    /// Peer holders for multi-source fetching: (host id, the image that
+    /// host holds), ascending host id. Empty (the default) means
+    /// classic single-source.
+    pub(crate) peers: Vec<(u64, MetaDisk)>,
+    /// The peers' images as the fetch planner reads them, and the NIC
+    /// budget each offers; both built once, in `set_peers`.
+    pub(crate) peer_dir: BlockDirectory,
+    pub(crate) peer_budgets: BTreeMap<u64, f64>,
     /// Multi-source plan accounting for the report.
     pub(crate) ms: MultiSourceReport,
     /// Per-peer (blocks, bytes) fetched so far.
@@ -149,7 +154,9 @@ impl TpmEngine {
             stream_blocks: vec![0; cfg.streams],
             cfg,
             recorder: Recorder::off(),
-            peers: BTreeMap::new(),
+            peers: Vec::new(),
+            peer_dir: BlockDirectory::new(),
+            peer_budgets: BTreeMap::new(),
             ms: MultiSourceReport::default(),
             peer_fetched: BTreeMap::new(),
         }
@@ -187,14 +194,17 @@ impl TpmEngine {
     /// # Panics
     /// Panics when a peer image's geometry does not match the disk.
     pub fn set_peers(&mut self, peers: BTreeMap<u64, MetaDisk>) {
-        for disk in peers.values() {
+        self.peer_dir = BlockDirectory::new();
+        for (&host, disk) in &peers {
             assert_eq!(
                 disk.num_blocks(),
                 self.cfg.disk_blocks,
                 "peer image must match the disk geometry"
             );
+            self.peer_dir.publish(MS_VM, host, disk);
         }
-        self.peers = peers;
+        self.peer_budgets = peers.keys().map(|&h| (h, self.cfg.peer_budget)).collect();
+        self.peers = peers.into_iter().collect();
     }
 
     /// Current virtual time.
@@ -284,22 +294,13 @@ impl TpmEngine {
         if !self.cfg.multisource || self.peers.is_empty() || fulls.count_ones() == 0 {
             return self.transfer_disk_blocks::<false>(fulls, cat);
         }
-        let mut dir = BlockDirectory::new();
-        for (&host, disk) in &self.peers {
-            dir.publish(MS_VM, host, disk);
-        }
-        let budgets: BTreeMap<u64, f64> = self
-            .peers
-            .keys()
-            .map(|&h| (h, self.cfg.peer_budget))
-            .collect();
         let plan = FetchPlanner::plan(
-            &dir,
+            &self.peer_dir,
             MS_VM,
             &self.src_disk,
             fulls,
             None, // dedup already classified resident content as refs
-            &budgets,
+            &self.peer_budgets,
             self.cfg.migration_net_rate(),
         );
         if plan.any_peer.count_ones() == 0 {
@@ -343,10 +344,30 @@ impl TpmEngine {
             .sum::<f64>()
             .max(1.0);
         let bs = self.cfg.block_size;
-        let hosts: Vec<u64> = plan.per_peer.keys().copied().collect();
-        let mut cursors: BTreeMap<u64, usize> = hosts.iter().map(|&h| (h, 0usize)).collect();
+        /// One serving peer's fetch session.
+        struct Lane<'p> {
+            /// Where the peer sits in `TpmEngine::peers`.
+            peer: usize,
+            assigned: &'p FlatBitmap,
+            /// The next block to look from; `parked` once drained.
+            cursor: usize,
+            fetched: u64,
+        }
+        // Hosts resolve to lanes once, ascending host id: the block
+        // loop below indexes and looks nothing up.
+        let mut lanes: Vec<Lane<'_>> = plan
+            .per_peer
+            .iter()
+            .filter_map(|(host, assigned)| {
+                Some(Lane {
+                    peer: self.peers.binary_search_by_key(host, |p| p.0).ok()?,
+                    assigned,
+                    cursor: 0,
+                    fetched: 0,
+                })
+            })
+            .collect();
         let parked = plan.any_peer.len();
-        let mut session: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
         let mut sent = 0u64;
         let mut bytes = 0u64;
         let mut carry = 0.0f64;
@@ -367,27 +388,20 @@ impl TpmEngine {
                 carry = 0.0;
             }
             for _ in 0..n {
-                let (host, b) = loop {
-                    let h = hosts[rr % hosts.len()];
+                let (peer, b) = loop {
+                    let lanes_len = lanes.len();
+                    let lane = &mut lanes[rr % lanes_len];
                     rr += 1;
-                    let cur = cursors.get(&h).copied().unwrap_or(parked);
-                    if cur >= parked {
-                        continue;
-                    }
-                    if let Some(b) = plan.per_peer.get(&h).and_then(|bm| bm.next_set_from(cur)) {
-                        break (h, b);
+                    if let Some(b) = lane.assigned.next_set_from(lane.cursor) {
+                        lane.cursor = b + 1;
+                        lane.fetched += 1;
+                        break (lane.peer, b);
                     }
                     // This peer's assignment is drained; `sent < total`
                     // guarantees another peer still holds blocks.
-                    cursors.insert(h, parked);
+                    lane.cursor = parked;
                 };
-                cursors.insert(host, b + 1);
-                if let Some(peer_disk) = self.peers.get(&host) {
-                    self.dst_disk.copy_block_from(peer_disk, b);
-                }
-                let e = session.entry(host).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += bs;
+                self.dst_disk.copy_block_from(&self.peers[peer].1, b);
             }
             if n > 0 {
                 // BlockData frames: 16-byte header per block, one frame
@@ -407,7 +421,8 @@ impl TpmEngine {
             self.guest_step(dt, self.workload_solo_share());
         }
         let rec = Arc::clone(&self.recorder);
-        for (host, (blocks, b)) in session {
+        for lane in lanes {
+            let (host, blocks, b) = (self.peers[lane.peer].0, lane.fetched, lane.fetched * bs);
             rec.record_at_nanos(self.now.as_nanos(), || telemetry::Event::PeerFetch {
                 side: telemetry::Side::Destination,
                 peer: host,
@@ -882,6 +897,8 @@ impl TpmEngine {
             }
             if report.multisource.plans > 0 {
                 m.counter("blockstore.plans").add(report.multisource.plans);
+                m.counter("blockstore.plan_blocks")
+                    .add(report.multisource.planned_source + report.multisource.planned_peer);
                 m.counter("blockstore.planned_source")
                     .add(report.multisource.planned_source);
                 m.counter("blockstore.planned_peer")

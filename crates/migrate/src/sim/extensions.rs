@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(ms.peer_bytes.len(), 4);
         for p in &ms.peer_bytes {
             assert!(p.blocks > 0, "peer {} idle despite equal budgets", p.host);
-            assert_eq!(p.bytes, p.blocks * c.block_size as u64);
+            assert_eq!(p.bytes, p.blocks * c.block_size);
         }
     }
 

@@ -1,9 +1,11 @@
-//! The fleet model: hosts, VM handles, and the shared replica table.
+//! The fleet model: hosts, VM handles, the shared replica table and
+//! the block directory kept over it.
 
 use std::collections::BTreeSet;
 
+use blockstore::BlockDirectory;
 use des::SimRng;
-use vdisk::{MetaDisk, ReplicaTable};
+use vdisk::{MetaDisk, Replica, ReplicaTable};
 use workloads::{Workload, WorkloadKind};
 
 use crate::config::{ClusterConfig, ConfigError};
@@ -76,7 +78,12 @@ pub struct Cluster {
     pub vms: Vec<VmHandle>,
     /// §VII version maintenance, fleet-wide: the stale image each host
     /// kept when a VM departed (or a failed stream's partial copy).
-    pub replicas: ReplicaTable,
+    replicas: ReplicaTable,
+    /// The table's generation vectors as every replica-aware decision
+    /// reads them. Written only where the table is, by
+    /// [`Cluster::keep_replica`] and [`Cluster::consume_replica`], so it
+    /// holds exactly the table's `(vm, host)` pairs at all times.
+    directory: BlockDirectory,
 }
 
 impl Cluster {
@@ -96,6 +103,7 @@ impl Cluster {
             hosts,
             vms: Vec::with_capacity(cfg.vms),
             replicas: ReplicaTable::new(),
+            directory: BlockDirectory::new(),
         };
         let mut master = SimRng::new(cfg.seed);
         for i in 0..cfg.vms {
@@ -118,6 +126,34 @@ impl Cluster {
         Ok(cluster)
     }
 
+    /// The stale-replica table (read-only: it changes through
+    /// [`Cluster::keep_replica`] and [`Cluster::consume_replica`]).
+    pub fn replicas(&self) -> &ReplicaTable {
+        &self.replicas
+    }
+
+    /// The block directory over the replica table: placement, failover
+    /// re-plans and peer-servable accounting all read this one map.
+    pub fn directory(&self) -> &BlockDirectory {
+        &self.directory
+    }
+
+    /// `host` keeps `disk` as its replica of `vm` (the image a departing
+    /// VM left behind, or a failed stream's partial copy): recorded in
+    /// the table and published to the directory in one step.
+    pub(crate) fn keep_replica(&mut self, vm: VmId, host: HostId, disk: MetaDisk) {
+        self.directory.publish(vm.0 as u64, host.0 as u64, &disk);
+        self.replicas.record(vm.0 as u64, host.0 as u64, disk);
+    }
+
+    /// An incoming migration of `vm` consumes `host`'s replica: taken
+    /// from the table and retired from the directory in one step, so the
+    /// very next decision no longer sees it offered.
+    pub(crate) fn consume_replica(&mut self, vm: VmId, host: HostId) -> Option<Replica> {
+        self.directory.retire(vm.0 as u64, host.0 as u64);
+        self.replicas.take(vm.0 as u64, host.0 as u64)
+    }
+
     /// Move a VM between hosts' resident sets and update its handle.
     pub(crate) fn relocate(&mut self, vm: VmId, to: HostId) {
         let from = self.vms[vm.0].host;
@@ -127,9 +163,72 @@ impl Cluster {
     }
 }
 
+/// The test oracle for the maintained directory: every VM's replicas
+/// folded into a fresh [`BlockDirectory`], from scratch.
+#[cfg(test)]
+fn directory_of(replicas: &ReplicaTable, vms: usize) -> BlockDirectory {
+    let mut dir = BlockDirectory::new();
+    for vm in 0..vms {
+        dir.merge_replicas(vm as u64, replicas);
+    }
+    dir
+}
+
+/// Maintained ≡ rebuilt: the directory holds exactly the table's
+/// `(vm, host)` pairs, and answers every freshness query as
+/// [`directory_of`] the table does.
+#[cfg(test)]
+pub(crate) fn assert_directory_matches_table(cluster: &Cluster) {
+    let rebuilt = directory_of(cluster.replicas(), cluster.vms.len());
+    assert_eq!(cluster.directory().len(), cluster.replicas().len());
+    for vm in &cluster.vms {
+        let id = vm.id.0 as u64;
+        assert_eq!(cluster.directory().holders(id), rebuilt.holders(id));
+        for host in 0..cluster.hosts.len() as u64 {
+            assert_eq!(
+                cluster.directory().fresh_bitmap(id, host, &vm.disk),
+                rebuilt.fresh_bitmap(id, host, &vm.disk),
+                "{} on h{host}",
+                vm.id
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn directory_follows_the_table_through_every_write() {
+        let mut cfg = ClusterConfig::new(4, 3);
+        cfg.disk_blocks = 8_192;
+        for seed in 0..4 {
+            let mut c = Cluster::new(&cfg).expect("valid config");
+            let mut rng = SimRng::new(seed);
+            for _ in 0..40 {
+                let vm = VmId(rng.below_usize(cfg.vms));
+                let host = HostId(rng.below_usize(cfg.hosts));
+                for _ in 0..rng.below(40) {
+                    c.vms[vm.0].disk.write(rng.below_usize(cfg.disk_blocks));
+                }
+                if rng.chance(0.6) {
+                    // Mostly the live image as it stands; now and then
+                    // one of another geometry (a resized disk).
+                    let disk = if rng.chance(0.1) {
+                        MetaDisk::new(cfg.disk_blocks / 2)
+                    } else {
+                        c.vms[vm.0].disk.clone()
+                    };
+                    c.keep_replica(vm, host, disk);
+                } else {
+                    let had = c.replicas().has(vm.0 as u64, host.0 as u64);
+                    assert_eq!(c.consume_replica(vm, host).is_some(), had);
+                }
+                assert_directory_matches_table(&c);
+            }
+        }
+    }
 
     #[test]
     fn fleet_round_robins_vms_and_workloads() {
@@ -142,7 +241,7 @@ mod tests {
         assert_eq!(c.hosts[1].resident.len(), 2);
         // Every block starts at a real generation.
         assert!((0..cfg.disk_blocks).all(|b| c.vms[0].disk.generation(b) > 0));
-        assert!(c.replicas.is_empty());
+        assert!(c.replicas().is_empty() && c.directory().is_empty());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
-use blockstore::BlockDirectory;
 use des::{SimDuration, SimTime};
 use migrate::sim::DirtyTracker;
 use simnet::capacity::max_min_share;
@@ -37,7 +36,7 @@ use crate::cluster::{Cluster, HostId, VmId};
 use crate::config::{ClusterConfig, ConfigError, Scenario};
 use crate::dynamics::{FleetDynamics, StaticDynamics};
 use crate::report::{ClusterReport, MigrationRecord};
-use crate::scheduler::{directory_of, ClusterView, MigrationRequest, Policy};
+use crate::scheduler::{ClusterView, MigrationRequest, Policy, Scheduler};
 
 /// Message-count window for seeded per-migration fault schedules: a
 /// reset armed by `fault_resets` fires after between `FAULT_LO` and
@@ -129,8 +128,9 @@ enum Route {
     Severed,
 }
 
-/// Per-tick connectivity snapshot, computed once from the dynamics and
-/// shared by admission and guest advancement.
+/// Per-tick connectivity snapshot, taken once from the dynamics and
+/// shared by admission and guest advancement. One set of buffers serves
+/// the whole run: every tick overwrites them in place.
 struct TickNet {
     host_up: Vec<bool>,
     cordoned: Vec<bool>,
@@ -139,18 +139,26 @@ struct TickNet {
 }
 
 impl TickNet {
-    fn snapshot(dynamics: &dyn FleetDynamics, hosts: usize, vms: usize, now: SimTime) -> Self {
-        let mut link_ok = vec![true; hosts * hosts];
+    fn new(hosts: usize, vms: usize) -> Self {
+        Self {
+            host_up: vec![true; hosts],
+            cordoned: vec![false; hosts],
+            link_ok: vec![true; hosts * hosts],
+            high_activity: vec![false; vms],
+        }
+    }
+
+    fn snapshot(&mut self, dynamics: &dyn FleetDynamics, now: SimTime) {
+        let hosts = self.host_up.len();
         for a in 0..hosts {
+            self.host_up[a] = dynamics.host_up(a);
+            self.cordoned[a] = dynamics.cordoned(a);
             for b in 0..hosts {
-                link_ok[a * hosts + b] = dynamics.connected(a, b);
+                self.link_ok[a * hosts + b] = dynamics.connected(a, b);
             }
         }
-        Self {
-            host_up: (0..hosts).map(|h| dynamics.host_up(h)).collect(),
-            cordoned: (0..hosts).map(|h| dynamics.cordoned(h)).collect(),
-            link_ok,
-            high_activity: (0..vms).map(|v| dynamics.high_activity(v, now)).collect(),
+        for (vm, high) in self.high_activity.iter_mut().enumerate() {
+            *high = dynamics.high_activity(vm, now);
         }
     }
 }
@@ -159,7 +167,7 @@ impl TickNet {
 pub struct Orchestrator {
     cfg: ClusterConfig,
     cluster: Cluster,
-    policy: Policy,
+    scheduler: Box<dyn Scheduler>,
     recorder: Arc<Recorder>,
     next_id: u64,
     /// Per-VM guest-op sequence numbers, the basis for deterministic op
@@ -179,7 +187,7 @@ impl Orchestrator {
         Ok(Self {
             cfg,
             cluster,
-            policy,
+            scheduler: policy.build(),
             recorder,
             next_id: 0,
             op_seq,
@@ -225,31 +233,33 @@ impl Orchestrator {
         let mut records: Vec<MigrationRecord> = Vec::new();
         let mut max_concurrent = 0usize;
         let mut makespan = SimTime::ZERO;
+        let mut endpoints: Vec<(usize, usize)> = Vec::new();
+        let mut net = TickNet::new(self.cfg.hosts, self.cluster.vms.len());
 
         loop {
             // 0. Dynamics: interpret timeline events due now (journaling
             // each topology change) and inject evacuation requests.
-            let endpoints: Vec<(usize, usize)> = tasks
-                .iter()
-                .filter(|t| !t.failed)
-                .map(|t| (t.src.0, t.dst.0))
-                .collect();
+            endpoints.clear();
+            endpoints.extend(
+                tasks
+                    .iter()
+                    .filter(|t| !t.failed)
+                    .map(|t| (t.src.0, t.dst.0)),
+            );
             for req in dynamics.advance(now, &self.cluster, &endpoints, &self.recorder) {
                 future.push((next_request, req));
                 next_request += 1;
             }
-            let net = TickNet::snapshot(dynamics, self.cfg.hosts, self.cluster.vms.len(), now);
+            net.snapshot(dynamics, now);
 
             // 1. Arrivals: requests whose time has come join the queue.
-            let mut still_future = Vec::with_capacity(future.len());
-            for (idx, req) in future.drain(..) {
-                if req.at <= now {
+            future.retain(|&(idx, req)| {
+                let due = req.at <= now;
+                if due {
                     pending.push((idx, req));
-                } else {
-                    still_future.push((idx, req));
                 }
-            }
-            future = still_future;
+                !due
+            });
 
             // 2. Scheduling: admit until the policy (or admission
             // control) says stop.
@@ -300,17 +310,16 @@ impl Orchestrator {
             // 6. Guests advance at their achieved disk rates.
             self.advance_vms(&mut tasks, &vm_rates, step, now, &net, dynamics);
 
-            // 7. Reap finished streams.
-            let mut live = Vec::with_capacity(tasks.len());
-            for t in tasks.drain(..) {
-                if t.done() {
+            // 7. Reap finished streams, in stream order.
+            let mut ti = 0;
+            while ti < tasks.len() {
+                if tasks[ti].done() {
                     makespan = makespan.max(tick_end);
-                    records.push(self.finalize(t, tick_end));
+                    records.push(self.finalize(tasks.remove(ti), tick_end));
                 } else {
-                    live.push(t);
+                    ti += 1;
                 }
             }
-            tasks = live;
 
             now = tick_end;
         }
@@ -318,7 +327,7 @@ impl Orchestrator {
         let unserved = pending.len() + future.len();
         self.publish_metrics(&records, max_concurrent, unserved);
         ClusterReport {
-            policy: self.policy.name().to_string(),
+            policy: self.scheduler.name().to_string(),
             hosts: self.cfg.hosts,
             vms: self.cfg.vms,
             seed: self.cfg.seed,
@@ -338,21 +347,23 @@ impl Orchestrator {
         now: SimTime,
         net: &TickNet,
     ) {
-        let mut scheduler = self.policy.build();
-        loop {
-            if pending.is_empty() {
-                return;
-            }
-            let streams = self.streams_per_host(tasks);
-            let busy: BTreeSet<usize> = tasks.iter().map(|t| t.vm.0).collect();
-            let reqs: Vec<MigrationRequest> = pending.iter().map(|(_, r)| *r).collect();
-            // Rebuilt per decision: `open_task` consumes the admitted
-            // destination's replica, which must not be offered again.
-            let directory = directory_of(&self.cluster.replicas, self.cluster.vms.len());
+        if pending.is_empty() {
+            return;
+        }
+        // What a decision reads, built once per round and moved forward
+        // by each admission: the queue, the per-host stream counts and
+        // the migrating VMs. The one thing `open_task` changes behind
+        // the view is the directory (the admitted destination's replica
+        // is consumed and must not be offered again), and the cluster
+        // retires that entry itself.
+        let mut reqs: Vec<MigrationRequest> = pending.iter().map(|(_, r)| *r).collect();
+        let mut streams = self.streams_per_host(tasks);
+        let mut busy: BTreeSet<usize> = tasks.iter().map(|t| t.vm.0).collect();
+        while !pending.is_empty() {
             let view = ClusterView {
                 hosts: self.cfg.hosts,
                 vms: &self.cluster.vms,
-                directory: &directory,
+                directory: self.cluster.directory(),
                 streams: &streams,
                 max_streams_per_host: self.cfg.max_streams_per_host,
                 disk_blocks: self.cfg.disk_blocks,
@@ -364,7 +375,7 @@ impl Orchestrator {
                 now,
                 cycle_patience: self.cfg.cycle_patience,
             };
-            let Some(d) = scheduler.next(&reqs, &view) else {
+            let Some(d) = self.scheduler.next(&reqs, &view) else {
                 return;
             };
             if d.index >= pending.len() || d.dest.0 >= self.cfg.hosts {
@@ -378,6 +389,10 @@ impl Orchestrator {
                 return;
             }
             let (request, _) = pending.remove(d.index);
+            reqs.remove(d.index);
+            streams[src.0] += 1;
+            streams[d.dest.0] += 1;
+            busy.insert(vm.0);
             let task = self.open_task(request, vm, src, d.dest, now);
             tasks.push(task);
         }
@@ -399,11 +414,14 @@ impl Orchestrator {
         self.next_id += 1;
         let nblocks = self.cfg.disk_blocks;
         let live_blocks = self.cluster.vms[vm.0].disk.num_blocks();
-        let replica = self
-            .cluster
-            .replicas
-            .take(vm.0 as u64, dst.0 as u64)
-            .filter(|r| r.disk.num_blocks() == live_blocks);
+        // Write point 2 of the block directory: the admitted migration
+        // consumes its destination's image.
+        let replica = self.cluster.consume_replica(vm, dst);
+        if replica.is_some() {
+            let retires = "orchestrator.directory.retires";
+            self.recorder.metrics().counter(retires).inc();
+        }
+        let replica = replica.filter(|r| r.disk.num_blocks() == live_blocks);
         let (dst_disk, to_send, incremental) = match replica {
             Some(r) => {
                 let mut bm = FlatBitmap::new(nblocks);
@@ -546,8 +564,6 @@ impl Orchestrator {
                 && matches!(t.phase, Phase::DiskPrecopy | Phase::PostCopy)
                 && dynamics.host_up(t.dst.0);
             let peer = if replannable {
-                let mut dir = BlockDirectory::new();
-                dir.merge_replicas(t.vm.0 as u64, &self.cluster.replicas);
                 let allowed: Vec<u64> = (0..self.cfg.hosts)
                     .filter(|&h| {
                         h != t.src.0
@@ -557,7 +573,7 @@ impl Orchestrator {
                     })
                     .map(|h| h as u64)
                     .collect();
-                dir.best_holder(
+                self.cluster.directory().best_holder(
                     t.vm.0 as u64,
                     &self.cluster.vms[t.vm.0].disk,
                     &t.to_send,
@@ -860,15 +876,15 @@ impl Orchestrator {
         let mut refs = 0u64;
         let mut peer = 0u64;
         let src_disk = &self.cluster.vms[t.vm.0].disk;
-        // Replica sites other than the endpoints: the holders a
-        // multi-source fetch could draw a fresh block from. (While
-        // peer-fed the server is known, so the scan is skipped.)
-        let peer_sites: Vec<u64> = if self.cfg.multisource && peer_mask.is_none() {
+        // What the replica sites other than the endpoints hold: the
+        // images a multi-source fetch could draw a fresh block from.
+        // (While peer-fed the server is known, so the scan is skipped.)
+        let bystanders: Vec<&[u32]> = if self.cfg.multisource && peer_mask.is_none() {
             self.cluster
-                .replicas
-                .sites_with_replica(t.vm.0 as u64)
-                .into_iter()
-                .filter(|&s| s != t.src.0 as u64 && s != t.dst.0 as u64)
+                .directory()
+                .views(t.vm.0 as u64, src_disk)
+                .filter(|&(site, _)| site != t.src.0 as u64 && site != t.dst.0 as u64)
+                .map(|(_, held)| held)
                 .collect()
         } else {
             Vec::new()
@@ -892,15 +908,9 @@ impl Orchestrator {
                 // IS a peer); otherwise count it when some bystander
                 // replica also holds it at the live generation.
                 if peer_mask.is_some()
-                    || peer_sites.iter().any(|&s| {
-                        self.cluster
-                            .replicas
-                            .get(t.vm.0 as u64, s)
-                            .is_some_and(|r| {
-                                r.disk.num_blocks() == src_disk.num_blocks()
-                                    && r.disk.generation(b) == src_disk.generation(b)
-                            })
-                    })
+                    || bystanders
+                        .iter()
+                        .any(|held| held[b] == src_disk.generation(b))
                 {
                     peer += 1;
                 }
@@ -1154,9 +1164,7 @@ impl Orchestrator {
             }
             // The partial image is still a (stale) replica the next
             // attempt can diff against.
-            self.cluster
-                .replicas
-                .record(vm as u64, t.dst.0 as u64, t.dst_disk.clone());
+            self.keep_replica(t.vm, t.dst, t.dst_disk.clone());
             consistent = false;
         } else {
             self.recorder
@@ -1173,7 +1181,7 @@ impl Orchestrator {
                 .all(|&b| t.post_writes.get(b));
             let fresh = std::mem::replace(&mut t.dst_disk, MetaDisk::new(0));
             let old = std::mem::replace(&mut self.cluster.vms[vm].disk, fresh);
-            self.cluster.replicas.record(vm as u64, t.src.0 as u64, old);
+            self.keep_replica(t.vm, t.src, old);
         }
         let completed = !t.failed;
         self.recorder
@@ -1207,6 +1215,13 @@ impl Orchestrator {
             finish_nanos: t_nanos,
             downtime_nanos: t.downtime.as_nanos(),
         }
+    }
+
+    /// Write point 1 of the block directory: a host keeps an image.
+    fn keep_replica(&mut self, vm: VmId, host: HostId, disk: MetaDisk) {
+        self.cluster.keep_replica(vm, host, disk);
+        let publishes = "orchestrator.directory.publishes";
+        self.recorder.metrics().counter(publishes).inc();
     }
 
     /// Publish `cluster.*` metrics into the recorder's registry.
@@ -1272,7 +1287,7 @@ mod tests {
         assert_eq!(report.unserved, 0);
         assert!(report.max_concurrent >= 1);
         // Each VM left a replica behind on its old host.
-        assert_eq!(orch.cluster().replicas.len(), 3);
+        assert_eq!(orch.cluster().replicas().len(), 3);
         // Each VM actually moved (ring placement).
         assert_eq!(orch.cluster().vms[0].host, HostId(1));
         // The journal balances starts and ends.
@@ -1410,7 +1425,7 @@ mod tests {
         // The VM never moved.
         assert_eq!(orch.cluster().vms[0].host, HostId(0));
         // The partial copy was kept as a stale replica at the target.
-        assert!(orch.cluster().replicas.has(0, 1));
+        assert!(orch.cluster().replicas().has(0, 1));
     }
 
     /// Flat-capacity dynamics with one link severed during a window —
@@ -1447,11 +1462,14 @@ mod tests {
         fn advance(
             &mut self,
             now: SimTime,
-            _cluster: &Cluster,
+            cluster: &Cluster,
             _streams: &[(usize, usize)],
             _recorder: &Recorder,
         ) -> Vec<MigrationRequest> {
             self.now = now;
+            // Every tick of every run under this dynamics: the directory
+            // the executor maintains is the one a rebuild would give.
+            crate::cluster::assert_directory_matches_table(cluster);
             Vec::new()
         }
 
@@ -1577,6 +1595,48 @@ mod tests {
             .any(|r| matches!(r.event, Event::MigrationReconnected { .. })));
     }
 
+    /// The failover re-plan reads the cluster's maintained directory;
+    /// the peer it picks and the owed blocks that peer can serve are the
+    /// ones the per-stream rebuild from the replica table picked (values
+    /// recorded from the commit before the directory was maintained).
+    #[test]
+    fn stranded_replan_picks_the_same_peer_and_servable_count() {
+        let cfg = small_cfg(4, 1);
+        let hop = |dest: usize, secs: u64| MigrationRequest {
+            vm: VmId(0),
+            dest: Some(HostId(dest)),
+            at: SimTime::ZERO + SimDuration::from_secs(secs),
+        };
+        // h0 -> h1 -> h2 leaves images of two ages on h0 and h1; the
+        // third hop, h2 -> h3, loses its source link mid-copy.
+        let scenario = Scenario {
+            requests: vec![hop(1, 0), hop(2, 20), hop(3, 40)],
+        };
+        let mut dynamics = WindowPartition::new(
+            &cfg,
+            2,
+            3,
+            SimTime::ZERO + SimDuration::from_millis(40_250),
+            SimTime::ZERO + SimDuration::from_secs(80),
+        );
+        let rec = Recorder::enabled();
+        let mut orch =
+            Orchestrator::new(cfg.clone(), Policy::Fifo, rec.clone()).expect("valid config");
+        let report = orch.run_with_dynamics(&scenario, &mut dynamics);
+        assert_eq!(report.completed(), 3);
+        assert!(report.all_consistent());
+        let fed: Vec<(u64, u64)> = rec
+            .records()
+            .iter()
+            .filter_map(|r| match r.event {
+                Event::MigrationPeerFed { peer, servable, .. } => Some((peer, servable)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fed, vec![(1, 4_854), (0, 1_654)]);
+        assert_eq!(report.records[2].blocks_peer, 8_005);
+    }
+
     #[test]
     fn down_hosts_and_thinned_vms_stop_writing() {
         let mut cfg = small_cfg(3, 3);
@@ -1607,7 +1667,7 @@ mod tests {
         // replica table shows guest writes beyond the initial fill.
         let retired = orch
             .cluster()
-            .replicas
+            .replicas()
             .get(0, 0)
             .expect("vm0's old image was retired to h0");
         assert!(retired.disk.write_count() > initial);

@@ -50,6 +50,5 @@ pub use dynamics::{FleetDynamics, StaticDynamics};
 pub use executor::Orchestrator;
 pub use report::{ClusterReport, MigrationRecord};
 pub use scheduler::{
-    directory_of, ClusterView, CycleAware, Decision, Fifo, ImAware, MigrationRequest, Policy,
-    Scheduler, Srdf,
+    ClusterView, CycleAware, Decision, Fifo, ImAware, MigrationRequest, Policy, Scheduler, Srdf,
 };

@@ -9,26 +9,10 @@
 
 use std::collections::BTreeSet;
 
-use block_bitmap::DirtyMap;
 use blockstore::BlockDirectory;
 use des::{SimDuration, SimTime};
-use vdisk::ReplicaTable;
 
 use crate::cluster::{HostId, VmHandle, VmId};
-
-/// Fold every VM's replicas into one cluster-wide [`BlockDirectory`].
-///
-/// The directory is the single holder map every replica-aware decision
-/// reads — IM-aware placement here, fetch planning and source-death
-/// failover in `blockstore` — so the scheduler ranks destinations by
-/// exactly the per-block freshness a multi-source fetch would see.
-pub fn directory_of(replicas: &ReplicaTable, vms: usize) -> BlockDirectory {
-    let mut dir = BlockDirectory::new();
-    for vm in 0..vms {
-        dir.merge_replicas(vm as u64, replicas);
-    }
-    dir
-}
 
 /// One request: move `vm` (optionally to a pinned destination) at or
 /// after virtual time `at`.
@@ -58,8 +42,12 @@ pub struct ClusterView<'a> {
     pub hosts: usize,
     /// VM handles, by index.
     pub vms: &'a [VmHandle],
-    /// The cluster block directory (replica generation vectors folded
-    /// into a holder map; staleness ranked against live images).
+    /// The cluster block directory (the replica table's generation
+    /// vectors as a holder map; staleness ranked against live images).
+    /// It is the single map every replica-aware decision reads —
+    /// IM-aware placement here, fetch planning and source-death failover
+    /// in `blockstore` — so the scheduler ranks destinations by exactly
+    /// the per-block freshness a multi-source fetch would see.
     pub directory: &'a BlockDirectory,
     /// Active migration streams touching each host (source or dest).
     pub streams: &'a [usize],
@@ -136,8 +124,8 @@ impl ClusterView<'_> {
 
     /// Hosts (other than the current one) holding a usable stale replica
     /// of `vm`, with their stale-block counts, ascending by host. A
-    /// holder's staleness is the complement of its directory fresh
-    /// bitmap; geometry-mismatched holders contribute nothing.
+    /// holder's staleness is the directory's count of its blocks off the
+    /// live generation; geometry-mismatched holders contribute nothing.
     pub fn replica_dests(&self, vm: VmId) -> Vec<(HostId, usize)> {
         let here = self.vm_host(vm);
         let live = &self.vms[vm.0].disk;
@@ -150,8 +138,8 @@ impl ClusterView<'_> {
                     return None;
                 }
                 self.directory
-                    .fresh_bitmap(vm.0 as u64, site, live)
-                    .map(|fresh| (host, live.num_blocks() - fresh.count_ones()))
+                    .stale_count(vm.0 as u64, site, live)
+                    .map(|stale| (host, stale))
             })
             .collect()
     }
@@ -171,8 +159,7 @@ impl ClusterView<'_> {
     pub fn first_pass_blocks(&self, vm: VmId, dst: HostId) -> usize {
         let live = &self.vms[vm.0].disk;
         self.directory
-            .fresh_bitmap(vm.0 as u64, dst.0 as u64, live)
-            .map(|fresh| live.num_blocks() - fresh.count_ones())
+            .stale_count(vm.0 as u64, dst.0 as u64, live)
             .unwrap_or(self.disk_blocks)
     }
 }
@@ -431,7 +418,6 @@ mod tests {
     fn view<'a>(
         cluster: &'a Cluster,
         cfg: &ClusterConfig,
-        directory: &'a BlockDirectory,
         streams: &'a [usize],
         busy: &'a BTreeSet<usize>,
         net: &'a Net,
@@ -439,7 +425,7 @@ mod tests {
         ClusterView {
             hosts: cfg.hosts,
             vms: &cluster.vms,
-            directory,
+            directory: cluster.directory(),
             streams,
             max_streams_per_host: cfg.max_streams_per_host,
             disk_blocks: cfg.disk_blocks,
@@ -467,9 +453,8 @@ mod tests {
         let cluster = Cluster::new(&cfg).expect("valid");
         let streams = vec![0usize; 3];
         let busy = BTreeSet::new();
-        let dir = directory_of(&cluster.replicas, cluster.vms.len());
         let net = Net::all_up(cfg.hosts, cfg.vms);
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         let d = Fifo.next(&[req(2), req(0)], &v).expect("admits");
         assert_eq!(d.index, 0);
         // vm2 lives on host 2; ring placement sends it to host 0.
@@ -483,9 +468,8 @@ mod tests {
         let busy: BTreeSet<usize> = [0usize].into_iter().collect();
         // Host 1 (vm0's ring dest) saturated; vm1's dest host 2 is free.
         let streams = vec![0usize, cfg.max_streams_per_host, 0];
-        let dir = directory_of(&cluster.replicas, cluster.vms.len());
         let net = Net::all_up(cfg.hosts, cfg.vms);
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         // vm0 is busy; vm1 lives on host 1 (saturated as *source*?) — no:
         // source host 1 is saturated, so vm1 cannot start either.
         let d = Fifo.next(&[req(0), req(1), req(2)], &v);
@@ -501,13 +485,12 @@ mod tests {
         let mut cluster = Cluster::new(&cfg).expect("valid");
         // Give vm1's ring destination (host 2) a nearly-fresh replica.
         let disk = cluster.vms[1].disk.clone();
-        cluster.replicas.record(1, 2, disk);
+        cluster.keep_replica(VmId(1), HostId(2), disk);
         cluster.vms[1].disk.write(7);
         let streams = vec![0usize; 3];
         let busy = BTreeSet::new();
-        let dir = directory_of(&cluster.replicas, cluster.vms.len());
         let net = Net::all_up(cfg.hosts, cfg.vms);
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         let d = Srdf.next(&[req(0), req(1)], &v).expect("admits");
         assert_eq!(d.index, 1, "the 1-block incremental hop goes first");
         assert_eq!(d.dest, HostId(2));
@@ -519,13 +502,12 @@ mod tests {
         let mut cluster = Cluster::new(&cfg).expect("valid");
         // vm0 lives on host 0; host 2 holds a stale replica.
         let disk = cluster.vms[0].disk.clone();
-        cluster.replicas.record(0, 2, disk);
+        cluster.keep_replica(VmId(0), HostId(2), disk);
         cluster.vms[0].disk.write(1);
         let streams = vec![0usize; 4];
         let busy = BTreeSet::new();
-        let dir = directory_of(&cluster.replicas, cluster.vms.len());
         let net = Net::all_up(cfg.hosts, cfg.vms);
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         let d = ImAware.next(&[req(0)], &v).expect("admits");
         assert_eq!(d.dest, HostId(2), "replica host beats ring placement");
         assert_eq!(v.first_pass_blocks(VmId(0), HostId(2)), 1);
@@ -537,13 +519,12 @@ mod tests {
         let cfg = ClusterConfig::new(3, 3);
         let mut cluster = Cluster::new(&cfg).expect("valid");
         let disk = cluster.vms[0].disk.clone();
-        cluster.replicas.record(0, 2, disk);
+        cluster.keep_replica(VmId(0), HostId(2), disk);
         let mut streams = vec![0usize; 3];
         streams[2] = cfg.max_streams_per_host;
         let busy = BTreeSet::new();
-        let dir = directory_of(&cluster.replicas, cluster.vms.len());
         let net = Net::all_up(cfg.hosts, cfg.vms);
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         assert!(
             ImAware.next(&[req(0)], &v).is_none(),
             "waits for the replica host instead of burning a full copy"
@@ -569,12 +550,11 @@ mod tests {
         let cluster = Cluster::new(&cfg).expect("valid");
         let streams = vec![0usize; 3];
         let busy = BTreeSet::new();
-        let dir = directory_of(&cluster.replicas, cluster.vms.len());
 
         // A severed link blocks exactly that pair.
         let mut net = Net::all_up(cfg.hosts, cfg.vms);
         net.sever(cfg.hosts, 0, 1);
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         assert!(!v.admissible(HostId(0), HostId(1)));
         assert!(v.admissible(HostId(0), HostId(2)));
 
@@ -582,7 +562,7 @@ mod tests {
         // steps over it.
         let mut net = Net::all_up(cfg.hosts, cfg.vms);
         net.host_up[1] = false;
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         assert!(!v.admissible(HostId(1), HostId(2)));
         assert!(!v.admissible(HostId(0), HostId(1)));
         assert_eq!(v.naive_dest(VmId(0)), HostId(2), "ring skips the down host");
@@ -590,7 +570,7 @@ mod tests {
         // A cordoned host refuses new inbound streams but still sources.
         let mut net = Net::all_up(cfg.hosts, cfg.vms);
         net.cordoned[1] = true;
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         assert!(!v.admissible(HostId(0), HostId(1)));
         assert!(
             v.admissible(HostId(1), HostId(2)),
@@ -605,12 +585,11 @@ mod tests {
         let cluster = Cluster::new(&cfg).expect("valid");
         let streams = vec![0usize; 3];
         let busy = BTreeSet::new();
-        let dir = directory_of(&cluster.replicas, cluster.vms.len());
         let mut net = Net::all_up(cfg.hosts, cfg.vms);
         net.high_activity[0] = true;
 
         // Mid high-activity phase: vm0's request waits, vm1 goes first.
-        let v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let v = view(&cluster, &cfg, &streams, &busy, &net);
         let d = CycleAware.next(&[req(0), req(1)], &v).expect("admits");
         assert_eq!(d.index, 1, "the busy VM's request is deferred");
         // ImAware, cycle-blind, would have taken vm0 first.
@@ -619,7 +598,7 @@ mod tests {
 
         // Once the request has aged past the patience bound it runs even
         // through the busy phase — no starvation.
-        let mut v = view(&cluster, &cfg, &dir, &streams, &busy, &net);
+        let mut v = view(&cluster, &cfg, &streams, &busy, &net);
         v.now = SimTime::ZERO + SimDuration::from_secs(601);
         let d = CycleAware.next(&[req(0), req(1)], &v).expect("admits");
         assert_eq!(d.index, 0, "patience exhausted: the request runs anyway");

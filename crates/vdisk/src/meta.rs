@@ -51,6 +51,11 @@ impl MetaDisk {
         self.generations[block]
     }
 
+    /// The whole generation vector, block by block.
+    pub fn generations(&self) -> &[u32] {
+        &self.generations
+    }
+
     /// Copy one block's "contents" (its generation) from `src` — the
     /// simulated transfer of a block between hosts.
     ///

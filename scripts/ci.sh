@@ -135,6 +135,26 @@ import json, sys
 ratio = json.load(sys.stdin)["metrics"]["live.wire_bytes_per_image_byte"]["value"]
 print(f"template_clone_paced live.wire_bytes_per_image_byte = {ratio:.4f}")
 sys.exit(0 if ratio <= 0.12 else 1)'
+# The virtual-time engines are pure functions of the seed: the simulated
+# outputs of the default seed, by equality. Counts, not timings — a block
+# directory that drifts from the replica table, a planner that assigns
+# one block differently or a tick that shares a NIC differently changes
+# a digit here.
+tail -n 1 target/smoke-virtual_time.out | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+want = {
+    "sim.virt_total_s": 16.792540988,
+    "sim.virt_downtime_ms": 132.669965,
+    "sim.virt_wire_bytes": 946567619,
+    "sim.fanin_peer_share": 0.916656494140625,
+    "orchestrator.virt_makespan_s": 227.25,
+    "orchestrator.virt_bytes": 1075676807,
+}
+got = {name: metrics[name]["value"] for name in want}
+for name in want:
+    print(f"virtual_time {name} = {got[name]!r}")
+sys.exit(0 if got == want else 1)'
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
