@@ -20,6 +20,7 @@ use crate::{tail_mask, words_for, DirtyMap, FlatBitmap, BITS_PER_WORD};
 /// iteration's map — never lost, which is the correctness property the
 /// migration algorithm needs (a block may be transferred twice, but a dirty
 /// block is never skipped).
+#[derive(Default)]
 pub struct AtomicBitmap {
     nbits: usize,
     words: Vec<AtomicU64>,

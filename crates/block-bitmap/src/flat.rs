@@ -36,7 +36,7 @@ fn zip_words_in_place(dst: &mut [u64], src: &[u64], f: impl Fn(u64, u64) -> u64 
 /// migration engine's per-iteration snapshots. Iteration over set bits uses
 /// word-level trailing-zero scans, so scanning a mostly-clean map touches
 /// one word per 64 blocks.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlatBitmap {
     nbits: usize,
     words: Vec<u64>,

@@ -6,10 +6,7 @@ use std::time::Instant;
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng};
 use migrate::baselines::{run_delta_queue, run_freeze_and_copy, run_on_demand};
-use migrate::live::{
-    fingerprinting_pays, run_live_migration_faulty, run_live_migration_replicated,
-    run_live_migration_tcp_faulty, LiveConfig,
-};
+use migrate::live::{fingerprinting_pays, fresh_disks, LiveConfig, LivePeer, LiveRun};
 use migrate::sim::{
     dwell, run_im, run_template_clone_fanin, run_template_clone_fanin_traced, run_tpm,
     run_tpm_traced,
@@ -310,7 +307,7 @@ fn run_orchestrate(a: OrchArgs) -> Result<(), String> {
 
 fn run_live(a: LiveArgs) -> Result<(), String> {
     let rec = recorder_for(&a.trace_out, &a.metrics_out);
-    let cfg = LiveConfig {
+    let mut cfg = LiveConfig {
         num_blocks: a.blocks,
         workload: a.workload,
         rate_limit: a.rate_limit_mbps.map(|m| m * MB),
@@ -329,19 +326,30 @@ fn run_live(a: LiveArgs) -> Result<(), String> {
     // Each injected fault resets one connection attempt somewhere in its
     // first few hundred messages (seed-deterministic), so the engine must
     // reconnect and resume from the block-bitmap.
-    let plan = if a.faults > 0 {
+    let faults = if a.faults > 0 {
         FaultPlan::seeded_resets(a.seed, a.faults, 10, 200)
     } else {
         FaultPlan::none()
     };
-    let out = if a.tcp {
-        run_live_migration_tcp_faulty(&cfg, plan)
-    } else if a.sources > 0 {
-        run_live_migration_replicated(&cfg, plan, a.sources)
-    } else {
-        run_live_migration_faulty(&cfg, plan)
+    let mut run = LiveRun {
+        faults,
+        tcp: a.tcp,
+        ..LiveRun::default()
+    };
+    if a.sources > 0 {
+        // Shared-storage replica holders (hosts 1..=N) of the source image,
+        // registered as failover peers with multi-source fetch enabled.
+        let (src, dst) = fresh_disks(&cfg);
+        cfg.multisource = true;
+        cfg.peers = (1..=a.sources as u64)
+            .map(|host| LivePeer {
+                host,
+                disk: Arc::clone(&src),
+            })
+            .collect();
+        run.disks = Some((src, dst));
     }
-    .map_err(|e| format!("migration failed: {e}"))?;
+    let out = migrate::live::run_live(&cfg, run).map_err(|e| format!("migration failed: {e}"))?;
     println!(
         "live migration{}: disk iters {:?}, mem iters {:?}, frozen dirty {}+{}p, downtime {:?} of {:?}",
         if a.tcp { " (TCP)" } else { "" },

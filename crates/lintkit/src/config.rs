@@ -7,7 +7,8 @@
 //! `crates/vdisk/src/content.rs` pins a single file. The `[allow]`
 //! section carries per-site waivers (`"path"` or `"path:line"`) keyed by
 //! rule id — the determinism lists are required to stay empty: a
-//! nondeterministic container gets converted, not excused.
+//! nondeterministic container gets converted, not excused. There is no
+//! compiled-in copy: a workspace without the file does not lint.
 //!
 //! The parser below handles exactly the TOML subset the file uses —
 //! `[section]` headers and `key = ["...", ...]` string arrays (multiline
@@ -38,6 +39,7 @@ pub const ALLOW_KEYS: &[&str] = &[
     "no-panic-transport",
     "lock-order",
     "protocol-exhaustive",
+    "unsafe-audit",
     "determinism",
     "no-blocking",
     "result-dropped",
@@ -54,91 +56,12 @@ pub struct Config {
 }
 
 impl Config {
-    /// The compiled-in zone map, used when no `lintkit.toml` exists
-    /// (fixture tests, bare temp workspaces). The shipped root
-    /// `lintkit.toml` must stay identical to this — a test pins the two
-    /// together.
-    pub fn builtin() -> Self {
-        let zone = |paths: &[&str]| paths.iter().map(|p| p.to_string()).collect::<Vec<_>>();
-        let mut zones = BTreeMap::new();
-        // Typed-error territory: a panic on these paths kills a protocol
-        // thread mid-session. lintkit itself is included — the lint gate
-        // must not be the one binary allowed to crash CI with a panic.
-        zones.insert(
-            "transport".to_string(),
-            zone(&[
-                "crates/migrate/src/live/",
-                "crates/simnet/src/",
-                "crates/telemetry/src/",
-                "crates/orchestrator/src/",
-                "crates/vdisk/src/content.rs",
-                "crates/lintkit/src/",
-                "crates/blockstore/src/",
-                "crates/scenario/src/",
-            ]),
-        );
-        // Replay territory: same seed ⇒ byte-identical journals. No
-        // nondeterministic iteration order, no wall-clock reads.
-        zones.insert(
-            "deterministic".to_string(),
-            zone(&[
-                "crates/migrate/src/sim/",
-                "crates/orchestrator/src/",
-                "crates/vdisk/src/",
-                "crates/blockstore/src/",
-                "crates/scenario/src/",
-            ]),
-        );
-        // Ordering-only determinism: these paths feed journaled output
-        // (container iteration must be deterministic) but legitimately
-        // own wall-clock reads — telemetry's dual-clock recorder stamps
-        // the wall epoch, the live driver measures real downtime.
-        zones.insert(
-            "deterministic-order".to_string(),
-            zone(&["crates/telemetry/src/", "crates/migrate/src/live/driver.rs"]),
-        );
-        // Pre-staging the async engine refactor (ROADMAP): these crates
-        // must stay free of thread::sleep / blocking recv / join /
-        // accept so they can move onto a reactor without surgery.
-        zones.insert(
-            "reactor-ready".to_string(),
-            zone(&[
-                "crates/des/src/",
-                "crates/block-bitmap/src/",
-                "crates/migrate/src/sim/",
-                "crates/orchestrator/src/",
-                "crates/vdisk/src/",
-                "crates/workloads/src/",
-                "crates/telemetry/src/",
-                "crates/scenario/src/",
-            ]),
-        );
-        // Where a silently dropped Result loses a protocol message or an
-        // I/O failure: the wire, the live engine, and lintkit itself.
-        zones.insert(
-            "result-dropped".to_string(),
-            zone(&[
-                "crates/simnet/src/",
-                "crates/migrate/src/live/",
-                "crates/lintkit/src/",
-                "crates/blockstore/src/",
-            ]),
-        );
-        let allow = ALLOW_KEYS
-            .iter()
-            .map(|k| (k.to_string(), Vec::new()))
-            .collect();
-        Self { zones, allow }
-    }
-
-    /// Load `<root>/lintkit.toml`; a missing file means the builtin map.
+    /// Load `<root>/lintkit.toml`. A missing file is an error, like a
+    /// malformed one: there is no other copy of the zones to fall back on.
     pub fn load(root: &Path) -> io::Result<Self> {
         let path = root.join(CONFIG_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Self::builtin()),
-            Err(e) => return Err(e),
-        };
+        let text = fs::read_to_string(&path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         Self::parse(&text).map_err(|msg| {
             io::Error::new(io::ErrorKind::InvalidData, format!("{CONFIG_FILE}: {msg}"))
         })
@@ -280,14 +203,5 @@ mod tests {
         assert!(Config::parse("[allow]\nno-such-rule = []\n").is_err());
         assert!(Config::parse("transport = []\n").is_err());
         assert!(Config::parse("[zones]\ntransport = [\"unterminated\"").is_err());
-    }
-
-    #[test]
-    fn shipped_config_matches_builtin() {
-        // lintkit.toml is the single source of zone truth for humans;
-        // `builtin()` is what fixture tests and bare temp workspaces
-        // get. They must not drift apart.
-        let shipped = Config::parse(include_str!("../../../lintkit.toml")).unwrap();
-        assert_eq!(shipped, Config::builtin());
     }
 }

@@ -36,38 +36,28 @@ pub use config::Config;
 pub use report::Violation;
 pub use source::SourceFile;
 
-/// Name of the unsafe allowlist file at the workspace root.
-pub const ALLOWLIST: &str = "lintkit.allow";
-
-/// Everything the rules see: the lexed files, the zone config, and the
-/// unsafe allowlist.
+/// Everything the rules see: the lexed files and the zone config.
 pub struct Workspace {
     /// Lexed sources, sorted by path for deterministic reports.
     pub files: Vec<SourceFile>,
     /// Zone map + per-site allow entries (`lintkit.toml`).
     pub config: Config,
-    /// Repo-relative paths permitted to contain `unsafe`.
-    pub unsafe_allow: Vec<String>,
 }
 
 impl Workspace {
-    /// Build a workspace from in-memory `(path, source)` pairs — the
-    /// fixture-test entry point.
-    pub fn from_sources(sources: &[(&str, &str)]) -> Self {
+    /// Build a workspace from in-memory `(path, source)` pairs under
+    /// `config` — the fixture-test entry point.
+    pub fn from_sources(sources: &[(&str, &str)], config: Config) -> Self {
         let mut files: Vec<SourceFile> = sources
             .iter()
             .map(|(rel, text)| SourceFile::new(*rel, text))
             .collect();
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Self {
-            files,
-            config: Config::builtin(),
-            unsafe_allow: Vec::new(),
-        }
+        Self { files, config }
     }
 
     /// Scan a workspace rooted at `root`: every `.rs` file under
-    /// `crates/*/src/` and a top-level `src/`, plus the allowlist.
+    /// `crates/*/src/` and a top-level `src/`, plus `lintkit.toml`.
     pub fn scan(root: &Path) -> io::Result<Self> {
         let mut rs_files = Vec::new();
         let crates_dir = root.join("crates");
@@ -100,7 +90,6 @@ impl Workspace {
         Ok(Self {
             files,
             config: Config::load(root)?,
-            unsafe_allow: read_allowlist(&root.join(ALLOWLIST))?,
         })
     }
 
@@ -133,20 +122,4 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Parse `lintkit.allow`: one repo-relative path per line; `#` starts a
-/// comment; blank lines ignored. A missing file means an empty list.
-fn read_allowlist(path: &Path) -> io::Result<Vec<String>> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    Ok(text
-        .lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .map(str::to_string)
-        .collect())
 }

@@ -10,27 +10,23 @@ use std::process::ExitCode;
 use lintkit::{rules, Workspace};
 
 const USAGE: &str = "\
-usage: lintkit [--workspace | PATH] [--allowlist FILE] [--format FMT]
-               [--list-rules]
+usage: lintkit [--workspace | PATH] [--format FMT] [--list-rules]
 
   --workspace       lint the enclosing cargo workspace (found by walking
                     up from the current directory to a Cargo.toml that
                     declares [workspace])
   PATH              lint the workspace rooted at PATH instead
-  --allowlist FILE  read the unsafe allowlist from FILE instead of
-                    <root>/lintkit.allow
   --format FMT      output format: text (default) or json — json emits
                     one machine-readable document on stdout (the CI
                     artifact); exit codes are identical in both modes
   --list-rules      print each rule id and the invariant it protects
 
-Zone membership comes from <root>/lintkit.toml (see DESIGN.md §16);
-a missing file means the compiled-in default zones.
+Zone membership and per-site waivers come from <root>/lintkit.toml (see
+DESIGN.md §16); a missing or malformed file is a usage/IO error.
 ";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut allowlist: Option<PathBuf> = None;
     let mut list_rules = false;
     let mut use_workspace = false;
     let mut json = false;
@@ -40,10 +36,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workspace" => use_workspace = true,
             "--list-rules" => list_rules = true,
-            "--allowlist" => match args.next() {
-                Some(f) => allowlist = Some(PathBuf::from(f)),
-                None => return usage_error("--allowlist needs a file argument"),
-            },
             "--format" => match args.next().as_deref() {
                 Some("text") => json = false,
                 Some("json") => json = true,
@@ -80,27 +72,13 @@ fn main() -> ExitCode {
         None => return usage_error("pass --workspace or a workspace PATH"),
     };
 
-    let mut ws = match Workspace::scan(&root) {
+    let ws = match Workspace::scan(&root) {
         Ok(ws) => ws,
         Err(e) => {
             eprintln!("lintkit: failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if let Some(file) = allowlist {
-        ws.unsafe_allow = match std::fs::read_to_string(&file) {
-            Ok(text) => text
-                .lines()
-                .map(|l| l.split('#').next().unwrap_or("").trim().to_string())
-                .filter(|l| !l.is_empty())
-                .collect(),
-            Err(e) => {
-                eprintln!("lintkit: failed to read {}: {e}", file.display());
-                return ExitCode::from(2);
-            }
-        };
-    }
-
     let violations = ws.run();
     if json {
         let rule_meta: Vec<(&str, &str)> = rules::all_rules()

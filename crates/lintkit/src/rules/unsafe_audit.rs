@@ -4,11 +4,11 @@
 //!
 //! The simulator deliberately contains no unsafe code — determinism and
 //! the fault-injection tests both rely on every data race being a
-//! compile error. `lintkit.allow` at the workspace root lists the files
-//! (one repo-relative path per line, `#` comments) permitted to contain
-//! `unsafe`; an entry also waives that file's crate-root pragma check.
-//! The list is empty today: adding unsafe code means adding a reviewed
-//! allowlist entry in the same diff.
+//! compile error. `[allow] unsafe-audit` in `lintkit.toml` lists the
+//! files permitted to contain `unsafe`; like every `[allow]` entry, a
+//! path waives all of the file's findings, the crate-root pragma check
+//! included. The list is empty today: adding unsafe code means adding a
+//! reviewed entry in the same diff.
 
 use super::Rule;
 use crate::lexer::Token;
@@ -30,10 +30,6 @@ impl Rule for UnsafeAudit {
     fn check(&self, ws: &Workspace) -> Vec<Violation> {
         let mut out = Vec::new();
         for file in &ws.files {
-            let allowed = ws.unsafe_allow.iter().any(|a| a == &file.rel);
-            if allowed {
-                continue;
-            }
             for (i, t) in file.tokens.iter().enumerate() {
                 if !file.in_test[i] && t.is_ident("unsafe") {
                     out.push(Violation {
@@ -41,7 +37,8 @@ impl Rule for UnsafeAudit {
                         path: file.rel.clone(),
                         line: file.line_of_token(i),
                         message: "`unsafe` outside the allowlist — justify it with an \
-                                  entry in lintkit.allow or rewrite in safe Rust"
+                                  `[allow] unsafe-audit` entry in lintkit.toml or rewrite \
+                                  in safe Rust"
                             .to_string(),
                     });
                 }

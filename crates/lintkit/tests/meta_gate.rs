@@ -11,17 +11,24 @@ use std::path::PathBuf;
 
 use lintkit::{Violation, Workspace};
 
+/// The zone config the workspace ships.
+const SHIPPED: &str = include_str!("../../../lintkit.toml");
+
 struct TempWorkspace {
     root: PathBuf,
 }
 
 impl TempWorkspace {
+    /// An empty workspace, `lintkit.toml` included unless a test writes
+    /// its own or removes it.
     fn new(tag: &str) -> Self {
         let root = std::env::temp_dir().join(format!("lintkit-meta-{tag}-{}", std::process::id()));
         // A stale run's leftovers would poison the scan.
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(&root).expect("create temp workspace");
-        Self { root }
+        let ws = Self { root };
+        ws.write("lintkit.toml", SHIPPED);
+        ws
     }
 
     fn write(&self, rel: &str, text: &str) {
@@ -55,8 +62,7 @@ fn assert_finding(vs: &[Violation], rule: &str, rel: &str, line: usize) {
 fn seeded_violations_surface_with_rule_and_location() {
     let ws = TempWorkspace::new("seeded");
     // One violation per analysis, each on a known line, each inside the
-    // builtin zone that owns the rule (no lintkit.toml is written, so
-    // scan falls back to the compiled-in zone map).
+    // shipped zone that owns the rule.
     ws.write(
         "crates/orchestrator/src/sched.rs",
         "use std::collections::HashMap;\n\npub fn plan() -> HashMap<u32, u32> {\n    HashMap::new()\n}\n",
@@ -91,7 +97,7 @@ fn seeded_violations_surface_with_rule_and_location() {
 }
 
 #[test]
-fn a_written_config_overrides_the_builtin_zones() {
+fn a_written_config_decides_the_zones() {
     let ws = TempWorkspace::new("config");
     // The same seeded file, but lintkit.toml moves the deterministic
     // zone elsewhere and waives the one remaining no-blocking site.
@@ -114,6 +120,22 @@ fn a_written_config_overrides_the_builtin_zones() {
         vs.is_empty(),
         "zones moved + site waived, nothing should fire: {vs:#?}"
     );
+}
+
+#[test]
+fn a_missing_config_is_a_hard_error_not_a_silent_pass() {
+    let ws = TempWorkspace::new("missing");
+    ws.write(
+        "crates/orchestrator/src/sched.rs",
+        "use std::collections::HashMap;\n",
+    );
+    fs::remove_file(ws.root.join("lintkit.toml")).expect("remove config");
+    let err = match Workspace::scan(&ws.root) {
+        Err(e) => e,
+        Ok(_) => panic!("a workspace without lintkit.toml must not scan"),
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(err.to_string().contains("lintkit.toml"), "{err}");
 }
 
 #[test]

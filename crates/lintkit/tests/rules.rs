@@ -4,7 +4,7 @@
 //! lintkit under fake workspace-relative paths chosen to land inside (or
 //! outside) the zones each rule cares about.
 
-use lintkit::{Violation, Workspace};
+use lintkit::{Config, Violation, Workspace};
 
 const NO_PANIC_TRIP: &str = include_str!("fixtures/no_panic_trip.rs");
 const NO_PANIC_PASS: &str = include_str!("fixtures/no_panic_pass.rs");
@@ -23,8 +23,15 @@ const RESULT_DROPPED_PASS: &str = include_str!("fixtures/result_dropped_pass.rs"
 const INTERPROC_TRIP: &str = include_str!("fixtures/lock_order_interproc_trip.rs");
 const INTERPROC_PASS: &str = include_str!("fixtures/lock_order_interproc_pass.rs");
 
+/// The fixtures are linted under the zones the workspace ships.
+fn workspace(sources: &[(&str, &str)]) -> Workspace {
+    let shipped =
+        Config::parse(include_str!("../../../lintkit.toml")).expect("lintkit.toml parses");
+    Workspace::from_sources(sources, shipped)
+}
+
 fn run(sources: &[(&str, &str)]) -> Vec<Violation> {
-    Workspace::from_sources(sources).run()
+    workspace(sources).run()
 }
 
 fn lines_of<'a>(violations: &'a [Violation], rule: &str) -> Vec<(&'a str, usize)> {
@@ -150,8 +157,12 @@ fn unsafe_outside_allowlist_is_flagged_with_missing_pragma() {
 
 #[test]
 fn allowlisted_files_may_contain_unsafe() {
-    let mut ws = Workspace::from_sources(&[("crates/fast/src/lib.rs", UNSAFE_TRIP)]);
-    ws.unsafe_allow = vec!["crates/fast/src/lib.rs".to_string()];
+    let mut ws = workspace(&[("crates/fast/src/lib.rs", UNSAFE_TRIP)]);
+    ws.config
+        .allow
+        .entry("unsafe-audit".to_string())
+        .or_default()
+        .push("crates/fast/src/lib.rs".to_string());
     let vs = ws.run();
     assert!(
         !vs.iter().any(|v| v.rule == "unsafe-audit"),
@@ -292,7 +303,7 @@ fn lock_order_interproc_skips_shared_released_and_foreign_receivers() {
 fn allow_entries_suppress_named_findings() {
     // An `[allow]` entry scoped to `path:line` silences exactly that
     // finding; a bare path entry silences the file.
-    let mut ws = Workspace::from_sources(&[("crates/des/src/fixture.rs", NO_BLOCKING_TRIP)]);
+    let mut ws = workspace(&[("crates/des/src/fixture.rs", NO_BLOCKING_TRIP)]);
     ws.config
         .allow
         .entry("no-blocking".to_string())
@@ -305,7 +316,7 @@ fn allow_entries_suppress_named_findings() {
         .collect();
     assert_eq!(lines, [8, 9, 17, 21, 22], "line 16 allowed: {vs:#?}");
 
-    let mut ws = Workspace::from_sources(&[("crates/des/src/fixture.rs", NO_BLOCKING_TRIP)]);
+    let mut ws = workspace(&[("crates/des/src/fixture.rs", NO_BLOCKING_TRIP)]);
     ws.config
         .allow
         .entry("no-blocking".to_string())

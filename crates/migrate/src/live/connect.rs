@@ -5,7 +5,7 @@
 //! dies mid-stream, come back for attempt *k+1*. Three implementations:
 //!
 //! * [`OnceConnector`] — wraps an existing transport; no reconnection
-//!   (the legacy single-connection entry points).
+//!   (a fixed pair of transports, e.g. a test's instrumented link).
 //! * [`DuplexConnector`] — in-process rendezvous that mints a fresh
 //!   crossbeam duplex pair per attempt, wrapped in
 //!   [`simnet::fault::FaultyTransport`] so a [`FaultPlan`] can sever
@@ -24,6 +24,7 @@ use parking_lot::Mutex;
 use simnet::fault::{faulty_named_pair, FaultPlan, FaultyTransport};
 use simnet::tcp::TcpTransport;
 use simnet::transport::{duplex_windowed, Endpoint, Transport, SEND_WINDOW};
+use telemetry::Side;
 
 use crate::config::RetryPolicy;
 use crate::live::error::MigrationError;
@@ -44,8 +45,9 @@ pub trait Connector: Send {
 }
 
 /// A connector around one pre-established transport: attempt 0 returns
-/// it, any reconnect attempt fails. Gives fixed-transport entry points
-/// the new error surface without changing their connection behavior.
+/// it, any reconnect attempt fails, so a fixed pair of transports runs
+/// through [`run_live_migration_connected`](crate::live::run_live_migration_connected)
+/// and its first mid-stream failure surfaces as a [`MigrationError`].
 pub struct OnceConnector<T: Transport>(Option<T>);
 
 impl<T: Transport> OnceConnector<T> {
@@ -66,26 +68,10 @@ impl<T: Transport + 'static> Connector for OnceConnector<T> {
     }
 }
 
-/// Which half of a [`DuplexConnector`] pair this is. The fault plan is
-/// evaluated on source sends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Side {
-    Source,
-    Dest,
-}
-
-impl Side {
-    fn peer(self) -> Self {
-        match self {
-            Self::Source => Self::Dest,
-            Self::Dest => Self::Source,
-        }
-    }
-}
-
 /// Shared state of a duplex rendezvous: the first side to ask for
 /// attempt *k* mints the (fault-wrapped) pair, keeps its half, and
-/// parks the peer's half here under `(k, peer_side)`.
+/// parks the peer's half here under `(k, peer_side)`. The fault plan is
+/// evaluated on source sends.
 struct Rendezvous {
     pending: Mutex<HashMap<(u32, Side), FaultyTransport<Endpoint>>>,
     aborted: AtomicBool,
@@ -118,7 +104,7 @@ pub fn duplex_connector_pair(
         plan: plan.clone(),
         rate_limit,
     };
-    (mk(Side::Source), mk(Side::Dest))
+    (mk(Side::Source), mk(Side::Destination))
 }
 
 impl Connector for DuplexConnector {
@@ -149,11 +135,11 @@ impl Connector for DuplexConnector {
         // attempt, modeling a dead source host rather than a flapping
         // link. Plans without kills behave exactly as before.
         let (src, dst) = faulty_named_pair(src_ep, dst_ep, &self.plan, "source", attempt);
-        let (mine, theirs) = match self.side {
-            Side::Source => (src, dst),
-            Side::Dest => (dst, src),
+        let (mine, theirs, peer) = match self.side {
+            Side::Source => (src, dst, Side::Destination),
+            Side::Destination => (dst, src, Side::Source),
         };
-        pending.insert((attempt, self.side.peer()), theirs);
+        pending.insert((attempt, peer), theirs);
         Ok(mine)
     }
 

@@ -273,7 +273,12 @@ impl DriverHandle {
                     res.mem_writes += 1;
                 }
                 thread_ctl.0.ticks.fetch_add(1, Ordering::Release);
-                std::thread::sleep(tick_wall);
+                // Out of the tick's wait at once on a suspend or stop
+                // request: a freeze must not start on the guest's clock.
+                let mut st = thread_ctl.0.state.lock();
+                if st.phase == Phase::Running && !st.stop {
+                    thread_ctl.0.cv.wait_for(&mut st, tick_wall);
+                }
             }
         });
         Self { ctl, join }

@@ -16,40 +16,32 @@
 //! authoritative instead. Re-sent blocks are re-read from the current
 //! disk, so a resend can never apply stale data.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use block_bitmap::{ser, AtomicBitmap, DirtyMap, FlatBitmap};
+use block_bitmap::{ser, DirtyMap, FlatBitmap};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use des::SimDuration;
-use simnet::codec::decompress_blocks;
 use simnet::fault::FaultPlan;
-use simnet::proto::{MigMessage, ResumePhase, TransferLedger, WireStats, BLOCK_REF_WIRE};
-use simnet::transport::{duplex, Transport, TransportError};
-use telemetry::{Event, Phase, Recorder, Resource, Side};
-
-use blockstore::{fetch_blocks, serve_blocks, BlockSource, BlockWant};
-
-use crate::report::PeerBytes;
-use vdisk::{
-    hash_block, stamp_bytes, DomainId, FingerprintSet, TrackedDisk, TrackerHandle, VirtualDisk,
-};
+use simnet::proto::{MigMessage, TransferLedger, WireStats};
+use simnet::transport::{Transport, TransportError};
+use telemetry::{Event, Recorder, Side};
+use vdisk::{stamp_bytes, DomainId, TrackedDisk, VirtualDisk};
 use vmstate::LiveRam;
 use workloads::WorkloadKind;
 
 use crate::config::RetryPolicy;
-use crate::live::connect::{
-    duplex_connector_pair, Connector, OnceConnector, TcpDestConnector, TcpSourceConnector,
+use crate::live::dest::dest_protocol;
+use crate::live::source::{source_protocol, SourceState};
+use crate::live::{
+    duplex_connector_pair, Connector, DriverHandle, DriverResult, LiveWorkload, MigrationError,
+    SourceIo, TcpDestConnector, TcpSourceConnector,
 };
-use crate::live::driver::{DriverCtl, DriverHandle, DriverResult, LiveWorkload};
-use crate::live::error::MigrationError;
-use crate::live::io::{DestIo, SourceIo};
-use crate::live::lz_rule::{fingerprinting_pays, LzRule};
+use crate::report::PeerBytes;
 
 /// The migrated guest's domain id in live mode.
-const GUEST: DomainId = DomainId(1);
+pub(super) const GUEST: DomainId = DomainId(1);
 
 /// A surviving holder of the migrating image's content — a replica host
 /// or shared-storage attachment the destination may fetch blocks from
@@ -57,39 +49,12 @@ const GUEST: DomainId = DomainId(1);
 /// destination verifies every fetched payload against the freeze-time
 /// [`MigMessage::BlockManifest`] fingerprints, so a stale holder
 /// degrades to a miss, never to a wrong image.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct LivePeer {
     /// Host id the holder is known by (telemetry, per-peer accounting).
     pub host: u64,
     /// The holder's copy of the image.
     pub disk: Arc<TrackedDisk>,
-}
-
-impl std::fmt::Debug for LivePeer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LivePeer")
-            .field("host", &self.host)
-            .field("blocks", &self.disk.disk().num_blocks())
-            .finish()
-    }
-}
-
-/// Serves a [`LivePeer`]'s disk over a blockstore session: a block is
-/// shipped only when its current content hashes to the requested
-/// fingerprint, anything else answers a miss.
-struct PeerDiskSource {
-    disk: Arc<TrackedDisk>,
-}
-
-impl BlockSource for PeerDiskSource {
-    fn fetch(&self, block: u64, fingerprint: u64, _generation: u64) -> Option<Bytes> {
-        let b = block as usize;
-        if b >= self.disk.disk().num_blocks() {
-            return None;
-        }
-        let data = self.disk.disk().read_block(b);
-        (hash_block(&data) == fingerprint).then(|| Bytes::from(data))
-    }
 }
 
 /// Configuration of a live (threaded) migration.
@@ -201,7 +166,7 @@ pub struct SideWork {
     /// Blocks read from the side's disk (batches to ship, holders a
     /// reference resolved to, the image a primary handshake fingerprints).
     pub blocks_read: u64,
-    /// Blocks run through [`hash_block`].
+    /// Blocks run through [`hash_block`](vdisk::hash_block).
     pub blocks_hashed: u64,
 }
 
@@ -302,139 +267,124 @@ impl LiveOutcome {
     }
 }
 
-fn fresh_disks(cfg: &LiveConfig) -> (Arc<TrackedDisk>, Arc<TrackedDisk>) {
-    let src = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
-        cfg.block_size,
-        cfg.num_blocks,
-    ))));
-    for b in 0..cfg.num_blocks {
-        src.disk()
-            .write_block(b, &stamp_bytes(b, 0, cfg.block_size));
+/// Lay out a primary migration's disks for `cfg`: the source holds the
+/// stamp-0 image the verifier expects, the destination is blank.
+pub fn fresh_disks(cfg: &LiveConfig) -> (Arc<TrackedDisk>, Arc<TrackedDisk>) {
+    let (bs, n) = (cfg.block_size, cfg.num_blocks);
+    let blank = || Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(bs, n))));
+    let src = blank();
+    for b in 0..n {
+        src.disk().write_block(b, &stamp_bytes(b, 0, bs));
     }
-    let dst = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
-        cfg.block_size,
-        cfg.num_blocks,
-    ))));
-    (src, dst)
+    (src, blank())
 }
 
-/// Run a primary live migration with freshly created disks: the source
-/// holds the stamp-0 image, the destination is blank.
-pub fn run_live_migration(cfg: &LiveConfig) -> Result<LiveOutcome, MigrationError> {
-    let (src, dst) = fresh_disks(cfg);
-    run_live_migration_with(cfg, src, dst, None)
+/// What a [`run_live`] migration runs on besides its [`LiveConfig`].
+/// `LiveRun::default()` is a primary migration between [`fresh_disks`]
+/// over the in-process link, without faults.
+#[derive(Default)]
+pub struct LiveRun {
+    /// Source and destination disks; `None` lays out [`fresh_disks`].
+    pub disks: Option<(Arc<TrackedDisk>, Arc<TrackedDisk>)>,
+    /// Enables Incremental Migration: only the marked blocks are shipped
+    /// in the first iteration (§V — "if \[the bitmap\] does \[exist\],
+    /// only the blocks marked dirty in the block-bitmap need to be
+    /// migrated").
+    pub initial_bitmap: Option<FlatBitmap>,
+    /// Transport faults, evaluated on source sends; each reconnect gets
+    /// the plan's faults for its attempt number. Over TCP a fired fault
+    /// also severs the real socket, so the destination observes it as a
+    /// genuine dead stream.
+    pub faults: FaultPlan,
+    /// Cross real TCP sockets on the loopback interface — framed by
+    /// `simnet::codec`, exactly as between two hosts — instead of the
+    /// in-process duplex.
+    pub tcp: bool,
 }
 
-/// Run a primary live migration with a deterministic transport fault
-/// schedule. Faults are evaluated on source sends; each reconnect gets
-/// the plan's faults for its attempt number.
-pub fn run_live_migration_faulty(
-    cfg: &LiveConfig,
-    plan: FaultPlan,
-) -> Result<LiveOutcome, MigrationError> {
-    let (src, dst) = fresh_disks(cfg);
-    run_live_migration_with_faults(cfg, src, dst, None, plan)
+/// Run a live migration over one of the two built-in links, paced at
+/// `cfg.rate_limit`. Failover peer holders, if any, are `cfg.peers`.
+pub fn run_live(cfg: &LiveConfig, run: LiveRun) -> Result<LiveOutcome, MigrationError> {
+    let (src, dst) = run.disks.unwrap_or_else(|| fresh_disks(cfg));
+    if !run.tcp {
+        let (src_conn, dst_conn) = duplex_connector_pair(run.faults, cfg.rate_limit);
+        return run_live_migration_connected(cfg, src, dst, run.initial_bitmap, src_conn, dst_conn);
+    }
+    let dst_conn = TcpDestConnector::bind("127.0.0.1:0", cfg.retry.clone())?;
+    let addr = dst_conn.local_addr()?.to_string();
+    let mut src_conn = TcpSourceConnector::new(addr, run.faults, cfg.retry.clone());
+    if let Some(limit) = cfg.rate_limit {
+        src_conn = src_conn.with_rate_limit(limit);
+    }
+    run_live_migration_connected(cfg, src, dst, run.initial_bitmap, src_conn, dst_conn)
 }
 
-/// Run a primary live migration with `holders` shared-storage replica
-/// holders registered as failover peers (hosts `1..=holders`, each
-/// attached to the source image) and multi-source fetch enabled. This is
-/// the CLI's `--sources N` entry: with a benign fault plan it behaves
-/// exactly like [`run_live_migration_faulty`]; under a source-killing
-/// plan the destination completes the image from the peers.
-pub fn run_live_migration_replicated(
-    cfg: &LiveConfig,
-    plan: FaultPlan,
-    holders: usize,
-) -> Result<LiveOutcome, MigrationError> {
-    let (src, dst) = fresh_disks(cfg);
-    let mut cfg = cfg.clone();
-    cfg.multisource = true;
-    cfg.peers = (1..=holders as u64)
-        .map(|host| LivePeer {
-            host,
-            disk: Arc::clone(&src),
-        })
-        .collect();
-    run_live_migration_with_faults(&cfg, src, dst, None, plan)
+/// [`run_live`] over loopback TCP between fresh disks. Kept with this
+/// signature for the benchmark package, which calls it by name.
+pub fn run_live_migration_tcp(cfg: &LiveConfig) -> Result<LiveOutcome, MigrationError> {
+    run_live(
+        cfg,
+        LiveRun {
+            tcp: true,
+            ..LiveRun::default()
+        },
+    )
 }
 
-/// Run a live migration between existing disks. `initial_bitmap` enables
-/// Incremental Migration: only the marked blocks are shipped in the first
-/// iteration (§V — "if \[the bitmap\] does \[exist\], only the blocks marked
-/// dirty in the block-bitmap need to be migrated").
+/// [`run_live`] between existing disks over the in-process link. Kept
+/// with this signature for the benchmark package, which calls it by name.
 pub fn run_live_migration_with(
     cfg: &LiveConfig,
     src: Arc<TrackedDisk>,
     dst: Arc<TrackedDisk>,
     initial_bitmap: Option<FlatBitmap>,
 ) -> Result<LiveOutcome, MigrationError> {
-    run_live_migration_with_faults(cfg, src, dst, initial_bitmap, FaultPlan::none())
-}
-
-/// Run a live migration between existing disks under a fault plan.
-pub fn run_live_migration_with_faults(
-    cfg: &LiveConfig,
-    src: Arc<TrackedDisk>,
-    dst: Arc<TrackedDisk>,
-    initial_bitmap: Option<FlatBitmap>,
-    plan: FaultPlan,
-) -> Result<LiveOutcome, MigrationError> {
-    let (src_conn, dst_conn) = duplex_connector_pair(plan, cfg.rate_limit);
-    run_live_migration_connected(cfg, src, dst, initial_bitmap, src_conn, dst_conn)
-}
-
-/// Run a primary live migration over **real TCP sockets** on the loopback
-/// interface — the protocol crosses an actual network stack, framed by
-/// `simnet::codec`, exactly as it would between two hosts.
-pub fn run_live_migration_tcp(cfg: &LiveConfig) -> Result<LiveOutcome, MigrationError> {
-    run_live_migration_tcp_faulty(cfg, FaultPlan::none())
-}
-
-/// TCP migration with injected faults: the source side's transport is
-/// wrapped per attempt; a fired fault also severs the real socket, so
-/// the destination observes it as a genuine dead stream.
-pub fn run_live_migration_tcp_faulty(
-    cfg: &LiveConfig,
-    plan: FaultPlan,
-) -> Result<LiveOutcome, MigrationError> {
-    let (src, dst) = fresh_disks(cfg);
-    let dst_conn = TcpDestConnector::bind("127.0.0.1:0", cfg.retry.clone())?;
-    let addr = dst_conn.local_addr()?.to_string();
-    let mut src_conn = TcpSourceConnector::new(addr, plan, cfg.retry.clone());
-    if let Some(limit) = cfg.rate_limit {
-        src_conn = src_conn.with_rate_limit(limit);
-    }
-    run_live_migration_connected(cfg, src, dst, None, src_conn, dst_conn)
-}
-
-/// Run a live migration between existing disks over a pre-connected pair
-/// of [`Transport`]s. No reconnection is possible on a fixed pair: the
-/// first mid-stream failure surfaces as [`MigrationError`].
-pub fn run_live_migration_over<S, D>(
-    cfg: &LiveConfig,
-    src: Arc<TrackedDisk>,
-    dst: Arc<TrackedDisk>,
-    initial_bitmap: Option<FlatBitmap>,
-    src_ep: S,
-    dst_ep: D,
-) -> Result<LiveOutcome, MigrationError>
-where
-    S: Transport + 'static,
-    D: Transport + 'static,
-{
-    run_live_migration_connected(
+    run_live(
         cfg,
-        src,
-        dst,
-        initial_bitmap,
-        OnceConnector::new(src_ep),
-        OnceConnector::new(dst_ep),
+        LiveRun {
+            disks: Some((src, dst)),
+            initial_bitmap,
+            ..LiveRun::default()
+        },
     )
 }
 
+/// The caller's disks and inherited bitmap against `cfg`, before any
+/// thread starts: a mismatch found later would surface as a panic in a
+/// protocol thread or as a frame the destination rejects after the guest
+/// has moved.
+fn check_geometry(
+    cfg: &LiveConfig,
+    src: &TrackedDisk,
+    dst: &TrackedDisk,
+    initial_bitmap: Option<&FlatBitmap>,
+) -> Result<(), MigrationError> {
+    let (bs, n) = (cfg.block_size, cfg.num_blocks);
+    let mismatch = |detail: String| {
+        let detail = format!("geometry mismatch: {detail}");
+        Err(MigrationError::Protocol {
+            phase: "prepare",
+            detail,
+        })
+    };
+    for (side, disk) in [("source", src), ("destination", dst)] {
+        let (dbs, dn) = (disk.disk().block_size(), disk.disk().num_blocks());
+        if (dbs, dn) != (bs, n) {
+            return mismatch(format!(
+                "{side} disk is {dbs} B × {dn} blocks, not {bs} B × {n}"
+            ));
+        }
+    }
+    match initial_bitmap.map(|bm| bm.len()) {
+        Some(len) if len > n => mismatch(format!("initial bitmap of {len} blocks for {n}")),
+        _ => Ok(()),
+    }
+}
+
 /// Run a live migration between existing disks, drawing each connection
-/// attempt from the given connectors.
+/// attempt from the given connectors: the core [`run_live`] wraps. A
+/// fixed pair of transports, which cannot reconnect, is an
+/// [`OnceConnector`](crate::live::OnceConnector) on each side.
 pub fn run_live_migration_connected<CS, CD>(
     cfg: &LiveConfig,
     src: Arc<TrackedDisk>,
@@ -447,8 +397,7 @@ where
     CS: Connector + 'static,
     CD: Connector + 'static,
 {
-    assert_eq!(src.disk().num_blocks(), cfg.num_blocks);
-    assert_eq!(dst.disk().num_blocks(), cfg.num_blocks);
+    check_geometry(cfg, &src, &dst, initial_bitmap.as_ref())?;
     src.set_telemetry(&cfg.telemetry, "disk.src");
     dst.set_telemetry(&cfg.telemetry, "disk.dst");
 
@@ -482,35 +431,21 @@ where
     );
     let start = Instant::now();
 
-    let src_thread = {
-        let cfg = cfg.clone();
-        let src = Arc::clone(&src);
-        let ram = Arc::clone(&src_ram);
-        let ctl = driver.ctl();
-        std::thread::spawn(move || source_protocol(&cfg, &src, &ram, src_conn, &ctl, src_state))
-    };
-    let dst_thread = {
-        let cfg = cfg.clone();
-        let dst = Arc::clone(&dst);
-        let ram = Arc::clone(&dst_ram);
-        let ctl = driver.ctl();
-        std::thread::spawn(move || dest_protocol(&cfg, &dst, &ram, dst_conn, &ctl))
-    };
-
-    let src_res = src_thread.join().unwrap_or_else(|_| {
-        Err((
-            MigrationError::Protocol {
-                phase: "source",
-                detail: "source protocol thread panicked".into(),
-            },
-            None,
-        ))
-    });
-    let dst_res = dst_thread.join().unwrap_or_else(|_| {
-        Err(MigrationError::Protocol {
-            phase: "destination",
-            detail: "destination protocol thread panicked".into(),
-        })
+    let ctl = driver.ctl();
+    let (src_res, dst_res) = std::thread::scope(|scope| {
+        let source =
+            scope.spawn(|| source_protocol(cfg, &src, &src_ram, src_conn, &ctl, src_state));
+        let dest = scope.spawn(|| dest_protocol(cfg, &dst, &dst_ram, dst_conn, &ctl));
+        let panicked = |phase| MigrationError::Protocol {
+            phase,
+            detail: format!("{phase} protocol thread panicked"),
+        };
+        (
+            source
+                .join()
+                .unwrap_or_else(|_| Err((panicked("source"), None))),
+            dest.join().unwrap_or_else(|_| Err(panicked("destination"))),
+        )
     });
     let total = start.elapsed();
     let DriverResult {
@@ -522,7 +457,7 @@ where
     // Only now has the guest stopped writing: the new-write bitmap read
     // any earlier would miss the destination writes that followed.
     dst.disable_tracking();
-    let (src_res, dst_res) = match (src_res, dst_res) {
+    let (s, d) = match (src_res, dst_res) {
         (Ok(s), Ok(d)) => (s, d),
         // The source died for good but the destination completed the
         // image from peer holders: the migration as a whole succeeded.
@@ -530,61 +465,72 @@ where
         (Err((e, _)), _) => return Err(e),
         (_, Err(e)) => return Err(e),
     };
+    // Completion passes through the freeze on both sides, which stamps the
+    // suspend and the resume and stands up the destination's io path; a
+    // gap is a protocol bug, reported as such rather than unwound as a
+    // panic.
+    let (Some(suspended_at), Some(resumed_at), Some(dest_io), Some(new_bm)) =
+        (s.suspended_at, d.resumed_at, &d.dest_io, &d.new_bm)
+    else {
+        return Err(MigrationError::Protocol {
+            phase: "resume",
+            detail: "migration completed without suspending and resuming the guest".into(),
+        });
+    };
 
     let outcome = LiveOutcome {
-        downtime: dst_res.resumed_at - src_res.suspended_at,
+        downtime: resumed_at - suspended_at,
         total,
-        iterations: src_res.iterations,
-        mem_iterations: src_res.mem_iterations,
-        frozen_mem_dirty: src_res.frozen_mem_dirty,
-        frozen_dirty: src_res.frozen_dirty,
-        pushed: dst_res.pushed,
-        pulled: dst_res.pulled,
-        dropped: dst_res.dropped,
-        stalled_reads: dst_res.stalled_reads,
-        reconnects: src_res.reconnects,
-        failovers: dst_res.failovers,
-        peer_bytes: dst_res.failover_peers,
-        resume_owed: src_res.resume_owed,
-        wire: src_res.wire,
+        iterations: s.iterations,
+        mem_iterations: s.mem_iterations,
+        frozen_mem_dirty: s.frozen_mem_dirty,
+        frozen_dirty: s.frozen_dirty,
+        pushed: d.pushed,
+        pulled: d.pulled,
+        dropped: d.dropped,
+        stalled_reads: dest_io.stall_stats().0,
+        reconnects: s.reconnects,
+        failovers: d.failovers,
+        peer_bytes: d.failover_peers,
+        resume_owed: s.resume_owed,
+        wire: s.ctx.wire,
         work: WorkLedger {
-            src: src_res.work,
-            dst: dst_res.work,
+            src: s.ctx.work,
+            dst: d.work,
         },
-        src_ledger: src_res.ledger,
-        dst_ledger: dst_res.ledger,
+        src_ledger: s.ledger,
+        dst_ledger: d.ledger,
         dst_disk: dst,
         src_disk: src,
         dst_ram,
         mem_model,
-        new_bitmap: dst_res.new_bm.snapshot(),
+        new_bitmap: new_bm.snapshot(),
         model,
         read_violations,
     };
     if cfg.telemetry.is_enabled() {
         let m = cfg.telemetry.metrics();
-        m.counter("live.postcopy.pushed").add(outcome.pushed);
-        m.counter("live.postcopy.pulled").add(outcome.pulled);
-        m.counter("live.postcopy.dropped").add(outcome.dropped);
-        m.counter("live.reconnects")
-            .add(u64::from(outcome.reconnects));
+        let wire = &outcome.wire;
+        for (name, value) in [
+            ("live.postcopy.pushed", outcome.pushed),
+            ("live.postcopy.pulled", outcome.pulled),
+            ("live.postcopy.dropped", outcome.dropped),
+            ("live.reconnects", u64::from(outcome.reconnects)),
+            ("wire.bytes_raw", wire.bytes_raw),
+            ("wire.bytes_sent", wire.bytes_sent),
+            ("wire.blocks_deduped", wire.blocks_deduped),
+            ("wire.blocks_compressed", wire.blocks_compressed),
+            ("wire.page_bytes_raw", wire.page_bytes_raw),
+            ("wire.page_bytes_sent", wire.page_bytes_sent),
+            ("wire.pages_compressed", wire.pages_compressed),
+        ] {
+            m.counter(name).add(value);
+        }
         m.gauge("live.frozen_dirty").set(outcome.frozen_dirty);
         m.gauge("live.downtime_nanos")
             .set(u64::try_from(outcome.downtime.as_nanos()).unwrap_or(u64::MAX));
         m.gauge("live.src_bytes_total")
             .set(outcome.src_ledger.total());
-        m.counter("wire.bytes_raw").add(outcome.wire.bytes_raw);
-        m.counter("wire.bytes_sent").add(outcome.wire.bytes_sent);
-        m.counter("wire.blocks_deduped")
-            .add(outcome.wire.blocks_deduped);
-        m.counter("wire.blocks_compressed")
-            .add(outcome.wire.blocks_compressed);
-        m.counter("wire.page_bytes_raw")
-            .add(outcome.wire.page_bytes_raw);
-        m.counter("wire.page_bytes_sent")
-            .add(outcome.wire.page_bytes_sent);
-        m.counter("wire.pages_compressed")
-            .add(outcome.wire.pages_compressed);
         m.histogram("live.iteration_blocks")
             .observe_all(outcome.iterations.iter().copied());
         if outcome.failovers > 0 {
@@ -602,7 +548,7 @@ where
 }
 
 /// How one protocol session ended short of completion.
-enum SessionError {
+pub(super) enum SessionError {
     /// The connection died; reconnect and resume.
     Reconnect(TransportError),
     /// Unrecoverable: protocol violation, stuck peer, bad state.
@@ -612,7 +558,7 @@ enum SessionError {
 /// Map a transport failure: dead connections are reconnectable,
 /// anything else (`Empty` misuse, a message too large to frame) would
 /// meet a new connection unchanged and ends the migration.
-fn classify(phase: &'static str, e: TransportError) -> SessionError {
+pub(super) fn classify(phase: &'static str, e: TransportError) -> SessionError {
     if e.is_fatal() {
         SessionError::Reconnect(e)
     } else {
@@ -620,14 +566,18 @@ fn classify(phase: &'static str, e: TransportError) -> SessionError {
     }
 }
 
-fn send_or<T: Transport>(ep: &T, phase: &'static str, msg: MigMessage) -> Result<(), SessionError> {
+pub(super) fn send_or<T: Transport>(
+    ep: &T,
+    phase: &'static str,
+    msg: MigMessage,
+) -> Result<(), SessionError> {
     ep.send(msg).map_err(|e| classify(phase, e))
 }
 
 /// Blocking receive with the phase timeout: a peer that stays connected
 /// but silent for the whole window is declared stuck (fatal), a dead
 /// connection triggers a reconnect.
-fn recv_or<T: Transport>(
+pub(super) fn recv_or<T: Transport>(
     ep: &T,
     phase: &'static str,
     timeout: Duration,
@@ -642,1509 +592,82 @@ fn recv_or<T: Transport>(
     }
 }
 
-fn protocol_err(phase: &'static str, detail: String) -> SessionError {
+pub(super) fn protocol_err(phase: &'static str, detail: String) -> SessionError {
     SessionError::Fatal(MigrationError::Protocol { phase, detail })
 }
 
-fn decode_bitmap(phase: &'static str, encoded: &Bytes) -> Result<FlatBitmap, SessionError> {
+pub(super) fn decode_bitmap(
+    phase: &'static str,
+    encoded: &Bytes,
+) -> Result<FlatBitmap, SessionError> {
     ser::decode(encoded).map_err(|e| protocol_err(phase, format!("undecodable bitmap: {e:?}")))
 }
 
-/// Union of `extra` indices and a `current` worklist, deduplicated and
-/// sorted via a scratch bitmap over `nbits` slots.
-fn merged_worklist(
-    nbits: usize,
-    extra: impl IntoIterator<Item = usize>,
-    current: &[usize],
-) -> Vec<usize> {
-    let mut bm = FlatBitmap::new(nbits);
-    for b in extra {
-        bm.set(b);
-    }
-    for &b in current {
-        bm.set(b);
-    }
-    bm.to_indices()
+/// How one side's run of sessions ended short of completion.
+pub(super) enum SessionsEnd {
+    /// A session failed in a way no new connection would fix.
+    Fatal(MigrationError),
+    /// No new connection came: the retry budget ran out, or the
+    /// connector gave up on the peer.
+    Unreachable(MigrationError),
 }
 
-/// Indices marked in `shipped` but not in `got`: sent during the failed
-/// session with no proof of delivery, hence owed on resume.
-fn owed_indices(shipped: &FlatBitmap, got: &FlatBitmap) -> Vec<usize> {
-    shipped.iter_set().filter(|&b| !got.get(b)).collect()
+/// One side's run of sessions: how it ended, the bytes the side sent over
+/// all its connections, and how many times it reconnected.
+pub(super) struct Sessions {
+    pub(super) end: Result<(), SessionsEnd>,
+    pub(super) ledger: TransferLedger,
+    pub(super) reconnects: u32,
 }
 
-/// The current content of `blocks`, concatenated in order, read once
-/// into one buffer under one acquisition of the disk lock.
-fn read_batch(disk: &TrackedDisk, blocks: &[usize], block_size: usize) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(blocks.len() * block_size);
-    disk.disk().read_blocks_append(blocks, &mut payload);
-    payload
-}
-
-/// Reorder a disk worklist for K parallel logical streams: the block
-/// range splits into K contiguous word-aligned shards
-/// ([`FlatBitmap::shard_bounds`]), and batches are drawn round-robin
-/// across them — the send order K independent transport streams would
-/// produce. Per-stream scheduled-block counts land in the
-/// `live.stream.{i}.blocks_scheduled` counters.
-fn interleave_streams(
-    worklist: &[usize],
-    num_blocks: usize,
-    streams: usize,
-    batch: usize,
-    telemetry: &Recorder,
-) -> Vec<usize> {
-    let bounds = FlatBitmap::shard_bounds(num_blocks, streams);
-    // No sortedness assumption: a reconnect hands back an already
-    // interleaved remainder, so each block finds its shard by range.
-    let mut per: Vec<Vec<usize>> = vec![Vec::new(); bounds.len()];
-    for &b in worklist {
-        let s = bounds.partition_point(|r| r.end <= b);
-        per[s.min(bounds.len() - 1)].push(b);
-    }
-    if telemetry.is_enabled() {
-        let m = telemetry.metrics();
-        for (i, shard) in per.iter().enumerate() {
-            m.counter(&format!("live.stream.{i}.blocks_scheduled"))
-                .add(shard.len() as u64);
-        }
-    }
-    let mut out = Vec::with_capacity(worklist.len());
-    let mut idx = vec![0usize; per.len()];
-    while out.len() < worklist.len() {
-        for (s, shard) in per.iter().enumerate() {
-            let i = idx[s];
-            if i < shard.len() {
-                let end = (i + batch).min(shard.len());
-                out.extend_from_slice(&shard[i..end]);
-                idx[s] = end;
-            }
-        }
-    }
-    out
-}
-
-/// Per-session wire-optimization state on the source side: the
-/// negotiated dedup/compress agreement, the source's view of which
-/// fingerprints the destination can resolve (seeded from
-/// [`MigMessage::ContentSummary`], grown by every full block this
-/// session ships — in-order transports guarantee the destination
-/// indexed those before any later reference arrives), blocks the
-/// destination bounced with [`MigMessage::BlockRefMiss`] (always re-sent
-/// in full, never re-referenced), the run-wide savings and work ledgers,
-/// and the rule that says when the negotiated compression is worth using.
-struct DedupCtx {
-    dedup: bool,
-    compress: bool,
-    known_remote: FingerprintSet,
-    force_full: HashSet<usize>,
-    wire: WireStats,
-    work: SideWork,
-    lz: LzRule,
-}
-
-impl DedupCtx {
-    fn new() -> Self {
-        Self {
-            dedup: false,
-            compress: false,
-            known_remote: FingerprintSet::default(),
-            force_full: HashSet::new(),
-            wire: WireStats::default(),
-            work: SideWork::default(),
-            lz: LzRule::new(),
-        }
-    }
-
-    /// Re-arm for a fresh session: the negotiated flags are this
-    /// session's, and the previous session's view of remote content is
-    /// discarded — a resumed session re-validates against a fresh
-    /// [`MigMessage::ContentSummary`], it never trusts stale knowledge.
-    /// The savings and work ledgers and what LZ was measured to cost span
-    /// the whole run and survive.
-    fn reset(&mut self, dedup: bool, compress: bool) {
-        self.dedup = dedup;
-        self.compress = compress;
-        self.known_remote = FingerprintSet::default();
-        self.force_full.clear();
-    }
-}
-
-/// Pull every queued [`MigMessage::BlockRefMiss`] off the transport.
-/// During pre-copy and freeze the destination sends nothing else
-/// unprompted, so any other message is a protocol violation.
-fn drain_ref_misses<T: Transport>(
-    ep: &T,
-    misses: &mut Vec<usize>,
-    phase: &'static str,
-) -> Result<(), SessionError> {
-    loop {
-        match ep.try_recv() {
-            Ok(MigMessage::BlockRefMiss { block }) => misses.push(block as usize),
-            Ok(other) => {
-                return Err(protocol_err(
-                    phase,
-                    format!("unexpected message at source: {other:?}"),
-                ))
-            }
-            Err(TransportError::Empty) => return Ok(()),
-            Err(e) => return Err(classify(phase, e)),
-        }
-    }
-}
-
-/// Send a [`MigMessage::Barrier`] and wait for its echo: on return the
-/// destination has applied everything sent before the barrier, and every
-/// [`MigMessage::BlockRefMiss`] that traffic provoked is in `misses`
-/// (the link is ordered, so bounces precede the ack). The wait is how a
-/// source that outruns its destination is held to the destination's
-/// pace at iteration boundaries; a connection that dies meanwhile takes
-/// the ordinary reconnect path.
-fn sync_barrier<T: Transport>(
-    ep: &T,
-    misses: &mut Vec<usize>,
-    phase: &'static str,
-    timeout: Duration,
-) -> Result<(), SessionError> {
-    send_or(ep, phase, MigMessage::Barrier)?;
-    loop {
-        match recv_or(ep, phase, timeout)? {
-            MigMessage::BarrierAck => return Ok(()),
-            MigMessage::BlockRefMiss { block } => misses.push(block as usize),
-            other => {
-                return Err(protocol_err(
-                    phase,
-                    format!("unexpected message at source: {other:?}"),
-                ))
-            }
-        }
-    }
-}
-
-/// Ship a batch of whole units — blocks and pages are framed alike, an
-/// index list plus equal-sized units, raw or as one LZ stream —
-/// compressed when the session negotiated it, the link pays for it
-/// ([`LzRule`]) and the codec actually wins: the one place that is
-/// decided, and booked in the savings ledger, for blocks and pages alike.
-fn send_full_batch<T: Transport>(
-    ep: &T,
-    ctx: &mut DedupCtx,
-    unit: Resource,
-    ids: Vec<u64>,
-    payload: Vec<u8>,
-    unit_size: usize,
-    phase: &'static str,
-) -> Result<(), SessionError> {
-    let (count, raw_len) = (ids.len() as u64, payload.len() as u64);
-    let frames = ctx
-        .compress
-        .then(|| ctx.lz.encode(ep, unit, &payload, unit_size))
-        .flatten();
-    let compressed = frames.is_some();
-    let body = Bytes::from(frames.unwrap_or(payload));
-    let sent = body.len() as u64;
-    let msg = match (unit, compressed) {
-        (Resource::Disk, true) => MigMessage::CompressedBlocks {
-            blocks: ids,
-            raw_len,
-            payload: body,
-        },
-        (Resource::Disk, false) => MigMessage::DiskBlocks {
-            blocks: ids,
-            payload_len: sent,
-            payload: Some(body),
-        },
-        (Resource::Memory, true) => MigMessage::CompressedPages {
-            pages: ids,
-            raw_len,
-            payload: body,
-        },
-        (Resource::Memory, false) => MigMessage::MemPages {
-            pages: ids,
-            payload_len: sent,
-            payload: Some(body),
-        },
-    };
-    send_or(ep, phase, msg)?;
-    let wire = &mut ctx.wire;
-    let (bytes_sent, units_compressed) = match unit {
-        Resource::Disk => (&mut wire.bytes_sent, &mut wire.blocks_compressed),
-        Resource::Memory => (&mut wire.page_bytes_sent, &mut wire.pages_compressed),
-    };
-    *bytes_sent += sent;
-    if compressed {
-        *units_compressed += count;
-    }
-    Ok(())
-}
-
-/// Drain a disk worklist into `DiskBlocks` batches, marking each block
-/// in the session-shipped set *before* its send is attempted (delivery
-/// of an errored send is unknown — assume sent, let the destination's
-/// receipt report settle it). On failure the unsent remainder stays in
-/// the worklist.
-///
-/// With `cfg.streams > 1` the worklist is first re-interleaved so
-/// consecutive batches rotate across the stream shards; because shipped
-/// accounting is per-block and global, ordering never affects
-/// correctness or resume.
-///
-/// Each chunk is read from the disk exactly once, into the buffer that
-/// goes on the wire. On a dedup session the blocks are fingerprinted in
-/// that buffer: content the destination provably holds goes as a 16-byte
-/// [`MigMessage::BlockRef`] instead of `block_size` bytes, the rest is
-/// compacted to the front of the buffer and flushed *before* the chunk's
-/// references so a reference can reach content shipped in its own chunk.
-/// The fingerprints are also left with the disk
-/// ([`TrackedDisk::record_fingerprints`]): when this image is migrated
-/// *to* next, they are its handshake.
-/// `BlockRefMiss` bounces are drained between batches and re-queued as
-/// forced-full sends.
-///
-/// With `barrier` (the pre-copy phases) every pass ends in a
-/// [`sync_barrier`]: when this returns the destination has applied the
-/// whole worklist and no bounce is in flight. The freeze-phase resend
-/// after a reconnect passes `false` — the guest is down, a round trip is
-/// downtime — and a bounce still in flight then is answered from
-/// post-copy instead.
-#[allow(clippy::too_many_arguments)]
-fn send_disk_worklist<T: Transport>(
-    ep: &T,
-    disk: &TrackedDisk,
-    worklist: &mut Vec<usize>,
-    shipped: &mut FlatBitmap,
-    ctx: &mut DedupCtx,
+/// The reconnect driver both protocol threads run: connection attempt
+/// after connection attempt from `connector`, one `session` on each,
+/// until a session completes, one fails fatally, or the retry policy's
+/// budget is spent. Each connection's sent bytes are journaled and
+/// summed. What a failed run means is the caller's: the source hands its
+/// state to a failover, the destination may complete from peer holders.
+pub(super) fn run_sessions<C: Connector>(
     cfg: &LiveConfig,
-    phase: &'static str,
-    barrier: bool,
-) -> Result<(), SessionError> {
-    let block_size = cfg.block_size;
-    let batch = cfg.batch.max(1);
-    if cfg.streams > 1 && worklist.len() > batch {
-        *worklist =
-            interleave_streams(worklist, cfg.num_blocks, cfg.streams, batch, &cfg.telemetry);
-    }
-    let mut misses = Vec::new();
-    let mut fps: Vec<u64> = Vec::new();
-    loop {
-        let mut done = 0;
-        let res = loop {
-            if done >= worklist.len() {
-                break Ok(());
-            }
-            let end = (done + batch).min(worklist.len());
-            let chunk = &worklist[done..end];
-            for &b in chunk {
-                shipped.set(b);
-            }
-            ctx.wire.bytes_raw += (chunk.len() * block_size) as u64;
-            ctx.work.blocks_read += chunk.len() as u64;
-            // Before the read: the guest is free to write meanwhile.
-            let seen = ctx.dedup.then(|| disk.content_index().invalidations());
-            let mut payload = read_batch(disk, chunk, block_size);
-            let mut fulls: Vec<u64> = Vec::with_capacity(chunk.len());
-            let mut refs: Vec<(u64, u64)> = Vec::new();
-            if let Some(seen) = seen {
-                // Partition the chunk: blocks whose fingerprint the
-                // destination can already resolve become references;
-                // intra-chunk duplicates count too, because the full
-                // batch is flushed first. Full blocks slide down over
-                // the slots references vacate.
-                fps.clear();
-                for (i, &b) in chunk.iter().enumerate() {
-                    let at = i * block_size;
-                    let fp = hash_block(&payload[at..at + block_size]);
-                    fps.push(fp);
-                    // One probe answers both "can it be referenced" and
-                    // "it is known from here on"; a bounced block is
-                    // known already and goes in full regardless.
-                    let known = !ctx.known_remote.insert(fp);
-                    if known && !ctx.force_full.contains(&b) {
-                        refs.push((b as u64, fp));
-                    } else {
-                        let to = fulls.len() * block_size;
-                        if to != at {
-                            payload.copy_within(at..at + block_size, to);
-                        }
-                        fulls.push(b as u64);
-                    }
-                }
-                payload.truncate(fulls.len() * block_size);
-                disk.record_fingerprints(chunk, &fps, seen);
-                ctx.work.blocks_hashed += chunk.len() as u64;
-            } else {
-                fulls.extend(chunk.iter().map(|&b| b as u64));
-            }
-            if !fulls.is_empty() {
-                let sent =
-                    send_full_batch(ep, ctx, Resource::Disk, fulls, payload, block_size, phase);
-                if let Err(e) = sent {
-                    break Err(e);
-                }
-            }
-            let mut failed = None;
-            for &(block, fingerprint) in &refs {
-                ctx.wire.bytes_sent += BLOCK_REF_WIRE;
-                ctx.wire.blocks_deduped += 1;
-                if let Err(e) = send_or(ep, phase, MigMessage::BlockRef { block, fingerprint }) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            if let Some(e) = failed {
-                break Err(e);
-            }
-            done = end;
-            if ctx.dedup {
-                if let Err(e) = drain_ref_misses(ep, &mut misses, phase) {
-                    break Err(e);
-                }
-            }
-        };
-        worklist.drain(..done);
-        res?;
-        if barrier {
-            sync_barrier(ep, &mut misses, phase, cfg.retry.phase_timeout)?;
-        } else if ctx.dedup {
-            drain_ref_misses(ep, &mut misses, phase)?;
-        }
-        if misses.is_empty() {
-            ctx.lz.journal(&cfg.telemetry, Resource::Disk);
-            return Ok(());
-        }
-        // Bounced references rejoin the worklist as forced-full sends —
-        // a re-sent block can never bounce again, so this converges.
-        for &b in &misses {
-            ctx.force_full.insert(b);
-        }
-        worklist.append(&mut misses);
-    }
-}
-
-/// Page analogue of [`send_disk_worklist`] over the same
-/// [`send_full_batch`]. There is no content index over RAM, so no
-/// references, nothing to bounce and no barrier of its own.
-fn send_page_worklist<T: Transport>(
-    ep: &T,
-    ram: &LiveRam,
-    worklist: &mut Vec<usize>,
-    shipped: &mut FlatBitmap,
-    ctx: &mut DedupCtx,
-    cfg: &LiveConfig,
-    phase: &'static str,
-) -> Result<(), SessionError> {
-    let mut done = 0;
-    let res = loop {
-        if done >= worklist.len() {
-            break Ok(());
-        }
-        let end = (done + cfg.mem_batch.max(1)).min(worklist.len());
-        let chunk = &worklist[done..end];
-        for &p in chunk {
-            shipped.set(p);
-        }
-        let payload = ram.read_pages(chunk);
-        ctx.wire.page_bytes_raw += payload.len() as u64;
-        let pages = chunk.iter().map(|&p| p as u64).collect();
-        match send_full_batch(
-            ep,
-            ctx,
-            Resource::Memory,
-            pages,
-            payload,
-            ram.page_size(),
-            phase,
-        ) {
-            Ok(()) => done = end,
-            Err(e) => break Err(e),
-        }
-    };
-    worklist.drain(..done);
-    ctx.lz.journal(&cfg.telemetry, Resource::Memory);
-    res
-}
-
-/// Where the source protocol stands; advanced only on confirmed sends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SrcPhase {
-    DiskPrecopy,
-    MemPrecopy,
-    Frozen,
-    PostCopy,
-}
-
-/// All source-side progress, held *outside* any connection so a dead
-/// transport loses nothing but in-flight frames.
-struct SourceState {
-    phase: SrcPhase,
-    session_id: u64,
-    /// An inherited block-bitmap opened the run (§V): told to the
-    /// destination in every [`MigMessage::SessionHello`].
-    incremental: bool,
-    prepared: bool,
-    // Disk pre-copy.
-    disk_worklist: Vec<usize>,
-    disk_resend: Vec<usize>,
-    session_disk_shipped: FlatBitmap,
-    iterations: Vec<u64>,
-    iter_bm: Arc<AtomicBitmap>,
-    tracker: Option<TrackerHandle>,
-    converged_at_tick: Option<u64>,
-    // Memory pre-copy.
-    mem_started: bool,
-    mem_worklist: Vec<usize>,
-    session_mem_shipped: FlatBitmap,
-    mem_iterations: Vec<u64>,
-    // Freeze.
-    dest_suspended: bool,
-    suspended_at: Option<Instant>,
-    frozen_bitmap: FlatBitmap,
-    frozen_dirty: u64,
-    tail_worklist: Vec<usize>,
-    frozen_mem_dirty: u64,
-    // Post-copy.
-    src_bm: FlatBitmap,
-    cursor: usize,
-    push_complete_sent: bool,
-    // Wire optimizations (per-session agreement, run-wide savings).
-    ctx: DedupCtx,
-    // Accounting.
-    ledger: TransferLedger,
-    reconnects: u32,
-    resume_owed: Vec<u64>,
-}
-
-impl SourceState {
-    fn new(cfg: &LiveConfig, initial_bitmap: Option<&FlatBitmap>) -> Self {
-        let disk_worklist = match initial_bitmap {
-            Some(bm) => bm.to_indices(),
-            None => (0..cfg.num_blocks).collect(),
-        };
-        Self {
-            phase: SrcPhase::DiskPrecopy,
-            session_id: cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-            incremental: initial_bitmap.is_some(),
-            prepared: false,
-            disk_worklist,
-            disk_resend: Vec::new(),
-            session_disk_shipped: FlatBitmap::new(cfg.num_blocks),
-            iterations: Vec::new(),
-            iter_bm: Arc::new(AtomicBitmap::new(cfg.num_blocks)),
-            tracker: None,
-            converged_at_tick: None,
-            mem_started: false,
-            mem_worklist: Vec::new(),
-            session_mem_shipped: FlatBitmap::new(cfg.mem_pages),
-            mem_iterations: Vec::new(),
-            dest_suspended: false,
-            suspended_at: None,
-            frozen_bitmap: FlatBitmap::new(cfg.num_blocks),
-            frozen_dirty: 0,
-            tail_worklist: Vec::new(),
-            frozen_mem_dirty: 0,
-            src_bm: FlatBitmap::new(cfg.num_blocks),
-            cursor: 0,
-            push_complete_sent: false,
-            ctx: DedupCtx::new(),
-            ledger: TransferLedger::new(),
-            reconnects: 0,
-            resume_owed: Vec::new(),
-        }
-    }
-
-    /// The run's accounting, moved out once the source is done (or dead).
-    fn take_result(&mut self, suspended_at: Instant) -> SourceResult {
-        SourceResult {
-            iterations: std::mem::take(&mut self.iterations),
-            mem_iterations: std::mem::take(&mut self.mem_iterations),
-            frozen_mem_dirty: self.frozen_mem_dirty,
-            frozen_dirty: self.frozen_dirty,
-            suspended_at,
-            wire: self.ctx.wire,
-            work: self.ctx.work,
-            ledger: std::mem::take(&mut self.ledger),
-            reconnects: self.reconnects,
-            resume_owed: std::mem::take(&mut self.resume_owed),
-        }
-    }
-}
-
-struct SourceResult {
-    iterations: Vec<u64>,
-    mem_iterations: Vec<u64>,
-    frozen_mem_dirty: u64,
-    frozen_dirty: u64,
-    suspended_at: Instant,
-    wire: WireStats,
-    work: SideWork,
-    ledger: TransferLedger,
-    reconnects: u32,
-    resume_owed: Vec<u64>,
-}
-
-/// Drive the source protocol to completion. On failure the error is
-/// paired with the partial accounting gathered so far (`Some` once the
-/// guest was suspended) — a destination that fails over to peer holders
-/// still needs the source's phase statistics for the outcome report.
-fn source_protocol<C: Connector>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    mut connector: C,
-    ctl: &DriverCtl,
-    mut st: SourceState,
-) -> Result<SourceResult, (MigrationError, Option<Box<SourceResult>>)> {
-    let rec = Arc::clone(&cfg.telemetry);
-    rec.record(|| Event::PhaseStart {
-        side: Side::Source,
-        phase: Phase::DiskPrecopy,
-    });
+    side: Side,
+    connector: &mut C,
+    mut session: impl FnMut(&C::Link, u32) -> Result<(), SessionError>,
+) -> Sessions {
+    let rec = &cfg.telemetry;
+    let mut ledger = TransferLedger::new();
+    let mut reconnects = 0;
     let mut attempt: u32 = 0;
     let mut last_failure = String::new();
     let mut outage_start: Option<Instant> = None;
-    let result = loop {
+    let end = loop {
         if cfg.retry.exhausted(attempt, outage_start) {
-            break Err(MigrationError::RetriesExhausted {
+            break Err(SessionsEnd::Unreachable(MigrationError::RetriesExhausted {
                 attempts: attempt,
                 last: last_failure,
-            });
+            }));
         }
         if attempt > 0 {
             std::thread::sleep(cfg.retry.backoff);
-            st.reconnects += 1;
+            reconnects += 1;
             rec.record(|| Event::Reconnect {
-                side: Side::Source,
+                side,
                 attempt: u64::from(attempt),
             });
         }
         let ep = match connector.connect(attempt) {
             Ok(ep) => ep,
-            Err(e) => break Err(e),
+            Err(e) => break Err(SessionsEnd::Unreachable(e)),
         };
-        ep.set_telemetry(&rec, Side::Source);
-        let session = run_source_session(cfg, disk, ram, &ep, ctl, &mut st, attempt);
+        ep.set_telemetry(rec, side);
+        let result = session(&ep, attempt);
         let session_ledger = ep.sent_ledger();
         rec.record(|| Event::TransportBytes {
-            side: Side::Source,
+            side,
             bytes: session_ledger.total(),
         });
-        st.ledger.merge(&session_ledger);
-        match session {
-            Ok(()) => {
-                // Completed migrations pass through freeze, which stamps
-                // the suspension instant; a missing stamp is a protocol
-                // bug, reported as such rather than unwound as a panic.
-                let Some(suspended_at) = st.suspended_at else {
-                    break Err(MigrationError::Protocol {
-                        phase: "freeze-and-copy",
-                        detail: "session completed without suspending the guest".into(),
-                    });
-                };
-                break Ok(st.take_result(suspended_at));
-            }
-            Err(SessionError::Fatal(e)) => break Err(e),
-            Err(SessionError::Reconnect(te)) => {
-                last_failure = te.to_string();
-                outage_start.get_or_insert_with(Instant::now);
-                attempt += 1;
-            }
-        }
-    };
-    connector.abort();
-    match result {
-        Ok(r) => Ok(r),
-        Err(e) => {
-            // A failed migration leaves the guest on the source: stop
-            // paying the write-interception cost.
-            if let Some(h) = st.tracker.take() {
-                disk.detach_tracker(h);
-            }
-            disk.disable_tracking();
-            // A source that died after suspending still hands its phase
-            // accounting to a failover outcome.
-            let partial = st
-                .suspended_at
-                .map(|suspended_at| Box::new(st.take_result(suspended_at)));
-            Err((e, partial))
-        }
-    }
-}
-
-/// Handshake + reconcile + drive the protocol to completion (or the next
-/// failure) on one connection.
-fn run_source_session<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    ep: &T,
-    ctl: &DriverCtl,
-    st: &mut SourceState,
-    attempt: u32,
-) -> Result<(), SessionError> {
-    // Dedup is a capability; whether this session uses it is the link's
-    // call, made afresh on every connection.
-    let offer_dedup = cfg.dedup && fingerprinting_pays(ep.link_ns_per_byte());
-    send_or(
-        ep,
-        "handshake",
-        MigMessage::SessionHello {
-            session_id: st.session_id,
-            attempt,
-            dedup: offer_dedup,
-            compress: cfg.compress,
-            incremental: st.incremental,
-        },
-    )?;
-    let resume = recv_or(ep, "handshake", cfg.retry.phase_timeout)?;
-    let MigMessage::ResumeFrom {
-        phase: dest_phase,
-        dedup: dest_dedup,
-        compress: dest_compress,
-        disk_bitmap,
-        mem_bitmap,
-    } = resume
-    else {
-        return Err(protocol_err(
-            "handshake",
-            format!("expected ResumeFrom, got {resume:?}"),
-        ));
-    };
-    if attempt == 0 && dest_phase != ResumePhase::AwaitPrepare {
-        return Err(protocol_err(
-            "handshake",
-            format!("destination claims {dest_phase:?} on the initial connection"),
-        ));
-    }
-    // The destination echoes the acceptance it will actually honour;
-    // AND-ing with our own offer guards against a peer accepting a
-    // feature that was never offered.
-    st.ctx
-        .reset(offer_dedup && dest_dedup, cfg.compress && dest_compress);
-    if cfg.telemetry.is_enabled() {
-        let m = cfg.telemetry.metrics();
-        m.counter("dedup.sessions_fingerprinted")
-            .add(u64::from(st.ctx.dedup));
-        m.counter("dedup.sessions_skipped")
-            .add(u64::from(cfg.dedup && !offer_dedup));
-    }
-    if st.ctx.dedup {
-        // Dedup-negotiated sessions open with the resident-content
-        // summary; the previous session's view was discarded above.
-        let summary = recv_or(ep, "handshake", cfg.retry.phase_timeout)?;
-        let MigMessage::ContentSummary { fingerprints } = summary else {
-            return Err(protocol_err(
-                "handshake",
-                format!("expected ContentSummary, got {summary:?}"),
-            ));
-        };
-        // Sized for the summary plus what this session will ship in
-        // full, so the first pass does not rehash its way up.
-        st.ctx.known_remote =
-            FingerprintSet::with_capacity(fingerprints.len() + st.disk_worklist.len());
-        st.ctx.known_remote.extend(fingerprints);
-    }
-    reconcile_source(cfg, st, attempt, dest_phase, &disk_bitmap, &mem_bitmap)?;
-
-    if !st.prepared {
-        send_or(
-            ep,
-            "prepare",
-            MigMessage::PrepareVbd {
-                block_size: cfg.block_size as u32,
-                num_blocks: cfg.num_blocks as u64,
-            },
-        )?;
-        match recv_or(ep, "prepare", cfg.retry.phase_timeout)? {
-            MigMessage::PrepareAck => st.prepared = true,
-            other => {
-                return Err(protocol_err(
-                    "prepare",
-                    format!("expected PrepareAck, got {other:?}"),
-                ))
-            }
-        }
-    }
-
-    loop {
-        match st.phase {
-            SrcPhase::DiskPrecopy => source_disk_precopy(cfg, disk, ep, ctl, st)?,
-            SrcPhase::MemPrecopy => source_mem_precopy(cfg, disk, ram, ep, st)?,
-            SrcPhase::Frozen => source_freeze(cfg, disk, ram, ep, ctl, st)?,
-            SrcPhase::PostCopy => return source_post_copy(cfg, disk, ep, st),
-        }
-    }
-}
-
-/// Fold the destination's receipt report into the source state: decide
-/// what the failed session left owed, and where to restart.
-fn reconcile_source(
-    cfg: &LiveConfig,
-    st: &mut SourceState,
-    attempt: u32,
-    dest_phase: ResumePhase,
-    disk_bitmap: &Bytes,
-    mem_bitmap: &Bytes,
-) -> Result<(), SessionError> {
-    // Only actual resumes contribute a resume_owed entry; the initial
-    // handshake has nothing owed by construction.
-    let record_owed = attempt > 0;
-    match dest_phase {
-        ResumePhase::AwaitPrepare => {
-            if st.prepared {
-                return Err(protocol_err(
-                    "handshake",
-                    "destination lost its prepared state".to_string(),
-                ));
-            }
-            // Nothing the destination ever acknowledged: everything the
-            // failed sessions attempted rejoins the worklist.
-            let owed = st.session_disk_shipped.to_indices();
-            if record_owed {
-                st.resume_owed.push(owed.len() as u64);
-            }
-            st.disk_worklist = merged_worklist(cfg.num_blocks, owed, &st.disk_worklist);
-        }
-        ResumePhase::Precopy | ResumePhase::Frozen => {
-            let got_blocks = decode_bitmap("handshake", disk_bitmap)?;
-            let got_pages = decode_bitmap("handshake", mem_bitmap)?;
-            let disk_owed = owed_indices(&st.session_disk_shipped, &got_blocks);
-            let mem_owed = owed_indices(&st.session_mem_shipped, &got_pages);
-            if record_owed {
-                st.resume_owed.push(disk_owed.len() as u64);
-            }
-            if dest_phase == ResumePhase::Frozen
-                && matches!(st.phase, SrcPhase::DiskPrecopy | SrcPhase::MemPrecopy)
-            {
-                return Err(protocol_err(
-                    "handshake",
-                    "destination is frozen but the source never suspended".to_string(),
-                ));
-            }
-            match st.phase {
-                SrcPhase::DiskPrecopy => {
-                    st.disk_worklist =
-                        merged_worklist(cfg.num_blocks, disk_owed, &st.disk_worklist);
-                }
-                SrcPhase::MemPrecopy => {
-                    st.disk_resend = merged_worklist(cfg.num_blocks, disk_owed, &st.disk_resend);
-                    st.mem_worklist = merged_worklist(cfg.mem_pages, mem_owed, &st.mem_worklist);
-                }
-                SrcPhase::Frozen | SrcPhase::PostCopy => {
-                    st.disk_resend = merged_worklist(cfg.num_blocks, disk_owed, &st.disk_resend);
-                    st.tail_worklist = merged_worklist(cfg.mem_pages, mem_owed, &st.tail_worklist);
-                    // Post-copy progress is void if the destination never
-                    // resumed: the freeze payloads must go again, and the
-                    // push set reverts to the full frozen bitmap (re-read
-                    // at push time, so content stays current).
-                    st.phase = SrcPhase::Frozen;
-                    st.dest_suspended = dest_phase == ResumePhase::Frozen;
-                }
-            }
-        }
-        ResumePhase::PostCopy => {
-            if st.phase != SrcPhase::PostCopy {
-                return Err(protocol_err(
-                    "handshake",
-                    "destination resumed but the source never shipped the bitmap".to_string(),
-                ));
-            }
-            // The destination's still-needed set is authoritative.
-            st.src_bm = decode_bitmap("handshake", disk_bitmap)?;
-            st.cursor = 0;
-            st.push_complete_sent = false;
-            if record_owed {
-                st.resume_owed.push(st.src_bm.count_ones() as u64);
-            }
-        }
-    }
-    st.session_disk_shipped.clear_all();
-    st.session_mem_shipped.clear_all();
-    Ok(())
-}
-
-fn source_disk_precopy<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ep: &T,
-    ctl: &DriverCtl,
-    st: &mut SourceState,
-) -> Result<(), SessionError> {
-    // Iterative pre-copy. IM: iteration 1 ships only the inherited
-    // bitmap's blocks (or everything on a primary migration).
-    loop {
-        let iter = st.iterations.len() as u32 + 1;
-        let count = st.disk_worklist.len() as u64;
-        send_disk_worklist(
-            ep,
-            disk,
-            &mut st.disk_worklist,
-            &mut st.session_disk_shipped,
-            &mut st.ctx,
-            cfg,
-            "disk pre-copy",
-            true,
-        )?;
-        st.iterations.push(count);
-        let snap = st.iter_bm.snapshot_and_clear();
-        let dirty = snap.count_ones();
-        cfg.telemetry.record(|| Event::Iteration {
-            side: Side::Source,
-            resource: Resource::Disk,
-            index: u64::from(iter),
-            units_sent: count,
-            dirty_at_end: dirty as u64,
-        });
-        cfg.telemetry.record(|| Event::BitmapSnapshot {
-            side: Side::Source,
-            set_bits: dirty as u64,
-        });
-        if dirty <= cfg.dirty_threshold || iter >= cfg.max_iterations {
-            // The residual set is NOT sent: it becomes the freeze-phase
-            // bitmap (the paper ships the bitmap, not the blocks).
-            st.frozen_bitmap = snap;
-            st.converged_at_tick = Some(ctl.ticks());
-            st.phase = SrcPhase::MemPrecopy;
-            cfg.telemetry.record(|| Event::PhaseEnd {
-                side: Side::Source,
-                phase: Phase::DiskPrecopy,
-            });
-            cfg.telemetry.record(|| Event::PhaseStart {
-                side: Side::Source,
-                phase: Phase::MemPrecopy,
-            });
-            return Ok(());
-        }
-        st.disk_worklist = snap.to_indices();
-    }
-}
-
-fn source_mem_precopy<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    ep: &T,
-    st: &mut SourceState,
-) -> Result<(), SessionError> {
-    // Converged disk content lost by a failed session goes first; the
-    // destination applies DiskBlocks the same way in every pre-freeze
-    // state.
-    send_disk_worklist(
-        ep,
-        disk,
-        &mut st.disk_resend,
-        &mut st.session_disk_shipped,
-        &mut st.ctx,
-        cfg,
-        "memory pre-copy",
-        true,
-    )?;
-    if !st.mem_started {
-        ram.enable_tracking();
-        st.mem_worklist = (0..cfg.mem_pages).collect();
-        st.mem_started = true;
-    }
-    // Memory pre-copy (disk writes keep accumulating in iter_bm for the
-    // freeze bitmap): iteration 1 ships every page, later iterations ship
-    // the pages dirtied meanwhile, Xen-style.
-    loop {
-        let iter = st.mem_iterations.len() as u32 + 1;
-        let count = st.mem_worklist.len() as u64;
-        send_page_worklist(
-            ep,
-            ram,
-            &mut st.mem_worklist,
-            &mut st.session_mem_shipped,
-            &mut st.ctx,
-            cfg,
-            "memory pre-copy",
-        )?;
-        // The iteration ends when the destination has applied it: what
-        // the guest dirties meanwhile rides the next iteration, and the
-        // guest is never suspended into a backlog of pre-copy frames.
-        let mut misses = Vec::new();
-        sync_barrier(ep, &mut misses, "memory pre-copy", cfg.retry.phase_timeout)?;
-        if let Some(b) = misses.first() {
-            // Every reference of this session was settled by the disk
-            // passes' own barriers.
-            return Err(protocol_err(
-                "memory pre-copy",
-                format!("reference bounce for block {b} with no reference outstanding"),
-            ));
-        }
-        st.mem_iterations.push(count);
-        let dirty = ram.drain_dirty();
-        let remaining = dirty.count_ones();
-        cfg.telemetry.record(|| Event::Iteration {
-            side: Side::Source,
-            resource: Resource::Memory,
-            index: u64::from(iter),
-            units_sent: count,
-            dirty_at_end: remaining as u64,
-        });
-        if remaining <= cfg.mem_dirty_threshold || iter >= cfg.max_mem_iterations {
-            // The set drained at the convergence decision has NOT been
-            // sent; it must ride into the freeze tail or those pages are
-            // silently lost.
-            st.tail_worklist = merged_worklist(cfg.mem_pages, dirty.to_indices(), &[]);
-            st.phase = SrcPhase::Frozen;
-            return Ok(());
-        }
-        st.mem_worklist = dirty.to_indices();
-    }
-}
-
-fn source_freeze<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    ep: &T,
-    ctl: &DriverCtl,
-    st: &mut SourceState,
-) -> Result<(), SessionError> {
-    // First entry: actually suspend the guest and seal the bitmaps. On
-    // re-entry after a reconnect the guest is already suspended and all
-    // frozen content is stable — resending any of it is idempotent.
-    if st.suspended_at.is_none() {
-        if cfg.min_guest_ticks > 0 {
-            // Let the guest run: guarantees a writing workload lands
-            // blocks in the freeze bitmap, deterministically.
-            let target = st.converged_at_tick.unwrap_or(0) + cfg.min_guest_ticks;
-            let guard = Instant::now() + Duration::from_secs(10);
-            while ctl.ticks() < target && Instant::now() < guard {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let suspended_at = ctl.request_suspend();
-        st.suspended_at = Some(suspended_at);
-        // Stamped at the same instant the guest stopped, so the journal's
-        // freeze span reproduces the reported downtime exactly.
-        cfg.telemetry
-            .record_at_instant(suspended_at, || Event::PhaseEnd {
-                side: Side::Source,
-                phase: Phase::MemPrecopy,
-            });
-        cfg.telemetry
-            .record_at_instant(suspended_at, || Event::PhaseStart {
-                side: Side::Source,
-                phase: Phase::Freeze,
-            });
-        cfg.telemetry
-            .record_at_instant(suspended_at, || Event::Suspended { side: Side::Source });
-        // Fold in the writes that raced with the last drains.
-        let mut frozen = std::mem::replace(&mut st.frozen_bitmap, FlatBitmap::new(0));
-        frozen.union_with(&st.iter_bm.snapshot_and_clear());
-        if let Some(h) = st.tracker.take() {
-            disk.detach_tracker(h);
-        }
-        st.frozen_dirty = frozen.count_ones() as u64;
-        st.frozen_bitmap = frozen;
-        let tail_extra = ram.drain_dirty();
-        st.tail_worklist =
-            merged_worklist(cfg.mem_pages, tail_extra.to_indices(), &st.tail_worklist);
-        st.frozen_mem_dirty = st.tail_worklist.len() as u64;
-        ram.disable_tracking();
-    }
-    // Pre-copy disk content still owed from a failed session.
-    send_disk_worklist(
-        ep,
-        disk,
-        &mut st.disk_resend,
-        &mut st.session_disk_shipped,
-        &mut st.ctx,
-        cfg,
-        "freeze",
-        false,
-    )?;
-    if !st.dest_suspended {
-        send_or(ep, "freeze", MigMessage::Suspended)?;
-        st.dest_suspended = true;
-    }
-    // Ship the memory tail, the CPU context and the disk bitmap (not the
-    // blocks).
-    send_page_worklist(
-        ep,
-        ram,
-        &mut st.tail_worklist,
-        &mut st.session_mem_shipped,
-        &mut st.ctx,
-        cfg,
-        "freeze",
-    )?;
-    send_or(
-        ep,
-        "freeze",
-        MigMessage::CpuState {
-            payload_len: 8 * 1024,
-            payload: None,
-        },
-    )?;
-    if cfg.multisource {
-        // The guest is suspended: the frozen blocks' content is final,
-        // so these fingerprints anchor peer-holder verification for the
-        // whole post-copy phase (source-death failover). Re-sent on
-        // freeze re-entry like every other freeze payload — idempotent.
-        let frozen = st.frozen_bitmap.to_indices();
-        // Only a session that fingerprints has an index to leave them in:
-        // asking for it here would build it while the guest is down.
-        let seen = st.ctx.dedup.then(|| disk.content_index().invalidations());
-        let fingerprints: Vec<u64> = read_batch(disk, &frozen, cfg.block_size)
-            .chunks_exact(cfg.block_size)
-            .map(hash_block)
-            .collect();
-        if let Some(seen) = seen {
-            disk.record_fingerprints(&frozen, &fingerprints, seen);
-        }
-        st.ctx.work.blocks_read += frozen.len() as u64;
-        st.ctx.work.blocks_hashed += frozen.len() as u64;
-        send_or(
-            ep,
-            "freeze",
-            MigMessage::BlockManifest {
-                blocks: frozen.iter().map(|&b| b as u64).collect(),
-                fingerprints,
-            },
-        )?;
-    }
-    let encoded = Bytes::from(ser::encode(&st.frozen_bitmap));
-    cfg.telemetry.record(|| Event::BitmapEncoded {
-        set_bits: st.frozen_bitmap.count_ones() as u64,
-        encoded_bytes: encoded.len() as u64,
-    });
-    send_or(ep, "freeze", MigMessage::Bitmap { encoded })?;
-    st.src_bm = st.frozen_bitmap.clone();
-    st.cursor = 0;
-    st.push_complete_sent = false;
-    st.phase = SrcPhase::PostCopy;
-    Ok(())
-}
-
-/// Best-effort ack: the destination is provably synced; if the ack is
-/// lost it completes on its own evidence. The loss is still *observed* —
-/// it increments `live.ack_lost` instead of vanishing in a `let _ =`.
-fn send_complete_ack<T: Transport>(cfg: &LiveConfig, ep: &T) {
-    match ep.send(MigMessage::CompleteAck) {
-        Ok(()) => {}
-        Err(_) if cfg.telemetry.is_enabled() => {
-            cfg.telemetry.metrics().counter("live.ack_lost").add(1);
-        }
-        Err(_) => {}
-    }
-}
-
-fn source_post_copy<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ep: &T,
-    st: &mut SourceState,
-) -> Result<(), SessionError> {
-    // Push continuously, answer pulls preferentially.
-    let answer_pull = |st: &mut SourceState, block: u64| -> Result<(), SessionError> {
-        let b = block as usize;
-        let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
-        st.ctx.work.blocks_read += 1;
-        st.src_bm.clear(b);
-        send_or(
-            ep,
-            "post-copy",
-            MigMessage::PostCopyBlock {
-                block,
-                pulled: true,
-                payload_len: payload.len() as u64,
-                payload: Some(payload),
-            },
-        )
-    };
-    let mut last_progress = Instant::now();
-    loop {
-        // Answer any queued requests first.
-        loop {
-            match ep.try_recv() {
-                Ok(MigMessage::PullRequest { block }) => {
-                    last_progress = Instant::now();
-                    answer_pull(st, block)?;
-                }
-                // A reference bounce that was still in flight when
-                // pre-copy ended: the destination unioned the block into
-                // its still-needed set, so answer it like a pull.
-                Ok(MigMessage::BlockRefMiss { block }) => {
-                    last_progress = Instant::now();
-                    answer_pull(st, block)?;
-                }
-                Ok(MigMessage::MigrationComplete) => {
-                    send_complete_ack(cfg, ep);
-                    return Ok(());
-                }
-                Ok(MigMessage::Resumed) => {} // downtime over; informational
-                Ok(other) => {
-                    return Err(protocol_err(
-                        "post-copy",
-                        format!("unexpected message at source: {other:?}"),
-                    ))
-                }
-                Err(TransportError::Empty) => break,
-                Err(e) => return Err(classify("post-copy", e)),
-            }
-        }
-        // Then push the next block.
-        match st.src_bm.next_set_from(st.cursor) {
-            Some(b) => {
-                st.src_bm.clear(b);
-                st.cursor = b + 1;
-                let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
-                st.ctx.work.blocks_read += 1;
-                send_or(
-                    ep,
-                    "post-copy",
-                    MigMessage::PostCopyBlock {
-                        block: b as u64,
-                        pulled: false,
-                        payload_len: payload.len() as u64,
-                        payload: Some(payload),
-                    },
-                )?;
-            }
-            None if st.cursor > 0 && !st.src_bm.none_set() => {
-                st.cursor = 0; // wrap to catch pull-cleared gaps... none left
-            }
-            None => {
-                if !st.push_complete_sent {
-                    send_or(ep, "post-copy", MigMessage::PushComplete)?;
-                    st.push_complete_sent = true;
-                }
-                // Nothing to push: wait for pulls or completion.
-                match ep.recv_timeout(Duration::from_millis(20)) {
-                    Ok(MigMessage::PullRequest { block }) => {
-                        last_progress = Instant::now();
-                        answer_pull(st, block)?;
-                    }
-                    Ok(MigMessage::BlockRefMiss { block }) => {
-                        last_progress = Instant::now();
-                        answer_pull(st, block)?;
-                    }
-                    Ok(MigMessage::MigrationComplete) => {
-                        send_complete_ack(cfg, ep);
-                        return Ok(());
-                    }
-                    Ok(MigMessage::Resumed) => {}
-                    Ok(other) => {
-                        return Err(protocol_err(
-                            "post-copy",
-                            format!("unexpected message at source: {other:?}"),
-                        ))
-                    }
-                    Err(TransportError::Timeout) => {
-                        if last_progress.elapsed() > cfg.retry.phase_timeout {
-                            return Err(SessionError::Fatal(MigrationError::Timeout {
-                                phase: "post-copy",
-                                waited: cfg.retry.phase_timeout,
-                            }));
-                        }
-                    }
-                    Err(e) => return Err(classify("post-copy", e)),
-                }
-            }
-        }
-    }
-}
-
-struct DestResult {
-    pushed: u64,
-    pulled: u64,
-    dropped: u64,
-    stalled_reads: u64,
-    resumed_at: Instant,
-    /// Still recording: the guest runs on until the driver is stopped.
-    new_bm: Arc<AtomicBitmap>,
-    ledger: TransferLedger,
-    work: SideWork,
-    failovers: u32,
-    failover_peers: Vec<PeerBytes>,
-}
-
-/// A block or page index off the wire, checked against the store it
-/// targets: the storage layers assert their ranges, and a peer's frame
-/// must never reach an assert.
-fn checked_index(what: &'static str, idx: u64, count: usize) -> Result<usize, SessionError> {
-    usize::try_from(idx)
-        .ok()
-        .filter(|&i| i < count)
-        .ok_or_else(|| protocol_err("apply", format!("{what} {idx} where {count} exist")))
-}
-
-fn checked_block(disk: &TrackedDisk, block: u64) -> Result<usize, SessionError> {
-    checked_index("block", block, disk.disk().num_blocks())
-}
-
-/// Validate a whole batch frame before any of it is applied: payload
-/// length against the index list, every index against the store.
-fn check_batch(
-    what: &'static str,
-    ids: &[u64],
-    payload: &[u8],
-    unit_size: usize,
-    count: usize,
-) -> Result<(), SessionError> {
-    if ids.len().checked_mul(unit_size) != Some(payload.len()) {
-        return Err(protocol_err(
-            "apply",
-            format!(
-                "payload of {} bytes for {} {what}s of {unit_size}",
-                payload.len(),
-                ids.len()
-            ),
-        ));
-    }
-    for &i in ids {
-        checked_index(what, i, count)?;
-    }
-    Ok(())
-}
-
-/// Write one message's blocks under one acquisition of the disk lock,
-/// after validating the whole frame.
-fn apply_blocks(
-    disk: &TrackedDisk,
-    blocks: &[u64],
-    payload: &[u8],
-    block_size: usize,
-) -> Result<(), SessionError> {
-    let num_blocks = disk.disk().num_blocks();
-    check_batch("block", blocks, payload, block_size, num_blocks)?;
-    disk.disk().write_blocks(blocks, payload);
-    Ok(())
-}
-
-/// All destination-side progress, held outside any connection.
-struct DestState {
-    phase: ResumePhase,
-    session_seen: Option<u64>,
-    session_got_blocks: FlatBitmap,
-    session_got_pages: FlatBitmap,
-    /// This session's negotiated flags (re-derived at every handshake).
-    /// While `dedup` holds, every block applied is fingerprinted into the
-    /// disk's content index ([`TrackedDisk::content_index`]), which stays
-    /// exact across sessions; otherwise what is applied is invalidated.
-    dedup: bool,
-    compress: bool,
-    /// Blocks whose *latest* delivery attempt was a reference that could
-    /// not be resolved; folded into the still-needed bitmap at freeze so
-    /// post-copy recovers them even if the bounce answer raced the
-    /// phase change.
-    ref_missing: FlatBitmap,
-    /// Freeze-time fingerprint manifest (block → `hash_block`), the
-    /// verification anchors for a peer-holder failover. Populated by
-    /// [`MigMessage::BlockManifest`] on multi-source runs.
-    manifest: BTreeMap<usize, u64>,
-    /// Source-death failovers performed (0 or 1).
-    failovers: u32,
-    /// Per-peer blocks and bytes applied during failover.
-    failover_peers: Vec<PeerBytes>,
-    transferred: Option<Arc<AtomicBitmap>>,
-    new_bm: Option<Arc<AtomicBitmap>>,
-    dest_io: Option<Arc<DestIo>>,
-    pull_tx: Sender<usize>,
-    pull_rx: Receiver<usize>,
-    requested: HashSet<usize>,
-    pushed: u64,
-    pulled: u64,
-    dropped: u64,
-    push_done: bool,
-    complete_sent: bool,
-    resumed_at: Option<Instant>,
-    ledger: TransferLedger,
-    work: SideWork,
-}
-
-impl DestState {
-    fn new(cfg: &LiveConfig) -> Self {
-        let (pull_tx, pull_rx) = unbounded();
-        Self {
-            phase: ResumePhase::AwaitPrepare,
-            session_seen: None,
-            session_got_blocks: FlatBitmap::new(cfg.num_blocks),
-            session_got_pages: FlatBitmap::new(cfg.mem_pages),
-            dedup: false,
-            compress: false,
-            ref_missing: FlatBitmap::new(cfg.num_blocks),
-            manifest: BTreeMap::new(),
-            failovers: 0,
-            failover_peers: Vec::new(),
-            transferred: None,
-            new_bm: None,
-            dest_io: None,
-            pull_tx,
-            pull_rx,
-            requested: HashSet::new(),
-            pushed: 0,
-            pulled: 0,
-            dropped: 0,
-            push_done: false,
-            complete_sent: false,
-            resumed_at: None,
-            ledger: TransferLedger::new(),
-            work: SideWork::default(),
-        }
-    }
-}
-
-/// Source-death failover: complete post-copy from surviving peer
-/// holders. Eligible only when the run is multi-source, peers exist,
-/// and the guest already runs here (post-copy) — otherwise, or if some
-/// owed block survives nowhere, the original `dead` error is returned.
-///
-/// Every still-owed block is fetched over a per-peer blockstore
-/// session and verified against the freeze-time manifest fingerprint
-/// before it is applied; blocks superseded by local guest writes in
-/// the meantime are dropped exactly like late source pushes. Holders
-/// are tried in declaration order, each seeing only what its
-/// predecessors missed.
-fn dest_failover(
-    cfg: &LiveConfig,
-    st: &mut DestState,
-    dead: MigrationError,
-) -> Result<(), MigrationError> {
-    let eligible = cfg.multisource
-        && !cfg.peers.is_empty()
-        && st.phase == ResumePhase::PostCopy
-        && st.resumed_at.is_some();
-    let (Some(transferred), Some(dest_io)) = (
-        st.transferred.clone().filter(|_| eligible),
-        st.dest_io.clone(),
-    ) else {
-        return Err(dead);
-    };
-    let owed = transferred.snapshot();
-    cfg.telemetry.record(|| Event::SourceFailover {
-        side: Side::Destination,
-        owed_blocks: owed.count_ones() as u64,
-        peers: cfg.peers.len() as u64,
-    });
-    st.failovers += 1;
-    // Owed blocks absent from the manifest have no verification anchor
-    // and cannot be fetched (only unresolved dedup bounces can end up
-    // here); they stay owed and fail the run below.
-    let mut wants: Vec<BlockWant> = owed
-        .iter_set()
-        .filter_map(|b| {
-            st.manifest.get(&b).map(|&fp| BlockWant {
-                block: b as u64,
-                fingerprint: fp,
-                generation: 0,
-            })
-        })
-        .collect();
-    let mut dropped = 0u64;
-    for peer in &cfg.peers {
-        if wants.is_empty() {
-            break;
-        }
-        let (mine, theirs) = duplex();
-        let serve_disk = Arc::clone(&peer.disk);
-        let server = std::thread::spawn(move || {
-            let holder = PeerDiskSource { disk: serve_disk };
-            serve_blocks(&theirs, &holder)
-        });
-        let mut applied = 0u64;
-        let outcome = fetch_blocks(&mine, &wants, cfg.num_blocks, &mut |b, payload| {
-            // Verified content: applied (waking any guest read parked on
-            // the block) if the block is still owed; if a local write
-            // superseded it while the fetch was in flight, dropped like a
-            // late source push.
-            match payload {
-                Some(data) if dest_io.apply_arrival(b as usize, data) => applied += 1,
-                Some(_) => dropped += 1,
-                None => {}
-            }
-        });
-        st.ledger.merge(&mine.sent_ledger());
-        drop(mine);
-        // The serve side's byte count is advisory (it includes payloads
-        // a local write later superseded), and a peer link that died
-        // mid-session — or a panicked serve thread — leaves whatever it
-        // failed to serve set in `transferred`, rolling to the next
-        // holder. Either way the join result carries nothing actionable.
-        let _joined: Result<_, _> = server.join();
-        if applied > 0 {
-            cfg.telemetry.record(|| Event::PeerFetch {
-                side: Side::Destination,
-                peer: peer.host,
-                blocks: applied,
-                bytes: applied * cfg.block_size as u64,
-            });
-            st.failover_peers.push(PeerBytes {
-                host: peer.host,
-                blocks: applied,
-                bytes: applied * cfg.block_size as u64,
-            });
-        }
-        // Blocks this holder missed (or that died with a failed link)
-        // are still set in `transferred` and stay in the next holder's
-        // want list.
-        debug_assert!(outcome.got.count_ones() as u64 >= applied);
-        wants.retain(|w| transferred.get(w.block as usize));
-    }
-    st.dropped += dropped;
-    if transferred.count_ones() == 0 {
-        // The image is complete on local evidence; there is no source
-        // left to exchange MigrationComplete/CompleteAck with.
-        st.complete_sent = true;
-        Ok(())
-    } else {
-        Err(dead)
-    }
-}
-
-fn dest_protocol<C: Connector>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    mut connector: C,
-    ctl: &DriverCtl,
-) -> Result<DestResult, MigrationError> {
-    let mut st = DestState::new(cfg);
-    let rec = Arc::clone(&cfg.telemetry);
-    let mut attempt: u32 = 0;
-    let mut last_failure = String::new();
-    let mut outage_start: Option<Instant> = None;
-    let result = loop {
-        if cfg.retry.exhausted(attempt, outage_start) {
-            let exhausted = MigrationError::RetriesExhausted {
-                attempts: attempt,
-                last: last_failure,
-            };
-            // The source is dead for good. If the guest already runs
-            // here, the still-owed blocks may survive on peer holders.
-            break dest_failover(cfg, &mut st, exhausted);
-        }
-        if attempt > 0 {
-            std::thread::sleep(cfg.retry.backoff);
-            rec.record(|| Event::Reconnect {
-                side: Side::Destination,
-                attempt: u64::from(attempt),
-            });
-        }
-        let ep = match connector.connect(attempt) {
-            Ok(ep) => ep,
-            // The source will never reconnect. If we already announced
-            // full sync, the lost message was only the ack: the data here
-            // is complete and the migration succeeded.
-            Err(_) if st.complete_sent => break Ok(()),
-            // It may have aborted before our own budget ran out (its
-            // budget exhausted first): same situation, same failover.
-            Err(e) => break dest_failover(cfg, &mut st, e),
-        };
-        ep.set_telemetry(&rec, Side::Destination);
-        let session = run_dest_session(cfg, disk, ram, &ep, ctl, &mut st);
-        let session_ledger = ep.sent_ledger();
-        rec.record(|| Event::TransportBytes {
-            side: Side::Destination,
-            bytes: session_ledger.total(),
-        });
-        st.ledger.merge(&session_ledger);
-        match session {
+        ledger.merge(&session_ledger);
+        match result {
             Ok(()) => break Ok(()),
-            Err(SessionError::Fatal(e)) => break Err(e),
-            Err(SessionError::Reconnect(_)) if st.complete_sent => break Ok(()),
+            Err(SessionError::Fatal(e)) => break Err(SessionsEnd::Fatal(e)),
             Err(SessionError::Reconnect(te)) => {
                 last_failure = te.to_string();
                 outage_start.get_or_insert_with(Instant::now);
@@ -2152,608 +675,10 @@ fn dest_protocol<C: Connector>(
             }
         }
     };
-    connector.abort();
-    match result {
-        Ok(()) => {
-            rec.record(|| Event::PhaseEnd {
-                side: Side::Destination,
-                phase: Phase::PostCopy,
-            });
-            // Completion implies the guest resumed here, which populates
-            // all three of these; a gap is a protocol bug, not a panic.
-            match (&st.dest_io, st.resumed_at, &st.new_bm) {
-                (Some(dest_io), Some(resumed_at), Some(new_bm)) => {
-                    let (stalled_reads, _) = dest_io.stall_stats();
-                    Ok(DestResult {
-                        pushed: st.pushed,
-                        pulled: st.pulled,
-                        dropped: st.dropped,
-                        stalled_reads,
-                        resumed_at,
-                        new_bm: Arc::clone(new_bm),
-                        ledger: std::mem::take(&mut st.ledger),
-                        work: st.work,
-                        failovers: st.failovers,
-                        failover_peers: std::mem::take(&mut st.failover_peers),
-                    })
-                }
-                _ => Err(MigrationError::Protocol {
-                    phase: "resume",
-                    detail: "session completed without resuming the guest".into(),
-                }),
-            }
-        }
-        Err(e) => {
-            // Unpark any guest reads stalled on pulls that will never be
-            // answered, so the driver can be stopped and diagnosed.
-            if let Some(io) = &st.dest_io {
-                io.poison();
-            }
-            Err(e)
-        }
-    }
-}
-
-fn run_dest_session<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    ep: &T,
-    ctl: &DriverCtl,
-    st: &mut DestState,
-) -> Result<(), SessionError> {
-    let hello = recv_or(ep, "handshake", cfg.retry.phase_timeout)?;
-    let MigMessage::SessionHello {
-        session_id,
-        dedup: offer_dedup,
-        compress: offer_compress,
-        incremental,
-        ..
-    } = hello
-    else {
-        return Err(protocol_err(
-            "handshake",
-            format!("expected SessionHello, got {hello:?}"),
-        ));
-    };
-    // References are only valid before the guest resumes here (local
-    // writes would invalidate the content index), so a post-copy resume
-    // declines dedup outright. Compression needs no index and stays
-    // available (post-copy pushes are uncompressed anyway).
-    st.dedup = cfg.dedup && offer_dedup && st.phase != ResumePhase::PostCopy;
-    st.compress = cfg.compress && offer_compress;
-    match st.session_seen {
-        None => st.session_seen = Some(session_id),
-        Some(seen) if seen == session_id => {}
-        Some(seen) => {
-            return Err(protocol_err(
-                "handshake",
-                format!("session {session_id:#x} reconnected into session {seen:#x}"),
-            ))
-        }
-    }
-    // Report what the last session actually delivered (during pre-copy
-    // and freeze) or what is still needed (during post-copy), then reset
-    // the per-session receipt ledgers for this connection.
-    let (disk_bm, mem_bm) = match st.phase {
-        ResumePhase::AwaitPrepare => (Bytes::new(), Bytes::new()),
-        ResumePhase::Precopy | ResumePhase::Frozen => (
-            Bytes::from(ser::encode(&st.session_got_blocks)),
-            Bytes::from(ser::encode(&st.session_got_pages)),
-        ),
-        ResumePhase::PostCopy => {
-            let Some(transferred) = st.transferred.as_ref() else {
-                return Err(protocol_err(
-                    "handshake",
-                    "post-copy resume state lost its transfer bitmap".into(),
-                ));
-            };
-            (
-                Bytes::from(ser::encode(&transferred.snapshot())),
-                Bytes::from(ser::encode(&FlatBitmap::new(0))),
-            )
-        }
-    };
-    send_or(
-        ep,
-        "handshake",
-        MigMessage::ResumeFrom {
-            phase: st.phase,
-            dedup: st.dedup,
-            compress: st.compress,
-            disk_bitmap: disk_bm,
-            mem_bitmap: mem_bm,
-        },
-    )?;
-    st.session_got_blocks.clear_all();
-    st.session_got_pages.clear_all();
-    if st.dedup {
-        // Open the dedup session with a summary of resident content, so
-        // a resumed source re-validates every assumption instead of
-        // trusting the previous session's view.
-        let fingerprints = summarise_resident(disk, incremental, st, &cfg.telemetry);
-        send_or(ep, "handshake", MigMessage::ContentSummary { fingerprints })?;
-    }
-
-    if st.phase == ResumePhase::AwaitPrepare {
-        // Provision the VBD.
-        match recv_or(ep, "prepare", cfg.retry.phase_timeout)? {
-            MigMessage::PrepareVbd {
-                block_size,
-                num_blocks,
-            } => {
-                if block_size as usize != cfg.block_size || num_blocks as usize != cfg.num_blocks {
-                    return Err(protocol_err(
-                        "prepare",
-                        format!("geometry mismatch: {block_size} B × {num_blocks} blocks"),
-                    ));
-                }
-            }
-            other => {
-                return Err(protocol_err(
-                    "prepare",
-                    format!("expected PrepareVbd, got {other:?}"),
-                ))
-            }
-        }
-        send_or(ep, "prepare", MigMessage::PrepareAck)?;
-        st.phase = ResumePhase::Precopy;
-    }
-
-    if st.phase == ResumePhase::Precopy {
-        dest_precopy(cfg, disk, ram, ep, st)?;
-    }
-    if st.phase == ResumePhase::Frozen {
-        dest_freeze(cfg, disk, ram, ep, st)?;
-    }
-    dest_post_copy(cfg, disk, ram, ep, ctl, st)
-}
-
-/// The fingerprints a dedup session opens with, out of the disk's
-/// content index. A primary session's first handshake fills the index by
-/// hashing the resident image — the one place a handshake reads the
-/// disk. An incremental session hashes nothing: its block-bitmap says a
-/// previous hop left this image here, and whatever fingerprints that hop
-/// did not leave are done without (DESIGN.md §15a has the arithmetic).
-/// Nor does a reconnect, which finds the index as exact as the last
-/// session's applies kept it.
-fn summarise_resident(
-    disk: &TrackedDisk,
-    incremental: bool,
-    st: &mut DestState,
-    telemetry: &Recorder,
-) -> Vec<u64> {
-    let mut index = disk.content_index();
-    let known = index.known_blocks();
-    let (hashed, cached) = if !incremental && known < index.num_blocks() {
-        // `hash_all` answers a never-written block with the zero block's
-        // fingerprint without reading it; every other entry was hashed.
-        let zero = hash_block(&vec![0u8; disk.disk().block_size()]);
-        let mut hashed = 0;
-        for (block, fp) in disk.disk().hash_all().into_iter().enumerate() {
-            index.record(block, fp);
-            hashed += u64::from(fp != zero);
-        }
-        (hashed, 0)
-    } else {
-        (0, known as u64)
-    };
-    let fingerprints = index.fingerprints();
-    drop(index);
-    st.work.blocks_read += hashed;
-    st.work.blocks_hashed += hashed;
-    telemetry.record(|| Event::HandshakeSummary {
-        side: Side::Destination,
-        fingerprints: fingerprints.len() as u64,
-        hashed_blocks: hashed,
-        cached_blocks: cached,
-    });
-    fingerprints
-}
-
-/// Apply a batch of full blocks at the destination: write the bytes,
-/// mark the per-session receipt bitmap, and keep the disk's content index
-/// exact — on a dedup session by recording each block's new fingerprint,
-/// otherwise by forgetting the old one.
-fn dest_apply_full(
-    st: &mut DestState,
-    disk: &TrackedDisk,
-    blocks: &[u64],
-    payload: &[u8],
-    block_size: usize,
-) -> Result<(), SessionError> {
-    apply_blocks(disk, blocks, payload, block_size)?;
-    for &b in blocks {
-        st.session_got_blocks.set(b as usize);
-        st.ref_missing.clear(b as usize);
-    }
-    if st.dedup {
-        let mut index = disk.content_index();
-        for (&b, data) in blocks.iter().zip(payload.chunks_exact(block_size)) {
-            index.record(b as usize, hash_block(data));
-        }
-        st.work.blocks_hashed += blocks.len() as u64;
-    } else {
-        disk.invalidate_fingerprints(blocks.iter().map(|&b| b as usize));
-    }
-    Ok(())
-}
-
-/// Materialize a content reference from a resident block. The resolved
-/// candidate is re-hashed before use, so an index gone stale under any
-/// hash behaviour degrades to a [`MigMessage::BlockRefMiss`] bounce and
-/// an eventual full resend — never to a wrong image.
-fn dest_apply_ref<T: Transport>(
-    st: &mut DestState,
-    disk: &TrackedDisk,
-    ep: &T,
-    block: u64,
-    fingerprint: u64,
-    phase: &'static str,
-) -> Result<(), SessionError> {
-    let b = checked_block(disk, block)?;
-    let holder = st
-        .dedup
-        .then(|| disk.content_index().resolve(fingerprint))
-        .flatten();
-    let data = holder.and_then(|holder| {
-        let data = disk.disk().read_block(holder);
-        st.work.blocks_read += 1;
-        st.work.blocks_hashed += 1;
-        let found = hash_block(&data);
-        if found != fingerprint {
-            // The index was wrong about the holder (a write went round
-            // it): now it is right, at the price of this bounce.
-            disk.content_index().record(holder, found);
-        }
-        (found == fingerprint).then_some(data)
-    });
-    match data {
-        Some(data) => {
-            disk.disk().write_block(b, &data);
-            st.session_got_blocks.set(b);
-            st.ref_missing.clear(b);
-            disk.content_index().record(b, fingerprint);
-        }
-        None => {
-            st.ref_missing.set(b);
-            send_or(ep, phase, MigMessage::BlockRefMiss { block })?;
-        }
-    }
-    Ok(())
-}
-
-/// Apply a batch of memory pages at the destination, validated as a
-/// whole first (a bad index after good ones applies nothing), and mark
-/// the per-session receipt bitmap.
-fn dest_apply_pages(
-    st: &mut DestState,
-    ram: &LiveRam,
-    pages: &[u64],
-    payload: &[u8],
-) -> Result<(), SessionError> {
-    check_batch("page", pages, payload, ram.page_size(), ram.num_pages())?;
-    let idx: Vec<usize> = pages.iter().map(|&p| p as usize).collect();
-    ram.apply_pages(&idx, payload);
-    for &p in &idx {
-        st.session_got_pages.set(p);
-    }
-    Ok(())
-}
-
-/// Decode a compressed batch of `count` units back to raw bytes. The
-/// advertised raw length must be the units' own, and the batch's one LZ
-/// stream must decode to exactly that.
-fn decode_compressed(
-    count: usize,
-    raw_len: u64,
-    payload: &Bytes,
-    unit_size: usize,
-    phase: &'static str,
-) -> Result<Bytes, SessionError> {
-    if raw_len != (count as u64).saturating_mul(unit_size as u64) {
-        return Err(protocol_err(
-            phase,
-            format!(
-                "compressed batch declared {raw_len} raw bytes for {count} units of {unit_size}"
-            ),
-        ));
-    }
-    decompress_blocks(payload, count, unit_size)
-        .map(Bytes::from)
-        .map_err(|e| protocol_err(phase, format!("undecodable compressed batch: {e:?}")))
-}
-
-/// The destination half of the data plane, shared by pre-copy and
-/// freeze: a message carrying blocks or pages — raw, compressed or by
-/// reference — is decoded, validated and applied here; any other is
-/// handed back for the phase's own protocol.
-fn dest_apply_data<T: Transport>(
-    st: &mut DestState,
-    disk: &TrackedDisk,
-    ram: &LiveRam,
-    ep: &T,
-    msg: MigMessage,
-    phase: &'static str,
-) -> Result<Option<MigMessage>, SessionError> {
-    let block_size = disk.disk().block_size();
-    match msg {
-        MigMessage::DiskBlocks {
-            blocks,
-            payload: Some(payload),
-            ..
-        } => dest_apply_full(st, disk, &blocks, &payload, block_size)?,
-        MigMessage::CompressedBlocks {
-            blocks,
-            raw_len,
-            payload,
-        } => {
-            let raw = decode_compressed(blocks.len(), raw_len, &payload, block_size, phase)?;
-            dest_apply_full(st, disk, &blocks, &raw, block_size)?;
-        }
-        MigMessage::BlockRef { block, fingerprint } => {
-            dest_apply_ref(st, disk, ep, block, fingerprint, phase)?;
-        }
-        MigMessage::MemPages {
-            pages,
-            payload: Some(payload),
-            ..
-        } => dest_apply_pages(st, ram, &pages, &payload)?,
-        MigMessage::CompressedPages {
-            pages,
-            raw_len,
-            payload,
-        } => {
-            let raw = decode_compressed(pages.len(), raw_len, &payload, ram.page_size(), phase)?;
-            dest_apply_pages(st, ram, &pages, &raw)?;
-        }
-        other => return Ok(Some(other)),
-    }
-    Ok(None)
-}
-
-fn dest_precopy<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    ep: &T,
-    st: &mut DestState,
-) -> Result<(), SessionError> {
-    // Apply incoming block and page batches until the source suspends.
-    loop {
-        let msg = recv_or(ep, "pre-copy", cfg.retry.phase_timeout)?;
-        match dest_apply_data(st, disk, ram, ep, msg, "pre-copy")? {
-            None => {}
-            // Everything before the barrier is applied by now, and any
-            // bounce it provoked is already queued ahead of this echo.
-            Some(MigMessage::Barrier) => send_or(ep, "pre-copy", MigMessage::BarrierAck)?,
-            Some(MigMessage::Suspended) => {
-                st.phase = ResumePhase::Frozen;
-                return Ok(());
-            }
-            Some(other) => {
-                return Err(protocol_err(
-                    "pre-copy",
-                    format!("unexpected message at destination: {other:?}"),
-                ))
-            }
-        }
-    }
-}
-
-fn dest_freeze<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    ep: &T,
-    st: &mut DestState,
-) -> Result<(), SessionError> {
-    // Freeze payloads: the memory tail, the CPU context, the block-bitmap.
-    // Re-sent pre-copy blocks (lost by a failed session) and a duplicate
-    // `Suspended` marker are accepted too — frozen content is stable, so
-    // applying any of it twice is harmless.
-    let transferred_flat = loop {
-        let msg = recv_or(ep, "freeze", cfg.retry.phase_timeout)?;
-        match dest_apply_data(st, disk, ram, ep, msg, "freeze")? {
-            None | Some(MigMessage::CpuState { .. } | MigMessage::Suspended) => {}
-            Some(MigMessage::BlockManifest {
-                blocks,
-                fingerprints,
-            }) => {
-                for (&b, &fp) in blocks.iter().zip(fingerprints.iter()) {
-                    st.manifest.insert(b as usize, fp);
-                }
-            }
-            Some(MigMessage::Bitmap { encoded }) => {
-                let mut still_needed = decode_bitmap("freeze", &encoded)?;
-                // References bounced but not yet re-answered join the
-                // still-needed set: their `BlockRefMiss` is answered
-                // from post-copy as a pulled block.
-                still_needed.union_with(&st.ref_missing);
-                break still_needed;
-            }
-            Some(other) => {
-                return Err(protocol_err(
-                    "freeze",
-                    format!("unexpected freeze message: {other:?}"),
-                ))
-            }
-        }
-    };
-    // Stand up the destination interception path.
-    let transferred = Arc::new(AtomicBitmap::new(cfg.num_blocks));
-    transferred.load_from(&transferred_flat);
-    let new_bm = Arc::new(AtomicBitmap::new(cfg.num_blocks));
-    disk.attach_tracker(Arc::clone(&new_bm), Some(GUEST));
-    disk.enable_tracking();
-    st.dest_io = Some(Arc::new(DestIo::new(
-        Arc::clone(disk),
-        GUEST,
-        Arc::clone(&transferred),
-        st.pull_tx.clone(),
-        Arc::clone(&cfg.telemetry),
-    )));
-    st.transferred = Some(transferred);
-    st.new_bm = Some(new_bm);
-    st.phase = ResumePhase::PostCopy;
-    Ok(())
-}
-
-fn dest_post_copy<T: Transport>(
-    cfg: &LiveConfig,
-    disk: &Arc<TrackedDisk>,
-    ram: &Arc<LiveRam>,
-    ep: &T,
-    ctl: &DriverCtl,
-    st: &mut DestState,
-) -> Result<(), SessionError> {
-    // Freeze-and-copy builds both of these before entering post-copy; a
-    // gap is a protocol bug surfaced as an error, not a panic.
-    let (Some(transferred), Some(dest_io)) = (st.transferred.as_ref(), st.dest_io.as_ref()) else {
-        return Err(protocol_err(
-            "post-copy",
-            "post-copy entered without the freeze-phase bitmap and io path".into(),
-        ));
-    };
-    let transferred = Arc::clone(transferred);
-    let io = Arc::clone(dest_io);
-    // First entry: resume the guest on the destination path. Reconnects
-    // find it already running.
-    if st.resumed_at.is_none() {
-        let guest_io = Arc::clone(&io) as Arc<dyn crate::live::GuestIo>;
-        let resumed_at = ctl.resume_on(guest_io, Arc::clone(ram));
-        st.resumed_at = Some(resumed_at);
-        // Stamped at the resume instant: with the source's suspend stamp
-        // this bounds the freeze span to exactly the reported downtime.
-        cfg.telemetry
-            .record_at_instant(resumed_at, || Event::PhaseEnd {
-                side: Side::Destination,
-                phase: Phase::Freeze,
-            });
-        cfg.telemetry
-            .record_at_instant(resumed_at, || Event::Resumed {
-                side: Side::Destination,
-            });
-        cfg.telemetry
-            .record_at_instant(resumed_at, || Event::PhaseStart {
-                side: Side::Destination,
-                phase: Phase::PostCopy,
-            });
-    }
-    send_or(ep, "post-copy", MigMessage::Resumed)?;
-    // Pull requests forwarded on a dead session got no answer: re-issue
-    // every outstanding one so parked readers make progress.
-    let outstanding: Vec<usize> = st
-        .requested
-        .iter()
-        .copied()
-        .filter(|&b| transferred.get(b))
-        .collect();
-    for b in outstanding {
-        send_or(ep, "post-copy", MigMessage::PullRequest { block: b as u64 })?;
-    }
-    // The source re-announces push completion every session.
-    st.push_done = false;
-
-    let mut last_progress = Instant::now();
-    loop {
-        // Forward guest pull requests.
-        while let Ok(b) = st.pull_rx.try_recv() {
-            // A block may be requested by several stalled reads or have
-            // been cleared since; only forward live, novel requests.
-            if transferred.get(b) && st.requested.insert(b) {
-                cfg.telemetry
-                    .record(|| Event::PullRequested { block: b as u64 });
-                send_or(ep, "post-copy", MigMessage::PullRequest { block: b as u64 })?;
-            }
-        }
-        // Process arrivals.
-        match ep.recv_timeout(Duration::from_millis(2)) {
-            Ok(MigMessage::PostCopyBlock {
-                block,
-                pulled: was_pulled,
-                payload,
-                ..
-            }) => {
-                last_progress = Instant::now();
-                let b = checked_block(disk, block)?;
-                let Some(payload) = payload.filter(|p| p.len() == cfg.block_size) else {
-                    return Err(protocol_err(
-                        "post-copy",
-                        format!("block {block} arrived without one block of bytes"),
-                    ));
-                };
-                // Applied only while the block is still owed, atomically
-                // with respect to the guest's own writes.
-                if io.apply_arrival(b, &payload) {
-                    if was_pulled {
-                        st.pulled += 1;
-                        cfg.telemetry.record(|| Event::BlockPulled { block });
-                    } else {
-                        st.pushed += 1;
-                        cfg.telemetry.record(|| Event::BlockPushed { block });
-                    }
-                } else {
-                    // Superseded by a local write: drop (paper lines 2-3
-                    // of the receive algorithm).
-                    st.dropped += 1;
-                    cfg.telemetry.record(|| Event::BlockDropped { block });
-                }
-            }
-            Ok(MigMessage::PushComplete) => {
-                last_progress = Instant::now();
-                st.push_done = true;
-            }
-            Ok(other) => {
-                return Err(protocol_err(
-                    "post-copy",
-                    format!("unexpected message at destination: {other:?}"),
-                ))
-            }
-            Err(TransportError::Timeout) => {
-                if last_progress.elapsed() > cfg.retry.phase_timeout {
-                    return Err(SessionError::Fatal(MigrationError::Timeout {
-                        phase: "post-copy",
-                        waited: cfg.retry.phase_timeout,
-                    }));
-                }
-            }
-            Err(TransportError::Empty) => {}
-            Err(e) => return Err(classify("post-copy", e)),
-        }
-        if st.push_done && transferred.count_ones() == 0 {
-            send_or(ep, "completion", MigMessage::MigrationComplete)?;
-            st.complete_sent = true;
-            // Wait for the source's ack so a lost completion message
-            // cannot strand it in post-copy.
-            let deadline = Instant::now() + cfg.retry.phase_timeout;
-            loop {
-                match ep.recv_timeout(Duration::from_millis(20)) {
-                    Ok(MigMessage::CompleteAck) => return Ok(()),
-                    // Late pushes raced with completion: superseded.
-                    Ok(MigMessage::PostCopyBlock { block, .. }) => {
-                        st.dropped += 1;
-                        cfg.telemetry.record(|| Event::BlockDropped { block });
-                    }
-                    Ok(MigMessage::PushComplete) => {}
-                    Ok(other) => {
-                        return Err(protocol_err(
-                            "completion",
-                            format!("expected CompleteAck, got {other:?}"),
-                        ))
-                    }
-                    Err(TransportError::Timeout) => {
-                        if Instant::now() > deadline {
-                            return Err(SessionError::Fatal(MigrationError::Timeout {
-                                phase: "completion",
-                                waited: cfg.retry.phase_timeout,
-                            }));
-                        }
-                    }
-                    Err(e) => return Err(classify("completion", e)),
-                }
-            }
-        }
+    Sessions {
+        end,
+        ledger,
+        reconnects,
     }
 }
 
@@ -2773,7 +698,7 @@ mod tests {
             num_blocks: 16_384,
             ..LiveConfig::test_default()
         };
-        let out = run_live_migration(&cfg).expect("clean migration completes");
+        let out = run_live(&cfg, LiveRun::default()).expect("clean migration completes");
         assert_eq!(out.read_violations, 0, "guest saw stale data");
         assert!(
             out.inconsistent_blocks().is_empty(),
@@ -2794,7 +719,7 @@ mod tests {
             num_blocks: 32_768,
             ..LiveConfig::test_default()
         };
-        let out = run_live_migration(&cfg).expect("clean migration completes");
+        let out = run_live(&cfg, LiveRun::default()).expect("clean migration completes");
         assert_eq!(out.read_violations, 0);
         assert!(out.inconsistent_blocks().is_empty());
         // Live migration: the guest is down far less than the total.
@@ -2813,7 +738,7 @@ mod tests {
             streams: 4,
             ..LiveConfig::test_default()
         };
-        let out = run_live_migration(&cfg).expect("sharded migration completes");
+        let out = run_live(&cfg, LiveRun::default()).expect("sharded migration completes");
         assert_eq!(out.read_violations, 0, "guest saw stale data");
         assert!(
             out.inconsistent_blocks().is_empty(),
@@ -2826,37 +751,13 @@ mod tests {
     }
 
     #[test]
-    fn interleave_rotates_batches_across_shards() {
-        let rec = Recorder::off();
-        // 256 blocks, 4 streams → word-aligned shards of 64 blocks each.
-        let worklist: Vec<usize> = (0..256).collect();
-        let out = interleave_streams(&worklist, 256, 4, 16, &rec);
-        assert_eq!(out.len(), 256);
-        // Same multiset of blocks.
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, worklist);
-        // First batch from shard 0, second from shard 1, and so on.
-        assert_eq!(&out[..16], (0..16).collect::<Vec<_>>().as_slice());
-        assert_eq!(&out[16..32], (64..80).collect::<Vec<_>>().as_slice());
-        assert_eq!(&out[32..48], (128..144).collect::<Vec<_>>().as_slice());
-        assert_eq!(&out[48..64], (192..208).collect::<Vec<_>>().as_slice());
-        // Uneven remainder still drains completely.
-        let sparse: Vec<usize> = (0..256).step_by(7).collect();
-        let out = interleave_streams(&sparse, 256, 4, 16, &rec);
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, sparse);
-    }
-
-    #[test]
     fn live_im_ships_only_dirty_blocks() {
         let cfg = LiveConfig {
             num_blocks: 16_384,
             rate_limit: Some(GIGABIT),
             ..LiveConfig::test_default()
         };
-        let first = run_live_migration(&cfg).expect("clean migration completes");
+        let first = run_live(&cfg, LiveRun::default()).expect("clean migration completes");
         assert!(first.inconsistent_blocks().is_empty());
 
         // Migrate back: old destination is the new source; the stale old
@@ -2885,8 +786,12 @@ mod tests {
                 im_bitmap.set(*b);
             }
         }
-        let out = run_live_migration_with(&cfg_back, src_back, dst_back, Some(im_bitmap.clone()))
-            .expect("IM migration completes");
+        let run = LiveRun {
+            disks: Some((src_back, dst_back)),
+            initial_bitmap: Some(im_bitmap.clone()),
+            ..LiveRun::default()
+        };
+        let out = run_live(&cfg_back, run).expect("IM migration completes");
         assert_eq!(out.read_violations, 0);
         // IM's first iteration shipped only the bitmap's blocks.
         assert_eq!(out.iterations[0], im_bitmap.count_ones() as u64);
@@ -2926,11 +831,61 @@ mod tests {
             cfg.block_size,
             cfg.num_blocks,
         ))));
-        let out = run_live_migration_with(&cfg, Arc::clone(&src), Arc::clone(&dst), None)
-            .expect("clean migration completes");
+        let run = LiveRun {
+            disks: Some((Arc::clone(&src), Arc::clone(&dst))),
+            ..LiveRun::default()
+        };
+        let out = run_live(&cfg, run).expect("clean migration completes");
         assert!(src.disk().content_equals(dst.disk()));
         assert_eq!(out.iterations, vec![cfg.num_blocks as u64]);
         assert_eq!(out.wire.blocks_deduped, zeroes);
+    }
+
+    #[test]
+    fn caller_geometry_is_a_typed_error_before_any_thread_starts() {
+        let cfg = LiveConfig {
+            num_blocks: 1_024,
+            workload: WorkloadKind::Idle,
+            ..LiveConfig::test_default()
+        };
+        let blank = |block_size, num_blocks| {
+            Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
+                block_size, num_blocks,
+            ))))
+        };
+        let refused = |disks, initial_bitmap| {
+            let run = LiveRun {
+                disks: Some(disks),
+                initial_bitmap,
+                ..LiveRun::default()
+            };
+            match run_live(&cfg, run) {
+                Err(MigrationError::Protocol {
+                    phase: "prepare",
+                    detail,
+                }) => detail,
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("a run whose geometry is not the config's migrated"),
+            }
+        };
+        let (src, dst) = fresh_disks(&cfg);
+        // A disk with another block count: an assert in the engine before.
+        let detail = refused((Arc::clone(&src), blank(512, 1_000)), None);
+        assert!(
+            detail.contains("destination disk is 512 B × 1000 blocks"),
+            "{detail}"
+        );
+        // Another block size: went unnoticed until the destination
+        // rejected a batch, with the guest already running there.
+        let detail = refused((blank(4_096, 1_024), Arc::clone(&dst)), None);
+        assert!(
+            detail.contains("source disk is 4096 B × 1024 blocks"),
+            "{detail}"
+        );
+        // An inherited bitmap past the disk's end: a panic in the source
+        // thread, then the destination's phase timeout.
+        let detail = refused((src, dst), Some(FlatBitmap::new(2_048)));
+        assert!(detail.contains("initial bitmap of 2048 blocks"), "{detail}");
     }
 
     #[test]
@@ -2947,351 +902,5 @@ mod tests {
             classify("handshake", TransportError::Disconnected),
             SessionError::Reconnect(_)
         ));
-    }
-
-    #[test]
-    fn malformed_block_frames_are_typed_errors_not_storage_panics() {
-        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(512, 8)));
-        let fatal = |r: Result<(), SessionError>| match r {
-            Err(SessionError::Fatal(MigrationError::Protocol { detail, .. })) => detail,
-            Err(_) => panic!("expected a protocol error, got another error"),
-            Ok(()) => panic!("expected a protocol error, got Ok"),
-        };
-        // An index past the disk, alone or after valid ones: nothing is
-        // written, not even the valid prefix.
-        let data = stamp_bytes(3, 1, 512);
-        let two = [data.clone(), data.clone()].concat();
-        assert!(fatal(apply_blocks(&disk, &[8], &data, 512)).contains("block 8"));
-        assert!(fatal(apply_blocks(&disk, &[3, u64::MAX], &two, 512)).contains("block"));
-        assert_eq!(disk.disk().read_block(3), vec![0u8; 512]);
-        // Payload length that does not match the block list.
-        assert!(fatal(apply_blocks(&disk, &[3], &two, 512)).contains("payload"));
-        assert!(fatal(apply_blocks(&disk, &[3, 4], &data, 512)).contains("payload"));
-        assert!(fatal(apply_blocks(&disk, &[3], &data, usize::MAX)).contains("payload"));
-        // The well-formed frame lands, repeats included (last piece wins).
-        let newer = stamp_bytes(3, 2, 512);
-        assert!(apply_blocks(&disk, &[3, 3], &[data, newer.clone()].concat(), 512).is_ok());
-        assert_eq!(disk.disk().read_block(3), newer);
-    }
-
-    fn ok<T>(r: Result<T, SessionError>) -> T {
-        match r {
-            Ok(v) => v,
-            Err(SessionError::Fatal(e)) => panic!("fatal session error: {e}"),
-            Err(SessionError::Reconnect(e)) => panic!("link error: {e}"),
-        }
-    }
-
-    /// One page of each kind a guest's RAM is made of: untouched, filled
-    /// with one byte, text-like (words from a small vocabulary) and
-    /// word-random (nothing for LZ to find).
-    fn mix_page(kind: usize, seed: u64, page_size: usize) -> Vec<u8> {
-        const WORDS: [&str; 8] = [
-            "page ", "frame ", "bitmap ", "dirty ", "guest ", "copy ", "the ", "of ",
-        ];
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        match kind % 4 {
-            0 => vec![0u8; page_size],
-            1 => vec![seed as u8 | 1; page_size],
-            2 => {
-                let mut page = Vec::with_capacity(page_size + 8);
-                while page.len() < page_size {
-                    page.extend_from_slice(WORDS[(next() % 8) as usize].as_bytes());
-                }
-                page.truncate(page_size);
-                page
-            }
-            _ => (0..page_size / 8)
-                .flat_map(|_| next().to_le_bytes())
-                .collect(),
-        }
-    }
-
-    /// Slow enough that LZ pays whatever a sample's timing suffers: 477 ns
-    /// a byte against the few LZ takes, so a preemption of milliseconds
-    /// inside one 32 KiB sample cannot flip a batch. The limiter's burst
-    /// (0.1 s of it) covers everything these tests send, so none waits.
-    const PACED: Option<f64> = Some(2.0 * 1024.0 * 1024.0);
-
-    /// Drive `worklist` through the page sender over an in-process link
-    /// (`rate`-paced or not) and apply everything that arrives through the
-    /// destination's data path; returns the frames as sent.
-    fn ship_pages(
-        src: &LiveRam,
-        dst: &LiveRam,
-        mut worklist: Vec<usize>,
-        compress: bool,
-        rate: Option<f64>,
-    ) -> (Vec<MigMessage>, TransferLedger, WireStats) {
-        let cfg = LiveConfig {
-            num_blocks: 8,
-            mem_pages: src.num_pages(),
-            mem_page_size: src.page_size(),
-            mem_batch: 16,
-            ..LiveConfig::test_default()
-        };
-        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(cfg.block_size, cfg.num_blocks)));
-        let (mut a, b) = duplex();
-        if let Some(rate) = rate {
-            a.set_rate_limit(rate);
-        }
-        let mut ctx = DedupCtx::new();
-        ctx.reset(false, compress);
-        let mut shipped = FlatBitmap::new(cfg.mem_pages);
-        let sent_pages = worklist.clone();
-        ok(send_page_worklist(
-            &a,
-            src,
-            &mut worklist,
-            &mut shipped,
-            &mut ctx,
-            &cfg,
-            "test",
-        ));
-        assert!(worklist.is_empty());
-        let mut st = DestState::new(&cfg);
-        let mut frames = Vec::new();
-        while let Ok(msg) = b.try_recv() {
-            frames.push(msg.clone());
-            assert!(ok(dest_apply_data(&mut st, &disk, dst, &b, msg, "test")).is_none());
-        }
-        for p in sent_pages {
-            assert!(shipped.get(p) && st.session_got_pages.get(p), "page {p}");
-        }
-        (frames, a.sent_ledger(), ctx.wire)
-    }
-
-    #[test]
-    fn page_mix_crosses_in_the_smaller_form_and_lands_page_exact() {
-        use simnet::proto::{Category, FRAME_OVERHEAD};
-        const PS: usize = 4096;
-        const N: usize = 64;
-        let src = LiveRam::new(PS, N);
-        for p in 0..N {
-            src.write_page(p, &mix_page(p, p as u64 + 1, PS));
-        }
-        let of_kind = |k: usize| (0..N).filter(|p| p % 4 == k).collect::<Vec<_>>();
-
-        // The whole mix, 16 pages a batch, on a link that pays for LZ:
-        // every batch holds pages that compress, so every batch crosses
-        // compressed; RAM is page-exact and the Memory ledger is the
-        // frames' own sizes, to the byte.
-        let dst = LiveRam::new(PS, N);
-        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), true, PACED);
-        assert!(src.content_equals(&dst));
-        assert_eq!(frames.len(), 4);
-        assert!(frames
-            .iter()
-            .all(|m| matches!(m, MigMessage::CompressedPages { .. })));
-        let framed: u64 = frames.iter().map(MigMessage::wire_size).sum();
-        assert_eq!(ledger.get(Category::Memory), framed);
-        assert_eq!(ledger.total(), framed);
-        assert_eq!(wire.page_bytes_raw, (N * PS) as u64);
-        assert_eq!(
-            wire.page_bytes_sent + (8 * N) as u64 + 4 * FRAME_OVERHEAD,
-            framed
-        );
-        assert_eq!(wire.pages_compressed, N as u64);
-        assert!(wire.page_bytes_sent < wire.page_bytes_raw / 2);
-        assert_eq!(
-            (wire.bytes_raw, wire.bytes_sent, wire.blocks_compressed),
-            (0, 0, 0)
-        );
-
-        // Zero pages need no message of their own: 8 B of index each and
-        // one run between them — a literal, an offset-1 match and a byte
-        // of length chain per 255 bytes of it.
-        let dst = LiveRam::new(PS, N);
-        let zeros = of_kind(0);
-        let (_, ledger, _) = ship_pages(&src, &dst, zeros.clone(), true, PACED);
-        let run = (zeros.len() * PS - 1 - 4 - 15) as u64;
-        assert_eq!(
-            ledger.get(Category::Memory),
-            FRAME_OVERHEAD + 8 * zeros.len() as u64 + 4 + run / 255 + 1
-        );
-
-        // A batch of random pages streams no smaller than raw, so it
-        // travels as plain `MemPages` however slow the link.
-        let dst = LiveRam::new(PS, N);
-        let noise = of_kind(3);
-        let (frames, ledger, wire) = ship_pages(&src, &dst, noise.clone(), true, PACED);
-        assert!(matches!(frames.as_slice(), [MigMessage::MemPages { .. }]));
-        assert_eq!(
-            ledger.get(Category::Memory),
-            FRAME_OVERHEAD + (noise.len() * (8 + PS)) as u64
-        );
-        assert_eq!(wire.pages_compressed, 0);
-        assert!(noise.iter().all(|&p| dst.read_page(p) == src.read_page(p)));
-
-        // A session whose compress agreement came out false (either side
-        // declined) ships the same mix as raw page frames only, on the
-        // same link.
-        let dst = LiveRam::new(PS, N);
-        let (frames, ledger, wire) = ship_pages(&src, &dst, (0..N).collect(), false, PACED);
-        assert!(src.content_equals(&dst));
-        assert!(frames
-            .iter()
-            .all(|m| matches!(m, MigMessage::MemPages { .. })));
-        assert_eq!(
-            ledger.get(Category::Memory),
-            4 * FRAME_OVERHEAD + (N * (8 + PS)) as u64
-        );
-        assert_eq!(wire.page_bytes_sent, wire.page_bytes_raw);
-    }
-
-    #[test]
-    fn malformed_page_frames_are_typed_errors_not_ram_panics() {
-        const PS: usize = 512;
-        let cfg = LiveConfig {
-            num_blocks: 8,
-            mem_pages: 8,
-            mem_page_size: PS,
-            ..LiveConfig::test_default()
-        };
-        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(cfg.block_size, cfg.num_blocks)));
-        let ram = LiveRam::new(PS, cfg.mem_pages);
-        let (ep, _peer) = duplex();
-        let mut st = DestState::new(&cfg);
-        let mut apply = |msg: MigMessage| dest_apply_data(&mut st, &disk, &ram, &ep, msg, "test");
-        let fatal = |r: Result<Option<MigMessage>, SessionError>| match r {
-            Err(SessionError::Fatal(MigrationError::Protocol { detail, .. })) => detail,
-            Err(_) => panic!("expected a protocol error, got another error"),
-            Ok(_) => panic!("expected a protocol error, got Ok"),
-        };
-        let raw = |pages: &[u64], payload: &[u8]| MigMessage::MemPages {
-            pages: pages.to_vec(),
-            payload_len: payload.len() as u64,
-            payload: Some(Bytes::copy_from_slice(payload)),
-        };
-        let packed =
-            |pages: &[u64], raw_len: usize, payload: Vec<u8>| MigMessage::CompressedPages {
-                pages: pages.to_vec(),
-                raw_len: raw_len as u64,
-                payload: Bytes::from(payload),
-            };
-        let data = stamp_bytes(3, 1, PS);
-        let two = [data.clone(), data.clone()].concat();
-        // An index past the RAM, alone or after valid ones, raw or
-        // compressed: nothing is applied, not even the valid prefix.
-        assert!(fatal(apply(raw(&[8], &data))).contains("page 8"));
-        assert!(fatal(apply(raw(&[3, u64::MAX], &two))).contains("page"));
-        let frames = simnet::codec::compress_blocks(&two, PS);
-        assert!(fatal(apply(packed(&[3, 8], two.len(), frames.clone()))).contains("page 8"));
-        // Payload length that does not match the page list.
-        assert!(fatal(apply(raw(&[3], &two))).contains("payload"));
-        assert!(fatal(apply(raw(&[3, 4], &data))).contains("payload"));
-        // A raw length that is not the page list's, a page count the
-        // stream does not decode to, and bytes that are no stream at all.
-        assert!(fatal(apply(packed(&[3, 4], PS, frames.clone()))).contains("declared"));
-        assert!(fatal(apply(packed(&[3], PS, frames.clone()))).contains("undecodable"));
-        assert!(fatal(apply(packed(&[3, 4, 5], 3 * PS, frames.clone()))).contains("undecodable"));
-        assert!(fatal(apply(packed(&[3], PS, vec![9u8; 40]))).contains("undecodable"));
-        assert_eq!(ram.read_page(3), vec![0u8; PS]);
-        // The well-formed frames land, repeats included (last piece wins).
-        assert!(ok(apply(packed(&[3, 4], two.len(), frames))).is_none());
-        let newer = stamp_bytes(3, 2, PS);
-        assert!(ok(apply(raw(&[3, 3], &[data.clone(), newer.clone()].concat()))).is_none());
-        assert_eq!(ram.read_page(3), newer);
-        assert_eq!(ram.read_page(4), data);
-        assert_eq!(st.session_got_pages.to_indices(), vec![3, 4]);
-    }
-
-    #[test]
-    fn source_death_fails_over_to_peer_holders() {
-        use simnet::proto::Category;
-
-        let mut cfg = LiveConfig {
-            num_blocks: 16_384,
-            // Guarantee the guest dirties blocks between pre-copy
-            // convergence and suspend: post-copy must have real traffic
-            // left when the source dies.
-            min_guest_ticks: 25,
-            // The freeze-time manifest covers the frozen bitmap only;
-            // unresolved dedup reference bounces would have no
-            // verification anchor, so this scenario runs without dedup.
-            dedup: false,
-            multisource: true,
-            telemetry: Recorder::enabled(),
-            retry: RetryPolicy {
-                max_reconnects: 2,
-                backoff: Duration::from_millis(10),
-                phase_timeout: Duration::from_secs(5),
-                outage_budget: None,
-            },
-            ..LiveConfig::test_default()
-        };
-        let (src, dst) = fresh_disks(&cfg);
-        // A stale holder: the start-of-migration image. Every frozen
-        // block was dirtied after start (stamp ≥ 1 vs stamp 0), so each
-        // fingerprint probe must miss and roll to the next holder.
-        let stale = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
-            cfg.block_size,
-            cfg.num_blocks,
-        ))));
-        for b in 0..cfg.num_blocks {
-            stale
-                .disk()
-                .write_block(b, &stamp_bytes(b, 0, cfg.block_size));
-        }
-        // A synchronous replica (shared-storage model): the same backing
-        // disk the suspended source holds, so it serves every frozen
-        // block with a matching fingerprint.
-        cfg.peers = vec![
-            LivePeer {
-                host: 7,
-                disk: stale,
-            },
-            LivePeer {
-                host: 8,
-                disk: Arc::clone(&src),
-            },
-        ];
-        // Kill every attempt on its second post-copy push: the reconnect
-        // budget exhausts with blocks still owed while the guest already
-        // runs on the destination — the failover precondition.
-        let mut plan = FaultPlan::none();
-        for attempt in 0..=cfg.retry.max_reconnects + 1 {
-            plan = plan.reset_after_category(attempt, Category::DiskPush, 2);
-        }
-        let out = run_live_migration_with_faults(&cfg, src, dst, None, plan)
-            .expect("failover must complete the migration without a source");
-        assert_eq!(out.failovers, 1, "exactly one source-death failover");
-        assert_eq!(out.read_violations, 0, "guest observed stale data");
-        assert!(
-            out.inconsistent_blocks().is_empty(),
-            "destination image must be block-exact after failover"
-        );
-        assert!(out.inconsistent_pages().is_empty());
-        // Every failover block came from the replica; the stale holder
-        // missed every probe (its content predates the freeze).
-        assert!(!out.peer_bytes.is_empty(), "failover must fetch blocks");
-        for pb in &out.peer_bytes {
-            assert_eq!(pb.host, 8, "stale holder cannot serve frozen content");
-            assert_eq!(pb.bytes, pb.blocks * cfg.block_size as u64);
-        }
-        // The journal records the failover decision and the peer fetch.
-        let records = cfg.telemetry.records();
-        let failovers = records
-            .iter()
-            .filter(|r| matches!(r.event, Event::SourceFailover { .. }))
-            .count();
-        assert_eq!(failovers, 1, "one SourceFailover event");
-        assert!(
-            records.iter().any(|r| matches!(
-                r.event,
-                Event::PeerFetch {
-                    side: Side::Destination,
-                    peer: 8,
-                    ..
-                }
-            )),
-            "the replica's contribution must be journaled"
-        );
     }
 }

@@ -89,15 +89,17 @@ pub(crate) struct LzRule {
     link_ns_per_byte: f64,
 }
 
-impl LzRule {
-    pub(crate) fn new() -> Self {
+impl Default for LzRule {
+    fn default() -> Self {
         Self {
             blocks: Tally::starting_at(f64::INFINITY),
             pages: Tally::starting_at(f64::INFINITY),
             link_ns_per_byte: 0.0,
         }
     }
+}
 
+impl LzRule {
     fn tally(&mut self, kind: Resource) -> &mut Tally {
         match kind {
             Resource::Disk => &mut self.blocks,
@@ -221,7 +223,7 @@ mod tests {
     fn an_idle_link_ships_raw_and_a_paced_one_compresses_from_the_first_byte() {
         let payload = text(32, 4096);
         let (idle, _peer) = duplex();
-        let mut rule = LzRule::new();
+        let mut rule = LzRule::default();
         assert!(rule.encode(&idle, Resource::Disk, &payload, 4096).is_none());
         // Asked first, the free link is not even sampled.
         assert_eq!((rule.blocks.batches_raw, rule.blocks.sample_bytes), (1, 0));
@@ -275,7 +277,7 @@ mod tests {
         let (socket, _peer) = simnet::tcp::loopback_pair().expect("loopback");
         let socket = BetweenHosts(socket);
         assert_eq!(socket.link_ns_per_byte(), None);
-        let mut rule = LzRule::new();
+        let mut rule = LzRule::default();
         let stream = rule.encode(&socket, Resource::Memory, &text(16, 512), 512);
         assert_eq!(stream, Some(compress_blocks(&text(16, 512), 512)));
         // Noise saves nothing: its own bytes behind a literal count.
@@ -306,7 +308,7 @@ mod tests {
     fn a_pass_is_journaled_once_and_only_if_it_decided_something() {
         let rec = Recorder::enabled();
         let (idle, _peer) = duplex();
-        let mut rule = LzRule::new();
+        let mut rule = LzRule::default();
         rule.journal(&rec, Resource::Memory);
         assert!(rec.is_empty());
         for _ in 0..3 {

@@ -19,13 +19,20 @@
 //! Consistency is verified end-to-end: every guest write carries a unique
 //! stamp, and after migration the destination disk must hold, for every
 //! block, exactly the last stamp the guest wrote (or the initial image).
+//!
+//! [`run_live`] is the entry point (`engine.rs`, with the reconnect
+//! driver both sides share); `source.rs` and `dest.rs` are the two
+//! protocol threads, `plane.rs` the data plane between them.
 
 mod connect;
+mod dest;
 mod driver;
 mod engine;
 mod error;
 mod io;
 mod lz_rule;
+mod plane;
+mod source;
 
 pub use connect::{
     duplex_connector_pair, Connector, DuplexConnector, OnceConnector, TcpDestConnector,
@@ -33,10 +40,8 @@ pub use connect::{
 };
 pub use driver::{DriverCtl, DriverHandle, DriverResult, LiveWorkload};
 pub use engine::{
-    run_live_migration, run_live_migration_connected, run_live_migration_faulty,
-    run_live_migration_over, run_live_migration_replicated, run_live_migration_tcp,
-    run_live_migration_tcp_faulty, run_live_migration_with, run_live_migration_with_faults,
-    LiveConfig, LiveOutcome, LivePeer, SideWork, WorkLedger,
+    fresh_disks, run_live, run_live_migration_connected, run_live_migration_tcp,
+    run_live_migration_with, LiveConfig, LiveOutcome, LivePeer, LiveRun, SideWork, WorkLedger,
 };
 pub use error::MigrationError;
 pub use io::{DestIo, GuestIo, SourceIo};

@@ -280,9 +280,10 @@ pub enum MigMessage {
 }
 
 /// Destination protocol phase reported in [`MigMessage::ResumeFrom`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ResumePhase {
     /// Nothing received yet (initial connection).
+    #[default]
     AwaitPrepare,
     /// Receiving pre-copy disk blocks and memory pages.
     Precopy,

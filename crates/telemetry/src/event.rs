@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::clock::ClockDomain;
 
 /// Which side of the migration recorded the event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Side {
     /// The host the VM is migrating away from.
     Source,

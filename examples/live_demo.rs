@@ -45,7 +45,7 @@ fn main() {
         cfg.num_blocks, cfg.block_size, cfg.workload, cfg.max_iterations
     );
 
-    let out = run_live_migration(&cfg).expect("live migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("live migration completes");
 
     if let Some(path) = &trace_out {
         let records = cfg.telemetry.records();

@@ -7,8 +7,8 @@ echo "== rustfmt (check only) =="
 cargo fmt --all -- --check
 
 echo "== tier-1: release build =="
-# --workspace so every bin (vmmigrate, repro, perf_baseline, lintkit)
-# is fresh before the smoke matrices below run them from target/.
+# --workspace so every bin (vmmigrate, repro, lintkit) is fresh before
+# the smoke matrices below run them from target/.
 cargo build --release --workspace --locked
 
 echo "== tier-1: workspace tests =="
@@ -127,14 +127,31 @@ for workload in bulk_unique template_clone_paced web_tcp incremental_return virt
     --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --quick --trace 1 >"target/smoke-$workload.out"
 done
-# One LZ stream per batch: the paced template clone carries under 0.12
-# wire bytes per image byte (0.097; 0.166-0.172 with per-unit frames). A
-# byte count, deterministic per seed, not a timing.
-tail -n 1 target/smoke-template_clone_paced.out | python3 -c '
-import json, sys
-ratio = json.load(sys.stdin)["metrics"]["live.wire_bytes_per_image_byte"]["value"]
-print(f"template_clone_paced live.wire_bytes_per_image_byte = {ratio:.4f}")
-sys.exit(0 if ratio <= 0.12 else 1)'
+# The live engine's wire bytes, by equality: the three idle-guest live
+# workloads write nothing while they migrate, so what the destination
+# sent and what crossed per image byte are byte counts fixed by the seed,
+# not timings — a data-plane change that moves one byte changes a digit
+# here. (One LZ stream per batch is why the paced template clone carries
+# 0.094 wire bytes per image byte; 0.166-0.172 with per-unit frames.)
+# web_tcp's guest writes during the copy, so its bytes follow the
+# scheduler and are not pinned.
+python3 - <<'PY'
+import json
+want = {
+    "bulk_unique": (115.0, 1.0024214320712619),
+    "template_clone_paced": (32899.0, 0.09351523717244466),
+    "incremental_return": (115.0, 0.04987819267041756),
+}
+names = ("live.dst_bytes", "live.wire_bytes_per_image_byte")
+same = True
+for workload, pinned in want.items():
+    with open(f"target/smoke-{workload}.out") as out:
+        metrics = json.loads(out.read().splitlines()[-1])["metrics"]
+    got = tuple(metrics[name]["value"] for name in names)
+    print(f"{workload} {names[0]} = {got[0]!r}, {names[1]} = {got[1]!r}")
+    same &= got == pinned
+raise SystemExit(0 if same else 1)
+PY
 # The virtual-time engines are pure functions of the seed: the simulated
 # outputs of the default seed, by equality. Counts, not timings — a block
 # directory that drifts from the replica table, a planner that assigns
@@ -157,14 +174,15 @@ for name in want:
 sys.exit(0 if got == want else 1)'
 
 echo "== clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== lintkit: protocol & concurrency invariants =="
 # Panic-free transport zones, acyclic lock order (no guard held across a
 # blocking call, single-hop helper propagation), exhaustive protocol
-# matches, the unsafe allowlist, deterministic-zone container/clock
-# hygiene, reactor-ready blocking calls, and dropped Results. Zones come
-# from lintkit.toml. Rules: cargo run -p lintkit -- --list-rules
+# matches, unsafe code only where [allow] unsafe-audit lists it,
+# deterministic-zone container/clock hygiene, reactor-ready blocking
+# calls, and dropped Results. Zones and waivers come from lintkit.toml.
+# Rules: cargo run -p lintkit -- --list-rules
 # The JSON report is written as a CI artifact and the gate asserts a
 # clean exit on the same invocation that produced it.
 mkdir -p target

@@ -66,9 +66,7 @@ pub mod prelude {
     pub use block_bitmap::{AtomicBitmap, BlockMapper, DirtyMap, FlatBitmap, LayeredBitmap};
     pub use des::{SimDuration, SimRng, SimTime};
     pub use migrate::baselines::{run_delta_queue, run_freeze_and_copy, run_on_demand};
-    pub use migrate::live::{
-        run_live_migration, run_live_migration_faulty, LiveConfig, LiveOutcome, MigrationError,
-    };
+    pub use migrate::live::{run_live, LiveConfig, LiveOutcome, LiveRun, MigrationError};
     pub use migrate::sim::{dwell, run_im, run_tpm, TpmEngine, TpmOutcome};
     pub use migrate::{BitmapKind, MigrationConfig, MigrationReport, RetryPolicy};
     pub use orchestrator::{

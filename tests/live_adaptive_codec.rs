@@ -33,9 +33,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use block_bitmap_migration::migrate::live::{
-    fingerprinting_pays, lz_pays, run_live_migration, run_live_migration_faulty,
-    run_live_migration_over, run_live_migration_tcp, run_live_migration_with, LiveConfig,
-    LiveOutcome, SideWork,
+    fingerprinting_pays, lz_pays, run_live, run_live_migration_connected, LiveConfig, LiveOutcome,
+    LiveRun, OnceConnector, SideWork,
 };
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::simnet::codec::compress_blocks;
@@ -85,7 +84,7 @@ fn paced(cfg: &LiveConfig) -> LiveConfig {
 }
 
 fn run(cfg: &LiveConfig) -> LiveOutcome {
-    let out = run_live_migration(cfg).expect("migration completes");
+    let out = run_live(cfg, LiveRun::default()).expect("migration completes");
     assert_eq!(out.read_violations, 0, "guest observed stale data");
     assert!(
         out.inconsistent_blocks().is_empty(),
@@ -218,7 +217,14 @@ fn a_paced_link_compresses_every_batch_from_the_first() {
 }
 
 fn run_tcp(cfg: &LiveConfig) -> LiveOutcome {
-    let out = run_live_migration_tcp(cfg).expect("tcp migration completes");
+    let out = run_live(
+        cfg,
+        LiveRun {
+            tcp: true,
+            ..LiveRun::default()
+        },
+    )
+    .expect("tcp migration completes");
     assert!(out.inconsistent_blocks().is_empty() && out.inconsistent_pages().is_empty());
     out
 }
@@ -377,8 +383,15 @@ fn run_tapped(cfg: &LiveConfig, cannot_tell: bool) -> (LiveOutcome, Vec<SentBatc
         batches: Arc::clone(&batches),
         cannot_tell,
     };
-    let out = run_live_migration_over(cfg, Arc::clone(&src), Arc::clone(&dst), None, tap, peer)
-        .expect("migration completes");
+    let out = run_live_migration_connected(
+        cfg,
+        Arc::clone(&src),
+        Arc::clone(&dst),
+        None,
+        OnceConnector::new(tap),
+        OnceConnector::new(peer),
+    )
+    .expect("migration completes");
     assert!(
         src.disk().content_equals(dst.disk()),
         "image not block-exact"
@@ -499,8 +512,14 @@ fn incompressible_blocks_ship_raw_on_a_paced_link_after_the_sample() {
         cfg.block_size,
         cfg.num_blocks,
     ))));
-    let out = run_live_migration_with(&cfg, Arc::clone(&src), Arc::clone(&dst), None)
-        .expect("migration completes");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            disks: Some((Arc::clone(&src), Arc::clone(&dst))),
+            ..LiveRun::default()
+        },
+    )
+    .expect("migration completes");
     assert!(src.disk().content_equals(dst.disk()));
     assert_eq!(out.wire.blocks_compressed, 0);
     assert_eq!(out.wire.bytes_sent, out.wire.bytes_raw);
@@ -655,7 +674,14 @@ fn a_reconnect_decides_again_and_the_same_link_decides_the_same() {
     let plan = || FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 2);
 
     let cfg = traced(&paced(&idle_cfg()));
-    let out = run_live_migration_faulty(&cfg, plan()).expect("recovers");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            faults: plan(),
+            ..LiveRun::default()
+        },
+    )
+    .expect("recovers");
     assert!(out.inconsistent_blocks().is_empty());
     assert_eq!(out.reconnects, 1);
     let (handshakes, fingerprinted, skipped) = dedup_sessions(&cfg);
@@ -668,7 +694,14 @@ fn a_reconnect_decides_again_and_the_same_link_decides_the_same() {
     assert!(out.wire.blocks_deduped >= 1);
 
     let cfg = traced(&idle_cfg());
-    let out = run_live_migration_faulty(&cfg, plan()).expect("recovers");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            faults: plan(),
+            ..LiveRun::default()
+        },
+    )
+    .expect("recovers");
     assert!(out.inconsistent_blocks().is_empty());
     assert_eq!(out.reconnects, 1);
     assert_eq!(dedup_sessions(&cfg), (vec![], 0, 2));

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use block_bitmap_migration::migrate::live::{
-    duplex_connector_pair, run_live_migration_connected, run_live_migration_over, Connector,
-    LiveConfig, LiveOutcome, MigrationError,
+    duplex_connector_pair, run_live_migration_connected, Connector, LiveConfig, LiveOutcome,
+    MigrationError, OnceConnector,
 };
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::simnet::fault::{Fault, FaultKind, FaultTrigger};
@@ -162,8 +162,15 @@ fn slow_destination_costs_total_time_not_downtime() {
         inner: dst_ep,
         delayed: Arc::clone(&delayed),
     };
-    let out = run_live_migration_over(&cfg, src, dst, None, src_ep, slow)
-        .expect("migration completes against a slow destination");
+    let out = run_live_migration_connected(
+        &cfg,
+        src,
+        dst,
+        None,
+        OnceConnector::new(src_ep),
+        OnceConnector::new(slow),
+    )
+    .expect("migration completes against a slow destination");
     assert_eq!(out.reconnects, 0);
     assert_slow_but_live(&out, delayed.load(Ordering::Relaxed));
 }
@@ -187,8 +194,15 @@ fn slow_destination_over_a_socket_costs_total_time_not_downtime_nor_memory() {
         inner: dst_ep,
         delayed: Arc::clone(&delayed),
     };
-    let out = run_live_migration_over(&cfg, src, dst, None, src_ep, slow)
-        .expect("migration completes against a slow destination");
+    let out = run_live_migration_connected(
+        &cfg,
+        src,
+        dst,
+        None,
+        OnceConnector::new(src_ep),
+        OnceConnector::new(slow),
+    )
+    .expect("migration completes against a slow destination");
     assert_eq!(out.reconnects, 0);
     assert_slow_but_live(&out, delayed.load(Ordering::Relaxed));
     // Same-host socket: batches cross raw, 8 MiB of them, 2 ms apart at

@@ -3,9 +3,7 @@
 //! log.
 
 use block_bitmap_migration::des;
-use block_bitmap_migration::migrate::live::{
-    run_live_migration, run_live_migration_with, LiveConfig,
-};
+use block_bitmap_migration::migrate::live::{run_live, LiveConfig, LiveRun};
 use block_bitmap_migration::prelude::*;
 use std::sync::Arc;
 
@@ -34,7 +32,7 @@ fn assert_fully_consistent(out: &block_bitmap_migration::migrate::live::LiveOutc
 
 #[test]
 fn live_web_workload_consistent() {
-    let out = run_live_migration(&base_cfg()).expect("migration completes");
+    let out = run_live(&base_cfg(), LiveRun::default()).expect("migration completes");
     assert_fully_consistent(&out);
     assert_eq!(out.iterations[0], 16_384, "first pass ships the whole disk");
     assert_eq!(out.reconnects, 0, "clean transport needs no recovery");
@@ -47,7 +45,7 @@ fn live_video_workload_consistent() {
         seed: 11,
         ..base_cfg()
     };
-    let out = run_live_migration(&cfg).expect("migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("migration completes");
     assert_fully_consistent(&out);
 }
 
@@ -70,7 +68,7 @@ fn live_diabolical_workload_consistent() {
         min_guest_ticks: 10,
         ..base_cfg()
     };
-    let out = run_live_migration(&cfg).expect("migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("migration completes");
     assert_fully_consistent(&out);
     assert!(
         out.pushed + out.pulled + out.dropped >= out.frozen_dirty,
@@ -89,7 +87,7 @@ fn live_rate_limited_consistent() {
         seed: 17,
         ..base_cfg()
     };
-    let out = run_live_migration(&cfg).expect("migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("migration completes");
     assert_fully_consistent(&out);
 }
 
@@ -100,7 +98,7 @@ fn live_idle_guest_single_iteration() {
         num_blocks: 8_192,
         ..base_cfg()
     };
-    let out = run_live_migration(&cfg).expect("migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("migration completes");
     assert_fully_consistent(&out);
     assert_eq!(
         out.iterations.len(),
@@ -114,7 +112,7 @@ fn live_idle_guest_single_iteration() {
 #[test]
 fn live_im_roundtrip() {
     let cfg = base_cfg();
-    let first = run_live_migration(&cfg).expect("migration completes");
+    let first = run_live(&cfg, LiveRun::default()).expect("migration completes");
     assert_fully_consistent(&first);
 
     // Migrate back: only blocks dirtied since the primary migration (the
@@ -130,8 +128,15 @@ fn live_im_roundtrip() {
         seed: cfg.seed + 100,
         ..cfg.clone()
     };
-    let out = run_live_migration_with(&cfg_back, src_back, dst_back, Some(im_bitmap.clone()))
-        .expect("IM migration completes");
+    let out = run_live(
+        &cfg_back,
+        LiveRun {
+            disks: Some((src_back, dst_back)),
+            initial_bitmap: Some(im_bitmap.clone()),
+            ..LiveRun::default()
+        },
+    )
+    .expect("IM migration completes");
     assert_eq!(out.read_violations, 0);
     assert_eq!(
         out.iterations[0],
@@ -152,7 +157,7 @@ fn live_im_roundtrip() {
 fn live_migration_ships_bitmap_not_blocks_in_freeze() {
     // The defining trick of the paper: the freeze phase carries the
     // bitmap (bytes), never the dirty blocks themselves.
-    let out = run_live_migration(&base_cfg()).expect("migration completes");
+    let out = run_live(&base_cfg(), LiveRun::default()).expect("migration completes");
     let bitmap_bytes = out
         .src_ledger
         .get(block_bitmap_migration::simnet::proto::Category::Bitmap);
@@ -168,7 +173,6 @@ fn live_migration_ships_bitmap_not_blocks_in_freeze() {
 fn live_migration_over_real_tcp_sockets() {
     // The same protocol, framed through simnet::codec over actual
     // loopback TCP — process-boundary-ready.
-    use block_bitmap_migration::migrate::live::run_live_migration_tcp;
     let cfg = LiveConfig {
         num_blocks: 16_384,
         seed: 23,
@@ -177,7 +181,14 @@ fn live_migration_over_real_tcp_sockets() {
         rate_limit: Some(GIGABIT),
         ..LiveConfig::test_default()
     };
-    let out = run_live_migration_tcp(&cfg).expect("tcp migration completes");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            tcp: true,
+            ..LiveRun::default()
+        },
+    )
+    .expect("tcp migration completes");
     assert_fully_consistent(&out);
     assert_eq!(out.iterations[0], 16_384);
     // Every block's raw content was read and shipped in some form; with
@@ -208,7 +219,7 @@ fn live_memory_migrates_byte_exactly() {
         seed: 31,
         ..LiveConfig::test_default()
     };
-    let out = run_live_migration(&cfg).expect("migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("migration completes");
     assert_fully_consistent(&out);
     assert!(!out.mem_iterations.is_empty(), "memory pre-copy must run");
     assert_eq!(
@@ -249,11 +260,14 @@ fn ram_follows_the_compress_agreement_and_no_compress_is_raw_page_frames() {
     // sent when it is smaller, so equality to the byte also says none was.
     // (Paced like the run it is compared with below, so that both
     // fingerprint: a free link would use neither LZ nor dedup.)
-    let plain = run_live_migration(&LiveConfig {
-        compress: false,
-        rate_limit: Some(GIGABIT),
-        ..cfg.clone()
-    })
+    let plain = run_live(
+        &LiveConfig {
+            compress: false,
+            rate_limit: Some(GIGABIT),
+            ..cfg.clone()
+        },
+        LiveRun::default(),
+    )
     .expect("migration completes");
     assert_fully_consistent(&plain);
     assert!(plain.inconsistent_pages().is_empty());
@@ -270,10 +284,13 @@ fn ram_follows_the_compress_agreement_and_no_compress_is_raw_page_frames() {
     // same RAM is a fraction of that, and the saving is booked as page
     // traffic, not as block traffic. What the agreement means on a link
     // that does not pay is tests/live_adaptive_codec.rs.
-    let packed = run_live_migration(&LiveConfig {
-        rate_limit: Some(2.0 * 1024.0 * 1024.0),
-        ..cfg.clone()
-    })
+    let packed = run_live(
+        &LiveConfig {
+            rate_limit: Some(2.0 * 1024.0 * 1024.0),
+            ..cfg.clone()
+        },
+        LiveRun::default(),
+    )
     .expect("migration completes");
     assert_fully_consistent(&packed);
     assert!(packed.inconsistent_pages().is_empty());
@@ -290,7 +307,6 @@ fn ram_follows_the_compress_agreement_and_no_compress_is_raw_page_frames() {
 
 #[test]
 fn live_memory_over_tcp() {
-    use block_bitmap_migration::migrate::live::run_live_migration_tcp;
     let cfg = LiveConfig {
         num_blocks: 16_384,
         mem_pages: 2_048,
@@ -298,7 +314,14 @@ fn live_memory_over_tcp() {
         seed: 37,
         ..LiveConfig::test_default()
     };
-    let out = run_live_migration_tcp(&cfg).expect("tcp migration completes");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            tcp: true,
+            ..LiveRun::default()
+        },
+    )
+    .expect("tcp migration completes");
     assert_fully_consistent(&out);
     assert!(out.inconsistent_pages().is_empty());
 }
@@ -315,10 +338,10 @@ fn concurrent_live_migrations_do_not_interfere() {
         ..LiveConfig::test_default()
     };
     let a = std::thread::spawn(move || {
-        run_live_migration(&mk(101, WorkloadKind::Web)).expect("migration A completes")
+        run_live(&mk(101, WorkloadKind::Web), LiveRun::default()).expect("migration A completes")
     });
     let b = std::thread::spawn(move || {
-        run_live_migration(&mk(202, WorkloadKind::Video)).expect("migration B completes")
+        run_live(&mk(202, WorkloadKind::Video), LiveRun::default()).expect("migration B completes")
     });
     let out_a = a.join().expect("migration A panicked");
     let out_b = b.join().expect("migration B panicked");
@@ -362,8 +385,15 @@ fn cow_overlay_seeds_a_collective_style_live_migration() {
         seed: 77,
         ..LiveConfig::test_default()
     };
-    let out = run_live_migration_with(&cfg, src, dst, Some(diff.clone()))
-        .expect("CoW-seeded migration completes");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            disks: Some((src, dst)),
+            initial_bitmap: Some(diff.clone()),
+            ..LiveRun::default()
+        },
+    )
+    .expect("CoW-seeded migration completes");
     assert_eq!(out.read_violations, 0);
     assert_eq!(
         out.iterations[0],

@@ -4,8 +4,7 @@
 //! fault-free run produces.
 
 use block_bitmap_migration::migrate::live::{
-    run_live_migration_faulty, run_live_migration_tcp_faulty, run_live_migration_with_faults,
-    LiveConfig, MigrationError,
+    run_live, LiveConfig, LiveOutcome, LiveRun, MigrationError,
 };
 use block_bitmap_migration::migrate::RetryPolicy;
 use block_bitmap_migration::simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
@@ -19,6 +18,18 @@ use std::time::Duration;
 /// assert dedup behaviour. An unpaced in-process link is free, and a
 /// session on it does not fingerprint (DESIGN.md §15).
 const GIGABIT: f64 = 125e6;
+
+/// A primary migration between fresh disks over the in-process link,
+/// under `faults`.
+fn faulted(cfg: &LiveConfig, faults: FaultPlan) -> Result<LiveOutcome, MigrationError> {
+    run_live(
+        cfg,
+        LiveRun {
+            faults,
+            ..LiveRun::default()
+        },
+    )
+}
 
 fn fault_cfg() -> LiveConfig {
     LiveConfig {
@@ -65,7 +76,7 @@ fn resets_during_precopy_and_postcopy_recover() {
     let plan = FaultPlan::none()
         .reset_after_category(0, Category::DiskPrecopy, 20)
         .reset_after_category(1, Category::DiskPush, 5);
-    let out = run_live_migration_faulty(&cfg, plan).expect("faulted migration recovers");
+    let out = faulted(&cfg, plan).expect("faulted migration recovers");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 2, "both injected resets must be survived");
     assert_eq!(out.resume_owed.len(), 2);
@@ -103,7 +114,7 @@ fn barrier_frames_are_control_traffic() {
         dedup: false,
         ..fault_cfg()
     };
-    let out = run_live_migration_faulty(&cfg, FaultPlan::none()).expect("clean run completes");
+    let out = faulted(&cfg, FaultPlan::none()).expect("clean run completes");
     assert_consistent(&out);
     let barriers = (out.iterations.len() + 1 + out.mem_iterations.len()) as u64;
     // PrepareAck, Resumed and MigrationComplete are the other three.
@@ -135,7 +146,7 @@ fn reset_mid_dedup_stream_converges_with_wire_savings() {
         "scenario exercises the dedup stream"
     );
     let plan = FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 20);
-    let out = run_live_migration_faulty(&cfg, plan).expect("faulted dedup migration recovers");
+    let out = faulted(&cfg, plan).expect("faulted dedup migration recovers");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 1);
     assert!(
@@ -179,8 +190,15 @@ fn reconnect_resummarises_from_the_kept_index_not_from_the_disk() {
     // A batch is one frame of 64 full blocks and 192 references: message
     // 300 falls in the second.
     let plan = FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 300);
-    let out = run_live_migration_with_faults(&cfg, src, dst, None, plan)
-        .expect("faulted migration recovers");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            disks: Some((src, dst)),
+            faults: plan,
+            ..LiveRun::default()
+        },
+    )
+    .expect("faulted migration recovers");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 1);
 
@@ -251,7 +269,7 @@ fn outage_budget_rides_out_a_partition_reset_storm() {
         },
         ..impatient
     };
-    match run_live_migration_faulty(&impatient, storm()) {
+    match faulted(&impatient, storm()) {
         Err(MigrationError::RetriesExhausted { attempts, .. }) => {
             assert_eq!(attempts, 2, "counter-only policy dies mid-storm")
         }
@@ -268,8 +286,7 @@ fn outage_budget_rides_out_a_partition_reset_storm() {
         },
         ..tolerant
     };
-    let out = run_live_migration_faulty(&tolerant, storm())
-        .expect("outage budget must ride out the storm");
+    let out = faulted(&tolerant, storm()).expect("outage budget must ride out the storm");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 3, "all three storm resets survived");
 }
@@ -282,7 +299,7 @@ fn truncated_frame_mid_precopy_is_retransmitted() {
     // cumulative accounting would mark it delivered and lose the blocks.
     let cfg = fault_cfg();
     let plan = FaultPlan::none().truncate_after_messages(0, 10);
-    let out = run_live_migration_faulty(&cfg, plan).expect("truncated migration recovers");
+    let out = faulted(&cfg, plan).expect("truncated migration recovers");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 1);
     assert!(
@@ -309,7 +326,7 @@ fn truncated_compressed_page_frame_is_the_only_one_resent() {
         ..fault_cfg()
     };
     assert!(cfg.compress, "scenario exercises compressed page frames");
-    let clean = run_live_migration_faulty(&cfg, FaultPlan::none()).expect("clean run completes");
+    let clean = faulted(&cfg, FaultPlan::none()).expect("clean run completes");
     assert_consistent(&clean);
     assert_eq!(clean.wire.pages_compressed, cfg.mem_pages as u64);
 
@@ -319,7 +336,7 @@ fn truncated_compressed_page_frame_is_the_only_one_resent() {
         trigger: FaultTrigger::CategoryMessages(Category::Memory, 2),
         kind: FaultKind::Truncate,
     });
-    let out = run_live_migration_faulty(&cfg, plan).expect("truncated migration recovers");
+    let out = faulted(&cfg, plan).expect("truncated migration recovers");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 1);
     // The disk pass was complete and acknowledged by its barrier.
@@ -348,7 +365,15 @@ fn tcp_reset_recovers_over_real_sockets() {
         ..LiveConfig::test_default()
     };
     let plan = FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 7);
-    let out = run_live_migration_tcp_faulty(&cfg, plan).expect("tcp migration recovers");
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            faults: plan,
+            tcp: true,
+            ..LiveRun::default()
+        },
+    )
+    .expect("tcp migration recovers");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 1);
 }
@@ -371,7 +396,7 @@ fn exhausted_reconnect_budget_is_a_typed_error() {
     let plan = FaultPlan::none()
         .reset_after_messages(0, 1)
         .reset_after_messages(1, 1);
-    match run_live_migration_faulty(&cfg, plan) {
+    match faulted(&cfg, plan) {
         Err(MigrationError::RetriesExhausted { attempts, last }) => {
             assert_eq!(attempts, 2, "initial connection + one reconnect");
             assert!(!last.is_empty(), "the last failure must be reported");
@@ -394,7 +419,7 @@ fn journal_counts_match_the_fault_plan() {
     let plan = FaultPlan::none()
         .reset_after_category(0, Category::DiskPrecopy, 20)
         .reset_after_category(1, Category::DiskPush, 5);
-    let out = run_live_migration_faulty(&cfg, plan).expect("faulted migration recovers");
+    let out = faulted(&cfg, plan).expect("faulted migration recovers");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 2);
 
@@ -442,7 +467,7 @@ fn journal_records_a_stall_without_reconnects() {
         ..LiveConfig::test_default()
     };
     let plan = FaultPlan::none().stall_after_messages(0, 12, Duration::from_millis(150));
-    let out = run_live_migration_faulty(&cfg, plan).expect("stalled migration completes");
+    let out = faulted(&cfg, plan).expect("stalled migration completes");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 0);
 
@@ -478,7 +503,7 @@ fn stall_fault_delays_but_completes_without_reconnect() {
         ..LiveConfig::test_default()
     };
     let plan = FaultPlan::none().stall_after_messages(0, 12, Duration::from_millis(150));
-    let out = run_live_migration_faulty(&cfg, plan).expect("stalled migration completes");
+    let out = faulted(&cfg, plan).expect("stalled migration completes");
     assert_consistent(&out);
     assert_eq!(out.reconnects, 0);
     assert!(out.resume_owed.is_empty());

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use block_bitmap_migration::migrate::live::{
-    run_live_migration, run_live_migration_with, LiveConfig, LiveOutcome, WorkLedger,
+    run_live, LiveConfig, LiveOutcome, LiveRun, WorkLedger,
 };
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::telemetry::Event;
@@ -124,8 +124,15 @@ fn an_im_hop_reads_and_hashes_what_is_dirty_whatever_the_disk_holds() {
                 .write_block(b, &stamp_bytes(b, BASE + 1, cfg.block_size));
         }
         let bitmap = incremental.then(|| bitmap_of(num_blocks, &dirty));
-        let out = run_live_migration_with(&cfg, Arc::clone(&src), Arc::clone(&dst), bitmap)
-            .expect("migration completes");
+        let out = run_live(
+            &cfg,
+            LiveRun {
+                disks: Some((Arc::clone(&src), Arc::clone(&dst))),
+                initial_bitmap: bitmap,
+                ..LiveRun::default()
+            },
+        )
+        .expect("migration completes");
         assert!(src.disk().content_equals(dst.disk()), "image not exact");
         (out, handshakes(&cfg))
     };
@@ -192,8 +199,14 @@ fn primary_hop_then_guest_writes() -> RoundTrip {
         cfg.block_size,
         cfg.num_blocks,
     ))));
-    let first = run_live_migration_with(&cfg, Arc::clone(&a), Arc::clone(&b), None)
-        .expect("primary hop completes");
+    let first = run_live(
+        &cfg,
+        LiveRun {
+            disks: Some((Arc::clone(&a), Arc::clone(&b))),
+            ..LiveRun::default()
+        },
+    )
+    .expect("primary hop completes");
     assert!(a.disk().content_equals(b.disk()));
     assert_eq!(first.wire.blocks_deduped, 0, "every block is its own");
     // The by-product: both sides now hold every fingerprint, the source
@@ -239,8 +252,15 @@ fn primary_hop_then_guest_writes() -> RoundTrip {
 /// handshake hashes nothing: the summary is what the store holds, of
 /// `known` blocks.
 fn hop_back(rt: &RoundTrip, bitmap: FlatBitmap, known: usize) -> LiveOutcome {
-    let out = run_live_migration_with(&rt.cfg, Arc::clone(&rt.b), Arc::clone(&rt.a), Some(bitmap))
-        .expect("IM hop completes");
+    let out = run_live(
+        &rt.cfg,
+        LiveRun {
+            disks: Some((Arc::clone(&rt.b), Arc::clone(&rt.a))),
+            initial_bitmap: Some(bitmap),
+            ..LiveRun::default()
+        },
+    )
+    .expect("IM hop completes");
     assert!(rt.b.disk().content_equals(rt.a.disk()), "image not exact");
     // Every block's content is its own, so as many distinct fingerprints.
     assert_eq!(handshakes(&rt.cfg), vec![(known as u64, 0, known as u64)]);
@@ -346,7 +366,7 @@ fn web_guest_round_trip_never_leaves_a_stale_fingerprint() {
         telemetry: Recorder::enabled(),
         ..LiveConfig::test_default()
     };
-    let first = run_live_migration(&cfg).expect("primary hop completes");
+    let first = run_live(&cfg, LiveRun::default()).expect("primary hop completes");
     assert_eq!(first.read_violations, 0);
     assert!(first.inconsistent_blocks().is_empty());
     let (a, b) = (Arc::clone(&first.src_disk), Arc::clone(&first.dst_disk));
@@ -366,8 +386,15 @@ fn web_guest_round_trip_never_leaves_a_stale_fingerprint() {
         telemetry: Recorder::enabled(),
         ..cfg.clone()
     };
-    let out = run_live_migration_with(&back, Arc::clone(&b), Arc::clone(&a), Some(bitmap))
-        .expect("IM hop completes");
+    let out = run_live(
+        &back,
+        LiveRun {
+            disks: Some((Arc::clone(&b), Arc::clone(&a))),
+            initial_bitmap: Some(bitmap),
+            ..LiveRun::default()
+        },
+    )
+    .expect("IM hop completes");
     assert_eq!(out.read_violations, 0);
     assert!(b
         .disk()

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use block_bitmap_migration::migrate::live::{run_live_migration, LiveConfig};
+use block_bitmap_migration::migrate::live::{run_live, LiveConfig, LiveRun};
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::simnet::proto::Category;
 
@@ -30,7 +30,7 @@ fn paced_link_downtime_follows_compressed_tail_bytes_not_pages() {
         rate_limit: Some(RATE),
         ..LiveConfig::test_default()
     };
-    let out = run_live_migration(&cfg).expect("paced migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("paced migration completes");
     assert_eq!(out.read_violations, 0, "guest observed stale data");
     assert!(
         out.inconsistent_blocks().is_empty(),

@@ -387,3 +387,22 @@ fn checked_in_scenario_files_parse_and_run() {
         assert!(run.report.all_consistent(), "{name}: block-exact images");
     }
 }
+
+/// The WAN-profile run under the IM-aware policy, pinned to the byte and
+/// the virtual second: `scenarios/wan.scn` (two islands over a capped,
+/// lossy uplink that degrades mid-run) at seed 2008. Both figures are
+/// pure functions of the file and the seed; a drift in the scenario
+/// engine, the link model or the scheduler changes a digit here.
+#[test]
+fn wan_profile_totals_are_pinned() {
+    let path = format!("{}/scenarios/wan.scn", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    let mut spec = scenario::parse(&text).expect("wan.scn parses");
+    spec.seed = Some(2008);
+    let run =
+        scenario::run_with_policy(&spec, Policy::ImAware, Recorder::off()).expect("wan.scn runs");
+    assert_eq!(run.report.completed(), run.report.records.len());
+    assert!(run.report.all_consistent());
+    assert_eq!(run.report.total_bytes(), 560_787_272);
+    assert_eq!(run.report.makespan_secs(), 9.0);
+}

@@ -7,7 +7,7 @@
 //! a destination write cancels synchronization for a block, that block
 //! must never again arrive as a push or a pull.
 
-use block_bitmap_migration::migrate::live::{run_live_migration, LiveConfig};
+use block_bitmap_migration::migrate::live::{run_live, LiveConfig, LiveRun};
 use block_bitmap_migration::migrate::sim::run_tpm_traced;
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::telemetry::{
@@ -114,7 +114,7 @@ fn live_journal_freeze_span_equals_downtime() {
         seed: 41,
         ..LiveConfig::test_default()
     };
-    let out = run_live_migration(&cfg).expect("migration completes");
+    let out = run_live(&cfg, LiveRun::default()).expect("migration completes");
     assert_eq!(out.read_violations, 0);
 
     let records = cfg.telemetry.records();
