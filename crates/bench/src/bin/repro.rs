@@ -8,6 +8,8 @@
 //! Prints each experiment's human-readable rendering and writes the
 //! machine-readable JSON to `DIR/<experiment>.json` (default `results/`).
 
+#![forbid(unsafe_code)]
+
 use bench_suite::{experiments, ExpResult, Scale};
 
 fn main() {

@@ -37,6 +37,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Lint zones (DESIGN.md §11): deterministic.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 mod atomic;
 mod flat;

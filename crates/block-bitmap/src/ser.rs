@@ -35,6 +35,13 @@ pub enum DecodeError {
     },
     /// A sparse index lies outside the declared bit count.
     IndexOutOfRange(u64),
+    /// The header declares a bit count other than the receiver's.
+    WrongBitCount {
+        /// Bits the receiver holds.
+        expected: u64,
+        /// Bits the header declares.
+        actual: u64,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -46,6 +53,9 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "bitmap payload length {actual}, expected {expected}")
             }
             Self::IndexOutOfRange(i) => write!(f, "sparse bitmap index {i} out of range"),
+            Self::WrongBitCount { expected, actual } => {
+                write!(f, "bitmap of {actual} bits, expected {expected}")
+            }
         }
     }
 }
@@ -143,20 +153,40 @@ pub fn encoded_len(bm: &FlatBitmap) -> usize {
     sparse_len.min(raw_len).min(rle_len)
 }
 
-/// Decode a wire-format bitmap produced by any of the encoders.
-pub fn decode(data: &[u8]) -> Result<FlatBitmap, DecodeError> {
-    if data.len() < HEADER {
-        return Err(DecodeError::Truncated);
+/// The bit count a wire-format bitmap's header declares.
+fn declared_bits(data: &[u8]) -> Result<u64, DecodeError> {
+    let header = data.get(1..HEADER).ok_or(DecodeError::Truncated)?;
+    Ok(u64::from_le_bytes(
+        header.try_into().expect("slice is 8 bytes"),
+    ))
+}
+
+/// [`decode`] for a receiver that knows how many bits the map holds: a
+/// header declaring any other count is refused before anything is
+/// allocated, so a peer's 9-byte frame cannot size an allocation.
+pub fn decode_expecting(data: &[u8], nbits: usize) -> Result<FlatBitmap, DecodeError> {
+    let actual = declared_bits(data)?;
+    if actual != nbits as u64 {
+        return Err(DecodeError::WrongBitCount {
+            expected: nbits as u64,
+            actual,
+        });
     }
-    let tag = data[0];
-    let nbits = u64::from_le_bytes(data[1..9].try_into().expect("slice is 8 bytes")) as usize;
+    decode(data)
+}
+
+/// Decode a wire-format bitmap produced by any of the encoders. The
+/// header's bit count sizes the result: a peer's frame goes through
+/// [`decode_expecting`].
+pub fn decode(data: &[u8]) -> Result<FlatBitmap, DecodeError> {
+    let nbits = declared_bits(data)? as usize;
     let payload = &data[HEADER..];
-    match tag {
+    match data[0] {
         TAG_RAW => {
-            let expected = crate::words_for(nbits) * 8;
-            if payload.len() != expected {
+            let expected = crate::words_for(nbits).checked_mul(8);
+            if expected != Some(payload.len()) {
                 return Err(DecodeError::LengthMismatch {
-                    expected,
+                    expected: expected.unwrap_or(usize::MAX),
                     actual: payload.len(),
                 });
             }

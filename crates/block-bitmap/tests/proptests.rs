@@ -18,6 +18,28 @@ fn ops(nbits: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Bits of the receiver in [`a_peer_frame_decodes_to_its_geometry_or_a_typed_error`].
+const RECEIVER_BITS: usize = 1000;
+
+/// A bitmap frame from a peer: any tag (three valid, one not), a header
+/// bit count that is the receiver's, near it or anywhere, and payload
+/// words that are indices or runs in range, near it, or anything.
+fn peer_frames() -> impl Strategy<Value = Vec<u8>> {
+    let bits = RECEIVER_BITS as u64;
+    let word = prop_oneof![0..bits + 64, any::<u64>()];
+    (
+        0u8..4,
+        prop_oneof![Just(bits), Just(bits), 0..2 * bits, any::<u64>()],
+        prop::collection::vec(word, 0..40),
+    )
+        .prop_map(|(tag, nbits, words)| {
+            let mut frame = vec![tag];
+            frame.extend(nbits.to_le_bytes());
+            frame.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+            frame
+        })
+}
+
 proptest! {
     /// Layered and flat bitmaps stay bit-identical under any op sequence.
     #[test]
@@ -70,6 +92,20 @@ proptest! {
         let auto = ser::encode(&bm);
         prop_assert_eq!(auto.len(), ser::encoded_len(&bm));
         prop_assert_eq!(&ser::decode(&auto).unwrap(), &bm);
+    }
+
+    /// Whatever a peer sends, cut anywhere, decodes to a bitmap of the
+    /// receiver's length or to a typed error; it never panics and never
+    /// lets the header size an allocation.
+    #[test]
+    fn a_peer_frame_decodes_to_its_geometry_or_a_typed_error(
+        frame in peer_frames(),
+        cut in prop_oneof![Just(usize::MAX), 0usize..340],
+    ) {
+        let frame = &frame[..cut.min(frame.len())];
+        if let Ok(bm) = ser::decode_expecting(frame, RECEIVER_BITS) {
+            prop_assert_eq!(bm.len(), RECEIVER_BITS);
+        }
     }
 
     /// Set algebra: (A ∪ B) ⊇ A, (A − B) ∩ B = ∅, |A ∪ B| + |A ∩ B| = |A| + |B|.

@@ -22,12 +22,18 @@
 //!    mid-fetch leaves a re-plannable remainder instead of a wedged
 //!    migration.
 //!
-//! All non-test code in this crate lives inside the lintkit `transport`
-//! (no-panic), `deterministic`, and `result-dropped` zones: no
+//! All non-test code in this crate lives inside the `transport`,
+//! `deterministic` and `result-dropped` lint zones (DESIGN.md §11): no
 //! panicking escape hatches, `BTreeMap` ordering only, no wall-clock
 //! reads, and no silently discarded `Result`s.
 
 #![forbid(unsafe_code)]
+// Lint zones (DESIGN.md §11): transport, deterministic, result-dropped.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, unused_must_use))]
 
 pub mod directory;
 pub mod planner;

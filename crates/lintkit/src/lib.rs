@@ -1,63 +1,62 @@
-//! lintkit — repo-native static analysis for migration-protocol and
-//! concurrency invariants.
+//! lintkit — the one static check of this workspace that no stock lint
+//! provides: lock order.
 //!
-//! The interesting invariants in this codebase are not type errors: a
-//! panic on a transport path breaks the reconnect/resume story, an
-//! inconsistent lock order deadlocks the pre-copy loop, a `_ =>` arm
-//! swallows a protocol message added two PRs later. `cargo check` sees
-//! none of them. lintkit lexes the workspace with a hand-rolled Rust
-//! lexer (no external parser — the toolchain here is offline), layers a
-//! per-file import table on top ([`resolve`]) so rules can match
-//! fully-qualified names, and runs seven rules over the token streams;
-//! see [`rules`] for each invariant and `DESIGN.md` §"Static analysis" /
-//! §16 for scope and known limits. Zone membership comes from
-//! `lintkit.toml` at the workspace root ([`config`]).
+//! An inconsistent lock order deadlocks the pre-copy loop, and a guard
+//! held across a blocking call is how the destination ends up waiting
+//! forever on a pulled block; `cargo check` and clippy see neither.
+//! lintkit lexes the workspace with a hand-rolled Rust lexer (no parser
+//! crate: lintkit builds from std alone) and runs [`lock_order`] over the
+//! token streams. The other invariants of the lint zones (no panics
+//! on transport paths, no hash order or wall clock in deterministic
+//! code, no blocking in reactor-ready code, no dropped `Result`s, no
+//! protocol catch-alls, no `unsafe`) are stock clippy and rustc lints
+//! denied at each zone's root, with the banned lists in `clippy.toml`;
+//! DESIGN.md §11 has the table.
 //!
 //! Scope: `crates/*/src/**` (and a root `src/**` if one exists). Vendored
 //! code under `vendor/`, integration `tests/`, and `benches/` are not
-//! scanned — the invariants protect the product code; tests are free to
-//! unwrap and to match however they like (also see the `#[cfg(test)]`
-//! mask in [`source`]).
+//! scanned, and neither is `#[cfg(test)]` code (see the mask in
+//! [`source`]).
 
 #![forbid(unsafe_code)]
+// Lint zones (DESIGN.md §11): transport, result-dropped.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, unused_must_use))]
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod config;
 pub mod lexer;
+pub mod lock_order;
 pub mod report;
-pub mod resolve;
-pub mod rules;
 pub mod source;
 
-pub use config::Config;
 pub use report::Violation;
 pub use source::SourceFile;
 
-/// Everything the rules see: the lexed files and the zone config.
+/// Everything the check sees: the lexed files.
 pub struct Workspace {
     /// Lexed sources, sorted by path for deterministic reports.
     pub files: Vec<SourceFile>,
-    /// Zone map + per-site allow entries (`lintkit.toml`).
-    pub config: Config,
 }
 
 impl Workspace {
-    /// Build a workspace from in-memory `(path, source)` pairs under
-    /// `config` — the fixture-test entry point.
-    pub fn from_sources(sources: &[(&str, &str)], config: Config) -> Self {
+    /// Build a workspace from in-memory `(path, source)` pairs — the
+    /// fixture-test entry point.
+    pub fn from_sources(sources: &[(&str, &str)]) -> Self {
         let mut files: Vec<SourceFile> = sources
             .iter()
             .map(|(rel, text)| SourceFile::new(*rel, text))
             .collect();
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Self { files, config }
+        Self { files }
     }
 
     /// Scan a workspace rooted at `root`: every `.rs` file under
-    /// `crates/*/src/` and a top-level `src/`, plus `lintkit.toml`.
+    /// `crates/*/src/` and a top-level `src/`.
     pub fn scan(root: &Path) -> io::Result<Self> {
         let mut rs_files = Vec::new();
         let crates_dir = root.join("crates");
@@ -87,24 +86,14 @@ impl Workspace {
                 .join("/");
             files.push(SourceFile::new(rel, &text));
         }
-        Ok(Self {
-            files,
-            config: Config::load(root)?,
-        })
+        Ok(Self { files })
     }
 
-    /// Run every rule; violations come back grouped by rule, in run
-    /// order, each rule's findings in file/line order. Sites waived by a
-    /// `lintkit.toml` `[allow]` entry are filtered here, centrally.
+    /// Run the lock-order check; findings come back in file/line order.
     pub fn run(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for rule in rules::all_rules() {
-            let mut found = rule.check(self);
-            found.retain(|v| !self.config.is_allowed(v.rule, &v.path, v.line));
-            found.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-            out.extend(found);
-        }
-        out
+        let mut found = lock_order::check(self);
+        found.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+        found
     }
 }
 

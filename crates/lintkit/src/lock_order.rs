@@ -1,5 +1,5 @@
-//! Rule `lock-order`: the static lock-ordering graph must be acyclic,
-//! and no guard may be held across a blocking call.
+//! `lock-order`: the static lock-ordering graph must be acyclic, and no
+//! guard may be held across a blocking call.
 //!
 //! Every `Mutex`/`RwLock` acquisition site (`.lock()`, `.read()`,
 //! `.write()` with no arguments) is extracted per function. While a
@@ -19,7 +19,7 @@
 //!   contributes the summary's acquisitions as ordering edges (labelled
 //!   `via`), closing the "wrap the lock in a function" blind spot.
 //!
-//! Deliberate limits, documented in DESIGN.md §16: propagation is one
+//! Deliberate limits, documented in DESIGN.md §11: propagation is one
 //! hop (helper-of-helper chains are not chased), call targets resolve by
 //! bare name within the crate (same-named functions merge into one
 //! conservative summary; method calls on receivers other than `self`
@@ -33,11 +33,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::matchers::{self, match_paren};
-use super::Rule;
 use crate::lexer::{TokKind, Token};
 use crate::report::Violation;
-use crate::source::{at_statement_start, is_zero_arg_call, SourceFile};
+use crate::source::{at_statement_start, functions_in, is_zero_arg_call, match_paren, SourceFile};
 use crate::Workspace;
 
 const BLOCKING: &[&str] = &[
@@ -96,28 +94,25 @@ struct Edge {
 /// directly, as `(node, mode)` pairs.
 type CrateSummaries = BTreeMap<String, BTreeMap<String, Vec<(String, Mode)>>>;
 
-/// See module docs.
-pub struct LockOrder;
-
-impl Rule for LockOrder {
-    fn id(&self) -> &'static str {
-        "lock-order"
+/// Check the workspace; findings come back unsorted.
+pub fn check(ws: &Workspace) -> Vec<Violation> {
+    let summaries = build_summaries(ws);
+    let mut out = Vec::new();
+    let mut edges: Vec<Edge> = Vec::new();
+    for file in &ws.files {
+        let crate_fns = summaries.get(crate_of(&file.rel));
+        scan_file(file, crate_fns, &mut edges, &mut out);
     }
+    violations_from_edges(&edges, &mut out);
+    out
+}
 
-    fn summary(&self) -> &'static str {
-        "lock acquisition order is globally acyclic; no guard is held across a blocking call"
-    }
-
-    fn check(&self, ws: &Workspace) -> Vec<Violation> {
-        let summaries = build_summaries(ws);
-        let mut out = Vec::new();
-        let mut edges: Vec<Edge> = Vec::new();
-        for file in &ws.files {
-            let crate_fns = summaries.get(matchers::crate_of(&file.rel));
-            scan_file(self.id(), file, crate_fns, &mut edges, &mut out);
-        }
-        violations_from_edges(self.id(), &edges, &mut out);
-        out
+/// The workspace crate a path belongs to: `crates/<name>/…` → `<name>`,
+/// the root package's `src/…` → `<root>`.
+fn crate_of(rel: &str) -> &str {
+    match rel.strip_prefix("crates/") {
+        Some(rest) => rest.split('/').next().unwrap_or(rest),
+        None => "<root>",
     }
 }
 
@@ -125,11 +120,9 @@ impl Rule for LockOrder {
 fn build_summaries(ws: &Workspace) -> CrateSummaries {
     let mut out: CrateSummaries = BTreeMap::new();
     for file in &ws.files {
-        let per_crate = out
-            .entry(matchers::crate_of(&file.rel).to_string())
-            .or_default();
+        let per_crate = out.entry(crate_of(&file.rel).to_string()).or_default();
         let toks = &file.tokens;
-        for def in matchers::functions_in(file) {
+        for def in functions_in(file) {
             let acquisitions = per_crate.entry(def.name).or_default();
             let (open, close) = def.body;
             for i in open..close {
@@ -160,7 +153,6 @@ fn acquisition_mode(t: &Token) -> Option<Mode> {
 /// One guard-tracking walk over a file: collects ordering edges (direct
 /// and via same-crate helpers) and reports blocking calls under guards.
 fn scan_file(
-    rule: &'static str,
     file: &SourceFile,
     crate_fns: Option<&BTreeMap<String, Vec<(String, Mode)>>>,
     edges: &mut Vec<Edge>,
@@ -270,7 +262,6 @@ fn scan_file(
             if !consumes_guard {
                 let held: Vec<&str> = guards.iter().map(|g| g.node.as_str()).collect();
                 out.push(Violation {
-                    rule,
                     path: file.rel.clone(),
                     line: file.line_of_token(i),
                     message: format!(
@@ -389,7 +380,7 @@ fn guard_extent(
 }
 
 /// Report self-edges and directed cycles in the ordering graph.
-fn violations_from_edges(rule: &'static str, edges: &[Edge], out: &mut Vec<Violation>) {
+fn violations_from_edges(edges: &[Edge], out: &mut Vec<Violation>) {
     let mut adj: BTreeMap<&str, BTreeMap<&str, &Edge>> = BTreeMap::new();
     for e in edges {
         if e.from == e.to {
@@ -403,7 +394,6 @@ fn violations_from_edges(rule: &'static str, edges: &[Edge], out: &mut Vec<Viola
                 .map(|f| format!(" via call to `{f}()`"))
                 .unwrap_or_default();
             out.push(Violation {
-                rule,
                 path: e.path.clone(),
                 line: e.line,
                 message: format!(
@@ -431,7 +421,6 @@ fn violations_from_edges(rule: &'static str, edges: &[Edge], out: &mut Vec<Viola
                     .map(|f| format!(" (closing edge via call to `{f}()`)"))
                     .unwrap_or_default();
                 out.push(Violation {
-                    rule,
                     path: edge.path.clone(),
                     line: edge.line,
                     message: format!(

@@ -3,47 +3,35 @@
 //! Exit codes: 0 clean, 1 violations found, 2 usage/IO error.
 
 #![forbid(unsafe_code)]
+// Lint zones (DESIGN.md §11): transport, result-dropped.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, unused_must_use))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lintkit::{rules, Workspace};
+use lintkit::Workspace;
 
 const USAGE: &str = "\
-usage: lintkit [--workspace | PATH] [--format FMT] [--list-rules]
+usage: lintkit [--workspace | PATH]
 
-  --workspace       lint the enclosing cargo workspace (found by walking
+  --workspace       check the enclosing cargo workspace (found by walking
                     up from the current directory to a Cargo.toml that
                     declares [workspace])
-  PATH              lint the workspace rooted at PATH instead
-  --format FMT      output format: text (default) or json — json emits
-                    one machine-readable document on stdout (the CI
-                    artifact); exit codes are identical in both modes
-  --list-rules      print each rule id and the invariant it protects
+  PATH              check the workspace rooted at PATH instead
 
-Zone membership and per-site waivers come from <root>/lintkit.toml (see
-DESIGN.md §16); a missing or malformed file is a usage/IO error.
+Runs the lock-order check (DESIGN.md §11) over crates/*/src and src.
 ";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut list_rules = false;
     let mut use_workspace = false;
-    let mut json = false;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => use_workspace = true,
-            "--list-rules" => list_rules = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => json = false,
-                Some("json") => json = true,
-                Some(other) => {
-                    return usage_error(&format!("unknown format `{other}` (text|json)"))
-                }
-                None => return usage_error("--format needs an argument (text|json)"),
-            },
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -51,13 +39,6 @@ fn main() -> ExitCode {
             other if !other.starts_with('-') => root = Some(PathBuf::from(other)),
             other => return usage_error(&format!("unknown flag `{other}`")),
         }
-    }
-
-    if list_rules {
-        for rule in rules::all_rules() {
-            println!("{:<22} {}", rule.id(), rule.summary());
-        }
-        return ExitCode::SUCCESS;
     }
 
     let root = match root {
@@ -80,32 +61,17 @@ fn main() -> ExitCode {
         }
     };
     let violations = ws.run();
-    if json {
-        let rule_meta: Vec<(&str, &str)> = rules::all_rules()
-            .iter()
-            .map(|r| (r.id(), r.summary()))
-            .collect();
-        print!(
-            "{}",
-            lintkit::report::to_json(&violations, ws.files.len(), &rule_meta)
-        );
-    } else {
-        for v in &violations {
-            println!("{v}");
-        }
-        if violations.is_empty() {
-            println!(
-                "lintkit: {} files clean across {} rules",
-                ws.files.len(),
-                rules::all_rules().len()
-            );
-        } else {
-            println!("lintkit: {} violation(s)", violations.len());
-        }
+    for v in &violations {
+        println!("{v}");
     }
     if violations.is_empty() {
+        println!(
+            "lintkit: {} files clean of lock-order findings",
+            ws.files.len()
+        );
         ExitCode::SUCCESS
     } else {
+        println!("lintkit: {} violation(s)", violations.len());
         ExitCode::FAILURE
     }
 }

@@ -1,11 +1,9 @@
-//! Diagnostics: what a rule found, where, and why it matters — plus the
-//! machine-readable rendering CI archives as an artifact.
+//! Diagnostics: what the lock-order check found, where, and why it
+//! matters.
 
-/// One rule violation, pointing at a file and line.
+/// One violation, pointing at a file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule identifier, e.g. `no-panic-transport`.
-    pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line number.
@@ -18,83 +16,8 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}:{}: [{}] {}",
-            self.path, self.line, self.rule, self.message
+            "{}:{}: [lock-order] {}",
+            self.path, self.line, self.message
         )
-    }
-}
-
-/// Render a whole run as JSON (`lintkit --format json`). Hand-rolled —
-/// lintkit builds with nothing but std — and stable: object keys are in
-/// fixed order, violations in report order, so the artifact diffs
-/// cleanly between CI runs.
-pub fn to_json(violations: &[Violation], files_scanned: usize, rules: &[(&str, &str)]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    out.push_str("  \"rules\": [");
-    for (i, (id, _)) in rules.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&json_string(id));
-    }
-    out.push_str("],\n");
-    out.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        out.push_str(&format!(
-            "{{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}}}",
-            json_string(v.rule),
-            json_string(&v.path),
-            v.line,
-            json_string(&v.message)
-        ));
-    }
-    if !violations.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// JSON string escaping: quotes, backslashes, and control characters.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let vs = vec![Violation {
-            rule: "determinism",
-            path: "crates/x/src/a.rs".to_string(),
-            line: 7,
-            message: "`HashMap` says \"no\"\n".to_string(),
-        }];
-        let doc = to_json(&vs, 3, &[("determinism", ""), ("lock-order", "")]);
-        assert!(doc.contains("\"files_scanned\": 3"));
-        assert!(doc.contains("\"rules\": [\"determinism\", \"lock-order\"]"));
-        assert!(doc.contains("\\\"no\\\"\\n"));
-        assert!(doc.contains("\"line\": 7"));
-        // Empty runs still produce the full shape.
-        let empty = to_json(&[], 0, &[]);
-        assert!(empty.contains("\"violations\": []"));
     }
 }

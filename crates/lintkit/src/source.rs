@@ -1,16 +1,17 @@
-//! One analyzed source file: token stream, test-code mask, line lookup.
+//! One analyzed source file: token stream, test-code mask, line lookup,
+//! and the token-scanning helpers the lock-order walk uses.
 
-use crate::lexer::{lex, Token};
+use crate::lexer::{lex, TokKind, Token};
 
-/// A lexed source file plus the derived structure every rule needs.
+/// A lexed source file plus the derived structure the check needs.
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators (stable diagnostics).
     pub rel: String,
     /// The token stream.
     pub tokens: Vec<Token>,
     /// `in_test[i]` is true when token `i` sits inside a `#[cfg(test)]`
-    /// item (module or function) or under a `#[test]` attribute. Rules
-    /// never fire on test code — tests may unwrap freely.
+    /// item (module or function) or under a `#[test]` attribute. The
+    /// check never fires on test code.
     pub in_test: Vec<bool>,
     /// For every `{` token index, the index of its matching `}`.
     pub brace_match: Vec<Option<usize>>,
@@ -182,9 +183,101 @@ pub fn is_zero_arg_call(tokens: &[Token], name_idx: usize) -> bool {
         && matches!(tokens.get(name_idx + 2), Some(t) if t.is_punct(")"))
 }
 
+/// Index of the `)` matching the `(` at `open`.
+pub fn match_paren(toks: &[Token], open: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct("(") {
+            depth += 1;
+        } else if t.is_punct(")") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
+}
+
+/// First `{` at parenthesis/bracket depth 0 from `start` — the body
+/// opener of an `fn` header; `None` when a `;` comes first (a trait
+/// method or other declaration without a body).
+fn next_depth0_brace(toks: &[Token], start: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(start) {
+        if t.is_punct("(") || t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct(")") || t.is_punct("]") {
+            depth -= 1;
+        } else if depth == 0 && t.is_punct("{") {
+            return Some(j);
+        } else if depth == 0 && t.is_punct(";") {
+            return None;
+        }
+    }
+    None
+}
+
+/// One `fn` definition: its name and body token range.
+pub struct FnDef {
+    pub name: String,
+    /// `(open_brace, close_brace)` token indices of the body.
+    pub body: (usize, usize),
+}
+
+/// Every non-test `fn` with a body in `file` (free functions and
+/// methods alike — an `fn` inside an `impl` block is still `fn`).
+pub fn functions_in(file: &SourceFile) -> Vec<FnDef> {
+    let toks = &file.tokens;
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !toks[i].is_ident("fn") || file.in_test[i] {
+            continue;
+        }
+        let Some(name_tok) = toks.get(i + 1) else {
+            continue;
+        };
+        if name_tok.kind != TokKind::Ident {
+            continue; // `Fn(…)` trait sugar never lexes as `fn` + ident
+        }
+        let Some(open) = next_depth0_brace(toks, i + 2) else {
+            continue;
+        };
+        let Some(close) = file.brace_match[open] else {
+            continue;
+        };
+        out.push(FnDef {
+            name: name_tok.text.clone(),
+            body: (open, close),
+        });
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn function_table_sees_bodied_non_test_fns() {
+        let src =
+            "impl Disk {\n  fn write_block(&self, b: usize) -> io::Result<()> { self.go(b) }\n}\n\
+                   fn helper(x: u32) -> u32 { x }\n\
+                   trait T { fn decl(&self) -> Result<(), E>; }\n\
+                   #[cfg(test)]\nmod t { fn masked() {} }";
+        let f = SourceFile::new("crates/vdisk/src/disk.rs", src);
+        let names: Vec<String> = functions_in(&f).into_iter().map(|d| d.name).collect();
+        assert_eq!(names, ["write_block", "helper"]);
+    }
+
+    #[test]
+    fn paren_matching_skips_nested_pairs() {
+        let f = SourceFile::new("a.rs", "f(g(1), h(2));");
+        let toks = &f.tokens;
+        let open = toks.iter().position(|t| t.is_punct("("));
+        let close = open.and_then(|o| match_paren(toks, o));
+        assert_eq!(close, toks.iter().rposition(|t| t.is_punct(")")));
+    }
 
     #[test]
     fn cfg_test_modules_are_masked() {

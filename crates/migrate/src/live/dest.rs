@@ -338,6 +338,10 @@ fn run_dest_session<T: Transport>(
 
     if st.phase == ResumePhase::AwaitPrepare {
         // Provision the VBD.
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "a destination that waits for PrepareVbd refuses every other frame"
+        )]
         match recv_or(ep, "prepare", cfg.retry.phase_timeout)? {
             MigMessage::PrepareVbd {
                 block_size,
@@ -465,7 +469,7 @@ fn dest_freeze<T: Transport>(
                 }
             }
             Some(MigMessage::Bitmap { encoded }) => {
-                let mut still_needed = decode_bitmap("freeze", &encoded)?;
+                let mut still_needed = decode_bitmap("freeze", &encoded, cfg.num_blocks)?;
                 // References bounced but not yet re-answered join the
                 // still-needed set: their `BlockRefMiss` is answered
                 // from post-copy as a pulled block.

@@ -1,6 +1,9 @@
 //! The guest driver thread: plays a workload against the current disk,
 //! with suspend/resume orchestration and end-to-end stamp verification.
 
+// Lint zones (DESIGN.md §11): deterministic-order.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

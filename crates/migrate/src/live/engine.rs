@@ -596,11 +596,14 @@ pub(super) fn protocol_err(phase: &'static str, detail: String) -> SessionError 
     SessionError::Fatal(MigrationError::Protocol { phase, detail })
 }
 
+/// Decode a peer's bitmap of `nbits` bits (disk blocks or RAM pages).
 pub(super) fn decode_bitmap(
     phase: &'static str,
     encoded: &Bytes,
+    nbits: usize,
 ) -> Result<FlatBitmap, SessionError> {
-    ser::decode(encoded).map_err(|e| protocol_err(phase, format!("undecodable bitmap: {e:?}")))
+    ser::decode_expecting(encoded, nbits)
+        .map_err(|e| protocol_err(phase, format!("undecodable bitmap: {e:?}")))
 }
 
 /// How one side's run of sessions ended short of completion.
@@ -902,5 +905,27 @@ mod tests {
             classify("handshake", TransportError::Disconnected),
             SessionError::Reconnect(_)
         ));
+    }
+
+    #[test]
+    fn a_bitmap_of_another_geometry_is_a_protocol_error() {
+        let mut rle_of_2_40_bits = vec![2u8];
+        rle_of_2_40_bits.extend((1u64 << 40).to_le_bytes());
+        let ours = Bytes::from(ser::encode(&FlatBitmap::new(1_024)));
+        for (frame, nbits) in [
+            (Bytes::from(rle_of_2_40_bits), 1_024),
+            (ours.clone(), 1_023),
+        ] {
+            match decode_bitmap("freeze", &frame, nbits) {
+                Err(SessionError::Fatal(MigrationError::Protocol { phase, detail })) => {
+                    assert_eq!(phase, "freeze");
+                    assert!(detail.contains("WrongBitCount"), "{detail}");
+                }
+                Err(SessionError::Fatal(other)) => panic!("wrong error: {other}"),
+                Err(SessionError::Reconnect(e)) => panic!("would reconnect on a bad frame: {e}"),
+                Ok(bm) => panic!("decoded {} bits for a {nbits}-bit disk", bm.len()),
+            }
+        }
+        assert!(decode_bitmap("freeze", &ours, 1_024).is_ok_and(|bm| bm.len() == 1_024));
     }
 }

@@ -24,6 +24,13 @@
 //! driver both sides share); `source.rs` and `dest.rs` are the two
 //! protocol threads, `plane.rs` the data plane between them.
 
+// Lint zones (DESIGN.md §11): transport, result-dropped, protocol.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, unused_must_use))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 mod connect;
 mod dest;
 mod driver;

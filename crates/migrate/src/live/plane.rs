@@ -145,6 +145,10 @@ pub(super) fn sync_barrier<T: Transport>(
 ) -> Result<(), SessionError> {
     send_or(ep, phase, MigMessage::Barrier)?;
     loop {
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "a source that waits for its barrier's ack refuses every frame but the ack and a bounce"
+        )]
         match recv_or(ep, phase, timeout)? {
             MigMessage::BarrierAck => return Ok(()),
             MigMessage::BlockRefMiss { block } => misses.push(block as usize),
@@ -570,6 +574,10 @@ pub(super) fn dest_apply_data<T: Transport>(
     phase: &'static str,
 ) -> Result<Option<MigMessage>, SessionError> {
     let block_size = disk.disk().block_size();
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a frame that is not data goes back to the phase that received it"
+    )]
     match msg {
         MigMessage::DiskBlocks {
             blocks,

@@ -234,6 +234,10 @@ fn run_source_session<T: Transport>(
                 num_blocks: cfg.num_blocks as u64,
             },
         )?;
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "a source that waits for PrepareAck refuses every other frame"
+        )]
         match recv_or(ep, "prepare", cfg.retry.phase_timeout)? {
             MigMessage::PrepareAck => st.prepared = true,
             other => {
@@ -285,8 +289,8 @@ fn reconcile_source(
             st.disk_worklist = merged_worklist(cfg.num_blocks, owed, &st.disk_worklist);
         }
         ResumePhase::Precopy | ResumePhase::Frozen => {
-            let got_blocks = decode_bitmap("handshake", disk_bitmap)?;
-            let got_pages = decode_bitmap("handshake", mem_bitmap)?;
+            let got_blocks = decode_bitmap("handshake", disk_bitmap, cfg.num_blocks)?;
+            let got_pages = decode_bitmap("handshake", mem_bitmap, cfg.mem_pages)?;
             let disk_owed = owed_indices(&st.session_disk_shipped, &got_blocks);
             let mem_owed = owed_indices(&st.session_mem_shipped, &got_pages);
             if record_owed {
@@ -329,7 +333,7 @@ fn reconcile_source(
                 ));
             }
             // The destination's still-needed set is authoritative.
-            st.src_bm = decode_bitmap("handshake", disk_bitmap)?;
+            st.src_bm = decode_bitmap("handshake", disk_bitmap, cfg.num_blocks)?;
             if record_owed {
                 st.resume_owed.push(st.src_bm.count_ones() as u64);
             }
@@ -662,6 +666,10 @@ fn source_post_copy<T: Transport>(
             },
             received => received,
         };
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "in post-copy the source refuses every frame but a pull, a bounce, Resumed and MigrationComplete"
+        )]
         match msg.map_err(|e| classify("post-copy", e))? {
             // A reference bounce that was still in flight when pre-copy
             // ended: the destination unioned the block into its

@@ -13,6 +13,9 @@
 //! event-driven on the [`des::Simulator`] (pushes, pulls and guest I/O
 //! interleave at millisecond scale).
 
+// Lint zones (DESIGN.md §11): deterministic.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub(crate) mod engine;
 mod extensions;
 mod postcopy;

@@ -8,7 +8,7 @@ use crate::cluster::{HostId, VmId};
 use crate::scheduler::MigrationRequest;
 
 /// A configuration error, reported instead of panicking: the orchestrator
-/// lives in lintkit's no-panic zone.
+/// lives in the transport lint zone (DESIGN.md §11).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(pub String);
 

@@ -36,6 +36,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Lint zones (DESIGN.md §11): transport, deterministic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 mod cluster;
 mod config;

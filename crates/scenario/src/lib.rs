@@ -28,6 +28,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Lint zones (DESIGN.md §11): transport, deterministic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod dynamics;
 pub mod parse;
@@ -44,7 +49,7 @@ pub use topology::{drop_quality, HostCaps, Island, LinkSpec, Topology};
 /// A scenario error: what went wrong and, for parse errors, the
 /// 1-based line it came from (`0` = not tied to a line).
 ///
-/// Typed, never panicking — this crate sits in lintkit's no-panic
+/// Typed, never panicking — this crate sits in the transport lint
 /// zone, same as the transport and orchestrator it drives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioError {

@@ -8,7 +8,7 @@
 //! as capacity pools shared max-min fairly among their demands.
 //!
 //! These functions sit on the orchestrator's per-tick hot loop, inside
-//! lintkit's no-panic zone: degenerate inputs are *clamped*, never
+//! the transport lint zone: degenerate inputs are *clamped*, never
 //! asserted. A `NaN` or negative capacity allocates nothing (the pool is
 //! unusable), an infinite capacity satisfies every demand, and `NaN` or
 //! non-positive demands receive zero.

@@ -23,8 +23,8 @@
 //! noise is sampled, not scanned. It can stop anywhere and be resumed,
 //! so a caller may weigh the head of a stream before paying for the rest.
 //!
-//! This module sits on the transport receive path (lintkit
-//! `no-panic-transport` zone): malformed streams surface as
+//! This module sits on the transport receive path (the transport lint
+//! zone): malformed streams surface as
 //! [`CorruptFrame`], never as a panic, and decoding allocates exactly
 //! the caller's `raw_len`.
 

@@ -27,6 +27,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Lint zones (DESIGN.md §11): transport, result-dropped, protocol.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, unused_must_use))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod capacity;
 pub mod codec;

@@ -14,7 +14,7 @@
 //! same phase-timing reconstruction work on either journal.
 //!
 //! The [`Recorder`] sits on the hot path of the protocol threads, so it is
-//! held to the same rules lintkit enforces on the transport zones:
+//! held to the rules of the transport lint zone (DESIGN.md §11):
 //!
 //! * **panic-free** — no `unwrap`/`expect`/panic-family macros;
 //! * **never blocks the producer** — when the bounded journal is full,
@@ -32,6 +32,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Lint zones (DESIGN.md §11): transport, deterministic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 mod clock;
 mod event;

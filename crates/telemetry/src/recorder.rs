@@ -2,7 +2,7 @@
 //!
 //! Protocol threads, the guest driver, and the DES engine all hold
 //! `Arc<Recorder>` clones and record concurrently. Design rules (the same
-//! ones lintkit enforces on the transport zones this sits inside):
+//! ones the transport lint zone this sits inside enforces):
 //!
 //! * **Disabled is a single relaxed atomic load.** `record` takes the event
 //!   as a closure; when the recorder is disabled the closure never runs, so
@@ -53,6 +53,10 @@ pub struct Recorder {
 
 impl Recorder {
     /// An enabled recorder holding at most `capacity` records.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the epoch of the wall half of the dual clock"
+    )]
     pub fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             enabled: AtomicBool::new(true),
@@ -75,6 +79,10 @@ impl Recorder {
     /// A disabled recorder: every `record*` call is a single relaxed atomic
     /// load and an early return. Engines default to this so instrumentation
     /// costs nothing when nobody asked for a trace.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the epoch of the wall half of the dual clock"
+    )]
     pub fn off() -> Arc<Self> {
         Arc::new(Self {
             enabled: AtomicBool::new(false),
@@ -103,6 +111,10 @@ impl Recorder {
     /// Record a wall-clock event stamped "now". The closure only runs when
     /// the recorder is enabled.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wall-clock record is stamped when it happens; sim records take virtual time"
+    )]
     pub fn record(&self, make: impl FnOnce() -> Event) {
         if !self.is_enabled() {
             return;

@@ -23,8 +23,13 @@
 //! full send on mismatch, so images stay bit-identical under any hash
 //! behaviour (including adversarial collisions).
 //!
-//! This file is in the lintkit `no-panic-transport` zone: it runs
+//! This file is in the transport lint zone (DESIGN.md §11): it runs
 //! inline on receive paths and must never panic.
+
+// Lint zones (DESIGN.md §11): transport.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 
@@ -179,8 +184,8 @@ const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Linear probing over a power-of-two capacity, deletion by backward
 /// shift (no tombstones, so probe runs never degrade). Hand-rolled over
-/// a `Vec` because this directory is in lintkit's `deterministic` zone
-/// (no `HashMap`: no random state) and this file in the no-panic zone;
+/// a `Vec` because this directory is in the deterministic lint zone
+/// (no `HashMap`: no random state) and this file in the transport zone;
 /// every probe loop is bounded by the capacity.
 #[derive(Debug, Clone)]
 struct IdTable {

@@ -25,6 +25,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Lint zones (DESIGN.md §11): reactor-ready.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod diabolical;
 mod kernel;

@@ -173,21 +173,58 @@ for name in want:
     print(f"virtual_time {name} = {got[name]!r}")
 sys.exit(0 if got == want else 1)'
 
-echo "== clippy (deny warnings) =="
+echo "== clippy (deny warnings), the lint zones included =="
+# Each lint zone is stock clippy/rustc lints denied at the zone's root,
+# with the banned types and methods in clippy.toml (DESIGN.md §11):
+# transport code never unwraps or panics, deterministic code uses neither
+# hash order nor the wall clock, reactor-ready code never blocks, no
+# must-use result is dropped, protocol matches name every variant.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== lintkit: protocol & concurrency invariants =="
-# Panic-free transport zones, acyclic lock order (no guard held across a
-# blocking call, single-hop helper propagation), exhaustive protocol
-# matches, unsafe code only where [allow] unsafe-audit lists it,
-# deterministic-zone container/clock hygiene, reactor-ready blocking
-# calls, and dropped Results. Zones and waivers come from lintkit.toml.
-# Rules: cargo run -p lintkit -- --list-rules
-# The JSON report is written as a CI artifact and the gate asserts a
-# clean exit on the same invocation that produced it.
-mkdir -p target
-cargo run -q -p lintkit --release -- --workspace --format json \
-  | tee target/lintkit-report.json
-echo "lintkit report: target/lintkit-report.json"
+echo "== lint zones: clippy reports every seeded violation at its file:line =="
+# tests/clippy_seeds is a package of its own whose modules carry the zone
+# roots' deny lines over seeded violations; the run must fail, reporting
+# exactly the seeds (and nothing from its zone-free module).
+seeds=tests/clippy_seeds
+if cargo clippy --offline --quiet --manifest-path "$seeds/Cargo.toml" \
+  --target-dir target/clippy-seeds --message-format json >target/clippy-seeds.jsonl 2>/dev/null; then
+  echo "clippy accepted the seeded violations"
+  exit 1
+fi
+python3 - <<'PY'
+import json
+want = {
+    ("src/des_pump.rs", 7, "clippy::disallowed_methods"),
+    ("src/des_pump.rs", 8, "clippy::disallowed_methods"),
+    ("src/live_driver.rs", 4, "clippy::disallowed_types"),
+    ("src/live_driver.rs", 6, "clippy::disallowed_types"),
+    ("src/live_proto.rs", 13, "clippy::wildcard_enum_match_arm"),
+    ("src/orchestrator_sched.rs", 4, "clippy::disallowed_types"),
+    ("src/orchestrator_sched.rs", 6, "clippy::disallowed_types"),
+    ("src/orchestrator_sched.rs", 7, "clippy::disallowed_types"),
+    ("src/orchestrator_sched.rs", 11, "clippy::disallowed_methods"),
+    ("src/simnet_wire.rs", 10, "unused_must_use"),
+    ("src/simnet_wire.rs", 11, "clippy::let_underscore_must_use"),
+    ("src/simnet_wire.rs", 15, "clippy::unwrap_used"),
+}
+got = set()
+for line in open("target/clippy-seeds.jsonl"):
+    record = json.loads(line)
+    message = record.get("message") or {}
+    if record.get("reason") != "compiler-message" or not message.get("code"):
+        continue
+    for span in message["spans"]:
+        if span["is_primary"]:
+            got.add((span["file_name"], span["line_start"], message["code"]["code"]))
+for seed in sorted(got | want):
+    print(("ok      " if seed in got and seed in want else "MISSING " if seed in want else "EXTRA   ")
+          + "%s:%d %s" % seed)
+raise SystemExit(0 if got == want else 1)
+PY
+
+echo "== lintkit: lock order =="
+# The one zone check no stock lint has: an acyclic lock-order graph, no
+# guard held across a blocking call, single-hop helper propagation.
+cargo run -q -p lintkit --release -- --workspace
 
 echo "CI OK"

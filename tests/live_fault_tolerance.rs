@@ -4,11 +4,13 @@
 //! fault-free run produces.
 
 use block_bitmap_migration::migrate::live::{
-    run_live, LiveConfig, LiveOutcome, LiveRun, MigrationError,
+    fresh_disks, run_live, run_live_migration_connected, LiveConfig, LiveOutcome, LiveRun,
+    MigrationError, OnceConnector,
 };
 use block_bitmap_migration::migrate::RetryPolicy;
 use block_bitmap_migration::simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
-use block_bitmap_migration::simnet::proto::{Category, FRAME_OVERHEAD};
+use block_bitmap_migration::simnet::proto::{Category, MigMessage, TransferLedger, FRAME_OVERHEAD};
+use block_bitmap_migration::simnet::transport::{duplex, Endpoint, Transport, TransportError};
 use block_bitmap_migration::telemetry::{Event, FaultLabel, Recorder, Side};
 use block_bitmap_migration::vdisk::{stamp_bytes, TrackedDisk, VirtualDisk};
 use std::sync::Arc;
@@ -507,4 +509,71 @@ fn stall_fault_delays_but_completes_without_reconnect() {
     assert_consistent(&out);
     assert_eq!(out.reconnects, 0);
     assert!(out.resume_owed.is_empty());
+}
+
+/// The destination's end of a link on which the source's block-bitmap
+/// frame is replaced, in flight, by `frame`.
+struct ForgedBitmap {
+    inner: Endpoint,
+    frame: Vec<u8>,
+}
+
+impl ForgedBitmap {
+    fn forge(&self, got: Result<MigMessage, TransportError>) -> Result<MigMessage, TransportError> {
+        match got {
+            Ok(MigMessage::Bitmap { .. }) => Ok(MigMessage::Bitmap {
+                encoded: self.frame.clone().into(),
+            }),
+            other => other,
+        }
+    }
+}
+
+impl Transport for ForgedBitmap {
+    fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
+        self.inner.send(msg)
+    }
+    fn recv(&self) -> Result<MigMessage, TransportError> {
+        self.forge(self.inner.recv())
+    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<MigMessage, TransportError> {
+        self.forge(self.inner.recv_timeout(timeout))
+    }
+    fn try_recv(&self) -> Result<MigMessage, TransportError> {
+        self.forge(self.inner.try_recv())
+    }
+    fn sent_ledger(&self) -> TransferLedger {
+        self.inner.sent_ledger()
+    }
+}
+
+#[test]
+fn a_bitmap_frame_claiming_a_trillion_blocks_is_a_protocol_error() {
+    // Tag RLE, 2^40 bits, no runs: nine bytes that once sized a 128 GiB
+    // allocation on the destination, which aborted the process.
+    let mut frame = vec![2u8];
+    frame.extend((1u64 << 40).to_le_bytes());
+    let cfg = LiveConfig {
+        num_blocks: 16_384,
+        ..LiveConfig::test_default()
+    };
+    let (src, dst) = fresh_disks(&cfg);
+    let (src_ep, dst_ep) = duplex();
+    let run = run_live_migration_connected(
+        &cfg,
+        src,
+        dst,
+        None,
+        OnceConnector::new(src_ep),
+        OnceConnector::new(ForgedBitmap {
+            inner: dst_ep,
+            frame,
+        }),
+    );
+    // The destination refuses the frame and hangs up; the source, unable
+    // to reconnect, reports that.
+    let Err(err) = run else {
+        panic!("a forged bitmap completed a migration");
+    };
+    assert!(matches!(err, MigrationError::Protocol { .. }), "{err:?}");
 }
