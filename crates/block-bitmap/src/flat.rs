@@ -146,6 +146,7 @@ impl FlatBitmap {
     /// array in [`LANES`]-wide batches: a whole batch whose OR is zero is
     /// skipped with no per-word branch, so sweeping the long clean gaps of
     /// a 40 GB/4 KiB map costs one vectorized reduction per cache line.
+    #[inline]
     pub fn next_set_from(&self, from: usize) -> Option<usize> {
         if from >= self.nbits {
             return None;
@@ -250,6 +251,7 @@ impl DirtyMap for FlatBitmap {
         self.nbits
     }
 
+    #[inline]
     fn set(&mut self, idx: usize) -> bool {
         self.check(idx);
         let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
@@ -258,6 +260,7 @@ impl DirtyMap for FlatBitmap {
         prev
     }
 
+    #[inline]
     fn clear(&mut self, idx: usize) -> bool {
         self.check(idx);
         let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
@@ -266,6 +269,7 @@ impl DirtyMap for FlatBitmap {
         prev
     }
 
+    #[inline]
     fn get(&self, idx: usize) -> bool {
         self.check(idx);
         self.words[idx / BITS_PER_WORD] & (1 << (idx % BITS_PER_WORD)) != 0

@@ -134,6 +134,7 @@ impl HotCold {
     }
 
     /// Draw a value.
+    #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         if rng.chance(self.hot_prob) {
             self.hot_start + rng.below(self.hot_size)
@@ -175,6 +176,7 @@ impl SequentialCursor {
     }
 
     /// Next value, advancing the cursor (wrapping at the region end).
+    #[inline]
     pub fn next_value(&mut self) -> u64 {
         let v = self.start + self.pos;
         self.pos += 1;

@@ -174,9 +174,12 @@ pub fn run_on_demand(
     // Guest runs normally during the memory copy.
     let solo = w.workload.disk_demand().min(w.cfg.disk_capacity);
     let mut t = SimDuration::ZERO;
+    let mut ops = Vec::new();
     while t < mem_time {
         let dt = w.cfg.step.min(mem_time - t);
-        for op in w.workload.ops_for(dt, solo, &mut w.rng) {
+        ops.clear();
+        w.workload.ops_into(dt, solo, &mut w.rng, &mut ops);
+        for op in &ops {
             if let OpKind::Write { block } = op.kind {
                 w.src_disk.write(block as usize);
             }
@@ -338,6 +341,7 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
     let mut redundant: u64 = 0;
     let mut queue: u64 = 0; // deltas queued at dst, not yet applied
     let phase_start = w.now;
+    let mut ops = Vec::new();
     while sent < total_blocks {
         let (w_share, m_share) = seek_aware_share(
             w.cfg.disk_capacity,
@@ -354,7 +358,9 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
             .add(Category::DiskPrecopy, n * (bs + 8) + FRAME_OVERHEAD);
         sent += n;
         // Guest writes become deltas on the wire (including rewrites).
-        for op in w.workload.ops_for(dt, w_share, &mut w.rng) {
+        ops.clear();
+        w.workload.ops_into(dt, w_share, &mut w.rng, &mut ops);
+        for op in &ops {
             if let OpKind::Write { block } = op.kind {
                 let b = block as usize;
                 w.src_disk.write(b);

@@ -18,7 +18,7 @@ use vdisk::stamp_bytes;
 use vmstate::LiveRam;
 
 use crate::live::error::MigrationError;
-use workloads::{OpKind, Workload, WorkloadKind};
+use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 
 use crate::live::GuestIo;
 
@@ -27,13 +27,19 @@ use crate::live::GuestIo;
 pub struct LiveWorkload {
     inner: Box<dyn Workload>,
     dt_per_tick: SimDuration,
+    /// One tick's ops, cleared and refilled per tick.
+    ops: Vec<TimedOp>,
 }
 
 impl LiveWorkload {
     /// Wrap a simulation workload; every driver tick (~1 ms of wall time)
     /// replays `dt_per_tick` of its virtual op stream.
     pub fn new(inner: Box<dyn Workload>, dt_per_tick: SimDuration) -> Self {
-        Self { inner, dt_per_tick }
+        Self {
+            inner,
+            dt_per_tick,
+            ops: Vec::new(),
+        }
     }
 
     /// Standard construction from a workload kind for a disk of
@@ -42,13 +48,12 @@ impl LiveWorkload {
         Self::new(kind.build(num_blocks), dt_per_tick)
     }
 
-    fn ops(&mut self, rng: &mut SimRng) -> Vec<OpKind> {
+    fn ops(&mut self, rng: &mut SimRng) -> &[TimedOp] {
         let demand = self.inner.disk_demand();
+        self.ops.clear();
         self.inner
-            .ops_for(self.dt_per_tick, demand, rng)
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+            .ops_into(self.dt_per_tick, demand, rng, &mut self.ops);
+        &self.ops
     }
 }
 
@@ -228,7 +233,7 @@ impl DriverHandle {
                     }
                 };
                 for op in workload.ops(&mut rng) {
-                    match op {
+                    match op.kind {
                         OpKind::Write { block } => {
                             let b = block as usize;
                             target.write(b, &stamp_bytes(b, stamp, block_size));

@@ -12,7 +12,7 @@ use telemetry::Recorder;
 use vdisk::MetaDisk;
 use vmstate::{CpuState, Domain, DomainId, GuestMemory, WssModel};
 use workloads::probe::ThroughputProbe;
-use workloads::{OpKind, Workload, WorkloadKind};
+use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 
 use crate::report::{IterationStats, MigrationReport, MultiSourceReport, PeerBytes, PhaseTimings};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
@@ -58,6 +58,8 @@ pub struct TpmEngine {
     pub(crate) kind: WorkloadKind,
     pub(crate) workload: Box<dyn Workload>,
     pub(crate) rng: SimRng,
+    /// One guest step's ops, cleared and refilled per step.
+    pub(crate) ops: Vec<TimedOp>,
     pub(crate) now: SimTime,
     pub(crate) src_disk: MetaDisk,
     pub(crate) dst_disk: MetaDisk,
@@ -137,6 +139,7 @@ impl TpmEngine {
             kind,
             workload,
             rng,
+            ops: Vec::new(),
             now: SimTime::ZERO,
             src_disk,
             src_mem,
@@ -231,8 +234,10 @@ impl TpmEngine {
     /// workload ops to the source disk (tracking writes when enabled),
     /// dirty guest memory, record a throughput sample.
     fn guest_step(&mut self, dt: SimDuration, w_share: f64) {
-        let ops = self.workload.ops_for(dt, w_share, &mut self.rng);
-        for op in ops {
+        self.ops.clear();
+        self.workload
+            .ops_into(dt, w_share, &mut self.rng, &mut self.ops);
+        for op in &self.ops {
             if let OpKind::Write { block } = op.kind {
                 let b = block as usize;
                 self.src_disk.write(b);
@@ -952,11 +957,15 @@ pub fn run_tpm_traced(
 pub fn dwell(outcome: &mut TpmOutcome, cfg: &MigrationConfig, duration: SimDuration) {
     let mut now = outcome.end_time;
     let end = now + duration;
+    let mut ops = Vec::new();
     while now < end {
         let dt = cfg.step.min(end.since(now));
         let share = outcome.workload.disk_demand().min(cfg.disk_capacity);
-        let ops = outcome.workload.ops_for(dt, share, &mut outcome.rng);
-        for op in ops {
+        ops.clear();
+        outcome
+            .workload
+            .ops_into(dt, share, &mut outcome.rng, &mut ops);
+        for op in &ops {
             if let OpKind::Write { block } = op.kind {
                 outcome.dst_disk.write(block as usize);
                 outcome.im_tracker.set(block as usize);

@@ -314,9 +314,12 @@ pub fn reserve_workload_blocks(
 ) {
     let mut w = kind.build(cfg.disk_blocks as u64);
     let mut rng = SimRng::new(cfg.seed ^ 0xF0F0);
+    let mut ops = Vec::new();
     for _ in 0..probe_secs * 2 {
         let demand = w.disk_demand();
-        for op in w.ops_for(SimDuration::from_millis(500), demand, &mut rng) {
+        ops.clear();
+        w.ops_into(SimDuration::from_millis(500), demand, &mut rng, &mut ops);
+        for op in &ops {
             let (OpKind::Write { block } | OpKind::Read { block }) = op.kind;
             free.clear(block as usize);
         }

@@ -24,7 +24,7 @@ use simnet::proto::{Category, MigMessage, TransferLedger};
 use telemetry::Recorder;
 use vdisk::{DomainId, IoRequest, MetaDisk, PendingQueue};
 use workloads::probe::ThroughputProbe;
-use workloads::{OpKind, Workload};
+use workloads::{OpKind, TimedOp, Workload};
 
 use crate::report::PostCopyStats;
 use crate::sim::tracker::DirtyTracker;
@@ -74,6 +74,8 @@ struct PcState<'a> {
     new_bm: &'a mut DirtyTracker,
     workload: &'a mut dyn Workload,
     rng: &'a mut SimRng,
+    /// One workload slice's ops, cleared and refilled per slice.
+    ops: Vec<TimedOp>,
     ledger: &'a mut TransferLedger,
     probe: &'a mut ThroughputProbe,
     pending: PendingQueue,
@@ -199,8 +201,9 @@ fn workload_slice(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
     }
     let slice = st.cfg.slice;
     let share = st.cfg.workload_share;
-    let ops = st.workload.ops_for(slice, share, st.rng);
-    for op in ops {
+    st.ops.clear();
+    st.workload.ops_into(slice, share, st.rng, &mut st.ops);
+    for op in &st.ops {
         match op.kind {
             OpKind::Write { block } => {
                 let block = block as usize;
@@ -311,6 +314,7 @@ pub fn run_postcopy(
         new_bm,
         workload,
         rng,
+        ops: Vec::new(),
         ledger,
         probe,
         pending: PendingQueue::new(),

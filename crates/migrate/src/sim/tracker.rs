@@ -38,6 +38,7 @@ impl DirtyTracker {
     }
 
     /// Mark a block dirty.
+    #[inline]
     pub fn set(&mut self, idx: usize) {
         match self {
             Self::Flat(b) => {

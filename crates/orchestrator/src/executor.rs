@@ -31,6 +31,7 @@ use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use simnet::proto::{BLOCK_REF_WIRE, FRAME_OVERHEAD};
 use telemetry::{Event, FaultLabel, Phase, Recorder};
 use vdisk::MetaDisk;
+use workloads::TimedOp;
 
 use crate::cluster::{Cluster, HostId, VmId};
 use crate::config::{ClusterConfig, ConfigError, Scenario};
@@ -173,6 +174,8 @@ pub struct Orchestrator {
     /// Per-VM guest-op sequence numbers, the basis for deterministic op
     /// thinning in low-activity workload phases.
     op_seq: Vec<u64>,
+    /// One tick of one guest's ops, cleared and refilled per VM per tick.
+    ops: Vec<TimedOp>,
 }
 
 impl Orchestrator {
@@ -191,6 +194,7 @@ impl Orchestrator {
             recorder,
             next_id: 0,
             op_seq,
+            ops: Vec::new(),
         })
     }
 
@@ -1101,13 +1105,12 @@ impl Orchestrator {
                     continue;
                 }
             }
-            let ops = {
-                let vm = &mut self.cluster.vms[vi];
-                vm.workload.ops_for(dt, rate, &mut vm.rng)
-            };
+            self.ops.clear();
+            let vm = &mut self.cluster.vms[vi];
+            vm.workload.ops_into(dt, rate, &mut vm.rng, &mut self.ops);
             let (keep, of) = dynamics.op_keep(vi, now);
             let of = of.max(1);
-            for op in ops {
+            for op in &self.ops {
                 let seq = self.op_seq[vi];
                 self.op_seq[vi] = seq.wrapping_add(1);
                 if seq % of >= keep {

@@ -35,6 +35,7 @@ impl MetaDisk {
     ///
     /// # Panics
     /// Panics when `block` is out of range.
+    #[inline]
     pub fn write(&mut self, block: usize) -> u32 {
         let g = self.next_gen;
         self.generations[block] = g;
@@ -47,6 +48,7 @@ impl MetaDisk {
     ///
     /// # Panics
     /// Panics when `block` is out of range.
+    #[inline]
     pub fn generation(&self, block: usize) -> u32 {
         self.generations[block]
     }
@@ -61,6 +63,7 @@ impl MetaDisk {
     ///
     /// # Panics
     /// Panics when geometries differ or `block` is out of range.
+    #[inline]
     pub fn copy_block_from(&mut self, src: &MetaDisk, block: usize) {
         assert_eq!(
             self.num_blocks(),

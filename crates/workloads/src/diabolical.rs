@@ -189,8 +189,13 @@ impl Workload for DiabolicalWorkload {
         true
     }
 
-    fn ops_for(&mut self, dt: SimDuration, achieved: f64, rng: &mut SimRng) -> Vec<TimedOp> {
-        let mut ops = Vec::new();
+    fn ops_into(
+        &mut self,
+        dt: SimDuration,
+        achieved: f64,
+        rng: &mut SimRng,
+        ops: &mut Vec<TimedOp>,
+    ) {
         let mut elapsed = 0.0;
         let dt_s = dt.as_secs_f64();
         // Walk phase by phase: the achieved disk rate bounds progress; a
@@ -247,7 +252,6 @@ impl Workload for DiabolicalWorkload {
                 self.phase_idx = (self.phase_idx + 1) % PHASES.len();
             }
         }
-        ops
     }
 
     fn client_throughput(&self, achieved: f64) -> f64 {

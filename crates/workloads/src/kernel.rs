@@ -77,13 +77,18 @@ impl Workload for KernelBuildWorkload {
         false
     }
 
-    fn ops_for(&mut self, dt: SimDuration, achieved: f64, rng: &mut SimRng) -> Vec<TimedOp> {
+    fn ops_into(
+        &mut self,
+        dt: SimDuration,
+        achieved: f64,
+        rng: &mut SimRng,
+        ops: &mut Vec<TimedOp>,
+    ) {
         if achieved <= 0.0 && self.disk_demand > 0.0 {
-            return Vec::new();
+            return;
         }
         // The build slows proportionally when the disk is contended.
         let scale = (achieved / self.disk_demand).min(1.0);
-        let mut ops = Vec::new();
         let writes = take_events(&mut self.write_carry, self.write_rate * scale, dt);
         for _ in 0..writes {
             let at = SimDuration::from_nanos(rng.below(dt.as_nanos().max(1)));
@@ -105,7 +110,6 @@ impl Workload for KernelBuildWorkload {
                 },
             ));
         }
-        ops
     }
 
     fn client_throughput(&self, achieved: f64) -> f64 {

@@ -26,8 +26,10 @@ pub fn record(
     while elapsed < duration {
         let dt = step.min(duration - elapsed);
         let demand = workload.disk_demand();
-        for op in workload.ops_for(dt, demand, rng) {
-            trace.push(TimedOp::new(elapsed + op.offset(), op.kind));
+        let from = trace.ops.len();
+        workload.ops_into(dt, demand, rng, &mut trace.ops);
+        for op in &mut trace.ops[from..] {
+            *op = TimedOp::new(elapsed + op.offset(), op.kind);
         }
         elapsed += dt;
     }
@@ -39,13 +41,14 @@ pub fn record(
 /// Ops are emitted when the replay clock passes their absolute offset;
 /// offsets within each emitted batch are re-based to the interval start.
 /// The stream is open-loop (a trace has no feedback), and after the trace
-/// is exhausted the workload optionally loops.
+/// is exhausted the workload optionally loops. A looped replay restarts
+/// the trace at the next interval: the rest of the interval that emitted
+/// the last op is dropped, not filled from the trace's start.
 #[derive(Debug)]
 pub struct TraceWorkload {
     trace: OpTrace,
     cursor: usize,
     clock: SimDuration,
-    trace_len: SimDuration,
     looping: bool,
     disk_demand: f64,
     client_baseline: f64,
@@ -58,16 +61,10 @@ impl TraceWorkload {
     /// (bytes/second) — used by the contention model; derive it from the
     /// recording with [`TraceWorkload::demand_of`] when unsure.
     pub fn new(trace: OpTrace, disk_demand: f64) -> Self {
-        let trace_len = trace
-            .ops
-            .last()
-            .map(|op| op.offset())
-            .unwrap_or(SimDuration::ZERO);
         Self {
             trace,
             cursor: 0,
             clock: SimDuration::ZERO,
-            trace_len,
             looping: false,
             disk_demand,
             client_baseline: disk_demand,
@@ -112,8 +109,7 @@ impl Workload for TraceWorkload {
         false
     }
 
-    fn ops_for(&mut self, dt: SimDuration, _achieved: f64, _rng: &mut SimRng) -> Vec<TimedOp> {
-        let mut out = Vec::new();
+    fn ops_into(&mut self, dt: SimDuration, _: f64, _: &mut SimRng, out: &mut Vec<TimedOp>) {
         let start = self.clock;
         let end = self.clock + dt;
         while self.cursor < self.trace.ops.len() {
@@ -126,17 +122,10 @@ impl Workload for TraceWorkload {
         }
         self.clock = end;
         if self.looping && self.cursor >= self.trace.ops.len() && !self.trace.is_empty() {
-            // Wrap: restart the trace at the current clock.
+            // Wrap: the next interval starts the trace over.
             self.cursor = 0;
             self.clock = SimDuration::ZERO;
-            // Consume the residual of this interval against the restarted
-            // trace only when it would make progress (avoids infinite
-            // recursion on zero-length traces).
-            if end > self.trace_len && self.trace_len > SimDuration::ZERO {
-                // skip: alignment resumes on the next call
-            }
         }
-        out
     }
 
     fn client_throughput(&self, achieved: f64) -> f64 {

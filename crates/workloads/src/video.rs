@@ -77,11 +77,16 @@ impl Workload for VideoStreamWorkload {
         false
     }
 
-    fn ops_for(&mut self, dt: SimDuration, achieved: f64, rng: &mut SimRng) -> Vec<TimedOp> {
+    fn ops_into(
+        &mut self,
+        dt: SimDuration,
+        achieved: f64,
+        rng: &mut SimRng,
+        ops: &mut Vec<TimedOp>,
+    ) {
         if achieved <= 0.0 && self.disk_demand > 0.0 {
-            return Vec::new();
+            return;
         }
-        let mut ops = Vec::new();
         // Streaming reads march sequentially through the video file.
         let reads = take_events(&mut self.read_carry, self.read_rate, dt);
         for i in 0..reads {
@@ -105,7 +110,6 @@ impl Workload for VideoStreamWorkload {
                 },
             ));
         }
-        ops
     }
 
     fn client_throughput(&self, achieved: f64) -> f64 {

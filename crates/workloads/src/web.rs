@@ -95,13 +95,18 @@ impl Workload for WebServerWorkload {
         false
     }
 
-    fn ops_for(&mut self, dt: SimDuration, achieved: f64, rng: &mut SimRng) -> Vec<TimedOp> {
+    fn ops_into(
+        &mut self,
+        dt: SimDuration,
+        achieved: f64,
+        rng: &mut SimRng,
+        ops: &mut Vec<TimedOp>,
+    ) {
         // Open loop: the schedule does not scale with `achieved`, but a
         // fully starved disk (no share at all) stalls the application.
         if achieved <= 0.0 && self.disk_demand > 0.0 {
-            return Vec::new();
+            return;
         }
-        let mut ops = Vec::new();
         let bursts = take_events(&mut self.burst_carry, self.burst_per_sec, dt);
         for _ in 0..bursts {
             let at = SimDuration::from_nanos(rng.below(dt.as_nanos().max(1)));
@@ -126,7 +131,6 @@ impl Workload for WebServerWorkload {
                 },
             ));
         }
-        ops
     }
 
     fn client_throughput(&self, achieved: f64) -> f64 {

@@ -28,10 +28,27 @@ pub trait Workload: Send {
     /// follows a fixed schedule.
     fn closed_loop(&self) -> bool;
 
-    /// Operations performed during an interval of `dt` in which the
-    /// workload achieved `achieved` bytes/second of disk throughput.
-    /// Offsets lie in `[0, dt)`.
-    fn ops_for(&mut self, dt: SimDuration, achieved: f64, rng: &mut SimRng) -> Vec<TimedOp>;
+    /// Append to `out` the operations performed during an interval of
+    /// `dt` in which the workload achieved `achieved` bytes/second of disk
+    /// throughput. Offsets lie in `[0, dt)`; what `out` already holds is
+    /// kept. Per-tick callers hold one buffer and clear it per call, so a
+    /// tick costs its random draws and no allocation.
+    fn ops_into(
+        &mut self,
+        dt: SimDuration,
+        achieved: f64,
+        rng: &mut SimRng,
+        out: &mut Vec<TimedOp>,
+    );
+
+    /// [`Workload::ops_into`] into a fresh vector: the same ops from the
+    /// same draws. For tests and one-off callers; the lint zones ban it
+    /// (`clippy.toml`).
+    fn ops_for(&mut self, dt: SimDuration, achieved: f64, rng: &mut SimRng) -> Vec<TimedOp> {
+        let mut out = Vec::new();
+        self.ops_into(dt, achieved, rng, &mut out);
+        out
+    }
 
     /// Client-observed service throughput (bytes/second) when the workload
     /// achieves `achieved` bytes/second at the disk. This is the y-axis of
@@ -118,9 +135,7 @@ impl Workload for IdleWorkload {
         false
     }
 
-    fn ops_for(&mut self, _dt: SimDuration, _achieved: f64, _rng: &mut SimRng) -> Vec<TimedOp> {
-        Vec::new()
-    }
+    fn ops_into(&mut self, _: SimDuration, _: f64, _: &mut SimRng, _: &mut Vec<TimedOp>) {}
 
     fn client_throughput(&self, _achieved: f64) -> f64 {
         0.0

@@ -166,3 +166,54 @@ fn template_clone_dedup_wire_bytes_are_pinned() {
     assert_eq!(bytes_sent(false), 40_000_000_000);
     assert_eq!(bytes_sent(true), 1_809_897_696);
 }
+
+/// The simulated outputs of the benchmark's `virtual_time` suite at seed
+/// 1, by equality: TPM under the web and the diabolical guest and the
+/// 4-peer template fan-in (256 MiB disk, 16 MiB guest, the paper
+/// testbed's rates), then an 8-VM cycle-aware rolling-maintenance fleet.
+/// Every guest op and every page touch is a random draw, so a generator
+/// that draws once more, once less or in another order changes a digit.
+#[test]
+fn virtual_time_outputs_are_pinned() {
+    use block_bitmap_migration::migrate::sim::run_template_clone_fanin;
+
+    let cfg = MigrationConfig {
+        disk_blocks: 65_536,
+        mem_pages: 4_096,
+        seed: 1,
+        ..MigrationConfig::paper_testbed()
+    };
+    let mut diverged = FlatBitmap::new(cfg.disk_blocks);
+    for b in (0..cfg.disk_blocks).step_by(12) {
+        diverged.set(b);
+    }
+    let web = run_tpm(cfg.clone(), WorkloadKind::Web).report;
+    let diabolical = run_tpm(cfg.clone(), WorkloadKind::Diabolical).report;
+    let fanin = run_template_clone_fanin(cfg, WorkloadKind::Idle, diverged, 4).report;
+    let sims = [&web, &diabolical, &fanin];
+    assert!(sims.iter().all(|r| r.consistent));
+    let total_s: f64 = sims.iter().map(|r| r.total_time_secs).sum();
+    let downtime_ms: f64 = sims.iter().map(|r| r.downtime_ms).sum();
+    let wire_bytes: u64 = sims.iter().map(|r| r.ledger.total()).sum();
+    assert_eq!(total_s, 16.792540988);
+    assert_eq!(downtime_ms, 132.669965);
+    assert_eq!(wire_bytes, 946_567_619);
+    assert_eq!(fanin.multisource.peer_fraction(), 0.916656494140625);
+
+    let mut scn = String::from("fleet hosts=8 vms=8 blocks=16384 seed=1 policy=cycle-aware\n");
+    for h in 0..8 {
+        scn += &format!("host h{h} nic=25MiB\n");
+    }
+    for vm in 0..8 {
+        scn += &format!("cycle vm{vm} high=20s low=40s scale=0.125 keep=1/8\n");
+    }
+    scn += "at 0s maintenance h0 h1 h2 h3 h4 h5 h6 h7 dwell=15s\n";
+    let spec = block_bitmap_migration::scenario::parse(&scn).expect("fleet spec parses");
+    let fleet = block_bitmap_migration::scenario::run(&spec, Recorder::off())
+        .expect("fleet runs")
+        .report;
+    assert!(fleet.all_consistent());
+    assert_eq!(fleet.completed(), fleet.records.len());
+    assert_eq!(fleet.makespan_secs(), 227.25);
+    assert_eq!(fleet.total_bytes(), 1_075_676_807);
+}
