@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use simnet::codec::lz::Encoder;
+use simnet::codec::lz::{Encoder, MatchTables};
 use simnet::transport::Transport;
 use telemetry::{Event, Recorder, Resource, Side};
 
@@ -80,13 +80,15 @@ impl Tally {
 
 /// The source's raw-versus-LZ decision for full batches, blocks and
 /// pages alike. Lives as long as the migration: what LZ costs on this
-/// machine does not change with the connection.
+/// machine does not change with the connection, and the encoder's
+/// tables are allocated once, not per batch.
 #[derive(Debug)]
 pub(crate) struct LzRule {
     blocks: Tally,
     pages: Tally,
     /// What the last decision read off the link.
     link_ns_per_byte: f64,
+    tables: MatchTables,
 }
 
 impl Default for LzRule {
@@ -95,6 +97,7 @@ impl Default for LzRule {
             blocks: Tally::starting_at(f64::INFINITY),
             pages: Tally::starting_at(f64::INFINITY),
             link_ns_per_byte: 0.0,
+            tables: MatchTables::default(),
         }
     }
 }
@@ -126,25 +129,30 @@ impl LzRule {
             return None;
         }
         let sample_len = payload.len().min(SAMPLE_UNITS * unit_size);
-        let started = Instant::now();
-        let mut encoder = Encoder::new(payload);
+        let cheapest = self.tally(kind).lz_ns_per_raw_byte;
+        // Clearing the encoder's tables is not what a sample weighs: the
+        // clock starts after it.
+        let mut encoder = Encoder::new(payload, &mut self.tables);
         let mut stream = Vec::new();
+        let started = Instant::now();
         encoder.advance(sample_len, &mut stream);
         let sample_ns = started.elapsed().as_nanos() as f64;
+        let lz_ns_per_raw_byte = cheapest.min(sample_ns / sample_len as f64);
         // A match that runs past the sample's end is booked against the
         // sample alone: the saving is never overstated.
         let saved_share = 1.0 - encoder.len_if_ended(&stream) as f64 / sample_len as f64;
+        let pays = lz_pays(saved_share, link_ns_per_byte, lz_ns_per_raw_byte);
+        if pays {
+            encoder.finish(&mut stream);
+        }
         let tally = self.tally(kind);
         tally.sample_bytes += sample_len as u64;
-        tally.lz_ns_per_raw_byte = tally.lz_ns_per_raw_byte.min(sample_ns / sample_len as f64);
-        if lz_pays(saved_share, link_ns_per_byte, tally.lz_ns_per_raw_byte) {
-            encoder.finish(&mut stream);
-            if stream.len() < payload.len() {
-                tally.batches_compressed += 1;
-                tally.raw_bytes += payload.len() as u64;
-                tally.lz_bytes += stream.len() as u64;
-                return Some(stream);
-            }
+        tally.lz_ns_per_raw_byte = lz_ns_per_raw_byte;
+        if pays && stream.len() < payload.len() {
+            tally.batches_compressed += 1;
+            tally.raw_bytes += payload.len() as u64;
+            tally.lz_bytes += stream.len() as u64;
+            return Some(stream);
         }
         tally.batches_raw += 1;
         None

@@ -477,9 +477,11 @@ fn dest_apply_full(
 }
 
 /// Materialize a content reference from a resident block. The resolved
-/// candidate is re-hashed before use, so an index gone stale under any
-/// hash behaviour degrades to a [`MigMessage::BlockRefMiss`] bounce and
-/// an eventual full resend — never to a wrong image.
+/// candidate is re-hashed in place before use, so an index gone stale
+/// under any hash behaviour degrades to a [`MigMessage::BlockRefMiss`]
+/// bounce and an eventual full resend — never to a wrong image. A block
+/// that already holds the content (a template clone's, an incremental
+/// return's unchanged blocks) is verified and left as it is.
 fn dest_apply_ref<T: Transport>(
     st: &mut DestState,
     disk: &TrackedDisk,
@@ -493,21 +495,24 @@ fn dest_apply_ref<T: Transport>(
         .dedup
         .then(|| disk.content_index().resolve(fingerprint))
         .flatten();
-    let data = holder.and_then(|holder| {
-        let data = disk.disk().read_block(holder);
+    let verified = holder.filter(|&holder| {
         st.work.blocks_read += 1;
         st.work.blocks_hashed += 1;
-        let found = hash_block(&data);
+        let found = disk.disk().hash_block_at(holder);
         if found != fingerprint {
             // The index was wrong about the holder (a write went round
             // it): now it is right, at the price of this bounce.
             disk.content_index().record(holder, found);
         }
-        (found == fingerprint).then_some(data)
+        found == fingerprint
     });
-    match data {
-        Some(data) => {
-            disk.disk().write_block(b, &data);
+    match verified {
+        Some(holder) => {
+            // This protocol thread is the disk's one writer until resume:
+            // the holder still holds what was just hashed.
+            if holder != b {
+                disk.disk().write_block(b, &disk.disk().read_block(holder));
+            }
             st.session_got_blocks.set(b);
             st.ref_missing.clear(b);
             disk.content_index().record(b, fingerprint);
@@ -677,6 +682,63 @@ mod tests {
             Err(SessionError::Fatal(e)) => panic!("fatal session error: {e}"),
             Err(SessionError::Reconnect(e)) => panic!("link error: {e}"),
         }
+    }
+
+    #[test]
+    fn a_reference_is_verified_in_place_and_a_stale_one_still_bounces() {
+        let cfg = LiveConfig {
+            num_blocks: 8,
+            ..LiveConfig::test_default()
+        };
+        let bs = cfg.block_size;
+        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(bs, cfg.num_blocks)));
+        let ram = LiveRam::new(cfg.mem_page_size, cfg.mem_pages);
+        let fp = |b: usize| hash_block(&stamp_bytes(b, 1, bs));
+        for b in 0..cfg.num_blocks {
+            disk.disk().write_block(b, &stamp_bytes(b, 1, bs));
+            disk.content_index().record(b, fp(b));
+        }
+        let (ep, peer) = duplex();
+        let mut st = DestState::new(&cfg);
+        st.dedup = true;
+        let apply = |st: &mut DestState, block: usize, fingerprint: u64| {
+            let msg = MigMessage::BlockRef {
+                block: block as u64,
+                fingerprint,
+            };
+            assert!(ok(dest_apply_data(st, &disk, &ram, &ep, msg, "test")).is_none());
+        };
+        let work = |st: &DestState| (st.work.blocks_read, st.work.blocks_hashed);
+
+        // The block holds the content already: one hash, the image as it
+        // was, and the block received.
+        let image = disk.disk().fingerprint_all();
+        apply(&mut st, 3, fp(3));
+        assert_eq!(disk.disk().fingerprint_all(), image);
+        assert_eq!(work(&st), (1, 1));
+        assert!(st.session_got_blocks.get(3) && !st.ref_missing.get(3));
+        assert!(matches!(peer.try_recv(), Err(TransportError::Empty)));
+
+        // Another block's content is copied over, and indexed there.
+        apply(&mut st, 5, fp(3));
+        assert_eq!(disk.disk().read_block(5), stamp_bytes(3, 1, bs));
+        assert_eq!(work(&st), (2, 2));
+        assert_eq!(disk.content_index().resolve(fp(5)), None);
+
+        // A write that went round the index: the entry is stale, so the
+        // reference bounces, the block keeps what it holds, and the index
+        // learns what that is.
+        let newer = stamp_bytes(6, 2, bs);
+        disk.disk().write_block(6, &newer);
+        apply(&mut st, 6, fp(6));
+        assert_eq!(disk.disk().read_block(6), newer);
+        assert_eq!(work(&st), (3, 3));
+        assert!(st.ref_missing.get(6) && !st.session_got_blocks.get(6));
+        assert!(matches!(
+            peer.try_recv(),
+            Ok(MigMessage::BlockRefMiss { block: 6 })
+        ));
+        assert_eq!(disk.content_index().resolve(hash_block(&newer)), Some(6));
     }
 
     /// One page of each kind a guest's RAM is made of: untouched, filled

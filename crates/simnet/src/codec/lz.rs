@@ -7,21 +7,27 @@
 //! ```text
 //! [token: literal-count nibble | match-length nibble]
 //! [literal count, 255-chain]? [literals]
-//! [offset: u16 LE] [match length, 255-chain]?
+//! [offset] [match length, 255-chain]?
+//!
+//! offset < 2^15:          [u16 LE = offset]                  top bit clear
+//! 2^15 <= offset < 2^23:  [u16 LE = offset % 2^15 | 2^15]    top bit set
+//!                         [u8 = offset >> 15]
 //! ```
 //!
 //! A stream ends after the literals of its last sequence. There is no
 //! header: the receiver knows from the message around it how many bytes
 //! the stream decodes to, and a batch that does not shrink is not sent as
-//! a stream at all. A match may reach back up to 64 KiB into earlier
-//! units of the same batch, never further: what a batch decodes to
-//! depends on that batch alone.
+//! a stream at all. A match may reach back up to 8 MiB into earlier units
+//! of the same batch — anywhere in a batch the live engine forms — never
+//! into another: what a batch decodes to depends on that batch alone.
 //!
 //! The [`Encoder`] is built to cost close to nothing on data that will
 //! not compress, because that is what most of a unique image is: the
 //! match search strides faster the longer it goes without a match, so
 //! noise is sampled, not scanned. It can stop anywhere and be resumed,
 //! so a caller may weigh the head of a stream before paying for the rest.
+//! Its two hash tables are [`MatchTables`] the caller holds, so a caller
+//! that encodes batch after batch allocates them once.
 //!
 //! This module sits on the transport receive path (the transport lint
 //! zone): malformed streams surface as
@@ -30,11 +36,20 @@
 
 use std::fmt;
 
+/// The shortest match, and the bytes the short table keys on.
 const MIN_MATCH: usize = 4;
-const HASH_LOG: u32 = 13;
+/// The bytes the long table keys on: what finds the sentence behind the
+/// word a short key matches.
+const LONG_KEY: usize = 8;
+const LONG_LOG: u32 = 16;
+const SHORT_LOG: u32 = 14;
 /// The match search widens its stride by one byte per this many
 /// consecutive probes that found nothing (LZ4's "acceleration").
 const SKIP_SHIFT: u32 = 6;
+/// Offsets from here on take three bytes, flagged by the top bit of the
+/// first two.
+const LONG_OFFSET: usize = 1 << 15;
+const MAX_OFFSET: usize = (1 << 23) - 1;
 
 /// A compressed stream failed validation during decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +90,12 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     k
 }
 
+/// Length of the match at `at` against the earlier `c`, whose first
+/// `key` bytes are known to agree.
+fn match_len(src: &[u8], c: usize, at: usize, key: usize) -> usize {
+    key + common_prefix(&src[c + key..], &src[at + key..])
+}
+
 /// 255-chain length extension (LZ4 style).
 fn push_len(out: &mut Vec<u8>, mut v: usize) {
     while v >= 255 {
@@ -97,8 +118,9 @@ fn read_len(src: &[u8], pos: &mut usize) -> Result<usize, CorruptFrame> {
 }
 
 /// One LZ sequence: `lits` verbatim, then (when `matched` is `Some`) a
-/// back-reference of `MIN_MATCH + mext` bytes at distance `off`.
-fn push_sequence(out: &mut Vec<u8>, lits: &[u8], matched: Option<(u16, usize)>) {
+/// back-reference of `MIN_MATCH + mext` bytes at distance `off`, which is
+/// at most [`MAX_OFFSET`].
+fn push_sequence(out: &mut Vec<u8>, lits: &[u8], matched: Option<(usize, usize)>) {
     let mext = matched.map_or(0, |(_, mext)| mext);
     out.push(((lits.len().min(15) as u8) << 4) | mext.min(15) as u8);
     if lits.len() >= 15 {
@@ -106,29 +128,69 @@ fn push_sequence(out: &mut Vec<u8>, lits: &[u8], matched: Option<(u16, usize)>) 
     }
     out.extend_from_slice(lits);
     if let Some((off, mext)) = matched {
-        out.extend_from_slice(&off.to_le_bytes());
+        if off < LONG_OFFSET {
+            out.extend_from_slice(&(off as u16).to_le_bytes());
+        } else {
+            out.extend_from_slice(&((off % LONG_OFFSET) as u16 | LONG_OFFSET as u16).to_le_bytes());
+            out.push((off / LONG_OFFSET) as u8);
+        }
         if mext >= 15 {
             push_len(out, mext - 15);
         }
     }
 }
 
-/// Greedy LZ77 over one batch with a 4-byte hash table and 16-bit
-/// offsets, resumable: [`Encoder::advance`] in any number of steps and
-/// then [`Encoder::finish`] append the bytes one `finish` alone would.
+/// The [`Encoder`]'s two single-slot hash tables, each mapping the hash
+/// of the bytes at a position to position + 1 of their latest sighting
+/// (0 = none): 2¹⁶ slots keyed on eight bytes, 2¹⁴ keyed on four, both
+/// fewer for an input under 64 KiB. Every [`Encoder::new`] clears them,
+/// so what a stream holds never depends on what they served before.
+#[derive(Debug, Default)]
+pub struct MatchTables {
+    long: Vec<u32>,
+    short: Vec<u32>,
+}
+
+impl MatchTables {
+    /// Empty, and sized to an input of `len` bytes: a lone small unit
+    /// zeroes small tables. The zeroes are written here, not left to the
+    /// allocator to fault in lazily: a caller that times the search
+    /// (`LzRule`'s sample) must not time the tables' first touch.
+    fn clear_for(&mut self, len: usize) {
+        let bits = (usize::BITS - len.leading_zeros()).max(1);
+        for (table, log) in [(&mut self.long, LONG_LOG), (&mut self.short, SHORT_LOG)] {
+            table.clear();
+            table.resize(1 << log.min(bits), 0);
+        }
+    }
+}
+
+/// Position + 1 → the earlier position it names, if `i` may refer to it:
+/// an empty slot reads as `usize::MAX`, which never may.
+fn candidate(slot: u32, i: usize) -> Option<usize> {
+    let c = (slot as usize).wrapping_sub(1);
+    (c < i && i - c <= MAX_OFFSET).then_some(c)
+}
+
+/// Greedy LZ77 over one batch with two hash tables (zstd's "double
+/// fast") and offsets that reach across the batch, resumable:
+/// [`Encoder::advance`] in any number of steps and then
+/// [`Encoder::finish`] append the bytes one `finish` alone would.
 ///
-/// One table serves the whole batch, so a unit's matches reach into the
-/// units before it. The stride between probes grows by one for every
-/// `1 << SKIP_SHIFT` misses in a row and snaps back to one on a match:
-/// an incompressible batch costs a fraction of one pass and comes out as
-/// its own bytes behind a literal count, `len / 255 + 2` bytes longer.
+/// Each probe looks up the eight bytes at a position first, then the
+/// four: a short key finds the latest occurrence of a word, a long one
+/// the earlier copy of the sentence around it. On a short hit the long
+/// key one byte on is probed too, and the longer match is kept. After a
+/// match, positions near both its ends are entered in both tables. The
+/// stride between probes grows by one for every `1 << SKIP_SHIFT` misses
+/// in a row and snaps back to one on a match: an incompressible batch
+/// costs a fraction of one pass and comes out as its own bytes behind a
+/// literal count, `len / 255 + 2` bytes longer.
 #[derive(Debug)]
 pub struct Encoder<'a> {
     src: &'a [u8],
-    /// Hash of a 4-byte sequence → position + 1 of its last probed
-    /// occurrence (0 = none).
-    table: Vec<u32>,
-    hash_log: u32,
+    long: &'a mut [u32],
+    short: &'a mut [u32],
     /// Start of the literals no sequence has carried yet.
     anchor: usize,
     /// Where the search probes next.
@@ -138,16 +200,16 @@ pub struct Encoder<'a> {
 }
 
 impl<'a> Encoder<'a> {
-    /// An encoder at the start of `src`. Positions are kept in 32 bits: a
-    /// batch is far smaller (`MAX_FRAME`), and past 4 GiB the search only
-    /// finds less, every match being verified against `src` itself.
-    pub fn new(src: &'a [u8]) -> Self {
-        // Sized to the input: a lone small unit zeroes a small table.
-        let hash_log = HASH_LOG.min(usize::BITS - src.len().leading_zeros()).max(1);
+    /// An encoder at the start of `src`, over `tables` cleared for it.
+    /// Positions are kept in 32 bits: a batch is far smaller
+    /// (`MAX_FRAME`), and past 4 GiB the search only finds less, every
+    /// match being verified against `src` itself.
+    pub fn new(src: &'a [u8], tables: &'a mut MatchTables) -> Self {
+        tables.clear_for(src.len());
         Self {
             src,
-            table: vec![0; 1 << hash_log],
-            hash_log,
+            long: &mut tables.long,
+            short: &mut tables.short,
             anchor: 0,
             next: 0,
             misses: 0,
@@ -159,36 +221,72 @@ impl<'a> Encoder<'a> {
     /// match found before `upto` is followed as far as it goes.
     pub fn advance(&mut self, upto: usize, out: &mut Vec<u8>) {
         let src = self.src;
-        let Some(last_probe) = src.len().checked_sub(MIN_MATCH) else {
+        // Every probe reads a long key; a match still runs to the end.
+        let Some(last_probe) = src.len().checked_sub(LONG_KEY) else {
             return;
         };
         let stop = upto.min(last_probe + 1);
-        let shift = 32 - self.hash_log;
-        let table = self.table.as_mut_slice();
+        let long_shift = u64::BITS - self.long.len().trailing_zeros();
+        let short_shift = u32::BITS - self.short.len().trailing_zeros();
+        let long_hash = |at: usize| {
+            (read_u64(src, at).wrapping_mul(0xCF1B_BCDC_B7A5_6463) >> long_shift) as usize
+        };
+        let short_hash =
+            |at: usize| (read_u32(src, at).wrapping_mul(0x9E37_79B1) >> short_shift) as usize;
+        // (start, candidate, length) of a match of a key's bytes or more.
+        let long_match = |c: Option<usize>, at: usize| {
+            c.filter(|&c| read_u64(src, c) == read_u64(src, at))
+                .map(|c| (at, c, match_len(src, c, at, LONG_KEY)))
+        };
+        let short_match = |c: Option<usize>, at: usize| {
+            c.filter(|&c| read_u32(src, c) == read_u32(src, at))
+                .map(|c| (at, c, match_len(src, c, at, MIN_MATCH)))
+        };
+        let (long, short) = (&mut *self.long, &mut *self.short);
         let (mut i, mut anchor, mut misses) = (self.next, self.anchor, self.misses);
         while i < stop {
-            let seq = read_u32(src, i);
-            let h = (seq.wrapping_mul(0x9E37_79B1) >> shift) as usize;
-            // No entry reads as `usize::MAX`; an entry is an earlier probe.
-            let mut c = (table[h] as usize).wrapping_sub(1);
-            table[h] = (i + 1) as u32;
-            if c < i && i - c <= usize::from(u16::MAX) && read_u32(src, c) == seq {
-                let mut mext = common_prefix(&src[c + MIN_MATCH..], &src[i + MIN_MATCH..]);
-                // Grow the match backwards over pending literals: a stride
-                // wider than one lands past the true start of a match.
-                while i > anchor && c > 0 && src[i - 1] == src[c - 1] {
-                    i -= 1;
-                    c -= 1;
-                    mext += 1;
+            let (hl, hs) = (long_hash(i), short_hash(i));
+            let (cl, cs) = (candidate(long[hl], i), candidate(short[hs], i));
+            long[hl] = (i + 1) as u32;
+            short[hs] = (i + 1) as u32;
+            let found = long_match(cl, i).or_else(|| {
+                let word = short_match(cs, i)?;
+                if i == last_probe {
+                    return Some(word);
                 }
-                push_sequence(out, &src[anchor..i], Some(((i - c) as u16, mext)));
-                i += MIN_MATCH + mext;
-                anchor = i;
-                misses = 0;
-            } else {
+                // The word may open a sentence the long key finds a byte on.
+                let h = long_hash(i + 1);
+                let next = candidate(long[h], i + 1);
+                long[h] = (i + 2) as u32;
+                Some(
+                    long_match(next, i + 1)
+                        .filter(|m| m.2 > word.2)
+                        .unwrap_or(word),
+                )
+            });
+            let Some((mut at, mut c, mut len)) = found else {
                 i += 1 + (misses >> SKIP_SHIFT);
                 misses += 1;
+                continue;
+            };
+            // Grow the match backwards over pending literals: a stride
+            // wider than one lands past the true start of a match.
+            while at > anchor && c > 0 && src[at - 1] == src[c - 1] {
+                at -= 1;
+                c -= 1;
+                len += 1;
             }
+            push_sequence(out, &src[anchor..at], Some((at - c, len - MIN_MATCH)));
+            let end = at + len;
+            for p in [at + 2, end - 2, end - 1] {
+                if p <= last_probe {
+                    long[long_hash(p)] = (p + 1) as u32;
+                    short[short_hash(p)] = (p + 1) as u32;
+                }
+            }
+            i = end;
+            anchor = end;
+            misses = 0;
         }
         (self.next, self.anchor, self.misses) = (i, anchor, misses);
     }
@@ -259,8 +357,13 @@ fn decode_exact(src: &[u8], dst: &mut [u8]) -> Result<(), CorruptFrame> {
             break;
         }
         let off_bytes = src.get(pos..pos + 2).ok_or(CorruptFrame)?;
-        let off = u16::from_le_bytes([off_bytes[0], off_bytes[1]]) as usize;
+        let mut off = usize::from(u16::from_le_bytes([off_bytes[0], off_bytes[1]]));
         pos += 2;
+        if off >= LONG_OFFSET {
+            let &high = src.get(pos).ok_or(CorruptFrame)?;
+            pos += 1;
+            off = off % LONG_OFFSET + usize::from(high) * LONG_OFFSET;
+        }
         let mut mlen = (token & 0x0F) as usize;
         if mlen == 15 {
             mlen = mlen.saturating_add(read_len(src, &mut pos)?);
@@ -303,7 +406,7 @@ mod tests {
 
     fn compress(raw: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        Encoder::new(raw).finish(&mut out);
+        Encoder::new(raw, &mut MatchTables::default()).finish(&mut out);
         out
     }
 
@@ -412,7 +515,8 @@ mod tests {
         // input behind one literal count.
         let data = noise(0x243F_6A88_85A3_08D3, 64 * 4096);
         let mut out = Vec::new();
-        let mut enc = Encoder::new(&data);
+        let mut tables = MatchTables::default();
+        let mut enc = Encoder::new(&data, &mut tables);
         enc.advance(usize::MAX, &mut out);
         assert!(out.is_empty(), "noise matched itself");
         assert!(
@@ -449,6 +553,77 @@ mod tests {
             together * 10 < apart * 7,
             "{together} bytes as one stream, {apart} unit by unit"
         );
+    }
+
+    #[test]
+    fn a_text_batch_finds_its_sentences_across_the_batch() {
+        // A match of one word costs about as much as its literals; the
+        // long key and the batch-wide offsets find the whole sentence,
+        // wherever in the batch it last occurred. The encoder with one
+        // 4-byte key and 16-bit offsets made 2.6 x of this.
+        let data = text_units(64).concat();
+        let stream = roundtrip(&data);
+        assert!(
+            stream.len() * 35 <= data.len() * 10,
+            "{} bytes to {}: {:.2} x",
+            data.len(),
+            stream.len(),
+            data.len() as f64 / stream.len() as f64
+        );
+    }
+
+    /// A 4 KiB unit of noise, 40 KiB of byte runs, then the unit again:
+    /// the repeat is one match 44 KiB back, and nothing nearer matches.
+    fn far_repeat() -> Vec<u8> {
+        let unit = noise(5, 4096);
+        let mut data = unit.clone();
+        for byte in 1..=40u8 {
+            data.extend_from_slice(&[byte; 1024]);
+        }
+        data.extend_from_slice(&unit);
+        data
+    }
+
+    #[test]
+    fn a_repeat_past_32_kib_takes_a_three_byte_offset() {
+        let data = far_repeat();
+        let stream = roundtrip(&data);
+        assert!(stream.len() < 4096 + 1024, "{} bytes", stream.len());
+        // The stream ends with the repeat: a token, the three offset
+        // bytes, and 16 bytes of length chain for its 4 092 - 15 past
+        // the token's nibble.
+        let off = stream.len() - 19;
+        let far = 40 * 1024 + 4096;
+        assert_eq!(
+            stream[off..off + 3],
+            [far as u8, (far >> 8) as u8 | 0x80, (far >> 15) as u8]
+        );
+        // Cut after the second offset byte, the third is missing.
+        assert_eq!(
+            decompress(&stream[..off + 2], data.len()),
+            Err(CorruptFrame)
+        );
+        assert_eq!(
+            decompress(&stream[..off + 3], data.len()),
+            Err(CorruptFrame)
+        );
+    }
+
+    #[test]
+    fn a_long_offset_before_the_stream_start_is_corrupt_and_leaves_the_buffer() {
+        // Four literals, then a reference 2^15 bytes back: the buffer
+        // holds that many bytes before the stream's own, and a stream
+        // must never reach them.
+        let mut out = vec![0xEE; 40_000];
+        let bad = [0x40, 1, 2, 3, 4, 0x00, 0x80, 0x01];
+        assert_eq!(decompress_into(&bad, 12, &mut out), Err(CorruptFrame));
+        assert_eq!(decompress_into(&bad[..7], 12, &mut out), Err(CorruptFrame));
+        assert_eq!(out, vec![0xEE; 40_000]);
+        // The flag with a high byte of zero names a short offset, four
+        // bytes back, inside the stream: not canonical, but well formed.
+        let good = [0x40, 1, 2, 3, 4, 0x04, 0x80, 0x00];
+        assert_eq!(decompress_into(&good, 8, &mut out), Ok(()));
+        assert_eq!(out[40_000..], [1, 2, 3, 4, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -502,6 +677,7 @@ mod tests {
         data.extend_from_slice(&noise(3, 5000));
         data.extend_from_slice(&[0u8; 9000]);
         let whole = compress(&data);
+        let mut tables = MatchTables::default();
         for stops in [
             vec![0],
             vec![1, 2, 3],
@@ -511,7 +687,7 @@ mod tests {
             vec![data.len(), data.len() + 7],
         ] {
             let mut out = Vec::new();
-            let mut enc = Encoder::new(&data);
+            let mut enc = Encoder::new(&data, &mut tables);
             for upto in stops {
                 enc.advance(upto, &mut out);
                 // The estimate is the stream that would end here.
@@ -521,6 +697,24 @@ mod tests {
             enc.finish(&mut out);
             assert_eq!(out, whole);
         }
+    }
+
+    #[test]
+    fn held_tables_start_every_encoder_empty() {
+        // Entries a batch left behind would let the next one's stream
+        // depend on it; `new` clears them even when the size is unchanged.
+        let data = text_units(3).concat();
+        let mut tables = MatchTables::default();
+        Encoder::new(&data, &mut tables).finish(&mut Vec::new());
+        assert!(tables.long.iter().any(|&slot| slot != 0));
+        let (long, short) = (tables.long.len(), tables.short.len());
+        Encoder::new(&data[3000..], &mut tables);
+        assert_eq!((tables.long.len(), tables.short.len()), (long, short));
+        assert!(tables
+            .long
+            .iter()
+            .chain(&tables.short)
+            .all(|&slot| slot == 0));
     }
 
     #[test]

@@ -255,7 +255,7 @@ pub fn compress_blocks_into(raw: &[u8], block_size: usize, out: &mut Vec<u8>) {
     if block_size == 0 {
         return;
     }
-    lz::Encoder::new(raw).finish(out);
+    lz::Encoder::new(raw, &mut lz::MatchTables::default()).finish(out);
 }
 
 /// Decode a [`MigMessage::CompressedBlocks`] (or

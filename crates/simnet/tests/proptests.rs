@@ -133,6 +133,32 @@ fn arb_batch() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// A unit of noise, at least 32 KiB of byte runs, the unit again and
+/// one more unit: the repeat's one match is too far back for a 2-byte
+/// offset, so its stream carries the 3-byte form.
+fn arb_far_batch() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(any::<u8>(), UNIT),
+        any::<u8>(),
+        (32 * 1024usize).div_ceil(UNIT)..64,
+        arb_unit(),
+    )
+        .prop_map(|(head, first_byte, runs, tail)| {
+            let mut batch = head.clone();
+            for run in 0..runs {
+                batch.resize(batch.len() + UNIT, first_byte.wrapping_add(run as u8));
+            }
+            batch.extend_from_slice(&head);
+            batch.extend_from_slice(&tail);
+            batch
+        })
+}
+
+/// Batches of either shape.
+fn arb_any_batch() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![arb_batch(), arb_far_batch()]
+}
+
 /// `stream` with `flips` (bit index, wrapped to the stream) toggled.
 fn flipped(mut stream: Vec<u8>, flips: &[usize]) -> Vec<u8> {
     for &bit in flips {
@@ -231,13 +257,24 @@ proptest! {
     }
 
     /// A batch of any mix of units round-trips as one stream, no longer
-    /// than its own bytes behind a literal count.
+    /// than its own bytes behind a literal count, repeats too far back for
+    /// a 2-byte offset included.
     #[test]
-    fn lz_batch_roundtrips(batch in arb_batch()) {
+    fn lz_batch_roundtrips(batch in arb_any_batch()) {
         let stream = compress_blocks(&batch, UNIT);
         prop_assert!(stream.len() <= batch.len() + batch.len() / 255 + 16);
         let back = decompress_blocks(&stream, batch.len() / UNIT, UNIT);
         prop_assert_eq!(back.ok(), Some(batch));
+    }
+
+    /// ...and the far repeat crosses as a match, not as its literals: the
+    /// 3-byte form is what these batches exercise. A run unit costs 7
+    /// bytes, the head and the tail at most their own bytes and a count.
+    #[test]
+    fn lz_far_repeat_is_one_match(batch in arb_far_batch()) {
+        let runs = batch.len() / UNIT - 3;
+        let stream = compress_blocks(&batch, UNIT);
+        prop_assert!(stream.len() < 2 * UNIT + 10 * runs + 32, "{} bytes", stream.len());
     }
 
     /// `decompress_blocks` is total on arbitrary bytes, whatever count
@@ -257,7 +294,7 @@ proptest! {
     /// exactly the claimed size.
     #[test]
     fn lz_decoder_total_on_damaged_streams(
-        batch in arb_batch(),
+        batch in arb_any_batch(),
         flips in prop::collection::vec(any::<usize>(), 1..4),
         cut in 1usize..64,
         count in 0usize..12,

@@ -95,6 +95,15 @@ impl VirtualDisk {
             .collect()
     }
 
+    /// [`hash_block`] of block `idx`, hashed in place under one read lock
+    /// as [`Self::hash_all`] hashes every block: no copy of it is made.
+    pub fn hash_block_at(&self, idx: usize) -> u64 {
+        match self.storage.read().resident_block(idx) {
+            Some(block) => hash_block(block),
+            None => hash_block(&vec![0u8; self.block_size()]),
+        }
+    }
+
     /// FNV-1a fingerprint of one block's contents.
     pub fn fingerprint(&self, idx: usize) -> u64 {
         fingerprint_block(&self.read_block(idx))

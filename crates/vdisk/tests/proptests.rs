@@ -227,19 +227,23 @@ proptest! {
         }
     }
 
-    /// `hash_all` is `hash_block(read_block(b))` for every block — on a
-    /// blank disk, after any writes, and whether zeroes were written to a
-    /// block that held data or to one never touched (stamp 0 = zeroes).
+    /// `hash_all`, and `hash_block_at` block by block, are
+    /// `hash_block(read_block(b))` for every block — on a blank disk,
+    /// after any writes, and whether zeroes were written to a block that
+    /// held data or to one never touched (stamp 0 = zeroes).
     #[test]
     fn hash_all_equals_hashing_every_block(
         writes in prop::collection::vec((0usize..BLOCKS, 0u64..3), 0..80),
     ) {
         for disk in [VirtualDisk::dense(BS, BLOCKS), VirtualDisk::sparse(BS, BLOCKS)] {
+            let in_place = |disk: &VirtualDisk| (0..BLOCKS).map(|b| disk.hash_block_at(b)).collect::<Vec<_>>();
             prop_assert_eq!(disk.hash_all(), hash_each(&disk));
+            prop_assert_eq!(in_place(&disk), hash_each(&disk));
             for &(b, s) in &writes {
                 disk.write_block(b, &block_bytes(b, s));
             }
             prop_assert_eq!(disk.hash_all(), hash_each(&disk));
+            prop_assert_eq!(in_place(&disk), hash_each(&disk));
         }
     }
 

@@ -16,15 +16,12 @@ fn build(which: usize) -> Box<dyn Workload> {
         None => {
             let mut web = WorkloadKind::Web.build(BLOCKS);
             let step = SimDuration::from_millis(100);
-            let mut trace = record(
+            let trace = record(
                 web.as_mut(),
                 SimDuration::from_secs(3),
                 step,
                 &mut SimRng::new(9),
             );
-            // Replay reads offsets in order; a recording keeps each step's
-            // ops in generation order, which is not time order.
-            trace.ops.sort_by_key(|op| op.offset());
             let demand = TraceWorkload::demand_of(&trace, 4096);
             Box::new(TraceWorkload::new(trace, demand).looped())
         }
