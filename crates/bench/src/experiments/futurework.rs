@@ -2,14 +2,19 @@
 //!
 //! * Guest-assisted sparse migration (skip free blocks),
 //! * template-based migration (ship only writes-since-install),
-//! * multi-site IM with storage version maintenance.
+//! * multi-site IM with storage version maintenance, run on the fleet
+//!   orchestrator's replica table.
 
 use block_bitmap::{DirtyMap, FlatBitmap};
-use des::SimDuration;
+use des::{SimDuration, SimTime};
 use migrate::sim::{
-    reserve_workload_blocks, run_sparse_migration, run_template_migration, run_tpm, MultiSiteVm,
+    reserve_workload_blocks, run_sparse_migration, run_template_migration, run_tpm,
+};
+use orchestrator::{
+    ClusterConfig, HostId, MigrationRecord, MigrationRequest, Orchestrator, Policy, Scenario, VmId,
 };
 use serde_json::json;
+use telemetry::Recorder;
 use workloads::WorkloadKind;
 
 use crate::render::Table;
@@ -35,15 +40,13 @@ pub fn run(scale: Scale) -> ExpResult {
     }
     let template = run_template_migration(cfg.clone(), WorkloadKind::Web, since_install).report;
 
-    // --- multi-site: office -> home -> office -> lab -> office ---
-    let mut vm = MultiSiteVm::new(cfg.clone(), WorkloadKind::Web, &["office", "home", "lab"]);
-    let hop1 = vm.migrate_to("home");
-    vm.run_for(SimDuration::from_secs(600));
-    let hop2 = vm.migrate_to("office");
-    vm.run_for(SimDuration::from_secs(600));
-    let hop3 = vm.migrate_to("lab"); // never visited: full
-    vm.run_for(SimDuration::from_secs(600));
-    let hop4 = vm.migrate_to("home"); // visited: incremental
+    // --- multi-site: office (0) -> home (1) -> office -> lab (2) -> home ---
+    let hops = multisite_tour(
+        cfg.disk_blocks,
+        cfg.mem_pages,
+        &[1, 0, 2, 1],
+        SimDuration::from_secs(600),
+    );
 
     let mut t = Table::new(&["scheme", "total (s)", "disk data (MB)", "consistent"]);
     for (name, r) in [
@@ -58,18 +61,19 @@ pub fn run(scale: Scale) -> ExpResult {
             format!("{}", r.consistent),
         ]);
     }
-    let mut hops = Table::new(&["hop", "first pass (blocks)", "total (s)", "data (MB)"]);
-    for (name, r) in [
-        ("office->home (first visit)", &hop1),
-        ("home->office (revisit)", &hop2),
-        ("office->lab (first visit)", &hop3),
-        ("lab->home (revisit)", &hop4),
-    ] {
-        hops.row(&[
+    let mut tour = Table::new(&["hop", "first pass (blocks)", "total (s)", "data (MB)"]);
+    let names = [
+        "office->home (first visit)",
+        "home->office (revisit)",
+        "office->lab (first visit)",
+        "lab->home (revisit)",
+    ];
+    for (name, r) in names.into_iter().zip(&hops) {
+        tour.row(&[
             name.into(),
-            format!("{}", r.disk_iterations[0].units_sent),
-            format!("{:.1}", r.total_time_secs),
-            format!("{:.0}", r.migrated_mb()),
+            format!("{}", r.first_pass_blocks),
+            format!("{:.1}", r.total_secs()),
+            format!("{:.0}", r.bytes as f64 / 1048576.0),
         ]);
     }
 
@@ -81,7 +85,7 @@ pub fn run(scale: Scale) -> ExpResult {
         free_count,
         cfg.disk_blocks,
         t.render(),
-        hops.render()
+        tour.render()
     );
 
     let json = json!({
@@ -89,10 +93,8 @@ pub fn run(scale: Scale) -> ExpResult {
         "full": super::compact(&full),
         "sparse": super::compact(&sparse),
         "template": super::compact(&template),
-        "multisite_hops": [
-            super::compact(&hop1), super::compact(&hop2),
-            super::compact(&hop3), super::compact(&hop4),
-        ],
+        "multisite_hops": hops,
+        "disk_blocks": cfg.disk_blocks,
         "free_blocks": free_count,
     });
     ExpResult {
@@ -101,4 +103,44 @@ pub fn run(scale: Scale) -> ExpResult {
         human,
         json,
     }
+}
+
+/// §VII's multi-site tour on the fleet orchestrator: one web VM on a
+/// three-host fleet, starting on host 0. Each hop is one
+/// [`Orchestrator::run`] of one request pinned to the next host of
+/// `route`; every hop but the first waits `dwell` for its turn while the
+/// guest keeps writing. The replica table keeps the image each host was
+/// left with, so a hop back to a host ships only what changed since, and
+/// a host never visited gets the whole disk.
+///
+/// # Panics
+/// Panics when a hop fails or does not verify block-exact.
+pub fn multisite_tour(
+    disk_blocks: usize,
+    mem_pages: usize,
+    route: &[usize],
+    dwell: SimDuration,
+) -> Vec<MigrationRecord> {
+    let mut cfg = ClusterConfig::new(3, 1);
+    cfg.disk_blocks = disk_blocks;
+    cfg.mem_pages = mem_pages;
+    cfg.workload_cycle = vec![WorkloadKind::Web];
+    let mut orch = Orchestrator::new(cfg, Policy::ImAware, Recorder::off()).expect("valid tour");
+    let mut at = SimTime::ZERO;
+    let mut hops = Vec::with_capacity(route.len());
+    for &host in route {
+        let request = MigrationRequest {
+            vm: VmId(0),
+            dest: Some(HostId(host)),
+            at,
+        };
+        let report = orch.run(&Scenario {
+            requests: vec![request],
+        });
+        let hop = report.records.into_iter().next().expect("the hop ran");
+        assert!(hop.completed && hop.consistent, "hop to h{host}: {hop:?}");
+        hops.push(hop);
+        at = SimTime::ZERO + dwell;
+    }
+    hops
 }

@@ -1,526 +1,276 @@
-//! Argument parsing (std-only, no external parser).
+//! Argument parsing (std-only, no external parser). Each flag is
+//! declared once, in [`FLAGS`]: its name, the value it takes, its
+//! default, its check and the field it sets. Each subcommand lists the
+//! flags it reads: any other flag is an error, and the usage synopsis is
+//! printed from the same lists.
 
 use orchestrator::Policy;
 use workloads::WorkloadKind;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-usage:
-  vmmigrate simulate   --workload KIND [--scale paper|ci] [--rate-limit MBPS]
-                       [--bitmap flat|layered] [--streams N] [--seed N] [--json]
-                       [--no-dedup] [--no-compress] [--sources N]
-                       [--no-multisource] [--trace-out FILE] [--metrics-out FILE]
-  vmmigrate roundtrip  --workload KIND [--scale paper|ci] [--dwell SECS] [--json]
-  vmmigrate live       [--blocks N] [--workload KIND] [--rate-limit MBPS]
-                       [--streams N] [--seed N] [--tcp] [--faults N]
-                       [--max-reconnects N] [--no-dedup] [--no-compress]
-                       [--sources N] [--no-multisource]
-                       [--trace-out FILE] [--metrics-out FILE]
-  vmmigrate baselines  --workload KIND [--scale paper|ci] [--json]
-  vmmigrate orchestrate [--hosts N] [--vms N]
-                       [--policy fifo|srdf|im-aware|cycle-aware]
-                       [--blocks N] [--seed N] [--faults N] [--dwell SECS]
-                       [--no-dedup] [--no-multisource] [--scenario FILE]
-                       [--json] [--trace-out FILE] [--metrics-out FILE]
-  vmmigrate trace record  --workload KIND --secs N --out FILE
-  vmmigrate trace analyze FILE        (an op trace, or a --trace-out journal)
-
-KIND: web | video | diabolical | kernel-build | idle
-
-orchestrate runs a deterministic virtual-time cluster: every VM is
-evacuated at t=0, dwells, then migrates again, with concurrent streams
-contending for per-host NIC/disk capacity under the chosen scheduling
-policy (im-aware returns VMs to hosts holding stale replicas, so the
-second wave ships only bitmap diffs).
-
---trace-out writes the telemetry event journal (JSONL) and prints a phase
-summary; --metrics-out writes a JSON metrics snapshot. Either flag enables
-the recorder; without them telemetry stays disabled (a single relaxed
-atomic load per call site).
-
-Content-aware transfer is on by default: blocks the destination provably
-already holds cross as 16-byte references (dedup), and the data plane is
-allowed to compress residual full blocks on the wire. simulate always
-does. live is allowed to, for blocks and for memory pages (pre-copy and
-frozen tail), and decides per batch: it compresses only while a byte
-costs more on the link than LZ costs to save it, so a rate-limited link
-compresses and an idle in-process one ships raw. live likewise
-fingerprints blocks only on a link whose bytes cost something: unpaced,
-in-process or --tcp on one host, the link is free and the run is the
---no-dedup --no-compress run ('content-aware: not used: the link is
-free'). --no-dedup / --no-compress restore the classic data plane exactly
-on any link (bit-identical reports; live RAM is raw page frames whatever
-the link); --dedup / --compress re-allow after a --no-* earlier on the
-command line.
-
-orchestrate --scenario FILE runs a declarative .scn chaos scenario
-instead of the built-in two-wave run: the file declares the fleet
-(hosts, vms, seed, policy), islands, WAN links, per-host capacities,
-workload cycles, and a virtual-time schedule of partitions, heals,
-host crashes, link degrades, and rolling maintenance waves (see
-scenarios/*.scn). The spec's fleet geometry wins over --hosts/--vms;
-its policy and seed (if set) win over --policy and --seed.
-
-Multi-source transfer is on by default. simulate --sources N runs the
-template-clone fan-in scenario: N peer hosts hold the golden image the
-migrating VM was cloned from, and the block directory plans owed full
-blocks across them under per-host NIC budgets. live --sources N registers
-N shared-storage replica holders as failover peers: if the source dies
-with its reconnect budget exhausted, the destination completes the image
-from the survivors. --no-multisource (all subcommands) restores the
-single-source engine exactly (bit-identical reports).";
+use Flag::{Switch, Value};
 
 /// Parsed command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cmd {
     /// One simulated TPM migration.
-    Simulate(SimArgs),
+    Simulate(Args),
     /// TPM out, dwell, IM back.
-    Roundtrip(SimArgs),
+    Roundtrip(Args),
     /// Live threaded migration.
-    Live(LiveArgs),
+    Live(Args),
     /// Compare TPM with the three baselines.
-    Baselines(SimArgs),
+    Baselines(Args),
     /// Deterministic cluster run under a scheduling policy.
-    Orchestrate(OrchArgs),
-    /// Record a workload trace to a JSON file.
+    Orchestrate(Args),
+    /// Record `secs` virtual seconds of a workload's ops to the file `out`.
     TraceRecord {
-        /// Workload to record.
         workload: WorkloadKind,
-        /// Virtual seconds to record.
         secs: u64,
-        /// Output path.
         out: String,
     },
-    /// Analyze a recorded op trace's write locality, or summarize a
-    /// `--trace-out` telemetry journal.
-    TraceAnalyze {
-        /// Input path.
-        path: String,
-    },
+    /// Analyze a recorded op trace, or summarize a `--trace-out` journal.
+    TraceAnalyze { path: String },
 }
 
-/// Options shared by the simulated subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimArgs {
+/// Every subcommand's options, one field per flag. A subcommand sets the
+/// fields of the flags it reads (defaults, then its command line) only.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Args {
     pub workload: WorkloadKind,
     pub paper_scale: bool,
     pub rate_limit_mbps: Option<f64>,
     pub layered: bool,
-    /// Parallel disk data-plane streams (word-aligned bitmap shards).
     pub streams: usize,
-    /// Content-addressed dedup (on by default; `--no-dedup` disables).
     pub dedup: bool,
-    /// Allow wire compression of residual full blocks (`--no-compress`
-    /// forbids it).
     pub compress: bool,
-    /// Multi-source block fetch (`--no-multisource` disables).
     pub multisource: bool,
-    /// Template-clone fan-in: this many peer hosts hold the golden image
-    /// (0 = classic two-host migration).
     pub sources: usize,
     pub seed: u64,
     pub dwell_secs: u64,
     pub json: bool,
-    /// Write the telemetry event journal (JSONL) here.
     pub trace_out: Option<String>,
-    /// Write a JSON metrics snapshot here.
     pub metrics_out: Option<String>,
-}
-
-impl Default for SimArgs {
-    fn default() -> Self {
-        Self {
-            workload: WorkloadKind::Web,
-            paper_scale: true,
-            rate_limit_mbps: None,
-            layered: false,
-            streams: 1,
-            dedup: true,
-            compress: true,
-            multisource: true,
-            sources: 0,
-            seed: 2008,
-            dwell_secs: 1500,
-            json: false,
-            trace_out: None,
-            metrics_out: None,
-        }
-    }
-}
-
-/// Options for the live subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveArgs {
-    pub workload: WorkloadKind,
     pub blocks: usize,
-    pub rate_limit_mbps: Option<f64>,
-    /// Parallel disk data-plane streams (word-aligned bitmap shards).
-    pub streams: usize,
-    /// Content-addressed dedup (on by default; `--no-dedup` disables).
-    pub dedup: bool,
-    /// Allow wire compression of residual full blocks and memory pages;
-    /// the engine uses it only while the link pays for it
-    /// (`--no-compress` forbids it).
-    pub compress: bool,
-    /// Multi-source failover (`--no-multisource` disables).
-    pub multisource: bool,
-    /// Register this many shared-storage replica holders as failover
-    /// peers (0 = classic two-host migration).
-    pub sources: usize,
-    pub seed: u64,
-    /// Run over real loopback TCP sockets instead of in-process channels.
     pub tcp: bool,
-    /// Inject this many seeded connection resets mid-migration; the
-    /// engine must reconnect and resume from the block-bitmap.
     pub faults: u32,
-    /// Reconnect attempts permitted after the initial connection.
     pub max_reconnects: u32,
-    /// Write the telemetry event journal (JSONL) here.
-    pub trace_out: Option<String>,
-    /// Write a JSON metrics snapshot here.
-    pub metrics_out: Option<String>,
-}
-
-impl Default for LiveArgs {
-    fn default() -> Self {
-        Self {
-            workload: WorkloadKind::Web,
-            blocks: 65_536,
-            rate_limit_mbps: None,
-            streams: 1,
-            dedup: true,
-            compress: true,
-            multisource: true,
-            sources: 0,
-            seed: 2008,
-            tcp: false,
-            faults: 0,
-            max_reconnects: 3,
-            trace_out: None,
-            metrics_out: None,
-        }
-    }
-}
-
-/// Options for the orchestrate subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrchArgs {
     pub hosts: usize,
     pub vms: usize,
     pub policy: Policy,
-    pub blocks: usize,
-    /// Content-addressed dedup in the cluster data plane (`--no-dedup`
-    /// disables; byte accounting only, pacing is unchanged).
-    pub dedup: bool,
-    /// Multi-source peer-served accounting (`--no-multisource` disables;
-    /// byte- and clock-identical either way).
-    pub multisource: bool,
-    pub seed: u64,
-    /// Seeded connection resets injected per migration stream.
-    pub faults: u32,
-    /// Dwell between the evacuation wave and the return wave.
-    pub dwell_secs: u64,
-    pub json: bool,
-    /// Run a declarative `.scn` chaos scenario from this file instead
-    /// of the built-in two-wave run.
     pub scenario: Option<String>,
-    /// Write the telemetry event journal (JSONL) here.
-    pub trace_out: Option<String>,
-    /// Write a JSON metrics snapshot here.
-    pub metrics_out: Option<String>,
+    pub secs: u64,
+    pub out: String,
 }
 
-impl Default for OrchArgs {
-    fn default() -> Self {
-        Self {
-            hosts: 4,
-            vms: 8,
-            policy: Policy::ImAware,
-            blocks: 65_536,
-            dedup: true,
-            multisource: true,
-            seed: 2008,
-            faults: 0,
-            dwell_secs: 30,
-            json: false,
-            scenario: None,
-            trace_out: None,
-            metrics_out: None,
-        }
+#[derive(Clone, Copy)]
+enum Flag {
+    /// `Switch(name, field)`: `--NAME` sets the field, off by default;
+    /// `--no-NAME` clears a field on by default, and `--NAME` sets it again.
+    Switch(&'static str, fn(&mut Args) -> &mut bool),
+    /// `Value(name, META, default, set)`: `set` gets the value (or the
+    /// default) and the subcommand, checks the value and sets the field.
+    Value(&'static str, &'static str, Option<&'static str>, Set),
+}
+
+type Set = fn(&mut Args, &str, &str) -> Result<(), String>;
+
+/// Every flag, once.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Value("--workload", "KIND", Some("web"), |a, v, _| {
+        let kinds = [("web", WorkloadKind::Web), ("video", WorkloadKind::Video),
+            ("diabolical", WorkloadKind::Diabolical), ("kernel-build", WorkloadKind::KernelBuild),
+            ("kernel", WorkloadKind::KernelBuild), ("idle", WorkloadKind::Idle)];
+        choice(v, &kinds).map(|w| a.workload = w)
+    }),
+    Value("--scale", "paper|ci", Some("paper"), |a, v, _| {
+        choice(v, &[("paper", true), ("ci", false), ("small", false)]).map(|p| a.paper_scale = p)
+    }),
+    Value("--rate-limit", "MBPS", None, |a, v, _| {
+        let mbps = v.parse::<f64>().ok().filter(|r| *r > 0.0 && r.is_finite());
+        a.rate_limit_mbps = Some(mbps.ok_or("must be a positive number (MB/s)")?);
+        Ok(())
+    }),
+    Value("--bitmap", "flat|layered", Some("flat"), |a, v, _| {
+        choice(v, &[("flat", false), ("layered", true)]).map(|l| a.layered = l)
+    }),
+    Value("--blocks", "N", Some("65536"), |a, v, sub| {
+        // A live disk holds real bytes; a fleet's must fit the paper workloads.
+        at_least(v, if sub == "live" { 16_384 } else { 8_192 }).map(|n| a.blocks = n)
+    }),
+    Value("--policy", "fifo|srdf|im-aware|cycle-aware", Some("im-aware"), |a, v, _| {
+        let names: Vec<&str> = Policy::ALL.iter().map(|p| p.name()).collect();
+        a.policy = Policy::parse(v).ok_or(format!("unknown '{v}' ({})", names.join("|")))?;
+        Ok(())
+    }),
+    Value("--streams", "N", Some("1"), |a, v, _| at_least(v, 1).map(|n| a.streams = n)),
+    Value("--hosts", "N", Some("4"), |a, v, _| at_least(v, 2).map(|n| a.hosts = n)),
+    Value("--vms", "N", Some("8"), |a, v, _| at_least(v, 1).map(|n| a.vms = n)),
+    Value("--seed", "N", Some("2008"), |a, v, _| int(v).map(|n| a.seed = n)),
+    Value("--dwell", "SECS", Some("1500"), |a, v, _| int(v).map(|n| a.dwell_secs = n)),
+    Value("--sources", "N", Some("0"), |a, v, _| int(v).map(|n| a.sources = n)),
+    Value("--faults", "N", Some("0"), |a, v, _| int(v).map(|n| a.faults = n)),
+    Value("--max-reconnects", "N", Some("3"), |a, v, _| int(v).map(|n| a.max_reconnects = n)),
+    Value("--secs", "N", None, |a, v, _| int(v).map(|n| a.secs = n)),
+    Value("--scenario", "FILE", None, |a, v, _| { a.scenario = Some(v.into()); Ok(()) }),
+    Value("--trace-out", "FILE", None, |a, v, _| { a.trace_out = Some(v.into()); Ok(()) }),
+    Value("--metrics-out", "FILE", None, |a, v, _| { a.metrics_out = Some(v.into()); Ok(()) }),
+    Value("--out", "FILE", None, |a, v, _| { a.out = v.into(); Ok(()) }),
+    Switch("--json", |a| &mut a.json),
+    Switch("--tcp", |a| &mut a.tcp),
+    Switch("--no-dedup", |a| &mut a.dedup),
+    Switch("--no-compress", |a| &mut a.compress),
+    Switch("--no-multisource", |a| &mut a.multisource),
+];
+
+impl Flag {
+    fn name(self) -> &'static str {
+        let (Switch(name, _) | Value(name, ..)) = self;
+        name
     }
-}
 
-fn parse_orch(rest: &[String]) -> Result<OrchArgs, String> {
-    let mut a = OrchArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--hosts" => {
-                a.hosts = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "hosts must be an integer".to_string())?;
-                if a.hosts < 2 {
-                    return Err("orchestrate needs at least 2 hosts".into());
-                }
-            }
-            "--vms" => {
-                a.vms = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "vms must be an integer".to_string())?;
-                if a.vms == 0 {
-                    return Err("orchestrate needs at least 1 VM".into());
-                }
-            }
-            "--policy" => {
-                let s = need(&mut it, flag)?;
-                a.policy = Policy::parse(s)
-                    .ok_or_else(|| format!("unknown policy '{s}' (fifo|srdf|im-aware)"))?;
-            }
-            "--blocks" => {
-                a.blocks = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "blocks must be an integer".to_string())?;
-                if a.blocks < 8_192 {
-                    return Err("orchestrate needs at least 8192 blocks per VM".into());
-                }
-            }
-            "--seed" => {
-                a.seed = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "seed must be an integer".to_string())?
-            }
-            "--faults" => {
-                a.faults = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "faults must be an integer".to_string())?
-            }
-            "--dwell" => {
-                a.dwell_secs = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "dwell must be an integer (seconds)".to_string())?
-            }
-            "--dedup" => a.dedup = true,
-            "--no-dedup" => a.dedup = false,
-            "--multisource" => a.multisource = true,
-            "--no-multisource" => a.multisource = false,
-            "--json" => a.json = true,
-            "--scenario" => a.scenario = Some(need(&mut it, flag)?.clone()),
-            "--trace-out" => a.trace_out = Some(need(&mut it, flag)?.clone()),
-            "--metrics-out" => a.metrics_out = Some(need(&mut it, flag)?.clone()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(a)
-}
-
-fn parse_workload(s: &str) -> Result<WorkloadKind, String> {
-    match s {
-        "web" => Ok(WorkloadKind::Web),
-        "video" => Ok(WorkloadKind::Video),
-        "diabolical" => Ok(WorkloadKind::Diabolical),
-        "kernel-build" | "kernel" => Ok(WorkloadKind::KernelBuild),
-        "idle" => Ok(WorkloadKind::Idle),
-        other => Err(format!("unknown workload '{other}'")),
+    /// Is `token` this flag (or, for a `--no-NAME` switch, `--NAME`)?
+    fn accepts(self, token: &str) -> bool {
+        let positive = self.name().strip_prefix("--no-").map(|p| format!("--{p}"));
+        token == self.name() || matches!(self, Switch(..)) && positive.as_deref() == Some(token)
     }
 }
 
-fn need<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} requires a value"))
+/// A subcommand: the flags it reads (by name, in synopsis order), whether
+/// all of them are required, and the command it builds from them.
+struct Sub {
+    name: &'static str,
+    flags: &'static str,
+    required: bool,
+    build: fn(Args) -> Result<Cmd, String>,
 }
 
-fn parse_sim(rest: &[String]) -> Result<SimArgs, String> {
-    let mut a = SimArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--workload" => a.workload = parse_workload(need(&mut it, flag)?)?,
-            "--scale" => {
-                a.paper_scale = match need(&mut it, flag)?.as_str() {
-                    "paper" => true,
-                    "ci" | "small" => false,
-                    other => return Err(format!("unknown scale '{other}'")),
-                }
-            }
-            "--rate-limit" => {
-                let v: f64 = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "rate limit must be a number (MB/s)".to_string())?;
-                if v <= 0.0 {
-                    return Err("rate limit must be positive".into());
-                }
-                a.rate_limit_mbps = Some(v);
-            }
-            "--bitmap" => {
-                a.layered = match need(&mut it, flag)?.as_str() {
-                    "flat" => false,
-                    "layered" => true,
-                    other => return Err(format!("unknown bitmap kind '{other}'")),
-                }
-            }
-            "--streams" => {
-                a.streams = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "streams must be an integer".to_string())?;
-                if a.streams == 0 {
-                    return Err("streams must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                a.seed = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "seed must be an integer".to_string())?
-            }
-            "--dwell" => {
-                a.dwell_secs = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "dwell must be an integer (seconds)".to_string())?
-            }
-            "--dedup" => a.dedup = true,
-            "--no-dedup" => a.dedup = false,
-            "--compress" => a.compress = true,
-            "--no-compress" => a.compress = false,
-            "--multisource" => a.multisource = true,
-            "--no-multisource" => a.multisource = false,
-            "--sources" => {
-                a.sources = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "sources must be an integer".to_string())?
-            }
-            "--json" => a.json = true,
-            "--trace-out" => a.trace_out = Some(need(&mut it, flag)?.clone()),
-            "--metrics-out" => a.metrics_out = Some(need(&mut it, flag)?.clone()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+impl Sub {
+    fn flags(&self) -> impl Iterator<Item = Flag> + '_ {
+        let named = |name| FLAGS.iter().copied().find(|f| f.name() == name);
+        self.flags.split_whitespace().filter_map(named)
     }
-    Ok(a)
 }
 
-fn parse_live(rest: &[String]) -> Result<LiveArgs, String> {
-    let mut a = LiveArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--workload" => a.workload = parse_workload(need(&mut it, flag)?)?,
-            "--blocks" => {
-                a.blocks = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "blocks must be an integer".to_string())?;
-                if a.blocks < 16_384 {
-                    return Err("live mode needs at least 16384 blocks".into());
-                }
-            }
-            "--rate-limit" => {
-                let v: f64 = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "rate limit must be a number (MB/s)".to_string())?;
-                a.rate_limit_mbps = Some(v);
-            }
-            "--streams" => {
-                a.streams = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "streams must be an integer".to_string())?;
-                if a.streams == 0 {
-                    return Err("streams must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                a.seed = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "seed must be an integer".to_string())?
-            }
-            "--dedup" => a.dedup = true,
-            "--no-dedup" => a.dedup = false,
-            "--compress" => a.compress = true,
-            "--no-compress" => a.compress = false,
-            "--multisource" => a.multisource = true,
-            "--no-multisource" => a.multisource = false,
-            "--sources" => {
-                a.sources = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "sources must be an integer".to_string())?
-            }
-            "--tcp" => a.tcp = true,
-            "--faults" => {
-                a.faults = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "faults must be an integer".to_string())?
-            }
-            "--max-reconnects" => {
-                a.max_reconnects = need(&mut it, flag)?
-                    .parse()
-                    .map_err(|_| "max-reconnects must be an integer".to_string())?
-            }
-            "--trace-out" => a.trace_out = Some(need(&mut it, flag)?.clone()),
-            "--metrics-out" => a.metrics_out = Some(need(&mut it, flag)?.clone()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
+#[rustfmt::skip]
+const SUBCOMMANDS: &[Sub] = &[
+    Sub { name: "simulate", required: false, build: |a| Ok(Cmd::Simulate(a)), flags: "--workload \
+        --scale --rate-limit --bitmap --streams --seed --json --no-dedup --no-compress --sources \
+        --no-multisource --trace-out --metrics-out" },
+    Sub { name: "roundtrip", required: false, build: |a| Ok(Cmd::Roundtrip(a)), flags: "--workload \
+        --scale --rate-limit --bitmap --streams --seed --dwell --json --no-dedup --no-compress \
+        --no-multisource" },
+    Sub { name: "live", required: false, build: live, flags: "--workload --blocks --rate-limit \
+        --streams --seed --tcp --faults --max-reconnects --no-dedup --no-compress --sources \
+        --no-multisource --trace-out --metrics-out" },
+    Sub { name: "baselines", required: false, build: |a| Ok(Cmd::Baselines(a)), flags: "--workload \
+        --scale --rate-limit --bitmap --streams --seed --json --no-dedup --no-compress \
+        --no-multisource" },
+    Sub { name: "orchestrate", required: false, build: |a| Ok(Cmd::Orchestrate(a)), flags: "--hosts \
+        --vms --policy --blocks --seed --faults --dwell --no-dedup --no-multisource --scenario \
+        --json --trace-out --metrics-out" },
+    Sub { name: "trace record", required: true, flags: "--workload --secs --out", build: |a| {
+        Ok(Cmd::TraceRecord { workload: a.workload, secs: a.secs, out: a.out })
+    } },
+];
+
+/// The live run's checks across flags.
+fn live(a: Args) -> Result<Cmd, String> {
+    let (f, r) = (a.faults, a.max_reconnects);
+    if f > r {
+        Err(format!("{f} faults need {f} reconnects, not {r}"))
+    } else if a.tcp && a.sources > 0 {
+        Err("--sources registers in-process replica holders; not with --tcp".into())
+    } else {
+        Ok(Cmd::Live(a))
     }
-    if a.faults > a.max_reconnects {
-        return Err(format!(
-            "{} faults cannot be survived with only {} reconnects",
-            a.faults, a.max_reconnects
-        ));
-    }
-    if a.tcp && a.sources > 0 {
-        return Err(
-            "--sources registers in-process replica holders; not available with --tcp".into(),
-        );
-    }
-    Ok(a)
+}
+
+fn int<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("'{v}' is not an integer"))
+}
+
+fn at_least(v: &str, min: usize) -> Result<usize, String> {
+    let (n, low) = (int(v)?, format!("must be at least {min}"));
+    (n >= min).then_some(n).ok_or(low)
+}
+
+/// What `v` names in `choices`.
+fn choice<T: Copy>(v: &str, choices: &[(&str, T)]) -> Result<T, String> {
+    let found = choices.iter().find(|(name, _)| *name == v).map(|&(_, t)| t);
+    found.ok_or(format!("unknown '{v}'"))
 }
 
 /// Parse a full argument vector.
 pub fn parse(argv: &[String]) -> Result<Cmd, String> {
-    let Some((sub, rest)) = argv.split_first() else {
-        return Err("missing subcommand".into());
+    let (name, rest) = match argv {
+        [] => return Err("missing subcommand".into()),
+        [trace, verb, rest @ ..] if trace == "trace" && verb == "analyze" => {
+            let path = rest.first().ok_or("trace analyze requires a file path")?;
+            return Ok(Cmd::TraceAnalyze { path: path.clone() });
+        }
+        [trace, verb, rest @ ..] if trace == "trace" => (format!("trace {verb}"), rest),
+        [sub, rest @ ..] => (sub.clone(), rest),
     };
-    match sub.as_str() {
-        "simulate" => Ok(Cmd::Simulate(parse_sim(rest)?)),
-        "roundtrip" => Ok(Cmd::Roundtrip(parse_sim(rest)?)),
-        "live" => Ok(Cmd::Live(parse_live(rest)?)),
-        "baselines" => Ok(Cmd::Baselines(parse_sim(rest)?)),
-        "orchestrate" => Ok(Cmd::Orchestrate(parse_orch(rest)?)),
-        "trace" => {
-            let Some((verb, rest)) = rest.split_first() else {
-                return Err("trace requires 'record' or 'analyze'".into());
-            };
-            match verb.as_str() {
-                "record" => {
-                    let mut workload = None;
-                    let mut secs = None;
-                    let mut out = None;
-                    let mut it = rest.iter();
-                    while let Some(flag) = it.next() {
-                        match flag.as_str() {
-                            "--workload" => workload = Some(parse_workload(need(&mut it, flag)?)?),
-                            "--secs" => {
-                                secs = Some(
-                                    need(&mut it, flag)?
-                                        .parse()
-                                        .map_err(|_| "secs must be an integer".to_string())?,
-                                )
-                            }
-                            "--out" => out = Some(need(&mut it, flag)?.clone()),
-                            other => return Err(format!("unknown flag '{other}'")),
-                        }
-                    }
-                    Ok(Cmd::TraceRecord {
-                        workload: workload.ok_or("trace record requires --workload")?,
-                        secs: secs.ok_or("trace record requires --secs")?,
-                        out: out.ok_or("trace record requires --out")?,
-                    })
-                }
-                "analyze" => {
-                    let path = rest.first().ok_or("trace analyze requires a file path")?;
-                    Ok(Cmd::TraceAnalyze { path: path.clone() })
-                }
-                other => Err(format!("unknown trace verb '{other}'")),
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        return Err(String::new());
+    }
+    let sub = SUBCOMMANDS.iter().find(|s| s.name == name);
+    let sub = sub.ok_or(format!("unknown subcommand '{name}'"))?;
+    let mut a = Args::default();
+    for flag in sub.flags() {
+        match flag {
+            Switch(name, field) => *field(&mut a) = name.starts_with("--no-"),
+            Value(_, _, Some(default), set) => set(&mut a, default, sub.name)?,
+            Value(..) => {}
+        }
+    }
+    if sub.name == "orchestrate" {
+        // The fleet's two waves are half a minute apart.
+        a.dwell_secs = 30;
+    }
+    let mut seen = Vec::new();
+    let mut tokens = rest.iter();
+    while let Some(token) = tokens.next() {
+        let flag = sub.flags().find(|f| f.accepts(token));
+        match flag.ok_or(format!("unknown flag '{token}'"))? {
+            Switch(_, field) => *field(&mut a) = !token.starts_with("--no-"),
+            Value(flag, _, _, set) => {
+                let v = tokens.next().ok_or(format!("{flag} requires a value"))?;
+                set(&mut a, v, sub.name).map_err(|e| format!("{flag} {v}: {e}"))?;
             }
         }
-        "--help" | "-h" | "help" => Err(String::new()),
-        other => Err(format!("unknown subcommand '{other}'")),
+        seen.push(token.as_str());
     }
+    let missing = sub.flags().find(|f| !seen.contains(&f.name()));
+    if let Some(flag) = missing.filter(|_| sub.required) {
+        return Err(format!("{name} requires {}", flag.name()));
+    }
+    (sub.build)(a)
+}
+
+/// Usage text: each subcommand's synopsis, printed from the flags it
+/// reads, then what the flags mean.
+pub fn usage() -> String {
+    let mut lines = vec!["usage:".to_string()];
+    for sub in SUBCOMMANDS {
+        let mut line = format!("  vmmigrate {:<12}", sub.name);
+        let (open, close) = if sub.required { ("", "") } else { ("[", "]") };
+        for flag in sub.flags() {
+            let word = match flag {
+                Switch(name, _) => format!("{open}{name}{close}"),
+                Value(name, meta, ..) => format!("{open}{name} {meta}{close}"),
+            };
+            if line.len() + word.len() >= 79 {
+                lines.push(std::mem::replace(&mut line, " ".repeat(24)));
+            }
+            line = line + " " + &word;
+        }
+        lines.push(line);
+    }
+    lines.push("  vmmigrate trace analyze FILE   (an op trace, or a --trace-out journal)".into());
+    // What the flags mean stays prose.
+    lines.join("\n") + "\n\n" + include_str!("usage.txt")
 }
 
 #[cfg(test)]
@@ -817,5 +567,51 @@ mod tests {
                 path: "/tmp/t.json".into()
             }
         );
+    }
+
+    #[test]
+    fn live_rejects_a_rate_limit_that_is_not_positive() {
+        for rate in ["0", "-3", "nan", "inf"] {
+            assert!(
+                parse(&v(&["live", "--rate-limit", rate])).is_err(),
+                "{rate}"
+            );
+        }
+        let Cmd::Live(a) = parse(&v(&["live", "--rate-limit", "10"])).expect("valid") else {
+            panic!("wrong cmd")
+        };
+        assert_eq!(a.rate_limit_mbps, Some(10.0));
+    }
+
+    #[test]
+    fn a_flag_its_subcommand_does_not_read_is_an_error() {
+        assert!(parse(&v(&["roundtrip", "--trace-out", "F"])).is_err());
+        assert!(parse(&v(&["baselines", "--sources", "2"])).is_err());
+        assert!(parse(&v(&["baselines", "--trace-out", "F"])).is_err());
+        assert!(parse(&v(&["simulate", "--dwell", "5"])).is_err());
+    }
+
+    #[test]
+    fn the_unknown_policy_message_names_every_policy() {
+        let err = parse(&v(&["orchestrate", "--policy", "lifo"])).expect_err("no such policy");
+        for policy in Policy::ALL {
+            assert!(err.contains(policy.name()), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_listed_flag_is_declared_and_in_the_synopsis() {
+        let text = usage();
+        for sub in SUBCOMMANDS {
+            assert_eq!(
+                sub.flags().count(),
+                sub.flags.split_whitespace().count(),
+                "{}",
+                sub.name
+            );
+            for flag in sub.flags() {
+                assert!(text.contains(flag.name()), "{}", flag.name());
+            }
+        }
     }
 }

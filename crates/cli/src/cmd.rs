@@ -18,38 +18,40 @@ use workloads::locality::analyze;
 
 use orchestrator::{ClusterConfig, Orchestrator, Scenario};
 
-use crate::args::{Cmd, LiveArgs, OrchArgs, SimArgs};
+use vmmigrate::args::{Args, Cmd};
 
 const MB: f64 = 1024.0 * 1024.0;
 
 /// An enabled recorder when either telemetry flag asks for one.
-fn recorder_for(trace_out: &Option<String>, metrics_out: &Option<String>) -> Option<Arc<Recorder>> {
-    if trace_out.is_some() || metrics_out.is_some() {
-        Some(Recorder::enabled())
-    } else {
-        None
-    }
+fn recorder_for(a: &Args) -> Option<Arc<Recorder>> {
+    (a.trace_out.is_some() || a.metrics_out.is_some()).then(Recorder::enabled)
 }
 
 /// Write the journal / metrics snapshot a run recorded and print the
-/// phase summary reconstructed from the journal.
-fn export_telemetry(
-    rec: &Recorder,
-    trace_out: &Option<String>,
-    metrics_out: &Option<String>,
-) -> Result<(), String> {
-    if let Some(path) = trace_out {
+/// phase summary reconstructed from a one-migration journal.
+fn export_telemetry(rec: &Recorder, a: &Args) -> Result<(), String> {
+    if let Some(path) = &a.trace_out {
         let records = rec.records();
         std::fs::write(path, telemetry::to_jsonl(&records))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("telemetry journal: {} records -> {path}", records.len());
-        print!("{}", telemetry::phase_summary(&records));
-        print!("{}", telemetry::codec_summary(rec.metrics()));
+        // A fleet journal holds per-migration spans, not one migration's
+        // phase events.
+        let migrations = telemetry::migration_ids(&records).len();
+        if migrations > 0 {
+            println!(
+                "telemetry journal: {} records across {migrations} migrations -> {path}",
+                records.len()
+            );
+        } else {
+            println!("telemetry journal: {} records -> {path}", records.len());
+            print!("{}", telemetry::phase_summary(&records));
+            print!("{}", telemetry::codec_summary(rec.metrics()));
+        }
         if rec.dropped() > 0 {
             println!("warning: journal full, {} events dropped", rec.dropped());
         }
     }
-    if let Some(path) = metrics_out {
+    if let Some(path) = &a.metrics_out {
         std::fs::write(path, telemetry::metrics_json(rec.metrics()))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("metrics snapshot -> {path}");
@@ -57,7 +59,7 @@ fn export_telemetry(
     Ok(())
 }
 
-fn config_for(a: &SimArgs) -> MigrationConfig {
+fn config_for(a: &Args) -> MigrationConfig {
     let mut cfg = if a.paper_scale {
         MigrationConfig::paper_testbed()
     } else {
@@ -119,7 +121,7 @@ fn print_engine_speed(virt_secs: f64, started: Instant) {
 pub fn run(cmd: Cmd) -> Result<(), String> {
     match cmd {
         Cmd::Simulate(a) => {
-            let rec = recorder_for(&a.trace_out, &a.metrics_out);
+            let rec = recorder_for(&a);
             let cfg = config_for(&a);
             let started = Instant::now();
             let out = if a.sources > 0 {
@@ -147,7 +149,7 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
                 print_engine_speed(out.report.total_time_secs, started);
             }
             if let Some(r) = &rec {
-                export_telemetry(r, &a.trace_out, &a.metrics_out)?;
+                export_telemetry(r, &a)?;
             }
             if !out.report.consistent {
                 return Err("migration verified INCONSISTENT".into());
@@ -234,8 +236,8 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
     }
 }
 
-fn run_orchestrate(a: OrchArgs) -> Result<(), String> {
-    let rec = recorder_for(&a.trace_out, &a.metrics_out);
+fn run_orchestrate(a: Args) -> Result<(), String> {
+    let rec = recorder_for(&a);
     let recorder = rec.clone().unwrap_or_else(Recorder::off);
     let started = Instant::now();
     let report = if let Some(path) = &a.scenario {
@@ -271,26 +273,7 @@ fn run_orchestrate(a: OrchArgs) -> Result<(), String> {
         print_engine_speed(report.makespan_secs(), started);
     }
     if let Some(r) = &rec {
-        // The cluster journal holds per-migration spans, not the
-        // single-migration phase events `export_telemetry` summarizes.
-        if let Some(path) = &a.trace_out {
-            let records = r.records();
-            std::fs::write(path, telemetry::to_jsonl(&records))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            println!(
-                "telemetry journal: {} records across {} migrations -> {path}",
-                records.len(),
-                telemetry::migration_ids(&records).len()
-            );
-            if r.dropped() > 0 {
-                println!("warning: journal full, {} events dropped", r.dropped());
-            }
-        }
-        if let Some(path) = &a.metrics_out {
-            std::fs::write(path, telemetry::metrics_json(r.metrics()))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            println!("metrics snapshot -> {path}");
-        }
+        export_telemetry(r, &a)?;
     }
     if !report.all_consistent() {
         return Err("a migrated image verified INCONSISTENT".into());
@@ -305,8 +288,8 @@ fn run_orchestrate(a: OrchArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn run_live(a: LiveArgs) -> Result<(), String> {
-    let rec = recorder_for(&a.trace_out, &a.metrics_out);
+fn run_live(a: Args) -> Result<(), String> {
+    let rec = recorder_for(&a);
     let mut cfg = LiveConfig {
         num_blocks: a.blocks,
         workload: a.workload,
@@ -406,7 +389,7 @@ fn run_live(a: LiveArgs) -> Result<(), String> {
         );
     }
     if let Some(r) = &rec {
-        export_telemetry(r, &a.trace_out, &a.metrics_out)?;
+        export_telemetry(r, &a)?;
     }
     let bad = out.inconsistent_blocks();
     let bad_pages = out.inconsistent_pages();

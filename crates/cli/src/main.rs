@@ -1,21 +1,11 @@
 //! `vmmigrate` — command-line driver for block-bitmap whole-system VM
-//! migration.
-//!
-//! ```text
-//! vmmigrate simulate   --workload web [--scale paper|ci] [--rate-limit MB/s]
-//!                      [--bitmap flat|layered] [--seed N] [--json]
-//! vmmigrate roundtrip  --workload web [--dwell SECS] [--json]
-//! vmmigrate live       [--blocks N] [--workload web] [--rate-limit MB/s]
-//! vmmigrate baselines  --workload web [--json]
-//! vmmigrate orchestrate [--hosts N] [--vms N] [--policy fifo|srdf|im-aware]
-//! vmmigrate trace      record --workload web --secs N --out FILE
-//! vmmigrate trace      analyze FILE
-//! ```
+//! migration. `vmmigrate help` prints every subcommand's synopsis.
 
 #![forbid(unsafe_code)]
 
-mod args;
 mod cmd;
+
+use vmmigrate::args;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -28,7 +18,7 @@ fn main() {
         }
         Err(msg) => {
             eprintln!("{msg}\n");
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage());
             std::process::exit(2);
         }
     }

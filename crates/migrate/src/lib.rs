@@ -47,7 +47,7 @@ pub mod live;
 mod report;
 pub mod sim;
 
-pub use config::{BitmapKind, MigrationConfig, RetryPolicy};
+pub use config::{precopy_stops, BitmapKind, MigrationConfig, RetryPolicy};
 pub use report::{
     IterationStats, MigrationReport, MultiSourceReport, PeerBytes, PhaseTimings, PostCopyStats,
 };

@@ -24,6 +24,7 @@ use crate::live::plane::{
     read_batch, send_disk_worklist, send_page_worklist, sync_barrier, DedupCtx,
 };
 use crate::live::{fingerprinting_pays, Connector, DriverCtl, LiveConfig, MigrationError};
+use crate::precopy_stops;
 
 /// Where the source protocol stands; advanced only on confirmed sends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -380,7 +381,7 @@ fn source_disk_precopy<T: Transport>(
             side: Side::Source,
             set_bits: dirty as u64,
         });
-        if dirty <= cfg.dirty_threshold || iter >= cfg.max_iterations {
+        if precopy_stops(iter, cfg.max_iterations, count, dirty, cfg.dirty_threshold) {
             // The residual set is NOT sent: it becomes the freeze-phase
             // bitmap (the paper ships the bitmap, not the blocks).
             st.frozen_bitmap = snap;
@@ -463,7 +464,13 @@ fn source_mem_precopy<T: Transport>(
             units_sent: count,
             dirty_at_end: remaining as u64,
         });
-        if remaining <= cfg.mem_dirty_threshold || iter >= cfg.max_mem_iterations {
+        if precopy_stops(
+            iter,
+            cfg.max_mem_iterations,
+            count,
+            remaining,
+            cfg.mem_dirty_threshold,
+        ) {
             // The set drained at the convergence decision has NOT been
             // sent; it must ride into the freeze tail or those pages are
             // silently lost.

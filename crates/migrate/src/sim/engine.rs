@@ -17,12 +17,40 @@ use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 use crate::report::{IterationStats, MigrationReport, MultiSourceReport, PeerBytes, PhaseTimings};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
 use crate::sim::tracker::DirtyTracker;
-use crate::MigrationConfig;
+use crate::{precopy_stops, MigrationConfig};
 
 /// The single migrating VM's id inside the engine's private
 /// [`BlockDirectory`] (the orchestrator uses real VM ids; a lone engine
 /// has only one image to name).
 const MS_VM: u64 = 0;
+
+/// One step of a paced transfer of `remaining` units at `rate`
+/// bytes/second: the step's length and the units that cross in it.
+/// `carry` holds the fractional unit between steps; the step shrinks so
+/// the last unit crosses exactly at its end, keeping phase timing exact.
+fn pace_step(
+    step: SimDuration,
+    rate: f64,
+    unit_bytes: f64,
+    remaining: u64,
+    carry: &mut f64,
+) -> (SimDuration, u64) {
+    let full_step_units = rate * step.as_secs_f64() / unit_bytes;
+    let dt = if full_step_units + *carry >= remaining as f64 {
+        SimDuration::from_secs_f64(((remaining as f64 - *carry).max(0.0) * unit_bytes) / rate)
+    } else {
+        step
+    };
+    let raw = *carry + rate * dt.as_secs_f64() / unit_bytes;
+    let mut n = (raw.floor() as u64).min(remaining);
+    *carry = raw - n as f64;
+    if dt == SimDuration::ZERO || (n == 0 && dt < step) {
+        // Numerical corner: force the last unit(s) through.
+        n = remaining;
+        *carry = 0.0;
+    }
+    (dt, n)
+}
 
 /// Everything a completed migration leaves behind: the report, the
 /// destination-side state the VM now runs on, and the IM tracker that a
@@ -378,20 +406,7 @@ impl TpmEngine {
         let mut carry = 0.0f64;
         let mut rr = 0usize;
         while sent < total {
-            let remaining = total - sent;
-            let full_step_blocks = rate * self.cfg.step.as_secs_f64() / bs as f64;
-            let dt = if full_step_blocks + carry >= remaining as f64 {
-                SimDuration::from_secs_f64(((remaining as f64 - carry).max(0.0) * bs as f64) / rate)
-            } else {
-                self.cfg.step
-            };
-            let raw = carry + rate * dt.as_secs_f64() / bs as f64;
-            let mut n = (raw.floor() as u64).min(remaining);
-            carry = raw - n as f64;
-            if dt == SimDuration::ZERO || (n == 0 && dt < self.cfg.step) {
-                n = remaining;
-                carry = 0.0;
-            }
+            let (dt, n) = pace_step(self.cfg.step, rate, bs as f64, total - sent, &mut carry);
             for _ in 0..n {
                 let (peer, b) = loop {
                     let lanes_len = lanes.len();
@@ -496,25 +511,13 @@ impl TpmEngine {
                 self.cfg.disk_stream_demand(),
             );
             debug_assert!(m_share > 0.0, "migration starved of disk bandwidth");
-            // Blocks transferable in a full step; shrink the step when the
-            // set is nearly done so phase timing stays exact.
-            let remaining = total - sent;
-            let full_step_blocks = m_share * self.cfg.step.as_secs_f64() / unit_bytes;
-            let dt = if full_step_blocks + self.block_carry >= remaining as f64 {
-                SimDuration::from_secs_f64(
-                    ((remaining as f64 - self.block_carry).max(0.0) * unit_bytes) / m_share,
-                )
-            } else {
-                self.cfg.step
-            };
-            let raw = self.block_carry + m_share * dt.as_secs_f64() / unit_bytes;
-            let mut n = (raw.floor() as u64).min(remaining);
-            self.block_carry = raw - n as f64;
-            if dt == SimDuration::ZERO || (n == 0 && dt < self.cfg.step) {
-                // Numerical corner: force the last block(s) through.
-                n = remaining;
-                self.block_carry = 0.0;
-            }
+            let (dt, n) = pace_step(
+                self.cfg.step,
+                m_share,
+                unit_bytes,
+                total - sent,
+                &mut self.block_carry,
+            );
             for _ in 0..n {
                 let (s, b) = loop {
                     let s = rr % k;
@@ -579,22 +582,7 @@ impl TpmEngine {
         let mut cursor = 0usize;
         let mut carry = 0.0f64;
         while sent < total {
-            let remaining = total - sent;
-            let full_step_pages = rate * self.cfg.step.as_secs_f64() / page as f64;
-            let dt = if full_step_pages + carry >= remaining as f64 {
-                SimDuration::from_secs_f64(
-                    ((remaining as f64 - carry).max(0.0) * page as f64) / rate,
-                )
-            } else {
-                self.cfg.step
-            };
-            let raw = carry + rate * dt.as_secs_f64() / page as f64;
-            let mut n = (raw.floor() as u64).min(remaining);
-            carry = raw - n as f64;
-            if dt == SimDuration::ZERO || (n == 0 && dt < self.cfg.step) {
-                n = remaining;
-                carry = 0.0;
-            }
+            let (dt, n) = pace_step(self.cfg.step, rate, page as f64, total - sent, &mut carry);
             for _ in 0..n {
                 let p = set
                     .next_set_from(cursor)
@@ -654,15 +642,13 @@ impl TpmEngine {
                 side: telemetry::Side::Source,
                 set_bits: dirty_count as u64,
             });
-            // Stop conditions (§IV-A-1): converged, iteration cap, or a
-            // dirty rate the transfer cannot outrun.
-            let converged = dirty_count <= self.cfg.disk_dirty_threshold;
-            let capped = iter == self.cfg.max_disk_iterations;
-            let diverging = duration > SimDuration::ZERO
-                && sent > 0
-                && (dirty_count as f64 / duration.as_secs_f64())
-                    >= (sent as f64 / duration.as_secs_f64());
-            if converged || capped || diverging {
+            if precopy_stops(
+                iter,
+                self.cfg.max_disk_iterations,
+                sent,
+                dirty_count,
+                self.cfg.disk_dirty_threshold,
+            ) {
                 // The final dirty set rides along through the memory phase,
                 // still accumulating, and crosses as the freeze bitmap.
                 self.tracker.merge(&dirty);
@@ -704,11 +690,13 @@ impl TpmEngine {
                 units_sent: sent,
                 dirty_at_end: dirty_count as u64,
             });
-            let converged = dirty_count <= self.cfg.mem_dirty_threshold;
-            let capped = iter == self.cfg.max_mem_iterations;
-            let diverging =
-                duration > SimDuration::ZERO && sent > 0 && (dirty_count as f64) >= sent as f64;
-            if converged || capped || diverging {
+            if precopy_stops(
+                iter,
+                self.cfg.max_mem_iterations,
+                sent,
+                dirty_count,
+                self.cfg.mem_dirty_threshold,
+            ) {
                 remaining_pages = dirty;
                 break;
             }

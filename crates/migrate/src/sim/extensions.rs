@@ -1,7 +1,7 @@
 //! §VII future-work extensions, implemented.
 //!
-//! The paper's conclusion sketches three improvements; this module builds
-//! all of them on top of the TPM engine:
+//! The paper's conclusion sketches three improvements. Two of them are
+//! built here on top of the TPM engine:
 //!
 //! * **Guest-assisted sparse migration** — "If the Guest OS … can take
 //!   part in and tell the migration process which part is not used, the
@@ -12,14 +12,18 @@
 //!   writes since the Guest OS installation… Only these dirty blocks need
 //!   to be transferred to a VM using the same OS image."
 //!   ([`run_template_migration`]).
-//! * **Multi-site version maintenance** — "The future work will focus on
-//!   local disk storage version maintenance to facilitate IM to decrease
-//!   the total migration time of a VM migrated among any recently used
-//!   physical machines." ([`MultiSiteVm`]).
+//!
+//! The third, "local disk storage version maintenance to facilitate IM …
+//! among any recently used physical machines", is the orchestrator's
+//! replica table: every host a VM leaves keeps its image, and a later
+//! hop back ships only the blocks that changed since.
+
+use std::sync::Arc;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng};
-use vdisk::{MetaDisk, ReplicaTable};
+use telemetry::Recorder;
+use vdisk::MetaDisk;
 use workloads::{OpKind, WorkloadKind};
 
 use crate::sim::engine::{TpmEngine, TpmOutcome};
@@ -37,6 +41,26 @@ pub fn run_sparse_migration(
     engine.run()
 }
 
+/// An engine whose source has diverged on exactly the `diverged` blocks
+/// since it was cloned, and the image it was cloned from.
+fn diverged_since_clone(
+    cfg: MigrationConfig,
+    kind: WorkloadKind,
+    diverged: &FlatBitmap,
+) -> (TpmEngine, MetaDisk) {
+    assert_eq!(
+        diverged.len(),
+        cfg.disk_blocks,
+        "divergence bitmap must cover the whole disk"
+    );
+    let mut engine = TpmEngine::new(cfg, kind);
+    let clone = engine.src_disk.clone();
+    for b in diverged.iter_set() {
+        engine.src_disk.write(b);
+    }
+    (engine, clone)
+}
+
 /// Run a template-based migration: the destination already holds the
 /// guest's installation image, and `dirty_since_install` marks every
 /// block written since the OS was installed (tracked by a block-bitmap
@@ -47,19 +71,8 @@ pub fn run_template_migration(
     kind: WorkloadKind,
     dirty_since_install: FlatBitmap,
 ) -> TpmOutcome {
-    assert_eq!(
-        dirty_since_install.len(),
-        cfg.disk_blocks,
-        "install bitmap must cover the whole disk"
-    );
-    let mut engine = TpmEngine::new(cfg, kind);
-    // Share the installation image: the destination's copy matches the
-    // source everywhere the guest has not written since install…
-    engine.dst_disk = engine.src_disk.clone();
-    // …and the source has since diverged on exactly the tracked blocks.
-    for b in dirty_since_install.iter_set() {
-        engine.src_disk.write(b);
-    }
+    let (mut engine, install) = diverged_since_clone(cfg, kind, &dirty_since_install);
+    engine.dst_disk = install;
     engine.initial_to_send = Some(dirty_since_install);
     engine.scheme = "template";
     engine.run()
@@ -79,20 +92,7 @@ pub fn run_template_clone_tpm(
     kind: WorkloadKind,
     diverged: FlatBitmap,
 ) -> TpmOutcome {
-    assert_eq!(
-        diverged.len(),
-        cfg.disk_blocks,
-        "divergence bitmap must cover the whole disk"
-    );
-    let mut engine = TpmEngine::new(cfg, kind);
-    // The destination is a clone of the installed image…
-    engine.dst_disk = engine.src_disk.clone();
-    // …and the source has since diverged on exactly these blocks.
-    for b in diverged.iter_set() {
-        engine.src_disk.write(b);
-    }
-    engine.scheme = "template-clone";
-    engine.run()
+    run_template_clone_tpm_traced(cfg, kind, diverged, Recorder::off())
 }
 
 /// [`run_template_clone_tpm`] with a telemetry recorder attached, so the
@@ -101,18 +101,10 @@ pub fn run_template_clone_tpm_traced(
     cfg: MigrationConfig,
     kind: WorkloadKind,
     diverged: FlatBitmap,
-    recorder: std::sync::Arc<telemetry::Recorder>,
+    recorder: Arc<Recorder>,
 ) -> TpmOutcome {
-    assert_eq!(
-        diverged.len(),
-        cfg.disk_blocks,
-        "divergence bitmap must cover the whole disk"
-    );
-    let mut engine = TpmEngine::new(cfg, kind);
-    engine.dst_disk = engine.src_disk.clone();
-    for b in diverged.iter_set() {
-        engine.src_disk.write(b);
-    }
+    let (mut engine, template) = diverged_since_clone(cfg, kind, &diverged);
+    engine.dst_disk = template;
     engine.scheme = "template-clone";
     engine.set_recorder(recorder);
     engine.run()
@@ -132,7 +124,7 @@ pub fn run_template_clone_fanin(
     diverged: FlatBitmap,
     num_peers: usize,
 ) -> TpmOutcome {
-    run_template_clone_fanin_traced(cfg, kind, diverged, num_peers, telemetry::Recorder::off())
+    run_template_clone_fanin_traced(cfg, kind, diverged, num_peers, Recorder::off())
 }
 
 /// [`run_template_clone_fanin`] with a telemetry recorder attached, so
@@ -142,21 +134,10 @@ pub fn run_template_clone_fanin_traced(
     kind: WorkloadKind,
     diverged: FlatBitmap,
     num_peers: usize,
-    recorder: std::sync::Arc<telemetry::Recorder>,
+    recorder: Arc<Recorder>,
 ) -> TpmOutcome {
-    assert_eq!(
-        diverged.len(),
-        cfg.disk_blocks,
-        "divergence bitmap must cover the whole disk"
-    );
     assert!(num_peers >= 1, "fan-in needs at least one peer holder");
-    let mut engine = TpmEngine::new(cfg, kind);
-    // The fleet's golden image: what every peer still holds verbatim…
-    let golden = engine.src_disk.clone();
-    // …while the source has since diverged on exactly these blocks.
-    for b in diverged.iter_set() {
-        engine.src_disk.write(b);
-    }
+    let (mut engine, golden) = diverged_since_clone(cfg, kind, &diverged);
     let peers = (1..=num_peers as u64)
         .map(|h| (h, golden.clone()))
         .collect();
@@ -164,120 +145,6 @@ pub fn run_template_clone_fanin_traced(
     engine.scheme = "template-fanin";
     engine.set_recorder(recorder);
     engine.run()
-}
-
-/// A VM that hops among several physical machines, with per-site storage
-/// version maintenance so every hop is incremental (§VII future work).
-///
-/// Each site keeps the disk image from the VM's last departure, stored in
-/// a [`ReplicaTable`] (the same structure the cluster orchestrator
-/// schedules against). Migrating to a site transfers exactly the blocks
-/// that changed since — computed by diffing generation vectors, the
-/// version-maintenance mechanism the paper leaves for future work. A
-/// never-visited site receives a full copy (the all-set bitmap of §V).
-pub struct MultiSiteVm {
-    cfg: MigrationConfig,
-    kind: WorkloadKind,
-    /// State carried between hops (live disk, workload, rng, probe…).
-    outcome: Option<TpmOutcome>,
-    names: Vec<String>,
-    /// Per-site departure images, keyed by (vm=0, site index).
-    replicas: ReplicaTable,
-    current: usize,
-}
-
-/// The single VM's id inside its private [`ReplicaTable`].
-const MULTISITE_VM: u64 = 0;
-
-impl MultiSiteVm {
-    /// Create the VM, initially running at `sites[0]`.
-    ///
-    /// # Panics
-    /// Panics with fewer than two sites.
-    pub fn new(cfg: MigrationConfig, kind: WorkloadKind, sites: &[&str]) -> Self {
-        assert!(sites.len() >= 2, "multi-site migration needs >= 2 sites");
-        cfg.validate();
-        Self {
-            cfg,
-            kind,
-            outcome: None,
-            names: sites.iter().map(|s| s.to_string()).collect(),
-            replicas: ReplicaTable::new(),
-            current: 0,
-        }
-    }
-
-    /// Name of the site currently hosting the VM.
-    pub fn current_site(&self) -> &str {
-        &self.names[self.current]
-    }
-
-    /// Let the guest run at the current site for `duration`.
-    pub fn run_for(&mut self, duration: SimDuration) {
-        if let Some(outcome) = &mut self.outcome {
-            crate::sim::engine::dwell(outcome, &self.cfg, duration);
-        } else {
-            // Before the first migration the engine does not exist yet;
-            // model the pre-history by aging a fresh engine on site 0.
-            // (The first migrate_to() constructs it.)
-        }
-    }
-
-    /// Migrate the VM to `site`. Returns the migration report.
-    ///
-    /// # Panics
-    /// Panics for an unknown site or a migration to the current site.
-    pub fn migrate_to(&mut self, site: &str) -> crate::MigrationReport {
-        let target = self
-            .names
-            .iter()
-            .position(|s| s == site)
-            .unwrap_or_else(|| panic!("unknown site '{site}'"));
-        assert_ne!(target, self.current, "VM is already at {site}");
-
-        let outcome = match self.outcome.take() {
-            None => {
-                // First hop ever: full TPM from the origin site.
-                let engine = TpmEngine::new(self.cfg.clone(), self.kind);
-                let out = engine.run();
-                self.replicas
-                    .record(MULTISITE_VM, self.current as u64, out.src_disk.clone());
-                out
-            }
-            Some(prev) => {
-                // Version maintenance: diff the live image against the
-                // target site's remembered copy; a never-visited site gets
-                // the all-set bitmap of §V.
-                let to_send =
-                    self.replicas
-                        .first_pass_bitmap(MULTISITE_VM, target as u64, &prev.dst_disk);
-                let mut engine = TpmEngine::new(self.cfg.clone(), self.kind);
-                engine.src_disk = prev.dst_disk;
-                engine.dst_disk = self
-                    .replicas
-                    .take(MULTISITE_VM, target as u64)
-                    .map(|r| r.disk)
-                    .unwrap_or_else(|| MetaDisk::new(self.cfg.disk_blocks));
-                engine.src_mem = prev.dst_mem;
-                engine.workload = prev.workload;
-                engine.rng = prev.rng;
-                engine.probe = prev.probe;
-                engine.now = prev.end_time;
-                engine.initial_to_send = Some(to_send);
-                engine.scheme = "multisite-im";
-                let out = engine.run();
-                // The departed site keeps the image as of this departure.
-                self.replicas
-                    .record(MULTISITE_VM, self.current as u64, out.src_disk.clone());
-                out
-            }
-        };
-        let report = outcome.report.clone();
-        assert!(report.consistent, "multi-site hop must stay consistent");
-        self.outcome = Some(outcome);
-        self.current = target;
-        report
-    }
 }
 
 /// Build a plausible guest-declared free-block map: everything outside
@@ -495,47 +362,6 @@ mod tests {
         assert_eq!(off.report.multisource.plans, 0);
         assert_eq!(off.report.multisource.peer_blocks(), 0);
         assert!(on.report.multisource.planned_peer > 0);
-    }
-
-    #[test]
-    fn multisite_hops_are_incremental_after_first_visit() {
-        let c = cfg();
-        let mut vm = MultiSiteVm::new(c.clone(), WorkloadKind::Web, &["alpha", "beta", "gamma"]);
-        assert_eq!(vm.current_site(), "alpha");
-
-        // First hop: full copy.
-        let r1 = vm.migrate_to("beta");
-        assert_eq!(vm.current_site(), "beta");
-        let full_blocks = r1.disk_iterations[0].units_sent;
-        assert_eq!(full_blocks as usize, c.disk_blocks);
-
-        // gamma never visited: full copy again.
-        vm.run_for(SimDuration::from_secs(10));
-        let r2 = vm.migrate_to("gamma");
-        assert_eq!(r2.disk_iterations[0].units_sent as usize, c.disk_blocks);
-
-        // Back to alpha (visited at departure time): incremental.
-        vm.run_for(SimDuration::from_secs(10));
-        let r3 = vm.migrate_to("alpha");
-        assert!(
-            r3.disk_iterations[0].units_sent * 10 < full_blocks,
-            "hop to a visited site must be incremental ({} blocks)",
-            r3.disk_iterations[0].units_sent
-        );
-
-        // And back to beta: also incremental.
-        vm.run_for(SimDuration::from_secs(10));
-        let r4 = vm.migrate_to("beta");
-        assert!(r4.disk_iterations[0].units_sent * 10 < full_blocks);
-        assert_eq!(r4.scheme, "multisite-im");
-    }
-
-    #[test]
-    #[should_panic(expected = "already at")]
-    fn migrating_to_current_site_rejected() {
-        let mut vm = MultiSiteVm::new(cfg(), WorkloadKind::Idle, &["a", "b"]);
-        vm.migrate_to("b");
-        vm.migrate_to("b");
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub use engine::{dwell, run_im, run_tpm, run_tpm_traced, TpmEngine, TpmOutcome};
 pub use extensions::{
     reserve_workload_blocks, run_sparse_migration, run_template_clone_fanin,
     run_template_clone_fanin_traced, run_template_clone_tpm, run_template_clone_tpm_traced,
-    run_template_migration, synthetic_free_map, MultiSiteVm,
+    run_template_migration, synthetic_free_map,
 };
 pub use postcopy::{run_postcopy, PostCopyConfig, PostCopyOutcome};
 pub use tracker::DirtyTracker;

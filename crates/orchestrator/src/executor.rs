@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
 use des::{SimDuration, SimTime};
+use migrate::precopy_stops;
 use migrate::sim::DirtyTracker;
 use simnet::capacity::max_min_share;
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
@@ -81,6 +82,8 @@ struct Task {
     incremental: bool,
     first_pass_blocks: u64,
     blocks_sent: u64,
+    /// `blocks_sent` when the current disk pre-copy pass began.
+    pass_start: u64,
     blocks_cancelled: u64,
     /// Blocks that crossed as 16-byte content references because the
     /// destination replica already held the identical generation.
@@ -488,6 +491,7 @@ impl Orchestrator {
             incremental,
             first_pass_blocks,
             blocks_sent: 0,
+            pass_start: 0,
             blocks_cancelled: 0,
             blocks_deduped: 0,
             blocks_peer: 0,
@@ -781,8 +785,15 @@ impl Orchestrator {
                 if t.to_send.none_set() {
                     t.pass += 1;
                     let next = t.tracker.drain();
-                    let dirty = next.count_ones();
-                    if t.pass >= self.cfg.max_disk_passes || dirty <= self.cfg.dirty_threshold {
+                    let sent = t.blocks_sent - t.pass_start;
+                    t.pass_start = t.blocks_sent;
+                    if precopy_stops(
+                        t.pass,
+                        self.cfg.max_disk_passes,
+                        sent,
+                        next.count_ones(),
+                        self.cfg.dirty_threshold,
+                    ) {
                         // Leftover dirt keeps accumulating into the
                         // freeze bitmap while memory pre-copies.
                         t.tracker.merge(&next);

@@ -144,15 +144,6 @@ impl ClusterView<'_> {
             .collect()
     }
 
-    /// The destination whose replica needs the fewest blocks refreshed —
-    /// the IM-aware placement target. Ties break to the lower host id.
-    pub fn best_replica_dest(&self, vm: VmId) -> Option<HostId> {
-        self.replica_dests(vm)
-            .into_iter()
-            .min_by_key(|(host, stale)| (*stale, host.0))
-            .map(|(host, _)| host)
-    }
-
     /// Blocks the first pre-copy pass must ship for `vm -> dst`: the
     /// replica diff when `dst` holds one, else the whole disk (§V's
     /// all-set bitmap).
@@ -331,13 +322,14 @@ impl Scheduler for CycleAware {
 }
 
 /// The policy menu, as a factory enum (CLI/bench parse this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Policy {
     /// [`Fifo`].
     Fifo,
     /// [`Srdf`].
     Srdf,
     /// [`ImAware`].
+    #[default]
     ImAware,
     /// [`CycleAware`].
     CycleAware,

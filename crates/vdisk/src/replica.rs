@@ -10,9 +10,9 @@
 //! staleness computed on demand by diffing generation vectors into a
 //! [`FlatBitmap`].
 //!
-//! Both the multi-site extension in `migrate::sim` and the cluster
-//! orchestrator use this table; the orchestrator's IM-aware placement
-//! policy ranks candidate destinations by [`ReplicaTable::stale_count`].
+//! The cluster orchestrator keeps the fleet's table; its IM-aware
+//! placement ranks candidate destinations by the same staleness, read
+//! through the block directory kept beside the table.
 
 use std::collections::BTreeMap;
 
@@ -32,8 +32,7 @@ pub struct Replica {
 /// Map from (VM, site) to the stale replica the site keeps.
 ///
 /// Keys are plain `u64` identifiers so the table is agnostic to how the
-/// caller names VMs and machines (the multi-site extension uses site
-/// indices; the orchestrator uses host indices). Iteration order is the
+/// caller names VMs and machines (the orchestrator uses host indices). Iteration order is the
 /// `BTreeMap` key order, so every traversal is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaTable {
@@ -106,14 +105,6 @@ impl ReplicaTable {
         self.stale_bitmap(vm, site, live).map(|bm| bm.count_ones())
     }
 
-    /// The first-pass worklist for migrating `vm` to `site`: the stale
-    /// diff when the site holds a usable replica, otherwise the all-set
-    /// bitmap of §V ("an all-set block-bitmap is generated").
-    pub fn first_pass_bitmap(&self, vm: u64, site: u64, live: &MetaDisk) -> FlatBitmap {
-        self.stale_bitmap(vm, site, live)
-            .unwrap_or_else(|| FlatBitmap::all_set(live.num_blocks()))
-    }
-
     /// Total replicas stored, across all VMs and sites.
     pub fn len(&self) -> usize {
         self.replicas.len()
@@ -135,7 +126,6 @@ mod tests {
         let live = MetaDisk::new(8);
         assert!(!t.has(0, 0));
         assert!(t.stale_bitmap(0, 0, &live).is_none());
-        assert!(t.first_pass_bitmap(0, 0, &live).count_ones() == 8);
         assert!(t.is_empty());
     }
 
@@ -155,7 +145,6 @@ mod tests {
         let bm = t.stale_bitmap(7, 2, &live).expect("replica exists");
         assert_eq!(bm.to_indices(), vec![5, 9]);
         assert_eq!(t.stale_count(7, 2, &live), Some(2));
-        assert_eq!(t.first_pass_bitmap(7, 2, &live).to_indices(), vec![5, 9]);
     }
 
     #[test]
@@ -197,6 +186,5 @@ mod tests {
         t.record(0, 0, MetaDisk::new(4));
         let live = MetaDisk::new(8);
         assert!(t.stale_bitmap(0, 0, &live).is_none());
-        assert_eq!(t.first_pass_bitmap(0, 0, &live).count_ones(), 8);
     }
 }

@@ -410,13 +410,6 @@ proptest! {
                         prop_assert!(!table.has(vm, site));
                         prop_assert!(table.get(vm, site).is_none());
                         prop_assert!(table.stale_bitmap(vm, site, &live[vm as usize]).is_none());
-                        // §V: no usable replica means an all-set worklist.
-                        prop_assert_eq!(
-                            table
-                                .first_pass_bitmap(vm, site, &live[vm as usize])
-                                .count_ones(),
-                            BLOCKS
-                        );
                     }
                     Some((snapshot, departures)) => {
                         prop_assert!(table.has(vm, site));
@@ -428,17 +421,11 @@ proptest! {
                         let bm = table
                             .stale_bitmap(vm, site, &live[vm as usize])
                             .expect("usable replica");
-                        prop_assert_eq!(bm.to_indices(), expected_stale.clone());
                         prop_assert_eq!(
                             table.stale_count(vm, site, &live[vm as usize]),
                             Some(expected_stale.len())
                         );
-                        prop_assert_eq!(
-                            table
-                                .first_pass_bitmap(vm, site, &live[vm as usize])
-                                .to_indices(),
-                            expected_stale
-                        );
+                        prop_assert_eq!(bm.to_indices(), expected_stale);
                     }
                 }
             }
@@ -446,7 +433,7 @@ proptest! {
     }
 
     /// A replica of a resized disk reads as absent from every staleness
-    /// query (`None` / all-set worklist), while the entry itself — and
+    /// query (`None`), while the entry itself — and
     /// its departure count — survives for when the geometry matches
     /// again.
     #[test]
@@ -463,10 +450,6 @@ proptest! {
             prop_assert!(table.has(vm, site), "the entry itself survives");
             prop_assert!(table.stale_bitmap(vm, site, &resized).is_none());
             prop_assert!(table.stale_count(vm, site, &resized).is_none());
-            prop_assert_eq!(
-                table.first_pass_bitmap(vm, site, &resized).count_ones(),
-                BLOCKS + grow
-            );
         }
     }
 }

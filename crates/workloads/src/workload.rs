@@ -60,9 +60,10 @@ pub trait Workload: Send {
 }
 
 /// The paper's workload menu, as a factory enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// SPECweb2005 Banking-like dynamic web server.
+    #[default]
     Web,
     /// Samba video-streaming server.
     Video,

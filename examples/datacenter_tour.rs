@@ -1,40 +1,40 @@
 //! Multi-site migration tour (§VII future work, implemented): a VM hops
-//! among several machines, and *storage version maintenance* makes every
-//! hop to a previously-visited machine incremental.
+//! among several machines, and *storage version maintenance* — the fleet
+//! orchestrator's replica table — makes every hop to a previously-visited
+//! machine incremental.
 //!
 //! ```text
 //! cargo run --release --example datacenter_tour
 //! ```
 
-use block_bitmap_migration::migrate::sim::MultiSiteVm;
+use bench_suite::experiments::futurework::multisite_tour;
 use block_bitmap_migration::prelude::*;
 
 fn main() {
     let cfg = MigrationConfig::paper_testbed();
-    let mut vm = MultiSiteVm::new(cfg, WorkloadKind::Web, &["rack-a", "rack-b", "rack-c"]);
+    // From rack 0: two first visits, then three revisits, 15 minutes of
+    // guest writes before each hop after the first.
+    let route = [1, 2, 0, 1, 2];
+    let hops = multisite_tour(
+        cfg.disk_blocks,
+        cfg.mem_pages,
+        &route,
+        SimDuration::from_secs(900),
+    );
 
     println!(
         "{:<28} {:>20} {:>11} {:>11}",
         "hop", "first pass (blocks)", "total (s)", "data (MB)"
     );
-    let hop = |vm: &mut MultiSiteVm, to: &str| {
-        let from = vm.current_site().to_string();
-        let r = vm.migrate_to(to);
+    for r in &hops {
         println!(
             "{:<28} {:>20} {:>11.1} {:>11.0}",
-            format!("{from} -> {to}"),
-            r.disk_iterations[0].units_sent,
-            r.total_time_secs,
-            r.migrated_mb()
+            format!("rack-{} -> rack-{}", r.src, r.dst),
+            r.first_pass_blocks,
+            r.total_secs(),
+            r.bytes as f64 / 1048576.0
         );
-        vm.run_for(SimDuration::from_secs(900));
-    };
-
-    hop(&mut vm, "rack-b"); // first visit: full 40 GB
-    hop(&mut vm, "rack-c"); // first visit: full 40 GB
-    hop(&mut vm, "rack-a"); // revisit: incremental
-    hop(&mut vm, "rack-b"); // revisit: incremental
-    hop(&mut vm, "rack-c"); // revisit: incremental
+    }
 
     println!(
         "\nOnce every machine holds a (stale) copy, the VM roams the cluster in\n\

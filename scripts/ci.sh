@@ -6,6 +6,11 @@ cd "$(dirname "$0")/.."
 echo "== rustfmt (check only) =="
 cargo fmt --all -- --check
 
+echo "== size: non-test source lines (reported, not gated) =="
+# One rule for every PR's line count: lines of crates/*/src/**/*.rs and
+# src/**/*.rs above each file's trailing #[cfg(test)] module.
+python3 scripts/loc.py
+
 echo "== tier-1: release build =="
 # --workspace so every bin (vmmigrate, repro, lintkit) is fresh before
 # the smoke matrices below run them from target/.

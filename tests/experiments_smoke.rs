@@ -89,6 +89,32 @@ fn cluster_im_aware_wave2_beats_fifo() {
     );
 }
 
+/// §VII version maintenance on the fleet's replica table: a host the VM
+/// never ran on gets the whole disk in the first pass; a host it left
+/// earlier gets less than a tenth of it.
+#[test]
+fn multisite_revisits_are_incremental() {
+    let res = experiments::run("futurework", Scale::Ci).expect("futurework exists");
+    let disk = res.json["disk_blocks"].as_u64().expect("u64");
+    let hops = res.json["multisite_hops"].as_array().expect("hops");
+    let first_pass = |i: usize| hops[i]["first_pass_blocks"].as_u64().expect("u64");
+    assert_eq!(hops.len(), 4);
+    for hop in hops {
+        assert_eq!(hop["consistent"], true, "{hop}");
+    }
+    // office->home and office->lab: first visits.
+    assert_eq!(first_pass(0), disk);
+    assert_eq!(first_pass(2), disk);
+    // home->office and lab->home: revisits.
+    for i in [1, 3] {
+        assert!(
+            first_pass(i) * 10 < disk,
+            "hop {i} to a visited site shipped {} of {disk} blocks",
+            first_pass(i)
+        );
+    }
+}
+
 #[test]
 fn table3_holds_the_one_percent_claim() {
     let res = experiments::run("table3", Scale::Ci).expect("table3 exists");

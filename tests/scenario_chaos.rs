@@ -339,6 +339,34 @@ fn maintained_directory_equals_the_rebuilt_one_through_every_chaos_run() {
     }
 }
 
+/// The fleet stops pre-copy by the same rule as the two-host engines
+/// (`migrate::precopy_stops`): a pass the guest out-dirtied ends it.
+/// Under the partition with seeded resets, migration 7's second pass
+/// sends 1 609 blocks while its kernel-build guest dirties 2 048, so its
+/// disk pre-copy ends after two passes; without the rule it starts a
+/// third (and, resets spent, fails there).
+#[test]
+fn a_pass_the_guest_out_dirties_ends_fleet_precopy() {
+    let spec = partition_chaos_spec(5);
+    let mut cfg = scenario::config_for(&spec);
+    cfg.fault_resets = 8;
+    cfg.max_retries = 1;
+    let mut orch =
+        Orchestrator::new(cfg.clone(), Policy::ImAware, Recorder::off()).expect("valid config");
+    let report = orch.run_with_dynamics(
+        &Scenario {
+            requests: spec.requests.clone(),
+        },
+        &mut ScenarioDynamics::new(&spec, &cfg),
+    );
+    let m7 = report
+        .records
+        .iter()
+        .find(|r| r.migration == 7)
+        .expect("migration 7 admitted");
+    assert_eq!(m7.passes, 2, "{m7:?}");
+}
+
 /// E15 headline: on the bench-suite chaos geometry (8 hosts x 32 VMs,
 /// 20 s high / 40 s low workload cycles, 25 MiB/s maintenance NICs),
 /// cycle-aware scheduling ships strictly fewer total bytes than the
