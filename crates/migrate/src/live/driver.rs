@@ -126,6 +126,21 @@ impl DriverCtl {
         self.0.ticks.load(Ordering::Acquire)
     }
 
+    /// Wait until the guest has completed `target` ticks, or `guard` has
+    /// passed. Woken by the driver at the end of each tick, so the wait
+    /// ends on the tick that reaches `target`, not on a poll after it.
+    pub fn wait_ticks(&self, target: u64, guard: Duration) {
+        let deadline = Instant::now() + guard;
+        let mut st = self.0.state.lock();
+        while self.ticks() < target {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            self.0.cv.wait_for(&mut st, left);
+        }
+    }
+
     fn request_stop(&self) {
         let mut st = self.0.state.lock();
         st.stop = true;
@@ -283,7 +298,10 @@ impl DriverHandle {
                 thread_ctl.0.ticks.fetch_add(1, Ordering::Release);
                 // Out of the tick's wait at once on a suspend or stop
                 // request: a freeze must not start on the guest's clock.
+                // Nor wait for one: whoever waits on the tick count
+                // (`wait_ticks`) hears of this tick now.
                 let mut st = thread_ctl.0.state.lock();
+                thread_ctl.0.cv.notify_all();
                 if st.phase == Phase::Running && !st.stop {
                     thread_ctl.0.cv.wait_for(&mut st, tick_wall);
                 }
@@ -356,6 +374,37 @@ mod tests {
         for (&p, &s) in &res.mem_model {
             assert_eq!(ram.read_page(p), stamp_bytes(p, s, 512));
         }
+    }
+
+    #[test]
+    fn a_tick_wait_ends_on_the_tick_and_a_suspended_guest_ends_it_at_the_guard() {
+        let (_disk, g, ram) = io(65_536);
+        let h = DriverHandle::start(
+            workload(65_536),
+            Arc::clone(&g),
+            Arc::clone(&ram),
+            1,
+            512,
+            5,
+            Duration::from_millis(1),
+            Recorder::off(),
+        );
+        let ctl = h.ctl();
+        let target = ctl.ticks() + 5;
+        ctl.wait_ticks(target, Duration::from_secs(10));
+        assert!(ctl.ticks() >= target);
+        // No tick comes while the guest is down: the guard ends the wait.
+        ctl.request_suspend();
+        let frozen = ctl.ticks();
+        let started = Instant::now();
+        ctl.wait_ticks(frozen + 1, Duration::from_millis(20));
+        assert!(started.elapsed() >= Duration::from_millis(20));
+        assert_eq!(ctl.ticks(), frozen);
+        ctl.resume_on(g, ram);
+        assert_eq!(
+            h.finish().expect("driver thread healthy").read_violations,
+            0
+        );
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! the destination each such message is validated as a whole and applied.
 
 use std::collections::HashSet;
+use std::mem::take;
 use std::time::Duration;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use bytes::Bytes;
 use simnet::codec::decompress_blocks;
-use simnet::proto::{MigMessage, WireStats, BLOCK_REF_WIRE};
-use simnet::transport::{Transport, TransportError};
+use simnet::proto::{MigMessage, WireStats, BLOCK_REF_WIRE, FRAME_OVERHEAD};
+use simnet::transport::{Transport, TransportError, SEND_WINDOW};
 use telemetry::{Recorder, Resource};
 use vdisk::{hash_block, FingerprintSet, TrackedDisk};
 use vmstate::LiveRam;
@@ -76,8 +77,9 @@ fn interleave_streams(
 /// negotiated dedup/compress agreement, the source's view of which
 /// fingerprints the destination can resolve (seeded from
 /// [`MigMessage::ContentSummary`], grown by every full block this
-/// session ships — in-order transports guarantee the destination
-/// indexed those before any later reference arrives), blocks the
+/// session stages — each flush sends its full blocks ahead of its
+/// references, and in-order transports guarantee the destination indexed
+/// those before any reference to them arrives), blocks the
 /// destination bounced with [`MigMessage::BlockRefMiss`] (always re-sent
 /// in full, never re-referenced), the run-wide savings and work ledgers,
 /// and the rule that says when the negotiated compression is worth using.
@@ -219,90 +221,154 @@ fn send_full_batch<T: Transport>(
     Ok(())
 }
 
-/// Read one chunk of a disk worklist and ship it. The chunk is read from
-/// the disk exactly once, into the buffer that goes on the wire. On a
-/// dedup session the blocks are fingerprinted in that buffer: content the
-/// destination provably holds goes as a 16-byte [`MigMessage::BlockRef`]
-/// instead of `block_size` bytes, the rest is compacted to the front of
-/// the buffer and flushed *before* the chunk's references so a reference
-/// can reach content shipped in its own chunk. The fingerprints are also
-/// left with the disk ([`TrackedDisk::record_fingerprints`]): when this
-/// image is migrated *to* next, they are its handshake.
-fn send_disk_chunk<T: Transport>(
-    ep: &T,
-    disk: &TrackedDisk,
-    chunk: &[usize],
-    ctx: &mut DedupCtx,
+/// What one pass of a disk worklist has read but not yet sent: full
+/// blocks (ids and bytes, in worklist order) and references. A session
+/// that fingerprints stages chunk after chunk here and flushes
+/// ([`DiskOutbox::flush`]) when `batch` full blocks are staged, when one
+/// more reference would take the reference frame past [`SEND_WINDOW`],
+/// and at the end of the pass — so on a link that pays, LZ runs on whole
+/// `batch`-block streams and references cross a frame of many at a time.
+/// A session that does not fingerprint flushes after every chunk: the
+/// chunk as read, one frame.
+#[derive(Default)]
+struct DiskOutbox {
+    batch: usize,
     block_size: usize,
-    phase: &'static str,
-    fps: &mut Vec<u64>,
-) -> Result<(), SessionError> {
-    ctx.wire.bytes_raw += (chunk.len() * block_size) as u64;
-    ctx.work.blocks_read += chunk.len() as u64;
-    // Before the read: the guest is free to write meanwhile.
-    let seen = ctx.dedup.then(|| disk.content_index().invalidations());
-    let mut payload = read_batch(disk, chunk, block_size);
-    let mut fulls: Vec<u64> = Vec::with_capacity(chunk.len());
-    let mut refs: Vec<(u64, u64)> = Vec::new();
-    if let Some(seen) = seen {
-        // Partition the chunk: blocks whose fingerprint the destination
-        // can already resolve become references; intra-chunk duplicates
-        // count too, because the full batch is flushed first. Full blocks
-        // slide down over the slots references vacate.
+    fulls: Vec<u64>,
+    payload: Vec<u8>,
+    refs: Vec<u64>,
+    ref_fps: Vec<u64>,
+    /// A fingerprinting session's chunk as read, and its fingerprints.
+    read: Vec<u8>,
+    fps: Vec<u64>,
+}
+
+impl DiskOutbox {
+    /// Read one chunk of the worklist — it starts at worklist offset `at`
+    /// — and stage it, flushing as the bounds say. The chunk is read from
+    /// the disk exactly once. On a fingerprinting session each block is
+    /// hashed once, in that read: content the destination provably holds,
+    /// or that a block staged or sent before it carries, is staged as a
+    /// 16-byte reference instead of `block_size` bytes. The fingerprints
+    /// are also left with the disk ([`TrackedDisk::record_fingerprints`]):
+    /// when this image is migrated *to* next, they are its handshake.
+    /// After every flush `*done` is the length of the worklist prefix
+    /// whose blocks have all been sent.
+    #[allow(clippy::too_many_arguments)]
+    fn stage<T: Transport>(
+        &mut self,
+        ep: &T,
+        disk: &TrackedDisk,
+        ctx: &mut DedupCtx,
+        chunk: &[usize],
+        at: usize,
+        done: &mut usize,
+        phase: &'static str,
+    ) -> Result<(), SessionError> {
+        let bs = self.block_size;
+        ctx.wire.bytes_raw += (chunk.len() * bs) as u64;
+        ctx.work.blocks_read += chunk.len() as u64;
+        if !ctx.dedup {
+            self.payload = read_batch(disk, chunk, bs);
+            self.fulls.extend(chunk.iter().map(|&b| b as u64));
+            self.flush(ep, ctx, phase)?;
+            *done = at + chunk.len();
+            return Ok(());
+        }
+        // Before the read: the guest is free to write meanwhile.
+        let seen = disk.content_index().invalidations();
+        let (mut data, mut fps) = (take(&mut self.read), take(&mut self.fps));
+        data.clear();
+        disk.disk().read_blocks_append(chunk, &mut data);
         fps.clear();
-        for (i, &b) in chunk.iter().enumerate() {
-            let at = i * block_size;
-            let fp = hash_block(&payload[at..at + block_size]);
-            fps.push(fp);
+        fps.extend(data.chunks_exact(bs).map(hash_block));
+        disk.record_fingerprints(chunk, &fps, seen);
+        ctx.work.blocks_hashed += chunk.len() as u64;
+        for (i, (&b, &fp)) in chunk.iter().zip(&fps).enumerate() {
             // One probe answers both "can it be referenced" and "it is
             // known from here on"; a bounced block is known already and
             // goes in full regardless.
             let known = !ctx.known_remote.insert(fp);
             if known && !ctx.force_full.contains(&b) {
-                refs.push((b as u64, fp));
-            } else {
-                let to = fulls.len() * block_size;
-                if to != at {
-                    payload.copy_within(at..at + block_size, to);
+                let frame = FRAME_OVERHEAD + BLOCK_REF_WIRE * (self.refs.len() as u64 + 1);
+                if frame > SEND_WINDOW {
+                    self.flush(ep, ctx, phase)?;
+                    *done = at + i;
                 }
-                fulls.push(b as u64);
+                self.refs.push(b as u64);
+                self.ref_fps.push(fp);
+            } else {
+                if self.fulls.is_empty() {
+                    self.payload.reserve(self.batch * bs);
+                }
+                self.payload.extend_from_slice(&data[i * bs..(i + 1) * bs]);
+                self.fulls.push(b as u64);
+                if self.fulls.len() == self.batch {
+                    self.flush(ep, ctx, phase)?;
+                    *done = at + i + 1;
+                }
             }
         }
-        payload.truncate(fulls.len() * block_size);
-        disk.record_fingerprints(chunk, fps, seen);
-        ctx.work.blocks_hashed += chunk.len() as u64;
-    } else {
-        fulls.extend(chunk.iter().map(|&b| b as u64));
+        (self.read, self.fps) = (data, fps);
+        Ok(())
     }
-    if !fulls.is_empty() {
-        send_full_batch(ep, ctx, Resource::Disk, fulls, payload, block_size, phase)?;
+
+    /// Send everything staged: the full blocks as one frame — one LZ
+    /// stream when [`send_full_batch`] says so — then the references as
+    /// one [`MigMessage::BlockRefs`]. In that order a reference never
+    /// crosses ahead of the full block whose content it names, so a
+    /// duplicate staged in the same flush resolves at the destination
+    /// without a bounce.
+    fn flush<T: Transport>(
+        &mut self,
+        ep: &T,
+        ctx: &mut DedupCtx,
+        phase: &'static str,
+    ) -> Result<(), SessionError> {
+        if !self.fulls.is_empty() {
+            let (fulls, payload) = (take(&mut self.fulls), take(&mut self.payload));
+            send_full_batch(
+                ep,
+                ctx,
+                Resource::Disk,
+                fulls,
+                payload,
+                self.block_size,
+                phase,
+            )?;
+        }
+        if !self.refs.is_empty() {
+            let n = self.refs.len() as u64;
+            ctx.wire.bytes_sent += n * BLOCK_REF_WIRE;
+            ctx.wire.blocks_deduped += n;
+            let msg = MigMessage::BlockRefs {
+                blocks: take(&mut self.refs),
+                fingerprints: take(&mut self.ref_fps),
+            };
+            send_or(ep, phase, msg)?;
+        }
+        Ok(())
     }
-    for (block, fingerprint) in refs {
-        ctx.wire.bytes_sent += BLOCK_REF_WIRE;
-        ctx.wire.blocks_deduped += 1;
-        send_or(ep, phase, MigMessage::BlockRef { block, fingerprint })?;
-    }
-    Ok(())
 }
 
-/// Drain a disk worklist into `DiskBlocks` batches ([`send_disk_chunk`]),
-/// marking each block in the session-shipped set *before* its send is
-/// attempted (delivery of an errored send is unknown — assume sent, let
-/// the destination's receipt report settle it). On failure the unsent
-/// remainder stays in the worklist.
+/// Drain a disk worklist through a [`DiskOutbox`], marking each block in
+/// the session-shipped set *before* its send is attempted (delivery of an
+/// errored send is unknown — assume sent, let the destination's receipt
+/// report settle it). On failure the worklist keeps every block from the
+/// first one no successful flush carried.
 ///
 /// With `cfg.streams > 1` the worklist is first re-interleaved so
 /// consecutive batches rotate across the stream shards; because shipped
 /// accounting is per-block and global, ordering never affects
 /// correctness or resume.
 ///
-/// `BlockRefMiss` bounces are drained between batches and re-queued as
-/// forced-full sends. With `barrier` (the pre-copy phases) every pass
-/// ends in a [`sync_barrier`]: when this returns the destination has
-/// applied the whole worklist and no bounce is in flight. The
-/// freeze-phase resend after a reconnect passes `false` — the guest is
-/// down, a round trip is downtime — and a bounce still in flight then is
-/// answered from post-copy instead.
+/// `BlockRefMiss` bounces are drained between chunks and re-queued as
+/// forced-full sends. A pass ends with a flush, then — with `barrier`
+/// (the pre-copy phases) — a [`sync_barrier`]: when this returns the
+/// destination has applied the whole worklist and no bounce is in flight.
+/// The freeze-phase resend after a reconnect passes `false` — the guest
+/// is down, a round trip is downtime — and a bounce still in flight then
+/// is answered from post-copy instead.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn send_disk_worklist<T: Transport>(
     ep: &T,
@@ -320,20 +386,28 @@ pub(super) fn send_disk_worklist<T: Transport>(
             interleave_streams(worklist, cfg.num_blocks, cfg.streams, batch, &cfg.telemetry);
     }
     let mut misses = Vec::new();
-    let mut fps: Vec<u64> = Vec::new();
+    let mut out = DiskOutbox {
+        batch,
+        block_size: cfg.block_size,
+        ..DiskOutbox::default()
+    };
     loop {
-        let (mut done, mut res) = (0, Ok(()));
-        while res.is_ok() && done < worklist.len() {
-            let chunk = &worklist[done..(done + batch).min(worklist.len())];
+        let (mut at, mut done, mut res) = (0, 0, Ok(()));
+        while res.is_ok() && at < worklist.len() {
+            let chunk = &worklist[at..(at + batch).min(worklist.len())];
             for &b in chunk {
                 shipped.set(b);
             }
-            res = send_disk_chunk(ep, disk, chunk, ctx, cfg.block_size, phase, &mut fps);
+            res = out.stage(ep, disk, ctx, chunk, at, &mut done, phase);
+            at += chunk.len();
+            if res.is_ok() && ctx.dedup {
+                res = drain_ref_misses(ep, &mut misses, phase);
+            }
+        }
+        if res.is_ok() {
+            res = out.flush(ep, ctx, phase);
             if res.is_ok() {
-                done += chunk.len();
-                if ctx.dedup {
-                    res = drain_ref_misses(ep, &mut misses, phase);
-                }
+                done = at;
             }
         }
         worklist.drain(..done);
@@ -476,50 +550,70 @@ fn dest_apply_full(
     Ok(())
 }
 
-/// Materialize a content reference from a resident block. The resolved
-/// candidate is re-hashed in place before use, so an index gone stale
-/// under any hash behaviour degrades to a [`MigMessage::BlockRefMiss`]
-/// bounce and an eventual full resend — never to a wrong image. A block
-/// that already holds the content (a template clone's, an incremental
-/// return's unchanged blocks) is verified and left as it is.
-fn dest_apply_ref<T: Transport>(
+/// Materialize a frame of content references — a
+/// [`MigMessage::BlockRefs`], or a lone [`MigMessage::BlockRef`] as a
+/// frame of one. The frame is validated as a whole first: as many
+/// fingerprints as blocks, every block on the disk, or nothing of it is
+/// applied. Then each reference in order: its resolved holder is
+/// re-hashed in place before use, so an index gone stale under any hash
+/// behaviour degrades to a [`MigMessage::BlockRefMiss`] bounce and an
+/// eventual full resend — never to a wrong image. A block that already
+/// holds the content (a template clone's, an incremental return's
+/// unchanged blocks) is verified and left as it is; another block's
+/// content is copied over.
+fn dest_apply_refs<T: Transport>(
     st: &mut DestState,
     disk: &TrackedDisk,
     ep: &T,
-    block: u64,
-    fingerprint: u64,
+    blocks: &[u64],
+    fingerprints: &[u64],
     phase: &'static str,
 ) -> Result<(), SessionError> {
-    let b = checked_block(disk, block)?;
-    let holder = st
-        .dedup
-        .then(|| disk.content_index().resolve(fingerprint))
-        .flatten();
-    let verified = holder.filter(|&holder| {
-        st.work.blocks_read += 1;
-        st.work.blocks_hashed += 1;
-        let found = disk.disk().hash_block_at(holder);
-        if found != fingerprint {
-            // The index was wrong about the holder (a write went round
-            // it): now it is right, at the price of this bounce.
-            disk.content_index().record(holder, found);
-        }
-        found == fingerprint
-    });
-    match verified {
-        Some(holder) => {
-            // This protocol thread is the disk's one writer until resume:
-            // the holder still holds what was just hashed.
-            if holder != b {
-                disk.disk().write_block(b, &disk.disk().read_block(holder));
+    if blocks.len() != fingerprints.len() {
+        return Err(protocol_err(
+            "apply",
+            format!(
+                "{} references with {} fingerprints",
+                blocks.len(),
+                fingerprints.len()
+            ),
+        ));
+    }
+    for &block in blocks {
+        checked_block(disk, block)?;
+    }
+    for (&block, &fingerprint) in blocks.iter().zip(fingerprints) {
+        let b = block as usize;
+        let holder = st
+            .dedup
+            .then(|| disk.content_index().resolve(fingerprint))
+            .flatten();
+        let verified = holder.filter(|&holder| {
+            st.work.blocks_read += 1;
+            st.work.blocks_hashed += 1;
+            let found = disk.disk().hash_block_at(holder);
+            if found != fingerprint {
+                // The index was wrong about the holder (a write went
+                // round it): now it is right, at the price of this bounce.
+                disk.content_index().record(holder, found);
             }
-            st.session_got_blocks.set(b);
-            st.ref_missing.clear(b);
-            disk.content_index().record(b, fingerprint);
-        }
-        None => {
-            st.ref_missing.set(b);
-            send_or(ep, phase, MigMessage::BlockRefMiss { block })?;
+            found == fingerprint
+        });
+        match verified {
+            Some(holder) => {
+                // This protocol thread is the disk's one writer until
+                // resume: the holder still holds what was just hashed.
+                if holder != b {
+                    disk.disk().write_block(b, &disk.disk().read_block(holder));
+                }
+                st.session_got_blocks.set(b);
+                st.ref_missing.clear(b);
+                disk.content_index().record(b, fingerprint);
+            }
+            None => {
+                st.ref_missing.set(b);
+                send_or(ep, phase, MigMessage::BlockRefMiss { block })?;
+            }
         }
     }
     Ok(())
@@ -598,8 +692,12 @@ pub(super) fn dest_apply_data<T: Transport>(
             dest_apply_full(st, disk, &blocks, &raw, block_size)?;
         }
         MigMessage::BlockRef { block, fingerprint } => {
-            dest_apply_ref(st, disk, ep, block, fingerprint, phase)?;
+            dest_apply_refs(st, disk, ep, &[block], &[fingerprint], phase)?;
         }
+        MigMessage::BlockRefs {
+            blocks,
+            fingerprints,
+        } => dest_apply_refs(st, disk, ep, &blocks, &fingerprints, phase)?,
         MigMessage::MemPages {
             pages,
             payload: Some(payload),
@@ -739,6 +837,65 @@ mod tests {
             Ok(MigMessage::BlockRefMiss { block: 6 })
         ));
         assert_eq!(disk.content_index().resolve(hash_block(&newer)), Some(6));
+    }
+
+    #[test]
+    fn a_frame_of_references_is_checked_whole_then_applied_one_by_one() {
+        let cfg = LiveConfig {
+            num_blocks: 8,
+            ..LiveConfig::test_default()
+        };
+        let bs = cfg.block_size;
+        let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(bs, cfg.num_blocks)));
+        let ram = LiveRam::new(cfg.mem_page_size, cfg.mem_pages);
+        let fp = |b: usize| hash_block(&stamp_bytes(b, 1, bs));
+        for b in 0..cfg.num_blocks {
+            disk.disk().write_block(b, &stamp_bytes(b, 1, bs));
+            disk.content_index().record(b, fp(b));
+        }
+        let (ep, peer) = duplex();
+        let mut st = DestState::new(&cfg);
+        st.dedup = true;
+        let refs = |blocks: &[u64], fingerprints: &[u64]| MigMessage::BlockRefs {
+            blocks: blocks.to_vec(),
+            fingerprints: fingerprints.to_vec(),
+        };
+        let image = disk.disk().fingerprint_all();
+
+        // Unequal lengths, or a block past the disk after valid ones: a
+        // protocol error, and nothing of the frame is applied or bounced.
+        for bad in [
+            refs(&[5, 6], &[fp(3)]),
+            refs(&[5], &[fp(3), fp(6)]),
+            refs(&[5, 8], &[fp(3), fp(3)]),
+            refs(&[5, u64::MAX], &[fp(3), fp(3)]),
+        ] {
+            match dest_apply_data(&mut st, &disk, &ram, &ep, bad, "test") {
+                Err(SessionError::Fatal(MigrationError::Protocol { .. })) => {}
+                Err(_) => panic!("expected a protocol error, got another error"),
+                Ok(_) => panic!("expected a protocol error, got Ok"),
+            }
+        }
+        assert_eq!(disk.disk().fingerprint_all(), image);
+        assert_eq!((st.work.blocks_read, st.work.blocks_hashed), (0, 0));
+        assert!(st.session_got_blocks.to_indices().is_empty());
+        assert!(matches!(peer.try_recv(), Err(TransportError::Empty)));
+
+        // A valid frame, one reference at a time: block 5 gets block 3's
+        // content, block 6 already holds its own, and content nobody
+        // holds bounces without a read.
+        let msg = refs(&[5, 6, 1], &[fp(3), fp(6), 99]);
+        assert!(ok(dest_apply_data(&mut st, &disk, &ram, &ep, msg, "test")).is_none());
+        assert_eq!(disk.disk().read_block(5), stamp_bytes(3, 1, bs));
+        assert_eq!(disk.disk().read_block(6), stamp_bytes(6, 1, bs));
+        assert_eq!((st.work.blocks_read, st.work.blocks_hashed), (2, 2));
+        assert_eq!(st.session_got_blocks.to_indices(), vec![5, 6]);
+        assert!(st.ref_missing.get(1));
+        assert!(matches!(
+            peer.try_recv(),
+            Ok(MigMessage::BlockRefMiss { block: 1 })
+        ));
+        assert!(matches!(peer.try_recv(), Err(TransportError::Empty)));
     }
 
     /// One page of each kind a guest's RAM is made of: untouched, filled

@@ -498,10 +498,7 @@ fn source_freeze<T: Transport>(
             // Let the guest run: guarantees a writing workload lands
             // blocks in the freeze bitmap, deterministically.
             let target = st.converged_at_tick.unwrap_or(0) + cfg.min_guest_ticks;
-            let guard = Instant::now() + Duration::from_secs(10);
-            while ctl.ticks() < target && Instant::now() < guard {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            ctl.wait_ticks(target, Duration::from_secs(10));
         }
         let suspended_at = ctl.request_suspend();
         st.suspended_at = Some(suspended_at);

@@ -29,6 +29,7 @@
 use des::{SimDuration, SimTime};
 use orchestrator::{HostId, MigrationRequest, Policy, VmId};
 
+use crate::runner::config_for;
 use crate::timeline::{ChaosEvent, CycleSpec, ScenarioSpec, TimedEvent};
 use crate::topology::{HostCaps, Island, LinkSpec};
 use crate::ScenarioError;
@@ -55,7 +56,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, ScenarioError> {
             if have_fleet {
                 return fail("duplicate `fleet` directive".to_string());
             }
-            match parse_fleet(rest) {
+            match parse_fleet(rest).and_then(|s| buildable(&s).map(|()| s)) {
                 Ok(s) => spec = s,
                 Err(m) => return fail(m),
             }
@@ -106,6 +107,33 @@ fn parse_fleet(rest: &[&str]) -> Result<ScenarioSpec, String> {
     spec.hosts = hosts.ok_or("fleet: missing hosts=")?;
     spec.vms = vms.ok_or("fleet: missing vms=")?;
     Ok(spec)
+}
+
+/// Refuse a fleet the orchestrator cannot build: one its configuration
+/// check refuses, or one whose host-pair link matrices or per-VM block
+/// maps are more bytes than a `Vec` can hold. What the rest of the file
+/// says is then checked against a fleet that can exist.
+fn buildable(spec: &ScenarioSpec) -> Result<(), String> {
+    let cfg = config_for(spec);
+    cfg.validate().map_err(|e| format!("fleet: {e}"))?;
+    let fits = |count: Option<usize>, size: usize| {
+        count
+            .and_then(|n| n.checked_mul(size))
+            .is_some_and(|bytes| isize::try_from(bytes).is_ok())
+    };
+    if !fits(cfg.hosts.checked_mul(cfg.hosts), size_of::<f64>()) {
+        return Err(format!(
+            "fleet: hosts={} needs a {0} x {0} link matrix no address space holds",
+            cfg.hosts
+        ));
+    }
+    if !fits(cfg.vms.checked_mul(cfg.disk_blocks), size_of::<u32>()) {
+        return Err(format!(
+            "fleet: vms={} of {} blocks each is more block state than an address space holds",
+            cfg.vms, cfg.disk_blocks
+        ));
+    }
+    Ok(())
 }
 
 fn parse_island(rest: &[&str], spec: &mut ScenarioSpec) -> Result<(), String> {
@@ -354,6 +382,9 @@ fn parse_wave(rest: &[&str], spec: &mut ScenarioSpec) -> Result<(), String> {
             other => return Err(format!("wave: unknown key `{other}`")),
         }
     }
+    spec.requests
+        .try_reserve(spec.vms)
+        .map_err(|_| format!("wave: {} requests do not fit in memory", spec.vms))?;
     for vm in 0..spec.vms {
         spec.requests.push(MigrationRequest {
             vm: VmId(vm),
@@ -569,6 +600,31 @@ wave at=10s
         assert_eq!(parse_ratio("1/4"), Ok((1, 4)));
         assert!(parse_ratio("4/1").is_err());
         assert!(parse_ratio("1/0").is_err());
+    }
+
+    #[test]
+    fn a_fleet_the_orchestrator_cannot_build_is_refused_at_its_line() {
+        // A host count no fleet can have is refused at its own line,
+        // before a later check could size anything by it.
+        let e = parse("fleet hosts=18446744073709551615 vms=1\nat 1s partition h0 | h1\n")
+            .expect_err("no such fleet");
+        assert_eq!(e.line, 1);
+        assert!(e.msg.contains("link matrix"), "{}", e.msg);
+        for (text, why) in [
+            ("fleet hosts=1 vms=1\n", "2 hosts"),
+            ("fleet hosts=2 vms=0\n", "1 VM"),
+            ("fleet hosts=2 vms=1 blocks=0\n", "non-empty"),
+            ("fleet hosts=2 vms=1 blocks=4096\n", "8192 blocks"),
+            (
+                "fleet hosts=2 vms=18446744073709551615\nwave at=0s\n",
+                "block state",
+            ),
+            ("fleet hosts=4294967296 vms=1 blocks=8192\n", "link matrix"),
+        ] {
+            let e = parse(text).expect_err(text);
+            assert_eq!(e.line, 1, "{text}");
+            assert!(e.msg.contains(why), "{text}: {}", e.msg);
+        }
     }
 
     #[test]

@@ -205,17 +205,18 @@ impl ScenarioSpec {
         for ev in &self.events {
             match &ev.event {
                 ChaosEvent::Partition { islands } => {
-                    let mut seen = vec![false; self.hosts];
-                    for &h in islands.iter().flatten() {
-                        if h >= self.hosts {
-                            return Err(host_err(h));
-                        }
-                        if seen[h] {
-                            return Err(ScenarioError::spec(format!(
-                                "partition lists h{h} in two islands"
-                            )));
-                        }
-                        seen[h] = true;
+                    // Sorted, not a table sized by the fleet: what is
+                    // allocated is what the event lists.
+                    let mut listed: Vec<usize> = islands.iter().flatten().copied().collect();
+                    listed.sort_unstable();
+                    if let Some(&h) = listed.iter().find(|&&h| h >= self.hosts) {
+                        return Err(host_err(h));
+                    }
+                    if let Some(pair) = listed.windows(2).find(|pair| pair[0] == pair[1]) {
+                        return Err(ScenarioError::spec(format!(
+                            "partition lists h{} in two islands",
+                            pair[0]
+                        )));
                     }
                 }
                 ChaosEvent::HostDown { host } | ChaosEvent::HostUp { host } => {
@@ -289,5 +290,24 @@ mod tests {
             },
         });
         assert!(s.validate().is_err(), "host in two islands");
+    }
+
+    #[test]
+    fn a_partition_is_checked_without_a_table_the_size_of_the_fleet() {
+        let mut s = ScenarioSpec::new(usize::MAX, 1);
+        s.events.push(TimedEvent {
+            at: SimTime::ZERO,
+            event: ChaosEvent::Partition {
+                islands: vec![vec![0], vec![1]],
+            },
+        });
+        assert!(s.validate().is_ok());
+        s.events[0].event = ChaosEvent::Partition {
+            islands: vec![vec![3, 7], vec![usize::MAX - 1, 7]],
+        };
+        assert_eq!(
+            s.validate().map_err(|e| e.msg),
+            Err("partition lists h7 in two islands".to_string())
+        );
     }
 }

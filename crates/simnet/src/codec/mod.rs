@@ -90,6 +90,7 @@ const T_BLOCK_MANIFEST: u8 = 23;
 const T_BARRIER: u8 = 24;
 const T_BARRIER_ACK: u8 = 25;
 const T_COMPRESSED_PAGES: u8 = 26;
+const T_BLOCK_REFS: u8 = 27;
 
 /// Words converted per batch in the bulk [`Writer::u64s`] path: large
 /// enough for the inner loop to vectorize, small enough to live on the
@@ -346,6 +347,10 @@ fn head_size_hint(msg: &MigMessage) -> usize {
         MigMessage::BlockManifest {
             blocks,
             fingerprints,
+        }
+        | MigMessage::BlockRefs {
+            blocks,
+            fingerprints,
         } => (blocks.len() + fingerprints.len()) * 8,
         MigMessage::CpuState { .. }
         | MigMessage::Bitmap { .. }
@@ -471,6 +476,14 @@ fn encode_head<'a>(w: &mut Writer, msg: &'a MigMessage) -> &'a [u8] {
             w.u8(T_BLOCK_REF);
             w.u64(*block);
             w.u64(*fingerprint);
+        }
+        MigMessage::BlockRefs {
+            blocks,
+            fingerprints,
+        } => {
+            w.u8(T_BLOCK_REFS);
+            w.u64s(blocks);
+            w.u64s(fingerprints);
         }
         MigMessage::BlockRefMiss { block } => {
             w.u8(T_BLOCK_REF_MISS);
@@ -626,6 +639,21 @@ fn decode_from(mut r: Reader<'_>) -> Result<MigMessage, CodecError> {
             block: r.u64()?,
             fingerprint: r.u64()?,
         },
+        T_BLOCK_REFS => {
+            let blocks = r.u64s()?;
+            let fingerprints = r.u64s()?;
+            if blocks.len() != fingerprints.len() {
+                return Err(CodecError::Malformed(format!(
+                    "{} references with {} fingerprints",
+                    blocks.len(),
+                    fingerprints.len()
+                )));
+            }
+            MigMessage::BlockRefs {
+                blocks,
+                fingerprints,
+            }
+        }
         T_BLOCK_REF_MISS => MigMessage::BlockRefMiss { block: r.u64()? },
         T_CONTENT_SUMMARY => MigMessage::ContentSummary {
             fingerprints: r.u64s()?,
@@ -821,6 +849,14 @@ mod tests {
             MigMessage::BlockRef {
                 block: 4242,
                 fingerprint: 0x0123_4567_89AB_CDEF,
+            },
+            MigMessage::BlockRefs {
+                blocks: vec![4242, 7, 4243],
+                fingerprints: vec![0x0123_4567_89AB_CDEF, 1, 0x0123_4567_89AB_CDEF],
+            },
+            MigMessage::BlockRefs {
+                blocks: vec![],
+                fingerprints: vec![],
             },
             MigMessage::BlockRefMiss { block: 4242 },
             MigMessage::ContentSummary {
@@ -1019,6 +1055,39 @@ mod tests {
         expect.push(251);
         assert_eq!(encode(&msg), expect);
         assert_eq!(msg.wire_size(), crate::proto::FRAME_OVERHEAD + 8 + 20);
+    }
+
+    #[test]
+    fn block_refs_tag_and_layout_are_pinned_and_unequal_lengths_are_refused() {
+        // Tag 27, then the block run and the fingerprint run, each
+        // length-prefixed little-endian: `BlockManifest`'s layout.
+        let msg = MigMessage::BlockRefs {
+            blocks: vec![5],
+            fingerprints: vec![0xAB],
+        };
+        let mut expect = vec![27u8];
+        for word in [1u64, 5, 1, 0xAB] {
+            expect.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(encode(&msg), expect);
+        assert_eq!(
+            msg.wire_size(),
+            crate::proto::FRAME_OVERHEAD + crate::proto::BLOCK_REF_WIRE
+        );
+        // A fingerprint run one longer than the block run: well-formed
+        // runs, refused as a whole.
+        let mut uneven = vec![27u8];
+        for word in [1u64, 5, 2, 0xAB, 0xCD] {
+            uneven.extend_from_slice(&word.to_le_bytes());
+        }
+        assert!(matches!(
+            decode(&uneven),
+            Err(CodecError::Malformed(m)) if m.contains("1 references with 2 fingerprints")
+        ));
+        // Every strict prefix of a valid frame is an error.
+        for keep in 0..expect.len() {
+            assert!(decode(&expect[..keep]).is_err(), "{keep} bytes");
+        }
     }
 
     #[test]

@@ -88,6 +88,17 @@ pub enum MigMessage {
         /// Content fingerprint (`vdisk::content::hash_block`).
         fingerprint: u64,
     },
+    /// Many [`MigMessage::BlockRef`]s in one frame: block `blocks[i]` is
+    /// to hold the content `fingerprints[i]` names. The live source sends
+    /// references this way, after the full blocks they may name; each
+    /// resolves, or bounces as a [`MigMessage::BlockRefMiss`], exactly as
+    /// a lone reference does. Sized [`BLOCK_REF_WIRE`] a reference.
+    BlockRefs {
+        /// Destination blocks to materialize.
+        blocks: Vec<u64>,
+        /// Content fingerprint of each block, same order and length.
+        fingerprints: Vec<u64>,
+    },
     /// Destination → source: a [`MigMessage::BlockRef`] could not be
     /// resolved against resident content (evicted, never applied, or a
     /// fingerprint mismatch on verification). The source falls back to
@@ -331,6 +342,7 @@ impl MigMessage {
                     ..
                 } => 8 * blocks.len() as u64 + payload_len,
                 Self::BlockRef { .. } => BLOCK_REF_WIRE,
+                Self::BlockRefs { blocks, .. } => BLOCK_REF_WIRE * blocks.len() as u64,
                 Self::BlockRefMiss { .. } => 8,
                 Self::ContentSummary { fingerprints } => 8 * fingerprints.len() as u64,
                 Self::CompressedBlocks {
@@ -389,7 +401,9 @@ impl MigMessage {
             Self::BlockManifest { .. } => Category::Bitmap,
             Self::ResumeFrom { .. } => Category::Bitmap,
             Self::DiskBlocks { .. } => Category::DiskPrecopy,
-            Self::BlockRef { .. } | Self::CompressedBlocks { .. } => Category::DiskPrecopy,
+            Self::BlockRef { .. } | Self::BlockRefs { .. } | Self::CompressedBlocks { .. } => {
+                Category::DiskPrecopy
+            }
             Self::MemPages { .. } | Self::CompressedPages { .. } => Category::Memory,
             Self::CpuState { .. } => Category::Cpu,
             Self::Bitmap { .. } => Category::Bitmap,
@@ -418,7 +432,7 @@ pub struct WireStats {
     pub bytes_raw: u64,
     /// Block payload bytes actually sent (refs + compressed frames).
     pub bytes_sent: u64,
-    /// Blocks shipped as a 16-byte [`MigMessage::BlockRef`].
+    /// Blocks shipped as a 16-byte reference ([`MigMessage::BlockRefs`]).
     pub blocks_deduped: u64,
     /// Blocks whose payload went out smaller than raw.
     pub blocks_compressed: u64,
@@ -572,6 +586,15 @@ mod tests {
         };
         assert_eq!(pages.wire_size(), FRAME_OVERHEAD + 24 + 30);
         assert_eq!(pages.category(), Category::Memory);
+
+        // A frame of references costs what the simulator books for a
+        // step's references: one frame, 16 bytes a reference.
+        let refs = MigMessage::BlockRefs {
+            blocks: vec![4, 9, 2],
+            fingerprints: vec![7, 7, 1],
+        };
+        assert_eq!(refs.wire_size(), FRAME_OVERHEAD + 3 * BLOCK_REF_WIRE);
+        assert_eq!(refs.category(), Category::DiskPrecopy);
     }
 
     #[test]

@@ -77,16 +77,18 @@ impl Inbox {
 }
 
 /// The frames the inbox budget counts: those that carry block or page
-/// bytes. Everything else — references, bounces, pull requests, barriers,
-/// acks, handshakes — is small, is what the *other* direction of a
-/// migration consists of, and must get through whatever the bulk
-/// direction is doing: a reader parked on a full inbox with a flood of
-/// `BlockRefMiss` behind it would stop the peer's writes, and with them
-/// the very receives that would drain this inbox.
+/// bytes, and the frames of references that travel between them (up to a
+/// window's worth each). Everything else — lone references, bounces, pull
+/// requests, barriers, acks, handshakes — is small, is what the *other*
+/// direction of a migration consists of, and must get through whatever
+/// the bulk direction is doing: a reader parked on a full inbox with a
+/// flood of `BlockRefMiss` behind it would stop the peer's writes, and
+/// with them the very receives that would drain this inbox.
 fn carries_bulk(msg: &MigMessage) -> bool {
     matches!(
         msg,
         MigMessage::DiskBlocks { .. }
+            | MigMessage::BlockRefs { .. }
             | MigMessage::CompressedBlocks { .. }
             | MigMessage::MemPages { .. }
             | MigMessage::CompressedPages { .. }

@@ -81,7 +81,20 @@ fn arb_message() -> impl Strategy<Value = MigMessage> {
         Just(MigMessage::Barrier),
         Just(MigMessage::BarrierAck),
         arb_hello(),
+        arb_block_refs(),
     ]
+}
+
+/// A frame of references: as many fingerprints as blocks, the only shape
+/// the decoder accepts.
+fn arb_block_refs() -> impl Strategy<Value = MigMessage> {
+    prop::collection::vec((any::<u64>(), any::<u64>()), 0..50).prop_map(|refs| {
+        let (blocks, fingerprints): (Vec<u64>, Vec<u64>) = refs.into_iter().unzip();
+        MigMessage::BlockRefs {
+            blocks,
+            fingerprints,
+        }
+    })
 }
 
 fn arb_hello() -> impl Strategy<Value = MigMessage> {
@@ -364,6 +377,33 @@ proptest! {
         prop_assert!(enc[at] <= 1);
         enc[at] = value;
         prop_assert!(matches!(decode(&enc), Err(CodecError::Malformed(_))));
+    }
+
+    /// A `BlockRefs` frame is two runs of equal length, and nothing else
+    /// decodes: a frame whose fingerprint run is longer or shorter than
+    /// its block run is a typed error however well-formed each run is,
+    /// and so is every frame cut short.
+    #[test]
+    fn block_refs_of_unequal_lengths_or_cut_short_are_typed_errors(
+        refs in arb_block_refs(),
+        extra in prop::collection::vec(any::<u64>(), 1..4),
+        drop_one in any::<bool>(),
+        cut in 1usize..64,
+    ) {
+        let enc = encode(&refs);
+        prop_assert_eq!(&decode(&enc).expect("decode"), &refs);
+        prop_assert!(decode(&enc[..enc.len().saturating_sub(cut)]).is_err());
+        let MigMessage::BlockRefs { blocks, mut fingerprints } = refs else {
+            unreachable!("arb_block_refs makes BlockRefs");
+        };
+        if drop_one && !fingerprints.is_empty() {
+            fingerprints.pop();
+        } else {
+            fingerprints.extend(extra);
+        }
+        let uneven = encode(&MigMessage::BlockRefs { blocks, fingerprints });
+        prop_assert!(matches!(decode(&uneven), Err(CodecError::Malformed(_))));
+        check_frame_doors(uneven)?;
     }
 
     /// A `CompressedPages` frame with bits flipped anywhere — tag, index

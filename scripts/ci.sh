@@ -132,30 +132,40 @@ for workload in bulk_unique template_clone_paced web_tcp incremental_return virt
     --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --quick --trace 1 >"target/smoke-$workload.out"
 done
-# The live engine's wire bytes, by equality: the three idle-guest live
-# workloads write nothing while they migrate, so what the destination
-# sent and what crossed per image byte are byte counts fixed by the seed,
-# not timings — a data-plane change that moves one byte changes a digit
-# here. (The paced template clone carries 0.066 wire bytes per image byte
-# since the LZ search keys on eight bytes as well as four and its offsets
-# reach across the batch; 0.094 with one 4-byte key and 16-bit offsets,
-# 0.166-0.172 with per-unit frames before one LZ stream per batch.)
-# web_tcp's guest writes during the copy, so its bytes follow the
-# scheduler and are not pinned.
+# The live engine's wire bytes and block forms, by equality: the three
+# idle-guest live workloads write nothing while they migrate, so what the
+# destination sent, what crossed per image byte and the share of blocks
+# that crossed as references, as LZ streams and at all are counts fixed
+# by the seed, not timings — a data-plane change that moves one byte, or
+# one block from one form to another, changes a digit here. (The paced
+# template clone carries 0.0447 wire bytes per image byte since its full
+# blocks cross in whole 256-block LZ streams and its references in one
+# frame per flush; 0.066 in streams of one chunk's ~64 blocks and one
+# frame per reference, after the LZ search keyed on eight bytes as well
+# as four and its offsets reached across the batch; 0.094 with one 4-byte
+# key and 16-bit offsets, 0.166-0.172 with per-unit frames before one LZ
+# stream per batch.) web_tcp's guest writes during the copy, so its bytes
+# follow the scheduler and are not pinned.
 python3 - <<'PY'
 import json
 want = {
-    "bulk_unique": (115.0, 1.0024214320712619),
-    "template_clone_paced": (32899.0, 0.0662138197157118),
-    "incremental_return": (115.0, 0.04987819267041756),
+    "bulk_unique": (115.0, 1.0024214320712619, 0.0, 0.0, 1.0),
+    "template_clone_paced": (32899.0, 0.04473649130927192, 0.75, 1.0, 1.0),
+    "incremental_return": (115.0, 0.04987819267041756, 0.0, 0.0, 0.01995849609375),
 }
-names = ("live.dst_bytes", "live.wire_bytes_per_image_byte")
+names = (
+    "live.dst_bytes",
+    "live.wire_bytes_per_image_byte",
+    "live.dedup_hit_share",
+    "live.lz_kept_share",
+    "live.blocks_sent_per_image_block",
+)
 same = True
 for workload, pinned in want.items():
     with open(f"target/smoke-{workload}.out") as out:
         metrics = json.loads(out.read().splitlines()[-1])["metrics"]
     got = tuple(metrics[name]["value"] for name in names)
-    print(f"{workload} {names[0]} = {got[0]!r}, {names[1]} = {got[1]!r}")
+    print(workload, ", ".join(f"{name} = {value!r}" for name, value in zip(names, got)))
     same &= got == pinned
 raise SystemExit(0 if same else 1)
 PY

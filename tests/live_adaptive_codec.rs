@@ -166,9 +166,10 @@ fn a_paced_link_compresses_every_batch_from_the_first() {
     assert_eq!(out.wire.blocks_compressed, 255);
     assert_eq!(out.wire.pages_compressed, 256);
     // And the ledger is what compressing every batch whole produces:
-    // four block batches (the first without the zero block), eight of
-    // pages, one stream each.
-    let block_frames = stamp_streams_len([1..64, 64..128, 128..192, 192..256].into_iter(), 4_096);
+    // four block batches of 64 full blocks (a flush waits for 64, so the
+    // zero block's reference leaves a hole the next chunk fills), eight
+    // of pages, one stream each.
+    let block_frames = stamp_streams_len([1..65, 65..129, 129..193, 193..256].into_iter(), 4_096);
     assert_eq!(out.wire.bytes_sent, block_frames + BLOCK_REF_WIRE);
     assert_eq!(
         out.wire.page_bytes_sent,
@@ -316,19 +317,11 @@ fn the_frozen_tail_follows_the_rule_too() {
 /// length.
 type SentBatch = (Resource, Vec<u64>, u64);
 
-/// The source's end of a duplex link, keeping a note of every compressed
-/// batch it sends.
-struct Tap {
-    link: Endpoint,
-    batches: Arc<Mutex<Vec<SentBatch>>>,
-    /// Answer `None` for the link's cost, as a socket between two hosts
-    /// does.
-    cannot_tell: bool,
-}
-
-impl Transport for Tap {
-    fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
-        let note = match &msg {
+/// The compressed batches among `frames`, in sending order.
+fn compressed_batches(frames: &[MigMessage]) -> Vec<SentBatch> {
+    frames
+        .iter()
+        .filter_map(|msg| match msg {
             MigMessage::CompressedBlocks {
                 blocks, payload, ..
             } => Some((Resource::Disk, blocks.clone(), payload.len() as u64)),
@@ -336,8 +329,37 @@ impl Transport for Tap {
                 Some((Resource::Memory, pages.clone(), payload.len() as u64))
             }
             _ => None,
+        })
+        .collect()
+}
+
+/// Frames one end of a link sent, in sending order.
+type Sent = Arc<Mutex<Vec<MigMessage>>>;
+
+/// One end of a duplex link, keeping a copy of every frame it sends.
+struct Tap {
+    link: Endpoint,
+    sent: Sent,
+    /// Answer `None` for the link's cost, as a socket between two hosts
+    /// does.
+    cannot_tell: bool,
+}
+
+impl Tap {
+    fn new(link: Endpoint, cannot_tell: bool) -> (Self, Sent) {
+        let sent = Sent::default();
+        let tap = Self {
+            link,
+            sent: Arc::clone(&sent),
+            cannot_tell,
         };
-        self.batches.lock().expect("tap lock").extend(note);
+        (tap, sent)
+    }
+}
+
+impl Transport for Tap {
+    fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
+        self.sent.lock().expect("tap lock").push(msg.clone());
         self.link.send(msg)
     }
     fn recv(&self) -> Result<MigMessage, TransportError> {
@@ -361,35 +383,29 @@ impl Transport for Tap {
     }
 }
 
-/// A stamp-0 image to a blank disk over a tapped link: the outcome and
-/// the compressed batches the source formed, in sending order.
-fn run_tapped(cfg: &LiveConfig, cannot_tell: bool) -> (LiveOutcome, Vec<SentBatch>) {
-    let src = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
-    for b in 0..cfg.num_blocks {
-        src.write_block(b, &stamp_bytes(b, 0, cfg.block_size));
-    }
+/// `src` migrated onto `dst` over a link tapped at both ends: the outcome
+/// and the frames each side sent, in sending order.
+fn run_tapped_disks(
+    cfg: &LiveConfig,
+    src: VirtualDisk,
+    dst: VirtualDisk,
+    cannot_tell: bool,
+) -> (LiveOutcome, Vec<MigMessage>, Vec<MigMessage>) {
     let src = Arc::new(TrackedDisk::new(Arc::new(src)));
-    let dst = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
-        cfg.block_size,
-        cfg.num_blocks,
-    ))));
+    let dst = Arc::new(TrackedDisk::new(Arc::new(dst)));
     let (mut link, peer) = duplex();
     if let Some(rate) = cfg.rate_limit {
         link.set_rate_limit(rate);
     }
-    let batches = Arc::new(Mutex::new(Vec::new()));
-    let tap = Tap {
-        link,
-        batches: Arc::clone(&batches),
-        cannot_tell,
-    };
+    let (src_tap, src_sent) = Tap::new(link, cannot_tell);
+    let (dst_tap, dst_sent) = Tap::new(peer, false);
     let out = run_live_migration_connected(
         cfg,
         Arc::clone(&src),
         Arc::clone(&dst),
         None,
-        OnceConnector::new(tap),
-        OnceConnector::new(peer),
+        OnceConnector::new(src_tap),
+        OnceConnector::new(dst_tap),
     )
     .expect("migration completes");
     assert!(
@@ -397,8 +413,25 @@ fn run_tapped(cfg: &LiveConfig, cannot_tell: bool) -> (LiveOutcome, Vec<SentBatc
         "image not block-exact"
     );
     assert!(out.inconsistent_pages().is_empty(), "RAM not page-exact");
-    let batches = batches.lock().expect("tap lock").clone();
-    (out, batches)
+    let frames = |sent: Sent| sent.lock().expect("tap lock").clone();
+    (out, frames(src_sent), frames(dst_sent))
+}
+
+/// The engine's stamp-0 image of `cfg`'s geometry.
+fn stamp_image(cfg: &LiveConfig) -> VirtualDisk {
+    let disk = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
+    for b in 0..cfg.num_blocks {
+        disk.write_block(b, &stamp_bytes(b, 0, cfg.block_size));
+    }
+    disk
+}
+
+/// A stamp-0 image to a blank disk over a tapped link: the outcome and
+/// the compressed batches the source formed, in sending order.
+fn run_tapped(cfg: &LiveConfig, cannot_tell: bool) -> (LiveOutcome, Vec<SentBatch>) {
+    let blank = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
+    let (out, sent, _) = run_tapped_disks(cfg, stamp_image(cfg), blank, cannot_tell);
+    (out, compressed_batches(&sent))
 }
 
 #[test]
@@ -666,6 +699,74 @@ fn a_link_that_cannot_tell_fingerprints() {
     assert_eq!(dedup_sessions(&cfg), (vec![(1, 0, 0)], 1, 0));
     assert_eq!(out.wire.blocks_compressed, 255);
     assert_eq!(batches.len(), 4 + 8);
+}
+
+#[test]
+fn a_template_clone_sends_whole_batches_and_books_references_as_the_simulator_does() {
+    // 1 024 blocks, a quarter rewritten (every fourth), against a
+    // destination that holds the template; 64 a batch, so a flush spans
+    // four chunks. Block 100 is rewritten with what block 4 now holds: a
+    // duplicate of a full block staged in the same flush.
+    let cfg = LiveConfig {
+        num_blocks: 1_024,
+        ..paced(&idle_cfg())
+    };
+    let bs = cfg.block_size;
+    let src = stamp_image(&cfg);
+    for b in (0..cfg.num_blocks).step_by(4) {
+        src.write_block(b, &stamp_bytes(b, 1, bs));
+    }
+    src.write_block(100, &stamp_bytes(4, 1, bs));
+    let (out, sent, answered) = run_tapped_disks(&cfg, src, stamp_image(&cfg), false);
+
+    // Full blocks cross in streams of `batch`, the pass's last excepted.
+    let (mut full_bytes, mut streams) = (0, 0);
+    let (mut sizes, mut refs) = (Vec::new(), Vec::new());
+    for msg in &sent {
+        match msg {
+            MigMessage::CompressedBlocks {
+                blocks, payload, ..
+            } => {
+                full_bytes += msg.wire_size();
+                streams += payload.len() as u64;
+                sizes.push(blocks.len());
+            }
+            MigMessage::DiskBlocks { .. } => panic!("every batch compresses on this link"),
+            MigMessage::BlockRef { .. } => panic!("a reference crossed alone"),
+            MigMessage::BlockRefs {
+                blocks,
+                fingerprints,
+            } => {
+                assert_eq!(blocks.len(), fingerprints.len());
+                refs.push(blocks.len() as u64);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(sizes, [64, 64, 64, 63]);
+
+    // References cross one frame per flush, and the ledger books each
+    // frame as the simulator books a step's references: FRAME_OVERHEAD
+    // plus BLOCK_REF_WIRE a reference.
+    assert_eq!(refs.len(), 4, "{refs:?}");
+    assert_eq!(refs.iter().sum::<u64>(), 768 + 1);
+    assert_eq!(out.wire.blocks_deduped, 768 + 1);
+    let ref_bytes: u64 = refs
+        .iter()
+        .map(|n| FRAME_OVERHEAD + BLOCK_REF_WIRE * n)
+        .sum();
+    assert_eq!(
+        out.src_ledger.get(Category::DiskPrecopy),
+        full_bytes + ref_bytes
+    );
+    assert_eq!(out.wire.bytes_sent, streams + 769 * BLOCK_REF_WIRE);
+
+    // The duplicate resolved against block 4, staged ahead of it in its
+    // flush: nothing bounced, and every block crossed once.
+    assert!(!answered
+        .iter()
+        .any(|m| matches!(m, MigMessage::BlockRefMiss { .. })));
+    assert_eq!(out.wire.bytes_raw, (cfg.num_blocks * bs) as u64);
 }
 
 #[test]

@@ -189,9 +189,10 @@ fn reconnect_resummarises_from_the_kept_index_not_from_the_disk() {
         Arc::new(TrackedDisk::new(Arc::new(disk)))
     };
     let (src, dst) = (disk(None), disk(Some(4)));
-    // A batch is one frame of 64 full blocks and 192 references: message
-    // 300 falls in the second.
-    let plan = FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 300);
+    // A flush is one frame of 256 full blocks and one of the 768
+    // references staged beside them (four chunks of 64 and 192): message
+    // 3 is the second flush's full frame.
+    let plan = FaultPlan::none().reset_after_category(0, Category::DiskPrecopy, 3);
     let out = run_live(
         &cfg,
         LiveRun {
