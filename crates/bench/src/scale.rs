@@ -17,7 +17,7 @@ impl Scale {
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
             "paper" => Some(Scale::Paper),
-            "ci" | "small" => Some(Scale::Ci),
+            "ci" => Some(Scale::Ci),
             _ => None,
         }
     }
@@ -52,6 +52,7 @@ mod tests {
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("ci"), Some(Scale::Ci));
         assert_eq!(Scale::parse("bogus"), None);
+        assert_eq!(Scale::parse("small"), None);
         assert_eq!(Scale::Paper.config().disk_blocks, 9_765_625);
         assert_eq!(Scale::Ci.config().disk_blocks, 262_144);
         Scale::Ci.config().validate();

@@ -84,7 +84,7 @@ const FLAGS: &[Flag] = &[
         choice(v, &kinds).map(|w| a.workload = w)
     }),
     Value("--scale", "paper|ci", Some("paper"), |a, v, _| {
-        choice(v, &[("paper", true), ("ci", false), ("small", false)]).map(|p| a.paper_scale = p)
+        choice(v, &[("paper", true), ("ci", false)]).map(|p| a.paper_scale = p)
     }),
     Value("--rate-limit", "MBPS", None, |a, v, _| {
         let mbps = v.parse::<f64>().ok().filter(|r| *r > 0.0 && r.is_finite());
@@ -341,6 +341,7 @@ mod tests {
         assert!(parse(&v(&[])).is_err());
         assert!(parse(&v(&["bogus"])).is_err());
         assert!(parse(&v(&["simulate", "--workload", "nope"])).is_err());
+        assert!(parse(&v(&["simulate", "--scale", "small"])).is_err());
         assert!(parse(&v(&["simulate", "--rate-limit", "-3"])).is_err());
         assert!(parse(&v(&["simulate", "--rate-limit"])).is_err());
         assert!(parse(&v(&["simulate", "--streams", "0"])).is_err());

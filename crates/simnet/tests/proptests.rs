@@ -13,7 +13,7 @@ use simnet::codec::{
     read_frame_or_eof, write_frame, CodecError,
 };
 use simnet::fault::{faulty_pair, FaultPlan};
-use simnet::proto::MigMessage;
+use simnet::proto::{MigMessage, ResumePhase};
 use simnet::transport::{duplex, Transport, TransportError};
 use simnet::TokenBucket;
 
@@ -64,11 +64,13 @@ fn arb_message() -> impl Strategy<Value = MigMessage> {
                 payload,
             }
         }),
-        bytes.prop_map(|encoded| MigMessage::Bitmap { encoded }),
+        bytes
+            .clone()
+            .prop_map(|encoded| MigMessage::Bitmap { encoded }),
         Just(MigMessage::Suspended),
         Just(MigMessage::Resumed),
         any::<u64>().prop_map(|block| MigMessage::PullRequest { block }),
-        (any::<u64>(), any::<bool>(), any::<u64>(), opt_bytes).prop_map(
+        (any::<u64>(), any::<bool>(), any::<u64>(), opt_bytes.clone()).prop_map(
             |(block, pulled, payload_len, payload)| MigMessage::PostCopyBlock {
                 block,
                 pulled,
@@ -78,11 +80,129 @@ fn arb_message() -> impl Strategy<Value = MigMessage> {
         ),
         Just(MigMessage::PushComplete),
         Just(MigMessage::MigrationComplete),
+        Just(MigMessage::CompleteAck),
         Just(MigMessage::Barrier),
         Just(MigMessage::BarrierAck),
         arb_hello(),
         arb_block_refs(),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(block, fingerprint)| MigMessage::BlockRef { block, fingerprint }),
+        any::<u64>().prop_map(|block| MigMessage::BlockRefMiss { block }),
+        prop::collection::vec(any::<u64>(), 0..50)
+            .prop_map(|fingerprints| MigMessage::ContentSummary { fingerprints }),
+        (
+            prop::collection::vec(any::<u64>(), 0..50),
+            any::<u64>(),
+            bytes.clone()
+        )
+            .prop_map(|(blocks, raw_len, payload)| MigMessage::CompressedBlocks {
+                blocks,
+                raw_len,
+                payload,
+            }),
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(block, fingerprint, generation)| {
+            MigMessage::BlockRequest {
+                block,
+                fingerprint,
+                generation,
+            }
+        }),
+        (any::<u64>(), any::<u64>(), any::<u64>(), opt_bytes).prop_map(
+            |(block, generation, payload_len, payload)| MigMessage::BlockData {
+                block,
+                generation,
+                payload_len,
+                payload,
+            }
+        ),
+        any::<u64>().prop_map(|block| MigMessage::BlockMiss { block }),
+        (
+            prop::collection::vec(any::<u64>(), 0..50),
+            prop::collection::vec(any::<u64>(), 0..50)
+        )
+            .prop_map(|(blocks, fingerprints)| MigMessage::BlockManifest {
+                blocks,
+                fingerprints,
+            }),
+        (
+            prop_oneof![
+                Just(ResumePhase::AwaitPrepare),
+                Just(ResumePhase::Precopy),
+                Just(ResumePhase::Frozen),
+                Just(ResumePhase::PostCopy),
+            ],
+            0u8..4,
+            bytes.clone(),
+            bytes
+        )
+            .prop_map(|(phase, flags, disk_bitmap, mem_bitmap)| {
+                MigMessage::ResumeFrom {
+                    phase,
+                    dedup: flags & 1 != 0,
+                    compress: flags & 2 != 0,
+                    disk_bitmap,
+                    mem_bitmap,
+                }
+            }),
     ]
+}
+
+/// The number of `MigMessage` variants: [`variant`] numbers each one.
+const VARIANTS: usize = 27;
+
+/// Each variant's number, by a match with no wildcard: a new variant does
+/// not compile until it is named here, and
+/// `arb_message_draws_every_variant` fails until [`arb_message`] draws it.
+fn variant(msg: &MigMessage) -> usize {
+    match msg {
+        MigMessage::PrepareVbd { .. } => 0,
+        MigMessage::PrepareAck => 1,
+        MigMessage::DiskBlocks { .. } => 2,
+        MigMessage::BlockRef { .. } => 3,
+        MigMessage::BlockRefs { .. } => 4,
+        MigMessage::BlockRefMiss { .. } => 5,
+        MigMessage::ContentSummary { .. } => 6,
+        MigMessage::CompressedBlocks { .. } => 7,
+        MigMessage::MemPages { .. } => 8,
+        MigMessage::CompressedPages { .. } => 9,
+        MigMessage::CpuState { .. } => 10,
+        MigMessage::Bitmap { .. } => 11,
+        MigMessage::Suspended => 12,
+        MigMessage::Resumed => 13,
+        MigMessage::PullRequest { .. } => 14,
+        MigMessage::PostCopyBlock { .. } => 15,
+        MigMessage::PushComplete => 16,
+        MigMessage::MigrationComplete => 17,
+        MigMessage::CompleteAck => 18,
+        MigMessage::Barrier => 19,
+        MigMessage::BarrierAck => 20,
+        MigMessage::SessionHello { .. } => 21,
+        MigMessage::BlockRequest { .. } => 22,
+        MigMessage::BlockData { .. } => 23,
+        MigMessage::BlockMiss { .. } => 24,
+        MigMessage::BlockManifest { .. } => 25,
+        MigMessage::ResumeFrom { .. } => 26,
+    }
+}
+
+/// The round-trip, truncation and damage properties below see every
+/// variant, and every `ResumeFrom` phase.
+#[test]
+fn arb_message_draws_every_variant() {
+    let strategy = arb_message();
+    let mut rng = proptest::TestRng::new(31);
+    let mut seen = [false; VARIANTS];
+    let mut phases = [false; 4];
+    for _ in 0..10_000 {
+        let msg = strategy.gen(&mut rng);
+        seen[variant(&msg)] = true;
+        if let MigMessage::ResumeFrom { phase, .. } = msg {
+            phases[usize::from(phase.to_u8())] = true;
+        }
+    }
+    let missing: Vec<usize> = (0..VARIANTS).filter(|&v| !seen[v]).collect();
+    assert!(missing.is_empty(), "variants never drawn: {missing:?}");
+    assert_eq!(phases, [true; 4]);
 }
 
 /// A frame of references: as many fingerprints as blocks, the only shape

@@ -67,12 +67,15 @@ echo "== the socket's byte budget and vectored writes, in the shipped build =="
 cargo test -q --release --locked -p simnet --lib tcp::
 cargo test -q --release --locked --test live_backpressure
 
-echo "== tier-1: benches compile =="
-# Bit-rot guard only: compiles every [[bench]] target (and bin deps)
-# without running them. CI's perf signal is the benchmark package's
-# five-workload smoke below; speed is judged by interleaved A/B runs of
-# it (EXPERIMENTS.md), not by a single pass against an old file.
-cargo bench --no-run --locked
+echo "== paper-scale figures by equality: every repro experiment against results/ =="
+# The workspace tests above pin each experiment's CI-scale JSON
+# (results/ci/); these are the paper-scale pins, the figures README.md
+# and EXPERIMENTS.md cite. Forty-gigabyte disks take ~15 s even in the
+# optimized build, so they run here, in release, and tier-1's debug run
+# skips them (#[ignore]). Every field but the listed wall-clock ones must
+# equal its file; bless with `repro all --scale paper` and say why in
+# CHANGES.md.
+cargo test -q --release --locked --test experiments_smoke -- --ignored
 
 echo "== scenario smoke matrix: 3 seeds x {partition, wan, maintenance} =="
 # Every checked-in chaos scenario must complete (all migrations served,
