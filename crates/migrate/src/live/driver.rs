@@ -14,7 +14,7 @@ use des::dist::HotCold;
 use des::{SimDuration, SimRng};
 use parking_lot::{Condvar, Mutex};
 use telemetry::Recorder;
-use vdisk::stamp_bytes;
+use vdisk::{is_stamp, stamp_into};
 use vmstate::LiveRam;
 
 use crate::live::error::MigrationError;
@@ -209,6 +209,9 @@ impl DriverHandle {
             let mut model: BTreeMap<usize, u64> = BTreeMap::new();
             let mut stamp = 1u64;
             let mut mem_model: BTreeMap<usize, u64> = BTreeMap::new();
+            // Every write is stamped into one of these and copied from it.
+            let mut block_bytes = vec![0u8; block_size];
+            let mut page_bytes = vec![0u8; page_size];
             let mut res = DriverResult {
                 model: BTreeMap::new(),
                 mem_model: BTreeMap::new(),
@@ -251,7 +254,8 @@ impl DriverHandle {
                     match op.kind {
                         OpKind::Write { block } => {
                             let b = block as usize;
-                            target.write(b, &stamp_bytes(b, stamp, block_size));
+                            stamp_into(b, stamp, &mut block_bytes);
+                            target.write(b, &block_bytes);
                             model.insert(b, stamp);
                             stamp += 1;
                             res.writes += 1;
@@ -260,26 +264,27 @@ impl DriverHandle {
                             let b = block as usize;
                             let data = target.read(b);
                             res.reads += 1;
-                            let ok = match model.get(&b) {
-                                // Read-your-writes: the guest's own last
-                                // write must be exactly what comes back.
-                                Some(&expect) => data == stamp_bytes(b, expect, block_size),
-                                // Never written by this guest: the block
-                                // carries whatever image the run started
-                                // from (an incremental migration inherits
-                                // a prior run's stamps), which the driver
-                                // cannot know. It must still be a
-                                // well-formed stamp block for THIS index
-                                // — zeroed, torn, or misdirected content
-                                // all fail here.
-                                None if block_size >= 16 => {
-                                    let stamp = u64::from_le_bytes(
-                                        data[8..16].try_into().unwrap_or([0; 8]),
-                                    );
-                                    data == stamp_bytes(b, stamp, block_size)
-                                }
-                                None => data == stamp_bytes(b, 0, block_size),
-                            };
+                            let ok = data.len() == block_size
+                                && match model.get(&b) {
+                                    // Read-your-writes: the guest's own last
+                                    // write must be exactly what comes back.
+                                    Some(&expect) => is_stamp(b, expect, &data),
+                                    // Never written by this guest: the block
+                                    // carries whatever image the run started
+                                    // from (an incremental migration inherits
+                                    // a prior run's stamps), which the driver
+                                    // cannot know. It must still be a
+                                    // well-formed stamp block for THIS index
+                                    // — zeroed, torn, or misdirected content
+                                    // all fail here.
+                                    None if block_size >= 16 => {
+                                        let stamp = u64::from_le_bytes(
+                                            data[8..16].try_into().unwrap_or([0; 8]),
+                                        );
+                                        is_stamp(b, stamp, &data)
+                                    }
+                                    None => is_stamp(b, 0, &data),
+                                };
                             if !ok {
                                 res.read_violations += 1;
                             }
@@ -290,7 +295,8 @@ impl DriverHandle {
                 // disk blocks so the destination RAM can be verified.
                 for _ in 0..mem_writes_per_tick {
                     let p = hot_pages.sample(&mut rng) as usize;
-                    ram.write_page(p, &stamp_bytes(p, stamp, page_size));
+                    stamp_into(p, stamp, &mut page_bytes);
+                    ram.write_page(p, &page_bytes);
                     mem_model.insert(p, stamp);
                     stamp += 1;
                     res.mem_writes += 1;
@@ -330,7 +336,7 @@ impl DriverHandle {
 mod tests {
     use super::*;
     use crate::live::SourceIo;
-    use vdisk::{DomainId, TrackedDisk, VirtualDisk};
+    use vdisk::{stamp_bytes, DomainId, TrackedDisk, VirtualDisk};
     use vmstate::LiveRam;
 
     fn io(blocks: usize) -> (Arc<TrackedDisk>, Arc<dyn GuestIo>, Arc<LiveRam>) {
@@ -361,7 +367,10 @@ mod tests {
             Duration::from_millis(1),
             Recorder::off(),
         );
-        std::thread::sleep(Duration::from_millis(100));
+        // The op stream is seeded, so the first 20 ticks hold the same
+        // writes on every run, however the threads are scheduled.
+        h.ctl().wait_ticks(20, Duration::from_secs(10));
+        assert!(h.ctl().ticks() >= 20, "the guest stalled");
         let res = h.finish().expect("driver thread healthy");
         assert!(res.writes > 0, "driver made no writes");
         assert!(res.mem_writes > 0, "driver dirtied no memory");
@@ -420,16 +429,19 @@ mod tests {
             Duration::from_millis(1),
             Recorder::off(),
         );
-        std::thread::sleep(Duration::from_millis(30));
         let ctl = h.ctl();
+        ctl.wait_ticks(5, Duration::from_secs(10));
+        assert!(ctl.ticks() >= 5, "the guest stalled");
         let t_suspend = ctl.request_suspend();
-        // While suspended, no writes happen (counts frozen): we cannot
-        // read counts without finishing, so verify indirectly via resume
-        // instants ordering.
+        // While suspended the guest completes no tick.
+        let frozen = ctl.ticks();
         std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(ctl.ticks(), frozen);
         let t_resume = ctl.resume_on(g, ram);
-        assert!(t_resume > t_suspend);
-        assert!(t_resume - t_suspend >= Duration::from_millis(15));
+        assert!(t_resume - t_suspend >= Duration::from_millis(20));
+        // And once resumed it ticks again.
+        ctl.wait_ticks(frozen + 1, Duration::from_secs(10));
+        assert!(ctl.ticks() > frozen, "the guest did not resume");
         let res = h.finish().expect("driver thread healthy");
         assert_eq!(res.read_violations, 0);
     }

@@ -65,20 +65,58 @@ pub fn fingerprint_block(data: &[u8]) -> u64 {
     h
 }
 
-/// Deterministic fill pattern for block `idx` with generation `stamp`,
-/// used by tests to verify which write "won" on a block after migration.
+/// Bytes after which a stamp block's pattern repeats.
+const STAMP_PERIOD: usize = 64;
+
+/// Deterministic content of unit `idx` (a disk block or a RAM page) at
+/// generation `stamp`: the live guest's content model — every block and
+/// page it writes, the stamp-0 image a primary migration starts from,
+/// and the reference the verifier checks the destination against. Past
+/// a 16-byte header holding `idx` and `stamp` verbatim (so failures are
+/// debuggable; omitted below 16 bytes) it repeats every 64 bytes.
+/// Allocating form of [`stamp_into`].
 pub fn stamp_bytes(idx: usize, stamp: u64, block_size: usize) -> Vec<u8> {
     let mut out = vec![0u8; block_size];
-    let seed = (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stamp;
-    for (i, b) in out.iter_mut().enumerate() {
-        *b = (seed.rotate_left((i % 64) as u32) >> (i % 8)) as u8;
-    }
-    // Embed the stamp verbatim so failures are debuggable.
-    if block_size >= 16 {
-        out[..8].copy_from_slice(&(idx as u64).to_le_bytes());
-        out[8..16].copy_from_slice(&stamp.to_le_bytes());
-    }
+    stamp_into(idx, stamp, &mut out);
     out
+}
+
+/// Fill `out` with the [`stamp_bytes`] content of unit `idx` at
+/// generation `stamp`: one period is computed, the rest is copies of it.
+pub fn stamp_into(idx: usize, stamp: u64, out: &mut [u8]) {
+    let (head, period) = stamp_periods(idx, stamp, out.len());
+    let mut chunks = out.chunks_mut(STAMP_PERIOD);
+    if let Some(first) = chunks.next() {
+        first.copy_from_slice(&head[..first.len()]);
+    }
+    for chunk in chunks {
+        chunk.copy_from_slice(&period[..chunk.len()]);
+    }
+}
+
+/// `data == stamp_bytes(idx, stamp, data.len())`, compared in place
+/// against one period without building the block.
+pub fn is_stamp(idx: usize, stamp: u64, data: &[u8]) -> bool {
+    let (head, period) = stamp_periods(idx, stamp, data.len());
+    let mut chunks = data.chunks(STAMP_PERIOD);
+    chunks
+        .next()
+        .is_none_or(|first| *first == head[..first.len()])
+        && chunks.all(|chunk| *chunk == period[..chunk.len()])
+}
+
+/// The first period of a `len`-byte stamp block (the header laid over it
+/// when the block has room for one) and the period every later one repeats.
+fn stamp_periods(idx: usize, stamp: u64, len: usize) -> ([u8; STAMP_PERIOD], [u8; STAMP_PERIOD]) {
+    let seed = (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stamp;
+    let period: [u8; STAMP_PERIOD] =
+        std::array::from_fn(|i| (seed.rotate_left(i as u32) >> (i % 8)) as u8);
+    let mut head = period;
+    if len >= 16 {
+        head[..8].copy_from_slice(&(idx as u64).to_le_bytes());
+        head[8..16].copy_from_slice(&stamp.to_le_bytes());
+    }
+    (head, period)
 }
 
 #[cfg(test)]

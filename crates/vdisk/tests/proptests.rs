@@ -3,8 +3,9 @@
 //! content index — partial form included — against a `BTreeMap` oracle,
 //! the write hook's invalidation of it, tracker completeness (the
 //! correctness property migration rests on), pending queue conservation,
-//! MetaDisk synchronization, and ReplicaTable agreement with a naive
-//! reference model.
+//! MetaDisk synchronization, ReplicaTable agreement with a naive
+//! reference model, and the tiled stamp generator against its per-byte
+//! definition.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -12,8 +13,8 @@ use std::sync::Arc;
 use block_bitmap::{AtomicBitmap, DirtyMap};
 use proptest::prelude::*;
 use vdisk::{
-    hash_block, stamp_bytes, ContentIndex, DenseStorage, DomainId, IoRequest, MetaDisk,
-    PendingQueue, ReplicaTable, SparseStorage, Storage, TrackedDisk, VirtualDisk,
+    hash_block, is_stamp, stamp_bytes, stamp_into, ContentIndex, DenseStorage, DomainId, IoRequest,
+    MetaDisk, PendingQueue, ReplicaTable, SparseStorage, Storage, TrackedDisk, VirtualDisk,
 };
 
 const BLOCKS: usize = 64;
@@ -450,6 +451,81 @@ proptest! {
             prop_assert!(table.has(vm, site), "the entry itself survives");
             prop_assert!(table.stale_bitmap(vm, site, &resized).is_none());
             prop_assert!(table.stale_count(vm, site, &resized).is_none());
+        }
+    }
+}
+
+/// The stamp generator's specification, one byte at a time: what
+/// `stamp_bytes` computed before it tiled one period.
+fn stamp_spec(idx: usize, stamp: u64, block_size: usize) -> Vec<u8> {
+    let mut out = vec![0u8; block_size];
+    let seed = (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stamp;
+    for (i, b) in out.iter_mut().enumerate() {
+        *b = (seed.rotate_left((i % 64) as u32) >> (i % 8)) as u8;
+    }
+    if block_size >= 16 {
+        out[..8].copy_from_slice(&(idx as u64).to_le_bytes());
+        out[8..16].copy_from_slice(&stamp.to_le_bytes());
+    }
+    out
+}
+
+/// Block sizes of every shape: headerless (under 16 bytes), inside one
+/// period, and any length up to 9 000, multiples of 64 or not.
+fn any_block_size() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..16,
+        16usize..=130,
+        (0usize..=140).prop_map(|k| k * 64),
+        0usize..=9000
+    ]
+}
+
+proptest! {
+    /// Every generator form is the per-byte definition: the allocating
+    /// one, the in-place one over a dirty buffer, and the check. Besides
+    /// the drawn size, every size up to two periods and a byte runs, so
+    /// each edge of the header and of a period is met on every case.
+    #[test]
+    fn tiled_stamp_equals_the_per_byte_definition(
+        idx in any::<usize>(),
+        stamp in any::<u64>(),
+        block_size in any_block_size(),
+    ) {
+        for len in (0..=129).chain([block_size]) {
+            let want = stamp_spec(idx, stamp, len);
+            prop_assert_eq!(&stamp_bytes(idx, stamp, len), &want);
+            let mut buf = vec![0xa5; len];
+            stamp_into(idx, stamp, &mut buf);
+            prop_assert_eq!(&buf, &want);
+            prop_assert!(is_stamp(idx, stamp, &want));
+        }
+    }
+
+    /// `is_stamp` holds for its own block and nothing else: not after
+    /// any single-byte flip, and not for another index's or another
+    /// stamp's block (which, once the header fits, always differs).
+    #[test]
+    fn is_stamp_rejects_every_other_block(
+        idx in any::<usize>(),
+        stamp in any::<u64>(),
+        block_size in 0usize..=1100,
+        mask in 1u8..=255,
+        other_idx in any::<usize>(),
+        other_stamp in any::<u64>(),
+    ) {
+        let mut block = stamp_spec(idx, stamp, block_size);
+        for i in 0..block_size {
+            block[i] ^= mask;
+            prop_assert!(!is_stamp(idx, stamp, &block), "flip at byte {} of {}", i, block_size);
+            block[i] ^= mask;
+        }
+        for (i, s) in [(other_idx, stamp), (idx, other_stamp)] {
+            let other = stamp_spec(i, s, block_size);
+            prop_assert_eq!(is_stamp(idx, stamp, &other), other == block);
+            if block_size >= 16 && (i, s) != (idx, stamp) {
+                prop_assert!(!is_stamp(idx, stamp, &other));
+            }
         }
     }
 }

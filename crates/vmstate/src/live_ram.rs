@@ -86,6 +86,16 @@ impl LiveRam {
         guard[start..start + self.page_size].to_vec()
     }
 
+    /// Read page `idx` into `out`.
+    ///
+    /// # Panics
+    /// Panics when `idx` is out of range or `out` is not page-sized.
+    pub fn read_page_into(&self, idx: usize, out: &mut [u8]) {
+        assert!(idx < self.num_pages, "page {idx} out of range");
+        let start = idx * self.page_size;
+        out.copy_from_slice(&self.bytes.read()[start..start + self.page_size]);
+    }
+
     /// Copy several pages into one contiguous buffer (a `MemPages`
     /// payload), in the order given.
     pub fn read_pages(&self, pages: &[usize]) -> Vec<u8> {

@@ -16,6 +16,10 @@ script rewritten per PR:
   machine's per-CPU busy ticks over the run from /proc/stat beside it —
   so whether a run had one CPU's worth of machine or two is recorded, not
   guessed from its total;
+* each run's minor page faults and peak RSS from the child's `rusage`
+  beside it (cargo's own included: it waits for the benchmark, so the
+  kernel adds the benchmark's usage to its own), so that a change in
+  allocation or first touch shows in the same file as its timing;
 * then the table EXPERIMENTS.md prints: per workload and end-to-end
   metric, each side's median and quartiles, change/parent, pairs won and
   the verdict by the rule of the guide ("better" needs nine tenths of the
@@ -84,16 +88,23 @@ def run_once(checkout, target_dir, command, workload, seed, seconds, trace):
     if target_dir:
         env["CARGO_TARGET_DIR"] = str(target_dir)
     before, started = cpu_ticks(), time.monotonic()
-    done = subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
+    child = subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
+    stdout = child.stdout.read()
+    child.stdout.close()
+    # Reaped here rather than by Popen, for the child's rusage.
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
     wall, after = time.monotonic() - started, cpu_ticks()
     busy = {cpu: after[cpu] - before.get(cpu, 0) for cpu in after}
     record = {
-        "rc": done.returncode,
+        "rc": child.returncode,
         "wall": round(wall, 1),
         "cpu_busy_ticks": busy,
         "phase": phase_label(busy),
+        "minor_faults": usage.ru_minflt,
+        "max_rss_mib": round(usage.ru_maxrss / 1024, 1),
     }
-    lines = done.stdout.strip().splitlines()
+    lines = stdout.strip().splitlines()
     if lines:
         try:
             result = json.loads(lines[-1])
@@ -147,6 +158,29 @@ def verdict(parent, change, pairs, lower_is_better, bound):
     return won, text
 
 
+def print_faults(records, workloads):
+    """Minor page faults per migration attempted, each side's median and
+    quartiles over its runs (whole process: cargo, set-up and warm-up
+    included)."""
+    rows = []
+    for workload in workloads:
+        sides = {}
+        for side in SIDES:
+            sides[side] = [r["minor_faults"] / r["attempted"] for r in records
+                           if r["workload"] == workload and r["side"] == side
+                           and "minor_faults" in r and r.get("attempted")]
+        if all(sides.values()):
+            rows.append((workload, *(quartiles(sides[side]) for side in SIDES)))
+    if not rows:
+        return
+    print("\nMinor page faults per migration (child rusage over the whole run):\n")
+    print("| workload | parent median (Q1–Q3) | change median (Q1–Q3) | change/parent |")
+    print("|---|---:|---:|---:|")
+    for workload, (pq1, pmed, pq3), (cq1, cmed, cq3) in rows:
+        print(f"| {workload} | {pmed:.0f} ({pq1:.0f}–{pq3:.0f}) "
+              f"| {cmed:.0f} ({cq1:.0f}–{cq3:.0f}) | {cmed / pmed:.3f} |")
+
+
 def print_tables(records, contract):
     gated = {m["name"]: m for m in contract["end_to_end"]}
     layer = {m["name"]: m for m in contract.get("per_layer", [])}
@@ -177,6 +211,7 @@ def print_tables(records, contract):
             ratio = f"{cmed / pmed:.3f}" if pmed else "—"
             print(f"| {workload} | {name} | {fmt(pmed)} ({fmt(pq1)}–{fmt(pq3)}) "
                   f"| {fmt(cmed)} ({fmt(cq1)}–{fmt(cq3)}) | {ratio} | {won}/{len(pairs)} | {text} |")
+    print_faults(records, seen)
     print("\nPer run (busy ticks per CPU over the whole process, set-up included):\n")
     print("| workload | pair | seed | side | first | total_ms_p10 | busy ticks | phase |")
     print("|---|---:|---:|---|---|---:|---|---|")

@@ -135,6 +135,26 @@ for workload in bulk_unique template_clone_paced web_tcp incremental_return virt
     --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --quick --trace 1 >"target/smoke-$workload.out"
 done
+# The checker's own self-test: --corrupt-dest flips one byte of the
+# destination disk after each migration and before it is verified. Each
+# run must fail (exit 1) on exactly that block, found by both verifiers
+# the benchmark relies on: web_tcp's image against the guest's stamps
+# (LiveOutcome::inconsistent_blocks), bulk_unique's against the source
+# (diff_blocks). A checker that accepts either has stopped checking.
+for workload in web_tcp bulk_unique; do
+  echo "-- $workload --corrupt-dest"
+  rc=0
+  timeout 120 cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --quick --corrupt-dest \
+    >"target/corrupt-$workload.out" 2>"target/corrupt-$workload.err" || rc=$?
+  if [ "$rc" -ne 1 ] ||
+    ! grep -q 'verification failed: 0 read violations, 1 bad blocks, 0 bad pages' \
+      "target/corrupt-$workload.err"; then
+    echo "the benchmark did not reject a corrupted $workload destination (exit $rc)"
+    exit 1
+  fi
+done
 # The live engine's wire bytes and block forms, by equality: the three
 # idle-guest live workloads write nothing while they migrate, so what the
 # destination sent, what crossed per image byte and the share of blocks
