@@ -897,6 +897,258 @@ mod tests {
         ]
     }
 
+    /// One field of a pinned layout, as it goes on the wire.
+    enum Le {
+        B(u8),
+        W(u32),
+        Q(u64),
+        Run(&'static [u8]),
+    }
+
+    fn wire(fields: &[Le]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for field in fields {
+            match field {
+                Le::B(v) => out.push(*v),
+                Le::W(v) => out.extend_from_slice(&v.to_le_bytes()),
+                Le::Q(v) => out.extend_from_slice(&v.to_le_bytes()),
+                Le::Run(run) => out.extend_from_slice(run),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_variant_encodes_to_its_pinned_bytes() {
+        use crate::proto::ResumePhase;
+        use Le::{Run, B, Q, W};
+        let some = |run: &'static [u8]| Some(Bytes::copy_from_slice(run));
+        let pinned = [
+            (
+                MigMessage::PrepareVbd {
+                    block_size: 512,
+                    num_blocks: 65_536,
+                },
+                wire(&[B(1), W(512), Q(65_536)]),
+            ),
+            (MigMessage::PrepareAck, wire(&[B(2)])),
+            (
+                MigMessage::DiskBlocks {
+                    blocks: vec![3, 9],
+                    payload_len: 4,
+                    payload: some(b"abcd"),
+                },
+                wire(&[B(3), Q(2), Q(3), Q(9), Q(4), B(1), Q(4), Run(b"abcd")]),
+            ),
+            (
+                MigMessage::DiskBlocks {
+                    blocks: vec![],
+                    payload_len: 4096,
+                    payload: None,
+                },
+                wire(&[B(3), Q(0), Q(4096), B(0)]),
+            ),
+            (
+                MigMessage::MemPages {
+                    pages: vec![1],
+                    payload_len: 2,
+                    payload: some(b"xy"),
+                },
+                wire(&[B(4), Q(1), Q(1), Q(2), B(1), Q(2), Run(b"xy")]),
+            ),
+            (
+                MigMessage::MemPages {
+                    pages: vec![6],
+                    payload_len: 4096,
+                    payload: None,
+                },
+                wire(&[B(4), Q(1), Q(6), Q(4096), B(0)]),
+            ),
+            (
+                MigMessage::CpuState {
+                    payload_len: 3,
+                    payload: some(b"cpu"),
+                },
+                wire(&[B(5), Q(3), B(1), Q(3), Run(b"cpu")]),
+            ),
+            (
+                MigMessage::CpuState {
+                    payload_len: 8192,
+                    payload: None,
+                },
+                wire(&[B(5), Q(8192), B(0)]),
+            ),
+            (
+                MigMessage::Bitmap {
+                    encoded: Bytes::copy_from_slice(&[1, 2, 3]),
+                },
+                wire(&[B(6), Q(3), Run(&[1, 2, 3])]),
+            ),
+            (MigMessage::Suspended, wire(&[B(7)])),
+            (MigMessage::Resumed, wire(&[B(8)])),
+            (
+                MigMessage::PullRequest {
+                    block: 0x0102_0304_0506_0708,
+                },
+                wire(&[B(9), Q(0x0102_0304_0506_0708)]),
+            ),
+            (
+                MigMessage::PostCopyBlock {
+                    block: 5,
+                    pulled: true,
+                    payload_len: 1,
+                    payload: some(b"z"),
+                },
+                wire(&[B(10), Q(5), B(1), Q(1), B(1), Q(1), Run(b"z")]),
+            ),
+            (
+                MigMessage::PostCopyBlock {
+                    block: 6,
+                    pulled: false,
+                    payload_len: 512,
+                    payload: None,
+                },
+                wire(&[B(10), Q(6), B(0), Q(512), B(0)]),
+            ),
+            (MigMessage::PushComplete, wire(&[B(11)])),
+            (MigMessage::MigrationComplete, wire(&[B(12)])),
+            (MigMessage::CompleteAck, wire(&[B(13)])),
+            (
+                MigMessage::SessionHello {
+                    session_id: 0xDEAD_BEEF,
+                    attempt: 2,
+                    dedup: true,
+                    compress: false,
+                    incremental: true,
+                },
+                wire(&[B(14), Q(0xDEAD_BEEF), W(2), B(1), B(0), B(1)]),
+            ),
+            (
+                MigMessage::ResumeFrom {
+                    phase: ResumePhase::AwaitPrepare,
+                    dedup: false,
+                    compress: false,
+                    disk_bitmap: Bytes::new(),
+                    mem_bitmap: Bytes::new(),
+                },
+                wire(&[B(15), B(0), B(0), B(0), Q(0), Q(0)]),
+            ),
+            (
+                MigMessage::ResumeFrom {
+                    phase: ResumePhase::Precopy,
+                    dedup: true,
+                    compress: false,
+                    disk_bitmap: Bytes::copy_from_slice(b"dd"),
+                    mem_bitmap: Bytes::copy_from_slice(b"m"),
+                },
+                wire(&[B(15), B(1), B(1), B(0), Q(2), Run(b"dd"), Q(1), Run(b"m")]),
+            ),
+            (
+                MigMessage::ResumeFrom {
+                    phase: ResumePhase::Frozen,
+                    dedup: false,
+                    compress: true,
+                    disk_bitmap: Bytes::copy_from_slice(b"d"),
+                    mem_bitmap: Bytes::copy_from_slice(b"mm"),
+                },
+                wire(&[B(15), B(2), B(0), B(1), Q(1), Run(b"d"), Q(2), Run(b"mm")]),
+            ),
+            (
+                MigMessage::ResumeFrom {
+                    phase: ResumePhase::PostCopy,
+                    dedup: true,
+                    compress: true,
+                    disk_bitmap: Bytes::copy_from_slice(b"ddd"),
+                    mem_bitmap: Bytes::new(),
+                },
+                wire(&[B(15), B(3), B(1), B(1), Q(3), Run(b"ddd"), Q(0)]),
+            ),
+            (
+                MigMessage::BlockRef {
+                    block: 4242,
+                    fingerprint: 0x0123_4567_89AB_CDEF,
+                },
+                wire(&[B(16), Q(4242), Q(0x0123_4567_89AB_CDEF)]),
+            ),
+            (
+                MigMessage::BlockRefMiss { block: 4242 },
+                wire(&[B(17), Q(4242)]),
+            ),
+            (
+                MigMessage::ContentSummary {
+                    fingerprints: vec![0xAA, 0xBB],
+                },
+                wire(&[B(18), Q(2), Q(0xAA), Q(0xBB)]),
+            ),
+            (
+                MigMessage::CompressedBlocks {
+                    blocks: vec![4],
+                    raw_len: 512,
+                    payload: Bytes::copy_from_slice(b"lz"),
+                },
+                wire(&[B(19), Q(1), Q(4), Q(512), Q(2), Run(b"lz")]),
+            ),
+            (
+                MigMessage::BlockRequest {
+                    block: 991,
+                    fingerprint: 0xFEED,
+                    generation: 7,
+                },
+                wire(&[B(20), Q(991), Q(0xFEED), Q(7)]),
+            ),
+            (
+                MigMessage::BlockData {
+                    block: 991,
+                    generation: 7,
+                    payload_len: 2,
+                    payload: some(b"bd"),
+                },
+                wire(&[B(21), Q(991), Q(7), Q(2), B(1), Q(2), Run(b"bd")]),
+            ),
+            (
+                MigMessage::BlockData {
+                    block: 992,
+                    generation: 0,
+                    payload_len: 4096,
+                    payload: None,
+                },
+                wire(&[B(21), Q(992), Q(0), Q(4096), B(0)]),
+            ),
+            (MigMessage::BlockMiss { block: 991 }, wire(&[B(22), Q(991)])),
+            (
+                MigMessage::BlockManifest {
+                    blocks: vec![5, 17],
+                    fingerprints: vec![0xAAAA, 0xBBBB],
+                },
+                wire(&[B(23), Q(2), Q(5), Q(17), Q(2), Q(0xAAAA), Q(0xBBBB)]),
+            ),
+            (MigMessage::Barrier, wire(&[B(24)])),
+            (MigMessage::BarrierAck, wire(&[B(25)])),
+            (
+                MigMessage::CompressedPages {
+                    pages: vec![7, 8],
+                    raw_len: 8192,
+                    payload: Bytes::copy_from_slice(b"pg"),
+                },
+                wire(&[B(26), Q(2), Q(7), Q(8), Q(8192), Q(2), Run(b"pg")]),
+            ),
+            (
+                MigMessage::BlockRefs {
+                    blocks: vec![5, 6],
+                    fingerprints: vec![0xAB, 0xCD],
+                },
+                wire(&[B(27), Q(2), Q(5), Q(6), Q(2), Q(0xAB), Q(0xCD)]),
+            ),
+        ];
+        for (msg, bytes) in &pinned {
+            assert_eq!(&encode(msg), bytes, "{msg:?}");
+            assert_eq!(&decode(bytes).expect("pinned bytes decode"), msg);
+        }
+        // Every tag from 1 to 27 is pinned: one per variant.
+        let tags: std::collections::BTreeSet<u8> = pinned.iter().map(|(_, b)| b[0]).collect();
+        assert_eq!(tags, (1..=27).collect());
+    }
+
     #[test]
     fn every_variant_roundtrips() {
         for msg in all_messages() {
