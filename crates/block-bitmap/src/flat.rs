@@ -143,7 +143,7 @@ impl FlatBitmap {
     /// Index of the first set bit at or after `from`, if any.
     ///
     /// After the (possibly partial) first word, the scan walks the word
-    /// array in [`LANES`]-wide batches: a whole batch whose OR is zero is
+    /// array in `LANES`-wide batches: a whole batch whose OR is zero is
     /// skipped with no per-word branch, so sweeping the long clean gaps of
     /// a 40 GB/4 KiB map costs one vectorized reduction per cache line.
     #[inline]

@@ -1,5 +1,5 @@
 //! Argument parsing (std-only, no external parser). Each flag is
-//! declared once, in [`FLAGS`]: its name, the value it takes, its
+//! declared once, in `FLAGS`: its name, the value it takes, its
 //! default, its check and the field it sets. Each subcommand lists the
 //! flags it reads: any other flag is an error, and the usage synopsis is
 //! printed from the same lists.

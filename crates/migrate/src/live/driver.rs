@@ -212,6 +212,8 @@ impl DriverHandle {
             // Every write is stamped into one of these and copied from it.
             let mut block_bytes = vec![0u8; block_size];
             let mut page_bytes = vec![0u8; page_size];
+            // When the tick about to run is due.
+            let mut due = Instant::now();
             let mut res = DriverResult {
                 model: BTreeMap::new(),
                 mem_model: BTreeMap::new(),
@@ -246,6 +248,8 @@ impl DriverHandle {
                             }
                             Phase::Suspended => {
                                 thread_ctl.0.cv.wait(&mut st);
+                                // A resumed guest's first tick is on time.
+                                due = Instant::now();
                             }
                         }
                     }
@@ -302,14 +306,19 @@ impl DriverHandle {
                     res.mem_writes += 1;
                 }
                 thread_ctl.0.ticks.fetch_add(1, Ordering::Release);
+                due = next_tick(due, tick_wall, Instant::now());
                 // Out of the tick's wait at once on a suspend or stop
                 // request: a freeze must not start on the guest's clock.
                 // Nor wait for one: whoever waits on the tick count
                 // (`wait_ticks`) hears of this tick now.
                 let mut st = thread_ctl.0.state.lock();
                 thread_ctl.0.cv.notify_all();
-                if st.phase == Phase::Running && !st.stop {
-                    thread_ctl.0.cv.wait_for(&mut st, tick_wall);
+                while st.phase == Phase::Running && !st.stop {
+                    let left = due.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    thread_ctl.0.cv.wait_for(&mut st, left);
                 }
             }
         });
@@ -332,6 +341,14 @@ impl DriverHandle {
     }
 }
 
+/// When the tick after one due at `due` is: a `tick_wall` later, so the
+/// guest keeps one tick per `tick_wall` however long a tick's work takes.
+/// A tick that ends past that point makes the next one due `now`, once:
+/// a late guest resumes its pace and never replays the ticks it missed.
+fn next_tick(due: Instant, tick_wall: Duration, now: Instant) -> Instant {
+    (due + tick_wall).max(now)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,6 +369,22 @@ mod tests {
 
     fn workload(blocks: u64) -> LiveWorkload {
         LiveWorkload::from_kind(WorkloadKind::Web, blocks, SimDuration::from_millis(100))
+    }
+
+    #[test]
+    fn ticks_keep_their_deadlines_and_a_late_tick_queues_no_burst() {
+        let tick = Duration::from_millis(1);
+        let due = Instant::now();
+        // On time: the work took a third of a tick, the next is a tick on.
+        assert_eq!(next_tick(due, tick, due + tick / 3), due + tick);
+        assert_eq!(next_tick(due, tick, due + tick), due + tick);
+        // Late by one tick: the next one is due now, not a tick back.
+        let now = due + tick + tick / 5;
+        assert_eq!(next_tick(due, tick, now), now);
+        // Late by many: still only now, and the pace resumes from there.
+        let now = due + tick * 7 + tick / 2;
+        assert_eq!(next_tick(due, tick, now), now);
+        assert_eq!(next_tick(now, tick, now), now + tick);
     }
 
     #[test]

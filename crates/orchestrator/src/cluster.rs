@@ -127,7 +127,7 @@ impl Cluster {
     }
 
     /// The stale-replica table (read-only: it changes through
-    /// [`Cluster::keep_replica`] and [`Cluster::consume_replica`]).
+    /// `Cluster::keep_replica` and `Cluster::consume_replica`).
     pub fn replicas(&self) -> &ReplicaTable {
         &self.replicas
     }

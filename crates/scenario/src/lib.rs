@@ -14,7 +14,7 @@
 //!   events (partition/heal, host down/up, link degrade/restore,
 //!   rolling maintenance waves) plus workload cycles and migration
 //!   directives, resolved into a [`ScenarioSpec`].
-//! * [`parse`] — the `.scn` line language (`vmmigrate orchestrate
+//! * [`parse`](mod@parse) — the `.scn` line language (`vmmigrate orchestrate
 //!   --scenario cluster.scn`), with line-numbered typed errors.
 //! * [`dynamics`] — [`ScenarioDynamics`], the `FleetDynamics` oracle
 //!   the orchestrator's executor consults every tick; it interprets

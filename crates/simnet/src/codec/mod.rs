@@ -3,7 +3,10 @@
 //! The in-process transports pass messages by value; crossing a real
 //! socket needs bytes. The encoding is a simple tagged binary format with
 //! length-prefixed framing ([`write_frame`] / [`read_frame`]) — little
-//! endian throughout, payloads inline.
+//! endian throughout, payloads inline. Each message's layout is its row
+//! in the table of [`crate::proto`], which generates the encoder and
+//! decoder over this module's `Writer` and `Reader`, one method per
+//! wire kind.
 //!
 //! A message's bulk bytes (block, page or bitmap payload) are always its
 //! last field, so a frame is a small *head* — length prefix, tag, id
@@ -16,7 +19,7 @@ use std::io::{IoSlice, Read, Write};
 
 use bytes::Bytes;
 
-use crate::proto::MigMessage;
+use crate::proto::{MigMessage, ResumePhase};
 
 pub mod lz;
 
@@ -64,64 +67,52 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-const T_PREPARE: u8 = 1;
-const T_PREPARE_ACK: u8 = 2;
-const T_DISK_BLOCKS: u8 = 3;
-const T_MEM_PAGES: u8 = 4;
-const T_CPU: u8 = 5;
-const T_BITMAP: u8 = 6;
-const T_SUSPENDED: u8 = 7;
-const T_RESUMED: u8 = 8;
-const T_PULL: u8 = 9;
-const T_PC_BLOCK: u8 = 10;
-const T_PUSH_COMPLETE: u8 = 11;
-const T_COMPLETE: u8 = 12;
-const T_COMPLETE_ACK: u8 = 13;
-const T_HELLO: u8 = 14;
-const T_RESUME_FROM: u8 = 15;
-const T_BLOCK_REF: u8 = 16;
-const T_BLOCK_REF_MISS: u8 = 17;
-const T_CONTENT_SUMMARY: u8 = 18;
-const T_COMPRESSED_BLOCKS: u8 = 19;
-const T_BLOCK_REQUEST: u8 = 20;
-const T_BLOCK_DATA: u8 = 21;
-const T_BLOCK_MISS: u8 = 22;
-const T_BLOCK_MANIFEST: u8 = 23;
-const T_BARRIER: u8 = 24;
-const T_BARRIER_ACK: u8 = 25;
-const T_COMPRESSED_PAGES: u8 = 26;
-const T_BLOCK_REFS: u8 = 27;
-
 /// Words converted per batch in the bulk [`Writer::u64s`] path: large
 /// enough for the inner loop to vectorize, small enough to live on the
 /// stack.
 const BULK_WORDS: usize = 32;
 
-struct Writer {
+/// A message being encoded, one method per wire kind of the table in
+/// [`crate::proto`]: the head grows in `buf`, the last byte run stays
+/// where the message holds it, in `tail`.
+pub(crate) struct Writer<'a> {
     buf: Vec<u8>,
+    tail: &'a [u8],
 }
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
+impl<'a> Writer<'a> {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(n),
+            tail: &[],
+        }
+    }
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: &u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: &u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn bytes(&mut self, b: &[u8]) {
+    pub(crate) fn flag(&mut self, v: &bool) {
+        self.u8(u8::from(*v));
+    }
+    pub(crate) fn phase(&mut self, v: &ResumePhase) {
+        self.u8(v.to_u8());
+    }
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
         self.buf.reserve(8 + b.len());
-        self.u64(b.len() as u64);
+        self.u64(&(b.len() as u64));
         self.buf.extend_from_slice(b);
     }
-    fn u64s(&mut self, v: &[u64]) {
+    pub(crate) fn u64s(&mut self, v: &[u64]) {
         // One reserve up front, then batched word→byte conversion: a
         // per-element `extend_from_slice` re-checks capacity on every
         // word, which dominates encode time for bitmap-scale runs.
         self.buf.reserve(8 + v.len() * 8);
-        self.u64(v.len() as u64);
+        self.u64(&(v.len() as u64));
         let mut chunk = [0u8; BULK_WORDS * 8];
         for words in v.chunks(BULK_WORDS) {
             for (slot, w) in chunk.chunks_exact_mut(8).zip(words) {
@@ -131,26 +122,22 @@ impl Writer {
         }
     }
     /// A message's last byte run: its length goes in the head, the run
-    /// itself is handed back for the caller to place after the head.
-    fn tail<'a>(&mut self, b: &'a [u8]) -> &'a [u8] {
-        self.u64(b.len() as u64);
-        b
+    /// itself is kept for the caller to place after the head.
+    pub(crate) fn tail(&mut self, b: &'a [u8]) {
+        self.u64(&(b.len() as u64));
+        self.tail = b;
     }
-    fn opt_tail<'a>(&mut self, b: &'a Option<Bytes>) -> &'a [u8] {
-        match b {
-            Some(b) => {
-                self.u8(1);
-                self.tail(b)
-            }
-            None => {
-                self.u8(0);
-                &[]
-            }
+    pub(crate) fn opt_tail(&mut self, b: &'a Option<Bytes>) {
+        self.flag(&b.is_some());
+        if let Some(b) = b {
+            self.tail(b);
         }
     }
 }
 
-struct Reader<'a> {
+/// A frame being decoded, one method per wire kind of the table in
+/// [`crate::proto`].
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     /// The buffer `buf` is the whole of, when the caller owns one: byte
@@ -171,22 +158,22 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         match *self.take(4)? {
             [a, b, c, d] => Ok(u32::from_le_bytes([a, b, c, d])),
             _ => Err(CodecError::Malformed("short u32".into())),
         }
     }
-    fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         match *self.take(8)? {
             [a, b, c, d, e, f, g, h] => Ok(u64::from_le_bytes([a, b, c, d, e, f, g, h])),
             _ => Err(CodecError::Malformed("short u64".into())),
         }
     }
-    fn bytes(&mut self) -> Result<Bytes, CodecError> {
+    pub(crate) fn bytes(&mut self) -> Result<Bytes, CodecError> {
         let n = self.u64()? as usize;
         if n > MAX_FRAME as usize {
             return Err(CodecError::Malformed(format!("byte run of {n}")));
@@ -198,7 +185,7 @@ impl<'a> Reader<'a> {
             None => Bytes::copy_from_slice(run),
         })
     }
-    fn u64s(&mut self) -> Result<Vec<u64>, CodecError> {
+    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, CodecError> {
         let n = self.u64()? as usize;
         if n > MAX_FRAME as usize / 8 {
             return Err(CodecError::Malformed(format!("u64 run of {n}")));
@@ -214,21 +201,29 @@ impl<'a> Reader<'a> {
         }
         Ok(out)
     }
-    fn flag(&mut self) -> Result<bool, CodecError> {
+    pub(crate) fn flag(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(CodecError::Malformed(format!("bool tag {other}"))),
         }
     }
-    fn opt_bytes(&mut self) -> Result<Option<Bytes>, CodecError> {
+    pub(crate) fn phase(&mut self) -> Result<ResumePhase, CodecError> {
+        let raw = self.u8()?;
+        ResumePhase::from_u8(raw)
+            .ok_or_else(|| CodecError::Malformed(format!("resume phase {raw}")))
+    }
+    pub(crate) fn tail(&mut self) -> Result<Bytes, CodecError> {
+        self.bytes()
+    }
+    pub(crate) fn opt_tail(&mut self) -> Result<Option<Bytes>, CodecError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.bytes()?)),
             other => Err(CodecError::Malformed(format!("option tag {other}"))),
         }
     }
-    fn finish(self) -> Result<(), CodecError> {
+    pub(crate) fn finish(self) -> Result<(), CodecError> {
         if self.pos != self.buf.len() {
             return Err(CodecError::Malformed(format!(
                 "{} trailing bytes",
@@ -288,11 +283,9 @@ pub fn decompress_blocks(
 
 /// Encode a message to its wire bytes (without the outer length prefix).
 pub fn encode(msg: &MigMessage) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(head_size_hint(msg)),
-    };
-    let tail = encode_head(&mut w, msg);
-    w.buf.extend_from_slice(tail);
+    let mut w = Writer::with_capacity(msg.head_size_hint());
+    msg.encode_head(&mut w);
+    w.buf.extend_from_slice(w.tail);
     w.buf
 }
 
@@ -317,244 +310,22 @@ pub fn encode_framed(msg: &MigMessage) -> Vec<u8> {
 /// before a byte is written anywhere: one over [`MAX_FRAME`] is refused,
 /// `Err` saying how long it would have been.
 pub(crate) fn frame_parts(msg: &MigMessage) -> Result<(Vec<u8>, &[u8]), usize> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(4 + head_size_hint(msg)),
-    };
+    let mut w = Writer::with_capacity(4 + msg.head_size_hint());
     w.buf.extend_from_slice(&[0u8; 4]);
-    let tail = encode_head(&mut w, msg);
-    let body_len = w.buf.len() - 4 + tail.len();
+    msg.encode_head(&mut w);
+    let body_len = w.buf.len() - 4 + w.tail.len();
     let prefix = u32::try_from(body_len)
         .ok()
         .filter(|&len| len <= MAX_FRAME)
         .ok_or(body_len)?;
     w.buf[..4].copy_from_slice(&prefix.to_le_bytes());
-    Ok((w.buf, tail))
-}
-
-/// Close-enough capacity estimate for a message's encoded head —
-/// everything but its last byte run — so the head is one allocation. The
-/// fixed slack covers tags and lengths for every variant.
-fn head_size_hint(msg: &MigMessage) -> usize {
-    let variable = match msg {
-        MigMessage::DiskBlocks { blocks, .. } | MigMessage::CompressedBlocks { blocks, .. } => {
-            blocks.len() * 8
-        }
-        MigMessage::MemPages { pages, .. } | MigMessage::CompressedPages { pages, .. } => {
-            pages.len() * 8
-        }
-        MigMessage::ResumeFrom { disk_bitmap, .. } => disk_bitmap.len(),
-        MigMessage::ContentSummary { fingerprints } => fingerprints.len() * 8,
-        MigMessage::BlockManifest {
-            blocks,
-            fingerprints,
-        }
-        | MigMessage::BlockRefs {
-            blocks,
-            fingerprints,
-        } => (blocks.len() + fingerprints.len()) * 8,
-        MigMessage::CpuState { .. }
-        | MigMessage::Bitmap { .. }
-        | MigMessage::PostCopyBlock { .. }
-        | MigMessage::BlockData { .. }
-        | MigMessage::PrepareVbd { .. }
-        | MigMessage::PrepareAck
-        | MigMessage::Suspended
-        | MigMessage::Resumed
-        | MigMessage::PullRequest { .. }
-        | MigMessage::PushComplete
-        | MigMessage::MigrationComplete
-        | MigMessage::CompleteAck
-        | MigMessage::Barrier
-        | MigMessage::BarrierAck
-        | MigMessage::SessionHello { .. }
-        | MigMessage::BlockRef { .. }
-        | MigMessage::BlockRefMiss { .. }
-        | MigMessage::BlockRequest { .. }
-        | MigMessage::BlockMiss { .. } => 0,
-    };
-    variable + 64
-}
-
-/// Encode everything of `msg` but its last byte run, which comes back
-/// for the caller to place (empty for a message that has none).
-fn encode_head<'a>(w: &mut Writer, msg: &'a MigMessage) -> &'a [u8] {
-    let mut tail: &[u8] = &[];
-    match msg {
-        MigMessage::PrepareVbd {
-            block_size,
-            num_blocks,
-        } => {
-            w.u8(T_PREPARE);
-            w.u32(*block_size);
-            w.u64(*num_blocks);
-        }
-        MigMessage::PrepareAck => w.u8(T_PREPARE_ACK),
-        MigMessage::DiskBlocks {
-            blocks,
-            payload_len,
-            payload,
-        } => {
-            w.u8(T_DISK_BLOCKS);
-            w.u64s(blocks);
-            w.u64(*payload_len);
-            tail = w.opt_tail(payload);
-        }
-        MigMessage::MemPages {
-            pages,
-            payload_len,
-            payload,
-        } => {
-            w.u8(T_MEM_PAGES);
-            w.u64s(pages);
-            w.u64(*payload_len);
-            tail = w.opt_tail(payload);
-        }
-        MigMessage::CpuState {
-            payload_len,
-            payload,
-        } => {
-            w.u8(T_CPU);
-            w.u64(*payload_len);
-            tail = w.opt_tail(payload);
-        }
-        MigMessage::Bitmap { encoded } => {
-            w.u8(T_BITMAP);
-            tail = w.tail(encoded);
-        }
-        MigMessage::Suspended => w.u8(T_SUSPENDED),
-        MigMessage::Resumed => w.u8(T_RESUMED),
-        MigMessage::PullRequest { block } => {
-            w.u8(T_PULL);
-            w.u64(*block);
-        }
-        MigMessage::PostCopyBlock {
-            block,
-            pulled,
-            payload_len,
-            payload,
-        } => {
-            w.u8(T_PC_BLOCK);
-            w.u64(*block);
-            w.u8(u8::from(*pulled));
-            w.u64(*payload_len);
-            tail = w.opt_tail(payload);
-        }
-        MigMessage::PushComplete => w.u8(T_PUSH_COMPLETE),
-        MigMessage::MigrationComplete => w.u8(T_COMPLETE),
-        MigMessage::CompleteAck => w.u8(T_COMPLETE_ACK),
-        MigMessage::Barrier => w.u8(T_BARRIER),
-        MigMessage::BarrierAck => w.u8(T_BARRIER_ACK),
-        MigMessage::SessionHello {
-            session_id,
-            attempt,
-            dedup,
-            compress,
-            incremental,
-        } => {
-            w.u8(T_HELLO);
-            w.u64(*session_id);
-            w.u32(*attempt);
-            w.u8(u8::from(*dedup));
-            w.u8(u8::from(*compress));
-            w.u8(u8::from(*incremental));
-        }
-        MigMessage::ResumeFrom {
-            phase,
-            dedup,
-            compress,
-            disk_bitmap,
-            mem_bitmap,
-        } => {
-            w.u8(T_RESUME_FROM);
-            w.u8(phase.to_u8());
-            w.u8(u8::from(*dedup));
-            w.u8(u8::from(*compress));
-            w.bytes(disk_bitmap);
-            tail = w.tail(mem_bitmap);
-        }
-        MigMessage::BlockRef { block, fingerprint } => {
-            w.u8(T_BLOCK_REF);
-            w.u64(*block);
-            w.u64(*fingerprint);
-        }
-        MigMessage::BlockRefs {
-            blocks,
-            fingerprints,
-        } => {
-            w.u8(T_BLOCK_REFS);
-            w.u64s(blocks);
-            w.u64s(fingerprints);
-        }
-        MigMessage::BlockRefMiss { block } => {
-            w.u8(T_BLOCK_REF_MISS);
-            w.u64(*block);
-        }
-        MigMessage::ContentSummary { fingerprints } => {
-            w.u8(T_CONTENT_SUMMARY);
-            w.u64s(fingerprints);
-        }
-        MigMessage::CompressedBlocks {
-            blocks,
-            raw_len,
-            payload,
-        } => {
-            w.u8(T_COMPRESSED_BLOCKS);
-            w.u64s(blocks);
-            w.u64(*raw_len);
-            tail = w.tail(payload);
-        }
-        MigMessage::CompressedPages {
-            pages,
-            raw_len,
-            payload,
-        } => {
-            w.u8(T_COMPRESSED_PAGES);
-            w.u64s(pages);
-            w.u64(*raw_len);
-            tail = w.tail(payload);
-        }
-        MigMessage::BlockRequest {
-            block,
-            fingerprint,
-            generation,
-        } => {
-            w.u8(T_BLOCK_REQUEST);
-            w.u64(*block);
-            w.u64(*fingerprint);
-            w.u64(*generation);
-        }
-        MigMessage::BlockData {
-            block,
-            generation,
-            payload_len,
-            payload,
-        } => {
-            w.u8(T_BLOCK_DATA);
-            w.u64(*block);
-            w.u64(*generation);
-            w.u64(*payload_len);
-            tail = w.opt_tail(payload);
-        }
-        MigMessage::BlockMiss { block } => {
-            w.u8(T_BLOCK_MISS);
-            w.u64(*block);
-        }
-        MigMessage::BlockManifest {
-            blocks,
-            fingerprints,
-        } => {
-            w.u8(T_BLOCK_MANIFEST);
-            w.u64s(blocks);
-            w.u64s(fingerprints);
-        }
-    }
-    tail
+    Ok((w.buf, w.tail))
 }
 
 /// Decode a message from its wire bytes, copying its byte runs out of
 /// `buf`.
 pub fn decode(buf: &[u8]) -> Result<MigMessage, CodecError> {
-    decode_from(Reader {
+    MigMessage::decode_from(Reader {
         buf,
         pos: 0,
         frame: None,
@@ -566,128 +337,11 @@ pub fn decode(buf: &[u8]) -> Result<MigMessage, CodecError> {
 /// allocation lives as long as any payload decoded from it.
 pub fn decode_owned(frame: Vec<u8>) -> Result<MigMessage, CodecError> {
     let frame = Bytes::from(frame);
-    decode_from(Reader {
+    MigMessage::decode_from(Reader {
         buf: &frame,
         pos: 0,
         frame: Some(&frame),
     })
-}
-
-fn decode_from(mut r: Reader<'_>) -> Result<MigMessage, CodecError> {
-    let msg = match r.u8()? {
-        T_PREPARE => MigMessage::PrepareVbd {
-            block_size: r.u32()?,
-            num_blocks: r.u64()?,
-        },
-        T_PREPARE_ACK => MigMessage::PrepareAck,
-        T_DISK_BLOCKS => MigMessage::DiskBlocks {
-            blocks: r.u64s()?,
-            payload_len: r.u64()?,
-            payload: r.opt_bytes()?,
-        },
-        T_MEM_PAGES => MigMessage::MemPages {
-            pages: r.u64s()?,
-            payload_len: r.u64()?,
-            payload: r.opt_bytes()?,
-        },
-        T_CPU => MigMessage::CpuState {
-            payload_len: r.u64()?,
-            payload: r.opt_bytes()?,
-        },
-        T_BITMAP => MigMessage::Bitmap {
-            encoded: r.bytes()?,
-        },
-        T_SUSPENDED => MigMessage::Suspended,
-        T_RESUMED => MigMessage::Resumed,
-        T_PULL => MigMessage::PullRequest { block: r.u64()? },
-        T_PC_BLOCK => MigMessage::PostCopyBlock {
-            block: r.u64()?,
-            pulled: match r.u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(CodecError::Malformed(format!("bool tag {other}")));
-                }
-            },
-            payload_len: r.u64()?,
-            payload: r.opt_bytes()?,
-        },
-        T_PUSH_COMPLETE => MigMessage::PushComplete,
-        T_COMPLETE => MigMessage::MigrationComplete,
-        T_COMPLETE_ACK => MigMessage::CompleteAck,
-        T_BARRIER => MigMessage::Barrier,
-        T_BARRIER_ACK => MigMessage::BarrierAck,
-        T_HELLO => MigMessage::SessionHello {
-            session_id: r.u64()?,
-            attempt: r.u32()?,
-            dedup: r.flag()?,
-            compress: r.flag()?,
-            incremental: r.flag()?,
-        },
-        T_RESUME_FROM => MigMessage::ResumeFrom {
-            phase: {
-                let raw = r.u8()?;
-                crate::proto::ResumePhase::from_u8(raw)
-                    .ok_or_else(|| CodecError::Malformed(format!("resume phase {raw}")))?
-            },
-            dedup: r.flag()?,
-            compress: r.flag()?,
-            disk_bitmap: r.bytes()?,
-            mem_bitmap: r.bytes()?,
-        },
-        T_BLOCK_REF => MigMessage::BlockRef {
-            block: r.u64()?,
-            fingerprint: r.u64()?,
-        },
-        T_BLOCK_REFS => {
-            let blocks = r.u64s()?;
-            let fingerprints = r.u64s()?;
-            if blocks.len() != fingerprints.len() {
-                return Err(CodecError::Malformed(format!(
-                    "{} references with {} fingerprints",
-                    blocks.len(),
-                    fingerprints.len()
-                )));
-            }
-            MigMessage::BlockRefs {
-                blocks,
-                fingerprints,
-            }
-        }
-        T_BLOCK_REF_MISS => MigMessage::BlockRefMiss { block: r.u64()? },
-        T_CONTENT_SUMMARY => MigMessage::ContentSummary {
-            fingerprints: r.u64s()?,
-        },
-        T_COMPRESSED_BLOCKS => MigMessage::CompressedBlocks {
-            blocks: r.u64s()?,
-            raw_len: r.u64()?,
-            payload: r.bytes()?,
-        },
-        T_COMPRESSED_PAGES => MigMessage::CompressedPages {
-            pages: r.u64s()?,
-            raw_len: r.u64()?,
-            payload: r.bytes()?,
-        },
-        T_BLOCK_REQUEST => MigMessage::BlockRequest {
-            block: r.u64()?,
-            fingerprint: r.u64()?,
-            generation: r.u64()?,
-        },
-        T_BLOCK_DATA => MigMessage::BlockData {
-            block: r.u64()?,
-            generation: r.u64()?,
-            payload_len: r.u64()?,
-            payload: r.opt_bytes()?,
-        },
-        T_BLOCK_MISS => MigMessage::BlockMiss { block: r.u64()? },
-        T_BLOCK_MANIFEST => MigMessage::BlockManifest {
-            blocks: r.u64s()?,
-            fingerprints: r.u64s()?,
-        },
-        other => return Err(CodecError::Malformed(format!("unknown tag {other}"))),
-    };
-    r.finish()?;
-    Ok(msg)
 }
 
 /// Write one length-prefixed frame to a stream: head and payload go to

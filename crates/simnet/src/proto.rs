@@ -1,13 +1,18 @@
 //! The migration wire protocol.
 //!
 //! Every byte that crosses the source→destination link is carried by a
-//! [`MigMessage`], and every message knows its exact [`wire
-//! size`](MigMessage::wire_size) and [traffic category](Category). The
-//! "amount of migrated data" rows of Tables I and II are sums over a
-//! [`TransferLedger`] fed from these sizes — measured, never estimated.
+//! [`MigMessage`]. One table (`wire_messages!` below) describes each
+//! message once — tag, fields in wire order, [traffic
+//! category](Category) — and the enum, its category and the
+//! [`codec`](crate::codec)'s encoder and decoder are generated from it.
+//! Beside it, every message knows its [`wire size`](MigMessage::wire_size):
+//! the "amount of migrated data" rows of Tables I and II are sums over a
+//! [`TransferLedger`] fed from these sizes.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+
+use crate::codec::{CodecError, Reader, Writer};
 
 /// Fixed per-message framing overhead (type tag, lengths, checksum) —
 /// a deliberate, simple stand-in for the prototype's TCP record framing.
@@ -48,246 +53,381 @@ pub const ALL_CATEGORIES: [Category; 7] = [
     Category::Control,
 ];
 
-/// A migration protocol message.
+/// The Rust type a field of wire kind `$kind` holds (see
+/// [`wire_messages!`]).
+macro_rules! wire_type {
+    (u32) => { u32 };
+    (u64) => { u64 };
+    (flag) => { bool };
+    (phase) => { ResumePhase };
+    (u64s) => { Vec<u64> };
+    (bytes) => { Bytes };
+    (tail) => { Bytes };
+    (opt_tail) => { Option<Bytes> };
+}
+
+/// What a field of wire kind `$kind` adds to a message's head beyond the
+/// fixed slack of [`MigMessage::head_size_hint`]: its run, when the run is
+/// in the head.
+macro_rules! head_hint {
+    (u64s, $v:ident) => {
+        $v.len() * 8
+    };
+    (bytes, $v:ident) => {
+        $v.len()
+    };
+    ($kind:ident, $v:ident) => {
+        0
+    };
+}
+
+/// The wire protocol's one description. Each row is a variant: its docs,
+/// its tag byte, its fields in wire order, an optional `check` a decoded
+/// message must pass, and its [`Category`] as an expression over its
+/// fields. A field's wire kind fixes both its type and its bytes, all
+/// little-endian:
 ///
-/// Block/page payloads are optional: live mode ships real bytes in
-/// `payload`, simulated mode ships `None` and relies on `payload_len` for
-/// accounting. `payload_len` is authoritative for wire sizing in both
-/// modes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MigMessage {
-    /// Ask the destination to provision a VBD of the given geometry.
-    PrepareVbd {
-        /// Block size in bytes.
-        block_size: u32,
-        /// Capacity in blocks.
-        num_blocks: u64,
-    },
-    /// Destination is ready to receive.
-    PrepareAck,
-    /// A batch of disk blocks (pre-copy traffic).
-    DiskBlocks {
-        /// Block indices, ascending.
-        blocks: Vec<u64>,
-        /// Total payload bytes across the batch.
-        payload_len: u64,
-        /// Live-mode contents, concatenated in index order.
-        payload: Option<Bytes>,
-    },
-    /// A dedup reference instead of a full block: "you already hold
-    /// content with this fingerprint — copy it to `block`". Sent only
-    /// on a session that negotiated dedup, for content the destination
-    /// acknowledged (its [`MigMessage::ContentSummary`]) or that this
-    /// session already shipped. The destination verifies the resident
-    /// content by re-hash before reuse and answers
-    /// [`MigMessage::BlockRefMiss`] when it cannot prove a match, so a
-    /// reference never weakens bit-identity.
-    BlockRef {
-        /// Destination block to materialize.
-        block: u64,
-        /// Content fingerprint (`vdisk::content::hash_block`).
-        fingerprint: u64,
-    },
-    /// Many [`MigMessage::BlockRef`]s in one frame: block `blocks[i]` is
-    /// to hold the content `fingerprints[i]` names. The live source sends
-    /// references this way, after the full blocks they may name; each
-    /// resolves, or bounces as a [`MigMessage::BlockRefMiss`], exactly as
-    /// a lone reference does. Sized [`BLOCK_REF_WIRE`] a reference.
-    BlockRefs {
-        /// Destination blocks to materialize.
-        blocks: Vec<u64>,
-        /// Content fingerprint of each block, same order and length.
-        fingerprints: Vec<u64>,
-    },
-    /// Destination → source: a [`MigMessage::BlockRef`] could not be
-    /// resolved against resident content (evicted, never applied, or a
-    /// fingerprint mismatch on verification). The source falls back to
-    /// a full `DiskBlocks` send for this block.
-    BlockRefMiss {
-        /// The unresolved block.
-        block: u64,
-    },
-    /// Destination → source after a dedup-negotiated handshake: the
-    /// distinct fingerprints of the resident image, seeding the
-    /// source's view of what a reference can reach. Re-sent on every
-    /// reconnect — a resumed session must re-validate, never trust,
-    /// its previous view (DESIGN.md §15).
-    ContentSummary {
-        /// Distinct resident fingerprints, ascending.
-        fingerprints: Vec<u64>,
-    },
-    /// A batch of disk blocks whose payload is one LZ stream over the
-    /// blocks in order (`simnet::codec::lz`): a block's matches may reach
-    /// into the blocks before it, never outside the message. Used for
-    /// residual full-block sends on a session that negotiated
-    /// compression. `raw_len` is the uncompressed total,
-    /// `blocks.len() × block size`, kept for `wire.bytes_raw` accounting.
-    CompressedBlocks {
-        /// Block indices, ascending.
-        blocks: Vec<u64>,
-        /// Uncompressed payload bytes across the batch.
-        raw_len: u64,
-        /// The batch's LZ stream.
-        payload: Bytes,
-    },
-    /// A batch of memory pages.
-    MemPages {
-        /// Page indices, ascending.
-        pages: Vec<u64>,
-        /// Total payload bytes across the batch.
-        payload_len: u64,
-        /// Live-mode contents, concatenated in index order.
-        payload: Option<Bytes>,
-    },
-    /// A batch of memory pages whose payload is one LZ stream over the
-    /// pages in order — the `simnet::codec::lz` stream a
-    /// [`MigMessage::CompressedBlocks`] carries. Sent in place of
-    /// [`MigMessage::MemPages`] on a session that negotiated compression,
-    /// when the stream comes out smaller. Zero or constant pages need no
-    /// message of their own: a run is an offset-1 match, one stream byte
-    /// per 255 of it, so 128 zero 4 KiB pages are about 2 KiB.
-    CompressedPages {
-        /// Page indices, ascending.
-        pages: Vec<u64>,
-        /// Uncompressed payload bytes across the batch.
-        raw_len: u64,
-        /// The batch's LZ stream.
-        payload: Bytes,
-    },
-    /// The CPU context, sent while the VM is suspended.
-    CpuState {
-        /// Context size in bytes.
-        payload_len: u64,
-        /// Live-mode contents.
-        payload: Option<Bytes>,
-    },
-    /// The block-bitmap of unsynchronized blocks (freeze-and-copy phase).
-    Bitmap {
-        /// Encoded bitmap (see `block_bitmap::ser`). Always materialized:
-        /// its size is part of downtime in both modes.
-        encoded: Bytes,
-    },
-    /// Source has suspended the VM (start of downtime).
-    Suspended,
-    /// Destination has resumed the VM (end of downtime).
-    Resumed,
-    /// Destination asks for one block it needs now (post-copy pull).
-    PullRequest {
-        /// The block a guest read is waiting on.
-        block: u64,
-    },
-    /// One block sent during post-copy (pushed, or answering a pull).
-    PostCopyBlock {
-        /// Block index.
-        block: u64,
-        /// `true` when this answers a [`MigMessage::PullRequest`].
-        pulled: bool,
-        /// Payload size in bytes.
-        payload_len: u64,
-        /// Live-mode contents.
-        payload: Option<Bytes>,
-    },
-    /// Source has pushed every block marked in its bitmap.
-    PushComplete,
-    /// Destination confirms full synchronization; source may be retired.
-    MigrationComplete,
-    /// Source acknowledges [`MigMessage::MigrationComplete`]; the
-    /// destination may drop the link. Without this ack a lost completion
-    /// message would strand the source in post-copy with no peer.
-    CompleteAck,
-    /// Source → destination after the last batch of a pre-copy
-    /// iteration: "echo this once everything before it is applied". The
-    /// link delivers in order, so the [`MigMessage::BarrierAck`] proves
-    /// the destination holds the whole iteration and that every
-    /// [`MigMessage::BlockRefMiss`] it provoked is already on its way
-    /// back — the source ends the iteration on the destination's clock,
-    /// not its own, and never suspends the guest into a backlog.
-    Barrier,
-    /// Destination's echo of a [`MigMessage::Barrier`].
-    BarrierAck,
-    /// First message on every (re)connection: identifies the migration
-    /// session and the connection attempt, so a destination can tell a
-    /// resumed source from a stranger.
-    SessionHello {
-        /// Random id chosen by the source at migration start.
-        session_id: u64,
-        /// 0 for the initial connection, incremented per reconnect.
-        attempt: u32,
-        /// Source offers content-addressed dedup for this session.
-        dedup: bool,
-        /// Source offers compressed residual block sends.
-        compress: bool,
-        /// The source ships only the blocks of an inherited block-bitmap
-        /// (§V incremental migration): a previous hop left this image at
-        /// the destination, and whatever fingerprints it left with it are
-        /// all the destination summarises — it hashes nothing to answer.
-        incremental: bool,
-    },
-    /// Destination → peer holder: ask for one block by content identity
-    /// (multi-source fetch). The peer serves the block only when it can
-    /// prove it still holds content matching `fingerprint` at
-    /// `generation`; anything else answers [`MigMessage::BlockMiss`], so
-    /// a stale directory entry degrades to a miss, never to wrong bytes.
-    BlockRequest {
-        /// Destination block to fetch.
-        block: u64,
-        /// Expected content fingerprint (`vdisk::content::hash_block`).
-        fingerprint: u64,
-        /// Replica-table generation the fingerprint was recorded at.
-        generation: u64,
-    },
-    /// Peer holder → destination: the content answering a
-    /// [`MigMessage::BlockRequest`]. The destination re-verifies the
-    /// payload hash against the requested fingerprint before applying.
-    BlockData {
-        /// Block index this content materializes.
-        block: u64,
-        /// Generation the peer holds the block at.
-        generation: u64,
-        /// Payload size in bytes.
-        payload_len: u64,
-        /// Live-mode contents.
-        payload: Option<Bytes>,
-    },
-    /// Peer holder → destination: a [`MigMessage::BlockRequest`] could
-    /// not be served (generation moved on, content evicted, or a
-    /// fingerprint mismatch). The planner re-routes the block to the
-    /// source or another holder.
-    BlockMiss {
-        /// The unserved block.
-        block: u64,
-    },
-    /// Source → destination at freeze time: the content fingerprints of
-    /// the frozen bitmap's blocks. The guest is suspended when this is
-    /// built, so the fingerprints stay valid for the whole post-copy
-    /// phase — they are the verification anchors a destination needs to
-    /// fetch still-owed blocks from *peer holders* should the source die
-    /// with its reconnect budget exhausted (multi-source failover).
-    BlockManifest {
-        /// Block indices, ascending (the frozen bitmap's set bits).
-        blocks: Vec<u64>,
-        /// `vdisk::content::hash_block` of each block, same order.
-        fingerprints: Vec<u64>,
-    },
-    /// Destination's reply to a [`MigMessage::SessionHello`]: where it
-    /// stands, so the source retransmits *only* what was lost — the
-    /// paper's incremental-migration bitmap reused as crash recovery.
-    ResumeFrom {
-        /// Destination protocol phase (see [`ResumePhase`]).
-        phase: ResumePhase,
-        /// Destination accepts dedup (both sides must agree; a session
-        /// is dedup-enabled only when offer and accept are both true).
-        dedup: bool,
-        /// Destination accepts compressed block sends.
-        compress: bool,
-        /// Encoded block-bitmap. During pre-copy and freeze: blocks the
-        /// destination has RECEIVED. During post-copy: blocks it still
-        /// NEEDS (its transferred-block bitmap).
-        disk_bitmap: Bytes,
-        /// Encoded page bitmap of RECEIVED memory pages (empty once the
-        /// guest has resumed: memory is complete by then).
-        mem_bitmap: Bytes,
-    },
+/// * `u32`, `u64` — the integer;
+/// * `flag` — a `bool` as one byte, 0 or 1, anything else refused;
+/// * `phase` — a [`ResumePhase`] as its one [`ResumePhase::to_u8`] byte;
+/// * `u64s` — a `Vec<u64>`: its length as a `u64`, then the words;
+/// * `bytes` — a [`Bytes`]: its length as a `u64`, then the run;
+/// * `tail` — a `bytes` that is the message's last field: the run stays
+///   out of the head, for the frame writer to send where it lies;
+/// * `opt_tail` — an `Option<Bytes>` tail: a `flag` byte for `Some`,
+///   then, when present, the `tail`.
+///
+/// The table generates the enum, `category`, and the codec's
+/// `encode_head`, `decode_from` and `head_size_hint`. A decoded run is
+/// bounded by [`MAX_FRAME`](crate::codec::MAX_FRAME) and a frame with
+/// bytes after its last field is refused. A tag used twice makes an
+/// unreachable decode arm, which the lint gate refuses.
+/// [`MigMessage::wire_size`] is not generated: it is the booking model,
+/// not the encoded length.
+macro_rules! wire_messages {
+    (
+        $(#[$meta:meta])*
+        pub enum $Msg:ident {
+            $(
+                $(#[$doc:meta])*
+                $Variant:ident = $tag:literal $({
+                    $($(#[$fdoc:meta])* $field:ident: $kind:ident,)*
+                })?
+                $(check($ok:expr, $why:literal $(, $arg:expr)*))?
+                => $category:expr,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $Msg {
+            $(
+                $(#[$doc])*
+                $Variant $({ $($(#[$fdoc])* $field: wire_type!($kind),)* })?,
+            )*
+        }
+
+        impl $Msg {
+            /// Traffic category the message is accounted under.
+            #[allow(unused_variables)]
+            pub fn category(&self) -> Category {
+                match self {
+                    $(Self::$Variant $({ $($field),* })? => $category,)*
+                }
+            }
+
+            /// Close-enough capacity estimate for the encoded head —
+            /// everything but the last byte run — so the head is one
+            /// allocation. The fixed slack covers the tag and every length.
+            #[allow(unused_variables)]
+            pub(crate) fn head_size_hint(&self) -> usize {
+                64 + match self {
+                    $(Self::$Variant $({ $($field),* })? => {
+                        0 $($(+ head_hint!($kind, $field))*)?
+                    })*
+                }
+            }
+
+            /// Encode the tag and every field into `w`, which keeps the
+            /// last byte run (if any) out of the head.
+            pub(crate) fn encode_head<'a>(&'a self, w: &mut Writer<'a>) {
+                match self {
+                    $(Self::$Variant $({ $($field),* })? => {
+                        w.u8($tag);
+                        $($(w.$kind($field);)*)?
+                    })*
+                }
+            }
+
+            /// Decode one message, the whole of `r`.
+            pub(crate) fn decode_from(mut r: Reader<'_>) -> Result<Self, CodecError> {
+                let msg = match r.u8()? {
+                    $($tag => {
+                        $($(let $field = r.$kind()?;)*)?
+                        $(if !$ok {
+                            return Err(CodecError::Malformed(format!($why $(, $arg)*)));
+                        })?
+                        Self::$Variant $({ $($field),* })?
+                    })*
+                    other => return Err(CodecError::Malformed(format!("unknown tag {other}"))),
+                };
+                r.finish()?;
+                Ok(msg)
+            }
+        }
+    };
+}
+
+wire_messages! {
+    /// A migration protocol message.
+    ///
+    /// Block/page payloads are optional: live mode ships real bytes in
+    /// `payload`, simulated mode ships `None` and relies on `payload_len` for
+    /// accounting. `payload_len` is authoritative for wire sizing in both
+    /// modes.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum MigMessage {
+        /// Ask the destination to provision a VBD of the given geometry.
+        PrepareVbd = 1 {
+            /// Block size in bytes.
+            block_size: u32,
+            /// Capacity in blocks.
+            num_blocks: u64,
+        } => Category::Control,
+        /// Destination is ready to receive.
+        PrepareAck = 2 => Category::Control,
+        /// A batch of disk blocks (pre-copy traffic).
+        DiskBlocks = 3 {
+            /// Block indices, ascending.
+            blocks: u64s,
+            /// Total payload bytes across the batch.
+            payload_len: u64,
+            /// Live-mode contents, concatenated in index order.
+            payload: opt_tail,
+        } => Category::DiskPrecopy,
+        /// A dedup reference instead of a full block: "you already hold
+        /// content with this fingerprint — copy it to `block`". Sent only
+        /// on a session that negotiated dedup, for content the destination
+        /// acknowledged (its [`MigMessage::ContentSummary`]) or that this
+        /// session already shipped. The destination verifies the resident
+        /// content by re-hash before reuse and answers
+        /// [`MigMessage::BlockRefMiss`] when it cannot prove a match, so a
+        /// reference never weakens bit-identity.
+        BlockRef = 16 {
+            /// Destination block to materialize.
+            block: u64,
+            /// Content fingerprint (`vdisk::content::hash_block`).
+            fingerprint: u64,
+        } => Category::DiskPrecopy,
+        /// Many [`MigMessage::BlockRef`]s in one frame: block `blocks[i]` is
+        /// to hold the content `fingerprints[i]` names. The live source sends
+        /// references this way, after the full blocks they may name; each
+        /// resolves, or bounces as a [`MigMessage::BlockRefMiss`], exactly as
+        /// a lone reference does. Sized [`BLOCK_REF_WIRE`] a reference.
+        BlockRefs = 27 {
+            /// Destination blocks to materialize.
+            blocks: u64s,
+            /// Content fingerprint of each block, same order and length.
+            fingerprints: u64s,
+        } check(
+            blocks.len() == fingerprints.len(),
+            "{} references with {} fingerprints", blocks.len(), fingerprints.len()
+        ) => Category::DiskPrecopy,
+        /// Destination → source: a [`MigMessage::BlockRef`] could not be
+        /// resolved against resident content (evicted, never applied, or a
+        /// fingerprint mismatch on verification). The source falls back to
+        /// a full `DiskBlocks` send for this block.
+        BlockRefMiss = 17 {
+            /// The unresolved block.
+            block: u64,
+        } // A miss is a control NAK; the resend it provokes carries the
+          // data bytes.
+        => Category::Control,
+        /// Destination → source after a dedup-negotiated handshake: the
+        /// distinct fingerprints of the resident image, seeding the
+        /// source's view of what a reference can reach. Re-sent on every
+        /// reconnect — a resumed session must re-validate, never trust,
+        /// its previous view (DESIGN.md §15).
+        ContentSummary = 18 {
+            /// Distinct resident fingerprints, ascending.
+            fingerprints: u64s,
+        } => Category::Control,
+        /// A batch of disk blocks whose payload is one LZ stream over the
+        /// blocks in order (`simnet::codec::lz`): a block's matches may reach
+        /// into the blocks before it, never outside the message. Used for
+        /// residual full-block sends on a session that negotiated
+        /// compression. `raw_len` is the uncompressed total,
+        /// `blocks.len() × block size`, kept for `wire.bytes_raw` accounting.
+        CompressedBlocks = 19 {
+            /// Block indices, ascending.
+            blocks: u64s,
+            /// Uncompressed payload bytes across the batch.
+            raw_len: u64,
+            /// The batch's LZ stream.
+            payload: tail,
+        } => Category::DiskPrecopy,
+        /// A batch of memory pages.
+        MemPages = 4 {
+            /// Page indices, ascending.
+            pages: u64s,
+            /// Total payload bytes across the batch.
+            payload_len: u64,
+            /// Live-mode contents, concatenated in index order.
+            payload: opt_tail,
+        } => Category::Memory,
+        /// A batch of memory pages whose payload is one LZ stream over the
+        /// pages in order — the `simnet::codec::lz` stream a
+        /// [`MigMessage::CompressedBlocks`] carries. Sent in place of
+        /// [`MigMessage::MemPages`] on a session that negotiated compression,
+        /// when the stream comes out smaller. Zero or constant pages need no
+        /// message of their own: a run is an offset-1 match, one stream byte
+        /// per 255 of it, so 128 zero 4 KiB pages are about 2 KiB.
+        CompressedPages = 26 {
+            /// Page indices, ascending.
+            pages: u64s,
+            /// Uncompressed payload bytes across the batch.
+            raw_len: u64,
+            /// The batch's LZ stream.
+            payload: tail,
+        } => Category::Memory,
+        /// The CPU context, sent while the VM is suspended.
+        CpuState = 5 {
+            /// Context size in bytes.
+            payload_len: u64,
+            /// Live-mode contents.
+            payload: opt_tail,
+        } => Category::Cpu,
+        /// The block-bitmap of unsynchronized blocks (freeze-and-copy phase).
+        Bitmap = 6 {
+            /// Encoded bitmap (see `block_bitmap::ser`). Always materialized:
+            /// its size is part of downtime in both modes.
+            encoded: tail,
+        } => Category::Bitmap,
+        /// Source has suspended the VM (start of downtime).
+        Suspended = 7 => Category::Control,
+        /// Destination has resumed the VM (end of downtime).
+        Resumed = 8 => Category::Control,
+        /// Destination asks for one block it needs now (post-copy pull).
+        PullRequest = 9 {
+            /// The block a guest read is waiting on.
+            block: u64,
+        } => Category::DiskPull,
+        /// One block sent during post-copy (pushed, or answering a pull).
+        PostCopyBlock = 10 {
+            /// Block index.
+            block: u64,
+            /// `true` when this answers a [`MigMessage::PullRequest`].
+            pulled: flag,
+            /// Payload size in bytes.
+            payload_len: u64,
+            /// Live-mode contents.
+            payload: opt_tail,
+        } => if *pulled { Category::DiskPull } else { Category::DiskPush },
+        /// Source has pushed every block marked in its bitmap.
+        PushComplete = 11 => Category::Control,
+        /// Destination confirms full synchronization; source may be retired.
+        MigrationComplete = 12 => Category::Control,
+        /// Source acknowledges [`MigMessage::MigrationComplete`]; the
+        /// destination may drop the link. Without this ack a lost completion
+        /// message would strand the source in post-copy with no peer.
+        CompleteAck = 13 => Category::Control,
+        /// Source → destination after the last batch of a pre-copy
+        /// iteration: "echo this once everything before it is applied". The
+        /// link delivers in order, so the [`MigMessage::BarrierAck`] proves
+        /// the destination holds the whole iteration and that every
+        /// [`MigMessage::BlockRefMiss`] it provoked is already on its way
+        /// back — the source ends the iteration on the destination's clock,
+        /// not its own, and never suspends the guest into a backlog.
+        Barrier = 24 => Category::Control,
+        /// Destination's echo of a [`MigMessage::Barrier`].
+        BarrierAck = 25 => Category::Control,
+        /// First message on every (re)connection: identifies the migration
+        /// session and the connection attempt, so a destination can tell a
+        /// resumed source from a stranger.
+        SessionHello = 14 {
+            /// Random id chosen by the source at migration start.
+            session_id: u64,
+            /// 0 for the initial connection, incremented per reconnect.
+            attempt: u32,
+            /// Source offers content-addressed dedup for this session.
+            dedup: flag,
+            /// Source offers compressed residual block sends.
+            compress: flag,
+            /// The source ships only the blocks of an inherited block-bitmap
+            /// (§V incremental migration): a previous hop left this image at
+            /// the destination, and whatever fingerprints it left with it are
+            /// all the destination summarises — it hashes nothing to answer.
+            incremental: flag,
+        } => Category::Control,
+        /// Destination → peer holder: ask for one block by content identity
+        /// (multi-source fetch). The peer serves the block only when it can
+        /// prove it still holds content matching `fingerprint` at
+        /// `generation`; anything else answers [`MigMessage::BlockMiss`], so
+        /// a stale directory entry degrades to a miss, never to wrong bytes.
+        BlockRequest = 20 {
+            /// Destination block to fetch.
+            block: u64,
+            /// Expected content fingerprint (`vdisk::content::hash_block`).
+            fingerprint: u64,
+            /// Replica-table generation the fingerprint was recorded at.
+            generation: u64,
+        } // Peer fetches are on-demand traffic: the request and the data
+          // it provokes account like a post-copy pull.
+        => Category::DiskPull,
+        /// Peer holder → destination: the content answering a
+        /// [`MigMessage::BlockRequest`]. The destination re-verifies the
+        /// payload hash against the requested fingerprint before applying.
+        BlockData = 21 {
+            /// Block index this content materializes.
+            block: u64,
+            /// Generation the peer holds the block at.
+            generation: u64,
+            /// Payload size in bytes.
+            payload_len: u64,
+            /// Live-mode contents.
+            payload: opt_tail,
+        } => Category::DiskPull,
+        /// Peer holder → destination: a [`MigMessage::BlockRequest`] could
+        /// not be served (generation moved on, content evicted, or a
+        /// fingerprint mismatch). The planner re-routes the block to the
+        /// source or another holder.
+        BlockMiss = 22 {
+            /// The unserved block.
+            block: u64,
+        } => Category::Control,
+        /// Source → destination at freeze time: the content fingerprints of
+        /// the frozen bitmap's blocks. The guest is suspended when this is
+        /// built, so the fingerprints stay valid for the whole post-copy
+        /// phase — they are the verification anchors a destination needs to
+        /// fetch still-owed blocks from *peer holders* should the source die
+        /// with its reconnect budget exhausted (multi-source failover).
+        BlockManifest = 23 {
+            /// Block indices, ascending (the frozen bitmap's set bits).
+            blocks: u64s,
+            /// `vdisk::content::hash_block` of each block, same order.
+            fingerprints: u64s,
+        } // Freeze-phase metadata about blocks, like the bitmap it rides
+          // alongside.
+        => Category::Bitmap,
+        /// Destination's reply to a [`MigMessage::SessionHello`]: where it
+        /// stands, so the source retransmits *only* what was lost — the
+        /// paper's incremental-migration bitmap reused as crash recovery.
+        ResumeFrom = 15 {
+            /// Destination protocol phase (see [`ResumePhase`]).
+            phase: phase,
+            /// Destination accepts dedup (both sides must agree; a session
+            /// is dedup-enabled only when offer and accept are both true).
+            dedup: flag,
+            /// Destination accepts compressed block sends.
+            compress: flag,
+            /// Encoded block-bitmap. During pre-copy and freeze: blocks the
+            /// destination has RECEIVED. During post-copy: blocks it still
+            /// NEEDS (its transferred-block bitmap).
+            disk_bitmap: bytes,
+            /// Encoded page bitmap of RECEIVED memory pages (empty once the
+            /// guest has resumed: memory is complete by then).
+            mem_bitmap: tail,
+        } => Category::Bitmap,
+    }
 }
 
 /// Destination protocol phase reported in [`MigMessage::ResumeFrom`].
@@ -329,7 +469,11 @@ impl ResumePhase {
 }
 
 impl MigMessage {
-    /// Exact size of the message on the wire.
+    /// Size the message is booked at on the wire: [`FRAME_OVERHEAD`]
+    /// plus its fields, `payload_len` standing in for a payload a
+    /// simulated message does not carry. A booking model, not the encoded
+    /// length; for a message that carries its payloads the two differ by
+    /// one constant per variant.
     pub fn wire_size(&self) -> u64 {
         FRAME_OVERHEAD
             + match self {
@@ -373,49 +517,6 @@ impl MigMessage {
                     ..
                 } => 3 + disk_bitmap.len() as u64 + mem_bitmap.len() as u64,
             }
-    }
-
-    /// Traffic category the message is accounted under.
-    pub fn category(&self) -> Category {
-        match self {
-            Self::PrepareVbd { .. }
-            | Self::PrepareAck
-            | Self::Suspended
-            | Self::Resumed
-            | Self::PushComplete
-            | Self::MigrationComplete
-            | Self::CompleteAck
-            | Self::Barrier
-            | Self::BarrierAck
-            | Self::SessionHello { .. } => Category::Control,
-            // A miss is a control NAK; the resend it provokes carries
-            // the data bytes. The summary is handshake traffic.
-            Self::BlockRefMiss { .. } | Self::ContentSummary { .. } => Category::Control,
-            // Peer fetches are on-demand traffic: the request and the
-            // data it provokes account like a post-copy pull, a miss is
-            // a control NAK.
-            Self::BlockRequest { .. } | Self::BlockData { .. } => Category::DiskPull,
-            Self::BlockMiss { .. } => Category::Control,
-            // The manifest is freeze-phase metadata about blocks, like
-            // the bitmap it rides alongside.
-            Self::BlockManifest { .. } => Category::Bitmap,
-            Self::ResumeFrom { .. } => Category::Bitmap,
-            Self::DiskBlocks { .. } => Category::DiskPrecopy,
-            Self::BlockRef { .. } | Self::BlockRefs { .. } | Self::CompressedBlocks { .. } => {
-                Category::DiskPrecopy
-            }
-            Self::MemPages { .. } | Self::CompressedPages { .. } => Category::Memory,
-            Self::CpuState { .. } => Category::Cpu,
-            Self::Bitmap { .. } => Category::Bitmap,
-            Self::PullRequest { .. } => Category::DiskPull,
-            Self::PostCopyBlock { pulled, .. } => {
-                if *pulled {
-                    Category::DiskPull
-                } else {
-                    Category::DiskPush
-                }
-            }
-        }
     }
 }
 

@@ -9,7 +9,7 @@ use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use simnet::capacity::{max_min_share, seek_aware_share};
 use simnet::codec::{
-    compress_blocks, decode, decode_owned, decompress_blocks, encode, read_frame,
+    compress_blocks, decode, decode_owned, decompress_blocks, encode, encode_framed, read_frame,
     read_frame_or_eof, write_frame, CodecError,
 };
 use simnet::fault::{faulty_pair, FaultPlan};
@@ -203,6 +203,112 @@ fn arb_message_draws_every_variant() {
     let missing: Vec<usize> = (0..VARIANTS).filter(|&v| !seen[v]).collect();
     assert!(missing.is_empty(), "variants never drawn: {missing:?}");
     assert_eq!(phases, [true; 4]);
+}
+
+/// `msg` as the live engine sends it, when it can be: `payload_len` set to
+/// the length of the payload it describes. A message whose payload is
+/// absent is not live-form and comes back `None` — the simulator's
+/// messages, and the live engine's `CpuState`, which books 8 KiB of
+/// context and sends none (`payload: None`).
+fn live_form(msg: MigMessage) -> Option<MigMessage> {
+    let len = |payload: &Bytes| payload.len() as u64;
+    Some(match msg {
+        MigMessage::DiskBlocks {
+            blocks,
+            payload: Some(payload),
+            ..
+        } => MigMessage::DiskBlocks {
+            blocks,
+            payload_len: len(&payload),
+            payload: Some(payload),
+        },
+        MigMessage::MemPages {
+            pages,
+            payload: Some(payload),
+            ..
+        } => MigMessage::MemPages {
+            pages,
+            payload_len: len(&payload),
+            payload: Some(payload),
+        },
+        MigMessage::CpuState {
+            payload: Some(payload),
+            ..
+        } => MigMessage::CpuState {
+            payload_len: len(&payload),
+            payload: Some(payload),
+        },
+        MigMessage::PostCopyBlock {
+            block,
+            pulled,
+            payload: Some(payload),
+            ..
+        } => MigMessage::PostCopyBlock {
+            block,
+            pulled,
+            payload_len: len(&payload),
+            payload: Some(payload),
+        },
+        MigMessage::BlockData {
+            block,
+            generation,
+            payload: Some(payload),
+            ..
+        } => MigMessage::BlockData {
+            block,
+            generation,
+            payload_len: len(&payload),
+            payload: Some(payload),
+        },
+        MigMessage::DiskBlocks { payload: None, .. }
+        | MigMessage::MemPages { payload: None, .. }
+        | MigMessage::CpuState { payload: None, .. }
+        | MigMessage::PostCopyBlock { payload: None, .. }
+        | MigMessage::BlockData { payload: None, .. } => return None,
+        other => other,
+    })
+}
+
+/// A live-form message's framed length less its `wire_size`, by variant.
+/// The frame is a 4-byte length prefix, the tag byte and the fields;
+/// `wire_size` is [`FRAME_OVERHEAD`](simnet::proto::FRAME_OVERHEAD) (16)
+/// and the fields it books. A fixed-size message books its fields byte for
+/// byte: 4 + 1 − 16 = −11. A message with runs books their contents but
+/// not their 8-byte lengths, nor an option byte, nor `payload_len` or
+/// `raw_len` beside the payload they describe.
+fn framed_less_booked(msg: &MigMessage) -> i64 {
+    match msg {
+        // Index run and payload lengths, `payload_len`, option byte.
+        MigMessage::DiskBlocks { .. } | MigMessage::MemPages { .. } => 14,
+        // Index run and stream lengths, `raw_len`.
+        MigMessage::CompressedBlocks { .. } | MigMessage::CompressedPages { .. } => 13,
+        // Payload length, option byte; `PostCopyBlock` books its `pulled`
+        // byte and `BlockData` its two words.
+        MigMessage::CpuState { .. }
+        | MigMessage::PostCopyBlock { .. }
+        | MigMessage::BlockData { .. } => 6,
+        // Two run lengths (`ResumeFrom` books its three flag bytes).
+        MigMessage::BlockRefs { .. }
+        | MigMessage::BlockManifest { .. }
+        | MigMessage::ResumeFrom { .. } => 5,
+        // One run length.
+        MigMessage::ContentSummary { .. } | MigMessage::Bitmap { .. } => -3,
+        MigMessage::PrepareVbd { .. }
+        | MigMessage::PrepareAck
+        | MigMessage::BlockRef { .. }
+        | MigMessage::BlockRefMiss { .. }
+        | MigMessage::Suspended
+        | MigMessage::Resumed
+        | MigMessage::PullRequest { .. }
+        | MigMessage::PushComplete
+        | MigMessage::MigrationComplete
+        | MigMessage::CompleteAck
+        | MigMessage::Barrier
+        | MigMessage::BarrierAck
+        | MigMessage::SessionHello { .. }
+        | MigMessage::BlockRequest { .. }
+        | MigMessage::BlockMiss { .. } => -11,
+    }
 }
 
 /// A frame of references: as many fingerprints as blocks, the only shape
@@ -451,6 +557,18 @@ proptest! {
     fn codec_roundtrip(msg in arb_message()) {
         let enc = encode(&msg);
         prop_assert_eq!(decode(&enc).expect("decode"), msg);
+    }
+
+    /// `wire_size` is the booking model, not the encoded length, but the
+    /// two move together: for a live-form message they differ by one
+    /// constant per variant, whatever its runs hold.
+    #[test]
+    fn wire_size_is_the_framed_length_less_a_constant_per_variant(msg in arb_message()) {
+        let Some(msg) = live_form(msg) else {
+            return Ok(());
+        };
+        let framed = encode_framed(&msg).len() as i64;
+        prop_assert_eq!(framed - msg.wire_size() as i64, framed_less_booked(&msg), "{:?}", msg);
     }
 
     /// Framed sequences round-trip over a byte stream.

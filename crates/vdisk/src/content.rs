@@ -281,7 +281,7 @@ impl IdTable {
 }
 
 /// A set of fingerprints — the source's view of what the destination can
-/// resolve. An [`IdTable`] over the list of members, doubling when three
+/// resolve. An `IdTable` over the list of members, doubling when three
 /// quarters full.
 #[derive(Debug, Clone)]
 pub struct FingerprintSet {
@@ -365,7 +365,7 @@ impl Extend<u64> for FingerprintSet {
 /// hits; knowing something wrong costs a bounce, because users re-hash
 /// the resolved holder before they trust it.
 ///
-/// Layout: an [`IdTable`] over `fp_of` holds, for each resident
+/// Layout: an `IdTable` over `fp_of` holds, for each resident
 /// fingerprint, the *head* of its holder chain; the chain itself is
 /// intrusive — two `u32` links per block — so duplicate content (zero
 /// blocks, clones) costs no allocation and [`ContentIndex::record`] is

@@ -221,6 +221,12 @@ echo "== clippy (deny warnings), the lint zones included =="
 # must-use result is dropped, protocol matches name every variant.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# Every intra-doc link resolves and none points at a private item; the
+# doc comments the wire table (crates/simnet/src/proto.rs) hands to the
+# generated MigMessage are checked here too.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked
+
 echo "== lint zones: clippy reports every seeded violation at its file:line =="
 # tests/clippy_seeds is a package of its own whose modules carry the zone
 # roots' deny lines over seeded violations; the run must fail, reporting
