@@ -210,63 +210,35 @@ fn arb_message_draws_every_variant() {
 /// absent is not live-form and comes back `None` — the simulator's
 /// messages, and the live engine's `CpuState`, which books 8 KiB of
 /// context and sends none (`payload: None`).
-fn live_form(msg: MigMessage) -> Option<MigMessage> {
-    let len = |payload: &Bytes| payload.len() as u64;
-    Some(match msg {
+fn live_form(mut msg: MigMessage) -> Option<MigMessage> {
+    match &mut msg {
         MigMessage::DiskBlocks {
-            blocks,
-            payload: Some(payload),
+            payload_len,
+            payload,
             ..
-        } => MigMessage::DiskBlocks {
-            blocks,
-            payload_len: len(&payload),
-            payload: Some(payload),
-        },
-        MigMessage::MemPages {
-            pages,
-            payload: Some(payload),
+        }
+        | MigMessage::MemPages {
+            payload_len,
+            payload,
             ..
-        } => MigMessage::MemPages {
-            pages,
-            payload_len: len(&payload),
-            payload: Some(payload),
-        },
-        MigMessage::CpuState {
-            payload: Some(payload),
+        }
+        | MigMessage::CpuState {
+            payload_len,
+            payload,
+        }
+        | MigMessage::PostCopyBlock {
+            payload_len,
+            payload,
             ..
-        } => MigMessage::CpuState {
-            payload_len: len(&payload),
-            payload: Some(payload),
-        },
-        MigMessage::PostCopyBlock {
-            block,
-            pulled,
-            payload: Some(payload),
+        }
+        | MigMessage::BlockData {
+            payload_len,
+            payload,
             ..
-        } => MigMessage::PostCopyBlock {
-            block,
-            pulled,
-            payload_len: len(&payload),
-            payload: Some(payload),
-        },
-        MigMessage::BlockData {
-            block,
-            generation,
-            payload: Some(payload),
-            ..
-        } => MigMessage::BlockData {
-            block,
-            generation,
-            payload_len: len(&payload),
-            payload: Some(payload),
-        },
-        MigMessage::DiskBlocks { payload: None, .. }
-        | MigMessage::MemPages { payload: None, .. }
-        | MigMessage::CpuState { payload: None, .. }
-        | MigMessage::PostCopyBlock { payload: None, .. }
-        | MigMessage::BlockData { payload: None, .. } => return None,
-        other => other,
-    })
+        } => *payload_len = payload.as_ref()?.len() as u64,
+        _ => {}
+    }
+    Some(msg)
 }
 
 /// A live-form message's framed length less its `wire_size`, by variant.
