@@ -13,7 +13,7 @@ use migrate::sim::{
 };
 use migrate::{BitmapKind, MigrationConfig, MigrationReport, RetryPolicy};
 use simnet::fault::FaultPlan;
-use telemetry::Recorder;
+use telemetry::{Fold, Recorder};
 use workloads::locality::analyze;
 
 use orchestrator::{ClusterConfig, Orchestrator, Scenario};
@@ -27,25 +27,27 @@ fn recorder_for(a: &Args) -> Option<Arc<Recorder>> {
     (a.trace_out.is_some() || a.metrics_out.is_some()).then(Recorder::enabled)
 }
 
-/// Write the journal / metrics snapshot a run recorded and print the
-/// phase summary reconstructed from a one-migration journal.
-fn export_telemetry(rec: &Recorder, a: &Args) -> Result<(), String> {
+/// Write the journal / metrics snapshot a run recorded. A one-migration
+/// run hands in its fold: its account prints in the rendering `trace
+/// analyze` prints for the journal, then what the journal says beyond it.
+fn export_telemetry(rec: &Recorder, a: &Args, fold: Option<&Fold>) -> Result<(), String> {
     if let Some(path) = &a.trace_out {
-        let records = rec.records();
+        let records = rec.export();
         std::fs::write(path, telemetry::to_jsonl(&records))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        // A fleet journal holds per-migration spans, not one migration's
-        // phase events.
-        let migrations = telemetry::migration_ids(&records).len();
-        if migrations > 0 {
-            println!(
-                "telemetry journal: {} records across {migrations} migrations -> {path}",
-                records.len()
-            );
-        } else {
-            println!("telemetry journal: {} records -> {path}", records.len());
-            print!("{}", telemetry::phase_summary(&records));
-            print!("{}", telemetry::codec_summary(rec.metrics()));
+        match fold {
+            Some(fold) => {
+                println!("telemetry journal: {} records -> {path}", records.len());
+                print!("{}", fold.summary());
+                print!("{}", telemetry::journal_summary(&records));
+                print!("{}", telemetry::codec_summary(rec.metrics()));
+            }
+            // A fleet journal holds per-migration spans.
+            None => println!(
+                "telemetry journal: {} records across {} migrations -> {path}",
+                records.len(),
+                Fold::of_records(&records).migrations().count()
+            ),
         }
         if rec.dropped() > 0 {
             println!("warning: journal full, {} events dropped", rec.dropped());
@@ -149,7 +151,7 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
                 print_engine_speed(out.report.total_time_secs, started);
             }
             if let Some(r) = &rec {
-                export_telemetry(r, &a)?;
+                export_telemetry(r, &a, Some(&out.fold))?;
             }
             if !out.report.consistent {
                 return Err("migration verified INCONSISTENT".into());
@@ -207,11 +209,13 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
         Cmd::TraceAnalyze { path } => {
             let data =
                 std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-            // A `--trace-out` journal: phases, iterations, and per phase
-            // the share of batches the LZ rule compressed.
+            // A `--trace-out` journal: the account it folds to, in the
+            // rendering its run printed, then what it says beyond that.
             match telemetry::from_jsonl(&data) {
                 Ok(records) if !records.is_empty() => {
-                    print!("{}", telemetry::phase_summary(&records));
+                    let fold = Fold::of_journal(&records).map_err(|e| format!("{path}: {e}"))?;
+                    print!("{}", fold.summary());
+                    print!("{}", telemetry::journal_summary(&records));
                     return Ok(());
                 }
                 _ => {}
@@ -273,7 +277,7 @@ fn run_orchestrate(a: Args) -> Result<(), String> {
         print_engine_speed(report.makespan_secs(), started);
     }
     if let Some(r) = &rec {
-        export_telemetry(r, &a)?;
+        export_telemetry(r, &a, None)?;
     }
     if !report.all_consistent() {
         return Err("a migrated image verified INCONSISTENT".into());
@@ -389,7 +393,7 @@ fn run_live(a: Args) -> Result<(), String> {
         );
     }
     if let Some(r) = &rec {
-        export_telemetry(r, &a)?;
+        export_telemetry(r, &a, Some(&out.fold))?;
     }
     let bad = out.inconsistent_blocks();
     let bad_pages = out.inconsistent_pages();

@@ -236,6 +236,7 @@ pub fn run_on_demand(
         &mut rng,
         &mut w.ledger,
         &mut w.probe,
+        &mut telemetry::Fold::default(),
         &telemetry::Recorder::off(),
     );
     w.now = out.finished_at;

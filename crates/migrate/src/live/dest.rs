@@ -16,7 +16,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver};
 use simnet::proto::{MigMessage, ResumePhase, TransferLedger};
 use simnet::transport::{duplex, Transport, TransportError};
-use telemetry::{Event, Phase, Recorder, Side};
+use telemetry::{Event, Fold, Phase, Recorder, Side};
 
 use blockstore::{fetch_blocks, serve_blocks, BlockSource, BlockWant};
 use vdisk::{hash_block, TrackedDisk};
@@ -81,11 +81,11 @@ pub(super) struct DestState {
     /// Guest reads parked on a still-owed block, from `dest_io`.
     pull_rx: Option<Receiver<usize>>,
     requested: HashSet<usize>,
-    pub(super) pushed: u64,
-    pub(super) pulled: u64,
-    pub(super) dropped: u64,
+    /// The destination's events folded: post-copy block counts, the
+    /// freeze's end, the post-copy span, reconnects.
+    pub(super) fold: Fold,
     complete_sent: bool,
-    pub(super) resumed_at: Option<Instant>,
+    resumed: bool,
     pub(super) ledger: TransferLedger,
     pub(super) work: SideWork,
 }
@@ -117,10 +117,8 @@ fn dest_failover(
     st: &mut DestState,
     dead: MigrationError,
 ) -> Result<(), MigrationError> {
-    let eligible = cfg.multisource
-        && !cfg.peers.is_empty()
-        && st.phase == ResumePhase::PostCopy
-        && st.resumed_at.is_some();
+    let eligible =
+        cfg.multisource && !cfg.peers.is_empty() && st.phase == ResumePhase::PostCopy && st.resumed;
     let (Some(transferred), Some(dest_io)) = (
         st.transferred.clone().filter(|_| eligible),
         st.dest_io.clone(),
@@ -165,7 +163,9 @@ fn dest_failover(
             // late source push.
             match payload {
                 Some(data) if dest_io.apply_arrival(b as usize, data) => applied += 1,
-                Some(_) => st.dropped += 1,
+                Some(_) => st
+                    .fold
+                    .emit(&cfg.telemetry, Event::BlockDropped { block: b }),
                 None => {}
             }
         });
@@ -227,6 +227,7 @@ pub(super) fn dest_protocol<C: Connector>(
         }
     });
     st.ledger = sessions.ledger;
+    st.fold.merge(sessions.fold);
     let result = match sessions.end {
         Ok(()) => Ok(()),
         Err(SessionsEnd::Fatal(e)) => Err(e),
@@ -242,10 +243,13 @@ pub(super) fn dest_protocol<C: Connector>(
     connector.abort();
     match result {
         Ok(()) => {
-            cfg.telemetry.record(|| Event::PhaseEnd {
-                side: Side::Destination,
-                phase: Phase::PostCopy,
-            });
+            st.fold.emit(
+                &cfg.telemetry,
+                Event::PhaseEnd {
+                    side: Side::Destination,
+                    phase: Phase::PostCopy,
+                },
+            );
             Ok(st)
         }
         Err(e) => {
@@ -527,26 +531,17 @@ fn dest_post_copy<T: Transport>(
     };
     // First entry: resume the guest on the destination path. Reconnects
     // find it already running.
-    if st.resumed_at.is_none() {
+    if !st.resumed {
         let guest_io = Arc::clone(&io) as Arc<dyn GuestIo>;
         let resumed_at = ctl.resume_on(guest_io, Arc::clone(ram));
-        st.resumed_at = Some(resumed_at);
+        st.resumed = true;
         // Stamped at the resume instant: with the source's suspend stamp
-        // this bounds the freeze span to exactly the reported downtime.
-        cfg.telemetry
-            .record_at_instant(resumed_at, || Event::PhaseEnd {
-                side: Side::Destination,
-                phase: Phase::Freeze,
-            });
-        cfg.telemetry
-            .record_at_instant(resumed_at, || Event::Resumed {
-                side: Side::Destination,
-            });
-        cfg.telemetry
-            .record_at_instant(resumed_at, || Event::PhaseStart {
-                side: Side::Destination,
-                phase: Phase::PostCopy,
-            });
+        // this closes the freeze span, which is the reported downtime.
+        let side = Side::Destination;
+        let [end, start] = Event::phase_change(side, Phase::Freeze, Phase::PostCopy);
+        for event in [end, start, Event::Resumed { side }] {
+            st.fold.at_instant(&cfg.telemetry, resumed_at, event);
+        }
     }
     send_or(ep, "post-copy", MigMessage::Resumed)?;
     // Pull requests forwarded on a dead session got no answer: re-issue
@@ -586,21 +581,15 @@ fn dest_post_copy<T: Transport>(
                     ));
                 };
                 // Applied only while the block is still owed, atomically
-                // with respect to the guest's own writes.
-                if io.apply_arrival(b, &payload) {
-                    if was_pulled {
-                        st.pulled += 1;
-                        cfg.telemetry.record(|| Event::BlockPulled { block });
-                    } else {
-                        st.pushed += 1;
-                        cfg.telemetry.record(|| Event::BlockPushed { block });
-                    }
-                } else {
-                    // Superseded by a local write: drop (paper lines 2-3
-                    // of the receive algorithm).
-                    st.dropped += 1;
-                    cfg.telemetry.record(|| Event::BlockDropped { block });
-                }
+                // with respect to the guest's own writes; superseded by a
+                // local write, dropped (paper lines 2-3 of the receive
+                // algorithm).
+                let event = match (io.apply_arrival(b, &payload), was_pulled) {
+                    (true, true) => Event::BlockPulled { block },
+                    (true, false) => Event::BlockPushed { block },
+                    (false, _) => Event::BlockDropped { block },
+                };
+                st.fold.emit(&cfg.telemetry, event);
             }
             Ok(MigMessage::PushComplete) => {
                 last_progress = Instant::now();
@@ -634,8 +623,7 @@ fn dest_post_copy<T: Transport>(
                     Ok(MigMessage::CompleteAck) => return Ok(()),
                     // Late pushes raced with completion: superseded.
                     Ok(MigMessage::PostCopyBlock { block, .. }) => {
-                        st.dropped += 1;
-                        cfg.telemetry.record(|| Event::BlockDropped { block });
+                        st.fold.emit(&cfg.telemetry, Event::BlockDropped { block });
                     }
                     Ok(MigMessage::PushComplete) => {}
                     Ok(other) => {

@@ -27,7 +27,7 @@ use des::SimDuration;
 use simnet::fault::FaultPlan;
 use simnet::proto::{MigMessage, TransferLedger, WireStats};
 use simnet::transport::{Transport, TransportError};
-use telemetry::{Event, Recorder, Side};
+use telemetry::{Event, Fold, Phase, Recorder, Resource, Side};
 use vdisk::{is_stamp, stamp_into, DomainId, TrackedDisk, VirtualDisk};
 use vmstate::LiveRam;
 use workloads::WorkloadKind;
@@ -180,9 +180,13 @@ pub struct WorkLedger {
     pub dst: SideWork,
 }
 
-/// Outcome of a live migration run.
+/// Outcome of a live migration run. Downtime, iterations, post-copy
+/// counts and reconnects are read off [`fold`](Self::fold).
 pub struct LiveOutcome {
-    /// Wall-clock downtime (suspend acknowledged → resumed).
+    /// Both protocol threads' events folded into one account.
+    pub fold: Fold,
+    /// Wall-clock downtime (suspend acknowledged → resumed): the freeze
+    /// span.
     pub downtime: Duration,
     /// Wall-clock total migration time.
     pub total: Duration,
@@ -490,31 +494,35 @@ where
         (Err((e, _)), _) => return Err(e),
         (_, Err(e)) => return Err(e),
     };
-    // Completion passes through the freeze on both sides, which stamps the
-    // suspend and the resume and stands up the destination's io path; a
+    let mut fold = s.fold;
+    fold.merge(d.fold);
+    // Completion passes through the freeze on both sides, which opens and
+    // closes the freeze span and stands up the destination's io path; a
     // gap is a protocol bug, reported as such rather than unwound as a
     // panic.
-    let (Some(suspended_at), Some(resumed_at), Some(dest_io), Some(new_bm)) =
-        (s.suspended_at, d.resumed_at, &d.dest_io, &d.new_bm)
+    let (Some(freeze), Some(dest_io), Some(new_bm)) =
+        (fold.span_nanos(Phase::Freeze), &d.dest_io, &d.new_bm)
     else {
         return Err(MigrationError::Protocol {
             phase: "resume",
             detail: "migration completed without suspending and resuming the guest".into(),
         });
     };
+    let units = |r: Resource| fold.iterations(r).iter().map(|i| i.units_sent).collect();
+    let [pushed, pulled, dropped] = fold.postcopy_blocks();
 
     let outcome = LiveOutcome {
-        downtime: resumed_at - suspended_at,
+        downtime: Duration::from_nanos(freeze),
         total,
-        iterations: s.iterations,
-        mem_iterations: s.mem_iterations,
+        iterations: units(Resource::Disk),
+        mem_iterations: units(Resource::Memory),
         frozen_mem_dirty: s.frozen_mem_dirty,
         frozen_dirty: s.frozen_dirty,
-        pushed: d.pushed,
-        pulled: d.pulled,
-        dropped: d.dropped,
+        pushed,
+        pulled,
+        dropped,
         stalled_reads: dest_io.stall_stats().0,
-        reconnects: s.reconnects,
+        reconnects: fold.reconnects(Side::Source) as u32,
         failovers: d.failovers,
         peer_bytes: d.failover_peers,
         resume_owed: s.resume_owed,
@@ -532,25 +540,12 @@ where
         new_bitmap: new_bm.snapshot(),
         model,
         read_violations,
+        fold,
     };
     if cfg.telemetry.is_enabled() {
         let m = cfg.telemetry.metrics();
-        let wire = &outcome.wire;
-        for (name, value) in [
-            ("live.postcopy.pushed", outcome.pushed),
-            ("live.postcopy.pulled", outcome.pulled),
-            ("live.postcopy.dropped", outcome.dropped),
-            ("live.reconnects", u64::from(outcome.reconnects)),
-            ("wire.bytes_raw", wire.bytes_raw),
-            ("wire.bytes_sent", wire.bytes_sent),
-            ("wire.blocks_deduped", wire.blocks_deduped),
-            ("wire.blocks_compressed", wire.blocks_compressed),
-            ("wire.page_bytes_raw", wire.page_bytes_raw),
-            ("wire.page_bytes_sent", wire.page_bytes_sent),
-            ("wire.pages_compressed", wire.pages_compressed),
-        ] {
-            m.counter(name).add(value);
-        }
+        outcome.fold.publish("live", m);
+        outcome.wire.publish(m);
         m.gauge("live.frozen_dirty").set(outcome.frozen_dirty);
         m.gauge("live.downtime_nanos")
             .set(u64::try_from(outcome.downtime.as_nanos()).unwrap_or(u64::MAX));
@@ -641,11 +636,11 @@ pub(super) enum SessionsEnd {
 }
 
 /// One side's run of sessions: how it ended, the bytes the side sent over
-/// all its connections, and how many times it reconnected.
+/// all its connections, and its reconnects, folded.
 pub(super) struct Sessions {
     pub(super) end: Result<(), SessionsEnd>,
     pub(super) ledger: TransferLedger,
-    pub(super) reconnects: u32,
+    pub(super) fold: Fold,
 }
 
 /// The reconnect driver both protocol threads run: connection attempt
@@ -662,7 +657,7 @@ pub(super) fn run_sessions<C: Connector>(
 ) -> Sessions {
     let rec = &cfg.telemetry;
     let mut ledger = TransferLedger::new();
-    let mut reconnects = 0;
+    let mut fold = Fold::default();
     let mut attempt: u32 = 0;
     let mut last_failure = String::new();
     let mut outage_start: Option<Instant> = None;
@@ -675,11 +670,8 @@ pub(super) fn run_sessions<C: Connector>(
         }
         if attempt > 0 {
             std::thread::sleep(cfg.retry.backoff);
-            reconnects += 1;
-            rec.record(|| Event::Reconnect {
-                side,
-                attempt: u64::from(attempt),
-            });
+            let attempt = u64::from(attempt);
+            fold.emit(rec, Event::Reconnect { side, attempt });
         }
         let ep = match connector.connect(attempt) {
             Ok(ep) => ep,
@@ -703,11 +695,7 @@ pub(super) fn run_sessions<C: Connector>(
             }
         }
     };
-    Sessions {
-        end,
-        ledger,
-        reconnects,
-    }
+    Sessions { end, ledger, fold }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use block_bitmap::{ser, AtomicBitmap, DirtyMap, FlatBitmap};
 use bytes::Bytes;
 use simnet::proto::{MigMessage, ResumePhase, TransferLedger};
 use simnet::transport::{Transport, TransportError};
-use telemetry::{Event, Phase, Resource, Side};
+use telemetry::{Event, Fold, Phase, Resource, Side};
 use vdisk::{hash_block, FingerprintSet, TrackedDisk, TrackerHandle};
 use vmstate::LiveRam;
 
@@ -50,7 +50,6 @@ pub(super) struct SourceState {
     disk_worklist: Vec<usize>,
     disk_resend: Vec<usize>,
     session_disk_shipped: FlatBitmap,
-    pub(super) iterations: Vec<u64>,
     pub(super) iter_bm: Arc<AtomicBitmap>,
     pub(super) tracker: Option<TrackerHandle>,
     converged_at_tick: Option<u64>,
@@ -58,10 +57,9 @@ pub(super) struct SourceState {
     mem_started: bool,
     mem_worklist: Vec<usize>,
     session_mem_shipped: FlatBitmap,
-    pub(super) mem_iterations: Vec<u64>,
     // Freeze.
     dest_suspended: bool,
-    pub(super) suspended_at: Option<Instant>,
+    suspended: bool,
     frozen_bitmap: FlatBitmap,
     pub(super) frozen_dirty: u64,
     tail_worklist: Vec<usize>,
@@ -70,9 +68,9 @@ pub(super) struct SourceState {
     src_bm: FlatBitmap,
     // Wire optimizations (per-session agreement, run-wide savings).
     pub(super) ctx: DedupCtx,
-    // Accounting.
+    // Accounting: the source's events folded, and what no event carries.
+    pub(super) fold: Fold,
     pub(super) ledger: TransferLedger,
-    pub(super) reconnects: u32,
     pub(super) resume_owed: Vec<u64>,
 }
 
@@ -125,16 +123,19 @@ pub(super) fn source_protocol<C: Connector>(
     ctl: &DriverCtl,
     mut st: SourceState,
 ) -> Result<SourceState, (MigrationError, Option<Box<SourceState>>)> {
-    cfg.telemetry.record(|| Event::PhaseStart {
-        side: Side::Source,
-        phase: Phase::DiskPrecopy,
-    });
+    st.fold.emit(
+        &cfg.telemetry,
+        Event::PhaseStart {
+            side: Side::Source,
+            phase: Phase::DiskPrecopy,
+        },
+    );
     let sessions = run_sessions(cfg, Side::Source, &mut connector, |ep, attempt| {
         run_source_session(cfg, disk, ram, ep, ctl, &mut st, attempt)
     });
     connector.abort();
     st.ledger = sessions.ledger;
-    st.reconnects = sessions.reconnects;
+    st.fold.merge(sessions.fold);
     let e = match sessions.end {
         Ok(()) => return Ok(st),
         Err(SessionsEnd::Fatal(e) | SessionsEnd::Unreachable(e)) => e,
@@ -147,8 +148,7 @@ pub(super) fn source_protocol<C: Connector>(
     disk.disable_tracking();
     // A source that died after suspending still hands its phase
     // accounting to a failover outcome.
-    let suspended = st.suspended_at.is_some();
-    Err((e, suspended.then(|| Box::new(st))))
+    Err((e, st.suspended.then(|| Box::new(st))))
 }
 
 /// Handshake + reconcile + drive the protocol to completion (or the next
@@ -355,8 +355,9 @@ fn source_disk_precopy<T: Transport>(
     // Iterative pre-copy. IM: iteration 1 ships only the inherited
     // bitmap's blocks (or everything on a primary migration).
     loop {
-        let iter = st.iterations.len() as u32 + 1;
+        let iter = st.fold.iterations(Resource::Disk).len() as u32 + 1;
         let count = st.disk_worklist.len() as u64;
+        let sent_before = st.ctx.wire.bytes_sent;
         send_disk_worklist(
             ep,
             disk,
@@ -367,34 +368,28 @@ fn source_disk_precopy<T: Transport>(
             "disk pre-copy",
             true,
         )?;
-        st.iterations.push(count);
         let snap = st.iter_bm.snapshot_and_clear();
         let dirty = snap.count_ones();
-        cfg.telemetry.record(|| Event::Iteration {
-            side: Side::Source,
-            resource: Resource::Disk,
-            index: u64::from(iter),
-            units_sent: count,
-            dirty_at_end: dirty as u64,
-        });
-        cfg.telemetry.record(|| Event::BitmapSnapshot {
-            side: Side::Source,
-            set_bits: dirty as u64,
-        });
+        st.fold.emit(
+            &cfg.telemetry,
+            Event::Iteration {
+                side: Side::Source,
+                resource: Resource::Disk,
+                index: u64::from(iter),
+                units_sent: count,
+                bytes: st.ctx.wire.bytes_sent - sent_before,
+                dirty_at_end: dirty as u64,
+            },
+        );
         if precopy_stops(iter, cfg.max_iterations, count, dirty, cfg.dirty_threshold) {
             // The residual set is NOT sent: it becomes the freeze-phase
             // bitmap (the paper ships the bitmap, not the blocks).
             st.frozen_bitmap = snap;
             st.converged_at_tick = Some(ctl.ticks());
             st.phase = SrcPhase::MemPrecopy;
-            cfg.telemetry.record(|| Event::PhaseEnd {
-                side: Side::Source,
-                phase: Phase::DiskPrecopy,
-            });
-            cfg.telemetry.record(|| Event::PhaseStart {
-                side: Side::Source,
-                phase: Phase::MemPrecopy,
-            });
+            for event in Event::phase_change(Side::Source, Phase::DiskPrecopy, Phase::MemPrecopy) {
+                st.fold.emit(&cfg.telemetry, event);
+            }
             return Ok(());
         }
         st.disk_worklist = snap.to_indices();
@@ -430,8 +425,9 @@ fn source_mem_precopy<T: Transport>(
     // freeze bitmap): iteration 1 ships every page, later iterations ship
     // the pages dirtied meanwhile, Xen-style.
     loop {
-        let iter = st.mem_iterations.len() as u32 + 1;
+        let iter = st.fold.iterations(Resource::Memory).len() as u32 + 1;
         let count = st.mem_worklist.len() as u64;
+        let sent_before = st.ctx.wire.page_bytes_sent;
         send_page_worklist(
             ep,
             ram,
@@ -454,16 +450,19 @@ fn source_mem_precopy<T: Transport>(
                 format!("reference bounce for block {b} with no reference outstanding"),
             ));
         }
-        st.mem_iterations.push(count);
         let dirty = ram.drain_dirty();
         let remaining = dirty.count_ones();
-        cfg.telemetry.record(|| Event::Iteration {
-            side: Side::Source,
-            resource: Resource::Memory,
-            index: u64::from(iter),
-            units_sent: count,
-            dirty_at_end: remaining as u64,
-        });
+        st.fold.emit(
+            &cfg.telemetry,
+            Event::Iteration {
+                side: Side::Source,
+                resource: Resource::Memory,
+                index: u64::from(iter),
+                units_sent: count,
+                bytes: st.ctx.wire.page_bytes_sent - sent_before,
+                dirty_at_end: remaining as u64,
+            },
+        );
         if precopy_stops(
             iter,
             cfg.max_mem_iterations,
@@ -493,7 +492,7 @@ fn source_freeze<T: Transport>(
     // First entry: actually suspend the guest and seal the bitmaps. On
     // re-entry after a reconnect the guest is already suspended and all
     // frozen content is stable — resending any of it is idempotent.
-    if st.suspended_at.is_none() {
+    if !st.suspended {
         if cfg.min_guest_ticks > 0 {
             // Let the guest run: guarantees a writing workload lands
             // blocks in the freeze bitmap, deterministically.
@@ -501,21 +500,14 @@ fn source_freeze<T: Transport>(
             ctl.wait_ticks(target, Duration::from_secs(10));
         }
         let suspended_at = ctl.request_suspend();
-        st.suspended_at = Some(suspended_at);
-        // Stamped at the same instant the guest stopped, so the journal's
-        // freeze span reproduces the reported downtime exactly.
-        cfg.telemetry
-            .record_at_instant(suspended_at, || Event::PhaseEnd {
-                side: Side::Source,
-                phase: Phase::MemPrecopy,
-            });
-        cfg.telemetry
-            .record_at_instant(suspended_at, || Event::PhaseStart {
-                side: Side::Source,
-                phase: Phase::Freeze,
-            });
-        cfg.telemetry
-            .record_at_instant(suspended_at, || Event::Suspended { side: Side::Source });
+        st.suspended = true;
+        // Stamped at the instant the guest stopped: the freeze span, and
+        // so the reported downtime, opens there.
+        let side = Side::Source;
+        let [end, start] = Event::phase_change(side, Phase::MemPrecopy, Phase::Freeze);
+        for event in [end, start, Event::Suspended { side }] {
+            st.fold.at_instant(&cfg.telemetry, suspended_at, event);
+        }
         // Fold in the writes that raced with the last drains.
         let mut frozen = std::mem::take(&mut st.frozen_bitmap);
         frozen.union_with(&st.iter_bm.snapshot_and_clear());

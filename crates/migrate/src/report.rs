@@ -6,34 +6,11 @@ use des::SimDuration;
 use simnet::proto::{TransferLedger, WireStats};
 use workloads::probe::Sample;
 
-/// Statistics of one pre-copy iteration (disk or memory).
-#[derive(Debug, Clone, Serialize)]
-pub struct IterationStats {
-    /// Iteration number (1-based; iteration 1 is the full copy).
-    pub index: u32,
-    /// Blocks (or pages) transferred in this iteration.
-    pub units_sent: u64,
-    /// Bytes on the wire for this iteration.
-    pub bytes: u64,
-    /// Virtual-time duration of the iteration.
-    pub duration_secs: f64,
-    /// Dirty units accumulated by the time the iteration finished
-    /// (the next iteration's work).
-    pub dirty_at_end: u64,
-}
+pub use telemetry::IterationStats;
 
-/// Wall-clock (virtual) duration of each migration phase, seconds.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct PhaseTimings {
-    /// Iterative disk pre-copy.
-    pub disk_precopy_secs: f64,
-    /// Iterative memory pre-copy.
-    pub mem_precopy_secs: f64,
-    /// Freeze-and-copy (== downtime).
-    pub freeze_secs: f64,
-    /// Push-and-pull post-copy.
-    pub postcopy_secs: f64,
-}
+/// Duration of each migration phase, seconds: the phase spans of the
+/// run's [`telemetry::Fold`].
+pub type PhaseTimings = telemetry::PhaseDurations;
 
 /// Post-copy phase statistics.
 #[derive(Debug, Clone, Default, Serialize)]

@@ -8,13 +8,13 @@ use blockstore::{BlockDirectory, FetchPlan, FetchPlanner};
 use des::{SimDuration, SimRng, SimTime};
 use simnet::capacity::seek_aware_share;
 use simnet::proto::{Category, TransferLedger, WireStats, BLOCK_REF_WIRE, FRAME_OVERHEAD};
-use telemetry::Recorder;
+use telemetry::{Event, Fold, Phase, Recorder, Resource, Side};
 use vdisk::MetaDisk;
 use vmstate::{CpuState, Domain, DomainId, GuestMemory, WssModel};
 use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 
-use crate::report::{IterationStats, MigrationReport, MultiSourceReport, PeerBytes, PhaseTimings};
+use crate::report::{MigrationReport, MultiSourceReport, PeerBytes, PostCopyStats};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
 use crate::sim::tracker::DirtyTracker;
 use crate::{precopy_stops, MigrationConfig};
@@ -78,6 +78,9 @@ pub struct TpmOutcome {
     pub end_time: SimTime,
     /// Workload kind, for constructing follow-up runs.
     pub kind: WorkloadKind,
+    /// The run's events folded: what its report's phases, iterations and
+    /// post-copy counts were read from.
+    pub fold: Fold,
 }
 
 /// The simulated three-phase migration engine.
@@ -286,8 +289,8 @@ impl TpmEngine {
     /// already holds verbatim (same generation at the same index — the
     /// MetaDisk notion of identical content): those blocks cross as
     /// 16-byte references, the rest as full payloads. Returns
-    /// (blocks_sent, bytes, duration).
-    fn transfer_disk_set(&mut self, set: &FlatBitmap, cat: Category) -> (u64, u64, SimDuration) {
+    /// (blocks_sent, bytes).
+    fn transfer_disk_set(&mut self, set: &FlatBitmap, cat: Category) -> (u64, u64) {
         if !self.cfg.dedup {
             return self.transfer_disk_fulls(set, cat);
         }
@@ -308,9 +311,9 @@ impl TpmEngine {
         // `four_streams_match_single_stream_exactly`).
         let mut fulls = set.clone();
         fulls.subtract(&refs);
-        let (fs, fb, fd) = self.transfer_disk_fulls(&fulls, cat);
-        let (rs, rb, rd) = self.transfer_disk_blocks::<true>(&refs, cat);
-        (fs + rs, fb + rb, fd + rd)
+        let (fs, fb) = self.transfer_disk_fulls(&fulls, cat);
+        let (rs, rb) = self.transfer_disk_blocks::<true>(&refs, cat);
+        (fs + rs, fb + rb)
     }
 
     /// Route full payloads: classic source-streamed transfer, or — with
@@ -319,11 +322,7 @@ impl TpmEngine {
     /// multisource off, no peers attached, or no owed block fresh on
     /// any peer, the call reduces to the classic transfer loop with
     /// zero extra float math: bit-identical ledger and clock.
-    fn transfer_disk_fulls(
-        &mut self,
-        fulls: &FlatBitmap,
-        cat: Category,
-    ) -> (u64, u64, SimDuration) {
+    fn transfer_disk_fulls(&mut self, fulls: &FlatBitmap, cat: Category) -> (u64, u64) {
         if !self.cfg.multisource || self.peers.is_empty() || fulls.count_ones() == 0 {
             return self.transfer_disk_blocks::<false>(fulls, cat);
         }
@@ -343,16 +342,16 @@ impl TpmEngine {
         self.ms.planned_source += plan.source_only.count_ones() as u64;
         self.ms.planned_peer += plan.any_peer.count_ones() as u64;
         let rec = Arc::clone(&self.recorder);
-        rec.record_at_nanos(self.now.as_nanos(), || telemetry::Event::FetchPlanned {
-            side: telemetry::Side::Destination,
+        rec.record_at_nanos(self.now.as_nanos(), || Event::FetchPlanned {
+            side: Side::Destination,
             source_blocks: plan.source_only.count_ones() as u64,
             peer_blocks: plan.any_peer.count_ones() as u64,
             ref_blocks: 0,
             peers: plan.per_peer.len() as u64,
         });
-        let (ss, sb, sd) = self.transfer_disk_blocks::<false>(&plan.source_only, cat);
-        let (ps, pb, pd) = self.transfer_peer_blocks(&plan);
-        (ss + ps, sb + pb, sd + pd)
+        let (ss, sb) = self.transfer_disk_blocks::<false>(&plan.source_only, cat);
+        let (ps, pb) = self.transfer_peer_blocks(&plan);
+        (ss + ps, sb + pb)
     }
 
     /// Drain the plan's per-peer assignments: blocks stream from their
@@ -362,11 +361,10 @@ impl TpmEngine {
     /// Ledger entries go to [`Category::DiskPull`]: peer traffic
     /// accounts like post-copy pulls, per the wire protocol's category
     /// mapping for `BlockData`.
-    fn transfer_peer_blocks(&mut self, plan: &FetchPlan) -> (u64, u64, SimDuration) {
-        let phase_start = self.now;
+    fn transfer_peer_blocks(&mut self, plan: &FetchPlan) -> (u64, u64) {
         let total = plan.any_peer.count_ones() as u64;
         if total == 0 {
-            return (0, 0, SimDuration::ZERO);
+            return (0, 0);
         }
         // Aggregate fan-in: the per-peer max-min shares already respect
         // both the holders' budgets and the destination's ingest cap.
@@ -443,8 +441,8 @@ impl TpmEngine {
         let rec = Arc::clone(&self.recorder);
         for lane in lanes {
             let (host, blocks, b) = (self.peers[lane.peer].0, lane.fetched, lane.fetched * bs);
-            rec.record_at_nanos(self.now.as_nanos(), || telemetry::Event::PeerFetch {
-                side: telemetry::Side::Destination,
+            rec.record_at_nanos(self.now.as_nanos(), || Event::PeerFetch {
+                side: Side::Destination,
                 peer: host,
                 blocks,
                 bytes: b,
@@ -453,7 +451,7 @@ impl TpmEngine {
             e.0 += blocks;
             e.1 += b;
         }
-        (sent, bytes, self.now.since(phase_start))
+        (sent, bytes)
     }
 
     /// Uniform-cost transfer loop: every block in `set` crosses either as
@@ -467,11 +465,10 @@ impl TpmEngine {
         &mut self,
         set: &FlatBitmap,
         cat: Category,
-    ) -> (u64, u64, SimDuration) {
-        let phase_start = self.now;
+    ) -> (u64, u64) {
         let total = set.count_ones() as u64;
         if total == 0 {
-            return (0, 0, SimDuration::ZERO);
+            return (0, 0);
         }
         let mut bytes = 0u64;
         let mut sent = 0u64;
@@ -564,17 +561,16 @@ impl TpmEngine {
             bytes += n * if AS_REFS { BLOCK_REF_WIRE } else { bs };
             self.guest_step(dt, w_share);
         }
-        (sent, bytes, self.now.since(phase_start))
+        (sent, bytes)
     }
 
     /// Transfer every page marked in `set` (memory is network-bound, not
     /// disk-bound; the guest keeps its full disk share). Returns
-    /// (pages_sent, bytes, duration).
-    fn transfer_mem_set(&mut self, set: &FlatBitmap) -> (u64, u64, SimDuration) {
-        let phase_start = self.now;
+    /// (pages_sent, bytes).
+    fn transfer_mem_set(&mut self, set: &FlatBitmap) -> (u64, u64) {
         let total = set.count_ones() as u64;
         if total == 0 {
-            return (0, 0, SimDuration::ZERO);
+            return (0, 0);
         }
         let rate = self.cfg.migration_net_rate();
         let page = 4096u64;
@@ -597,7 +593,7 @@ impl TpmEngine {
             sent += n;
             self.guest_step(dt, self.workload_solo_share());
         }
-        (sent, total * page, self.now.since(phase_start))
+        (sent, total * page)
     }
 
     /// Execute the three phases. Consumes the engine; the guest ends up
@@ -605,12 +601,17 @@ impl TpmEngine {
     pub fn run(mut self) -> TpmOutcome {
         let t_start = self.now;
         self.tracking = true;
-        let mut disk_iterations: Vec<IterationStats> = Vec::new();
         let rec = Arc::clone(&self.recorder);
-        rec.record_at_nanos(t_start.as_nanos(), || telemetry::Event::PhaseStart {
-            side: telemetry::Side::Source,
-            phase: telemetry::Phase::DiskPrecopy,
-        });
+        let mut fold = Fold::default();
+        let src = Side::Source;
+        fold.at_nanos(
+            &rec,
+            t_start.as_nanos(),
+            Event::PhaseStart {
+                side: src,
+                phase: Phase::DiskPrecopy,
+            },
+        );
 
         // ---------------- Phase 1a: iterative disk pre-copy ----------------
         let mut to_send = match self.initial_to_send.take() {
@@ -621,27 +622,21 @@ impl TpmEngine {
             to_send.subtract(free);
         }
         for iter in 1..=self.cfg.max_disk_iterations {
-            let (sent, bytes, duration) = self.transfer_disk_set(&to_send, Category::DiskPrecopy);
+            let (sent, bytes) = self.transfer_disk_set(&to_send, Category::DiskPrecopy);
             let dirty = self.tracker.drain();
             let dirty_count = dirty.count_ones();
-            disk_iterations.push(IterationStats {
-                index: iter,
-                units_sent: sent,
-                bytes,
-                duration_secs: duration.as_secs_f64(),
-                dirty_at_end: dirty_count as u64,
-            });
-            rec.record_at_nanos(self.now.as_nanos(), || telemetry::Event::Iteration {
-                side: telemetry::Side::Source,
-                resource: telemetry::Resource::Disk,
-                index: iter as u64,
-                units_sent: sent,
-                dirty_at_end: dirty_count as u64,
-            });
-            rec.record_at_nanos(self.now.as_nanos(), || telemetry::Event::BitmapSnapshot {
-                side: telemetry::Side::Source,
-                set_bits: dirty_count as u64,
-            });
+            fold.at_nanos(
+                &rec,
+                self.now.as_nanos(),
+                Event::Iteration {
+                    side: src,
+                    resource: Resource::Disk,
+                    index: iter as u64,
+                    units_sent: sent,
+                    bytes,
+                    dirty_at_end: dirty_count as u64,
+                },
+            );
             if precopy_stops(
                 iter,
                 self.cfg.max_disk_iterations,
@@ -657,39 +652,30 @@ impl TpmEngine {
             to_send = dirty;
         }
 
-        let t_disk_end = self.now;
-        rec.record_at_nanos(t_disk_end.as_nanos(), || telemetry::Event::PhaseEnd {
-            side: telemetry::Side::Source,
-            phase: telemetry::Phase::DiskPrecopy,
-        });
-        rec.record_at_nanos(t_disk_end.as_nanos(), || telemetry::Event::PhaseStart {
-            side: telemetry::Side::Source,
-            phase: telemetry::Phase::MemPrecopy,
-        });
+        for event in Event::phase_change(src, Phase::DiskPrecopy, Phase::MemPrecopy) {
+            fold.at_nanos(&rec, self.now.as_nanos(), event);
+        }
 
         // ---------------- Phase 1b: iterative memory pre-copy --------------
-        let mut mem_iterations: Vec<IterationStats> = Vec::new();
         self.src_mem.drain_dirty(); // everything is sent in pass 1 anyway
         let mut pages_to_send = FlatBitmap::all_set(self.cfg.mem_pages);
         let mut remaining_pages = FlatBitmap::new(self.cfg.mem_pages);
         for iter in 1..=self.cfg.max_mem_iterations {
-            let (sent, bytes, duration) = self.transfer_mem_set(&pages_to_send);
+            let (sent, bytes) = self.transfer_mem_set(&pages_to_send);
             let dirty = self.src_mem.drain_dirty();
             let dirty_count = dirty.count_ones();
-            mem_iterations.push(IterationStats {
-                index: iter,
-                units_sent: sent,
-                bytes,
-                duration_secs: duration.as_secs_f64(),
-                dirty_at_end: dirty_count as u64,
-            });
-            rec.record_at_nanos(self.now.as_nanos(), || telemetry::Event::Iteration {
-                side: telemetry::Side::Source,
-                resource: telemetry::Resource::Memory,
-                index: iter as u64,
-                units_sent: sent,
-                dirty_at_end: dirty_count as u64,
-            });
+            fold.at_nanos(
+                &rec,
+                self.now.as_nanos(),
+                Event::Iteration {
+                    side: src,
+                    resource: Resource::Memory,
+                    index: iter as u64,
+                    units_sent: sent,
+                    bytes,
+                    dirty_at_end: dirty_count as u64,
+                },
+            );
             if precopy_stops(
                 iter,
                 self.cfg.max_mem_iterations,
@@ -706,21 +692,15 @@ impl TpmEngine {
         // ---------------- Phase 2: freeze-and-copy -------------------------
         self.domain.suspend().expect("guest was running");
         let t_suspend = self.now;
-        rec.record_at_nanos(t_suspend.as_nanos(), || telemetry::Event::PhaseEnd {
-            side: telemetry::Side::Source,
-            phase: telemetry::Phase::MemPrecopy,
-        });
-        rec.record_at_nanos(t_suspend.as_nanos(), || telemetry::Event::PhaseStart {
-            side: telemetry::Side::Source,
-            phase: telemetry::Phase::Freeze,
-        });
-        rec.record_at_nanos(t_suspend.as_nanos(), || telemetry::Event::Suspended {
-            side: telemetry::Side::Source,
-        });
+        let suspend = t_suspend.as_nanos();
+        let [end, start] = Event::phase_change(src, Phase::MemPrecopy, Phase::Freeze);
+        for event in [end, start, Event::Suspended { side: src }] {
+            fold.at_nanos(&rec, suspend, event);
+        }
         self.probe.record(t_suspend, 0.0);
         let final_bitmap = self.tracker.drain();
         let bitmap_encoded_len = ser::encoded_len(&final_bitmap) as u64;
-        rec.record_at_nanos(t_suspend.as_nanos(), || telemetry::Event::BitmapEncoded {
+        rec.record_at_nanos(suspend, || Event::BitmapEncoded {
             set_bits: final_bitmap.count_ones() as u64,
             encoded_bytes: bitmap_encoded_len,
         });
@@ -754,17 +734,11 @@ impl TpmEngine {
 
         self.domain.resume().expect("guest was suspended");
         let t_resume = self.now;
-        rec.record_at_nanos(t_resume.as_nanos(), || telemetry::Event::PhaseEnd {
-            side: telemetry::Side::Source,
-            phase: telemetry::Phase::Freeze,
-        });
-        rec.record_at_nanos(t_resume.as_nanos(), || telemetry::Event::Resumed {
-            side: telemetry::Side::Destination,
-        });
-        rec.record_at_nanos(t_resume.as_nanos(), || telemetry::Event::PhaseStart {
-            side: telemetry::Side::Destination,
-            phase: telemetry::Phase::PostCopy,
-        });
+        let dst = Side::Destination;
+        let [end, start] = Event::phase_change(dst, Phase::Freeze, Phase::PostCopy);
+        for event in [end, start, Event::Resumed { side: dst }] {
+            fold.at_nanos(&rec, t_resume.as_nanos(), event);
+        }
 
         // ---------------- Phase 3: push-and-pull post-copy -----------------
         let mut im_tracker = DirtyTracker::new(self.cfg.bitmap, self.cfg.disk_blocks);
@@ -796,18 +770,18 @@ impl TpmEngine {
             &mut self.rng,
             &mut self.ledger,
             &mut self.probe,
+            &mut fold,
             &rec,
         );
         self.now = outcome.finished_at + self.cfg.postcopy_fixed_overhead;
-        let mut pc_stats = outcome.stats;
-        // One subtraction over the whole span (rather than summing partial
-        // spans) so the report and a journal-reconstructed timing are the
-        // same f64, bit for bit.
-        pc_stats.duration_secs = self.now.since(t_resume).as_secs_f64();
-        rec.record_at_nanos(self.now.as_nanos(), || telemetry::Event::PhaseEnd {
-            side: telemetry::Side::Destination,
-            phase: telemetry::Phase::PostCopy,
-        });
+        fold.at_nanos(
+            &rec,
+            self.now.as_nanos(),
+            Event::PhaseEnd {
+                side: dst,
+                phase: Phase::PostCopy,
+            },
+        );
 
         // ---------------- Verification & report ----------------------------
         // Every difference between source and destination must be a block
@@ -827,6 +801,8 @@ impl TpmEngine {
         let baseline = self.workload.client_throughput(self.workload_solo_share());
         let disruption = self.probe.disruption_time(baseline, 0.10);
 
+        // Phases, iterations and post-copy counts are what the events say.
+        let phases = fold.phases();
         let report = MigrationReport {
             scheme: self.scheme.into(),
             workload: self.workload.name().into(),
@@ -835,15 +811,13 @@ impl TpmEngine {
             disruption_secs: disruption.as_secs_f64(),
             ledger: self.ledger.clone(),
             wire: self.wire,
-            disk_iterations,
-            mem_iterations,
-            phases: PhaseTimings {
-                disk_precopy_secs: t_disk_end.since(t_start).as_secs_f64(),
-                mem_precopy_secs: t_suspend.since(t_disk_end).as_secs_f64(),
-                freeze_secs: downtime.as_secs_f64(),
-                postcopy_secs: pc_stats.duration_secs,
+            disk_iterations: fold.iterations(Resource::Disk).to_vec(),
+            mem_iterations: fold.iterations(Resource::Memory).to_vec(),
+            postcopy: PostCopyStats {
+                duration_secs: phases.postcopy_secs,
+                ..outcome.stats
             },
-            postcopy: pc_stats.clone(),
+            phases,
             timeline: self.probe.samples().to_vec(),
             io_blocked_secs: 0.0,
             residual_blocks: outcome.residual_blocks,
@@ -871,19 +845,11 @@ impl TpmEngine {
                 .add(report.disk_iterations.iter().map(|i| i.units_sent).sum());
             m.counter("sim.mem.pages_sent")
                 .add(report.mem_iterations.iter().map(|i| i.units_sent).sum());
-            m.counter("sim.postcopy.pushed").add(report.postcopy.pushed);
-            m.counter("sim.postcopy.pulled").add(report.postcopy.pulled);
-            m.counter("sim.postcopy.dropped")
-                .add(report.postcopy.dropped);
+            fold.publish("sim", m);
             m.gauge("sim.freeze.remaining_at_resume")
                 .set(report.postcopy.remaining_at_resume);
             m.gauge("sim.bytes_total").set(report.ledger.total());
-            m.counter("wire.bytes_raw").add(report.wire.bytes_raw);
-            m.counter("wire.bytes_sent").add(report.wire.bytes_sent);
-            m.counter("wire.blocks_deduped")
-                .add(report.wire.blocks_deduped);
-            m.counter("wire.blocks_compressed")
-                .add(report.wire.blocks_compressed);
+            report.wire.publish(m);
             for (i, &blocks) in report.stream_blocks.iter().enumerate() {
                 m.counter(&format!("sim.stream.{i}.blocks_sent"))
                     .add(blocks);
@@ -916,6 +882,7 @@ impl TpmEngine {
             probe: self.probe,
             end_time: self.now,
             kind: self.kind,
+            fold,
         }
     }
 }
@@ -971,6 +938,15 @@ pub fn dwell(outcome: &mut TpmOutcome, cfg: &MigrationConfig, duration: SimDurat
 /// first pre-copy iteration transfers only the blocks dirtied since the
 /// primary migration (§V).
 pub fn run_im(cfg: MigrationConfig, prev: TpmOutcome) -> TpmOutcome {
+    run_im_traced(cfg, prev, Recorder::off())
+}
+
+/// [`run_im`] with a telemetry recorder attached.
+pub fn run_im_traced(
+    cfg: MigrationConfig,
+    prev: TpmOutcome,
+    recorder: Arc<Recorder>,
+) -> TpmOutcome {
     cfg.validate();
     assert_eq!(
         prev.dst_disk.num_blocks(),
@@ -995,6 +971,7 @@ pub fn run_im(cfg: MigrationConfig, prev: TpmOutcome) -> TpmOutcome {
     // migrated."
     let mut im_tracker = prev.im_tracker;
     engine.initial_to_send = Some(im_tracker.drain());
+    engine.set_recorder(recorder);
     engine.run()
 }
 

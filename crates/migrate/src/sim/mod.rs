@@ -21,7 +21,7 @@ mod extensions;
 mod postcopy;
 mod tracker;
 
-pub use engine::{dwell, run_im, run_tpm, run_tpm_traced, TpmEngine, TpmOutcome};
+pub use engine::{dwell, run_im, run_im_traced, run_tpm, run_tpm_traced, TpmEngine, TpmOutcome};
 pub use extensions::{
     reserve_workload_blocks, run_sparse_migration, run_template_clone_fanin,
     run_template_clone_fanin_traced, run_template_clone_tpm, run_template_clone_tpm_traced,

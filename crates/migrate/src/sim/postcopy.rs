@@ -16,12 +16,10 @@
 //! on-demand-fetching baseline of §II-B) leaves a residual dependency on
 //! the source that this module measures.
 
-use std::sync::Arc;
-
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng, SimTime, Simulator};
 use simnet::proto::{Category, MigMessage, TransferLedger};
-use telemetry::Recorder;
+use telemetry::{Event, Fold, Recorder};
 use vdisk::{DomainId, IoRequest, MetaDisk, PendingQueue};
 use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload};
@@ -85,36 +83,27 @@ struct PcState<'a> {
     stats: PostCopyStats,
     done: bool,
     finished_at: SimTime,
-    rec: Arc<Recorder>,
+    fold: &'a mut Fold,
+    rec: &'a Recorder,
 }
 
 impl PcState<'_> {
     fn apply_arrival(&mut self, now: SimTime, block: usize, pulled: bool) {
-        if self.dst_bm.get(block) {
+        let block_id = block as u64;
+        let event = if self.dst_bm.get(block) {
             self.dst_disk.copy_block_from(self.src_disk, block);
             self.dst_bm.clear(block);
             if pulled {
-                self.stats.pulled += 1;
-                self.rec
-                    .record_at_nanos(now.as_nanos(), || telemetry::Event::BlockPulled {
-                        block: block as u64,
-                    });
+                Event::BlockPulled { block: block_id }
             } else {
-                self.stats.pushed += 1;
-                self.rec
-                    .record_at_nanos(now.as_nanos(), || telemetry::Event::BlockPushed {
-                        block: block as u64,
-                    });
+                Event::BlockPushed { block: block_id }
             }
         } else {
             // Superseded by a destination write (or a racing pull/push
             // pair): drop, per the paper's receive algorithm.
-            self.stats.dropped += 1;
-            self.rec
-                .record_at_nanos(now.as_nanos(), || telemetry::Event::BlockDropped {
-                    block: block as u64,
-                });
-        }
+            Event::BlockDropped { block: block_id }
+        };
+        self.fold.at_nanos(self.rec, now.as_nanos(), event);
         // Release any reads parked on this block: its data is now local
         // either way.
         for req in self.pending.take_for_block(block) {
@@ -212,11 +201,10 @@ fn workload_slice(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
                 if st.dst_bm.get(block) {
                     // Whole-block overwrite: no pull needed, cancel sync.
                     st.dst_bm.clear(block);
-                    st.rec.record_at_nanos(sim.now().as_nanos(), || {
-                        telemetry::Event::SyncCancelled {
+                    st.rec
+                        .record_at_nanos(sim.now().as_nanos(), || Event::SyncCancelled {
                             block: block as u64,
-                        }
-                    });
+                        });
                     for req in st.pending.take_for_block(block) {
                         debug_assert!(!req.is_write());
                     }
@@ -238,11 +226,10 @@ fn workload_slice(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
                             block: block as u64,
                         };
                         st.ledger.record(&req);
-                        st.rec.record_at_nanos(sim.now().as_nanos(), || {
-                            telemetry::Event::PullRequested {
+                        st.rec
+                            .record_at_nanos(sim.now().as_nanos(), || Event::PullRequested {
                                 block: block as u64,
-                            }
-                        });
+                            });
                         st.src_bm.clear(block);
                         st.pulls_outstanding += 1;
                         let resp_bytes = st.cfg.block_size;
@@ -279,8 +266,9 @@ fn workload_slice(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
 /// `new_bm` is the destination-side tracker feeding a later IM. The source
 /// disk is immutable during the phase (the guest now runs on the
 /// destination); destination writes land in `dst_disk`. Per-block push /
-/// pull / drop / cancel events are journaled into `recorder` in virtual
-/// time (pass `Recorder::off()` for no tracing).
+/// pull / drop events go through `fold`, which the outcome's counts are
+/// read from; they and the cancel events are journaled into `recorder`
+/// in virtual time (pass `Recorder::off()` for no tracing).
 #[allow(clippy::too_many_arguments)]
 pub fn run_postcopy(
     cfg: PostCopyConfig,
@@ -294,7 +282,8 @@ pub fn run_postcopy(
     rng: &mut SimRng,
     ledger: &mut TransferLedger,
     probe: &mut ThroughputProbe,
-    recorder: &Arc<Recorder>,
+    fold: &mut Fold,
+    recorder: &Recorder,
 ) -> PostCopyOutcome {
     assert!(cfg.push_rate > 0.0, "push rate must be positive");
     assert_eq!(src_bm.len(), dst_bm.len(), "bitmap sizes must match");
@@ -327,7 +316,8 @@ pub fn run_postcopy(
         },
         done: false,
         finished_at: start,
-        rec: Arc::clone(recorder),
+        fold,
+        rec: recorder,
     };
 
     // Degenerate case: nothing to synchronize.
@@ -353,9 +343,15 @@ pub fn run_postcopy(
     sim.run_while(&mut st, |s| s.done);
 
     let residual = st.dst_bm.count_ones() as u64;
-    st.stats.duration_secs = st.finished_at.since(st.start).as_secs_f64();
+    let [pushed, pulled, dropped] = st.fold.postcopy_blocks();
     PostCopyOutcome {
-        stats: st.stats,
+        stats: PostCopyStats {
+            duration_secs: st.finished_at.since(st.start).as_secs_f64(),
+            pushed,
+            pulled,
+            dropped,
+            ..st.stats
+        },
         residual_blocks: residual,
         finished_at: st.finished_at,
     }
@@ -407,6 +403,7 @@ mod tests {
             &mut rng,
             &mut ledger,
             &mut probe,
+            &mut Fold::default(),
             &Recorder::off(),
         );
         (out, src, dst)
@@ -461,6 +458,7 @@ mod tests {
             &mut rng,
             &mut ledger,
             &mut probe,
+            &mut Fold::default(),
             &Recorder::off(),
         )
     }

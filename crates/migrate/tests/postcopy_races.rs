@@ -69,6 +69,7 @@ fn run(
         &mut rng,
         &mut ledger,
         &mut probe,
+        &mut telemetry::Fold::default(),
         &telemetry::Recorder::off(),
     );
     assert_eq!(out.residual_blocks, 0, "push must always converge");

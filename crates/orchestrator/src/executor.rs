@@ -30,7 +30,7 @@ use migrate::sim::DirtyTracker;
 use simnet::capacity::max_min_share;
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use simnet::proto::{BLOCK_REF_WIRE, FRAME_OVERHEAD};
-use telemetry::{Event, FaultLabel, Phase, Recorder};
+use telemetry::{Event, Fold, Phase, Recorder};
 use vdisk::MetaDisk;
 use workloads::TimedOp;
 
@@ -84,7 +84,6 @@ struct Task {
     blocks_sent: u64,
     /// `blocks_sent` when the current disk pre-copy pass began.
     pass_start: u64,
-    blocks_cancelled: u64,
     /// Blocks that crossed as 16-byte content references because the
     /// destination replica already held the identical generation.
     blocks_deduped: u64,
@@ -94,9 +93,9 @@ struct Task {
     bytes: u64,
     retries: u32,
     failed: bool,
-    start: SimTime,
-    freeze_at: SimTime,
-    downtime: SimDuration,
+    /// The migration's events folded: its record's phase instants,
+    /// passes, retries and cancellations are read off it.
+    fold: Fold,
     workload_name: &'static str,
     /// The stream's endpoints cannot currently talk (partition or down
     /// host): it stalls in place, bitmap holding position.
@@ -451,21 +450,23 @@ impl Orchestrator {
             FaultPlan::none()
         };
         let armed = plan.for_attempt(0);
-        let t_nanos = now.as_nanos();
-        self.recorder
-            .record_at_nanos(t_nanos, || Event::MigrationAdmitted {
+        let mut fold = Fold::default();
+        for event in [
+            Event::MigrationAdmitted {
                 migration: id,
                 vm: vm.0 as u64,
                 src: src.0 as u64,
                 dst: dst.0 as u64,
                 incremental,
                 first_pass_blocks,
-            });
-        self.recorder
-            .record_at_nanos(t_nanos, || Event::MigrationPhaseStart {
+            },
+            Event::MigrationPhaseStart {
                 migration: id,
                 phase: Phase::DiskPrecopy,
-            });
+            },
+        ] {
+            fold.at_nanos(&self.recorder, now.as_nanos(), event);
+        }
         Task {
             id,
             request,
@@ -492,15 +493,12 @@ impl Orchestrator {
             first_pass_blocks,
             blocks_sent: 0,
             pass_start: 0,
-            blocks_cancelled: 0,
             blocks_deduped: 0,
             blocks_peer: 0,
             bytes: 0,
             retries: 0,
             failed: false,
-            start: now,
-            freeze_at: SimTime::ZERO,
-            downtime: SimDuration::ZERO,
+            fold,
             workload_name: self.cluster.vms[vm.0].workload.name(),
             stranded: false,
             peer_source: None,
@@ -787,6 +785,13 @@ impl Orchestrator {
                     let next = t.tracker.drain();
                     let sent = t.blocks_sent - t.pass_start;
                     t.pass_start = t.blocks_sent;
+                    let pass = Event::MigrationPass {
+                        migration: t.id,
+                        index: u64::from(t.pass),
+                        units_sent: sent,
+                        dirty_at_end: next.count_ones() as u64,
+                    };
+                    t.fold.at_nanos(&self.recorder, tick_end.as_nanos(), pass);
                     if precopy_stops(
                         t.pass,
                         self.cfg.max_disk_passes,
@@ -820,18 +825,7 @@ impl Orchestrator {
             }
             Phase::Freeze => {
                 if tick_end >= t.resume_at {
-                    let resume_nanos = t.resume_at.as_nanos();
-                    self.recorder
-                        .record_at_nanos(resume_nanos, || Event::MigrationPhaseEnd {
-                            migration: t.id,
-                            phase: Phase::Freeze,
-                        });
-                    self.recorder
-                        .record_at_nanos(resume_nanos, || Event::MigrationPhaseStart {
-                            migration: t.id,
-                            phase: Phase::PostCopy,
-                        });
-                    t.phase = Phase::PostCopy;
+                    self.switch_phase(t, Phase::PostCopy, t.resume_at);
                     t.cursor = 0;
                     t.carry = 0.0;
                     // The VM resumes on the destination: its workload
@@ -963,49 +957,23 @@ impl Orchestrator {
         };
         let fault = t.armed.remove(pos);
         t.armed.retain(|f| !hit(f));
-        let t_nanos = tick_end.as_nanos();
+        self.recorder
+            .record_at_nanos(tick_end.as_nanos(), || Event::FaultInjected {
+                fault: fault.kind.label(),
+                messages_before: t.msgs,
+            });
+        // A truncated or dropped frame was silently lost: its block rides
+        // the next pass. A truncate severs the connection behind it, as a
+        // reset does; a lossy link that dropped a frame stays up.
+        if let (FaultKind::Truncate | FaultKind::Drop, Some(b)) = (&fault.kind, last) {
+            t.to_send.set(b);
+        }
         match fault.kind {
             FaultKind::Stall(d) => {
-                self.recorder
-                    .record_at_nanos(t_nanos, || Event::FaultInjected {
-                        fault: FaultLabel::Stall,
-                        messages_before: t.msgs,
-                    });
                 t.stall_until = tick_end + SimDuration::from_nanos(d.as_nanos() as u64);
             }
-            FaultKind::Truncate => {
-                self.recorder
-                    .record_at_nanos(t_nanos, || Event::FaultInjected {
-                        fault: FaultLabel::Truncate,
-                        messages_before: t.msgs,
-                    });
-                // The last frame was silently lost: its block rides the
-                // next pass, and the connection is severed behind it.
-                if let Some(b) = last {
-                    t.to_send.set(b);
-                }
-                self.reset_stream(t, tick_end);
-            }
-            FaultKind::Reset => {
-                self.recorder
-                    .record_at_nanos(t_nanos, || Event::FaultInjected {
-                        fault: FaultLabel::Reset,
-                        messages_before: t.msgs,
-                    });
-                self.reset_stream(t, tick_end);
-            }
-            FaultKind::Drop => {
-                self.recorder
-                    .record_at_nanos(t_nanos, || Event::FaultInjected {
-                        fault: FaultLabel::Drop,
-                        messages_before: t.msgs,
-                    });
-                // The last frame vanished on a lossy link that stayed
-                // up: its block rides the next pass, nothing resets.
-                if let Some(b) = last {
-                    t.to_send.set(b);
-                }
-            }
+            FaultKind::Truncate | FaultKind::Reset => self.reset_stream(t, tick_end),
+            FaultKind::Drop => {}
         }
     }
 
@@ -1015,17 +983,16 @@ impl Orchestrator {
     /// resume.
     fn reset_stream(&self, t: &mut Task, tick_end: SimTime) {
         t.retries += 1;
+        let retry = Event::MigrationRetry {
+            migration: t.id,
+            attempt: u64::from(t.retries),
+        };
+        t.fold.at_nanos(&self.recorder, tick_end.as_nanos(), retry);
         if t.retries > self.cfg.max_retries {
             t.failed = true;
             return;
         }
         t.attempt += 1;
-        let t_nanos = tick_end.as_nanos();
-        self.recorder
-            .record_at_nanos(t_nanos, || Event::MigrationRetry {
-                migration: t.id,
-                attempt: u64::from(t.attempt),
-            });
         t.armed = t.plan.for_attempt(t.attempt);
         t.msgs = 0;
         t.attempt_bytes = 0;
@@ -1060,8 +1027,6 @@ impl Orchestrator {
             + dynamics.link_latency(t.src.0, t.dst.0)
             + self.cfg.resume_overhead;
         t.bytes += down_bytes;
-        t.downtime = downtime;
-        t.freeze_at = tick_end;
         t.resume_at = tick_end + downtime;
         t.to_send = final_bm;
         t.cursor = 0;
@@ -1069,21 +1034,22 @@ impl Orchestrator {
         self.switch_phase(t, Phase::Freeze, tick_end);
     }
 
-    /// Journal the end of the current phase and the start of the next,
-    /// both at the same instant.
+    /// Emit the end of the current phase and the start of the next, both
+    /// at the same instant.
     fn switch_phase(&self, t: &mut Task, next: Phase, at: SimTime) {
-        let t_nanos = at.as_nanos();
-        let prev = t.phase;
-        self.recorder
-            .record_at_nanos(t_nanos, || Event::MigrationPhaseEnd {
-                migration: t.id,
-                phase: prev,
-            });
-        self.recorder
-            .record_at_nanos(t_nanos, || Event::MigrationPhaseStart {
-                migration: t.id,
+        let migration = t.id;
+        for event in [
+            Event::MigrationPhaseEnd {
+                migration,
+                phase: t.phase,
+            },
+            Event::MigrationPhaseStart {
+                migration,
                 phase: next,
-            });
+            },
+        ] {
+            t.fold.at_nanos(&self.recorder, at.as_nanos(), event);
+        }
         t.phase = next;
     }
 
@@ -1141,7 +1107,11 @@ impl Orchestrator {
                         t.post_writes.set(b);
                         if t.to_send.get(b) {
                             t.to_send.clear(b);
-                            t.blocks_cancelled += 1;
+                            let cancel = Event::MigrationSyncCancelled {
+                                migration: t.id,
+                                block: b as u64,
+                            };
+                            t.fold.at_nanos(&self.recorder, now.as_nanos(), cancel);
                         }
                     }
                     Some(ti) => {
@@ -1163,14 +1133,14 @@ impl Orchestrator {
         let t_nanos = at.as_nanos();
         let vm = t.vm.0;
         let consistent;
+        // Close whatever phase was open (post-copy, when it finished) so
+        // the spans balance.
+        let close = Event::MigrationPhaseEnd {
+            migration: t.id,
+            phase: t.phase,
+        };
+        t.fold.at_nanos(&self.recorder, t_nanos, close);
         if t.failed {
-            // Close whatever phase was open so journal spans balance.
-            let phase = t.phase;
-            self.recorder
-                .record_at_nanos(t_nanos, || Event::MigrationPhaseEnd {
-                    migration: t.id,
-                    phase,
-                });
             if t.phase == Phase::PostCopy {
                 // Aborted after resume (horizon): the VM falls back to
                 // its source image.
@@ -1181,11 +1151,6 @@ impl Orchestrator {
             self.keep_replica(t.vm, t.dst, t.dst_disk.clone());
             consistent = false;
         } else {
-            self.recorder
-                .record_at_nanos(t_nanos, || Event::MigrationPhaseEnd {
-                    migration: t.id,
-                    phase: Phase::PostCopy,
-                });
             // Every block that differs from the frozen source image must
             // be explained by a destination guest write.
             consistent = t
@@ -1198,13 +1163,13 @@ impl Orchestrator {
             self.keep_replica(t.vm, t.src, old);
         }
         let completed = !t.failed;
-        self.recorder
-            .record_at_nanos(t_nanos, || Event::MigrationCompleted {
-                migration: t.id,
-                bytes: t.bytes,
-                retries: u64::from(t.retries),
-                completed,
-            });
+        let done = Event::MigrationCompleted {
+            migration: t.id,
+            bytes: t.bytes,
+            completed,
+        };
+        t.fold.at_nanos(&self.recorder, t_nanos, done);
+        let account = t.fold.migration(t.id).cloned().unwrap_or_default();
         MigrationRecord {
             migration: t.id,
             request: t.request,
@@ -1214,20 +1179,20 @@ impl Orchestrator {
             workload: t.workload_name,
             incremental: t.incremental,
             first_pass_blocks: t.first_pass_blocks,
-            passes: t.pass,
+            passes: account.passes,
             blocks_sent: t.blocks_sent,
-            blocks_cancelled: t.blocks_cancelled,
+            blocks_cancelled: account.cancelled,
             blocks_deduped: t.blocks_deduped,
             blocks_peer: t.blocks_peer,
             bytes: t.bytes,
-            retries: t.retries,
+            retries: account.retries,
             completed,
             consistent,
-            start_nanos: t.start.as_nanos(),
-            freeze_nanos: t.freeze_at.as_nanos(),
-            resume_nanos: t.resume_at.as_nanos(),
-            finish_nanos: t_nanos,
-            downtime_nanos: t.downtime.as_nanos(),
+            start_nanos: account.start_nanos,
+            freeze_nanos: account.freeze_nanos(),
+            resume_nanos: account.resume_nanos(),
+            finish_nanos: account.finish_nanos,
+            downtime_nanos: account.downtime_nanos(),
         }
     }
 

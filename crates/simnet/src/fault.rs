@@ -44,6 +44,18 @@ pub enum FaultKind {
     Drop,
 }
 
+impl FaultKind {
+    /// The journal's name for this kind of fault.
+    pub fn label(&self) -> FaultLabel {
+        match self {
+            FaultKind::Reset => FaultLabel::Reset,
+            FaultKind::Stall(_) => FaultLabel::Stall,
+            FaultKind::Truncate => FaultLabel::Truncate,
+            FaultKind::Drop => FaultLabel::Drop,
+        }
+    }
+}
+
 /// When a fault fires, measured on the side holding the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTrigger {
@@ -397,15 +409,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             // and no telemetry guard may be live across that, so the
             // recorder is cloned out behind a helper.
             let rec = self.recorder();
-            let label = match fault.kind {
-                FaultKind::Reset => FaultLabel::Reset,
-                FaultKind::Stall(_) => FaultLabel::Stall,
-                FaultKind::Truncate => FaultLabel::Truncate,
-                FaultKind::Drop => FaultLabel::Drop,
-            };
             let messages_before = self.sent_msgs.load(Ordering::SeqCst).saturating_sub(1);
             rec.record(|| Event::FaultInjected {
-                fault: label,
+                fault: fault.kind.label(),
                 messages_before,
             });
             match fault.kind {

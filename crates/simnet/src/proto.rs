@@ -574,6 +574,21 @@ impl WireStats {
         self.page_bytes_sent += other.page_bytes_sent;
         self.pages_compressed += other.pages_compressed;
     }
+
+    /// Add every field to its `wire.*` counter of `m`.
+    pub fn publish(&self, m: &telemetry::Registry) {
+        for (name, value) in [
+            ("wire.bytes_raw", self.bytes_raw),
+            ("wire.bytes_sent", self.bytes_sent),
+            ("wire.blocks_deduped", self.blocks_deduped),
+            ("wire.blocks_compressed", self.blocks_compressed),
+            ("wire.page_bytes_raw", self.page_bytes_raw),
+            ("wire.page_bytes_sent", self.page_bytes_sent),
+            ("wire.pages_compressed", self.pages_compressed),
+        ] {
+            m.counter(name).add(value);
+        }
+    }
 }
 
 fn pct_off(raw: u64, sent: u64) -> f64 {

@@ -89,15 +89,10 @@ pub enum Event {
         index: u64,
         /// Units (blocks/pages) shipped this iteration.
         units_sent: u64,
+        /// Bytes the iteration's units cost on the wire.
+        bytes: u64,
         /// Units dirtied while the iteration ran (the next worklist).
         dirty_at_end: u64,
-    },
-    /// The dirty bitmap was snapshotted (and cleared) between iterations.
-    BitmapSnapshot {
-        /// Recording side.
-        side: Side,
-        /// Bits set in the snapshot.
-        set_bits: u64,
     },
     /// The frozen bitmap was encoded for the wire (§IV-C ships the bitmap,
     /// never the blocks).
@@ -195,8 +190,28 @@ pub enum Event {
         /// Which phase ended.
         phase: Phase,
     },
-    /// A cluster migration's stream was cut by an injected fault and the
-    /// orchestrator is retrying it, resuming from the block-bitmap.
+    /// One disk pre-copy pass of a cluster migration finished.
+    MigrationPass {
+        /// Orchestrator-wide migration id.
+        migration: u64,
+        /// One-based pass number.
+        index: u64,
+        /// Blocks the pass shipped.
+        units_sent: u64,
+        /// Blocks dirtied while it ran (the next pass's worklist).
+        dirty_at_end: u64,
+    },
+    /// §III-A cancellation in a cluster migration: a destination guest
+    /// write to a still-owed block cancelled its push.
+    MigrationSyncCancelled {
+        /// Orchestrator-wide migration id.
+        migration: u64,
+        /// Block index.
+        block: u64,
+    },
+    /// A cluster migration's stream was cut by an injected fault and
+    /// spent one retry: it resumes from the block-bitmap, or fails in
+    /// place when the retry was past its budget.
     MigrationRetry {
         /// Orchestrator-wide migration id.
         migration: u64,
@@ -367,11 +382,26 @@ pub enum Event {
         migration: u64,
         /// Total wire bytes the stream moved (all attempts).
         bytes: u64,
-        /// Fault-triggered retries the stream survived.
-        retries: u64,
         /// `false` when the retry budget ran out and the VM stayed put.
         completed: bool,
     },
+    /// The last record of an exported journal whose recorder was full:
+    /// `n` records were dropped, so the journal no longer folds to its
+    /// run's report.
+    JournalDropped {
+        /// Records the bound dropped.
+        n: u64,
+    },
+}
+
+impl Event {
+    /// The two events of a phase change on `side`: `from` ends, `to` starts.
+    pub fn phase_change(side: Side, from: Phase, to: Phase) -> [Event; 2] {
+        [
+            Event::PhaseEnd { side, phase: from },
+            Event::PhaseStart { side, phase: to },
+        ]
+    }
 }
 
 /// One journal entry: a sequence number (total order of recording), a

@@ -1,18 +1,19 @@
-//! Exporters: JSONL journal, phase-timing reconstruction, human-readable
-//! phase summary, and metrics JSON.
+//! Exporters: JSONL journal, the phase durations a journal folds to, a
+//! human-readable summary of what a journal says beyond its fold, and
+//! metrics JSON.
 //!
-//! The reconstruction arithmetic here is deliberately identical to the
-//! engines' own accounting: a span is `(end_nanos - start_nanos) as f64 /
-//! 1e9`, the exact expression behind `SimDuration::as_secs_f64`, so a
-//! journal-reconstructed [`PhaseDurations`] equals a simulated run's
-//! `MigrationReport.phases` bit for bit — the two accounting paths cannot
-//! silently diverge.
+//! There is no reconstruction arithmetic here. [`reconstruct_phases`] and
+//! [`reconstruct_migration_phases`] run the engines' own [`Fold`] over a
+//! parsed journal: the same code over the same events, so a journal's
+//! phase durations equal its run's `MigrationReport.phases` and the
+//! orchestrator's records bit for bit.
 
 use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, Phase, Record, Resource, Side};
+use crate::event::{Event, Phase, Record, Side};
+use crate::fold::Fold;
 use crate::metrics::Registry;
 
 /// Serialize records as one JSON object per line (JSONL).
@@ -45,8 +46,9 @@ pub fn from_jsonl(s: &str) -> Result<Vec<Record>, String> {
     Ok(out)
 }
 
-/// Phase durations reconstructed from span events — the journal's answer
-/// to `migrate`'s `PhaseTimings`, field for field.
+/// Per-phase durations in seconds: the fold's phase spans
+/// ([`Fold::phases`]) and, under the name `PhaseTimings`, the
+/// `MigrationReport`'s.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseDurations {
     /// Iterative disk pre-copy (§IV-B1).
@@ -59,123 +61,27 @@ pub struct PhaseDurations {
     pub postcopy_secs: f64,
 }
 
-/// Nanoseconds between the first `PhaseStart` and the last `PhaseEnd`
-/// recorded for `phase`, or `None` when the span is incomplete.
-///
-/// Taking the *last* end makes reconnect-interrupted live phases span
-/// their full extent; in a simulated journal each phase starts and ends
-/// exactly once.
-pub fn phase_span_nanos(records: &[Record], phase: Phase) -> Option<u64> {
-    let mut start = None;
-    let mut end = None;
-    for r in records {
-        match &r.event {
-            Event::PhaseStart { phase: p, .. } if *p == phase && start.is_none() => {
-                start = Some(r.t_nanos);
-            }
-            Event::PhaseEnd { phase: p, .. } if *p == phase => end = Some(r.t_nanos),
-            _ => {}
-        }
-    }
-    match (start, end) {
-        (Some(s), Some(e)) => Some(e.saturating_sub(s)),
-        _ => None,
-    }
-}
-
-/// Reconstruct per-phase durations from span events. Missing spans read
-/// as zero (matching `PhaseTimings::default()` for phases that never ran).
+/// The phase durations a journal folds to. Missing spans read as zero;
+/// unlike [`Fold::of_journal`] this folds a cut journal too.
 pub fn reconstruct_phases(records: &[Record]) -> PhaseDurations {
-    let secs = |p: Phase| phase_span_nanos(records, p).unwrap_or(0) as f64 / 1e9;
-    PhaseDurations {
-        disk_precopy_secs: secs(Phase::DiskPrecopy),
-        mem_precopy_secs: secs(Phase::MemPrecopy),
-        freeze_secs: secs(Phase::Freeze),
-        postcopy_secs: secs(Phase::PostCopy),
-    }
+    Fold::of_records(records).phases()
 }
 
-/// Nanoseconds between the first `MigrationPhaseStart` and the last
-/// `MigrationPhaseEnd` recorded for cluster migration `migration` in
-/// `phase`, or `None` when the span is incomplete — the per-migration
-/// analogue of [`phase_span_nanos`] for orchestrator journals.
-pub fn migration_phase_span_nanos(records: &[Record], migration: u64, phase: Phase) -> Option<u64> {
-    let mut start = None;
-    let mut end = None;
-    for r in records {
-        match &r.event {
-            Event::MigrationPhaseStart {
-                migration: m,
-                phase: p,
-            } if *m == migration && *p == phase && start.is_none() => {
-                start = Some(r.t_nanos);
-            }
-            Event::MigrationPhaseEnd {
-                migration: m,
-                phase: p,
-            } if *m == migration && *p == phase => {
-                end = Some(r.t_nanos);
-            }
-            _ => {}
-        }
-    }
-    match (start, end) {
-        (Some(s), Some(e)) => Some(e.saturating_sub(s)),
-        _ => None,
-    }
-}
-
-/// Reconstruct one cluster migration's per-phase durations from its span
-/// events, using the same `(end - start) as f64 / 1e9` arithmetic as
-/// [`reconstruct_phases`] so the result equals the orchestrator's own
-/// report bit for bit.
+/// The phase durations cluster migration `migration` folds to in an
+/// orchestrator journal (zero when it was never admitted).
 pub fn reconstruct_migration_phases(records: &[Record], migration: u64) -> PhaseDurations {
-    let secs =
-        |p: Phase| migration_phase_span_nanos(records, migration, p).unwrap_or(0) as f64 / 1e9;
-    PhaseDurations {
-        disk_precopy_secs: secs(Phase::DiskPrecopy),
-        mem_precopy_secs: secs(Phase::MemPrecopy),
-        freeze_secs: secs(Phase::Freeze),
-        postcopy_secs: secs(Phase::PostCopy),
-    }
+    Fold::of_records(records)
+        .migration(migration)
+        .map(|m| m.phases())
+        .unwrap_or_default()
 }
 
-/// Every cluster migration id admitted in the journal, ascending and
-/// deduplicated.
-pub fn migration_ids(records: &[Record]) -> Vec<u64> {
-    let mut ids: Vec<u64> = records
-        .iter()
-        .filter_map(|r| match &r.event {
-            Event::MigrationAdmitted { migration, .. } => Some(*migration),
-            _ => None,
-        })
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
-/// Render a human-readable summary of a journal: phase table, pre-copy
-/// iteration counts, post-copy block events, transport incidents.
-pub fn phase_summary(records: &[Record]) -> String {
-    let phases = reconstruct_phases(records);
+/// What a journal says beyond the account it folds to ([`Fold::summary`]):
+/// post-copy cancellations and pull requests, transport incidents, per
+/// phase the batches the LZ rule compressed, and the record count.
+pub fn journal_summary(records: &[Record]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "phase            duration");
-    let rows = [
-        ("disk pre-copy", phases.disk_precopy_secs),
-        ("mem pre-copy", phases.mem_precopy_secs),
-        ("freeze (down)", phases.freeze_secs),
-        ("post-copy", phases.postcopy_secs),
-    ];
-    for (name, secs) in rows {
-        let _ = writeln!(out, "{name:<16} {:>10.6} s", secs);
-    }
-
-    let mut disk_iters: Vec<u64> = Vec::new();
-    let mut mem_iters: Vec<u64> = Vec::new();
-    let (mut pushed, mut pulled, mut dropped, mut cancelled, mut pull_reqs) = (0u64, 0, 0, 0, 0);
-    let (mut src_reconnects, mut dst_reconnects, mut faults) = (0u64, 0u64, 0u64);
-    let mut src_bytes = 0u64;
+    let (mut cancelled, mut pull_reqs, mut faults, mut src_bytes) = (0u64, 0u64, 0u64, 0u64);
     // Batches (compressed, raw) the source's LZ rule decided, by the
     // phase the source was in when it journaled them.
     let mut lz: Vec<(Phase, u64, u64)> = Vec::new();
@@ -197,28 +103,8 @@ pub fn phase_summary(records: &[Record]) -> String {
                 }
                 None => lz.push((src_phase, *batches_compressed, *batches_raw)),
             },
-            Event::Iteration {
-                resource: Resource::Disk,
-                units_sent,
-                ..
-            } => disk_iters.push(*units_sent),
-            Event::Iteration {
-                resource: Resource::Memory,
-                units_sent,
-                ..
-            } => mem_iters.push(*units_sent),
-            Event::BlockPushed { .. } => pushed += 1,
-            Event::BlockPulled { .. } => pulled += 1,
-            Event::BlockDropped { .. } => dropped += 1,
             Event::SyncCancelled { .. } => cancelled += 1,
             Event::PullRequested { .. } => pull_reqs += 1,
-            Event::Reconnect {
-                side: Side::Source, ..
-            } => src_reconnects += 1,
-            Event::Reconnect {
-                side: Side::Destination,
-                ..
-            } => dst_reconnects += 1,
             Event::FaultInjected { .. } => faults += 1,
             Event::TransportBytes {
                 side: Side::Source,
@@ -227,17 +113,13 @@ pub fn phase_summary(records: &[Record]) -> String {
             _ => {}
         }
     }
-    let _ = writeln!(out, "disk iterations  {disk_iters:?}");
-    let _ = writeln!(out, "mem iterations   {mem_iters:?}");
     let _ = writeln!(
         out,
-        "post-copy        {pushed} pushed, {pulled} pulled, {dropped} dropped, \
-         {cancelled} cancelled, {pull_reqs} pull requests"
+        "post-copy events {cancelled} cancelled, {pull_reqs} pull requests"
     );
     let _ = writeln!(
         out,
-        "transport        {src_reconnects} src + {dst_reconnects} dst reconnects, \
-         {faults} faults injected, {src_bytes} bytes from source"
+        "transport        {faults} faults injected, {src_bytes} bytes from source"
     );
     for (phase, packed, raw) in lz {
         let _ = writeln!(
@@ -301,7 +183,7 @@ pub fn metrics_json(reg: &Registry) -> String {
 mod tests {
     use super::*;
     use crate::clock::ClockDomain;
-    use crate::event::FaultLabel;
+    use crate::event::{FaultLabel, Resource};
     use crate::recorder::Recorder;
 
     fn sample_journal() -> Vec<Record> {
@@ -313,8 +195,9 @@ mod tests {
         rec.record_at_nanos(1_500_000_000, || Event::Iteration {
             side: Side::Source,
             resource: Resource::Disk,
-            index: 0,
+            index: 1,
             units_sent: 4096,
+            bytes: 4096 * 4096,
             dirty_at_end: 120,
         });
         rec.record_at_nanos(1_900_000_000, || Event::CodecDecision {
@@ -383,14 +266,22 @@ mod tests {
         assert_eq!(phases.disk_precopy_secs, 2_000_000_000_f64 / 1e9);
         assert_eq!(phases.freeze_secs, 54_000_000_f64 / 1e9);
         assert_eq!(phases.mem_precopy_secs, 0.0);
-        assert_eq!(phase_span_nanos(&records, Phase::PostCopy), None);
+        let fold = Fold::of_journal(&records).expect("a whole journal");
+        assert_eq!(fold.span_nanos(Phase::PostCopy), None);
+        // An iteration lasts from its phase's start to its own event.
+        let first = &fold.iterations(Resource::Disk)[0];
+        assert_eq!((first.index, first.duration_secs), (1, 1.5));
     }
 
     #[test]
-    fn summary_mentions_the_interesting_numbers() {
-        let s = phase_summary(&sample_journal());
+    fn summaries_mention_the_interesting_numbers() {
+        let records = sample_journal();
+        let s = Fold::of_journal(&records).expect("whole").summary();
         assert!(s.contains("disk pre-copy"), "{s}");
-        assert!(s.contains("0 src + 0 dst reconnects"), "{s}");
+        assert!(s.contains("disk iterations  [4096]"), "{s}");
+        assert!(s.contains("0 pushed, 0 pulled, 1 dropped"), "{s}");
+        assert!(s.contains("0 src + 0 dst"), "{s}");
+        let s = journal_summary(&records);
         assert!(s.contains("1 faults injected"), "{s}");
         assert!(s.contains("1 cancelled"), "{s}");
         assert!(s.contains("3 of 16 batches compressed (18.8%)"), "{s}");
@@ -451,16 +342,15 @@ mod tests {
             first_pass_blocks: 17,
         });
         let records = rec.records();
+        let fold = Fold::of_journal(&records).expect("whole");
+        let span = |id| fold.migration(id).map(|m| m.phases().disk_precopy_secs);
+        assert_eq!(span(0), Some(1_000_f64 / 1e9));
+        assert_eq!(span(1), Some(1_500_f64 / 1e9));
+        assert_eq!(fold.migration(1).map(|m| m.downtime_nanos()), Some(0));
         assert_eq!(
-            migration_phase_span_nanos(&records, 0, Phase::DiskPrecopy),
-            Some(1_000)
+            fold.migrations().map(|(&id, _)| id).collect::<Vec<_>>(),
+            vec![0, 1]
         );
-        assert_eq!(
-            migration_phase_span_nanos(&records, 1, Phase::DiskPrecopy),
-            Some(1_500)
-        );
-        assert_eq!(migration_phase_span_nanos(&records, 1, Phase::Freeze), None);
-        assert_eq!(migration_ids(&records), vec![0, 1]);
 
         let phases = reconstruct_migration_phases(&records, 1);
         assert_eq!(phases.disk_precopy_secs, 1_500_f64 / 1e9);

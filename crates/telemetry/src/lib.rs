@@ -10,8 +10,9 @@
 //! * the **live engine's** real threads stamp events with monotonic wall
 //!   time relative to the recorder's epoch ([`ClockDomain::Wall`]).
 //!
-//! One typed [`Event`] taxonomy serves both, so the same exporters and the
-//! same phase-timing reconstruction work on either journal.
+//! One typed [`Event`] taxonomy serves both, and every engine folds the
+//! events its report needs through one [`Fold`]: a report is read off
+//! the fold, and a journal folds to the same report by construction.
 //!
 //! The [`Recorder`] sits on the hot path of the protocol threads, so it is
 //! held to the rules of the transport lint zone (DESIGN.md §11):
@@ -23,10 +24,10 @@
 //!   relaxed atomic load; the event closure never runs, so no allocation and
 //!   no lock happen.
 //!
-//! Exporters ([`to_jsonl`], [`from_jsonl`], [`phase_summary`],
+//! Exporters ([`to_jsonl`], [`from_jsonl`], [`journal_summary`],
 //! [`reconstruct_phases`], [`metrics_json`]) turn a journal into a JSONL
-//! trace file, a human-readable phase table, or the per-phase durations that
-//! must agree exactly with `migrate`'s own `MigrationReport` accounting.
+//! trace file, a human-readable summary, or the per-phase durations its
+//! fold gives.
 //!
 //! [`des` time]: ClockDomain::Sim
 
@@ -41,16 +42,17 @@
 mod clock;
 mod event;
 mod export;
+mod fold;
 mod metrics;
 mod recorder;
 
 pub use clock::ClockDomain;
 pub use event::{Event, FaultLabel, Phase, Record, Resource, Side};
 pub use export::{
-    codec_summary, from_jsonl, metrics_json, migration_ids, migration_phase_span_nanos,
-    phase_span_nanos, phase_summary, reconstruct_migration_phases, reconstruct_phases, to_jsonl,
-    PhaseDurations,
+    codec_summary, from_jsonl, journal_summary, metrics_json, reconstruct_migration_phases,
+    reconstruct_phases, to_jsonl, PhaseDurations,
 };
+pub use fold::{Fold, IterationStats, MigrationAccount};
 pub use metrics::{
     bucket_index, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket,
     HistogramSnapshot, MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,

@@ -131,9 +131,13 @@ impl Recorder {
         if !self.is_enabled() {
             return;
         }
+        self.push(self.wall_nanos(at), ClockDomain::Wall, make());
+    }
+
+    /// `at` as a wall-clock timestamp: nanoseconds since the epoch.
+    pub(crate) fn wall_nanos(&self, at: Instant) -> u64 {
         let since = at.saturating_duration_since(self.epoch);
-        let t_nanos = u64::try_from(since.as_nanos()).unwrap_or(u64::MAX);
-        self.push(t_nanos, ClockDomain::Wall, make());
+        u64::try_from(since.as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Record a virtual-time event stamped with raw simulator nanoseconds
@@ -183,6 +187,27 @@ impl Recorder {
     /// Snapshot of the journal in `seq` order.
     pub fn records(&self) -> Vec<Record> {
         self.journal.lock().records.clone()
+    }
+
+    /// The journal as it is written out: [`records`](Self::records), then,
+    /// when the bound dropped any, a terminal [`Event::JournalDropped`]
+    /// saying how many, so a reader can tell a cut journal from a whole one.
+    pub fn export(&self) -> Vec<Record> {
+        let j = self.journal.lock();
+        let mut out = j.records.clone();
+        let n = self.dropped();
+        if n > 0 {
+            let last = out
+                .last()
+                .map_or((0, ClockDomain::Wall), |r| (r.t_nanos, r.clock));
+            out.push(Record {
+                seq: j.next_seq,
+                t_nanos: last.0,
+                clock: last.1,
+                event: Event::JournalDropped { n },
+            });
+        }
+        out
     }
 
     /// The metrics registry recorded alongside the journal.
@@ -244,6 +269,9 @@ mod tests {
         assert_eq!(rec.dropped(), 6);
         let seqs: Vec<u64> = rec.records().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
+        // Written out, the journal says it was cut.
+        let last = rec.export().pop().map(|r| (r.seq, r.t_nanos, r.event));
+        assert_eq!(last, Some((4, 3, Event::JournalDropped { n: 6 })));
     }
 
     #[test]

@@ -48,14 +48,11 @@ fn main() {
     let out = run_live(&cfg, LiveRun::default()).expect("live migration completes");
 
     if let Some(path) = &trace_out {
-        let records = cfg.telemetry.records();
+        let records = cfg.telemetry.export();
         std::fs::write(path, block_bitmap_migration::telemetry::to_jsonl(&records))
             .expect("journal written");
         println!("telemetry journal: {} records -> {path}", records.len());
-        print!(
-            "{}",
-            block_bitmap_migration::telemetry::phase_summary(&records)
-        );
+        print!("{}", out.fold.summary());
         println!();
     }
 

@@ -120,6 +120,30 @@ assert (classic["dedup.sessions_fingerprinted"], classic["dedup.sessions_skipped
 assert (paced["dedup.sessions_fingerprinted"], paced["wire.blocks_deduped"]) == (1, 1)
 PY
 
+echo "== CLI round trip: a run and its journal fold to one account =="
+# A run reads its report off the fold of its events and prints that
+# account (phase spans, iterations, post-copy counts, reconnects) in the
+# rendering `trace analyze` prints for the journal the run wrote. The
+# journal folds to the same account by construction, so the two blocks
+# must match byte for byte: over the duplex, over loopback TCP, through
+# seeded resets and reconnects, and for the simulator.
+rt=target/cli-roundtrip
+mkdir -p "$rt"
+account() { sed -n '/^phase  *duration$/,/^reconnects /p' "$1"; }
+i=0
+for run in "live" "live --tcp" "live --faults 2 --max-reconnects 2" "simulate --workload web"; do
+  i=$((i + 1))
+  echo "-- vmmigrate $run"
+  # shellcheck disable=SC2086 # $run is a list of arguments
+  ./target/release/vmmigrate $run --trace-out "$rt/$i.jsonl" >"$rt/$i.run"
+  ./target/release/vmmigrate trace analyze "$rt/$i.jsonl" >"$rt/$i.analyze"
+  account "$rt/$i.run" >"$rt/$i.run.account"
+  account "$rt/$i.analyze" >"$rt/$i.analyze.account"
+  test "$(wc -l <"$rt/$i.run.account")" -eq 9
+  diff "$rt/$i.run.account" "$rt/$i.analyze.account"
+done
+grep -Eq '^reconnects       [1-9][0-9]* src' "$rt/3.run.account"
+
 echo "== benchmark package: build, own tests, five-workload smoke =="
 # benchmark/ is its own cargo package (BENCHMARK.json's command builds it
 # from this checkout), so the workspace steps above never compile it.

@@ -2,16 +2,14 @@
 //!
 //! The cluster run is only trustworthy if (a) one seed pins *everything*
 //! — two identical runs must journal byte-identical JSONL — and (b) the
-//! journal agrees with the report's own accounting: per-migration phase
-//! spans reconstructed from the event stream must reproduce each
-//! record's total time and downtime exactly, in the same nanosecond
-//! arithmetic.
+//! journal folds to the report: each record's phase instants, passes,
+//! retries and cancellations are read off the fold of its migration's
+//! events, so the journal's fold must give them back exactly.
 
 use block_bitmap_migration::des::SimDuration;
 use block_bitmap_migration::prelude::*;
-use block_bitmap_migration::telemetry::{
-    migration_ids, migration_phase_span_nanos, reconstruct_migration_phases, to_jsonl, Phase,
-};
+use block_bitmap_migration::scenario::{config_for, parse};
+use block_bitmap_migration::telemetry::{from_jsonl, to_jsonl, Event, Fold, Phase, Record};
 
 /// The acceptance geometry: 4 hosts, 8 VMs, IM-aware policy, seed 2008.
 fn acceptance_cfg() -> ClusterConfig {
@@ -51,8 +49,10 @@ fn acceptance_run_completes_and_verifies() {
         "every return migration must land on its stale replica"
     );
     // Every admitted migration is visible in the journal.
-    let ids = migration_ids(&records);
-    assert_eq!(ids.len(), 16);
+    let ids: Vec<u64> = Fold::of_records(&records)
+        .migrations()
+        .map(|(&id, _)| id)
+        .collect();
     assert_eq!(ids, (0..16).collect::<Vec<u64>>());
 }
 
@@ -79,44 +79,81 @@ fn same_seed_runs_journal_byte_identically() {
     assert_ne!(to_jsonl(&records_a), to_jsonl(&records_c));
 }
 
-/// Satellite: telemetry invariant. For every migration, the journal's
-/// phase spans reconstruct the record's total time and downtime
-/// *exactly* — both sides compute over the same journaled nanosecond
-/// instants.
-#[test]
-fn journal_spans_reconstruct_report_exactly() {
-    let (report, records) = traced_run(acceptance_cfg());
+/// Each record's fold-owned fields equal what the fold of the journal,
+/// written out and parsed back, says of its migration; and the four
+/// phases tile [start, finish] with no gap.
+fn assert_fleet_journal_folds_to(report: &ClusterReport, records: &[Record]) {
+    let back = from_jsonl(&to_jsonl(records)).expect("journal parses back");
+    let fold = Fold::of_journal(&back).expect("a whole journal folds");
+    assert_eq!(fold.migrations().count(), report.records.len());
     for r in &report.records {
-        assert!(r.completed, "migration {} failed", r.migration);
-
-        // Downtime is the Freeze span, to the nanosecond.
-        let freeze = migration_phase_span_nanos(&records, r.migration, Phase::Freeze)
-            .expect("freeze span journaled");
-        assert_eq!(freeze, r.downtime_nanos, "migration {}", r.migration);
-
-        // The four phases tile [start, finish] with no gaps: their spans
-        // sum to the record's total exactly.
-        let span = |p: Phase| {
-            migration_phase_span_nanos(&records, r.migration, p)
-                .unwrap_or_else(|| panic!("{p:?} span missing for migration {}", r.migration))
-        };
-        let total = span(Phase::DiskPrecopy)
-            + span(Phase::MemPrecopy)
-            + span(Phase::Freeze)
-            + span(Phase::PostCopy);
-        assert_eq!(
-            total,
-            r.finish_nanos - r.start_nanos,
-            "migration {}",
-            r.migration
+        let m = fold.migration(r.migration).expect("admission journaled");
+        let folded = (
+            [
+                m.start_nanos,
+                m.freeze_nanos(),
+                m.resume_nanos(),
+                m.finish_nanos,
+            ],
+            m.downtime_nanos(),
+            (m.passes, m.retries, m.cancelled),
         );
-
-        // The derived-seconds view matches the record's own arithmetic.
-        let phases = reconstruct_migration_phases(&records, r.migration);
-        assert_eq!(phases.freeze_secs, r.downtime_nanos as f64 / 1e9);
-        assert_eq!(
-            phases.disk_precopy_secs,
-            span(Phase::DiskPrecopy) as f64 / 1e9
+        let reported = (
+            [
+                r.start_nanos,
+                r.freeze_nanos,
+                r.resume_nanos,
+                r.finish_nanos,
+            ],
+            r.downtime_nanos,
+            (r.passes, r.retries, r.blocks_cancelled),
         );
+        assert_eq!(folded, reported, "migration {}", r.migration);
+        if r.completed {
+            let spans = [
+                Phase::DiskPrecopy,
+                Phase::MemPrecopy,
+                Phase::Freeze,
+                Phase::PostCopy,
+            ]
+            .map(|p| m.span_nanos(p).expect("every phase ran"));
+            let total = r.finish_nanos - r.start_nanos;
+            assert_eq!(
+                spans.iter().sum::<u64>(),
+                total,
+                "migration {}",
+                r.migration
+            );
+        }
     }
+}
+
+/// The acceptance fleet, and a `.scn` partition fleet whose streams also
+/// take seeded resets: each journal folds to its report.
+#[test]
+fn fleet_journals_fold_to_their_reports() {
+    let (report, records) = traced_run(acceptance_cfg());
+    assert_eq!(report.completed(), 16);
+    assert_fleet_journal_folds_to(&report, &records);
+
+    let text = std::fs::read_to_string("scenarios/partition.scn").expect("checked-in scenario");
+    let spec = parse(&text).expect("parses");
+    let mut cfg = config_for(&spec);
+    cfg.fault_resets = 2;
+    let rec = Recorder::enabled();
+    let mut orch = Orchestrator::new(cfg.clone(), Policy::ImAware, rec.clone()).expect("valid");
+    let mut dynamics = ScenarioDynamics::new(&spec, &cfg);
+    let scenario = Scenario {
+        requests: spec.requests.clone(),
+    };
+    let report = orch.run_with_dynamics(&scenario, &mut dynamics);
+    let records = rec.records();
+    assert!(
+        report.records.iter().any(|r| r.retries > 0),
+        "a seeded reset must fire"
+    );
+    assert!(records
+        .iter()
+        .any(|r| matches!(r.event, Event::MigrationStranded { .. })));
+    assert_fleet_journal_folds_to(&report, &records);
 }

@@ -1,62 +1,101 @@
 //! Telemetry journal consistency tests.
 //!
-//! The journal is only trustworthy if it agrees with the engines' own
-//! accounting: phase timings reconstructed from span events must equal
-//! the `MigrationReport` (simulated) / `LiveOutcome` (live) numbers, and
-//! the event stream must respect the §III-A cancellation ordering — once
-//! a destination write cancels synchronization for a block, that block
-//! must never again arrive as a push or a pull.
+//! A report is read off the fold of its run's events, so a journal of
+//! those events must fold to the same report: written out, parsed back
+//! and folded, it equals the run's own account, field for field, for the
+//! simulated and the live engine alike. The event stream must also
+//! respect the §III-A cancellation ordering — once a destination write
+//! cancels synchronization for a block, that block must never again
+//! arrive as a push or a pull.
 
 use block_bitmap_migration::migrate::live::{run_live, LiveConfig, LiveRun};
-use block_bitmap_migration::migrate::sim::run_tpm_traced;
-use block_bitmap_migration::prelude::*;
-use block_bitmap_migration::telemetry::{
-    from_jsonl, phase_span_nanos, reconstruct_phases, to_jsonl, Event, Phase,
+use block_bitmap_migration::migrate::sim::{
+    run_im_traced, run_template_clone_fanin_traced, run_tpm_traced,
 };
+use block_bitmap_migration::prelude::*;
+use block_bitmap_migration::simnet::proto::Category;
+use block_bitmap_migration::telemetry::{from_jsonl, to_jsonl, Event, Fold, Phase, Resource, Side};
 
-/// Satellite: the report's phase timings and the journal are two views of
-/// one accounting. Reconstructing `PhaseDurations` from the journal's
-/// span events must reproduce `MigrationReport.phases` *exactly* (f64
-/// equality, not approximate): both sides compute
-/// `(end_nanos - start_nanos) as f64 / 1e9` over the same instants.
+/// The fold of `rec`'s journal, after a trip through JSONL.
+fn journal_fold(rec: &Recorder) -> Fold {
+    let text = to_jsonl(&rec.export());
+    let records = from_jsonl(&text).expect("journal parses back");
+    assert_eq!(
+        to_jsonl(&records),
+        text,
+        "JSONL round-trip altered the journal"
+    );
+    Fold::of_journal(&records).expect("a whole journal folds")
+}
+
+/// A simulated run's journal folds to its report: phases, both iteration
+/// tables and the post-copy counts, bit for bit (f64 equality).
+fn assert_sim_journal_folds_to(rec: &Recorder, out: &TpmOutcome) {
+    let fold = journal_fold(rec);
+    let r = &out.report;
+    let folded = (
+        fold.phases(),
+        fold.iterations(Resource::Disk),
+        fold.iterations(Resource::Memory),
+        fold.postcopy_blocks(),
+        fold.phases().postcopy_secs,
+    );
+    let reported = (
+        r.phases,
+        &r.disk_iterations[..],
+        &r.mem_iterations[..],
+        [r.postcopy.pushed, r.postcopy.pulled, r.postcopy.dropped],
+        r.postcopy.duration_secs,
+    );
+    assert_eq!(folded, reported, "{} / {}", r.scheme, r.workload);
+    assert_eq!(fold, out.fold);
+}
+
+/// TPM under a web and a diabolical guest, the IM hop back, and the
+/// template fan-in: each journal folds to its report.
 #[test]
-fn sim_journal_reconstructs_report_phases_exactly() {
+fn sim_journals_fold_to_their_reports() {
+    let cfg = MigrationConfig::small();
+    for kind in [WorkloadKind::Web, WorkloadKind::Diabolical] {
+        let rec = Recorder::enabled();
+        let out = run_tpm_traced(cfg.clone(), kind, rec.clone());
+        assert!(out.report.consistent);
+        assert_sim_journal_folds_to(&rec, &out);
+        if kind == WorkloadKind::Web {
+            let mut out = out;
+            dwell(&mut out, &cfg, SimDuration::from_secs(5));
+            let rec = Recorder::enabled();
+            let back = run_im_traced(cfg.clone(), out, rec.clone());
+            assert!(back.report.consistent);
+            assert_eq!(back.report.scheme, "im");
+            assert_sim_journal_folds_to(&rec, &back);
+        }
+    }
+    let mut diverged = FlatBitmap::new(cfg.disk_blocks);
+    for b in (0..cfg.disk_blocks).step_by(12) {
+        diverged.set(b);
+    }
     let rec = Recorder::enabled();
+    let out = run_template_clone_fanin_traced(cfg, WorkloadKind::Idle, diverged, 4, rec.clone());
+    assert!(out.report.consistent && out.report.multisource.plans > 0);
+    assert_sim_journal_folds_to(&rec, &out);
+}
+
+/// A journal the recorder's bound cut ends in `JournalDropped`, and the
+/// fold refuses it, naming what was dropped, rather than reading the
+/// spans it lost as zero.
+#[test]
+fn an_overflowed_journal_refuses_to_fold() {
+    let rec = Recorder::new(8);
     let out = run_tpm_traced(MigrationConfig::small(), WorkloadKind::Web, rec.clone());
     assert!(out.report.consistent);
-
-    // The journal must survive a serde round-trip bit for bit.
-    let records = rec.records();
-    assert!(!records.is_empty(), "traced run recorded nothing");
-    let back = from_jsonl(&to_jsonl(&records)).expect("journal parses back");
-    assert_eq!(back, records, "JSONL round-trip altered the journal");
-
-    let phases = reconstruct_phases(&back);
-    let report = &out.report.phases;
-    assert_eq!(phases.disk_precopy_secs, report.disk_precopy_secs);
-    assert_eq!(phases.mem_precopy_secs, report.mem_precopy_secs);
-    assert_eq!(phases.freeze_secs, report.freeze_secs);
-    assert_eq!(phases.postcopy_secs, report.postcopy_secs);
-
-    // Per-iteration journal entries mirror the report's iteration tables.
-    let disk_iters: Vec<u64> = records
-        .iter()
-        .filter_map(|r| match &r.event {
-            Event::Iteration {
-                resource: block_bitmap_migration::telemetry::Resource::Disk,
-                units_sent,
-                ..
-            } => Some(*units_sent),
-            _ => None,
-        })
-        .collect();
-    let report_iters: Vec<u64> = out
-        .report
-        .disk_iterations
-        .iter()
-        .map(|i| i.units_sent)
-        .collect();
-    assert_eq!(disk_iters, report_iters);
+    let records = from_jsonl(&to_jsonl(&rec.export())).expect("parses");
+    assert_eq!(records.len(), 9);
+    let n = rec.dropped();
+    assert!(n > 0);
+    assert_eq!(records[8].event, Event::JournalDropped { n });
+    let err = Fold::of_journal(&records).expect_err("a cut journal must not fold");
+    assert!(err.contains(&format!("dropped {n} records")), "{err}");
 }
 
 /// Satellite (§III-A ordering): a destination write cancels
@@ -102,59 +141,71 @@ fn sim_journal_cancellation_precedes_no_transfer() {
     );
 }
 
-/// Live satellite: the journal's freeze span *is* the measured downtime.
-/// Source and destination stamp the freeze boundary events at the exact
-/// suspend/resume instants against a shared epoch, so the reconstructed
-/// span equals `LiveOutcome::downtime` to the nanosecond.
+/// A live run's journal folds to its outcome: the account both protocol
+/// threads kept, merged, and every `LiveOutcome` field read off it —
+/// downtime, both iteration lists, post-copy counts, reconnects — over
+/// the in-process link, over loopback TCP, and under resets that force
+/// reconnects.
 #[test]
-fn live_journal_freeze_span_equals_downtime() {
-    let cfg = LiveConfig {
-        num_blocks: 16_384,
-        telemetry: Recorder::enabled(),
-        seed: 41,
-        ..LiveConfig::test_default()
-    };
-    let out = run_live(&cfg, LiveRun::default()).expect("migration completes");
-    assert_eq!(out.read_violations, 0);
+fn live_journals_fold_to_their_outcomes() {
+    let resets = FaultPlan::none()
+        .reset_after_category(0, Category::DiskPrecopy, 20)
+        .reset_after_category(1, Category::DiskPush, 5);
+    for (tcp, faults) in [
+        (false, FaultPlan::none()),
+        (true, FaultPlan::none()),
+        (false, resets),
+    ] {
+        let cfg = LiveConfig {
+            num_blocks: 16_384,
+            telemetry: Recorder::enabled(),
+            seed: 41,
+            min_guest_ticks: 25,
+            retry: RetryPolicy {
+                max_reconnects: 4,
+                ..RetryPolicy::default()
+            },
+            ..LiveConfig::test_default()
+        };
+        let reconnecting = faults != FaultPlan::none();
+        let out = run_live(
+            &cfg,
+            LiveRun {
+                faults,
+                tcp,
+                ..LiveRun::default()
+            },
+        )
+        .expect("migration completes");
+        assert_eq!(out.read_violations, 0);
+        assert!(out.inconsistent_blocks().is_empty());
 
-    let records = cfg.telemetry.records();
-    let back = from_jsonl(&to_jsonl(&records)).expect("journal parses back");
-    assert_eq!(back, records);
-
-    let freeze = phase_span_nanos(&back, Phase::Freeze).expect("freeze span recorded");
-    assert_eq!(
-        u128::from(freeze),
-        out.downtime.as_nanos(),
-        "journal freeze span must equal the engine's measured downtime"
-    );
-
-    // Every phase ran and is visible in the journal.
-    for phase in [Phase::DiskPrecopy, Phase::MemPrecopy, Phase::PostCopy] {
-        assert!(
-            phase_span_nanos(&back, phase).is_some(),
-            "{phase:?} span missing from journal"
+        let fold = journal_fold(&cfg.telemetry);
+        assert_eq!(fold, out.fold, "tcp {tcp}, reconnecting {reconnecting}");
+        let units = |r| -> Vec<u64> { fold.iterations(r).iter().map(|i| i.units_sent).collect() };
+        let freeze = fold.span_nanos(Phase::Freeze).expect("freeze span");
+        assert_eq!(
+            (
+                u128::from(freeze),
+                units(Resource::Disk),
+                units(Resource::Memory),
+                fold.postcopy_blocks(),
+                fold.reconnects(Side::Source),
+            ),
+            (
+                out.downtime.as_nanos(),
+                out.iterations.clone(),
+                out.mem_iterations.clone(),
+                [out.pushed, out.pulled, out.dropped],
+                u64::from(out.reconnects),
+            )
         );
-    }
-
-    // A clean transport journals no incidents.
-    assert!(!back.iter().any(|r| matches!(
-        r.event,
-        Event::Reconnect { .. } | Event::FaultInjected { .. }
-    )));
-
-    // Post-copy block events account for the engine's own counts.
-    let (mut pushed, mut pulled, mut dropped) = (0u64, 0u64, 0u64);
-    for r in &back {
-        match r.event {
-            Event::BlockPushed { .. } => pushed += 1,
-            Event::BlockPulled { .. } => pulled += 1,
-            Event::BlockDropped { .. } => dropped += 1,
-            _ => {}
+        // Every phase ran; only the faulted run reconnected.
+        for phase in [Phase::DiskPrecopy, Phase::MemPrecopy, Phase::PostCopy] {
+            assert!(fold.span_nanos(phase).is_some(), "{phase:?} span missing");
         }
+        assert_eq!(out.reconnects > 0, reconnecting);
     }
-    assert_eq!(pushed, out.pushed);
-    assert_eq!(pulled, out.pulled);
-    assert_eq!(dropped, out.dropped);
 }
 
 /// PR-7 acceptance: the content-aware data plane is deterministic end to
