@@ -18,16 +18,14 @@
 //!   bitmap eliminates by construction.
 
 use block_bitmap::{DirtyMap, FlatBitmap};
-use des::{SimDuration, SimRng, SimTime};
+use des::{SimDuration, SimTime};
 use simnet::capacity::seek_aware_share;
-use simnet::proto::{Category, TransferLedger, FRAME_OVERHEAD};
-use vdisk::MetaDisk;
-use vmstate::{CpuState, GuestMemory};
-use workloads::probe::ThroughputProbe;
-use workloads::{OpKind, Workload, WorkloadKind};
+use simnet::proto::{Category, TransferLedger};
+use workloads::{OpKind, WorkloadKind};
 
+use crate::phase::{batch_wire, frame_wire, units_wire, DirtyTracker, PAGE_SIZE};
 use crate::report::{IterationStats, MigrationReport, PhaseTimings, PostCopyStats};
-use crate::sim::{DirtyTracker, PostCopyConfig};
+use crate::sim::{PostCopyConfig, TpmEngine};
 use crate::MigrationConfig;
 
 /// Availability of the migrated system when it depends on `n` machines
@@ -38,49 +36,26 @@ pub fn dependent_availability(p: f64, machines: u32) -> f64 {
     p.powi(machines as i32)
 }
 
-struct BaselineWorld {
-    cfg: MigrationConfig,
-    workload: Box<dyn Workload>,
-    rng: SimRng,
-    now: SimTime,
-    src_disk: MetaDisk,
-    dst_disk: MetaDisk,
-    src_mem: GuestMemory,
-    dst_mem: GuestMemory,
-    cpu: CpuState,
-    ledger: TransferLedger,
-    probe: ThroughputProbe,
-}
-
-impl BaselineWorld {
-    fn new(cfg: MigrationConfig, kind: WorkloadKind) -> Self {
-        cfg.validate();
-        let mut rng = SimRng::new(cfg.seed);
-        let workload = kind.build(cfg.disk_blocks as u64);
-        let mut src_disk = MetaDisk::new(cfg.disk_blocks);
-        for b in 0..cfg.disk_blocks {
-            src_disk.write(b);
+/// The baselines run on the TPM engine's substrate: its installed guest,
+/// its clock, its ledger and probe.
+impl TpmEngine {
+    /// End a live memory copy of `mem_bytes`: the pages land, the guest
+    /// suspends for the CPU context alone and resumes. Returns the
+    /// downtime.
+    fn hand_over_memory(&mut self, mem_bytes: u64) -> SimDuration {
+        for p in 0..self.cfg.mem_pages {
+            self.dst_mem.copy_page_from(&self.src_mem, p);
         }
-        let mut src_mem = GuestMemory::new(4096, cfg.mem_pages);
-        for p in 0..cfg.mem_pages {
-            src_mem.touch(p);
-        }
-        src_mem.drain_dirty();
-        let mut cpu = CpuState::new(cfg.vcpus);
-        cpu.scribble(rng.next_u64());
-        Self {
-            dst_disk: MetaDisk::new(cfg.disk_blocks),
-            dst_mem: GuestMemory::new(4096, cfg.mem_pages),
-            workload,
-            rng,
-            now: SimTime::ZERO,
-            src_disk,
-            src_mem,
-            cpu,
-            ledger: TransferLedger::new(),
-            probe: ThroughputProbe::new(),
-            cfg,
-        }
+        let cpu = self.cpu.size_bytes() as u64;
+        self.ledger.add(Category::Memory, frame_wire(mem_bytes));
+        self.ledger.add(Category::Cpu, frame_wire(cpu));
+        let downtime = self.cfg.suspend_overhead
+            + SimDuration::from_secs_f64(cpu as f64 / self.cfg.migration_net_rate())
+            + self.cfg.link.latency()
+            + self.cfg.resume_overhead;
+        self.probe.record(self.now, 0.0);
+        self.now += downtime;
+        downtime
     }
 
     fn empty_report(&self, scheme: &str) -> MigrationReport {
@@ -110,16 +85,23 @@ impl BaselineWorld {
 /// Freeze-and-copy (Internet Suspend/Resume): suspend, move everything,
 /// resume. Downtime equals total migration time.
 pub fn run_freeze_and_copy(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationReport {
-    let mut w = BaselineWorld::new(cfg, kind);
-    let bs = w.cfg.block_size;
-    let rate = w.cfg.disk_stream_demand(); // the pipeline ceiling still applies
-    let disk_bytes = w.cfg.disk_blocks as u64 * (bs + 8) + FRAME_OVERHEAD;
-    let mem_bytes = w.cfg.mem_pages as u64 * (4096 + 8) + FRAME_OVERHEAD;
-    let cpu_bytes = w.cpu.size_bytes() as u64 + FRAME_OVERHEAD;
+    let w = TpmEngine::new(cfg, kind);
+    let all = FlatBitmap::all_set(w.cfg.disk_blocks);
+    freeze_copy(w, &all, "freeze-and-copy")
+}
 
-    // VM is down for the entire transfer.
+/// Stop the guest, copy `blocks`, all of memory and the CPU context, and
+/// resume it: the VM is down for the whole transfer.
+fn freeze_copy(mut w: TpmEngine, blocks: &FlatBitmap, scheme: &str) -> MigrationReport {
+    let bs = w.cfg.block_size;
+    let n = blocks.count_ones() as u64;
+    let rate = w.cfg.disk_stream_demand(); // the pipeline ceiling still applies
+    let disk_bytes = batch_wire(n, bs, 0);
+    let mem_bytes = batch_wire(w.cfg.mem_pages as u64, PAGE_SIZE, 0);
+    let cpu_bytes = frame_wire(w.cpu.size_bytes() as u64);
+
     w.probe.record(w.now, 0.0);
-    for b in 0..w.cfg.disk_blocks {
+    for b in blocks.iter_set() {
         w.dst_disk.copy_block_from(&w.src_disk, b);
     }
     for p in 0..w.cfg.mem_pages {
@@ -130,7 +112,7 @@ pub fn run_freeze_and_copy(cfg: MigrationConfig, kind: WorkloadKind) -> Migratio
     w.ledger.add(Category::Cpu, cpu_bytes);
     let total_bytes = disk_bytes + mem_bytes + cpu_bytes;
     let downtime = w.cfg.suspend_overhead
-        + SimDuration::from_secs_f64(total_bytes as f64 / rate.min(w.cfg.migration_net_rate()))
+        + SimDuration::from_secs_f64(total_bytes as f64 / rate)
         + w.cfg.link.latency()
         + w.cfg.resume_overhead;
     w.now += downtime;
@@ -144,14 +126,14 @@ pub fn run_freeze_and_copy(cfg: MigrationConfig, kind: WorkloadKind) -> Migratio
         ledger: w.ledger.clone(),
         disk_iterations: vec![IterationStats {
             index: 1,
-            units_sent: w.cfg.disk_blocks as u64,
-            bytes: w.cfg.disk_blocks as u64 * bs,
+            units_sent: n,
+            bytes: n * bs,
             duration_secs: downtime.as_secs_f64(),
             dirty_at_end: 0,
         }],
         timeline: w.probe.samples().to_vec(),
         consistent,
-        ..w.empty_report("freeze-and-copy")
+        ..w.empty_report(scheme)
     }
 }
 
@@ -164,12 +146,12 @@ pub fn run_on_demand(
     kind: WorkloadKind,
     horizon: SimDuration,
 ) -> MigrationReport {
-    let mut w = BaselineWorld::new(cfg, kind);
+    let mut w = TpmEngine::new(cfg, kind);
 
     // Live memory pre-copy (simplified single pass + remainder, which is
     // what matters for downtime parity with shared-storage migration).
     let net = w.cfg.migration_net_rate();
-    let mem_bytes = w.cfg.mem_pages as u64 * (4096 + 8);
+    let mem_bytes = units_wire(w.cfg.mem_pages as u64, PAGE_SIZE);
     let mem_time = SimDuration::from_secs_f64(mem_bytes as f64 / net);
     // Guest runs normally during the memory copy.
     let solo = w.workload.disk_demand().min(w.cfg.disk_capacity);
@@ -189,40 +171,13 @@ pub fn run_on_demand(
         t += dt;
         w.now += dt;
     }
-    for p in 0..w.cfg.mem_pages {
-        w.dst_mem.copy_page_from(&w.src_mem, p);
-    }
-    w.ledger.add(Category::Memory, mem_bytes + FRAME_OVERHEAD);
-    w.ledger
-        .add(Category::Cpu, w.cpu.size_bytes() as u64 + FRAME_OVERHEAD);
-
-    let downtime = w.cfg.suspend_overhead
-        + SimDuration::from_secs_f64(w.cpu.size_bytes() as f64 / net)
-        + w.cfg.link.latency()
-        + w.cfg.resume_overhead;
-    w.probe.record(w.now, 0.0);
-    w.now += downtime;
+    let downtime = w.hand_over_memory(mem_bytes);
     let t_resume = w.now;
 
     // Every block is remote; pulls only.
     let all_remote = FlatBitmap::all_set(w.cfg.disk_blocks);
     let mut dead_tracker = DirtyTracker::new(w.cfg.bitmap, w.cfg.disk_blocks);
-    let (w_share, pull_rate) = seek_aware_share(
-        w.cfg.disk_capacity,
-        w.cfg.seek_penalty,
-        w.workload.disk_demand(),
-        w.cfg.disk_stream_demand(),
-    );
-    let pc = PostCopyConfig {
-        block_size: w.cfg.block_size,
-        push_rate: pull_rate.max(1.0),
-        workload_share: w_share,
-        latency: w.cfg.link.latency(),
-        push_batch: 32,
-        slice: SimDuration::from_millis(20),
-        horizon,
-        push_enabled: false,
-    };
+    let pc = PostCopyConfig::of(&w.cfg, w.workload.disk_demand(), horizon, false);
     let mut rng = w.rng.fork(1);
     let out = crate::sim::run_postcopy(
         pc,
@@ -275,55 +230,14 @@ pub fn run_collective(
         cfg.disk_blocks,
         "CoW bitmap must cover the whole disk"
     );
-    let mut w = BaselineWorld::new(cfg, kind);
+    let mut w = TpmEngine::new(cfg, kind);
     // Both ends share the base image; the source then diverges on the
     // CoW-captured blocks.
     w.dst_disk = w.src_disk.clone();
     for b in cow_dirty.iter_set() {
         w.src_disk.write(b);
     }
-    let bs = w.cfg.block_size;
-    let rate = w.cfg.disk_stream_demand().min(w.cfg.migration_net_rate());
-    let diff_blocks = cow_dirty.count_ones() as u64;
-    let disk_bytes = diff_blocks * (bs + 8) + FRAME_OVERHEAD;
-    let mem_bytes = w.cfg.mem_pages as u64 * (4096 + 8) + FRAME_OVERHEAD;
-    let cpu_bytes = w.cpu.size_bytes() as u64 + FRAME_OVERHEAD;
-
-    w.probe.record(w.now, 0.0);
-    for b in cow_dirty.iter_set() {
-        w.dst_disk.copy_block_from(&w.src_disk, b);
-    }
-    for p in 0..w.cfg.mem_pages {
-        w.dst_mem.copy_page_from(&w.src_mem, p);
-    }
-    w.ledger.add(Category::DiskPrecopy, disk_bytes);
-    w.ledger.add(Category::Memory, mem_bytes);
-    w.ledger.add(Category::Cpu, cpu_bytes);
-    let total_bytes = disk_bytes + mem_bytes + cpu_bytes;
-    let downtime = w.cfg.suspend_overhead
-        + SimDuration::from_secs_f64(total_bytes as f64 / rate)
-        + w.cfg.link.latency()
-        + w.cfg.resume_overhead;
-    w.now += downtime;
-    w.probe.record(w.now, 0.0);
-
-    let consistent = w.src_disk.content_equals(&w.dst_disk) && w.src_mem.content_equals(&w.dst_mem);
-    MigrationReport {
-        total_time_secs: downtime.as_secs_f64(),
-        downtime_ms: downtime.as_millis_f64(),
-        disruption_secs: downtime.as_secs_f64(),
-        ledger: w.ledger.clone(),
-        disk_iterations: vec![IterationStats {
-            index: 1,
-            units_sent: diff_blocks,
-            bytes: diff_blocks * bs,
-            duration_secs: downtime.as_secs_f64(),
-            dirty_at_end: 0,
-        }],
-        timeline: w.probe.samples().to_vec(),
-        consistent,
-        ..w.empty_report("collective")
-    }
+    freeze_copy(w, cow_dirty, "collective")
 }
 
 /// Bradford-style delta-queue migration: one disk pass with every
@@ -331,7 +245,7 @@ pub fn run_collective(
 /// blocks until the remaining queue replays. Reports the redundant bytes
 /// and the I/O-blocked time that TPM avoids.
 pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationReport {
-    let mut w = BaselineWorld::new(cfg, kind);
+    let mut w = TpmEngine::new(cfg, kind);
     let bs = w.cfg.block_size;
 
     // ---- single disk pass with write forwarding ----
@@ -355,8 +269,7 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
         for b in sent..sent + n {
             w.dst_disk.copy_block_from(&w.src_disk, b as usize);
         }
-        w.ledger
-            .add(Category::DiskPrecopy, n * (bs + 8) + FRAME_OVERHEAD);
+        w.ledger.add(Category::DiskPrecopy, batch_wire(n, bs, 0));
         sent += n;
         // Guest writes become deltas on the wire (including rewrites).
         ops.clear();
@@ -382,20 +295,9 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
 
     // ---- memory copy + freeze (Xen-equivalent, simplified) ----
     let net = w.cfg.migration_net_rate();
-    let mem_bytes = w.cfg.mem_pages as u64 * (4096 + 8);
+    let mem_bytes = units_wire(w.cfg.mem_pages as u64, PAGE_SIZE);
     w.now += SimDuration::from_secs_f64(mem_bytes as f64 / net);
-    for p in 0..w.cfg.mem_pages {
-        w.dst_mem.copy_page_from(&w.src_mem, p);
-    }
-    w.ledger.add(Category::Memory, mem_bytes + FRAME_OVERHEAD);
-    w.ledger
-        .add(Category::Cpu, w.cpu.size_bytes() as u64 + FRAME_OVERHEAD);
-    let downtime = w.cfg.suspend_overhead
-        + SimDuration::from_secs_f64(w.cpu.size_bytes() as f64 / net)
-        + w.cfg.link.latency()
-        + w.cfg.resume_overhead;
-    w.probe.record(w.now, 0.0);
-    w.now += downtime;
+    let downtime = w.hand_over_memory(mem_bytes);
 
     // ---- replay: destination I/O blocked until the queue drains ----
     // Deltas apply at local disk speed; the queue at resume is whatever

@@ -68,21 +68,6 @@ impl RetryPolicy {
     }
 }
 
-/// The pre-copy stop rule (§IV-A-1) every engine applies after each
-/// pass, disk and memory alike: stop once the pass left at most
-/// `threshold` units dirty (converged), once it was pass `max_passes`
-/// (capped), or once the guest dirtied at least as many units as the
-/// pass sent — a dirty rate the transfer cannot outrun.
-pub fn precopy_stops(
-    pass: u32,
-    max_passes: u32,
-    sent: u64,
-    dirty: usize,
-    threshold: usize,
-) -> bool {
-    dirty <= threshold || pass >= max_passes || (sent > 0 && dirty as u64 >= sent)
-}
-
 /// Which bitmap structure tracks dirty blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BitmapKind {
@@ -302,21 +287,6 @@ mod tests {
         // A limit above the link speed has no effect.
         c.rate_limit = Some(1e12);
         assert_eq!(c.migration_net_rate(), c.link.bandwidth());
-    }
-
-    #[test]
-    fn precopy_stops_on_convergence_cap_or_a_dirty_rate_it_cannot_outrun() {
-        // Converged: at most the threshold left dirty.
-        assert!(precopy_stops(1, 8, 1000, 64, 64));
-        assert!(!precopy_stops(1, 8, 1000, 65, 64));
-        // Capped: the last permitted pass stops whatever it left.
-        assert!(precopy_stops(8, 8, 1000, 900, 64));
-        // Not converging: the pass dirtied at least what it sent.
-        assert!(precopy_stops(2, 8, 1609, 2048, 256));
-        assert!(precopy_stops(2, 8, 500, 500, 256));
-        assert!(!precopy_stops(2, 8, 501, 500, 256));
-        // A pass that sent nothing proves nothing about the rate.
-        assert!(!precopy_stops(1, 8, 0, 500, 256));
     }
 
     #[test]

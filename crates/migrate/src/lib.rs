@@ -34,6 +34,9 @@
 //! * [`live`] — a real multi-threaded userspace prototype: actual byte
 //!   disks, actual concurrent workload writes, actual channel transport —
 //!   the paper's `blkd`/`blkback` architecture reproduced in userspace.
+//! * [`phase`] — the §IV phase machine the three engines drive: the stop
+//!   rule, what the freeze sends, the post-copy push set and resume
+//!   reconciliation, with the wire booking the virtual-time engines use.
 //! * [`baselines`] — freeze-and-copy (Internet Suspend/Resume), pure
 //!   on-demand fetching, and Bradford-style delta forward-and-replay, for
 //!   the related-work comparisons of §II.
@@ -44,10 +47,11 @@
 pub mod baselines;
 mod config;
 pub mod live;
+pub mod phase;
 mod report;
 pub mod sim;
 
-pub use config::{precopy_stops, BitmapKind, MigrationConfig, RetryPolicy};
+pub use config::{BitmapKind, MigrationConfig, RetryPolicy};
 pub use report::{
     IterationStats, MigrationReport, MultiSourceReport, PeerBytes, PhaseTimings, PostCopyStats,
 };

@@ -1,9 +1,10 @@
 //! The source half of the protocol (the paper's `xc_linux_save` with
 //! `blkd`): disk pre-copy under the block-bitmap, memory pre-copy, the
 //! freeze that ships the bitmap instead of the blocks, and the post-copy
-//! push loop that answers pulls first. All progress lives in
-//! [`SourceState`], outside any connection; [`reconcile_source`] folds a
-//! reconnecting destination's receipt report into it.
+//! push loop that answers pulls first. Every decision among them is the
+//! [`PhaseMachine`]'s; this shell moves the frames. All progress lives in
+//! [`SourceState`], outside any connection, where each reconnecting
+//! destination's receipt report is folded in.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,7 +13,7 @@ use block_bitmap::{ser, AtomicBitmap, DirtyMap, FlatBitmap};
 use bytes::Bytes;
 use simnet::proto::{MigMessage, ResumePhase, TransferLedger};
 use simnet::transport::{Transport, TransportError};
-use telemetry::{Event, Fold, Phase, Resource, Side};
+use telemetry::{Event, Fold, Phase, Side};
 use vdisk::{hash_block, FingerprintSet, TrackedDisk, TrackerHandle};
 use vmstate::LiveRam;
 
@@ -24,48 +25,32 @@ use crate::live::plane::{
     read_batch, send_disk_worklist, send_page_worklist, sync_barrier, DedupCtx,
 };
 use crate::live::{fingerprinting_pays, Connector, DriverCtl, LiveConfig, MigrationError};
-use crate::precopy_stops;
-
-/// Where the source protocol stands; advanced only on confirmed sends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum SrcPhase {
-    #[default]
-    DiskPrecopy,
-    MemPrecopy,
-    Frozen,
-    PostCopy,
-}
+use crate::phase::{requeue, PhaseMachine, Queues, Receipt, StopRule, Voice, Worklist};
 
 /// All source-side progress, held *outside* any connection so a dead
 /// transport loses nothing but in-flight frames.
 #[derive(Default)]
 pub(super) struct SourceState {
-    phase: SrcPhase,
+    /// Where the protocol stands; advanced only on confirmed sends.
+    machine: PhaseMachine,
     session_id: u64,
     /// An inherited block-bitmap opened the run (§V): told to the
     /// destination in every [`MigMessage::SessionHello`].
     incremental: bool,
     prepared: bool,
+    /// The worklists, and what this session shipped of them.
+    q: Queues,
     // Disk pre-copy.
-    disk_worklist: Vec<usize>,
-    disk_resend: Vec<usize>,
-    session_disk_shipped: FlatBitmap,
     pub(super) iter_bm: Arc<AtomicBitmap>,
     pub(super) tracker: Option<TrackerHandle>,
     converged_at_tick: Option<u64>,
     // Memory pre-copy.
     mem_started: bool,
-    mem_worklist: Vec<usize>,
-    session_mem_shipped: FlatBitmap,
     // Freeze.
-    dest_suspended: bool,
     suspended: bool,
     frozen_bitmap: FlatBitmap,
     pub(super) frozen_dirty: u64,
-    tail_worklist: Vec<usize>,
     pub(super) frozen_mem_dirty: u64,
-    // Post-copy: what is still to push.
-    src_bm: FlatBitmap,
     // Wire optimizations (per-session agreement, run-wide savings).
     pub(super) ctx: DedupCtx,
     // Accounting: the source's events folded, and what no event carries.
@@ -77,38 +62,28 @@ pub(super) struct SourceState {
 impl SourceState {
     pub(super) fn new(cfg: &LiveConfig, initial_bitmap: Option<&FlatBitmap>) -> Self {
         Self {
+            machine: PhaseMachine::new(
+                Voice::Engine,
+                StopRule::new(cfg.max_iterations, cfg.dirty_threshold),
+                StopRule::new(cfg.max_mem_iterations, cfg.mem_dirty_threshold),
+            ),
             session_id: cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
             incremental: initial_bitmap.is_some(),
-            disk_worklist: match initial_bitmap {
-                Some(bm) => bm.to_indices(),
-                None => (0..cfg.num_blocks).collect(),
+            q: Queues {
+                disk: match initial_bitmap {
+                    Some(bm) => bm.to_indices(),
+                    None => (0..cfg.num_blocks).collect(),
+                },
+                shipped: [
+                    FlatBitmap::new(cfg.num_blocks),
+                    FlatBitmap::new(cfg.mem_pages),
+                ],
+                ..Queues::default()
             },
-            session_disk_shipped: FlatBitmap::new(cfg.num_blocks),
             iter_bm: Arc::new(AtomicBitmap::new(cfg.num_blocks)),
-            session_mem_shipped: FlatBitmap::new(cfg.mem_pages),
             ..Self::default()
         }
     }
-}
-
-/// Union of `extra` indices and a `current` worklist, deduplicated and
-/// sorted via a scratch bitmap over `nbits` slots.
-fn merged_worklist(
-    nbits: usize,
-    extra: impl IntoIterator<Item = usize>,
-    current: &[usize],
-) -> Vec<usize> {
-    let mut bm = FlatBitmap::new(nbits);
-    for b in extra.into_iter().chain(current.iter().copied()) {
-        bm.set(b);
-    }
-    bm.to_indices()
-}
-
-/// Indices marked in `shipped` but not in `got`: sent during the failed
-/// session with no proof of delivery, hence owed on resume.
-fn owed_indices(shipped: &FlatBitmap, got: &FlatBitmap) -> Vec<usize> {
-    shipped.iter_set().filter(|&b| !got.get(b)).collect()
 }
 
 /// Drive the source protocol to completion. On failure the error is
@@ -123,13 +98,7 @@ pub(super) fn source_protocol<C: Connector>(
     ctl: &DriverCtl,
     mut st: SourceState,
 ) -> Result<SourceState, (MigrationError, Option<Box<SourceState>>)> {
-    st.fold.emit(
-        &cfg.telemetry,
-        Event::PhaseStart {
-            side: Side::Source,
-            phase: Phase::DiskPrecopy,
-        },
-    );
+    st.machine.start(|e| st.fold.emit(&cfg.telemetry, e));
     let sessions = run_sessions(cfg, Side::Source, &mut connector, |ep, attempt| {
         run_source_session(cfg, disk, ram, ep, ctl, &mut st, attempt)
     });
@@ -220,11 +189,40 @@ fn run_source_session<T: Transport>(
         };
         // Sized for the summary plus what this session will ship in
         // full, so the first pass does not rehash its way up.
-        st.ctx.known_remote =
-            FingerprintSet::with_capacity(fingerprints.len() + st.disk_worklist.len());
+        st.ctx.known_remote = FingerprintSet::with_capacity(fingerprints.len() + st.q.disk.len());
         st.ctx.known_remote.extend(fingerprints);
     }
-    reconcile_source(cfg, st, attempt, dest_phase, &disk_bitmap, &mem_bitmap)?;
+    // Fold the receipt in: the machine decides what the failed session
+    // left owed and where the source restarts.
+    let receipt = match dest_phase {
+        ResumePhase::AwaitPrepare if st.prepared => {
+            return Err(protocol_err(
+                "handshake",
+                "destination lost its prepared state".to_string(),
+            ))
+        }
+        ResumePhase::AwaitPrepare => Receipt::Unprepared,
+        ResumePhase::Precopy | ResumePhase::Frozen => Receipt::Got(
+            decode_bitmap("handshake", &disk_bitmap, cfg.num_blocks)?,
+            decode_bitmap("handshake", &mem_bitmap, cfg.mem_pages)?,
+            dest_phase == ResumePhase::Frozen,
+        ),
+        ResumePhase::PostCopy => {
+            Receipt::StillNeeded(decode_bitmap("handshake", &disk_bitmap, cfg.num_blocks)?)
+        }
+    };
+    let owed = st
+        .machine
+        .reconcile(receipt, &mut st.q)
+        .map_err(|why| protocol_err("handshake", why.to_string()))?;
+    // Only actual resumes contribute a resume_owed entry; the initial
+    // handshake has nothing owed by construction.
+    if attempt > 0 {
+        st.resume_owed.push(owed);
+    }
+    for shipped in &mut st.q.shipped {
+        shipped.clear_all();
+    }
 
     if !st.prepared {
         send_or(
@@ -251,98 +249,13 @@ fn run_source_session<T: Transport>(
     }
 
     loop {
-        match st.phase {
-            SrcPhase::DiskPrecopy => source_disk_precopy(cfg, disk, ep, ctl, st)?,
-            SrcPhase::MemPrecopy => source_mem_precopy(cfg, disk, ram, ep, st)?,
-            SrcPhase::Frozen => source_freeze(cfg, disk, ram, ep, ctl, st)?,
-            SrcPhase::PostCopy => return source_post_copy(cfg, disk, ep, st),
+        match st.machine.phase() {
+            Phase::DiskPrecopy => source_disk_precopy(cfg, disk, ep, ctl, st)?,
+            Phase::MemPrecopy => source_mem_precopy(cfg, disk, ram, ep, st)?,
+            Phase::Freeze => source_freeze(cfg, disk, ram, ep, ctl, st)?,
+            Phase::PostCopy => return source_post_copy(cfg, disk, ep, st),
         }
     }
-}
-
-/// Fold the destination's receipt report into the source state: decide
-/// what the failed session left owed, and where to restart.
-fn reconcile_source(
-    cfg: &LiveConfig,
-    st: &mut SourceState,
-    attempt: u32,
-    dest_phase: ResumePhase,
-    disk_bitmap: &Bytes,
-    mem_bitmap: &Bytes,
-) -> Result<(), SessionError> {
-    // Only actual resumes contribute a resume_owed entry; the initial
-    // handshake has nothing owed by construction.
-    let record_owed = attempt > 0;
-    match dest_phase {
-        ResumePhase::AwaitPrepare => {
-            if st.prepared {
-                return Err(protocol_err(
-                    "handshake",
-                    "destination lost its prepared state".to_string(),
-                ));
-            }
-            // Nothing the destination ever acknowledged: everything the
-            // failed sessions attempted rejoins the worklist.
-            let owed = st.session_disk_shipped.to_indices();
-            if record_owed {
-                st.resume_owed.push(owed.len() as u64);
-            }
-            st.disk_worklist = merged_worklist(cfg.num_blocks, owed, &st.disk_worklist);
-        }
-        ResumePhase::Precopy | ResumePhase::Frozen => {
-            let got_blocks = decode_bitmap("handshake", disk_bitmap, cfg.num_blocks)?;
-            let got_pages = decode_bitmap("handshake", mem_bitmap, cfg.mem_pages)?;
-            let disk_owed = owed_indices(&st.session_disk_shipped, &got_blocks);
-            let mem_owed = owed_indices(&st.session_mem_shipped, &got_pages);
-            if record_owed {
-                st.resume_owed.push(disk_owed.len() as u64);
-            }
-            if dest_phase == ResumePhase::Frozen
-                && matches!(st.phase, SrcPhase::DiskPrecopy | SrcPhase::MemPrecopy)
-            {
-                return Err(protocol_err(
-                    "handshake",
-                    "destination is frozen but the source never suspended".to_string(),
-                ));
-            }
-            match st.phase {
-                SrcPhase::DiskPrecopy => {
-                    st.disk_worklist =
-                        merged_worklist(cfg.num_blocks, disk_owed, &st.disk_worklist);
-                }
-                SrcPhase::MemPrecopy => {
-                    st.disk_resend = merged_worklist(cfg.num_blocks, disk_owed, &st.disk_resend);
-                    st.mem_worklist = merged_worklist(cfg.mem_pages, mem_owed, &st.mem_worklist);
-                }
-                SrcPhase::Frozen | SrcPhase::PostCopy => {
-                    st.disk_resend = merged_worklist(cfg.num_blocks, disk_owed, &st.disk_resend);
-                    st.tail_worklist = merged_worklist(cfg.mem_pages, mem_owed, &st.tail_worklist);
-                    // Post-copy progress is void if the destination never
-                    // resumed: the freeze payloads must go again, and the
-                    // push set reverts to the full frozen bitmap (re-read
-                    // at push time, so content stays current).
-                    st.phase = SrcPhase::Frozen;
-                    st.dest_suspended = dest_phase == ResumePhase::Frozen;
-                }
-            }
-        }
-        ResumePhase::PostCopy => {
-            if st.phase != SrcPhase::PostCopy {
-                return Err(protocol_err(
-                    "handshake",
-                    "destination resumed but the source never shipped the bitmap".to_string(),
-                ));
-            }
-            // The destination's still-needed set is authoritative.
-            st.src_bm = decode_bitmap("handshake", disk_bitmap, cfg.num_blocks)?;
-            if record_owed {
-                st.resume_owed.push(st.src_bm.count_ones() as u64);
-            }
-        }
-    }
-    st.session_disk_shipped.clear_all();
-    st.session_mem_shipped.clear_all();
-    Ok(())
 }
 
 fn source_disk_precopy<T: Transport>(
@@ -355,44 +268,26 @@ fn source_disk_precopy<T: Transport>(
     // Iterative pre-copy. IM: iteration 1 ships only the inherited
     // bitmap's blocks (or everything on a primary migration).
     loop {
-        let iter = st.fold.iterations(Resource::Disk).len() as u32 + 1;
-        let count = st.disk_worklist.len() as u64;
+        let count = st.q.disk.len() as u64;
         let sent_before = st.ctx.wire.bytes_sent;
         send_disk_worklist(
             ep,
             disk,
-            &mut st.disk_worklist,
-            &mut st.session_disk_shipped,
+            &mut st.q.disk,
+            &mut st.q.shipped[0],
             &mut st.ctx,
             cfg,
             "disk pre-copy",
             true,
         )?;
+        let bytes = st.ctx.wire.bytes_sent - sent_before;
         let snap = st.iter_bm.snapshot_and_clear();
-        let dirty = snap.count_ones();
-        st.fold.emit(
-            &cfg.telemetry,
-            Event::Iteration {
-                side: Side::Source,
-                resource: Resource::Disk,
-                index: u64::from(iter),
-                units_sent: count,
-                bytes: st.ctx.wire.bytes_sent - sent_before,
-                dirty_at_end: dirty as u64,
-            },
-        );
-        if precopy_stops(iter, cfg.max_iterations, count, dirty, cfg.dirty_threshold) {
-            // The residual set is NOT sent: it becomes the freeze-phase
-            // bitmap (the paper ships the bitmap, not the blocks).
-            st.frozen_bitmap = snap;
+        let emit = |e| st.fold.emit(&cfg.telemetry, e);
+        let Some(next) = st.machine.end_pass(count, bytes, snap, emit) else {
             st.converged_at_tick = Some(ctl.ticks());
-            st.phase = SrcPhase::MemPrecopy;
-            for event in Event::phase_change(Side::Source, Phase::DiskPrecopy, Phase::MemPrecopy) {
-                st.fold.emit(&cfg.telemetry, event);
-            }
             return Ok(());
-        }
-        st.disk_worklist = snap.to_indices();
+        };
+        st.q.disk = next.to_indices();
     }
 }
 
@@ -409,8 +304,8 @@ fn source_mem_precopy<T: Transport>(
     send_disk_worklist(
         ep,
         disk,
-        &mut st.disk_resend,
-        &mut st.session_disk_shipped,
+        &mut st.q.resend,
+        &mut st.q.shipped[0],
         &mut st.ctx,
         cfg,
         "memory pre-copy",
@@ -418,21 +313,20 @@ fn source_mem_precopy<T: Transport>(
     )?;
     if !st.mem_started {
         ram.enable_tracking();
-        st.mem_worklist = (0..cfg.mem_pages).collect();
+        st.q.mem = (0..cfg.mem_pages).collect();
         st.mem_started = true;
     }
     // Memory pre-copy (disk writes keep accumulating in iter_bm for the
     // freeze bitmap): iteration 1 ships every page, later iterations ship
     // the pages dirtied meanwhile, Xen-style.
     loop {
-        let iter = st.fold.iterations(Resource::Memory).len() as u32 + 1;
-        let count = st.mem_worklist.len() as u64;
+        let count = st.q.mem.len() as u64;
         let sent_before = st.ctx.wire.page_bytes_sent;
         send_page_worklist(
             ep,
             ram,
-            &mut st.mem_worklist,
-            &mut st.session_mem_shipped,
+            &mut st.q.mem,
+            &mut st.q.shipped[1],
             &mut st.ctx,
             cfg,
             "memory pre-copy",
@@ -450,34 +344,12 @@ fn source_mem_precopy<T: Transport>(
                 format!("reference bounce for block {b} with no reference outstanding"),
             ));
         }
-        let dirty = ram.drain_dirty();
-        let remaining = dirty.count_ones();
-        st.fold.emit(
-            &cfg.telemetry,
-            Event::Iteration {
-                side: Side::Source,
-                resource: Resource::Memory,
-                index: u64::from(iter),
-                units_sent: count,
-                bytes: st.ctx.wire.page_bytes_sent - sent_before,
-                dirty_at_end: remaining as u64,
-            },
-        );
-        if precopy_stops(
-            iter,
-            cfg.max_mem_iterations,
-            count,
-            remaining,
-            cfg.mem_dirty_threshold,
-        ) {
-            // The set drained at the convergence decision has NOT been
-            // sent; it must ride into the freeze tail or those pages are
-            // silently lost.
-            st.tail_worklist = merged_worklist(cfg.mem_pages, dirty.to_indices(), &[]);
-            st.phase = SrcPhase::Frozen;
+        let bytes = st.ctx.wire.page_bytes_sent - sent_before;
+        let emit = |e| st.fold.emit(&cfg.telemetry, e);
+        let Some(next) = st.machine.end_pass(count, bytes, ram.drain_dirty(), emit) else {
             return Ok(());
-        }
-        st.mem_worklist = dirty.to_indices();
+        };
+        st.q.mem = next.to_indices();
     }
 }
 
@@ -501,49 +373,43 @@ fn source_freeze<T: Transport>(
         }
         let suspended_at = ctl.request_suspend();
         st.suspended = true;
+        // The writes that raced with the last drains join the freeze.
+        let (raced, raced_pages) = (st.iter_bm.snapshot_and_clear(), ram.drain_dirty());
         // Stamped at the instant the guest stopped: the freeze span, and
         // so the reported downtime, opens there.
-        let side = Side::Source;
-        let [end, start] = Event::phase_change(side, Phase::MemPrecopy, Phase::Freeze);
-        for event in [end, start, Event::Suspended { side }] {
-            st.fold.at_instant(&cfg.telemetry, suspended_at, event);
-        }
-        // Fold in the writes that raced with the last drains.
-        let mut frozen = std::mem::take(&mut st.frozen_bitmap);
-        frozen.union_with(&st.iter_bm.snapshot_and_clear());
+        let emit = |e| st.fold.at_instant(&cfg.telemetry, suspended_at, e);
+        let (frozen, tail) = st.machine.suspend(&raced, Some(&raced_pages), emit);
         if let Some(h) = st.tracker.take() {
             disk.detach_tracker(h);
         }
         st.frozen_dirty = frozen.count_ones() as u64;
         st.frozen_bitmap = frozen;
-        let tail_extra = ram.drain_dirty();
-        st.tail_worklist =
-            merged_worklist(cfg.mem_pages, tail_extra.to_indices(), &st.tail_worklist);
-        st.frozen_mem_dirty = st.tail_worklist.len() as u64;
+        requeue(&mut st.q.tail, tail.iter_set(), cfg.mem_pages);
+        st.frozen_mem_dirty = st.q.tail.len() as u64;
         ram.disable_tracking();
     }
     // Pre-copy disk content still owed from a failed session.
     send_disk_worklist(
         ep,
         disk,
-        &mut st.disk_resend,
-        &mut st.session_disk_shipped,
+        &mut st.q.resend,
+        &mut st.q.shipped[0],
         &mut st.ctx,
         cfg,
         "freeze",
         false,
     )?;
-    if !st.dest_suspended {
+    if !st.q.dest_suspended {
         send_or(ep, "freeze", MigMessage::Suspended)?;
-        st.dest_suspended = true;
+        st.q.dest_suspended = true;
     }
     // Ship the memory tail, the CPU context and the disk bitmap (not the
     // blocks).
     send_page_worklist(
         ep,
         ram,
-        &mut st.tail_worklist,
-        &mut st.session_mem_shipped,
+        &mut st.q.tail,
+        &mut st.q.shipped[1],
         &mut st.ctx,
         cfg,
         "freeze",
@@ -589,13 +455,14 @@ fn source_freeze<T: Transport>(
         encoded_bytes: encoded.len() as u64,
     });
     send_or(ep, "freeze", MigMessage::Bitmap { encoded })?;
-    st.src_bm = st.frozen_bitmap.clone();
-    st.phase = SrcPhase::PostCopy;
+    st.q.push = Worklist::new(st.frozen_bitmap.clone());
+    // The destination journals its own resume.
+    st.machine.resume(|_| {});
     Ok(())
 }
 
 /// Ship one block of the frozen bitmap, pushed or pulled, as the disk
-/// holds it now, and take it off the push set.
+/// holds it now.
 fn send_post_copy_block<T: Transport>(
     cfg: &LiveConfig,
     disk: &TrackedDisk,
@@ -604,7 +471,6 @@ fn send_post_copy_block<T: Transport>(
     b: usize,
     pulled: bool,
 ) -> Result<(), SessionError> {
-    st.src_bm.clear(b);
     let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
     st.ctx.work.blocks_read += 1;
     send_or(
@@ -626,17 +492,13 @@ fn source_post_copy<T: Transport>(
     st: &mut SourceState,
 ) -> Result<(), SessionError> {
     // Push continuously, answer pulls preferentially: every queued
-    // request is answered before the next push. Each session pushes from
-    // the start of what is left; the cursor only passes bits it cleared
-    // and pulls only clear, so once nothing is set from the cursor on,
-    // nothing is set at all.
-    let (mut cursor, mut push_complete_sent) = (0, false);
+    // request is answered before the next push.
+    let mut push_complete_sent = false;
     let mut last_progress = Instant::now();
     loop {
         let msg = match ep.try_recv() {
-            Err(TransportError::Empty) => match st.src_bm.next_set_from(cursor) {
+            Err(TransportError::Empty) => match st.q.push.next(None) {
                 Some(b) => {
-                    cursor = b + 1;
                     send_post_copy_block(cfg, disk, ep, st, b, false)?;
                     continue;
                 }
@@ -672,6 +534,7 @@ fn source_post_copy<T: Transport>(
             // still-needed set, so it is answered like a pull.
             MigMessage::PullRequest { block } | MigMessage::BlockRefMiss { block } => {
                 last_progress = Instant::now();
+                st.q.push.pull(block as usize);
                 send_post_copy_block(cfg, disk, ep, st, block as usize, true)?;
             }
             MigMessage::MigrationComplete => {

@@ -7,17 +7,19 @@ use block_bitmap::{ser, DirtyMap, FlatBitmap};
 use blockstore::{BlockDirectory, FetchPlan, FetchPlanner};
 use des::{SimDuration, SimRng, SimTime};
 use simnet::capacity::seek_aware_share;
-use simnet::proto::{Category, TransferLedger, WireStats, BLOCK_REF_WIRE, FRAME_OVERHEAD};
+use simnet::proto::{Category, TransferLedger, WireStats, BLOCK_REF_WIRE};
 use telemetry::{Event, Fold, Phase, Recorder, Resource, Side};
 use vdisk::MetaDisk;
 use vmstate::{CpuState, Domain, DomainId, GuestMemory, WssModel};
 use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 
+use crate::phase::{
+    batch_wire, fetch_wire, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice, PAGE_SIZE,
+};
 use crate::report::{MigrationReport, MultiSourceReport, PeerBytes, PostCopyStats};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
-use crate::sim::tracker::DirtyTracker;
-use crate::{precopy_stops, MigrationConfig};
+use crate::MigrationConfig;
 
 /// The single migrating VM's id inside the engine's private
 /// [`BlockDirectory`] (the orchestrator uses real VM ids; a lone engine
@@ -424,8 +426,7 @@ impl TpmEngine {
             if n > 0 {
                 // BlockData frames: 16-byte header per block, one frame
                 // envelope per step batch.
-                self.ledger
-                    .add(Category::DiskPull, n * (bs + 16) + FRAME_OVERHEAD);
+                self.ledger.add(Category::DiskPull, fetch_wire(n, bs));
                 if self.cfg.compress {
                     self.wire.bytes_sent += n * bs / 2;
                     self.wire.blocks_compressed += n;
@@ -540,11 +541,11 @@ impl TpmEngine {
             }
             if n > 0 {
                 if AS_REFS {
-                    self.ledger.add(cat, n * BLOCK_REF_WIRE + FRAME_OVERHEAD);
+                    self.ledger.add(cat, batch_wire(0, bs, n));
                     self.wire.bytes_sent += n * BLOCK_REF_WIRE;
                     self.wire.blocks_deduped += n;
                 } else {
-                    self.ledger.add(cat, n * (bs + 8) + FRAME_OVERHEAD);
+                    self.ledger.add(cat, batch_wire(n, bs, 0));
                     if self.cfg.compress {
                         // Modeled 2:1 on residual full payloads — the sim
                         // has no real bytes, so this touches the wire
@@ -573,12 +574,17 @@ impl TpmEngine {
             return (0, 0);
         }
         let rate = self.cfg.migration_net_rate();
-        let page = 4096u64;
         let mut sent = 0u64;
         let mut cursor = 0usize;
         let mut carry = 0.0f64;
         while sent < total {
-            let (dt, n) = pace_step(self.cfg.step, rate, page as f64, total - sent, &mut carry);
+            let (dt, n) = pace_step(
+                self.cfg.step,
+                rate,
+                PAGE_SIZE as f64,
+                total - sent,
+                &mut carry,
+            );
             for _ in 0..n {
                 let p = set
                     .next_set_from(cursor)
@@ -588,12 +594,12 @@ impl TpmEngine {
             }
             if n > 0 {
                 self.ledger
-                    .add(Category::Memory, n * (page + 8) + FRAME_OVERHEAD);
+                    .add(Category::Memory, batch_wire(n, PAGE_SIZE, 0));
             }
             sent += n;
             self.guest_step(dt, self.workload_solo_share());
         }
-        (sent, total * page)
+        (sent, total * PAGE_SIZE)
     }
 
     /// Execute the three phases. Consumes the engine; the guest ends up
@@ -603,15 +609,13 @@ impl TpmEngine {
         self.tracking = true;
         let rec = Arc::clone(&self.recorder);
         let mut fold = Fold::default();
-        let src = Side::Source;
-        fold.at_nanos(
-            &rec,
-            t_start.as_nanos(),
-            Event::PhaseStart {
-                side: src,
-                phase: Phase::DiskPrecopy,
-            },
+        let c = &self.cfg;
+        let mut machine = PhaseMachine::new(
+            Voice::Engine,
+            StopRule::new(c.max_disk_iterations, c.disk_dirty_threshold),
+            StopRule::new(c.max_mem_iterations, c.mem_dirty_threshold),
         );
+        machine.start(|e| fold.at_nanos(&rec, t_start.as_nanos(), e));
 
         // ---------------- Phase 1a: iterative disk pre-copy ----------------
         let mut to_send = match self.initial_to_send.take() {
@@ -621,108 +625,53 @@ impl TpmEngine {
         if let Some(free) = &self.free_blocks {
             to_send.subtract(free);
         }
-        for iter in 1..=self.cfg.max_disk_iterations {
+        loop {
             let (sent, bytes) = self.transfer_disk_set(&to_send, Category::DiskPrecopy);
-            let dirty = self.tracker.drain();
-            let dirty_count = dirty.count_ones();
-            fold.at_nanos(
-                &rec,
-                self.now.as_nanos(),
-                Event::Iteration {
-                    side: src,
-                    resource: Resource::Disk,
-                    index: iter as u64,
-                    units_sent: sent,
-                    bytes,
-                    dirty_at_end: dirty_count as u64,
-                },
-            );
-            if precopy_stops(
-                iter,
-                self.cfg.max_disk_iterations,
-                sent,
-                dirty_count,
-                self.cfg.disk_dirty_threshold,
-            ) {
-                // The final dirty set rides along through the memory phase,
-                // still accumulating, and crosses as the freeze bitmap.
-                self.tracker.merge(&dirty);
-                break;
+            let (at, dirty) = (self.now.as_nanos(), self.tracker.drain());
+            match machine.end_pass(sent, bytes, dirty, |e| fold.at_nanos(&rec, at, e)) {
+                Some(next) => to_send = next,
+                None => break,
             }
-            to_send = dirty;
-        }
-
-        for event in Event::phase_change(src, Phase::DiskPrecopy, Phase::MemPrecopy) {
-            fold.at_nanos(&rec, self.now.as_nanos(), event);
         }
 
         // ---------------- Phase 1b: iterative memory pre-copy --------------
         self.src_mem.drain_dirty(); // everything is sent in pass 1 anyway
         let mut pages_to_send = FlatBitmap::all_set(self.cfg.mem_pages);
-        let mut remaining_pages = FlatBitmap::new(self.cfg.mem_pages);
-        for iter in 1..=self.cfg.max_mem_iterations {
+        loop {
             let (sent, bytes) = self.transfer_mem_set(&pages_to_send);
-            let dirty = self.src_mem.drain_dirty();
-            let dirty_count = dirty.count_ones();
-            fold.at_nanos(
-                &rec,
-                self.now.as_nanos(),
-                Event::Iteration {
-                    side: src,
-                    resource: Resource::Memory,
-                    index: iter as u64,
-                    units_sent: sent,
-                    bytes,
-                    dirty_at_end: dirty_count as u64,
-                },
-            );
-            if precopy_stops(
-                iter,
-                self.cfg.max_mem_iterations,
-                sent,
-                dirty_count,
-                self.cfg.mem_dirty_threshold,
-            ) {
-                remaining_pages = dirty;
-                break;
+            let (at, dirty) = (self.now.as_nanos(), self.src_mem.drain_dirty());
+            match machine.end_pass(sent, bytes, dirty, |e| fold.at_nanos(&rec, at, e)) {
+                Some(next) => pages_to_send = next,
+                None => break,
             }
-            pages_to_send = dirty;
         }
 
         // ---------------- Phase 2: freeze-and-copy -------------------------
         self.domain.suspend().expect("guest was running");
         let t_suspend = self.now;
         let suspend = t_suspend.as_nanos();
-        let [end, start] = Event::phase_change(src, Phase::MemPrecopy, Phase::Freeze);
-        for event in [end, start, Event::Suspended { side: src }] {
-            fold.at_nanos(&rec, suspend, event);
-        }
+        let raced = self.tracker.drain();
+        let (frozen, tail) = machine.suspend(&raced, None, |e| fold.at_nanos(&rec, suspend, e));
         self.probe.record(t_suspend, 0.0);
-        let final_bitmap = self.tracker.drain();
-        let bitmap_encoded_len = ser::encoded_len(&final_bitmap) as u64;
+        let bill = FreezeBill {
+            pages: tail.count_ones() as u64,
+            cpu: self.cpu.size_bytes() as u64,
+            bitmap: ser::encoded_len(&frozen) as u64,
+        };
         rec.record_at_nanos(suspend, || Event::BitmapEncoded {
-            set_bits: final_bitmap.count_ones() as u64,
-            encoded_bytes: bitmap_encoded_len,
+            set_bits: frozen.count_ones() as u64,
+            encoded_bytes: bill.bitmap,
         });
-        let page = 4096u64;
-        let rem_count = remaining_pages.count_ones() as u64;
-        let down_bytes = rem_count * (page + 8)
-            + self.cpu.size_bytes() as u64
-            + bitmap_encoded_len
-            + 3 * FRAME_OVERHEAD;
-        self.ledger
-            .add(Category::Memory, rem_count * (page + 8) + FRAME_OVERHEAD);
-        self.ledger
-            .add(Category::Cpu, self.cpu.size_bytes() as u64 + FRAME_OVERHEAD);
-        self.ledger
-            .add(Category::Bitmap, bitmap_encoded_len + FRAME_OVERHEAD);
-        for p in remaining_pages.iter_set() {
+        for (category, bytes) in bill.frames() {
+            self.ledger.add(category, bytes);
+        }
+        for p in tail.iter_set() {
             self.dst_mem.copy_page_from(&self.src_mem, p);
         }
         let dst_cpu = self.cpu.clone();
         let rate = self.cfg.migration_net_rate();
         let downtime = self.cfg.suspend_overhead
-            + SimDuration::from_secs_f64(down_bytes as f64 / rate)
+            + SimDuration::from_secs_f64(bill.bytes() as f64 / rate)
             + self.cfg.link.latency()
             + self.cfg.resume_overhead;
         self.now += downtime;
@@ -734,37 +683,19 @@ impl TpmEngine {
 
         self.domain.resume().expect("guest was suspended");
         let t_resume = self.now;
-        let dst = Side::Destination;
-        let [end, start] = Event::phase_change(dst, Phase::Freeze, Phase::PostCopy);
-        for event in [end, start, Event::Resumed { side: dst }] {
-            fold.at_nanos(&rec, t_resume.as_nanos(), event);
-        }
+        machine.resume(|e| fold.at_nanos(&rec, t_resume.as_nanos(), e));
 
         // ---------------- Phase 3: push-and-pull post-copy -----------------
         let mut im_tracker = DirtyTracker::new(self.cfg.bitmap, self.cfg.disk_blocks);
-        let (w_share_dst, push_share) = seek_aware_share(
-            self.cfg.disk_capacity,
-            self.cfg.seek_penalty,
-            self.workload.disk_demand(),
-            self.cfg.disk_stream_demand(),
-        );
-        let pc_cfg = PostCopyConfig {
-            block_size: self.cfg.block_size,
-            push_rate: push_share.max(1.0),
-            workload_share: w_share_dst,
-            latency: self.cfg.link.latency(),
-            push_batch: 32,
-            slice: SimDuration::from_millis(20),
-            horizon: self.cfg.postcopy_horizon,
-            push_enabled: true,
-        };
+        let demand = self.workload.disk_demand();
+        let pc_cfg = PostCopyConfig::of(&self.cfg, demand, self.cfg.postcopy_horizon, true);
         let outcome = run_postcopy(
             pc_cfg,
             t_resume,
             &self.src_disk,
             &mut self.dst_disk,
-            final_bitmap.clone(),
-            final_bitmap,
+            frozen.clone(),
+            frozen,
             &mut im_tracker,
             self.workload.as_mut(),
             &mut self.rng,
@@ -778,7 +709,7 @@ impl TpmEngine {
             &rec,
             self.now.as_nanos(),
             Event::PhaseEnd {
-                side: dst,
+                side: Side::Destination,
                 phase: Phase::PostCopy,
             },
         );

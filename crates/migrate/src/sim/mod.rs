@@ -19,8 +19,8 @@
 pub(crate) mod engine;
 mod extensions;
 mod postcopy;
-mod tracker;
 
+pub use crate::phase::DirtyTracker;
 pub use engine::{dwell, run_im, run_im_traced, run_tpm, run_tpm_traced, TpmEngine, TpmOutcome};
 pub use extensions::{
     reserve_workload_blocks, run_sparse_migration, run_template_clone_fanin,
@@ -28,4 +28,3 @@ pub use extensions::{
     run_template_migration, synthetic_free_map,
 };
 pub use postcopy::{run_postcopy, PostCopyConfig, PostCopyOutcome};
-pub use tracker::DirtyTracker;

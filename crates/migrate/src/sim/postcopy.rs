@@ -18,14 +18,16 @@
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng, SimTime, Simulator};
+use simnet::capacity::seek_aware_share;
 use simnet::proto::{Category, MigMessage, TransferLedger};
 use telemetry::{Event, Fold, Recorder};
 use vdisk::{DomainId, IoRequest, MetaDisk, PendingQueue};
 use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload};
 
+use crate::phase::{DirtyTracker, Worklist};
 use crate::report::PostCopyStats;
-use crate::sim::tracker::DirtyTracker;
+use crate::MigrationConfig;
 
 /// Parameters of the post-copy phase.
 #[derive(Debug, Clone)]
@@ -49,6 +51,30 @@ pub struct PostCopyConfig {
     pub push_enabled: bool,
 }
 
+impl PostCopyConfig {
+    /// The post-copy phase of a `cfg` migration whose guest asks `demand`
+    /// of the destination's disk, which it shares seek-aware with the
+    /// push stream: 32-block pushes, 20 ms workload slices.
+    pub fn of(cfg: &MigrationConfig, demand: f64, horizon: SimDuration, push: bool) -> Self {
+        let (workload_share, push_share) = seek_aware_share(
+            cfg.disk_capacity,
+            cfg.seek_penalty,
+            demand,
+            cfg.disk_stream_demand(),
+        );
+        Self {
+            block_size: cfg.block_size,
+            push_rate: push_share.max(1.0),
+            workload_share,
+            latency: cfg.link.latency(),
+            push_batch: 32,
+            slice: SimDuration::from_millis(20),
+            horizon,
+            push_enabled: push,
+        }
+    }
+}
+
 /// Result of the post-copy phase.
 #[derive(Debug)]
 pub struct PostCopyOutcome {
@@ -66,7 +92,7 @@ struct PcState<'a> {
     src_disk: &'a MetaDisk,
     dst_disk: &'a mut MetaDisk,
     /// Blocks the source still intends to push.
-    src_bm: FlatBitmap,
+    push: Worklist,
     /// The destination's transferred_block_bitmap.
     dst_bm: FlatBitmap,
     new_bm: &'a mut DirtyTracker,
@@ -77,7 +103,6 @@ struct PcState<'a> {
     ledger: &'a mut TransferLedger,
     probe: &'a mut ThroughputProbe,
     pending: PendingQueue,
-    push_cursor: usize,
     in_flight: u64,
     pulls_outstanding: u64,
     stats: PostCopyStats,
@@ -115,7 +140,7 @@ impl PcState<'_> {
         if self.done {
             return;
         }
-        let src_drained = self.src_bm.none_set() || !self.cfg.push_enabled;
+        let src_drained = self.push.is_empty() || !self.cfg.push_enabled;
         if self.cfg.push_enabled
             && src_drained
             && self.in_flight == 0
@@ -138,23 +163,10 @@ fn schedule_push(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
     }
     // Gather the next batch of blocks still marked at the source.
     let mut batch = Vec::with_capacity(st.cfg.push_batch);
-    let mut cursor = st.push_cursor;
     while batch.len() < st.cfg.push_batch {
-        match st.src_bm.next_set_from(cursor) {
-            Some(b) => {
-                batch.push(b);
-                st.src_bm.clear(b);
-                cursor = b + 1;
-            }
-            None => {
-                if cursor == 0 {
-                    break; // bitmap fully drained
-                }
-                cursor = 0; // wrap once to catch earlier blocks
-            }
-        }
+        let Some(b) = st.push.next(None) else { break };
+        batch.push(b);
     }
-    st.push_cursor = cursor;
     if batch.is_empty() {
         // Everything handed to the wire; completion happens at the last
         // arrival (PushComplete itself is control traffic).
@@ -230,7 +242,7 @@ fn workload_slice(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
                             .record_at_nanos(sim.now().as_nanos(), || Event::PullRequested {
                                 block: block as u64,
                             });
-                        st.src_bm.clear(block);
+                        st.push.pull(block);
                         st.pulls_outstanding += 1;
                         let resp_bytes = st.cfg.block_size;
                         let rtt = st.cfg.latency * 2u64
@@ -298,7 +310,7 @@ pub fn run_postcopy(
         start,
         src_disk,
         dst_disk,
-        src_bm,
+        push: Worklist::new(src_bm),
         dst_bm,
         new_bm,
         workload,
@@ -307,7 +319,6 @@ pub fn run_postcopy(
         ledger,
         probe,
         pending: PendingQueue::new(),
-        push_cursor: 0,
         in_flight: 0,
         pulls_outstanding: 0,
         stats: PostCopyStats {

@@ -1,15 +1,17 @@
 //! The fleet executor: a time-sliced engine running many concurrent
 //! migrations under shared per-host capacity.
 //!
-//! Each admitted migration is a [`Task`] walking the paper's §IV phase
-//! structure — iterative disk pre-copy under a block-bitmap, one memory
-//! pre-copy pass, freeze-and-copy, then push post-copy with §III-A write
-//! cancellation. The per-stream numerics (block-carry accumulator, wire
-//! framing, the freeze-window downtime formula) mirror `migrate`'s
-//! simulated TPM engine; the memory model is coarsened to a single
-//! pre-copy pass plus a fixed frozen working set, because a fleet run
-//! simulates dozens of migrations at once (DESIGN.md §13 records the
-//! mapping).
+//! Each admitted migration is a [`Task`], a shell around
+//! [`migrate::phase::PhaseMachine`]: the machine makes every §IV
+//! decision (when a disk pass stops, what the freeze sends, what
+//! post-copy pushes and which guest write cancels a push) and the
+//! booking module prices every frame. The shell keeps the fleet's own
+//! mechanics: streams paced at the rates shared capacity allows, routes
+//! around partitions, seeded faults, and the fleet memory model, one
+//! memory pass at the stream's rate plus a fixed `frozen_mem_pages`
+//! tail. That model is a parameter of the fleet, not a copy of the
+//! single-VM engine's iterated memory pre-copy: a fleet run simulates
+//! dozens of migrations at once (DESIGN.md §13).
 //!
 //! Every tick the executor: admits pending requests through the
 //! scheduling policy, pools stream and guest-workload demands on each
@@ -25,11 +27,12 @@ use std::sync::Arc;
 
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
 use des::{SimDuration, SimTime};
-use migrate::precopy_stops;
-use migrate::sim::DirtyTracker;
+use migrate::phase::{
+    batch_wire, frame_wire, units_wire, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice,
+    Worklist, PAGE_SIZE,
+};
 use simnet::capacity::max_min_share;
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
-use simnet::proto::{BLOCK_REF_WIRE, FRAME_OVERHEAD};
 use telemetry::{Event, Fold, Phase, Recorder};
 use vdisk::MetaDisk;
 use workloads::TimedOp;
@@ -47,10 +50,6 @@ const FAULT_LO: u64 = 2;
 /// Upper bound (exclusive) of the seeded fault window.
 const FAULT_HI: u64 = 16;
 
-/// Per-page wire cost: 4 KiB payload plus the 8-byte index header, the
-/// same framing the TPM engine charges per block.
-const PAGE_WIRE: u64 = 4096 + 8;
-
 /// One in-flight migration stream.
 struct Task {
     id: u64,
@@ -58,13 +57,12 @@ struct Task {
     vm: VmId,
     src: HostId,
     dst: HostId,
-    phase: Phase,
-    pass: u32,
+    /// The migration's §IV decisions: passes, freeze, resume.
+    machine: PhaseMachine,
     /// Blocks still to ship this pass (bits clear as blocks go out, so a
     /// reconnect resumes exactly where the cut stream stopped, and a
     /// destination write can cancel a pending post-copy push).
-    to_send: FlatBitmap,
-    cursor: usize,
+    to_send: Worklist,
     carry: f64,
     dst_disk: MetaDisk,
     /// Source-side writes since the current pass's bitmap was snapshot.
@@ -107,15 +105,8 @@ struct Task {
 
 impl Task {
     fn done(&self) -> bool {
-        self.failed || (self.phase == Phase::PostCopy && self.to_send.none_set())
+        self.failed || (self.machine.phase() == Phase::PostCopy && self.to_send.is_empty())
     }
-}
-
-/// Which pool participant an allocation belongs to.
-#[derive(Clone, Copy)]
-enum Part {
-    Vm(usize),
-    Task(usize),
 }
 
 /// How a stream's bytes flow this tick, as decided by the fleet
@@ -451,37 +442,35 @@ impl Orchestrator {
         };
         let armed = plan.for_attempt(0);
         let mut fold = Fold::default();
-        for event in [
-            Event::MigrationAdmitted {
-                migration: id,
-                vm: vm.0 as u64,
-                src: src.0 as u64,
-                dst: dst.0 as u64,
-                incremental,
-                first_pass_blocks,
-            },
-            Event::MigrationPhaseStart {
-                migration: id,
-                phase: Phase::DiskPrecopy,
-            },
-        ] {
-            fold.at_nanos(&self.recorder, now.as_nanos(), event);
-        }
+        let admitted = Event::MigrationAdmitted {
+            migration: id,
+            vm: vm.0 as u64,
+            src: src.0 as u64,
+            dst: dst.0 as u64,
+            incremental,
+            first_pass_blocks,
+        };
+        fold.at_nanos(&self.recorder, now.as_nanos(), admitted);
+        let machine = PhaseMachine::new(
+            Voice::Fleet(id),
+            StopRule::new(self.cfg.max_disk_passes, self.cfg.dirty_threshold),
+            // Memory is one pass in the fleet model: no rule applies.
+            StopRule::default(),
+        );
+        machine.start(|e| fold.at_nanos(&self.recorder, now.as_nanos(), e));
         Task {
             id,
             request,
             vm,
             src,
             dst,
-            phase: Phase::DiskPrecopy,
-            pass: 0,
-            to_send,
-            cursor: 0,
+            machine,
+            to_send: Worklist::new(to_send),
             carry: 0.0,
             dst_disk,
             tracker: DirtyTracker::new(self.cfg.bitmap, nblocks),
             post_writes: FlatBitmap::new(nblocks),
-            mem_remaining: (self.cfg.mem_pages as u64 * PAGE_WIRE) as f64,
+            mem_remaining: units_wire(self.cfg.mem_pages as u64, PAGE_SIZE) as f64,
             resume_at: SimTime::ZERO,
             stall_until: SimTime::ZERO,
             plan,
@@ -537,7 +526,7 @@ impl Orchestrator {
                     // charged to the stream like any retry reconnect).
                     t.stranded = false;
                     t.peer_source = None;
-                    let enc = ser::encoded_len(&t.to_send) as u64 + FRAME_OVERHEAD;
+                    let enc = frame_wire(ser::encoded_len(t.to_send.set()) as u64);
                     t.bytes += enc;
                     t.attempt_bytes += enc;
                     let id = t.id;
@@ -553,7 +542,7 @@ impl Orchestrator {
             // Endpoints cannot talk. Freeze still completes on schedule:
             // its handshake was in flight when the cut landed (a
             // documented simplification — DESIGN.md §18).
-            if t.phase == Phase::Freeze {
+            if t.machine.phase() == Phase::Freeze {
                 routes.push(Route::Direct);
                 continue;
             }
@@ -567,7 +556,7 @@ impl Orchestrator {
             // replica holder reachable from the destination can serve
             // whatever owed blocks it holds at the live generation.
             let replannable = self.cfg.multisource
-                && matches!(t.phase, Phase::DiskPrecopy | Phase::PostCopy)
+                && matches!(t.machine.phase(), Phase::DiskPrecopy | Phase::PostCopy)
                 && dynamics.host_up(t.dst.0);
             let peer = if replannable {
                 let allowed: Vec<u64> = (0..self.cfg.hosts)
@@ -582,7 +571,7 @@ impl Orchestrator {
                 self.cluster.directory().best_holder(
                     t.vm.0 as u64,
                     &self.cluster.vms[t.vm.0].disk,
-                    &t.to_send,
+                    t.to_send.set(),
                     &allowed,
                 )
             } else {
@@ -644,12 +633,13 @@ impl Orchestrator {
         now: SimTime,
         dynamics: &dyn FleetDynamics,
     ) -> (Vec<f64>, Vec<f64>) {
-        let mut task_rates = vec![0.0f64; tasks.len()];
-        let mut task_seen = vec![false; tasks.len()];
+        // A stream's rate: the least of its pools' allocations, `None`
+        // while it sits in none.
+        let mut task_rates: Vec<Option<f64>> = vec![None; tasks.len()];
         let mut vm_rates = vec![0.0f64; self.cluster.vms.len()];
         let suspended: BTreeSet<usize> = tasks
             .iter()
-            .filter(|t| t.phase == Phase::Freeze)
+            .filter(|t| t.machine.phase() == Phase::Freeze)
             .map(|t| t.vm.0)
             .collect();
         // Serving endpoints per stream this tick: `None` drops the
@@ -663,83 +653,60 @@ impl Orchestrator {
                 Route::Severed => None,
             })
             .collect();
+        // Streams in host `h`'s pool for the phases `uses`.
+        let pool = |h: usize, uses: &[Phase]| -> Vec<usize> {
+            (0..tasks.len())
+                .filter(|&ti| {
+                    let t = &tasks[ti];
+                    let active = !t.failed && now >= t.stall_until;
+                    let on_h = endpoints[ti].is_some_and(|(from, to)| from == h || to == h);
+                    active && on_h && uses.contains(&t.machine.phase())
+                })
+                .collect()
+        };
+        let mut bottleneck = |ti: usize, a: f64| {
+            task_rates[ti] = Some(task_rates[ti].map_or(a, |r: f64| r.min(a)));
+        };
         for h in 0..self.cfg.hosts {
             if !dynamics.host_up(h) {
                 continue;
             }
-            let mut parts: Vec<Part> = Vec::new();
-            let mut demands: Vec<f64> = Vec::new();
-            for vm in &self.cluster.hosts[h].resident {
-                if suspended.contains(&vm.0) {
-                    continue;
-                }
-                parts.push(Part::Vm(vm.0));
-                demands.push(
-                    self.cluster.vms[vm.0].workload.disk_demand()
-                        * dynamics.workload_scale(vm.0, now),
-                );
-            }
-            for (ti, t) in tasks.iter().enumerate() {
-                let Some((from, to)) = endpoints[ti] else {
-                    continue;
-                };
-                let active = !t.failed && now >= t.stall_until;
-                let uses_disk = matches!(t.phase, Phase::DiskPrecopy | Phase::PostCopy);
-                if active && uses_disk && (from == h || to == h) {
-                    parts.push(Part::Task(ti));
-                    demands.push(self.cfg.stream_demand);
-                }
-            }
+            // The disk pool: resident guests first, then streams.
+            let vms: Vec<usize> = (self.cluster.hosts[h].resident.iter())
+                .map(|vm| vm.0)
+                .filter(|vm| !suspended.contains(vm))
+                .collect();
+            let disk = pool(h, &[Phase::DiskPrecopy, Phase::PostCopy]);
+            let demands: Vec<f64> = (vms.iter())
+                .map(|&vm| {
+                    self.cluster.vms[vm].workload.disk_demand() * dynamics.workload_scale(vm, now)
+                })
+                .chain(disk.iter().map(|_| self.cfg.stream_demand))
+                .collect();
             let alloc = max_min_share(dynamics.disk_capacity(h), &demands);
-            for (part, a) in parts.iter().zip(alloc) {
-                match *part {
-                    Part::Vm(v) => vm_rates[v] = a,
-                    Part::Task(ti) => {
-                        task_rates[ti] = if task_seen[ti] {
-                            task_rates[ti].min(a)
-                        } else {
-                            a
-                        };
-                        task_seen[ti] = true;
-                    }
-                }
+            for (&vm, &a) in vms.iter().zip(&alloc) {
+                vm_rates[vm] = a;
             }
-            let mut nic_parts: Vec<usize> = Vec::new();
-            let mut nic_demands: Vec<f64> = Vec::new();
-            for (ti, t) in tasks.iter().enumerate() {
-                let Some((from, to)) = endpoints[ti] else {
-                    continue;
-                };
-                let active = !t.failed && now >= t.stall_until;
-                let uses_nic = matches!(
-                    t.phase,
-                    Phase::DiskPrecopy | Phase::MemPrecopy | Phase::PostCopy
-                );
-                if active && uses_nic && (from == h || to == h) {
-                    nic_parts.push(ti);
-                    nic_demands.push(self.cfg.stream_demand);
-                }
+            for (ti, &a) in disk.into_iter().zip(&alloc[vms.len()..]) {
+                bottleneck(ti, a);
             }
-            let alloc = max_min_share(dynamics.nic_capacity(h), &nic_demands);
-            for (ti, a) in nic_parts.iter().zip(alloc) {
-                task_rates[*ti] = if task_seen[*ti] {
-                    task_rates[*ti].min(a)
-                } else {
-                    a
-                };
-                task_seen[*ti] = true;
+            let nic = pool(h, &[Phase::DiskPrecopy, Phase::MemPrecopy, Phase::PostCopy]);
+            let demands = vec![self.cfg.stream_demand; nic.len()];
+            let alloc = max_min_share(dynamics.nic_capacity(h), &demands);
+            for (ti, a) in nic.into_iter().zip(alloc) {
+                bottleneck(ti, a);
             }
         }
         // WAN link ceiling and loss derate on the serving path. Both are
         // exact identities on a LAN (`min(x, ∞) = x`, `x · 1.0 = x`).
-        for (ti, ep) in endpoints.iter().enumerate() {
-            if let Some((from, to)) = *ep {
-                if task_seen[ti] {
-                    task_rates[ti] = task_rates[ti].min(dynamics.link_bandwidth(from, to))
-                        * dynamics.link_quality(from, to);
+        let task_rates = (task_rates.into_iter().zip(&endpoints))
+            .map(|(rate, ep)| match (rate, *ep) {
+                (Some(r), Some((from, to))) => {
+                    r.min(dynamics.link_bandwidth(from, to)) * dynamics.link_quality(from, to)
                 }
-            }
-        }
+                (rate, _) => rate.unwrap_or(0.0),
+            })
+            .collect();
         (task_rates, vm_rates)
     }
 
@@ -762,14 +729,15 @@ impl Orchestrator {
         if t.failed || now < t.stall_until {
             return;
         }
-        if matches!(route, Route::Severed) && t.phase != Phase::Freeze {
+        if matches!(route, Route::Severed) && t.machine.phase() != Phase::Freeze {
             return;
         }
         let peer_mask = match route {
             Route::PeerFed { mask, .. } => Some(mask),
             _ => None,
         };
-        match t.phase {
+        let at = tick_end.as_nanos();
+        match t.machine.phase() {
             Phase::DiskPrecopy => {
                 let last = self.pump_blocks(t, rate, dt, peer_mask);
                 if peer_mask.is_none() {
@@ -777,39 +745,18 @@ impl Orchestrator {
                     // while peer-fed, that link is already cut.
                     self.check_faults(t, tick_end, last);
                 }
-                if t.failed || now < t.stall_until || t.phase != Phase::DiskPrecopy {
+                if t.failed || now < t.stall_until || !t.to_send.is_empty() {
                     return;
                 }
-                if t.to_send.none_set() {
-                    t.pass += 1;
-                    let next = t.tracker.drain();
-                    let sent = t.blocks_sent - t.pass_start;
-                    t.pass_start = t.blocks_sent;
-                    let pass = Event::MigrationPass {
-                        migration: t.id,
-                        index: u64::from(t.pass),
-                        units_sent: sent,
-                        dirty_at_end: next.count_ones() as u64,
-                    };
-                    t.fold.at_nanos(&self.recorder, tick_end.as_nanos(), pass);
-                    if precopy_stops(
-                        t.pass,
-                        self.cfg.max_disk_passes,
-                        sent,
-                        next.count_ones(),
-                        self.cfg.dirty_threshold,
-                    ) {
-                        // Leftover dirt keeps accumulating into the
-                        // freeze bitmap while memory pre-copies.
-                        t.tracker.merge(&next);
-                        self.switch_phase(t, Phase::MemPrecopy, tick_end);
-                        t.carry = 0.0;
-                    } else {
-                        t.to_send = next;
-                        t.cursor = 0;
-                        t.carry = 0.0;
-                    }
+                let sent = t.blocks_sent - t.pass_start;
+                t.pass_start = t.blocks_sent;
+                let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
+                // A pass that stops leaves its dirt in the machine, to
+                // join the freeze bitmap.
+                if let Some(next) = t.machine.end_pass(sent, 0, t.tracker.drain(), emit) {
+                    t.to_send = Worklist::new(next);
                 }
+                t.carry = 0.0;
             }
             Phase::MemPrecopy => {
                 t.mem_remaining -= rate * dt.as_secs_f64();
@@ -825,8 +772,8 @@ impl Orchestrator {
             }
             Phase::Freeze => {
                 if tick_end >= t.resume_at {
-                    self.switch_phase(t, Phase::PostCopy, t.resume_at);
-                    t.cursor = 0;
+                    let at = t.resume_at.as_nanos();
+                    t.machine.resume(|e| t.fold.at_nanos(&self.recorder, at, e));
                     t.carry = 0.0;
                     // The VM resumes on the destination: its workload
                     // demand moves to the destination's disk pool.
@@ -839,23 +786,16 @@ impl Orchestrator {
         }
     }
 
-    /// Ship up to `rate * dt` worth of blocks off the worklist using the
-    /// TPM engine's carry accumulator, charging per-block framing plus
-    /// one frame overhead per batch. With `cfg.dedup`, a block whose
-    /// generation already matches the destination replica (the same
-    /// replica-table version maintenance that seeded the first-pass diff)
-    /// is charged a 16-byte reference instead of a full payload; pacing
-    /// is deliberately left uniform, so dedup-off runs are byte- and
-    /// clock-identical to the classic math. With `cfg.multisource`, a
-    /// full block some *other* host also holds at the live generation is
-    /// additionally counted as peer-servable — the directory fan-in the
-    /// two-host engine performs for real — without changing the byte or
-    /// clock math at all.
-    ///
-    /// With `peer_mask` set the stream is peer-fed across a partition:
-    /// only owed blocks inside the mask (the ones the serving replica
-    /// holds at the live generation) are eligible, and every full block
-    /// shipped counts as peer-served. Returns the last block shipped.
+    /// Ship up to `rate * dt` worth of blocks off the worklist, carrying
+    /// the fraction to the next tick, as one booked batch. With
+    /// `cfg.dedup` a block the destination replica holds at the live
+    /// generation crosses as a reference; pacing stays uniform, so
+    /// dedup-off runs are byte- and clock-identical. With
+    /// `cfg.multisource` a full block another host also holds at the
+    /// live generation counts as peer-servable, accounting only. With
+    /// `peer_mask` the stream is peer-fed across a partition: only owed
+    /// blocks the serving replica holds qualify, and each counts as
+    /// peer-served. Returns the last block shipped.
     fn pump_blocks(
         &self,
         t: &mut Task,
@@ -867,15 +807,12 @@ impl Orchestrator {
         // While peer-fed only the mask's intersection with the worklist
         // is shippable; the rest waits for the source link.
         let mut candidates = peer_mask.map(|m| {
-            let mut c = t.to_send.clone();
+            let mut c = t.to_send.set().clone();
             c.intersect_with(m);
             c
         });
         let raw = t.carry + rate * dt.as_secs_f64() / bs;
-        let remaining = match &candidates {
-            Some(c) => c.count_ones() as u64,
-            None => t.to_send.count_ones() as u64,
-        };
+        let remaining = candidates.as_ref().unwrap_or(t.to_send.set()).count_ones() as u64;
         let n = (raw.floor().max(0.0) as u64).min(remaining);
         t.carry = raw - n as f64;
         if n == 0 {
@@ -899,13 +836,8 @@ impl Orchestrator {
             Vec::new()
         };
         for _ in 0..n {
-            let worklist = candidates.as_ref().unwrap_or(&t.to_send);
-            let b = match worklist.next_set_from(t.cursor) {
-                Some(b) => b,
-                None => match worklist.next_set_from(0) {
-                    Some(b) => b,
-                    None => break,
-                },
+            let Some(b) = t.to_send.next(candidates.as_mut()) else {
+                break;
             };
             if self.cfg.dedup && t.dst_disk.generation(b) == src_disk.generation(b) {
                 // Destination already holds this exact content: nothing
@@ -924,15 +856,10 @@ impl Orchestrator {
                     peer += 1;
                 }
             }
-            t.to_send.clear(b);
-            if let Some(c) = candidates.as_mut() {
-                c.clear(b);
-            }
-            t.cursor = b + 1;
             t.blocks_sent += 1;
             last = Some(b);
         }
-        let wire = (n - refs) * (self.cfg.block_size + 8) + refs * BLOCK_REF_WIRE + FRAME_OVERHEAD;
+        let wire = batch_wire(n - refs, self.cfg.block_size, refs);
         t.bytes += wire;
         t.attempt_bytes += wire;
         t.blocks_deduped += refs;
@@ -966,7 +893,7 @@ impl Orchestrator {
         // the next pass. A truncate severs the connection behind it, as a
         // reset does; a lossy link that dropped a frame stays up.
         if let (FaultKind::Truncate | FaultKind::Drop, Some(b)) = (&fault.kind, last) {
-            t.to_send.set(b);
+            t.to_send.requeue(b);
         }
         match fault.kind {
             FaultKind::Stall(d) => {
@@ -998,14 +925,14 @@ impl Orchestrator {
         t.attempt_bytes = 0;
         t.carry = 0.0;
         t.stall_until = tick_end + self.cfg.retry_backoff;
-        let enc = ser::encoded_len(&t.to_send) as u64;
-        t.bytes += enc + FRAME_OVERHEAD;
+        t.bytes += frame_wire(ser::encoded_len(t.to_send.set()) as u64);
     }
 
-    /// Suspend the guest: drain the dirty tracker into the final bitmap,
-    /// price the freeze window with the engine's downtime formula
-    /// (remaining state + encoded bitmap + handshake frames at the rate
-    /// the stream held going in), and schedule the exact resume instant.
+    /// Suspend the guest: the machine seals the frozen bitmap, the
+    /// freeze is priced from what it sends (the fleet model's
+    /// `frozen_mem_pages` tail, the CPU context and the encoded bitmap)
+    /// at the rate the stream held going in, and the exact resume instant
+    /// is scheduled. The memory pass is booked here, whole.
     fn enter_freeze(
         &mut self,
         t: &mut Task,
@@ -1013,44 +940,24 @@ impl Orchestrator {
         tick_end: SimTime,
         dynamics: &dyn FleetDynamics,
     ) {
-        t.bytes += self.cfg.mem_pages as u64 * PAGE_WIRE + FRAME_OVERHEAD;
-        let final_bm = t.tracker.drain();
-        let enc = ser::encoded_len(&final_bm) as u64;
-        let down_bytes = self.cfg.frozen_mem_pages as u64 * PAGE_WIRE
-            + self.cfg.cpu_state_bytes
-            + enc
-            + 3 * FRAME_OVERHEAD;
-        let down_rate = rate.max(1.0);
+        let at = tick_end.as_nanos();
+        let raced = t.tracker.drain();
+        let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
+        let (frozen, _) = t.machine.suspend(&raced, None, emit);
+        let bill = FreezeBill {
+            pages: self.cfg.frozen_mem_pages as u64,
+            cpu: self.cfg.cpu_state_bytes,
+            bitmap: ser::encoded_len(&frozen) as u64,
+        };
         let downtime = self.cfg.suspend_overhead
-            + SimDuration::from_secs_f64(down_bytes as f64 / down_rate)
+            + SimDuration::from_secs_f64(bill.bytes() as f64 / rate.max(1.0))
             + self.cfg.latency
             + dynamics.link_latency(t.src.0, t.dst.0)
             + self.cfg.resume_overhead;
-        t.bytes += down_bytes;
+        t.bytes += batch_wire(self.cfg.mem_pages as u64, PAGE_SIZE, 0) + bill.bytes();
         t.resume_at = tick_end + downtime;
-        t.to_send = final_bm;
-        t.cursor = 0;
+        t.to_send = Worklist::new(frozen);
         t.carry = 0.0;
-        self.switch_phase(t, Phase::Freeze, tick_end);
-    }
-
-    /// Emit the end of the current phase and the start of the next, both
-    /// at the same instant.
-    fn switch_phase(&self, t: &mut Task, next: Phase, at: SimTime) {
-        let migration = t.id;
-        for event in [
-            Event::MigrationPhaseEnd {
-                migration,
-                phase: t.phase,
-            },
-            Event::MigrationPhaseStart {
-                migration,
-                phase: next,
-            },
-        ] {
-            t.fold.at_nanos(&self.recorder, at.as_nanos(), event);
-        }
-        t.phase = next;
     }
 
     /// Advance every guest one tick at its achieved disk rate, routing
@@ -1078,7 +985,7 @@ impl Orchestrator {
             }
             let ti = tasks.iter().position(|t| t.vm.0 == vi && !t.failed);
             if let Some(ti) = ti {
-                if tasks[ti].phase == Phase::Freeze {
+                if tasks[ti].machine.phase() == Phase::Freeze {
                     continue;
                 }
             }
@@ -1101,12 +1008,11 @@ impl Orchestrator {
                     continue;
                 }
                 match ti {
-                    Some(ti) if tasks[ti].phase == Phase::PostCopy => {
+                    Some(ti) if tasks[ti].machine.phase() == Phase::PostCopy => {
                         let t = &mut tasks[ti];
                         t.dst_disk.write(b);
                         t.post_writes.set(b);
-                        if t.to_send.get(b) {
-                            t.to_send.clear(b);
+                        if t.to_send.cancel(b) {
                             let cancel = Event::MigrationSyncCancelled {
                                 migration: t.id,
                                 block: b as u64,
@@ -1137,11 +1043,11 @@ impl Orchestrator {
         // the spans balance.
         let close = Event::MigrationPhaseEnd {
             migration: t.id,
-            phase: t.phase,
+            phase: t.machine.phase(),
         };
         t.fold.at_nanos(&self.recorder, t_nanos, close);
         if t.failed {
-            if t.phase == Phase::PostCopy {
+            if t.machine.phase() == Phase::PostCopy {
                 // Aborted after resume (horizon): the VM falls back to
                 // its source image.
                 self.cluster.relocate(t.vm, t.src);
@@ -1243,6 +1149,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::proto::BLOCK_REF_WIRE;
     use workloads::WorkloadKind;
 
     fn small_cfg(hosts: usize, vms: usize) -> ClusterConfig {

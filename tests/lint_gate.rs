@@ -3,7 +3,10 @@
 //! clippy step enforces; a plain `cargo test -q` holds what makes that
 //! step mean something: lintkit's lock-order check is clean, every crate
 //! root forbids `unsafe`, every zone root still carries its `deny` lines,
-//! and nothing in the deterministic zone waives `disallowed_types`.
+//! and nothing in the deterministic zone waives `disallowed_types`. It
+//! also holds the §IV boundary: the phase decisions and the frame charges
+//! live in `migrate::phase`, and the fleet executor reaches past it into
+//! nothing.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,6 +35,7 @@ const ROOTS: &[(&str, &[&[&str]])] = &[
     ),
     ("crates/migrate/src/live/driver.rs", &[DETERMINISTIC_ORDER]),
     ("crates/migrate/src/sim/mod.rs", &[DETERMINISTIC]),
+    ("crates/migrate/src/phase/mod.rs", &[DETERMINISTIC]),
     (
         "crates/simnet/src/lib.rs",
         &[TRANSPORT, RESULT_DROPPED, PROTOCOL],
@@ -171,5 +175,61 @@ fn determinism_zones_carry_no_allow_entries() {
             "{} waives clippy::disallowed_types",
             path.display()
         );
+    }
+}
+
+/// A source file's lines above its trailing `#[cfg(test)]` module, by
+/// the rule `scripts/loc.py` counts with: the program, not its tests.
+fn program_text(path: &Path) -> String {
+    let text = fs::read_to_string(path).expect("source file reads");
+    let lines: Vec<&str> = text.lines().collect();
+    let end = (0..lines.len())
+        .rev()
+        .find(|&i| {
+            lines[i] == "#[cfg(test)]" && lines.get(i + 1).is_some_and(|l| l.starts_with("mod "))
+        })
+        .unwrap_or(lines.len());
+    lines[..end].join("\n")
+}
+
+#[test]
+fn phase_decisions_and_frame_charges_live_in_migrate_phase() {
+    // The fleet executor drives the phase machine; it does not redo the
+    // simulator's arithmetic or price a frame itself.
+    let mut orchestrator = Vec::new();
+    rust_files(&root().join("crates/orchestrator/src"), &mut orchestrator);
+    assert!(orchestrator.len() > 5, "found {} files", orchestrator.len());
+    for path in &orchestrator {
+        let text = program_text(path);
+        for name in ["migrate::sim", "BLOCK_REF_WIRE", "FRAME_OVERHEAD"] {
+            assert!(
+                !text.contains(name),
+                "{} names {name}: book through migrate::phase",
+                path.display()
+            );
+        }
+    }
+    // The hand-written charges the booking module replaced: a batch's
+    // indexed payload plus its frame, a page's wire size, the freeze's
+    // three frames.
+    let book = root().join("crates/migrate/src/phase/book.rs");
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    for member in fs::read_dir(root().join("crates")).expect("crates/") {
+        let src = member.expect("crates/ entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.contains(&book), "the booking module moved");
+    for path in files.iter().filter(|p| **p != book) {
+        let text = program_text(path);
+        for charge in ["+ 8) + FRAME_OVERHEAD", "PAGE_WIRE", "3 * FRAME_OVERHEAD"] {
+            assert!(
+                !text.contains(charge),
+                "{} books `{charge}` by hand: use migrate::phase's booking",
+                path.display()
+            );
+        }
     }
 }
