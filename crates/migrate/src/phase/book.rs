@@ -19,23 +19,27 @@ const FETCH_HEAD_WIRE: u64 = 16;
 
 /// `n` payload units of `unit` bytes, each behind its index: the body of
 /// a [`MigMessage::DiskBlocks`] or [`MigMessage::MemPages`] frame.
+#[inline]
 pub fn units_wire(n: u64, unit: u64) -> u64 {
     n * (unit + INDEX_WIRE)
 }
 
 /// One frame around a `body` of that many bytes.
+#[inline]
 pub fn frame_wire(body: u64) -> u64 {
     FRAME_OVERHEAD + body
 }
 
 /// One data batch in one frame: `fulls` payload units of `unit` bytes
 /// and `refs` content references ([`MigMessage::BlockRefs`]).
+#[inline]
 pub fn batch_wire(fulls: u64, unit: u64, refs: u64) -> u64 {
     frame_wire(units_wire(fulls, unit) + refs * BLOCK_REF_WIRE)
 }
 
 /// One batch of `n` blocks fetched from a peer holder, each a
 /// [`MigMessage::BlockData`] body.
+#[inline]
 pub fn fetch_wire(n: u64, unit: u64) -> u64 {
     frame_wire(n * (FETCH_HEAD_WIRE + unit))
 }

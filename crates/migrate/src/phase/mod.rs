@@ -136,6 +136,7 @@ impl PhaseMachine {
     }
 
     /// The phase the source is in.
+    #[inline]
     pub fn phase(&self) -> Phase {
         self.phase
     }
@@ -267,7 +268,9 @@ impl PhaseMachine {
                 requeue(&mut q.mem, pages, np);
             }
             // Post-copy progress is void if the destination never
-            // resumed: every freeze payload goes again.
+            // resumed: every freeze payload goes again, and the push set
+            // restarts from the whole frozen bitmap (re-read at push
+            // time, so content stays current).
             Phase::Freeze | Phase::PostCopy => {
                 self.phase = Phase::Freeze;
                 requeue(&mut q.resend, blocks, nb);
@@ -313,11 +316,13 @@ impl Worklist {
     }
 
     /// What is still to ship.
+    #[inline]
     pub fn set(&self) -> &FlatBitmap {
         &self.set
     }
 
     /// Nothing is left to ship.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.set.none_set()
     }
@@ -325,6 +330,7 @@ impl Worklist {
     /// The next unit to ship, taken off the set: the first from the
     /// cursor on, else the first from the start. With `within`, only its
     /// units qualify, and the unit leaves it too.
+    #[inline]
     pub fn next(&mut self, within: Option<&mut FlatBitmap>) -> Option<usize> {
         let from = within.as_deref().unwrap_or(&self.set);
         let u = from
@@ -340,12 +346,14 @@ impl Worklist {
 
     /// A pull: the block is answered now, ahead of every push, and is
     /// never pushed.
+    #[inline]
     pub fn pull(&mut self, u: usize) {
         self.set.clear(u);
     }
 
     /// §III-A: a destination write overwrote the whole block, so its
     /// pending push is cancelled. `true` when one was pending.
+    #[inline]
     pub fn cancel(&mut self, u: usize) -> bool {
         let pending = self.set.get(u);
         self.set.clear(u);
@@ -353,6 +361,7 @@ impl Worklist {
     }
 
     /// A unit whose frame was lost rejoins the set.
+    #[inline]
     pub fn requeue(&mut self, u: usize) {
         self.set.set(u);
     }

@@ -574,17 +574,12 @@ impl TpmEngine {
             return (0, 0);
         }
         let rate = self.cfg.migration_net_rate();
+        let page = PAGE_SIZE;
         let mut sent = 0u64;
         let mut cursor = 0usize;
         let mut carry = 0.0f64;
         while sent < total {
-            let (dt, n) = pace_step(
-                self.cfg.step,
-                rate,
-                PAGE_SIZE as f64,
-                total - sent,
-                &mut carry,
-            );
+            let (dt, n) = pace_step(self.cfg.step, rate, page as f64, total - sent, &mut carry);
             for _ in 0..n {
                 let p = set
                     .next_set_from(cursor)
@@ -593,13 +588,12 @@ impl TpmEngine {
                 cursor = p + 1;
             }
             if n > 0 {
-                self.ledger
-                    .add(Category::Memory, batch_wire(n, PAGE_SIZE, 0));
+                self.ledger.add(Category::Memory, batch_wire(n, page, 0));
             }
             sent += n;
             self.guest_step(dt, self.workload_solo_share());
         }
-        (sent, total * PAGE_SIZE)
+        (sent, total * page)
     }
 
     /// Execute the three phases. Consumes the engine; the guest ends up
