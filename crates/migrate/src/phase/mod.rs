@@ -479,22 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn the_freeze_bill_is_what_the_freeze_sends() {
-        let bill = FreezeBill {
-            pages: 2,
-            cpu: 8192,
-            bitmap: 30,
-        };
-        let frames = [
-            simnet::proto::FRAME_OVERHEAD + 2 * (PAGE_SIZE + 8),
-            simnet::proto::FRAME_OVERHEAD + 8192,
-            simnet::proto::FRAME_OVERHEAD + 30,
-        ];
-        assert_eq!(bill.frames().map(|(_, b)| b), frames);
-        assert_eq!(bill.bytes(), frames.iter().sum::<u64>());
-    }
-
-    #[test]
     fn a_pull_preempts_the_next_push() {
         let mut push = Worklist::new(bits(100, [3, 10, 20]));
         assert_eq!(push.next(None), Some(3));

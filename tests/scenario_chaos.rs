@@ -340,7 +340,7 @@ fn maintained_directory_equals_the_rebuilt_one_through_every_chaos_run() {
 }
 
 /// The fleet stops pre-copy by the same rule as the two-host engines
-/// (`migrate::precopy_stops`): a pass the guest out-dirtied ends it.
+/// (`migrate::phase::StopRule`): a pass the guest out-dirtied ends it.
 /// Under the partition with seeded resets, migration 7's second pass
 /// sends 1 609 blocks while its kernel-build guest dirties 2 048, so its
 /// disk pre-copy ends after two passes; without the rule it starts a
