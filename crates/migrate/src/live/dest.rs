@@ -176,6 +176,7 @@ fn dest_failover(
         // mid-session — or a panicked serve thread — leaves whatever it
         // failed to serve set in `transferred`, rolling to the next
         // holder. Either way the join result carries nothing actionable.
+        parking_lot::assert_no_lock_held();
         let _joined: Result<_, _> = server.join();
         if applied > 0 {
             let (host, bytes) = (peer.host, applied * cfg.block_size as u64);
@@ -392,14 +393,20 @@ fn summarise_resident(
     st: &mut DestState,
     telemetry: &Recorder,
 ) -> Vec<u64> {
-    let mut index = disk.content_index();
-    let known = index.known_blocks();
-    let (hashed, cached) = if !incremental && known < index.num_blocks() {
+    let (known, num_blocks) = {
+        let index = disk.content_index();
+        (index.known_blocks(), index.num_blocks())
+    };
+    let (hashed, cached) = if !incremental && known < num_blocks {
         // `hash_all` answers a never-written block with the zero block's
         // fingerprint without reading it; every other entry was hashed.
+        // It runs outside the index's lock: until resume this thread is
+        // the disk's only writer, so the image hashed is the one recorded.
         let zero = hash_block(&vec![0u8; disk.disk().block_size()]);
+        let fps = disk.disk().hash_all();
+        let mut index = disk.content_index();
         let mut hashed = 0;
-        for (block, fp) in disk.disk().hash_all().into_iter().enumerate() {
+        for (block, fp) in fps.into_iter().enumerate() {
             index.record(block, fp);
             hashed += u64::from(fp != zero);
         }
@@ -407,8 +414,7 @@ fn summarise_resident(
     } else {
         (0, known as u64)
     };
-    let fingerprints = index.fingerprints();
-    drop(index);
+    let fingerprints = disk.content_index().fingerprints();
     st.work.blocks_read += hashed;
     st.work.blocks_hashed += hashed;
     telemetry.record(|| Event::HandshakeSummary {

@@ -89,6 +89,7 @@ impl DriverCtl {
     /// wait until it acknowledges. Returns the suspension instant —
     /// downtime starts here.
     pub fn request_suspend(&self) -> Instant {
+        parking_lot::assert_no_lock_held();
         let mut st = self.0.state.lock();
         assert_eq!(st.phase, Phase::Running, "guest must be running to suspend");
         st.phase = Phase::SuspendRequested;
@@ -130,6 +131,7 @@ impl DriverCtl {
     /// passed. Woken by the driver at the end of each tick, so the wait
     /// ends on the tick that reaches `target`, not on a poll after it.
     pub fn wait_ticks(&self, target: u64, guard: Duration) {
+        parking_lot::assert_no_lock_held();
         let deadline = Instant::now() + guard;
         let mut st = self.0.state.lock();
         while self.ticks() < target {
@@ -223,24 +225,16 @@ impl DriverHandle {
                 read_violations: 0,
             };
             loop {
-                let (target, ram) = {
+                let running = {
                     let mut st = thread_ctl.0.state.lock();
                     loop {
                         if st.stop {
-                            res.model = model;
-                            res.mem_model = mem_model;
-                            if telemetry.is_enabled() {
-                                let m = telemetry.metrics();
-                                m.counter("guest.disk_writes").add(res.writes);
-                                m.counter("guest.disk_reads").add(res.reads);
-                                m.counter("guest.mem_writes").add(res.mem_writes);
-                                m.counter("guest.ticks")
-                                    .add(thread_ctl.0.ticks.load(Ordering::Acquire));
-                            }
-                            return res;
+                            break None;
                         }
                         match st.phase {
-                            Phase::Running => break (Arc::clone(&st.target), Arc::clone(&st.ram)),
+                            Phase::Running => {
+                                break Some((Arc::clone(&st.target), Arc::clone(&st.ram)))
+                            }
                             Phase::SuspendRequested => {
                                 st.phase = Phase::Suspended;
                                 st.suspended_at = Some(Instant::now());
@@ -253,6 +247,19 @@ impl DriverHandle {
                             }
                         }
                     }
+                };
+                let Some((target, ram)) = running else {
+                    res.model = model;
+                    res.mem_model = mem_model;
+                    if telemetry.is_enabled() {
+                        let m = telemetry.metrics();
+                        m.counter("guest.disk_writes").add(res.writes);
+                        m.counter("guest.disk_reads").add(res.reads);
+                        m.counter("guest.mem_writes").add(res.mem_writes);
+                        m.counter("guest.ticks")
+                            .add(thread_ctl.0.ticks.load(Ordering::Acquire));
+                    }
+                    return res;
                 };
                 for op in workload.ops(&mut rng) {
                     match op.kind {
@@ -333,6 +340,7 @@ impl DriverHandle {
     /// Stop the guest and collect its ground-truth model. A driver
     /// thread that died surfaces as a protocol error, not a panic.
     pub fn finish(self) -> Result<DriverResult, MigrationError> {
+        parking_lot::assert_no_lock_held();
         self.ctl.request_stop();
         self.join.join().map_err(|_| MigrationError::Protocol {
             phase: "guest driver",

@@ -469,6 +469,7 @@ where
             phase,
             detail: format!("{phase} protocol thread panicked"),
         };
+        parking_lot::assert_no_lock_held();
         (
             source
                 .join()

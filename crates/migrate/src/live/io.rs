@@ -83,7 +83,9 @@ impl DestIo {
             domain,
             transferred,
             pull_tx,
-            gate: Mutex::new(()),
+            // The one outer lock: the disk, index and tracker locks a
+            // write takes are leaves under it.
+            gate: Mutex::new_outer(()),
             arrived: Condvar::new(),
             stalled_reads: AtomicU64::new(0),
             stall_nanos: AtomicU64::new(0),

@@ -401,6 +401,7 @@ impl<T: Transport> FaultyTransport<T> {
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
+        parking_lot::assert_no_lock_held();
         if self.shared.is_cut() {
             return Err(self.shared.error());
         }
@@ -442,6 +443,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn recv(&self) -> Result<MigMessage, TransportError> {
+        parking_lot::assert_no_lock_held();
         // Messages already in flight when the cut happened are still
         // delivered (data in the pipe survives a reset of the pipe);
         // only once the queue is dry does the cut surface.
@@ -463,6 +465,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<MigMessage, TransportError> {
+        parking_lot::assert_no_lock_held();
         let deadline = Instant::now() + timeout;
         loop {
             match self.inner.try_recv() {

@@ -222,6 +222,7 @@ pub fn loopback_pair() -> std::io::Result<(TcpTransport, TcpTransport)> {
 
 impl Transport for TcpTransport {
     fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
+        parking_lot::assert_no_lock_held();
         // Framed first: a message too large for the wire format is
         // refused before it is paced, counted or a byte of it written.
         let (head, payload) = frame_parts(&msg).map_err(TransportError::FrameTooLarge)?;
@@ -239,6 +240,7 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self) -> Result<MigMessage, TransportError> {
+        parking_lot::assert_no_lock_held();
         match self.incoming.recv() {
             Ok(msg) => Ok(self.inbox.released(msg)),
             Err(_) => Err(self.dead_stream_error()),
@@ -246,6 +248,7 @@ impl Transport for TcpTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<MigMessage, TransportError> {
+        parking_lot::assert_no_lock_held();
         match self.incoming.recv_timeout(timeout) {
             Ok(msg) => Ok(self.inbox.released(msg)),
             Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
@@ -289,8 +292,9 @@ impl Transport for TcpTransport {
 
     fn set_telemetry(&self, recorder: &Arc<Recorder>, side: Side) {
         *self.telemetry.lock() = SendStats::register(recorder, side);
+        let gauge = inbox_peak_gauge(recorder, side);
         let mut peak = self.inbox.peak.lock();
-        peak.gauge = inbox_peak_gauge(recorder, side);
+        peak.gauge = gauge;
         if let Some(g) = &peak.gauge {
             g.set(peak.bytes);
         }

@@ -332,6 +332,7 @@ impl Endpoint {
 
     /// Send a message, blocking for pacing when a rate limit is set.
     pub fn send(&self, msg: MigMessage) -> Result<(), TransportError> {
+        parking_lot::assert_no_lock_held();
         if let Some(l) = &self.limiter {
             l.lock().acquire(msg.wire_size());
         }
@@ -356,6 +357,7 @@ impl Endpoint {
 
     /// Blocking receive.
     pub fn recv(&self) -> Result<MigMessage, TransportError> {
+        parking_lot::assert_no_lock_held();
         match self.rx.recv() {
             Ok(msg) => Ok(self.received(msg)),
             Err(_) => Err(TransportError::Disconnected),
@@ -364,6 +366,7 @@ impl Endpoint {
 
     /// Receive with a wall-clock timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<MigMessage, TransportError> {
+        parking_lot::assert_no_lock_held();
         match self.rx.recv_timeout(timeout) {
             Ok(msg) => Ok(self.received(msg)),
             Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),

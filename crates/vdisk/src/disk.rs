@@ -130,11 +130,9 @@ impl VirtualDisk {
         assert_eq!(self.mapper, other.mapper, "disk geometries must match");
         let mut a = vec![0u8; self.block_size()];
         let mut b = vec![0u8; self.block_size()];
-        let ga = self.storage.read();
-        let gb = other.storage.read();
         (0..self.num_blocks()).all(|i| {
-            ga.read_block(i, &mut a);
-            gb.read_block(i, &mut b);
+            self.read_block_into(i, &mut a);
+            other.read_block_into(i, &mut b);
             a == b
         })
     }
@@ -147,12 +145,10 @@ impl VirtualDisk {
         assert_eq!(self.mapper, other.mapper, "disk geometries must match");
         let mut a = vec![0u8; self.block_size()];
         let mut b = vec![0u8; self.block_size()];
-        let ga = self.storage.read();
-        let gb = other.storage.read();
         (0..self.num_blocks())
             .filter(|&i| {
-                ga.read_block(i, &mut a);
-                gb.read_block(i, &mut b);
+                self.read_block_into(i, &mut a);
+                other.read_block_into(i, &mut b);
                 a != b
             })
             .collect()

@@ -146,12 +146,13 @@ impl LiveRam {
     pub fn diff_pages(&self, other: &LiveRam) -> Vec<usize> {
         assert_eq!(self.page_size, other.page_size, "page sizes must match");
         assert_eq!(self.num_pages, other.num_pages, "page counts must match");
-        let a = self.bytes.read();
-        let b = other.bytes.read();
+        let mut a = vec![0u8; self.page_size];
+        let mut b = vec![0u8; self.page_size];
         (0..self.num_pages)
             .filter(|&p| {
-                let s = p * self.page_size;
-                a[s..s + self.page_size] != b[s..s + self.page_size]
+                self.read_page_into(p, &mut a);
+                other.read_page_into(p, &mut b);
+                a != b
             })
             .collect()
     }

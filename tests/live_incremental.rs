@@ -98,19 +98,20 @@ fn total(work: &WorkLedger) -> u64 {
 
 /// Every fingerprint the disk's store holds is the true one.
 fn assert_store_exact(disk: &TrackedDisk, who: &str) -> usize {
-    let index = disk.content_index();
-    let mut known = 0;
-    for b in 0..disk.disk().num_blocks() {
-        if let Some(fp) = index.fingerprint_of(b) {
-            known += 1;
-            assert_eq!(
-                fp,
-                hash_block(&disk.disk().read_block(b)),
-                "{who}: stale fingerprint left on block {b}"
-            );
-        }
+    let known: Vec<(usize, u64)> = {
+        let index = disk.content_index();
+        (0..disk.disk().num_blocks())
+            .filter_map(|b| index.fingerprint_of(b).map(|fp| (b, fp)))
+            .collect()
+    };
+    for &(b, fp) in &known {
+        assert_eq!(
+            fp,
+            hash_block(&disk.disk().read_block(b)),
+            "{who}: stale fingerprint left on block {b}"
+        );
     }
-    known
+    known.len()
 }
 
 #[test]
