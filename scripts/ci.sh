@@ -12,11 +12,13 @@ echo "== size: non-test source lines (reported, not gated) =="
 python3 scripts/loc.py
 
 echo "== tier-1: release build =="
-# --workspace so every bin (vmmigrate, repro, lintkit) is fresh before
-# the smoke matrices below run them from target/.
+# --workspace so every bin (vmmigrate, repro) is fresh before the
+# smoke matrices below run them from target/.
 cargo build --release --workspace --locked
 
 echo "== tier-1: workspace tests =="
+# An unoptimized build: the parking_lot stand-in's lock rule (DESIGN.md
+# §11) is checked on every lock every test takes.
 cargo test -q --workspace --locked
 
 echo "== race regression in the shipped build: post-copy arrival vs guest write =="
@@ -291,10 +293,5 @@ for seed in sorted(got | want):
           + "%s:%d %s" % seed)
 raise SystemExit(0 if got == want else 1)
 PY
-
-echo "== lintkit: lock order =="
-# The one zone check no stock lint has: an acyclic lock-order graph, no
-# guard held across a blocking call, single-hop helper propagation.
-cargo run -q -p lintkit --release -- --workspace
 
 echo "CI OK"

@@ -1,17 +1,17 @@
 //! Tier-1 lint gate. The lint zones are stock clippy and rustc lints
 //! denied at each zone's root (DESIGN.md §11), which `scripts/ci.sh`'s
 //! clippy step enforces; a plain `cargo test -q` holds what makes that
-//! step mean something: lintkit's lock-order check is clean, every crate
-//! root forbids `unsafe`, every zone root still carries its `deny` lines,
-//! and nothing in the deterministic zone waives `disallowed_types`. It
-//! also holds the §IV boundary: the phase decisions and the frame charges
+//! step mean something: every crate root forbids `unsafe`, every zone
+//! root still carries its `deny` lines, and nothing in the deterministic
+//! zone waives `disallowed_types`. It holds what makes the run-time lock
+//! rule cover every lock: no program file takes `std::sync`'s locks past
+//! the `parking_lot` stand-in, and one lock is the outer one. It also
+//! holds the §IV boundary: the phase decisions and the frame charges
 //! live in `migrate::phase`, and the fleet executor reaches past it into
 //! nothing.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-
-use lintkit::Workspace;
 
 const TRANSPORT: &[&str] = &[
     "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]",
@@ -47,8 +47,6 @@ const ROOTS: &[(&str, &[&[&str]])] = &[
     ),
     ("crates/vdisk/src/lib.rs", &[DETERMINISTIC]),
     ("crates/vdisk/src/content.rs", &[TRANSPORT]),
-    ("crates/lintkit/src/lib.rs", &[TRANSPORT, RESULT_DROPPED]),
-    ("crates/lintkit/src/main.rs", &[TRANSPORT, RESULT_DROPPED]),
     (
         "crates/blockstore/src/lib.rs",
         &[TRANSPORT, DETERMINISTIC, RESULT_DROPPED],
@@ -77,26 +75,6 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
             out.push(path);
         }
     }
-}
-
-#[test]
-fn workspace_passes_lintkit() {
-    let ws = Workspace::scan(root()).expect("workspace scan");
-    assert!(
-        ws.files.len() > 50,
-        "scan found only {} files",
-        ws.files.len()
-    );
-    let violations = ws.run();
-    assert!(
-        violations.is_empty(),
-        "lintkit violations:\n{}",
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
 
 #[test]
@@ -192,6 +170,56 @@ fn program_text(path: &Path) -> String {
     lines[..end].join("\n")
 }
 
+/// Every program source file: `src/` and each `crates/*/src/`.
+fn program_files() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    for member in fs::read_dir(root().join("crates")).expect("crates/") {
+        let src = member.expect("crates/ entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files
+}
+
+#[test]
+fn every_lock_goes_through_the_checked_stand_in() {
+    // The stand-in's lock rule (DESIGN.md §11) sees only its own locks: a
+    // `std::sync` Mutex or RwLock would be taken unchecked.
+    let files = program_files();
+    assert!(files.len() > 100, "found only {} files", files.len());
+    let mut outer = Vec::new();
+    for path in &files {
+        let text: String = program_text(path).split_whitespace().collect();
+        for (at, _) in text.match_indices("sync::") {
+            let rest = &text[at + "sync::".len()..];
+            // `std::sync::X`, `sync::X` or `std::sync::{A, B as C, …}`.
+            let names = match rest.strip_prefix('{') {
+                Some(group) => group.split('}').next().unwrap_or_default(),
+                None => rest
+                    .split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .next()
+                    .unwrap_or_default(),
+            };
+            for name in names.split(',') {
+                let name = name.split("as").next().unwrap_or_default();
+                assert!(
+                    name != "Mutex" && name != "RwLock",
+                    "{} names std::sync::{name}: use parking_lot's, which the lock rule checks",
+                    path.display()
+                );
+            }
+        }
+        outer.extend(text.matches("Mutex::new_outer(").map(|_| path.clone()));
+    }
+    assert_eq!(
+        outer,
+        [root().join("crates/migrate/src/live/io.rs")],
+        "the one outer lock is DestIo's gate"
+    );
+}
+
 #[test]
 fn phase_decisions_and_frame_charges_live_in_migrate_phase() {
     // The fleet executor drives the phase machine; it does not redo the
@@ -213,14 +241,7 @@ fn phase_decisions_and_frame_charges_live_in_migrate_phase() {
     // indexed payload plus its frame, a page's wire size, the freeze's
     // three frames.
     let book = root().join("crates/migrate/src/phase/book.rs");
-    let mut files = Vec::new();
-    rust_files(&root().join("src"), &mut files);
-    for member in fs::read_dir(root().join("crates")).expect("crates/") {
-        let src = member.expect("crates/ entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
+    let files = program_files();
     assert!(files.contains(&book), "the booking module moved");
     for path in files.iter().filter(|p| **p != book) {
         let text = program_text(path);
