@@ -122,7 +122,8 @@ impl VirtualDisk {
             .collect()
     }
 
-    /// `true` when every block matches `other` byte-for-byte.
+    /// `true` when every block matches `other` byte-for-byte. Each block
+    /// is read under its own lock, so compare disks nobody is writing.
     ///
     /// # Panics
     /// Panics when geometries differ.
@@ -137,7 +138,8 @@ impl VirtualDisk {
         })
     }
 
-    /// Indices of blocks whose contents differ from `other`.
+    /// Indices of blocks whose contents differ from `other`, read one
+    /// block at a time like [`VirtualDisk::content_equals`].
     ///
     /// # Panics
     /// Panics when geometries differ.

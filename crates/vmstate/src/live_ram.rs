@@ -139,7 +139,8 @@ impl LiveRam {
         self.dirty.count_ones()
     }
 
-    /// Indices of pages whose contents differ from `other`.
+    /// Indices of pages whose contents differ from `other`. Each page is
+    /// read under its own lock, so compare RAMs nobody is writing.
     ///
     /// # Panics
     /// Panics when geometries differ.

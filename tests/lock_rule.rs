@@ -138,7 +138,9 @@ fn a_guard_across_a_transport_send_panics() {
 
 #[test]
 fn a_guard_across_a_transport_recv_panics() {
-    let (_src, dst) = duplex();
+    let (src, dst) = duplex();
+    // A message waits, so a receive the check let through would return.
+    src.send(MigMessage::PrepareAck).expect("the peer is alive");
     let ledger = Mutex::new(0u64);
     assert_names(
         || {
