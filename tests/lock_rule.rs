@@ -249,7 +249,8 @@ fn the_gate_is_held_over_a_disk_write() {
     disk.set_telemetry(&recorder, "dst.disk");
     disk.attach_tracker(Arc::new(AtomicBitmap::new(8)), None);
     disk.enable_tracking();
-    disk.content_index();
+    // Create the index, so that each write invalidates it under the gate.
+    drop(disk.content_index());
     let transferred = Arc::new(AtomicBitmap::new(8));
     transferred.set(3);
     transferred.set(5);
