@@ -661,7 +661,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
     use telemetry::{Event, Recorder, Side};
-    use vdisk::{stamp_bytes, TrackedDisk, VirtualDisk};
+    use vdisk::{TrackedDisk, VirtualDisk};
 
     #[test]
     fn source_death_fails_over_to_peer_holders() {
@@ -691,15 +691,10 @@ mod tests {
         // A stale holder: the start-of-migration image. Every frozen
         // block was dirtied after start (stamp ≥ 1 vs stamp 0), so each
         // fingerprint probe must miss and roll to the next holder.
-        let stale = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
+        let stale = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::stamp_zero(
             cfg.block_size,
             cfg.num_blocks,
         ))));
-        for b in 0..cfg.num_blocks {
-            stale
-                .disk()
-                .write_block(b, &stamp_bytes(b, 0, cfg.block_size));
-        }
         // A synchronous replica (shared-storage model): the same backing
         // disk the suspended source holds, so it serves every frozen
         // block with a matching fingerprint.

@@ -17,7 +17,6 @@
 //! disk, so a resend can never apply stale data.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,7 +27,7 @@ use simnet::fault::FaultPlan;
 use simnet::proto::{MigMessage, TransferLedger, WireStats};
 use simnet::transport::{Transport, TransportError};
 use telemetry::{Event, Fold, Phase, Recorder, Resource, Side};
-use vdisk::{is_stamp, stamp_into, DomainId, TrackedDisk, VirtualDisk};
+use vdisk::{is_stamp, DomainId, TrackedDisk, VirtualDisk};
 use vmstate::LiveRam;
 use workloads::WorkloadKind;
 
@@ -272,39 +271,17 @@ impl LiveOutcome {
     }
 }
 
-/// Bytes of stamp-0 image laid out per write: one lock acquisition per
-/// chunk instead of one per unit. Under the allocator's mmap threshold,
-/// so the held buffer is reused heap and first-touches no page of its
-/// own (a 1 MiB one added ~230 faults per migration).
-const LAYOUT_CHUNK: usize = 64 << 10;
-
-/// Lay out the stamp-0 image of `units` units of `unit_size` bytes: each
-/// chunk of units is stamped into one held buffer and handed to `write`
-/// with the units it covers.
-fn lay_out_stamp_zero(units: usize, unit_size: usize, mut write: impl FnMut(Range<usize>, &[u8])) {
-    let per_chunk = (LAYOUT_CHUNK / unit_size).max(1);
-    let mut buf = vec![0u8; per_chunk.min(units) * unit_size];
-    for start in (0..units).step_by(per_chunk) {
-        let range = start..(start + per_chunk).min(units);
-        let bytes = &mut buf[..range.len() * unit_size];
-        for (u, piece) in range.clone().zip(bytes.chunks_exact_mut(unit_size)) {
-            stamp_into(u, 0, piece);
-        }
-        write(range, bytes);
-    }
-}
-
-/// Lay out a primary migration's disks for `cfg`: the source holds the
-/// stamp-0 image the verifier expects, the destination is blank.
+/// A primary migration's disks for `cfg`: the source reads as the
+/// stamp-0 image the verifier expects, computed block by block until the
+/// guest writes it, and the destination is blank (zeroes), so a block
+/// that never arrives cannot pass for one that did.
 pub fn fresh_disks(cfg: &LiveConfig) -> (Arc<TrackedDisk>, Arc<TrackedDisk>) {
     let (bs, n) = (cfg.block_size, cfg.num_blocks);
-    let blank = || Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(bs, n))));
-    let src = blank();
-    lay_out_stamp_zero(n, bs, |blocks, bytes| {
-        let idxs: Vec<u64> = blocks.map(|b| b as u64).collect();
-        src.disk().write_blocks(&idxs, bytes);
-    });
-    (src, blank())
+    let tracked = |disk| Arc::new(TrackedDisk::new(Arc::new(disk)));
+    (
+        tracked(VirtualDisk::stamp_zero(bs, n)),
+        tracked(VirtualDisk::dense(bs, n)),
+    )
 }
 
 /// What a [`run_live`] migration runs on besides its [`LiveConfig`].
@@ -312,7 +289,7 @@ pub fn fresh_disks(cfg: &LiveConfig) -> (Arc<TrackedDisk>, Arc<TrackedDisk>) {
 /// over the in-process link, without faults.
 #[derive(Default)]
 pub struct LiveRun {
-    /// Source and destination disks; `None` lays out [`fresh_disks`].
+    /// Source and destination disks; `None` takes [`fresh_disks`].
     pub disks: Option<(Arc<TrackedDisk>, Arc<TrackedDisk>)>,
     /// Enables Incremental Migration: only the marked blocks are shipped
     /// in the first iteration (§V — "if \[the bitmap\] does \[exist\],
@@ -429,13 +406,9 @@ where
     src.set_telemetry(&cfg.telemetry, "disk.src");
     dst.set_telemetry(&cfg.telemetry, "disk.dst");
 
-    // Byte-real RAM on both ends; the source starts with the stamp-0
-    // image the verifier expects. `apply_pages` writes untracked, which
-    // is all `write_page` would do here: log-dirty is not on yet.
-    let src_ram = Arc::new(LiveRam::new(cfg.mem_page_size, cfg.mem_pages));
-    lay_out_stamp_zero(cfg.mem_pages, cfg.mem_page_size, |pages, bytes| {
-        src_ram.apply_pages(&pages.collect::<Vec<_>>(), bytes);
-    });
+    // Byte-real RAM on both ends; the source reads as the stamp-0 image
+    // the verifier expects, the destination as zeroes.
+    let src_ram = Arc::new(LiveRam::stamp_zero(cfg.mem_page_size, cfg.mem_pages));
     let dst_ram = Arc::new(LiveRam::new(cfg.mem_page_size, cfg.mem_pages));
 
     // "Signal blkback to start monitoring write accesses" — before the

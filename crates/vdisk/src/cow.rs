@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 
-use crate::Storage;
+use crate::{Storage, Unwritten};
 
 /// A base image shared (immutably) among any number of CoW overlays.
 pub type BaseImage = Arc<dyn Storage>;
@@ -102,6 +102,10 @@ impl Storage for CowStorage {
         }
     }
 
+    fn unwritten(&self) -> Unwritten {
+        self.base.unwritten()
+    }
+
     fn resident_bytes(&self) -> usize {
         self.overlay.len() * self.block_size() + std::mem::size_of::<Self>()
     }
@@ -113,11 +117,7 @@ mod tests {
     use crate::{stamp_bytes, DenseStorage};
 
     fn base(blocks: usize) -> BaseImage {
-        let mut b = DenseStorage::new(512, blocks);
-        for i in 0..blocks {
-            b.write_block(i, &stamp_bytes(i, 0, 512));
-        }
-        Arc::new(b)
+        Arc::new(DenseStorage::stamp_zero(512, blocks))
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use block_bitmap::BlockMapper;
 use parking_lot::RwLock;
 
-use crate::{fingerprint_block, hash_block, Storage};
+use crate::{fingerprint_block, hash_block, Storage, Unwritten};
 
 /// A virtual block device: geometry plus a locked backing store.
 ///
@@ -30,6 +30,14 @@ impl VirtualDisk {
     /// Dense zero-filled disk of `num_blocks` × `block_size`.
     pub fn dense(block_size: usize, num_blocks: usize) -> Self {
         Self::new(Box::new(crate::DenseStorage::new(block_size, num_blocks)))
+    }
+
+    /// Dense disk whose every block reads as its stamp-0 content until
+    /// written (see [`crate::DenseStorage::stamp_zero`]).
+    pub fn stamp_zero(block_size: usize, num_blocks: usize) -> Self {
+        Self::new(Box::new(crate::DenseStorage::stamp_zero(
+            block_size, num_blocks,
+        )))
     }
 
     /// Sparse zero-filled disk of `num_blocks` × `block_size`.
@@ -84,23 +92,40 @@ impl VirtualDisk {
 
     /// [`hash_block`] content fingerprint of every block, in block order
     /// — what a dedup handshake summarises. Blocks are hashed in place
-    /// under one read lock, and a never-written block is answered with
-    /// the zero block's fingerprint straight from the store's allocation
-    /// map, so a blank disk costs no memory traffic at all.
+    /// under one read lock. A never-written block is known from the
+    /// store's allocation map: on a zero-based store it is answered with
+    /// the zero block's fingerprint, so a blank disk costs no memory
+    /// traffic at all; otherwise its initial content is computed into one
+    /// held buffer and hashed.
     pub fn hash_all(&self) -> Vec<u64> {
-        let zero = hash_block(&vec![0u8; self.block_size()]);
         let guard = self.storage.read();
+        let unwritten = guard.unwritten();
+        let mut buf = vec![0u8; self.block_size()];
+        let zero = hash_block(&buf);
         (0..self.num_blocks())
-            .map(|b| guard.resident_block(b).map_or(zero, hash_block))
+            .map(|b| match guard.resident_block(b) {
+                Some(block) => hash_block(block),
+                None if unwritten == Unwritten::Zeroes => zero,
+                None => {
+                    unwritten.fill(b, &mut buf);
+                    hash_block(&buf)
+                }
+            })
             .collect()
     }
 
     /// [`hash_block`] of block `idx`, hashed in place under one read lock
-    /// as [`Self::hash_all`] hashes every block: no copy of it is made.
+    /// as [`Self::hash_all`] hashes every block: no copy of a written
+    /// block is made.
     pub fn hash_block_at(&self, idx: usize) -> u64 {
-        match self.storage.read().resident_block(idx) {
+        let guard = self.storage.read();
+        match guard.resident_block(idx) {
             Some(block) => hash_block(block),
-            None => hash_block(&vec![0u8; self.block_size()]),
+            None => {
+                let mut buf = vec![0u8; self.block_size()];
+                guard.unwritten().fill(idx, &mut buf);
+                hash_block(&buf)
+            }
         }
     }
 

@@ -52,7 +52,7 @@ pub use meta::MetaDisk;
 pub use pending::PendingQueue;
 pub use replica::{Replica, ReplicaTable};
 pub use request::{DomainId, IoOp, IoRequest};
-pub use storage::{DenseStorage, SparseStorage, Storage};
+pub use storage::{DenseStorage, SparseStorage, Storage, Unwritten};
 pub use tracked::{TrackedDisk, TrackerHandle};
 
 /// Per-block 64-bit FNV-1a fingerprint, used by consistency checks.
@@ -74,11 +74,25 @@ const STAMP_PERIOD: usize = 64;
 /// and the reference the verifier checks the destination against. Past
 /// a 16-byte header holding `idx` and `stamp` verbatim (so failures are
 /// debuggable; omitted below 16 bytes) it repeats every 64 bytes.
-/// Allocating form of [`stamp_into`].
+/// Allocating form of [`stamp_append`].
 pub fn stamp_bytes(idx: usize, stamp: u64, block_size: usize) -> Vec<u8> {
-    let mut out = vec![0u8; block_size];
-    stamp_into(idx, stamp, &mut out);
+    let mut out = Vec::with_capacity(block_size);
+    stamp_append(idx, stamp, block_size, &mut out);
     out
+}
+
+/// Append the `len`-byte [`stamp_bytes`] content of unit `idx` at
+/// generation `stamp` to `out`, a period at a time, without zeroing the
+/// space first.
+pub fn stamp_append(idx: usize, stamp: u64, len: usize, out: &mut Vec<u8>) {
+    let (head, period) = stamp_periods(idx, stamp, len);
+    out.reserve(len);
+    out.extend_from_slice(&head[..len.min(STAMP_PERIOD)]);
+    let rest = len.saturating_sub(STAMP_PERIOD);
+    for _ in 0..rest / STAMP_PERIOD {
+        out.extend_from_slice(&period);
+    }
+    out.extend_from_slice(&period[..rest % STAMP_PERIOD]);
 }
 
 /// Fill `out` with the [`stamp_bytes`] content of unit `idx` at
@@ -108,9 +122,14 @@ pub fn is_stamp(idx: usize, stamp: u64, data: &[u8]) -> bool {
 /// The first period of a `len`-byte stamp block (the header laid over it
 /// when the block has room for one) and the period every later one repeats.
 fn stamp_periods(idx: usize, stamp: u64, len: usize) -> ([u8; STAMP_PERIOD], [u8; STAMP_PERIOD]) {
+    // Byte i is `(seed.rotate_left(i) >> (i % 8)) as u8`, which is the
+    // low byte of `seed.rotate_left(8 * (i / 8))`: eight runs of eight
+    // equal bytes, each one byte of the seed.
     let seed = (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stamp;
-    let period: [u8; STAMP_PERIOD] =
-        std::array::from_fn(|i| (seed.rotate_left(i as u32) >> (i % 8)) as u8);
+    let mut period = [0u8; STAMP_PERIOD];
+    for (k, run) in period.chunks_exact_mut(8).enumerate() {
+        run.fill(seed.rotate_left(8 * k as u32) as u8);
+    }
     let mut head = period;
     if len >= 16 {
         head[..8].copy_from_slice(&(idx as u64).to_le_bytes());

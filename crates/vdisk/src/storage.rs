@@ -4,6 +4,38 @@ use std::collections::BTreeMap;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 
+use crate::{stamp_append, stamp_into};
+
+/// What a store's never-written units read as: its initial content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unwritten {
+    /// Zeroes: a blank device.
+    Zeroes,
+    /// Unit `u` reads as [`stamp_bytes`](crate::stamp_bytes)`(u, 0, len)`:
+    /// the image a primary migration's source starts from, computed when
+    /// read instead of laid out in memory.
+    StampZero,
+}
+
+impl Unwritten {
+    /// Fill `out` with the initial content of unit `idx`.
+    pub fn fill(self, idx: usize, out: &mut [u8]) {
+        match self {
+            Self::Zeroes => out.fill(0),
+            Self::StampZero => stamp_into(idx, 0, out),
+        }
+    }
+
+    /// Append the `len`-byte initial content of unit `idx` to `out`,
+    /// without zeroing the space first.
+    pub fn append(self, idx: usize, len: usize, out: &mut Vec<u8>) {
+        match self {
+            Self::Zeroes => out.resize(out.len() + len, 0),
+            Self::StampZero => stamp_append(idx, 0, len, out),
+        }
+    }
+}
+
 /// A block-addressed backing store.
 ///
 /// Implementations are single-threaded; thread safety is added by
@@ -28,13 +60,19 @@ pub trait Storage: Send + Sync {
     fn write_block(&mut self, idx: usize, data: &[u8]);
 
     /// Block `idx`'s bytes, lent in place, or `None` for a block that was
-    /// never written (it reads as zeroes). A block written with zeroes
-    /// may answer either way: callers may rely on `None` meaning zero,
-    /// never on zero meaning `None`.
+    /// never written. A block written with its initial content may answer
+    /// either way: callers may rely on `None` meaning a block that reads
+    /// as the store's [`Storage::unwritten`] content, never on that
+    /// content meaning `None`.
     ///
     /// # Panics
     /// Panics when `idx` is out of range.
     fn resident_block(&self, idx: usize) -> Option<&[u8]>;
+
+    /// What a block [`Storage::resident_block`] answers `None` for reads as.
+    fn unwritten(&self) -> Unwritten {
+        Unwritten::Zeroes
+    }
 
     /// Append the blocks `idxs`, in order, to `out`: one dynamic call per
     /// batch instead of one per block (the per-block calls inside are
@@ -45,12 +83,12 @@ pub trait Storage: Send + Sync {
     /// # Panics
     /// Panics when an index is out of range.
     fn read_blocks_append(&self, idxs: &[usize], out: &mut Vec<u8>) {
-        let bs = self.block_size();
+        let (bs, unwritten) = (self.block_size(), self.unwritten());
         out.reserve(idxs.len() * bs);
         for &idx in idxs {
             match self.resident_block(idx) {
                 Some(block) => out.extend_from_slice(block),
-                None => out.resize(out.len() + bs, 0),
+                None => unwritten.append(idx, bs, out),
             }
         }
     }
@@ -81,9 +119,10 @@ pub struct DenseStorage {
     data: Vec<u8>,
     /// Allocation map — the paper's block-bitmap put to a second use: set
     /// by every write, never cleared. An unset bit proves the block still
-    /// holds the zeroes it was allocated with, without touching its
-    /// (lazily faulted) pages.
+    /// holds the store's initial content, without touching its (lazily
+    /// faulted) pages: the content is computed, not stored.
     written: FlatBitmap,
+    unwritten: Unwritten,
 }
 
 impl DenseStorage {
@@ -97,6 +136,19 @@ impl DenseStorage {
             block_size,
             data: vec![0; block_size * num_blocks],
             written: FlatBitmap::new(num_blocks),
+            unwritten: Unwritten::Zeroes,
+        }
+    }
+
+    /// A dense store whose every block reads as its stamp-0 content until
+    /// written, and which occupies no memory until then.
+    ///
+    /// # Panics
+    /// Panics when `block_size == 0`.
+    pub fn stamp_zero(block_size: usize, num_blocks: usize) -> Self {
+        Self {
+            unwritten: Unwritten::StampZero,
+            ..Self::new(block_size, num_blocks)
         }
     }
 
@@ -119,7 +171,11 @@ impl Storage for DenseStorage {
     fn read_block(&self, idx: usize, out: &mut [u8]) {
         let r = self.range(idx);
         assert_eq!(out.len(), self.block_size, "buffer/block size mismatch");
-        out.copy_from_slice(&self.data[r]);
+        if self.written.get(idx) {
+            out.copy_from_slice(&self.data[r]);
+        } else {
+            self.unwritten.fill(idx, out);
+        }
     }
 
     fn write_block(&mut self, idx: usize, data: &[u8]) {
@@ -134,8 +190,14 @@ impl Storage for DenseStorage {
         self.written.get(idx).then(|| &self.data[r])
     }
 
+    fn unwritten(&self) -> Unwritten {
+        self.unwritten
+    }
+
+    /// Written blocks only: the allocation's pages are faulted in by the
+    /// writes that touch them, so its capacity is a virtual size.
     fn resident_bytes(&self) -> usize {
-        self.data.capacity()
+        self.written.count_ones() * self.block_size + std::mem::size_of::<Self>()
     }
 }
 

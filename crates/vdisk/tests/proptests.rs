@@ -4,8 +4,8 @@
 //! the write hook's invalidation of it, tracker completeness (the
 //! correctness property migration rests on), pending queue conservation,
 //! MetaDisk synchronization, ReplicaTable agreement with a naive
-//! reference model, and the tiled stamp generator against its per-byte
-//! definition.
+//! reference model, the tiled stamp generator against its per-byte
+//! definition, and a computed stamp-0 image against one laid out.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -13,8 +13,9 @@ use std::sync::Arc;
 use block_bitmap::{AtomicBitmap, DirtyMap};
 use proptest::prelude::*;
 use vdisk::{
-    hash_block, is_stamp, stamp_bytes, stamp_into, ContentIndex, DenseStorage, DomainId, IoRequest,
-    MetaDisk, PendingQueue, ReplicaTable, SparseStorage, Storage, TrackedDisk, VirtualDisk,
+    hash_block, is_stamp, stamp_append, stamp_bytes, stamp_into, ContentIndex, CowStorage,
+    DenseStorage, DomainId, IoRequest, MetaDisk, PendingQueue, ReplicaTable, SparseStorage,
+    Storage, TrackedDisk, VirtualDisk,
 };
 
 const BLOCKS: usize = 64;
@@ -504,6 +505,10 @@ proptest! {
             let mut buf = vec![0xa5; len];
             stamp_into(idx, stamp, &mut buf);
             prop_assert_eq!(&buf, &want);
+            let mut appended = vec![0xa5; 3];
+            stamp_append(idx, stamp, len, &mut appended);
+            prop_assert_eq!(&appended[..3], &[0xa5; 3]);
+            prop_assert_eq!(&appended[3..], &want[..]);
             prop_assert!(is_stamp(idx, stamp, &want));
         }
     }
@@ -534,6 +539,164 @@ proptest! {
             }
         }
     }
+}
+
+/// A write of the computed-image property: zeroes (stamp 0, which must
+/// then read as zeroes, not as the initial content), the stamp-0 content
+/// written back explicitly (stamp 1), or a later generation.
+fn image_bytes(b: usize, stamp: u64) -> Vec<u8> {
+    match stamp {
+        0 => vec![0u8; BS],
+        1 => stamp_bytes(b, 0, BS),
+        s => stamp_bytes(b, s, BS),
+    }
+}
+
+/// One step of the computed-image property: a single-block write or a
+/// batch (repeats included).
+#[derive(Debug, Clone)]
+enum ImageWrite {
+    One(usize, u64),
+    Batch(Vec<(usize, u64)>),
+}
+
+fn image_write() -> impl Strategy<Value = ImageWrite> {
+    prop_oneof![
+        (0usize..BLOCKS, 0u64..5).prop_map(|(b, s)| ImageWrite::One(b, s)),
+        prop::collection::vec((0usize..BLOCKS, 0u64..5), 0..8).prop_map(ImageWrite::Batch),
+    ]
+}
+
+fn apply_image_write(disk: &VirtualDisk, w: &ImageWrite) {
+    match w {
+        ImageWrite::One(b, s) => disk.write_block(*b, &image_bytes(*b, *s)),
+        ImageWrite::Batch(ws) => {
+            let idxs: Vec<u64> = ws.iter().map(|&(b, _)| b as u64).collect();
+            let data: Vec<u8> = ws.iter().flat_map(|&(b, s)| image_bytes(b, s)).collect();
+            disk.write_blocks(&idxs, &data);
+        }
+    }
+}
+
+/// Every block of `disk`, in one batched read.
+fn read_all(disk: &VirtualDisk) -> Vec<u8> {
+    let mut out = Vec::new();
+    disk.read_blocks_append(&(0..BLOCKS).collect::<Vec<_>>(), &mut out);
+    out
+}
+
+/// The stamp-0 image written block by block into a zero-based store.
+fn laid_out_stamp_zero() -> DenseStorage {
+    let mut s = DenseStorage::new(BS, BLOCKS);
+    for b in 0..BLOCKS {
+        s.write_block(b, &stamp_bytes(b, 0, BS));
+    }
+    s
+}
+
+/// Every observation of `a` is that of `b`, diffs and equality taken
+/// against each of `probes` in both directions.
+fn observed_alike(
+    a: &VirtualDisk,
+    b: &VirtualDisk,
+    reads: &[usize],
+    probes: &[&VirtualDisk],
+) -> Result<(), TestCaseError> {
+    for blk in 0..BLOCKS {
+        prop_assert_eq!(a.read_block(blk), b.read_block(blk), "block {}", blk);
+        prop_assert_eq!(a.hash_block_at(blk), b.hash_block_at(blk), "block {}", blk);
+    }
+    let (mut got_a, mut got_b) = (vec![0xAAu8; 3], vec![0xAAu8; 3]);
+    a.read_blocks_append(reads, &mut got_a);
+    b.read_blocks_append(reads, &mut got_b);
+    prop_assert_eq!(got_a, got_b);
+    prop_assert_eq!(a.hash_all(), b.hash_all());
+    prop_assert_eq!(a.hash_all(), hash_each(a));
+    prop_assert_eq!(a.fingerprint_all(), b.fingerprint_all());
+    prop_assert!(a.content_equals(b) && b.content_equals(a));
+    prop_assert!(a.diff_blocks(b).is_empty());
+    for probe in probes {
+        prop_assert_eq!(a.diff_blocks(probe), b.diff_blocks(probe));
+        prop_assert_eq!(probe.diff_blocks(a), probe.diff_blocks(b));
+        prop_assert_eq!(a.content_equals(probe), b.content_equals(probe));
+        prop_assert_eq!(probe.content_equals(a), probe.content_equals(b));
+    }
+    Ok(())
+}
+
+proptest! {
+    /// A stamp-0 store, whose unwritten blocks are computed, is
+    /// observationally the zero-based store the stamp-0 image was
+    /// written into, under any interleaving of single and batched
+    /// writes; and so is a CoW overlay over each (the base itself
+    /// partly written before it is shared). Zeroes written read as
+    /// zeroes, and the image written back reads as itself. Every
+    /// observation is compared before and after the writes, the whole
+    /// image after each one.
+    #[test]
+    fn a_computed_stamp_zero_image_is_the_laid_out_one(
+        base_writes in prop::collection::vec(image_write(), 0..6),
+        writes in prop::collection::vec(image_write(), 0..24),
+        reads in prop::collection::vec(0usize..BLOCKS, 0..40),
+    ) {
+        let blank = VirtualDisk::dense(BS, BLOCKS);
+        let laid_out = VirtualDisk::new(Box::new(laid_out_stamp_zero()));
+        let probes = [&blank, &laid_out];
+
+        let computed = VirtualDisk::stamp_zero(BS, BLOCKS);
+        let eager = VirtualDisk::new(Box::new(laid_out_stamp_zero()));
+        observed_alike(&computed, &eager, &reads, &probes)?;
+        for w in &writes {
+            apply_image_write(&computed, w);
+            apply_image_write(&eager, w);
+            prop_assert_eq!(read_all(&computed), read_all(&eager));
+        }
+        observed_alike(&computed, &eager, &reads, &probes)?;
+
+        let mut bases: [Box<dyn Storage>; 2] =
+            [Box::new(DenseStorage::stamp_zero(BS, BLOCKS)), Box::new(laid_out_stamp_zero())];
+        for base in &mut bases {
+            for w in &base_writes {
+                let (idxs, data): (Vec<u64>, Vec<u8>) = match w {
+                    ImageWrite::One(b, s) => (vec![*b as u64], image_bytes(*b, *s)),
+                    ImageWrite::Batch(ws) => (
+                        ws.iter().map(|&(b, _)| b as u64).collect(),
+                        ws.iter().flat_map(|&(b, s)| image_bytes(b, s)).collect(),
+                    ),
+                };
+                base.write_blocks(&idxs, &data);
+            }
+        }
+        let [computed_base, eager_base] = bases;
+        let computed = VirtualDisk::new(Box::new(CowStorage::new(Arc::from(computed_base))));
+        let eager = VirtualDisk::new(Box::new(CowStorage::new(Arc::from(eager_base))));
+        observed_alike(&computed, &eager, &reads, &probes)?;
+        for w in &writes {
+            apply_image_write(&computed, w);
+            apply_image_write(&eager, w);
+            prop_assert_eq!(read_all(&computed), read_all(&eager));
+        }
+        observed_alike(&computed, &eager, &reads, &probes)?;
+    }
+}
+
+/// A stamp-0 store occupies a block's worth of memory per written block
+/// and nothing for the blocks it computes; zeroes written are data.
+#[test]
+fn a_stamp_zero_store_occupies_what_was_written() {
+    let mut s = DenseStorage::stamp_zero(BS, BLOCKS);
+    let empty = s.resident_bytes();
+    assert!(empty < BS, "{empty} bytes before any write");
+    s.write_block(3, &[0u8; BS]);
+    s.write_block(9, &stamp_bytes(9, 4, BS));
+    s.write_block(9, &stamp_bytes(9, 5, BS));
+    assert_eq!(s.resident_bytes(), empty + 2 * BS);
+    let mut buf = vec![0xAAu8; BS];
+    s.read_block(3, &mut buf);
+    assert_eq!(buf, vec![0u8; BS]);
+    s.read_block(4, &mut buf);
+    assert_eq!(buf, stamp_bytes(4, 0, BS));
+    assert_eq!(DenseStorage::new(BS, BLOCKS).resident_bytes(), empty);
 }
 
 /// The blank-destination shape that cost the old index 59 ms per

@@ -10,16 +10,34 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use block_bitmap::{AtomicBitmap, FlatBitmap};
+use block_bitmap::{AtomicBitmap, DirtyMap, FlatBitmap};
 use parking_lot::RwLock;
+use vdisk::Unwritten;
 
 /// Thread-safe, write-tracked guest RAM.
 pub struct LiveRam {
     page_size: usize,
     num_pages: usize,
-    bytes: RwLock<Vec<u8>>,
+    pages: RwLock<Pages>,
+    unwritten: Unwritten,
     dirty: AtomicBitmap,
     tracking: AtomicBool,
+}
+
+/// Page bytes and the allocation map that says which of them hold data:
+/// a page never written reads as the RAM's initial content, computed
+/// when read, and its bytes are never touched.
+struct Pages {
+    bytes: Vec<u8>,
+    written: FlatBitmap,
+}
+
+impl Pages {
+    fn write(&mut self, idx: usize, data: &[u8]) {
+        let start = idx * data.len();
+        self.bytes[start..start + data.len()].copy_from_slice(data);
+        self.written.set(idx);
+    }
 }
 
 impl LiveRam {
@@ -32,9 +50,25 @@ impl LiveRam {
         Self {
             page_size,
             num_pages,
-            bytes: RwLock::new(vec![0; page_size * num_pages]),
+            pages: RwLock::new(Pages {
+                bytes: vec![0; page_size * num_pages],
+                written: FlatBitmap::new(num_pages),
+            }),
+            unwritten: Unwritten::Zeroes,
             dirty: AtomicBitmap::new(num_pages),
             tracking: AtomicBool::new(false),
+        }
+    }
+
+    /// RAM whose every page reads as its stamp-0 content until written,
+    /// and which occupies no memory until then.
+    ///
+    /// # Panics
+    /// Panics when `page_size == 0`.
+    pub fn stamp_zero(page_size: usize, num_pages: usize) -> Self {
+        Self {
+            unwritten: Unwritten::StampZero,
+            ..Self::new(page_size, num_pages)
         }
     }
 
@@ -65,11 +99,7 @@ impl LiveRam {
     pub fn write_page(&self, idx: usize, data: &[u8]) {
         assert!(idx < self.num_pages, "page {idx} out of range");
         assert_eq!(data.len(), self.page_size, "buffer/page size mismatch");
-        {
-            let mut guard = self.bytes.write();
-            let start = idx * self.page_size;
-            guard[start..start + self.page_size].copy_from_slice(data);
-        }
+        self.pages.write().write(idx, data);
         if self.tracking.load(Ordering::Acquire) {
             self.dirty.set(idx);
         }
@@ -80,10 +110,7 @@ impl LiveRam {
     /// # Panics
     /// Panics when `idx` is out of range.
     pub fn read_page(&self, idx: usize) -> Vec<u8> {
-        assert!(idx < self.num_pages, "page {idx} out of range");
-        let guard = self.bytes.read();
-        let start = idx * self.page_size;
-        guard[start..start + self.page_size].to_vec()
+        self.read_pages(&[idx])
     }
 
     /// Read page `idx` into `out`.
@@ -92,19 +119,32 @@ impl LiveRam {
     /// Panics when `idx` is out of range or `out` is not page-sized.
     pub fn read_page_into(&self, idx: usize, out: &mut [u8]) {
         assert!(idx < self.num_pages, "page {idx} out of range");
-        let start = idx * self.page_size;
-        out.copy_from_slice(&self.bytes.read()[start..start + self.page_size]);
+        assert_eq!(out.len(), self.page_size, "buffer/page size mismatch");
+        let guard = self.pages.read();
+        if guard.written.get(idx) {
+            let start = idx * self.page_size;
+            out.copy_from_slice(&guard.bytes[start..start + self.page_size]);
+        } else {
+            self.unwritten.fill(idx, out);
+        }
     }
 
     /// Copy several pages into one contiguous buffer (a `MemPages`
     /// payload), in the order given.
+    ///
+    /// # Panics
+    /// Panics when a page is out of range.
     pub fn read_pages(&self, pages: &[usize]) -> Vec<u8> {
-        let guard = self.bytes.read();
+        let guard = self.pages.read();
         let mut out = Vec::with_capacity(pages.len() * self.page_size);
         for &p in pages {
             assert!(p < self.num_pages, "page {p} out of range");
-            let start = p * self.page_size;
-            out.extend_from_slice(&guard[start..start + self.page_size]);
+            if guard.written.get(p) {
+                let start = p * self.page_size;
+                out.extend_from_slice(&guard.bytes[start..start + self.page_size]);
+            } else {
+                self.unwritten.append(p, self.page_size, &mut out);
+            }
         }
         out
     }
@@ -120,12 +160,10 @@ impl LiveRam {
             pages.len() * self.page_size,
             "payload/page-count mismatch"
         );
-        let mut guard = self.bytes.write();
-        for (i, &p) in pages.iter().enumerate() {
+        let mut guard = self.pages.write();
+        for (&p, piece) in pages.iter().zip(payload.chunks_exact(self.page_size)) {
             assert!(p < self.num_pages, "page {p} out of range");
-            let dst = p * self.page_size;
-            guard[dst..dst + self.page_size]
-                .copy_from_slice(&payload[i * self.page_size..(i + 1) * self.page_size]);
+            guard.write(p, piece);
         }
     }
 
@@ -177,7 +215,6 @@ impl std::fmt::Debug for LiveRam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use block_bitmap::DirtyMap as _;
     use std::sync::Arc;
 
     fn page(v: u8, size: usize) -> Vec<u8> {

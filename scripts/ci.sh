@@ -122,6 +122,23 @@ assert (classic["dedup.sessions_fingerprinted"], classic["dedup.sessions_skipped
 assert (paced["dedup.sessions_fingerprinted"], paced["wire.blocks_deduped"]) == (1, 1)
 PY
 
+echo "== CLI memory: a fresh source image is computed, not laid out =="
+# The source's disk and RAM read as their stamp-0 image until the guest
+# writes them, so a primary migration holds about one image in memory:
+# the destination's, filled as blocks arrive. Peak RSS of the CLI over
+# loopback TCP with a writing guest must stay under the destination's
+# disk (65 536 x 512 B) and RAM (2 048 x 512 B) plus 16 MiB; a source
+# that lays its image out again adds its 32 MiB and fails here.
+python3 - <<'PY'
+import resource, subprocess
+subprocess.run(["./target/release/vmmigrate", "live", "--workload", "web", "--tcp"],
+               check=True, stdout=subprocess.DEVNULL)
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+bound_mib = (65536 * 512 + 2048 * 512) / 2**20 + 16
+print(f"vmmigrate live --workload web --tcp: peak RSS {peak_mib:.1f} MiB (bound {bound_mib:.0f})")
+assert peak_mib <= bound_mib, (peak_mib, bound_mib)
+PY
+
 echo "== CLI round trip: a run and its journal fold to one account =="
 # A run reads its report off the fold of its events and prints that
 # account (phase spans, iterations, post-copy counts, reconnects) in the

@@ -80,6 +80,53 @@ fn live_diabolical_workload_consistent() {
     );
 }
 
+/// The source image is computed, not laid out: `fresh_disks`' source
+/// occupies nothing and reads as stamp-0, its destination reads as
+/// zeroes (a stamp-based destination would let a block that never
+/// arrived verify as correct), and a guest that never writes leaves the
+/// source with nothing written.
+#[test]
+fn fresh_source_is_computed_and_destination_is_blank() {
+    use block_bitmap_migration::migrate::live::fresh_disks;
+    use block_bitmap_migration::vdisk::is_stamp;
+    let cfg = LiveConfig {
+        workload: WorkloadKind::Idle,
+        num_blocks: 4_096,
+        ..base_cfg()
+    };
+    let (src, dst) = fresh_disks(&cfg);
+    let bs = cfg.block_size;
+    assert!(src.disk().resident_bytes() < bs, "nothing written");
+    let all: Vec<usize> = (0..cfg.num_blocks).collect();
+    let (mut from_src, mut from_dst) = (Vec::new(), Vec::new());
+    src.disk().read_blocks_append(&all, &mut from_src);
+    dst.disk().read_blocks_append(&all, &mut from_dst);
+    for (b, block) in from_src.chunks_exact(bs).enumerate() {
+        assert!(is_stamp(b, 0, block), "source block {b} is not stamp-0");
+        assert_eq!(block, src.disk().read_block(b).as_slice());
+    }
+    assert!(
+        from_dst.iter().all(|&byte| byte == 0),
+        "destination not blank"
+    );
+    assert!((0..cfg.num_blocks).all(|b| dst.disk().read_block(b) == vec![0; bs]));
+
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            disks: Some((src, dst)),
+            ..LiveRun::default()
+        },
+    )
+    .expect("migration completes");
+    assert_fully_consistent(&out);
+    assert!(out.inconsistent_pages().is_empty());
+    assert!(
+        out.src_disk.disk().resident_bytes() < bs,
+        "an idle guest's migration wrote to its source"
+    );
+}
+
 #[test]
 fn live_rate_limited_consistent() {
     let cfg = LiveConfig {
@@ -357,11 +404,8 @@ fn cow_overlay_seeds_a_collective_style_live_migration() {
     // is exactly the IM-style initial set — only diverged blocks cross.
     use block_bitmap_migration::vdisk::{CowStorage, DenseStorage, Storage};
     let blocks = 16_384usize;
-    let mut base = DenseStorage::new(512, blocks);
-    for b in 0..blocks {
-        base.write_block(b, &vdisk_stamp(b, 0));
-    }
-    let base: block_bitmap_migration::vdisk::BaseImage = Arc::new(base);
+    let base: block_bitmap_migration::vdisk::BaseImage =
+        Arc::new(DenseStorage::stamp_zero(512, blocks));
 
     // Source guest ran on a CoW overlay and diverged on 200 blocks.
     let mut cow = CowStorage::new(Arc::clone(&base));
