@@ -567,12 +567,24 @@ fn image_write() -> impl Strategy<Value = ImageWrite> {
     ]
 }
 
+impl ImageWrite {
+    /// The write as `write_blocks` arguments.
+    fn batch(&self) -> (Vec<u64>, Vec<u8>) {
+        let ws = match self {
+            ImageWrite::One(b, s) => vec![(*b, *s)],
+            ImageWrite::Batch(ws) => ws.clone(),
+        };
+        let idxs = ws.iter().map(|&(b, _)| b as u64).collect();
+        let data = ws.iter().flat_map(|&(b, s)| image_bytes(b, s)).collect();
+        (idxs, data)
+    }
+}
+
 fn apply_image_write(disk: &VirtualDisk, w: &ImageWrite) {
     match w {
         ImageWrite::One(b, s) => disk.write_block(*b, &image_bytes(*b, *s)),
-        ImageWrite::Batch(ws) => {
-            let idxs: Vec<u64> = ws.iter().map(|&(b, _)| b as u64).collect();
-            let data: Vec<u8> = ws.iter().flat_map(|&(b, s)| image_bytes(b, s)).collect();
+        ImageWrite::Batch(_) => {
+            let (idxs, data) = w.batch();
             disk.write_blocks(&idxs, &data);
         }
     }
@@ -657,13 +669,7 @@ proptest! {
             [Box::new(DenseStorage::stamp_zero(BS, BLOCKS)), Box::new(laid_out_stamp_zero())];
         for base in &mut bases {
             for w in &base_writes {
-                let (idxs, data): (Vec<u64>, Vec<u8>) = match w {
-                    ImageWrite::One(b, s) => (vec![*b as u64], image_bytes(*b, *s)),
-                    ImageWrite::Batch(ws) => (
-                        ws.iter().map(|&(b, _)| b as u64).collect(),
-                        ws.iter().flat_map(|&(b, s)| image_bytes(b, s)).collect(),
-                    ),
-                };
+                let (idxs, data) = w.batch();
                 base.write_blocks(&idxs, &data);
             }
         }

@@ -38,6 +38,12 @@ impl Pages {
         self.bytes[start..start + data.len()].copy_from_slice(data);
         self.written.set(idx);
     }
+
+    /// Page `idx`'s bytes, or `None` for a page never written.
+    fn resident(&self, idx: usize, page_size: usize) -> Option<&[u8]> {
+        let range = idx * page_size..(idx + 1) * page_size;
+        self.written.get(idx).then(|| &self.bytes[range])
+    }
 }
 
 impl LiveRam {
@@ -120,12 +126,9 @@ impl LiveRam {
     pub fn read_page_into(&self, idx: usize, out: &mut [u8]) {
         assert!(idx < self.num_pages, "page {idx} out of range");
         assert_eq!(out.len(), self.page_size, "buffer/page size mismatch");
-        let guard = self.pages.read();
-        if guard.written.get(idx) {
-            let start = idx * self.page_size;
-            out.copy_from_slice(&guard.bytes[start..start + self.page_size]);
-        } else {
-            self.unwritten.fill(idx, out);
+        match self.pages.read().resident(idx, self.page_size) {
+            Some(page) => out.copy_from_slice(page),
+            None => self.unwritten.fill(idx, out),
         }
     }
 
@@ -139,11 +142,9 @@ impl LiveRam {
         let mut out = Vec::with_capacity(pages.len() * self.page_size);
         for &p in pages {
             assert!(p < self.num_pages, "page {p} out of range");
-            if guard.written.get(p) {
-                let start = p * self.page_size;
-                out.extend_from_slice(&guard.bytes[start..start + self.page_size]);
-            } else {
-                self.unwritten.append(p, self.page_size, &mut out);
+            match guard.resident(p, self.page_size) {
+                Some(page) => out.extend_from_slice(page),
+                None => self.unwritten.append(p, self.page_size, &mut out),
             }
         }
         out
