@@ -398,17 +398,13 @@ fn summarise_resident(
         (index.known_blocks(), index.num_blocks())
     };
     let (hashed, cached) = if !incremental && known < num_blocks {
-        // `hash_all` answers a never-written block with the zero block's
-        // fingerprint without reading it; every other entry was hashed.
-        // It runs outside the index's lock: until resume this thread is
-        // the disk's only writer, so the image hashed is the one recorded.
-        let zero = hash_block(&vec![0u8; disk.disk().block_size()]);
-        let fps = disk.disk().hash_all();
+        // `hash_all` runs outside the index's lock: until resume this
+        // thread is the disk's only writer, so the image hashed is the
+        // one recorded.
+        let (fps, hashed) = disk.disk().hash_all();
         let mut index = disk.content_index();
-        let mut hashed = 0;
         for (block, fp) in fps.into_iter().enumerate() {
             index.record(block, fp);
-            hashed += u64::from(fp != zero);
         }
         (hashed, 0)
     } else {

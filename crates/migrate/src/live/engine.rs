@@ -248,27 +248,26 @@ impl LiveOutcome {
     /// Blocks of the destination disk that disagree with the guest's
     /// ground-truth model (empty = consistent migration).
     pub fn inconsistent_blocks(&self) -> Vec<usize> {
-        let disk = self.dst_disk.disk();
-        let mut buf = vec![0u8; disk.block_size()];
-        (0..disk.num_blocks())
-            .filter(|&b| {
-                disk.read_block_into(b, &mut buf);
-                !is_stamp(b, self.model.get(&b).copied().unwrap_or(0), &buf)
-            })
-            .collect()
+        stamp_mismatches(self.dst_disk.disk(), &self.model)
     }
 
     /// Pages of the destination RAM that disagree with the guest's
     /// memory write log (empty = consistent memory migration).
     pub fn inconsistent_pages(&self) -> Vec<usize> {
-        let mut buf = vec![0u8; self.dst_ram.page_size()];
-        (0..self.dst_ram.num_pages())
-            .filter(|&p| {
-                self.dst_ram.read_page_into(p, &mut buf);
-                !is_stamp(p, self.mem_model.get(&p).copied().unwrap_or(0), &buf)
-            })
-            .collect()
+        stamp_mismatches(self.dst_ram.pages(), &self.mem_model)
     }
+}
+
+/// Units of `disk` that do not hold the stamp `model` last wrote to them
+/// (stamp 0 for a unit it never wrote).
+fn stamp_mismatches(disk: &VirtualDisk, model: &BTreeMap<usize, u64>) -> Vec<usize> {
+    let mut buf = vec![0u8; disk.block_size()];
+    (0..disk.num_blocks())
+        .filter(|&u| {
+            disk.read_block_into(u, &mut buf);
+            !is_stamp(u, model.get(&u).copied().unwrap_or(0), &buf)
+        })
+        .collect()
 }
 
 /// A primary migration's disks for `cfg`: the source reads as the

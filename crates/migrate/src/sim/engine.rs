@@ -163,12 +163,7 @@ impl TpmEngine {
         Self {
             dst_disk: MetaDisk::new(cfg.disk_blocks),
             dst_mem: GuestMemory::new(4096, cfg.mem_pages),
-            domain: Domain::new(
-                DomainId(1),
-                format!("vm-{}", workload.name()),
-                GuestMemory::new(4096, 1),
-                CpuState::new(1),
-            ),
+            domain: Domain::new(DomainId(1), format!("vm-{}", workload.name())),
             kind,
             workload,
             rng,

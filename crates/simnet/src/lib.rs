@@ -6,9 +6,9 @@
 //! use to trade total migration time against workload interference. The
 //! pieces here reproduce that environment:
 //!
-//! * [`Link`] — bandwidth/latency arithmetic in virtual time.
-//! * [`TokenBucket`] — a virtual-time token-bucket limiter (the "limit the
-//!   network bandwidth used by the migration process" knob).
+//! * [`Link`] — bandwidth/latency arithmetic in virtual time;
+//!   [`Link::limited`] caps a link's rate (the "limit the network
+//!   bandwidth used by the migration process" knob).
 //! * [`capacity`] — max-min fair sharing of a contended resource; used to
 //!   model the migration stream and the guest workload competing for disk
 //!   and NIC throughput (the mechanism behind Figure 6).
@@ -39,9 +39,7 @@ pub mod codec;
 pub mod fault;
 mod link;
 pub mod proto;
-mod ratelimit;
 pub mod tcp;
 pub mod transport;
 
 pub use link::Link;
-pub use ratelimit::TokenBucket;

@@ -1,11 +1,9 @@
 //! Property tests for the network substrate: codec totality, capacity
-//! sharing invariants, token-bucket conservation, and seeded-chaos
-//! fault-plan determinism.
+//! sharing invariants, and seeded-chaos fault-plan determinism.
 
 use std::time::Duration;
 
 use bytes::Bytes;
-use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use simnet::capacity::{max_min_share, seek_aware_share};
 use simnet::codec::{
@@ -15,7 +13,6 @@ use simnet::codec::{
 use simnet::fault::{faulty_pair, FaultPlan};
 use simnet::proto::{MigMessage, ResumePhase};
 use simnet::transport::{duplex, Transport, TransportError};
-use simnet::TokenBucket;
 
 fn arb_message() -> impl Strategy<Value = MigMessage> {
     let bytes = prop::collection::vec(any::<u8>(), 0..512).prop_map(Bytes::from);
@@ -756,31 +753,6 @@ proptest! {
         prop_assert!(ms <= m + 1e-6);
         // Together they never exceed the uncontended capacity.
         prop_assert!(ws + ms <= c0 + 1e-6);
-    }
-
-    /// A token bucket never releases more than rate*time + burst bytes.
-    #[test]
-    fn token_bucket_conservation(
-        rate in 1.0f64..1e6,
-        burst in 1.0f64..1e6,
-        requests in prop::collection::vec((0u64..10_000, 0u64..1_000_000), 1..50),
-    ) {
-        let mut tb = TokenBucket::new(rate, burst);
-        let mut granted = 0u64;
-        let mut now = SimTime::ZERO;
-        let mut latest = 0u64;
-        for (dt_us, bytes) in requests {
-            now += SimDuration::from_micros(dt_us);
-            latest = latest.max(now.as_nanos());
-            if tb.try_consume(bytes, now) {
-                granted += bytes;
-            }
-        }
-        let elapsed_secs = latest as f64 / 1e9;
-        prop_assert!(
-            granted as f64 <= rate * elapsed_secs + burst + 1.0,
-            "granted {granted} exceeds rate*t+burst"
-        );
     }
 
     /// Seeded chaos is a pure function of its seed: two plans built with

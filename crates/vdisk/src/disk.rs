@@ -3,61 +3,69 @@
 use block_bitmap::BlockMapper;
 use parking_lot::RwLock;
 
-use crate::{fingerprint_block, hash_block, Storage, Unwritten};
+use crate::{fingerprint_block, hash_block, DenseStorage, Unwritten};
 
-/// A virtual block device: geometry plus a locked backing store.
+/// A virtual block device: geometry plus a locked [`DenseStorage`].
 ///
-/// This is the disk the guest sees (Xen's VBD). All access is
-/// block-granular; extent helpers split byte ranges via the
-/// [`BlockMapper`]. The store lives behind a `parking_lot::RwLock` so that
-/// live-mode migration (reader) and the guest workload (writer) can share
-/// the device across threads.
+/// This is the disk the guest sees (Xen's VBD), and, with page-sized
+/// blocks, the byte store under live guest RAM (`vmstate::LiveRam`).
+/// All access is block-granular; extent helpers split byte ranges via
+/// its [`BlockMapper`]. The store lives behind a `parking_lot::RwLock` so
+/// that live-mode migration (reader) and the guest workload (writer) can
+/// share the device across threads.
 pub struct VirtualDisk {
-    mapper: BlockMapper,
-    storage: RwLock<Box<dyn Storage>>,
+    block_size: usize,
+    num_blocks: usize,
+    storage: RwLock<DenseStorage>,
 }
 
 impl VirtualDisk {
-    /// Wrap a backing store.
-    pub fn new(storage: Box<dyn Storage>) -> Self {
-        let mapper = BlockMapper::new(storage.block_size() as u64, storage.num_blocks());
+    fn over(storage: DenseStorage) -> Self {
         Self {
-            mapper,
+            block_size: storage.block_size(),
+            num_blocks: storage.num_blocks(),
             storage: RwLock::new(storage),
         }
     }
 
     /// Dense zero-filled disk of `num_blocks` × `block_size`.
     pub fn dense(block_size: usize, num_blocks: usize) -> Self {
-        Self::new(Box::new(crate::DenseStorage::new(block_size, num_blocks)))
+        Self::over(DenseStorage::new(block_size, num_blocks))
     }
 
     /// Dense disk whose every block reads as its stamp-0 content until
-    /// written (see [`crate::DenseStorage::stamp_zero`]).
+    /// written (see [`DenseStorage::stamp_zero`]).
     pub fn stamp_zero(block_size: usize, num_blocks: usize) -> Self {
-        Self::new(Box::new(crate::DenseStorage::stamp_zero(
-            block_size, num_blocks,
-        )))
+        Self::over(DenseStorage::stamp_zero(block_size, num_blocks))
     }
 
-    /// Sparse zero-filled disk of `num_blocks` × `block_size`.
-    pub fn sparse(block_size: usize, num_blocks: usize) -> Self {
-        Self::new(Box::new(crate::SparseStorage::new(block_size, num_blocks)))
-    }
-
-    /// Device geometry.
+    /// Device geometry in sectors, for byte and sector extents.
+    ///
+    /// # Panics
+    /// Panics when the block size is not a whole number of sectors (a
+    /// page of live guest RAM need not be one).
     pub fn mapper(&self) -> BlockMapper {
-        self.mapper
+        BlockMapper::new(self.block_size as u64, self.num_blocks)
     }
 
     /// Block size in bytes.
     pub fn block_size(&self) -> usize {
-        self.mapper.block_size() as usize
+        self.block_size
     }
 
     /// Capacity in blocks.
     pub fn num_blocks(&self) -> usize {
-        self.mapper.num_blocks()
+        self.num_blocks
+    }
+
+    /// # Panics
+    /// Panics when `other`'s geometry is not this disk's.
+    fn assert_same_geometry(&self, other: &VirtualDisk) {
+        assert_eq!(
+            (self.block_size, self.num_blocks),
+            (other.block_size, other.num_blocks),
+            "disk geometries must match"
+        );
     }
 
     /// Read block `idx` into a fresh buffer.
@@ -86,23 +94,24 @@ impl VirtualDisk {
     /// Overwrite the blocks `idxs` with consecutive pieces of `data`,
     /// under one acquisition of the lock: a concurrent writer waits for
     /// one batch's copy, so callers keep batches short.
-    pub fn write_blocks(&self, idxs: &[u64], data: &[u8]) {
+    pub fn write_blocks<I: Copy + TryInto<usize>>(&self, idxs: &[I], data: &[u8]) {
         self.storage.write().write_blocks(idxs, data);
     }
 
     /// [`hash_block`] content fingerprint of every block, in block order
-    /// — what a dedup handshake summarises. Blocks are hashed in place
-    /// under one read lock. A never-written block is known from the
-    /// store's allocation map: on a zero-based store it is answered with
-    /// the zero block's fingerprint, so a blank disk costs no memory
-    /// traffic at all; otherwise its initial content is computed into one
-    /// held buffer and hashed.
-    pub fn hash_all(&self) -> Vec<u64> {
+    /// — what a dedup handshake summarises — and how many blocks were
+    /// read and hashed to make it. Blocks are hashed in place under one
+    /// read lock. A never-written block is known from the store's
+    /// allocation map: on a zero-based store it is answered with the zero
+    /// block's fingerprint and not counted, so a blank disk costs no
+    /// memory traffic at all; otherwise its initial content is computed
+    /// into one held buffer and hashed.
+    pub fn hash_all(&self) -> (Vec<u64>, u64) {
         let guard = self.storage.read();
         let unwritten = guard.unwritten();
         let mut buf = vec![0u8; self.block_size()];
         let zero = hash_block(&buf);
-        (0..self.num_blocks())
+        let fps = (0..self.num_blocks())
             .map(|b| match guard.resident_block(b) {
                 Some(block) => hash_block(block),
                 None if unwritten == Unwritten::Zeroes => zero,
@@ -111,7 +120,12 @@ impl VirtualDisk {
                     hash_block(&buf)
                 }
             })
-            .collect()
+            .collect();
+        let hashed = match unwritten {
+            Unwritten::Zeroes => guard.written_blocks(),
+            Unwritten::StampZero => self.num_blocks(),
+        };
+        (fps, hashed as u64)
     }
 
     /// [`hash_block`] of block `idx`, hashed in place under one read lock
@@ -153,7 +167,7 @@ impl VirtualDisk {
     /// # Panics
     /// Panics when geometries differ.
     pub fn content_equals(&self, other: &VirtualDisk) -> bool {
-        assert_eq!(self.mapper, other.mapper, "disk geometries must match");
+        self.assert_same_geometry(other);
         let mut a = vec![0u8; self.block_size()];
         let mut b = vec![0u8; self.block_size()];
         (0..self.num_blocks()).all(|i| {
@@ -169,7 +183,7 @@ impl VirtualDisk {
     /// # Panics
     /// Panics when geometries differ.
     pub fn diff_blocks(&self, other: &VirtualDisk) -> Vec<usize> {
-        assert_eq!(self.mapper, other.mapper, "disk geometries must match");
+        self.assert_same_geometry(other);
         let mut a = vec![0u8; self.block_size()];
         let mut b = vec![0u8; self.block_size()];
         (0..self.num_blocks())
@@ -215,7 +229,7 @@ mod tests {
     #[test]
     fn content_equality_and_diff() {
         let a = VirtualDisk::dense(512, 8);
-        let b = VirtualDisk::sparse(512, 8);
+        let b = VirtualDisk::dense(512, 8);
         assert!(a.content_equals(&b));
         a.write_block(2, &stamp_bytes(2, 9, 512));
         a.write_block(5, &stamp_bytes(5, 9, 512));

@@ -7,10 +7,13 @@
 //!
 //! * [`IoRequest`] — the paper's request triple *R⟨O, N, VM⟩*: operation,
 //!   block number, and the ID of the domain that submitted it.
-//! * [`Storage`] — byte-level backing stores: dense ([`DenseStorage`]) and
-//!   lazily-allocated sparse ([`SparseStorage`]).
+//! * [`DenseStorage`] — the one byte store: a dense allocation plus an
+//!   allocation map, so a never-written block reads as its [`Unwritten`]
+//!   content (zeroes, or the stamp-0 image) without occupying memory.
 //! * [`VirtualDisk`] — a thread-safe virtual block device (VBD) over a
-//!   [`Storage`], with per-block and extent I/O.
+//!   [`DenseStorage`], with per-block and batched I/O. Live guest RAM
+//!   (`vmstate::LiveRam`) is one of these with page-sized blocks, so
+//!   pages and blocks cross the same read and write path.
 //! * [`TrackedDisk`] — the `blkback` analogue: a [`VirtualDisk`] wrapper
 //!   that records every write into any number of attached
 //!   [`block_bitmap::AtomicBitmap`] trackers (the paper keeps up to three
@@ -19,13 +22,11 @@
 //! * [`PendingQueue`] — the destination-side pending list *P* of the
 //!   post-copy algorithm, holding read requests that must wait for their
 //!   block to be pulled from the source.
-//! * [`CowStorage`] — a copy-on-write overlay over a shared base image
-//!   (the Collective's §II-B mechanism; its overlay is the migration
-//!   diff).
 //! * [`MetaDisk`] — a metadata-only disk model (per-block version
 //!   counters) for full-scale simulation where materializing 40 GB of
 //!   bytes is pointless but write-ordering consistency still needs
-//!   checking.
+//!   checking; the virtual-time guest RAM (`vmstate::GuestMemory`) is
+//!   one of these with a page per block.
 //! * [`ReplicaTable`] — the §V/§VII stale-replica store: per (VM, site)
 //!   departure images with bitmap-diff staleness, backing incremental
 //!   migration in the multi-site extension and the cluster orchestrator.
@@ -36,7 +37,6 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod content;
-mod cow;
 mod disk;
 mod meta;
 mod pending;
@@ -46,13 +46,12 @@ mod storage;
 mod tracked;
 
 pub use content::{hash_block, hash_u64, ContentIndex, FingerprintSet};
-pub use cow::{BaseImage, CowStorage};
 pub use disk::VirtualDisk;
 pub use meta::MetaDisk;
 pub use pending::PendingQueue;
 pub use replica::{Replica, ReplicaTable};
 pub use request::{DomainId, IoOp, IoRequest};
-pub use storage::{DenseStorage, SparseStorage, Storage, Unwritten};
+pub use storage::{DenseStorage, Unwritten};
 pub use tracked::{TrackedDisk, TrackerHandle};
 
 /// Per-block 64-bit FNV-1a fingerprint, used by consistency checks.

@@ -13,16 +13,15 @@ use std::sync::Arc;
 use block_bitmap::{AtomicBitmap, DirtyMap};
 use proptest::prelude::*;
 use vdisk::{
-    hash_block, is_stamp, stamp_append, stamp_bytes, stamp_into, ContentIndex, CowStorage,
-    DenseStorage, DomainId, IoRequest, MetaDisk, PendingQueue, ReplicaTable, SparseStorage,
-    Storage, TrackedDisk, VirtualDisk,
+    hash_block, is_stamp, stamp_append, stamp_bytes, stamp_into, ContentIndex, DenseStorage,
+    DomainId, IoRequest, MetaDisk, PendingQueue, ReplicaTable, TrackedDisk, VirtualDisk,
 };
 
 const BLOCKS: usize = 64;
 const BS: usize = 512;
 
 /// One write of a storage property: a stamp, or a block of zeroes (which
-/// sparse storage does not materialise and dense storage marks written).
+/// the store's allocation map marks written like any other).
 fn block_bytes(b: usize, stamp: u64) -> Vec<u8> {
     if stamp == 0 {
         vec![0u8; BS]
@@ -205,8 +204,8 @@ proptest! {
     }
 
     /// `read_blocks_append` / `write_blocks` are the per-block calls, for any
-    /// index list (repeats included: the last piece wins) on dense and
-    /// sparse storage alike.
+    /// index list (repeats included: the last piece wins), on a zero-based
+    /// store and a stamp-0 one alike.
     #[test]
     fn batch_io_equals_per_block_io(
         writes in prop::collection::vec((0usize..BLOCKS, 0u64..4), 0..60),
@@ -214,9 +213,9 @@ proptest! {
     ) {
         let idxs: Vec<u64> = writes.iter().map(|&(b, _)| b as u64).collect();
         let data: Vec<u8> = writes.iter().flat_map(|&(b, s)| block_bytes(b, s)).collect();
-        let stores: [(Box<dyn Storage>, Box<dyn Storage>); 2] = [
-            (Box::new(DenseStorage::new(BS, BLOCKS)), Box::new(DenseStorage::new(BS, BLOCKS))),
-            (Box::new(SparseStorage::new(BS, BLOCKS)), Box::new(SparseStorage::new(BS, BLOCKS))),
+        let stores = [
+            (DenseStorage::new(BS, BLOCKS), DenseStorage::new(BS, BLOCKS)),
+            (DenseStorage::stamp_zero(BS, BLOCKS), DenseStorage::stamp_zero(BS, BLOCKS)),
         ];
         for (mut batched, mut single) in stores {
             batched.write_blocks(&idxs, &data);
@@ -238,41 +237,22 @@ proptest! {
     /// `hash_all`, and `hash_block_at` block by block, are
     /// `hash_block(read_block(b))` for every block — on a blank disk,
     /// after any writes, and whether zeroes were written to a block that
-    /// held data or to one never touched (stamp 0 = zeroes).
+    /// held data or to one never touched (stamp 0 = zeroes). It counts
+    /// every block written as hashed, whatever was written.
     #[test]
     fn hash_all_equals_hashing_every_block(
         writes in prop::collection::vec((0usize..BLOCKS, 0u64..3), 0..80),
     ) {
-        for disk in [VirtualDisk::dense(BS, BLOCKS), VirtualDisk::sparse(BS, BLOCKS)] {
-            let in_place = |disk: &VirtualDisk| (0..BLOCKS).map(|b| disk.hash_block_at(b)).collect::<Vec<_>>();
-            prop_assert_eq!(disk.hash_all(), hash_each(&disk));
-            prop_assert_eq!(in_place(&disk), hash_each(&disk));
-            for &(b, s) in &writes {
-                disk.write_block(b, &block_bytes(b, s));
-            }
-            prop_assert_eq!(disk.hash_all(), hash_each(&disk));
-            prop_assert_eq!(in_place(&disk), hash_each(&disk));
+        let disk = VirtualDisk::dense(BS, BLOCKS);
+        let in_place = |disk: &VirtualDisk| (0..BLOCKS).map(|b| disk.hash_block_at(b)).collect::<Vec<_>>();
+        prop_assert_eq!(disk.hash_all(), (hash_each(&disk), 0));
+        prop_assert_eq!(in_place(&disk), hash_each(&disk));
+        for &(b, s) in &writes {
+            disk.write_block(b, &block_bytes(b, s));
         }
-    }
-
-    /// Dense and sparse storage are observationally identical under any
-    /// write sequence.
-    #[test]
-    fn dense_equals_sparse(writes in prop::collection::vec((0usize..BLOCKS, 0u64..50), 0..100)) {
-        let mut dense = DenseStorage::new(BS, BLOCKS);
-        let mut sparse = SparseStorage::new(BS, BLOCKS);
-        for &(b, stamp) in &writes {
-            let data = stamp_bytes(b, stamp, BS);
-            dense.write_block(b, &data);
-            sparse.write_block(b, &data);
-        }
-        let mut a = vec![0u8; BS];
-        let mut s = vec![0u8; BS];
-        for b in 0..BLOCKS {
-            dense.read_block(b, &mut a);
-            sparse.read_block(b, &mut s);
-            prop_assert_eq!(&a, &s, "block {} diverged", b);
-        }
+        let written = writes.iter().map(|&(b, _)| b).collect::<BTreeSet<_>>().len() as u64;
+        prop_assert_eq!(disk.hash_all(), (hash_each(&disk), written));
+        prop_assert_eq!(in_place(&disk), hash_each(&disk));
     }
 
     /// The tracker never misses a guest write while enabled: after any
@@ -597,13 +577,13 @@ fn read_all(disk: &VirtualDisk) -> Vec<u8> {
     out
 }
 
-/// The stamp-0 image written block by block into a zero-based store.
-fn laid_out_stamp_zero() -> DenseStorage {
-    let mut s = DenseStorage::new(BS, BLOCKS);
+/// The stamp-0 image written block by block into a zero-based disk.
+fn laid_out_stamp_zero() -> VirtualDisk {
+    let disk = VirtualDisk::dense(BS, BLOCKS);
     for b in 0..BLOCKS {
-        s.write_block(b, &stamp_bytes(b, 0, BS));
+        disk.write_block(b, &stamp_bytes(b, 0, BS));
     }
-    s
+    disk
 }
 
 /// Every observation of `a` is that of `b`, diffs and equality taken
@@ -623,7 +603,7 @@ fn observed_alike(
     b.read_blocks_append(reads, &mut got_b);
     prop_assert_eq!(got_a, got_b);
     prop_assert_eq!(a.hash_all(), b.hash_all());
-    prop_assert_eq!(a.hash_all(), hash_each(a));
+    prop_assert_eq!(a.hash_all().0, hash_each(a));
     prop_assert_eq!(a.fingerprint_all(), b.fingerprint_all());
     prop_assert!(a.content_equals(b) && b.content_equals(a));
     prop_assert!(a.diff_blocks(b).is_empty());
@@ -640,42 +620,20 @@ proptest! {
     /// A stamp-0 store, whose unwritten blocks are computed, is
     /// observationally the zero-based store the stamp-0 image was
     /// written into, under any interleaving of single and batched
-    /// writes; and so is a CoW overlay over each (the base itself
-    /// partly written before it is shared). Zeroes written read as
-    /// zeroes, and the image written back reads as itself. Every
-    /// observation is compared before and after the writes, the whole
-    /// image after each one.
+    /// writes. Zeroes written read as zeroes, and the image written back
+    /// reads as itself. Every observation is compared before and after
+    /// the writes, the whole image after each one.
     #[test]
     fn a_computed_stamp_zero_image_is_the_laid_out_one(
-        base_writes in prop::collection::vec(image_write(), 0..6),
         writes in prop::collection::vec(image_write(), 0..24),
         reads in prop::collection::vec(0usize..BLOCKS, 0..40),
     ) {
         let blank = VirtualDisk::dense(BS, BLOCKS);
-        let laid_out = VirtualDisk::new(Box::new(laid_out_stamp_zero()));
+        let laid_out = laid_out_stamp_zero();
         let probes = [&blank, &laid_out];
 
         let computed = VirtualDisk::stamp_zero(BS, BLOCKS);
-        let eager = VirtualDisk::new(Box::new(laid_out_stamp_zero()));
-        observed_alike(&computed, &eager, &reads, &probes)?;
-        for w in &writes {
-            apply_image_write(&computed, w);
-            apply_image_write(&eager, w);
-            prop_assert_eq!(read_all(&computed), read_all(&eager));
-        }
-        observed_alike(&computed, &eager, &reads, &probes)?;
-
-        let mut bases: [Box<dyn Storage>; 2] =
-            [Box::new(DenseStorage::stamp_zero(BS, BLOCKS)), Box::new(laid_out_stamp_zero())];
-        for base in &mut bases {
-            for w in &base_writes {
-                let (idxs, data) = w.batch();
-                base.write_blocks(&idxs, &data);
-            }
-        }
-        let [computed_base, eager_base] = bases;
-        let computed = VirtualDisk::new(Box::new(CowStorage::new(Arc::from(computed_base))));
-        let eager = VirtualDisk::new(Box::new(CowStorage::new(Arc::from(eager_base))));
+        let eager = laid_out_stamp_zero();
         observed_alike(&computed, &eager, &reads, &probes)?;
         for w in &writes {
             apply_image_write(&computed, w);
@@ -744,15 +702,14 @@ fn blank_disk_shape_is_linear() {
 #[test]
 fn hash_all_after_zero_writes() {
     let zero = hash_block(&[0u8; BS]);
-    for disk in [VirtualDisk::dense(BS, 8), VirtualDisk::sparse(BS, 8)] {
-        assert_eq!(disk.hash_all(), vec![zero; 8]);
-        disk.write_block(2, &stamp_bytes(2, 5, BS));
-        assert_eq!(disk.hash_all()[2], hash_block(&stamp_bytes(2, 5, BS)));
-        disk.write_block(2, &[0u8; BS]); // written, then zeroed
-        disk.write_block(6, &[0u8; BS]); // never written, zeroed
-        assert_eq!(disk.hash_all(), vec![zero; 8]);
-        assert_eq!(disk.hash_all(), hash_each(&disk));
-    }
+    let disk = VirtualDisk::dense(BS, 8);
+    assert_eq!(disk.hash_all(), (vec![zero; 8], 0));
+    disk.write_block(2, &stamp_bytes(2, 5, BS));
+    assert_eq!(disk.hash_all().0[2], hash_block(&stamp_bytes(2, 5, BS)));
+    disk.write_block(2, &[0u8; BS]); // written, then zeroed
+    disk.write_block(6, &[0u8; BS]); // never written, zeroed
+    assert_eq!(disk.hash_all(), (vec![zero; 8], 2));
+    assert_eq!(disk.hash_all().0, hash_each(&disk));
 }
 
 #[test]
@@ -763,12 +720,12 @@ fn dense_batch_write_out_of_range_panics() {
 
 #[test]
 #[should_panic(expected = "out of range")]
-fn sparse_batch_read_out_of_range_panics() {
-    SparseStorage::new(BS, 4).read_blocks_append(&[0, 9], &mut Vec::new());
+fn dense_batch_read_out_of_range_panics() {
+    DenseStorage::new(BS, 4).read_blocks_append(&[0, 9], &mut Vec::new());
 }
 
 #[test]
 #[should_panic(expected = "size mismatch")]
-fn sparse_batch_write_length_mismatch_panics() {
-    SparseStorage::new(BS, 4).write_blocks(&[0, 1], &[0u8; 3 * BS]);
+fn dense_batch_write_length_mismatch_panics() {
+    DenseStorage::new(BS, 4).write_blocks(&[0, 1], &[0u8; 3 * BS]);
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{CpuState, DomainId, GuestMemory};
+use crate::DomainId;
 
 /// Run state of a domain during migration.
 ///
@@ -43,33 +43,23 @@ impl std::fmt::Display for DomainError {
 
 impl std::error::Error for DomainError {}
 
-/// A guest VM: identity, memory, CPU context, and run state.
+/// A guest VM's identity and run state. Its memory and CPU context are
+/// the migration engine's to hold.
 #[derive(Debug, Clone)]
 pub struct Domain {
     id: DomainId,
     name: String,
     state: VmRunState,
-    /// Guest RAM.
-    pub memory: GuestMemory,
-    /// vCPU contexts.
-    pub cpu: CpuState,
 }
 
 impl Domain {
     /// Create a running domain.
-    pub fn new(id: DomainId, name: impl Into<String>, memory: GuestMemory, cpu: CpuState) -> Self {
+    pub fn new(id: DomainId, name: impl Into<String>) -> Self {
         Self {
             id,
             name: name.into(),
             state: VmRunState::Running,
-            memory,
-            cpu,
         }
-    }
-
-    /// The paper's guest: 512 MB RAM, 1 vCPU.
-    pub fn paper_guest(id: DomainId, name: impl Into<String>) -> Self {
-        Self::new(id, name, GuestMemory::paper_guest(), CpuState::new(1))
     }
 
     /// Domain identifier.
@@ -140,12 +130,7 @@ mod tests {
     use super::*;
 
     fn guest() -> Domain {
-        Domain::new(
-            DomainId(1),
-            "test-vm",
-            GuestMemory::new(4096, 64),
-            CpuState::new(1),
-        )
+        Domain::new(DomainId(1), "test-vm")
     }
 
     #[test]
@@ -176,10 +161,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_guest_shape() {
-        let d = Domain::paper_guest(DomainId(1), "vm");
-        assert_eq!(d.memory.total_bytes(), 512 * 1024 * 1024);
-        assert_eq!(d.cpu.vcpus(), 1);
+    fn identity() {
+        let d = Domain::new(DomainId(1), "vm");
         assert_eq!(d.name(), "vm");
         assert_eq!(d.id(), DomainId(1));
     }

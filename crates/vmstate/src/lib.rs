@@ -8,16 +8,18 @@
 //!
 //! * [`CpuState`] — the opaque register/context blob transferred during
 //!   freeze-and-copy.
-//! * [`GuestMemory`] — page-granular memory with a dirty-page bitmap (the
-//!   shadow-page-table log-dirty analogue) and generation counters for
-//!   consistency checks.
+//! * [`GuestMemory`] — page-granular memory for the virtual-time engines:
+//!   a [`vdisk::MetaDisk`] of pages (generation counters for consistency
+//!   checks) plus a dirty-page bitmap (the shadow-page-table log-dirty
+//!   analogue).
 //! * [`WssModel`] — a writable-working-set dirtying model: a hot set of
 //!   pages written repeatedly plus a cold tail, the empirically observed
 //!   behaviour that makes iterative pre-copy converge.
 //! * [`Domain`] — VM identity plus the run-state machine
 //!   (Running → Suspended → Resumed) whose transitions delimit downtime.
 //! * [`LiveRam`] — byte-real, write-tracked RAM for the live (threaded)
-//!   migration prototype.
+//!   migration prototype: a [`vdisk::VirtualDisk`] of page-sized blocks
+//!   plus its dirty bitmap.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,60 +10,33 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use block_bitmap::{AtomicBitmap, DirtyMap, FlatBitmap};
-use parking_lot::RwLock;
-use vdisk::Unwritten;
+use block_bitmap::{AtomicBitmap, FlatBitmap};
+use vdisk::VirtualDisk;
 
-/// Thread-safe, write-tracked guest RAM.
+/// Thread-safe, write-tracked guest RAM: a [`VirtualDisk`] of page-sized
+/// blocks, so pages are stored, read and applied as disk blocks are, plus
+/// the log-dirty bitmap guest writes mark while tracking is on.
 pub struct LiveRam {
-    page_size: usize,
-    num_pages: usize,
-    pages: RwLock<Pages>,
-    unwritten: Unwritten,
+    pages: VirtualDisk,
     dirty: AtomicBitmap,
     tracking: AtomicBool,
 }
 
-/// Page bytes and the allocation map that says which of them hold data:
-/// a page never written reads as the RAM's initial content, computed
-/// when read, and its bytes are never touched.
-struct Pages {
-    bytes: Vec<u8>,
-    written: FlatBitmap,
-}
-
-impl Pages {
-    fn write(&mut self, idx: usize, data: &[u8]) {
-        let start = idx * data.len();
-        self.bytes[start..start + data.len()].copy_from_slice(data);
-        self.written.set(idx);
-    }
-
-    /// Page `idx`'s bytes, or `None` for a page never written.
-    fn resident(&self, idx: usize, page_size: usize) -> Option<&[u8]> {
-        let range = idx * page_size..(idx + 1) * page_size;
-        self.written.get(idx).then(|| &self.bytes[range])
-    }
-}
-
 impl LiveRam {
+    fn over(pages: VirtualDisk) -> Self {
+        Self {
+            dirty: AtomicBitmap::new(pages.num_blocks()),
+            pages,
+            tracking: AtomicBool::new(false),
+        }
+    }
+
     /// Allocate zeroed RAM of `num_pages` × `page_size` bytes.
     ///
     /// # Panics
     /// Panics when `page_size == 0`.
     pub fn new(page_size: usize, num_pages: usize) -> Self {
-        assert!(page_size > 0, "page size must be non-zero");
-        Self {
-            page_size,
-            num_pages,
-            pages: RwLock::new(Pages {
-                bytes: vec![0; page_size * num_pages],
-                written: FlatBitmap::new(num_pages),
-            }),
-            unwritten: Unwritten::Zeroes,
-            dirty: AtomicBitmap::new(num_pages),
-            tracking: AtomicBool::new(false),
-        }
+        Self::over(VirtualDisk::dense(page_size, num_pages))
     }
 
     /// RAM whose every page reads as its stamp-0 content until written,
@@ -72,20 +45,24 @@ impl LiveRam {
     /// # Panics
     /// Panics when `page_size == 0`.
     pub fn stamp_zero(page_size: usize, num_pages: usize) -> Self {
-        Self {
-            unwritten: Unwritten::StampZero,
-            ..Self::new(page_size, num_pages)
-        }
+        Self::over(VirtualDisk::stamp_zero(page_size, num_pages))
+    }
+
+    /// The pages as a disk of page-sized blocks. A write through it is a
+    /// migration-side write, as [`Self::apply_pages`]'s are: the dirty
+    /// log does not see it.
+    pub fn pages(&self) -> &VirtualDisk {
+        &self.pages
     }
 
     /// Page size in bytes.
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.pages.block_size()
     }
 
     /// Number of pages.
     pub fn num_pages(&self) -> usize {
-        self.num_pages
+        self.pages.num_blocks()
     }
 
     /// Start recording page writes (log-dirty on).
@@ -103,9 +80,7 @@ impl LiveRam {
     /// # Panics
     /// Panics when `idx` is out of range or the data is not page-sized.
     pub fn write_page(&self, idx: usize, data: &[u8]) {
-        assert!(idx < self.num_pages, "page {idx} out of range");
-        assert_eq!(data.len(), self.page_size, "buffer/page size mismatch");
-        self.pages.write().write(idx, data);
+        self.pages.write_block(idx, data);
         if self.tracking.load(Ordering::Acquire) {
             self.dirty.set(idx);
         }
@@ -116,7 +91,7 @@ impl LiveRam {
     /// # Panics
     /// Panics when `idx` is out of range.
     pub fn read_page(&self, idx: usize) -> Vec<u8> {
-        self.read_pages(&[idx])
+        self.pages.read_block(idx)
     }
 
     /// Read page `idx` into `out`.
@@ -124,12 +99,7 @@ impl LiveRam {
     /// # Panics
     /// Panics when `idx` is out of range or `out` is not page-sized.
     pub fn read_page_into(&self, idx: usize, out: &mut [u8]) {
-        assert!(idx < self.num_pages, "page {idx} out of range");
-        assert_eq!(out.len(), self.page_size, "buffer/page size mismatch");
-        match self.pages.read().resident(idx, self.page_size) {
-            Some(page) => out.copy_from_slice(page),
-            None => self.unwritten.fill(idx, out),
-        }
+        self.pages.read_block_into(idx, out);
     }
 
     /// Copy several pages into one contiguous buffer (a `MemPages`
@@ -138,34 +108,19 @@ impl LiveRam {
     /// # Panics
     /// Panics when a page is out of range.
     pub fn read_pages(&self, pages: &[usize]) -> Vec<u8> {
-        let guard = self.pages.read();
-        let mut out = Vec::with_capacity(pages.len() * self.page_size);
-        for &p in pages {
-            assert!(p < self.num_pages, "page {p} out of range");
-            match guard.resident(p, self.page_size) {
-                Some(page) => out.extend_from_slice(page),
-                None => self.unwritten.append(p, self.page_size, &mut out),
-            }
-        }
+        let mut out = Vec::new();
+        self.pages.read_blocks_append(pages, &mut out);
         out
     }
 
-    /// Apply a received `MemPages` payload (migration-side write: not
-    /// tracked, mirroring how pushed blocks bypass the guest trackers).
+    /// Apply a received `MemPages` payload under one write lock
+    /// (migration-side write: not tracked, mirroring how pushed blocks
+    /// bypass the guest trackers).
     ///
     /// # Panics
     /// Panics on size mismatch or out-of-range pages.
     pub fn apply_pages(&self, pages: &[usize], payload: &[u8]) {
-        assert_eq!(
-            payload.len(),
-            pages.len() * self.page_size,
-            "payload/page-count mismatch"
-        );
-        let mut guard = self.pages.write();
-        for (&p, piece) in pages.iter().zip(payload.chunks_exact(self.page_size)) {
-            assert!(p < self.num_pages, "page {p} out of range");
-            guard.write(p, piece);
-        }
+        self.pages.write_blocks(pages, payload);
     }
 
     /// Drain the dirty-page set — one pre-copy iteration boundary.
@@ -184,30 +139,20 @@ impl LiveRam {
     /// # Panics
     /// Panics when geometries differ.
     pub fn diff_pages(&self, other: &LiveRam) -> Vec<usize> {
-        assert_eq!(self.page_size, other.page_size, "page sizes must match");
-        assert_eq!(self.num_pages, other.num_pages, "page counts must match");
-        let mut a = vec![0u8; self.page_size];
-        let mut b = vec![0u8; self.page_size];
-        (0..self.num_pages)
-            .filter(|&p| {
-                self.read_page_into(p, &mut a);
-                other.read_page_into(p, &mut b);
-                a != b
-            })
-            .collect()
+        self.pages.diff_blocks(&other.pages)
     }
 
     /// `true` when every page matches `other`.
     pub fn content_equals(&self, other: &LiveRam) -> bool {
-        self.diff_pages(other).is_empty()
+        self.pages.content_equals(&other.pages)
     }
 }
 
 impl std::fmt::Debug for LiveRam {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveRam")
-            .field("page_size", &self.page_size)
-            .field("num_pages", &self.num_pages)
+            .field("page_size", &self.page_size())
+            .field("num_pages", &self.num_pages())
             .field("dirty", &self.dirty_count())
             .finish()
     }
@@ -216,6 +161,7 @@ impl std::fmt::Debug for LiveRam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use block_bitmap::DirtyMap as _;
     use std::sync::Arc;
 
     fn page(v: u8, size: usize) -> Vec<u8> {

@@ -1,21 +1,21 @@
 //! Page-granular guest memory with log-dirty tracking.
 
 use block_bitmap::{DirtyMap, FlatBitmap};
+use vdisk::MetaDisk;
 
-/// Guest memory model: one generation counter per page plus a dirty-page
-/// bitmap, mirroring Xen's log-dirty mode (the shadow page tables mark a
-/// page dirty on first write after each bitmap drain).
+/// Guest memory model: a [`MetaDisk`] with a page per block (one
+/// generation counter per page) plus a dirty-page bitmap, mirroring Xen's
+/// log-dirty mode (the shadow page tables mark a page dirty on first
+/// write after each bitmap drain).
 ///
-/// Like [`vdisk::MetaDisk`], contents are modelled as generations: the
-/// memory pre-copy algorithm needs to know *which pages changed*, not what
-/// bytes they hold, and a 512 MB guest at 4 KiB pages is 131 072 pages —
-/// cheap to track exactly.
+/// Contents are modelled as generations: the memory pre-copy algorithm
+/// needs to know *which pages changed*, not what bytes they hold, and a
+/// 512 MB guest at 4 KiB pages is 131 072 pages — cheap to track exactly.
 #[derive(Debug, Clone)]
 pub struct GuestMemory {
     page_size: usize,
-    generations: Vec<u32>,
+    pages: MetaDisk,
     dirty: FlatBitmap,
-    next_gen: u32,
 }
 
 impl GuestMemory {
@@ -28,20 +28,14 @@ impl GuestMemory {
         assert!(page_size > 0, "page size must be non-zero");
         Self {
             page_size,
-            generations: vec![0; num_pages],
+            pages: MetaDisk::new(num_pages),
             dirty: FlatBitmap::new(num_pages),
-            next_gen: 1,
         }
-    }
-
-    /// The paper's guest: 512 MB of 4 KiB pages.
-    pub fn paper_guest() -> Self {
-        Self::new(4096, 512 * 1024 * 1024 / 4096)
     }
 
     /// Number of pages.
     pub fn num_pages(&self) -> usize {
-        self.generations.len()
+        self.pages.num_blocks()
     }
 
     /// Page size in bytes.
@@ -59,14 +53,13 @@ impl GuestMemory {
     /// # Panics
     /// Panics when `page` is out of range.
     pub fn touch(&mut self, page: usize) {
-        self.generations[page] = self.next_gen;
-        self.next_gen += 1;
+        self.pages.write(page);
         self.dirty.set(page);
     }
 
     /// Current generation of `page`.
     pub fn generation(&self, page: usize) -> u32 {
-        self.generations[page]
+        self.pages.generation(page)
     }
 
     /// Number of pages currently marked dirty.
@@ -77,7 +70,8 @@ impl GuestMemory {
     /// Drain the dirty bitmap: returns the dirty set and resets tracking —
     /// one iteration boundary of Xen's pre-copy loop.
     pub fn drain_dirty(&mut self) -> FlatBitmap {
-        std::mem::replace(&mut self.dirty, FlatBitmap::new(self.generations.len()))
+        let fresh = FlatBitmap::new(self.num_pages());
+        std::mem::replace(&mut self.dirty, fresh)
     }
 
     /// Peek at the dirty bitmap without resetting.
@@ -91,42 +85,26 @@ impl GuestMemory {
     /// # Panics
     /// Panics when geometries differ or `page` is out of range.
     pub fn copy_page_from(&mut self, src: &GuestMemory, page: usize) {
-        assert_eq!(
-            self.num_pages(),
-            src.num_pages(),
-            "memory geometries must match"
-        );
-        self.generations[page] = src.generations[page];
+        self.pages.copy_block_from(&src.pages, page);
     }
 
     /// Pages whose generations differ from `other`.
+    ///
+    /// # Panics
+    /// Panics when geometries differ.
     pub fn diff_pages(&self, other: &GuestMemory) -> Vec<usize> {
-        assert_eq!(
-            self.num_pages(),
-            other.num_pages(),
-            "memory geometries must match"
-        );
-        (0..self.num_pages())
-            .filter(|&i| self.generations[i] != other.generations[i])
-            .collect()
+        self.pages.diff_blocks(&other.pages)
     }
 
     /// `true` when every page matches `other`.
     pub fn content_equals(&self, other: &GuestMemory) -> bool {
-        self.generations == other.generations
+        self.pages.content_equals(&other.pages)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_guest_geometry() {
-        let m = GuestMemory::paper_guest();
-        assert_eq!(m.num_pages(), 131_072);
-        assert_eq!(m.total_bytes(), 512 * 1024 * 1024);
-    }
 
     #[test]
     fn touch_marks_dirty_and_bumps_generation() {

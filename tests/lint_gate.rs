@@ -8,7 +8,8 @@
 //! the `parking_lot` stand-in, and one lock is the outer one. It also
 //! holds the §IV boundary: the phase decisions and the frame charges
 //! live in `migrate::phase`, and the fleet executor reaches past it into
-//! nothing.
+//! nothing. And it holds the one unit store: disk blocks and RAM pages
+//! are kept by `vdisk`'s, and no second byte store grows outside it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -252,5 +253,21 @@ fn phase_decisions_and_frame_charges_live_in_migrate_phase() {
                 path.display()
             );
         }
+    }
+}
+
+#[test]
+fn unit_contents_live_in_vdisk() {
+    // A store that knows what its never-written units read as is a byte
+    // store; guest RAM is a `VirtualDisk` of pages, not a second one.
+    let vdisk = root().join("crates/vdisk/src");
+    let files = program_files();
+    assert!(files.iter().any(|p| p.starts_with(&vdisk)), "vdisk moved");
+    for path in files.iter().filter(|p| !p.starts_with(&vdisk)) {
+        assert!(
+            !program_text(path).contains("Unwritten"),
+            "{} names Unwritten: keep unit contents in vdisk's store",
+            path.display()
+        );
     }
 }

@@ -400,29 +400,25 @@ fn concurrent_live_migrations_do_not_interfere() {
 
 #[test]
 fn cow_overlay_seeds_a_collective_style_live_migration() {
-    // A guest on a CoW disk over a shared base image: the overlay bitmap
-    // is exactly the IM-style initial set — only diverged blocks cross.
-    use block_bitmap_migration::vdisk::{CowStorage, DenseStorage, Storage};
+    // A guest whose disk diverged from a base image both hosts hold (the
+    // Collective's premise): the diverged blocks' bitmap is exactly the
+    // IM-style initial set — only diverged blocks cross.
+    use block_bitmap_migration::vdisk::VirtualDisk;
     let blocks = 16_384usize;
-    let base: block_bitmap_migration::vdisk::BaseImage =
-        Arc::new(DenseStorage::stamp_zero(512, blocks));
-
-    // Source guest ran on a CoW overlay and diverged on 200 blocks.
-    let mut cow = CowStorage::new(Arc::clone(&base));
+    let mut diff = FlatBitmap::new(blocks);
     for b in (0..200).map(|i| i * 80) {
-        cow.write_block(b, &vdisk_stamp(b, 0)); // same stamp-0 content: the
-                                                // *bitmap*, not content, drives the transfer set
+        diff.set(b);
     }
-    let diff = cow.overlay_blocks();
-    let src = Arc::new(TrackedDisk::new(Arc::new(
-        block_bitmap_migration::vdisk::VirtualDisk::new(Box::new(cow)),
-    )));
-    // Destination holds the same base image (that is the Collective's
-    // premise).
-    let dst_cow = CowStorage::new(base);
-    let dst = Arc::new(TrackedDisk::new(Arc::new(
-        block_bitmap_migration::vdisk::VirtualDisk::new(Box::new(dst_cow)),
-    )));
+    // Both disks read as the stamp-0 base and hold the same 200 written
+    // blocks, with the same stamp-0 content: the *bitmap*, not content,
+    // drives the transfer set.
+    let [src, dst] = [(); 2].map(|()| {
+        let disk = VirtualDisk::stamp_zero(512, blocks);
+        for b in diff.iter_set() {
+            disk.write_block(b, &vdisk_stamp(b, 0));
+        }
+        Arc::new(TrackedDisk::new(Arc::new(disk)))
+    });
 
     let cfg = LiveConfig {
         num_blocks: blocks,
@@ -437,12 +433,12 @@ fn cow_overlay_seeds_a_collective_style_live_migration() {
             ..LiveRun::default()
         },
     )
-    .expect("CoW-seeded migration completes");
+    .expect("bitmap-seeded migration completes");
     assert_eq!(out.read_violations, 0);
     assert_eq!(
         out.iterations[0],
         diff.count_ones() as u64,
-        "first pass ships exactly the CoW diff"
+        "first pass ships exactly the initial bitmap"
     );
     assert!(out.inconsistent_blocks().is_empty());
 }

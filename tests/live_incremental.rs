@@ -180,6 +180,35 @@ fn an_im_hop_reads_and_hashes_what_is_dirty_whatever_the_disk_holds() {
     }
 }
 
+#[test]
+fn a_primary_handshake_counts_blocks_written_with_zeroes_as_hashed() {
+    // The destination's allocation map says which blocks the handshake
+    // must read: a block written with zeroes is one of them, though its
+    // fingerprint is the one a never-written block is answered with.
+    const ZEROED: usize = 64;
+    let cfg = idle_cfg(4_096);
+    let n = cfg.num_blocks as u64;
+    let dst = VirtualDisk::dense(cfg.block_size, cfg.num_blocks);
+    for b in (0..ZEROED).map(|i| 3 + 61 * i) {
+        dst.write_block(b, &vec![0u8; cfg.block_size]);
+    }
+    let (src, dst) = (image(&cfg), Arc::new(TrackedDisk::new(Arc::new(dst))));
+    let out = run_live(
+        &cfg,
+        LiveRun {
+            disks: Some((Arc::clone(&src), Arc::clone(&dst))),
+            ..LiveRun::default()
+        },
+    )
+    .expect("migration completes");
+    assert!(src.disk().content_equals(dst.disk()), "image not exact");
+    // One fingerprint (the zero block's), `ZEROED` blocks read and hashed
+    // to learn it; then every block arrives full and is hashed to record.
+    assert_eq!(handshakes(&cfg), vec![(1, ZEROED as u64, 0)]);
+    assert_eq!(out.work.dst.blocks_read, ZEROED as u64);
+    assert_eq!(out.work.dst.blocks_hashed, ZEROED as u64 + n);
+}
+
 /// What the round-trip tests share: A → B primary, then the guest's
 /// writes at B. Every fourth dirtied block becomes a copy of a clean block
 /// (`copies`: dirtied block, the block it copies); the rest get content of
