@@ -3,7 +3,7 @@
 //! * Guest-assisted sparse migration (skip free blocks),
 //! * template-based migration (ship only writes-since-install),
 //! * multi-site IM with storage version maintenance, run on the fleet
-//!   orchestrator's replica table.
+//!   orchestrator's block directory.
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimTime};
@@ -109,7 +109,7 @@ pub fn run(scale: Scale) -> ExpResult {
 /// three-host fleet, starting on host 0. Each hop is one
 /// [`Orchestrator::run`] of one request pinned to the next host of
 /// `route`; every hop but the first waits `dwell` for its turn while the
-/// guest keeps writing. The replica table keeps the image each host was
+/// guest keeps writing. The block directory keeps the image each host was
 /// left with, so a hop back to a host ships only what changed since, and
 /// a host never visited gets the whole disk.
 ///

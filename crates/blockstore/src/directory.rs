@@ -1,45 +1,29 @@
-//! Cluster-wide block directory: which hosts hold which blocks of
-//! which VM image, and at what generation.
+//! Cluster-wide block directory: the one store of the images hosts kept
+//! of each VM, and the queries that say which blocks they hold at the
+//! live generation.
 //!
-//! The directory is the journal-consumer side of the replica story.
-//! `vdisk::ReplicaTable` records what a *site* kept behind after a
-//! migration; the directory holds those generation vectors (plus any
-//! live publishes) as one queryable map, kept current by whoever owns
-//! the table: one [`BlockDirectory::publish`] where a replica is
-//! recorded, one [`BlockDirectory::retire`] where it is consumed.
-//! Freshness is always judged against a caller-supplied live
-//! [`MetaDisk`]: a holder entry is never "stale" in the abstract, only
-//! relative to the generation the live image has reached.
+//! Incremental migration (§V) pays because the host a VM left still
+//! holds its image; §VII generalises this to "version maintenance among
+//! any recently used physical machines". The directory keeps those
+//! images, `(vm, host) → MetaDisk`: one [`BlockDirectory::publish`] where
+//! a host keeps an image, one [`BlockDirectory::retire`] where an
+//! incoming migration consumes it. Freshness is always judged against a
+//! caller-supplied live [`MetaDisk`]: a kept image is never "stale" in the
+//! abstract, only relative to the generation the live image has reached.
 
 use std::collections::BTreeMap;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
-use vdisk::{hash_u64, MetaDisk, ReplicaTable};
+use vdisk::{hash_u64, MetaDisk};
 
-/// A maximal run of blocks over which the fresh-holder set is constant.
+/// Content-addressed, generation-aware map from `(vm, host)` to the image
+/// the host kept of the VM.
 ///
-/// This is the `(vm, block-range, generation) → holder set` shape from
-/// the design: consumers that journal or size plans want ranges, not a
-/// per-block map.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverageRange {
-    /// First block of the run (inclusive).
-    pub start: usize,
-    /// One past the last block of the run (exclusive).
-    pub end: usize,
-    /// Hosts holding every block in the run at the live generation,
-    /// ascending host id. Empty means only the source can serve it.
-    pub holders: Vec<u64>,
-}
-
-/// Content-addressed, generation-aware map from `(vm, host)` to the
-/// per-block generation vector the holder had when it last published.
-///
-/// Keyed on `BTreeMap` so every iteration order — holder lists,
-/// coverage runs, plan assignment — is deterministic across runs.
+/// Keyed on `BTreeMap` so every iteration order — holder lists, plan
+/// assignment — is deterministic across runs.
 #[derive(Debug, Clone, Default)]
 pub struct BlockDirectory {
-    holders: BTreeMap<(u64, u64), Vec<u32>>,
+    images: BTreeMap<(u64, u64), MetaDisk>,
 }
 
 impl BlockDirectory {
@@ -48,73 +32,65 @@ impl BlockDirectory {
         Self::default()
     }
 
-    /// Journal-style update: `host` now holds `vm`'s image at the
-    /// generations recorded in `disk`. Replaces any previous view for
-    /// the same `(vm, host)` pair.
+    /// `host` now holds `vm`'s image as `disk` records it (the image a
+    /// departing VM left behind, a failed stream's partial copy, a
+    /// template clone). Replaces any image kept for the same pair.
     pub fn publish(&mut self, vm: u64, host: u64, disk: &MetaDisk) {
-        self.holders.insert((vm, host), disk.generations().to_vec());
+        self.images.insert((vm, host), disk.clone());
     }
 
-    /// Fold every replica the table knows about for `vm` into the
-    /// directory. Sites already present are refreshed in place.
-    pub fn merge_replicas(&mut self, vm: u64, table: &ReplicaTable) {
-        for site in table.sites_with_replica(vm) {
-            if let Some(replica) = table.get(vm, site) {
-                self.publish(vm, site, &replica.disk);
-            }
-        }
+    /// `host` no longer holds `vm`'s image (an incoming migration
+    /// consumed it): remove and return it.
+    pub fn retire(&mut self, vm: u64, host: u64) -> Option<MetaDisk> {
+        self.images.remove(&(vm, host))
     }
 
-    /// Journal-style update: `host` no longer holds `vm`'s image
-    /// (evicted, repurposed, or its copy was consumed by a migration).
-    pub fn retire(&mut self, vm: u64, host: u64) {
-        self.holders.remove(&(vm, host));
+    /// The image `host` kept of `vm`, whatever its geometry.
+    pub fn image(&self, vm: u64, host: u64) -> Option<&MetaDisk> {
+        self.images.get(&(vm, host))
     }
 
-    /// Drop every view published by `host` — the host died or left the
-    /// cluster. This is what source-death failover calls before
-    /// re-planning.
-    pub fn retire_host(&mut self, host: u64) {
-        self.holders.retain(|&(_, h), _| h != host);
-    }
-
-    /// Hosts with any view of `vm`, ascending.
+    /// Hosts holding an image of `vm`, ascending.
     pub fn holders(&self, vm: u64) -> Vec<u64> {
-        self.holders
-            .range((vm, 0)..=(vm, u64::MAX))
-            .map(|(&(_, host), _)| host)
-            .collect()
+        self.of(vm).map(|(host, _)| host).collect()
     }
 
-    /// Every `(host, generation vector)` published for `vm` with
-    /// `live`'s geometry, ascending host id. A mismatched holder can
-    /// never be trusted to serve, so no freshness query sees it.
+    /// Every `(host, generation vector)` kept of `vm` with `live`'s
+    /// geometry, ascending host id. A mismatched image can never be
+    /// trusted to serve, so no freshness query sees it.
     pub fn views<'a>(
         &'a self,
         vm: u64,
         live: &MetaDisk,
     ) -> impl Iterator<Item = (u64, &'a [u32])> + 'a {
         let n = live.num_blocks();
-        self.holders
+        self.of(vm)
+            .filter(move |(_, held)| held.num_blocks() == n)
+            .map(|(host, held)| (host, held.generations()))
+    }
+
+    /// Every `(host, image)` kept of `vm`, ascending host id.
+    fn of(&self, vm: u64) -> impl Iterator<Item = (u64, &MetaDisk)> + '_ {
+        self.images
             .range((vm, 0)..=(vm, u64::MAX))
-            .filter(move |(_, view)| view.len() == n)
-            .map(|(&(_, host), view)| (host, view.as_slice()))
+            .map(|(&(_, host), held)| (host, held))
     }
 
-    /// `host`'s view of `vm`, when it has one of `live`'s geometry.
+    /// `host`'s generation vector of `vm`, when its image has `live`'s
+    /// geometry.
     fn view(&self, vm: u64, host: u64, live: &MetaDisk) -> Option<&[u32]> {
-        let view = self.holders.get(&(vm, host))?;
-        (view.len() == live.num_blocks()).then_some(view.as_slice())
+        let held = self.image(vm, host)?;
+        (held.num_blocks() == live.num_blocks()).then_some(held.generations())
     }
 
-    /// Number of `(vm, host)` views in the directory.
+    /// Number of `(vm, host)` images in the directory.
     pub fn len(&self) -> usize {
-        self.holders.len()
+        self.images.len()
     }
 
-    /// True when no holder views are recorded.
+    /// True when no host holds an image.
     pub fn is_empty(&self) -> bool {
-        self.holders.is_empty()
+        self.images.is_empty()
     }
 
     /// The sim-wide content fingerprint of a block at `generation`.
@@ -128,14 +104,14 @@ impl BlockDirectory {
 
     /// Bitmap of blocks `host` holds at exactly the live generation.
     ///
-    /// Returns `None` when the host has no view of `vm` or its view's
-    /// geometry disagrees with `live` (a mismatched holder can never be
-    /// trusted to serve, so it contributes no fresh blocks).
+    /// Returns `None` when the host holds no image of `vm` or its
+    /// image's geometry disagrees with `live` (a mismatched holder can
+    /// never be trusted to serve, so it contributes no fresh blocks).
     pub fn fresh_bitmap(&self, vm: u64, host: u64, live: &MetaDisk) -> Option<FlatBitmap> {
         Some(fresh_words(self.view(vm, host, live)?, live))
     }
 
-    /// How many blocks of `host`'s view of `vm` are *not* at the live
+    /// How many blocks of `host`'s image of `vm` are *not* at the live
     /// generation — the first-pass size of an incremental hop onto that
     /// host. `None` exactly when [`BlockDirectory::fresh_bitmap`] is.
     pub fn stale_count(&self, vm: u64, host: u64, live: &MetaDisk) -> Option<usize> {
@@ -146,19 +122,6 @@ impl BlockDirectory {
                 .filter(|(a, b)| a != b)
                 .count(),
         )
-    }
-
-    /// Hosts that hold `block` of `vm` at the live generation,
-    /// ascending. Geometry-mismatched views never match.
-    pub fn holders_of_block(&self, vm: u64, block: usize, live: &MetaDisk) -> Vec<u64> {
-        if block >= live.num_blocks() {
-            return Vec::new();
-        }
-        let want = live.generation(block);
-        self.views(vm, live)
-            .filter(|(_, view)| view[block] == want)
-            .map(|(host, _)| host)
-            .collect()
     }
 
     /// Partition-driven failover planning: among `allowed` sites (the
@@ -195,50 +158,6 @@ impl BlockDirectory {
             }
         }
         best.map(|(site, servable, _)| (site, servable))
-    }
-
-    /// Run-length coverage of `vm`'s image: maximal block ranges over
-    /// which the fresh-holder set is constant. The concatenation of the
-    /// returned ranges is exactly `0..live.num_blocks()`.
-    pub fn coverage(&self, vm: u64, live: &MetaDisk) -> Vec<CoverageRange> {
-        let n = live.num_blocks();
-        let fresh: Vec<(u64, FlatBitmap)> = self
-            .views(vm, live)
-            .map(|(host, view)| (host, fresh_words(view, live)))
-            .collect();
-        // The holder set changes exactly where some holder's fresh bit
-        // differs from the block before: `w ^ (w << 1 | carry)` marks
-        // those blocks a word at a time.
-        let mut edges = FlatBitmap::new(n);
-        for (_, bm) in &fresh {
-            let mut carry = 0u64;
-            let flips = bm
-                .words()
-                .iter()
-                .map(|&w| {
-                    let flips = w ^ (w << 1 | carry);
-                    carry = w >> 63;
-                    flips
-                })
-                .collect();
-            edges.union_with(&FlatBitmap::from_words(n, flips));
-        }
-        let mut runs = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = edges.next_set_from(start + 1).unwrap_or(n);
-            runs.push(CoverageRange {
-                start,
-                end,
-                holders: fresh
-                    .iter()
-                    .filter(|(_, bm)| bm.get(start))
-                    .map(|&(host, _)| host)
-                    .collect(),
-            });
-            start = end;
-        }
-        runs
     }
 }
 
@@ -302,43 +221,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// What [`BlockDirectory::coverage`] is defined to equal: the
-    /// per-block holder lists, run-length encoded.
-    fn coverage_per_block(dir: &BlockDirectory, vm: u64, live: &MetaDisk) -> Vec<CoverageRange> {
-        let mut runs: Vec<CoverageRange> = Vec::new();
-        for block in 0..live.num_blocks() {
-            let holders = dir.holders_of_block(vm, block, live);
-            match runs.last_mut() {
-                Some(run) if run.holders == holders => run.end = block + 1,
-                _ => runs.push(CoverageRange {
-                    start: block,
-                    end: block + 1,
-                    holders,
-                }),
-            }
-        }
-        runs
-    }
-
     proptest! {
-        /// Coverage runs, fresh bitmaps and stale counts all agree with
-        /// the per-block definition, `holders_of_block`.
+        /// Fresh bitmaps and stale counts agree with the per-block
+        /// definition: a block is fresh where the held generation equals
+        /// the live one, and an image of another geometry has neither.
         #[test]
         fn bulk_queries_equal_the_per_block_definition(seed in any::<u64>()) {
             let (dir, live, vm) = random_directory(seed);
-            prop_assert_eq!(dir.coverage(vm, &live), coverage_per_block(&dir, vm, &live));
+            let n = live.num_blocks();
             for host in 0..=6 {
-                let per_block: Vec<usize> = (0..live.num_blocks())
-                    .filter(|&b| dir.holders_of_block(vm, b, &live).contains(&host))
-                    .collect();
+                let per_block = dir
+                    .image(vm, host)
+                    .filter(|held| held.num_blocks() == n)
+                    .map(|held| {
+                        (0..n)
+                            .filter(|&b| held.generation(b) == live.generation(b))
+                            .collect::<Vec<_>>()
+                    });
                 let fresh = dir.fresh_bitmap(vm, host, &live);
-                prop_assert_eq!(
-                    fresh.as_ref().map(|bm| bm.to_indices()),
-                    dir.views(vm, &live).any(|(h, _)| h == host).then_some(per_block)
-                );
+                prop_assert_eq!(fresh.as_ref().map(|bm| bm.to_indices()), per_block);
                 prop_assert_eq!(
                     dir.stale_count(vm, host, &live),
-                    fresh.map(|bm| live.num_blocks() - bm.count_ones())
+                    fresh.map(|bm| n - bm.count_ones())
                 );
             }
         }
@@ -384,93 +288,7 @@ mod tests {
         let mut dir = BlockDirectory::new();
         dir.publish(1, 5, &MetaDisk::new(9));
         assert!(dir.fresh_bitmap(1, 5, &live).is_none());
-        assert!(dir.holders_of_block(1, 0, &live).is_empty());
-    }
-
-    #[test]
-    fn merge_replicas_imports_all_sites() {
-        let live = disk_with_writes(4, &[0]);
-        let mut table = ReplicaTable::new();
-        table.record(9, 3, live.clone());
-        table.record(9, 1, MetaDisk::new(4));
-        table.record(8, 2, MetaDisk::new(4)); // other vm: untouched
-
-        let mut dir = BlockDirectory::new();
-        dir.merge_replicas(9, &table);
-        assert_eq!(dir.holders(9), vec![1, 3]);
-        assert!(dir.holders(8).is_empty());
-
-        // Site 3 kept an exact copy; site 1 predates the write to 0.
-        assert_eq!(
-            dir.fresh_bitmap(9, 3, &live).expect("site 3").count_ones(),
-            4
-        );
-        assert_eq!(
-            dir.fresh_bitmap(9, 1, &live).expect("site 1").count_ones(),
-            3
-        );
-    }
-
-    #[test]
-    fn retire_and_retire_host() {
-        let disk = MetaDisk::new(2);
-        let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &disk);
-        dir.publish(1, 11, &disk);
-        dir.publish(2, 10, &disk);
-        assert_eq!(dir.len(), 3);
-
-        dir.retire(1, 10);
-        assert_eq!(dir.holders(1), vec![11]);
-
-        dir.retire_host(10);
-        assert_eq!(dir.holders(2), Vec::<u64>::new());
-        assert_eq!(dir.len(), 1);
-    }
-
-    #[test]
-    fn holders_of_block_is_ascending_and_generation_exact() {
-        let live = disk_with_writes(4, &[2]);
-        let mut dir = BlockDirectory::new();
-        dir.publish(5, 30, &live.clone());
-        dir.publish(5, 20, &live.clone());
-        dir.publish(5, 25, &MetaDisk::new(4)); // stale at block 2
-
-        assert_eq!(dir.holders_of_block(5, 2, &live), vec![20, 30]);
-        assert_eq!(dir.holders_of_block(5, 0, &live), vec![20, 25, 30]);
-        assert!(dir.holders_of_block(5, 99, &live).is_empty());
-    }
-
-    #[test]
-    fn coverage_runs_partition_the_image() {
-        let live = disk_with_writes(6, &[2, 3]);
-        let mut dir = BlockDirectory::new();
-        dir.publish(1, 50, &MetaDisk::new(6)); // fresh except 2,3
-
-        let runs = dir.coverage(1, &live);
-        assert_eq!(
-            runs,
-            vec![
-                CoverageRange {
-                    start: 0,
-                    end: 2,
-                    holders: vec![50]
-                },
-                CoverageRange {
-                    start: 2,
-                    end: 4,
-                    holders: vec![]
-                },
-                CoverageRange {
-                    start: 4,
-                    end: 6,
-                    holders: vec![50]
-                },
-            ]
-        );
-        // Ranges tile the whole image.
-        assert_eq!(runs.first().map(|r| r.start), Some(0));
-        assert_eq!(runs.last().map(|r| r.end), Some(6));
+        assert_eq!(dir.views(1, &live).count(), 0);
     }
 
     #[test]

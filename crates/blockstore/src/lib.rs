@@ -5,11 +5,12 @@
 //! this crate answers *where each owed block can come from*. Three
 //! layers compose:
 //!
-//! 1. [`BlockDirectory`] — merges `vdisk::ReplicaTable` generation
-//!    vectors and `ContentIndex`-style fingerprints into a per-cluster
-//!    map from `(vm, block-range, generation)` to the holder set.
-//!    Journal-style updates ([`BlockDirectory::publish`] /
-//!    [`BlockDirectory::retire`]) keep it fresh as migrations complete.
+//! 1. [`BlockDirectory`] — the fleet's one store of kept images: the
+//!    [`vdisk::MetaDisk`] each host holds of each VM (a departure image,
+//!    a failed stream's partial copy, a template clone), keyed
+//!    `(vm, host)`, and the freshness queries against the live image.
+//!    [`BlockDirectory::publish`] keeps an image and
+//!    [`BlockDirectory::retire`] hands it back as a migration consumes it.
 //! 2. [`FetchPlanner`] — given the owed bitmap, partitions blocks into
 //!    *source-only*, *any-peer*, and *ref-only* classes and assigns
 //!    any-peer blocks to concrete holders under per-host NIC budgets
@@ -39,6 +40,6 @@ pub mod directory;
 pub mod planner;
 pub mod session;
 
-pub use directory::{BlockDirectory, CoverageRange};
+pub use directory::BlockDirectory;
 pub use planner::{FetchPlan, FetchPlanner};
 pub use session::{fetch_blocks, serve_blocks, BlockSource, BlockWant, FetchOutcome};

@@ -454,7 +454,7 @@ mod tests {
             panic!("wrong cmd")
         };
         assert!(a.multisource);
-        // orchestrate models fan-in through the replica table, not a flag.
+        // orchestrate models fan-in through the block directory, not a flag.
         assert!(parse(&v(&["orchestrate", "--sources", "2"])).is_err());
         // TCP live runs have no in-process replica holders.
         assert!(parse(&v(&["live", "--tcp", "--sources", "2"])).is_err());

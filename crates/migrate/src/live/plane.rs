@@ -629,10 +629,9 @@ fn dest_apply_pages(
     payload: &[u8],
 ) -> Result<(), SessionError> {
     check_batch("page", pages, payload, ram.page_size(), ram.num_pages())?;
-    let idx: Vec<usize> = pages.iter().map(|&p| p as usize).collect();
-    ram.apply_pages(&idx, payload);
-    for &p in &idx {
-        st.session_got_pages.set(p);
+    ram.apply_pages(pages, payload);
+    for &p in pages {
+        st.session_got_pages.set(p as usize);
     }
     Ok(())
 }

@@ -123,12 +123,9 @@ pub struct TpmEngine {
     /// Telemetry sink; disabled by default (a single atomic check per
     /// potential record). Events are stamped with virtual time.
     pub(crate) recorder: Arc<Recorder>,
-    /// Peer holders for multi-source fetching: (host id, the image that
-    /// host holds), ascending host id. Empty (the default) means
-    /// classic single-source.
-    pub(crate) peers: Vec<(u64, MetaDisk)>,
-    /// The peers' images as the fetch planner reads them, and the NIC
-    /// budget each offers; both built once, in `set_peers`.
+    /// Peer holders for multi-source fetching: the image each peer host
+    /// holds, and the NIC budget each offers; both built once, in
+    /// `set_peers`. Empty (the default) means classic single-source.
     pub(crate) peer_dir: BlockDirectory,
     pub(crate) peer_budgets: BTreeMap<u64, f64>,
     /// Multi-source plan accounting for the report.
@@ -185,7 +182,6 @@ impl TpmEngine {
             stream_blocks: vec![0; cfg.streams],
             cfg,
             recorder: Recorder::off(),
-            peers: Vec::new(),
             peer_dir: BlockDirectory::new(),
             peer_budgets: BTreeMap::new(),
             ms: MultiSourceReport::default(),
@@ -217,9 +213,9 @@ impl TpmEngine {
 
     /// Attach peer holders for multi-source fetching: each entry maps a
     /// host id to the disk image that host holds (a template clone, a
-    /// `ReplicaTable` departure image…). Owed full blocks a peer holds
-    /// at the live generation are fetched from the peers instead of the
-    /// source, paced by `max_min_share` over `cfg.peer_budget` and the
+    /// departure image…). Owed full blocks a peer holds at the live
+    /// generation are fetched from the peers instead of the source,
+    /// paced by `max_min_share` over `cfg.peer_budget` and the
     /// destination's ingest rate.
     ///
     /// # Panics
@@ -235,7 +231,6 @@ impl TpmEngine {
             self.peer_dir.publish(MS_VM, host, disk);
         }
         self.peer_budgets = peers.keys().map(|&h| (h, self.cfg.peer_budget)).collect();
-        self.peers = peers.into_iter().collect();
     }
 
     /// Current virtual time.
@@ -320,7 +315,7 @@ impl TpmEngine {
     /// any peer, the call reduces to the classic transfer loop with
     /// zero extra float math: bit-identical ledger and clock.
     fn transfer_disk_fulls(&mut self, fulls: &FlatBitmap, cat: Category) -> (u64, u64) {
-        if !self.cfg.multisource || self.peers.is_empty() || fulls.count_ones() == 0 {
+        if !self.cfg.multisource || self.peer_dir.is_empty() || fulls.count_ones() == 0 {
             return self.transfer_disk_blocks::<false>(fulls, cat);
         }
         let plan = FetchPlanner::plan(
@@ -372,23 +367,28 @@ impl TpmEngine {
             .sum::<f64>()
             .max(1.0);
         let bs = self.cfg.block_size;
+        // The peers' images stay put while the guest steps between pace
+        // steps: lend the directory out of the engine for the drain, so
+        // each lane takes its image once and the block loop below
+        // indexes and looks nothing up.
+        let dir = std::mem::take(&mut self.peer_dir);
         /// One serving peer's fetch session.
         struct Lane<'p> {
-            /// Where the peer sits in `TpmEngine::peers`.
-            peer: usize,
+            host: u64,
+            image: &'p MetaDisk,
             assigned: &'p FlatBitmap,
             /// The next block to look from; `parked` once drained.
             cursor: usize,
             fetched: u64,
         }
-        // Hosts resolve to lanes once, ascending host id: the block
-        // loop below indexes and looks nothing up.
+        // Ascending host id, as the plan holds them.
         let mut lanes: Vec<Lane<'_>> = plan
             .per_peer
             .iter()
-            .filter_map(|(host, assigned)| {
+            .filter_map(|(&host, assigned)| {
                 Some(Lane {
-                    peer: self.peers.binary_search_by_key(host, |p| p.0).ok()?,
+                    host,
+                    image: dir.image(MS_VM, host)?,
                     assigned,
                     cursor: 0,
                     fetched: 0,
@@ -403,20 +403,20 @@ impl TpmEngine {
         while sent < total {
             let (dt, n) = pace_step(self.cfg.step, rate, bs as f64, total - sent, &mut carry);
             for _ in 0..n {
-                let (peer, b) = loop {
+                let (image, b) = loop {
                     let lanes_len = lanes.len();
                     let lane = &mut lanes[rr % lanes_len];
                     rr += 1;
                     if let Some(b) = lane.assigned.next_set_from(lane.cursor) {
                         lane.cursor = b + 1;
                         lane.fetched += 1;
-                        break (lane.peer, b);
+                        break (lane.image, b);
                     }
                     // This peer's assignment is drained; `sent < total`
                     // guarantees another peer still holds blocks.
                     lane.cursor = parked;
                 };
-                self.dst_disk.copy_block_from(&self.peers[peer].1, b);
+                self.dst_disk.copy_block_from(image, b);
             }
             if n > 0 {
                 // BlockData frames: 16-byte header per block, one frame
@@ -436,7 +436,7 @@ impl TpmEngine {
         }
         let rec = Arc::clone(&self.recorder);
         for lane in lanes {
-            let (host, blocks, b) = (self.peers[lane.peer].0, lane.fetched, lane.fetched * bs);
+            let (host, blocks, b) = (lane.host, lane.fetched, lane.fetched * bs);
             rec.record_at_nanos(self.now.as_nanos(), || Event::PeerFetch {
                 side: Side::Destination,
                 peer: host,
@@ -447,6 +447,7 @@ impl TpmEngine {
             e.0 += blocks;
             e.1 += b;
         }
+        self.peer_dir = dir;
         (sent, bytes)
     }
 

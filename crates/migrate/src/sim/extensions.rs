@@ -15,7 +15,7 @@
 //!
 //! The third, "local disk storage version maintenance to facilitate IM …
 //! among any recently used physical machines", is the orchestrator's
-//! replica table: every host a VM leaves keeps its image, and a later
+//! block directory: every host a VM leaves keeps its image, and a later
 //! hop back ships only the blocks that changed since.
 
 use std::sync::Arc;

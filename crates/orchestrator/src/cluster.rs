@@ -1,11 +1,9 @@
-//! The fleet model: hosts, VM handles, the shared replica table and
-//! the block directory kept over it.
-
-use std::collections::BTreeSet;
+//! The fleet model: hosts, VM handles, and the block directory that
+//! holds the images hosts kept.
 
 use blockstore::BlockDirectory;
 use des::SimRng;
-use vdisk::{MetaDisk, Replica, ReplicaTable};
+use vdisk::MetaDisk;
 use workloads::{Workload, WorkloadKind};
 
 use crate::config::{ClusterConfig, ConfigError};
@@ -31,14 +29,12 @@ impl std::fmt::Display for VmId {
 }
 
 /// One physical machine: its NIC and disk capacities live in
-/// [`ClusterConfig`] (a homogeneous fleet); the host tracks which VMs
-/// currently run on it.
+/// [`ClusterConfig`] (a homogeneous fleet); which VMs run on it is each
+/// [`VmHandle::host`], read through [`Cluster::residents`].
 #[derive(Debug, Clone)]
 pub struct Host {
     /// This host's id.
     pub id: HostId,
-    /// VMs currently running here, ascending.
-    pub resident: BTreeSet<VmId>,
 }
 
 /// One VM: its live disk image, its workload generator, and its private
@@ -69,7 +65,7 @@ impl std::fmt::Debug for VmHandle {
     }
 }
 
-/// The whole fleet: hosts, VMs, and the shared stale-replica table.
+/// The whole fleet: hosts, VMs, and the images hosts kept.
 #[derive(Debug)]
 pub struct Cluster {
     /// Physical machines, by index.
@@ -78,11 +74,8 @@ pub struct Cluster {
     pub vms: Vec<VmHandle>,
     /// §VII version maintenance, fleet-wide: the stale image each host
     /// kept when a VM departed (or a failed stream's partial copy).
-    replicas: ReplicaTable,
-    /// The table's generation vectors as every replica-aware decision
-    /// reads them. Written only where the table is, by
-    /// [`Cluster::keep_replica`] and [`Cluster::consume_replica`], so it
-    /// holds exactly the table's `(vm, host)` pairs at all times.
+    /// Written only by [`Cluster::keep_replica`] and
+    /// [`Cluster::consume_replica`].
     directory: BlockDirectory,
 }
 
@@ -93,16 +86,9 @@ impl Cluster {
     /// move the whole disk, as in §V).
     pub fn new(cfg: &ClusterConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let hosts: Vec<Host> = (0..cfg.hosts)
-            .map(|h| Host {
-                id: HostId(h),
-                resident: BTreeSet::new(),
-            })
-            .collect();
         let mut cluster = Self {
-            hosts,
+            hosts: (0..cfg.hosts).map(|h| Host { id: HostId(h) }).collect(),
             vms: Vec::with_capacity(cfg.vms),
-            replicas: ReplicaTable::new(),
             directory: BlockDirectory::new(),
         };
         let mut master = SimRng::new(cfg.seed);
@@ -121,77 +107,36 @@ impl Cluster {
                 workload: kind.build(cfg.disk_blocks as u64),
                 rng: master.fork(i as u64),
             });
-            cluster.hosts[host.0].resident.insert(VmId(i));
         }
         Ok(cluster)
     }
 
-    /// The stale-replica table (read-only: it changes through
-    /// `Cluster::keep_replica` and `Cluster::consume_replica`).
-    pub fn replicas(&self) -> &ReplicaTable {
-        &self.replicas
-    }
-
-    /// The block directory over the replica table: placement, failover
-    /// re-plans and peer-servable accounting all read this one map.
+    /// The images hosts kept (read-only: it changes through
+    /// `Cluster::keep_replica` and `Cluster::consume_replica`). Placement,
+    /// failover re-plans and peer-servable accounting all read this one
+    /// map.
     pub fn directory(&self) -> &BlockDirectory {
         &self.directory
     }
 
-    /// `host` keeps `disk` as its replica of `vm` (the image a departing
-    /// VM left behind, or a failed stream's partial copy): recorded in
-    /// the table and published to the directory in one step.
-    pub(crate) fn keep_replica(&mut self, vm: VmId, host: HostId, disk: MetaDisk) {
-        self.directory.publish(vm.0 as u64, host.0 as u64, &disk);
-        self.replicas.record(vm.0 as u64, host.0 as u64, disk);
+    /// `host` keeps `disk` as its replica of `vm`: the image a departing
+    /// VM left behind, or a failed stream's partial copy.
+    pub(crate) fn keep_replica(&mut self, vm: VmId, host: HostId, disk: &MetaDisk) {
+        self.directory.publish(vm.0 as u64, host.0 as u64, disk);
     }
 
-    /// An incoming migration of `vm` consumes `host`'s replica: taken
-    /// from the table and retired from the directory in one step, so the
+    /// An incoming migration of `vm` consumes `host`'s replica, so the
     /// very next decision no longer sees it offered.
-    pub(crate) fn consume_replica(&mut self, vm: VmId, host: HostId) -> Option<Replica> {
-        self.directory.retire(vm.0 as u64, host.0 as u64);
-        self.replicas.take(vm.0 as u64, host.0 as u64)
+    pub(crate) fn consume_replica(&mut self, vm: VmId, host: HostId) -> Option<MetaDisk> {
+        self.directory.retire(vm.0 as u64, host.0 as u64)
     }
 
-    /// Move a VM between hosts' resident sets and update its handle.
-    pub(crate) fn relocate(&mut self, vm: VmId, to: HostId) {
-        let from = self.vms[vm.0].host;
-        self.hosts[from.0].resident.remove(&vm);
-        self.hosts[to.0].resident.insert(vm);
-        self.vms[vm.0].host = to;
-    }
-}
-
-/// The test oracle for the maintained directory: every VM's replicas
-/// folded into a fresh [`BlockDirectory`], from scratch.
-#[cfg(test)]
-fn directory_of(replicas: &ReplicaTable, vms: usize) -> BlockDirectory {
-    let mut dir = BlockDirectory::new();
-    for vm in 0..vms {
-        dir.merge_replicas(vm as u64, replicas);
-    }
-    dir
-}
-
-/// Maintained ≡ rebuilt: the directory holds exactly the table's
-/// `(vm, host)` pairs, and answers every freshness query as
-/// [`directory_of`] the table does.
-#[cfg(test)]
-pub(crate) fn assert_directory_matches_table(cluster: &Cluster) {
-    let rebuilt = directory_of(cluster.replicas(), cluster.vms.len());
-    assert_eq!(cluster.directory().len(), cluster.replicas().len());
-    for vm in &cluster.vms {
-        let id = vm.id.0 as u64;
-        assert_eq!(cluster.directory().holders(id), rebuilt.holders(id));
-        for host in 0..cluster.hosts.len() as u64 {
-            assert_eq!(
-                cluster.directory().fresh_bitmap(id, host, &vm.disk),
-                rebuilt.fresh_bitmap(id, host, &vm.disk),
-                "{} on h{host}",
-                vm.id
-            );
-        }
+    /// VMs running on `host`, ascending id.
+    pub fn residents(&self, host: HostId) -> impl Iterator<Item = VmId> + '_ {
+        self.vms
+            .iter()
+            .filter(move |vm| vm.host == host)
+            .map(|vm| vm.id)
     }
 }
 
@@ -200,58 +145,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn directory_follows_the_table_through_every_write() {
-        let mut cfg = ClusterConfig::new(4, 3);
-        cfg.disk_blocks = 8_192;
-        for seed in 0..4 {
-            let mut c = Cluster::new(&cfg).expect("valid config");
-            let mut rng = SimRng::new(seed);
-            for _ in 0..40 {
-                let vm = VmId(rng.below_usize(cfg.vms));
-                let host = HostId(rng.below_usize(cfg.hosts));
-                for _ in 0..rng.below(40) {
-                    c.vms[vm.0].disk.write(rng.below_usize(cfg.disk_blocks));
-                }
-                if rng.chance(0.6) {
-                    // Mostly the live image as it stands; now and then
-                    // one of another geometry (a resized disk).
-                    let disk = if rng.chance(0.1) {
-                        MetaDisk::new(cfg.disk_blocks / 2)
-                    } else {
-                        c.vms[vm.0].disk.clone()
-                    };
-                    c.keep_replica(vm, host, disk);
-                } else {
-                    let had = c.replicas().has(vm.0 as u64, host.0 as u64);
-                    assert_eq!(c.consume_replica(vm, host).is_some(), had);
-                }
-                assert_directory_matches_table(&c);
-            }
-        }
-    }
-
-    #[test]
     fn fleet_round_robins_vms_and_workloads() {
         let cfg = ClusterConfig::new(3, 7);
         let c = Cluster::new(&cfg).expect("valid config");
         assert_eq!(c.hosts.len(), 3);
         assert_eq!(c.vms.len(), 7);
         assert_eq!(c.vms[4].host, HostId(1));
-        assert_eq!(c.hosts[0].resident.len(), 3);
-        assert_eq!(c.hosts[1].resident.len(), 2);
+        assert_eq!(c.residents(HostId(0)).count(), 3);
+        assert!(c.residents(HostId(1)).eq([VmId(1), VmId(4)]));
         // Every block starts at a real generation.
         assert!((0..cfg.disk_blocks).all(|b| c.vms[0].disk.generation(b) > 0));
-        assert!(c.replicas().is_empty() && c.directory().is_empty());
+        assert!(c.directory().is_empty());
     }
 
     #[test]
-    fn relocate_moves_residency() {
-        let cfg = ClusterConfig::new(2, 2);
+    fn residents_follow_each_vm_host() {
+        let cfg = ClusterConfig::new(2, 3);
         let mut c = Cluster::new(&cfg).expect("valid config");
-        c.relocate(VmId(0), HostId(1));
-        assert_eq!(c.vms[0].host, HostId(1));
-        assert!(!c.hosts[0].resident.contains(&VmId(0)));
-        assert!(c.hosts[1].resident.contains(&VmId(0)));
+        c.vms[0].host = HostId(1);
+        assert!(c.residents(HostId(0)).eq([VmId(2)]));
+        assert!(c.residents(HostId(1)).eq([VmId(0), VmId(1)]));
     }
 
     #[test]

@@ -199,7 +199,7 @@ pub struct Scenario {
 impl Scenario {
     /// The evacuation/return scenario behind the bench experiment and the
     /// acceptance test: every VM is evacuated at `t = 0` (wave 1, full
-    /// copies that seed the replica table), dwells for `gap`, then must
+    /// copies that leave replicas behind), dwells for `gap`, then must
     /// move again (wave 2, destination left to the scheduler). Wave 2 is
     /// where IM-aware placement pays: a policy that sends each VM back to
     /// a host holding its stale replica ships only the bitmap diff.

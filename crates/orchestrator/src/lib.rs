@@ -16,8 +16,10 @@
 //! * [`ClusterConfig`] / [`Scenario`] — fleet geometry, capacities,
 //!   fault plan, and the timed migration request stream.
 //! * [`Cluster`] / [`Host`] / [`VmHandle`] — the fleet model: per-VM
-//!   [`vdisk::MetaDisk`] images plus a shared [`vdisk::ReplicaTable`] of
-//!   stale departure images (§VII's version maintenance, fleet-wide).
+//!   [`vdisk::MetaDisk`] images, each VM's host (a host's residents are
+//!   derived from it), and one [`blockstore::BlockDirectory`] holding
+//!   the stale images hosts kept (§VII's version maintenance,
+//!   fleet-wide).
 //! * [`Scheduler`] — the policy trait, with [`Fifo`], [`Srdf`]
 //!   (shortest-remaining-dirty-first) and [`ImAware`] (prefer a
 //!   destination holding a stale replica) implementations, all under

@@ -42,9 +42,9 @@ pub struct ClusterView<'a> {
     pub hosts: usize,
     /// VM handles, by index.
     pub vms: &'a [VmHandle],
-    /// The cluster block directory (the replica table's generation
-    /// vectors as a holder map; staleness ranked against live images).
-    /// It is the single map every replica-aware decision reads —
+    /// The cluster block directory (the images hosts kept; staleness
+    /// ranked against live images). It is the single map every
+    /// replica-aware decision reads —
     /// IM-aware placement here, fetch planning and source-death failover
     /// in `blockstore` — so the scheduler ranks destinations by exactly
     /// the per-block freshness a multi-source fetch would see.
@@ -477,7 +477,7 @@ mod tests {
         let mut cluster = Cluster::new(&cfg).expect("valid");
         // Give vm1's ring destination (host 2) a nearly-fresh replica.
         let disk = cluster.vms[1].disk.clone();
-        cluster.keep_replica(VmId(1), HostId(2), disk);
+        cluster.keep_replica(VmId(1), HostId(2), &disk);
         cluster.vms[1].disk.write(7);
         let streams = vec![0usize; 3];
         let busy = BTreeSet::new();
@@ -494,7 +494,7 @@ mod tests {
         let mut cluster = Cluster::new(&cfg).expect("valid");
         // vm0 lives on host 0; host 2 holds a stale replica.
         let disk = cluster.vms[0].disk.clone();
-        cluster.keep_replica(VmId(0), HostId(2), disk);
+        cluster.keep_replica(VmId(0), HostId(2), &disk);
         cluster.vms[0].disk.write(1);
         let streams = vec![0usize; 4];
         let busy = BTreeSet::new();
@@ -511,7 +511,7 @@ mod tests {
         let cfg = ClusterConfig::new(3, 3);
         let mut cluster = Cluster::new(&cfg).expect("valid");
         let disk = cluster.vms[0].disk.clone();
-        cluster.keep_replica(VmId(0), HostId(2), disk);
+        cluster.keep_replica(VmId(0), HostId(2), &disk);
         let mut streams = vec![0usize; 3];
         streams[2] = cfg.max_streams_per_host;
         let busy = BTreeSet::new();

@@ -224,8 +224,10 @@ impl ScenarioDynamics {
                             break;
                         }
                         self.state[h] = HostState::Cordoned;
-                        let residents: Vec<usize> =
-                            cluster.hosts[h].resident.iter().map(|v| v.0).collect();
+                        let residents: Vec<usize> = cluster
+                            .residents(orchestrator::HostId(h))
+                            .map(|v| v.0)
+                            .collect();
                         recorder.record_at_nanos(t, || Event::MaintenanceStarted {
                             host: h as u64,
                             evacuating: residents.len() as u64,
@@ -244,8 +246,10 @@ impl ScenarioDynamics {
                     Some((h, WaveStage::Draining)) => {
                         // Late arrivals (streams admitted before the
                         // cordon that landed here) get evacuated too.
-                        let residents: Vec<usize> =
-                            cluster.hosts[h].resident.iter().map(|v| v.0).collect();
+                        let residents: Vec<usize> = cluster
+                            .residents(orchestrator::HostId(h))
+                            .map(|v| v.0)
+                            .collect();
                         for &vm in &residents {
                             if !self.waves[wi].issued.contains(&vm) {
                                 out.push(MigrationRequest {
@@ -498,12 +502,7 @@ mod tests {
         assert!(d.cordoned(0));
 
         // Drained: resident moved away, no streams → dwell (down).
-        let vm0 = cluster.vms[0].id;
-        let h1 = cluster.hosts[1].id;
-        let from = cluster.vms[0].host;
-        cluster.hosts[from.0].resident.remove(&vm0);
-        cluster.hosts[h1.0].resident.insert(vm0);
-        cluster.vms[0].host = h1;
+        cluster.vms[0].host = cluster.hosts[1].id;
         d.advance(at(2), &cluster, &[], &rec);
         assert!(!d.host_up(0), "dwelling host is down");
 

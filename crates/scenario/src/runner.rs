@@ -10,7 +10,7 @@ use crate::timeline::ScenarioSpec;
 use crate::ScenarioError;
 
 /// A finished scenario run: the fleet report plus the orchestrator
-/// (for end-state inspection — replica table, VM placement, disks).
+/// (for end-state inspection — kept images, VM placement, disks).
 pub struct ScenarioRun {
     /// The fleet report.
     pub report: orchestrator::ClusterReport,

@@ -27,9 +27,10 @@
 //!   bytes is pointless but write-ordering consistency still needs
 //!   checking; the virtual-time guest RAM (`vmstate::GuestMemory`) is
 //!   one of these with a page per block.
-//! * [`ReplicaTable`] — the §V/§VII stale-replica store: per (VM, site)
-//!   departure images with bitmap-diff staleness, backing incremental
-//!   migration in the multi-site extension and the cluster orchestrator.
+//!
+//! The images a host keeps of a VM after it leaves (§V's incremental
+//! migration, §VII's version maintenance) are [`MetaDisk`]s held by the
+//! fleet's one replica store, `blockstore::BlockDirectory`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +41,6 @@ pub mod content;
 mod disk;
 mod meta;
 mod pending;
-mod replica;
 mod request;
 mod storage;
 mod tracked;
@@ -49,7 +49,6 @@ pub use content::{hash_block, hash_u64, ContentIndex, FingerprintSet};
 pub use disk::VirtualDisk;
 pub use meta::MetaDisk;
 pub use pending::PendingQueue;
-pub use replica::{Replica, ReplicaTable};
 pub use request::{DomainId, IoOp, IoRequest};
 pub use storage::{DenseStorage, Unwritten};
 pub use tracked::{TrackedDisk, TrackerHandle};

@@ -3,18 +3,18 @@
 //! content index — partial form included — against a `BTreeMap` oracle,
 //! the write hook's invalidation of it, tracker completeness (the
 //! correctness property migration rests on), pending queue conservation,
-//! MetaDisk synchronization, ReplicaTable agreement with a naive
-//! reference model, the tiled stamp generator against its per-byte
-//! definition, and a computed stamp-0 image against one laid out.
+//! MetaDisk synchronization, the tiled stamp generator against its
+//! per-byte definition, and a computed stamp-0 image against one laid
+//! out.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use block_bitmap::{AtomicBitmap, DirtyMap};
+use block_bitmap::AtomicBitmap;
 use proptest::prelude::*;
 use vdisk::{
     hash_block, is_stamp, stamp_append, stamp_bytes, stamp_into, ContentIndex, DenseStorage,
-    DomainId, IoRequest, MetaDisk, PendingQueue, ReplicaTable, TrackedDisk, VirtualDisk,
+    DomainId, IoRequest, MetaDisk, PendingQueue, TrackedDisk, VirtualDisk,
 };
 
 const BLOCKS: usize = 64;
@@ -340,105 +340,6 @@ proptest! {
         }
         prop_assert_eq!(disk.disk().fingerprint_all(), before);
         prop_assert_eq!(bm.count_ones(), 0);
-    }
-
-    /// ReplicaTable agrees with a naive reference model (a plain map of
-    /// generation-vector snapshots) under any interleaving of guest
-    /// writes, departure recordings, and replica consumption — the
-    /// contract both the IM-aware scheduler and the block directory are
-    /// built on.
-    #[test]
-    fn replica_table_matches_naive_model(
-        ops in prop::collection::vec(
-            (0u8..3, 0u64..3, 0u64..4, 0usize..BLOCKS),
-            0..150,
-        ),
-    ) {
-        const VMS: u64 = 3;
-        const SITES: u64 = 4;
-        let mut table = ReplicaTable::new();
-        // The reference: (vm, site) -> (generation snapshot, departures).
-        let mut naive: HashMap<(u64, u64), (Vec<u32>, u64)> = HashMap::new();
-        // One live image per VM, shared by both models.
-        let mut live: Vec<MetaDisk> = (0..VMS).map(|_| MetaDisk::new(BLOCKS)).collect();
-        for &(op, vm, site, block) in &ops {
-            match op {
-                // A guest write on the live image.
-                0 => {
-                    live[vm as usize].write(block);
-                }
-                // The VM departs `site`, leaving today's image behind.
-                1 => {
-                    table.record(vm, site, live[vm as usize].clone());
-                    let snapshot: Vec<u32> =
-                        (0..BLOCKS).map(|b| live[vm as usize].generation(b)).collect();
-                    let e = naive.entry((vm, site)).or_insert((Vec::new(), 0));
-                    *e = (snapshot, e.1 + 1);
-                }
-                // An incremental migration consumes the stale copy.
-                _ => {
-                    let took = table.take(vm, site);
-                    prop_assert_eq!(took.is_some(), naive.remove(&(vm, site)).is_some());
-                }
-            }
-        }
-        prop_assert_eq!(table.len(), naive.len());
-        prop_assert_eq!(table.is_empty(), naive.is_empty());
-        for vm in 0..VMS {
-            let mut expected_sites: Vec<u64> = naive
-                .keys()
-                .filter(|(v, _)| *v == vm)
-                .map(|&(_, s)| s)
-                .collect();
-            expected_sites.sort_unstable();
-            prop_assert_eq!(table.sites_with_replica(vm), expected_sites);
-            for site in 0..SITES {
-                match naive.get(&(vm, site)) {
-                    None => {
-                        prop_assert!(!table.has(vm, site));
-                        prop_assert!(table.get(vm, site).is_none());
-                        prop_assert!(table.stale_bitmap(vm, site, &live[vm as usize]).is_none());
-                    }
-                    Some((snapshot, departures)) => {
-                        prop_assert!(table.has(vm, site));
-                        let r = table.get(vm, site).expect("naive says present");
-                        prop_assert_eq!(r.departures, *departures);
-                        let expected_stale: Vec<usize> = (0..BLOCKS)
-                            .filter(|&b| live[vm as usize].generation(b) != snapshot[b])
-                            .collect();
-                        let bm = table
-                            .stale_bitmap(vm, site, &live[vm as usize])
-                            .expect("usable replica");
-                        prop_assert_eq!(
-                            table.stale_count(vm, site, &live[vm as usize]),
-                            Some(expected_stale.len())
-                        );
-                        prop_assert_eq!(bm.to_indices(), expected_stale);
-                    }
-                }
-            }
-        }
-    }
-
-    /// A replica of a resized disk reads as absent from every staleness
-    /// query (`None`), while the entry itself — and
-    /// its departure count — survives for when the geometry matches
-    /// again.
-    #[test]
-    fn replica_table_geometry_mismatch_is_absence(
-        records in prop::collection::vec((0u64..3, 0u64..3), 1..20),
-        grow in 1usize..32,
-    ) {
-        let mut table = ReplicaTable::new();
-        for &(vm, site) in &records {
-            table.record(vm, site, MetaDisk::new(BLOCKS));
-        }
-        let resized = MetaDisk::new(BLOCKS + grow);
-        for &(vm, site) in &records {
-            prop_assert!(table.has(vm, site), "the entry itself survives");
-            prop_assert!(table.stale_bitmap(vm, site, &resized).is_none());
-            prop_assert!(table.stale_count(vm, site, &resized).is_none());
-        }
     }
 }
 

@@ -115,11 +115,12 @@ impl LiveRam {
 
     /// Apply a received `MemPages` payload under one write lock
     /// (migration-side write: not tracked, mirroring how pushed blocks
-    /// bypass the guest trackers).
+    /// bypass the guest trackers). Page indices are `u64` as they arrive
+    /// off the wire, or `usize`.
     ///
     /// # Panics
     /// Panics on size mismatch or out-of-range pages.
-    pub fn apply_pages(&self, pages: &[usize], payload: &[u8]) {
+    pub fn apply_pages<I: Copy + TryInto<usize>>(&self, pages: &[I], payload: &[u8]) {
         self.pages.write_blocks(pages, payload);
     }
 

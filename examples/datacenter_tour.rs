@@ -1,6 +1,6 @@
 //! Multi-site migration tour (§VII future work, implemented): a VM hops
 //! among several machines, and *storage version maintenance* — the fleet
-//! orchestrator's replica table — makes every hop to a previously-visited
+//! orchestrator's block directory — makes every hop to a previously-visited
 //! machine incremental.
 //!
 //! ```text

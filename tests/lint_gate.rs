@@ -9,7 +9,9 @@
 //! holds the §IV boundary: the phase decisions and the frame charges
 //! live in `migrate::phase`, and the fleet executor reaches past it into
 //! nothing. And it holds the one unit store: disk blocks and RAM pages
-//! are kept by `vdisk`'s, and no second byte store grows outside it.
+//! are kept by `vdisk`'s, and no second byte store grows outside it; and
+//! the one replica store: the images hosts kept are `blockstore`'s
+//! `BlockDirectory`'s, and no second table of them grows beside it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -269,5 +271,125 @@ fn unit_contents_live_in_vdisk() {
             "{} names Unwritten: keep unit contents in vdisk's store",
             path.display()
         );
+    }
+}
+
+/// Each struct declared in `text`: its name and its body (what lies
+/// between its braces or parentheses), comments dropped and whitespace
+/// removed.
+fn struct_bodies(text: &str) -> Vec<(String, String)> {
+    let code: String = text
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut out = Vec::new();
+    for (at, _) in code.match_indices("struct ") {
+        if at > 0 && !code[..at].ends_with(char::is_whitespace) {
+            continue;
+        }
+        let rest = &code[at + "struct ".len()..];
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        let Some(open) = rest.find(['{', '(', ';']) else {
+            continue;
+        };
+        let close = match rest.as_bytes()[open] {
+            b'{' => '}',
+            b'(' => ')',
+            _ => continue,
+        };
+        let body = &rest[open + 1..];
+        let end = matching(body, rest.as_bytes()[open] as char, close);
+        out.push((name, body[..end].split_whitespace().collect()));
+    }
+    out
+}
+
+/// Where `text` closes the `open` it starts inside of (an `->` arrow
+/// closes nothing).
+fn matching(text: &str, open: char, close: char) -> usize {
+    let mut depth = 1;
+    let mut prev = ' ';
+    for (i, c) in text.char_indices() {
+        if c == open {
+            depth += 1;
+        } else if c == close && !(close == '>' && prev == '-') {
+            depth -= 1;
+            if depth == 0 {
+                return i;
+            }
+        }
+        prev = c;
+    }
+    text.len()
+}
+
+/// `text` names the type `name` as a whole word.
+fn names(text: &str, name: &str) -> bool {
+    let word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    text.match_indices(name).any(|(at, _)| {
+        !word(text[..at].chars().next_back()) && !word(text[at + name.len()..].chars().next())
+    })
+}
+
+/// The images a host kept of a VM (`MetaDisk`s) live in one store,
+/// `blockstore::BlockDirectory`, and no second replica store grows
+/// beside it. The check reads every struct declared in a program file
+/// outside `crates/blockstore/src` as text. A struct holds a store of
+/// images when its body has a `Vec`, `VecDeque`, `BTreeMap` or `HashMap`
+/// whose type arguments name `MetaDisk`, or a `BTreeMap` or `HashMap`
+/// whose type arguments name a struct with a `MetaDisk` field (a map of
+/// `Replica { disk: MetaDisk, .. }`). One image in a field (a VM's live
+/// disk, a stream's destination image) is not a store, and a vector of
+/// structs that each hold one (the fleet's VMs) is not either. Not
+/// covered: locals and parameters, which live for one call; type aliases;
+/// and images nested two structs deep.
+#[test]
+fn replica_images_live_in_the_block_directory() {
+    let blockstore = root().join("crates/blockstore/src");
+    let files = program_files();
+    assert!(
+        files.iter().any(|p| p.starts_with(&blockstore)),
+        "blockstore moved"
+    );
+    let structs: Vec<(PathBuf, String, String)> = files
+        .iter()
+        .flat_map(|path| {
+            struct_bodies(&program_text(path))
+                .into_iter()
+                .map(move |(name, body)| (path.clone(), name, body))
+        })
+        .collect();
+    assert!(
+        structs.iter().any(|(_, name, _)| name == "VmHandle"),
+        "found no structs"
+    );
+    let holders: Vec<&str> = structs
+        .iter()
+        .filter(|(_, _, body)| body.contains(":MetaDisk,") || body.ends_with(":MetaDisk"))
+        .map(|(_, name, _)| name.as_str())
+        .collect();
+    assert!(holders.contains(&"VmHandle"), "found no image holders");
+    for (path, name, body) in structs.iter().filter(|(p, ..)| !p.starts_with(&blockstore)) {
+        for kind in ["Vec<", "VecDeque<", "BTreeMap<", "HashMap<"] {
+            for (at, _) in body.match_indices(kind) {
+                let args = &body[at + kind.len()..];
+                let args = &args[..matching(args, '<', '>')];
+                let map = kind.ends_with("Map<");
+                let held = std::iter::once("MetaDisk")
+                    .chain(holders.iter().copied().filter(|_| map))
+                    .find(|held| names(args, held));
+                assert!(
+                    held.is_none(),
+                    "{}: {name} keeps {} in a {kind}..>: keep kept images in \
+                     blockstore::BlockDirectory",
+                    path.display(),
+                    held.unwrap_or_default()
+                );
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! and the cycle-aware policy beats the cycle-blind baseline on total
 //! bytes in the E15 geometry.
 
-use block_bitmap_migration::orchestrator::{FleetDynamics, MigrationRequest, VmId};
+use block_bitmap_migration::orchestrator::{MigrationRequest, VmId};
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::scenario;
 use block_bitmap_migration::telemetry::to_jsonl;
@@ -203,100 +203,15 @@ fn rolling_maintenance_with_midwave_partition_acceptance_matrix() {
     }
 }
 
-/// Maintained ≡ rebuilt: the cluster's block directory holds exactly
-/// the replica table's `(vm, host)` pairs and answers every freshness
-/// query as a directory folded from the table from scratch does.
-fn assert_directory_matches_table(cluster: &Cluster) {
-    let mut rebuilt = blockstore::BlockDirectory::new();
-    for vm in &cluster.vms {
-        rebuilt.merge_replicas(vm.id.0 as u64, cluster.replicas());
-    }
-    assert_eq!(cluster.directory().len(), rebuilt.len());
-    for vm in &cluster.vms {
-        let id = vm.id.0 as u64;
-        assert_eq!(cluster.directory().holders(id), rebuilt.holders(id));
-        for host in rebuilt.holders(id) {
-            assert_eq!(
-                cluster.directory().fresh_bitmap(id, host, &vm.disk),
-                rebuilt.fresh_bitmap(id, host, &vm.disk),
-                "{} on h{host}",
-                vm.id
-            );
-        }
-    }
-}
-
-/// A scenario's dynamics with the directory audited at the top of every
-/// tick whose live streams differ from the tick before — an admission
-/// adds a stream and a `finalize` removes one, and nothing else writes
-/// the replica table, so that is every tick the table changed in.
-struct Audited {
-    inner: ScenarioDynamics,
-    streams: Vec<(usize, usize)>,
-    audits: usize,
-}
-
-impl FleetDynamics for Audited {
-    fn advance(
-        &mut self,
-        now: SimTime,
-        cluster: &Cluster,
-        streams: &[(usize, usize)],
-        recorder: &Recorder,
-    ) -> Vec<MigrationRequest> {
-        if streams != self.streams {
-            assert_directory_matches_table(cluster);
-            self.streams = streams.to_vec();
-            self.audits += 1;
-        }
-        self.inner.advance(now, cluster, streams, recorder)
-    }
-    fn host_up(&self, host: usize) -> bool {
-        self.inner.host_up(host)
-    }
-    fn cordoned(&self, host: usize) -> bool {
-        self.inner.cordoned(host)
-    }
-    fn connected(&self, a: usize, b: usize) -> bool {
-        self.inner.connected(a, b)
-    }
-    fn nic_capacity(&self, host: usize) -> f64 {
-        self.inner.nic_capacity(host)
-    }
-    fn disk_capacity(&self, host: usize) -> f64 {
-        self.inner.disk_capacity(host)
-    }
-    fn link_bandwidth(&self, a: usize, b: usize) -> f64 {
-        self.inner.link_bandwidth(a, b)
-    }
-    fn link_quality(&self, a: usize, b: usize) -> f64 {
-        self.inner.link_quality(a, b)
-    }
-    fn link_latency(&self, a: usize, b: usize) -> SimDuration {
-        self.inner.link_latency(a, b)
-    }
-    fn workload_scale(&self, vm: usize, now: SimTime) -> f64 {
-        self.inner.workload_scale(vm, now)
-    }
-    fn op_keep(&self, vm: usize, now: SimTime) -> (u64, u64) {
-        self.inner.op_keep(vm, now)
-    }
-    fn high_activity(&self, vm: usize, now: SimTime) -> bool {
-        self.inner.high_activity(vm, now)
-    }
-    fn exhausted(&self, now: SimTime) -> bool {
-        self.inner.exhausted(now)
-    }
-}
-
-/// The directory is kept, not rebuilt — and never drifts: under every
-/// policy, through the rolling-maintenance wave, the mid-wave partition,
-/// and the partition again with seeded connection resets on (a stream
-/// that exhausts its retries leaves a partial image behind, the third
-/// way a replica gets recorded), the maintained directory equals the
-/// from-scratch fold after every admission and every `finalize`.
+/// Every chaos run keeps what its hosts kept in the one store: under
+/// every policy, through the rolling-maintenance wave, the mid-wave
+/// partition, and the partition again with seeded connection resets on
+/// (a stream that exhausts its retries leaves a partial image behind,
+/// the third way a host keeps an image), the cluster's block directory
+/// holds images after the run, and partial images appear if and only if
+/// resets are on.
 #[test]
-fn maintained_directory_equals_the_rebuilt_one_through_every_chaos_run() {
+fn every_chaos_run_keeps_its_images_in_the_block_directory() {
     // A quarter of the acceptance fleet: replica-blind policies ship
     // every hop of the wave in full, minutes of virtual time per VM.
     let mut rolling = rolling_maintenance_spec(5);
@@ -312,24 +227,13 @@ fn maintained_directory_equals_the_rebuilt_one_through_every_chaos_run() {
             cfg.max_retries = 1;
             let mut orch = Orchestrator::new(cfg.clone(), policy, Recorder::off())
                 .expect("chaos config is valid");
-            let mut dynamics = Audited {
-                inner: ScenarioDynamics::new(&spec, &cfg),
-                streams: Vec::new(),
-                audits: 0,
-            };
+            let mut dynamics = ScenarioDynamics::new(&spec, &cfg);
             let scenario = Scenario {
                 requests: spec.requests.clone(),
             };
             let report = orch.run_with_dynamics(&scenario, &mut dynamics);
-            assert_directory_matches_table(orch.cluster());
             let what = format!("{} vms={} resets={fault_resets}", policy.name(), spec.vms);
-            assert!(
-                dynamics.audits >= report.records.len(),
-                "{what}: {} audits over {} migrations",
-                dynamics.audits,
-                report.records.len()
-            );
-            assert!(!orch.cluster().replicas().is_empty(), "{what}");
+            assert!(!orch.cluster().directory().is_empty(), "{what}");
             assert_eq!(
                 report.records.iter().any(|r| !r.completed),
                 fault_resets > 0,
