@@ -9,7 +9,6 @@
 use des::SimDuration;
 use migrate::sim::{dwell, TpmEngine};
 use serde_json::json;
-use simnet::capacity::seek_aware_share;
 use workloads::{DiabolicalWorkload, WorkloadKind};
 
 use crate::render::{ascii_chart, Table};
@@ -52,12 +51,7 @@ pub fn run(scale: Scale) -> ExpResult {
     for p in phases {
         let nominal = DiabolicalWorkload::nominal_visible(p);
         let io_factor = if p == BonniePhase::Rewrite { 2.0 } else { 1.0 };
-        let (w_share, _) = seek_aware_share(
-            cfg.disk_capacity,
-            cfg.seek_penalty,
-            nominal * io_factor,
-            cfg.disk_stream_demand(),
-        );
+        let (w_share, _) = cfg.disk_shares(nominal * io_factor);
         let during_phase = (w_share / io_factor).min(nominal);
         t.row(&[
             p.label().into(),

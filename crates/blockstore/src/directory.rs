@@ -34,9 +34,11 @@ impl BlockDirectory {
 
     /// `host` now holds `vm`'s image as `disk` records it (the image a
     /// departing VM left behind, a failed stream's partial copy, a
-    /// template clone). Replaces any image kept for the same pair.
-    pub fn publish(&mut self, vm: u64, host: u64, disk: &MetaDisk) {
-        self.images.insert((vm, host), disk.clone());
+    /// template clone). Replaces any image kept for the same pair. An
+    /// image handed in by value is kept as it is; one handed in by
+    /// reference is cloned.
+    pub fn publish(&mut self, vm: u64, host: u64, disk: impl Into<MetaDisk>) {
+        self.images.insert((vm, host), disk.into());
     }
 
     /// `host` no longer holds `vm`'s image (an incoming migration
@@ -203,7 +205,7 @@ pub(crate) fn random_directory(seed: u64) -> (BlockDirectory, MetaDisk, u64) {
             live.write(rng.below(n as u64) as usize);
         }
         if rng.below(8) == 0 {
-            dir.publish(vm, host, &MetaDisk::new(n + 1));
+            dir.publish(vm, host, MetaDisk::new(n + 1));
         } else {
             dir.publish(vm, host, &live);
         }
@@ -264,7 +266,7 @@ mod tests {
 
         let mut dir = BlockDirectory::new();
         // Peer snapshotted the image *before* the writes to 2 and 5.
-        dir.publish(7, 100, &MetaDisk::new(8));
+        dir.publish(7, 100, MetaDisk::new(8));
 
         let fresh = dir.fresh_bitmap(7, 100, &live).expect("view exists");
         assert_eq!(fresh.count_ones(), 6);
@@ -277,7 +279,7 @@ mod tests {
     fn exact_copy_is_fully_fresh() {
         let live = disk_with_writes(16, &[1, 3, 9]);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 42, &live.clone());
+        dir.publish(1, 42, live.clone());
         let fresh = dir.fresh_bitmap(1, 42, &live).expect("view exists");
         assert_eq!(fresh.count_ones(), 16);
     }
@@ -286,7 +288,7 @@ mod tests {
     fn geometry_mismatch_yields_none() {
         let live = MetaDisk::new(8);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 5, &MetaDisk::new(9));
+        dir.publish(1, 5, MetaDisk::new(9));
         assert!(dir.fresh_bitmap(1, 5, &live).is_none());
         assert_eq!(dir.views(1, &live).count(), 0);
     }
@@ -297,9 +299,9 @@ mod tests {
         let mut dir = BlockDirectory::new();
         // Site 10: fresh everywhere except block 6. Site 20: an exact
         // copy. Site 30: geometry mismatch, never trusted.
-        dir.publish(1, 10, &MetaDisk::new(8));
-        dir.publish(1, 20, &live.clone());
-        dir.publish(1, 30, &MetaDisk::new(9));
+        dir.publish(1, 10, MetaDisk::new(8));
+        dir.publish(1, 20, live.clone());
+        dir.publish(1, 30, MetaDisk::new(9));
 
         let mut owed = FlatBitmap::new(8);
         owed.set(5);
@@ -329,8 +331,8 @@ mod tests {
     fn best_holder_ties_break_to_lowest_site() {
         let live = disk_with_writes(4, &[]);
         let mut dir = BlockDirectory::new();
-        dir.publish(2, 7, &live.clone());
-        dir.publish(2, 3, &live.clone());
+        dir.publish(2, 7, live.clone());
+        dir.publish(2, 3, live.clone());
         let owed = FlatBitmap::all_set(4);
         let (site, servable) = dir
             .best_holder(2, &live, &owed, &[7, 3])

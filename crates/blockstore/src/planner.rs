@@ -370,7 +370,7 @@ mod tests {
     fn zero_ingest_forces_source_path() {
         let live = MetaDisk::new(8);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &live.clone());
+        dir.publish(1, 10, live.clone());
         let plan = FetchPlanner::plan(
             &dir,
             1,
@@ -389,7 +389,7 @@ mod tests {
         let live = MetaDisk::new(100);
         let mut dir = BlockDirectory::new();
         for host in [10, 11, 12, 13] {
-            dir.publish(1, host, &live.clone());
+            dir.publish(1, host, live.clone());
         }
         let plan = FetchPlanner::plan(
             &dir,
@@ -413,7 +413,7 @@ mod tests {
     fn stale_blocks_fall_back_to_source() {
         let mut live = MetaDisk::new(10);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &live.clone());
+        dir.publish(1, 10, live.clone());
         // Writes after the peer's snapshot make blocks 0..3 stale there.
         for b in 0..3 {
             live.write(b);
@@ -438,7 +438,7 @@ mod tests {
     fn resident_content_becomes_ref_only() {
         let live = MetaDisk::new(6);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &live.clone());
+        dir.publish(1, 10, live.clone());
         // Destination already holds content for generation 0 (all blocks).
         let resident = ContentIndex::from_fps(vec![hash_u64(0)]);
         let plan = FetchPlanner::plan(
@@ -461,8 +461,8 @@ mod tests {
     fn shares_track_budget_ratios() {
         let live = MetaDisk::new(90);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &live.clone());
-        dir.publish(1, 11, &live.clone());
+        dir.publish(1, 10, live.clone());
+        dir.publish(1, 11, live.clone());
         // Host 11 offers twice the budget; ingest is the binding cap.
         let plan = FetchPlanner::plan(
             &dir,
@@ -488,8 +488,8 @@ mod tests {
     fn zero_budget_peer_never_serves() {
         let live = MetaDisk::new(12);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &live.clone());
-        dir.publish(1, 11, &live.clone());
+        dir.publish(1, 10, live.clone());
+        dir.publish(1, 11, live.clone());
         let plan = FetchPlanner::plan(
             &dir,
             1,
@@ -508,7 +508,7 @@ mod tests {
         let mut live = MetaDisk::new(4);
         live.write(1);
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &live.clone());
+        dir.publish(1, 10, live.clone());
         let plan = FetchPlanner::plan(
             &dir,
             1,
@@ -533,8 +533,8 @@ mod tests {
             live.write(b);
         }
         let mut dir = BlockDirectory::new();
-        dir.publish(1, 10, &live.clone());
-        dir.publish(1, 11, &MetaDisk::new(64));
+        dir.publish(1, 10, live.clone());
+        dir.publish(1, 11, MetaDisk::new(64));
         let b = budgets(&[(10, 100.0), (11, 80.0)]);
         let p1 = FetchPlanner::plan(&dir, 1, &live, &owed_all(64), None, &b, 150.0);
         let p2 = FetchPlanner::plan(&dir, 1, &live, &owed_all(64), None, &b, 150.0);

@@ -32,15 +32,21 @@ proptest! {
         let mut naive: HashMap<(u64, u64), Vec<u32>> = HashMap::new();
         // One live image per VM, shared by both models.
         let mut live: Vec<MetaDisk> = (0..VMS).map(|_| MetaDisk::new(BLOCKS)).collect();
-        for &(op, vm, site, block) in &ops {
+        for (step, &(op, vm, site, block)) in ops.iter().enumerate() {
             match op {
                 // A guest write on the live image.
                 0 => {
                     live[vm as usize].write(block);
                 }
-                // The VM departs `site`, leaving today's image behind.
+                // The VM departs `site`, leaving today's image behind:
+                // handed over by value and by reference on alternate
+                // steps, so both forms meet the one model.
                 1 => {
-                    dir.publish(vm, site, &live[vm as usize]);
+                    if step % 2 == 0 {
+                        dir.publish(vm, site, live[vm as usize].clone());
+                    } else {
+                        dir.publish(vm, site, &live[vm as usize]);
+                    }
                     let snapshot: Vec<u32> =
                         (0..BLOCKS).map(|b| live[vm as usize].generation(b)).collect();
                     naive.insert((vm, site), snapshot);
@@ -98,7 +104,7 @@ proptest! {
     ) {
         let mut dir = BlockDirectory::new();
         for &(vm, site) in &records {
-            dir.publish(vm, site, &MetaDisk::new(BLOCKS));
+            dir.publish(vm, site, MetaDisk::new(BLOCKS));
         }
         let resized = MetaDisk::new(BLOCKS + grow);
         for &(vm, site) in &records {

@@ -19,14 +19,13 @@
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimTime};
-use simnet::capacity::seek_aware_share;
 use simnet::proto::{Category, TransferLedger};
 use workloads::{OpKind, WorkloadKind};
 
 use crate::phase::{batch_wire, frame_wire, units_wire, DirtyTracker, PAGE_SIZE};
 use crate::report::{IterationStats, MigrationReport, PhaseTimings, PostCopyStats};
 use crate::sim::{PostCopyConfig, TpmEngine};
-use crate::MigrationConfig;
+use crate::{testbed, MigrationConfig};
 
 /// Availability of the migrated system when it depends on `n` machines
 /// each available with probability `p` — the paper's p² argument against
@@ -49,10 +48,10 @@ impl TpmEngine {
         let cpu = self.cpu.size_bytes() as u64;
         self.ledger.add(Category::Memory, frame_wire(mem_bytes));
         self.ledger.add(Category::Cpu, frame_wire(cpu));
-        let downtime = self.cfg.suspend_overhead
+        let downtime = testbed::SUSPEND_OVERHEAD
             + SimDuration::from_secs_f64(cpu as f64 / self.cfg.migration_net_rate())
             + self.cfg.link.latency()
-            + self.cfg.resume_overhead;
+            + testbed::RESUME_OVERHEAD;
         self.probe.record(self.now, 0.0);
         self.now += downtime;
         downtime
@@ -111,10 +110,10 @@ fn freeze_copy(mut w: TpmEngine, blocks: &FlatBitmap, scheme: &str) -> Migration
     w.ledger.add(Category::Memory, mem_bytes);
     w.ledger.add(Category::Cpu, cpu_bytes);
     let total_bytes = disk_bytes + mem_bytes + cpu_bytes;
-    let downtime = w.cfg.suspend_overhead
+    let downtime = testbed::SUSPEND_OVERHEAD
         + SimDuration::from_secs_f64(total_bytes as f64 / rate)
         + w.cfg.link.latency()
-        + w.cfg.resume_overhead;
+        + testbed::RESUME_OVERHEAD;
     w.now += downtime;
     w.probe.record(w.now, 0.0);
 
@@ -154,7 +153,7 @@ pub fn run_on_demand(
     let mem_bytes = units_wire(w.cfg.mem_pages as u64, PAGE_SIZE);
     let mem_time = SimDuration::from_secs_f64(mem_bytes as f64 / net);
     // Guest runs normally during the memory copy.
-    let solo = w.workload.disk_demand().min(w.cfg.disk_capacity);
+    let solo = w.workload.disk_demand().min(testbed::DISK_CAPACITY);
     let mut t = SimDuration::ZERO;
     let mut ops = Vec::new();
     while t < mem_time {
@@ -258,12 +257,7 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
     let phase_start = w.now;
     let mut ops = Vec::new();
     while sent < total_blocks {
-        let (w_share, m_share) = seek_aware_share(
-            w.cfg.disk_capacity,
-            w.cfg.seek_penalty,
-            w.workload.disk_demand(),
-            w.cfg.disk_stream_demand(),
-        );
+        let (w_share, m_share) = w.cfg.disk_shares(w.workload.disk_demand());
         let dt = w.cfg.step;
         let n = ((m_share * dt.as_secs_f64() / bs as f64) as u64).min(total_blocks - sent);
         for b in sent..sent + n {
@@ -304,7 +298,7 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
     // was forwarded during the (short) freeze tail — conservatively, the
     // deltas of the last pre-copy step plus those in flight.
     let replay_blocks = queue.min(forwarded);
-    let apply_rate = w.cfg.disk_capacity;
+    let apply_rate = testbed::DISK_CAPACITY;
     let io_blocked = SimDuration::from_secs_f64(
         // The paper's complaint: every queued delta must apply before any
         // guest I/O proceeds. Locality means the queue holds redundant

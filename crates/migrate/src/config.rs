@@ -3,7 +3,10 @@
 use std::time::Duration;
 
 use des::SimDuration;
+use simnet::capacity::seek_aware_share;
 use simnet::Link;
+
+use crate::testbed;
 
 /// How the live engine recovers from transport failures.
 ///
@@ -86,48 +89,19 @@ pub struct MigrationConfig {
     pub block_size: u64,
     /// Guest memory pages (4 KiB each).
     pub mem_pages: usize,
-    /// Number of vCPUs (sizes the CPU context transfer).
-    pub vcpus: u32,
     /// The migration network link.
     pub link: Link,
     /// Optional cap on the bandwidth the migration may use (§VI-C-3),
     /// bytes/second.
     pub rate_limit: Option<f64>,
-    /// Nominal streaming disk throughput of each host with a single
-    /// sequential stream, bytes/second.
-    pub disk_capacity: f64,
-    /// Capacity lost per byte/second of interleaved migration traffic
-    /// (seek interference between the migration's sequential scan and the
-    /// guest's own I/O). See `simnet::capacity::seek_aware_share`.
-    pub seek_penalty: f64,
-    /// End-to-end throughput ceiling of the migration pipeline
-    /// (sustained whole-disk reads through `blkd`, userspace copies, TCP),
-    /// bytes/second. The paper's prototype moves a 40 GB VBD in ~790 s —
-    /// about 52 MB/s — on a link that could carry twice that; this models
-    /// the same pipeline ceiling. Buffered guest writes (Table III's
-    /// 96 MB/s `write(2)`) are *not* subject to it, hence the separate
-    /// `disk_capacity`.
-    pub migration_throughput_cap: f64,
-    /// Maximum disk pre-copy iterations (the paper limits the maximum
-    /// number of iterations to avoid endless migration").
-    pub max_disk_iterations: u32,
     /// Stop disk pre-copy when an iteration ends with at most this many
     /// dirty blocks.
     pub disk_dirty_threshold: usize,
-    /// Maximum memory pre-copy iterations (Xen's cap).
-    pub max_mem_iterations: u32,
     /// Proceed to freeze-and-copy when the memory dirty set is at most
     /// this many pages.
     pub mem_dirty_threshold: usize,
     /// Simulation step for the time-sliced phases.
     pub step: SimDuration,
-    /// Fixed hypervisor overhead for suspending the guest.
-    pub suspend_overhead: SimDuration,
-    /// Fixed hypervisor overhead for resuming the guest.
-    pub resume_overhead: SimDuration,
-    /// Fixed control-plane overhead of entering and completing post-copy
-    /// (blkd wakeups, bitmap acknowledgement, completion handshake).
-    pub postcopy_fixed_overhead: SimDuration,
     /// Which bitmap implementation the tracker uses.
     pub bitmap: BitmapKind,
     /// Parallel transport streams for the disk data plane. The block
@@ -155,50 +129,31 @@ pub struct MigrationConfig {
     /// or no owed block is fresh anywhere else — the data plane is
     /// bit-identical to the single-source engine, floats and all.
     pub multisource: bool,
-    /// NIC bandwidth each peer holder offers a multi-source migration,
-    /// bytes/second. The destination's ingest (its migration net rate)
-    /// and this per-holder budget feed `max_min_share`, so K-peer
-    /// fan-in never starves the holders' resident workloads.
-    pub peer_budget: f64,
     /// RNG seed — every run with the same config and seed is
     /// bit-identical.
     pub seed: u64,
-    /// Horizon for abandoning a post-copy that cannot converge (only the
-    /// on-demand baseline hits this).
-    pub postcopy_horizon: SimDuration,
 }
 
 impl MigrationConfig {
-    /// The paper's testbed: 40 GB VBD, 512 MB guest, one vCPU, Gigabit
-    /// LAN, SATA-class disk (~110 MB/s), 3-iteration-scale pre-copy caps.
+    /// The paper's testbed ([`testbed`]): 40 GB VBD, 512 MB guest, one
+    /// vCPU, Gigabit LAN, SATA-class disk.
     pub fn paper_testbed() -> Self {
         Self {
             // The paper's VBD is 40 GB = 40·10⁹ bytes ("39070MB"):
             disk_blocks: 9_765_625,
-            block_size: 4096,
+            block_size: testbed::BLOCK_SIZE,
             mem_pages: 131_072, // 512 MiB at 4 KiB
-            vcpus: 1,
             link: Link::gigabit(),
             rate_limit: None,
-            disk_capacity: 137.7 * 1024.0 * 1024.0,
-            seek_penalty: 1.2,
-            migration_throughput_cap: 50.0 * 1024.0 * 1024.0,
-            max_disk_iterations: 8,
-            disk_dirty_threshold: 256,
-            max_mem_iterations: 10,
+            disk_dirty_threshold: testbed::DIRTY_THRESHOLD,
             mem_dirty_threshold: 512,
-            step: SimDuration::from_millis(250),
-            suspend_overhead: SimDuration::from_millis(15),
-            resume_overhead: SimDuration::from_millis(25),
-            postcopy_fixed_overhead: SimDuration::from_millis(300),
+            step: testbed::STEP,
             bitmap: BitmapKind::Flat,
             streams: 1,
             dedup: true,
             compress: true,
             multisource: true,
-            peer_budget: 50.0 * 1024.0 * 1024.0,
             seed: 2008,
-            postcopy_horizon: SimDuration::from_secs(3600),
         }
     }
 
@@ -226,7 +181,19 @@ impl MigrationConfig {
     /// Demand the disk-copy stream places on the disk: the network rate
     /// further capped by the migration pipeline ceiling.
     pub fn disk_stream_demand(&self) -> f64 {
-        self.migration_net_rate().min(self.migration_throughput_cap)
+        self.migration_net_rate().min(testbed::PIPELINE_CAP)
+    }
+
+    /// How a testbed disk splits, seek-aware, between a guest asking
+    /// `demand` bytes/second and the disk-copy stream: `(guest,
+    /// migration)` shares, bytes/second.
+    pub fn disk_shares(&self, demand: f64) -> (f64, f64) {
+        seek_aware_share(
+            testbed::DISK_CAPACITY,
+            testbed::SEEK_PENALTY,
+            demand,
+            self.disk_stream_demand(),
+        )
     }
 
     /// Disk capacity in bytes.
@@ -238,26 +205,16 @@ impl MigrationConfig {
     ///
     /// # Panics
     /// Panics on nonsensical configurations (zero-sized disk or memory,
-    /// zero step, non-positive capacities).
+    /// zero step, zero streams, a non-positive rate limit).
     pub fn validate(&self) {
         assert!(self.disk_blocks > 0, "disk must have at least one block");
         assert!(self.block_size > 0, "block size must be non-zero");
         assert!(self.mem_pages > 0, "guest memory must be non-empty");
-        assert!(self.vcpus > 0, "guest needs at least one vCPU");
-        assert!(self.disk_capacity > 0.0, "disk capacity must be positive");
         assert!(
             self.step > SimDuration::ZERO,
             "simulation step must be positive"
         );
-        assert!(
-            self.max_disk_iterations >= 1,
-            "need at least one disk pre-copy iteration"
-        );
         assert!(self.streams >= 1, "need at least one transport stream");
-        assert!(
-            self.peer_budget >= 0.0 && self.peer_budget.is_finite(),
-            "peer budget must be finite and non-negative"
-        );
         if let Some(l) = self.rate_limit {
             assert!(l > 0.0, "rate limit must be positive");
         }

@@ -40,6 +40,8 @@
 //! * [`baselines`] — freeze-and-copy (Internet Suspend/Resume), pure
 //!   on-demand fetching, and Bradford-style delta forward-and-replay, for
 //!   the related-work comparisons of §II.
+//! * [`testbed`] — the paper's calibration, written once, which
+//!   [`MigrationConfig::paper_testbed`] and the fleet (`orchestrator`) read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +52,7 @@ pub mod live;
 pub mod phase;
 mod report;
 pub mod sim;
+pub mod testbed;
 
 pub use config::{BitmapKind, MigrationConfig, RetryPolicy};
 pub use report::{

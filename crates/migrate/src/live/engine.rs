@@ -66,8 +66,6 @@ pub struct LiveConfig {
     pub num_blocks: usize,
     /// Maximum pre-copy iterations.
     pub max_iterations: u32,
-    /// Freeze when an iteration leaves at most this many dirty blocks.
-    pub dirty_threshold: usize,
     /// Blocks per `DiskBlocks` message.
     pub batch: usize,
     /// Optional wall-clock pacing of the source's sends, bytes/second.
@@ -82,9 +80,6 @@ pub struct LiveConfig {
     pub mem_page_size: usize,
     /// Guest page writes per driver tick.
     pub mem_writes_per_tick: u64,
-    /// Memory pre-copy stops when an iteration leaves at most this many
-    /// dirty pages.
-    pub mem_dirty_threshold: usize,
     /// Maximum memory pre-copy iterations.
     pub max_mem_iterations: u32,
     /// Pages per `MemPages` / `CompressedPages` message.
@@ -134,7 +129,6 @@ impl LiveConfig {
             block_size: 512,
             num_blocks: 65_536,
             max_iterations: 5,
-            dirty_threshold: 64,
             batch: 256,
             rate_limit: None,
             workload: WorkloadKind::Web,
@@ -142,7 +136,6 @@ impl LiveConfig {
             mem_pages: 2_048,
             mem_page_size: 512,
             mem_writes_per_tick: 8,
-            mem_dirty_threshold: 32,
             max_mem_iterations: 8,
             mem_batch: 128,
             streams: 1,

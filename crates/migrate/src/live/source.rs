@@ -59,13 +59,23 @@ pub(super) struct SourceState {
     pub(super) resume_owed: Vec<u64>,
 }
 
+/// Disk pre-copy ends when a pass leaves at most this many dirty blocks,
+/// a quarter of one default `DiskBlocks` batch (256): a residual that
+/// small is not worth another pass, and post-copy pushes it.
+const DIRTY_THRESHOLD: usize = 64;
+
+/// Memory pre-copy ends when a pass leaves at most this many dirty pages,
+/// a quarter of one default `MemPages` batch (128), which the freeze then
+/// sends.
+const MEM_DIRTY_THRESHOLD: usize = 32;
+
 impl SourceState {
     pub(super) fn new(cfg: &LiveConfig, initial_bitmap: Option<&FlatBitmap>) -> Self {
         Self {
             machine: PhaseMachine::new(
                 Voice::Engine,
-                StopRule::new(cfg.max_iterations, cfg.dirty_threshold),
-                StopRule::new(cfg.max_mem_iterations, cfg.mem_dirty_threshold),
+                StopRule::new(cfg.max_iterations, DIRTY_THRESHOLD),
+                StopRule::new(cfg.max_mem_iterations, MEM_DIRTY_THRESHOLD),
             ),
             session_id: cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
             incremental: initial_bitmap.is_some(),

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
 use blockstore::{BlockDirectory, FetchPlan, FetchPlanner};
 use des::{SimDuration, SimRng, SimTime};
-use simnet::capacity::seek_aware_share;
 use simnet::proto::{Category, TransferLedger, WireStats, BLOCK_REF_WIRE};
 use telemetry::{Event, Fold, Phase, Recorder, Resource, Side};
 use vdisk::MetaDisk;
@@ -19,7 +18,7 @@ use crate::phase::{
 };
 use crate::report::{MigrationReport, MultiSourceReport, PeerBytes, PostCopyStats};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
-use crate::MigrationConfig;
+use crate::{testbed, MigrationConfig};
 
 /// The single migrating VM's id inside the engine's private
 /// [`BlockDirectory`] (the orchestrator uses real VM ids; a lone engine
@@ -153,7 +152,7 @@ impl TpmEngine {
             src_mem.touch(p);
         }
         src_mem.drain_dirty();
-        let mut cpu = CpuState::new(cfg.vcpus);
+        let mut cpu = CpuState::new(testbed::VCPUS);
         cpu.scribble(rng.next_u64());
         let wss = workload.wss_model(cfg.mem_pages);
         let tracker = DirtyTracker::new(cfg.bitmap, cfg.disk_blocks);
@@ -215,14 +214,15 @@ impl TpmEngine {
     /// host id to the disk image that host holds (a template clone, a
     /// departure image…). Owed full blocks a peer holds at the live
     /// generation are fetched from the peers instead of the source,
-    /// paced by `max_min_share` over `cfg.peer_budget` and the
+    /// paced by `max_min_share` over [`testbed::PEER_BUDGET`] and the
     /// destination's ingest rate.
     ///
     /// # Panics
     /// Panics when a peer image's geometry does not match the disk.
     pub fn set_peers(&mut self, peers: BTreeMap<u64, MetaDisk>) {
+        self.peer_budgets = peers.keys().map(|&h| (h, testbed::PEER_BUDGET)).collect();
         self.peer_dir = BlockDirectory::new();
-        for (&host, disk) in &peers {
+        for (host, disk) in peers {
             assert_eq!(
                 disk.num_blocks(),
                 self.cfg.disk_blocks,
@@ -230,7 +230,6 @@ impl TpmEngine {
             );
             self.peer_dir.publish(MS_VM, host, disk);
         }
-        self.peer_budgets = peers.keys().map(|&h| (h, self.cfg.peer_budget)).collect();
     }
 
     /// Current virtual time.
@@ -250,7 +249,7 @@ impl TpmEngine {
 
     /// Disk share the workload gets when no migration stream competes.
     fn workload_solo_share(&self) -> f64 {
-        self.workload.disk_demand().min(self.cfg.disk_capacity)
+        self.workload.disk_demand().min(testbed::DISK_CAPACITY)
     }
 
     /// Advance the guest by `dt` at the given achieved disk share: apply
@@ -498,12 +497,7 @@ impl TpmEngine {
         let mut rr = 0usize;
         while sent < total {
             let w_demand = self.workload.disk_demand();
-            let (w_share, m_share) = seek_aware_share(
-                self.cfg.disk_capacity,
-                self.cfg.seek_penalty,
-                w_demand,
-                self.cfg.disk_stream_demand(),
-            );
+            let (w_share, m_share) = self.cfg.disk_shares(w_demand);
             debug_assert!(m_share > 0.0, "migration starved of disk bandwidth");
             let (dt, n) = pace_step(
                 self.cfg.step,
@@ -602,8 +596,8 @@ impl TpmEngine {
         let c = &self.cfg;
         let mut machine = PhaseMachine::new(
             Voice::Engine,
-            StopRule::new(c.max_disk_iterations, c.disk_dirty_threshold),
-            StopRule::new(c.max_mem_iterations, c.mem_dirty_threshold),
+            StopRule::new(testbed::MAX_DISK_PASSES, c.disk_dirty_threshold),
+            StopRule::new(testbed::MAX_MEM_PASSES, c.mem_dirty_threshold),
         );
         machine.start(|e| fold.at_nanos(&rec, t_start.as_nanos(), e));
 
@@ -660,10 +654,10 @@ impl TpmEngine {
         }
         let dst_cpu = self.cpu.clone();
         let rate = self.cfg.migration_net_rate();
-        let downtime = self.cfg.suspend_overhead
+        let downtime = testbed::SUSPEND_OVERHEAD
             + SimDuration::from_secs_f64(bill.bytes() as f64 / rate)
             + self.cfg.link.latency()
-            + self.cfg.resume_overhead;
+            + testbed::RESUME_OVERHEAD;
         self.now += downtime;
         self.probe.record(self.now, 0.0);
 
@@ -678,7 +672,7 @@ impl TpmEngine {
         // ---------------- Phase 3: push-and-pull post-copy -----------------
         let mut im_tracker = DirtyTracker::new(self.cfg.bitmap, self.cfg.disk_blocks);
         let demand = self.workload.disk_demand();
-        let pc_cfg = PostCopyConfig::of(&self.cfg, demand, self.cfg.postcopy_horizon, true);
+        let pc_cfg = PostCopyConfig::of(&self.cfg, demand, testbed::POSTCOPY_HORIZON, true);
         let outcome = run_postcopy(
             pc_cfg,
             t_resume,
@@ -694,7 +688,7 @@ impl TpmEngine {
             &mut fold,
             &rec,
         );
-        self.now = outcome.finished_at + self.cfg.postcopy_fixed_overhead;
+        self.now = outcome.finished_at + testbed::POSTCOPY_FIXED_OVERHEAD;
         fold.at_nanos(
             &rec,
             self.now.as_nanos(),
@@ -836,7 +830,7 @@ pub fn dwell(outcome: &mut TpmOutcome, cfg: &MigrationConfig, duration: SimDurat
     let mut ops = Vec::new();
     while now < end {
         let dt = cfg.step.min(end.since(now));
-        let share = outcome.workload.disk_demand().min(cfg.disk_capacity);
+        let share = outcome.workload.disk_demand().min(testbed::DISK_CAPACITY);
         ops.clear();
         outcome
             .workload

@@ -18,7 +18,6 @@
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng, SimTime, Simulator};
-use simnet::capacity::seek_aware_share;
 use simnet::proto::{Category, MigMessage, TransferLedger};
 use telemetry::{Event, Fold, Recorder};
 use vdisk::{DomainId, IoRequest, MetaDisk, PendingQueue};
@@ -56,12 +55,7 @@ impl PostCopyConfig {
     /// of the destination's disk, which it shares seek-aware with the
     /// push stream: 32-block pushes, 20 ms workload slices.
     pub fn of(cfg: &MigrationConfig, demand: f64, horizon: SimDuration, push: bool) -> Self {
-        let (workload_share, push_share) = seek_aware_share(
-            cfg.disk_capacity,
-            cfg.seek_penalty,
-            demand,
-            cfg.disk_stream_demand(),
-        );
+        let (workload_share, push_share) = cfg.disk_shares(demand);
         Self {
             block_size: cfg.block_size,
             push_rate: push_share.max(1.0),

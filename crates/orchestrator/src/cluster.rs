@@ -121,7 +121,7 @@ impl Cluster {
 
     /// `host` keeps `disk` as its replica of `vm`: the image a departing
     /// VM left behind, or a failed stream's partial copy.
-    pub(crate) fn keep_replica(&mut self, vm: VmId, host: HostId, disk: &MetaDisk) {
+    pub(crate) fn keep_replica(&mut self, vm: VmId, host: HostId, disk: MetaDisk) {
         self.directory.publish(vm.0 as u64, host.0 as u64, disk);
     }
 

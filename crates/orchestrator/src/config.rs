@@ -1,7 +1,8 @@
 //! Fleet configuration and migration request scenarios.
 
 use des::{SimDuration, SimTime};
-use migrate::BitmapKind;
+use migrate::testbed;
+use simnet::Link;
 use workloads::WorkloadKind;
 
 use crate::cluster::{HostId, VmId};
@@ -20,8 +21,36 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Fleet geometry, per-host capacities, phase-model knobs, and the fault
-/// schedule for one orchestrated run.
+/// Each host's NIC, bytes/second: the Gigabit LAN, shared by every
+/// stream entering or leaving the host.
+pub const NIC_CAPACITY: f64 = Link::gigabit().bandwidth();
+
+/// One-way latency every freeze window adds. The fleet has no `Link`; its
+/// 200 µs is twice the 100 µs the single-VM engine adds (DESIGN.md §13).
+pub const FREEZE_LATENCY: SimDuration = SimDuration::from_micros(200);
+
+/// CPU context shipped in every freeze window: one vCPU's, as
+/// `vmstate::CpuState` sizes it.
+pub const CPU_STATE_BYTES: u64 = 8 * 1024;
+
+/// Virtual-time pause before a cut stream reconnects (the live engine's
+/// `RetryPolicy::backoff` is wall-clock time).
+pub const RETRY_BACKOFF: SimDuration = SimDuration::from_secs(2);
+
+/// Safety horizon: what still runs after 4 h of virtual time is marked
+/// failed. It bounds a livelocked schedule (an IM-aware policy waiting
+/// for a replica host forever); no fleet run comes near it.
+pub const HORIZON: SimDuration = SimDuration::from_secs(4 * 3600);
+
+/// Starvation bound of cycle-aware deferral: 600 s, twenty times the
+/// high phase `scenarios/maintenance.scn` declares, so deferral waits a
+/// phase out and only a VM that never idles reaches the bound.
+pub const CYCLE_PATIENCE: SimDuration = SimDuration::from_secs(600);
+
+/// Fleet geometry, the knobs a run varies, and the fault schedule for
+/// one orchestrated run. Per-host capacities, the freeze's fixed costs
+/// and the disk pass cap are the testbed's ([`migrate::testbed`]); the
+/// fleet's own constants are this module's.
 ///
 /// The per-migration stream model mirrors `migrate`'s simulated TPM
 /// engine — same phase structure, stop conditions and freeze-and-copy
@@ -34,44 +63,22 @@ pub struct ClusterConfig {
     pub hosts: usize,
     /// Number of VMs.
     pub vms: usize,
-    /// Per-VM disk capacity in blocks.
+    /// Per-VM disk capacity in blocks of [`testbed::BLOCK_SIZE`] bytes.
     pub disk_blocks: usize,
-    /// Block size in bytes.
-    pub block_size: u64,
     /// Guest memory pages (4 KiB each) shipped in the single memory
     /// pre-copy pass.
     pub mem_pages: usize,
     /// Pages still dirty at suspend, shipped inside the freeze window.
     pub frozen_mem_pages: usize,
-    /// CPU context size in bytes, shipped inside the freeze window.
-    pub cpu_state_bytes: u64,
-    /// Per-host NIC capacity, bytes/second (each host has one NIC shared
-    /// by every migration stream entering or leaving it).
-    pub nic_capacity: f64,
-    /// Per-host disk capacity, bytes/second (shared by resident guest
-    /// workloads and the migration streams reading/writing images).
-    pub disk_capacity: f64,
     /// Per-stream pipeline ceiling, bytes/second — the demand one
     /// migration stream places on each pool it touches.
     pub stream_demand: f64,
-    /// One-way link latency added to every freeze window.
-    pub latency: SimDuration,
-    /// Maximum disk pre-copy passes before forcing freeze-and-copy.
-    pub max_disk_passes: u32,
     /// Stop disk pre-copy when a pass ends with at most this many dirty
     /// blocks.
     pub dirty_threshold: usize,
     /// Admission control: maximum migration streams touching one host
     /// (as source or destination) at once.
     pub max_streams_per_host: usize,
-    /// Simulation time slice.
-    pub step: SimDuration,
-    /// Fixed hypervisor suspend overhead (freeze window).
-    pub suspend_overhead: SimDuration,
-    /// Fixed hypervisor resume overhead (freeze window).
-    pub resume_overhead: SimDuration,
-    /// Which bitmap structure tracks dirty blocks.
-    pub bitmap: BitmapKind,
     /// Content-addressed transfer: a block the destination replica
     /// already holds at the identical generation crosses as a 16-byte
     /// reference instead of a full payload (wire accounting only — the
@@ -93,21 +100,12 @@ pub struct ClusterConfig {
     pub fault_resets: u32,
     /// Retries a stream survives before its migration is abandoned.
     pub max_retries: u32,
-    /// Virtual-time backoff before a cut stream reconnects.
-    pub retry_backoff: SimDuration,
-    /// Safety horizon: the run aborts (remaining migrations marked
-    /// failed) if virtual time passes this bound.
-    pub horizon: SimDuration,
-    /// Starvation bound for cycle-aware scheduling: how long a request
-    /// may be deferred waiting for its VM's low-activity workload phase
-    /// before it is admitted regardless.
-    pub cycle_patience: SimDuration,
     /// Workload assignment: VM `i` runs `workload_cycle[i % len]`.
     pub workload_cycle: Vec<WorkloadKind>,
 }
 
 impl ClusterConfig {
-    /// A fleet of `hosts` hosts and `vms` VMs with paper-calibrated
+    /// A fleet of `hosts` hosts and `vms` VMs with the testbed's
     /// per-host capacities (Gigabit NIC, SATA-class disk, ~50 MB/s
     /// migration pipeline) and CI-sized images.
     pub fn new(hosts: usize, vms: usize) -> Self {
@@ -115,29 +113,16 @@ impl ClusterConfig {
             hosts,
             vms,
             disk_blocks: 65_536,
-            block_size: 4096,
             mem_pages: 8_192,
             frozen_mem_pages: 256,
-            cpu_state_bytes: 8_192,
-            nic_capacity: 119.0 * 1024.0 * 1024.0,
-            disk_capacity: 137.7 * 1024.0 * 1024.0,
-            stream_demand: 50.0 * 1024.0 * 1024.0,
-            latency: SimDuration::from_micros(200),
-            max_disk_passes: 8,
-            dirty_threshold: 256,
+            stream_demand: testbed::PIPELINE_CAP,
+            dirty_threshold: testbed::DIRTY_THRESHOLD,
             max_streams_per_host: 2,
-            step: SimDuration::from_millis(250),
-            suspend_overhead: SimDuration::from_millis(15),
-            resume_overhead: SimDuration::from_millis(25),
-            bitmap: BitmapKind::Flat,
             dedup: true,
             multisource: true,
             seed: 2008,
             fault_resets: 0,
             max_retries: 3,
-            retry_backoff: SimDuration::from_secs(2),
-            horizon: SimDuration::from_secs(4 * 3600),
-            cycle_patience: SimDuration::from_secs(600),
             workload_cycle: vec![
                 WorkloadKind::Web,
                 WorkloadKind::Video,
@@ -157,7 +142,7 @@ impl ClusterConfig {
         if self.vms == 0 {
             return err("need at least 1 VM");
         }
-        if self.disk_blocks == 0 || self.block_size == 0 {
+        if self.disk_blocks == 0 {
             return err("disk geometry must be non-empty");
         }
         let needs_large_disk = self
@@ -167,20 +152,11 @@ impl ClusterConfig {
         if needs_large_disk && self.disk_blocks < 8_192 {
             return err("paper workloads need at least 8192 blocks (~32 MiB) of disk");
         }
-        for (name, v) in [
-            ("nic_capacity", self.nic_capacity),
-            ("disk_capacity", self.disk_capacity),
-            ("stream_demand", self.stream_demand),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(ConfigError(format!("{name} must be finite and positive")));
-            }
+        if !self.stream_demand.is_finite() || self.stream_demand <= 0.0 {
+            return err("stream_demand must be finite and positive");
         }
         if self.max_streams_per_host == 0 {
             return err("max_streams_per_host must be at least 1");
-        }
-        if self.step == SimDuration::ZERO {
-            return err("step must be positive");
         }
         if self.workload_cycle.is_empty() {
             return err("workload_cycle must be non-empty");
@@ -246,9 +222,11 @@ mod tests {
     fn bad_configs_are_typed_errors() {
         assert!(ClusterConfig::new(1, 8).validate().is_err());
         assert!(ClusterConfig::new(4, 0).validate().is_err());
-        let mut c = ClusterConfig::new(4, 8);
-        c.nic_capacity = f64::NAN;
-        assert!(c.validate().is_err());
+        for demand in [f64::NAN, f64::INFINITY] {
+            let mut c = ClusterConfig::new(4, 8);
+            c.stream_demand = demand;
+            assert!(c.validate().is_err(), "stream_demand {demand}");
+        }
         let mut c = ClusterConfig::new(4, 8);
         c.workload_cycle.clear();
         assert!(c.validate().is_err());

@@ -13,10 +13,11 @@
 //! `StaticDynamics` is byte- and clock-identical to the PR-9 engine.
 
 use des::{SimDuration, SimTime};
+use migrate::testbed;
 use telemetry::Recorder;
 
 use crate::cluster::Cluster;
-use crate::config::ClusterConfig;
+use crate::config::NIC_CAPACITY;
 use crate::scheduler::MigrationRequest;
 
 /// The executor's oracle for everything that can change under its feet:
@@ -132,49 +133,36 @@ pub trait FleetDynamics {
     }
 }
 
-/// The flat fleet: homogeneous capacities from [`ClusterConfig`], every
-/// host up, every link perfect, no timeline. Running through this is
-/// byte- and clock-identical to the pre-dynamics executor — each
-/// default answer is the identity element of the operation the executor
-/// applies it with.
+/// The flat fleet: every host the testbed's ([`NIC_CAPACITY`],
+/// [`testbed::DISK_CAPACITY`]), every host up, every link perfect, no
+/// timeline. Running through this is byte- and clock-identical to the
+/// pre-dynamics executor — each default answer is the identity element
+/// of the operation the executor applies it with.
 #[derive(Debug, Clone, Copy)]
-pub struct StaticDynamics {
-    /// Per-host NIC capacity, bytes/second.
-    pub nic: f64,
-    /// Per-host disk capacity, bytes/second.
-    pub disk: f64,
-}
-
-impl StaticDynamics {
-    /// The homogeneous fleet a [`ClusterConfig`] describes.
-    pub fn from_config(cfg: &ClusterConfig) -> Self {
-        Self {
-            nic: cfg.nic_capacity,
-            disk: cfg.disk_capacity,
-        }
-    }
-}
+pub struct StaticDynamics;
 
 impl FleetDynamics for StaticDynamics {
     fn nic_capacity(&self, _host: usize) -> f64 {
-        self.nic
+        NIC_CAPACITY
     }
 
     fn disk_capacity(&self, _host: usize) -> f64 {
-        self.disk
+        testbed::DISK_CAPACITY
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ClusterConfig;
 
     #[test]
     fn static_defaults_are_identity_answers() {
         let cfg = ClusterConfig::new(3, 3);
-        let mut d = StaticDynamics::from_config(&cfg);
-        assert_eq!(d.nic_capacity(0), cfg.nic_capacity);
-        assert_eq!(d.disk_capacity(2), cfg.disk_capacity);
+        let mut d = StaticDynamics;
+        assert_eq!(d.nic_capacity(0), NIC_CAPACITY);
+        assert_eq!(d.nic_capacity(0), simnet::Link::gigabit().bandwidth());
+        assert_eq!(d.disk_capacity(2), testbed::DISK_CAPACITY);
         assert!(d.host_up(0) && !d.cordoned(1) && d.connected(0, 2));
         assert_eq!(d.link_bandwidth(0, 1), f64::INFINITY);
         assert_eq!(d.link_quality(0, 1), 1.0);

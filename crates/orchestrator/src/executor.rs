@@ -31,6 +31,7 @@ use migrate::phase::{
     batch_wire, frame_wire, units_wire, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice,
     Worklist, PAGE_SIZE,
 };
+use migrate::{testbed, BitmapKind};
 use simnet::capacity::max_min_share;
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use telemetry::{Event, Fold, Phase, Recorder};
@@ -38,7 +39,9 @@ use vdisk::MetaDisk;
 use workloads::TimedOp;
 
 use crate::cluster::{Cluster, HostId, VmId};
-use crate::config::{ClusterConfig, ConfigError, Scenario};
+use crate::config::{
+    ClusterConfig, ConfigError, Scenario, CPU_STATE_BYTES, FREEZE_LATENCY, HORIZON, RETRY_BACKOFF,
+};
 use crate::dynamics::{FleetDynamics, StaticDynamics};
 use crate::report::{ClusterReport, MigrationRecord};
 use crate::scheduler::{ClusterView, MigrationRequest, Policy, Scheduler};
@@ -205,8 +208,7 @@ impl Orchestrator {
     /// Runs over [`StaticDynamics`] — the flat, always-on fleet — and is
     /// byte-identical to the pre-dynamics executor.
     pub fn run(&mut self, scenario: &Scenario) -> ClusterReport {
-        let mut dynamics = StaticDynamics::from_config(&self.cfg);
-        self.run_with_dynamics(scenario, &mut dynamics)
+        self.run_with_dynamics(scenario, &mut StaticDynamics)
     }
 
     /// Run a scenario under explicit fleet dynamics: partitions, host
@@ -220,7 +222,7 @@ impl Orchestrator {
         scenario: &Scenario,
         dynamics: &mut dyn FleetDynamics,
     ) -> ClusterReport {
-        let step = self.cfg.step;
+        let step = testbed::STEP;
         let mut now = SimTime::ZERO;
         let mut future: Vec<(usize, MigrationRequest)> =
             scenario.requests.iter().copied().enumerate().collect();
@@ -270,7 +272,7 @@ impl Orchestrator {
             {
                 break;
             }
-            if now.as_nanos() > self.cfg.horizon.as_nanos() {
+            if now.as_nanos() > HORIZON.as_nanos() {
                 // Safety valve: abandon whatever is still running.
                 for t in &mut tasks {
                     t.failed = true;
@@ -370,7 +372,6 @@ impl Orchestrator {
                 link_ok: &net.link_ok,
                 high_activity: &net.high_activity,
                 now,
-                cycle_patience: self.cfg.cycle_patience,
             };
             let Some(d) = self.scheduler.next(&reqs, &view) else {
                 return;
@@ -453,7 +454,7 @@ impl Orchestrator {
         fold.at_nanos(&self.recorder, now.as_nanos(), admitted);
         let machine = PhaseMachine::new(
             Voice::Fleet(id),
-            StopRule::new(self.cfg.max_disk_passes, self.cfg.dirty_threshold),
+            StopRule::new(testbed::MAX_DISK_PASSES, self.cfg.dirty_threshold),
             // Memory is one pass in the fleet model: no rule applies.
             StopRule::default(),
         );
@@ -468,7 +469,7 @@ impl Orchestrator {
             to_send: Worklist::new(to_send),
             carry: 0.0,
             dst_disk,
-            tracker: DirtyTracker::new(self.cfg.bitmap, nblocks),
+            tracker: DirtyTracker::new(BitmapKind::Flat, nblocks),
             post_writes: FlatBitmap::new(nblocks),
             mem_remaining: units_wire(self.cfg.mem_pages as u64, PAGE_SIZE) as f64,
             resume_at: SimTime::ZERO,
@@ -803,7 +804,7 @@ impl Orchestrator {
         dt: SimDuration,
         peer_mask: Option<&FlatBitmap>,
     ) -> Option<usize> {
-        let bs = self.cfg.block_size as f64;
+        let bs = testbed::BLOCK_SIZE as f64;
         // While peer-fed only the mask's intersection with the worklist
         // is shippable; the rest waits for the source link.
         let mut candidates = peer_mask.map(|m| {
@@ -859,7 +860,7 @@ impl Orchestrator {
             t.blocks_sent += 1;
             last = Some(b);
         }
-        let wire = batch_wire(n - refs, self.cfg.block_size, refs);
+        let wire = batch_wire(n - refs, testbed::BLOCK_SIZE, refs);
         t.bytes += wire;
         t.attempt_bytes += wire;
         t.blocks_deduped += refs;
@@ -924,7 +925,7 @@ impl Orchestrator {
         t.msgs = 0;
         t.attempt_bytes = 0;
         t.carry = 0.0;
-        t.stall_until = tick_end + self.cfg.retry_backoff;
+        t.stall_until = tick_end + RETRY_BACKOFF;
         t.bytes += frame_wire(ser::encoded_len(t.to_send.set()) as u64);
     }
 
@@ -946,14 +947,14 @@ impl Orchestrator {
         let (frozen, _) = t.machine.suspend(&raced, None, emit);
         let bill = FreezeBill {
             pages: self.cfg.frozen_mem_pages as u64,
-            cpu: self.cfg.cpu_state_bytes,
+            cpu: CPU_STATE_BYTES,
             bitmap: ser::encoded_len(&frozen) as u64,
         };
-        let downtime = self.cfg.suspend_overhead
+        let downtime = testbed::SUSPEND_OVERHEAD
             + SimDuration::from_secs_f64(bill.bytes() as f64 / rate.max(1.0))
-            + self.cfg.latency
+            + FREEZE_LATENCY
             + dynamics.link_latency(t.src.0, t.dst.0)
-            + self.cfg.resume_overhead;
+            + testbed::RESUME_OVERHEAD;
         t.bytes += batch_wire(self.cfg.mem_pages as u64, PAGE_SIZE, 0) + bill.bytes();
         t.resume_at = tick_end + downtime;
         t.to_send = Worklist::new(frozen);
@@ -1054,7 +1055,7 @@ impl Orchestrator {
             }
             // The partial image is still a (stale) replica the next
             // attempt can diff against.
-            self.keep_replica(t.vm, t.dst, &t.dst_disk);
+            self.keep_replica(t.vm, t.dst, t.dst_disk);
             consistent = false;
         } else {
             // Every block that differs from the frozen source image must
@@ -1064,9 +1065,8 @@ impl Orchestrator {
                 .diff_blocks(&self.cluster.vms[vm].disk)
                 .iter()
                 .all(|&b| t.post_writes.get(b));
-            let fresh = std::mem::replace(&mut t.dst_disk, MetaDisk::new(0));
-            let old = std::mem::replace(&mut self.cluster.vms[vm].disk, fresh);
-            self.keep_replica(t.vm, t.src, &old);
+            let old = std::mem::replace(&mut self.cluster.vms[vm].disk, t.dst_disk);
+            self.keep_replica(t.vm, t.src, old);
         }
         let completed = !t.failed;
         let done = Event::MigrationCompleted {
@@ -1103,7 +1103,7 @@ impl Orchestrator {
     }
 
     /// Write point 1 of the block directory: a host keeps an image.
-    fn keep_replica(&mut self, vm: VmId, host: HostId, disk: &MetaDisk) {
+    fn keep_replica(&mut self, vm: VmId, host: HostId, disk: MetaDisk) {
         self.cluster.keep_replica(vm, host, disk);
         let publishes = "orchestrator.directory.publishes";
         self.recorder.metrics().counter(publishes).inc();
@@ -1149,6 +1149,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NIC_CAPACITY;
     use simnet::proto::BLOCK_REF_WIRE;
     use workloads::WorkloadKind;
 
@@ -1230,7 +1231,7 @@ mod tests {
         assert!(ra.all_consistent() && rb.all_consistent());
         assert_eq!(rb.total_deduped(), 0);
         // …and every reference saved exactly (payload − reference) bytes.
-        let bs = ClusterConfig::new(2, 1).block_size;
+        let bs = testbed::BLOCK_SIZE;
         assert_eq!(
             ra.total_bytes() + ra.total_deduped() * (bs + 8 - BLOCK_REF_WIRE),
             rb.total_bytes()
@@ -1317,8 +1318,6 @@ mod tests {
     /// Flat-capacity dynamics with one link severed during a window —
     /// the smallest chaos a partition can be.
     struct WindowPartition {
-        nic: f64,
-        disk: f64,
         a: usize,
         b: usize,
         from: SimTime,
@@ -1329,10 +1328,8 @@ mod tests {
     }
 
     impl WindowPartition {
-        fn new(cfg: &ClusterConfig, a: usize, b: usize, from: SimTime, until: SimTime) -> Self {
+        fn new(a: usize, b: usize, from: SimTime, until: SimTime) -> Self {
             Self {
-                nic: cfg.nic_capacity,
-                disk: cfg.disk_capacity,
                 a,
                 b,
                 from,
@@ -1366,11 +1363,11 @@ mod tests {
         }
 
         fn nic_capacity(&self, _host: usize) -> f64 {
-            self.nic
+            NIC_CAPACITY
         }
 
         fn disk_capacity(&self, _host: usize) -> f64 {
-            self.disk
+            testbed::DISK_CAPACITY
         }
 
         fn op_keep(&self, vm: usize, _now: SimTime) -> (u64, u64) {
@@ -1391,8 +1388,7 @@ mod tests {
         let mut b =
             Orchestrator::new(cfg.clone(), Policy::ImAware, Recorder::off()).expect("valid config");
         let ra = a.run(&scenario);
-        let mut dynamics = StaticDynamics::from_config(&cfg);
-        let rb = b.run_with_dynamics(&scenario, &mut dynamics);
+        let rb = b.run_with_dynamics(&scenario, &mut StaticDynamics);
         assert_eq!(ra.makespan_nanos, rb.makespan_nanos);
         assert_eq!(ra.total_bytes(), rb.total_bytes());
         assert_eq!(ra.completed(), rb.completed());
@@ -1404,7 +1400,6 @@ mod tests {
         let cfg = small_cfg(2, 1);
         // Cut the only link shortly after the stream starts; heal at 10 s.
         let mut dynamics = WindowPartition::new(
-            &cfg,
             0,
             1,
             SimTime::ZERO + SimDuration::from_millis(250),
@@ -1451,7 +1446,6 @@ mod tests {
             ],
         };
         let mut dynamics = WindowPartition::new(
-            &cfg,
             1,
             2,
             SimTime::ZERO + SimDuration::from_millis(20_250),
@@ -1497,7 +1491,6 @@ mod tests {
             requests: vec![hop(1, 0), hop(2, 20), hop(3, 40)],
         };
         let mut dynamics = WindowPartition::new(
-            &cfg,
             2,
             3,
             SimTime::ZERO + SimDuration::from_millis(40_250),
@@ -1525,7 +1518,7 @@ mod tests {
     fn down_hosts_and_thinned_vms_stop_writing() {
         let mut cfg = small_cfg(3, 3);
         cfg.workload_cycle = vec![WorkloadKind::Web];
-        let mut dynamics = WindowPartition::new(&cfg, 0, 1, SimTime::ZERO, SimTime::ZERO);
+        let mut dynamics = WindowPartition::new(0, 1, SimTime::ZERO, SimTime::ZERO);
         dynamics.down_host = Some(2);
         dynamics.quiesced_vm = Some(1);
         // Five quiet seconds before the move give vm0 time to write.

@@ -13,8 +13,14 @@
 //!
 //! The pieces:
 //!
-//! * [`ClusterConfig`] / [`Scenario`] — fleet geometry, capacities,
-//!   fault plan, and the timed migration request stream.
+//! * [`ClusterConfig`] / [`Scenario`] — fleet geometry, the knobs a run
+//!   varies, fault plan, and the timed migration request stream. Host
+//!   capacities, the freeze's fixed costs, the step and the disk pass cap
+//!   are the paper's testbed, read from [`migrate::testbed`]; the fleet's
+//!   own constants ([`NIC_CAPACITY`], [`FREEZE_LATENCY`],
+//!   [`CPU_STATE_BYTES`], [`RETRY_BACKOFF`], [`HORIZON`],
+//!   [`CYCLE_PATIENCE`]) sit beside `ClusterConfig`, each with its
+//!   reason.
 //! * [`Cluster`] / [`Host`] / [`VmHandle`] — the fleet model: per-VM
 //!   [`vdisk::MetaDisk`] images, each VM's host (a host's residents are
 //!   derived from it), and one [`blockstore::BlockDirectory`] holding
@@ -52,9 +58,13 @@ mod report;
 mod scheduler;
 
 pub use cluster::{Cluster, Host, HostId, VmHandle, VmId};
-pub use config::{ClusterConfig, ConfigError, Scenario};
+pub use config::{
+    ClusterConfig, ConfigError, Scenario, CPU_STATE_BYTES, CYCLE_PATIENCE, FREEZE_LATENCY, HORIZON,
+    NIC_CAPACITY, RETRY_BACKOFF,
+};
 pub use dynamics::{FleetDynamics, StaticDynamics};
 pub use executor::Orchestrator;
+pub use migrate::testbed;
 pub use report::{ClusterReport, MigrationRecord};
 pub use scheduler::{
     ClusterView, CycleAware, Decision, Fifo, ImAware, MigrationRequest, Policy, Scheduler, Srdf,

@@ -10,9 +10,10 @@
 use std::collections::BTreeSet;
 
 use blockstore::BlockDirectory;
-use des::{SimDuration, SimTime};
+use des::SimTime;
 
 use crate::cluster::{HostId, VmHandle, VmId};
+use crate::config::CYCLE_PATIENCE;
 
 /// One request: move `vm` (optionally to a pinned destination) at or
 /// after virtual time `at`.
@@ -71,9 +72,6 @@ pub struct ClusterView<'a> {
     pub high_activity: &'a [bool],
     /// The scheduling instant (for deferral ages).
     pub now: SimTime,
-    /// Starvation bound on cycle deferral: a request older than this
-    /// runs even through a high-activity phase.
-    pub cycle_patience: SimDuration,
 }
 
 impl ClusterView<'_> {
@@ -101,10 +99,10 @@ impl ClusterView<'_> {
     }
 
     /// Cycle deferral: should this request wait for its VM's workload
-    /// phase to quiet down? Bounded by `cycle_patience` so a VM that
+    /// phase to quiet down? Bounded by [`CYCLE_PATIENCE`] so a VM that
     /// never idles still migrates.
     pub fn defer_for_cycle(&self, req: &MigrationRequest) -> bool {
-        self.high_activity[req.vm.0] && self.now.saturating_since(req.at) < self.cycle_patience
+        self.high_activity[req.vm.0] && self.now.saturating_since(req.at) < CYCLE_PATIENCE
     }
 
     /// Replica-blind placement: the next *serviceable* host in the ring
@@ -279,7 +277,7 @@ impl Scheduler for ImAware {
 /// placement, except a request whose VM is mid high-activity workload
 /// phase is deferred — migrating a busy VM re-dirties blocks as fast as
 /// they ship, so waiting for the quiet part of the cycle makes every
-/// pass shorter. Deferral is bounded by the view's `cycle_patience`, so
+/// pass shorter. Deferral is bounded by [`CYCLE_PATIENCE`], so
 /// a VM that never idles still migrates (no starvation).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CycleAware;
@@ -381,6 +379,7 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::config::ClusterConfig;
+    use des::SimDuration;
 
     /// Owned connectivity state a test view borrows from: everything
     /// up, connected, and quiet unless the test says otherwise.
@@ -427,7 +426,6 @@ mod tests {
             link_ok: &net.link_ok,
             high_activity: &net.high_activity,
             now: SimTime::ZERO,
-            cycle_patience: SimDuration::from_secs(600),
         }
     }
 
@@ -477,7 +475,7 @@ mod tests {
         let mut cluster = Cluster::new(&cfg).expect("valid");
         // Give vm1's ring destination (host 2) a nearly-fresh replica.
         let disk = cluster.vms[1].disk.clone();
-        cluster.keep_replica(VmId(1), HostId(2), &disk);
+        cluster.keep_replica(VmId(1), HostId(2), disk);
         cluster.vms[1].disk.write(7);
         let streams = vec![0usize; 3];
         let busy = BTreeSet::new();
@@ -494,7 +492,7 @@ mod tests {
         let mut cluster = Cluster::new(&cfg).expect("valid");
         // vm0 lives on host 0; host 2 holds a stale replica.
         let disk = cluster.vms[0].disk.clone();
-        cluster.keep_replica(VmId(0), HostId(2), &disk);
+        cluster.keep_replica(VmId(0), HostId(2), disk);
         cluster.vms[0].disk.write(1);
         let streams = vec![0usize; 4];
         let busy = BTreeSet::new();
@@ -511,7 +509,7 @@ mod tests {
         let cfg = ClusterConfig::new(3, 3);
         let mut cluster = Cluster::new(&cfg).expect("valid");
         let disk = cluster.vms[0].disk.clone();
-        cluster.keep_replica(VmId(0), HostId(2), &disk);
+        cluster.keep_replica(VmId(0), HostId(2), disk);
         let mut streams = vec![0usize; 3];
         streams[2] = cfg.max_streams_per_host;
         let busy = BTreeSet::new();

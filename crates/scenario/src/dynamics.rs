@@ -15,7 +15,7 @@
 //! the flat-fleet run byte-for-byte.
 
 use des::{SimDuration, SimTime};
-use orchestrator::{Cluster, ClusterConfig, FleetDynamics, MigrationRequest};
+use orchestrator::{testbed, Cluster, FleetDynamics, MigrationRequest, NIC_CAPACITY};
 use telemetry::{Event, Recorder};
 
 use crate::timeline::{ChaosEvent, CycleSpec, ScenarioSpec, TimedEvent};
@@ -77,13 +77,13 @@ pub struct ScenarioDynamics {
 }
 
 impl ScenarioDynamics {
-    /// Compile a spec against the fleet configuration it will run on.
-    pub fn new(spec: &ScenarioSpec, cfg: &ClusterConfig) -> Self {
+    /// Compile a spec; a host it gives no capacities has the testbed's.
+    pub fn new(spec: &ScenarioSpec) -> Self {
         let hosts = spec.hosts;
         let topo = Topology::compile(
             hosts,
-            cfg.nic_capacity,
-            cfg.disk_capacity,
+            NIC_CAPACITY,
+            testbed::DISK_CAPACITY,
             &spec.caps,
             &spec.links,
         );
@@ -411,14 +411,10 @@ impl FleetDynamics for ScenarioDynamics {
 mod tests {
     use super::*;
     use des::SimDuration;
+    use orchestrator::ClusterConfig;
 
     fn spec(hosts: usize, vms: usize) -> ScenarioSpec {
         ScenarioSpec::new(hosts, vms)
-    }
-
-    fn dynamics(s: &ScenarioSpec) -> ScenarioDynamics {
-        let cfg = ClusterConfig::new(s.hosts, s.vms);
-        ScenarioDynamics::new(s, &cfg)
     }
 
     fn at(secs: u64) -> SimTime {
@@ -429,10 +425,10 @@ mod tests {
     fn empty_spec_answers_every_query_with_the_identity() {
         let s = spec(3, 3);
         let cfg = ClusterConfig::new(3, 3);
-        let mut d = ScenarioDynamics::new(&s, &cfg);
+        let mut d = ScenarioDynamics::new(&s);
         assert!(d.host_up(0) && !d.cordoned(1) && d.connected(0, 2));
-        assert_eq!(d.nic_capacity(1), cfg.nic_capacity);
-        assert_eq!(d.disk_capacity(2), cfg.disk_capacity);
+        assert_eq!(d.nic_capacity(1), NIC_CAPACITY);
+        assert_eq!(d.disk_capacity(2), testbed::DISK_CAPACITY);
         assert_eq!(d.link_bandwidth(0, 1), f64::INFINITY);
         assert_eq!(d.link_quality(0, 1), 1.0);
         assert_eq!(d.link_latency(0, 1), SimDuration::ZERO);
@@ -460,7 +456,7 @@ mod tests {
         });
         let cfg = ClusterConfig::new(4, 4);
         let cluster = Cluster::new(&cfg).expect("valid config");
-        let mut d = dynamics(&s);
+        let mut d = ScenarioDynamics::new(&s);
         let rec = Recorder::enabled();
         d.advance(at(10), &cluster, &[], &rec);
         assert!(d.connected(0, 1) && d.connected(2, 3));
@@ -487,7 +483,7 @@ mod tests {
         });
         let cfg = ClusterConfig::new(3, 3);
         let mut cluster = Cluster::new(&cfg).expect("valid config");
-        let mut d = dynamics(&s);
+        let mut d = ScenarioDynamics::new(&s);
         let rec = Recorder::enabled();
 
         // t=0: h0 cordons, its resident vm0 is evacuated.
@@ -540,7 +536,7 @@ mod tests {
         });
         let cfg = ClusterConfig::new(2, 2);
         let cluster = Cluster::new(&cfg).expect("valid config");
-        let mut d = dynamics(&s);
+        let mut d = ScenarioDynamics::new(&s);
         let rec = Recorder::enabled();
         d.advance(at(1), &cluster, &[], &rec);
         assert_eq!(d.link_bandwidth(0, 1), 1000.0);
@@ -565,7 +561,7 @@ mod tests {
         ));
         let cfg = ClusterConfig::new(2, 2);
         let cluster = Cluster::new(&cfg).expect("valid config");
-        let mut d = dynamics(&s);
+        let mut d = ScenarioDynamics::new(&s);
         let rec = Recorder::enabled();
         d.advance(at(0), &cluster, &[], &rec);
         assert!(d.high_activity(1, at(0)));

@@ -45,10 +45,9 @@ pub fn run_with_policy(
     recorder: Arc<Recorder>,
 ) -> Result<ScenarioRun, ScenarioError> {
     spec.validate()?;
-    let cfg = config_for(spec);
-    let mut orchestrator = Orchestrator::new(cfg.clone(), policy, recorder)
+    let mut orchestrator = Orchestrator::new(config_for(spec), policy, recorder)
         .map_err(|e| ScenarioError::spec(e.to_string()))?;
-    let mut dynamics = ScenarioDynamics::new(spec, &cfg);
+    let mut dynamics = ScenarioDynamics::new(spec);
     let scenario = Scenario {
         requests: spec.requests.clone(),
     };

@@ -19,7 +19,7 @@ impl Link {
     ///
     /// # Panics
     /// Panics when `bandwidth` is not strictly positive.
-    pub fn new(bandwidth: f64, latency: SimDuration) -> Self {
+    pub const fn new(bandwidth: f64, latency: SimDuration) -> Self {
         assert!(
             bandwidth > 0.0 && bandwidth.is_finite(),
             "bandwidth must be positive and finite"
@@ -28,7 +28,7 @@ impl Link {
     }
 
     /// The paper's Gigabit LAN: ~119 MiB/s goodput, 100 µs one-way latency.
-    pub fn gigabit() -> Self {
+    pub const fn gigabit() -> Self {
         Self::new(119.0 * 1024.0 * 1024.0, SimDuration::from_micros(100))
     }
 
@@ -38,7 +38,7 @@ impl Link {
     }
 
     /// Goodput in bytes/second.
-    pub fn bandwidth(&self) -> f64 {
+    pub const fn bandwidth(&self) -> f64 {
         self.bandwidth
     }
 

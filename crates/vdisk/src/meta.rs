@@ -99,6 +99,14 @@ impl MetaDisk {
     }
 }
 
+/// A clone: lets a call that keeps an image take it by value (moved in)
+/// or by reference (`BlockDirectory::publish`).
+impl From<&MetaDisk> for MetaDisk {
+    fn from(disk: &MetaDisk) -> Self {
+        disk.clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

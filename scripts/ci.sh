@@ -11,6 +11,10 @@ echo "== size: non-test source lines (reported, not gated) =="
 # src/**/*.rs above each file's trailing #[cfg(test)] module.
 python3 scripts/loc.py
 
+echo "== size: configuration options (reported, not gated) =="
+# pub fields of the configuration structs a run is set up with.
+python3 scripts/options.py
+
 echo "== tier-1: release build =="
 # --workspace so every bin (vmmigrate, repro) is fresh before the
 # smoke matrices below run them from target/.

@@ -11,7 +11,9 @@
 //! nothing. And it holds the one unit store: disk blocks and RAM pages
 //! are kept by `vdisk`'s, and no second byte store grows outside it; and
 //! the one replica store: the images hosts kept are `blockstore`'s
-//! `BlockDirectory`'s, and no second table of them grows beside it.
+//! `BlockDirectory`'s, and no second table of them grows beside it. And
+//! it holds the one testbed: the fleet writes none of the paper's
+//! calibration again.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -390,6 +392,42 @@ fn replica_images_live_in_the_block_directory() {
                     held.unwrap_or_default()
                 );
             }
+        }
+    }
+}
+
+/// The paper's testbed is written once, in `migrate::testbed` (and the
+/// link in `simnet::Link::gigabit`); the fleet and the scenario engine
+/// read it from there. The check reads the program text of every file
+/// under `crates/orchestrator/src` and `crates/scenario/src` (test
+/// modules excluded) for the testbed's literals as the calibration
+/// writes them: the disk's `137.7`, the link's `119.0 * 1024.0`, the
+/// pipeline's `50.0 * 1024.0`, and the step and freeze costs as
+/// `from_millis(250)`, `from_millis(25)` and `from_millis(15)`. Not
+/// covered: the same value spelled another way (`137.70`,
+/// `52_428_800.0`, `from_micros(15_000)`), and every other crate.
+#[test]
+fn testbed_calibration_is_written_once() {
+    let mut files = Vec::new();
+    for dir in ["crates/orchestrator/src", "crates/scenario/src"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(files.len() > 10, "found {} files", files.len());
+    for path in &files {
+        let text = program_text(path);
+        for literal in [
+            "137.7",
+            "119.0 * 1024.0",
+            "50.0 * 1024.0",
+            "from_millis(15)",
+            "from_millis(25)",
+            "from_millis(250)",
+        ] {
+            assert!(
+                !text.contains(literal),
+                "{} writes the testbed's `{literal}`: read it from migrate::testbed",
+                path.display()
+            );
         }
     }
 }

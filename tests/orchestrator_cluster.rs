@@ -142,7 +142,7 @@ fn fleet_journals_fold_to_their_reports() {
     cfg.fault_resets = 2;
     let rec = Recorder::enabled();
     let mut orch = Orchestrator::new(cfg.clone(), Policy::ImAware, rec.clone()).expect("valid");
-    let mut dynamics = ScenarioDynamics::new(&spec, &cfg);
+    let mut dynamics = ScenarioDynamics::new(&spec);
     let scenario = Scenario {
         requests: spec.requests.clone(),
     };

@@ -177,7 +177,7 @@ fn rolling_maintenance_spec(seed: u64) -> ScenarioSpec {
 fn rolling_maintenance_with_midwave_partition_acceptance_matrix() {
     for seed in [1u64, 2, 3] {
         let spec = rolling_maintenance_spec(seed);
-        let horizon_secs = scenario::config_for(&spec).horizon.as_nanos() as f64 / 1e9;
+        let horizon_secs = block_bitmap_migration::orchestrator::HORIZON.as_nanos() as f64 / 1e9;
         let run = scenario::run_with_policy(&spec, Policy::ImAware, Recorder::off())
             .expect("maintenance spec is valid");
         let report = run.report;
@@ -227,7 +227,7 @@ fn every_chaos_run_keeps_its_images_in_the_block_directory() {
             cfg.max_retries = 1;
             let mut orch = Orchestrator::new(cfg.clone(), policy, Recorder::off())
                 .expect("chaos config is valid");
-            let mut dynamics = ScenarioDynamics::new(&spec, &cfg);
+            let mut dynamics = ScenarioDynamics::new(&spec);
             let scenario = Scenario {
                 requests: spec.requests.clone(),
             };
@@ -261,7 +261,7 @@ fn a_pass_the_guest_out_dirties_ends_fleet_precopy() {
         &Scenario {
             requests: spec.requests.clone(),
         },
-        &mut ScenarioDynamics::new(&spec, &cfg),
+        &mut ScenarioDynamics::new(&spec),
     );
     let m7 = report
         .records
