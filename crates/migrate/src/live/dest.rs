@@ -19,7 +19,7 @@ use simnet::transport::{duplex, Transport, TransportError};
 use telemetry::{Event, Fold, Phase, Recorder, Side};
 
 use blockstore::{fetch_blocks, serve_blocks, BlockSource, BlockWant};
-use vdisk::{hash_block, TrackedDisk};
+use vdisk::{hash_block, ContentIndex, TrackedDisk};
 use vmstate::LiveRam;
 
 use crate::live::engine::{
@@ -48,18 +48,23 @@ impl BlockSource for PeerDiskSource {
     }
 }
 
-/// All destination-side progress, held outside any connection.
+/// All destination-side progress, held outside any connection — the
+/// content index included, so a reconnect's dedup handshake answers from
+/// what the last session kept exact instead of reading the disk again.
 #[derive(Default)]
 pub(super) struct DestState {
     phase: ResumePhase,
     session_seen: Option<u64>,
     pub(super) session_got_blocks: FlatBitmap,
     pub(super) session_got_pages: FlatBitmap,
-    /// This session's dedup agreement (re-derived at every handshake).
-    /// While it holds, every block applied is fingerprinted into the
-    /// disk's content index ([`TrackedDisk::content_index`]), which stays
-    /// exact across sessions; otherwise what is applied is invalidated.
-    pub(super) dedup: bool,
+    /// The destination's content index: built at a dedup handshake that
+    /// finds none, then fingerprinted into by every block applied, so it
+    /// stays exact across reconnects — only this protocol thread writes
+    /// the disk before the guest resumes here, and a post-copy session
+    /// declines dedup. A session without dedup drops it
+    /// ([`summarise_resident`]), so within a session it is present
+    /// exactly when the session dedups.
+    pub(super) index: Option<ContentIndex>,
     /// Blocks whose *latest* delivery attempt was a reference that could
     /// not be resolved; folded into the still-needed bitmap at freeze so
     /// post-copy recovers them even if the bounce answer raced the
@@ -286,11 +291,11 @@ fn run_dest_session<T: Transport>(
             format!("expected SessionHello, got {hello:?}"),
         ));
     };
-    // References are only valid before the guest resumes here (local
-    // writes would invalidate the content index), so a post-copy resume
-    // declines dedup outright. Compression needs no index and stays
-    // available (post-copy pushes are uncompressed anyway).
-    st.dedup = cfg.dedup && offer_dedup && st.phase != ResumePhase::PostCopy;
+    // References are only valid before the guest resumes here (the
+    // content index does not follow the guest's writes), so a post-copy
+    // resume declines dedup outright. Compression needs no index and
+    // stays available (post-copy pushes are uncompressed anyway).
+    let dedup = cfg.dedup && offer_dedup && st.phase != ResumePhase::PostCopy;
     let seen = *st.session_seen.get_or_insert(session_id);
     if seen != session_id {
         return Err(protocol_err(
@@ -325,7 +330,7 @@ fn run_dest_session<T: Transport>(
         "handshake",
         MigMessage::ResumeFrom {
             phase: st.phase,
-            dedup: st.dedup,
+            dedup,
             compress: cfg.compress && offer_compress,
             disk_bitmap: disk_bm,
             mem_bitmap: mem_bm,
@@ -333,11 +338,10 @@ fn run_dest_session<T: Transport>(
     )?;
     st.session_got_blocks.clear_all();
     st.session_got_pages.clear_all();
-    if st.dedup {
-        // Open the dedup session with a summary of resident content, so
-        // a resumed source re-validates every assumption instead of
-        // trusting the previous session's view.
-        let fingerprints = summarise_resident(disk, incremental, st, &cfg.telemetry);
+    // Open a dedup session with a summary of resident content, so a
+    // resumed source re-validates every assumption instead of trusting
+    // the previous session's view.
+    if let Some(fingerprints) = summarise_resident(disk, dedup, incremental, st, &cfg.telemetry) {
         send_or(ep, "handshake", MigMessage::ContentSummary { fingerprints })?;
     }
 
@@ -379,38 +383,41 @@ fn run_dest_session<T: Transport>(
     dest_post_copy(cfg, disk, ram, ep, ctl, st)
 }
 
-/// The fingerprints a dedup session opens with, out of the disk's
-/// content index. A primary session's first handshake fills the index by
-/// hashing the resident image — the one place a handshake reads the
-/// disk. An incremental session hashes nothing: its block-bitmap says a
-/// previous hop left this image here, and whatever fingerprints that hop
-/// did not leave are done without (DESIGN.md §15a has the arithmetic).
-/// Nor does a reconnect, which finds the index as exact as the last
-/// session's applies kept it.
-fn summarise_resident(
+/// The fingerprints a dedup session opens with, out of the destination's
+/// content index; `None` for a session without dedup, which drops the
+/// index: nothing it applies is fingerprinted, so it must leave no entry
+/// a later dedup session would trust.
+///
+/// A primary session that finds no index builds it by hashing the
+/// resident image — the one place a handshake reads the disk. An
+/// incremental session hashes nothing: its block-bitmap says a previous
+/// hop left this image here, and it starts from an index that knows
+/// nothing, so it dedups only against what it sends (DESIGN.md §15a has
+/// the arithmetic). Nor does a reconnect, which finds the index as exact
+/// as the last session's applies kept it.
+pub(super) fn summarise_resident(
     disk: &TrackedDisk,
+    dedup: bool,
     incremental: bool,
     st: &mut DestState,
     telemetry: &Recorder,
-) -> Vec<u64> {
-    let (known, num_blocks) = {
-        let index = disk.content_index();
-        (index.known_blocks(), index.num_blocks())
-    };
-    let (hashed, cached) = if !incremental && known < num_blocks {
-        // `hash_all` runs outside the index's lock: until resume this
-        // thread is the disk's only writer, so the image hashed is the
-        // one recorded.
-        let (fps, hashed) = disk.disk().hash_all();
-        let mut index = disk.content_index();
-        for (block, fp) in fps.into_iter().enumerate() {
-            index.record(block, fp);
+) -> Option<Vec<u64>> {
+    if !dedup {
+        st.index = None;
+        return None;
+    }
+    let (index, hashed, cached) = match st.index.take() {
+        Some(kept) => {
+            let cached = kept.known_blocks() as u64;
+            (kept, 0, cached)
         }
-        (hashed, 0)
-    } else {
-        (0, known as u64)
+        None if incremental => (ContentIndex::unknown(disk.disk().num_blocks()), 0, 0),
+        None => {
+            let (fps, hashed) = disk.disk().hash_all();
+            (ContentIndex::from_fps(fps), hashed, 0)
+        }
     };
-    let fingerprints = disk.content_index().fingerprints();
+    let fingerprints = st.index.insert(index).fingerprints();
     st.work.blocks_read += hashed;
     st.work.blocks_hashed += hashed;
     telemetry.record(|| Event::HandshakeSummary {
@@ -419,7 +426,7 @@ fn summarise_resident(
         hashed_blocks: hashed,
         cached_blocks: cached,
     });
-    fingerprints
+    Some(fingerprints)
 }
 
 fn dest_precopy<T: Transport>(

@@ -238,9 +238,8 @@ struct DiskOutbox {
     payload: Vec<u8>,
     refs: Vec<u64>,
     ref_fps: Vec<u64>,
-    /// A fingerprinting session's chunk as read, and its fingerprints.
+    /// A fingerprinting session's chunk as read.
     read: Vec<u8>,
-    fps: Vec<u64>,
 }
 
 impl DiskOutbox {
@@ -249,11 +248,9 @@ impl DiskOutbox {
     /// the disk exactly once. On a fingerprinting session each block is
     /// hashed once, in that read: content the destination provably holds,
     /// or that a block staged or sent before it carries, is staged as a
-    /// 16-byte reference instead of `block_size` bytes. The fingerprints
-    /// are also left with the disk ([`TrackedDisk::record_fingerprints`]):
-    /// when this image is migrated *to* next, they are its handshake.
-    /// After every flush `*done` is the length of the worklist prefix
-    /// whose blocks have all been sent.
+    /// 16-byte reference instead of `block_size` bytes. After every flush
+    /// `*done` is the length of the worklist prefix whose blocks have all
+    /// been sent.
     #[allow(clippy::too_many_arguments)]
     fn stage<T: Transport>(
         &mut self,
@@ -275,16 +272,12 @@ impl DiskOutbox {
             *done = at + chunk.len();
             return Ok(());
         }
-        // Before the read: the guest is free to write meanwhile.
-        let seen = disk.content_index().invalidations();
-        let (mut data, mut fps) = (take(&mut self.read), take(&mut self.fps));
+        let mut data = take(&mut self.read);
         data.clear();
         disk.disk().read_blocks_append(chunk, &mut data);
-        fps.clear();
-        fps.extend(data.chunks_exact(bs).map(hash_block));
-        disk.record_fingerprints(chunk, &fps, seen);
         ctx.work.blocks_hashed += chunk.len() as u64;
-        for (i, (&b, &fp)) in chunk.iter().zip(&fps).enumerate() {
+        for (i, (&b, block)) in chunk.iter().zip(data.chunks_exact(bs)).enumerate() {
+            let fp = hash_block(block);
             // One probe answers both "can it be referenced" and "it is
             // known from here on"; a bounced block is known already and
             // goes in full regardless.
@@ -301,7 +294,7 @@ impl DiskOutbox {
                 if self.fulls.is_empty() {
                     self.payload.reserve(self.batch * bs);
                 }
-                self.payload.extend_from_slice(&data[i * bs..(i + 1) * bs]);
+                self.payload.extend_from_slice(block);
                 self.fulls.push(b as u64);
                 if self.fulls.len() == self.batch {
                     self.flush(ep, ctx, phase)?;
@@ -309,7 +302,7 @@ impl DiskOutbox {
                 }
             }
         }
-        (self.read, self.fps) = (data, fps);
+        self.read = data;
         Ok(())
     }
 
@@ -523,9 +516,8 @@ fn apply_blocks(
 }
 
 /// Apply a batch of full blocks at the destination: write the bytes,
-/// mark the per-session receipt bitmap, and keep the disk's content index
-/// exact — on a dedup session by recording each block's new fingerprint,
-/// otherwise by forgetting the old one.
+/// mark the per-session receipt bitmap, and, on a dedup session, keep the
+/// content index exact by recording each block's new fingerprint.
 fn dest_apply_full(
     st: &mut DestState,
     disk: &TrackedDisk,
@@ -538,14 +530,11 @@ fn dest_apply_full(
         st.session_got_blocks.set(b as usize);
         st.ref_missing.clear(b as usize);
     }
-    if st.dedup {
-        let mut index = disk.content_index();
+    if let Some(index) = st.index.as_mut() {
         for (&b, data) in blocks.iter().zip(payload.chunks_exact(block_size)) {
             index.record(b as usize, hash_block(data));
         }
         st.work.blocks_hashed += blocks.len() as u64;
-    } else {
-        disk.invalidate_fingerprints(blocks.iter().map(|&b| b as usize));
     }
     Ok(())
 }
@@ -584,36 +573,33 @@ fn dest_apply_refs<T: Transport>(
     }
     for (&block, &fingerprint) in blocks.iter().zip(fingerprints) {
         let b = block as usize;
-        let holder = st
-            .dedup
-            .then(|| disk.content_index().resolve(fingerprint))
-            .flatten();
-        let verified = holder.filter(|&holder| {
+        let verified = st.index.as_mut().is_some_and(|index| {
+            let Some(holder) = index.resolve(fingerprint) else {
+                return false;
+            };
             st.work.blocks_read += 1;
             st.work.blocks_hashed += 1;
             let found = disk.disk().hash_block_at(holder);
             if found != fingerprint {
                 // The index was wrong about the holder (a write went
                 // round it): now it is right, at the price of this bounce.
-                disk.content_index().record(holder, found);
+                index.record(holder, found);
+                return false;
             }
-            found == fingerprint
+            // This protocol thread is the disk's one writer until
+            // resume: the holder still holds what was just hashed.
+            if holder != b {
+                disk.disk().write_block(b, &disk.disk().read_block(holder));
+            }
+            index.record(b, fingerprint);
+            true
         });
-        match verified {
-            Some(holder) => {
-                // This protocol thread is the disk's one writer until
-                // resume: the holder still holds what was just hashed.
-                if holder != b {
-                    disk.disk().write_block(b, &disk.disk().read_block(holder));
-                }
-                st.session_got_blocks.set(b);
-                st.ref_missing.clear(b);
-                disk.content_index().record(b, fingerprint);
-            }
-            None => {
-                st.ref_missing.set(b);
-                send_or(ep, phase, MigMessage::BlockRefMiss { block })?;
-            }
+        if verified {
+            st.session_got_blocks.set(b);
+            st.ref_missing.clear(b);
+        } else {
+            st.ref_missing.set(b);
+            send_or(ep, phase, MigMessage::BlockRefMiss { block })?;
         }
     }
     Ok(())
@@ -718,11 +704,12 @@ pub(super) fn dest_apply_data<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::dest::summarise_resident;
     use crate::live::MigrationError;
     use simnet::proto::TransferLedger;
     use simnet::transport::duplex;
     use std::sync::Arc;
-    use vdisk::{stamp_bytes, VirtualDisk};
+    use vdisk::{stamp_bytes, ContentIndex, VirtualDisk};
 
     #[test]
     fn interleave_rotates_batches_across_shards() {
@@ -781,6 +768,70 @@ mod tests {
         }
     }
 
+    fn index(st: &DestState) -> &ContentIndex {
+        st.index.as_ref().expect("a dedup session holds the index")
+    }
+
+    #[test]
+    fn a_session_without_dedup_leaves_no_fingerprint_a_later_one_trusts() {
+        let cfg = LiveConfig {
+            num_blocks: 8,
+            ..LiveConfig::test_default()
+        };
+        let bs = cfg.block_size;
+        let ram = LiveRam::new(cfg.mem_page_size, cfg.mem_pages);
+        let rec = Recorder::off();
+        let full = |blocks: &[usize], stamp: u64| MigMessage::DiskBlocks {
+            blocks: blocks.iter().map(|&b| b as u64).collect(),
+            payload_len: (blocks.len() * bs) as u64,
+            payload: Some(Bytes::from(
+                blocks
+                    .iter()
+                    .flat_map(|&b| stamp_bytes(b, stamp, bs))
+                    .collect::<Vec<u8>>(),
+            )),
+        };
+        let old = hash_block(&stamp_bytes(2, 1, bs));
+        for incremental in [false, true] {
+            let disk = TrackedDisk::new(Arc::new(VirtualDisk::dense(bs, cfg.num_blocks)));
+            let (ep, peer) = duplex();
+            let mut st = DestState::new(&cfg);
+            let session = |st: &mut DestState, dedup: bool| {
+                summarise_resident(&disk, dedup, incremental, st, &rec).is_some()
+            };
+            // A dedup session applies blocks 2 and 3 and indexes them.
+            assert!(session(&mut st, true));
+            let msg = full(&[2, 3], 1);
+            assert!(ok(dest_apply_data(&mut st, &disk, &ram, &ep, msg, "test")).is_none());
+            assert_eq!(index(&st).resolve(old), Some(2));
+            // A session without dedup overwrites block 2 unhashed.
+            assert!(!session(&mut st, false));
+            assert!(st.index.is_none());
+            let msg = full(&[2], 2);
+            assert!(ok(dest_apply_data(&mut st, &disk, &ram, &ep, msg, "test")).is_none());
+            // The next dedup session asks for block 2's old content: a
+            // primary handshake re-hashed the disk and knows nobody holds
+            // it, an incremental one starts from nothing; either way the
+            // reference bounces and the block keeps the newer bytes.
+            assert!(session(&mut st, true));
+            assert_eq!(index(&st).resolve(old), None);
+            let msg = MigMessage::BlockRef {
+                block: 5,
+                fingerprint: old,
+            };
+            assert!(ok(dest_apply_data(&mut st, &disk, &ram, &ep, msg, "test")).is_none());
+            assert!(matches!(
+                peer.try_recv(),
+                Ok(MigMessage::BlockRefMiss { block: 5 })
+            ));
+            assert_eq!(disk.disk().read_block(2), stamp_bytes(2, 2, bs));
+            assert_eq!(disk.disk().read_block(5), vec![0u8; bs]);
+            // Content a block truly holds still resolves on a primary hop.
+            let newer = hash_block(&stamp_bytes(2, 2, bs));
+            assert_eq!(index(&st).resolve(newer), (!incremental).then_some(2));
+        }
+    }
+
     #[test]
     fn a_reference_is_verified_in_place_and_a_stale_one_still_bounces() {
         let cfg = LiveConfig {
@@ -793,11 +844,12 @@ mod tests {
         let fp = |b: usize| hash_block(&stamp_bytes(b, 1, bs));
         for b in 0..cfg.num_blocks {
             disk.disk().write_block(b, &stamp_bytes(b, 1, bs));
-            disk.content_index().record(b, fp(b));
         }
         let (ep, peer) = duplex();
         let mut st = DestState::new(&cfg);
-        st.dedup = true;
+        st.index = Some(ContentIndex::from_fps(
+            (0..cfg.num_blocks).map(fp).collect(),
+        ));
         let apply = |st: &mut DestState, block: usize, fingerprint: u64| {
             let msg = MigMessage::BlockRef {
                 block: block as u64,
@@ -820,7 +872,7 @@ mod tests {
         apply(&mut st, 5, fp(3));
         assert_eq!(disk.disk().read_block(5), stamp_bytes(3, 1, bs));
         assert_eq!(work(&st), (2, 2));
-        assert_eq!(disk.content_index().resolve(fp(5)), None);
+        assert_eq!(index(&st).resolve(fp(5)), None);
 
         // A write that went round the index: the entry is stale, so the
         // reference bounces, the block keeps what it holds, and the index
@@ -835,7 +887,7 @@ mod tests {
             peer.try_recv(),
             Ok(MigMessage::BlockRefMiss { block: 6 })
         ));
-        assert_eq!(disk.content_index().resolve(hash_block(&newer)), Some(6));
+        assert_eq!(index(&st).resolve(hash_block(&newer)), Some(6));
     }
 
     #[test]
@@ -850,11 +902,12 @@ mod tests {
         let fp = |b: usize| hash_block(&stamp_bytes(b, 1, bs));
         for b in 0..cfg.num_blocks {
             disk.disk().write_block(b, &stamp_bytes(b, 1, bs));
-            disk.content_index().record(b, fp(b));
         }
         let (ep, peer) = duplex();
         let mut st = DestState::new(&cfg);
-        st.dedup = true;
+        st.index = Some(ContentIndex::from_fps(
+            (0..cfg.num_blocks).map(fp).collect(),
+        ));
         let refs = |blocks: &[u64], fingerprints: &[u64]| MigMessage::BlockRefs {
             blocks: blocks.to_vec(),
             fingerprints: fingerprints.to_vec(),

@@ -438,16 +438,10 @@ fn source_freeze<T: Transport>(
         // whole post-copy phase (source-death failover). Re-sent on
         // freeze re-entry like every other freeze payload — idempotent.
         let frozen = st.frozen_bitmap.to_indices();
-        // Only a session that fingerprints has an index to leave them in:
-        // asking for it here would build it while the guest is down.
-        let seen = st.ctx.dedup.then(|| disk.content_index().invalidations());
         let fingerprints: Vec<u64> = read_batch(disk, &frozen, cfg.block_size)
             .chunks_exact(cfg.block_size)
             .map(hash_block)
             .collect();
-        if let Some(seen) = seen {
-            disk.record_fingerprints(&frozen, &fingerprints, seen);
-        }
         st.ctx.work.blocks_read += frozen.len() as u64;
         st.ctx.work.blocks_hashed += frozen.len() as u64;
         send_or(

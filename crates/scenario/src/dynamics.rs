@@ -15,7 +15,7 @@
 //! the flat-fleet run byte-for-byte.
 
 use des::{SimDuration, SimTime};
-use orchestrator::{testbed, Cluster, FleetDynamics, MigrationRequest, NIC_CAPACITY};
+use orchestrator::{Cluster, FleetDynamics, MigrationRequest};
 use telemetry::{Event, Recorder};
 
 use crate::timeline::{ChaosEvent, CycleSpec, ScenarioSpec, TimedEvent};
@@ -80,13 +80,7 @@ impl ScenarioDynamics {
     /// Compile a spec; a host it gives no capacities has the testbed's.
     pub fn new(spec: &ScenarioSpec) -> Self {
         let hosts = spec.hosts;
-        let topo = Topology::compile(
-            hosts,
-            NIC_CAPACITY,
-            testbed::DISK_CAPACITY,
-            &spec.caps,
-            &spec.links,
-        );
+        let topo = Topology::compile(hosts, &spec.caps, &spec.links);
         let mut events = spec.events.clone();
         // Stable: ties keep declaration order.
         events.sort_by_key(|e| e.at);
@@ -411,7 +405,7 @@ impl FleetDynamics for ScenarioDynamics {
 mod tests {
     use super::*;
     use des::SimDuration;
-    use orchestrator::ClusterConfig;
+    use orchestrator::{testbed, ClusterConfig, NIC_CAPACITY};
 
     fn spec(hosts: usize, vms: usize) -> ScenarioSpec {
         ScenarioSpec::new(hosts, vms)

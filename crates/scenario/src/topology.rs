@@ -13,6 +13,7 @@
 //! fleet byte-for-byte.
 
 use des::SimDuration;
+use orchestrator::{testbed, NIC_CAPACITY};
 
 /// A named group of hosts — the partition and link-declaration unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,7 +24,7 @@ pub struct Island {
     pub hosts: Vec<usize>,
 }
 
-/// Per-host capacity overrides (unset fields keep the fleet default).
+/// Per-host capacity overrides (unset fields keep the testbed's).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HostCaps {
     /// NIC capacity override, bytes/second.
@@ -78,20 +79,16 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Compile sparse declarations into dense matrices. Later
-    /// declarations win on overlap, so a scenario can state a broad
-    /// island-to-island rule and then carve out one special pair.
-    pub fn compile(
-        hosts: usize,
-        default_nic: f64,
-        default_disk: f64,
-        caps: &[(usize, HostCaps)],
-        links: &[LinkSpec],
-    ) -> Self {
+    /// Compile sparse declarations into dense matrices. A host `caps`
+    /// says nothing of has the testbed's NIC ([`NIC_CAPACITY`]) and disk
+    /// ([`testbed::DISK_CAPACITY`]). Later declarations win on overlap,
+    /// so a scenario can state a broad island-to-island rule and then
+    /// carve out one special pair.
+    pub fn compile(hosts: usize, caps: &[(usize, HostCaps)], links: &[LinkSpec]) -> Self {
         let mut topo = Self {
             hosts,
-            nic: vec![default_nic; hosts],
-            disk: vec![default_disk; hosts],
+            nic: vec![NIC_CAPACITY; hosts],
+            disk: vec![testbed::DISK_CAPACITY; hosts],
             bandwidth: vec![f64::INFINITY; hosts * hosts],
             quality: vec![1.0; hosts * hosts],
             latency: vec![SimDuration::ZERO; hosts * hosts],
@@ -148,9 +145,9 @@ mod tests {
 
     #[test]
     fn empty_topology_is_all_identity_entries() {
-        let t = Topology::compile(3, 100.0, 200.0, &[], &[]);
-        assert!(t.nic.iter().all(|&n| n == 100.0));
-        assert!(t.disk.iter().all(|&d| d == 200.0));
+        let t = Topology::compile(3, &[], &[]);
+        assert!(t.nic.iter().all(|&n| n == NIC_CAPACITY));
+        assert!(t.disk.iter().all(|&d| d == testbed::DISK_CAPACITY));
         assert!(t.bandwidth.iter().all(|&b| b == f64::INFINITY));
         assert!(t.quality.iter().all(|&q| q == 1.0));
         assert!(t.latency.iter().all(|&l| l == SimDuration::ZERO));
@@ -174,7 +171,7 @@ mod tests {
             latency: None,
             drop_permille: None,
         };
-        let t = Topology::compile(3, 1.0, 1.0, &[], &[wan, lan]);
+        let t = Topology::compile(3, &[], &[wan, lan]);
         assert_eq!(t.bandwidth[t.at(0, 1)], 5.0);
         assert_eq!(t.bandwidth[t.at(1, 0)], f64::INFINITY, "directed");
         assert_eq!(t.latency[t.at(0, 2)], SimDuration::from_millis(40));
@@ -192,8 +189,8 @@ mod tests {
                 disk: None,
             },
         )];
-        let t = Topology::compile(2, 1.0, 2.0, &caps, &[]);
-        assert_eq!(t.nic, vec![1.0, 7.0]);
-        assert_eq!(t.disk, vec![2.0, 2.0]);
+        let t = Topology::compile(2, &caps, &[]);
+        assert_eq!(t.nic, vec![NIC_CAPACITY, 7.0]);
+        assert_eq!(t.disk, vec![testbed::DISK_CAPACITY; 2]);
     }
 }

@@ -257,8 +257,9 @@ pub enum Event {
     },
     /// A dedup session opened: the destination answered the handshake
     /// with a content summary. On an incremental session and on every
-    /// reconnect `hashed_blocks` is 0 — the summary is what the disk's
-    /// fingerprint store already knew.
+    /// reconnect `hashed_blocks` is 0: an incremental session's first
+    /// summary is empty, and a reconnect's is what the content index the
+    /// destination kept from the last session knew.
     HandshakeSummary {
         /// Recording side.
         side: Side,
@@ -266,7 +267,8 @@ pub enum Event {
         fingerprints: u64,
         /// Blocks read and hashed to build it.
         hashed_blocks: u64,
-        /// Blocks whose fingerprint the store already held.
+        /// Blocks whose fingerprint the index a reconnect kept already
+        /// held (0 on a session's first handshake).
         cached_blocks: u64,
     },
     /// One worklist pass of the live source decided, batch by batch,

@@ -352,18 +352,18 @@ impl Extend<u64> for FingerprintSet {
 
 /// Content index of one disk: fingerprint → resident block(s).
 ///
-/// It lives with the disk ([`crate::TrackedDisk::content_index`]), not
-/// with a migration session: every fingerprint a migration computes is
-/// recorded here, every write that is not re-fingerprinted invalidates
-/// its block, and the next session — a reconnect, or the incremental
-/// migration back — answers its dedup handshake from what is known
-/// instead of reading the disk. A `BlockRef` is resolved against it.
+/// It belongs to the migration that answers a dedup handshake with it
+/// (the live destination's state), not to the disk: that migration builds
+/// it at the handshake, keeps it exact as it applies blocks — it is the
+/// disk's one writer until the guest resumes — and answers a reconnect's
+/// handshake from it instead of reading the disk again. A `BlockRef` is
+/// resolved against it.
 ///
-/// The index may be *partial*: a block whose fingerprint is unknown
-/// (never computed, or invalidated since) is in no holder chain, so it is
-/// never resolved to and never summarised. Knowing less only costs dedup
-/// hits; knowing something wrong costs a bounce, because users re-hash
-/// the resolved holder before they trust it.
+/// The index may be *partial*: a block whose fingerprint is unknown (an
+/// incremental hop's index starts out knowing nothing) is in no holder
+/// chain, so it is never resolved to and never summarised. Knowing less
+/// only costs dedup hits; knowing something wrong costs a bounce, because
+/// users re-hash the resolved holder before they trust it.
 ///
 /// Layout: an `IdTable` over `fp_of` holds, for each resident
 /// fingerprint, the *head* of its holder chain; the chain itself is
@@ -378,19 +378,11 @@ pub struct ContentIndex {
     fp_of: Vec<u64>,
     /// Blocks whose fingerprint is known — exactly the blocks on a chain.
     known: FlatBitmap,
-    /// Calls to [`ContentIndex::invalidate`] so far.
-    invalidations: u64,
     /// Chain heads: one block per distinct fingerprint in `fp_of`.
     heads: IdTable,
     /// Holder-chain links, [`NIL`]-terminated at both ends.
     next: Vec<u32>,
     prev: Vec<u32>,
-}
-
-impl Default for ContentIndex {
-    fn default() -> Self {
-        Self::from_fps(Vec::new())
-    }
 }
 
 impl ContentIndex {
@@ -417,7 +409,6 @@ impl ContentIndex {
         Self {
             fp_of: vec![0; n],
             known: FlatBitmap::new(n),
-            invalidations: 0,
             heads: IdTable::with_room_for(n),
             next: vec![NIL; n],
             prev: vec![NIL; n],
@@ -438,15 +429,6 @@ impl ContentIndex {
     pub fn fingerprint_of(&self, block: usize) -> Option<u64> {
         let &fp = self.fp_of.get(block)?;
         self.known.get(block).then_some(fp)
-    }
-
-    /// How many times [`ContentIndex::invalidate`] has run. Whoever
-    /// fingerprints blocks it read while writers were free to run samples
-    /// this first and records only if it has not moved since: a write
-    /// that slipped in between has invalidated, and what was hashed may
-    /// be the content it replaced.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
     }
 
     /// Number of distinct fingerprints resident.
@@ -502,16 +484,6 @@ impl ContentIndex {
             *slot = fp;
         }
         self.link(block);
-    }
-
-    /// Block `block` was written and nobody fingerprinted the new
-    /// content: forget what it held.
-    pub fn invalidate(&mut self, block: usize) {
-        self.invalidations += 1;
-        if self.fingerprint_of(block).is_some() {
-            self.unlink(block);
-            self.known.clear(block);
-        }
     }
 
     /// Push `block` (in no chain) onto the front of the holder chain of

@@ -1,7 +1,7 @@
 //! Property tests for the block layer: storage equivalence (per-block
 //! and batched), `hash_all` against its per-block definition, the flat
 //! content index — partial form included — against a `BTreeMap` oracle,
-//! the write hook's invalidation of it, tracker completeness (the
+//! tracker completeness (the
 //! correctness property migration rests on), pending queue conservation,
 //! MetaDisk synchronization, the tiled stamp generator against its
 //! per-byte definition, and a computed stamp-0 image against one laid
@@ -42,7 +42,6 @@ fn hash_each(disk: &VirtualDisk) -> Vec<u64> {
 struct IndexOracle {
     fp_of: Vec<Option<u64>>,
     holders: BTreeMap<u64, BTreeSet<usize>>,
-    invalidations: u64,
 }
 
 impl IndexOracle {
@@ -50,7 +49,6 @@ impl IndexOracle {
         let mut o = Self {
             fp_of: fps.to_vec(),
             holders: BTreeMap::new(),
-            invalidations: 0,
         };
         for (b, fp) in fps.iter().enumerate() {
             if let Some(fp) = fp {
@@ -60,9 +58,7 @@ impl IndexOracle {
         o
     }
 
-    /// `None` is an invalidation.
-    fn record(&mut self, block: usize, fp: Option<u64>) {
-        self.invalidations += u64::from(fp.is_none());
+    fn record(&mut self, block: usize, fp: u64) {
         let Some(old) = self.fp_of.get(block).copied() else {
             return;
         };
@@ -73,10 +69,8 @@ impl IndexOracle {
                 self.holders.remove(&old);
             }
         }
-        self.fp_of[block] = fp;
-        if let Some(fp) = fp {
-            self.holders.entry(fp).or_default().insert(block);
-        }
+        self.fp_of[block] = Some(fp);
+        self.holders.entry(fp).or_default().insert(block);
     }
 
     /// Every observable of `index` agrees with the model, probing the
@@ -85,7 +79,6 @@ impl IndexOracle {
     /// model's set is also "never resolved to an unknown block".
     fn check(&self, index: &ContentIndex, pool: &[u64]) -> Result<(), TestCaseError> {
         prop_assert_eq!(index.num_blocks(), self.fp_of.len());
-        prop_assert_eq!(index.invalidations(), self.invalidations);
         prop_assert_eq!(
             index.known_blocks(),
             self.fp_of.iter().filter(|fp| fp.is_some()).count()
@@ -132,7 +125,7 @@ proptest! {
     fn content_index_matches_oracle(
         initial in prop::collection::vec(0usize..8, 0..24),
         start_unknown in any::<bool>(),
-        ops in prop::collection::vec((0usize..28, 0usize..9), 0..200),
+        ops in prop::collection::vec((0usize..28, 0usize..8), 0..200),
         salt in any::<u64>(),
     ) {
         // Small multiples and salted values: both clustered and spread keys.
@@ -148,58 +141,9 @@ proptest! {
         };
         oracle.check(&index, &pool)?;
         for &(block, i) in &ops {
-            match pool.get(i) {
-                Some(&fp) => index.record(block, fp),
-                None => index.invalidate(block),
-            }
-            oracle.record(block, pool.get(i).copied());
+            index.record(block, pool[i]);
+            oracle.record(block, pool[i]);
             oracle.check(&index, &pool)?;
-        }
-    }
-
-    /// The disk's own index under the write hook: after any mix of
-    /// recorded fingerprints, hooked writes (`submit`, `write_extent`)
-    /// and direct writes declared with `invalidate_fingerprints`, every
-    /// entry the index holds is the block's true fingerprint — so a batch
-    /// whose `seen` count predates a write recorded nothing.
-    #[test]
-    fn write_hook_keeps_the_disk_index_exact(
-        ops in prop::collection::vec((0usize..4, 0usize..BLOCKS, 1u64..50), 0..120),
-    ) {
-        let td = TrackedDisk::new(Arc::new(VirtualDisk::dense(BS, BLOCKS)));
-        for &(kind, b, stamp) in &ops {
-            match kind {
-                0 => {
-                    let seen = td.content_index().invalidations();
-                    let fp = hash_block(&td.disk().read_block(b));
-                    td.record_fingerprints(&[b], &[fp], seen);
-                }
-                1 => {
-                    td.submit(IoRequest::write(b, DomainId(1)), Some(&stamp_bytes(b, stamp, BS)));
-                }
-                2 => td.write_extent((b * BS) as u64 + 7, &[stamp as u8; 40], DomainId(1)),
-                _ => {
-                    // A reader caught mid-batch by a direct write.
-                    let seen = td.content_index().invalidations();
-                    let stale = hash_block(&td.disk().read_block(b));
-                    td.disk().write_block(b, &stamp_bytes(b, stamp, BS));
-                    td.invalidate_fingerprints([b]);
-                    td.record_fingerprints(&[b], &[stale], seen);
-                }
-            }
-            let known: Vec<(usize, u64)> = {
-                let index = td.content_index();
-                let known: Vec<_> = (0..BLOCKS)
-                    .filter_map(|blk| index.fingerprint_of(blk).map(|fp| (blk, fp)))
-                    .collect();
-                for &(_, fp) in &known {
-                    prop_assert!(index.resolve(fp).is_some());
-                }
-                known
-            };
-            for (blk, fp) in known {
-                prop_assert_eq!(fp, hash_block(&td.disk().read_block(blk)), "block {}", blk);
-            }
         }
     }
 

@@ -33,12 +33,12 @@ cargo test -q --release --locked -p migrate --lib \
   arrival_never_overwrites_a_newer_guest_write
 
 echo "== incremental migration costs what is dirty, in the shipped build =="
-# O(dirty) work counts on two disk sizes, the round trip that keeps
-# resident dedup without hashing the resident image, the poisoned
-# fingerprint store (bounces, never a block) and the web-guest round
-# trip whose source records fingerprints while the guest writes. Counts,
-# not stopwatches, so the optimized build must give the same numbers;
-# the recording race only has its real window there. Every hop crosses a
+# O(dirty) work counts on two disk sizes, the same-process round trip
+# whose hop back hashes nothing at the handshake and ships what the guest
+# wrote in full, and the web-guest round trip under a writing guest
+# (images and read violations). Counts, not stopwatches, so the
+# optimized build must give the same numbers; the arrival-versus-write
+# races only have their real window there. Every hop crosses a
 # link paced at Gigabit (125e6 B/s): a session fingerprints only where a
 # byte costs something, the unpaced in-process link is free and would run
 # none of this. The limiter's opening burst covers every image, so the
@@ -49,8 +49,9 @@ echo "== LZ and fingerprints only when the link pays for them, in the shipped bu
 # Each rule on both kinds of link. Free (unpaced duplex, same-host
 # socket): the default session equals the --no-dedup one in ledgers,
 # WireStats and WorkLedger, --streams 4 and a reconnect included, hashes
-# nothing and leaves neither disk a content index, inside the freeze
-# window least of all (multisource hashes its manifest and no more).
+# nothing and journals no handshake summary, so the destination builds no
+# content index, inside the freeze window least of all (multisource
+# hashes its manifest and no more).
 # Paying (2 MiB/s, Gigabit, a transport that cannot tell): fingerprints
 # from the first block. And LZ:
 # unpaced duplex never compresses and equals the --no-compress ledger,

@@ -13,7 +13,8 @@
 //! the one replica store: the images hosts kept are `blockstore`'s
 //! `BlockDirectory`'s, and no second table of them grows beside it. And
 //! it holds the one testbed: the fleet writes none of the paper's
-//! calibration again.
+//! calibration again. And it holds the one content index: the live
+//! destination's migration state keeps it, and no disk grows a second.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -429,5 +430,41 @@ fn testbed_calibration_is_written_once() {
                 path.display()
             );
         }
+    }
+}
+
+/// The content index (`vdisk::ContentIndex`) has one owner: the live
+/// destination's `DestState`, which builds it at a dedup handshake and
+/// keeps it across reconnects. The check reads the program text of every
+/// program file (test modules excluded) for the type's name as a whole
+/// word. It may appear where it is defined and re-exported
+/// (`crates/vdisk/src/content.rs`, `crates/vdisk/src/lib.rs`), in the
+/// live destination's state and data plane (`crates/migrate/src/live/
+/// dest.rs`, `plane.rs`), and in `crates/blockstore/src/planner.rs`,
+/// whose `FetchPlanner::plan` borrows a caller's index for one plan and
+/// keeps none. A disk, a source or a fleet that names it again is a
+/// second store of fingerprints. Not covered: a type alias or a
+/// re-export under another name.
+#[test]
+fn the_content_index_lives_with_the_destination() {
+    let allowed = [
+        "crates/vdisk/src/content.rs",
+        "crates/vdisk/src/lib.rs",
+        "crates/migrate/src/live/dest.rs",
+        "crates/migrate/src/live/plane.rs",
+        "crates/blockstore/src/planner.rs",
+    ]
+    .map(|rel| root().join(rel));
+    let files = program_files();
+    for path in &allowed {
+        assert!(files.contains(path), "{} moved", path.display());
+    }
+    for path in files.iter().filter(|p| !allowed.contains(p)) {
+        assert!(
+            !names(&program_text(path), "ContentIndex"),
+            "{} names ContentIndex: the live destination's DestState owns the \
+             content index",
+            path.display()
+        );
     }
 }

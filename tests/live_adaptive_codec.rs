@@ -23,8 +23,8 @@
 //!
 //! `dedup` is a capability as well, decided once per session from the same
 //! link cost: a session on a free link hashes nothing on either side,
-//! sends no content summary, leaves both disks without a content index —
-//! inside the freeze window included — and is the `dedup: false` session
+//! sends no content summary, so the destination builds no content index
+//! — inside the freeze window included — and is the `dedup: false` session
 //! byte for byte; on every other link, one that cannot tell included, it
 //! fingerprints from the first block.
 
@@ -613,8 +613,8 @@ fn traced(cfg: &LiveConfig) -> LiveConfig {
 }
 
 /// The default run on a free link is the `dedup: false` run: same
-/// ledgers, same savings and work ledgers, nothing hashed, no summary, no
-/// content index on either disk.
+/// ledgers, same savings and work ledgers, nothing hashed, and no
+/// summary, so the destination never built a content index.
 fn assert_is_the_no_dedup_run(out: &LiveOutcome, cfg: &LiveConfig, plain: &LiveOutcome) {
     assert_eq!(out.src_ledger, plain.src_ledger);
     assert_eq!(out.dst_ledger, plain.dst_ledger);
@@ -624,9 +624,6 @@ fn assert_is_the_no_dedup_run(out: &LiveOutcome, cfg: &LiveConfig, plain: &LiveO
     assert_eq!(out.work.src.blocks_hashed, 0);
     assert_eq!(out.work.dst.blocks_hashed, 0);
     assert_eq!(dedup_sessions(cfg), (vec![], 0, 1));
-    for disk in [&out.src_disk, &out.dst_disk] {
-        assert_eq!(disk.fingerprints_known(), None);
-    }
 }
 
 #[test]
@@ -683,8 +680,6 @@ fn a_paced_link_fingerprints_from_the_first_block_duplex_and_socket_alike() {
         assert_eq!(out.work.src.blocks_hashed, 256);
         assert_eq!(out.work.dst.blocks_hashed, 256);
         assert_eq!(dedup_sessions(&cfg), (vec![(1, 0, 0)], 1, 0));
-        assert_eq!(out.src_disk.fingerprints_known(), Some(256));
-        assert_eq!(out.dst_disk.fingerprints_known(), Some(256));
     }
 }
 
@@ -809,17 +804,16 @@ fn a_reconnect_decides_again_and_the_same_link_decides_the_same() {
     assert_eq!(out.wire.blocks_deduped, 0);
     assert_eq!(out.work.src.blocks_hashed, 0);
     assert_eq!(out.work.dst, SideWork::default());
-    assert_eq!(out.dst_disk.fingerprints_known(), None);
 }
 
 #[test]
 fn no_session_builds_a_content_index_inside_the_freeze_window() {
     // With `multisource` the source hashes the frozen blocks for the
     // failover manifest after the guest is suspended. That is a check and
-    // stays; asking the disk for its content index there would build it
-    // (four vectors the size of the disk) inside the downtime. On a free
-    // link, offered dedup or not, the manifest is all that is hashed and
-    // neither disk ever gets an index.
+    // stays; building a content index there (four vectors the size of
+    // the disk) would put it inside the downtime. On a free link, offered
+    // dedup or not, the manifest is all that is hashed and no handshake
+    // summarises, so the destination never builds an index.
     let idle = LiveConfig {
         multisource: true,
         ..idle_cfg()
@@ -833,17 +827,17 @@ fn no_session_builds_a_content_index_inside_the_freeze_window() {
     };
     for cfg in [idle, web] {
         for dedup in [true, false] {
-            let out = run(&LiveConfig {
+            let cfg = traced(&LiveConfig {
                 dedup,
                 ..cfg.clone()
             });
+            let out = run(&cfg);
             if cfg.workload != WorkloadKind::Idle {
                 assert!(out.frozen_dirty > 0, "the geometry leaves a manifest");
             }
             assert_eq!(out.work.src.blocks_hashed, out.frozen_dirty);
             assert_eq!(out.work.dst.blocks_hashed, 0);
-            assert_eq!(out.src_disk.fingerprints_known(), None);
-            assert_eq!(out.dst_disk.fingerprints_known(), None);
+            assert!(dedup_sessions(&cfg).0.is_empty());
         }
     }
 }

@@ -242,15 +242,13 @@ fn a_condvar_wait_releases_its_own_guard_and_takes_it_back() {
 #[test]
 fn the_gate_is_held_over_a_disk_write() {
     // §IV-A-3: `DestIo`'s gate makes check, write and clear one step
-    // against an arrival. Under it the disk's storage, content index,
-    // tracker list and telemetry are each taken, one at a time.
+    // against an arrival. Under it the disk's storage, tracker list and
+    // telemetry are each taken, one at a time.
     let disk = Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(512, 8))));
     let recorder = Recorder::enabled();
     disk.set_telemetry(&recorder, "dst.disk");
     disk.attach_tracker(Arc::new(AtomicBitmap::new(8)), None);
     disk.enable_tracking();
-    // Create the index, so that each write invalidates it under the gate.
-    drop(disk.content_index());
     let transferred = Arc::new(AtomicBitmap::new(8));
     transferred.set(3);
     transferred.set(5);
