@@ -22,7 +22,7 @@ use des::{SimDuration, SimTime};
 use simnet::proto::{Category, TransferLedger};
 use workloads::{OpKind, WorkloadKind};
 
-use crate::phase::{batch_wire, frame_wire, units_wire, DirtyTracker, PAGE_SIZE};
+use crate::phase::{batch_wire, frame_wire, freeze_window, units_wire, DirtyTracker, PAGE_SIZE};
 use crate::report::{IterationStats, MigrationReport, PhaseTimings, PostCopyStats};
 use crate::sim::{PostCopyConfig, TpmEngine};
 use crate::{testbed, MigrationConfig};
@@ -48,10 +48,7 @@ impl TpmEngine {
         let cpu = self.cpu.size_bytes() as u64;
         self.ledger.add(Category::Memory, frame_wire(mem_bytes));
         self.ledger.add(Category::Cpu, frame_wire(cpu));
-        let downtime = testbed::SUSPEND_OVERHEAD
-            + SimDuration::from_secs_f64(cpu as f64 / self.cfg.migration_net_rate())
-            + self.cfg.link.latency()
-            + testbed::RESUME_OVERHEAD;
+        let downtime = freeze_window(cpu, self.cfg.migration_net_rate(), self.cfg.link.latency());
         self.probe.record(self.now, 0.0);
         self.now += downtime;
         downtime
@@ -110,10 +107,7 @@ fn freeze_copy(mut w: TpmEngine, blocks: &FlatBitmap, scheme: &str) -> Migration
     w.ledger.add(Category::Memory, mem_bytes);
     w.ledger.add(Category::Cpu, cpu_bytes);
     let total_bytes = disk_bytes + mem_bytes + cpu_bytes;
-    let downtime = testbed::SUSPEND_OVERHEAD
-        + SimDuration::from_secs_f64(total_bytes as f64 / rate)
-        + w.cfg.link.latency()
-        + testbed::RESUME_OVERHEAD;
+    let downtime = freeze_window(total_bytes, rate, w.cfg.link.latency());
     w.now += downtime;
     w.probe.record(w.now, 0.0);
 

@@ -146,7 +146,7 @@ impl MigrationConfig {
             link: Link::gigabit(),
             rate_limit: None,
             disk_dirty_threshold: testbed::DIRTY_THRESHOLD,
-            mem_dirty_threshold: 512,
+            mem_dirty_threshold: testbed::MEM_DIRTY_THRESHOLD,
             step: testbed::STEP,
             bitmap: BitmapKind::Flat,
             streams: 1,

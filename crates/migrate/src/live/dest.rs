@@ -60,10 +60,10 @@ pub(super) struct DestState {
     /// The destination's content index: built at a dedup handshake that
     /// finds none, then fingerprinted into by every block applied, so it
     /// stays exact across reconnects — only this protocol thread writes
-    /// the disk before the guest resumes here, and a post-copy session
-    /// declines dedup. A session without dedup drops it
-    /// ([`summarise_resident`]), so within a session it is present
-    /// exactly when the session dedups.
+    /// the disk before the guest resumes here. A session without dedup
+    /// drops it ([`summarise_resident`]), so within a session it is
+    /// present exactly when the session dedups; the freeze's end drops
+    /// it too, since a post-copy session declines dedup.
     pub(super) index: Option<ContentIndex>,
     /// Blocks whose *latest* delivery attempt was a reference that could
     /// not be resolved; folded into the still-needed bitmap at freeze so
@@ -515,6 +515,8 @@ fn dest_freeze<T: Transport>(
     st.transferred = Some(transferred);
     st.new_bm = Some(new_bm);
     st.phase = ResumePhase::PostCopy;
+    // Post-copy declines dedup and lands arrivals through `DestIo`.
+    st.index = None;
     Ok(())
 }
 
@@ -665,6 +667,31 @@ mod tests {
     use std::time::Duration;
     use telemetry::{Event, Recorder, Side};
     use vdisk::{TrackedDisk, VirtualDisk};
+
+    #[test]
+    fn the_content_index_goes_when_post_copy_starts() {
+        use super::{dest_freeze, DestState};
+        use block_bitmap::{ser, FlatBitmap};
+        use bytes::Bytes;
+        use simnet::proto::{MigMessage, ResumePhase};
+        use simnet::transport::duplex;
+        use vdisk::ContentIndex;
+        use vmstate::LiveRam;
+
+        let cfg = LiveConfig::test_default();
+        let (_, disk) = fresh_disks(&cfg);
+        let ram = Arc::new(LiveRam::new(cfg.mem_page_size, cfg.mem_pages));
+        let mut st = DestState::new(&cfg);
+        st.phase = ResumePhase::Frozen;
+        st.index = Some(ContentIndex::unknown(cfg.num_blocks));
+        let (src, dst) = duplex();
+        let encoded = Bytes::from(ser::encode(&FlatBitmap::new(cfg.num_blocks)));
+        src.send(MigMessage::Bitmap { encoded })
+            .expect("duplex send");
+        assert!(dest_freeze(&cfg, &disk, &ram, &dst, &mut st).is_ok());
+        assert_eq!(st.phase, ResumePhase::PostCopy);
+        assert!(st.index.is_none(), "post-copy keeps no content index");
+    }
 
     #[test]
     fn source_death_fails_over_to_peer_holders() {

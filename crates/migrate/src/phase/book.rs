@@ -1,8 +1,9 @@
 //! The booking model: what a frame costs on the wire, by the rules of
-//! [`MigMessage::wire_size`]. The virtual-time engines and the baselines
-//! carry no real frames, so they book through these functions; the live
-//! engine's transport books the frames it actually sends.
+//! [`MigMessage::wire_size`], and what the freeze window costs in time.
+//! The virtual-time engines and the baselines carry no real frames, so
+//! they book through these functions; the live engine books what it sends.
 
+use des::SimDuration;
 use simnet::proto::{Category, BLOCK_REF_WIRE, FRAME_OVERHEAD};
 
 #[cfg(doc)]
@@ -16,6 +17,16 @@ const INDEX_WIRE: u64 = 8;
 
 /// A [`MigMessage::BlockData`] header: block index and image generation.
 const FETCH_HEAD_WIRE: u64 = 16;
+
+/// Xen's costs of suspending and of resuming the guest.
+const SUSPEND_OVERHEAD: SimDuration = SimDuration::from_millis(15);
+const RESUME_OVERHEAD: SimDuration = SimDuration::from_millis(25);
+
+/// The freeze window: the guest suspends, `bytes` cross at `rate`
+/// bytes/second behind one `latency`, and the guest resumes.
+pub fn freeze_window(bytes: u64, rate: f64, latency: SimDuration) -> SimDuration {
+    SUSPEND_OVERHEAD + SimDuration::from_secs_f64(bytes as f64 / rate) + latency + RESUME_OVERHEAD
+}
 
 /// `n` payload units of `unit` bytes, each behind its index: the body of
 /// a [`MigMessage::DiskBlocks`] or [`MigMessage::MemPages`] frame.

@@ -24,7 +24,9 @@
 mod book;
 mod tracker;
 
-pub use book::{batch_wire, fetch_wire, frame_wire, units_wire, FreezeBill, PAGE_SIZE};
+pub use book::{
+    batch_wire, fetch_wire, frame_wire, freeze_window, units_wire, FreezeBill, PAGE_SIZE,
+};
 pub use tracker::DirtyTracker;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
@@ -160,14 +162,11 @@ impl PhaseMachine {
         let r = usize::from(!disk);
         self.passes[r] += 1;
         let (index, left) = (self.passes[r], dirty.count_ones());
+        let resource = [Resource::Disk, Resource::Memory][r];
         emit(match self.voice {
             Voice::Engine => Event::Iteration {
                 side: Side::Source,
-                resource: if disk {
-                    Resource::Disk
-                } else {
-                    Resource::Memory
-                },
+                resource,
                 index: u64::from(index),
                 units_sent: sent,
                 bytes,
@@ -175,6 +174,7 @@ impl PhaseMachine {
             },
             Voice::Fleet(migration) => Event::MigrationPass {
                 migration,
+                resource,
                 index: u64::from(index),
                 units_sent: sent,
                 dirty_at_end: left as u64,
@@ -405,6 +405,7 @@ mod tests {
             events[0],
             Event::MigrationPass {
                 migration: 7,
+                resource: Resource::Disk,
                 index: u64::from(pass),
                 units_sent: sent,
                 dirty_at_end: dirty as u64,

@@ -14,7 +14,8 @@ use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 
 use crate::phase::{
-    batch_wire, fetch_wire, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice, PAGE_SIZE,
+    batch_wire, fetch_wire, freeze_window, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice,
+    PAGE_SIZE,
 };
 use crate::report::{MigrationReport, MultiSourceReport, PeerBytes, PostCopyStats};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
@@ -654,10 +655,7 @@ impl TpmEngine {
         }
         let dst_cpu = self.cpu.clone();
         let rate = self.cfg.migration_net_rate();
-        let downtime = testbed::SUSPEND_OVERHEAD
-            + SimDuration::from_secs_f64(bill.bytes() as f64 / rate)
-            + self.cfg.link.latency()
-            + testbed::RESUME_OVERHEAD;
+        let downtime = freeze_window(bill.bytes(), rate, self.cfg.link.latency());
         self.now += downtime;
         self.probe.record(self.now, 0.0);
 

@@ -1,6 +1,8 @@
 //! The paper's testbed (§VI), written once: a SATA-class disk, the
-//! `blkd` pipeline's ceiling and Xen's fixed suspend and resume costs;
-//! the Gigabit LAN is [`simnet::Link::gigabit`].
+//! `blkd` pipeline's ceiling and the pre-copy stop rule's bounds; the
+//! Gigabit LAN is [`simnet::Link::gigabit`], and Xen's fixed suspend and
+//! resume costs are priced with the freeze window
+//! ([`crate::phase::freeze_window`]).
 //! [`MigrationConfig::paper_testbed`] and the fleet's `ClusterConfig::new`
 //! read these constants for every value they share.
 //!
@@ -47,14 +49,12 @@ pub const DIRTY_THRESHOLD: usize = 256;
 /// Memory pre-copy passes before the freeze is forced: Xen's cap.
 pub const MAX_MEM_PASSES: u32 = 10;
 
+/// Default stop threshold of memory pre-copy: a pass that leaves at most
+/// this many dirty pages is the last.
+pub const MEM_DIRTY_THRESHOLD: usize = 512;
+
 /// Virtual-time slice of the time-sliced phases.
 pub const STEP: SimDuration = SimDuration::from_millis(250);
-
-/// Hypervisor cost of suspending the guest, inside the freeze window.
-pub const SUSPEND_OVERHEAD: SimDuration = SimDuration::from_millis(15);
-
-/// Hypervisor cost of resuming the guest, inside the freeze window.
-pub const RESUME_OVERHEAD: SimDuration = SimDuration::from_millis(25);
 
 /// Control-plane cost of entering and completing post-copy: `blkd`
 /// wakeups, the bitmap's acknowledgement, the completion handshake.

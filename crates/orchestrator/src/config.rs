@@ -25,14 +25,6 @@ impl std::error::Error for ConfigError {}
 /// stream entering or leaving the host.
 pub const NIC_CAPACITY: f64 = Link::gigabit().bandwidth();
 
-/// One-way latency every freeze window adds. The fleet has no `Link`; its
-/// 200 µs is twice the 100 µs the single-VM engine adds (DESIGN.md §13).
-pub const FREEZE_LATENCY: SimDuration = SimDuration::from_micros(200);
-
-/// CPU context shipped in every freeze window: one vCPU's, as
-/// `vmstate::CpuState` sizes it.
-pub const CPU_STATE_BYTES: u64 = 8 * 1024;
-
 /// Virtual-time pause before a cut stream reconnects (the live engine's
 /// `RetryPolicy::backoff` is wall-clock time).
 pub const RETRY_BACKOFF: SimDuration = SimDuration::from_secs(2);
@@ -48,15 +40,14 @@ pub const HORIZON: SimDuration = SimDuration::from_secs(4 * 3600);
 pub const CYCLE_PATIENCE: SimDuration = SimDuration::from_secs(600);
 
 /// Fleet geometry, the knobs a run varies, and the fault schedule for
-/// one orchestrated run. Per-host capacities, the freeze's fixed costs
-/// and the disk pass cap are the testbed's ([`migrate::testbed`]); the
-/// fleet's own constants are this module's.
+/// one orchestrated run. Per-host capacities and the pass caps are the
+/// testbed's ([`migrate::testbed`]); the fleet's own constants are this
+/// module's.
 ///
-/// The per-migration stream model mirrors `migrate`'s simulated TPM
-/// engine — same phase structure, stop conditions and freeze-and-copy
-/// downtime formula — but coarsens the memory model (one pre-copy pass
-/// plus a fixed frozen working set) because a fleet run simulates dozens
-/// of migrations, not one. DESIGN.md §13 records the mapping.
+/// Each migration runs `migrate`'s phase machine as the simulated TPM
+/// engine does: iterated disk and memory pre-copy under the same stop
+/// rules, and the same freeze window. What still differs (ticks, shared
+/// capacity, post-copy) is listed in DESIGN.md §13.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of physical hosts (≥ 2).
@@ -65,11 +56,8 @@ pub struct ClusterConfig {
     pub vms: usize,
     /// Per-VM disk capacity in blocks of [`testbed::BLOCK_SIZE`] bytes.
     pub disk_blocks: usize,
-    /// Guest memory pages (4 KiB each) shipped in the single memory
-    /// pre-copy pass.
+    /// Guest memory pages (4 KiB each), iterated by memory pre-copy.
     pub mem_pages: usize,
-    /// Pages still dirty at suspend, shipped inside the freeze window.
-    pub frozen_mem_pages: usize,
     /// Per-stream pipeline ceiling, bytes/second — the demand one
     /// migration stream places on each pool it touches.
     pub stream_demand: f64,
@@ -114,7 +102,6 @@ impl ClusterConfig {
             vms,
             disk_blocks: 65_536,
             mem_pages: 8_192,
-            frozen_mem_pages: 256,
             stream_demand: testbed::PIPELINE_CAP,
             dirty_threshold: testbed::DIRTY_THRESHOLD,
             max_streams_per_host: 2,
@@ -142,8 +129,8 @@ impl ClusterConfig {
         if self.vms == 0 {
             return err("need at least 1 VM");
         }
-        if self.disk_blocks == 0 {
-            return err("disk geometry must be non-empty");
+        if self.disk_blocks == 0 || self.mem_pages == 0 {
+            return err("disk and memory geometry must be non-empty");
         }
         let needs_large_disk = self
             .workload_cycle
@@ -230,6 +217,9 @@ mod tests {
         let mut c = ClusterConfig::new(4, 8);
         c.workload_cycle.clear();
         assert!(c.validate().is_err());
+        let mut c = ClusterConfig::new(4, 8);
+        c.mem_pages = 0;
+        assert!(c.validate().is_err(), "a guest has memory to pre-copy");
         let mut c = ClusterConfig::new(4, 8);
         c.disk_blocks = 2048;
         assert!(c.validate().is_err(), "paper workloads need a bigger disk");

@@ -9,11 +9,13 @@
 //! activity cycles through one interface — while [`StaticDynamics`]
 //! reproduces the flat fleet *exactly*: every default answer is the
 //! mathematical identity of the corresponding executor computation
-//! (`min(x, ∞) = x`, `x · 1.0 = x`, `d + 0 = d`), so a run through
-//! `StaticDynamics` is byte- and clock-identical to the PR-9 engine.
+//! (`min(x, ∞) = x`, `x · 1.0 = x`) or the Gigabit LAN's own latency, so
+//! a run through `StaticDynamics` is byte- and clock-identical to one
+//! through `Orchestrator::run`.
 
 use des::{SimDuration, SimTime};
 use migrate::testbed;
+use simnet::Link;
 use telemetry::Recorder;
 
 use crate::cluster::Cluster;
@@ -93,11 +95,11 @@ pub trait FleetDynamics {
         1.0
     }
 
-    /// Extra one-way latency on the `a -> b` path, added to the freeze
-    /// window's handshake term. `ZERO` is exact identity.
+    /// One-way latency of the `a -> b` path, the freeze window's
+    /// handshake term: the Gigabit LAN's unless a WAN link says otherwise.
     fn link_latency(&self, a: usize, b: usize) -> SimDuration {
         let _ = (a, b);
-        SimDuration::ZERO
+        Link::gigabit().latency()
     }
 
     /// Workload-cycle demand multiplier for `vm` at `now` (`1.0` = the
@@ -134,10 +136,9 @@ pub trait FleetDynamics {
 }
 
 /// The flat fleet: every host the testbed's ([`NIC_CAPACITY`],
-/// [`testbed::DISK_CAPACITY`]), every host up, every link perfect, no
-/// timeline. Running through this is byte- and clock-identical to the
-/// pre-dynamics executor — each default answer is the identity element
-/// of the operation the executor applies it with.
+/// [`testbed::DISK_CAPACITY`]), every host up, every link the Gigabit
+/// LAN, no timeline. Every default answer is the identity element of the
+/// operation the executor applies it with, or the LAN's latency.
 #[derive(Debug, Clone, Copy)]
 pub struct StaticDynamics;
 
@@ -166,7 +167,7 @@ mod tests {
         assert!(d.host_up(0) && !d.cordoned(1) && d.connected(0, 2));
         assert_eq!(d.link_bandwidth(0, 1), f64::INFINITY);
         assert_eq!(d.link_quality(0, 1), 1.0);
-        assert_eq!(d.link_latency(0, 1), SimDuration::ZERO);
+        assert_eq!(d.link_latency(0, 1), Link::gigabit().latency());
         assert_eq!(d.workload_scale(0, SimTime::ZERO), 1.0);
         assert_eq!(d.op_keep(0, SimTime::ZERO), (1, 1));
         assert!(!d.high_activity(0, SimTime::ZERO));

@@ -3,15 +3,14 @@
 //!
 //! Each admitted migration is a [`Task`], a shell around
 //! [`migrate::phase::PhaseMachine`]: the machine makes every §IV
-//! decision (when a disk pass stops, what the freeze sends, what
-//! post-copy pushes and which guest write cancels a push) and the
-//! booking module prices every frame. The shell keeps the fleet's own
-//! mechanics: streams paced at the rates shared capacity allows, routes
-//! around partitions, seeded faults, and the fleet memory model, one
-//! memory pass at the stream's rate plus a fixed `frozen_mem_pages`
-//! tail. That model is a parameter of the fleet, not a copy of the
-//! single-VM engine's iterated memory pre-copy: a fleet run simulates
-//! dozens of migrations at once (DESIGN.md §13).
+//! decision (when a disk or memory pass stops, what the freeze sends,
+//! what post-copy pushes and which guest write cancels a push) and the
+//! phase module prices every frame and the freeze window. The shell
+//! keeps the fleet's own mechanics: streams paced per tick at the rates
+//! shared capacity allows, routes around partitions and seeded faults.
+//! Memory pre-copy iterates as the simulator's does, its pages dirtied
+//! by the guest's writable working set (DESIGN.md §13 lists what still
+//! differs).
 //!
 //! Every tick the executor: admits pending requests through the
 //! scheduling policy, pools stream and guest-workload demands on each
@@ -26,9 +25,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
-use des::{SimDuration, SimTime};
+use des::{SimDuration, SimRng, SimTime};
 use migrate::phase::{
-    batch_wire, frame_wire, units_wire, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice,
+    batch_wire, frame_wire, freeze_window, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice,
     Worklist, PAGE_SIZE,
 };
 use migrate::{testbed, BitmapKind};
@@ -36,12 +35,11 @@ use simnet::capacity::max_min_share;
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use telemetry::{Event, Fold, Phase, Recorder};
 use vdisk::MetaDisk;
+use vmstate::{CpuState, GuestMemory, WssModel};
 use workloads::TimedOp;
 
 use crate::cluster::{Cluster, HostId, VmId};
-use crate::config::{
-    ClusterConfig, ConfigError, Scenario, CPU_STATE_BYTES, FREEZE_LATENCY, HORIZON, RETRY_BACKOFF,
-};
+use crate::config::{ClusterConfig, ConfigError, Scenario, HORIZON, RETRY_BACKOFF};
 use crate::dynamics::{FleetDynamics, StaticDynamics};
 use crate::report::{ClusterReport, MigrationRecord};
 use crate::scheduler::{ClusterView, MigrationRequest, Policy, Scheduler};
@@ -62,17 +60,20 @@ struct Task {
     dst: HostId,
     /// The migration's §IV decisions: passes, freeze, resume.
     machine: PhaseMachine,
-    /// Blocks still to ship this pass (bits clear as blocks go out, so a
-    /// reconnect resumes exactly where the cut stream stopped, and a
-    /// destination write can cancel a pending post-copy push).
+    /// Blocks or pages still to ship this pass (bits clear as units go
+    /// out, so a reconnect resumes exactly where the cut stream stopped,
+    /// and a destination write can cancel a pending post-copy push).
     to_send: Worklist,
     carry: f64,
     dst_disk: MetaDisk,
     /// Source-side writes since the current pass's bitmap was snapshot.
     tracker: DirtyTracker,
+    /// The guest's RAM, dirtied in memory pre-copy on a draw stream of its own.
+    mem: GuestMemory,
+    wss: WssModel,
+    mem_rng: SimRng,
     /// Destination-side guest writes after resume (consistency witness).
     post_writes: FlatBitmap,
-    mem_remaining: f64,
     resume_at: SimTime,
     stall_until: SimTime,
     plan: FaultPlan,
@@ -83,8 +84,8 @@ struct Task {
     incremental: bool,
     first_pass_blocks: u64,
     blocks_sent: u64,
-    /// `blocks_sent` when the current disk pre-copy pass began.
-    pass_start: u64,
+    /// Units shipped since the current pre-copy pass began.
+    pass_sent: u64,
     /// Blocks that crossed as 16-byte content references because the
     /// destination replica already held the identical generation.
     blocks_deduped: u64,
@@ -109,6 +110,14 @@ struct Task {
 impl Task {
     fn done(&self) -> bool {
         self.failed || (self.machine.phase() == Phase::PostCopy && self.to_send.is_empty())
+    }
+
+    /// Book one batch of `n` units that cost `wire` bytes.
+    fn ship(&mut self, n: u64, wire: u64) {
+        self.bytes += wire;
+        self.attempt_bytes += wire;
+        self.pass_sent += n;
+        self.msgs += 1;
     }
 }
 
@@ -431,13 +440,9 @@ impl Orchestrator {
             None => (MetaDisk::new(nblocks), FlatBitmap::all_set(nblocks), false),
         };
         let first_pass_blocks = to_send.count_ones() as u64;
+        let seed = self.cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let plan = if self.cfg.fault_resets > 0 {
-            FaultPlan::seeded_resets(
-                self.cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                self.cfg.fault_resets,
-                FAULT_LO,
-                FAULT_HI,
-            )
+            FaultPlan::seeded_resets(seed, self.cfg.fault_resets, FAULT_LO, FAULT_HI)
         } else {
             FaultPlan::none()
         };
@@ -455,10 +460,10 @@ impl Orchestrator {
         let machine = PhaseMachine::new(
             Voice::Fleet(id),
             StopRule::new(testbed::MAX_DISK_PASSES, self.cfg.dirty_threshold),
-            // Memory is one pass in the fleet model: no rule applies.
-            StopRule::default(),
+            StopRule::new(testbed::MAX_MEM_PASSES, testbed::MEM_DIRTY_THRESHOLD),
         );
         machine.start(|e| fold.at_nanos(&self.recorder, now.as_nanos(), e));
+        let workload = &self.cluster.vms[vm.0].workload;
         Task {
             id,
             request,
@@ -470,8 +475,10 @@ impl Orchestrator {
             carry: 0.0,
             dst_disk,
             tracker: DirtyTracker::new(BitmapKind::Flat, nblocks),
+            mem: GuestMemory::new(PAGE_SIZE as usize, self.cfg.mem_pages),
+            wss: workload.wss_model(self.cfg.mem_pages),
+            mem_rng: SimRng::new(seed).fork(id),
             post_writes: FlatBitmap::new(nblocks),
-            mem_remaining: units_wire(self.cfg.mem_pages as u64, PAGE_SIZE) as f64,
             resume_at: SimTime::ZERO,
             stall_until: SimTime::ZERO,
             plan,
@@ -482,14 +489,14 @@ impl Orchestrator {
             incremental,
             first_pass_blocks,
             blocks_sent: 0,
-            pass_start: 0,
+            pass_sent: 0,
             blocks_deduped: 0,
             blocks_peer: 0,
             bytes: 0,
             retries: 0,
             failed: false,
             fold,
-            workload_name: self.cluster.vms[vm.0].workload.name(),
+            workload_name: workload.name(),
             stranded: false,
             peer_source: None,
         }
@@ -622,11 +629,12 @@ impl Orchestrator {
     ///
     /// Pool membership by phase: disk pre-copy and post-copy streams
     /// read the serving side's disk, write the destination disk and
-    /// cross both NICs; the memory pass crosses both NICs only; a frozen
-    /// stream's bytes are inside its downtime formula, so it leaves the
-    /// pools. A severed stream leaves every pool; a peer-fed stream's
-    /// source-side pools are the *peer's*. A down host's pools vanish
-    /// entirely.
+    /// cross both NICs, each asking the pipeline's `stream_demand`;
+    /// memory passes cross both NICs only and ask for the whole NIC, as
+    /// the simulator's run at the link's rate; a frozen stream's bytes
+    /// are inside its freeze window, so it leaves the pools. A severed
+    /// stream leaves every pool; a peer-fed stream's source-side pools
+    /// are the *peer's*. A down host's pools vanish entirely.
     fn compute_rates(
         &self,
         tasks: &[Task],
@@ -692,8 +700,12 @@ impl Orchestrator {
                 bottleneck(ti, a);
             }
             let nic = pool(h, &[Phase::DiskPrecopy, Phase::MemPrecopy, Phase::PostCopy]);
-            let demands = vec![self.cfg.stream_demand; nic.len()];
-            let alloc = max_min_share(dynamics.nic_capacity(h), &demands);
+            let capacity = dynamics.nic_capacity(h);
+            let demand = |&ti: &usize| match tasks[ti].machine.phase() {
+                Phase::MemPrecopy => capacity,
+                _ => self.cfg.stream_demand,
+            };
+            let alloc = max_min_share(capacity, &nic.iter().map(demand).collect::<Vec<_>>());
             for (ti, a) in nic.into_iter().zip(alloc) {
                 bottleneck(ti, a);
             }
@@ -739,8 +751,13 @@ impl Orchestrator {
         };
         let at = tick_end.as_nanos();
         match t.machine.phase() {
-            Phase::DiskPrecopy => {
-                let last = self.pump_blocks(t, rate, dt, peer_mask);
+            phase @ (Phase::DiskPrecopy | Phase::MemPrecopy) => {
+                let disk = phase == Phase::DiskPrecopy;
+                let last = if disk {
+                    self.pump_blocks(t, rate, dt, peer_mask)
+                } else {
+                    pump_pages(t, rate, dt)
+                };
                 if peer_mask.is_none() {
                     // The seeded fault plan models the source link;
                     // while peer-fed, that link is already cut.
@@ -749,33 +766,28 @@ impl Orchestrator {
                 if t.failed || now < t.stall_until || !t.to_send.is_empty() {
                     return;
                 }
-                let sent = t.blocks_sent - t.pass_start;
-                t.pass_start = t.blocks_sent;
-                let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
-                // A pass that stops leaves its dirt in the machine, to
-                // join the freeze bitmap.
-                if let Some(next) = t.machine.end_pass(sent, 0, t.tracker.drain(), emit) {
-                    t.to_send = Worklist::new(next);
-                }
+                let sent = std::mem::take(&mut t.pass_sent);
+                let dirty = if disk {
+                    t.tracker.drain()
+                } else {
+                    t.mem.drain_dirty()
+                };
                 t.carry = 0.0;
-            }
-            Phase::MemPrecopy => {
-                t.mem_remaining -= rate * dt.as_secs_f64();
-                t.msgs += 1;
-                t.attempt_bytes += (rate * dt.as_secs_f64()) as u64;
-                self.check_faults(t, tick_end, None);
-                if t.failed || now < t.stall_until {
-                    return;
-                }
-                if t.mem_remaining <= 0.0 {
-                    self.enter_freeze(t, rate, tick_end, dynamics);
+                let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
+                // A pass that stops leaves its dirt in the machine: the
+                // disk's joins the freeze bitmap, memory's is the tail.
+                match t.machine.end_pass(sent, 0, dirty, emit) {
+                    Some(next) => t.to_send = Worklist::new(next),
+                    None if disk => {
+                        t.to_send = Worklist::new(FlatBitmap::all_set(t.mem.num_pages()))
+                    }
+                    None => self.enter_freeze(t, rate, tick_end, dynamics),
                 }
             }
             Phase::Freeze => {
                 if tick_end >= t.resume_at {
                     let at = t.resume_at.as_nanos();
                     t.machine.resume(|e| t.fold.at_nanos(&self.recorder, at, e));
-                    t.carry = 0.0;
                     // The VM resumes on the destination: its workload
                     // demand moves to the destination's disk pool.
                     self.cluster.vms[t.vm.0].host = t.dst;
@@ -804,7 +816,6 @@ impl Orchestrator {
         dt: SimDuration,
         peer_mask: Option<&FlatBitmap>,
     ) -> Option<usize> {
-        let bs = testbed::BLOCK_SIZE as f64;
         // While peer-fed only the mask's intersection with the worklist
         // is shippable; the rest waits for the source link.
         let mut candidates = peer_mask.map(|m| {
@@ -812,10 +823,8 @@ impl Orchestrator {
             c.intersect_with(m);
             c
         });
-        let raw = t.carry + rate * dt.as_secs_f64() / bs;
         let remaining = candidates.as_ref().unwrap_or(t.to_send.set()).count_ones() as u64;
-        let n = (raw.floor().max(0.0) as u64).min(remaining);
-        t.carry = raw - n as f64;
+        let n = quota(&mut t.carry, rate, dt, testbed::BLOCK_SIZE, remaining);
         if n == 0 {
             return None;
         }
@@ -860,12 +869,9 @@ impl Orchestrator {
             t.blocks_sent += 1;
             last = Some(b);
         }
-        let wire = batch_wire(n - refs, testbed::BLOCK_SIZE, refs);
-        t.bytes += wire;
-        t.attempt_bytes += wire;
+        t.ship(n, batch_wire(n - refs, testbed::BLOCK_SIZE, refs));
         t.blocks_deduped += refs;
         t.blocks_peer += peer;
-        t.msgs += 1;
         last
     }
 
@@ -929,11 +935,11 @@ impl Orchestrator {
         t.bytes += frame_wire(ser::encoded_len(t.to_send.set()) as u64);
     }
 
-    /// Suspend the guest: the machine seals the frozen bitmap, the
-    /// freeze is priced from what it sends (the fleet model's
-    /// `frozen_mem_pages` tail, the CPU context and the encoded bitmap)
-    /// at the rate the stream held going in, and the exact resume instant
-    /// is scheduled. The memory pass is booked here, whole.
+    /// Suspend the guest: the machine seals the frozen bitmap and the
+    /// memory tail, the freeze window is priced from what it sends (tail
+    /// pages, CPU context, encoded bitmap) at the rate the stream held
+    /// going in and the path's latency, and the exact resume instant is
+    /// scheduled.
     fn enter_freeze(
         &mut self,
         t: &mut Task,
@@ -944,21 +950,16 @@ impl Orchestrator {
         let at = tick_end.as_nanos();
         let raced = t.tracker.drain();
         let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
-        let (frozen, _) = t.machine.suspend(&raced, None, emit);
+        let (frozen, tail) = t.machine.suspend(&raced, None, emit);
         let bill = FreezeBill {
-            pages: self.cfg.frozen_mem_pages as u64,
-            cpu: CPU_STATE_BYTES,
+            pages: tail.count_ones() as u64,
+            cpu: CpuState::new(testbed::VCPUS).size_bytes() as u64,
             bitmap: ser::encoded_len(&frozen) as u64,
         };
-        let downtime = testbed::SUSPEND_OVERHEAD
-            + SimDuration::from_secs_f64(bill.bytes() as f64 / rate.max(1.0))
-            + FREEZE_LATENCY
-            + dynamics.link_latency(t.src.0, t.dst.0)
-            + testbed::RESUME_OVERHEAD;
-        t.bytes += batch_wire(self.cfg.mem_pages as u64, PAGE_SIZE, 0) + bill.bytes();
-        t.resume_at = tick_end + downtime;
+        let latency = dynamics.link_latency(t.src.0, t.dst.0);
+        t.bytes += bill.bytes();
+        t.resume_at = tick_end + freeze_window(bill.bytes(), rate.max(1.0), latency);
         t.to_send = Worklist::new(frozen);
-        t.carry = 0.0;
     }
 
     /// Advance every guest one tick at its achieved disk rate, routing
@@ -985,9 +986,11 @@ impl Orchestrator {
                 continue;
             }
             let ti = tasks.iter().position(|t| t.vm.0 == vi && !t.failed);
-            if let Some(ti) = ti {
-                if tasks[ti].machine.phase() == Phase::Freeze {
-                    continue;
+            if let Some(t) = ti.map(|ti| &mut tasks[ti]) {
+                match t.machine.phase() {
+                    Phase::Freeze => continue,
+                    Phase::MemPrecopy => _ = t.wss.dirty_for(&mut t.mem, dt, &mut t.mem_rng),
+                    _ => {}
                 }
             }
             self.ops.clear();
@@ -1146,6 +1149,29 @@ impl Orchestrator {
     }
 }
 
+/// Whole `unit`s (≤ `remaining`) `rate` ships in `dt`; the rest carries.
+fn quota(carry: &mut f64, rate: f64, dt: SimDuration, unit: u64, remaining: u64) -> u64 {
+    let raw = *carry + rate * dt.as_secs_f64() / unit as f64;
+    let n = (raw.floor().max(0.0) as u64).min(remaining);
+    *carry = raw - n as f64;
+    n
+}
+
+/// Ship up to `rate * dt` worth of pages off a memory pass's worklist as
+/// one booked batch. Returns the last page shipped.
+fn pump_pages(t: &mut Task, rate: f64, dt: SimDuration) -> Option<usize> {
+    let n = quota(
+        &mut t.carry,
+        rate,
+        dt,
+        PAGE_SIZE,
+        t.to_send.set().count_ones() as u64,
+    );
+    let last = (0..n).filter_map(|_| t.to_send.next(None)).last()?;
+    t.ship(n, batch_wire(n, PAGE_SIZE, 0));
+    Some(last)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1157,7 +1183,6 @@ mod tests {
         let mut cfg = ClusterConfig::new(hosts, vms);
         cfg.disk_blocks = 8_192;
         cfg.mem_pages = 256;
-        cfg.frozen_mem_pages = 32;
         cfg.dirty_threshold = 64;
         cfg
     }

@@ -15,10 +15,9 @@
 //!
 //! * [`ClusterConfig`] / [`Scenario`] — fleet geometry, the knobs a run
 //!   varies, fault plan, and the timed migration request stream. Host
-//!   capacities, the freeze's fixed costs, the step and the disk pass cap
-//!   are the paper's testbed, read from [`migrate::testbed`]; the fleet's
-//!   own constants ([`NIC_CAPACITY`], [`FREEZE_LATENCY`],
-//!   [`CPU_STATE_BYTES`], [`RETRY_BACKOFF`], [`HORIZON`],
+//!   capacities, the step and the pass caps are the paper's testbed,
+//!   read from [`migrate::testbed`]; the fleet's own constants
+//!   ([`NIC_CAPACITY`], [`RETRY_BACKOFF`], [`HORIZON`],
 //!   [`CYCLE_PATIENCE`]) sit beside `ClusterConfig`, each with its
 //!   reason.
 //! * [`Cluster`] / [`Host`] / [`VmHandle`] — the fleet model: per-VM
@@ -59,8 +58,7 @@ mod scheduler;
 
 pub use cluster::{Cluster, Host, HostId, VmHandle, VmId};
 pub use config::{
-    ClusterConfig, ConfigError, Scenario, CPU_STATE_BYTES, CYCLE_PATIENCE, FREEZE_LATENCY, HORIZON,
-    NIC_CAPACITY, RETRY_BACKOFF,
+    ClusterConfig, ConfigError, Scenario, CYCLE_PATIENCE, HORIZON, NIC_CAPACITY, RETRY_BACKOFF,
 };
 pub use dynamics::{FleetDynamics, StaticDynamics};
 pub use executor::Orchestrator;

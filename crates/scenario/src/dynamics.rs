@@ -425,7 +425,7 @@ mod tests {
         assert_eq!(d.disk_capacity(2), testbed::DISK_CAPACITY);
         assert_eq!(d.link_bandwidth(0, 1), f64::INFINITY);
         assert_eq!(d.link_quality(0, 1), 1.0);
-        assert_eq!(d.link_latency(0, 1), SimDuration::ZERO);
+        assert_eq!(d.link_latency(0, 1), simnet::Link::gigabit().latency());
         assert_eq!(d.workload_scale(0, at(0)), 1.0);
         assert_eq!(d.op_keep(0, at(0)), (1, 1));
         assert!(!d.high_activity(0, at(0)));

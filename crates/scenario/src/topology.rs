@@ -8,12 +8,13 @@
 //! dynamics oracle answers from in O(1) per query, with every unset
 //! entry holding the identity element of the executor operation it
 //! feeds: `f64::INFINITY` for bandwidth (applied with `min`), `1.0`
-//! for quality (applied with `×`), `SimDuration::ZERO` for latency
-//! (applied with `+`). An empty topology therefore reproduces the flat
+//! for quality (applied with `×`), and for latency the Gigabit LAN's
+//! (`StaticDynamics`'). An empty topology therefore reproduces the flat
 //! fleet byte-for-byte.
 
 use des::SimDuration;
 use orchestrator::{testbed, NIC_CAPACITY};
+use simnet::Link;
 
 /// A named group of hosts — the partition and link-declaration unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +49,8 @@ pub struct LinkSpec {
     pub symmetric: bool,
     /// Per-stream bandwidth ceiling, bytes/second.
     pub bandwidth: Option<f64>,
-    /// One-way latency added to freeze handshakes across this link.
+    /// One-way latency of freeze handshakes across this link (the
+    /// Gigabit LAN's when unset).
     pub latency: Option<SimDuration>,
     /// Seeded probabilistic frame-drop rate, per mille. Goodput scales
     /// by `1 − drop/1000`.
@@ -74,7 +76,7 @@ pub struct Topology {
     pub bandwidth: Vec<f64>,
     /// Per-pair goodput factor in `(0, 1]`.
     pub quality: Vec<f64>,
-    /// Per-pair extra one-way latency.
+    /// Per-pair one-way latency.
     pub latency: Vec<SimDuration>,
 }
 
@@ -91,7 +93,7 @@ impl Topology {
             disk: vec![testbed::DISK_CAPACITY; hosts],
             bandwidth: vec![f64::INFINITY; hosts * hosts],
             quality: vec![1.0; hosts * hosts],
-            latency: vec![SimDuration::ZERO; hosts * hosts],
+            latency: vec![Link::gigabit().latency(); hosts * hosts],
         };
         for (h, c) in caps {
             if *h >= hosts {
@@ -150,7 +152,7 @@ mod tests {
         assert!(t.disk.iter().all(|&d| d == testbed::DISK_CAPACITY));
         assert!(t.bandwidth.iter().all(|&b| b == f64::INFINITY));
         assert!(t.quality.iter().all(|&q| q == 1.0));
-        assert!(t.latency.iter().all(|&l| l == SimDuration::ZERO));
+        assert!(t.latency.iter().all(|&l| l == Link::gigabit().latency()));
     }
 
     #[test]

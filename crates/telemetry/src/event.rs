@@ -190,15 +190,17 @@ pub enum Event {
         /// Which phase ended.
         phase: Phase,
     },
-    /// One disk pre-copy pass of a cluster migration finished.
+    /// One pre-copy pass of a cluster migration finished.
     MigrationPass {
         /// Orchestrator-wide migration id.
         migration: u64,
+        /// Disk blocks or memory pages.
+        resource: Resource,
         /// One-based pass number.
         index: u64,
-        /// Blocks the pass shipped.
+        /// Units (blocks/pages) the pass shipped.
         units_sent: u64,
-        /// Blocks dirtied while it ran (the next pass's worklist).
+        /// Units dirtied while it ran (the next pass's worklist).
         dirty_at_end: u64,
     },
     /// §III-A cancellation in a cluster migration: a destination guest

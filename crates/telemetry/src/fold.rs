@@ -169,7 +169,11 @@ impl Fold {
             Event::MigrationPhaseEnd { migration, phase } => {
                 self.account(migration).spans[phase as usize].close(t);
             }
-            Event::MigrationPass { migration, .. } => self.account(migration).passes += 1,
+            Event::MigrationPass {
+                migration,
+                resource: Resource::Disk,
+                ..
+            } => self.account(migration).passes += 1,
             Event::MigrationRetry { migration, .. } => self.account(migration).retries += 1,
             Event::MigrationSyncCancelled { migration, .. } => {
                 self.account(migration).cancelled += 1;

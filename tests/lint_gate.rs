@@ -468,3 +468,36 @@ fn the_content_index_lives_with_the_destination() {
         );
     }
 }
+
+/// The freeze window is priced once, by `migrate::phase::freeze_window`,
+/// for the simulator, the baselines and the fleet alike: Xen's suspend
+/// and resume costs are named nowhere outside `crates/migrate/src/phase/`,
+/// and the fleet's own freeze model (a fixed `frozen_mem_pages` tail and
+/// a private `FREEZE_LATENCY`) is gone from every program file. The check
+/// reads each program file's text (test modules excluded) for the names
+/// as whole words and lists every file that writes one. Not covered: the
+/// same costs written as literals, or a freeze priced by a formula that
+/// names neither.
+#[test]
+fn the_freeze_window_is_priced_once() {
+    let phase = root().join("crates/migrate/src/phase");
+    let files = program_files();
+    assert!(files.iter().any(|p| p.starts_with(&phase)), "phase moved");
+    let mut offenders = Vec::new();
+    for path in &files {
+        let text = program_text(path);
+        let mut banned = vec!["frozen_mem_pages", "FREEZE_LATENCY"];
+        if !path.starts_with(&phase) {
+            banned.extend(["SUSPEND_OVERHEAD", "RESUME_OVERHEAD"]);
+        }
+        for name in banned.into_iter().filter(|name| names(&text, name)) {
+            let rel = path.strip_prefix(root()).unwrap_or(path);
+            offenders.push(format!("{} names {name}", rel.display()));
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "price the freeze window with migrate::phase::freeze_window:\n{}",
+        offenders.join("\n")
+    );
+}

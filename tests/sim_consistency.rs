@@ -214,6 +214,6 @@ fn virtual_time_outputs_are_pinned() {
         .report;
     assert!(fleet.all_consistent());
     assert_eq!(fleet.completed(), fleet.records.len());
-    assert_eq!(fleet.makespan_secs(), 227.25);
-    assert_eq!(fleet.total_bytes(), 1_075_676_807);
+    assert_eq!(fleet.makespan_secs(), 227.5);
+    assert_eq!(fleet.total_bytes(), 1_115_212_775);
 }
