@@ -1,5 +1,7 @@
 //! Command execution.
 
+use std::fmt;
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,6 +24,50 @@ use vmmigrate::args::{Args, Cmd};
 
 const MB: f64 = 1024.0 * 1024.0;
 
+/// Why a command stopped short.
+#[derive(Debug)]
+pub enum Error {
+    /// Standard output refused a write: its reader hung up (`| head -1`)
+    /// or its file is full.
+    Stdout(std::io::Error),
+    /// The command failed; the message says why.
+    Failed(String),
+}
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Error::Stdout(e) => write!(f, "writing standard output: {e}"),
+            Error::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for Error {
+    fn from(msg: String) -> Self {
+        Error::Failed(msg)
+    }
+}
+
+impl From<&str> for Error {
+    fn from(msg: &str) -> Self {
+        Error::Failed(msg.into())
+    }
+}
+
+/// Every byte the CLI prints goes through here, so a reader that hangs
+/// up ends the command with [`Error::Stdout`] instead of a panic.
+fn put(text: fmt::Arguments<'_>) -> Result<(), Error> {
+    std::io::stdout().write_fmt(text).map_err(Error::Stdout)
+}
+
+/// `println!` through [`put`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        put(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// An enabled recorder when either telemetry flag asks for one.
 fn recorder_for(a: &Args) -> Option<Arc<Recorder>> {
     (a.trace_out.is_some() || a.metrics_out.is_some()).then(Recorder::enabled)
@@ -30,33 +76,33 @@ fn recorder_for(a: &Args) -> Option<Arc<Recorder>> {
 /// Write the journal / metrics snapshot a run recorded. A one-migration
 /// run hands in its fold: its account prints in the rendering `trace
 /// analyze` prints for the journal, then what the journal says beyond it.
-fn export_telemetry(rec: &Recorder, a: &Args, fold: Option<&Fold>) -> Result<(), String> {
+fn export_telemetry(rec: &Recorder, a: &Args, fold: Option<&Fold>) -> Result<(), Error> {
     if let Some(path) = &a.trace_out {
         let records = rec.export();
         std::fs::write(path, telemetry::to_jsonl(&records))
             .map_err(|e| format!("writing {path}: {e}"))?;
         match fold {
             Some(fold) => {
-                println!("telemetry journal: {} records -> {path}", records.len());
-                print!("{}", fold.summary());
-                print!("{}", telemetry::journal_summary(&records));
-                print!("{}", telemetry::codec_summary(rec.metrics()));
+                say!("telemetry journal: {} records -> {path}", records.len())?;
+                put(format_args!("{}", fold.summary()))?;
+                put(format_args!("{}", telemetry::journal_summary(&records)))?;
+                put(format_args!("{}", telemetry::codec_summary(rec.metrics())))?;
             }
             // A fleet journal holds per-migration spans.
-            None => println!(
+            None => say!(
                 "telemetry journal: {} records across {} migrations -> {path}",
                 records.len(),
                 Fold::of_records(&records).migrations().count()
-            ),
+            )?,
         }
         if rec.dropped() > 0 {
-            println!("warning: journal full, {} events dropped", rec.dropped());
+            say!("warning: journal full, {} events dropped", rec.dropped())?;
         }
     }
     if let Some(path) = &a.metrics_out {
         std::fs::write(path, telemetry::metrics_json(rec.metrics()))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("metrics snapshot -> {path}");
+        say!("metrics snapshot -> {path}")?;
     }
     Ok(())
 }
@@ -95,32 +141,32 @@ fn fanin_divergence(disk_blocks: usize) -> FlatBitmap {
     diverged
 }
 
-fn emit(report: &MigrationReport, json: bool) {
+fn emit(report: &MigrationReport, json: bool) -> Result<(), Error> {
     if json {
         let mut compact = report.clone();
         compact.timeline.clear();
-        println!(
+        say!(
             "{}",
             serde_json::to_string_pretty(&compact).expect("report serializes")
-        );
+        )
     } else {
-        println!("{}", report.render());
+        say!("{}", report.render())
     }
 }
 
 /// The summary line of a virtual-time run: how much simulated time the
 /// engine covered per second of host time since `started`.
-fn print_engine_speed(virt_secs: f64, started: Instant) {
+fn print_engine_speed(virt_secs: f64, started: Instant) -> Result<(), Error> {
     let wall = started.elapsed().as_secs_f64();
-    println!(
+    say!(
         "engine: {virt_secs:.1} simulated s in {:.1} ms of host time ({:.0} simulated s per wall s)",
         wall * 1e3,
         virt_secs / wall.max(1e-9)
-    );
+    )
 }
 
 /// Execute a parsed command.
-pub fn run(cmd: Cmd) -> Result<(), String> {
+pub fn run(cmd: Cmd) -> Result<(), Error> {
     match cmd {
         Cmd::Simulate(a) => {
             let rec = recorder_for(&a);
@@ -146,9 +192,9 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
                     None => run_tpm(cfg, a.workload),
                 }
             };
-            emit(&out.report, a.json);
+            emit(&out.report, a.json)?;
             if !a.json {
-                print_engine_speed(out.report.total_time_secs, started);
+                print_engine_speed(out.report.total_time_secs, started)?;
             }
             if let Some(r) = &rec {
                 export_telemetry(r, &a, Some(&out.fold))?;
@@ -161,10 +207,10 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
         Cmd::Roundtrip(a) => {
             let cfg = config_for(&a);
             let mut out = run_tpm(cfg.clone(), a.workload);
-            emit(&out.report, a.json);
+            emit(&out.report, a.json)?;
             dwell(&mut out, &cfg, SimDuration::from_secs(a.dwell_secs));
             let back = run_im(cfg, out);
-            emit(&back.report, a.json);
+            emit(&back.report, a.json)?;
             if !back.report.consistent {
                 return Err("IM verified INCONSISTENT".into());
             }
@@ -181,7 +227,7 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
                 run_delta_queue(cfg, a.workload),
             ];
             for r in &reports {
-                emit(r, a.json);
+                emit(r, a.json)?;
             }
             Ok(())
         }
@@ -199,11 +245,11 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
                 &mut rng,
             );
             std::fs::write(&out, trace.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-            println!(
+            say!(
                 "recorded {} ops ({} writes) over {secs}s to {out}",
                 trace.len(),
                 trace.write_count()
-            );
+            )?;
             Ok(())
         }
         Cmd::TraceAnalyze { path } => {
@@ -214,8 +260,8 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
             match telemetry::from_jsonl(&data) {
                 Ok(records) if !records.is_empty() => {
                     let fold = Fold::of_journal(&records).map_err(|e| format!("{path}: {e}"))?;
-                    print!("{}", fold.summary());
-                    print!("{}", telemetry::journal_summary(&records));
+                    put(format_args!("{}", fold.summary()))?;
+                    put(format_args!("{}", telemetry::journal_summary(&records)))?;
                     return Ok(());
                 }
                 _ => {}
@@ -223,24 +269,24 @@ pub fn run(cmd: Cmd) -> Result<(), String> {
             let trace =
                 workloads::OpTrace::from_json(&data).map_err(|e| format!("parsing {path}: {e}"))?;
             let rep = analyze(trace.ops.iter().map(|o| o.kind), 4096);
-            println!(
+            say!(
                 "{path}: {} ops, {} writes, {} unique blocks, rewrite ratio {:.1}%",
                 trace.len(),
                 rep.writes,
                 rep.unique_blocks,
                 rep.rewrite_ratio * 100.0
-            );
-            println!(
+            )?;
+            say!(
                 "  delta-queue sync would ship {:.1} MB; bitmap sync ships {:.1} MB",
                 rep.delta_bytes as f64 / MB,
                 rep.bitmap_scheme_bytes as f64 / MB
-            );
+            )?;
             Ok(())
         }
     }
 }
 
-fn run_orchestrate(a: Args) -> Result<(), String> {
+fn run_orchestrate(a: Args) -> Result<(), Error> {
     let rec = recorder_for(&a);
     let recorder = rec.clone().unwrap_or_else(Recorder::off);
     let started = Instant::now();
@@ -268,13 +314,13 @@ fn run_orchestrate(a: Args) -> Result<(), String> {
         orch.run(&scenario)
     };
     if a.json {
-        println!(
+        say!(
             "{}",
             serde_json::to_string_pretty(&report).expect("report serializes")
-        );
+        )?;
     } else {
-        print!("{}", report.render());
-        print_engine_speed(report.makespan_secs(), started);
+        put(format_args!("{}", report.render()))?;
+        print_engine_speed(report.makespan_secs(), started)?;
     }
     if let Some(r) = &rec {
         export_telemetry(r, &a, None)?;
@@ -287,12 +333,13 @@ fn run_orchestrate(a: Args) -> Result<(), String> {
             "{} of {} migrations failed",
             report.records.len() - report.completed(),
             report.records.len()
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
-fn run_live(a: Args) -> Result<(), String> {
+fn run_live(a: Args) -> Result<(), Error> {
     let rec = recorder_for(&a);
     let mut cfg = LiveConfig {
         num_blocks: a.blocks,
@@ -337,7 +384,7 @@ fn run_live(a: Args) -> Result<(), String> {
         run.disks = Some((src, dst));
     }
     let out = migrate::live::run_live(&cfg, run).map_err(|e| format!("migration failed: {e}"))?;
-    println!(
+    say!(
         "live migration{}: disk iters {:?}, mem iters {:?}, frozen dirty {}+{}p, downtime {:?} of {:?}",
         if a.tcp { " (TCP)" } else { "" },
         out.iterations,
@@ -346,51 +393,52 @@ fn run_live(a: Args) -> Result<(), String> {
         out.frozen_mem_dirty,
         out.downtime,
         out.total
-    );
+    )?;
     if out.reconnects > 0 {
-        println!(
+        say!(
             "fault recovery: {} reconnects, resumed with {:?} owed blocks per retry",
-            out.reconnects, out.resume_owed
-        );
+            out.reconnects,
+            out.resume_owed
+        )?;
     }
     if out.failovers > 0 {
         let fetched: u64 = out.peer_bytes.iter().map(|p| p.blocks).sum();
-        println!(
+        say!(
             "source failover: image completed from {} peer holder(s), {} blocks fetched",
             out.peer_bytes.len(),
             fetched
-        );
+        )?;
     }
-    println!(
+    say!(
         "post-copy: {} pushed, {} pulled, {} dropped; src sent {:.1} MB",
         out.pushed,
         out.pulled,
         out.dropped,
         out.src_ledger.total() as f64 / MB
-    );
+    )?;
     // Both links this command opens, in-process and loopback socket, cost
     // what their pacing says; the rule is the engine's.
     let link_ns_per_byte = cfg.rate_limit.map_or(0.0, |rate| 1e9 / rate);
     if (cfg.dedup || cfg.compress) && !fingerprinting_pays(Some(link_ns_per_byte)) {
-        println!("content-aware: not used: the link is free");
+        say!("content-aware: not used: the link is free")?;
     } else if out.wire.blocks_deduped > 0 || out.wire.blocks_compressed > 0 {
-        println!(
+        say!(
             "content-aware: {:.1} MB raw -> {:.1} MB sent ({:.1}% off the wire; {} deduped, {} compressed)",
             out.wire.bytes_raw as f64 / MB,
             out.wire.bytes_sent as f64 / MB,
             out.wire.reduction_pct(),
             out.wire.blocks_deduped,
             out.wire.blocks_compressed,
-        );
+        )?;
     }
     if out.wire.pages_compressed > 0 {
-        println!(
+        say!(
             "memory pages: {:.1} MB raw -> {:.1} MB sent ({:.1}% off the wire; {} compressed)",
             out.wire.page_bytes_raw as f64 / MB,
             out.wire.page_bytes_sent as f64 / MB,
             out.wire.page_reduction_pct(),
             out.wire.pages_compressed,
-        );
+        )?;
     }
     if let Some(r) = &rec {
         export_telemetry(r, &a, Some(&out.fold))?;
@@ -403,12 +451,13 @@ fn run_live(a: Args) -> Result<(), String> {
             out.read_violations,
             bad.len(),
             bad_pages.len()
-        ));
+        )
+        .into());
     }
-    println!(
+    say!(
         "verification: all {} blocks and {} RAM pages byte-identical to guest ground truth",
         a.blocks,
         out.dst_ram.num_pages()
-    );
+    )?;
     Ok(())
 }

@@ -188,12 +188,14 @@ impl MigrationConfig {
     /// `demand` bytes/second and the disk-copy stream: `(guest,
     /// migration)` shares, bytes/second.
     pub fn disk_shares(&self, demand: f64) -> (f64, f64) {
-        seek_aware_share(
+        let stream = self.disk_stream_demand();
+        let a = seek_aware_share(
             testbed::DISK_CAPACITY,
             testbed::SEEK_PENALTY,
-            demand,
-            self.disk_stream_demand(),
-        )
+            &[demand],
+            &[stream],
+        );
+        (a[0], a[1])
     }
 
     /// Disk capacity in bytes.

@@ -1,7 +1,8 @@
 //! The booking model: what a frame costs on the wire, by the rules of
-//! [`MigMessage::wire_size`], and what the freeze window costs in time.
-//! The virtual-time engines and the baselines carry no real frames, so
-//! they book through these functions; the live engine books what it sends.
+//! [`MigMessage::wire_size`], what the freeze window costs in time, and
+//! how a paced transfer steps. The virtual-time engines and the
+//! baselines carry no real frames, so they book and pace through these
+//! functions; the live engine books what it sends.
 
 use des::SimDuration;
 use simnet::proto::{Category, BLOCK_REF_WIRE, FRAME_OVERHEAD};
@@ -26,6 +27,38 @@ const RESUME_OVERHEAD: SimDuration = SimDuration::from_millis(25);
 /// bytes/second behind one `latency`, and the guest resumes.
 pub fn freeze_window(bytes: u64, rate: f64, latency: SimDuration) -> SimDuration {
     SUSPEND_OVERHEAD + SimDuration::from_secs_f64(bytes as f64 / rate) + latency + RESUME_OVERHEAD
+}
+
+/// One step of a paced transfer of `remaining` units at `rate`
+/// bytes/second: the step's length and the units that cross in it.
+/// `carry` holds the fractional unit between steps; the step shrinks so
+/// the last unit crosses exactly at its end, keeping phase timing exact.
+pub fn pace_step(
+    step: SimDuration,
+    rate: f64,
+    unit_bytes: f64,
+    remaining: u64,
+    carry: &mut f64,
+) -> (SimDuration, u64) {
+    if remaining == 0 {
+        *carry = 0.0;
+        return (SimDuration::ZERO, 0);
+    }
+    let full_step_units = rate * step.as_secs_f64() / unit_bytes;
+    let dt = if full_step_units + *carry >= remaining as f64 {
+        SimDuration::from_secs_f64(((remaining as f64 - *carry).max(0.0) * unit_bytes) / rate)
+    } else {
+        step
+    };
+    let raw = *carry + rate * dt.as_secs_f64() / unit_bytes;
+    let mut n = (raw.floor() as u64).min(remaining);
+    *carry = raw - n as f64;
+    if dt == SimDuration::ZERO || (n == 0 && dt < step) {
+        // Numerical corner: force the last unit(s) through.
+        n = remaining;
+        *carry = 0.0;
+    }
+    (dt, n)
 }
 
 /// `n` payload units of `unit` bytes, each behind its index: the body of
@@ -88,6 +121,27 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use simnet::proto::MigMessage;
+
+    #[test]
+    fn a_paced_transfer_ends_when_its_last_unit_crosses() {
+        let step = SimDuration::from_secs(1);
+        let mut carry = 0.0;
+        // 2.5 units a step: two whole steps carry 2 and 3 units (half a
+        // unit rides between them), and the sixth unit ends a 0.4 s step.
+        assert_eq!(pace_step(step, 10.0, 4.0, 6, &mut carry), (step, 2));
+        assert_eq!(carry, 0.5);
+        assert_eq!(pace_step(step, 10.0, 4.0, 4, &mut carry), (step, 3));
+        let half = SimDuration::from_millis(400);
+        assert_eq!(pace_step(step, 10.0, 4.0, 1, &mut carry), (half, 1));
+        assert_eq!(carry, 0.0);
+        // Nothing to send is a zero step, even on a link with no rate.
+        carry = 0.7;
+        assert_eq!(
+            pace_step(step, 0.0, 4.0, 0, &mut carry),
+            (SimDuration::ZERO, 0)
+        );
+        assert_eq!(carry, 0.0);
+    }
 
     #[test]
     fn bookings_are_the_wire_size_model() {

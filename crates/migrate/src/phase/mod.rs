@@ -25,7 +25,7 @@ mod book;
 mod tracker;
 
 pub use book::{
-    batch_wire, fetch_wire, frame_wire, freeze_window, units_wire, FreezeBill, PAGE_SIZE,
+    batch_wire, fetch_wire, frame_wire, freeze_window, pace_step, units_wire, FreezeBill, PAGE_SIZE,
 };
 pub use tracker::DirtyTracker;
 

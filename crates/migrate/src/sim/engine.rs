@@ -14,8 +14,8 @@ use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 
 use crate::phase::{
-    batch_wire, fetch_wire, freeze_window, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice,
-    PAGE_SIZE,
+    batch_wire, fetch_wire, freeze_window, pace_step, DirtyTracker, FreezeBill, PhaseMachine,
+    StopRule, Voice, PAGE_SIZE,
 };
 use crate::report::{MigrationReport, MultiSourceReport, PeerBytes, PostCopyStats};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
@@ -25,34 +25,6 @@ use crate::{testbed, MigrationConfig};
 /// [`BlockDirectory`] (the orchestrator uses real VM ids; a lone engine
 /// has only one image to name).
 const MS_VM: u64 = 0;
-
-/// One step of a paced transfer of `remaining` units at `rate`
-/// bytes/second: the step's length and the units that cross in it.
-/// `carry` holds the fractional unit between steps; the step shrinks so
-/// the last unit crosses exactly at its end, keeping phase timing exact.
-fn pace_step(
-    step: SimDuration,
-    rate: f64,
-    unit_bytes: f64,
-    remaining: u64,
-    carry: &mut f64,
-) -> (SimDuration, u64) {
-    let full_step_units = rate * step.as_secs_f64() / unit_bytes;
-    let dt = if full_step_units + *carry >= remaining as f64 {
-        SimDuration::from_secs_f64(((remaining as f64 - *carry).max(0.0) * unit_bytes) / rate)
-    } else {
-        step
-    };
-    let raw = *carry + rate * dt.as_secs_f64() / unit_bytes;
-    let mut n = (raw.floor() as u64).min(remaining);
-    *carry = raw - n as f64;
-    if dt == SimDuration::ZERO || (n == 0 && dt < step) {
-        // Numerical corner: force the last unit(s) through.
-        n = remaining;
-        *carry = 0.0;
-    }
-    (dt, n)
-}
 
 /// Everything a completed migration leaves behind: the report, the
 /// destination-side state the VM now runs on, and the IM tracker that a
@@ -148,7 +120,7 @@ impl TpmEngine {
         for b in 0..cfg.disk_blocks {
             src_disk.write(b);
         }
-        let mut src_mem = GuestMemory::new(4096, cfg.mem_pages);
+        let mut src_mem = GuestMemory::new(cfg.mem_pages);
         for p in 0..cfg.mem_pages {
             src_mem.touch(p);
         }
@@ -159,7 +131,7 @@ impl TpmEngine {
         let tracker = DirtyTracker::new(cfg.bitmap, cfg.disk_blocks);
         Self {
             dst_disk: MetaDisk::new(cfg.disk_blocks),
-            dst_mem: GuestMemory::new(4096, cfg.mem_pages),
+            dst_mem: GuestMemory::new(cfg.mem_pages),
             domain: Domain::new(DomainId(1), format!("vm-{}", workload.name())),
             kind,
             workload,
@@ -269,7 +241,8 @@ impl TpmEngine {
                 }
             }
         }
-        self.wss.dirty_for(&mut self.src_mem, dt, &mut self.rng);
+        self.wss
+            .dirty_for(dt, &mut self.rng, |p| self.src_mem.touch(p));
         self.probe
             .record(self.now + dt, self.workload.client_throughput(w_share));
         self.now += dt;
@@ -872,7 +845,7 @@ pub fn run_im_traced(
     engine.src_disk = prev.dst_disk;
     engine.dst_disk = prev.src_disk;
     engine.src_mem = prev.dst_mem;
-    engine.dst_mem = GuestMemory::new(4096, cfg.mem_pages);
+    engine.dst_mem = GuestMemory::new(cfg.mem_pages);
     engine.workload = prev.workload;
     engine.rng = prev.rng;
     engine.probe = prev.probe;

@@ -46,8 +46,10 @@ pub const CYCLE_PATIENCE: SimDuration = SimDuration::from_secs(600);
 ///
 /// Each migration runs `migrate`'s phase machine as the simulated TPM
 /// engine does: iterated disk and memory pre-copy under the same stop
-/// rules, and the same freeze window. What still differs (ticks, shared
-/// capacity, post-copy) is listed in DESIGN.md §13.
+/// rules, paced by the same step rule on a seek-aware disk, the same
+/// freeze window, and post-copy ended by the same handshake. What still
+/// differs (the guest's draws, pulls and push batching, the pace of a
+/// dedup reference) is listed in DESIGN.md §13.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of physical hosts (≥ 2).

@@ -1,9 +1,9 @@
-//! Fleet dynamics: the executor's per-tick view of topology and time.
+//! Fleet dynamics: the executor's per-step view of topology and time.
 //!
 //! The PR-9 executor assumed a flat, always-on fleet: every host up,
 //! every pair connected, one NIC/disk capacity for everyone, workloads
 //! running flat-out forever. [`FleetDynamics`] abstracts exactly that
-//! assumption set behind a trait the executor consults every tick, so a
+//! assumption set behind a trait the executor consults every step, so a
 //! scenario engine (the `scenario` crate) can drive partitions, WAN
 //! links, host maintenance, heterogeneous capacities and workload
 //! activity cycles through one interface — while [`StaticDynamics`]
@@ -26,7 +26,7 @@ use crate::scheduler::MigrationRequest;
 /// connectivity, host lifecycle, per-host and per-link capacity, and
 /// workload activity phases.
 ///
-/// Called in a fixed order every tick — [`FleetDynamics::advance`]
+/// Called in a fixed order every step — [`FleetDynamics::advance`]
 /// first (the only `&mut` call, where a timeline interprets its due
 /// events and journals them), then the read-only queries — so one seed
 /// still fixes every answer and the run stays a pure function of its

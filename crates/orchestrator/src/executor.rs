@@ -1,25 +1,24 @@
-//! The fleet executor: a time-sliced engine running many concurrent
+//! The fleet executor: a virtual-time engine running many concurrent
 //! migrations under shared per-host capacity.
 //!
 //! Each admitted migration is a [`Task`], a shell around
 //! [`migrate::phase::PhaseMachine`]: the machine makes every §IV
 //! decision (when a disk or memory pass stops, what the freeze sends,
-//! what post-copy pushes and which guest write cancels a push) and the
-//! phase module prices every frame and the freeze window. The shell
-//! keeps the fleet's own mechanics: streams paced per tick at the rates
-//! shared capacity allows, routes around partitions and seeded faults.
-//! Memory pre-copy iterates as the simulator's does, its pages dirtied
-//! by the guest's writable working set (DESIGN.md §13 lists what still
-//! differs).
+//! what post-copy pushes and which guest write cancels a push), and the
+//! phase module prices every frame and the freeze window and paces every
+//! step. The shell keeps the fleet's own mechanics: shared capacity,
+//! routes around partitions and seeded faults (DESIGN.md §13 lists what
+//! still differs from the simulator).
 //!
-//! Every tick the executor: admits pending requests through the
-//! scheduling policy, pools stream and guest-workload demands on each
-//! host's NIC and disk and splits them with
-//! [`simnet::capacity::max_min_share`], advances every stream at its
-//! bottleneck rate, then advances every guest workload at its achieved
-//! disk rate. Iteration is index-ordered everywhere and the only clock
-//! is virtual time, so a run is a pure function of its configuration:
-//! same seed, same journal, byte for byte.
+//! Every step the executor: admits pending requests through the
+//! scheduling policy, shares each host's NIC max-min and its disk
+//! seek-aware ([`simnet::capacity`]) among streams and guests, ends the
+//! step at `testbed::STEP` or sooner at the first instant a stream
+//! reaches (a pass's last unit, a freeze window's end, post-copy's end),
+//! and advances every stream, then every guest. One VM on an idle fleet
+//! steps as the simulator does. Iteration is index-ordered and the only
+//! clock is virtual time, so a run is a pure function of its
+//! configuration: same seed, same journal, byte for byte.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -27,15 +26,15 @@ use std::sync::Arc;
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng, SimTime};
 use migrate::phase::{
-    batch_wire, frame_wire, freeze_window, DirtyTracker, FreezeBill, PhaseMachine, StopRule, Voice,
-    Worklist, PAGE_SIZE,
+    batch_wire, frame_wire, freeze_window, pace_step, DirtyTracker, FreezeBill, PhaseMachine,
+    StopRule, Voice, Worklist, PAGE_SIZE,
 };
 use migrate::{testbed, BitmapKind};
-use simnet::capacity::max_min_share;
+use simnet::capacity::{max_min_share, seek_aware_share};
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use telemetry::{Event, Fold, Phase, Recorder};
 use vdisk::MetaDisk;
-use vmstate::{CpuState, GuestMemory, WssModel};
+use vmstate::{CpuState, WssModel};
 use workloads::TimedOp;
 
 use crate::cluster::{Cluster, HostId, VmId};
@@ -50,6 +49,9 @@ use crate::scheduler::{ClusterView, MigrationRequest, Policy, Scheduler};
 const FAULT_LO: u64 = 2;
 /// Upper bound (exclusive) of the seeded fault window.
 const FAULT_HI: u64 = 16;
+
+/// A block's bytes, as the pacer counts them.
+const BLOCK_BYTES: f64 = testbed::BLOCK_SIZE as f64;
 
 /// One in-flight migration stream.
 struct Task {
@@ -68,13 +70,19 @@ struct Task {
     dst_disk: MetaDisk,
     /// Source-side writes since the current pass's bitmap was snapshot.
     tracker: DirtyTracker,
-    /// The guest's RAM, dirtied in memory pre-copy on a draw stream of its own.
-    mem: GuestMemory,
+    /// Pages the guest dirtied since the current memory pass began, drawn
+    /// by `wss` on a stream of its own.
+    mem_dirty: FlatBitmap,
     wss: WssModel,
     mem_rng: SimRng,
+    /// Page writes drawn so far, the basis for thinning them as the
+    /// guest's disk ops are thinned in a low-activity phase.
+    page_seq: u64,
     /// Destination-side guest writes after resume (consistency witness).
     post_writes: FlatBitmap,
     resume_at: SimTime,
+    /// When post-copy ends: set once nothing is left to push.
+    finish_at: Option<SimTime>,
     stall_until: SimTime,
     plan: FaultPlan,
     armed: Vec<Fault>,
@@ -108,8 +116,52 @@ struct Task {
 }
 
 impl Task {
-    fn done(&self) -> bool {
-        self.failed || (self.machine.phase() == Phase::PostCopy && self.to_send.is_empty())
+    fn done(&self, now: SimTime) -> bool {
+        self.failed || self.finish_at.is_some_and(|f| f <= now)
+    }
+
+    /// How long this stream runs from `now` before it reaches an instant
+    /// of its own: its pass's last unit crossing at `rate` (its own
+    /// step, [`Task::pace`]), its freeze window's end or post-copy's end.
+    /// `None` while nothing of its own bounds the step: failed, stalled,
+    /// or off the direct route.
+    fn own_step(&self, rate: f64, route: &Route, now: SimTime) -> Option<SimDuration> {
+        match self.machine.phase() {
+            _ if self.failed || now < self.stall_until => None,
+            Phase::Freeze => Some(self.resume_at.since(now)),
+            Phase::PostCopy if self.to_send.is_empty() => self.finish_at.map(|f| f.since(now)),
+            _ if !matches!(route, Route::Direct) => None,
+            Phase::MemPrecopy => Some(self.pace(rate, PAGE_SIZE as f64, self.remaining()).0),
+            _ => Some(self.pace(rate, BLOCK_BYTES, self.remaining()).0),
+        }
+    }
+
+    /// The stream's own step: what `pace_step` over `testbed::STEP` at
+    /// `rate` gives on a copy of its carry — the step's length, the units
+    /// that cross in it, the carry after.
+    fn pace(&self, rate: f64, unit: f64, remaining: u64) -> (SimDuration, u64, f64) {
+        let mut carry = self.carry;
+        let (dt, n) = pace_step(testbed::STEP, rate, unit, remaining, &mut carry);
+        (dt, n, carry)
+    }
+
+    /// Units this stream ships in a step of `dt`: its own step's when that
+    /// is `dt`, as the simulator's step would, else `dt`'s worth with its
+    /// carry.
+    fn paced(&mut self, rate: f64, unit: f64, remaining: u64, dt: SimDuration) -> u64 {
+        match self.pace(rate, unit, remaining) {
+            (own, n, carry) if own == dt => {
+                self.carry = carry;
+                n
+            }
+            _ if dt > SimDuration::ZERO => pace_step(dt, rate, unit, remaining, &mut self.carry).1,
+            _ => 0,
+        }
+    }
+
+    /// Units still to ship this pass.
+    fn remaining(&self) -> u64 {
+        self.to_send.set().count_ones() as u64
     }
 
     /// Book one batch of `n` units that cost `wire` bytes.
@@ -121,7 +173,7 @@ impl Task {
     }
 }
 
-/// How a stream's bytes flow this tick, as decided by the fleet
+/// How a stream's bytes flow this step, as decided by the fleet
 /// dynamics: straight from the source, fed by a reachable replica
 /// holder while the source is stranded, or not at all.
 enum Route {
@@ -134,17 +186,17 @@ enum Route {
     Severed,
 }
 
-/// Per-tick connectivity snapshot, taken once from the dynamics and
+/// Per-step connectivity snapshot, taken once from the dynamics and
 /// shared by admission and guest advancement. One set of buffers serves
-/// the whole run: every tick overwrites them in place.
-struct TickNet {
+/// the whole run: every step overwrites them in place.
+struct StepNet {
     host_up: Vec<bool>,
     cordoned: Vec<bool>,
     link_ok: Vec<bool>,
     high_activity: Vec<bool>,
 }
 
-impl TickNet {
+impl StepNet {
     fn new(hosts: usize, vms: usize) -> Self {
         Self {
             host_up: vec![true; hosts],
@@ -179,7 +231,7 @@ pub struct Orchestrator {
     /// Per-VM guest-op sequence numbers, the basis for deterministic op
     /// thinning in low-activity workload phases.
     op_seq: Vec<u64>,
-    /// One tick of one guest's ops, cleared and refilled per VM per tick.
+    /// One step of one guest's ops, cleared and refilled per VM per step.
     ops: Vec<TimedOp>,
 }
 
@@ -223,7 +275,7 @@ impl Orchestrator {
     /// Run a scenario under explicit fleet dynamics: partitions, host
     /// lifecycle, WAN links, heterogeneous capacities and workload
     /// cycles all flow through the [`FleetDynamics`] oracle, which is
-    /// advanced once at the top of every tick and may inject new
+    /// advanced once at the top of every step and may inject new
     /// migration requests (maintenance evacuations) into the arrival
     /// stream.
     pub fn run_with_dynamics(
@@ -231,7 +283,6 @@ impl Orchestrator {
         scenario: &Scenario,
         dynamics: &mut dyn FleetDynamics,
     ) -> ClusterReport {
-        let step = testbed::STEP;
         let mut now = SimTime::ZERO;
         let mut future: Vec<(usize, MigrationRequest)> =
             scenario.requests.iter().copied().enumerate().collect();
@@ -242,7 +293,7 @@ impl Orchestrator {
         let mut max_concurrent = 0usize;
         let mut makespan = SimTime::ZERO;
         let mut endpoints: Vec<(usize, usize)> = Vec::new();
-        let mut net = TickNet::new(self.cfg.hosts, self.cluster.vms.len());
+        let mut net = StepNet::new(self.cfg.hosts, self.cluster.vms.len());
 
         loop {
             // 0. Dynamics: interpret timeline events due now (journaling
@@ -292,44 +343,55 @@ impl Orchestrator {
                 break;
             }
 
-            let tick_end = now + step;
-
-            // 3. Routing: per-stream path for this tick — direct,
+            // 3. Routing: per-stream path for this step — direct,
             // peer-fed across a partition, or severed (stalled).
             let routes = self.route_streams(&mut tasks, dynamics, now);
 
-            // 4. Capacity: pool demands per host, max-min share them,
-            // then cap each stream by its path's WAN link.
+            // 4. Capacity: pool demands per host, share them, then cap
+            // each stream by its path's WAN link.
             let (task_rates, vm_rates) = self.compute_rates(&tasks, &routes, now, dynamics);
 
-            // 5. Streams advance at their bottleneck rates.
+            // 5. The step: `testbed::STEP`, or less when a stream reaches
+            // an instant of its own sooner.
+            let dt = (tasks.iter().zip(&task_rates).zip(&routes))
+                .filter_map(|((t, &rate), route)| t.own_step(rate, route, now))
+                .fold(testbed::STEP, SimDuration::min);
+            let step_end = now + dt;
+
+            // 6. Streams advance at their bottleneck rates.
             for (ti, t) in tasks.iter_mut().enumerate() {
-                self.advance_stream(
-                    t,
-                    task_rates[ti],
-                    &routes[ti],
-                    now,
-                    tick_end,
-                    step,
-                    dynamics,
-                );
+                let (rate, route) = (task_rates[ti], &routes[ti]);
+                self.advance_stream(t, rate, route, now, step_end, dt, dynamics);
             }
 
-            // 6. Guests advance at their achieved disk rates.
-            self.advance_vms(&mut tasks, &vm_rates, step, now, &net, dynamics);
+            // 7. Guests advance at their achieved disk rates.
+            self.advance_vms(&mut tasks, &vm_rates, dt, now, &net, dynamics);
 
-            // 7. Reap finished streams, in stream order.
+            // 8. Reap finished streams, in stream order. Post-copy ends
+            // when its last push arrives, one latency after it crossed
+            // (at resume when nothing was owed), plus the completion
+            // handshake, as the simulator's.
             let mut ti = 0;
             while ti < tasks.len() {
-                if tasks[ti].done() {
-                    makespan = makespan.max(tick_end);
-                    records.push(self.finalize(tasks.remove(ti), tick_end));
+                let t = &mut tasks[ti];
+                if t.machine.phase() == Phase::PostCopy
+                    && t.finish_at.is_none()
+                    && t.to_send.is_empty()
+                {
+                    let pushed = t.pass_sent > 0;
+                    let latency = dynamics.link_latency(t.src.0, t.dst.0);
+                    let last = if pushed { step_end + latency } else { step_end };
+                    t.finish_at = Some(last + testbed::POSTCOPY_FIXED_OVERHEAD);
+                }
+                if t.done(step_end) {
+                    makespan = makespan.max(step_end);
+                    records.push(self.finalize(tasks.remove(ti), step_end));
                 } else {
                     ti += 1;
                 }
             }
 
-            now = tick_end;
+            now = step_end;
         }
 
         let unserved = pending.len() + future.len();
@@ -353,7 +415,7 @@ impl Orchestrator {
         pending: &mut Vec<(usize, MigrationRequest)>,
         tasks: &mut Vec<Task>,
         now: SimTime,
-        net: &TickNet,
+        net: &StepNet,
     ) {
         if pending.is_empty() {
             return;
@@ -475,11 +537,13 @@ impl Orchestrator {
             carry: 0.0,
             dst_disk,
             tracker: DirtyTracker::new(BitmapKind::Flat, nblocks),
-            mem: GuestMemory::new(PAGE_SIZE as usize, self.cfg.mem_pages),
+            mem_dirty: FlatBitmap::new(self.cfg.mem_pages),
             wss: workload.wss_model(self.cfg.mem_pages),
             mem_rng: SimRng::new(seed).fork(id),
+            page_seq: 0,
             post_writes: FlatBitmap::new(nblocks),
             resume_at: SimTime::ZERO,
+            finish_at: None,
             stall_until: SimTime::ZERO,
             plan,
             armed,
@@ -502,7 +566,7 @@ impl Orchestrator {
         }
     }
 
-    /// Decide how each stream's bytes flow this tick. A stream whose
+    /// Decide how each stream's bytes flow this step. A stream whose
     /// endpoints can talk runs [`Route::Direct`]; one cut off by a
     /// partition or a down host strands in place — and, during disk
     /// pre-copy or post-copy with multi-source on, re-plans through the
@@ -651,7 +715,7 @@ impl Orchestrator {
             .filter(|t| t.machine.phase() == Phase::Freeze)
             .map(|t| t.vm.0)
             .collect();
-        // Serving endpoints per stream this tick: `None` drops the
+        // Serving endpoints per stream this step: `None` drops the
         // stream out of every pool.
         let endpoints: Vec<Option<(usize, usize)>> = tasks
             .iter()
@@ -667,7 +731,7 @@ impl Orchestrator {
             (0..tasks.len())
                 .filter(|&ti| {
                     let t = &tasks[ti];
-                    let active = !t.failed && now >= t.stall_until;
+                    let active = !t.failed && now >= t.stall_until && !t.to_send.is_empty();
                     let on_h = endpoints[ti].is_some_and(|(from, to)| from == h || to == h);
                     active && on_h && uses.contains(&t.machine.phase())
                 })
@@ -680,19 +744,21 @@ impl Orchestrator {
             if !dynamics.host_up(h) {
                 continue;
             }
-            // The disk pool: resident guests first, then streams.
+            // The disk pool: resident guests first, then streams, each
+            // stream's seeks taking their toll of the disk.
             let vms: Vec<usize> = (self.cluster.residents(HostId(h)))
                 .map(|vm| vm.0)
                 .filter(|vm| !suspended.contains(vm))
                 .collect();
             let disk = pool(h, &[Phase::DiskPrecopy, Phase::PostCopy]);
-            let demands: Vec<f64> = (vms.iter())
+            let guests: Vec<f64> = (vms.iter())
                 .map(|&vm| {
                     self.cluster.vms[vm].workload.disk_demand() * dynamics.workload_scale(vm, now)
                 })
-                .chain(disk.iter().map(|_| self.cfg.stream_demand))
                 .collect();
-            let alloc = max_min_share(dynamics.disk_capacity(h), &demands);
+            let streams = vec![self.cfg.stream_demand; disk.len()];
+            let capacity = dynamics.disk_capacity(h);
+            let alloc = seek_aware_share(capacity, testbed::SEEK_PENALTY, &guests, &streams);
             for (&vm, &a) in vms.iter().zip(&alloc) {
                 vm_rates[vm] = a;
             }
@@ -723,8 +789,8 @@ impl Orchestrator {
         (task_rates, vm_rates)
     }
 
-    /// Advance one stream by one tick at its bottleneck rate, along the
-    /// route the dynamics allowed it this tick. A severed stream stalls
+    /// Advance one stream by one step of `dt` at its bottleneck rate, along
+    /// the route the dynamics allowed it this step. A severed stream stalls
     /// in place — no progress, no retry burn, the bitmap holds position
     /// until the partition heals (freeze alone completes regardless, its
     /// handshake being already in flight).
@@ -735,7 +801,7 @@ impl Orchestrator {
         rate: f64,
         route: &Route,
         now: SimTime,
-        tick_end: SimTime,
+        step_end: SimTime,
         dt: SimDuration,
         dynamics: &dyn FleetDynamics,
     ) {
@@ -749,7 +815,7 @@ impl Orchestrator {
             Route::PeerFed { mask, .. } => Some(mask),
             _ => None,
         };
-        let at = tick_end.as_nanos();
+        let at = step_end.as_nanos();
         match t.machine.phase() {
             phase @ (Phase::DiskPrecopy | Phase::MemPrecopy) => {
                 let disk = phase == Phase::DiskPrecopy;
@@ -761,31 +827,35 @@ impl Orchestrator {
                 if peer_mask.is_none() {
                     // The seeded fault plan models the source link;
                     // while peer-fed, that link is already cut.
-                    self.check_faults(t, tick_end, last);
+                    self.check_faults(t, step_end, last);
                 }
                 if t.failed || now < t.stall_until || !t.to_send.is_empty() {
                     return;
                 }
                 let sent = std::mem::take(&mut t.pass_sent);
+                let pages = t.mem_dirty.len();
                 let dirty = if disk {
                     t.tracker.drain()
                 } else {
-                    t.mem.drain_dirty()
+                    std::mem::replace(&mut t.mem_dirty, FlatBitmap::new(pages))
                 };
-                t.carry = 0.0;
+                // The carry runs on across disk passes, as the
+                // simulator's does, and starts afresh with each memory pass.
+                let carry = std::mem::take(&mut t.carry);
                 let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
                 // A pass that stops leaves its dirt in the machine: the
                 // disk's joins the freeze bitmap, memory's is the tail.
                 match t.machine.end_pass(sent, 0, dirty, emit) {
-                    Some(next) => t.to_send = Worklist::new(next),
-                    None if disk => {
-                        t.to_send = Worklist::new(FlatBitmap::all_set(t.mem.num_pages()))
+                    Some(next) => {
+                        t.carry = if disk { carry } else { 0.0 };
+                        t.to_send = Worklist::new(next);
                     }
-                    None => self.enter_freeze(t, rate, tick_end, dynamics),
+                    None if disk => t.to_send = Worklist::new(FlatBitmap::all_set(pages)),
+                    None => self.enter_freeze(t, rate, step_end, dynamics),
                 }
             }
             Phase::Freeze => {
-                if tick_end >= t.resume_at {
+                if step_end >= t.resume_at {
                     let at = t.resume_at.as_nanos();
                     t.machine.resume(|e| t.fold.at_nanos(&self.recorder, at, e));
                     // The VM resumes on the destination: its workload
@@ -799,8 +869,8 @@ impl Orchestrator {
         }
     }
 
-    /// Ship up to `rate * dt` worth of blocks off the worklist, carrying
-    /// the fraction to the next tick, as one booked batch. With
+    /// Ship the step's paced blocks off the worklist (`Task::paced`) as
+    /// one booked batch. With
     /// `cfg.dedup` a block the destination replica holds at the live
     /// generation crosses as a reference; pacing stays uniform, so
     /// dedup-off runs are byte- and clock-identical. With
@@ -824,7 +894,7 @@ impl Orchestrator {
             c
         });
         let remaining = candidates.as_ref().unwrap_or(t.to_send.set()).count_ones() as u64;
-        let n = quota(&mut t.carry, rate, dt, testbed::BLOCK_SIZE, remaining);
+        let n = t.paced(rate, BLOCK_BYTES, remaining, dt);
         if n == 0 {
             return None;
         }
@@ -880,7 +950,7 @@ impl Orchestrator {
     /// the bitmap-resume story lives; freeze and post-copy are protected
     /// by the same retry machinery in the two-host engine and would only
     /// duplicate it here.
-    fn check_faults(&self, t: &mut Task, tick_end: SimTime, last: Option<usize>) {
+    fn check_faults(&self, t: &mut Task, step_end: SimTime, last: Option<usize>) {
         let hit = |f: &Fault| match f.trigger {
             FaultTrigger::Messages(n) => t.msgs >= n,
             FaultTrigger::Bytes(n) => t.attempt_bytes >= n,
@@ -892,7 +962,7 @@ impl Orchestrator {
         let fault = t.armed.remove(pos);
         t.armed.retain(|f| !hit(f));
         self.recorder
-            .record_at_nanos(tick_end.as_nanos(), || Event::FaultInjected {
+            .record_at_nanos(step_end.as_nanos(), || Event::FaultInjected {
                 fault: fault.kind.label(),
                 messages_before: t.msgs,
             });
@@ -904,9 +974,9 @@ impl Orchestrator {
         }
         match fault.kind {
             FaultKind::Stall(d) => {
-                t.stall_until = tick_end + SimDuration::from_nanos(d.as_nanos() as u64);
+                t.stall_until = step_end + SimDuration::from_nanos(d.as_nanos() as u64);
             }
-            FaultKind::Truncate | FaultKind::Reset => self.reset_stream(t, tick_end),
+            FaultKind::Truncate | FaultKind::Reset => self.reset_stream(t, step_end),
             FaultKind::Drop => {}
         }
     }
@@ -915,13 +985,13 @@ impl Orchestrator {
     /// reconnect by re-shipping the current worklist bitmap — never the
     /// blocks already applied, which is the whole point of bitmap-based
     /// resume.
-    fn reset_stream(&self, t: &mut Task, tick_end: SimTime) {
+    fn reset_stream(&self, t: &mut Task, step_end: SimTime) {
         t.retries += 1;
         let retry = Event::MigrationRetry {
             migration: t.id,
             attempt: u64::from(t.retries),
         };
-        t.fold.at_nanos(&self.recorder, tick_end.as_nanos(), retry);
+        t.fold.at_nanos(&self.recorder, step_end.as_nanos(), retry);
         if t.retries > self.cfg.max_retries {
             t.failed = true;
             return;
@@ -931,7 +1001,7 @@ impl Orchestrator {
         t.msgs = 0;
         t.attempt_bytes = 0;
         t.carry = 0.0;
-        t.stall_until = tick_end + RETRY_BACKOFF;
+        t.stall_until = step_end + RETRY_BACKOFF;
         t.bytes += frame_wire(ser::encoded_len(t.to_send.set()) as u64);
     }
 
@@ -944,10 +1014,10 @@ impl Orchestrator {
         &mut self,
         t: &mut Task,
         rate: f64,
-        tick_end: SimTime,
+        step_end: SimTime,
         dynamics: &dyn FleetDynamics,
     ) {
-        let at = tick_end.as_nanos();
+        let at = step_end.as_nanos();
         let raced = t.tracker.drain();
         let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
         let (frozen, tail) = t.machine.suspend(&raced, None, emit);
@@ -958,26 +1028,27 @@ impl Orchestrator {
         };
         let latency = dynamics.link_latency(t.src.0, t.dst.0);
         t.bytes += bill.bytes();
-        t.resume_at = tick_end + freeze_window(bill.bytes(), rate.max(1.0), latency);
+        t.resume_at = step_end + freeze_window(bill.bytes(), rate.max(1.0), latency);
         t.to_send = Worklist::new(frozen);
     }
 
-    /// Advance every guest one tick at its achieved disk rate, routing
+    /// Advance every guest one step at its achieved disk rate, routing
     /// writes by migration phase: pre-copy writes land on the source
     /// image and the dirty tracker; post-copy writes land on the
     /// destination image and cancel any pending push of the same block
     /// (§III-A); a frozen guest does nothing. A guest on a down host is
     /// powered off with it — no ops at all, which matters for open-loop
-    /// workloads that would otherwise keep writing at rate zero. Ops are
-    /// thinned by the dynamics' `op_keep` ratio in low-activity phases
-    /// (the `(1, 1)` default keeps everything, exactly).
+    /// workloads that would otherwise keep writing at rate zero. Ops and
+    /// memory pre-copy's page writes are thinned by the dynamics'
+    /// `op_keep` ratio in low-activity phases (the `(1, 1)` default keeps
+    /// everything, exactly).
     fn advance_vms(
         &mut self,
         tasks: &mut [Task],
         vm_rates: &[f64],
         dt: SimDuration,
         now: SimTime,
-        net: &TickNet,
+        net: &StepNet,
         dynamics: &dyn FleetDynamics,
     ) {
         let nblocks = self.cfg.disk_blocks;
@@ -985,19 +1056,27 @@ impl Orchestrator {
             if !net.host_up[self.cluster.vms[vi].host.0] {
                 continue;
             }
+            let (keep, of) = dynamics.op_keep(vi, now);
+            let of = of.max(1);
             let ti = tasks.iter().position(|t| t.vm.0 == vi && !t.failed);
             if let Some(t) = ti.map(|ti| &mut tasks[ti]) {
                 match t.machine.phase() {
                     Phase::Freeze => continue,
-                    Phase::MemPrecopy => _ = t.wss.dirty_for(&mut t.mem, dt, &mut t.mem_rng),
+                    Phase::MemPrecopy => {
+                        let (dirty, seq) = (&mut t.mem_dirty, &mut t.page_seq);
+                        t.wss.dirty_for(dt, &mut t.mem_rng, |p| {
+                            if *seq % of < keep {
+                                dirty.set(p);
+                            }
+                            *seq = seq.wrapping_add(1);
+                        });
+                    }
                     _ => {}
                 }
             }
             self.ops.clear();
             let vm = &mut self.cluster.vms[vi];
             vm.workload.ops_into(dt, rate, &mut vm.rng, &mut self.ops);
-            let (keep, of) = dynamics.op_keep(vi, now);
-            let of = of.max(1);
             for op in &self.ops {
                 let seq = self.op_seq[vi];
                 self.op_seq[vi] = seq.wrapping_add(1);
@@ -1115,28 +1194,29 @@ impl Orchestrator {
     /// Publish `cluster.*` metrics into the recorder's registry.
     fn publish_metrics(&self, records: &[MigrationRecord], max_concurrent: usize, unserved: usize) {
         let m = self.recorder.metrics();
-        let completed = records.iter().filter(|r| r.completed).count() as u64;
-        m.counter("cluster.migrations.admitted")
-            .add(records.len() as u64);
-        m.counter("cluster.migrations.completed").add(completed);
-        m.counter("cluster.migrations.failed")
-            .add(records.len() as u64 - completed);
-        m.counter("cluster.migrations.incremental")
-            .add(records.iter().filter(|r| r.incremental).count() as u64);
-        m.counter("cluster.migrations.unserved")
-            .add(unserved as u64);
-        m.counter("cluster.retries")
-            .add(records.iter().map(|r| u64::from(r.retries)).sum());
-        m.counter("cluster.bytes.total")
-            .add(records.iter().map(|r| r.bytes).sum());
-        m.counter("cluster.blocks.sent")
-            .add(records.iter().map(|r| r.blocks_sent).sum());
-        m.counter("cluster.blocks.cancelled")
-            .add(records.iter().map(|r| r.blocks_cancelled).sum());
-        m.counter("cluster.blocks.deduped")
-            .add(records.iter().map(|r| r.blocks_deduped).sum());
-        m.counter("cluster.blocks.peer_served")
-            .add(records.iter().map(|r| r.blocks_peer).sum());
+        let sum = |f: fn(&MigrationRecord) -> u64| records.iter().map(f).sum::<u64>();
+        let completed = sum(|r| u64::from(r.completed));
+        for (name, n) in [
+            ("cluster.migrations.admitted", records.len() as u64),
+            ("cluster.migrations.completed", completed),
+            (
+                "cluster.migrations.failed",
+                records.len() as u64 - completed,
+            ),
+            (
+                "cluster.migrations.incremental",
+                sum(|r| u64::from(r.incremental)),
+            ),
+            ("cluster.migrations.unserved", unserved as u64),
+            ("cluster.retries", sum(|r| u64::from(r.retries))),
+            ("cluster.bytes.total", sum(|r| r.bytes)),
+            ("cluster.blocks.sent", sum(|r| r.blocks_sent)),
+            ("cluster.blocks.cancelled", sum(|r| r.blocks_cancelled)),
+            ("cluster.blocks.deduped", sum(|r| r.blocks_deduped)),
+            ("cluster.blocks.peer_served", sum(|r| r.blocks_peer)),
+        ] {
+            m.counter(name).add(n);
+        }
         m.gauge("cluster.hosts").set(self.cfg.hosts as u64);
         m.gauge("cluster.vms").set(self.cfg.vms as u64);
         m.gauge("cluster.max_concurrent").set(max_concurrent as u64);
@@ -1149,24 +1229,10 @@ impl Orchestrator {
     }
 }
 
-/// Whole `unit`s (≤ `remaining`) `rate` ships in `dt`; the rest carries.
-fn quota(carry: &mut f64, rate: f64, dt: SimDuration, unit: u64, remaining: u64) -> u64 {
-    let raw = *carry + rate * dt.as_secs_f64() / unit as f64;
-    let n = (raw.floor().max(0.0) as u64).min(remaining);
-    *carry = raw - n as f64;
-    n
-}
-
-/// Ship up to `rate * dt` worth of pages off a memory pass's worklist as
-/// one booked batch. Returns the last page shipped.
+/// Ship the step's paced pages off a memory pass's worklist as one
+/// booked batch. Returns the last page shipped.
 fn pump_pages(t: &mut Task, rate: f64, dt: SimDuration) -> Option<usize> {
-    let n = quota(
-        &mut t.carry,
-        rate,
-        dt,
-        PAGE_SIZE,
-        t.to_send.set().count_ones() as u64,
-    );
+    let n = t.paced(rate, PAGE_SIZE as f64, t.remaining(), dt);
     let last = (0..n).filter_map(|_| t.to_send.next(None)).last()?;
     t.ship(n, batch_wire(n, PAGE_SIZE, 0));
     Some(last)

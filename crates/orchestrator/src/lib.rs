@@ -8,8 +8,8 @@
 //! replica. This crate is that layer: a deterministic, virtual-time
 //! cluster model of N hosts and M VMs in which many migrations run
 //! concurrently, contending for per-host NIC and disk capacity through
-//! `simnet::capacity::max_min_share`, each tracked by its own
-//! block-bitmap, admitted and placed by pluggable [`Scheduler`] policies.
+//! `simnet::capacity` (max-min NICs, seek-aware disks), each tracked by
+//! its own block-bitmap, admitted and placed by [`Scheduler`] policies.
 //!
 //! The pieces:
 //!
@@ -29,11 +29,11 @@
 //!   (shortest-remaining-dirty-first) and [`ImAware`] (prefer a
 //!   destination holding a stale replica) implementations, all under
 //!   per-host admission control.
-//! * [`Orchestrator`] — the executor: a time-sliced engine that runs
-//!   each admitted migration through the §IV phase structure under
-//!   shared capacity, retries on injected `simnet::fault` resets by
-//!   resuming from the block-bitmap, and journals `cluster.*` metrics
-//!   and per-migration phase spans through `telemetry` in virtual time.
+//! * [`Orchestrator`] — the executor: a virtual-time engine on the
+//!   simulator's pacer that runs each admitted migration through the §IV
+//!   phases under shared capacity, retries on injected `simnet::fault`
+//!   resets by resuming from the block-bitmap, and journals `cluster.*`
+//!   metrics and per-migration phase spans through `telemetry`.
 //! * [`ClusterReport`] / [`MigrationRecord`] — the run's accounting,
 //!   exact to the journal's nanosecond arithmetic.
 //!

@@ -1,5 +1,5 @@
 //! The scenario dynamics oracle: interprets the timeline in virtual
-//! time and answers the executor's per-tick topology queries.
+//! time and answers the executor's per-step topology queries.
 //!
 //! [`ScenarioDynamics`] implements `orchestrator::FleetDynamics` over a
 //! compiled [`Topology`] plus mutable chaos state (the active

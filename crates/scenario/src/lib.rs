@@ -17,7 +17,7 @@
 //! * [`parse`](mod@parse) — the `.scn` line language (`vmmigrate orchestrate
 //!   --scenario cluster.scn`), with line-numbered typed errors.
 //! * [`dynamics`] — [`ScenarioDynamics`], the `FleetDynamics` oracle
-//!   the orchestrator's executor consults every tick; it interprets
+//!   the orchestrator's executor consults every step; it interprets
 //!   the timeline, drives maintenance drains, and journals every
 //!   topology change as a typed telemetry event.
 //! * [`runner`] — spec → config → orchestrated run.

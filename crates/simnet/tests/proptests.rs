@@ -738,21 +738,30 @@ proptest! {
         }
     }
 
-    /// Seek-aware sharing degrades gracefully: allocations are bounded by
-    /// demands and by the zero-interference capacity.
+    /// Seek-aware sharing degrades gracefully: each allocation is bounded
+    /// by its demand, and together they never exceed what the streams'
+    /// seeks leave of the disk, `c0 - penalty × Σ streams`.
     #[test]
     fn seek_aware_invariants(
         c0 in 1.0f64..500.0,
         penalty in 0.0f64..3.0,
-        w in 0.0f64..400.0,
-        m in 0.0f64..400.0,
+        guests in proptest::collection::vec(0.0f64..400.0, 0..4),
+        streams in proptest::collection::vec(0.0f64..400.0, 0..4),
     ) {
-        let (ws, ms) = seek_aware_share(c0, penalty, w, m);
-        prop_assert!(ws >= -1e-9 && ms >= -1e-9);
-        prop_assert!(ws <= w + 1e-6);
-        prop_assert!(ms <= m + 1e-6);
+        let alloc = seek_aware_share(c0, penalty, &guests, &streams);
+        prop_assert_eq!(alloc.len(), guests.len() + streams.len());
+        for (a, d) in alloc.iter().zip(guests.iter().chain(&streams)) {
+            prop_assert!(*a >= -1e-9, "negative allocation {a}");
+            prop_assert!(*a <= d + 1e-6, "allocation {a} above demand {d}");
+        }
+        let seeks: f64 = alloc[guests.len()..].iter().sum();
+        let total: f64 = alloc.iter().sum();
         // Together they never exceed the uncontended capacity.
-        prop_assert!(ws + ms <= c0 + 1e-6);
+        prop_assert!(total <= c0 + 1e-6);
+        prop_assert!(
+            total <= c0 - penalty * seeks + 1e-4,
+            "{total} above {c0} - {penalty} x {seeks}"
+        );
     }
 
     /// Seeded chaos is a pure function of its seed: two plans built with

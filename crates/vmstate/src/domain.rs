@@ -77,11 +77,6 @@ impl Domain {
         self.state
     }
 
-    /// `true` while the guest executes (and can dirty pages/blocks).
-    pub fn is_running(&self) -> bool {
-        self.state == VmRunState::Running
-    }
-
     /// Suspend for freeze-and-copy.
     pub fn suspend(&mut self) -> Result<(), DomainError> {
         match self.state {
@@ -136,12 +131,12 @@ mod tests {
     #[test]
     fn lifecycle_happy_path() {
         let mut d = guest();
-        assert!(d.is_running());
+        assert_eq!(d.state(), VmRunState::Running);
         d.suspend().unwrap();
         assert_eq!(d.state(), VmRunState::Suspended);
-        assert!(!d.is_running());
+        assert_ne!(d.state(), VmRunState::Running);
         d.resume().unwrap();
-        assert!(d.is_running());
+        assert_eq!(d.state(), VmRunState::Running);
         d.suspend().unwrap();
         d.retire().unwrap();
         assert_eq!(d.state(), VmRunState::Retired);

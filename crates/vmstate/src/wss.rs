@@ -9,8 +9,6 @@
 use des::dist::HotCold;
 use des::{SimDuration, SimRng};
 
-use crate::GuestMemory;
-
 /// Parameters of the WSS dirtying model.
 #[derive(Debug, Clone)]
 pub struct WssModel {
@@ -51,12 +49,18 @@ impl WssModel {
         (self.writes_per_sec * dt.as_secs_f64()).round() as u64
     }
 
-    /// Apply `dt` of guest execution to `mem`, dirtying pages per the
-    /// model. Returns the number of write events applied.
-    pub fn dirty_for(&self, mem: &mut GuestMemory, dt: SimDuration, rng: &mut SimRng) -> u64 {
+    /// Run `dt` of guest execution: draw each page write the model makes
+    /// and hand its page to `touch` ([`crate::GuestMemory::touch`], or a
+    /// dirty bitmap's `set`). Returns the number of write events drawn.
+    pub fn dirty_for(
+        &self,
+        dt: SimDuration,
+        rng: &mut SimRng,
+        mut touch: impl FnMut(usize),
+    ) -> u64 {
         let n = self.writes_in(dt);
         for _ in 0..n {
-            mem.touch(self.hot.sample(rng) as usize);
+            touch(self.hot.sample(rng) as usize);
         }
         n
     }
@@ -65,6 +69,7 @@ impl WssModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GuestMemory;
     use block_bitmap::DirtyMap as _;
 
     #[test]
@@ -77,9 +82,9 @@ mod tests {
     #[test]
     fn dirtying_concentrates_on_hot_set() {
         let model = WssModel::new(10_000, 0.05, 0.95, 10_000.0);
-        let mut mem = GuestMemory::new(4096, 10_000);
+        let mut mem = GuestMemory::new(10_000);
         let mut rng = SimRng::new(1);
-        model.dirty_for(&mut mem, SimDuration::from_secs(1), &mut rng);
+        model.dirty_for(SimDuration::from_secs(1), &mut rng, |p| mem.touch(p));
         // 10k writes over a 500-page hot set: dirty count must be far less
         // than the write count (rewrites) and concentrated low.
         let dirty = mem.drain_dirty().to_indices();
@@ -91,11 +96,11 @@ mod tests {
     #[test]
     fn idle_guest_never_dirties() {
         let model = WssModel::idle(100);
-        let mut mem = GuestMemory::new(4096, 100);
+        let mut mem = GuestMemory::new(100);
         let mut rng = SimRng::new(2);
-        let n = model.dirty_for(&mut mem, SimDuration::from_secs(100), &mut rng);
+        let n = model.dirty_for(SimDuration::from_secs(100), &mut rng, |p| mem.touch(p));
         assert_eq!(n, 0);
-        assert_eq!(mem.dirty_count(), 0);
+        assert_eq!(mem.drain_dirty().count_ones(), 0);
     }
 
     #[test]

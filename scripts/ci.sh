@@ -243,8 +243,8 @@ PY
 # The virtual-time engines are pure functions of the seed: the simulated
 # outputs of the default seed, by equality. Counts, not timings — a block
 # directory that keeps a different image, a planner that assigns one
-# block differently, a tick that shares a NIC differently or a guest
-# that dirties one page more changes a digit here.
+# block differently, a step that shares a disk or NIC differently or a
+# guest that dirties one page more changes a digit here.
 tail -n 1 target/smoke-virtual_time.out | python3 -c '
 import json, sys
 metrics = json.load(sys.stdin)["metrics"]
@@ -253,8 +253,8 @@ want = {
     "sim.virt_downtime_ms": 132.669965,
     "sim.virt_wire_bytes": 946567619,
     "sim.fanin_peer_share": 0.916656494140625,
-    "orchestrator.virt_makespan_s": 227.5,
-    "orchestrator.virt_bytes": 1115212775,
+    "orchestrator.virt_makespan_s": 205.692625281,
+    "orchestrator.virt_bytes": 1055552175,
 }
 got = {name: metrics[name]["value"] for name in want}
 for name in want:

@@ -1,8 +1,10 @@
 //! The two virtual-time engines side by side: one VM on an uncontended
 //! two-host fleet against `run_tpm` with the same geometry and the paper
-//! testbed's rates. Both drive `migrate::phase`'s machine; what they
-//! still do differently is each one's own clock and guest (DESIGN.md
-//! §13), and this test pins every difference that remains by value.
+//! testbed's rates. Both drive `migrate::phase`'s machine, pacer and
+//! freeze window on a seek-aware disk; what they still do differently
+//! is each one's guest, post-copy and pace of a dedup reference
+//! (DESIGN.md §13), and this test pins every difference that remains by
+//! value.
 
 use block_bitmap_migration::prelude::*;
 use block_bitmap_migration::telemetry::{Event, Phase, Record};
@@ -89,43 +91,32 @@ fn fleet(kind: WorkloadKind) -> Run {
     Run::of(&rec.records(), report.records[0].bytes)
 }
 
-/// One tick of the fleet's clock, nanoseconds.
-const TICK: u64 = 250_000_000;
-
 /// An idle guest dirties nothing, so each engine's own clock and guest
-/// are all that could tell the two apart: the passes, their units and
-/// the freeze window agree exactly, and each phase lasts within one of
-/// the fleet's ticks of the simulator's (the fleet ends a phase at the
-/// end of the tick it finished in). The wire differs by one frame: the
-/// simulator shortens its last memory step to the nanosecond, the
-/// rounding leaves the pass's final page a fraction short, and that page
-/// crosses in a frame of its own (16 B).
+/// are all that could tell the two apart, and neither does: the fleet
+/// steps with the simulator's pacer on the simulator's seek-aware disk
+/// and ends post-copy with its handshake, so the passes and their units,
+/// every phase's start and end to the nanosecond and the bytes on the
+/// wire are equal.
 #[test]
 fn an_idle_guest_migrates_alike_on_both_engines() {
     let (sim, fleet) = (simulated(WorkloadKind::Idle), fleet(WorkloadKind::Idle));
     assert_eq!(sim.passes, [vec![(65_536, 0)], vec![(8_192, 0)]]);
-    assert_eq!(fleet.passes, sim.passes);
     assert_eq!(sim.lasts(Phase::Freeze), 40_166_108);
-    assert_eq!(fleet.lasts(Phase::Freeze), sim.lasts(Phase::Freeze));
-    for phase in [Phase::DiskPrecopy, Phase::MemPrecopy, Phase::PostCopy] {
-        let (s, f) = (sim.lasts(phase), fleet.lasts(phase));
-        assert!(s.abs_diff(f) < TICK, "{phase:?}: {s} ns against {f} ns");
-    }
-    assert_eq!(fleet.bytes, 302_588_329);
-    assert_eq!(sim.bytes - fleet.bytes, 16);
+    assert_eq!(sim.bytes, 302_588_345);
+    assert_eq!(fleet, sim);
 }
 
 /// A writing guest shows the divergences that remain, pinned here by
 /// value (DESIGN.md §13):
-/// * phase ends rounded up to a tick, so a fleet pass runs longer and
-///   its guest dirties more;
-/// * the fleet shares the disk max-min between guest and stream where
-///   the simulator splits it seek-aware (`disk_shares`), so the
-///   diabolical guest's disk passes go differently;
-/// * the fleet's guest dirties pages on a draw stream of its own, not
-///   the simulator's guest stream;
-/// * post-copy in the fleet pushes only, on ticks, without the link's
-///   latency or `POSTCOPY_FIXED_OVERHEAD`.
+/// * the guest's draws: the fleet's guest draws its disk ops on the VM's
+///   stream and its page writes on one of their own, where the
+///   simulator's guest draws both on one, so a pass leaves other dirt
+///   (web: 44 blocks against 29);
+/// * a dedup reference: the fleet paces it as a full block, the
+///   simulator at `BLOCK_REF_WIRE`, so the diabolical guest's disk
+///   passes from the second on run longer and end differently;
+/// * post-copy: the fleet pushes on its steps without pulls, the
+///   simulator in 32-block batches answering pulls first.
 #[test]
 fn busy_guests_differ_only_where_pinned() {
     let run = |disk: &[(u64, u64)], mem: &[(u64, u64)], phases: [(u64, u64); 4], bytes| Run {
@@ -147,14 +138,14 @@ fn busy_guests_differ_only_where_pinned() {
         ),
         run(
             &[(65_536, 44)],
-            &[(8_192, 377)],
+            &[(8_192, 327)],
             [
-                (0, 5_250_000_000),
-                (5_250_000_000, 5_750_000_000),
-                (5_750_000_000, 5_802_569_067),
-                (5_802_569_067, 6_250_000_000),
+                (0, 5_120_000_000),
+                (5_120_000_000, 5_388_907_563),
+                (5_388_907_563, 5_439_831_438),
+                (5_439_831_438, 5_743_368_938),
             ],
-            304_296_305,
+            304_045_889,
         ),
     );
     let video = (
@@ -171,14 +162,14 @@ fn busy_guests_differ_only_where_pinned() {
         ),
         run(
             &[(65_536, 4)],
-            &[(8_192, 97)],
+            &[(8_192, 85)],
             [
-                (0, 5_250_000_000),
-                (5_250_000_000, 5_750_000_000),
-                (5_750_000_000, 5_793_356_541),
-                (5_793_356_541, 6_250_000_000),
+                (0, 5_120_000_000),
+                (5_120_000_000, 5_388_907_563),
+                (5_388_907_563, 5_431_869_427),
+                (5_431_869_427, 5_732_281_927),
             ],
-            303_002_865,
+            302_953_633,
         ),
     );
     let diabolical = (
@@ -200,15 +191,20 @@ fn busy_guests_differ_only_where_pinned() {
             391_508_361,
         ),
         run(
-            &[(65_536, 16_384), (16_384, 6_934), (6_934, 3)],
-            &[(8_192, 703), (703, 438)],
-            [
-                (0, 7_500_000_000),
-                (7_500_000_000, 8_250_000_000),
-                (8_250_000_000, 8_304_577_073),
-                (8_304_577_073, 9_000_000_000),
+            &[
+                (65_536, 16_384),
+                (16_384, 8_191),
+                (8_191, 3_034),
+                (3_034, 0),
             ],
-            399_706_401,
+            &[(8_192, 482)],
+            [
+                (0, 8_414_941_902),
+                (8_414_941_902, 8_683_849_465),
+                (8_683_849_465, 8_739_868_429),
+                (8_739_868_429, 9_039_868_429),
+            ],
+            391_727_233,
         ),
     );
     for (kind, (sim, fleet)) in [

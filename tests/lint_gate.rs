@@ -15,6 +15,9 @@
 //! it holds the one testbed: the fleet writes none of the paper's
 //! calibration again. And it holds the one content index: the live
 //! destination's migration state keeps it, and no disk grows a second.
+//! And it holds the one clock: both virtual-time engines pace with
+//! `migrate::phase`'s step rule, and no second pacer or two-party disk
+//! share grows beside it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -498,6 +501,36 @@ fn the_freeze_window_is_priced_once() {
     assert!(
         offenders.is_empty(),
         "price the freeze window with migrate::phase::freeze_window:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// The one clock (DESIGN.md §13): `migrate::phase::pace_step` paces
+/// every step of both virtual-time engines, and
+/// `simnet::capacity::seek_aware_share` is the one disk share. A program
+/// file outside `crates/migrate/src/phase/` that defines a pacer of its
+/// own (`fn pace_step`, or the fleet's former `fn quota`), or any program
+/// file that names the two-party `share_two`, fails.
+#[test]
+fn the_clock_is_paced_once() {
+    let phase = root().join("crates/migrate/src/phase");
+    let files = program_files();
+    assert!(files.iter().any(|p| p.starts_with(&phase)), "phase moved");
+    let mut offenders = Vec::new();
+    for path in &files {
+        let text = program_text(path);
+        let mut banned = vec!["share_two"];
+        if !path.starts_with(&phase) {
+            banned.extend(["fn pace_step", "fn quota"]);
+        }
+        for name in banned.into_iter().filter(|name| names(&text, name)) {
+            let rel = path.strip_prefix(root()).unwrap_or(path);
+            offenders.push(format!("{} names {name}", rel.display()));
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "pace with migrate::phase::pace_step, share a disk with seek_aware_share:\n{}",
         offenders.join("\n")
     );
 }
