@@ -120,7 +120,7 @@ impl TpmEngine {
         for b in 0..cfg.disk_blocks {
             src_disk.write(b);
         }
-        let mut src_mem = GuestMemory::new(cfg.mem_pages);
+        let mut src_mem = GuestMemory::new(4096, cfg.mem_pages);
         for p in 0..cfg.mem_pages {
             src_mem.touch(p);
         }
@@ -131,7 +131,7 @@ impl TpmEngine {
         let tracker = DirtyTracker::new(cfg.bitmap, cfg.disk_blocks);
         Self {
             dst_disk: MetaDisk::new(cfg.disk_blocks),
-            dst_mem: GuestMemory::new(cfg.mem_pages),
+            dst_mem: GuestMemory::new(4096, cfg.mem_pages),
             domain: Domain::new(DomainId(1), format!("vm-{}", workload.name())),
             kind,
             workload,
@@ -845,7 +845,7 @@ pub fn run_im_traced(
     engine.src_disk = prev.dst_disk;
     engine.dst_disk = prev.src_disk;
     engine.src_mem = prev.dst_mem;
-    engine.dst_mem = GuestMemory::new(cfg.mem_pages);
+    engine.dst_mem = GuestMemory::new(4096, cfg.mem_pages);
     engine.workload = prev.workload;
     engine.rng = prev.rng;
     engine.probe = prev.probe;

@@ -126,6 +126,16 @@ pub trait FleetDynamics {
         false
     }
 
+    /// The first instant after `now` at which an answer above may change
+    /// on its own (a timeline event, a maintenance dwell's end, a
+    /// workload cycle's phase switch), so the executor can end its step
+    /// there. `None` when nothing is scheduled: a static fleet never
+    /// changes.
+    fn next_change(&self, now: SimTime) -> Option<SimTime> {
+        let _ = now;
+        None
+    }
+
     /// `true` once no future timeline event could change topology or
     /// inject a request — the run loop may terminate when its own
     /// queues drain. A static fleet is always exhausted.

@@ -14,7 +14,8 @@
 //! scheduling policy, shares each host's NIC max-min and its disk
 //! seek-aware ([`simnet::capacity`]) among streams and guests, ends the
 //! step at `testbed::STEP` or sooner at the first instant a stream
-//! reaches (a pass's last unit, a freeze window's end, post-copy's end),
+//! reaches (a pass's last unit, a freeze window's end, post-copy's end)
+//! or at which a request arrives, a stall ends or the dynamics change,
 //! and advances every stream, then every guest. One VM on an idle fleet
 //! steps as the simulator does. Iteration is index-ordered and the only
 //! clock is virtual time, so a run is a pure function of its
@@ -38,7 +39,7 @@ use vmstate::{CpuState, WssModel};
 use workloads::TimedOp;
 
 use crate::cluster::{Cluster, HostId, VmId};
-use crate::config::{ClusterConfig, ConfigError, Scenario, HORIZON, RETRY_BACKOFF};
+use crate::config::{ClusterConfig, ConfigError, Scenario, CYCLE_PATIENCE, HORIZON, RETRY_BACKOFF};
 use crate::dynamics::{FleetDynamics, StaticDynamics};
 use crate::report::{ClusterReport, MigrationRecord};
 use crate::scheduler::{ClusterView, MigrationRequest, Policy, Scheduler};
@@ -122,14 +123,17 @@ impl Task {
 
     /// How long this stream runs from `now` before it reaches an instant
     /// of its own: its pass's last unit crossing at `rate` (its own
-    /// step, [`Task::pace`]), its freeze window's end or post-copy's end.
-    /// `None` while nothing of its own bounds the step: failed, stalled,
-    /// or off the direct route.
+    /// step, [`Task::pace`]), its freeze window's end or post-copy's end
+    /// (`now` itself while that end is still to be set). `None` while
+    /// nothing of its own bounds the step: failed, stalled, or off the
+    /// direct route.
     fn own_step(&self, rate: f64, route: &Route, now: SimTime) -> Option<SimDuration> {
         match self.machine.phase() {
             _ if self.failed || now < self.stall_until => None,
             Phase::Freeze => Some(self.resume_at.since(now)),
-            Phase::PostCopy if self.to_send.is_empty() => self.finish_at.map(|f| f.since(now)),
+            Phase::PostCopy if self.to_send.is_empty() => {
+                Some(self.finish_at.map_or(SimDuration::ZERO, |f| f.since(now)))
+            }
             _ if !matches!(route, Route::Direct) => None,
             Phase::MemPrecopy => Some(self.pace(rate, PAGE_SIZE as f64, self.remaining()).0),
             _ => Some(self.pace(rate, BLOCK_BYTES, self.remaining()).0),
@@ -157,6 +161,18 @@ impl Task {
             _ if dt > SimDuration::ZERO => pace_step(dt, rate, unit, remaining, &mut self.carry).1,
             _ => 0,
         }
+    }
+
+    /// Set post-copy's end once nothing is left to push: the last push
+    /// arrives one `latency` after it crossed at `crossed` (no push, no
+    /// wait), then the completion handshake, as the simulator's.
+    fn finish_postcopy(&mut self, crossed: SimTime, latency: SimDuration) {
+        let arrived = if self.pass_sent > 0 {
+            crossed + latency
+        } else {
+            crossed
+        };
+        (self.finish_at).get_or_insert(arrived + testbed::POSTCOPY_FIXED_OVERHEAD);
     }
 
     /// Units still to ship this pass.
@@ -352,9 +368,18 @@ impl Orchestrator {
             let (task_rates, vm_rates) = self.compute_rates(&tasks, &routes, now, dynamics);
 
             // 5. The step: `testbed::STEP`, or less when a stream reaches
-            // an instant of its own sooner.
+            // an instant of its own sooner, or when something the next
+            // step must see changes: a request arrives or outwaits its
+            // cycle deferral, a stall or backoff ends, the dynamics move.
+            let changes = (future.iter().map(|(_, r)| r.at))
+                .chain(pending.iter().map(|(_, r)| r.at + CYCLE_PATIENCE))
+                .chain(tasks.iter().map(|t| t.stall_until))
+                .chain(dynamics.next_change(now))
+                .filter(|&at| at > now)
+                .map(|at| at.since(now));
             let dt = (tasks.iter().zip(&task_rates).zip(&routes))
                 .filter_map(|((t, &rate), route)| t.own_step(rate, route, now))
+                .chain(changes)
                 .fold(testbed::STEP, SimDuration::min);
             let step_end = now + dt;
 
@@ -367,23 +392,10 @@ impl Orchestrator {
             // 7. Guests advance at their achieved disk rates.
             self.advance_vms(&mut tasks, &vm_rates, dt, now, &net, dynamics);
 
-            // 8. Reap finished streams, in stream order. Post-copy ends
-            // when its last push arrives, one latency after it crossed
-            // (at resume when nothing was owed), plus the completion
-            // handshake, as the simulator's.
+            // 8. Reap finished streams, in stream order.
             let mut ti = 0;
             while ti < tasks.len() {
-                let t = &mut tasks[ti];
-                if t.machine.phase() == Phase::PostCopy
-                    && t.finish_at.is_none()
-                    && t.to_send.is_empty()
-                {
-                    let pushed = t.pass_sent > 0;
-                    let latency = dynamics.link_latency(t.src.0, t.dst.0);
-                    let last = if pushed { step_end + latency } else { step_end };
-                    t.finish_at = Some(last + testbed::POSTCOPY_FIXED_OVERHEAD);
-                }
-                if t.done(step_end) {
+                if tasks[ti].done(step_end) {
                     makespan = makespan.max(step_end);
                     records.push(self.finalize(tasks.remove(ti), step_end));
                 } else {
@@ -731,7 +743,11 @@ impl Orchestrator {
             (0..tasks.len())
                 .filter(|&ti| {
                     let t = &tasks[ti];
-                    let active = !t.failed && now >= t.stall_until && !t.to_send.is_empty();
+                    // Post-copy with nothing left to push only waits out
+                    // its end; a pass emptied before a fault's stall
+                    // still ends on its share.
+                    let waiting = t.machine.phase() == Phase::PostCopy && t.to_send.is_empty();
+                    let active = !t.failed && now >= t.stall_until && !waiting;
                     let on_h = endpoints[ti].is_some_and(|(from, to)| from == h || to == h);
                     active && on_h && uses.contains(&t.machine.phase())
                 })
@@ -808,6 +824,13 @@ impl Orchestrator {
         if t.failed || now < t.stall_until {
             return;
         }
+        let latency = dynamics.link_latency(t.src.0, t.dst.0);
+        if t.machine.phase() == Phase::PostCopy && t.to_send.is_empty() {
+            // Nothing left to push (none owed at resume, or the guest's
+            // writes cancelled the rest): post-copy ends from here.
+            t.finish_postcopy(now, latency);
+            return;
+        }
         if matches!(route, Route::Severed) && t.machine.phase() != Phase::Freeze {
             return;
         }
@@ -865,6 +888,9 @@ impl Orchestrator {
             }
             Phase::PostCopy => {
                 self.pump_blocks(t, rate, dt, peer_mask);
+                if t.to_send.is_empty() {
+                    t.finish_postcopy(step_end, latency);
+                }
             }
         }
     }
@@ -1194,29 +1220,28 @@ impl Orchestrator {
     /// Publish `cluster.*` metrics into the recorder's registry.
     fn publish_metrics(&self, records: &[MigrationRecord], max_concurrent: usize, unserved: usize) {
         let m = self.recorder.metrics();
-        let sum = |f: fn(&MigrationRecord) -> u64| records.iter().map(f).sum::<u64>();
-        let completed = sum(|r| u64::from(r.completed));
-        for (name, n) in [
-            ("cluster.migrations.admitted", records.len() as u64),
-            ("cluster.migrations.completed", completed),
-            (
-                "cluster.migrations.failed",
-                records.len() as u64 - completed,
-            ),
-            (
-                "cluster.migrations.incremental",
-                sum(|r| u64::from(r.incremental)),
-            ),
-            ("cluster.migrations.unserved", unserved as u64),
-            ("cluster.retries", sum(|r| u64::from(r.retries))),
-            ("cluster.bytes.total", sum(|r| r.bytes)),
-            ("cluster.blocks.sent", sum(|r| r.blocks_sent)),
-            ("cluster.blocks.cancelled", sum(|r| r.blocks_cancelled)),
-            ("cluster.blocks.deduped", sum(|r| r.blocks_deduped)),
-            ("cluster.blocks.peer_served", sum(|r| r.blocks_peer)),
-        ] {
-            m.counter(name).add(n);
-        }
+        let completed = records.iter().filter(|r| r.completed).count() as u64;
+        m.counter("cluster.migrations.admitted")
+            .add(records.len() as u64);
+        m.counter("cluster.migrations.completed").add(completed);
+        m.counter("cluster.migrations.failed")
+            .add(records.len() as u64 - completed);
+        m.counter("cluster.migrations.incremental")
+            .add(records.iter().filter(|r| r.incremental).count() as u64);
+        m.counter("cluster.migrations.unserved")
+            .add(unserved as u64);
+        m.counter("cluster.retries")
+            .add(records.iter().map(|r| u64::from(r.retries)).sum());
+        m.counter("cluster.bytes.total")
+            .add(records.iter().map(|r| r.bytes).sum());
+        m.counter("cluster.blocks.sent")
+            .add(records.iter().map(|r| r.blocks_sent).sum());
+        m.counter("cluster.blocks.cancelled")
+            .add(records.iter().map(|r| r.blocks_cancelled).sum());
+        m.counter("cluster.blocks.deduped")
+            .add(records.iter().map(|r| r.blocks_deduped).sum());
+        m.counter("cluster.blocks.peer_served")
+            .add(records.iter().map(|r| r.blocks_peer).sum());
         m.gauge("cluster.hosts").set(self.cfg.hosts as u64);
         m.gauge("cluster.vms").set(self.cfg.vms as u64);
         m.gauge("cluster.max_concurrent").set(max_concurrent as u64);
@@ -1468,6 +1493,10 @@ mod tests {
                 (1, 1)
             }
         }
+
+        fn next_change(&self, now: SimTime) -> Option<SimTime> {
+            [self.from, self.until].into_iter().find(|&at| at > now)
+        }
     }
 
     #[test]
@@ -1567,7 +1596,8 @@ mod tests {
     /// the peer it picks and the owed blocks that peer can serve are the
     /// ones the per-stream rebuild from the old replica table picked
     /// (values recorded from the commit before the directory was
-    /// maintained).
+    /// maintained; the counts re-recorded, the peers unchanged, once the
+    /// hops arrived and the partition began at their exact instants).
     #[test]
     fn stranded_replan_picks_the_same_peer_and_servable_count() {
         let cfg = small_cfg(4, 1);
@@ -1601,8 +1631,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(fed, vec![(1, 4_854), (0, 1_654)]);
-        assert_eq!(report.records[2].blocks_peer, 8_005);
+        assert_eq!(fed, vec![(1, 4_861), (0, 1_661)]);
+        assert_eq!(report.records[2].blocks_peer, 8_000);
     }
 
     #[test]
@@ -1651,5 +1681,51 @@ mod tests {
         let report = orch.run(&Scenario::single_wave(&cfg, None));
         assert_eq!(report.completed(), 6);
         assert_eq!(report.max_concurrent, 1, "one stream per host pair");
+    }
+
+    /// A reset that fires on the last batch of a memory pass that stops
+    /// leaves the stream an empty worklist until its backoff ends. The
+    /// pass then ends on the stream's NIC share, so the freeze is priced
+    /// at that share and the downtime stays in milliseconds.
+    #[test]
+    fn a_reset_on_the_last_memory_batch_freezes_at_the_nic_share() {
+        let mut cfg = small_cfg(2, 1);
+        cfg.disk_blocks = 64;
+        cfg.mem_pages = 512;
+        cfg.workload_cycle = vec![WorkloadKind::Idle];
+        cfg.fault_resets = 1;
+        // One batch of disk, then one of memory: the first migration's
+        // reset must fire on its second message (its seed is `cfg.seed`).
+        let second = |seed| {
+            let plan = FaultPlan::seeded_resets(seed, 1, FAULT_LO, FAULT_HI);
+            plan.for_attempt(0)[0].trigger == FaultTrigger::Messages(2)
+        };
+        cfg.seed = (0..).find(|&seed| second(seed)).unwrap();
+        let rec = Recorder::enabled();
+        let mut orch = Orchestrator::new(cfg.clone(), Policy::Fifo, rec.clone()).unwrap();
+        let report = orch.run(&Scenario::single_wave(&cfg, None));
+        assert_eq!(report.completed(), 1);
+        assert_eq!(report.records[0].retries, 1);
+        let at = |hit: &dyn Fn(&Event) -> bool| {
+            let records = rec.records();
+            records.iter().find(|r| hit(&r.event)).map(|r| r.t_nanos)
+        };
+        let fault = at(&|e| matches!(e, Event::FaultInjected { .. })).unwrap();
+        let mem_end = at(&|e| {
+            matches!(
+                e,
+                Event::MigrationPhaseEnd {
+                    phase: Phase::MemPrecopy,
+                    ..
+                }
+            )
+        });
+        assert_eq!(
+            mem_end,
+            Some(fault + RETRY_BACKOFF.as_nanos()),
+            "the pass ends after the backoff"
+        );
+        let downtime = report.records[0].downtime_ms();
+        assert!(downtime < 100.0, "downtime {downtime} ms");
     }
 }

@@ -392,6 +392,25 @@ impl FleetDynamics for ScenarioDynamics {
         matches!(self.cycle_low(vm, now), Some(false))
     }
 
+    fn next_change(&self, now: SimTime) -> Option<SimTime> {
+        let event = self.events.get(self.next_event).map(|e| e.at);
+        let dwells = self.waves.iter().filter_map(|w| match w.active {
+            Some((_, WaveStage::Dwelling { until })) => Some(until),
+            _ => None,
+        });
+        let cycles = self
+            .cycles
+            .iter()
+            .flatten()
+            .filter_map(|c| c.next_switch(now));
+        event
+            .into_iter()
+            .chain(dwells)
+            .chain(cycles)
+            .filter(|&at| at > now)
+            .min()
+    }
+
     fn exhausted(&self, _now: SimTime) -> bool {
         self.next_event >= self.events.len()
             && self
@@ -452,7 +471,9 @@ mod tests {
         let cluster = Cluster::new(&cfg).expect("valid config");
         let mut d = ScenarioDynamics::new(&s);
         let rec = Recorder::enabled();
+        assert_eq!(d.next_change(at(0)), Some(at(10)));
         d.advance(at(10), &cluster, &[], &rec);
+        assert_eq!(d.next_change(at(10)), Some(at(20)), "the heal is next");
         assert!(d.connected(0, 1) && d.connected(2, 3));
         assert!(!d.connected(0, 2), "cross-island severed");
         assert!(!d.exhausted(at(10)));
@@ -495,6 +516,7 @@ mod tests {
         cluster.vms[0].host = cluster.hosts[1].id;
         d.advance(at(2), &cluster, &[], &rec);
         assert!(!d.host_up(0), "dwelling host is down");
+        assert_eq!(d.next_change(at(2)), Some(at(7)), "the dwell's end");
 
         // Dwell over at t=7: h0 rejoins, h1 starts its turn.
         let reqs = d.advance(at(7), &cluster, &[], &rec);
@@ -561,8 +583,10 @@ mod tests {
         assert!(d.high_activity(1, at(0)));
         assert!(!d.high_activity(0, at(0)), "no cycle, never high");
         assert_eq!(d.workload_scale(1, at(0)), 1.0);
+        assert_eq!(d.next_change(at(0)), Some(at(10)), "vm1's phase switch");
         d.advance(at(12), &cluster, &[], &rec);
         assert!(!d.high_activity(1, at(12)));
+        assert_eq!(d.next_change(at(12)), Some(at(20)));
         assert_eq!(d.workload_scale(1, at(12)), 0.25);
         assert_eq!(d.op_keep(1, at(12)), (1, 4));
         let events: Vec<Event> = rec.records().into_iter().map(|r| r.event).collect();

@@ -103,6 +103,22 @@ impl CycleSpec {
         }
         now.as_nanos() % period >= self.high.as_nanos()
     }
+
+    /// The first instant after `now` at which [`CycleSpec::low_at`]
+    /// flips, or `None` for a cycle that never leaves one phase.
+    pub fn next_switch(&self, now: SimTime) -> Option<SimTime> {
+        let (high, low) = (self.high.as_nanos(), self.low.as_nanos());
+        if high == 0 || low == 0 {
+            return None;
+        }
+        let into = now.as_nanos() % (high + low);
+        let left = if into < high {
+            high - into
+        } else {
+            high + low - into
+        };
+        Some(now + SimDuration::from_nanos(left))
+    }
 }
 
 /// A fully-resolved scenario: fleet geometry, topology declarations,
@@ -271,6 +287,18 @@ mod tests {
         assert!(c.low_at(at(10)));
         assert!(c.low_at(at(29)));
         assert!(!c.low_at(at(30)), "period wraps back to high");
+        assert_eq!(c.next_switch(at(0)), Some(at(10)));
+        assert_eq!(c.next_switch(at(10)), Some(at(30)));
+        assert_eq!(c.next_switch(at(29)), Some(at(30)));
+        let flat = CycleSpec {
+            low: SimDuration::ZERO,
+            ..c
+        };
+        assert_eq!(
+            flat.next_switch(at(0)),
+            None,
+            "a cycle without a low phase never flips"
+        );
     }
 
     #[test]

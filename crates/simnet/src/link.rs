@@ -47,6 +47,21 @@ impl Link {
         self.latency
     }
 
+    /// Serialization time for `bytes` (no latency term).
+    pub fn serialize_time(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_secs_f64(bytes as f64 / self.bandwidth)
+    }
+
+    /// Time for `bytes` to fully arrive: serialization plus one latency.
+    pub fn transfer_time(&self, bytes: u64) -> SimDuration {
+        self.serialize_time(bytes) + self.latency
+    }
+
+    /// Bytes the link can move in `dt` at full rate.
+    pub fn bytes_in(&self, dt: SimDuration) -> u64 {
+        (self.bandwidth * dt.as_secs_f64()).floor() as u64
+    }
+
     /// A copy of this link with bandwidth capped at `limit` bytes/second
     /// (the §VI-C-3 migration rate limit). A limit at or above the link
     /// rate returns the link unchanged.
@@ -65,8 +80,26 @@ mod tests {
 
     #[test]
     fn gigabit_moves_a_gigabyte_in_about_nine_seconds() {
-        let secs = (1024.0 * 1024.0 * 1024.0) / Link::gigabit().bandwidth();
-        assert!((8.0..9.0).contains(&secs), "{secs}");
+        let l = Link::gigabit();
+        let t = l.transfer_time(1024 * 1024 * 1024);
+        assert!((8.0..9.0).contains(&t.as_secs_f64()), "{t}");
+    }
+
+    #[test]
+    fn transfer_time_includes_latency() {
+        let l = Link::new(1_000_000.0, SimDuration::from_millis(10));
+        let t = l.transfer_time(1_000_000);
+        assert!((t.as_secs_f64() - 1.01).abs() < 1e-9);
+        assert_eq!(l.serialize_time(1_000_000), SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn bytes_in_inverts_serialize_time() {
+        let l = Link::gigabit();
+        let dt = SimDuration::from_secs(3);
+        let bytes = l.bytes_in(dt);
+        let back = l.serialize_time(bytes);
+        assert!((back.as_secs_f64() - 3.0).abs() < 1e-3);
     }
 
     #[test]

@@ -77,6 +77,11 @@ impl Domain {
         self.state
     }
 
+    /// `true` while the guest executes (and can dirty pages/blocks).
+    pub fn is_running(&self) -> bool {
+        self.state == VmRunState::Running
+    }
+
     /// Suspend for freeze-and-copy.
     pub fn suspend(&mut self) -> Result<(), DomainError> {
         match self.state {
@@ -131,12 +136,12 @@ mod tests {
     #[test]
     fn lifecycle_happy_path() {
         let mut d = guest();
-        assert_eq!(d.state(), VmRunState::Running);
+        assert!(d.is_running());
         d.suspend().unwrap();
         assert_eq!(d.state(), VmRunState::Suspended);
-        assert_ne!(d.state(), VmRunState::Running);
+        assert!(!d.is_running());
         d.resume().unwrap();
-        assert_eq!(d.state(), VmRunState::Running);
+        assert!(d.is_running());
         d.suspend().unwrap();
         d.retire().unwrap();
         assert_eq!(d.state(), VmRunState::Retired);

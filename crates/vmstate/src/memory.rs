@@ -13,17 +13,39 @@ use vdisk::MetaDisk;
 /// 512 MB guest at 4 KiB pages is 131 072 pages — cheap to track exactly.
 #[derive(Debug, Clone)]
 pub struct GuestMemory {
+    page_size: usize,
     pages: MetaDisk,
     dirty: FlatBitmap,
 }
 
 impl GuestMemory {
-    /// Create memory of `num_pages` pages, all at generation 0 and clean.
-    pub fn new(num_pages: usize) -> Self {
+    /// Create memory of `num_pages` pages of `page_size` bytes, all at
+    /// generation 0 and clean.
+    ///
+    /// # Panics
+    /// Panics when `page_size == 0`.
+    pub fn new(page_size: usize, num_pages: usize) -> Self {
+        assert!(page_size > 0, "page size must be non-zero");
         Self {
+            page_size,
             pages: MetaDisk::new(num_pages),
             dirty: FlatBitmap::new(num_pages),
         }
+    }
+
+    /// Number of pages.
+    pub fn num_pages(&self) -> usize {
+        self.pages.num_blocks()
+    }
+
+    /// Page size in bytes.
+    pub fn page_size(&self) -> usize {
+        self.page_size
+    }
+
+    /// Total memory in bytes.
+    pub fn total_bytes(&self) -> u64 {
+        self.page_size as u64 * self.num_pages() as u64
     }
 
     /// Guest write to `page`: bump its generation, mark it dirty.
@@ -35,11 +57,26 @@ impl GuestMemory {
         self.dirty.set(page);
     }
 
+    /// Current generation of `page`.
+    pub fn generation(&self, page: usize) -> u32 {
+        self.pages.generation(page)
+    }
+
+    /// Number of pages currently marked dirty.
+    pub fn dirty_count(&self) -> usize {
+        self.dirty.count_ones()
+    }
+
     /// Drain the dirty bitmap: returns the dirty set and resets tracking —
     /// one iteration boundary of Xen's pre-copy loop.
     pub fn drain_dirty(&mut self) -> FlatBitmap {
-        let fresh = FlatBitmap::new(self.pages.num_blocks());
+        let fresh = FlatBitmap::new(self.num_pages());
         std::mem::replace(&mut self.dirty, fresh)
+    }
+
+    /// Peek at the dirty bitmap without resetting.
+    pub fn dirty_map(&self) -> &FlatBitmap {
+        &self.dirty
     }
 
     /// Copy one page's generation from `src` — the simulated transfer of a
@@ -49,6 +86,14 @@ impl GuestMemory {
     /// Panics when geometries differ or `page` is out of range.
     pub fn copy_page_from(&mut self, src: &GuestMemory, page: usize) {
         self.pages.copy_block_from(&src.pages, page);
+    }
+
+    /// Pages whose generations differ from `other`.
+    ///
+    /// # Panics
+    /// Panics when geometries differ.
+    pub fn diff_pages(&self, other: &GuestMemory) -> Vec<usize> {
+        self.pages.diff_blocks(&other.pages)
     }
 
     /// `true` when every page matches `other`.
@@ -63,32 +108,32 @@ mod tests {
 
     #[test]
     fn touch_marks_dirty_and_bumps_generation() {
-        let mut m = GuestMemory::new(16);
-        assert_eq!(m.dirty.count_ones(), 0);
+        let mut m = GuestMemory::new(4096, 16);
+        assert_eq!(m.dirty_count(), 0);
         m.touch(3);
         m.touch(3);
         m.touch(7);
-        assert_eq!(m.dirty.count_ones(), 2);
-        assert!(m.pages.generation(3) > 0);
-        assert!(m.dirty.get(3));
+        assert_eq!(m.dirty_count(), 2);
+        assert!(m.generation(3) > 0);
+        assert!(m.dirty_map().get(3));
     }
 
     #[test]
     fn drain_resets_tracking_but_keeps_contents() {
-        let mut m = GuestMemory::new(16);
+        let mut m = GuestMemory::new(4096, 16);
         m.touch(5);
-        let g = m.pages.generation(5);
+        let g = m.generation(5);
         let drained = m.drain_dirty();
         assert_eq!(drained.to_indices(), vec![5]);
-        assert_eq!(m.dirty.count_ones(), 0);
-        assert_eq!(m.pages.generation(5), g);
+        assert_eq!(m.dirty_count(), 0);
+        assert_eq!(m.generation(5), g);
     }
 
     #[test]
     fn precopy_sync_pattern() {
         // Simulate one migration round: copy all, then copy dirty-only.
-        let mut src = GuestMemory::new(32);
-        let mut dst = GuestMemory::new(32);
+        let mut src = GuestMemory::new(4096, 32);
+        let mut dst = GuestMemory::new(4096, 32);
         for p in [1usize, 9, 9, 20] {
             src.touch(p);
         }
@@ -102,7 +147,7 @@ mod tests {
         src.touch(2);
         src.touch(9);
         let dirty = src.drain_dirty();
-        assert_eq!(dst.pages.diff_blocks(&src.pages), vec![2, 9]);
+        assert_eq!(dst.diff_pages(&src), vec![2, 9]);
         for p in dirty.to_indices() {
             dst.copy_page_from(&src, p);
         }
@@ -112,8 +157,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "geometries must match")]
     fn geometry_mismatch_panics() {
-        let a = GuestMemory::new(4);
-        let b = GuestMemory::new(8);
+        let a = GuestMemory::new(4096, 4);
+        let b = GuestMemory::new(4096, 8);
         a.content_equals(&b);
+        a.diff_pages(&b);
     }
 }

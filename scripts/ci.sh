@@ -253,8 +253,8 @@ want = {
     "sim.virt_downtime_ms": 132.669965,
     "sim.virt_wire_bytes": 946567619,
     "sim.fanin_peer_share": 0.916656494140625,
-    "orchestrator.virt_makespan_s": 205.692625281,
-    "orchestrator.virt_bytes": 1055552175,
+    "orchestrator.virt_makespan_s": 205.525798183,
+    "orchestrator.virt_bytes": 1055502911,
 }
 got = {name: metrics[name]["value"] for name in want}
 for name in want:

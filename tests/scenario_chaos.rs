@@ -246,12 +246,12 @@ fn every_chaos_run_keeps_its_images_in_the_block_directory() {
 /// The fleet stops pre-copy by the same rule as the two-host engines
 /// (`migrate::phase::StopRule`): a pass the guest out-dirtied ends it.
 /// Under the partition with seeded resets, migration 7's second pass
-/// sends 1 609 blocks while its kernel-build guest dirties 2 048, so its
+/// sends 473 blocks while its kernel-build guest dirties 2 048, so its
 /// disk pre-copy ends after two passes; without the rule it starts a
-/// third (and, resets spent, fails there).
+/// third.
 #[test]
 fn a_pass_the_guest_out_dirties_ends_fleet_precopy() {
-    let spec = partition_chaos_spec(5);
+    let spec = partition_chaos_spec(7);
     let mut cfg = scenario::config_for(&spec);
     cfg.fault_resets = 8;
     cfg.max_retries = 1;

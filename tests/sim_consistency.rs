@@ -214,6 +214,6 @@ fn virtual_time_outputs_are_pinned() {
         .report;
     assert!(fleet.all_consistent());
     assert_eq!(fleet.completed(), fleet.records.len());
-    assert_eq!(fleet.makespan_secs(), 205.692625281);
-    assert_eq!(fleet.total_bytes(), 1_055_552_175);
+    assert_eq!(fleet.makespan_secs(), 205.525798183);
+    assert_eq!(fleet.total_bytes(), 1_055_502_911);
 }
