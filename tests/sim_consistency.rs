@@ -4,6 +4,7 @@
 //! property.
 
 use block_bitmap_migration::prelude::*;
+use block_bitmap_migration::telemetry;
 use proptest::prelude::*;
 
 fn tiny_cfg(
@@ -167,40 +168,55 @@ fn template_clone_dedup_wire_bytes_are_pinned() {
     assert_eq!(bytes_sent(true), 1_809_897_696);
 }
 
-/// The simulated outputs of the benchmark's `virtual_time` suite at seed
-/// 1, by equality: TPM under the web and the diabolical guest and the
-/// 4-peer template fan-in (256 MiB disk, 16 MiB guest, the paper
-/// testbed's rates), then an 8-VM cycle-aware rolling-maintenance fleet.
-/// Every guest op and every page touch is a random draw, so a generator
-/// that draws once more, once less or in another order changes a digit.
-#[test]
-fn virtual_time_outputs_are_pinned() {
-    use block_bitmap_migration::migrate::sim::run_template_clone_fanin;
+/// One round of the benchmark's `virtual_time` suite at `seed`, each run
+/// journaled by an enabled recorder: TPM under the web and the diabolical
+/// guest and the 4-peer template fan-in (256 MiB disk, 16 MiB guest, the
+/// paper testbed's rates), then an 8-VM cycle-aware rolling-maintenance
+/// fleet.
+struct SuiteRound {
+    sims: [MigrationReport; 3],
+    peer_fraction: f64,
+    fleet: ClusterReport,
+    /// Per run, in suite order: the journal's record count and the
+    /// FNV-1a-64 of its JSONL export.
+    journals: [(usize, u64); 4],
+}
 
+/// FNV-1a-64 of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn suite_round(seed: u64) -> SuiteRound {
+    use block_bitmap_migration::migrate::sim::{run_template_clone_fanin_traced, run_tpm_traced};
+
+    let journal = |rec: &Recorder| {
+        let records = rec.records();
+        (
+            records.len(),
+            fnv1a64(telemetry::to_jsonl(&records).as_bytes()),
+        )
+    };
     let cfg = MigrationConfig {
         disk_blocks: 65_536,
         mem_pages: 4_096,
-        seed: 1,
+        seed,
         ..MigrationConfig::paper_testbed()
     };
     let mut diverged = FlatBitmap::new(cfg.disk_blocks);
     for b in (0..cfg.disk_blocks).step_by(12) {
         diverged.set(b);
     }
-    let web = run_tpm(cfg.clone(), WorkloadKind::Web).report;
-    let diabolical = run_tpm(cfg.clone(), WorkloadKind::Diabolical).report;
-    let fanin = run_template_clone_fanin(cfg, WorkloadKind::Idle, diverged, 4).report;
-    let sims = [&web, &diabolical, &fanin];
-    assert!(sims.iter().all(|r| r.consistent));
-    let total_s: f64 = sims.iter().map(|r| r.total_time_secs).sum();
-    let downtime_ms: f64 = sims.iter().map(|r| r.downtime_ms).sum();
-    let wire_bytes: u64 = sims.iter().map(|r| r.ledger.total()).sum();
-    assert_eq!(total_s, 16.792540988);
-    assert_eq!(downtime_ms, 132.669965);
-    assert_eq!(wire_bytes, 946_567_619);
-    assert_eq!(fanin.multisource.peer_fraction(), 0.916656494140625);
+    let recs: Vec<_> = (0..4).map(|_| Recorder::enabled()).collect();
+    let web = run_tpm_traced(cfg.clone(), WorkloadKind::Web, recs[0].clone()).report;
+    let diabolical = run_tpm_traced(cfg.clone(), WorkloadKind::Diabolical, recs[1].clone()).report;
+    let fanin =
+        run_template_clone_fanin_traced(cfg, WorkloadKind::Idle, diverged, 4, recs[2].clone())
+            .report;
 
-    let mut scn = String::from("fleet hosts=8 vms=8 blocks=16384 seed=1 policy=cycle-aware\n");
+    let mut scn = format!("fleet hosts=8 vms=8 blocks=16384 seed={seed} policy=cycle-aware\n");
     for h in 0..8 {
         scn += &format!("host h{h} nic=25MiB\n");
     }
@@ -209,11 +225,72 @@ fn virtual_time_outputs_are_pinned() {
     }
     scn += "at 0s maintenance h0 h1 h2 h3 h4 h5 h6 h7 dwell=15s\n";
     let spec = block_bitmap_migration::scenario::parse(&scn).expect("fleet spec parses");
-    let fleet = block_bitmap_migration::scenario::run(&spec, Recorder::off())
+    let fleet = block_bitmap_migration::scenario::run(&spec, recs[3].clone())
         .expect("fleet runs")
         .report;
+    SuiteRound {
+        peer_fraction: fanin.multisource.peer_fraction(),
+        sims: [web, diabolical, fanin],
+        fleet,
+        journals: [0, 1, 2, 3].map(|i| journal(&recs[i])),
+    }
+}
+
+/// The simulated outputs of the benchmark's `virtual_time` suite at seed
+/// 1, by equality, and every run's journal at seeds 1 and 7 by record
+/// count and digest. Every guest op and every page touch is a random
+/// draw, so a generator that draws once more, once less or in another
+/// order changes a digit; an event journaled at another instant or in
+/// another order changes a digest.
+#[test]
+fn virtual_time_outputs_are_pinned() {
+    let round = suite_round(1);
+    assert!(round.sims.iter().all(|r| r.consistent));
+    let total_s: f64 = round.sims.iter().map(|r| r.total_time_secs).sum();
+    let downtime_ms: f64 = round.sims.iter().map(|r| r.downtime_ms).sum();
+    let wire_bytes: u64 = round.sims.iter().map(|r| r.ledger.total()).sum();
+    assert_eq!(total_s, 16.792540988);
+    assert_eq!(downtime_ms, 132.669965);
+    assert_eq!(wire_bytes, 946_567_619);
+    assert_eq!(round.peer_fraction, 0.916656494140625);
+
+    let fleet = &round.fleet;
     assert!(fleet.all_consistent());
     assert_eq!(fleet.completed(), fleet.records.len());
     assert_eq!(fleet.makespan_secs(), 205.525798183);
     assert_eq!(fleet.total_bytes(), 1_055_502_911);
+
+    // TPM web, TPM diabolical, fan-in, fleet.
+    let seed1 = [
+        (51, 636_487_679_124_536_475),
+        (17, 2_521_803_080_156_543_265),
+        (18, 5_289_254_101_281_495_556),
+        (268, 12_976_178_118_105_488_681),
+    ];
+    assert_eq!(round.journals, seed1, "seed 1");
+    let seed7 = [
+        (48, 13_630_457_491_637_277_419),
+        (17, 13_825_228_821_362_908_102),
+        (18, 5_289_254_101_281_495_556),
+        (268, 3_342_887_583_856_492_001),
+    ];
+    assert_eq!(suite_round(7).journals, seed7, "seed 7");
+
+    // The suite's fleets cancel no post-copy push; the WAN scenario at
+    // seed 3 cancels three, so their order is pinned here.
+    let text = include_str!("../scenarios/wan.scn");
+    let mut spec = block_bitmap_migration::scenario::parse(text).expect("wan.scn parses");
+    spec.seed = Some(3);
+    let rec = Recorder::enabled();
+    block_bitmap_migration::scenario::run(&spec, rec.clone()).expect("wan.scn runs");
+    let records = rec.records();
+    let cancelled = (records.iter())
+        .filter(|r| matches!(r.event, telemetry::Event::MigrationSyncCancelled { .. }))
+        .count();
+    assert_eq!(cancelled, 3);
+    let text = telemetry::to_jsonl(&records);
+    assert_eq!(
+        (records.len(), fnv1a64(text.as_bytes())),
+        (105, 5_055_221_022_036_877_238)
+    );
 }
