@@ -180,6 +180,48 @@ impl FlatBitmap {
         None
     }
 
+    /// Clear up to `n` set bits at or after `from`, lowest first, and the
+    /// same bits of `also`, a word at a time; `out` sees each cleared index
+    /// in ascending order. Returns how many were cleared.
+    ///
+    /// # Panics
+    /// Panics when `also` tracks a different number of bits.
+    #[inline]
+    pub fn take_from(
+        &mut self,
+        from: usize,
+        n: usize,
+        mut also: Option<&mut FlatBitmap>,
+        mut out: impl FnMut(usize),
+    ) -> usize {
+        if let Some(a) = &also {
+            assert_eq!(self.nbits, a.nbits, "bitmap sizes must match");
+        }
+        let mut taken = 0;
+        let mut pos = from;
+        while taken < n {
+            let Some(first) = self.next_set_from(pos) else {
+                break;
+            };
+            let wi = first / BITS_PER_WORD;
+            let mut rest = self.words[wi] & (u64::MAX << (first % BITS_PER_WORD));
+            let mut took = 0u64;
+            while rest != 0 && taken < n {
+                let low = rest & rest.wrapping_neg();
+                took |= low;
+                rest ^= low;
+                out(wi * BITS_PER_WORD + low.trailing_zeros() as usize);
+                taken += 1;
+            }
+            self.words[wi] &= !took;
+            if let Some(a) = also.as_deref_mut() {
+                a.words[wi] &= !took;
+            }
+            pos = (wi + 1) * BITS_PER_WORD;
+        }
+        taken
+    }
+
     /// Split `[0, nbits)` into `k` contiguous, word-aligned, non-overlapping
     /// ranges that together cover the whole bit space. Words are spread as
     /// evenly as possible (the first `words % k` shards get one extra), so

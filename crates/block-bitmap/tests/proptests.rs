@@ -172,6 +172,29 @@ proptest! {
         prop_assert_eq!(bm.next_set_from(from), expect);
     }
 
+    /// `take_from` clears the first `n` set bits at or after `from`, in
+    /// ascending order, from the bitmap and from `also`, and no other.
+    #[test]
+    fn take_from_clears_the_first_n_from(
+        idxs in prop::collection::btree_set(0usize..300, 0..120),
+        other in prop::collection::btree_set(0usize..300, 0..120),
+        from in 0usize..310,
+        n in 0usize..140,
+    ) {
+        let mut bm = FlatBitmap::new(300);
+        let mut also = FlatBitmap::new(300);
+        for &i in &idxs { bm.set(i); }
+        for &i in &other { also.set(i); }
+        let expect: Vec<usize> = idxs.iter().copied().filter(|&i| i >= from).take(n).collect();
+        let mut taken = Vec::new();
+        prop_assert_eq!(bm.take_from(from, n, Some(&mut also), |u| taken.push(u)), expect.len());
+        prop_assert_eq!(&taken, &expect);
+        let left: Vec<usize> = idxs.iter().copied().filter(|i| !expect.contains(i)).collect();
+        prop_assert_eq!(bm.to_indices(), left);
+        let also_left: Vec<usize> = other.iter().copied().filter(|i| !expect.contains(i)).collect();
+        prop_assert_eq!(also.to_indices(), also_left);
+    }
+
     /// All three bitmap implementations agree on any op sequence. The bit
     /// space (195 = 3×64+3) straddles word boundaries and leaves tail
     /// bits in the final partial word, where masking bugs live.

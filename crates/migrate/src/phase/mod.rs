@@ -327,21 +327,44 @@ impl Worklist {
         self.set.none_set()
     }
 
-    /// The next unit to ship, taken off the set: the first from the
-    /// cursor on, else the first from the start. With `within`, only its
-    /// units qualify, and the unit leaves it too.
+    /// The next unit to ship, taken off the set: [`Worklist::take`] of one.
     #[inline]
     pub fn next(&mut self, within: Option<&mut FlatBitmap>) -> Option<usize> {
-        let from = within.as_deref().unwrap_or(&self.set);
-        let u = from
-            .next_set_from(self.cursor)
-            .or_else(|| from.next_set_from(0))?;
-        self.set.clear(u);
-        if let Some(w) = within {
-            w.clear(u);
+        let mut unit = None;
+        self.take(1, within, |u| unit = Some(u));
+        unit
+    }
+
+    /// Take up to `n` units off the set, handing each to `out` in turn:
+    /// those from the cursor on in ascending order, then those from the
+    /// start, and the cursor moves past the last one. With `within`, only
+    /// its units qualify, and each taken unit leaves it too. Returns how
+    /// many were taken.
+    #[inline]
+    pub fn take(
+        &mut self,
+        n: usize,
+        within: Option<&mut FlatBitmap>,
+        mut out: impl FnMut(usize),
+    ) -> usize {
+        let Self { set, cursor } = self;
+        let (from, mut also) = match within {
+            Some(w) => (w, Some(set)),
+            None => (set, None),
+        };
+        let mut last = None;
+        let mut out = |u| {
+            last = Some(u);
+            out(u);
+        };
+        let mut taken = from.take_from(*cursor, n, also.as_deref_mut(), &mut out);
+        if taken < n {
+            taken += from.take_from(0, n - taken, also, &mut out);
         }
-        self.cursor = u + 1;
-        Some(u)
+        if let Some(u) = last {
+            *cursor = u + 1;
+        }
+        taken
     }
 
     /// A pull: the block is answered now, ahead of every push, and is
@@ -509,6 +532,84 @@ mod tests {
         assert_eq!(list.next(Some(&mut within)), Some(3));
         assert!(within.none_set());
         assert_eq!(list.next(None), Some(10));
+    }
+
+    /// A unit taken by definition: the first of `within` (else of the
+    /// set) from the cursor on, else the first from the start, cleared
+    /// from the set and from `within`.
+    fn next_by_definition(list: &mut Worklist, within: Option<&mut FlatBitmap>) -> Option<usize> {
+        let from = within.as_deref().unwrap_or(&list.set);
+        let u = (from.next_set_from(list.cursor)).or_else(|| from.next_set_from(0))?;
+        list.set.clear(u);
+        if let Some(w) = within {
+            w.clear(u);
+        }
+        list.cursor = u + 1;
+        Some(u)
+    }
+
+    /// A bitmap of `nbits` from random words, thinned to about a quarter
+    /// when `sparse`.
+    fn random_bits(nbits: usize, words: &[u64], thin: &[u64], sparse: bool) -> FlatBitmap {
+        let n = nbits.div_ceil(64);
+        let words = (words.iter().zip(thin).take(n))
+            .map(|(&w, &t)| if sparse { w & t } else { w })
+            .collect();
+        FlatBitmap::from_words(nbits, words)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// `take(n, within)` takes exactly what `n` calls of `next(within)`
+        /// would, in the same order, and leaves the same set, mask and
+        /// cursor: over sets with partial tail words, empty sets, random
+        /// cursors and masks, and `n` below and beyond the set's size.
+        #[test]
+        fn take_is_n_calls_of_next(
+            nbits in 1usize..300,
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 5),
+            thin in proptest::collection::vec(proptest::prelude::any::<u64>(), 5),
+            mask in proptest::collection::vec(proptest::prelude::any::<u64>(), 5),
+            sparse in proptest::bool::ANY,
+            empty in proptest::bool::ANY,
+            masked in proptest::bool::ANY,
+            cursor in 0usize..300,
+            n in 0usize..400,
+        ) {
+            let set = if empty {
+                FlatBitmap::new(nbits)
+            } else {
+                random_bits(nbits, &words, &thin, sparse)
+            };
+            let start = Worklist { set, cursor: cursor.min(nbits) };
+            let within = masked.then(|| random_bits(nbits, &mask, &thin, sparse));
+
+            let (mut want, mut want_within, mut expected) = (start.clone(), within.clone(), vec![]);
+            for _ in 0..n {
+                match next_by_definition(&mut want, want_within.as_mut()) {
+                    Some(u) => expected.push(u),
+                    None => break,
+                }
+            }
+            let (mut got, mut got_within, mut taken) = (start.clone(), within.clone(), vec![]);
+            let count = got.take(n, got_within.as_mut(), |u| taken.push(u));
+            proptest::prop_assert_eq!(count, taken.len());
+            proptest::prop_assert_eq!(&taken, &expected);
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(&got_within, &want_within);
+
+            // `next` is `take` of one.
+            let (mut one, mut one_within) = (start.clone(), within.clone());
+            let (mut def, mut def_within) = (start, within);
+            for _ in 0..n.min(8) {
+                proptest::prop_assert_eq!(
+                    one.next(one_within.as_mut()),
+                    next_by_definition(&mut def, def_within.as_mut())
+                );
+            }
+            proptest::prop_assert_eq!(&one, &def);
+        }
     }
 
     /// Queues whose session shipped `blocks` and `pages`.

@@ -157,10 +157,7 @@ fn schedule_push(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
     }
     // Gather the next batch of blocks still marked at the source.
     let mut batch = Vec::with_capacity(st.cfg.push_batch);
-    while batch.len() < st.cfg.push_batch {
-        let Some(b) = st.push.next(None) else { break };
-        batch.push(b);
-    }
+    st.push.take(st.cfg.push_batch, None, |b| batch.push(b));
     if batch.is_empty() {
         // Everything handed to the wire; completion happens at the last
         // arrival (PushComplete itself is control traffic).

@@ -12,7 +12,8 @@
 //!
 //! Every step the executor: admits pending requests through the
 //! scheduling policy, shares each host's NIC max-min and its disk
-//! seek-aware ([`simnet::capacity`]) among streams and guests, ends the
+//! seek-aware ([`simnet::capacity`]) among streams and guests (a pool
+//! solves again only when its inputs change, [`crate::pools`]), ends the
 //! step at `testbed::STEP` or sooner at the first instant a stream
 //! reaches (a pass's last unit, a freeze window's end, post-copy's end)
 //! or at which a request arrives, a stall ends or the dynamics change,
@@ -31,7 +32,6 @@ use migrate::phase::{
     StopRule, Voice, Worklist, PAGE_SIZE,
 };
 use migrate::{testbed, BitmapKind};
-use simnet::capacity::{max_min_share, seek_aware_share};
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use telemetry::{Event, Fold, Phase, Recorder};
 use vdisk::MetaDisk;
@@ -41,6 +41,7 @@ use workloads::TimedOp;
 use crate::cluster::{Cluster, HostId, VmId};
 use crate::config::{ClusterConfig, ConfigError, Scenario, CYCLE_PATIENCE, HORIZON, RETRY_BACKOFF};
 use crate::dynamics::{FleetDynamics, StaticDynamics};
+use crate::pools::HostPools;
 use crate::report::{ClusterReport, MigrationRecord};
 use crate::scheduler::{ClusterView, MigrationRequest, Policy, Scheduler};
 
@@ -237,6 +238,75 @@ impl StepNet {
     }
 }
 
+/// What a step shares out, in buffers every step reuses: each host's
+/// pools with their held solves ([`crate::pools`]), and the rates they
+/// give each stream and guest.
+struct StepRates {
+    hosts: Vec<HostPools>,
+    /// Serving endpoints per stream this step: `None` drops the stream
+    /// out of every pool.
+    endpoints: Vec<Option<(usize, usize)>>,
+    /// A stream's least allocation over its pools, `None` while it sits
+    /// in none.
+    least: Vec<Option<f64>>,
+    /// Per VM: its migration is frozen, so it asks nothing of its disk.
+    suspended: Vec<bool>,
+    /// One pool's demands, refilled per pool.
+    demands: Vec<f64>,
+    /// Per stream: its rate this step.
+    task: Vec<f64>,
+    /// Per VM: its guest's achieved disk rate this step.
+    vm: Vec<f64>,
+}
+
+impl StepRates {
+    fn new(hosts: usize, vms: usize) -> Self {
+        Self {
+            hosts: (0..hosts).map(|_| HostPools::default()).collect(),
+            endpoints: Vec::new(),
+            least: Vec::new(),
+            suspended: vec![false; vms],
+            demands: Vec::new(),
+            task: Vec::new(),
+            vm: vec![0.0; vms],
+        }
+    }
+}
+
+/// Which of a run of consecutive ops (or page writes) a low-activity
+/// phase keeps: the one numbered `seq` when `seq % of < keep`, with one
+/// division for the whole run and none when everything is kept. (The
+/// sequence numbers wrap at 2^64, which no run reaches.)
+struct Thinning {
+    rem: u64,
+    keep: u64,
+    of: u64,
+}
+
+impl Thinning {
+    /// The run starting at sequence number `seq`, under `op_keep`'s
+    /// `(keep, of)`.
+    fn at(seq: u64, (keep, of): (u64, u64)) -> Self {
+        let of = of.max(1);
+        let rem = if keep >= of { 0 } else { seq % of };
+        Self { rem, keep, of }
+    }
+
+    /// Whether the next one in the run is kept.
+    #[inline]
+    fn keeps(&mut self) -> bool {
+        if self.keep >= self.of {
+            return true;
+        }
+        let kept = self.rem < self.keep;
+        self.rem += 1;
+        if self.rem == self.of {
+            self.rem = 0;
+        }
+        kept
+    }
+}
+
 /// The cluster executor: owns the fleet, runs scenarios.
 pub struct Orchestrator {
     cfg: ClusterConfig,
@@ -249,6 +319,8 @@ pub struct Orchestrator {
     op_seq: Vec<u64>,
     /// One step of one guest's ops, cleared and refilled per VM per step.
     ops: Vec<TimedOp>,
+    /// Each host's pools and the rates they give, refilled per step.
+    rates: StepRates,
 }
 
 impl Orchestrator {
@@ -260,6 +332,7 @@ impl Orchestrator {
     ) -> Result<Self, ConfigError> {
         let cluster = Cluster::new(&cfg)?;
         let op_seq = vec![0u64; cluster.vms.len()];
+        let rates = StepRates::new(cfg.hosts, cluster.vms.len());
         Ok(Self {
             cfg,
             cluster,
@@ -268,6 +341,7 @@ impl Orchestrator {
             next_id: 0,
             op_seq,
             ops: Vec::new(),
+            rates,
         })
     }
 
@@ -310,8 +384,14 @@ impl Orchestrator {
         let mut makespan = SimTime::ZERO;
         let mut endpoints: Vec<(usize, usize)> = Vec::new();
         let mut net = StepNet::new(self.cfg.hosts, self.cluster.vms.len());
+        let mut routes: Vec<Route> = Vec::new();
+        let mut steps = 0u64;
+        let mut guest_ops = 0u64;
 
         loop {
+            // A turn of this loop is a step; the last finds the run over.
+            steps += 1;
+
             // 0. Dynamics: interpret timeline events due now (journaling
             // each topology change) and inject evacuation requests.
             endpoints.clear();
@@ -361,11 +441,11 @@ impl Orchestrator {
 
             // 3. Routing: per-stream path for this step — direct,
             // peer-fed across a partition, or severed (stalled).
-            let routes = self.route_streams(&mut tasks, dynamics, now);
+            self.route_streams(&mut tasks, dynamics, now, &mut routes);
 
             // 4. Capacity: pool demands per host, share them, then cap
             // each stream by its path's WAN link.
-            let (task_rates, vm_rates) = self.compute_rates(&tasks, &routes, now, dynamics);
+            self.compute_rates(&tasks, &routes, now, dynamics);
 
             // 5. The step: `testbed::STEP`, or less when a stream reaches
             // an instant of its own sooner, or when something the next
@@ -377,7 +457,7 @@ impl Orchestrator {
                 .chain(dynamics.next_change(now))
                 .filter(|&at| at > now)
                 .map(|at| at.since(now));
-            let dt = (tasks.iter().zip(&task_rates).zip(&routes))
+            let dt = (tasks.iter().zip(&self.rates.task).zip(&routes))
                 .filter_map(|((t, &rate), route)| t.own_step(rate, route, now))
                 .chain(changes)
                 .fold(testbed::STEP, SimDuration::min);
@@ -385,12 +465,12 @@ impl Orchestrator {
 
             // 6. Streams advance at their bottleneck rates.
             for (ti, t) in tasks.iter_mut().enumerate() {
-                let (rate, route) = (task_rates[ti], &routes[ti]);
+                let (rate, route) = (self.rates.task[ti], &routes[ti]);
                 self.advance_stream(t, rate, route, now, step_end, dt, dynamics);
             }
 
             // 7. Guests advance at their achieved disk rates.
-            self.advance_vms(&mut tasks, &vm_rates, dt, now, &net, dynamics);
+            guest_ops += self.advance_vms(&mut tasks, dt, now, &net, dynamics);
 
             // 8. Reap finished streams, in stream order.
             let mut ti = 0;
@@ -407,7 +487,7 @@ impl Orchestrator {
         }
 
         let unserved = pending.len() + future.len();
-        self.publish_metrics(&records, max_concurrent, unserved);
+        self.publish_metrics(&records, max_concurrent, unserved, steps, guest_ops);
         ClusterReport {
             policy: self.scheduler.name().to_string(),
             hosts: self.cfg.hosts,
@@ -592,9 +672,10 @@ impl Orchestrator {
         tasks: &mut [Task],
         dynamics: &dyn FleetDynamics,
         now: SimTime,
-    ) -> Vec<Route> {
+        routes: &mut Vec<Route>,
+    ) {
         let t_nanos = now.as_nanos();
-        let mut routes = Vec::with_capacity(tasks.len());
+        routes.clear();
         for t in tasks.iter_mut() {
             if t.failed {
                 routes.push(Route::Severed);
@@ -683,7 +764,6 @@ impl Orchestrator {
                 }
             }
         }
-        routes
     }
 
     /// Streams touching each host (any phase — a frozen stream still
@@ -712,97 +792,122 @@ impl Orchestrator {
     /// stream leaves every pool; a peer-fed stream's source-side pools
     /// are the *peer's*. A down host's pools vanish entirely.
     fn compute_rates(
-        &self,
+        &mut self,
         tasks: &[Task],
         routes: &[Route],
         now: SimTime,
         dynamics: &dyn FleetDynamics,
-    ) -> (Vec<f64>, Vec<f64>) {
-        // A stream's rate: the least of its pools' allocations, `None`
-        // while it sits in none.
-        let mut task_rates: Vec<Option<f64>> = vec![None; tasks.len()];
-        let mut vm_rates = vec![0.0f64; self.cluster.vms.len()];
-        let suspended: BTreeSet<usize> = tasks
-            .iter()
-            .filter(|t| t.machine.phase() == Phase::Freeze)
-            .map(|t| t.vm.0)
-            .collect();
-        // Serving endpoints per stream this step: `None` drops the
-        // stream out of every pool.
-        let endpoints: Vec<Option<(usize, usize)>> = tasks
-            .iter()
-            .zip(routes)
-            .map(|(t, r)| match r {
+    ) {
+        let Self {
+            cfg,
+            cluster,
+            rates,
+            ..
+        } = self;
+        let StepRates {
+            hosts,
+            endpoints,
+            least,
+            suspended,
+            demands,
+            task,
+            vm,
+        } = rates;
+        for pools in hosts.iter_mut() {
+            pools.clear();
+        }
+        endpoints.clear();
+        least.clear();
+        least.resize(tasks.len(), None);
+        suspended.fill(false);
+        // One pass sorts each stream into the pools of the hosts it
+        // touches, in stream order.
+        for (ti, (t, route)) in tasks.iter().zip(routes).enumerate() {
+            let phase = t.machine.phase();
+            if phase == Phase::Freeze {
+                suspended[t.vm.0] = true;
+            }
+            let ends = match route {
                 Route::Direct => Some((t.src.0, t.dst.0)),
                 Route::PeerFed { peer, .. } => Some((*peer, t.dst.0)),
                 Route::Severed => None,
-            })
-            .collect();
-        // Streams in host `h`'s pool for the phases `uses`.
-        let pool = |h: usize, uses: &[Phase]| -> Vec<usize> {
-            (0..tasks.len())
-                .filter(|&ti| {
-                    let t = &tasks[ti];
-                    // Post-copy with nothing left to push only waits out
-                    // its end; a pass emptied before a fault's stall
-                    // still ends on its share.
-                    let waiting = t.machine.phase() == Phase::PostCopy && t.to_send.is_empty();
-                    let active = !t.failed && now >= t.stall_until && !waiting;
-                    let on_h = endpoints[ti].is_some_and(|(from, to)| from == h || to == h);
-                    active && on_h && uses.contains(&t.machine.phase())
-                })
-                .collect()
-        };
+            };
+            endpoints.push(ends);
+            // Post-copy with nothing left to push only waits out its end;
+            // a pass emptied before a fault's stall still ends on its
+            // share.
+            let waiting = phase == Phase::PostCopy && t.to_send.is_empty();
+            let active = !t.failed && now >= t.stall_until && !waiting;
+            let Some((from, to)) = ends.filter(|_| active) else {
+                continue;
+            };
+            let disk = matches!(phase, Phase::DiskPrecopy | Phase::PostCopy);
+            let nic = disk || phase == Phase::MemPrecopy;
+            for h in [Some(from), (to != from).then_some(to)]
+                .into_iter()
+                .flatten()
+            {
+                if disk {
+                    hosts[h].disk.push(ti);
+                }
+                if nic {
+                    hosts[h].nic.push(ti);
+                }
+            }
+        }
+        for (vi, handle) in cluster.vms.iter().enumerate() {
+            if !suspended[vi] {
+                hosts[handle.host.0].guests.push(vi);
+            }
+        }
+        vm.fill(0.0);
         let mut bottleneck = |ti: usize, a: f64| {
-            task_rates[ti] = Some(task_rates[ti].map_or(a, |r: f64| r.min(a)));
+            least[ti] = Some(least[ti].map_or(a, |r: f64| r.min(a)));
         };
-        for h in 0..self.cfg.hosts {
+        for (h, pools) in hosts.iter_mut().enumerate() {
             if !dynamics.host_up(h) {
                 continue;
             }
-            // The disk pool: resident guests first, then streams, each
-            // stream's seeks taking their toll of the disk.
-            let vms: Vec<usize> = (self.cluster.residents(HostId(h)))
-                .map(|vm| vm.0)
-                .filter(|vm| !suspended.contains(vm))
-                .collect();
-            let disk = pool(h, &[Phase::DiskPrecopy, Phase::PostCopy]);
-            let guests: Vec<f64> = (vms.iter())
-                .map(|&vm| {
-                    self.cluster.vms[vm].workload.disk_demand() * dynamics.workload_scale(vm, now)
-                })
-                .collect();
-            let streams = vec![self.cfg.stream_demand; disk.len()];
-            let capacity = dynamics.disk_capacity(h);
-            let alloc = seek_aware_share(capacity, testbed::SEEK_PENALTY, &guests, &streams);
-            for (&vm, &a) in vms.iter().zip(&alloc) {
-                vm_rates[vm] = a;
+            // The disk pool: resident guests first, then streams.
+            demands.clear();
+            demands.extend(
+                pools.guests.iter().map(|&v| {
+                    cluster.vms[v].workload.disk_demand() * dynamics.workload_scale(v, now)
+                }),
+            );
+            demands.extend(pools.disk.iter().map(|_| cfg.stream_demand));
+            let guests = pools.guests.len();
+            let alloc = (pools.disk_share).disk(dynamics.disk_capacity(h), guests, demands);
+            for (&v, &a) in pools.guests.iter().zip(alloc) {
+                vm[v] = a;
             }
-            for (ti, &a) in disk.into_iter().zip(&alloc[vms.len()..]) {
+            for (&ti, &a) in pools.disk.iter().zip(&alloc[guests..]) {
                 bottleneck(ti, a);
             }
-            let nic = pool(h, &[Phase::DiskPrecopy, Phase::MemPrecopy, Phase::PostCopy]);
             let capacity = dynamics.nic_capacity(h);
-            let demand = |&ti: &usize| match tasks[ti].machine.phase() {
+            demands.clear();
+            demands.extend(pools.nic.iter().map(|&ti| match tasks[ti].machine.phase() {
                 Phase::MemPrecopy => capacity,
-                _ => self.cfg.stream_demand,
-            };
-            let alloc = max_min_share(capacity, &nic.iter().map(demand).collect::<Vec<_>>());
-            for (ti, a) in nic.into_iter().zip(alloc) {
+                _ => cfg.stream_demand,
+            }));
+            for (&ti, &a) in pools.nic.iter().zip(pools.nic_share.nic(capacity, demands)) {
                 bottleneck(ti, a);
             }
         }
         // WAN link ceiling and loss derate on the serving path. Both are
         // exact identities on a LAN (`min(x, ∞) = x`, `x · 1.0 = x`).
-        let task_rates = (task_rates.into_iter().zip(&endpoints))
-            .map(|(rate, ep)| match (rate, *ep) {
-                (Some(r), Some((from, to))) => {
-                    r.min(dynamics.link_bandwidth(from, to)) * dynamics.link_quality(from, to)
-                }
-                (rate, _) => rate.unwrap_or(0.0),
-            })
-            .collect();
-        (task_rates, vm_rates)
+        task.clear();
+        task.extend(
+            least
+                .iter()
+                .zip(endpoints.iter())
+                .map(|(&rate, &ep)| match (rate, ep) {
+                    (Some(r), Some((from, to))) => {
+                        r.min(dynamics.link_bandwidth(from, to)) * dynamics.link_quality(from, to)
+                    }
+                    (rate, _) => rate.unwrap_or(0.0),
+                }),
+        );
     }
 
     /// Advance one stream by one step of `dt` at its bottleneck rate, along
@@ -941,16 +1046,14 @@ impl Orchestrator {
         } else {
             Vec::new()
         };
-        for _ in 0..n {
-            let Some(b) = t.to_send.next(candidates.as_mut()) else {
-                break;
-            };
-            if self.cfg.dedup && t.dst_disk.generation(b) == src_disk.generation(b) {
+        let dst_disk = &mut t.dst_disk;
+        let taken = t.to_send.take(n as usize, candidates.as_mut(), |b| {
+            if self.cfg.dedup && dst_disk.generation(b) == src_disk.generation(b) {
                 // Destination already holds this exact content: nothing
                 // to copy, only the reference crosses.
                 refs += 1;
             } else {
-                t.dst_disk.copy_block_from(src_disk, b);
+                dst_disk.copy_block_from(src_disk, b);
                 // A peer-fed block counts unconditionally (the server
                 // IS a peer); otherwise count it when some bystander
                 // replica also holds it at the live generation.
@@ -962,9 +1065,9 @@ impl Orchestrator {
                     peer += 1;
                 }
             }
-            t.blocks_sent += 1;
             last = Some(b);
-        }
+        });
+        t.blocks_sent += taken as u64;
         t.ship(n, batch_wire(n - refs, testbed::BLOCK_SIZE, refs));
         t.blocks_deduped += refs;
         t.blocks_peer += peer;
@@ -1067,58 +1170,61 @@ impl Orchestrator {
     /// workloads that would otherwise keep writing at rate zero. Ops and
     /// memory pre-copy's page writes are thinned by the dynamics'
     /// `op_keep` ratio in low-activity phases (the `(1, 1)` default keeps
-    /// everything, exactly).
+    /// everything, exactly). Returns how many ops the guests drew.
     fn advance_vms(
         &mut self,
         tasks: &mut [Task],
-        vm_rates: &[f64],
         dt: SimDuration,
         now: SimTime,
         net: &StepNet,
         dynamics: &dyn FleetDynamics,
-    ) {
+    ) -> u64 {
         let nblocks = self.cfg.disk_blocks;
-        for (vi, &rate) in vm_rates.iter().enumerate() {
-            if !net.host_up[self.cluster.vms[vi].host.0] {
+        let Self {
+            cluster,
+            recorder,
+            op_seq,
+            ops,
+            rates,
+            ..
+        } = self;
+        let mut drawn = 0u64;
+        for ((vi, vm), &rate) in cluster.vms.iter_mut().enumerate().zip(&rates.vm) {
+            if !net.host_up[vm.host.0] {
                 continue;
             }
-            let (keep, of) = dynamics.op_keep(vi, now);
-            let of = of.max(1);
-            let ti = tasks.iter().position(|t| t.vm.0 == vi && !t.failed);
-            if let Some(t) = ti.map(|ti| &mut tasks[ti]) {
+            let keep = dynamics.op_keep(vi, now);
+            // The VM's migration, its phase resolved once for the step.
+            let mut task = tasks.iter_mut().find(|t| t.vm.0 == vi && !t.failed);
+            if let Some(t) = task.as_deref_mut() {
                 match t.machine.phase() {
                     Phase::Freeze => continue,
                     Phase::MemPrecopy => {
-                        let (dirty, seq) = (&mut t.mem_dirty, &mut t.page_seq);
-                        t.wss.dirty_for(dt, &mut t.mem_rng, |p| {
-                            if *seq % of < keep {
+                        let mut kept = Thinning::at(t.page_seq, keep);
+                        let dirty = &mut t.mem_dirty;
+                        let touched = t.wss.dirty_for(dt, &mut t.mem_rng, |p| {
+                            if kept.keeps() {
                                 dirty.set(p);
                             }
-                            *seq = seq.wrapping_add(1);
                         });
+                        t.page_seq = t.page_seq.wrapping_add(touched);
                     }
                     _ => {}
                 }
             }
-            self.ops.clear();
-            let vm = &mut self.cluster.vms[vi];
-            vm.workload.ops_into(dt, rate, &mut vm.rng, &mut self.ops);
-            for op in &self.ops {
-                let seq = self.op_seq[vi];
-                self.op_seq[vi] = seq.wrapping_add(1);
-                if seq % of >= keep {
-                    continue;
-                }
-                if !op.kind.is_write() {
-                    continue;
-                }
-                let b = op.kind.block() as usize;
-                if b >= nblocks {
-                    continue;
-                }
-                match ti {
-                    Some(ti) if tasks[ti].machine.phase() == Phase::PostCopy => {
-                        let t = &mut tasks[ti];
+            ops.clear();
+            vm.workload.ops_into(dt, rate, &mut vm.rng, ops);
+            drawn += ops.len() as u64;
+            let mut kept = Thinning::at(op_seq[vi], keep);
+            op_seq[vi] = op_seq[vi].wrapping_add(ops.len() as u64);
+            let writes = (ops.iter())
+                .filter(|_| kept.keeps())
+                .filter(|op| op.kind.is_write())
+                .map(|op| op.kind.block() as usize)
+                .filter(|&b| b < nblocks);
+            match task {
+                Some(t) if t.machine.phase() == Phase::PostCopy => {
+                    for b in writes {
                         t.dst_disk.write(b);
                         t.post_writes.set(b);
                         if t.to_send.cancel(b) {
@@ -1126,19 +1232,24 @@ impl Orchestrator {
                                 migration: t.id,
                                 block: b as u64,
                             };
-                            t.fold.at_nanos(&self.recorder, now.as_nanos(), cancel);
+                            t.fold.at_nanos(recorder, now.as_nanos(), cancel);
                         }
                     }
-                    Some(ti) => {
-                        self.cluster.vms[vi].disk.write(b);
-                        tasks[ti].tracker.set(b);
+                }
+                Some(t) => {
+                    for b in writes {
+                        vm.disk.write(b);
+                        t.tracker.set(b);
                     }
-                    None => {
-                        self.cluster.vms[vi].disk.write(b);
+                }
+                None => {
+                    for b in writes {
+                        vm.disk.write(b);
                     }
                 }
             }
         }
+        drawn
     }
 
     /// Close out a finished stream: verify consistency, install the new
@@ -1217,9 +1328,19 @@ impl Orchestrator {
         self.recorder.metrics().counter(publishes).inc();
     }
 
-    /// Publish `cluster.*` metrics into the recorder's registry.
-    fn publish_metrics(&self, records: &[MigrationRecord], max_concurrent: usize, unserved: usize) {
+    /// Publish `cluster.*` metrics into the recorder's registry, with the
+    /// run's step count and the guest ops it drew.
+    fn publish_metrics(
+        &self,
+        records: &[MigrationRecord],
+        max_concurrent: usize,
+        unserved: usize,
+        steps: u64,
+        guest_ops: u64,
+    ) {
         let m = self.recorder.metrics();
+        m.counter("cluster.steps").add(steps);
+        m.counter("cluster.guest_ops").add(guest_ops);
         let completed = records.iter().filter(|r| r.completed).count() as u64;
         m.counter("cluster.migrations.admitted")
             .add(records.len() as u64);
@@ -1258,9 +1379,11 @@ impl Orchestrator {
 /// booked batch. Returns the last page shipped.
 fn pump_pages(t: &mut Task, rate: f64, dt: SimDuration) -> Option<usize> {
     let n = t.paced(rate, PAGE_SIZE as f64, t.remaining(), dt);
-    let last = (0..n).filter_map(|_| t.to_send.next(None)).last()?;
+    let mut last = None;
+    t.to_send.take(n as usize, None, |p| last = Some(p));
+    last?;
     t.ship(n, batch_wire(n, PAGE_SIZE, 0));
-    Some(last)
+    last
 }
 
 #[cfg(test)]
@@ -1496,6 +1619,88 @@ mod tests {
 
         fn next_change(&self, now: SimTime) -> Option<SimTime> {
             [self.from, self.until].into_iter().find(|&at| at > now)
+        }
+    }
+
+    /// A flat fleet whose guests all drop to a quarter of their disk
+    /// demand, and a quarter of their ops, from 0.5 s to 1 s.
+    struct CycleFlip;
+
+    impl CycleFlip {
+        const LOW: [SimTime; 2] = [
+            SimTime::from_nanos(500_000_000),
+            SimTime::from_nanos(1_000_000_000),
+        ];
+
+        fn low(now: SimTime) -> bool {
+            now >= Self::LOW[0] && now < Self::LOW[1]
+        }
+    }
+
+    impl FleetDynamics for CycleFlip {
+        fn nic_capacity(&self, _host: usize) -> f64 {
+            NIC_CAPACITY
+        }
+
+        fn disk_capacity(&self, _host: usize) -> f64 {
+            testbed::DISK_CAPACITY
+        }
+
+        fn workload_scale(&self, _vm: usize, now: SimTime) -> f64 {
+            if Self::low(now) {
+                0.25
+            } else {
+                1.0
+            }
+        }
+
+        fn op_keep(&self, _vm: usize, now: SimTime) -> (u64, u64) {
+            if Self::low(now) {
+                (1, 4)
+            } else {
+                (1, 1)
+            }
+        }
+
+        fn next_change(&self, now: SimTime) -> Option<SimTime> {
+            Self::LOW.into_iter().find(|&at| at > now)
+        }
+    }
+
+    /// Every pool's held allocation is checked against a fresh solve
+    /// each step it is reused (`HeldShare::share` does so in test
+    /// builds). On two hosts whose guests' cycle flips while one stream
+    /// runs, a second joins and both leave, every pool both solves and
+    /// reuses.
+    #[test]
+    fn held_pool_shares_equal_a_fresh_solve_every_step() {
+        let mut cfg = small_cfg(2, 2);
+        cfg.workload_cycle = vec![WorkloadKind::Web];
+        let request = |vm: usize, dest: usize, at_ms: u64| MigrationRequest {
+            vm: VmId(vm),
+            dest: Some(HostId(dest)),
+            at: SimTime::ZERO + SimDuration::from_millis(at_ms),
+        };
+        let scenario = Scenario {
+            requests: vec![request(0, 1, 0), request(1, 0, 300)],
+        };
+        let mut orch = Orchestrator::new(cfg, Policy::Fifo, Recorder::off()).expect("valid config");
+        let report = orch.run_with_dynamics(&scenario, &mut CycleFlip);
+        assert_eq!(report.completed(), 2);
+        assert!(report.all_consistent());
+        assert_eq!(
+            report.max_concurrent, 2,
+            "the second stream joins the first"
+        );
+        for (h, pools) in orch.rates.hosts.iter().enumerate() {
+            for (pool, held) in [("disk", &pools.disk_share), ("nic", &pools.nic_share)] {
+                assert!(
+                    held.solves > 1 && held.reuses > 0,
+                    "h{h} {pool}: {} solves, {} reuses",
+                    held.solves,
+                    held.reuses
+                );
+            }
         }
     }
 

@@ -53,6 +53,7 @@ mod cluster;
 mod config;
 mod dynamics;
 mod executor;
+mod pools;
 mod report;
 mod scheduler;
 

@@ -180,6 +180,9 @@ struct SuiteRound {
     /// Per run, in suite order: the journal's record count and the
     /// FNV-1a-64 of its JSONL export.
     journals: [(usize, u64); 4],
+    /// The fleet's `cluster.steps` and `cluster.guest_ops` metrics.
+    fleet_steps: u64,
+    fleet_guest_ops: u64,
 }
 
 /// FNV-1a-64 of `bytes`.
@@ -228,7 +231,10 @@ fn suite_round(seed: u64) -> SuiteRound {
     let fleet = block_bitmap_migration::scenario::run(&spec, recs[3].clone())
         .expect("fleet runs")
         .report;
+    let counter = |name: &str| recs[3].metrics().counter(name).get();
     SuiteRound {
+        fleet_steps: counter("cluster.steps"),
+        fleet_guest_ops: counter("cluster.guest_ops"),
         peer_fraction: fanin.multisource.peer_fraction(),
         sims: [web, diabolical, fanin],
         fleet,
@@ -259,6 +265,8 @@ fn virtual_time_outputs_are_pinned() {
     assert_eq!(fleet.completed(), fleet.records.len());
     assert_eq!(fleet.makespan_secs(), 205.525798183);
     assert_eq!(fleet.total_bytes(), 1_055_502_911);
+    // How the fleet's host time divides: steps, and guest ops drawn.
+    assert_eq!((round.fleet_steps, round.fleet_guest_ops), (949, 446_686));
 
     // TPM web, TPM diabolical, fan-in, fleet.
     let seed1 = [
