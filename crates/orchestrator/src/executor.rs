@@ -203,6 +203,18 @@ enum Route {
     Severed,
 }
 
+impl Route {
+    /// The hosts `t`'s bytes flow between along this route, serving side
+    /// first; `None` while severed, which leaves every pool.
+    fn serving(&self, t: &Task) -> Option<(usize, usize)> {
+        match self {
+            Route::Direct => Some((t.src.0, t.dst.0)),
+            Route::PeerFed { peer, .. } => Some((*peer, t.dst.0)),
+            Route::Severed => None,
+        }
+    }
+}
+
 /// Per-step connectivity snapshot, taken once from the dynamics and
 /// shared by admission and guest advancement. One set of buffers serves
 /// the whole run: every step overwrites them in place.
@@ -243,9 +255,6 @@ impl StepNet {
 /// give each stream and guest.
 struct StepRates {
     hosts: Vec<HostPools>,
-    /// Serving endpoints per stream this step: `None` drops the stream
-    /// out of every pool.
-    endpoints: Vec<Option<(usize, usize)>>,
     /// A stream's least allocation over its pools, `None` while it sits
     /// in none.
     least: Vec<Option<f64>>,
@@ -263,7 +272,6 @@ impl StepRates {
     fn new(hosts: usize, vms: usize) -> Self {
         Self {
             hosts: (0..hosts).map(|_| HostPools::default()).collect(),
-            endpoints: Vec::new(),
             least: Vec::new(),
             suspended: vec![false; vms],
             demands: Vec::new(),
@@ -806,7 +814,6 @@ impl Orchestrator {
         } = self;
         let StepRates {
             hosts,
-            endpoints,
             least,
             suspended,
             demands,
@@ -816,7 +823,6 @@ impl Orchestrator {
         for pools in hosts.iter_mut() {
             pools.clear();
         }
-        endpoints.clear();
         least.clear();
         least.resize(tasks.len(), None);
         suspended.fill(false);
@@ -827,18 +833,12 @@ impl Orchestrator {
             if phase == Phase::Freeze {
                 suspended[t.vm.0] = true;
             }
-            let ends = match route {
-                Route::Direct => Some((t.src.0, t.dst.0)),
-                Route::PeerFed { peer, .. } => Some((*peer, t.dst.0)),
-                Route::Severed => None,
-            };
-            endpoints.push(ends);
             // Post-copy with nothing left to push only waits out its end;
             // a pass emptied before a fault's stall still ends on its
             // share.
             let waiting = phase == Phase::PostCopy && t.to_send.is_empty();
             let active = !t.failed && now >= t.stall_until && !waiting;
-            let Some((from, to)) = ends.filter(|_| active) else {
+            let Some((from, to)) = route.serving(t).filter(|_| active) else {
                 continue;
             };
             let disk = matches!(phase, Phase::DiskPrecopy | Phase::PostCopy);
@@ -877,7 +877,9 @@ impl Orchestrator {
             );
             demands.extend(pools.disk.iter().map(|_| cfg.stream_demand));
             let guests = pools.guests.len();
-            let alloc = (pools.disk_share).disk(dynamics.disk_capacity(h), guests, demands);
+            let alloc = pools
+                .disk_share
+                .disk(dynamics.disk_capacity(h), guests, demands);
             for (&v, &a) in pools.guests.iter().zip(alloc) {
                 vm[v] = a;
             }
@@ -898,15 +900,14 @@ impl Orchestrator {
         // exact identities on a LAN (`min(x, ∞) = x`, `x · 1.0 = x`).
         task.clear();
         task.extend(
-            least
-                .iter()
-                .zip(endpoints.iter())
-                .map(|(&rate, &ep)| match (rate, ep) {
+            (least.iter().zip(tasks).zip(routes)).map(|((&rate, t), route)| {
+                match (rate, route.serving(t)) {
                     (Some(r), Some((from, to))) => {
                         r.min(dynamics.link_bandwidth(from, to)) * dynamics.link_quality(from, to)
                     }
                     (rate, _) => rate.unwrap_or(0.0),
-                }),
+                }
+            }),
         );
     }
 
