@@ -281,36 +281,17 @@ impl StepRates {
     }
 }
 
-/// Which of a run of consecutive ops (or page writes) a low-activity
-/// phase keeps: the one numbered `seq` when `seq % of < keep`, with one
-/// division for the whole run and none when everything is kept. (The
-/// sequence numbers wrap at 2^64, which no run reaches.)
-struct Thinning {
-    rem: u64,
-    keep: u64,
-    of: u64,
-}
-
-impl Thinning {
-    /// The run starting at sequence number `seq`, under `op_keep`'s
-    /// `(keep, of)`.
-    fn at(seq: u64, (keep, of): (u64, u64)) -> Self {
-        let of = of.max(1);
-        let rem = if keep >= of { 0 } else { seq % of };
-        Self { rem, keep, of }
-    }
-
-    /// Whether the next one in the run is kept.
-    #[inline]
-    fn keeps(&mut self) -> bool {
-        if self.keep >= self.of {
-            return true;
-        }
-        let kept = self.rem < self.keep;
-        self.rem += 1;
-        if self.rem == self.of {
-            self.rem = 0;
-        }
+/// Which of a run of consecutive ops (or page writes), numbered from
+/// `seq` on, a low-activity phase keeps under `op_keep`'s `(keep, of)`:
+/// the one numbered `n` when `n % of < keep`, with one division for the
+/// whole run and none when everything is kept. (Sequence numbers wrap
+/// at 2^64, which no run reaches.)
+fn thinning(seq: u64, (keep, of): (u64, u64)) -> impl FnMut() -> bool {
+    let of = of.max(1);
+    let mut rem = if keep >= of { 0 } else { seq % of };
+    move || {
+        let kept = rem < keep;
+        rem = if rem + 1 == of { 0 } else { rem + 1 };
         kept
     }
 }
@@ -1201,10 +1182,10 @@ impl Orchestrator {
                 match t.machine.phase() {
                     Phase::Freeze => continue,
                     Phase::MemPrecopy => {
-                        let mut kept = Thinning::at(t.page_seq, keep);
+                        let mut kept = thinning(t.page_seq, keep);
                         let dirty = &mut t.mem_dirty;
                         let touched = t.wss.dirty_for(dt, &mut t.mem_rng, |p| {
-                            if kept.keeps() {
+                            if kept() {
                                 dirty.set(p);
                             }
                         });
@@ -1216,10 +1197,10 @@ impl Orchestrator {
             ops.clear();
             vm.workload.ops_into(dt, rate, &mut vm.rng, ops);
             drawn += ops.len() as u64;
-            let mut kept = Thinning::at(op_seq[vi], keep);
+            let mut kept = thinning(op_seq[vi], keep);
             op_seq[vi] = op_seq[vi].wrapping_add(ops.len() as u64);
             let writes = (ops.iter())
-                .filter(|_| kept.keeps())
+                .filter(|_| kept())
                 .filter(|op| op.kind.is_write())
                 .map(|op| op.kind.block() as usize)
                 .filter(|&b| b < nblocks);
