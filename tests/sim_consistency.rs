@@ -302,3 +302,59 @@ fn virtual_time_outputs_are_pinned() {
         (105, 5_055_221_022_036_877_238)
     );
 }
+
+/// The simulator's journals beyond the `virtual_time` suite, at the
+/// suite's seed-1 config (65 536 blocks, 4 096 pages, the paper
+/// testbed's rates), by record count and FNV-1a-64 of the JSONL export:
+/// TPM under the video, kernel-build and idle guests, then one web
+/// TPM → 20 s dwell → IM round trip, whose IM run ships what the
+/// destination's tracker recorded. Each run goes through the write
+/// tracker and the IM tracker, so a tracker that records one block more,
+/// one less or drains in another order changes a digest.
+#[test]
+fn tpm_and_im_journals_are_pinned() {
+    use block_bitmap_migration::migrate::sim::{run_im_traced, run_tpm_traced};
+
+    let cfg = MigrationConfig {
+        disk_blocks: 65_536,
+        mem_pages: 4_096,
+        seed: 1,
+        ..MigrationConfig::paper_testbed()
+    };
+    let journal = |rec: &Recorder| {
+        let records = rec.records();
+        let text = telemetry::to_jsonl(&records);
+        (records.len(), fnv1a64(text.as_bytes()))
+    };
+    let tpm = |kind| {
+        let rec = Recorder::enabled();
+        assert!(
+            run_tpm_traced(cfg.clone(), kind, rec.clone())
+                .report
+                .consistent
+        );
+        journal(&rec)
+    };
+    let got = [
+        tpm(WorkloadKind::Video),
+        tpm(WorkloadKind::KernelBuild),
+        tpm(WorkloadKind::Idle),
+    ];
+    let mut out = run_tpm(cfg.clone(), WorkloadKind::Web);
+    dwell(&mut out, &cfg, SimDuration::from_secs(20));
+    let rec = Recorder::enabled();
+    let back = run_im_traced(cfg, out, rec.clone());
+    assert!(back.report.consistent);
+    assert_eq!(back.report.scheme, "im");
+    let pinned = [
+        (17, 11_416_957_774_817_009_941),
+        (204, 16_320_228_782_984_245_062),
+        (13, 16_112_414_427_598_610_463),
+    ];
+    assert_eq!(got, pinned, "TPM video, kernel build, idle");
+    assert_eq!(
+        journal(&rec),
+        (13, 4_387_807_080_967_022_623),
+        "web round trip's IM run"
+    );
+}
