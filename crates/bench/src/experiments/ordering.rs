@@ -43,7 +43,7 @@ pub fn run(scale: Scale) -> ExpResult {
         // Memory-first: the full image crosses up front, then every page
         // dirtied during the disk pre-copy must cross again (and the
         // final convergence iterations repeat as in our order).
-        let mut mem = GuestMemory::new(4096, cfg.mem_pages);
+        let mut mem = GuestMemory::new(cfg.mem_pages);
         let wss = kind.build(cfg.disk_blocks as u64).wss_model(cfg.mem_pages);
         let mut rng = SimRng::new(cfg.seed ^ 0x5eed);
         wss.dirty_for(SimDuration::from_secs_f64(disk_secs), &mut rng, |p| {

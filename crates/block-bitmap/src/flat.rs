@@ -248,31 +248,6 @@ impl FlatBitmap {
         out
     }
 
-    /// Copy of `self` restricted to `range`: same length, but every bit
-    /// outside `range` cleared. With ranges from [`FlatBitmap::shard_bounds`]
-    /// this yields the per-stream bitmaps of a sharded migration — disjoint,
-    /// and OR-ing all shards back together reproduces `self` exactly.
-    ///
-    /// # Panics
-    /// Panics when `range` extends past the bitmap.
-    pub fn restrict_to(&self, range: Range<usize>) -> FlatBitmap {
-        assert!(range.end <= self.nbits, "range must lie within the bitmap");
-        let mut out = FlatBitmap::new(self.nbits);
-        if range.start >= range.end {
-            return out;
-        }
-        let first_w = range.start / BITS_PER_WORD;
-        let last_w = (range.end - 1) / BITS_PER_WORD;
-        out.words[first_w..=last_w].copy_from_slice(&self.words[first_w..=last_w]);
-        // Trim the partial boundary words.
-        out.words[first_w] &= u64::MAX << (range.start % BITS_PER_WORD);
-        let end_rem = range.end % BITS_PER_WORD;
-        if end_rem != 0 {
-            out.words[last_w] &= (1u64 << end_rem) - 1;
-        }
-        out
-    }
-
     /// `true` when no bit is set.
     pub fn none_set(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -515,35 +490,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shards_are_disjoint_and_union_to_original() {
-        let mut bm = FlatBitmap::new(1000);
-        for i in [0usize, 63, 64, 100, 500, 640, 999] {
-            bm.set(i);
-        }
-        let shards: Vec<_> = FlatBitmap::shard_bounds(1000, 4)
-            .into_iter()
-            .map(|r| bm.restrict_to(r))
-            .collect();
-        let total: usize = shards.iter().map(|s| s.count_ones()).sum();
-        assert_eq!(total, bm.count_ones(), "no bit may land in two shards");
-        let mut merged = FlatBitmap::new(1000);
-        for s in &shards {
-            merged.union_with(s);
-        }
-        assert_eq!(merged, bm);
-    }
-
-    #[test]
-    fn restrict_to_trims_unaligned_edges() {
-        let bm = FlatBitmap::all_set(200);
-        let r = bm.restrict_to(10..70);
-        assert_eq!(r.count_ones(), 60);
-        assert_eq!(r.next_set_from(0), Some(10));
-        assert_eq!(r.next_set_from(70), None);
-        assert!(bm.restrict_to(50..50).none_set());
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl LayeredBitmap {
         self.parts.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Total number of parts (allocated or not).
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Size in bits of part `p` (the final part may be short).
     fn part_len(&self, p: usize) -> usize {
         let start = p * self.part_bits;
@@ -85,16 +80,6 @@ impl LayeredBitmap {
     pub fn to_flat(&self) -> FlatBitmap {
         let mut out = FlatBitmap::new(self.nbits);
         for idx in self.iter_set() {
-            out.set(idx);
-        }
-        out
-    }
-
-    /// Build a layered bitmap from a dense one, allocating only the parts
-    /// that contain dirty bits.
-    pub fn from_flat(flat: &FlatBitmap, part_bits: usize) -> Self {
-        let mut out = Self::with_part_bits(flat.len(), part_bits);
-        for idx in flat.iter_set() {
             out.set(idx);
         }
         out
@@ -212,7 +197,6 @@ mod tests {
         assert_eq!(bm.len(), 1000);
         assert_eq!(bm.count_ones(), 0);
         assert_eq!(bm.allocated_parts(), 0);
-        assert_eq!(bm.num_parts(), 16);
     }
 
     #[test]
@@ -280,8 +264,6 @@ mod tests {
         }
         let flat = bm.to_flat();
         assert_eq!(flat.to_indices(), bm.to_indices());
-        let back = LayeredBitmap::from_flat(&flat, 50);
-        assert_eq!(back.to_indices(), bm.to_indices());
     }
 
     #[test]

@@ -91,21 +91,6 @@ impl BlockMapper {
         self.block_size * self.num_blocks as u64
     }
 
-    /// Sectors per block.
-    pub fn sectors_per_block(&self) -> u64 {
-        self.block_size / self.sector_size
-    }
-
-    /// Block containing byte `offset`.
-    ///
-    /// # Panics
-    /// Panics when the offset lies past the end of the device.
-    pub fn block_of_byte(&self, offset: u64) -> usize {
-        let b = (offset / self.block_size) as usize;
-        assert!(b < self.num_blocks, "byte offset {offset} out of range");
-        b
-    }
-
     /// Blocks touched by the byte extent `[offset, offset + len)`.
     /// A zero-length extent touches no blocks.
     ///
@@ -154,7 +139,9 @@ mod tests {
         let m = BlockMapper::paper_default(40 * 1024 * 1024 * 1024);
         assert_eq!(m.block_size(), 4096);
         assert_eq!(m.num_blocks(), 10 * 1024 * 1024);
-        assert_eq!(m.sectors_per_block(), 8);
+        // Eight 512 B sectors to a block.
+        let r = m.sector_extent(8, 8);
+        assert_eq!((r.start, r.end), (1, 2));
     }
 
     #[test]
@@ -213,7 +200,8 @@ mod tests {
     fn block_byte_roundtrip() {
         let m = BlockMapper::new(4096, 100);
         for b in [0usize, 1, 50, 99] {
-            assert_eq!(m.block_of_byte(m.byte_of_block(b)), b);
+            let r = m.byte_extent(m.byte_of_block(b), 1);
+            assert_eq!((r.start, r.end), (b, b + 1));
         }
     }
 

@@ -39,7 +39,6 @@ pub struct Args {
     pub workload: WorkloadKind,
     pub paper_scale: bool,
     pub rate_limit_mbps: Option<f64>,
-    pub layered: bool,
     pub streams: usize,
     pub dedup: bool,
     pub compress: bool,
@@ -90,9 +89,6 @@ const FLAGS: &[Flag] = &[
         let mbps = v.parse::<f64>().ok().filter(|r| *r > 0.0 && r.is_finite());
         a.rate_limit_mbps = Some(mbps.ok_or("must be a positive number (MB/s)")?);
         Ok(())
-    }),
-    Value("--bitmap", "flat|layered", Some("flat"), |a, v, _| {
-        choice(v, &[("flat", false), ("layered", true)]).map(|l| a.layered = l)
     }),
     Value("--blocks", "N", Some("65536"), |a, v, sub| {
         // A live disk holds real bytes; a fleet's must fit the paper workloads.
@@ -155,17 +151,15 @@ impl Sub {
 #[rustfmt::skip]
 const SUBCOMMANDS: &[Sub] = &[
     Sub { name: "simulate", required: false, build: |a| Ok(Cmd::Simulate(a)), flags: "--workload \
-        --scale --rate-limit --bitmap --streams --seed --json --no-dedup --no-compress --sources \
-        --no-multisource --trace-out --metrics-out" },
+        --scale --rate-limit --seed --json --no-dedup --no-compress --sources --no-multisource \
+        --trace-out --metrics-out" },
     Sub { name: "roundtrip", required: false, build: |a| Ok(Cmd::Roundtrip(a)), flags: "--workload \
-        --scale --rate-limit --bitmap --streams --seed --dwell --json --no-dedup --no-compress \
-        --no-multisource" },
+        --scale --rate-limit --seed --dwell --json --no-dedup --no-compress --no-multisource" },
     Sub { name: "live", required: false, build: live, flags: "--workload --blocks --rate-limit \
         --streams --seed --tcp --faults --max-reconnects --no-dedup --no-compress --sources \
         --no-multisource --trace-out --metrics-out" },
     Sub { name: "baselines", required: false, build: |a| Ok(Cmd::Baselines(a)), flags: "--workload \
-        --scale --rate-limit --bitmap --streams --seed --json --no-dedup --no-compress \
-        --no-multisource" },
+        --scale --rate-limit --seed --json --no-dedup --no-compress --no-multisource" },
     Sub { name: "orchestrate", required: false, build: |a| Ok(Cmd::Orchestrate(a)), flags: "--hosts \
         --vms --policy --blocks --seed --faults --dwell --no-dedup --no-multisource --scenario \
         --json --trace-out --metrics-out" },
@@ -291,8 +285,6 @@ mod tests {
             "ci",
             "--rate-limit",
             "37",
-            "--bitmap",
-            "layered",
             "--seed",
             "9",
             "--json",
@@ -304,26 +296,26 @@ mod tests {
         assert_eq!(a.workload, WorkloadKind::Diabolical);
         assert!(!a.paper_scale);
         assert_eq!(a.rate_limit_mbps, Some(37.0));
-        assert!(a.layered);
         assert_eq!(a.seed, 9);
         assert!(a.json);
     }
 
     #[test]
     fn parses_streams_flag() {
-        let Cmd::Simulate(a) = parse(&v(&["simulate", "--streams", "4"])).expect("valid") else {
-            panic!("wrong cmd")
-        };
-        assert_eq!(a.streams, 4);
         let Cmd::Live(a) = parse(&v(&["live", "--streams", "8"])).expect("valid") else {
             panic!("wrong cmd")
         };
         assert_eq!(a.streams, 8);
         // Default is the classic single stream.
-        let Cmd::Simulate(d) = parse(&v(&["simulate"])).expect("valid") else {
+        let Cmd::Live(d) = parse(&v(&["live"])).expect("valid") else {
             panic!("wrong cmd")
         };
         assert_eq!(d.streams, 1);
+        // The simulator has one stream and one bitmap.
+        for sub in ["simulate", "roundtrip", "baselines"] {
+            assert!(parse(&v(&[sub, "--streams", "4"])).is_err());
+            assert!(parse(&v(&[sub, "--bitmap", "layered"])).is_err());
+        }
     }
 
     #[test]
@@ -344,7 +336,7 @@ mod tests {
         assert!(parse(&v(&["simulate", "--scale", "small"])).is_err());
         assert!(parse(&v(&["simulate", "--rate-limit", "-3"])).is_err());
         assert!(parse(&v(&["simulate", "--rate-limit"])).is_err());
-        assert!(parse(&v(&["simulate", "--streams", "0"])).is_err());
+        assert!(parse(&v(&["live", "--streams", "0"])).is_err());
         assert!(parse(&v(&["live", "--streams", "zero"])).is_err());
         assert!(parse(&v(&["live", "--blocks", "10"])).is_err());
         assert!(parse(&v(&["live", "--faults", "5", "--max-reconnects", "2"])).is_err());

@@ -13,7 +13,7 @@ use migrate::sim::{
     dwell, run_im, run_template_clone_fanin, run_template_clone_fanin_traced, run_tpm,
     run_tpm_traced,
 };
-use migrate::{BitmapKind, MigrationConfig, MigrationReport, RetryPolicy};
+use migrate::{MigrationConfig, MigrationReport, RetryPolicy};
 use simnet::fault::FaultPlan;
 use telemetry::{Fold, Recorder};
 use workloads::locality::analyze;
@@ -118,13 +118,7 @@ fn config_for(a: &Args) -> MigrationConfig {
         }
     };
     cfg.rate_limit = a.rate_limit_mbps.map(|m| m * MB);
-    cfg.bitmap = if a.layered {
-        BitmapKind::Layered
-    } else {
-        BitmapKind::Flat
-    };
     cfg.seed = a.seed;
-    cfg.streams = a.streams;
     cfg.dedup = a.dedup;
     cfg.compress = a.compress;
     cfg.multisource = a.multisource;

@@ -186,11 +186,6 @@ impl SequentialCursor {
         }
         v
     }
-
-    /// Reset to the region start.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +275,5 @@ mod tests {
         let vals: Vec<u64> = (0..7).map(|_| c.next_value()).collect();
         assert_eq!(vals, vec![10, 11, 12, 10, 11, 12, 10]);
         assert_eq!(c.wraps, 2);
-        c.rewind();
-        assert_eq!(c.next_value(), 10);
     }
 }

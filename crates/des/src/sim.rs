@@ -162,36 +162,9 @@ impl<S> Simulator<S> {
         false
     }
 
-    /// Timestamp of the next pending (non-cancelled) event.
-    pub fn peek_next(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.queue.peek() {
-            if self.cancelled.contains(&entry.id.0) {
-                let e = self.queue.pop().expect("peeked entry exists");
-                self.cancelled.remove(&e.id.0);
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
-    }
-
     /// Run until the calendar drains.
     pub fn run_to_completion(&mut self, state: &mut S) {
         while self.step(state) {}
-    }
-
-    /// Run events with timestamps `<= deadline`, then advance the clock to
-    /// exactly `deadline` (even if no event lies there).
-    pub fn run_until(&mut self, state: &mut S, deadline: SimTime) {
-        while let Some(at) = self.peek_next() {
-            if at > deadline {
-                break;
-            }
-            self.step(state);
-        }
-        if deadline > self.now {
-            self.now = deadline;
-        }
     }
 
     /// Run until `pred(state)` becomes true (checked after every event) or
@@ -284,19 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_advances_clock_to_deadline() {
-        let mut sim: Simulator<Vec<u64>> = Simulator::new();
-        sim.schedule_at(SimTime::from_nanos(10), |_, v| v.push(10));
-        sim.schedule_at(SimTime::from_nanos(100), |_, v| v.push(100));
-        let mut v = Vec::new();
-        sim.run_until(&mut v, SimTime::from_nanos(50));
-        assert_eq!(v, vec![10]);
-        assert_eq!(sim.now(), SimTime::from_nanos(50));
-        sim.run_to_completion(&mut v);
-        assert_eq!(v, vec![10, 100]);
-    }
-
-    #[test]
     fn run_while_stops_on_predicate() {
         let mut sim: Simulator<u64> = Simulator::new();
         for i in 1..=10u64 {
@@ -309,14 +269,5 @@ mod tests {
         let fired = sim.run_while(&mut n, |&n| n >= 100);
         assert!(!fired);
         assert_eq!(n, 10);
-    }
-
-    #[test]
-    fn peek_next_skips_cancelled() {
-        let mut sim: Simulator<()> = Simulator::new();
-        let id = sim.schedule_at(SimTime::from_nanos(1), |_, _| {});
-        sim.schedule_at(SimTime::from_nanos(2), |_, _| {});
-        sim.cancel(id);
-        assert_eq!(sim.peek_next(), Some(SimTime::from_nanos(2)));
     }
 }

@@ -22,7 +22,7 @@ use des::{SimDuration, SimTime};
 use simnet::proto::{Category, TransferLedger};
 use workloads::{OpKind, WorkloadKind};
 
-use crate::phase::{batch_wire, frame_wire, freeze_window, units_wire, DirtyTracker, PAGE_SIZE};
+use crate::phase::{batch_wire, frame_wire, freeze_window, units_wire, PAGE_SIZE};
 use crate::report::{IterationStats, MigrationReport, PhaseTimings, PostCopyStats};
 use crate::sim::{PostCopyConfig, TpmEngine};
 use crate::{testbed, MigrationConfig};
@@ -71,7 +71,6 @@ impl TpmEngine {
             io_blocked_secs: 0.0,
             residual_blocks: 0,
             redundant_deltas: 0,
-            stream_blocks: Vec::new(),
             multisource: Default::default(),
             consistent: false,
         }
@@ -169,7 +168,7 @@ pub fn run_on_demand(
 
     // Every block is remote; pulls only.
     let all_remote = FlatBitmap::all_set(w.cfg.disk_blocks);
-    let mut dead_tracker = DirtyTracker::new(w.cfg.bitmap, w.cfg.disk_blocks);
+    let mut dead_tracker = FlatBitmap::new(w.cfg.disk_blocks);
     let pc = PostCopyConfig::of(&w.cfg, w.workload.disk_demand(), horizon, false);
     let mut rng = w.rng.fork(1);
     let out = crate::sim::run_postcopy(

@@ -71,15 +71,6 @@ impl RetryPolicy {
     }
 }
 
-/// Which bitmap structure tracks dirty blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitmapKind {
-    /// Dense flat bitmap (1 bit/block, always allocated).
-    Flat,
-    /// Two-layer lazily allocated bitmap (§IV-A-2).
-    Layered,
-}
-
 /// Configuration for a whole-system migration.
 #[derive(Debug, Clone)]
 pub struct MigrationConfig {
@@ -102,16 +93,6 @@ pub struct MigrationConfig {
     pub mem_dirty_threshold: usize,
     /// Simulation step for the time-sliced phases.
     pub step: SimDuration,
-    /// Which bitmap implementation the tracker uses.
-    pub bitmap: BitmapKind,
-    /// Parallel transport streams for the disk data plane. The block
-    /// range is sharded into this many contiguous word-aligned
-    /// [`block_bitmap::FlatBitmap`] shards; each stream drains its own
-    /// shard, interleaved round-robin. Aggregate bandwidth, ledger
-    /// accounting, and downtime are identical to a single stream under
-    /// the same seed — sharding changes *which* block crosses next, never
-    /// how many cross per step.
-    pub streams: usize,
     /// Content-addressed transfer: ship a 16-byte reference instead of a
     /// full block whenever the destination provably already holds the
     /// identical content (template clones, blocks re-sent unchanged).
@@ -148,8 +129,6 @@ impl MigrationConfig {
             disk_dirty_threshold: testbed::DIRTY_THRESHOLD,
             mem_dirty_threshold: testbed::MEM_DIRTY_THRESHOLD,
             step: testbed::STEP,
-            bitmap: BitmapKind::Flat,
-            streams: 1,
             dedup: true,
             compress: true,
             multisource: true,
@@ -207,7 +186,7 @@ impl MigrationConfig {
     ///
     /// # Panics
     /// Panics on nonsensical configurations (zero-sized disk or memory,
-    /// zero step, zero streams, a non-positive rate limit).
+    /// zero step, a non-positive rate limit).
     pub fn validate(&self) {
         assert!(self.disk_blocks > 0, "disk must have at least one block");
         assert!(self.block_size > 0, "block size must be non-zero");
@@ -216,7 +195,6 @@ impl MigrationConfig {
             self.step > SimDuration::ZERO,
             "simulation step must be positive"
         );
-        assert!(self.streams >= 1, "need at least one transport stream");
         if let Some(l) = self.rate_limit {
             assert!(l > 0.0, "rate limit must be positive");
         }
@@ -253,16 +231,6 @@ mod tests {
     fn zero_disk_rejected() {
         let c = MigrationConfig {
             disk_blocks: 0,
-            ..MigrationConfig::small()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one transport stream")]
-    fn zero_streams_rejected() {
-        let c = MigrationConfig {
-            streams: 0,
             ..MigrationConfig::small()
         };
         c.validate();

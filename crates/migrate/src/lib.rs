@@ -54,7 +54,7 @@ mod report;
 pub mod sim;
 pub mod testbed;
 
-pub use config::{BitmapKind, MigrationConfig, RetryPolicy};
+pub use config::{MigrationConfig, RetryPolicy};
 pub use report::{
     IterationStats, MigrationReport, MultiSourceReport, PeerBytes, PhaseTimings, PostCopyStats,
 };

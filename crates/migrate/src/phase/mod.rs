@@ -22,12 +22,10 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 mod book;
-mod tracker;
 
 pub use book::{
     batch_wire, fetch_wire, frame_wire, freeze_window, pace_step, units_wire, FreezeBill, PAGE_SIZE,
 };
-pub use tracker::DirtyTracker;
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use telemetry::{Event, Phase, Resource, Side};

@@ -116,10 +116,6 @@ pub struct MigrationReport {
     /// already-forwarded block (delta-queue baseline only; structurally
     /// zero for TPM's bitmap).
     pub redundant_deltas: u64,
-    /// Disk pre-copy blocks carried by each parallel stream (one entry
-    /// per stream; a single entry for the classic one-stream data plane,
-    /// empty for baselines that never shard).
-    pub stream_blocks: Vec<u64>,
     /// Multi-source block store accounting (bytes-from-source vs
     /// bytes-from-peers); defaulted for single-source runs.
     pub multisource: MultiSourceReport,
@@ -352,7 +348,6 @@ mod tests {
             io_blocked_secs: 0.0,
             residual_blocks: 0,
             redundant_deltas: 0,
-            stream_blocks: vec![10_485_760 + 6_618 + 62],
             multisource: MultiSourceReport::default(),
             consistent: true,
         }

@@ -14,8 +14,8 @@ use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
 
 use crate::phase::{
-    batch_wire, fetch_wire, freeze_window, pace_step, DirtyTracker, FreezeBill, PhaseMachine,
-    StopRule, Voice, PAGE_SIZE,
+    batch_wire, fetch_wire, freeze_window, pace_step, FreezeBill, PhaseMachine, StopRule, Voice,
+    PAGE_SIZE,
 };
 use crate::report::{MigrationReport, MultiSourceReport, PeerBytes, PostCopyStats};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
@@ -41,7 +41,7 @@ pub struct TpmOutcome {
     pub dst_mem: GuestMemory,
     /// Destination-side tracker of post-resume writes (the paper's
     /// BM_3 / new_block_bitmap, feeding IM).
-    pub im_tracker: DirtyTracker,
+    pub im_tracker: FlatBitmap,
     /// The workload, carried over so IM continues the same op stream.
     pub workload: Box<dyn Workload>,
     /// The RNG, carried over for determinism across TPM→dwell→IM.
@@ -73,7 +73,7 @@ pub struct TpmEngine {
     pub(crate) cpu: CpuState,
     pub(crate) wss: WssModel,
     pub(crate) domain: Domain,
-    pub(crate) tracker: DirtyTracker,
+    pub(crate) tracker: FlatBitmap,
     pub(crate) tracking: bool,
     pub(crate) probe: ThroughputProbe,
     pub(crate) ledger: TransferLedger,
@@ -88,10 +88,6 @@ pub struct TpmEngine {
     /// unless written, and exempt from the consistency check — their
     /// contents are, by the guest's own declaration, meaningless.
     pub(crate) free_blocks: Option<FlatBitmap>,
-    /// Blocks carried by each parallel stream across all disk phases
-    /// (one entry per stream; index 0 carries everything when
-    /// `cfg.streams == 1`).
-    pub(crate) stream_blocks: Vec<u64>,
     /// Telemetry sink; disabled by default (a single atomic check per
     /// potential record). Events are stamped with virtual time.
     pub(crate) recorder: Arc<Recorder>,
@@ -120,7 +116,7 @@ impl TpmEngine {
         for b in 0..cfg.disk_blocks {
             src_disk.write(b);
         }
-        let mut src_mem = GuestMemory::new(4096, cfg.mem_pages);
+        let mut src_mem = GuestMemory::new(cfg.mem_pages);
         for p in 0..cfg.mem_pages {
             src_mem.touch(p);
         }
@@ -128,10 +124,10 @@ impl TpmEngine {
         let mut cpu = CpuState::new(testbed::VCPUS);
         cpu.scribble(rng.next_u64());
         let wss = workload.wss_model(cfg.mem_pages);
-        let tracker = DirtyTracker::new(cfg.bitmap, cfg.disk_blocks);
+        let tracker = FlatBitmap::new(cfg.disk_blocks);
         Self {
             dst_disk: MetaDisk::new(cfg.disk_blocks),
-            dst_mem: GuestMemory::new(4096, cfg.mem_pages),
+            dst_mem: GuestMemory::new(cfg.mem_pages),
             domain: Domain::new(DomainId(1), format!("vm-{}", workload.name())),
             kind,
             workload,
@@ -151,7 +147,6 @@ impl TpmEngine {
             scheme: "tpm",
             block_carry: 0.0,
             free_blocks: None,
-            stream_blocks: vec![0; cfg.streams],
             cfg,
             recorder: Recorder::off(),
             peer_dir: BlockDirectory::new(),
@@ -270,10 +265,8 @@ impl TpmEngine {
             // to a dedup-off run (same floats, same ledger, same clock).
             return self.transfer_disk_fulls(set, cat);
         }
-        // Full payloads first, then the cheap references — two
-        // uniform-cost sub-phases, so K-stream sharding still cannot
-        // change how many blocks cross per step (the invariant behind
-        // `four_streams_match_single_stream_exactly`).
+        // Full payloads first, then the cheap references: two
+        // uniform-cost sub-phases.
         let mut fulls = set.clone();
         fulls.subtract(&refs);
         let (fs, fb) = self.transfer_disk_fulls(&fulls, cat);
@@ -451,24 +444,7 @@ impl TpmEngine {
         } else {
             bs as f64
         };
-        // One cursor per stream, each walking its own word-aligned shard
-        // of the set (a lone stream walks the set directly, no copy).
-        // Blocks drain round-robin across streams, so sharding decides
-        // *which* block crosses next — the per-step quota `n`, the ledger
-        // entries, and the guest stepping below never see the stream
-        // count, which is what keeps K-stream runs bit-identical to
-        // single-stream in time and bytes.
-        let k = self.cfg.streams;
-        let shards: Vec<FlatBitmap> = if k > 1 {
-            FlatBitmap::shard_bounds(set.len(), k)
-                .into_iter()
-                .map(|r| set.restrict_to(r))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut cursors = vec![0usize; k];
-        let mut rr = 0usize;
+        let mut cursor = 0usize;
         while sent < total {
             let w_demand = self.workload.disk_demand();
             let (w_share, m_share) = self.cfg.disk_shares(w_demand);
@@ -481,27 +457,13 @@ impl TpmEngine {
                 &mut self.block_carry,
             );
             for _ in 0..n {
-                let (s, b) = loop {
-                    let s = rr % k;
-                    rr += 1;
-                    // A drained cursor parks at `set.len()` so the probe
-                    // skips it without re-scanning the map tail.
-                    if cursors[s] >= set.len() {
-                        continue;
-                    }
-                    let shard = if k > 1 { &shards[s] } else { set };
-                    if let Some(b) = shard.next_set_from(cursors[s]) {
-                        break (s, b);
-                    }
-                    // This shard is drained; `sent < total` guarantees
-                    // another stream still holds blocks.
-                    cursors[s] = set.len();
-                };
-                cursors[s] = b + 1;
+                let b = set
+                    .next_set_from(cursor)
+                    .expect("set must contain the blocks being counted");
+                cursor = b + 1;
                 if !AS_REFS {
                     self.dst_disk.copy_block_from(&self.src_disk, b);
                 }
-                self.stream_blocks[s] += 1;
             }
             if n > 0 {
                 if AS_REFS {
@@ -585,7 +547,8 @@ impl TpmEngine {
         }
         loop {
             let (sent, bytes) = self.transfer_disk_set(&to_send, Category::DiskPrecopy);
-            let (at, dirty) = (self.now.as_nanos(), self.tracker.drain());
+            let at = self.now.as_nanos();
+            let dirty = std::mem::replace(&mut self.tracker, FlatBitmap::new(self.cfg.disk_blocks));
             match machine.end_pass(sent, bytes, dirty, |e| fold.at_nanos(&rec, at, e)) {
                 Some(next) => to_send = next,
                 None => break,
@@ -608,7 +571,7 @@ impl TpmEngine {
         self.domain.suspend().expect("guest was running");
         let t_suspend = self.now;
         let suspend = t_suspend.as_nanos();
-        let raced = self.tracker.drain();
+        let raced = std::mem::replace(&mut self.tracker, FlatBitmap::new(self.cfg.disk_blocks));
         let (frozen, tail) = machine.suspend(&raced, None, |e| fold.at_nanos(&rec, suspend, e));
         self.probe.record(t_suspend, 0.0);
         let bill = FreezeBill {
@@ -641,7 +604,7 @@ impl TpmEngine {
         machine.resume(|e| fold.at_nanos(&rec, t_resume.as_nanos(), e));
 
         // ---------------- Phase 3: push-and-pull post-copy -----------------
-        let mut im_tracker = DirtyTracker::new(self.cfg.bitmap, self.cfg.disk_blocks);
+        let mut im_tracker = FlatBitmap::new(self.cfg.disk_blocks);
         let demand = self.workload.disk_demand();
         let pc_cfg = PostCopyConfig::of(&self.cfg, demand, testbed::POSTCOPY_HORIZON, true);
         let outcome = run_postcopy(
@@ -672,15 +635,11 @@ impl TpmEngine {
         // ---------------- Verification & report ----------------------------
         // Every difference between source and destination must be a block
         // the guest wrote after resuming.
-        let im_snapshot = match &im_tracker {
-            DirtyTracker::Flat(b) => b.clone(),
-            DirtyTracker::Layered(b) => b.to_flat(),
-        };
         let disk_consistent = self
             .src_disk
             .diff_blocks(&self.dst_disk)
             .into_iter()
-            .all(|b| im_snapshot.get(b) || self.free_blocks.as_ref().is_some_and(|f| f.get(b)));
+            .all(|b| im_tracker.get(b) || self.free_blocks.as_ref().is_some_and(|f| f.get(b)));
         let total_time = self.now.since(t_start);
         let downtime_ms = downtime.as_millis_f64();
 
@@ -708,7 +667,6 @@ impl TpmEngine {
             io_blocked_secs: 0.0,
             residual_blocks: outcome.residual_blocks,
             redundant_deltas: 0,
-            stream_blocks: self.stream_blocks.clone(),
             multisource: {
                 let mut ms = self.ms.clone();
                 ms.peer_bytes = self
@@ -736,10 +694,6 @@ impl TpmEngine {
                 .set(report.postcopy.remaining_at_resume);
             m.gauge("sim.bytes_total").set(report.ledger.total());
             report.wire.publish(m);
-            for (i, &blocks) in report.stream_blocks.iter().enumerate() {
-                m.counter(&format!("sim.stream.{i}.blocks_sent"))
-                    .add(blocks);
-            }
             if report.multisource.plans > 0 {
                 m.counter("blockstore.plans").add(report.multisource.plans);
                 m.counter("blockstore.plan_blocks")
@@ -845,7 +799,7 @@ pub fn run_im_traced(
     engine.src_disk = prev.dst_disk;
     engine.dst_disk = prev.src_disk;
     engine.src_mem = prev.dst_mem;
-    engine.dst_mem = GuestMemory::new(4096, cfg.mem_pages);
+    engine.dst_mem = GuestMemory::new(cfg.mem_pages);
     engine.workload = prev.workload;
     engine.rng = prev.rng;
     engine.probe = prev.probe;
@@ -855,8 +809,7 @@ pub fn run_im_traced(
     // "We check if the bitmap exists before the first iteration. If it
     // does, only the blocks marked dirty in the block-bitmap need to be
     // migrated."
-    let mut im_tracker = prev.im_tracker;
-    engine.initial_to_send = Some(im_tracker.drain());
+    engine.initial_to_send = Some(prev.im_tracker);
     engine.set_recorder(recorder);
     engine.run()
 }
@@ -948,22 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn layered_bitmap_produces_identical_migration() {
-        let cfg_flat = small_cfg();
-        let cfg_layered = MigrationConfig {
-            bitmap: crate::BitmapKind::Layered,
-            ..small_cfg()
-        };
-        let a = run_tpm(cfg_flat, WorkloadKind::Web);
-        let b = run_tpm(cfg_layered, WorkloadKind::Web);
-        assert_eq!(a.report.ledger, b.report.ledger);
-        assert_eq!(
-            a.report.total_time_secs.to_bits(),
-            b.report.total_time_secs.to_bits()
-        );
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let a = run_tpm(small_cfg(), WorkloadKind::Web);
         let b = run_tpm(small_cfg(), WorkloadKind::Web);
@@ -1010,44 +947,6 @@ mod tests {
         // full payloads; off means off.
         assert_eq!(off.report.wire.bytes_sent, off.report.wire.bytes_raw);
         assert!(on.report.wire.bytes_sent < on.report.wire.bytes_raw);
-    }
-
-    #[test]
-    fn four_streams_match_single_stream_exactly() {
-        let one = run_tpm(small_cfg(), WorkloadKind::Web);
-        let four = run_tpm(
-            MigrationConfig {
-                streams: 4,
-                ..small_cfg()
-            },
-            WorkloadKind::Web,
-        );
-        assert!(four.report.consistent);
-        // Same bytes in every category, same downtime, same total time —
-        // bit for bit, not approximately.
-        assert_eq!(one.report.ledger, four.report.ledger);
-        assert_eq!(
-            one.report.downtime_ms.to_bits(),
-            four.report.downtime_ms.to_bits()
-        );
-        assert_eq!(
-            one.report.total_time_secs.to_bits(),
-            four.report.total_time_secs.to_bits()
-        );
-        // Same final image on the destination.
-        assert!(one.dst_disk.content_equals(&four.dst_disk));
-        // The streams genuinely shared the work: every stream carried
-        // blocks, and together they carried exactly the pre-copy total.
-        assert_eq!(four.report.stream_blocks.len(), 4);
-        assert!(four.report.stream_blocks.iter().all(|&b| b > 0));
-        let per_stream: u64 = four.report.stream_blocks.iter().sum();
-        let sent: u64 = four
-            .report
-            .disk_iterations
-            .iter()
-            .map(|i| i.units_sent)
-            .sum();
-        assert_eq!(per_stream, sent);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub(crate) mod engine;
 mod extensions;
 mod postcopy;
 
-pub use crate::phase::DirtyTracker;
 pub use engine::{dwell, run_im, run_im_traced, run_tpm, run_tpm_traced, TpmEngine, TpmOutcome};
 pub use extensions::{
     reserve_workload_blocks, run_sparse_migration, run_template_clone_fanin,

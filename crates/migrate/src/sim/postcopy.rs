@@ -24,7 +24,7 @@ use vdisk::{DomainId, IoRequest, MetaDisk, PendingQueue};
 use workloads::probe::ThroughputProbe;
 use workloads::{OpKind, TimedOp, Workload};
 
-use crate::phase::{DirtyTracker, Worklist};
+use crate::phase::Worklist;
 use crate::report::PostCopyStats;
 use crate::MigrationConfig;
 
@@ -89,7 +89,7 @@ struct PcState<'a> {
     push: Worklist,
     /// The destination's transferred_block_bitmap.
     dst_bm: FlatBitmap,
-    new_bm: &'a mut DirtyTracker,
+    new_bm: &'a mut FlatBitmap,
     workload: &'a mut dyn Workload,
     rng: &'a mut SimRng,
     /// One workload slice's ops, cleared and refilled per slice.
@@ -280,7 +280,7 @@ pub fn run_postcopy(
     dst_disk: &mut MetaDisk,
     src_bm: FlatBitmap,
     dst_bm: FlatBitmap,
-    new_bm: &mut DirtyTracker,
+    new_bm: &mut FlatBitmap,
     workload: &mut dyn Workload,
     rng: &mut SimRng,
     ledger: &mut TransferLedger,
@@ -388,7 +388,7 @@ mod tests {
             src.write(b);
             bm.set(b);
         }
-        let mut new_bm = DirtyTracker::new(crate::BitmapKind::Flat, blocks);
+        let mut new_bm = FlatBitmap::new(blocks);
         let mut workload = WorkloadKind::Idle.build(blocks as u64);
         let mut rng = SimRng::new(7);
         let mut ledger = TransferLedger::new();
@@ -440,7 +440,7 @@ mod tests {
             src.write(b);
             bm.set(b);
         }
-        let mut new_bm = DirtyTracker::new(crate::BitmapKind::Flat, blocks);
+        let mut new_bm = FlatBitmap::new(blocks);
         let mut workload = kind.build(blocks as u64);
         let mut rng = SimRng::new(7);
         let mut ledger = TransferLedger::new();

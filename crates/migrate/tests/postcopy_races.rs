@@ -5,8 +5,7 @@
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng, SimTime};
-use migrate::sim::{run_postcopy, DirtyTracker, PostCopyConfig};
-use migrate::BitmapKind;
+use migrate::sim::{run_postcopy, PostCopyConfig};
 use simnet::proto::{Category, TransferLedger};
 use vdisk::MetaDisk;
 use workloads::probe::ThroughputProbe;
@@ -51,9 +50,9 @@ fn run(
     setup: &mut Setup,
     trace: OpTrace,
     cfg: PostCopyConfig,
-) -> (migrate::PostCopyStats, DirtyTracker, TransferLedger) {
+) -> (migrate::PostCopyStats, FlatBitmap, TransferLedger) {
     let mut workload: Box<dyn Workload> = Box::new(TraceWorkload::new(trace, 1e6));
-    let mut new_bm = DirtyTracker::new(BitmapKind::Flat, BLOCKS);
+    let mut new_bm = FlatBitmap::new(BLOCKS);
     let mut rng = SimRng::new(1);
     let mut ledger = TransferLedger::new();
     let mut probe = ThroughputProbe::new();
@@ -114,17 +113,13 @@ fn write_to_dirty_block_cancels_sync_and_push_is_dropped() {
     let mut s = setup(&[50, 100]);
     let mut trace = OpTrace::new();
     trace.push(TimedOp::new(ms(5), OpKind::Write { block: 100 }));
-    let (stats, new_bm, _) = run(&mut s, trace, slow_cfg());
+    let (stats, im, _) = run(&mut s, trace, slow_cfg());
     // Both source-marked blocks leave the wire; the one superseded by the
     // local write is dropped on arrival.
     assert_eq!(stats.pushed + stats.dropped, 2);
     assert_eq!(stats.dropped, 1, "the superseded push must be dropped");
     assert_eq!(stats.pulled, 0);
     // The write is in the IM bitmap…
-    let im = match new_bm {
-        DirtyTracker::Flat(b) => b,
-        DirtyTracker::Layered(b) => b.to_flat(),
-    };
     assert!(im.get(100));
     // …and the destination keeps the *local* data: src and dst disagree
     // exactly on the written block.
@@ -195,7 +190,7 @@ fn pull_and_push_race_never_double_applies() {
         };
         trace.push(TimedOp::new(ms(1 + (i as u64 % 700)), kind));
     }
-    let (stats, new_bm, _) = run(&mut s, trace, cfg);
+    let (stats, im, _) = run(&mut s, trace, cfg);
     // Applied syncs never exceed the dirty set; arrivals can exceed it
     // because a pull may race a push already in flight for the same
     // block — the duplicate is dropped by the bitmap check (the paper's
@@ -206,10 +201,6 @@ fn pull_and_push_race_never_double_applies() {
         "every dirty block must produce at least one arrival or local write"
     );
     assert!(stats.dropped > 0, "the race must actually occur");
-    let im = match new_bm {
-        DirtyTracker::Flat(b) => b,
-        DirtyTracker::Layered(b) => b.to_flat(),
-    };
     // Disks agree except on destination-written blocks.
     for b in s.src.diff_blocks(&s.dst) {
         assert!(im.get(b), "block {b} diverged without a local write");

@@ -28,10 +28,10 @@ use std::sync::Arc;
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng, SimTime};
 use migrate::phase::{
-    batch_wire, frame_wire, freeze_window, pace_step, DirtyTracker, FreezeBill, PhaseMachine,
-    StopRule, Voice, Worklist, PAGE_SIZE,
+    batch_wire, frame_wire, freeze_window, pace_step, FreezeBill, PhaseMachine, StopRule, Voice,
+    Worklist, PAGE_SIZE,
 };
-use migrate::{testbed, BitmapKind};
+use migrate::testbed;
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use telemetry::{Event, Fold, Phase, Recorder};
 use vdisk::MetaDisk;
@@ -71,7 +71,7 @@ struct Task {
     carry: f64,
     dst_disk: MetaDisk,
     /// Source-side writes since the current pass's bitmap was snapshot.
-    tracker: DirtyTracker,
+    tracker: FlatBitmap,
     /// Pages the guest dirtied since the current memory pass began, drawn
     /// by `wss` on a stream of its own.
     mem_dirty: FlatBitmap,
@@ -617,7 +617,7 @@ impl Orchestrator {
             to_send: Worklist::new(to_send),
             carry: 0.0,
             dst_disk,
-            tracker: DirtyTracker::new(BitmapKind::Flat, nblocks),
+            tracker: FlatBitmap::new(nblocks),
             mem_dirty: FlatBitmap::new(self.cfg.mem_pages),
             wss: workload.wss_model(self.cfg.mem_pages),
             mem_rng: SimRng::new(seed).fork(id),
@@ -945,7 +945,8 @@ impl Orchestrator {
                 let sent = std::mem::take(&mut t.pass_sent);
                 let pages = t.mem_dirty.len();
                 let dirty = if disk {
-                    t.tracker.drain()
+                    let blocks = t.tracker.len();
+                    std::mem::replace(&mut t.tracker, FlatBitmap::new(blocks))
                 } else {
                     std::mem::replace(&mut t.mem_dirty, FlatBitmap::new(pages))
                 };
@@ -1129,7 +1130,8 @@ impl Orchestrator {
         dynamics: &dyn FleetDynamics,
     ) {
         let at = step_end.as_nanos();
-        let raced = t.tracker.drain();
+        let blocks = t.tracker.len();
+        let raced = std::mem::replace(&mut t.tracker, FlatBitmap::new(blocks));
         let emit = |e| t.fold.at_nanos(&self.recorder, at, e);
         let (frozen, tail) = t.machine.suspend(&raced, None, emit);
         let bill = FreezeBill {

@@ -50,12 +50,6 @@ impl PendingQueue {
         self.by_block.contains_key(&block)
     }
 
-    /// Distinct blocks with waiting requests, ascending (BTreeMap keys
-    /// iterate sorted — no explicit sort needed).
-    pub fn blocked_blocks(&self) -> Vec<usize> {
-        self.by_block.keys().copied().collect()
-    }
-
     /// Total queued requests.
     pub fn len(&self) -> usize {
         self.len
@@ -85,8 +79,7 @@ mod tests {
         q.push(IoRequest::read(5, DomainId(1)));
         q.push(IoRequest::read(7, DomainId(1)));
         assert_eq!(q.len(), 3);
-        assert!(q.waiting_on(5));
-        assert_eq!(q.blocked_blocks(), vec![5, 7]);
+        assert!(q.waiting_on(5) && q.waiting_on(7) && !q.waiting_on(6));
 
         let released = q.take_for_block(5);
         assert_eq!(released.len(), 2);

@@ -10,11 +10,6 @@ pub struct DomainId(pub u32);
 impl DomainId {
     /// The privileged control domain.
     pub const DOM0: DomainId = DomainId(0);
-
-    /// `true` for the privileged domain.
-    pub fn is_dom0(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl std::fmt::Display for DomainId {
@@ -84,7 +79,7 @@ mod tests {
         assert!(!r.is_write());
         let w = IoRequest::write(9, DomainId::DOM0);
         assert!(w.is_write());
-        assert!(w.domain.is_dom0());
+        assert_eq!(w.domain, DomainId::DOM0);
         assert_eq!(w.block, 9);
     }
 

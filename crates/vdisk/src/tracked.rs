@@ -53,8 +53,6 @@ pub struct TrackedDisk {
     trackers: RwLock<Vec<Tracker>>,
     next_handle: AtomicU64,
     tracking_enabled: AtomicBool,
-    reads: AtomicU64,
-    writes: AtomicU64,
     telemetry_on: AtomicBool,
     telemetry: RwLock<Option<DiskStats>>,
 }
@@ -68,8 +66,6 @@ impl TrackedDisk {
             trackers: RwLock::new(Vec::new()),
             next_handle: AtomicU64::new(0),
             tracking_enabled: AtomicBool::new(false),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
             telemetry_on: AtomicBool::new(false),
             telemetry: RwLock::new(None),
         }
@@ -165,12 +161,10 @@ impl TrackedDisk {
     pub fn submit(&self, req: IoRequest, data: Option<&[u8]>) -> Option<Vec<u8>> {
         match req.op {
             IoOp::Read => {
-                self.reads.fetch_add(1, Ordering::Relaxed);
                 self.tel_read();
                 Some(self.disk.read_block(req.block))
             }
             IoOp::Write => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
                 self.tel_write();
                 let data = data.expect("write request requires data");
                 self.disk.write_block(req.block, data);
@@ -185,7 +179,6 @@ impl TrackedDisk {
     /// guest read paths can use this without an unwrap on the
     /// [`TrackedDisk::submit`] `Option`.
     pub fn read_block(&self, block: usize) -> Vec<u8> {
-        self.reads.fetch_add(1, Ordering::Relaxed);
         self.tel_read();
         self.disk.read_block(block)
     }
@@ -235,7 +228,6 @@ impl TrackedDisk {
                 self.disk.write_block(block, &buf);
             }
             self.record_write(block, domain);
-            self.writes.fetch_add(1, Ordering::Relaxed);
             self.tel_write();
             consumed += span;
         }
@@ -270,7 +262,6 @@ impl TrackedDisk {
         let range = mapper.byte_extent(offset, len as u64);
         let mut out = Vec::with_capacity(len);
         for block in range.iter() {
-            self.reads.fetch_add(1, Ordering::Relaxed);
             self.tel_read();
             let buf = self.disk.read_block(block);
             let block_start = mapper.byte_of_block(block);
@@ -281,14 +272,6 @@ impl TrackedDisk {
         debug_assert_eq!(out.len(), len);
         let _ = domain;
         out
-    }
-
-    /// Total reads/writes served.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (
-            self.reads.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -329,6 +312,8 @@ mod tests {
     #[test]
     fn enabled_tracking_records_writes_only() {
         let (td, bm) = setup(8);
+        let rec = telemetry::Recorder::enabled();
+        td.set_telemetry(&rec, "disk");
         td.enable_tracking();
         td.submit(
             IoRequest::write(3, DomainId(1)),
@@ -337,7 +322,8 @@ mod tests {
         let read = td.submit(IoRequest::read(3, DomainId(1)), None).unwrap();
         assert_eq!(read, stamp_bytes(3, 1, 512));
         assert_eq!(bm.snapshot().to_indices(), vec![3]);
-        assert_eq!(td.io_counts(), (1, 1));
+        let count = |name| rec.metrics().counter(name).get();
+        assert_eq!((count("disk.reads"), count("disk.writes")), (1, 1));
     }
 
     #[test]
@@ -465,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counters_mirror_io_counts() {
+    fn telemetry_counters_count_reads_and_writes() {
         let (td, _) = setup(8);
         let rec = telemetry::Recorder::enabled();
         td.set_telemetry(&rec, "disk.src");

@@ -82,7 +82,7 @@ mod tests {
     #[test]
     fn dirtying_concentrates_on_hot_set() {
         let model = WssModel::new(10_000, 0.05, 0.95, 10_000.0);
-        let mut mem = GuestMemory::new(4096, 10_000);
+        let mut mem = GuestMemory::new(10_000);
         let mut rng = SimRng::new(1);
         model.dirty_for(SimDuration::from_secs(1), &mut rng, |p| mem.touch(p));
         // 10k writes over a 500-page hot set: dirty count must be far less
@@ -96,11 +96,11 @@ mod tests {
     #[test]
     fn idle_guest_never_dirties() {
         let model = WssModel::idle(100);
-        let mut mem = GuestMemory::new(4096, 100);
+        let mut mem = GuestMemory::new(100);
         let mut rng = SimRng::new(2);
         let n = model.dirty_for(SimDuration::from_secs(100), &mut rng, |p| mem.touch(p));
         assert_eq!(n, 0);
-        assert_eq!(mem.dirty_count(), 0);
+        assert!(mem.drain_dirty().none_set());
     }
 
     #[test]

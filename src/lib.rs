@@ -68,7 +68,7 @@ pub mod prelude {
     pub use migrate::baselines::{run_delta_queue, run_freeze_and_copy, run_on_demand};
     pub use migrate::live::{run_live, LiveConfig, LiveOutcome, LiveRun, MigrationError};
     pub use migrate::sim::{dwell, run_im, run_tpm, TpmEngine, TpmOutcome};
-    pub use migrate::{BitmapKind, MigrationConfig, MigrationReport, RetryPolicy};
+    pub use migrate::{MigrationConfig, MigrationReport, RetryPolicy};
     pub use orchestrator::{
         Cluster, ClusterConfig, ClusterReport, Orchestrator, Policy, Scenario, Scheduler,
     };
