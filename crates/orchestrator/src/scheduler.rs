@@ -244,33 +244,46 @@ impl Scheduler for ImAware {
     }
 
     fn next(&mut self, pending: &[MigrationRequest], view: &ClusterView<'_>) -> Option<Decision> {
-        for (index, req) in pending.iter().enumerate() {
-            if view.vm_busy(req.vm) {
-                continue;
-            }
-            let src = view.vm_host(req.vm);
-            if let Some(dest) = req.dest {
-                if view.admissible(src, dest) {
-                    return Some(Decision { index, dest });
-                }
-                continue;
-            }
-            let mut replicas = view.replica_dests(req.vm);
-            replicas.sort_by_key(|(host, stale)| (*stale, host.0));
-            if let Some(&(dest, _)) = replicas.iter().find(|(d, _)| view.admissible(src, *d)) {
-                return Some(Decision { index, dest });
-            }
-            if !replicas.is_empty() {
-                // Replica hosts exist but are saturated: wait for one.
-                continue;
-            }
-            let dest = view.naive_dest(req.vm);
+        replica_first(pending, view, |_| false)
+    }
+}
+
+/// The first request replica-first placement can start, skipping the
+/// requests `defer` holds back: a pinned request goes where it is
+/// pinned, an unpinned one to the admissible replica host of least
+/// staleness, and one whose replica hosts are all saturated waits; a VM
+/// with no replica anywhere falls back to ring placement.
+fn replica_first(
+    pending: &[MigrationRequest],
+    view: &ClusterView<'_>,
+    defer: impl Fn(&MigrationRequest) -> bool,
+) -> Option<Decision> {
+    for (index, req) in pending.iter().enumerate() {
+        if view.vm_busy(req.vm) || defer(req) {
+            continue;
+        }
+        let src = view.vm_host(req.vm);
+        if let Some(dest) = req.dest {
             if view.admissible(src, dest) {
                 return Some(Decision { index, dest });
             }
+            continue;
         }
-        None
+        let mut replicas = view.replica_dests(req.vm);
+        replicas.sort_by_key(|(host, stale)| (*stale, host.0));
+        if let Some(&(dest, _)) = replicas.iter().find(|(d, _)| view.admissible(src, *d)) {
+            return Some(Decision { index, dest });
+        }
+        if !replicas.is_empty() {
+            // Replica hosts exist but are saturated: wait for one.
+            continue;
+        }
+        let dest = view.naive_dest(req.vm);
+        if view.admissible(src, dest) {
+            return Some(Decision { index, dest });
+        }
     }
+    None
 }
 
 /// Cycle-aware IM placement: exactly [`ImAware`]'s replica-first
@@ -288,34 +301,7 @@ impl Scheduler for CycleAware {
     }
 
     fn next(&mut self, pending: &[MigrationRequest], view: &ClusterView<'_>) -> Option<Decision> {
-        for (index, req) in pending.iter().enumerate() {
-            if view.vm_busy(req.vm) {
-                continue;
-            }
-            if view.defer_for_cycle(req) {
-                continue;
-            }
-            let src = view.vm_host(req.vm);
-            if let Some(dest) = req.dest {
-                if view.admissible(src, dest) {
-                    return Some(Decision { index, dest });
-                }
-                continue;
-            }
-            let mut replicas = view.replica_dests(req.vm);
-            replicas.sort_by_key(|(host, stale)| (*stale, host.0));
-            if let Some(&(dest, _)) = replicas.iter().find(|(d, _)| view.admissible(src, *d)) {
-                return Some(Decision { index, dest });
-            }
-            if !replicas.is_empty() {
-                continue;
-            }
-            let dest = view.naive_dest(req.vm);
-            if view.admissible(src, dest) {
-                return Some(Decision { index, dest });
-            }
-        }
-        None
+        replica_first(pending, view, |req| view.defer_for_cycle(req))
     }
 }
 
