@@ -240,22 +240,20 @@ impl ScenarioDynamics {
                     Some((h, WaveStage::Draining)) => {
                         // Late arrivals (streams admitted before the
                         // cordon that landed here) get evacuated too.
-                        let residents: Vec<usize> = cluster
-                            .residents(orchestrator::HostId(h))
-                            .map(|v| v.0)
-                            .collect();
-                        for &vm in &residents {
-                            if !self.waves[wi].issued.contains(&vm) {
+                        let issued = &mut self.waves[wi].issued;
+                        let mut resident = false;
+                        for vm in cluster.residents(orchestrator::HostId(h)) {
+                            resident = true;
+                            if !issued.contains(&vm.0) {
                                 out.push(MigrationRequest {
-                                    vm: orchestrator::VmId(vm),
+                                    vm,
                                     dest: None,
                                     at: now,
                                 });
-                                self.waves[wi].issued.push(vm);
+                                issued.push(vm.0);
                             }
                         }
-                        let busy = !residents.is_empty()
-                            || streams.iter().any(|(s, d)| *s == h || *d == h);
+                        let busy = resident || streams.iter().any(|(s, d)| *s == h || *d == h);
                         if busy {
                             break;
                         }

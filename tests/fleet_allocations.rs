@@ -80,7 +80,8 @@ fn a_fleet_step_allocates_nothing_of_its_own() {
     });
     assert_eq!(migrations, 15);
     // 38 242 before the step loop reused its buffers and held its pools'
-    // solves (EXPERIMENTS.md).
+    // solves (EXPERIMENTS.md); 2 388 before a draining maintenance wave
+    // walked its host's residents in place.
     assert!(
         n <= MAX_ALLOCATIONS,
         "{n} allocations, at most {MAX_ALLOCATIONS} expected"
@@ -89,4 +90,4 @@ fn a_fleet_step_allocates_nothing_of_its_own() {
 
 /// The most allocations the seed-1 fleet run may make: what it makes,
 /// the same in a debug and a release build.
-const MAX_ALLOCATIONS: u64 = 2_388;
+const MAX_ALLOCATIONS: u64 = 1_954;
