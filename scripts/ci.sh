@@ -6,15 +6,6 @@ cd "$(dirname "$0")/.."
 echo "== rustfmt (check only) =="
 cargo fmt --all -- --check
 
-echo "== size: non-test source lines (reported, not gated) =="
-# One rule for every PR's line count: lines of crates/*/src/**/*.rs and
-# src/**/*.rs above each file's trailing #[cfg(test)] module.
-python3 scripts/loc.py
-
-echo "== size: configuration options (reported, not gated) =="
-# pub fields of the configuration structs a run is set up with.
-python3 scripts/options.py
-
 echo "== tier-1: release build =="
 # --workspace so every bin (vmmigrate, repro) is fresh before the
 # smoke matrices below run them from target/.
@@ -315,5 +306,15 @@ for seed in sorted(got | want):
           + "%s:%d %s" % seed)
 raise SystemExit(0 if got == want else 1)
 PY
+
+echo "== size: non-test source lines (reported, not gated) =="
+# One rule for every change's line count: lines of crates/*/src/**/*.rs
+# and src/**/*.rs above each file's trailing #[cfg(test)] module. Last,
+# with the options below, so every log ends with both counts.
+python3 scripts/loc.py
+
+echo "== size: configuration options (reported, not gated) =="
+# pub fields of the configuration structs a run is set up with.
+python3 scripts/options.py
 
 echo "CI OK"

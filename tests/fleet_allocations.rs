@@ -80,8 +80,7 @@ fn a_fleet_step_allocates_nothing_of_its_own() {
     });
     assert_eq!(migrations, 15);
     // 38 242 before the step loop reused its buffers and held its pools'
-    // solves (EXPERIMENTS.md); 2 388 before a draining maintenance wave
-    // walked its host's residents in place.
+    // solves (EXPERIMENTS.md).
     assert!(
         n <= MAX_ALLOCATIONS,
         "{n} allocations, at most {MAX_ALLOCATIONS} expected"

@@ -66,8 +66,7 @@ proptest! {
     }
 
     /// The engine is fully deterministic: identical configs give
-    /// bit-identical reports. (The bitmap kind it also compared went with
-    /// the simulator's `bitmap` knob; the tracker is one flat bitmap.)
+    /// bit-identical reports.
     #[test]
     fn deterministic_and_bitmap_kind_invariant(seed in 0u64..500, kind_idx in 0usize..3) {
         let kind = WorkloadKind::TABLE1[kind_idx];
