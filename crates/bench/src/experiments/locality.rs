@@ -7,7 +7,7 @@
 use des::{SimDuration, SimRng};
 use serde_json::json;
 use workloads::locality::analyze;
-use workloads::WorkloadKind;
+use workloads::{Workload, WorkloadKind};
 
 use crate::render::Table;
 use crate::{ExpResult, Scale};
@@ -32,13 +32,14 @@ fn measure(
     secs: u64,
     seed: u64,
 ) -> workloads::locality::LocalityReport {
+    // The analysis counts writes alone, so the guest draws no read.
     let mut rng = SimRng::new(seed);
     let mut ops = Vec::new();
     let dt = SimDuration::from_millis(500);
     if kind == WorkloadKind::Diabolical {
         // Concrete type: watch the phase cycle wrap back to Putc.
         let mut w = workloads::DiabolicalWorkload::paper_default(blocks);
-        use workloads::{BonniePhase, Workload};
+        use workloads::BonniePhase;
         let mut left_putc = false;
         loop {
             if w.phase() != BonniePhase::Putc {
@@ -47,7 +48,7 @@ fn measure(
                 break;
             }
             let demand = w.disk_demand();
-            ops.extend(w.ops_for(dt, demand, &mut rng));
+            w.draw_into(dt, demand, &mut rng, None, &mut ops);
         }
     } else {
         let mut w = kind.build(blocks);
@@ -55,7 +56,7 @@ fn measure(
         let mut elapsed = 0.0;
         while elapsed < scaled {
             let demand = w.disk_demand();
-            ops.extend(w.ops_for(dt, demand, &mut rng));
+            w.draw_into(dt, demand, &mut rng, None, &mut ops);
             elapsed += dt.as_secs_f64();
         }
     }

@@ -7,11 +7,11 @@
 //! storage phase). We report the same disk-phase figures, plus the
 //! whole-system totals for completeness.
 
-use des::SimDuration;
+use des::{SimDuration, SimRng};
 use migrate::sim::{dwell, run_im, run_tpm};
 use migrate::MigrationReport;
 use serde_json::json;
-use workloads::WorkloadKind;
+use workloads::{Guest, WorkloadKind};
 
 use crate::render::Table;
 use crate::{ExpResult, Scale};
@@ -54,7 +54,8 @@ pub fn run(scale: Scale) -> ExpResult {
             // maintenance window, so the guest is quiescent when migrated
             // back (the paper's 17 s / 911 MB IM at full pipeline rate is
             // only possible without a live I/O storm).
-            primary.workload = WorkloadKind::Idle.build(cfg.disk_blocks as u64);
+            let (blocks, pages) = (cfg.disk_blocks as u64, cfg.mem_pages);
+            primary.guest = Guest::new(WorkloadKind::Idle, blocks, pages, SimRng::new(cfg.seed));
             primary.kind = WorkloadKind::Idle;
         }
         let back = run_im(cfg, primary);

@@ -112,6 +112,7 @@ impl FetchPlanner {
         dest_ingest: f64,
     ) -> FetchPlan {
         let n = live.num_blocks();
+        let words = n.div_ceil(64);
         let mut plan = FetchPlan {
             source_only: FlatBitmap::new(n),
             any_peer: FlatBitmap::new(n),
@@ -138,51 +139,73 @@ impl FetchPlanner {
                     host,
                     share,
                     fresh: dir.fresh_bitmap(vm, host, live)?,
-                    assigned: FlatBitmap::new(n),
+                    assigned: vec![0; words],
                     load: 0,
                 })
             })
             .collect();
 
-        for block in owed.iter_set().take_while(|&b| b < n) {
+        // A word of owed blocks at a time: the classes are masks over
+        // the word, and only a block some peer holds fresh is weighed
+        // peer by peer.
+        let (mut source_only, mut any_peer, mut ref_only) =
+            (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
+        for (w, &owed_word) in owed.words().iter().enumerate().take(words) {
+            let live_bits = if (w + 1) * 64 > n {
+                (1u64 << (n - w * 64)) - 1
+            } else {
+                u64::MAX
+            };
+            let mut todo = owed_word & live_bits;
             if let Some(resident) = dst_resident {
-                let fp = BlockDirectory::fingerprint(live.generation(block));
-                if resident.contains(fp) {
-                    plan.ref_only.set(block);
-                    continue;
+                let mut bits = todo;
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let fp = BlockDirectory::fingerprint(live.generation(w * 64 + j));
+                    if resident.contains(fp) {
+                        ref_only[w] |= 1 << j;
+                    }
                 }
+                todo &= !ref_only[w];
             }
+            let held = peers.iter().fold(0, |acc, p| acc | p.fresh.words()[w]) & todo;
+            source_only[w] = todo & !held;
+            any_peer[w] = held;
 
             // Least load per unit of share, scanning ascending host id;
             // strict inequality keeps the lowest id on ties. Comparing
             // cross-products avoids dividing by tiny shares.
-            let mut best: Option<usize> = None;
-            for (i, peer) in peers.iter().enumerate() {
-                if !peer.fresh.get(block) {
-                    continue;
+            let mut bits = held;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let mut best: Option<usize> = None;
+                for (i, peer) in peers.iter().enumerate() {
+                    if peer.fresh.words()[w] & bit == 0 {
+                        continue;
+                    }
+                    let better = best.is_none_or(|b| {
+                        (peer.load as f64) * peers[b].share < (peers[b].load as f64) * peer.share
+                    });
+                    if better {
+                        best = Some(i);
+                    }
                 }
-                let better = best.is_none_or(|b| {
-                    (peer.load as f64) * peers[b].share < (peers[b].load as f64) * peer.share
-                });
-                if better {
-                    best = Some(i);
-                }
-            }
-            match best {
-                Some(i) => {
-                    plan.any_peer.set(block);
-                    peers[i].assigned.set(block);
+                // `held` has the bit only where some peer is fresh.
+                if let Some(i) = best {
+                    peers[i].assigned[w] |= bit;
                     peers[i].load += 1;
-                }
-                None => {
-                    plan.source_only.set(block);
                 }
             }
         }
+        plan.source_only = FlatBitmap::from_words(n, source_only);
+        plan.any_peer = FlatBitmap::from_words(n, any_peer);
+        plan.ref_only = FlatBitmap::from_words(n, ref_only);
         plan.per_peer = peers
             .into_iter()
             .filter(|peer| peer.load > 0)
-            .map(|peer| (peer.host, peer.assigned))
+            .map(|peer| (peer.host, FlatBitmap::from_words(n, peer.assigned)))
             .collect();
         plan
     }
@@ -195,8 +218,8 @@ struct ServingPeer {
     share: f64,
     /// Blocks the peer holds at the live generation.
     fresh: FlatBitmap,
-    /// Owed blocks assigned to the peer so far, and how many.
-    assigned: FlatBitmap,
+    /// Words of the owed blocks assigned to the peer so far, and how many.
+    assigned: Vec<u64>,
     load: usize,
 }
 

@@ -230,13 +230,13 @@ pub fn run(cmd: Cmd) -> Result<(), Error> {
             secs,
             out,
         } => {
-            let mut w = workload.build(MigrationConfig::paper_testbed().disk_blocks as u64);
-            let mut rng = SimRng::new(2008);
+            let cfg = MigrationConfig::paper_testbed();
+            let (blocks, pages) = (cfg.disk_blocks as u64, cfg.mem_pages);
+            let mut guest = workloads::Guest::new(workload, blocks, pages, SimRng::new(2008));
             let trace = workloads::record(
-                w.as_mut(),
+                &mut guest,
                 SimDuration::from_secs(secs),
                 SimDuration::from_millis(500),
-                &mut rng,
             );
             std::fs::write(&out, trace.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
             say!(

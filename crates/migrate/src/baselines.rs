@@ -20,7 +20,7 @@
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimTime};
 use simnet::proto::{Category, TransferLedger};
-use workloads::{OpKind, WorkloadKind};
+use workloads::WorkloadKind;
 
 use crate::phase::{batch_wire, frame_wire, freeze_window, units_wire, PAGE_SIZE};
 use crate::report::{IterationStats, MigrationReport, PhaseTimings, PostCopyStats};
@@ -57,7 +57,7 @@ impl TpmEngine {
     fn empty_report(&self, scheme: &str) -> MigrationReport {
         MigrationReport {
             scheme: scheme.into(),
-            workload: self.workload.name().into(),
+            workload: self.guest.name().into(),
             total_time_secs: 0.0,
             downtime_ms: 0.0,
             disruption_secs: 0.0,
@@ -146,20 +146,17 @@ pub fn run_on_demand(
     let mem_bytes = units_wire(w.cfg.mem_pages as u64, PAGE_SIZE);
     let mem_time = SimDuration::from_secs_f64(mem_bytes as f64 / net);
     // Guest runs normally during the memory copy.
-    let solo = w.workload.disk_demand().min(testbed::DISK_CAPACITY);
+    let solo = w.guest.disk_demand().min(testbed::DISK_CAPACITY);
     let mut t = SimDuration::ZERO;
     let mut ops = Vec::new();
     while t < mem_time {
         let dt = w.cfg.step.min(mem_time - t);
         ops.clear();
-        w.workload.ops_into(dt, solo, &mut w.rng, &mut ops);
+        w.guest.writes_into(dt, solo, &mut ops);
         for op in &ops {
-            if let OpKind::Write { block } = op.kind {
-                w.src_disk.write(block as usize);
-            }
+            w.src_disk.write(op.kind.block() as usize);
         }
-        w.probe
-            .record(w.now + dt, w.workload.client_throughput(solo));
+        w.probe.record(w.now + dt, w.guest.client_throughput(solo));
         t += dt;
         w.now += dt;
     }
@@ -169,8 +166,7 @@ pub fn run_on_demand(
     // Every block is remote; pulls only.
     let all_remote = FlatBitmap::all_set(w.cfg.disk_blocks);
     let mut dead_tracker = FlatBitmap::new(w.cfg.disk_blocks);
-    let pc = PostCopyConfig::of(&w.cfg, w.workload.disk_demand(), horizon, false);
-    let mut rng = w.rng.fork(1);
+    let pc = PostCopyConfig::of(&w.cfg, w.guest.disk_demand(), horizon, false);
     let out = crate::sim::run_postcopy(
         pc,
         t_resume,
@@ -179,8 +175,7 @@ pub fn run_on_demand(
         all_remote.clone(),
         all_remote,
         &mut dead_tracker,
-        w.workload.as_mut(),
-        &mut rng,
+        &mut w.guest,
         &mut w.ledger,
         &mut w.probe,
         &mut telemetry::Fold::default(),
@@ -250,7 +245,7 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
     let phase_start = w.now;
     let mut ops = Vec::new();
     while sent < total_blocks {
-        let (w_share, m_share) = w.cfg.disk_shares(w.workload.disk_demand());
+        let (w_share, m_share) = w.cfg.disk_shares(w.guest.disk_demand());
         let dt = w.cfg.step;
         let n = ((m_share * dt.as_secs_f64() / bs as f64) as u64).min(total_blocks - sent);
         for b in sent..sent + n {
@@ -260,22 +255,20 @@ pub fn run_delta_queue(cfg: MigrationConfig, kind: WorkloadKind) -> MigrationRep
         sent += n;
         // Guest writes become deltas on the wire (including rewrites).
         ops.clear();
-        w.workload.ops_into(dt, w_share, &mut w.rng, &mut ops);
+        w.guest.writes_into(dt, w_share, &mut ops);
         for op in &ops {
-            if let OpKind::Write { block } = op.kind {
-                let b = block as usize;
-                w.src_disk.write(b);
-                forwarded += 1;
-                queue += 1;
-                if seen.set(b) {
-                    redundant += 1;
-                }
-                // A delta record: location + size + payload.
-                w.ledger.add(Category::DiskPush, bs + 16);
+            let b = op.kind.block() as usize;
+            w.src_disk.write(b);
+            forwarded += 1;
+            queue += 1;
+            if seen.set(b) {
+                redundant += 1;
             }
+            // A delta record: location + size + payload.
+            w.ledger.add(Category::DiskPush, bs + 16);
         }
         w.probe
-            .record(w.now + dt, w.workload.client_throughput(w_share));
+            .record(w.now + dt, w.guest.client_throughput(w_share));
         w.now += dt;
     }
     let precopy_secs = w.now.since(phase_start).as_secs_f64();

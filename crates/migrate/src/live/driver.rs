@@ -18,7 +18,7 @@ use vdisk::{is_stamp, stamp_into};
 use vmstate::LiveRam;
 
 use crate::live::error::MigrationError;
-use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
+use workloads::{Guest, OpKind, Workload, WorkloadKind};
 
 use crate::live::GuestIo;
 
@@ -27,33 +27,19 @@ use crate::live::GuestIo;
 pub struct LiveWorkload {
     inner: Box<dyn Workload>,
     dt_per_tick: SimDuration,
-    /// One tick's ops, cleared and refilled per tick.
-    ops: Vec<TimedOp>,
 }
 
 impl LiveWorkload {
     /// Wrap a simulation workload; every driver tick (~1 ms of wall time)
     /// replays `dt_per_tick` of its virtual op stream.
     pub fn new(inner: Box<dyn Workload>, dt_per_tick: SimDuration) -> Self {
-        Self {
-            inner,
-            dt_per_tick,
-            ops: Vec::new(),
-        }
+        Self { inner, dt_per_tick }
     }
 
     /// Standard construction from a workload kind for a disk of
     /// `num_blocks` blocks.
     pub fn from_kind(kind: WorkloadKind, num_blocks: u64, dt_per_tick: SimDuration) -> Self {
         Self::new(kind.build(num_blocks), dt_per_tick)
-    }
-
-    fn ops(&mut self, rng: &mut SimRng) -> &[TimedOp] {
-        let demand = self.inner.disk_demand();
-        self.ops.clear();
-        self.inner
-            .ops_into(self.dt_per_tick, demand, rng, &mut self.ops);
-        &self.ops
     }
 }
 
@@ -181,7 +167,7 @@ impl DriverHandle {
     /// `telemetry`'s `guest.*` counters when the recorder is enabled.
     #[allow(clippy::too_many_arguments)]
     pub fn start(
-        mut workload: LiveWorkload,
+        workload: LiveWorkload,
         initial: Arc<dyn GuestIo>,
         ram: Arc<LiveRam>,
         mem_writes_per_tick: u64,
@@ -207,7 +193,13 @@ impl DriverHandle {
         }));
         let thread_ctl = ctl.clone();
         let join = std::thread::spawn(move || {
+            // Page writes draw on `rng`; the guest's disk ops, writes and
+            // reads alike (its reads check read-your-writes), on the
+            // guest's own streams.
             let mut rng = SimRng::new(seed);
+            let LiveWorkload { inner, dt_per_tick } = workload;
+            let mut guest = Guest::with_workload(inner, num_pages, SimRng::new(seed).fork(1));
+            let mut ops = Vec::new();
             let mut model: BTreeMap<usize, u64> = BTreeMap::new();
             let mut stamp = 1u64;
             let mut mem_model: BTreeMap<usize, u64> = BTreeMap::new();
@@ -261,7 +253,9 @@ impl DriverHandle {
                     }
                     return res;
                 };
-                for op in workload.ops(&mut rng) {
+                ops.clear();
+                guest.ops_into(dt_per_tick, guest.disk_demand(), &mut ops);
+                for op in &ops {
                     match op.kind {
                         OpKind::Write { block } => {
                             let b = block as usize;

@@ -9,9 +9,9 @@ use des::{SimDuration, SimRng, SimTime};
 use simnet::proto::{Category, TransferLedger, WireStats, BLOCK_REF_WIRE};
 use telemetry::{Event, Fold, Phase, Recorder, Resource, Side};
 use vdisk::MetaDisk;
-use vmstate::{CpuState, Domain, DomainId, GuestMemory, WssModel};
+use vmstate::{CpuState, Domain, DomainId, GuestMemory};
 use workloads::probe::ThroughputProbe;
-use workloads::{OpKind, TimedOp, Workload, WorkloadKind};
+use workloads::{Guest, TimedOp, WorkloadKind};
 
 use crate::phase::{
     batch_wire, fetch_wire, freeze_window, pace_step, FreezeBill, PhaseMachine, StopRule, Voice,
@@ -42,10 +42,8 @@ pub struct TpmOutcome {
     /// Destination-side tracker of post-resume writes (the paper's
     /// BM_3 / new_block_bitmap, feeding IM).
     pub im_tracker: FlatBitmap,
-    /// The workload, carried over so IM continues the same op stream.
-    pub workload: Box<dyn Workload>,
-    /// The RNG, carried over for determinism across TPM→dwell→IM.
-    pub rng: SimRng,
+    /// The guest, carried over so dwell and IM continue its streams.
+    pub guest: Guest,
     /// Client throughput samples across the whole run so far.
     pub probe: ThroughputProbe,
     /// Virtual time at the end of the run.
@@ -61,9 +59,8 @@ pub struct TpmOutcome {
 pub struct TpmEngine {
     pub(crate) cfg: MigrationConfig,
     pub(crate) kind: WorkloadKind,
-    pub(crate) workload: Box<dyn Workload>,
-    pub(crate) rng: SimRng,
-    /// One guest step's ops, cleared and refilled per step.
+    pub(crate) guest: Guest,
+    /// One guest step's writes, cleared and refilled per step.
     pub(crate) ops: Vec<TimedOp>,
     pub(crate) now: SimTime,
     pub(crate) src_disk: MetaDisk,
@@ -71,7 +68,6 @@ pub struct TpmEngine {
     pub(crate) src_mem: GuestMemory,
     pub(crate) dst_mem: GuestMemory,
     pub(crate) cpu: CpuState,
-    pub(crate) wss: WssModel,
     pub(crate) domain: Domain,
     pub(crate) tracker: FlatBitmap,
     pub(crate) tracking: bool,
@@ -107,8 +103,10 @@ impl TpmEngine {
     /// image (every block written once); the destination is blank.
     pub fn new(cfg: MigrationConfig, kind: WorkloadKind) -> Self {
         cfg.validate();
+        // The guest's streams fork first from the seed, as a fleet VM's
+        // fork from its master seed (`orchestrator::Cluster::new`).
         let mut rng = SimRng::new(cfg.seed);
-        let workload = kind.build(cfg.disk_blocks as u64);
+        let guest = Guest::new(kind, cfg.disk_blocks as u64, cfg.mem_pages, rng.fork(0));
         let mut src_disk = MetaDisk::new(cfg.disk_blocks);
         // The installed image: every block distinct from the blank
         // destination, so the first full pass is load-bearing for the
@@ -123,21 +121,18 @@ impl TpmEngine {
         src_mem.drain_dirty();
         let mut cpu = CpuState::new(testbed::VCPUS);
         cpu.scribble(rng.next_u64());
-        let wss = workload.wss_model(cfg.mem_pages);
         let tracker = FlatBitmap::new(cfg.disk_blocks);
         Self {
             dst_disk: MetaDisk::new(cfg.disk_blocks),
             dst_mem: GuestMemory::new(cfg.mem_pages),
-            domain: Domain::new(DomainId(1), format!("vm-{}", workload.name())),
+            domain: Domain::new(DomainId(1), format!("vm-{}", guest.name())),
             kind,
-            workload,
-            rng,
+            guest,
             ops: Vec::new(),
             now: SimTime::ZERO,
             src_disk,
             src_mem,
             cpu,
-            wss,
             tracker,
             tracking: false,
             probe: ThroughputProbe::new(),
@@ -217,29 +212,25 @@ impl TpmEngine {
 
     /// Disk share the workload gets when no migration stream competes.
     fn workload_solo_share(&self) -> f64 {
-        self.workload.disk_demand().min(testbed::DISK_CAPACITY)
+        self.guest.disk_demand().min(testbed::DISK_CAPACITY)
     }
 
     /// Advance the guest by `dt` at the given achieved disk share: apply
-    /// workload ops to the source disk (tracking writes when enabled),
-    /// dirty guest memory, record a throughput sample.
+    /// its writes to the source disk (tracking them when enabled), record
+    /// a throughput sample. Its reads act on nothing before post-copy,
+    /// so none is drawn.
     fn guest_step(&mut self, dt: SimDuration, w_share: f64) {
         self.ops.clear();
-        self.workload
-            .ops_into(dt, w_share, &mut self.rng, &mut self.ops);
+        self.guest.writes_into(dt, w_share, &mut self.ops);
         for op in &self.ops {
-            if let OpKind::Write { block } = op.kind {
-                let b = block as usize;
-                self.src_disk.write(b);
-                if self.tracking {
-                    self.tracker.set(b);
-                }
+            let b = op.kind.block() as usize;
+            self.src_disk.write(b);
+            if self.tracking {
+                self.tracker.set(b);
             }
         }
-        self.wss
-            .dirty_for(dt, &mut self.rng, |p| self.src_mem.touch(p));
         self.probe
-            .record(self.now + dt, self.workload.client_throughput(w_share));
+            .record(self.now + dt, self.guest.client_throughput(w_share));
         self.now += dt;
     }
 
@@ -446,7 +437,7 @@ impl TpmEngine {
         };
         let mut cursor = 0usize;
         while sent < total {
-            let w_demand = self.workload.disk_demand();
+            let w_demand = self.guest.disk_demand();
             let (w_share, m_share) = self.cfg.disk_shares(w_demand);
             debug_assert!(m_share > 0.0, "migration starved of disk bandwidth");
             let (dt, n) = pace_step(
@@ -517,6 +508,8 @@ impl TpmEngine {
                 self.ledger.add(Category::Memory, batch_wire(n, page, 0));
             }
             sent += n;
+            // Memory pre-copy is the one phase a page write acts on.
+            self.guest.dirty_pages(dt, |p| self.src_mem.touch(p));
             self.guest_step(dt, self.workload_solo_share());
         }
         (sent, total * page)
@@ -556,7 +549,8 @@ impl TpmEngine {
         }
 
         // ---------------- Phase 1b: iterative memory pre-copy --------------
-        self.src_mem.drain_dirty(); // everything is sent in pass 1 anyway
+        // Everything is sent in pass 1; the guest dirties pages from here.
+        self.src_mem.drain_dirty();
         let mut pages_to_send = FlatBitmap::all_set(self.cfg.mem_pages);
         loop {
             let (sent, bytes) = self.transfer_mem_set(&pages_to_send);
@@ -605,7 +599,7 @@ impl TpmEngine {
 
         // ---------------- Phase 3: push-and-pull post-copy -----------------
         let mut im_tracker = FlatBitmap::new(self.cfg.disk_blocks);
-        let demand = self.workload.disk_demand();
+        let demand = self.guest.disk_demand();
         let pc_cfg = PostCopyConfig::of(&self.cfg, demand, testbed::POSTCOPY_HORIZON, true);
         let outcome = run_postcopy(
             pc_cfg,
@@ -615,8 +609,7 @@ impl TpmEngine {
             frozen.clone(),
             frozen,
             &mut im_tracker,
-            self.workload.as_mut(),
-            &mut self.rng,
+            &mut self.guest,
             &mut self.ledger,
             &mut self.probe,
             &mut fold,
@@ -643,14 +636,14 @@ impl TpmEngine {
         let total_time = self.now.since(t_start);
         let downtime_ms = downtime.as_millis_f64();
 
-        let baseline = self.workload.client_throughput(self.workload_solo_share());
+        let baseline = self.guest.client_throughput(self.workload_solo_share());
         let disruption = self.probe.disruption_time(baseline, 0.10);
 
         // Phases, iterations and post-copy counts are what the events say.
         let phases = fold.phases();
         let report = MigrationReport {
             scheme: self.scheme.into(),
-            workload: self.workload.name().into(),
+            workload: self.guest.name().into(),
             total_time_secs: total_time.as_secs_f64(),
             downtime_ms,
             disruption_secs: disruption.as_secs_f64(),
@@ -717,8 +710,7 @@ impl TpmEngine {
             dst_disk: self.dst_disk,
             dst_mem: self.dst_mem,
             im_tracker,
-            workload: self.workload,
-            rng: self.rng,
+            guest: self.guest,
             probe: self.probe,
             end_time: self.now,
             kind: self.kind,
@@ -755,20 +747,17 @@ pub fn dwell(outcome: &mut TpmOutcome, cfg: &MigrationConfig, duration: SimDurat
     let mut ops = Vec::new();
     while now < end {
         let dt = cfg.step.min(end.since(now));
-        let share = outcome.workload.disk_demand().min(testbed::DISK_CAPACITY);
+        let share = outcome.guest.disk_demand().min(testbed::DISK_CAPACITY);
         ops.clear();
-        outcome
-            .workload
-            .ops_into(dt, share, &mut outcome.rng, &mut ops);
+        outcome.guest.writes_into(dt, share, &mut ops);
         for op in &ops {
-            if let OpKind::Write { block } = op.kind {
-                outcome.dst_disk.write(block as usize);
-                outcome.im_tracker.set(block as usize);
-            }
+            let b = op.kind.block() as usize;
+            outcome.dst_disk.write(b);
+            outcome.im_tracker.set(b);
         }
         outcome
             .probe
-            .record(now + dt, outcome.workload.client_throughput(share));
+            .record(now + dt, outcome.guest.client_throughput(share));
         now += dt;
     }
     outcome.end_time = end;
@@ -800,8 +789,7 @@ pub fn run_im_traced(
     engine.dst_disk = prev.src_disk;
     engine.src_mem = prev.dst_mem;
     engine.dst_mem = GuestMemory::new(cfg.mem_pages);
-    engine.workload = prev.workload;
-    engine.rng = prev.rng;
+    engine.guest = prev.guest;
     engine.probe = prev.probe;
     engine.now = prev.end_time;
     engine.kind = prev.kind;

@@ -24,7 +24,7 @@ use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng};
 use telemetry::Recorder;
 use vdisk::MetaDisk;
-use workloads::{OpKind, WorkloadKind};
+use workloads::{Guest, WorkloadKind};
 
 use crate::sim::engine::{TpmEngine, TpmOutcome};
 use crate::MigrationConfig;
@@ -179,16 +179,15 @@ pub fn reserve_workload_blocks(
     cfg: &MigrationConfig,
     probe_secs: u64,
 ) {
-    let mut w = kind.build(cfg.disk_blocks as u64);
-    let mut rng = SimRng::new(cfg.seed ^ 0xF0F0);
+    let rng = SimRng::new(cfg.seed ^ 0xF0F0);
+    let mut guest = Guest::new(kind, cfg.disk_blocks as u64, cfg.mem_pages, rng);
     let mut ops = Vec::new();
     for _ in 0..probe_secs * 2 {
-        let demand = w.disk_demand();
+        let demand = guest.disk_demand();
         ops.clear();
-        w.ops_into(SimDuration::from_millis(500), demand, &mut rng, &mut ops);
+        guest.ops_into(SimDuration::from_millis(500), demand, &mut ops);
         for op in &ops {
-            let (OpKind::Write { block } | OpKind::Read { block }) = op.kind;
-            free.clear(block as usize);
+            free.clear(op.kind.block() as usize);
         }
     }
 }

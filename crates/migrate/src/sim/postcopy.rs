@@ -17,12 +17,12 @@
 //! the source that this module measures.
 
 use block_bitmap::{DirtyMap, FlatBitmap};
-use des::{SimDuration, SimRng, SimTime, Simulator};
+use des::{SimDuration, SimTime, Simulator};
 use simnet::proto::{Category, MigMessage, TransferLedger};
 use telemetry::{Event, Fold, Recorder};
 use vdisk::{DomainId, IoRequest, MetaDisk, PendingQueue};
 use workloads::probe::ThroughputProbe;
-use workloads::{OpKind, TimedOp, Workload};
+use workloads::{Guest, OpKind, TimedOp};
 
 use crate::phase::Worklist;
 use crate::report::PostCopyStats;
@@ -90,8 +90,7 @@ struct PcState<'a> {
     /// The destination's transferred_block_bitmap.
     dst_bm: FlatBitmap,
     new_bm: &'a mut FlatBitmap,
-    workload: &'a mut dyn Workload,
-    rng: &'a mut SimRng,
+    guest: &'a mut Guest,
     /// One workload slice's ops, cleared and refilled per slice.
     ops: Vec<TimedOp>,
     ledger: &'a mut TransferLedger,
@@ -194,7 +193,8 @@ fn workload_slice(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
     let slice = st.cfg.slice;
     let share = st.cfg.workload_share;
     st.ops.clear();
-    st.workload.ops_into(slice, share, st.rng, &mut st.ops);
+    // Post-copy acts on reads too: a read of a dirty block is a pull.
+    st.guest.ops_into(slice, share, &mut st.ops);
     for op in &st.ops {
         match op.kind {
             OpKind::Write { block } => {
@@ -256,7 +256,7 @@ fn workload_slice(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
         }
     }
     st.probe
-        .record(sim.now() + slice, st.workload.client_throughput(share));
+        .record(sim.now() + slice, st.guest.client_throughput(share));
     st.check_done(sim.now());
     if !st.done {
         sim.schedule_in(slice, workload_slice);
@@ -281,8 +281,7 @@ pub fn run_postcopy(
     src_bm: FlatBitmap,
     dst_bm: FlatBitmap,
     new_bm: &mut FlatBitmap,
-    workload: &mut dyn Workload,
-    rng: &mut SimRng,
+    guest: &mut Guest,
     ledger: &mut TransferLedger,
     probe: &mut ThroughputProbe,
     fold: &mut Fold,
@@ -304,8 +303,7 @@ pub fn run_postcopy(
         push: Worklist::new(src_bm),
         dst_bm,
         new_bm,
-        workload,
-        rng,
+        guest,
         ops: Vec::new(),
         ledger,
         probe,
@@ -389,8 +387,7 @@ mod tests {
             bm.set(b);
         }
         let mut new_bm = FlatBitmap::new(blocks);
-        let mut workload = WorkloadKind::Idle.build(blocks as u64);
-        let mut rng = SimRng::new(7);
+        let mut guest = Guest::new(WorkloadKind::Idle, blocks as u64, 64, SimRng::new(7));
         let mut ledger = TransferLedger::new();
         let mut probe = ThroughputProbe::new();
         let out = run_postcopy(
@@ -401,8 +398,7 @@ mod tests {
             bm.clone(),
             bm,
             &mut new_bm,
-            workload.as_mut(),
-            &mut rng,
+            &mut guest,
             &mut ledger,
             &mut probe,
             &mut Fold::default(),
@@ -441,8 +437,7 @@ mod tests {
             bm.set(b);
         }
         let mut new_bm = FlatBitmap::new(blocks);
-        let mut workload = kind.build(blocks as u64);
-        let mut rng = SimRng::new(7);
+        let mut guest = Guest::new(kind, blocks as u64, 64, SimRng::new(7));
         let mut ledger = TransferLedger::new();
         let mut probe = ThroughputProbe::new();
         run_postcopy(
@@ -456,8 +451,7 @@ mod tests {
             bm.clone(),
             bm,
             &mut new_bm,
-            workload.as_mut(),
-            &mut rng,
+            &mut guest,
             &mut ledger,
             &mut probe,
             &mut Fold::default(),

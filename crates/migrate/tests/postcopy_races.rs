@@ -9,7 +9,7 @@ use migrate::sim::{run_postcopy, PostCopyConfig};
 use simnet::proto::{Category, TransferLedger};
 use vdisk::MetaDisk;
 use workloads::probe::ThroughputProbe;
-use workloads::{OpKind, OpTrace, TimedOp, TraceWorkload, Workload};
+use workloads::{Guest, OpKind, OpTrace, TimedOp, TraceWorkload};
 
 const BLOCKS: usize = 4096;
 
@@ -51,9 +51,9 @@ fn run(
     trace: OpTrace,
     cfg: PostCopyConfig,
 ) -> (migrate::PostCopyStats, FlatBitmap, TransferLedger) {
-    let mut workload: Box<dyn Workload> = Box::new(TraceWorkload::new(trace, 1e6));
+    let replay = Box::new(TraceWorkload::new(trace, 1e6));
+    let mut guest = Guest::with_workload(replay, 64, SimRng::new(1));
     let mut new_bm = FlatBitmap::new(BLOCKS);
-    let mut rng = SimRng::new(1);
     let mut ledger = TransferLedger::new();
     let mut probe = ThroughputProbe::new();
     let out = run_postcopy(
@@ -64,8 +64,7 @@ fn run(
         setup.bm.clone(),
         setup.bm.clone(),
         &mut new_bm,
-        workload.as_mut(),
-        &mut rng,
+        &mut guest,
         &mut ledger,
         &mut probe,
         &mut telemetry::Fold::default(),

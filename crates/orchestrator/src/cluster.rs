@@ -4,7 +4,7 @@
 use blockstore::BlockDirectory;
 use des::SimRng;
 use vdisk::MetaDisk;
-use workloads::{Workload, WorkloadKind};
+use workloads::{Guest, WorkloadKind};
 
 use crate::config::{ClusterConfig, ConfigError};
 
@@ -37,9 +37,9 @@ pub struct Host {
     pub id: HostId,
 }
 
-/// One VM: its live disk image, its workload generator, and its private
-/// RNG stream (forked from the master seed, so per-VM behaviour is
-/// independent of scheduling order).
+/// One VM: its live disk image and its guest, whose streams fork from
+/// the master seed (so per-VM behaviour is independent of scheduling
+/// order).
 pub struct VmHandle {
     /// This VM's id.
     pub id: VmId,
@@ -49,10 +49,8 @@ pub struct VmHandle {
     pub kind: WorkloadKind,
     /// The live disk image (generation counters per block).
     pub disk: MetaDisk,
-    /// The workload generator.
-    pub workload: Box<dyn Workload>,
-    /// Private RNG stream.
-    pub rng: SimRng,
+    /// The guest: its workload and the streams it draws on.
+    pub guest: Guest,
 }
 
 impl std::fmt::Debug for VmHandle {
@@ -104,8 +102,12 @@ impl Cluster {
                 host,
                 kind,
                 disk,
-                workload: kind.build(cfg.disk_blocks as u64),
-                rng: master.fork(i as u64),
+                guest: Guest::new(
+                    kind,
+                    cfg.disk_blocks as u64,
+                    cfg.mem_pages,
+                    master.fork(i as u64),
+                ),
             });
         }
         Ok(cluster)

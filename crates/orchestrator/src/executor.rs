@@ -22,11 +22,10 @@
 //! clock is virtual time, so a run is a pure function of its
 //! configuration: same seed, same journal, byte for byte.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use block_bitmap::{ser, DirtyMap, FlatBitmap};
-use des::{SimDuration, SimRng, SimTime};
+use des::{SimDuration, SimTime};
 use migrate::phase::{
     batch_wire, frame_wire, freeze_window, pace_step, FreezeBill, PhaseMachine, StopRule, Voice,
     Worklist, PAGE_SIZE,
@@ -35,7 +34,7 @@ use migrate::testbed;
 use simnet::fault::{Fault, FaultKind, FaultPlan, FaultTrigger};
 use telemetry::{Event, Fold, Phase, Recorder};
 use vdisk::MetaDisk;
-use vmstate::{CpuState, WssModel};
+use vmstate::CpuState;
 use workloads::TimedOp;
 
 use crate::cluster::{Cluster, HostId, VmId};
@@ -72,11 +71,8 @@ struct Task {
     dst_disk: MetaDisk,
     /// Source-side writes since the current pass's bitmap was snapshot.
     tracker: FlatBitmap,
-    /// Pages the guest dirtied since the current memory pass began, drawn
-    /// by `wss` on a stream of its own.
+    /// Pages the guest dirtied since the current memory pass began.
     mem_dirty: FlatBitmap,
-    wss: WssModel,
-    mem_rng: SimRng,
     /// Page writes drawn so far, the basis for thinning them as the
     /// guest's disk ops are thinned in a low-activity phase.
     page_seq: u64,
@@ -303,13 +299,49 @@ pub struct Orchestrator {
     scheduler: Box<dyn Scheduler>,
     recorder: Arc<Recorder>,
     next_id: u64,
-    /// Per-VM guest-op sequence numbers, the basis for deterministic op
+    /// Per-VM guest-write sequence numbers, the basis for deterministic
     /// thinning in low-activity workload phases.
     op_seq: Vec<u64>,
-    /// One step of one guest's ops, cleared and refilled per VM per step.
+    /// One step of one guest's writes, cleared and refilled per VM per step.
     ops: Vec<TimedOp>,
     /// Each host's pools and the rates they give, refilled per step.
     rates: StepRates,
+    /// What an admission round's decisions read, refilled per round.
+    admission: Admission,
+}
+
+/// The view of the fleet an admission round moves forward with each
+/// admission: the queued requests, the streams touching each host (any
+/// phase — a frozen stream still occupies its admission slot) and which
+/// VMs are migrating. Held by the [`Orchestrator`] and refilled, so a
+/// round allocates nothing once the buffers have grown.
+#[derive(Default)]
+struct Admission {
+    reqs: Vec<MigrationRequest>,
+    streams: Vec<usize>,
+    busy: Vec<bool>,
+}
+
+impl Admission {
+    fn refill(
+        &mut self,
+        pending: &[(usize, MigrationRequest)],
+        tasks: &[Task],
+        hosts: usize,
+        vms: usize,
+    ) {
+        self.reqs.clear();
+        self.reqs.extend(pending.iter().map(|&(_, r)| r));
+        self.streams.clear();
+        self.streams.resize(hosts, 0);
+        self.busy.clear();
+        self.busy.resize(vms, false);
+        for t in tasks {
+            self.streams[t.src.0] += 1;
+            self.streams[t.dst.0] += 1;
+            self.busy[t.vm.0] = true;
+        }
+    }
 }
 
 impl Orchestrator {
@@ -331,6 +363,7 @@ impl Orchestrator {
             op_seq,
             ops: Vec::new(),
             rates,
+            admission: Admission::default(),
         })
     }
 
@@ -458,10 +491,19 @@ impl Orchestrator {
                 self.advance_stream(t, rate, route, now, step_end, dt, dynamics);
             }
 
-            // 7. Guests advance at their achieved disk rates.
+            // 7. Guests advance at their achieved disk rates, each in the
+            // phase its migration ran the step in.
             guest_ops += self.advance_vms(&mut tasks, dt, now, &net, dynamics);
 
-            // 8. Reap finished streams, in stream order.
+            // 8. A pass whose last unit crossed ends with its guest's dirt
+            // of the step, as the simulator's does; a closed freeze window
+            // resumes the guest.
+            for (ti, t) in tasks.iter_mut().enumerate() {
+                let (rate, route) = (self.rates.task[ti], &routes[ti]);
+                self.end_step(t, rate, route, now, step_end, dynamics);
+            }
+
+            // 9. Reap finished streams, in stream order.
             let mut ti = 0;
             while ti < tasks.len() {
                 if tasks[ti].done(step_end) {
@@ -501,51 +543,51 @@ impl Orchestrator {
         if pending.is_empty() {
             return;
         }
-        // What a decision reads, built once per round and moved forward
-        // by each admission: the queue, the per-host stream counts and
-        // the migrating VMs. The one thing `open_task` changes behind
-        // the view is the directory (the admitted destination's replica
-        // is consumed and must not be offered again), and the cluster
-        // retires that entry itself.
-        let mut reqs: Vec<MigrationRequest> = pending.iter().map(|(_, r)| *r).collect();
-        let mut streams = self.streams_per_host(tasks);
-        let mut busy: BTreeSet<usize> = tasks.iter().map(|t| t.vm.0).collect();
+        // What a decision reads, refilled once per round and moved
+        // forward by each admission: the queue, the per-host stream
+        // counts and the migrating VMs. The one thing `open_task` changes
+        // behind the view is the directory (the admitted destination's
+        // replica is consumed and must not be offered again), and the
+        // cluster retires that entry itself.
+        let mut round = std::mem::take(&mut self.admission);
+        round.refill(pending, tasks, self.cfg.hosts, self.cluster.vms.len());
         while !pending.is_empty() {
             let view = ClusterView {
                 hosts: self.cfg.hosts,
                 vms: &self.cluster.vms,
                 directory: self.cluster.directory(),
-                streams: &streams,
+                streams: &round.streams,
                 max_streams_per_host: self.cfg.max_streams_per_host,
                 disk_blocks: self.cfg.disk_blocks,
-                busy: &busy,
+                busy: &round.busy,
                 host_up: &net.host_up,
                 cordoned: &net.cordoned,
                 link_ok: &net.link_ok,
                 high_activity: &net.high_activity,
                 now,
             };
-            let Some(d) = self.scheduler.next(&reqs, &view) else {
-                return;
+            let Some(d) = self.scheduler.next(&round.reqs, &view) else {
+                break;
             };
             if d.index >= pending.len() || d.dest.0 >= self.cfg.hosts {
-                return;
+                break;
             }
-            let vm = reqs[d.index].vm;
+            let vm = round.reqs[d.index].vm;
             let src = self.cluster.vms[vm.0].host;
             if view.vm_busy(vm) || !view.admissible(src, d.dest) {
                 // A misbehaving policy stalls the round instead of
                 // oversubscribing a host.
-                return;
+                break;
             }
             let (request, _) = pending.remove(d.index);
-            reqs.remove(d.index);
-            streams[src.0] += 1;
-            streams[d.dest.0] += 1;
-            busy.insert(vm.0);
+            round.reqs.remove(d.index);
+            round.streams[src.0] += 1;
+            round.streams[d.dest.0] += 1;
+            round.busy[vm.0] = true;
             let task = self.open_task(request, vm, src, d.dest, now);
             tasks.push(task);
         }
+        self.admission = round;
     }
 
     /// Create the stream for an admitted migration: consume the
@@ -606,7 +648,7 @@ impl Orchestrator {
             StopRule::new(testbed::MAX_MEM_PASSES, testbed::MEM_DIRTY_THRESHOLD),
         );
         machine.start(|e| fold.at_nanos(&self.recorder, now.as_nanos(), e));
-        let workload = &self.cluster.vms[vm.0].workload;
+        let guest = &self.cluster.vms[vm.0].guest;
         Task {
             id,
             request,
@@ -619,8 +661,6 @@ impl Orchestrator {
             dst_disk,
             tracker: FlatBitmap::new(nblocks),
             mem_dirty: FlatBitmap::new(self.cfg.mem_pages),
-            wss: workload.wss_model(self.cfg.mem_pages),
-            mem_rng: SimRng::new(seed).fork(id),
             page_seq: 0,
             post_writes: FlatBitmap::new(nblocks),
             resume_at: SimTime::ZERO,
@@ -641,7 +681,7 @@ impl Orchestrator {
             retries: 0,
             failed: false,
             fold,
-            workload_name: workload.name(),
+            workload_name: guest.name(),
             stranded: false,
             peer_source: None,
         }
@@ -755,17 +795,6 @@ impl Orchestrator {
         }
     }
 
-    /// Streams touching each host (any phase — a frozen stream still
-    /// occupies its admission slot).
-    fn streams_per_host(&self, tasks: &[Task]) -> Vec<usize> {
-        let mut streams = vec![0usize; self.cfg.hosts];
-        for t in tasks {
-            streams[t.src.0] += 1;
-            streams[t.dst.0] += 1;
-        }
-        streams
-    }
-
     /// Pool every demand on each host's disk and NIC, max-min share each
     /// pool, and fold allocations back: a stream's rate is the minimum
     /// over every pool it crosses (then capped by its path's WAN
@@ -852,9 +881,10 @@ impl Orchestrator {
             // The disk pool: resident guests first, then streams.
             demands.clear();
             demands.extend(
-                pools.guests.iter().map(|&v| {
-                    cluster.vms[v].workload.disk_demand() * dynamics.workload_scale(v, now)
-                }),
+                pools
+                    .guests
+                    .iter()
+                    .map(|&v| cluster.vms[v].guest.disk_demand() * dynamics.workload_scale(v, now)),
             );
             demands.extend(pools.disk.iter().map(|_| cfg.stream_demand));
             let guests = pools.guests.len();
@@ -895,8 +925,8 @@ impl Orchestrator {
     /// Advance one stream by one step of `dt` at its bottleneck rate, along
     /// the route the dynamics allowed it this step. A severed stream stalls
     /// in place — no progress, no retry burn, the bitmap holds position
-    /// until the partition heals (freeze alone completes regardless, its
-    /// handshake being already in flight).
+    /// until the partition heals. What the step ends (a pass, a freeze
+    /// window) ends after the guests' step, in [`Orchestrator::end_step`].
     #[allow(clippy::too_many_arguments)]
     fn advance_stream(
         &mut self,
@@ -918,18 +948,16 @@ impl Orchestrator {
             t.finish_postcopy(now, latency);
             return;
         }
-        if matches!(route, Route::Severed) && t.machine.phase() != Phase::Freeze {
+        if matches!(route, Route::Severed) {
             return;
         }
         let peer_mask = match route {
             Route::PeerFed { mask, .. } => Some(mask),
             _ => None,
         };
-        let at = step_end.as_nanos();
         match t.machine.phase() {
             phase @ (Phase::DiskPrecopy | Phase::MemPrecopy) => {
-                let disk = phase == Phase::DiskPrecopy;
-                let last = if disk {
+                let last = if phase == Phase::DiskPrecopy {
                     self.pump_blocks(t, rate, dt, peer_mask)
                 } else {
                     pump_pages(t, rate, dt)
@@ -939,9 +967,41 @@ impl Orchestrator {
                     // while peer-fed, that link is already cut.
                     self.check_faults(t, step_end, last);
                 }
-                if t.failed || now < t.stall_until || !t.to_send.is_empty() {
-                    return;
+            }
+            Phase::Freeze => {}
+            Phase::PostCopy => {
+                self.pump_blocks(t, rate, dt, peer_mask);
+                if t.to_send.is_empty() {
+                    t.finish_postcopy(step_end, latency);
                 }
+            }
+        }
+    }
+
+    /// End what a stream's step ended, once the guests have run it: a
+    /// pre-copy pass whose last unit crossed (on a stream neither
+    /// stalled nor severed) ends with the dirt its guest made in the
+    /// step, and a freeze window that closed resumes the guest. A
+    /// frozen stream resumes even while severed, its handshake being
+    /// already in flight.
+    fn end_step(
+        &mut self,
+        t: &mut Task,
+        rate: f64,
+        route: &Route,
+        now: SimTime,
+        step_end: SimTime,
+        dynamics: &dyn FleetDynamics,
+    ) {
+        if t.failed || now < t.stall_until {
+            return;
+        }
+        match t.machine.phase() {
+            Phase::DiskPrecopy | Phase::MemPrecopy
+                if t.to_send.is_empty() && !matches!(route, Route::Severed) =>
+            {
+                let disk = t.machine.phase() == Phase::DiskPrecopy;
+                let at = step_end.as_nanos();
                 let sent = std::mem::take(&mut t.pass_sent);
                 let pages = t.mem_dirty.len();
                 let dirty = if disk {
@@ -965,21 +1025,14 @@ impl Orchestrator {
                     None => self.enter_freeze(t, rate, step_end, dynamics),
                 }
             }
-            Phase::Freeze => {
-                if step_end >= t.resume_at {
-                    let at = t.resume_at.as_nanos();
-                    t.machine.resume(|e| t.fold.at_nanos(&self.recorder, at, e));
-                    // The VM resumes on the destination: its workload
-                    // demand moves to the destination's disk pool.
-                    self.cluster.vms[t.vm.0].host = t.dst;
-                }
+            Phase::Freeze if step_end >= t.resume_at => {
+                let at = t.resume_at.as_nanos();
+                t.machine.resume(|e| t.fold.at_nanos(&self.recorder, at, e));
+                // The VM resumes on the destination: its workload
+                // demand moves to the destination's disk pool.
+                self.cluster.vms[t.vm.0].host = t.dst;
             }
-            Phase::PostCopy => {
-                self.pump_blocks(t, rate, dt, peer_mask);
-                if t.to_send.is_empty() {
-                    t.finish_postcopy(step_end, latency);
-                }
-            }
+            _ => {}
         }
     }
 
@@ -1151,10 +1204,10 @@ impl Orchestrator {
     /// destination image and cancel any pending push of the same block
     /// (§III-A); a frozen guest does nothing. A guest on a down host is
     /// powered off with it — no ops at all, which matters for open-loop
-    /// workloads that would otherwise keep writing at rate zero. Ops and
-    /// memory pre-copy's page writes are thinned by the dynamics'
+    /// workloads that would otherwise keep writing at rate zero. Writes
+    /// and memory pre-copy's page writes are thinned by the dynamics'
     /// `op_keep` ratio in low-activity phases (the `(1, 1)` default keeps
-    /// everything, exactly). Returns how many ops the guests drew.
+    /// everything, exactly). Returns how many writes the guests drew.
     fn advance_vms(
         &mut self,
         tasks: &mut [Task],
@@ -1186,7 +1239,7 @@ impl Orchestrator {
                     Phase::MemPrecopy => {
                         let mut kept = thinning(t.page_seq, keep);
                         let dirty = &mut t.mem_dirty;
-                        let touched = t.wss.dirty_for(dt, &mut t.mem_rng, |p| {
+                        let touched = vm.guest.dirty_pages(dt, |p| {
                             if kept() {
                                 dirty.set(p);
                             }
@@ -1196,14 +1249,15 @@ impl Orchestrator {
                     _ => {}
                 }
             }
+            // The fleet's post-copy pulls nothing, so no phase acts on a
+            // guest read: the guest draws its writes alone.
             ops.clear();
-            vm.workload.ops_into(dt, rate, &mut vm.rng, ops);
+            vm.guest.writes_into(dt, rate, ops);
             drawn += ops.len() as u64;
             let mut kept = thinning(op_seq[vi], keep);
             op_seq[vi] = op_seq[vi].wrapping_add(ops.len() as u64);
             let writes = (ops.iter())
                 .filter(|_| kept())
-                .filter(|op| op.kind.is_write())
                 .map(|op| op.kind.block() as usize)
                 .filter(|&b| b < nblocks);
             match task {
@@ -1313,7 +1367,7 @@ impl Orchestrator {
     }
 
     /// Publish `cluster.*` metrics into the recorder's registry, with the
-    /// run's step count and the guest ops it drew.
+    /// run's step count and the guest writes it drew.
     fn publish_metrics(
         &self,
         records: &[MigrationRecord],
@@ -1786,7 +1840,8 @@ mod tests {
     /// ones the per-stream rebuild from the old replica table picked
     /// (values recorded from the commit before the directory was
     /// maintained; the counts re-recorded, the peers unchanged, once the
-    /// hops arrived and the partition began at their exact instants).
+    /// hops arrived and the partition began at their exact instants, and
+    /// again once the guest drew its writes on a stream of their own).
     #[test]
     fn stranded_replan_picks_the_same_peer_and_servable_count() {
         let cfg = small_cfg(4, 1);
@@ -1820,8 +1875,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(fed, vec![(1, 4_861), (0, 1_661)]);
-        assert_eq!(report.records[2].blocks_peer, 8_000);
+        assert_eq!(fed, vec![(1, 4_830), (0, 1_630)]);
+        assert_eq!(report.records[2].blocks_peer, 7_979);
     }
 
     #[test]

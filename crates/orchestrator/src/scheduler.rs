@@ -7,8 +7,6 @@
 //! destination), the §VI-C observation that migration streams contend
 //! for the same NIC and disk as the workloads, lifted to fleet scale.
 
-use std::collections::BTreeSet;
-
 use blockstore::BlockDirectory;
 use des::SimTime;
 
@@ -56,8 +54,9 @@ pub struct ClusterView<'a> {
     pub max_streams_per_host: usize,
     /// Per-VM disk capacity in blocks.
     pub disk_blocks: usize,
-    /// VMs currently migrating (their requests must wait).
-    pub busy: &'a BTreeSet<usize>,
+    /// Per-VM flags: `true` while the VM is migrating (its requests
+    /// must wait).
+    pub busy: &'a [bool],
     /// Per-host liveness (from the fleet dynamics): a down host can
     /// neither source nor receive a migration.
     pub host_up: &'a [bool],
@@ -77,7 +76,7 @@ pub struct ClusterView<'a> {
 impl ClusterView<'_> {
     /// `true` when the VM already has an active stream.
     pub fn vm_busy(&self, vm: VmId) -> bool {
-        self.busy.contains(&vm.0)
+        self.busy.get(vm.0).copied().unwrap_or(false)
     }
 
     /// Host currently running `vm`.
@@ -396,7 +395,7 @@ mod tests {
         cluster: &'a Cluster,
         cfg: &ClusterConfig,
         streams: &'a [usize],
-        busy: &'a BTreeSet<usize>,
+        busy: &'a [bool],
         net: &'a Net,
     ) -> ClusterView<'a> {
         ClusterView {
@@ -428,7 +427,7 @@ mod tests {
         let cfg = ClusterConfig::new(3, 3);
         let cluster = Cluster::new(&cfg).expect("valid");
         let streams = vec![0usize; 3];
-        let busy = BTreeSet::new();
+        let busy = vec![false; cfg.vms];
         let net = Net::all_up(cfg.hosts, cfg.vms);
         let v = view(&cluster, &cfg, &streams, &busy, &net);
         let d = Fifo.next(&[req(2), req(0)], &v).expect("admits");
@@ -441,7 +440,8 @@ mod tests {
     fn busy_vms_and_saturated_hosts_are_skipped() {
         let cfg = ClusterConfig::new(3, 3);
         let cluster = Cluster::new(&cfg).expect("valid");
-        let busy: BTreeSet<usize> = [0usize].into_iter().collect();
+        let mut busy = vec![false; cfg.vms];
+        busy[0] = true;
         // Host 1 (vm0's ring dest) saturated; vm1's dest host 2 is free.
         let streams = vec![0usize, cfg.max_streams_per_host, 0];
         let net = Net::all_up(cfg.hosts, cfg.vms);
@@ -464,7 +464,7 @@ mod tests {
         cluster.keep_replica(VmId(1), HostId(2), disk);
         cluster.vms[1].disk.write(7);
         let streams = vec![0usize; 3];
-        let busy = BTreeSet::new();
+        let busy = vec![false; cfg.vms];
         let net = Net::all_up(cfg.hosts, cfg.vms);
         let v = view(&cluster, &cfg, &streams, &busy, &net);
         let d = Srdf.next(&[req(0), req(1)], &v).expect("admits");
@@ -481,7 +481,7 @@ mod tests {
         cluster.keep_replica(VmId(0), HostId(2), disk);
         cluster.vms[0].disk.write(1);
         let streams = vec![0usize; 4];
-        let busy = BTreeSet::new();
+        let busy = vec![false; cfg.vms];
         let net = Net::all_up(cfg.hosts, cfg.vms);
         let v = view(&cluster, &cfg, &streams, &busy, &net);
         let d = ImAware.next(&[req(0)], &v).expect("admits");
@@ -498,7 +498,7 @@ mod tests {
         cluster.keep_replica(VmId(0), HostId(2), disk);
         let mut streams = vec![0usize; 3];
         streams[2] = cfg.max_streams_per_host;
-        let busy = BTreeSet::new();
+        let busy = vec![false; cfg.vms];
         let net = Net::all_up(cfg.hosts, cfg.vms);
         let v = view(&cluster, &cfg, &streams, &busy, &net);
         assert!(
@@ -525,7 +525,7 @@ mod tests {
         let cfg = ClusterConfig::new(3, 3);
         let cluster = Cluster::new(&cfg).expect("valid");
         let streams = vec![0usize; 3];
-        let busy = BTreeSet::new();
+        let busy = vec![false; cfg.vms];
 
         // A severed link blocks exactly that pair.
         let mut net = Net::all_up(cfg.hosts, cfg.vms);
@@ -560,7 +560,7 @@ mod tests {
         let cfg = ClusterConfig::new(3, 3);
         let cluster = Cluster::new(&cfg).expect("valid");
         let streams = vec![0usize; 3];
-        let busy = BTreeSet::new();
+        let busy = vec![false; cfg.vms];
         let mut net = Net::all_up(cfg.hosts, cfg.vms);
         net.high_activity[0] = true;
 

@@ -189,11 +189,12 @@ impl Workload for DiabolicalWorkload {
         true
     }
 
-    fn ops_into(
+    fn draw_into(
         &mut self,
         dt: SimDuration,
         achieved: f64,
-        rng: &mut SimRng,
+        write_rng: &mut SimRng,
+        mut read_rng: Option<&mut SimRng>,
         ops: &mut Vec<TimedOp>,
     ) {
         let mut elapsed = 0.0;
@@ -219,29 +220,35 @@ impl Workload for DiabolicalWorkload {
             let (rstart, rlen) = self.region_for(phase);
             let start_block = rstart + (self.progress / 4096.0) as u64 % rlen;
             let wf = Self::write_frac(phase);
-            for i in 0..nblocks {
-                let block = match phase {
-                    BonniePhase::Seeks => rstart + rng.below(rlen),
-                    _ => rstart + (start_block - rstart + i) % rlen,
-                };
-                let at =
-                    SimDuration::from_secs_f64(elapsed + span * (i as f64 + 0.5) / nblocks as f64);
-                match phase {
-                    BonniePhase::Rewrite => {
-                        // Read-modify-write: both ops on the same block.
-                        ops.push(TimedOp::new(at, OpKind::Read { block }));
-                        ops.push(TimedOp::new(at, OpKind::Write { block }));
+            let reads = wf < 1.0 && read_rng.is_some();
+            if wf > 0.0 || reads {
+                for i in 0..nblocks {
+                    let at = SimDuration::from_secs_f64(
+                        elapsed + span * (i as f64 + 0.5) / nblocks as f64,
+                    );
+                    let seq = rstart + (start_block - rstart + i) % rlen;
+                    match phase {
+                        BonniePhase::Rewrite => {
+                            // Read-modify-write: both ops on the same block.
+                            if reads {
+                                ops.push(TimedOp::new(at, OpKind::Read { block: seq }));
+                            }
+                            ops.push(TimedOp::new(at, OpKind::Write { block: seq }));
+                        }
+                        // A seek is a write with probability `wf`, at a
+                        // block of its own stream's choosing.
+                        BonniePhase::Seeks => {
+                            if write_rng.chance(wf) {
+                                let block = rstart + write_rng.below(rlen);
+                                ops.push(TimedOp::new(at, OpKind::Write { block }));
+                            } else if let Some(rng) = read_rng.as_deref_mut() {
+                                let block = rstart + rng.below(rlen);
+                                ops.push(TimedOp::new(at, OpKind::Read { block }));
+                            }
+                        }
+                        _ if wf >= 1.0 => ops.push(TimedOp::new(at, OpKind::Write { block: seq })),
+                        _ => ops.push(TimedOp::new(at, OpKind::Read { block: seq })),
                     }
-                    BonniePhase::Seeks => {
-                        let kind = if rng.chance(wf) {
-                            OpKind::Write { block }
-                        } else {
-                            OpKind::Read { block }
-                        };
-                        ops.push(TimedOp::new(at, kind));
-                    }
-                    _ if wf >= 1.0 => ops.push(TimedOp::new(at, OpKind::Write { block })),
-                    _ => ops.push(TimedOp::new(at, OpKind::Read { block })),
                 }
             }
 

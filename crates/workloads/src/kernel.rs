@@ -77,11 +77,12 @@ impl Workload for KernelBuildWorkload {
         false
     }
 
-    fn ops_into(
+    fn draw_into(
         &mut self,
         dt: SimDuration,
         achieved: f64,
-        rng: &mut SimRng,
+        write_rng: &mut SimRng,
+        read_rng: Option<&mut SimRng>,
         ops: &mut Vec<TimedOp>,
     ) {
         if achieved <= 0.0 && self.disk_demand > 0.0 {
@@ -89,26 +90,20 @@ impl Workload for KernelBuildWorkload {
         }
         // The build slows proportionally when the disk is contended.
         let scale = (achieved / self.disk_demand).min(1.0);
+        let span = dt.as_nanos().max(1);
         let writes = take_events(&mut self.write_carry, self.write_rate * scale, dt);
         for _ in 0..writes {
-            let at = SimDuration::from_nanos(rng.below(dt.as_nanos().max(1)));
-            ops.push(TimedOp::new(
-                at,
-                OpKind::Write {
-                    block: self.writes.next_block(rng),
-                },
-            ));
+            let at = SimDuration::from_nanos(write_rng.below(span));
+            let block = self.writes.next_block(write_rng);
+            ops.push(TimedOp::new(at, OpKind::Write { block }));
         }
         let reads = take_events(&mut self.read_carry, self.read_rate * scale, dt);
+        let Some(rng) = read_rng else { return };
         let (ss, sl) = self.source_region;
         for _ in 0..reads {
-            let at = SimDuration::from_nanos(rng.below(dt.as_nanos().max(1)));
-            ops.push(TimedOp::new(
-                at,
-                OpKind::Read {
-                    block: ss + rng.below(sl),
-                },
-            ));
+            let at = SimDuration::from_nanos(rng.below(span));
+            let block = ss + rng.below(sl);
+            ops.push(TimedOp::new(at, OpKind::Read { block }));
         }
     }
 

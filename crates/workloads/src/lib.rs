@@ -20,8 +20,10 @@
 //! throughput the workload actually achieves (closed-loop workloads like
 //! Bonnie++ slow down when the migration competes for the disk; open-loop
 //! ones like the video server do not). The migration engines — simulated
-//! and live — consume the same streams, and [`locality`] verifies the
-//! rewrite ratios against the paper's measurements.
+//! and live — run it as a [`Guest`], which draws writes, reads and page
+//! writes on streams of their own so that an engine draws only what it
+//! uses, and [`locality`] verifies the rewrite ratios against the paper's
+//! measurements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +31,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod diabolical;
+mod guest;
 mod kernel;
 pub mod locality;
 mod op;
@@ -40,6 +43,7 @@ mod web;
 mod workload;
 
 pub use diabolical::{BonniePhase, DiabolicalWorkload};
+pub use guest::Guest;
 pub use kernel::KernelBuildWorkload;
 pub use op::{OpKind, OpTrace, TimedOp};
 pub use pattern::WritePattern;

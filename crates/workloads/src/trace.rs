@@ -10,27 +10,23 @@
 use des::{SimDuration, SimRng};
 use vmstate::WssModel;
 
-use crate::{OpTrace, TimedOp, Workload};
+use crate::{Guest, OpTrace, TimedOp, Workload};
 
-/// Record `duration` of a workload's op stream (driven at its full
-/// demand) into a trace with absolute offsets from the recording start,
-/// in time order: a generator draws each op's offset within its step, so
-/// a step's ops are sorted by it (stably: ops at one instant keep the
-/// order they were generated in), and a replay may split a step anywhere.
-pub fn record(
-    workload: &mut dyn Workload,
-    duration: SimDuration,
-    step: SimDuration,
-    rng: &mut SimRng,
-) -> OpTrace {
+/// Record `duration` of a guest's op stream, writes and reads (driven at
+/// its full demand), into a trace with absolute offsets from the
+/// recording start, in time order: a generator draws each op's offset
+/// within its step, so a step's ops are sorted by it (stably: ops at one
+/// instant keep the order they were generated in), and a replay may
+/// split a step anywhere.
+pub fn record(guest: &mut Guest, duration: SimDuration, step: SimDuration) -> OpTrace {
     assert!(step > SimDuration::ZERO, "step must be positive");
     let mut trace = OpTrace::new();
     let mut elapsed = SimDuration::ZERO;
     while elapsed < duration {
         let dt = step.min(duration - elapsed);
-        let demand = workload.disk_demand();
+        let demand = guest.disk_demand();
         let from = trace.ops.len();
-        workload.ops_into(dt, demand, rng, &mut trace.ops);
+        guest.ops_into(dt, demand, &mut trace.ops);
         let step_ops = &mut trace.ops[from..];
         for op in step_ops.iter_mut() {
             *op = TimedOp::new(elapsed + op.offset(), op.kind);
@@ -114,7 +110,15 @@ impl Workload for TraceWorkload {
         false
     }
 
-    fn ops_into(&mut self, dt: SimDuration, _: f64, _: &mut SimRng, out: &mut Vec<TimedOp>) {
+    fn draw_into(
+        &mut self,
+        dt: SimDuration,
+        _: f64,
+        _: &mut SimRng,
+        read_rng: Option<&mut SimRng>,
+        out: &mut Vec<TimedOp>,
+    ) {
+        let reads = read_rng.is_some();
         let start = self.clock;
         let end = self.clock + dt;
         while self.cursor < self.trace.ops.len() {
@@ -122,7 +126,9 @@ impl Workload for TraceWorkload {
             if op.offset() >= end {
                 break;
             }
-            out.push(TimedOp::new(op.offset() - start, op.kind));
+            if reads || op.kind.is_write() {
+                out.push(TimedOp::new(op.offset() - start, op.kind));
+            }
             self.cursor += 1;
         }
         self.clock = end;
@@ -157,9 +163,8 @@ mod tests {
 
     #[test]
     fn record_then_replay_preserves_ops() {
-        let mut w = WorkloadKind::Web.build(1 << 22);
-        let mut rng = SimRng::new(5);
-        let trace = record(w.as_mut(), SimDuration::from_secs(30), ms(500), &mut rng);
+        let mut guest = Guest::new(WorkloadKind::Web, 1 << 22, 64, SimRng::new(5));
+        let trace = record(&mut guest, SimDuration::from_secs(30), ms(500));
         assert!(!trace.is_empty());
         assert!(trace.write_count() > 0);
 
@@ -183,13 +188,8 @@ mod tests {
     fn a_recording_replays_at_intervals_that_split_its_steps() {
         // Web draws each op's offset within its step, so a step's ops come
         // out of the generator in no time order.
-        let mut w = WorkloadKind::Web.build(1 << 22);
-        let trace = record(
-            w.as_mut(),
-            SimDuration::from_secs(5),
-            ms(500),
-            &mut SimRng::new(5),
-        );
+        let mut guest = Guest::new(WorkloadKind::Web, 1 << 22, 64, SimRng::new(5));
+        let trace = record(&mut guest, SimDuration::from_secs(5), ms(500));
         assert!(trace.len() > 100);
         for interval in [ms(300), ms(70)] {
             let mut replay = TraceWorkload::new(trace.clone(), 1e6);
@@ -197,7 +197,7 @@ mod tests {
             let (mut start, mut buf, mut replayed) = (SimDuration::ZERO, Vec::new(), Vec::new());
             while replay.remaining() > 0 {
                 buf.clear();
-                replay.ops_into(interval, 1e6, &mut rng, &mut buf);
+                replay.draw_into(interval, 1e6, &mut rng, Some(&mut SimRng::new(1)), &mut buf);
                 replayed.extend(
                     buf.iter()
                         .map(|op| TimedOp::new(start + op.offset(), op.kind)),
@@ -260,9 +260,8 @@ mod tests {
 
     #[test]
     fn trace_json_roundtrip_through_replay() {
-        let mut w = WorkloadKind::Video.build(1 << 22);
-        let mut rng = SimRng::new(9);
-        let trace = record(w.as_mut(), SimDuration::from_secs(5), ms(500), &mut rng);
+        let mut guest = Guest::new(WorkloadKind::Video, 1 << 22, 64, SimRng::new(9));
+        let trace = record(&mut guest, SimDuration::from_secs(5), ms(500));
         let json = trace.to_json();
         let back = OpTrace::from_json(&json).expect("roundtrip");
         assert_eq!(back.ops, trace.ops);

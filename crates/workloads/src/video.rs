@@ -77,11 +77,12 @@ impl Workload for VideoStreamWorkload {
         false
     }
 
-    fn ops_into(
+    fn draw_into(
         &mut self,
         dt: SimDuration,
         achieved: f64,
-        rng: &mut SimRng,
+        write_rng: &mut SimRng,
+        read_rng: Option<&mut SimRng>,
         ops: &mut Vec<TimedOp>,
     ) {
         if achieved <= 0.0 && self.disk_demand > 0.0 {
@@ -89,26 +90,20 @@ impl Workload for VideoStreamWorkload {
         }
         // Streaming reads march sequentially through the video file.
         let reads = take_events(&mut self.read_carry, self.read_rate, dt);
-        for i in 0..reads {
-            // Evenly paced within the interval: latency-sensitive stream.
-            let at = dt * i / reads.max(1);
-            ops.push(TimedOp::new(
-                at,
-                OpKind::Read {
-                    block: self.stream.next_value(),
-                },
-            ));
+        if read_rng.is_some() {
+            for i in 0..reads {
+                // Evenly paced within the interval: latency-sensitive stream.
+                let at = dt * i / reads.max(1);
+                let block = self.stream.next_value();
+                ops.push(TimedOp::new(at, OpKind::Read { block }));
+            }
         }
         // Sparse log appends.
         let writes = take_events(&mut self.write_carry, self.write_rate, dt);
         for _ in 0..writes {
-            let at = SimDuration::from_nanos(rng.below(dt.as_nanos().max(1)));
-            ops.push(TimedOp::new(
-                at,
-                OpKind::Write {
-                    block: self.log_writes.next_block(rng),
-                },
-            ));
+            let at = SimDuration::from_nanos(write_rng.below(dt.as_nanos().max(1)));
+            let block = self.log_writes.next_block(write_rng);
+            ops.push(TimedOp::new(at, OpKind::Write { block }));
         }
     }
 

@@ -95,11 +95,12 @@ impl Workload for WebServerWorkload {
         false
     }
 
-    fn ops_into(
+    fn draw_into(
         &mut self,
         dt: SimDuration,
         achieved: f64,
-        rng: &mut SimRng,
+        write_rng: &mut SimRng,
+        read_rng: Option<&mut SimRng>,
         ops: &mut Vec<TimedOp>,
     ) {
         // Open loop: the schedule does not scale with `achieved`, but a
@@ -107,29 +108,23 @@ impl Workload for WebServerWorkload {
         if achieved <= 0.0 && self.disk_demand > 0.0 {
             return;
         }
+        let span = dt.as_nanos().max(1);
         let bursts = take_events(&mut self.burst_carry, self.burst_per_sec, dt);
         for _ in 0..bursts {
-            let at = SimDuration::from_nanos(rng.below(dt.as_nanos().max(1)));
-            let n = rng.range(self.writes_per_burst.0, self.writes_per_burst.1);
+            let at = SimDuration::from_nanos(write_rng.below(span));
+            let n = write_rng.range(self.writes_per_burst.0, self.writes_per_burst.1);
             for _ in 0..n {
-                ops.push(TimedOp::new(
-                    at,
-                    OpKind::Write {
-                        block: self.writes.next_block(rng),
-                    },
-                ));
+                let block = self.writes.next_block(write_rng);
+                ops.push(TimedOp::new(at, OpKind::Write { block }));
             }
         }
         let reads = take_events(&mut self.read_carry, self.read_rate, dt);
+        let Some(rng) = read_rng else { return };
         let (rs, rl) = self.data_region;
         for _ in 0..reads {
-            let at = SimDuration::from_nanos(rng.below(dt.as_nanos().max(1)));
-            ops.push(TimedOp::new(
-                at,
-                OpKind::Read {
-                    block: rs + rng.below(rl),
-                },
-            ));
+            let at = SimDuration::from_nanos(rng.below(span));
+            let block = rs + rng.below(rl);
+            ops.push(TimedOp::new(at, OpKind::Read { block }));
         }
     }
 

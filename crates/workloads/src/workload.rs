@@ -30,23 +30,28 @@ pub trait Workload: Send {
 
     /// Append to `out` the operations performed during an interval of
     /// `dt` in which the workload achieved `achieved` bytes/second of disk
-    /// throughput. Offsets lie in `[0, dt)`; what `out` already holds is
-    /// kept. Per-tick callers hold one buffer and clear it per call, so a
-    /// tick costs its random draws and no allocation.
-    fn ops_into(
+    /// throughput: its writes, drawn on `write_rng`, and, when `read_rng`
+    /// is given, its reads, drawn on that stream alone. Offsets lie in
+    /// `[0, dt)`; what `out` already holds is kept. Whether reads are
+    /// asked for moves neither the write stream nor any state a later
+    /// write is drawn from, so an engine that uses no read draws none.
+    /// Engines call this through [`crate::Guest`], which owns the streams.
+    fn draw_into(
         &mut self,
         dt: SimDuration,
         achieved: f64,
-        rng: &mut SimRng,
+        write_rng: &mut SimRng,
+        read_rng: Option<&mut SimRng>,
         out: &mut Vec<TimedOp>,
     );
 
-    /// [`Workload::ops_into`] into a fresh vector: the same ops from the
-    /// same draws. For tests and one-off callers; the lint zones ban it
-    /// (`clippy.toml`).
+    /// Every op of an interval, writes and reads, in a fresh vector: the
+    /// writes drawn on `rng`, the reads on a stream forked from it. For
+    /// tests and one-off callers; the lint zones ban it (`clippy.toml`).
     fn ops_for(&mut self, dt: SimDuration, achieved: f64, rng: &mut SimRng) -> Vec<TimedOp> {
+        let mut reads = rng.fork(crate::guest::READS);
         let mut out = Vec::new();
-        self.ops_into(dt, achieved, rng, &mut out);
+        self.draw_into(dt, achieved, rng, Some(&mut reads), &mut out);
         out
     }
 
@@ -136,7 +141,15 @@ impl Workload for IdleWorkload {
         false
     }
 
-    fn ops_into(&mut self, _: SimDuration, _: f64, _: &mut SimRng, _: &mut Vec<TimedOp>) {}
+    fn draw_into(
+        &mut self,
+        _: SimDuration,
+        _: f64,
+        _: &mut SimRng,
+        _: Option<&mut SimRng>,
+        _: &mut Vec<TimedOp>,
+    ) {
+    }
 
     fn client_throughput(&self, _achieved: f64) -> f64 {
         0.0

@@ -88,5 +88,6 @@ fn a_fleet_step_allocates_nothing_of_its_own() {
 }
 
 /// The most allocations the seed-1 fleet run may make: what it makes,
-/// the same in a debug and a release build.
-const MAX_ALLOCATIONS: u64 = 1_954;
+/// the same in a debug and a release build (1 954 before admission
+/// rounds refilled held buffers).
+const MAX_ALLOCATIONS: u64 = 1_491;

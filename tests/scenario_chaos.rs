@@ -342,6 +342,6 @@ fn wan_profile_totals_are_pinned() {
         scenario::run_with_policy(&spec, Policy::ImAware, Recorder::off()).expect("wan.scn runs");
     assert_eq!(run.report.completed(), run.report.records.len());
     assert!(run.report.all_consistent());
-    assert_eq!(run.report.total_bytes(), 573_597_424);
-    assert_eq!(run.report.makespan_secs(), 9.092728015);
+    assert_eq!(run.report.total_bytes(), 574_413_376);
+    assert_eq!(run.report.makespan_secs(), 9.112086726);
 }

@@ -244,40 +244,41 @@ fn virtual_time_outputs_are_pinned() {
     let total_s: f64 = round.sims.iter().map(|r| r.total_time_secs).sum();
     let downtime_ms: f64 = round.sims.iter().map(|r| r.downtime_ms).sum();
     let wire_bytes: u64 = round.sims.iter().map(|r| r.ledger.total()).sum();
-    assert_eq!(total_s, 16.792540988);
-    assert_eq!(downtime_ms, 132.669965);
-    assert_eq!(wire_bytes, 946_567_619);
+    assert_eq!(total_s, 16.792076371);
+    assert_eq!(downtime_ms, 132.505196);
+    assert_eq!(wire_bytes, 946_530_643);
     assert_eq!(round.peer_fraction, 0.916656494140625);
 
     let fleet = &round.fleet;
     assert!(fleet.all_consistent());
     assert_eq!(fleet.completed(), fleet.records.len());
-    assert_eq!(fleet.makespan_secs(), 205.525798183);
-    assert_eq!(fleet.total_bytes(), 1_055_502_911);
-    // How the fleet's host time divides: steps, and guest ops drawn.
-    assert_eq!((round.fleet_steps, round.fleet_guest_ops), (949, 446_686));
+    assert_eq!(fleet.makespan_secs(), 205.523762965);
+    assert_eq!(fleet.total_bytes(), 1_055_572_823);
+    // How the fleet's host time divides: steps, and guest writes drawn
+    // (the fleet draws no read: nothing it runs acts on one).
+    assert_eq!((round.fleet_steps, round.fleet_guest_ops), (951, 141_698));
 
     // TPM web, TPM diabolical, fan-in, fleet.
     let seed1 = [
-        (51, 636_487_679_124_536_475),
-        (17, 2_521_803_080_156_543_265),
+        (46, 15_094_313_461_469_034_816),
+        (17, 13_421_846_767_617_812_032),
         (18, 5_289_254_101_281_495_556),
-        (268, 12_976_178_118_105_488_681),
+        (268, 15_539_738_295_939_718_019),
     ];
     assert_eq!(round.journals, seed1, "seed 1");
     let seed7 = [
-        (48, 13_630_457_491_637_277_419),
-        (17, 13_825_228_821_362_908_102),
+        (48, 17_898_868_801_126_027_618),
+        (17, 1_822_866_070_736_579_501),
         (18, 5_289_254_101_281_495_556),
-        (268, 3_342_887_583_856_492_001),
+        (268, 13_242_167_386_187_219_148),
     ];
     assert_eq!(suite_round(7).journals, seed7, "seed 7");
 
     // The suite's fleets cancel no post-copy push; the WAN scenario at
-    // seed 3 cancels three, so their order is pinned here.
+    // seed 2 cancels three, so their order is pinned here.
     let text = include_str!("../scenarios/wan.scn");
     let mut spec = block_bitmap_migration::scenario::parse(text).expect("wan.scn parses");
-    spec.seed = Some(3);
+    spec.seed = Some(2);
     let rec = Recorder::enabled();
     block_bitmap_migration::scenario::run(&spec, rec.clone()).expect("wan.scn runs");
     let records = rec.records();
@@ -288,7 +289,7 @@ fn virtual_time_outputs_are_pinned() {
     let text = telemetry::to_jsonl(&records);
     assert_eq!(
         (records.len(), fnv1a64(text.as_bytes())),
-        (105, 5_055_221_022_036_877_238)
+        (105, 8_918_358_598_794_866_555)
     );
 }
 
@@ -336,14 +337,14 @@ fn tpm_and_im_journals_are_pinned() {
     assert!(back.report.consistent);
     assert_eq!(back.report.scheme, "im");
     let pinned = [
-        (17, 11_416_957_774_817_009_941),
-        (204, 16_320_228_782_984_245_062),
+        (17, 7_395_875_139_249_387_102),
+        (204, 13_392_025_990_115_795_451),
         (13, 16_112_414_427_598_610_463),
     ];
     assert_eq!(got, pinned, "TPM video, kernel build, idle");
     assert_eq!(
         journal(&rec),
-        (13, 4_387_807_080_967_022_623),
+        (13, 2_174_810_983_252_685_163),
         "web round trip's IM run"
     );
 }
