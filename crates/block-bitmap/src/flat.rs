@@ -181,8 +181,9 @@ impl FlatBitmap {
     }
 
     /// Clear up to `n` set bits at or after `from`, lowest first, and the
-    /// same bits of `also`, a word at a time; `out` sees each cleared index
-    /// in ascending order. Returns how many were cleared.
+    /// same bits of `also`, a word at a time; `out` sees each touched
+    /// word's cleared bits as `(word index, mask)`, words ascending.
+    /// Returns how many were cleared.
     ///
     /// # Panics
     /// Panics when `also` tracks a different number of bits.
@@ -192,7 +193,7 @@ impl FlatBitmap {
         from: usize,
         n: usize,
         mut also: Option<&mut FlatBitmap>,
-        mut out: impl FnMut(usize),
+        mut out: impl FnMut(usize, u64),
     ) -> usize {
         if let Some(a) = &also {
             assert_eq!(self.nbits, a.nbits, "bitmap sizes must match");
@@ -204,19 +205,25 @@ impl FlatBitmap {
                 break;
             };
             let wi = first / BITS_PER_WORD;
-            let mut rest = self.words[wi] & (u64::MAX << (first % BITS_PER_WORD));
-            let mut took = 0u64;
-            while rest != 0 && taken < n {
-                let low = rest & rest.wrapping_neg();
-                took |= low;
-                rest ^= low;
-                out(wi * BITS_PER_WORD + low.trailing_zeros() as usize);
-                taken += 1;
-            }
+            let rest = self.words[wi] & (u64::MAX << (first % BITS_PER_WORD));
+            let left = n - taken;
+            let took = if (rest.count_ones() as usize) <= left {
+                rest
+            } else {
+                // Only the lowest `left` bits go: drop them from a copy,
+                // and what was dropped is what is taken.
+                let mut high = rest;
+                for _ in 0..left {
+                    high &= high - 1;
+                }
+                rest & !high
+            };
             self.words[wi] &= !took;
             if let Some(a) = also.as_deref_mut() {
                 a.words[wi] &= !took;
             }
+            taken += took.count_ones() as usize;
+            out(wi, took);
             pos = (wi + 1) * BITS_PER_WORD;
         }
         taken

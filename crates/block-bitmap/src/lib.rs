@@ -105,6 +105,30 @@ pub trait DirtyMap {
     fn memory_bytes(&self) -> usize;
 }
 
+/// The indices the set bits of `mask` name in word `word`, ascending:
+/// how a caller of a word-at-a-time walk ([`FlatBitmap::take_from`])
+/// that needs single indices loops over a mask.
+#[inline]
+pub fn mask_indices(word: usize, mask: u64) -> impl Iterator<Item = usize> {
+    let base = word * BITS_PER_WORD;
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            base + bit
+        })
+    })
+}
+
+/// The highest index a non-empty `mask` names in word `word`: the last
+/// unit a word-at-a-time walk handed out.
+#[inline]
+pub fn mask_last(word: usize, mask: u64) -> usize {
+    debug_assert_ne!(mask, 0, "an empty mask names no index");
+    word * BITS_PER_WORD + (BITS_PER_WORD - 1 - mask.leading_zeros() as usize)
+}
+
 /// Ceiling division of `bits` by the word width.
 #[inline]
 pub(crate) fn words_for(bits: usize) -> usize {
@@ -142,6 +166,15 @@ mod tests {
         assert_eq!(tail_mask(1), 1);
         assert_eq!(tail_mask(3), 0b111);
         assert_eq!(tail_mask(65), 1);
+    }
+
+    #[test]
+    fn mask_indices_walks_a_word_ascending() {
+        assert_eq!(mask_indices(2, 0).count(), 0);
+        let got: Vec<usize> = mask_indices(2, (1 << 63) | 0b1010).collect();
+        assert_eq!(got, vec![129, 131, 191]);
+        assert_eq!(mask_last(2, (1 << 63) | 0b1010), 191);
+        assert_eq!(mask_last(0, 1), 0);
     }
 
     #[test]

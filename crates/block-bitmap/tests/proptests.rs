@@ -1,7 +1,9 @@
 //! Property-based tests: layered ≡ flat semantics, wire round-trips, and
 //! set-operation algebra.
 
-use block_bitmap::{ser, AtomicBitmap, BlockMapper, DirtyMap, FlatBitmap, LayeredBitmap};
+use block_bitmap::{
+    mask_indices, ser, AtomicBitmap, BlockMapper, DirtyMap, FlatBitmap, LayeredBitmap,
+};
 use proptest::prelude::*;
 
 /// An arbitrary sequence of set/clear operations over a fixed bit space.
@@ -173,25 +175,41 @@ proptest! {
     }
 
     /// `take_from` clears the first `n` set bits at or after `from`, in
-    /// ascending order, from the bitmap and from `also`, and no other.
+    /// ascending order, from the bitmap and from `also`, and no other; it
+    /// hands them out as one non-empty mask per word, words ascending. Over
+    /// dense and sparse sets, bit counts with a partial tail word, `n` below
+    /// and beyond a word, and `also` given or not: each against a per-bit
+    /// reference.
     #[test]
     fn take_from_clears_the_first_n_from(
-        idxs in prop::collection::btree_set(0usize..300, 0..120),
+        nbits in 1usize..300,
+        idxs in prop::collection::btree_set(0usize..300, 0..200),
         other in prop::collection::btree_set(0usize..300, 0..120),
         from in 0usize..310,
-        n in 0usize..140,
+        n in 0usize..200,
+        with_also in any::<bool>(),
     ) {
-        let mut bm = FlatBitmap::new(300);
-        let mut also = FlatBitmap::new(300);
+        let idxs: Vec<usize> = idxs.into_iter().filter(|&i| i < nbits).collect();
+        let other: Vec<usize> = other.into_iter().filter(|&i| i < nbits).collect();
+        let mut bm = FlatBitmap::new(nbits);
+        let mut also = FlatBitmap::new(nbits);
         for &i in &idxs { bm.set(i); }
         for &i in &other { also.set(i); }
         let expect: Vec<usize> = idxs.iter().copied().filter(|&i| i >= from).take(n).collect();
-        let mut taken = Vec::new();
-        prop_assert_eq!(bm.take_from(from, n, Some(&mut also), |u| taken.push(u)), expect.len());
+        let mut masks = Vec::new();
+        let count = bm.take_from(from, n, with_also.then_some(&mut also), |w, m| masks.push((w, m)));
+        prop_assert_eq!(count, expect.len());
+        prop_assert!(masks.iter().all(|&(_, m)| m != 0));
+        prop_assert!(masks.windows(2).all(|p| p[0].0 < p[1].0));
+        let taken: Vec<usize> = masks.iter().flat_map(|&(w, m)| mask_indices(w, m)).collect();
         prop_assert_eq!(&taken, &expect);
         let left: Vec<usize> = idxs.iter().copied().filter(|i| !expect.contains(i)).collect();
         prop_assert_eq!(bm.to_indices(), left);
-        let also_left: Vec<usize> = other.iter().copied().filter(|i| !expect.contains(i)).collect();
+        let also_left: Vec<usize> = if with_also {
+            other.iter().copied().filter(|i| !expect.contains(i)).collect()
+        } else {
+            other.clone()
+        };
         prop_assert_eq!(also.to_indices(), also_left);
     }
 

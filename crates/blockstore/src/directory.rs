@@ -163,21 +163,11 @@ impl BlockDirectory {
     }
 }
 
-/// Bitmap of the blocks where `view` is at `live`'s generation, built a
-/// word per 64 blocks: the compare loop carries no per-bit bounds check
-/// or read-modify-write of the bitmap.
+/// Bitmap of the blocks where `view` is at `live`'s generation, a word
+/// per 64 blocks ([`MetaDisk::agreement`]).
 fn fresh_words(view: &[u32], live: &MetaDisk) -> FlatBitmap {
-    let words = view
-        .chunks(64)
-        .zip(live.generations().chunks(64))
-        .map(|(held, want)| {
-            held.iter()
-                .zip(want)
-                .enumerate()
-                .fold(0u64, |word, (bit, (a, b))| {
-                    word | (u64::from(a == b) << bit)
-                })
-        })
+    let words = (0..view.len().div_ceil(64))
+        .map(|w| live.agreement(w, view))
         .collect();
     FlatBitmap::from_words(view.len(), words)
 }

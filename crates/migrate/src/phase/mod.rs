@@ -27,7 +27,7 @@ pub use book::{
     batch_wire, fetch_wire, frame_wire, freeze_window, pace_step, units_wire, FreezeBill, PAGE_SIZE,
 };
 
-use block_bitmap::{DirtyMap, FlatBitmap};
+use block_bitmap::{mask_last, DirtyMap, FlatBitmap, BITS_PER_WORD};
 use telemetry::{Event, Phase, Resource, Side};
 
 /// The pre-copy stop rule (§IV-A-1), disk and memory alike: stop once a
@@ -329,21 +329,24 @@ impl Worklist {
     #[inline]
     pub fn next(&mut self, within: Option<&mut FlatBitmap>) -> Option<usize> {
         let mut unit = None;
-        self.take(1, within, |u| unit = Some(u));
+        self.take(1, within, |w, mask| {
+            unit = Some(w * BITS_PER_WORD + mask.trailing_zeros() as usize);
+        });
         unit
     }
 
-    /// Take up to `n` units off the set, handing each to `out` in turn:
-    /// those from the cursor on in ascending order, then those from the
-    /// start, and the cursor moves past the last one. With `within`, only
-    /// its units qualify, and each taken unit leaves it too. Returns how
-    /// many were taken.
+    /// Take up to `n` units off the set a word at a time, handing each
+    /// word's taken units to `out` as `(word index, mask)`: those from the
+    /// cursor on in ascending order, then those from the start, and the
+    /// cursor moves past the last one. With `within`, only its units
+    /// qualify, and each taken unit leaves it too. Returns how many were
+    /// taken.
     #[inline]
     pub fn take(
         &mut self,
         n: usize,
         within: Option<&mut FlatBitmap>,
-        mut out: impl FnMut(usize),
+        mut out: impl FnMut(usize, u64),
     ) -> usize {
         let Self { set, cursor } = self;
         let (from, mut also) = match within {
@@ -351,9 +354,9 @@ impl Worklist {
             None => (set, None),
         };
         let mut last = None;
-        let mut out = |u| {
-            last = Some(u);
-            out(u);
+        let mut out = |w, mask: u64| {
+            last = Some(mask_last(w, mask));
+            out(w, mask);
         };
         let mut taken = from.take_from(*cursor, n, also.as_deref_mut(), &mut out);
         if taken < n {
@@ -391,6 +394,7 @@ impl Worklist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use block_bitmap::mask_indices;
 
     const DISK: StopRule = StopRule::new(8, 64);
     const MEM: StopRule = StopRule::new(8, 256);
@@ -560,9 +564,10 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
         /// `take(n, within)` takes exactly what `n` calls of `next(within)`
-        /// would, in the same order, and leaves the same set, mask and
-        /// cursor: over sets with partial tail words, empty sets, random
-        /// cursors and masks, and `n` below and beyond the set's size.
+        /// would, in the same order (each mask read lowest bit first), and
+        /// leaves the same set, mask and cursor: over sets with partial
+        /// tail words, empty sets, random cursors and masks, and `n` below
+        /// and beyond the set's size.
         #[test]
         fn take_is_n_calls_of_next(
             nbits in 1usize..300,
@@ -591,7 +596,7 @@ mod tests {
                 }
             }
             let (mut got, mut got_within, mut taken) = (start.clone(), within.clone(), vec![]);
-            let count = got.take(n, got_within.as_mut(), |u| taken.push(u));
+            let count = got.take(n, got_within.as_mut(), |w, m| taken.extend(mask_indices(w, m)));
             proptest::prop_assert_eq!(count, taken.len());
             proptest::prop_assert_eq!(&taken, &expected);
             proptest::prop_assert_eq!(&got, &want);

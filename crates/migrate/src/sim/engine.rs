@@ -15,7 +15,7 @@ use workloads::{Guest, TimedOp, WorkloadKind};
 
 use crate::phase::{
     batch_wire, fetch_wire, freeze_window, pace_step, FreezeBill, PhaseMachine, StopRule, Voice,
-    PAGE_SIZE,
+    Worklist, PAGE_SIZE,
 };
 use crate::report::{MigrationReport, MultiSourceReport, PeerBytes, PostCopyStats};
 use crate::sim::postcopy::{run_postcopy, PostCopyConfig};
@@ -107,18 +107,11 @@ impl TpmEngine {
         // fork from its master seed (`orchestrator::Cluster::new`).
         let mut rng = SimRng::new(cfg.seed);
         let guest = Guest::new(kind, cfg.disk_blocks as u64, cfg.mem_pages, rng.fork(0));
-        let mut src_disk = MetaDisk::new(cfg.disk_blocks);
         // The installed image: every block distinct from the blank
         // destination, so the first full pass is load-bearing for the
         // consistency check.
-        for b in 0..cfg.disk_blocks {
-            src_disk.write(b);
-        }
-        let mut src_mem = GuestMemory::new(cfg.mem_pages);
-        for p in 0..cfg.mem_pages {
-            src_mem.touch(p);
-        }
-        src_mem.drain_dirty();
+        let src_disk = MetaDisk::installed(cfg.disk_blocks);
+        let src_mem = GuestMemory::installed(cfg.mem_pages);
         let mut cpu = CpuState::new(testbed::VCPUS);
         cpu.scribble(rng.next_u64());
         let tracker = FlatBitmap::new(cfg.disk_blocks);
@@ -238,30 +231,32 @@ impl TpmEngine {
     /// guest keeps running, contending for the disk. With `cfg.dedup` the
     /// set is first split against a snapshot of what the destination
     /// already holds verbatim (same generation at the same index — the
-    /// MetaDisk notion of identical content): those blocks cross as
-    /// 16-byte references, the rest as full payloads. Returns
-    /// (blocks_sent, bytes).
-    fn transfer_disk_set(&mut self, set: &FlatBitmap, cat: Category) -> (u64, u64) {
+    /// MetaDisk notion of identical content, [`MetaDisk::agreement`]):
+    /// those blocks cross as 16-byte references, the rest as full
+    /// payloads. Returns (blocks_sent, bytes).
+    fn transfer_disk_set(&mut self, set: FlatBitmap, cat: Category) -> (u64, u64) {
         if !self.cfg.dedup {
             return self.transfer_disk_fulls(set, cat);
         }
-        let mut refs = FlatBitmap::new(set.len());
-        for b in set.iter_set() {
-            if self.dst_disk.generation(b) == self.src_disk.generation(b) {
-                refs.set(b);
-            }
-        }
-        if refs.count_ones() == 0 {
+        let held = self.dst_disk.generations();
+        let words = (set.words().iter().enumerate())
+            .map(|(w, &bits)| match bits {
+                0 => 0,
+                _ => bits & self.src_disk.agreement(w, held),
+            })
+            .collect();
+        let refs = FlatBitmap::from_words(set.len(), words);
+        if refs.none_set() {
             // Nothing to reference: take the classic path, bit-identical
             // to a dedup-off run (same floats, same ledger, same clock).
             return self.transfer_disk_fulls(set, cat);
         }
         // Full payloads first, then the cheap references: two
         // uniform-cost sub-phases.
-        let mut fulls = set.clone();
+        let mut fulls = set;
         fulls.subtract(&refs);
-        let (fs, fb) = self.transfer_disk_fulls(&fulls, cat);
-        let (rs, rb) = self.transfer_disk_blocks::<true>(&refs, cat);
+        let (fs, fb) = self.transfer_disk_fulls(fulls, cat);
+        let (rs, rb) = self.transfer_disk_blocks::<true>(refs, cat);
         (fs + rs, fb + rb)
     }
 
@@ -271,20 +266,20 @@ impl TpmEngine {
     /// multisource off, no peers attached, or no owed block fresh on
     /// any peer, the call reduces to the classic transfer loop with
     /// zero extra float math: bit-identical ledger and clock.
-    fn transfer_disk_fulls(&mut self, fulls: &FlatBitmap, cat: Category) -> (u64, u64) {
-        if !self.cfg.multisource || self.peer_dir.is_empty() || fulls.count_ones() == 0 {
+    fn transfer_disk_fulls(&mut self, fulls: FlatBitmap, cat: Category) -> (u64, u64) {
+        if !self.cfg.multisource || self.peer_dir.is_empty() || fulls.none_set() {
             return self.transfer_disk_blocks::<false>(fulls, cat);
         }
-        let plan = FetchPlanner::plan(
+        let mut plan = FetchPlanner::plan(
             &self.peer_dir,
             MS_VM,
             &self.src_disk,
-            fulls,
+            &fulls,
             None, // dedup already classified resident content as refs
             &self.peer_budgets,
             self.cfg.migration_net_rate(),
         );
-        if plan.any_peer.count_ones() == 0 {
+        if plan.any_peer.none_set() {
             return self.transfer_disk_blocks::<false>(fulls, cat);
         }
         self.ms.plans += 1;
@@ -298,7 +293,8 @@ impl TpmEngine {
             ref_blocks: 0,
             peers: plan.per_peer.len() as u64,
         });
-        let (ss, sb) = self.transfer_disk_blocks::<false>(&plan.source_only, cat);
+        let source_only = std::mem::take(&mut plan.source_only);
+        let (ss, sb) = self.transfer_disk_blocks::<false>(source_only, cat);
         let (ps, pb) = self.transfer_peer_blocks(&plan);
         (ss + ps, sb + pb)
     }
@@ -324,57 +320,28 @@ impl TpmEngine {
             .sum::<f64>()
             .max(1.0);
         let bs = self.cfg.block_size;
-        // The peers' images stay put while the guest steps between pace
-        // steps: lend the directory out of the engine for the drain, so
-        // each lane takes its image once and the block loop below
-        // indexes and looks nothing up.
-        let dir = std::mem::take(&mut self.peer_dir);
-        /// One serving peer's fetch session.
-        struct Lane<'p> {
-            host: u64,
-            image: &'p MetaDisk,
-            assigned: &'p FlatBitmap,
-            /// The next block to look from; `parked` once drained.
-            cursor: usize,
-            fetched: u64,
+        // The round-robin drains every lane before the drain ends, and
+        // the peers' images stay put while the guest steps (its writes
+        // land on the source): each lane's assignment is copied now, a
+        // word at a time, and it fetches exactly its assignment. The
+        // pacing loop below books counts.
+        let mut fetched = Vec::with_capacity(plan.per_peer.len());
+        for (&host, assigned) in &plan.per_peer {
+            let Some(image) = self.peer_dir.image(MS_VM, host) else {
+                continue;
+            };
+            for (w, &mask) in assigned.words().iter().enumerate() {
+                if mask != 0 {
+                    self.dst_disk.copy_masked_from(image, w, mask);
+                }
+            }
+            fetched.push((host, assigned.count_ones() as u64));
         }
-        // Ascending host id, as the plan holds them.
-        let mut lanes: Vec<Lane<'_>> = plan
-            .per_peer
-            .iter()
-            .filter_map(|(&host, assigned)| {
-                Some(Lane {
-                    host,
-                    image: dir.image(MS_VM, host)?,
-                    assigned,
-                    cursor: 0,
-                    fetched: 0,
-                })
-            })
-            .collect();
-        let parked = plan.any_peer.len();
         let mut sent = 0u64;
         let mut bytes = 0u64;
         let mut carry = 0.0f64;
-        let mut rr = 0usize;
         while sent < total {
             let (dt, n) = pace_step(self.cfg.step, rate, bs as f64, total - sent, &mut carry);
-            for _ in 0..n {
-                let (image, b) = loop {
-                    let lanes_len = lanes.len();
-                    let lane = &mut lanes[rr % lanes_len];
-                    rr += 1;
-                    if let Some(b) = lane.assigned.next_set_from(lane.cursor) {
-                        lane.cursor = b + 1;
-                        lane.fetched += 1;
-                        break (lane.image, b);
-                    }
-                    // This peer's assignment is drained; `sent < total`
-                    // guarantees another peer still holds blocks.
-                    lane.cursor = parked;
-                };
-                self.dst_disk.copy_block_from(image, b);
-            }
             if n > 0 {
                 // BlockData frames: 16-byte header per block, one frame
                 // envelope per step batch.
@@ -392,8 +359,8 @@ impl TpmEngine {
             self.guest_step(dt, self.workload_solo_share());
         }
         let rec = Arc::clone(&self.recorder);
-        for lane in lanes {
-            let (host, blocks, b) = (lane.host, lane.fetched, lane.fetched * bs);
+        for (host, blocks) in fetched {
+            let b = blocks * bs;
             rec.record_at_nanos(self.now.as_nanos(), || Event::PeerFetch {
                 side: Side::Destination,
                 peer: host,
@@ -404,20 +371,20 @@ impl TpmEngine {
             e.0 += blocks;
             e.1 += b;
         }
-        self.peer_dir = dir;
         (sent, bytes)
     }
 
     /// Uniform-cost transfer loop: every block in `set` crosses either as
     /// a full payload (`AS_REFS == false`) or as a 16-byte content
-    /// reference. A referenced block is *not* copied — the destination
-    /// already holds identical content by the snapshot; if the guest
-    /// overwrites it mid-flight the dirty tracker re-enters it as a full
-    /// send, exactly like the live engine's fingerprint-mismatch
-    /// fallback.
+    /// reference. Each step's full payloads are taken off the set a
+    /// bitmap word at a time and copied by mask. A referenced block is
+    /// *not* copied — the destination already holds identical content by
+    /// the snapshot; if the guest overwrites it mid-flight the dirty
+    /// tracker re-enters it as a full send, exactly like the live
+    /// engine's fingerprint-mismatch fallback.
     fn transfer_disk_blocks<const AS_REFS: bool>(
         &mut self,
-        set: &FlatBitmap,
+        set: FlatBitmap,
         cat: Category,
     ) -> (u64, u64) {
         let total = set.count_ones() as u64;
@@ -435,7 +402,7 @@ impl TpmEngine {
         } else {
             bs as f64
         };
-        let mut cursor = 0usize;
+        let mut left = Worklist::new(set);
         while sent < total {
             let w_demand = self.guest.disk_demand();
             let (w_share, m_share) = self.cfg.disk_shares(w_demand);
@@ -447,14 +414,12 @@ impl TpmEngine {
                 total - sent,
                 &mut self.block_carry,
             );
-            for _ in 0..n {
-                let b = set
-                    .next_set_from(cursor)
-                    .expect("set must contain the blocks being counted");
-                cursor = b + 1;
-                if !AS_REFS {
-                    self.dst_disk.copy_block_from(&self.src_disk, b);
-                }
+            if !AS_REFS {
+                let (dst, src) = (&mut self.dst_disk, &self.src_disk);
+                let taken = left.take(n as usize, None, |w, mask| {
+                    dst.copy_masked_from(src, w, mask);
+                });
+                debug_assert_eq!(taken as u64, n, "the set holds the blocks being counted");
             }
             if n > 0 {
                 if AS_REFS {
@@ -482,10 +447,11 @@ impl TpmEngine {
         (sent, bytes)
     }
 
-    /// Transfer every page marked in `set` (memory is network-bound, not
-    /// disk-bound; the guest keeps its full disk share). Returns
+    /// Transfer every page marked in `set`, each step's pages taken a
+    /// bitmap word at a time and copied by mask (memory is network-bound,
+    /// not disk-bound; the guest keeps its full disk share). Returns
     /// (pages_sent, bytes).
-    fn transfer_mem_set(&mut self, set: &FlatBitmap) -> (u64, u64) {
+    fn transfer_mem_set(&mut self, set: FlatBitmap) -> (u64, u64) {
         let total = set.count_ones() as u64;
         if total == 0 {
             return (0, 0);
@@ -493,17 +459,15 @@ impl TpmEngine {
         let rate = self.cfg.migration_net_rate();
         let page = PAGE_SIZE;
         let mut sent = 0u64;
-        let mut cursor = 0usize;
+        let mut left = Worklist::new(set);
         let mut carry = 0.0f64;
         while sent < total {
             let (dt, n) = pace_step(self.cfg.step, rate, page as f64, total - sent, &mut carry);
-            for _ in 0..n {
-                let p = set
-                    .next_set_from(cursor)
-                    .expect("set must contain the pages being counted");
-                self.dst_mem.copy_page_from(&self.src_mem, p);
-                cursor = p + 1;
-            }
+            let (dst, src) = (&mut self.dst_mem, &self.src_mem);
+            let taken = left.take(n as usize, None, |w, mask| {
+                dst.copy_masked_from(src, w, mask);
+            });
+            debug_assert_eq!(taken as u64, n, "the set holds the pages being counted");
             if n > 0 {
                 self.ledger.add(Category::Memory, batch_wire(n, page, 0));
             }
@@ -539,7 +503,7 @@ impl TpmEngine {
             to_send.subtract(free);
         }
         loop {
-            let (sent, bytes) = self.transfer_disk_set(&to_send, Category::DiskPrecopy);
+            let (sent, bytes) = self.transfer_disk_set(to_send, Category::DiskPrecopy);
             let at = self.now.as_nanos();
             let dirty = std::mem::replace(&mut self.tracker, FlatBitmap::new(self.cfg.disk_blocks));
             match machine.end_pass(sent, bytes, dirty, |e| fold.at_nanos(&rec, at, e)) {
@@ -553,7 +517,7 @@ impl TpmEngine {
         self.src_mem.drain_dirty();
         let mut pages_to_send = FlatBitmap::all_set(self.cfg.mem_pages);
         loop {
-            let (sent, bytes) = self.transfer_mem_set(&pages_to_send);
+            let (sent, bytes) = self.transfer_mem_set(pages_to_send);
             let (at, dirty) = (self.now.as_nanos(), self.src_mem.drain_dirty());
             match machine.end_pass(sent, bytes, dirty, |e| fold.at_nanos(&rec, at, e)) {
                 Some(next) => pages_to_send = next,

@@ -16,7 +16,7 @@
 //! on-demand-fetching baseline of §II-B) leaves a residual dependency on
 //! the source that this module measures.
 
-use block_bitmap::{DirtyMap, FlatBitmap};
+use block_bitmap::{mask_indices, DirtyMap, FlatBitmap};
 use des::{SimDuration, SimTime, Simulator};
 use simnet::proto::{Category, MigMessage, TransferLedger};
 use telemetry::{Event, Fold, Recorder};
@@ -156,7 +156,9 @@ fn schedule_push(sim: &mut Simulator<PcState<'_>>, st: &mut PcState<'_>) {
     }
     // Gather the next batch of blocks still marked at the source.
     let mut batch = Vec::with_capacity(st.cfg.push_batch);
-    st.push.take(st.cfg.push_batch, None, |b| batch.push(b));
+    (st.push).take(st.cfg.push_batch, None, |w, m| {
+        batch.extend(mask_indices(w, m))
+    });
     if batch.is_empty() {
         // Everything handed to the wire; completion happens at the last
         // arrival (PushComplete itself is control traffic).

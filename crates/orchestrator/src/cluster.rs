@@ -93,10 +93,7 @@ impl Cluster {
         for i in 0..cfg.vms {
             let host = HostId(i % cfg.hosts);
             let kind = cfg.workload_cycle[i % cfg.workload_cycle.len()];
-            let mut disk = MetaDisk::new(cfg.disk_blocks);
-            for b in 0..cfg.disk_blocks {
-                disk.write(b);
-            }
+            let disk = MetaDisk::installed(cfg.disk_blocks);
             cluster.vms.push(VmHandle {
                 id: VmId(i),
                 host,

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use block_bitmap::{ser, DirtyMap, FlatBitmap};
+use block_bitmap::{mask_last, ser, DirtyMap, FlatBitmap};
 use des::{SimDuration, SimTime};
 use migrate::phase::{
     batch_wire, frame_wire, freeze_window, pace_step, FreezeBill, PhaseMachine, StopRule, Voice,
@@ -616,11 +616,13 @@ impl Orchestrator {
         let replica = replica.filter(|r| r.num_blocks() == live_blocks);
         let (dst_disk, to_send, incremental) = match replica {
             Some(r) => {
-                let mut bm = FlatBitmap::new(nblocks);
-                for b in self.cluster.vms[vm.0].disk.diff_blocks(&r) {
-                    bm.set(b);
-                }
-                (r, bm, true)
+                // The blocks the replica does not hold at the live
+                // generation, a word at a time.
+                let live = &self.cluster.vms[vm.0].disk;
+                let words = (0..nblocks.div_ceil(64))
+                    .map(|w| !live.agreement(w, r.generations()))
+                    .collect();
+                (r, FlatBitmap::from_words(nblocks, words), true)
             }
             None => (MetaDisk::new(nblocks), FlatBitmap::all_set(nblocks), false),
         };
@@ -1083,25 +1085,29 @@ impl Orchestrator {
             Vec::new()
         };
         let dst_disk = &mut t.dst_disk;
-        let taken = t.to_send.take(n as usize, candidates.as_mut(), |b| {
-            if self.cfg.dedup && dst_disk.generation(b) == src_disk.generation(b) {
-                // Destination already holds this exact content: nothing
-                // to copy, only the reference crosses.
-                refs += 1;
-            } else {
-                dst_disk.copy_block_from(src_disk, b);
-                // A peer-fed block counts unconditionally (the server
-                // IS a peer); otherwise count it when some bystander
-                // replica also holds it at the live generation.
-                if peer_mask.is_some()
-                    || bystanders
-                        .iter()
-                        .any(|held| held[b] == src_disk.generation(b))
-                {
-                    peer += 1;
+        let taken = t.to_send.take(n as usize, candidates.as_mut(), |w, mask| {
+            // Blocks the destination already holds at the live
+            // generation: nothing to copy, only the reference crosses.
+            let resident = match self.cfg.dedup {
+                true => mask & src_disk.agreement(w, dst_disk.generations()),
+                false => 0,
+            };
+            let full = mask & !resident;
+            dst_disk.copy_masked_from(src_disk, w, full);
+            refs += u64::from(resident.count_ones());
+            // A peer-fed block counts unconditionally (the server IS a
+            // peer); otherwise a full block counts when some bystander
+            // replica also holds it at the live generation.
+            let servable = match peer_mask {
+                Some(_) => full,
+                None => {
+                    let fresh =
+                        (bystanders.iter()).fold(0, |acc, held| acc | src_disk.agreement(w, held));
+                    full & fresh
                 }
-            }
-            last = Some(b);
+            };
+            peer += u64::from(servable.count_ones());
+            last = Some(mask_last(w, mask));
         });
         t.blocks_sent += taken as u64;
         t.ship(n, batch_wire(n - refs, testbed::BLOCK_SIZE, refs));
@@ -1418,7 +1424,9 @@ impl Orchestrator {
 fn pump_pages(t: &mut Task, rate: f64, dt: SimDuration) -> Option<usize> {
     let n = t.paced(rate, PAGE_SIZE as f64, t.remaining(), dt);
     let mut last = None;
-    t.to_send.take(n as usize, None, |p| last = Some(p));
+    t.to_send.take(n as usize, None, |w, mask| {
+        last = Some(mask_last(w, mask));
+    });
     last?;
     t.ship(n, batch_wire(n, PAGE_SIZE, 0));
     last

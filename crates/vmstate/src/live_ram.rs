@@ -134,15 +134,6 @@ impl LiveRam {
         self.dirty.count_ones()
     }
 
-    /// Indices of pages whose contents differ from `other`. Each page is
-    /// read under its own lock, so compare RAMs nobody is writing.
-    ///
-    /// # Panics
-    /// Panics when geometries differ.
-    pub fn diff_pages(&self, other: &LiveRam) -> Vec<usize> {
-        self.pages.diff_blocks(&other.pages)
-    }
-
     /// `true` when every page matches `other`.
     pub fn content_equals(&self, other: &LiveRam) -> bool {
         self.pages.content_equals(&other.pages)
@@ -200,15 +191,6 @@ mod tests {
         let payload = src.read_pages(&pages);
         dst.apply_pages(&pages, &payload);
         assert!(src.content_equals(&dst));
-    }
-
-    #[test]
-    fn diff_pages_finds_divergence() {
-        let a = LiveRam::new(128, 4);
-        let b = LiveRam::new(128, 4);
-        assert!(a.content_equals(&b));
-        a.write_page(2, &page(9, 128));
-        assert_eq!(a.diff_pages(&b), vec![2]);
     }
 
     #[test]

@@ -26,6 +26,15 @@ impl GuestMemory {
         }
     }
 
+    /// Memory of `num_pages` pages each written once, clean: what
+    /// touching every page in turn and draining the dirty bitmap leaves.
+    pub fn installed(num_pages: usize) -> Self {
+        Self {
+            pages: MetaDisk::installed(num_pages),
+            dirty: FlatBitmap::new(num_pages),
+        }
+    }
+
     /// Number of pages.
     pub fn num_pages(&self) -> usize {
         self.pages.num_blocks()
@@ -54,6 +63,15 @@ impl GuestMemory {
     /// Panics when geometries differ or `page` is out of range.
     pub fn copy_page_from(&mut self, src: &GuestMemory, page: usize) {
         self.pages.copy_block_from(&src.pages, page);
+    }
+
+    /// Copy the pages `mask` names in bitmap word `word` from `src`
+    /// ([`MetaDisk::copy_masked_from`]).
+    ///
+    /// # Panics
+    /// Panics when geometries differ or a named page is out of range.
+    pub fn copy_masked_from(&mut self, src: &GuestMemory, word: usize, mask: u64) {
+        self.pages.copy_masked_from(&src.pages, word, mask);
     }
 
     /// `true` when every page matches `other`.
@@ -112,6 +130,21 @@ mod tests {
             dst.copy_page_from(&src, p);
         }
         assert!(src.content_equals(&dst));
+    }
+
+    #[test]
+    fn installed_is_every_page_touched_then_drained() {
+        let mut touched = GuestMemory::new(70);
+        for p in 0..70 {
+            touched.touch(p);
+        }
+        touched.drain_dirty();
+        let mut installed = GuestMemory::installed(70);
+        assert!(installed.content_equals(&touched));
+        assert!(installed.drain_dirty().none_set());
+        installed.touch(3);
+        touched.touch(3);
+        assert!(installed.content_equals(&touched));
     }
 
     #[test]

@@ -54,8 +54,15 @@ fn laid_out() -> LiveRam {
     ram
 }
 
+/// The pages where `a` and `b` differ, read page by page.
+fn diff_pages(a: &LiveRam, b: &LiveRam) -> Vec<usize> {
+    (0..PAGES)
+        .filter(|&p| a.read_page(p) != b.read_page(p))
+        .collect()
+}
+
 /// Every observation of `a` is that of `b`, diffs and equality taken
-/// against each of `probes` in both directions.
+/// against each of `probes` in both directions; equality is no diff.
 fn observed_alike(
     a: &LiveRam,
     b: &LiveRam,
@@ -71,10 +78,13 @@ fn observed_alike(
         prop_assert_eq!(&into_a, &a.read_page(p), "page {}", p);
     }
     prop_assert_eq!(a.read_pages(reads), b.read_pages(reads));
-    prop_assert!(a.diff_pages(b).is_empty() && b.content_equals(a));
+    prop_assert!(diff_pages(a, b).is_empty() && b.content_equals(a) && a.content_equals(b));
     for probe in probes {
-        prop_assert_eq!(a.diff_pages(probe), b.diff_pages(probe));
-        prop_assert_eq!(probe.diff_pages(a), probe.diff_pages(b));
+        let diff = diff_pages(a, probe);
+        prop_assert_eq!(&diff, &diff_pages(b, probe));
+        prop_assert_eq!(diff_pages(probe, a), diff_pages(probe, b));
+        prop_assert_eq!(a.content_equals(probe), diff.is_empty());
+        prop_assert_eq!(probe.content_equals(a), diff.is_empty());
         prop_assert_eq!(a.content_equals(probe), b.content_equals(probe));
     }
     Ok(())

@@ -24,13 +24,17 @@ fresh seeds (`--first-seed 31`) before reading anything into it.
 
 A batch whose guest is idle (`--workload idle`) draws nothing, so its
 output must not differ at all: the script compares its stdout byte for
-byte and exits 1 if any seed differs, or if any run fails.
+byte and exits 1 if any seed differs, or if any run fails. With
+`--identical` every batch is held to that, busy guests included: for a
+change that must move no output, the sweep is a byte-for-byte check.
 
     cargo build --release -p vmmigrate     # the change, in target/
     scripts/sweep.py --parent PARENT/target/release/vmmigrate \\
         --change target/release/vmmigrate --seeds 30 --first-seed 1
     # one batch only (a regular expression over the batch names):
     scripts/sweep.py --parent ... --change ... --only 'orchestrate --policy'
+    # every batch's stdout byte for byte:
+    scripts/sweep.py --parent ... --change ... --identical
 """
 
 import argparse
@@ -184,6 +188,11 @@ def main():
     ap.add_argument("--first-seed", type=int, default=1, help="first seed (default 1)")
     ap.add_argument("--only", help="run only the batches whose name matches this regex")
     ap.add_argument(
+        "--identical",
+        action="store_true",
+        help="require every batch's stdout to be byte-identical, not only the idle ones",
+    )
+    ap.add_argument(
         "--scenarios",
         default=str(Path(__file__).resolve().parent.parent / "scenarios"),
         help="directory of the .scn files (default: the repo's scenarios/)",
@@ -192,37 +201,41 @@ def main():
     scenarios = sorted(Path(args.scenarios).glob("*.scn"))
     seeds = range(args.first_seed, args.first_seed + args.seeds)
     started = time.monotonic()
-    flagged, idle_diffs, failures = [], [], []
+    flagged, diffs, failures = [], [], []
     for name, argv in batches(scenarios):
         if args.only and not re.search(args.only, name):
             continue
         t0 = time.monotonic()
+        exact = args.identical or idle(name)
         parent_runs, change_runs = [], []
         try:
             for seed in seeds:
                 p, c = run(args.parent, argv, seed), run(args.change, argv, seed)
-                if idle(name) and p != c:
-                    idle_diffs.append((name, seed))
+                if exact and p != c:
+                    diffs.append((name, seed))
                 parent_runs.append(fields(p))
                 change_runs.append(fields(c))
         except (RuntimeError, json.JSONDecodeError) as err:
             failures.append(f"{name}: {err}")
             print(f"{name}: FAILED: {err}")
             continue
-        if idle(name):
-            bad = sum(1 for n, _ in idle_diffs if n == name)
-            print(f"{name}: idle guest, stdout identical at {len(seeds) - bad} of {len(seeds)} seeds")
+        if exact:
+            bad = sum(1 for n, _ in diffs if n == name)
+            why = "idle guest" if idle(name) else "--identical"
+            print(f"{name}: {why}, stdout identical at {len(seeds) - bad} of {len(seeds)} seeds")
+            if bad:
+                flagged += compare(name, parent_runs, change_runs)
         else:
             flagged += compare(name, parent_runs, change_runs)
         print(f"  ({time.monotonic() - t0:.1f} s)\n")
     print(f"sweep: {time.monotonic() - started:.1f} s wall, seeds {seeds.start}-{seeds.stop - 1}")
     for name, path, p_value in flagged:
         print(f"FLAG {name}: {path} p={p_value:.4f}")
-    for name, seed in idle_diffs:
-        print(f"IDLE DIFFERS {name} at seed {seed}")
+    for name, seed in diffs:
+        print(f"DIFFERS {name} at seed {seed}")
     for line in failures:
         print(f"FAILED {line}")
-    return 1 if idle_diffs or failures else 0
+    return 1 if diffs or failures else 0
 
 
 if __name__ == "__main__":
